@@ -389,7 +389,10 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // document); the parallel variants fan parse/upmark/shred across
 // workers, feed a single ordered writer, and overlap derived indexing —
 // on a multi-core runner the worker sweep shows the pipeline's
-// throughput multiple.
+// throughput multiple.  Those cases run in memory, unlogged; "durable"
+// runs the pipeline on a directory and reports what the log cost: WAL
+// bytes per ingested byte and WAL records per document, read before the
+// close (its checkpoint appends nothing, but truncates the file).
 func BenchmarkIngestParallel(b *testing.B) {
 	gen := corpus.New(47)
 	docs := gen.Mixed(200)
@@ -440,6 +443,35 @@ func BenchmarkIngestParallel(b *testing.B) {
 			}
 		})
 	}
+	b.Run("durable", func(b *testing.B) {
+		b.SetBytes(total)
+		b.ReportAllocs()
+		var appends, walBytes uint64
+		for i := 0; i < b.N; i++ {
+			nm, err := netmark.Open(netmark.Config{
+				Dir:             b.TempDir(),
+				IngestWorkers:   2,
+				IngestBatchSize: len(batch),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			a0, _, w0 := nm.DB().WALStats() // the open logged the schema
+			for _, r := range nm.IngestBatch(batch) {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+			a1, _, w1 := nm.DB().WALStats()
+			appends += a1 - a0
+			walBytes += w1 - w0
+			if err := nm.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(walBytes)/float64(total*int64(b.N)), "wal-B/user-B")
+		b.ReportMetric(float64(appends)/float64(len(batch)*b.N), "wal-appends/doc")
+	})
 }
 
 // BenchmarkColdContentSearch measures the uncached §2.1.4 kernel — text

@@ -1,6 +1,11 @@
 package ordbms
 
-import "testing"
+import (
+	"path/filepath"
+	"testing"
+
+	"netmark/internal/vfs"
+)
 
 // FetchView + DecodeRowInto over an int-only row is the engine's
 // declared zero-allocation read path: page pin on a resident page,
@@ -43,5 +48,34 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 	}
 	if cols[0].Int != 7 || cols[2].Int != 13 {
 		t.Fatalf("decoded row = %+v", cols)
+	}
+}
+
+// A WAL append frames its record straight into the log buffer and CRCs
+// the bytes where they lie: once the buffer has grown to a batch's size,
+// logging a page of rows, a delete or an update allocates nothing.
+func TestWALAppendZeroAlloc(t *testing.T) {
+	w, err := OpenWAL(vfs.OS, filepath.Join(t.TempDir(), "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	rec := make([]byte, 96)
+	rows := make([]runRow, 40)
+	for i := range rows {
+		rows[i] = runRow{slot: uint16(i), rec: rec}
+	}
+	run := []*runPage{{f: &Frame{PageNo: 7}, rows: rows}}
+	batch := func() {
+		w.LogInsertRun(run)
+		w.LogDelete(7, 3)
+		lsn := w.LogUpdate(7, 4, rec)
+		if err := w.Flush(lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch() // grow the buffer once
+	if n := testing.AllocsPerRun(200, batch); n != 0 {
+		t.Errorf("three WAL appends + flush = %.2f allocs, want 0", n)
 	}
 }

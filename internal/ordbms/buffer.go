@@ -35,6 +35,12 @@ type Frame struct {
 	dirty  bool
 	lruEl  *list.Element
 
+	// loading is non-nil while the fetch that missed is still reading the
+	// page in; it is closed once the read has landed in Page or failed
+	// into loadErr.  Set and cleared under the pool lock.
+	loading chan struct{}
+	loadErr error // written before loading is closed, read after
+
 	// Latch serialises access to the page contents.
 	Latch sync.RWMutex
 }
@@ -83,14 +89,24 @@ func (bp *BufferPool) NewPage() (*Frame, error) {
 	return f, nil
 }
 
-// Fetch pins the given page, reading it from disk if needed.
+// Fetch pins the given page, reading it from disk if needed.  A fetch
+// that finds the frame of a read still in flight waits for it, so no
+// caller is handed a page before its bytes are there.
 func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 	bp.mu.Lock()
 	if f, ok := bp.frames[no]; ok {
 		f.pins++
 		bp.lru.MoveToFront(f.lruEl)
 		bp.hits++
+		loading := f.loading
 		bp.mu.Unlock()
+		if loading != nil {
+			<-loading
+			if f.loadErr != nil {
+				bp.Unpin(f, false)
+				return nil, f.loadErr
+			}
+		}
 		return f, nil
 	}
 	bp.misses++
@@ -100,19 +116,25 @@ func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 	}
 	// netmarkvet:allocok — miss path: the frame and page backing a
 	// newly resident page are the point of the fetch
-	f := &Frame{PageNo: no, Page: NewPage(), pins: 1}
+	f := &Frame{PageNo: no, Page: NewPage(), pins: 1, loading: make(chan struct{})}
 	f.lruEl = bp.lru.PushFront(f)
 	bp.frames[no] = f
 	bp.mu.Unlock()
 
 	// Read outside the pool lock; the frame is pinned so it cannot be
-	// evicted, and no other goroutine uses the page before we return.
-	if err := bp.disk.ReadPage(no, f.Page.Data()); err != nil {
-		bp.mu.Lock()
+	// evicted, and concurrent fetchers of the page wait on f.loading.
+	err := bp.disk.ReadPage(no, f.Page.Data())
+	bp.mu.Lock()
+	if err != nil {
 		f.pins--
 		delete(bp.frames, no)
 		bp.lru.Remove(f.lruEl)
-		bp.mu.Unlock()
+		f.loadErr = err
+	}
+	close(f.loading)
+	f.loading = nil
+	bp.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	return f, nil

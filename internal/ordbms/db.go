@@ -361,14 +361,15 @@ func (db *DB) FS() vfs.FS {
 	return db.fs
 }
 
-// WALStats returns (records appended, fsyncs issued), both zero for
-// in-memory stores.  Group-commit batching shows up as syncs growing per
-// batch while appends grow per record.
-func (db *DB) WALStats() (appends, syncs uint64) {
+// WALStats returns (records appended, fsyncs issued, bytes appended), all
+// zero for in-memory stores.  Group-commit batching shows up as syncs
+// growing per batch while appends grow per run inserted; bytes over the
+// bytes ingested is the log's write amplification.
+func (db *DB) WALStats() (appends, syncs, bytes uint64) {
 	if db.wal == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
-	return db.wal.Appends(), db.wal.Syncs()
+	return db.wal.Appends(), db.wal.Syncs(), db.wal.Bytes()
 }
 
 // RegisterPreCheckpointHook installs fn to run inside every checkpoint's
@@ -591,45 +592,43 @@ func (t *Table) Insert(row Row) (RowID, error) {
 	return rid, nil
 }
 
-// InsertPrepared stores a row whose record the caller has already
-// encoded (rec must equal EncodeRow(row)), moving the encoding cost off
-// the table's write lock.  The batch-ingest pipeline encodes rows in its
-// parse workers and feeds them here through the single writer.
+// InsertRun stores a run of rows in one pass and returns their physical
+// RowIDs, in order.  recs[i] must equal EncodeRow(rows[i]) except in the
+// bytes link patches: the caller encodes off the table's write lock (the
+// batch-ingest pipeline does it in its parse workers), and link, called
+// once every RowID of the run is settled and before any row is written,
+// may overwrite fixed-width unindexed columns in recs with those RowIDs
+// — so rows that reference each other physically are written and logged
+// once, with their final bytes (see HeapFile.InsertRun).  link runs
+// under the table lock: it must not block or call back into the table.
+// The run is all or nothing: an error means no row was written, logged
+// or indexed.
 //
 // netmarkvet:mutates
-func (t *Table) InsertPrepared(row Row, rec []byte) (RowID, error) {
-	if err := t.schema.Validate(row); err != nil {
-		return ZeroRowID, err
+func (t *Table) InsertRun(rows []Row, recs [][]byte, link func(rids []RowID)) ([]RowID, error) {
+	if len(rows) != len(recs) {
+		return nil, fmt.Errorf("ordbms: run of %d rows with %d records", len(rows), len(recs))
+	}
+	for _, row := range rows {
+		if err := t.schema.Validate(row); err != nil {
+			return nil, err
+		}
 	}
 	if err := t.writable(); err != nil {
-		return ZeroRowID, err
+		return nil, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, err := t.heap.Insert(rec)
+	rids, err := t.heap.InsertRun(recs, link)
 	if err != nil {
-		return ZeroRowID, t.noteIfIOFault("insert", err)
+		return nil, t.noteIfIOFault("insert", err)
 	}
 	for _, ix := range t.indexes {
-		ix.insert(row, rid)
+		for i, row := range rows {
+			ix.insert(row, rids[i])
+		}
 	}
-	return rid, nil
-}
-
-// UpdateInPlace rewrites the record at rid with a pre-encoded record of
-// the same encoded layout whose indexed columns are unchanged — the fast
-// path for the XML store's link patches, which touch only fixed-width
-// unindexed columns.  It skips the fetch/decode/re-encode and index
-// diffing of Update; the caller owns those invariants.
-//
-// netmarkvet:mutates
-func (t *Table) UpdateInPlace(rid RowID, rec []byte) error {
-	if err := t.writable(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.noteIfIOFault("update", t.heap.Update(rid, rec))
+	return rids, nil
 }
 
 // Fetch returns the row at rid.  The row is decoded directly from the

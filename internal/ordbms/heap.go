@@ -100,95 +100,203 @@ func (h *HeapFile) Rows() int64 {
 
 // Insert stores a record and returns its physical RowID.
 func (h *HeapFile) Insert(rec []byte) (RowID, error) {
-	if len(rec) > MaxRecordSize {
-		return ZeroRowID, fmt.Errorf("ordbms: record of %d bytes exceeds page capacity", len(rec))
+	rids, err := h.InsertRun([][]byte{rec}, nil)
+	if err != nil {
+		return ZeroRowID, err
+	}
+	return rids[0], nil
+}
+
+// runPage is one page a run insert has considered.  The frame stays
+// pinned from then until the run is written and logged, so nothing
+// between the first page write and the log append can fail.
+type runPage struct {
+	f     *Frame
+	plan  pagePlan
+	free0 int      // FreeSpace when the run first looked, to undo the hints
+	rows  []runRow // what the run has placed here so far, in order
+}
+
+// runRow is one placed record of a run insert: the slot it was promised
+// and the record whose bytes the caller may still be patching.
+type runRow struct {
+	slot uint16
+	rec  []byte
+}
+
+// InsertRun stores a run of records in one pass and returns their
+// physical RowIDs, in order.  It first places every record — free-hint
+// pages, then the tail page, then a fresh page, which needs only the
+// record sizes — then hands the RowIDs to link, which may patch bytes of
+// the records in place (never their lengths): rows that point at each
+// other by RowID are written once, already linked.  Only then do the
+// pages take their rows, all under their write latches and one
+// walInsertRun record, so no reader and no page flush ever sees a row
+// before its final bytes are logged.  link runs under the heap lock and
+// must not block or call back into the heap; nil means nothing to patch.
+//
+// A run is all or nothing, in memory and in the log.  Every page it
+// touches stays pinned until the end, so all that can fail — a read, an
+// eviction, a pool too small to hold the run's pages at once — fails
+// during placement, before any row is written; and one log record with
+// one checksum covers every page, so a log cut anywhere recovers all of
+// the run's rows or none, never a row whose links point at rows that
+// were lost.
+func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []RowID, err error) {
+	for _, rec := range recs {
+		if len(rec) == 0 || len(rec) > MaxRecordSize {
+			return nil, fmt.Errorf("ordbms: record of %d bytes, want 1 to %d (the page capacity)", len(rec), MaxRecordSize)
+		}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 
-	// Try pages with known free space first.
-	for no, free := range h.freeHint {
-		if free < len(rec)+slotSize {
-			continue
+	// pages holds every page considered so far, in first-touch order; the
+	// page a record lands on is nearly always the last one.
+	var pages []*runPage
+	written := false
+	defer func() {
+		for _, rp := range pages {
+			if !written { // nothing was placed after all: the hints go back
+				h.setHintLocked(rp.f.PageNo, rp.free0)
+			}
+			h.pool.Unpin(rp.f, written && len(rp.rows) > 0)
 		}
-		rid, ok, err := h.tryInsertLocked(no, rec)
-		if err != nil {
-			return ZeroRowID, err
+		if !written {
+			err = fmt.Errorf("ordbms: run insert of %d records wrote nothing (its pages stay pinned until it is logged): %w", len(recs), err)
 		}
-		if ok {
-			return rid, nil
+	}()
+	consider := func(f *Frame) *runPage {
+		f.Latch.RLock()
+		rp := &runPage{f: f, plan: f.Page.plan()}
+		f.Latch.RUnlock()
+		rp.free0 = rp.plan.freeSpace()
+		pages = append(pages, rp)
+		return rp
+	}
+	// tryPlace reserves room for rec on page no and keeps the free-space
+	// map in step.
+	tryPlace := func(no uint32, rec []byte) (RowID, bool, error) {
+		var rp *runPage
+		for i := len(pages) - 1; i >= 0 && rp == nil; i-- {
+			if pages[i].f.PageNo == no {
+				rp = pages[i]
+			}
 		}
-		delete(h.freeHint, no) // hint was stale
-	}
-	// Try the last page (append locality).
-	if n := len(h.pages); n > 0 {
-		no := h.pages[n-1]
-		rid, ok, err := h.tryInsertLocked(no, rec)
-		if err != nil {
-			return ZeroRowID, err
+		if rp == nil {
+			f, err := h.pool.Fetch(no)
+			if err != nil {
+				return ZeroRowID, false, err
+			}
+			rp = consider(f)
 		}
-		if ok {
-			return rid, nil
-		}
-	}
-	// Allocate a fresh page.
-	f, err := h.pool.NewPage()
-	if err != nil {
-		return ZeroRowID, err
-	}
-	h.pages = append(h.pages, f.PageNo)
-	f.Latch.Lock()
-	slot, err := f.Page.Insert(rec)
-	if err == nil && h.wal != nil {
-		// The adoption must be logged before the insert record: recovery
-		// re-attaches the page to this heap even when the catalog predates
-		// the allocation (see walAlloc).
-		h.wal.LogAlloc(h.tag, f.PageNo)
-		lsn := h.wal.LogInsert(f.PageNo, uint16(slot), rec)
-		f.Page.SetLSN(lsn)
-	}
-	free := f.Page.FreeSpace()
-	f.Latch.Unlock()
-	h.pool.Unpin(f, true)
-	if err != nil {
-		return ZeroRowID, err
-	}
-	if free > 64 {
-		h.freeHint[f.PageNo] = free
-	}
-	h.rows++
-	return RowID{Page: f.PageNo, Slot: uint16(slot)}, nil
-}
-
-// tryInsertLocked attempts an insert into page no.  Caller holds h.mu.
-func (h *HeapFile) tryInsertLocked(no uint32, rec []byte) (RowID, bool, error) {
-	f, err := h.pool.Fetch(no)
-	if err != nil {
-		return ZeroRowID, false, err
-	}
-	f.Latch.Lock()
-	slot, ierr := f.Page.Insert(rec)
-	var lsn uint64
-	if ierr == nil && h.wal != nil {
-		lsn = h.wal.LogInsert(no, uint16(slot), rec)
-		f.Page.SetLSN(lsn)
-	}
-	free := f.Page.FreeSpace()
-	f.Latch.Unlock()
-	h.pool.Unpin(f, ierr == nil)
-	if ierr != nil {
-		if ierr == errPageFull {
+		slot, ok := rp.plan.place(len(rec))
+		if !ok {
 			return ZeroRowID, false, nil
 		}
-		return ZeroRowID, false, ierr
+		rp.rows = append(rp.rows, runRow{slot: uint16(slot), rec: rec})
+		h.setHintLocked(no, rp.plan.freeSpace())
+		return RowID{Page: no, Slot: uint16(slot)}, true, nil
 	}
+
+	rids = make([]RowID, len(recs))
+place:
+	for i, rec := range recs {
+		// Try pages with known free space first.
+		for no, free := range h.freeHint {
+			if free < len(rec)+slotSize {
+				continue
+			}
+			rid, ok, err := tryPlace(no, rec)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				rids[i] = rid
+				continue place
+			}
+			delete(h.freeHint, no) // hint was stale
+		}
+		// Try the last page (append locality).
+		if n := len(h.pages); n > 0 {
+			rid, ok, err := tryPlace(h.pages[n-1], rec)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				rids[i] = rid
+				continue place
+			}
+		}
+		// Allocate a fresh page.  Its adoption is logged here, ahead of the
+		// run record that fills it: recovery re-attaches the page to this
+		// heap even when the catalog predates the allocation (see walAlloc).
+		f, err := h.pool.NewPage()
+		if err != nil {
+			return nil, err
+		}
+		h.pages = append(h.pages, f.PageNo)
+		if h.wal != nil {
+			h.wal.LogAlloc(h.tag, f.PageNo)
+		}
+		consider(f)
+		rid, _, err := tryPlace(f.PageNo, rec) // the size check above makes an empty page fit
+		if err != nil {
+			return nil, err
+		}
+		rids[i] = rid
+	}
+
+	if link != nil {
+		link(rids)
+	}
+
+	// Every page is resident and pinned: from here on nothing does I/O.
+	// insertAt cannot fail either — under the heap lock a planned page only
+	// ever gains room — but were it to, the run ends there, and the log is
+	// told exactly what the pages hold.
+	written = true
+	latched := 0 // pages[:latched] hold their write latch
+	for err == nil && latched < len(pages) {
+		rp := pages[latched]
+		latched++
+		rp.f.Latch.Lock()
+		for k, r := range rp.rows {
+			if err = rp.f.Page.insertAt(int(r.slot), r.rec); err != nil {
+				rp.rows = rp.rows[:k]
+				break
+			}
+		}
+		h.rows += int64(len(rp.rows))
+	}
+	for _, rp := range pages[latched:] {
+		rp.rows = nil
+	}
+	var lsn uint64
+	if h.wal != nil {
+		lsn = h.wal.LogInsertRun(pages)
+	}
+	for _, rp := range pages[:latched] {
+		if h.wal != nil && len(rp.rows) > 0 {
+			rp.f.Page.SetLSN(lsn)
+		}
+		rp.f.Latch.Unlock()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("ordbms: run insert: %w", err)
+	}
+	return rids, nil
+}
+
+// setHintLocked records page no's free space in the free-space map, or
+// drops the page from it when too little is left to be worth a visit.
+// Caller holds h.mu.
+func (h *HeapFile) setHintLocked(no uint32, free int) {
 	if free > 64 {
 		h.freeHint[no] = free
 	} else {
 		delete(h.freeHint, no)
 	}
-	h.rows++
-	return RowID{Page: no, Slot: uint16(slot)}, true, nil
 }
 
 // Fetch returns a copy of the record at rid.

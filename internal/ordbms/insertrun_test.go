@@ -1,0 +1,362 @@
+package ordbms
+
+import (
+	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"netmark/internal/vfs"
+)
+
+// runPlacementSeed builds a heap whose next inserts meet every branch of
+// the placement policy in a fixed order: page 1 is off the tail with a
+// dead slot and 144 spare bytes (a free-hint page), page 2 is the tail
+// with 54 (below the hint threshold, so only the tail try reaches it).
+// At no point do two hinted pages fit the same record, which keeps the
+// map-ordered hint walk deterministic.
+func runPlacementSeed(t *testing.T) (*HeapFile, [][]byte) {
+	t.Helper()
+	h := NewHeapFile(memPool(t, 64), nil)
+	big := func(n int, tag byte) []byte { return bytes.Repeat([]byte{tag}, n) }
+	var first RowID
+	for i := 0; i < 15; i++ {
+		rid, err := h.Insert(big(1000, byte(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			first = rid
+		}
+	}
+	if _, err := h.Insert(big(1090, 0xEE)); err != nil { // page 2: 7x1000 + 1090
+		t.Fatal(err)
+	}
+	if got := h.Pages(); len(got) != 2 {
+		t.Fatalf("seed spans pages %v, want two", got)
+	}
+	if err := h.Delete(first); err != nil { // dead slot 2 on page 1
+		t.Fatal(err)
+	}
+	var run [][]byte
+	for i := 0; i < 5; i++ {
+		run = append(run, big(50, byte(0xA0+i)))
+	}
+	for i := 0; i < 20; i++ {
+		run = append(run, big(1000, byte(0xC0+i)))
+	}
+	return h, run
+}
+
+// (a) A run lands exactly where the same records would land fed one at a
+// time: same RowIDs, same page list, same bytes on every page.
+func TestInsertRunPlacementMatchesInsert(t *testing.T) {
+	one, run := runPlacementSeed(t)
+	var want []RowID
+	for _, rec := range run {
+		rid, err := one.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rid)
+	}
+
+	all, run := runPlacementSeed(t)
+	linked := false
+	got, err := all.InsertRun(run, func(rids []RowID) {
+		linked = len(rids) == len(run)
+		for i := range rids {
+			if _, ferr := all.Fetch(rids[i]); ferr == nil {
+				t.Errorf("row %d readable at %v before the run was written", i, rids[i])
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !linked {
+		t.Fatal("link was not handed every RowID")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d: run placed it at %v, one-by-one at %v", i, got[i], want[i])
+		}
+	}
+	// The scenario met each branch: the dead slot of a hint page, a new
+	// slot on it, the tail page, and fresh pages.
+	for i, at := range []RowID{{Page: 1, Slot: 2}, {Page: 1, Slot: 8}, {Page: 2, Slot: 8}, {Page: 3, Slot: 0}} {
+		if got[i] != at {
+			t.Fatalf("record %d at %v, scenario expects %v", i, got[i], at)
+		}
+	}
+	if a, b := all.Pages(), one.Pages(); len(a) != len(b) || len(a) < 5 {
+		t.Fatalf("run heap has pages %v, one-by-one heap %v", a, b)
+	}
+	if all.Rows() != one.Rows() {
+		t.Fatalf("rows: run %d, one-by-one %d", all.Rows(), one.Rows())
+	}
+	for _, no := range all.Pages() {
+		fa, err := all.pool.Fetch(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := one.pool.Fetch(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fa.Page.Data(), fb.Page.Data()) {
+			t.Fatalf("page %d differs between the run and the one-by-one heap", no)
+		}
+		all.pool.Unpin(fa, false)
+		one.pool.Unpin(fb, false)
+	}
+}
+
+// A run's pages stay pinned until it is logged, so a run whose pages
+// outnumber the buffer pool is refused — during placement, before a
+// single row is written, leaving the heap as it was.
+func TestInsertRunLargerThanPoolFailsClean(t *testing.T) {
+	h := NewHeapFile(memPool(t, 8), nil)
+	seed := bytes.Repeat([]byte{0xee}, 500)
+	first, err := h.Insert(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, free0 := h.Meta()
+	run := make([][]byte, 200)
+	for i := range run {
+		run[i] = bytes.Repeat([]byte{byte(i)}, 1000)
+	}
+	if _, err := h.InsertRun(run, nil); err == nil {
+		t.Fatal("a run of 25 pages went into a pool of 8")
+	}
+	if h.Rows() != 1 {
+		t.Fatalf("heap holds %d rows after the refused run, want the 1 it had", h.Rows())
+	}
+	scanned := 0
+	h.Scan(func(rid RowID, rec []byte) bool {
+		scanned++
+		if rid != first || !bytes.Equal(rec, seed) {
+			t.Fatalf("row at %v is not the seed row", rid)
+		}
+		return true
+	})
+	if scanned != 1 {
+		t.Fatalf("scan finds %d rows, want 1", scanned)
+	}
+	if _, free := h.Meta(); free[first.Page] != free0[first.Page] {
+		t.Fatalf("page %d hinted at %d free bytes after the refused run, %d before", first.Page, free[first.Page], free0[first.Page])
+	}
+	// Nothing stays pinned, and the pages the run adopted are reused.
+	pages := len(h.Pages())
+	if _, err := h.InsertRun(run[:40], nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Pages()) != pages {
+		t.Fatalf("heap grew from %d to %d pages: the refused run's pages were not reused", pages, len(h.Pages()))
+	}
+}
+
+// linkSchema is a two-column table whose second column holds a RowID the
+// run's link callback fills in.
+func linkSchema() Schema {
+	return MustSchema(Column{Name: "id", Type: TypeInt}, Column{Name: "next", Type: TypeBytes})
+}
+
+// Table.InsertRun writes each row once, already linked: the log carries
+// one record for the whole run (plus an adoption per fresh page), a crash
+// recovers the links, no per-row insert or update record exists, and a
+// log cut inside the run's record recovers none of its rows.
+func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("L", linkSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	rows := make([]Row, n)
+	recs := make([][]byte, n)
+	offs := make([][]int, n)
+	for i := range rows {
+		rows[i] = Row{I(int64(i)), B(make([]byte, 8))}
+		recs[i], offs[i] = EncodeRowOffsets(rows[i])
+	}
+	before, _, bytes0 := db.WALStats()
+	rids, err := tbl.InsertRun(rows, recs, func(rids []RowID) {
+		for i := range recs { // each row points at its successor, the last at nothing
+			next := ZeroRowID
+			if i+1 < len(rids) {
+				next = rids[i+1]
+			}
+			binary.LittleEndian.PutUint64(recs[i][offs[i][1]:], next.Uint64())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _, bytes1 := db.WALStats()
+	pages := len(tbl.heap.Pages())
+	if got := int(after - before); pages < 4 || got != pages+1 {
+		t.Fatalf("%d rows on %d pages cost %d log records, want several pages and %d records (an adoption per page, one run)", n, pages, got, pages+1)
+	}
+	var payload int
+	for _, rec := range recs {
+		payload += len(rec)
+	}
+	if got := int(bytes1 - bytes0); got > payload+4*n+32*pages {
+		t.Fatalf("run of %d payload bytes logged %d", payload, got)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.CloseDiscard() // crash: the heap exists only in the log
+
+	// The run's record is the log's last: cut it short, in its last page's
+	// rows, and the pages before that one get none of theirs either.
+	log, err := os.ReadFile(filepath.Join(dir, "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cutDir, "wal.nmlog"), log[:len(log)-100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dbCut, err := Open(Options{Dir: cutDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tblCut := dbCut.Table("L"); tblCut == nil || tblCut.Rows() != 0 || len(tblCut.heap.Pages()) != pages {
+		t.Fatalf("a log cut inside the run record recovers table %v, want it empty on its %d adopted pages", tblCut, pages)
+	}
+	dbCut.CloseDiscard()
+
+	db2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	tbl2 := db2.Table("L")
+	at := rids[0]
+	for i := 0; i < n; i++ {
+		row, err := tbl2.Fetch(at)
+		if err != nil {
+			t.Fatalf("row %d at %v: %v", i, at, err)
+		}
+		if row[0].Int != int64(i) {
+			t.Fatalf("row at %v has id %d, want %d", at, row[0].Int, i)
+		}
+		if hits, _ := tbl2.Lookup("id", I(int64(i))); len(hits) != 1 || hits[0] != at {
+			t.Fatalf("index for id %d = %v, want %v", i, hits, at)
+		}
+		at = RowIDFromUint64(binary.LittleEndian.Uint64(row[1].Bytes))
+	}
+	if at != ZeroRowID {
+		t.Fatalf("chain ends at %v, want the zero RowID", at)
+	}
+}
+
+// (c) A log written before run inserts — a walInsert with zeroed links
+// and a same-sized walUpdate per row — followed by walInsertRun records
+// replays to the heap the current insert path builds, and replaying it
+// again over the flushed pages changes nothing.
+func TestLegacyLogThenRunRecordsReplay(t *testing.T) {
+	const n = 300
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 20+i%30)
+	}
+	// The reference: the same records through today's insert path, unlogged.
+	ref := NewHeapFile(memPool(t, 64), nil)
+	rids, err := ref.InsertRun(recs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w, err := OpenWAL(vfs.OS, filepath.Join(t.TempDir(), "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, no := range ref.Pages() {
+		w.LogAlloc("T", no)
+	}
+	// First half the old way: pass 1 inserts every row with a zeroed
+	// record, pass 2 rewrites each in place.
+	for i := 0; i < n/2; i++ {
+		w.appendSlotRecord(walInsert, rids[i].Page, rids[i].Slot, make([]byte, len(recs[i])))
+	}
+	for i := 0; i < n/2; i++ {
+		w.appendSlotRecord(walUpdate, rids[i].Page, rids[i].Slot, recs[i])
+	}
+	// Second half as two runs, each one record over the pages it spans;
+	// the page the cut falls on is in both.
+	logRun := func(from, to int) {
+		var run []*runPage
+		for i := from; i < to; i++ {
+			if len(run) == 0 || run[len(run)-1].f.PageNo != rids[i].Page {
+				run = append(run, &runPage{f: &Frame{PageNo: rids[i].Page}})
+			}
+			rp := run[len(run)-1]
+			rp.rows = append(rp.rows, runRow{slot: rids[i].Slot, rec: recs[i]})
+		}
+		w.LogInsertRun(run)
+	}
+	logRun(n/2, 3*n/4)
+	logRun(3*n/4, n)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	disk := NewMemDisk()
+	pool := NewBufferPool(disk, 64)
+	replayed, allocs, _, torn, err := Recover(disk, pool, w)
+	if err != nil || torn {
+		t.Fatalf("recover: %v (torn %v)", err, torn)
+	}
+	if replayed == 0 || len(allocs["T"]) != len(ref.Pages()) {
+		t.Fatalf("replayed %d records, adopted %v", replayed, allocs["T"])
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	samePages := func(pool *BufferPool) {
+		t.Helper()
+		for _, no := range ref.Pages() {
+			got, err := pool.Fetch(no)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.pool.Fetch(no)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Everything but the page LSN: the reference heap is unlogged.
+			if !bytes.Equal(got.Page.Data()[:8], want.Page.Data()[:8]) ||
+				!bytes.Equal(got.Page.Data()[pageHeaderSize:], want.Page.Data()[pageHeaderSize:]) {
+				t.Fatalf("page %d differs from the reference heap", no)
+			}
+			pool.Unpin(got, false)
+			ref.pool.Unpin(want, false)
+		}
+	}
+	samePages(pool)
+
+	// A second crash: the same log over the pages the first replay flushed.
+	pool2 := NewBufferPool(disk, 64)
+	again, _, _, _, err := Recover(disk, pool2, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != 0 {
+		t.Fatalf("second replay applied %d records over pages already brought forward", again)
+	}
+	samePages(pool2)
+}

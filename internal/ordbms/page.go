@@ -60,9 +60,17 @@ func (p *Page) LoadFrom(b []byte) {
 	copy(p.data[:], b)
 }
 
-func (p *Page) numSlots() int      { return int(binary.LittleEndian.Uint16(p.data[0:2])) }
-func (p *Page) setNumSlots(n int)  { binary.LittleEndian.PutUint16(p.data[0:2], uint16(n)) }
-func (p *Page) freeLower() int     { return int(binary.LittleEndian.Uint16(p.data[2:4])) }
+func (p *Page) numSlots() int     { return int(binary.LittleEndian.Uint16(p.data[0:2])) }
+func (p *Page) setNumSlots(n int) { binary.LittleEndian.PutUint16(p.data[0:2], uint16(n)) }
+func (p *Page) freeLower() int {
+	v := int(binary.LittleEndian.Uint16(p.data[2:4]))
+	if v == 0 {
+		// An all-zero page — allocated, never written, as recovery meets
+		// them — is an empty page: the directory starts past the header.
+		return pageHeaderSize
+	}
+	return v
+}
 func (p *Page) setFreeLower(n int) { binary.LittleEndian.PutUint16(p.data[2:4], uint16(n)) }
 func (p *Page) freeUpper() int {
 	v := int(binary.LittleEndian.Uint16(p.data[4:6]))
@@ -108,39 +116,101 @@ func (p *Page) NumSlots() int { return p.numSlots() }
 // CanFit reports whether a record of n bytes fits in this page.
 func (p *Page) CanFit(n int) bool { return p.FreeSpace() >= n }
 
-// Insert places a record in the page and returns its slot number.
+// Insert places a record in the page and returns its slot number: the
+// lowest dead slot, so slot numbers stay dense, else a new one.
 func (p *Page) Insert(rec []byte) (int, error) {
+	pp := p.plan()
+	slot, ok := pp.place(len(rec))
+	if !ok {
+		return 0, errPageFull
+	}
+	return slot, p.insertAt(slot, rec)
+}
+
+// insertAt places rec in the given slot, which must be dead or the next
+// new slot: Insert and run inserts take the slot from a pagePlan,
+// recovery takes it from the log.
+func (p *Page) insertAt(slot int, rec []byte) error {
 	if len(rec) == 0 {
-		return 0, fmt.Errorf("ordbms: empty record")
+		return fmt.Errorf("ordbms: empty record")
 	}
 	if len(rec) > MaxRecordSize {
-		return 0, fmt.Errorf("ordbms: record of %d bytes exceeds max %d", len(rec), MaxRecordSize)
-	}
-	// Reuse a dead slot when possible so slot numbers stay dense.
-	slot := -1
-	for i := 0; i < p.numSlots(); i++ {
-		if off, _ := p.slotAt(i); off == slotDead {
-			slot = i
-			break
-		}
+		return fmt.Errorf("ordbms: record of %d bytes exceeds max %d", len(rec), MaxRecordSize)
 	}
 	needSlot := 0
-	if slot == -1 {
+	switch {
+	case slot < 0 || slot > p.numSlots():
+		return fmt.Errorf("ordbms: slot %d out of range (have %d)", slot, p.numSlots())
+	case slot == p.numSlots():
 		needSlot = slotSize
+	default:
+		if off, _ := p.slotAt(slot); off != slotDead {
+			return fmt.Errorf("ordbms: slot %d is live", slot)
+		}
 	}
 	if p.freeUpper()-p.freeLower()-needSlot < len(rec) {
-		return 0, errPageFull
+		return errPageFull
 	}
 	newUpper := p.freeUpper() - len(rec)
 	copy(p.data[newUpper:], rec)
 	p.setFreeUpper(newUpper)
-	if slot == -1 {
-		slot = p.numSlots()
+	if needSlot != 0 {
 		p.setNumSlots(slot + 1)
 		p.setFreeLower(p.freeLower() + slotSize)
 	}
 	p.setSlot(slot, newUpper, len(rec))
-	return slot, nil
+	return nil
+}
+
+// pagePlan is the part of a page's state that placement depends on — the
+// gap between slot directory and record area, the directory size and the
+// dead slots.  Record sizes alone drive it, so a run insert can settle
+// every RowID before the record bytes are final.
+type pagePlan struct {
+	gap   int   // freeUpper - freeLower
+	slots int   // slot directory size, dead slots included
+	dead  []int // dead slot numbers, ascending
+}
+
+// plan snapshots the page's placement state.
+func (p *Page) plan() pagePlan {
+	pp := pagePlan{gap: p.freeUpper() - p.freeLower(), slots: p.numSlots()}
+	for i := 0; i < pp.slots; i++ {
+		if off, _ := p.slotAt(i); off == slotDead {
+			pp.dead = append(pp.dead, i)
+		}
+	}
+	return pp
+}
+
+// place reserves room for an n-byte record — lowest dead slot first, else
+// a new slot — and reports the slot, or false when the record does not
+// fit.  It is the one placement rule: Page.Insert applies it at once, a
+// run insert ahead of time.
+func (pp *pagePlan) place(n int) (slot int, ok bool) {
+	needSlot := slotSize
+	if len(pp.dead) > 0 {
+		needSlot = 0
+	}
+	if pp.gap-needSlot < n {
+		return 0, false
+	}
+	pp.gap -= n + needSlot
+	if needSlot == 0 {
+		slot, pp.dead = pp.dead[0], pp.dead[1:]
+	} else {
+		slot = pp.slots
+		pp.slots++
+	}
+	return slot, true
+}
+
+// freeSpace is Page.FreeSpace for the planned state.
+func (pp *pagePlan) freeSpace() int {
+	if free := pp.gap - slotSize; free > 0 {
+		return free
+	}
+	return 0
 }
 
 var errPageFull = fmt.Errorf("ordbms: page full")

@@ -30,11 +30,7 @@ func (p *Page) applyInsertAt(slot int, rec []byte) error {
 			return fmt.Errorf("ordbms: recovery insert does not fit (%d bytes)", len(rec))
 		}
 	}
-	newUpper := p.freeUpper() - len(rec)
-	copy(p.data[newUpper:], rec)
-	p.setFreeUpper(newUpper)
-	p.setSlot(slot, newUpper, len(rec))
-	return nil
+	return p.insertAt(slot, rec)
 }
 
 // Recover replays the WAL against the disk, bringing pages forward to the
@@ -52,6 +48,66 @@ func (p *Page) applyInsertAt(slot int, rec []byte) error {
 // rebuilt instead of silently losing their committed rows.
 func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs map[string][]uint32, ops []RecoveredOp, torn bool, err error) {
 	allocs = make(map[string][]uint32)
+	// onPage brings r.Page forward by r, a record addressed to that one
+	// page (of a walInsertRun, the page's own section).
+	onPage := func(r WALRecord) error {
+		if r.Page == 0 || r.Page >= disk.NumPages() {
+			// The page was allocated after the last page flush but its
+			// allocation never reached the data file: re-extend the file.
+			for disk.NumPages() <= r.Page {
+				if _, aerr := disk.AllocatePage(); aerr != nil {
+					return aerr
+				}
+			}
+		}
+		if r.Type == walAlloc || r.Type == walCheckpoint {
+			return nil // no page mutation to apply
+		}
+		f, ferr := pool.Fetch(r.Page)
+		if ferr != nil {
+			return ferr
+		}
+		defer pool.Unpin(f, true)
+		f.Latch.Lock()
+		defer f.Latch.Unlock()
+		if f.Page.LSN() >= r.LSN {
+			return nil // already applied before the crash
+		}
+		switch r.Type {
+		case walInsert:
+			if aerr := f.Page.applyInsertAt(int(r.Slot), r.Rec); aerr != nil {
+				return aerr
+			}
+		case walInsertRun:
+			for rest := r.Rec; len(rest) > 0; {
+				slot, rec, tail, _ := nextRunRow(rest) // Replay checked the framing
+				if aerr := f.Page.applyInsertAt(int(slot), rec); aerr != nil {
+					return aerr
+				}
+				rest = tail
+			}
+		case walDelete:
+			if derr := f.Page.Delete(int(r.Slot)); derr != nil && derr != ErrRecordDeleted {
+				return derr
+			}
+		case walUpdate:
+			ok, uerr := f.Page.UpdateInPlace(int(r.Slot), r.Rec)
+			if uerr == ErrRecordDeleted {
+				// Update follows an unreplayed insert only when the page
+				// was flushed between them, which the LSN check excludes.
+				return fmt.Errorf("ordbms: recovery update of deleted slot %d.%d", r.Page, r.Slot)
+			}
+			if uerr != nil {
+				return uerr
+			}
+			if !ok {
+				return fmt.Errorf("ordbms: recovery update does not fit at %d.%d", r.Page, r.Slot)
+			}
+		}
+		f.Page.SetLSN(r.LSN)
+		replayed++
+		return nil
+	}
 	torn, err = wal.Replay(func(r WALRecord) error {
 		switch r.Type {
 		case walAlloc:
@@ -104,53 +160,23 @@ func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs
 			ops = append(ops, RecoveredOp{Kind: walDropTable, Table: name})
 			return nil
 		}
-		if r.Page == 0 || r.Page >= disk.NumPages() {
-			// The page was allocated after the last page flush but its
-			// allocation never reached the data file: re-extend the file.
-			for disk.NumPages() <= r.Page {
-				if _, aerr := disk.AllocatePage(); aerr != nil {
-					return aerr
-				}
-			}
+		if r.Type != walInsertRun {
+			return onPage(r)
 		}
-		if r.Type == walAlloc || r.Type == walCheckpoint {
-			return nil // no page mutation to apply
-		}
-		f, ferr := pool.Fetch(r.Page)
-		if ferr != nil {
-			return ferr
-		}
-		defer pool.Unpin(f, true)
-		f.Latch.Lock()
-		defer f.Latch.Unlock()
-		if f.Page.LSN() >= r.LSN {
-			return nil // already applied before the crash
-		}
-		switch r.Type {
-		case walInsert:
-			if aerr := f.Page.applyInsertAt(int(r.Slot), r.Rec); aerr != nil {
+		// One record for the pages of a whole run: each page checks the
+		// record's LSN against its own, and the record counts once.
+		before := replayed
+		for rest := r.Rec; len(rest) > 0; {
+			no, rows, tail, _ := nextRunPage(rest) // Replay checked the framing
+			r.Page, r.Rec = no, rows
+			if aerr := onPage(r); aerr != nil {
 				return aerr
 			}
-		case walDelete:
-			if derr := f.Page.Delete(int(r.Slot)); derr != nil && derr != ErrRecordDeleted {
-				return derr
-			}
-		case walUpdate:
-			ok, uerr := f.Page.UpdateInPlace(int(r.Slot), r.Rec)
-			if uerr == ErrRecordDeleted {
-				// Update follows an unreplayed insert only when the page
-				// was flushed between them, which the LSN check excludes.
-				return fmt.Errorf("ordbms: recovery update of deleted slot %d.%d", r.Page, r.Slot)
-			}
-			if uerr != nil {
-				return uerr
-			}
-			if !ok {
-				return fmt.Errorf("ordbms: recovery update does not fit at %d.%d", r.Page, r.Slot)
-			}
+			rest = tail
 		}
-		f.Page.SetLSN(r.LSN)
-		replayed++
+		if replayed > before {
+			replayed = before + 1
+		}
 		return nil
 	})
 	return replayed, allocs, ops, torn, err

@@ -34,6 +34,7 @@ type WAL struct {
 	flushed  uint64   // guarded by mu; LSN through which the file is written (not necessarily synced)
 	synced   uint64   // guarded by mu; LSN through which the file is fsynced
 	appends  uint64   // guarded by mu; stat: records appended
+	bytes    uint64   // guarded by mu; stat: bytes appended, framing included
 	syncs    uint64   // guarded by mu; stat: fsyncs issued
 
 	// poisoned is the first commit-fsync failure, sticky until a
@@ -50,8 +51,25 @@ type WAL struct {
 	syncDone chan struct{} // guarded by mu
 }
 
-// WAL record types.
+// WAL record types.  Every record is framed as u32 body length, u32
+// CRC-32 of the body, then the body: one type byte and a payload.  All
+// integers are little-endian.
+//
+//	walInsert       page u32, slot u16, record bytes (legacy: replayed, no longer written)
+//	walDelete       page u32, slot u16
+//	walUpdate       page u32, slot u16, record bytes
+//	walCheckpoint   empty
+//	walAlloc        page u32, table name
+//	walCreateTable  table name, uvarint column count, then name + type byte per column
+//	walCreateIndex  table name, column name
+//	walDropTable    table name
+//	walInsertRun    per page: page u32, row count u16, then per row: slot u16, length u16, record bytes
+//
+// Names are uvarint-length-prefixed strings, except walAlloc's, which
+// runs to the end of the body.
 const (
+	// walInsert is the per-row insert record of logs written before run
+	// inserts; Replay still decodes it so such a log recovers.
 	walInsert byte = 1 + iota
 	walDelete
 	walUpdate
@@ -70,6 +88,13 @@ const (
 	walCreateTable
 	walCreateIndex
 	walDropTable
+	// walInsertRun records every row of one run insert, page by page: one
+	// frame, one CRC and one LSN for the whole run, so the rows of a
+	// document cost their bytes plus four each, and a log cut anywhere
+	// keeps all of the run or none of it — rows that point at each other
+	// by RowID never outlive the rows they point at.  Each page checks the
+	// record's LSN against its own.
+	walInsertRun
 )
 
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
@@ -135,81 +160,145 @@ func (w *WAL) NextLSN() uint64 {
 	return w.bufStart + uint64(len(w.buf))
 }
 
-// appendRecord frames and buffers a record, returning its end LSN.
-// Framing: u32 payload length, u32 crc of payload, then payload.
-func (w *WAL) appendRecord(typ byte, payload []byte) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, typ)
-	body = append(body, payload...)
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(body))
-	w.buf = append(w.buf, frame[:]...)
-	w.buf = append(w.buf, body...)
+// beginLocked opens a record of the given type at the end of w.buf and
+// returns where its frame starts.  The caller appends the payload to
+// w.buf and closes the record with endLocked, so a record is built once,
+// in place.  Caller holds w.mu.
+func (w *WAL) beginLocked(typ byte) int {
+	start := len(w.buf)
+	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0, typ)
+	return start
+}
+
+// endLocked frames the record opened at start — body length and the CRC
+// of the bytes as appended — and returns its end LSN.  Caller holds w.mu.
+func (w *WAL) endLocked(start int) uint64 {
+	body := w.buf[start+8:]
+	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(w.buf[start+4:], crc32.ChecksumIEEE(body))
 	w.appends++
+	w.bytes += uint64(len(w.buf) - start)
 	return w.bufStart + uint64(len(w.buf))
 }
 
-// LogInsert records an insert of rec at (page, slot) and returns the LSN.
-func (w *WAL) LogInsert(page uint32, slot uint16, rec []byte) uint64 {
-	p := make([]byte, 6+len(rec))
-	binary.LittleEndian.PutUint32(p[0:4], page)
-	binary.LittleEndian.PutUint16(p[4:6], slot)
-	copy(p[6:], rec)
-	return w.appendRecord(walInsert, p)
+// appendSlotRecord logs a record addressed to one (page, slot), with the
+// row bytes when the type carries them.
+func (w *WAL) appendSlotRecord(typ byte, page uint32, slot uint16, rec []byte) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(typ)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, page)
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, slot)
+	w.buf = append(w.buf, rec...)
+	return w.endLocked(start)
+}
+
+// LogInsertRun records the rows a run insert placed, page by page in the
+// order they were placed, and returns the LSN.  Pages the run placed
+// nothing on are left out.
+func (w *WAL) LogInsertRun(pages []*runPage) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(walInsertRun)
+	for _, rp := range pages {
+		if len(rp.rows) == 0 {
+			continue
+		}
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, rp.f.PageNo)
+		w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(rp.rows)))
+		for _, r := range rp.rows {
+			w.buf = binary.LittleEndian.AppendUint16(w.buf, r.slot)
+			w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(r.rec)))
+			w.buf = append(w.buf, r.rec...)
+		}
+	}
+	return w.endLocked(start)
+}
+
+// nextRunPage splits the first page section off a walInsertRun payload:
+// the page number and that page's rows, for nextRunRow to split in turn.
+// ok is false when the section is malformed.
+func nextRunPage(p []byte) (no uint32, rows, rest []byte, ok bool) {
+	if len(p) < 6 {
+		return 0, nil, nil, false
+	}
+	no = binary.LittleEndian.Uint32(p[0:4])
+	rest = p[6:]
+	for n := binary.LittleEndian.Uint16(p[4:6]); n > 0; n-- {
+		if _, _, rest, ok = nextRunRow(rest); !ok {
+			return 0, nil, nil, false
+		}
+	}
+	return no, p[6 : len(p)-len(rest)], rest, true
+}
+
+// nextRunRow splits the first row off a page section's rows; ok is false
+// when the row is malformed.
+func nextRunRow(p []byte) (slot uint16, rec, rest []byte, ok bool) {
+	if len(p) < 4 {
+		return 0, nil, nil, false
+	}
+	n := int(binary.LittleEndian.Uint16(p[2:4]))
+	if n == 0 || n > len(p)-4 {
+		return 0, nil, nil, false
+	}
+	return binary.LittleEndian.Uint16(p[0:2]), p[4 : 4+n], p[4+n:], true
 }
 
 // LogDelete records a delete at (page, slot).
 func (w *WAL) LogDelete(page uint32, slot uint16) uint64 {
-	var p [6]byte
-	binary.LittleEndian.PutUint32(p[0:4], page)
-	binary.LittleEndian.PutUint16(p[4:6], slot)
-	return w.appendRecord(walDelete, p[:])
+	return w.appendSlotRecord(walDelete, page, slot, nil)
 }
 
 // LogUpdate records an in-place update at (page, slot).
 func (w *WAL) LogUpdate(page uint32, slot uint16, rec []byte) uint64 {
-	p := make([]byte, 6+len(rec))
-	binary.LittleEndian.PutUint32(p[0:4], page)
-	binary.LittleEndian.PutUint16(p[4:6], slot)
-	copy(p[6:], rec)
-	return w.appendRecord(walUpdate, p)
+	return w.appendSlotRecord(walUpdate, page, slot, rec)
 }
 
 // LogAlloc records that table now owns page (logged before the first
 // insert record touching the page).
 func (w *WAL) LogAlloc(table string, page uint32) uint64 {
-	p := make([]byte, 4+len(table))
-	binary.LittleEndian.PutUint32(p[0:4], page)
-	copy(p[4:], table)
-	return w.appendRecord(walAlloc, p)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(walAlloc)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, page)
+	w.buf = append(w.buf, table...)
+	return w.endLocked(start)
 }
 
 // LogCreateTable records a table creation with its schema, so recovery
 // can rebuild a table the catalog has never seen.
 func (w *WAL) LogCreateTable(table string, schema Schema) uint64 {
-	p := appendWALString(nil, table)
-	p = binary.AppendUvarint(p, uint64(len(schema.Columns)))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(walCreateTable)
+	w.buf = appendWALString(w.buf, table)
+	w.buf = binary.AppendUvarint(w.buf, uint64(len(schema.Columns)))
 	for _, c := range schema.Columns {
-		p = appendWALString(p, c.Name)
-		p = append(p, byte(c.Type))
+		w.buf = appendWALString(w.buf, c.Name)
+		w.buf = append(w.buf, byte(c.Type))
 	}
-	return w.appendRecord(walCreateTable, p)
+	return w.endLocked(start)
 }
 
 // LogCreateIndex records a secondary-index creation.
 func (w *WAL) LogCreateIndex(table, column string) uint64 {
-	p := appendWALString(nil, table)
-	p = appendWALString(p, column)
-	return w.appendRecord(walCreateIndex, p)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(walCreateIndex)
+	w.buf = appendWALString(w.buf, table)
+	w.buf = appendWALString(w.buf, column)
+	return w.endLocked(start)
 }
 
 // LogDropTable records a table drop (so recovery does not resurrect it
 // from an earlier create record).
 func (w *WAL) LogDropTable(table string) uint64 {
-	return w.appendRecord(walDropTable, appendWALString(nil, table))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(walDropTable)
+	w.buf = appendWALString(w.buf, table)
+	return w.endLocked(start)
 }
 
 func appendWALString(p []byte, s string) []byte {
@@ -477,6 +566,14 @@ func (w *WAL) Appends() uint64 {
 	return w.appends
 }
 
+// Bytes returns the bytes appended, framing included: what the log has
+// cost since it was opened, whatever checkpoints have truncated since.
+func (w *WAL) Bytes() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.bytes
+}
+
 // Syncs returns the number of fsyncs issued — the group-commit win is
 // visible as syncs staying far below appends under batched ingest.
 func (w *WAL) Syncs() uint64 {
@@ -499,7 +596,7 @@ type WALRecord struct {
 	Type byte
 	Page uint32
 	Slot uint16
-	Rec  []byte
+	Rec  []byte // row bytes; for walInsertRun every page and row, see nextRunPage
 }
 
 // Replay scans the physical log and calls fn for each intact record.
@@ -559,6 +656,15 @@ func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 			}
 			r.Page = binary.LittleEndian.Uint32(body[1:5])
 			r.Rec = body[5:] // table name
+		case walInsertRun:
+			r.Rec = body[1:] // page sections, split by nextRunPage
+			for rest := r.Rec; len(rest) > 0; {
+				_, _, tail, ok := nextRunPage(rest)
+				if !ok {
+					return true, nil
+				}
+				rest = tail
+			}
 		case walCreateTable, walCreateIndex, walDropTable:
 			r.Rec = body[1:] // DDL payload, decoded by recovery
 		case walCheckpoint:

@@ -26,7 +26,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				lsn := w.LogInsert(uint32(g), uint16(i), []byte("payload"))
+				lsn := w.LogUpdate(uint32(g), uint16(i), []byte("payload"))
 				if err := w.SyncTo(lsn); err != nil {
 					t.Error(err)
 					return
@@ -44,7 +44,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	}
 	count := 0
 	torn, err := w.Replay(func(r WALRecord) error {
-		if r.Type == walInsert {
+		if r.Type == walUpdate {
 			count++
 		}
 		return nil
@@ -56,7 +56,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 		t.Fatal("fully synced log reported a torn tail")
 	}
 	if count != goroutines*perG {
-		t.Fatalf("replayed %d inserts, want %d", count, goroutines*perG)
+		t.Fatalf("replayed %d records, want %d", count, goroutines*perG)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -72,8 +72,8 @@ func TestWALSyncToAlreadyCovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	lsn1 := w.LogInsert(1, 0, []byte("a"))
-	lsn2 := w.LogInsert(1, 1, []byte("b"))
+	lsn1 := w.LogUpdate(1, 0, []byte("a"))
+	lsn2 := w.LogUpdate(1, 1, []byte("b"))
 	if err := w.SyncTo(lsn2); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestWALSyncDuringCheckpoint(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				lsn := w.LogInsert(uint32(g+1), uint16(i), []byte("payload"))
+				lsn := w.LogUpdate(uint32(g+1), uint16(i), []byte("payload"))
 				if err := w.SyncTo(lsn); err != nil {
 					t.Errorf("SyncTo: %v", err)
 					return
@@ -223,7 +223,7 @@ func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := w.LogInsert(1, 0, []byte("payload"))
+	lsn := w.LogUpdate(1, 0, []byte("payload"))
 	if err := w.SyncTo(lsn); err != nil {
 		t.Fatal(err)
 	}

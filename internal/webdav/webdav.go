@@ -251,6 +251,7 @@ type Stats struct {
 	WAL struct {
 		Appends  uint64 `json:"appends"`
 		Syncs    uint64 `json:"syncs"`
+		Bytes    uint64 `json:"bytes"` // appended since open, framing included
 		Replayed int    `json:"replayed"`
 	} `json:"wal"`
 
@@ -324,7 +325,7 @@ func (s *Server) Snapshot() Stats {
 		st.Health.Since = h.Since.UTC().Format(time.RFC3339)
 	}
 	st.Health.WriteErrors = h.WriteErrors
-	st.WAL.Appends, st.WAL.Syncs = store.DB().WALStats()
+	st.WAL.Appends, st.WAL.Syncs, st.WAL.Bytes = store.DB().WALStats()
 	st.WAL.Replayed = store.DB().Replayed
 	st.Pool.Hits, st.Pool.Misses, st.Pool.Evictions = store.DB().Pool().Stats()
 	ss := store.SnapshotStats()

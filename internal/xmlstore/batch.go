@@ -14,7 +14,7 @@ import (
 // heavyweight middleware; the pipeline makes it cheap per *batch* too:
 //
 //	parse workers  -->  ordered writer  -->  derived indexer
-//	(convert, flatten,   (two-pass insert     (text + context
+//	(convert, flatten,   (linked insert       (text + context
 //	 encode, tokenize)    in input order)      index inserts)
 //
 // The CPU-bound preparation fans out across a worker pool, a single

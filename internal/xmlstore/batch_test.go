@@ -173,14 +173,14 @@ func TestStoreBatchGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, syncs0 := db.WALStats()
+	_, syncs0, _ := db.WALStats()
 	batch := corpusBatch(30, 77)
 	for _, r := range s.StoreBatch(batch, 4) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
-	appends, syncs := db.WALStats()
+	appends, syncs, _ := db.WALStats()
 	if appends == 0 {
 		t.Fatal("no WAL records appended for a durable batch")
 	}

@@ -190,12 +190,9 @@ func TestChaosByteBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enough budget for the first documents, then the disk fills.
-	ffs.SetBytesBudget(64 << 10)
-
 	acked := make(map[string]string)
 	errored := 0
-	for i := 0; i < 40; i++ {
+	store := func(i int) {
 		name, data := chaosDoc(i)
 		_, err := s.StoreRaw(name, data)
 		if err == nil {
@@ -203,9 +200,21 @@ func TestChaosByteBudget(t *testing.T) {
 		}
 		if err != nil {
 			errored++
-			continue
+			return
 		}
 		acked[name] = reconstructBytes(t, s, name)
+	}
+	// The budget follows the log format: measure what a document costs the
+	// log, then leave room for about twenty more before the disk fills.
+	const measured = 2
+	_, _, before := db.WALStats()
+	for i := 0; i < measured; i++ {
+		store(i)
+	}
+	_, _, after := db.WALStats()
+	ffs.SetBytesBudget(int64(after-before) / measured * 20)
+	for i := measured; i < 40; i++ {
+		store(i)
 	}
 	if errored == 0 {
 		t.Fatal("budget never exhausted — test proves nothing")

@@ -13,7 +13,7 @@ import (
 )
 
 // flatNode is the intermediate record the tree flattener emits before the
-// two-pass insert.
+// linked insert.
 type flatNode struct {
 	nodeID  uint64
 	class   sgml.NodeClass
@@ -35,8 +35,8 @@ type preparedDoc struct {
 	meta  docform.Meta
 	docID uint64
 	flat  []flatNode
-	rows  []ordbms.Row // pass-1 rows (links zeroed)
-	recs  [][]byte     // pre-encoded pass-1 records
+	rows  []ordbms.Row // rows as validated and indexed; their link columns stay zero
+	recs  [][]byte     // pre-encoded records; the insert patches the links in
 	offs  [][]int      // per-record column payload offsets (for link patches)
 	toks  [][]textindex.Token
 	// governs[i] is the flat index of node i's governing CONTEXT (-1 =
@@ -47,9 +47,9 @@ type preparedDoc struct {
 
 // prepareDocument runs every part of StoreDocument that does not touch
 // the tables: it picks the root element, flattens the tree, reserves the
-// node-ID block, builds and encodes the pass-1 rows, and pre-tokenizes
-// TEXT node data for the content index.  It is safe to call from many
-// goroutines concurrently; only the ID reservation takes a lock.
+// node-ID block, builds and encodes the rows (links still zero), and
+// pre-tokenizes TEXT node data for the content index.  It is safe to call
+// from many goroutines concurrently; only the ID reservation takes a lock.
 func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64) (*preparedDoc, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("xmlstore: nil document tree")
@@ -173,18 +173,20 @@ func governingContexts(flat []flatNode) []int32 {
 	return out
 }
 
-// storePrepared performs the ordered write of a prepared document: the
-// two-pass insert into the XML table and the DOC row.  Pass two patches
-// the four 8-byte link payloads directly in the cached encodings and
-// updates the records in place, so the writer never re-reads or
-// re-encodes what pass one just wrote.
+// storePrepared performs the ordered write of a prepared document: one
+// linked insert into the XML table, then the DOC row.  The table places
+// the whole document first — RowIDs depend only on record sizes, and the
+// link columns are fixed-width — and calls back with the RowIDs; the
+// callback patches the four 8-byte link payloads into the cached
+// encodings, and only then is each row written and logged, once, with its
+// final bytes.  No reader ever sees a node whose links are not set.
 func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	// On success the generation bump belongs to indexPrepared — bumping
 	// here, before the derived indexes hold the document, would let a
 	// racing query cache an index-incomplete result under the *final*
 	// generation, pinning the stale answer until an unrelated write.  A
-	// failed pass gets no indexPrepared call, so rows already inserted or
-	// half-patched invalidate here.
+	// failed insert gets no indexPrepared call, so rows it left behind
+	// invalidate here.
 	defer func() {
 		if err != nil {
 			s.bumpGeneration()
@@ -195,32 +197,25 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	}()
 	flat := p.flat
 
-	// Pass 1: insert with null links.
-	for i := range flat {
-		rid, err := s.xml.InsertPrepared(p.rows[i], p.recs[i])
-		if err != nil {
-			return fmt.Errorf("xmlstore: insert node %d of %q: %w", flat[i].nodeID, p.meta.FileName, err)
+	_, err = s.xml.InsertRun(p.rows, p.recs, func(rids []ordbms.RowID) {
+		link := func(idx int) ordbms.RowID {
+			if idx < 0 {
+				return ordbms.ZeroRowID
+			}
+			return rids[idx]
 		}
-		flat[i].rid = rid
-	}
-
-	// Pass 2: patch physical links byte-for-byte (fixed-width payloads,
-	// unindexed columns — the record layout cannot change).  Each patch
-	// also fences the node cache: a concurrent query may have fetched and
-	// cached the pass-1 row (links still zeroed) between the two passes.
-	for i := range flat {
-		fn := &flat[i]
-		rec, offs := p.recs[i], p.offs[i]
-		putRID(rec[offs[xmlColParentRowID]:], linkRID(flat, fn.parent))
-		putRID(rec[offs[xmlColPrevRowID]:], linkRID(flat, fn.prev))
-		putRID(rec[offs[xmlColNextRowID]:], linkRID(flat, fn.next))
-		putRID(rec[offs[xmlColChildRowID]:], linkRID(flat, fn.child))
-		if err := s.xml.UpdateInPlace(fn.rid, rec); err != nil {
-			return fmt.Errorf("xmlstore: patch links of node %d: %w", fn.nodeID, err)
+		for i := range flat {
+			fn := &flat[i]
+			fn.rid = rids[i]
+			rec, offs := p.recs[i], p.offs[i]
+			putRID(rec[offs[xmlColParentRowID]:], link(fn.parent))
+			putRID(rec[offs[xmlColPrevRowID]:], link(fn.prev))
+			putRID(rec[offs[xmlColNextRowID]:], link(fn.next))
+			putRID(rec[offs[xmlColChildRowID]:], link(fn.child))
 		}
-		if c := s.nodes; c != nil {
-			c.invalidate(fn.rid)
-		}
+	})
+	if err != nil {
+		return fmt.Errorf("xmlstore: insert nodes of %q: %w", p.meta.FileName, err)
 	}
 
 	// DOC row last: it carries the root RowID.
@@ -315,11 +310,11 @@ func (s *Store) reserveNodeIDs(n int) uint64 {
 // element names to the five node classes; sgml.XMLConfig() is right for
 // upmarked documents.
 //
-// The insert is two-pass: pass one writes every node with null links and
-// collects the physical RowIDs the heap assigned; pass two patches the
-// parent/sibling/child link columns in place (links are fixed-width, so
-// rows never move and RowIDs stay valid).  StoreBatch runs the same
-// pipeline with the preparation fanned across workers.
+// The insert is one pass (see storePrepared): the heap settles every
+// node's physical RowID from the record sizes, the parent/sibling/child
+// link columns are patched into the pre-encoded records, and each node is
+// written and logged once.  StoreBatch runs the same pipeline with the
+// preparation fanned across workers.
 func (s *Store) StoreDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config) (uint64, error) {
 	// Fail fast while degraded: no point parsing and flattening a
 	// document the engine will refuse to persist.
@@ -356,13 +351,6 @@ func parentNodeID(flat []flatNode, fn *flatNode) int64 {
 		return 0
 	}
 	return int64(flat[fn.parent].nodeID)
-}
-
-func linkRID(flat []flatNode, idx int) ordbms.RowID {
-	if idx < 0 {
-		return ordbms.ZeroRowID
-	}
-	return flat[idx].rid
 }
 
 // flattenTree walks the tree in document order, recording structural

@@ -1,0 +1,319 @@
+package xmlstore
+
+import (
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
+)
+
+// longDoc is a document of n sections, enough nodes to span several heap
+// pages, so its rows reach the log as several per-page run records.
+func longDoc(name string, n int, word string) BatchDoc {
+	var b strings.Builder
+	fmt.Fprintf(&b, "<html><head><title>%s</title></head><body>", name)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<h2>Section %d of %s</h2><p>%s paragraph %d with a little text to carry</p>", i, name, word, i)
+	}
+	b.WriteString("</body></html>")
+	return BatchDoc{Name: name, Data: []byte(b.String())}
+}
+
+// checkLinks walks a document from its root and fails unless every
+// parent/prev/next/child link agrees with the walk that reached it.
+func checkLinks(t *testing.T, s *Store, doc *DocInfo) {
+	t.Helper()
+	nodes := 0
+	var walk func(n *Node, parent ordbms.RowID)
+	walk = func(n *Node, parent ordbms.RowID) {
+		nodes++
+		if n.ParentRowID != parent || n.DocID != doc.DocID {
+			t.Fatalf("%s: node %v has parent %v doc %d, reached from %v in doc %d", doc.FileName, n.RowID, n.ParentRowID, n.DocID, parent, doc.DocID)
+		}
+		prev := ordbms.ZeroRowID
+		for at := n.ChildRowID; at != ordbms.ZeroRowID; {
+			c, err := s.FetchNode(at)
+			if err != nil {
+				t.Fatalf("%s: child %v of %v: %v", doc.FileName, at, n.RowID, err)
+			}
+			if c.PrevRowID != prev {
+				t.Fatalf("%s: node %v has prev %v, its left sibling is %v", doc.FileName, at, c.PrevRowID, prev)
+			}
+			walk(c, n.RowID)
+			prev, at = at, c.NextRowID
+		}
+	}
+	root, err := s.FetchNode(doc.RootRowID)
+	if err != nil {
+		t.Fatalf("%s: root %v: %v", doc.FileName, doc.RootRowID, err)
+	}
+	walk(root, ordbms.ZeroRowID)
+	if int64(nodes) != doc.NNodes {
+		t.Fatalf("%s: walked %d nodes, DOC row says %d", doc.FileName, nodes, doc.NNodes)
+	}
+}
+
+// (b) Crash cuts: whatever prefix of the log survives, the store opens,
+// every document that has a DOC row is whole — byte-identical, every link
+// consistent — every search answers, over nodes whose DOC row was cut off
+// too (a document's nodes are in the log whole or not at all), the store
+// takes the next document, and a second crash straight after changes
+// nothing.
+func TestLinkedInsertCrashCuts(t *testing.T) {
+	src := t.TempDir()
+	db, err := ordbms.Open(ordbms.Options{Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []BatchDoc
+	for i := 0; i < 3; i++ {
+		name, data := chaosDoc(i)
+		batch = append(batch, BatchDoc{Name: name, Data: data})
+	}
+	batch = append(batch, longDoc("long.html", 120, "alpha"))
+	name, data := chaosDoc(3)
+	batch = append(batch, BatchDoc{Name: name, Data: data})
+	want := make(map[string]string)
+	for _, r := range s.StoreBatch(batch, 2) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		want[r.Name] = reconstructBytes(t, s, r.Name)
+	}
+	db.CloseDiscard() // nothing checkpointed: the batch exists only in the log
+
+	wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data0, err := os.ReadFile(filepath.Join(src, "data.nmdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every record boundary, and two offsets inside every record: in the
+	// frame header and in the middle of the body.
+	var cuts []int
+	runs := 0
+	for pos := 16; pos < len(wal); {
+		n := int(binary.LittleEndian.Uint32(wal[pos:]))
+		if wal[pos+8] == 9 { // walInsertRun
+			runs++
+		}
+		cuts = append(cuts, pos, pos+5, pos+8+n/2)
+		pos += 8 + n
+	}
+	cuts = append(cuts, len(wal))
+	if runs != len(batch)+len(batch) { // each document: its nodes, then its DOC row
+		t.Fatalf("log holds %d run records for %d documents, want one per document and one per DOC row", runs, len(batch))
+	}
+	const longSections = 120
+
+	sawPartial := false
+	for _, cut := range cuts {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "data.nmdb"), data0, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var first []string
+		for crash := 0; crash < 2; crash++ {
+			db, err := ordbms.Open(ordbms.Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("cut %d, open %d: %v", cut, crash, err)
+			}
+			s, err := Open(db)
+			if err != nil {
+				t.Fatalf("cut %d, open %d: %v", cut, crash, err)
+			}
+			docs, err := s.Documents()
+			if err != nil {
+				t.Fatalf("cut %d, open %d: %v", cut, crash, err)
+			}
+			var names []string
+			for _, doc := range docs {
+				names = append(names, doc.FileName)
+				if got := reconstructBytes(t, s, doc.FileName); got != want[doc.FileName] {
+					t.Fatalf("cut %d, open %d: %s is not byte-identical", cut, crash, doc.FileName)
+				}
+				checkLinks(t, s, doc)
+			}
+			if crash == 0 {
+				first = names
+			} else if strings.Join(names, ",") != strings.Join(first, ",") {
+				t.Fatalf("cut %d: documents %v after the first crash, %v after the second", cut, first, names)
+			}
+			if len(docs) > 0 && len(docs) < len(batch) {
+				sawPartial = true
+			}
+			// Searches reach nodes through the derived indexes, DOC row or
+			// not: none may meet a link to a row the cut took away.
+			sections := func(search func(string) ([]Section, error), arg, doc string) int {
+				hits, err := search(arg)
+				if err != nil {
+					t.Fatalf("cut %d, open %d: search %q: %v", cut, crash, arg, err)
+				}
+				n := 0
+				for _, h := range hits {
+					if strings.Contains(h.Context, doc) {
+						n++
+					}
+				}
+				return n
+			}
+			if n := sections(s.ContextPrefixSearch, "Section", "long.html"); n != 0 && n != longSections {
+				t.Fatalf("cut %d, open %d: %d of long.html's %d sections survive, want all or none", cut, crash, n, longSections)
+			}
+			if n := sections(s.ContentSearch, "alpha", "long.html"); n != 0 && n != longSections {
+				t.Fatalf("cut %d, open %d: content search finds %d of long.html's %d sections", cut, crash, n, longSections)
+			}
+			sections(s.ContextSearch, "Section 7 of long.html", "long.html")
+			sections(s.ContextSearch, "Doc 1", "")
+			if crash == 1 {
+				// The store goes on: another long document lands (in part on
+				// whatever room the cut left) and reads back whole.
+				next := longDoc("next.html", 40, "omega")
+				id, err := s.StoreRaw(next.Name, next.Data)
+				if err != nil {
+					t.Fatalf("cut %d: ingest after recovery: %v", cut, err)
+				}
+				docs, err := s.Documents()
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				for _, doc := range docs {
+					if doc.DocID == id {
+						checkLinks(t, s, doc)
+					}
+				}
+				if n := sections(s.ContentSearch, "omega", "next.html"); n != 40 {
+					t.Fatalf("cut %d: content search finds %d of next.html's 40 sections", cut, n)
+				}
+				if n := sections(s.ContextPrefixSearch, "Section", "long.html"); n != 0 && n != longSections {
+					t.Fatalf("cut %d: %d of long.html's sections after the next ingest", cut, n)
+				}
+			}
+			db.CloseDiscard()
+		}
+	}
+	if !sawPartial {
+		t.Fatal("no cut left a proper subset of the batch: the cuts prove nothing")
+	}
+}
+
+// (d) A slot freed by a delete and handed to the next ingest never serves
+// the deleted node from the cache, with readers filling the cache all the
+// while: nothing but the delete's own invalidation stands between them.
+func TestSlotReuseNeverServesStaleNode(t *testing.T) {
+	db, err := ordbms.Open(ordbms.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EnableNodeCache(8 << 20)
+
+	rowIDs := func(docID uint64) []ordbms.RowID {
+		rids, err := s.xml.Lookup("docid", ordbms.I(int64(docID)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rids
+	}
+	store := func(d BatchDoc) uint64 {
+		id, err := s.StoreRaw(d.Name, d.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	// Small documents of one shape: each lands where the one before it
+	// was deleted, so most of its nodes take over a dead slot.
+	docID := store(longDoc("a.html", 20, "stale"))
+	var hot atomic.Pointer[[]ordbms.RowID] // what the readers hammer: the live document's RowIDs
+	live := rowIDs(docID)
+	first := live
+	hot.Store(&first)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, rid := range *hot.Load() {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// A miss, a deleted row or either document's node are all
+					// fine here; the check comes once the writes are done.
+					_, _ = s.FetchNode(rid)
+				}
+			}
+		}()
+	}
+	reused := 0
+	for round := 0; round < 30; round++ {
+		if err := s.DeleteDocument(docID); err != nil {
+			t.Fatal(err)
+		}
+		word := fmt.Sprintf("fresh%02d", round)
+		docID = store(longDoc("b.html", 20, word))
+		was := make(map[ordbms.RowID]bool, len(live))
+		for _, rid := range live {
+			was[rid] = true
+		}
+		live = rowIDs(docID)
+		for _, rid := range live {
+			if was[rid] {
+				reused++
+			}
+			cached, err := s.FetchNode(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := s.fetchNodeUncached(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached.NodeID != direct.NodeID || cached.Data != direct.Data || cached.DocID != docID ||
+				cached.ParentRowID != direct.ParentRowID || cached.ChildRowID != direct.ChildRowID ||
+				cached.PrevRowID != direct.PrevRowID || cached.NextRowID != direct.NextRowID {
+				t.Fatalf("round %d: cache serves node %d of doc %d (%q) at %v, the table holds node %d (%q)",
+					round, cached.NodeID, cached.DocID, cached.Data, rid, direct.NodeID, direct.Data)
+			}
+		}
+		tree, err := s.Reconstruct(docID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := sgml.Serialize(tree); !strings.Contains(out, word) || strings.Contains(out, "stale") {
+			t.Fatalf("round %d: reconstruction mixes documents", round)
+		}
+		next := live
+		hot.Store(&next)
+	}
+	if reused < 100 {
+		t.Fatalf("only %d slots of deleted documents were reused: the test proves little", reused)
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -22,13 +22,14 @@ import (
 // shard map, reprieving used entries once and dropping the rest until
 // the shard fits its cap.
 //
-// Coherence: XML rows are immutable after ingest except for (a) the
-// pass-2 link patch of a freshly inserted document and (b) document
-// deletes.  Both paths call invalidate() for the affected RowIDs.  Fills
-// racing an invalidation are handled with a fill token: beginFill
-// snapshots the shard's invalidation generation before the heap fetch,
-// and completeFill drops the fill if any invalidation hit the shard in
-// between — a stale decode can never be published over a newer
+// Coherence: XML rows are written once, with their final bytes, and never
+// change until their document is deleted; the delete calls invalidate()
+// for every RowID after its row is gone, so a slot the heap hands to a
+// later ingest starts with no entry and can only be filled from the new
+// row.  Fills racing an invalidation are handled with a fill token:
+// beginFill snapshots the shard's invalidation generation before the heap
+// fetch, and completeFill drops the fill if any invalidation hit the
+// shard in between — a stale decode can never be published over a newer
 // invalidation.
 //
 // Cached *Node values are shared across goroutines and MUST be treated as
