@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint analyze test race bench bench-smoke bench-json bench-diff
+.PHONY: check fmt vet lint analyze test race fuzz bench bench-smoke bench-json bench-diff
 
 # check is the local CI gate: formatting, vet, lint, the repo analyzer
 # suite, the full suite under -race, and one pass of the serving and
@@ -64,6 +64,14 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fuzz runs each native fuzz target for $(FUZZTIME) beyond its seeds:
+# hostile bytes against the record decoder under the store's two
+# schemas, and against the splitters recovery reads run records with.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) ./internal/xmlstore
+	$(GO) test -run xxx -fuzz FuzzRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
+
 bench:
 	$(GO) test -bench . -benchmem ./...
 
@@ -77,8 +85,8 @@ bench-smoke:
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR16.json
-BENCH_OUT ?= BENCH_PR15.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR17.json
+BENCH_OUT ?= BENCH_PR16.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)

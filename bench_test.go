@@ -390,9 +390,10 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // workers, feed a single ordered writer, and overlap derived indexing —
 // on a multi-core runner the worker sweep shows the pipeline's
 // throughput multiple.  Those cases run in memory, unlogged; "durable"
-// runs the pipeline on a directory and reports what the log cost: WAL
-// bytes per ingested byte and WAL records per document, read before the
-// close (its checkpoint appends nothing, but truncates the file).
+// runs the pipeline on a directory and reports what storage cost: WAL
+// bytes and heap bytes (whole pages) per ingested byte and WAL records
+// per document, read before the close (its checkpoint appends nothing,
+// but truncates the log).
 func BenchmarkIngestParallel(b *testing.B) {
 	gen := corpus.New(47)
 	docs := gen.Mixed(200)
@@ -447,6 +448,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 		b.SetBytes(total)
 		b.ReportAllocs()
 		var appends, walBytes uint64
+		var heapBytes int64
 		for i := 0; i < b.N; i++ {
 			nm, err := netmark.Open(netmark.Config{
 				Dir:             b.TempDir(),
@@ -465,11 +467,14 @@ func BenchmarkIngestParallel(b *testing.B) {
 			a1, _, w1 := nm.DB().WALStats()
 			appends += a1 - a0
 			walBytes += w1 - w0
+			_, h := nm.DB().HeapStats()
+			heapBytes += h
 			if err := nm.Close(); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(walBytes)/float64(total*int64(b.N)), "wal-B/user-B")
+		b.ReportMetric(float64(heapBytes)/float64(total*int64(b.N)), "heap-B/user-B")
 		b.ReportMetric(float64(appends)/float64(len(batch)*b.N), "wal-appends/doc")
 	})
 }

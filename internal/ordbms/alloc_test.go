@@ -7,9 +7,9 @@ import (
 	"netmark/internal/vfs"
 )
 
-// FetchView + DecodeRowInto over an int-only row is the engine's
-// declared zero-allocation read path: page pin on a resident page,
-// latch, decode into caller stack storage.  Guard it.
+// FetchView + DecodeRowInto over a row of ints, ROWIDs and NULLs is the
+// engine's declared zero-allocation read path: page pin on a resident
+// page, latch, decode into caller stack storage.  Guard it.
 func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -20,6 +20,8 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 		Column{"a", TypeInt},
 		Column{"b", TypeInt},
 		Column{"c", TypeInt},
+		Column{"link", TypeRowID},
+		Column{"nolink", TypeRowID},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -28,15 +30,15 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := tbl.Insert(Row{I(7), I(11), I(13)})
+	rid, err := tbl.Insert(Row{I(7), I(11), I(13), R(RowID{Page: 3, Slot: 9}), Null()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var cols [3]Value
+	var cols [5]Value
 	fetch := func() {
 		err := tbl.FetchView(rid, func(rec []byte) error {
-			return DecodeRowInto(rec, cols[:])
+			return DecodeRowInto(schema, rec, cols[:])
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -46,7 +48,7 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(500, fetch); n != 0 {
 		t.Errorf("FetchView+DecodeRowInto = %.2f allocs/op, want 0", n)
 	}
-	if cols[0].Int != 7 || cols[2].Int != 13 {
+	if cols[0].Int != 7 || cols[2].Int != 13 || cols[3].RowID() != (RowID{Page: 3, Slot: 9}) || !cols[4].IsNull() {
 		t.Fatalf("decoded row = %+v", cols)
 	}
 }

@@ -14,7 +14,19 @@ import (
 // file at every checkpoint — the simple, inspectable choice for a
 // reproduction (a production engine would self-host it in pages).
 
+// storeFormat is the on-disk format version: the record codec, the WAL
+// record set (see walMagic, which carries the same number) and the
+// catalog itself.  There is one codec and no second reader, so the
+// policy is: any change to what a page, a log record or the catalog
+// means bumps it, and Open refuses every other value.
+const storeFormat = 2
+
+// ErrStoreFormat reports a store directory written in a format this
+// version does not read.  Open refuses it without writing anything.
+var ErrStoreFormat = fmt.Errorf("ordbms: store is not in on-disk format %d; re-ingest with this version", storeFormat)
+
 type catalogFile struct {
+	Format int `json:"format"`
 	// Generation counts catalog saves.  Derived-state snapshots (the
 	// engine's own index/heap-meta snapshot and any store-level snapshot
 	// written by a pre-checkpoint hook) are stamped with the generation
@@ -47,7 +59,7 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 	if db.dir == "" {
 		return nil
 	}
-	cf := catalogFile{Generation: gen}
+	cf := catalogFile{Format: storeFormat, Generation: gen}
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]
 		ct := catalogTable{Name: t.name, Pages: t.heap.Pages()}
@@ -59,7 +71,7 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 		}
 		cf.Tables = append(cf.Tables, ct)
 	}
-	b, err := json.MarshalIndent(&cf, "", "  ")
+	b, err := json.Marshal(&cf)
 	if err != nil {
 		return err
 	}
@@ -98,22 +110,33 @@ func syncDir(fsys vfs.FS, dir string) error {
 	return err
 }
 
-// loadCatalog rebuilds the table set from the on-disk catalog during
-// Open, before the DB is shared with any other goroutine.
-//
-// netmarkvet:ignore lockcheck — open-time, single-goroutine
-func (db *DB) loadCatalog() error {
-	path := filepath.Join(db.dir, catalogName)
-	b, err := db.fs.ReadFile(path)
+// readCatalog reads and parses the on-disk catalog; nil means a fresh
+// store.  A catalog of another format version is ErrStoreFormat.
+func (db *DB) readCatalog() (*catalogFile, error) {
+	b, err := db.fs.ReadFile(filepath.Join(db.dir, catalogName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil // fresh store
+			return nil, nil
 		}
-		return err
+		return nil, err
 	}
 	var cf catalogFile
 	if err := json.Unmarshal(b, &cf); err != nil {
-		return fmt.Errorf("ordbms: corrupt catalog: %w", err)
+		return nil, fmt.Errorf("ordbms: corrupt catalog: %w", err)
+	}
+	if cf.Format != storeFormat {
+		return nil, fmt.Errorf("%w (catalog says %d)", ErrStoreFormat, cf.Format)
+	}
+	return &cf, nil
+}
+
+// loadCatalog rebuilds the table set from the catalog readCatalog
+// returned, during Open, before the DB is shared with any other goroutine.
+//
+// netmarkvet:ignore lockcheck — open-time, single-goroutine
+func (db *DB) loadCatalog(cf *catalogFile) error {
+	if cf == nil {
+		return nil // fresh store
 	}
 	db.catalogGen = cf.Generation
 	// A valid derived snapshot replaces the per-table heap scans (row

@@ -159,14 +159,19 @@ func Open(opts Options) (*DB, error) {
 	if err := db.fs.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ordbms: create dir: %w", err)
 	}
-	disk, err := OpenFileDisk(db.fs, filepath.Join(opts.Dir, "data.nmdb"))
+	// The format gate comes first: a store this version cannot read is
+	// refused (ErrStoreFormat) before anything in the directory is written.
+	cat, err := db.readCatalog()
 	if err != nil {
 		return nil, err
 	}
 	wal, err := OpenWAL(db.fs, filepath.Join(opts.Dir, "wal.nmlog"))
 	if err != nil {
-		disk.Close()
 		return nil, err
+	}
+	disk, err := OpenFileDisk(db.fs, filepath.Join(opts.Dir, "data.nmdb"))
+	if err != nil {
+		return nil, errors.Join(err, wal.closeFile())
 	}
 	db.disk = disk
 	db.wal = wal
@@ -185,7 +190,7 @@ func Open(opts Options) (*DB, error) {
 	db.Replayed = replayed
 	db.walAllocs = allocs
 	db.walEndAtOpen = wal.SyncedLSN()
-	if err := db.loadCatalog(); err != nil {
+	if err := db.loadCatalog(cat); err != nil {
 		return nil, fail(err)
 	}
 	if err := db.applyRecoveredOps(ops); err != nil {
@@ -370,6 +375,18 @@ func (db *DB) WALStats() (appends, syncs, bytes uint64) {
 		return 0, 0, 0
 	}
 	return db.wal.Appends(), db.wal.Syncs(), db.wal.Bytes()
+}
+
+// HeapStats returns how many pages the tables' heaps own and what those
+// pages occupy in the data file — beside WALStats, the two terms that
+// make up a store's bytes on disk per byte ingested.
+func (db *DB) HeapStats() (pages int, bytes int64) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, t := range db.tables {
+		pages += len(t.heap.Pages())
+	}
+	return pages, int64(pages) * PageSize
 }
 
 // RegisterPreCheckpointHook installs fn to run inside every checkpoint's
@@ -582,7 +599,7 @@ func (t *Table) Insert(row Row) (RowID, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, err := t.heap.Insert(EncodeRow(row))
+	rid, err := t.heap.Insert(t.schema.Encode(row))
 	if err != nil {
 		return ZeroRowID, t.noteIfIOFault("insert", err)
 	}
@@ -593,7 +610,7 @@ func (t *Table) Insert(row Row) (RowID, error) {
 }
 
 // InsertRun stores a run of rows in one pass and returns their physical
-// RowIDs, in order.  recs[i] must equal EncodeRow(rows[i]) except in the
+// RowIDs, in order.  recs[i] must equal Schema().Encode(rows[i]) except in the
 // bytes link patches: the caller encodes off the table's write lock (the
 // batch-ingest pipeline does it in its parse workers), and link, called
 // once every RowID of the run is settled and before any row is written,
@@ -640,7 +657,7 @@ func (t *Table) Fetch(rid RowID) (Row, error) {
 	var row Row
 	err := t.heap.View(rid, func(rec []byte) error {
 		var derr error
-		row, derr = DecodeRow(rec)
+		row, derr = DecodeRow(t.schema, rec)
 		return derr
 	})
 	if err != nil {
@@ -673,7 +690,7 @@ func (t *Table) FetchMany(rids []RowID) ([]Row, error) {
 	defer t.mu.RUnlock()
 	rows := make([]Row, len(rids))
 	err := t.heap.ViewMany(rids, func(i int, rec []byte) error {
-		row, derr := DecodeRow(rec)
+		row, derr := DecodeRow(t.schema, rec)
 		if derr != nil {
 			return derr
 		}
@@ -699,7 +716,7 @@ func (t *Table) Delete(rid RowID) error {
 	if err != nil {
 		return err
 	}
-	row, err := DecodeRow(rec)
+	row, err := DecodeRow(t.schema, rec)
 	if err != nil {
 		return err
 	}
@@ -713,8 +730,7 @@ func (t *Table) Delete(rid RowID) error {
 }
 
 // Update rewrites the row at rid in place.  The encoded row must not be
-// larger than the stored record (link patches in the XML store keep
-// fixed-width columns first, so this holds in practice).
+// larger than the stored record.
 //
 // netmarkvet:mutates
 func (t *Table) Update(rid RowID, row Row) error {
@@ -730,11 +746,11 @@ func (t *Table) Update(rid RowID, row Row) error {
 	if err != nil {
 		return err
 	}
-	oldRow, err := DecodeRow(oldRec)
+	oldRow, err := DecodeRow(t.schema, oldRec)
 	if err != nil {
 		return err
 	}
-	if err := t.heap.Update(rid, EncodeRow(row)); err != nil {
+	if err := t.heap.Update(rid, t.schema.Encode(row)); err != nil {
 		return t.noteIfIOFault("update", err)
 	}
 	for _, ix := range t.indexes {
@@ -752,7 +768,7 @@ func (t *Table) Scan(fn func(rid RowID, row Row) bool) error {
 	defer t.mu.RUnlock()
 	var derr error
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(rec)
+		row, e := DecodeRow(t.schema, rec)
 		if e != nil {
 			derr = e
 			return false
@@ -790,7 +806,7 @@ func (t *Table) buildIndexLocked(column string) error {
 	ix := newIndex(column, ci)
 	var derr error
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(rec)
+		row, e := DecodeRow(t.schema, rec)
 		if e != nil {
 			derr = e
 			return false

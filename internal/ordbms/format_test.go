@@ -1,0 +1,89 @@
+package ordbms
+
+import (
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// A store written before format 2 — a catalog with no "format" field, or
+// a log that starts NMWALv1 — is refused by name, and refusing it writes
+// nothing: the directory is byte-identical afterwards, so the version
+// that wrote it can still open it.
+func TestOpenRefusesV1Store(t *testing.T) {
+	v1Log := append([]byte("NMWALv1\x00"), make([]byte, 8)...)
+	// A committed v1 row insert (type 1) behind the header: replaying it
+	// under this version's codec would misread every column.
+	body := []byte{1, 2, 0, 0, 0, 0, 0, 2, 1, 42}
+	v1Log = binary.LittleEndian.AppendUint32(v1Log, uint32(len(body)))
+	v1Log = binary.LittleEndian.AppendUint32(v1Log, 0xdeadbeef)
+	v1Log = append(v1Log, body...)
+	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
+	stores := map[string]map[string][]byte{
+		"catalog without format": {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv1 log":            {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v1 catalog and v1 log":  {"catalog.json": v1Catalog, "wal.nmlog": v1Log},
+	}
+	for name, files := range stores {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for file, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirDigest(t, dir)
+			db, err := Open(Options{Dir: dir})
+			if !errors.Is(err, ErrStoreFormat) {
+				if err == nil {
+					db.CloseDiscard()
+				}
+				t.Fatalf("Open = %v, want ErrStoreFormat", err)
+			}
+			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refusing the store changed it:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+}
+
+// The catalog this version writes says which format it is in, on one
+// line, and reopens.
+func TestCatalogCarriesFormat(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", MustSchema(Column{"v", TypeInt}, Column{"at", TypeRowID}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ { // several pages, so the page list is long
+		if _, err := tbl.Insert(Row{I(int64(i)), R(RowID{Page: uint32(i), Slot: 1})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := os.ReadFile(filepath.Join(dir, catalogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"format":2,"generation":1,`; string(cat[:len(want)]) != want {
+		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
+	}
+	db2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	row, err := db2.Table("t").Fetch(RowID{Page: db2.Table("t").heap.Pages()[0], Slot: 0})
+	if err != nil || row[1].RowID() != (RowID{Page: 0, Slot: 1}) || db2.Table("t").Schema().Columns[1].Type != TypeRowID {
+		t.Fatalf("first row after reopen = %v, %v", row, err)
+	}
+}

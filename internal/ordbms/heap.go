@@ -406,8 +406,8 @@ func (h *HeapFile) Delete(rid RowID) error {
 }
 
 // Update rewrites the record at rid in place.  The caller must ensure the
-// new record is not larger than the original (the XML store only performs
-// same-size link patches); larger payloads return an error.
+// new record is not larger than the original; larger payloads return an
+// error.
 func (h *HeapFile) Update(rid RowID, rec []byte) error {
 	f, err := h.pool.Fetch(rid.Page)
 	if err != nil {

@@ -2,12 +2,9 @@ package ordbms
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"netmark/internal/vfs"
 )
 
 // runPlacementSeed builds a heap whose next inserts meet every branch of
@@ -161,7 +158,7 @@ func TestInsertRunLargerThanPoolFailsClean(t *testing.T) {
 // linkSchema is a two-column table whose second column holds a RowID the
 // run's link callback fills in.
 func linkSchema() Schema {
-	return MustSchema(Column{Name: "id", Type: TypeInt}, Column{Name: "next", Type: TypeBytes})
+	return MustSchema(Column{Name: "id", Type: TypeInt}, Column{Name: "next", Type: TypeRowID})
 }
 
 // Table.InsertRun writes each row once, already linked: the log carries
@@ -186,8 +183,8 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 	recs := make([][]byte, n)
 	offs := make([][]int, n)
 	for i := range rows {
-		rows[i] = Row{I(int64(i)), B(make([]byte, 8))}
-		recs[i], offs[i] = EncodeRowOffsets(rows[i])
+		rows[i] = Row{I(int64(i)), R(ZeroRowID)}
+		recs[i], offs[i] = linkSchema().EncodeOffsets(rows[i])
 	}
 	before, _, bytes0 := db.WALStats()
 	rids, err := tbl.InsertRun(rows, recs, func(rids []RowID) {
@@ -196,7 +193,7 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 			if i+1 < len(rids) {
 				next = rids[i+1]
 			}
-			binary.LittleEndian.PutUint64(recs[i][offs[i][1]:], next.Uint64())
+			PutRowID(recs[i][offs[i][1]:], next)
 		}
 	})
 	if err != nil {
@@ -256,107 +253,9 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 		if hits, _ := tbl2.Lookup("id", I(int64(i))); len(hits) != 1 || hits[0] != at {
 			t.Fatalf("index for id %d = %v, want %v", i, hits, at)
 		}
-		at = RowIDFromUint64(binary.LittleEndian.Uint64(row[1].Bytes))
+		at = row[1].RowID()
 	}
 	if at != ZeroRowID {
 		t.Fatalf("chain ends at %v, want the zero RowID", at)
 	}
-}
-
-// (c) A log written before run inserts — a walInsert with zeroed links
-// and a same-sized walUpdate per row — followed by walInsertRun records
-// replays to the heap the current insert path builds, and replaying it
-// again over the flushed pages changes nothing.
-func TestLegacyLogThenRunRecordsReplay(t *testing.T) {
-	const n = 300
-	recs := make([][]byte, n)
-	for i := range recs {
-		recs[i] = bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 20+i%30)
-	}
-	// The reference: the same records through today's insert path, unlogged.
-	ref := NewHeapFile(memPool(t, 64), nil)
-	rids, err := ref.InsertRun(recs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := OpenWAL(vfs.OS, filepath.Join(t.TempDir(), "wal.nmlog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, no := range ref.Pages() {
-		w.LogAlloc("T", no)
-	}
-	// First half the old way: pass 1 inserts every row with a zeroed
-	// record, pass 2 rewrites each in place.
-	for i := 0; i < n/2; i++ {
-		w.appendSlotRecord(walInsert, rids[i].Page, rids[i].Slot, make([]byte, len(recs[i])))
-	}
-	for i := 0; i < n/2; i++ {
-		w.appendSlotRecord(walUpdate, rids[i].Page, rids[i].Slot, recs[i])
-	}
-	// Second half as two runs, each one record over the pages it spans;
-	// the page the cut falls on is in both.
-	logRun := func(from, to int) {
-		var run []*runPage
-		for i := from; i < to; i++ {
-			if len(run) == 0 || run[len(run)-1].f.PageNo != rids[i].Page {
-				run = append(run, &runPage{f: &Frame{PageNo: rids[i].Page}})
-			}
-			rp := run[len(run)-1]
-			rp.rows = append(rp.rows, runRow{slot: rids[i].Slot, rec: recs[i]})
-		}
-		w.LogInsertRun(run)
-	}
-	logRun(n/2, 3*n/4)
-	logRun(3*n/4, n)
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	disk := NewMemDisk()
-	pool := NewBufferPool(disk, 64)
-	replayed, allocs, _, torn, err := Recover(disk, pool, w)
-	if err != nil || torn {
-		t.Fatalf("recover: %v (torn %v)", err, torn)
-	}
-	if replayed == 0 || len(allocs["T"]) != len(ref.Pages()) {
-		t.Fatalf("replayed %d records, adopted %v", replayed, allocs["T"])
-	}
-	if err := pool.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	samePages := func(pool *BufferPool) {
-		t.Helper()
-		for _, no := range ref.Pages() {
-			got, err := pool.Fetch(no)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.pool.Fetch(no)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Everything but the page LSN: the reference heap is unlogged.
-			if !bytes.Equal(got.Page.Data()[:8], want.Page.Data()[:8]) ||
-				!bytes.Equal(got.Page.Data()[pageHeaderSize:], want.Page.Data()[pageHeaderSize:]) {
-				t.Fatalf("page %d differs from the reference heap", no)
-			}
-			pool.Unpin(got, false)
-			ref.pool.Unpin(want, false)
-		}
-	}
-	samePages(pool)
-
-	// A second crash: the same log over the pages the first replay flushed.
-	pool2 := NewBufferPool(disk, 64)
-	again, _, _, _, err := Recover(disk, pool2, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != 0 {
-		t.Fatalf("second replay applied %d records over pages already brought forward", again)
-	}
-	samePages(pool2)
 }

@@ -12,7 +12,10 @@ package ordbms
 //
 // File layout: magic(8) version(4) crc32-of-payload(4) payloadLen(8)
 // payload.  The payload is varint-packed, tables and index columns in
-// sorted order, index keys in tree order.
+// sorted order, index keys in tree order.  Within one index, keys ascend
+// and so, mostly, do the rows they point at, so both are written as
+// zigzag deltas: an integer key as its distance from the previous key, a
+// rid as its distance from the previous rid (within and across keys).
 
 import (
 	"encoding/binary"
@@ -26,7 +29,7 @@ import (
 
 const (
 	derivedName    = "derived.nmds"
-	derivedVersion = 1
+	derivedVersion = 2
 )
 
 var derivedMagic = [8]byte{'N', 'M', 'D', 'E', 'R', 'V', '1', 0}
@@ -74,11 +77,14 @@ func (db *DB) saveDerivedLocked(gen, lsn uint64) error {
 			ix := t.indexes[c]
 			buf = appendSnapString(buf, c)
 			buf = binary.AppendUvarint(buf, uint64(ix.tree.Keys()))
+			var prevKey, prevRID int64
 			ix.tree.Ascend(func(v Value, rids []RowID) bool {
-				buf = appendSnapValue(buf, v)
+				buf = appendSnapValue(buf, v, &prevKey)
 				buf = binary.AppendUvarint(buf, uint64(len(rids)))
 				for _, rid := range rids {
-					buf = binary.AppendUvarint(buf, rid.Uint64())
+					packed := int64(rid.Uint64())
+					buf = binary.AppendVarint(buf, packed-prevRID)
+					prevRID = packed
 				}
 				return true
 			})
@@ -161,16 +167,18 @@ func (db *DB) loadDerivedSnapshot(gen uint64) *derivedSnapshot {
 				return nil
 			}
 			keys := make([]derivedKey, 0, nk)
+			var prevKey, prevRID int64
 			for ; nk > 0; nk-- {
 				var dk derivedKey
-				dk.v = r.value()
+				dk.v = r.value(&prevKey)
 				n := r.uvarint()
 				if n > uint64(len(r.b)) {
 					return nil
 				}
 				dk.rids = make([]RowID, n)
 				for i := range dk.rids {
-					dk.rids[i] = RowIDFromUint64(r.uvarint())
+					prevRID += r.varint()
+					dk.rids[i] = RowIDFromUint64(uint64(prevRID))
 				}
 				keys = append(keys, dk)
 			}
@@ -230,12 +238,15 @@ func appendSnapString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// appendSnapValue appends a type-tagged index key.
-func appendSnapValue(buf []byte, v Value) []byte {
+// appendSnapValue appends a type-tagged index key.  Integer keys (and
+// ROWIDs, which are carried as integers) are written as their distance
+// from *prev, the previous such key of the index, which it updates.
+func appendSnapValue(buf []byte, v Value, prev *int64) []byte {
 	buf = append(buf, byte(v.Type))
 	switch v.Type {
-	case TypeInt:
-		buf = binary.AppendVarint(buf, v.Int)
+	case TypeInt, TypeRowID:
+		buf = binary.AppendVarint(buf, v.Int-*prev)
+		*prev = v.Int
 	case TypeFloat:
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
 	case TypeString:
@@ -317,12 +328,14 @@ func (r *snapReader) str() string {
 	return string(r.take(int(r.uvarint())))
 }
 
-func (r *snapReader) value() Value {
-	switch Type(r.byte()) {
+// value reads a key written by appendSnapValue; prev mirrors the writer's.
+func (r *snapReader) value(prev *int64) Value {
+	switch t := Type(r.byte()); t {
 	case TypeNull:
 		return Null()
-	case TypeInt:
-		return I(r.varint())
+	case TypeInt, TypeRowID:
+		*prev += r.varint()
+		return Value{Type: t, Int: *prev}
 	case TypeFloat:
 		return F(math.Float64frombits(r.u64()))
 	case TypeString:

@@ -2,6 +2,7 @@ package ordbms
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -201,6 +202,19 @@ func TestQuickPageWorkload(t *testing.T) {
 	}
 }
 
+// schemaOf builds the schema a row's own values imply (a NULL column is
+// declared INT), for codec tests that start from values.
+func schemaOf(r Row) Schema {
+	cols := make([]Column, len(r))
+	for i, v := range r {
+		cols[i] = Column{Name: fmt.Sprintf("c%d", i), Type: v.Type}
+		if v.IsNull() {
+			cols[i].Type = TypeInt
+		}
+	}
+	return MustSchema(cols...)
+}
+
 func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 	rows := []Row{
 		{},
@@ -211,10 +225,13 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 		{Bl(true), Bl(false)},
 		{B(nil), B([]byte{0, 1, 2, 255})},
 		{Null(), I(7), Null(), S("x")},
+		{R(ZeroRowID), R(RowID{Page: 1<<32 - 1, Slot: 1<<16 - 1}), Null(), R(RowID{Page: 7, Slot: 3})},
+		{I(1), I(2), I(3), I(4), I(5), I(6), I(7), I(8), Null(), S("ninth and tenth cross a bitmap byte")},
 	}
 	for i, r := range rows {
-		enc := EncodeRow(r)
-		dec, err := DecodeRow(enc)
+		schema := schemaOf(r)
+		enc := schema.Encode(r)
+		dec, err := DecodeRow(schema, enc)
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
@@ -230,25 +247,27 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRowCorruption(t *testing.T) {
-	enc := EncodeRow(Row{I(42), S("hello")})
-	// Truncations must error, never panic.
-	for cut := 1; cut < len(enc); cut++ {
-		if _, err := DecodeRow(enc[:cut]); err == nil && cut < len(enc) {
-			// Some prefixes may parse as a shorter valid row only if the
-			// header still matches; with 2 columns declared they cannot.
+	row := Row{I(42), S("hello"), R(RowID{Page: 9, Slot: 2})}
+	schema := schemaOf(row)
+	enc := schema.Encode(row)
+	// Truncations must error, never panic: the schema says three columns
+	// follow the bitmap, and no prefix holds them all.
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeRow(schema, enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d silently accepted", cut)
 		}
 	}
-	if _, err := DecodeRow(nil); err == nil {
-		t.Fatal("nil record accepted")
+	if _, err := DecodeRow(schema, append(enc[:len(enc):len(enc)], 0)); err == nil {
+		t.Fatal("trailing byte accepted")
 	}
 }
 
-// Property: EncodeRow/DecodeRow round-trips arbitrary values.
+// Property: Encode/DecodeRow round-trips arbitrary values.
 func TestQuickRowRoundTrip(t *testing.T) {
 	f := func(i int64, s string, fl float64, bl bool, by []byte) bool {
 		r := Row{I(i), S(s), F(fl), Bl(bl), B(by), Null()}
-		dec, err := DecodeRow(EncodeRow(r))
+		schema := schemaOf(r)
+		dec, err := DecodeRow(schema, schema.Encode(r))
 		if err != nil || len(dec) != 6 {
 			return false
 		}

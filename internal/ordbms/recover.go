@@ -74,10 +74,6 @@ func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs
 			return nil // already applied before the crash
 		}
 		switch r.Type {
-		case walInsert:
-			if aerr := f.Page.applyInsertAt(int(r.Slot), r.Rec); aerr != nil {
-				return aerr
-			}
 		case walInsertRun:
 			for rest := r.Rec; len(rest) > 0; {
 				slot, rec, tail, _ := nextRunRow(rest) // Replay checked the framing

@@ -32,6 +32,9 @@ const (
 	TypeString
 	TypeBytes
 	TypeBool
+	// TypeRowID is a physical row address as a column — the paper's ROWID
+	// link.  The value travels packed in Value.Int (see R and Value.RowID).
+	TypeRowID
 )
 
 func (t Type) String() string {
@@ -48,6 +51,8 @@ func (t Type) String() string {
 		return "BYTES"
 	case TypeBool:
 		return "BOOL"
+	case TypeRowID:
+		return "ROWID"
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
@@ -80,6 +85,12 @@ func B(v []byte) Value { return Value{Type: TypeBytes, Bytes: v} }
 // Bl builds a boolean value.
 func Bl(v bool) Value { return Value{Type: TypeBool, Bool: v} }
 
+// R builds a ROWID value.
+func R(rid RowID) Value { return Value{Type: TypeRowID, Int: int64(rid.Uint64())} }
+
+// RowID unpacks a ROWID value.  NULL reads as ZeroRowID, the null link.
+func (v Value) RowID() RowID { return RowIDFromUint64(uint64(v.Int)) }
+
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.Type == TypeNull }
 
@@ -98,6 +109,8 @@ func (v Value) String() string {
 		return fmt.Sprintf("%x", v.Bytes)
 	case TypeBool:
 		return fmt.Sprintf("%t", v.Bool)
+	case TypeRowID:
+		return v.RowID().String()
 	}
 	return "?"
 }
@@ -134,7 +147,7 @@ func (v Value) Compare(o Value) int {
 		return 1
 	}
 	switch v.Type {
-	case TypeInt:
+	case TypeInt, TypeRowID:
 		switch {
 		case v.Int < o.Int:
 			return -1
@@ -218,54 +231,71 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// EncodeRow serialises a row into a compact binary record.
-// Layout: varint column count, then per column one type byte followed by a
-// type-specific payload (zigzag varints for ints, 8-byte IEEE for floats,
-// length-prefixed bytes for strings).
-func EncodeRow(r Row) []byte {
-	return encodeRow(r, nil)
+// Record format.  A record carries no types and no column count — both
+// come from the table's Schema — only which columns are NULL and the
+// payloads of those that are not:
+//
+//	+--------------------+-----------+-----------+-----
+//	| null bitmap        | payload   | payload   | ...   non-NULL columns,
+//	| ceil(ncols/8) B    | of col i  | of col j  |       in schema order
+//	+--------------------+-----------+-----------+-----
+//
+// Bit i%8 of bitmap byte i/8 is set when column i is NULL; a NULL column
+// has no payload at all.  Payloads by column type:
+//
+//	INT     zigzag varint
+//	FLOAT   8 bytes, little-endian IEEE 754
+//	STRING  uvarint length, then the bytes
+//	BYTES   uvarint length, then the bytes
+//	BOOL    1 byte, 0 or 1
+//	ROWID   6 bytes: page u32, slot u16, little-endian (see PutRowID)
+
+// Encode serialises a row that satisfies s.Validate.
+func (s Schema) Encode(r Row) []byte {
+	return s.encode(r, nil)
 }
 
-// EncodeRowOffsets serialises a row like EncodeRow and additionally
-// returns, per column, the byte offset of that column's payload within
-// the record (for NULLs, the offset just past the type byte).  Callers
-// that later rewrite a fixed-width payload — the XML store's 8-byte
-// RowID link columns — can patch the bytes directly and update the
-// record in place without re-encoding.
-func EncodeRowOffsets(r Row) ([]byte, []int) {
+// EncodeOffsets serialises a row like Encode and additionally returns,
+// per column, the byte offset of that column's payload within the record
+// (-1 for a NULL, which has none).  A caller that learns a fixed-width
+// payload late — the XML store's ROWID link columns, known only once the
+// run is placed — patches those bytes directly with PutRowID instead of
+// re-encoding.
+func (s Schema) EncodeOffsets(r Row) ([]byte, []int) {
 	offs := make([]int, len(r))
-	return encodeRow(r, offs), offs
+	return s.encode(r, offs), offs
 }
 
-// encodeRow is the single definition of the record format.  When offs is
+// encode is the single definition of the record format.  When offs is
 // non-nil it receives each column's payload offset.
-func encodeRow(r Row, offs []int) []byte {
-	buf := make([]byte, 0, 16+len(r)*8)
-	buf = binary.AppendUvarint(buf, uint64(len(r)))
+func (s Schema) encode(r Row, offs []int) []byte {
+	nb := (len(r) + 7) / 8
+	size := nb + 4*len(r)
+	for _, v := range r {
+		size += len(v.Str) + len(v.Bytes)
+	}
+	buf := make([]byte, nb, size)
 	for i, v := range r {
-		buf = append(buf, byte(v.Type))
-		// Only strings and bytes carry a length prefix; every other
-		// payload starts right after the type byte.
-		switch v.Type {
-		case TypeString:
-			buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
-		case TypeBytes:
-			buf = binary.AppendUvarint(buf, uint64(len(v.Bytes)))
+		if v.Type == TypeNull {
+			buf[i/8] |= 1 << (i % 8)
+			if offs != nil {
+				offs[i] = -1
+			}
+			continue
 		}
 		if offs != nil {
 			offs[i] = len(buf)
 		}
-		switch v.Type {
-		case TypeNull:
+		switch s.Columns[i].Type {
 		case TypeInt:
 			buf = binary.AppendVarint(buf, v.Int)
 		case TypeFloat:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.Float))
-			buf = append(buf, tmp[:]...)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
 		case TypeString:
+			buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
 			buf = append(buf, v.Str...)
 		case TypeBytes:
+			buf = binary.AppendUvarint(buf, uint64(len(v.Bytes)))
 			buf = append(buf, v.Bytes...)
 		case TypeBool:
 			if v.Bool {
@@ -273,57 +303,46 @@ func encodeRow(r Row, offs []int) []byte {
 			} else {
 				buf = append(buf, 0)
 			}
+		case TypeRowID:
+			buf = append(buf, make([]byte, RowIDSize)...)
+			PutRowID(buf[len(buf)-RowIDSize:], v.RowID())
 		}
 	}
 	return buf
 }
 
-// DecodeRow parses a record previously produced by EncodeRow.
-func DecodeRow(b []byte) (Row, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, fmt.Errorf("ordbms: corrupt record header")
-	}
-	if n > uint64(len(b)) {
-		return nil, fmt.Errorf("ordbms: implausible column count %d", n)
-	}
-	row := make(Row, n)
-	if err := decodeColumns(b, off, row); err != nil {
+// DecodeRow parses a record of a table with schema s.
+func DecodeRow(s Schema, b []byte) (Row, error) {
+	row := make(Row, len(s.Columns))
+	if err := DecodeRowInto(s, b, row); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
-// DecodeRowInto decodes a record into a caller-provided row, avoiding the
-// per-fetch Row allocation of DecodeRow — callers with a known schema keep
-// a fixed-size array on the stack.  The record must hold exactly len(row)
-// columns.  String and byte payloads are copied, never aliased, so the
-// decoded values outlive the source buffer.
+// DecodeRowInto decodes a record into a caller-provided row of the
+// schema's arity, avoiding the per-fetch Row allocation of DecodeRow —
+// callers with a fixed schema keep an array on the stack.  String and
+// byte payloads are copied, never aliased, so the decoded values outlive
+// the source buffer.  The record must be exactly one row: bytes left over
+// after the last column are an error.
 //
 // netmarkvet:hotpath
-func DecodeRowInto(b []byte, row Row) error {
-	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return fmt.Errorf("ordbms: corrupt record header")
+func DecodeRowInto(s Schema, b []byte, row Row) error {
+	if len(row) != len(s.Columns) {
+		return fmt.Errorf("ordbms: schema has %d columns, caller expects %d", len(s.Columns), len(row))
 	}
-	if n != uint64(len(row)) {
-		return fmt.Errorf("ordbms: record has %d columns, caller expects %d", n, len(row))
+	pos := (len(row) + 7) / 8
+	if len(b) < pos {
+		return fmt.Errorf("ordbms: record of %d bytes is shorter than its null bitmap", len(b))
 	}
-	return decodeColumns(b, off, row)
-}
-
-// decodeColumns parses len(row) column payloads starting at b[pos].
-func decodeColumns(b []byte, pos int, row Row) error {
-	for i := range row {
-		if pos >= len(b) {
-			return fmt.Errorf("ordbms: truncated record at column %d", i)
+	for i, c := range s.Columns {
+		if b[i/8]&(1<<(i%8)) != 0 {
+			row[i] = Value{}
+			continue
 		}
-		t := Type(b[pos])
-		pos++
-		var v Value
-		v.Type = t
-		switch t {
-		case TypeNull:
+		v := Value{Type: c.Type}
+		switch c.Type {
 		case TypeInt:
 			x, m := binary.Varint(b[pos:])
 			if m <= 0 {
@@ -337,24 +356,20 @@ func decodeColumns(b []byte, pos int, row Row) error {
 			}
 			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(b[pos:]))
 			pos += 8
-		case TypeString:
+		case TypeString, TypeBytes:
 			l, m := binary.Uvarint(b[pos:])
-			if m <= 0 || pos+m+int(l) > len(b) {
-				return fmt.Errorf("ordbms: corrupt string at column %d", i)
+			if m <= 0 || l > uint64(len(b)-pos-m) {
+				return fmt.Errorf("ordbms: corrupt %v at column %d", c.Type, i)
 			}
 			pos += m
-			// netmarkvet:allocok — payload copy is the documented
-			// contract: decoded values outlive the page latch
-			v.Str = string(b[pos : pos+int(l)])
-			pos += int(l)
-		case TypeBytes:
-			l, m := binary.Uvarint(b[pos:])
-			if m <= 0 || pos+m+int(l) > len(b) {
-				return fmt.Errorf("ordbms: corrupt bytes at column %d", i)
+			if c.Type == TypeString {
+				// netmarkvet:allocok — payload copy is the documented
+				// contract: decoded values outlive the page latch
+				v.Str = string(b[pos : pos+int(l)])
+			} else {
+				// netmarkvet:allocok — payload copy, same contract as strings
+				v.Bytes = append([]byte(nil), b[pos:pos+int(l)]...)
 			}
-			pos += m
-			// netmarkvet:allocok — payload copy, same contract as strings
-			v.Bytes = append([]byte(nil), b[pos:pos+int(l)]...)
 			pos += int(l)
 		case TypeBool:
 			if pos >= len(b) {
@@ -362,10 +377,19 @@ func decodeColumns(b []byte, pos int, row Row) error {
 			}
 			v.Bool = b[pos] == 1
 			pos++
+		case TypeRowID:
+			if pos+RowIDSize > len(b) {
+				return fmt.Errorf("ordbms: corrupt rowid at column %d", i)
+			}
+			v.Int = int64(getRowID(b[pos:]).Uint64())
+			pos += RowIDSize
 		default:
-			return fmt.Errorf("ordbms: unknown value type %d at column %d", t, i)
+			return fmt.Errorf("ordbms: column %d has no storable type (%v)", i, c.Type)
 		}
 		row[i] = v
+	}
+	if pos != len(b) {
+		return fmt.Errorf("ordbms: %d bytes after the last column", len(b)-pos)
 	}
 	return nil
 }

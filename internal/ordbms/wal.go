@@ -51,11 +51,14 @@ type WAL struct {
 	syncDone chan struct{} // guarded by mu
 }
 
-// WAL record types.  Every record is framed as u32 body length, u32
-// CRC-32 of the body, then the body: one type byte and a payload.  All
-// integers are little-endian.
+// Log layout.  The file is a 16-byte header — walMagic, whose digit is
+// the store's format number, then the base LSN — followed by records.
+// Every record is framed as u32 body length, u32 CRC-32 of the body, then
+// the body: one type byte and a payload.  All integers are little-endian;
+// "record bytes" are a row exactly as its page holds it (null bitmap and
+// payloads, see Schema.Encode), so what a row costs the heap it costs
+// the log, plus four bytes of slot and length.
 //
-//	walInsert       page u32, slot u16, record bytes (legacy: replayed, no longer written)
 //	walDelete       page u32, slot u16
 //	walUpdate       page u32, slot u16, record bytes
 //	walCheckpoint   empty
@@ -68,10 +71,7 @@ type WAL struct {
 // Names are uvarint-length-prefixed strings, except walAlloc's, which
 // runs to the end of the body.
 const (
-	// walInsert is the per-row insert record of logs written before run
-	// inserts; Replay still decodes it so such a log recovers.
-	walInsert byte = 1 + iota
-	walDelete
+	walDelete byte = 2 + iota // 1 was format 1's per-row insert
 	walUpdate
 	walCheckpoint
 	// walAlloc records that a table adopted a freshly allocated page.
@@ -99,14 +99,12 @@ const (
 
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', 0}
+// walMagic names the log's format; the digit is storeFormat.
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '2', 0}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.
 func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
-	// A leftover checkpoint temp means a crash before the atomic rename:
-	// the live log is authoritative, the half-built successor is garbage.
-	fsys.Remove(path + walCkptSuffix)
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ordbms: open wal: %w", err)
@@ -133,10 +131,13 @@ func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
 		}
 		if [8]byte(hdr[:8]) != walMagic {
 			f.Close()
-			return nil, fmt.Errorf("ordbms: %s is not a netmark wal", path)
+			return nil, fmt.Errorf("%w (%s does not start with %q)", ErrStoreFormat, path, walMagic[:7])
 		}
 		w.base = binary.LittleEndian.Uint64(hdr[8:16])
 	}
+	// A leftover checkpoint temp means a crash before the atomic rename:
+	// the live log is authoritative, the half-built successor is garbage.
+	fsys.Remove(path + walCkptSuffix)
 	end := uint64(st.Size())
 	if end < walHeaderSize {
 		end = walHeaderSize
@@ -637,19 +638,13 @@ func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 		lsn = w.base + uint64(pos-walHeaderSize)
 		r := WALRecord{LSN: lsn, Type: body[0]}
 		switch body[0] {
-		case walInsert, walUpdate:
+		case walDelete, walUpdate:
 			if len(body) < 7 {
 				return true, nil
 			}
 			r.Page = binary.LittleEndian.Uint32(body[1:5])
 			r.Slot = binary.LittleEndian.Uint16(body[5:7])
-			r.Rec = body[7:]
-		case walDelete:
-			if len(body) < 7 {
-				return true, nil
-			}
-			r.Page = binary.LittleEndian.Uint32(body[1:5])
-			r.Slot = binary.LittleEndian.Uint16(body[5:7])
+			r.Rec = body[7:] // the new row bytes of an update; empty for a delete
 		case walAlloc:
 			if len(body) < 5 {
 				return true, nil

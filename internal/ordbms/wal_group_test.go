@@ -135,29 +135,36 @@ func TestCommitCoalescesAcrossGoroutines(t *testing.T) {
 	}
 }
 
-func TestEncodeRowOffsetsPatchable(t *testing.T) {
+func TestEncodeOffsetsPatchable(t *testing.T) {
 	row := Row{
 		I(42),
 		S("variable-width prefix"),
-		B([]byte{1, 2, 3, 4, 5, 6, 7, 8}),
+		Null(),
+		R(ZeroRowID),
 		S("suffix"),
 	}
-	rec, offs := EncodeRowOffsets(row)
-	if want := EncodeRow(row); string(rec) != string(want) {
-		t.Fatal("EncodeRowOffsets encoding diverges from EncodeRow")
+	schema := MustSchema(
+		Column{"id", TypeInt}, Column{"pre", TypeString},
+		Column{"absent", TypeRowID}, Column{"link", TypeRowID}, Column{"post", TypeString},
+	)
+	rec, offs := schema.EncodeOffsets(row)
+	if want := schema.Encode(row); string(rec) != string(want) {
+		t.Fatal("EncodeOffsets encoding diverges from Encode")
 	}
-	// Patch the bytes column payload in place and decode.
-	copy(rec[offs[2]:offs[2]+8], []byte{9, 9, 9, 9, 9, 9, 9, 9})
-	got, err := DecodeRow(rec)
+	if offs[2] != -1 {
+		t.Fatalf("NULL column has payload offset %d, want -1", offs[2])
+	}
+	// Patch the present link's payload in place and decode.
+	want := RowID{Page: 0xA1B2C3D4, Slot: 0xE5F6}
+	PutRowID(rec[offs[3]:], want)
+	got, err := DecodeRow(schema, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range got[2].Bytes {
-		if b != 9 {
-			t.Fatalf("patched byte %d = %d", i, b)
-		}
+	if got[3].RowID() != want || !got[2].IsNull() {
+		t.Fatalf("links after patch = %v, %v", got[2], got[3])
 	}
-	if got[1].Str != "variable-width prefix" || got[3].Str != "suffix" {
+	if got[0].Int != 42 || got[1].Str != "variable-width prefix" || got[4].Str != "suffix" {
 		t.Fatal("patch corrupted neighboring columns")
 	}
 }

@@ -119,6 +119,9 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Pool.Hits == 0 {
 		t.Fatalf("pool counters missing: %+v", st.Pool)
 	}
+	if st.Heap.Pages < 2 || st.Heap.Bytes != int64(st.Heap.Pages)*8192 { // at least a page each for XML and DOC
+		t.Fatalf("heap counters: %+v", st.Heap)
+	}
 	if st.Generation == 0 {
 		t.Fatalf("generation not bumped by ingest: %+v", st)
 	}

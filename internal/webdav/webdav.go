@@ -255,6 +255,13 @@ type Stats struct {
 		Replayed int    `json:"replayed"`
 	} `json:"wal"`
 
+	// Heap is the tables' share of the data file; over the bytes ingested
+	// it is the store's space amplification, as wal.bytes is the log's.
+	Heap struct {
+		Pages int   `json:"pages"`
+		Bytes int64 `json:"bytes"`
+	} `json:"heap"`
+
 	// Snapshot reports how this process's store came up and how its
 	// checkpoint snapshots are faring: loaded=true means reopen skipped
 	// the full-corpus scan; fallback names why it could not.
@@ -327,6 +334,7 @@ func (s *Server) Snapshot() Stats {
 	st.Health.WriteErrors = h.WriteErrors
 	st.WAL.Appends, st.WAL.Syncs, st.WAL.Bytes = store.DB().WALStats()
 	st.WAL.Replayed = store.DB().Replayed
+	st.Heap.Pages, st.Heap.Bytes = store.DB().HeapStats()
 	st.Pool.Hits, st.Pool.Misses, st.Pool.Evictions = store.DB().Pool().Stats()
 	ss := store.SnapshotStats()
 	st.Snapshot.Enabled = ss.Enabled

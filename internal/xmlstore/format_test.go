@@ -1,0 +1,154 @@
+package xmlstore
+
+import (
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
+)
+
+// goldenNode is a text leaf: it has a parent and a previous sibling, no
+// next sibling, no child and no attributes.
+var goldenNode = Node{
+	NodeID: 300, DocID: 7, Class: sgml.ClassText, Name: "#text", Data: "hi", Ordinal: 2, ParentID: 299,
+	ParentRowID: ordbms.RowID{Page: 5, Slot: 3},
+	PrevRowID:   ordbms.RowID{Page: 5, Slot: 2},
+}
+
+// goldenRecord is goldenNode's XML-table record, byte for byte.
+const goldenRecord = "" +
+	"000e" + // null bitmap, 12 columns: nextrowid, childrowid and attrs (9, 10, 11) are NULL
+	"d804" + // nodeid 300, zigzag varint
+	"0e" + // docid 7
+	"04" + // nodetype TEXT (2)
+	"052374657874" + // nodename "#text", uvarint length first
+	"026869" + // nodedata "hi"
+	"04" + // ordinal 2
+	"d604" + // parentnodeid 299
+	"050000000300" + // parentrowid: page u32 5, slot u16 3, little-endian
+	"050000000200" // prevrowid 5.2; nothing follows for the three NULLs
+
+// The record format is pinned: a change to what the bytes of a stored
+// node mean must show up here (and in ordbms's storeFormat) rather than
+// silently misread existing stores.
+func TestXMLRecordGoldenBytes(t *testing.T) {
+	if sgml.ClassText != 2 {
+		t.Fatalf("ClassText = %d; goldenRecord's nodetype byte assumes 2", sgml.ClassText)
+	}
+	n := goldenNode
+	row := ordbms.Row{
+		ordbms.I(int64(n.NodeID)), ordbms.I(int64(n.DocID)), ordbms.I(int64(n.Class)),
+		ordbms.S(n.Name), optString(n.Data), ordbms.I(int64(n.Ordinal)), ordbms.I(int64(n.ParentID)),
+		ordbms.R(n.ParentRowID), ordbms.R(n.PrevRowID), linkSlot(-1), linkSlot(-1), optString(""),
+	}
+	if err := xmlSchema.Validate(row); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(xmlSchema.Encode(row)); got != goldenRecord {
+		t.Fatalf("record of the golden node:\n got %s\nwant %s", got, goldenRecord)
+	}
+	rec, _ := hex.DecodeString(goldenRecord)
+	back, err := ordbms.DecodeRow(xmlSchema, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The NULLs read back as the values they stood for: no link, no text.
+	if got := rowToNode(ordbms.ZeroRowID, back); !reflect.DeepEqual(*got, n) {
+		t.Fatalf("golden record decodes to %+v, want %+v", *got, n)
+	}
+}
+
+// What the ingest path stores for a leaf is what the golden test pins:
+// its missing links and empty strings are NULL bits, not bytes.
+func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
+	s := memStore(t)
+	ingest(t, s, "sample.html", sampleHTML)
+	leaves := 0
+	err := s.ScanNodes(func(n *Node) bool {
+		if n.Class != sgml.ClassText || !n.NextRowID.IsZero() {
+			return true
+		}
+		leaves++
+		ferr := s.xml.FetchView(n.RowID, func(rec []byte) error {
+			if rec[1]&0x0e != 0x0e { // columns 9, 10, 11
+				t.Errorf("node %d: null bitmap %08b %08b does not mark next, child and attrs NULL", n.NodeID, rec[0], rec[1])
+			}
+			return nil
+		})
+		if ferr != nil {
+			t.Error(ferr)
+		}
+		return true
+	})
+	if err != nil || leaves == 0 {
+		t.Fatalf("scanned %d last-sibling text leaves, err %v", leaves, err)
+	}
+}
+
+// Each piece of the store's DDL is its own log record, so a crash can
+// fall between a CreateTable and any of its CreateIndex records.  Cut a
+// fresh store's log after every one of them: the store must open, take
+// a document and find it by name (which needs DOC.filename's index).
+func TestOpenAfterEveryDDLCut(t *testing.T) {
+	src := t.TempDir()
+	db, err := ordbms.Open(ordbms.Options{Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.CloseDiscard()
+	wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := []int{16}
+	for pos := 16; pos < len(wal); {
+		pos += 8 + int(binary.LittleEndian.Uint32(wal[pos:]))
+		cuts = append(cuts, pos)
+	}
+	if len(cuts) != 1+2+5 { // header, two tables, five indexes
+		t.Fatalf("a fresh store logs %d DDL records, want 7", len(cuts)-1)
+	}
+	for _, cut := range cuts {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, s := openDir(t, dir, OpenOptions{})
+		name, data := chaosDoc(cut)
+		if _, err := s.StoreRaw(name, data); err != nil {
+			t.Fatalf("cut %d: ingest: %v", cut, err)
+		}
+		if _, err := s.DocumentByName(name); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if hits, err := s.ContextSearch(fmt.Sprintf("Doc %d", cut)); err != nil || len(hits) != 1 {
+			t.Fatalf("cut %d: context search = %v, %v", cut, hits, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("cut %d: close: %v", cut, err)
+		}
+		// And the repaired schema persists: a clean reopen has it all.
+		db, s = openDir(t, dir, OpenOptions{})
+		if got := reconstructBytes(t, s, name); got == "" {
+			t.Fatalf("cut %d: document empty after reopen", cut)
+		}
+		for _, ix := range []struct{ table, col string }{{"XML", "nodeid"}, {"XML", "docid"}, {"XML", "nodename"}, {"DOC", "docid"}, {"DOC", "filename"}} {
+			if db.Table(ix.table).Index(ix.col) == nil {
+				t.Fatalf("cut %d: no index on %s.%s after reopen", cut, ix.table, ix.col)
+			}
+		}
+		db.Close()
+	}
+}

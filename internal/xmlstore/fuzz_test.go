@@ -1,0 +1,79 @@
+package xmlstore
+
+import (
+	"bytes"
+	"encoding/hex"
+	"testing"
+
+	"netmark/internal/ordbms"
+)
+
+// FuzzDecodeRow throws hostile bytes at the record decoder under the two
+// schemas every stored byte is read with.  It must never panic, never
+// build values bigger than the bytes it was given, and whatever it
+// accepts must be a row: one that validates, re-encodes, and decodes
+// back to itself (Decode∘Encode = id on valid rows; the bytes may differ,
+// since a varint has more than one spelling).
+func FuzzDecodeRow(f *testing.F) {
+	golden, _ := hex.DecodeString(goldenRecord)
+	f.Add(golden, false)
+	f.Add(golden[:len(golden)-1], false) // last link cut short
+	f.Add(append(golden[:len(golden):len(golden)], 0), false)
+	f.Add([]byte{0xFF, 0xFF}, false) // every column NULL
+	f.Add([]byte{0xFF}, true)
+	f.Add([]byte{}, true)
+	f.Add([]byte{0x7F, 0x0F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, false) // a string longer than the record
+	// Every boundary of a ROWID payload, in each link column and in
+	// DOC.rootrowid: zero, the largest slot, the largest page, both.
+	rids := []ordbms.RowID{{}, {Slot: 1<<16 - 1}, {Page: 1<<32 - 1}, {Page: 1<<32 - 1, Slot: 1<<16 - 1}}
+	for i, rid := range rids {
+		links := [4]ordbms.Value{ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null()}
+		links[i] = ordbms.R(rid)
+		f.Add(xmlSchema.Encode(ordbms.Row{
+			ordbms.I(-1), ordbms.I(1 << 62), ordbms.I(0), ordbms.S(""), ordbms.Null(), ordbms.I(0), ordbms.I(0),
+			links[0], links[1], links[2], links[3], ordbms.S(`a="b"`),
+		}), false)
+		f.Add(docSchema.Encode(ordbms.Row{
+			ordbms.I(1), ordbms.S("f.html"), ordbms.I(0), ordbms.I(0), ordbms.S("html"), ordbms.Null(), ordbms.R(rid), ordbms.I(3),
+		}), true)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, doc bool) {
+		schema := xmlSchema
+		if doc {
+			schema = docSchema
+		}
+		row, err := ordbms.DecodeRow(schema, b)
+		if err != nil {
+			return
+		}
+		payload := 0
+		for _, v := range row {
+			payload += len(v.Str) + len(v.Bytes)
+		}
+		if payload > len(b) {
+			t.Fatalf("%d bytes decoded into %d bytes of strings", len(b), payload)
+		}
+		if err := schema.Validate(row); err != nil {
+			t.Fatalf("decoded row does not fit its schema: %v", err)
+		}
+		enc := schema.Encode(row)
+		if len(enc) > len(b) {
+			t.Fatalf("%d bytes re-encode to %d", len(b), len(enc))
+		}
+		again, err := ordbms.DecodeRow(schema, enc)
+		if err != nil {
+			t.Fatalf("re-encoded row does not decode: %v", err)
+		}
+		if !bytes.Equal(schema.Encode(again), enc) {
+			t.Fatalf("row %v re-encodes differently after a round trip", row)
+		}
+		for i := range row {
+			if !row[i].Equal(again[i]) || row[i].Type != again[i].Type {
+				t.Fatalf("column %d: %v became %v", i, row[i], again[i])
+			}
+		}
+		if !doc {
+			rowToNode(ordbms.ZeroRowID, row) // attrs parsing must survive whatever a string column held
+		}
+	})
+}

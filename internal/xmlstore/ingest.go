@@ -35,8 +35,8 @@ type preparedDoc struct {
 	meta  docform.Meta
 	docID uint64
 	flat  []flatNode
-	rows  []ordbms.Row // rows as validated and indexed; their link columns stay zero
-	recs  [][]byte     // pre-encoded records; the insert patches the links in
+	rows  []ordbms.Row // rows as validated and indexed; their present links stay zero
+	recs  [][]byte     // pre-encoded records; the insert patches the present links in
 	offs  [][]int      // per-record column payload offsets (for link patches)
 	toks  [][]textindex.Token
 	// governs[i] is the flat index of node i's governing CONTEXT (-1 =
@@ -47,7 +47,7 @@ type preparedDoc struct {
 
 // prepareDocument runs every part of StoreDocument that does not touch
 // the tables: it picks the root element, flattens the tree, reserves the
-// node-ID block, builds and encodes the rows (links still zero), and
+// node-ID block, builds and encodes the rows (present links still zero), and
 // pre-tokenizes TEXT node data for the content index.  It is safe to call
 // from many goroutines concurrently; only the ID reservation takes a lock.
 func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64) (*preparedDoc, error) {
@@ -96,23 +96,42 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 			ordbms.I(int64(docID)),
 			ordbms.I(int64(fn.class)),
 			ordbms.S(fn.name),
-			ordbms.S(fn.data),
+			optString(fn.data),
 			ordbms.I(int64(fn.ordinal)),
 			ordbms.I(parentNodeID(flat, fn)),
-			ordbms.B(ridToBytes(ordbms.ZeroRowID)),
-			ordbms.B(ridToBytes(ordbms.ZeroRowID)),
-			ordbms.B(ridToBytes(ordbms.ZeroRowID)),
-			ordbms.B(ridToBytes(ordbms.ZeroRowID)),
-			ordbms.S(fn.attrs),
+			linkSlot(fn.parent),
+			linkSlot(fn.prev),
+			linkSlot(fn.next),
+			linkSlot(fn.child),
+			optString(fn.attrs),
 		}
 		p.rows[i] = row
-		p.recs[i], p.offs[i] = ordbms.EncodeRowOffsets(row)
+		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row)
 		if fn.class == sgml.ClassText {
 			p.toks[i] = textindex.Tokenize(fn.data)
 		}
 	}
 	p.governs = governingContexts(flat)
 	return p, nil
+}
+
+// optString stores an empty string as NULL: no bytes in the record, and
+// it reads back as "".
+func optString(v string) ordbms.Value {
+	if v == "" {
+		return ordbms.Null()
+	}
+	return ordbms.S(v)
+}
+
+// linkSlot is the link column of a row not yet placed: NULL when the
+// node has no such relative (idx < 0), else a ROWID-wide hole that
+// storePrepared fills once the run's RowIDs are settled.
+func linkSlot(idx int) ordbms.Value {
+	if idx < 0 {
+		return ordbms.Null()
+	}
+	return ordbms.R(ordbms.ZeroRowID)
 }
 
 // governingContexts resolves, for every flattened node, the flat index of
@@ -176,10 +195,11 @@ func governingContexts(flat []flatNode) []int32 {
 // storePrepared performs the ordered write of a prepared document: one
 // linked insert into the XML table, then the DOC row.  The table places
 // the whole document first — RowIDs depend only on record sizes, and the
-// link columns are fixed-width — and calls back with the RowIDs; the
-// callback patches the four 8-byte link payloads into the cached
-// encodings, and only then is each row written and logged, once, with its
-// final bytes.  No reader ever sees a node whose links are not set.
+// links a node has were fixed when its row was encoded — and calls back
+// with the RowIDs; the callback patches the 6-byte payload of each link
+// the node has into the cached encodings, and only then is each row
+// written and logged, once, with its final bytes.  No reader ever sees a
+// node whose links are not set.
 func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	// On success the generation bump belongs to indexPrepared — bumping
 	// here, before the derived indexes hold the document, would let a
@@ -198,20 +218,19 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	flat := p.flat
 
 	_, err = s.xml.InsertRun(p.rows, p.recs, func(rids []ordbms.RowID) {
-		link := func(idx int) ordbms.RowID {
-			if idx < 0 {
-				return ordbms.ZeroRowID
-			}
-			return rids[idx]
-		}
 		for i := range flat {
 			fn := &flat[i]
 			fn.rid = rids[i]
 			rec, offs := p.recs[i], p.offs[i]
-			putRID(rec[offs[xmlColParentRowID]:], link(fn.parent))
-			putRID(rec[offs[xmlColPrevRowID]:], link(fn.prev))
-			putRID(rec[offs[xmlColNextRowID]:], link(fn.next))
-			putRID(rec[offs[xmlColChildRowID]:], link(fn.child))
+			link := func(col, idx int) {
+				if idx >= 0 {
+					ordbms.PutRowID(rec[offs[col]:], rids[idx])
+				}
+			}
+			link(xmlColParentRowID, fn.parent)
+			link(xmlColPrevRowID, fn.prev)
+			link(xmlColNextRowID, fn.next)
+			link(xmlColChildRowID, fn.child)
 		}
 	})
 	if err != nil {
@@ -226,7 +245,7 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 		ordbms.I(int64(p.meta.Size)),
 		ordbms.S(p.meta.Format),
 		ordbms.S(p.meta.Title),
-		ordbms.B(ridToBytes(flat[0].rid)),
+		ordbms.R(flat[0].rid),
 		ordbms.I(int64(len(flat))),
 	}
 	if _, err := s.doc.Insert(docRow); err != nil {
@@ -273,16 +292,6 @@ func (s *Store) indexPrepared(p *preparedDoc) {
 	// generations and cache what it sees.
 	s.bumpGeneration()
 	s.bumpDocGeneration(p.docID)
-}
-
-// putRID writes a RowID's 8-byte packed form into b — the single
-// definition of the link-column layout (ridToBytes and bytesToRID are
-// its inverses/wrappers).
-func putRID(b []byte, rid ordbms.RowID) {
-	v := rid.Uint64()
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // reserveDocIDs allocates a contiguous block of document IDs and returns

@@ -33,9 +33,11 @@ import (
 	"netmark/internal/textindex"
 )
 
-// Column order of the XML table.  Link columns are encoded as 8-byte
-// packed RowIDs (BYTES) so link patches re-encode to the identical record
-// size and never move a row.
+// Column order of the XML table.  The four link columns are ROWIDs: 6
+// bytes when the link exists, NULL — no bytes at all — when it does not,
+// as are an empty nodedata and an empty attrs.  Which links a node has is
+// known when its tree is flattened, so a record's size is final before
+// the row is placed and patching a link in never moves it.
 const (
 	xmlColNodeID = iota
 	xmlColDocID
@@ -207,10 +209,10 @@ var xmlSchema = ordbms.MustSchema(
 	ordbms.Column{Name: "nodedata", Type: ordbms.TypeString},
 	ordbms.Column{Name: "ordinal", Type: ordbms.TypeInt},
 	ordbms.Column{Name: "parentnodeid", Type: ordbms.TypeInt},
-	ordbms.Column{Name: "parentrowid", Type: ordbms.TypeBytes},
-	ordbms.Column{Name: "prevrowid", Type: ordbms.TypeBytes},
-	ordbms.Column{Name: "nextrowid", Type: ordbms.TypeBytes},
-	ordbms.Column{Name: "childrowid", Type: ordbms.TypeBytes},
+	ordbms.Column{Name: "parentrowid", Type: ordbms.TypeRowID},
+	ordbms.Column{Name: "prevrowid", Type: ordbms.TypeRowID},
+	ordbms.Column{Name: "nextrowid", Type: ordbms.TypeRowID},
+	ordbms.Column{Name: "childrowid", Type: ordbms.TypeRowID},
 	ordbms.Column{Name: "attrs", Type: ordbms.TypeString},
 )
 
@@ -221,7 +223,7 @@ var docSchema = ordbms.MustSchema(
 	ordbms.Column{Name: "filesize", Type: ordbms.TypeInt},
 	ordbms.Column{Name: "format", Type: ordbms.TypeString},
 	ordbms.Column{Name: "title", Type: ordbms.TypeString},
-	ordbms.Column{Name: "rootrowid", Type: ordbms.TypeBytes},
+	ordbms.Column{Name: "rootrowid", Type: ordbms.TypeRowID},
 	ordbms.Column{Name: "nnodes", Type: ordbms.TypeInt},
 )
 
@@ -256,34 +258,12 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		nextNodeID: 1,
 		nextDocID:  1,
 	}
-	if s.xml = db.Table("XML"); s.xml == nil {
-		t, err := db.CreateTable("XML", xmlSchema)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("nodeid"); err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("docid"); err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("nodename"); err != nil {
-			return nil, err
-		}
-		s.xml = t
+	var err error
+	if s.xml, err = ensureTable(db, "XML", xmlSchema, "nodeid", "docid", "nodename"); err != nil {
+		return nil, err
 	}
-	if s.doc = db.Table("DOC"); s.doc == nil {
-		t, err := db.CreateTable("DOC", docSchema)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("docid"); err != nil {
-			return nil, err
-		}
-		if err := t.CreateIndex("filename"); err != nil {
-			return nil, err
-		}
-		s.doc = t
+	if s.doc, err = ensureTable(db, "DOC", docSchema, "docid", "filename"); err != nil {
+		return nil, err
 	}
 	if db.Dir() != "" && !opts.DisableSnapshot {
 		s.snapStat.Enabled = true
@@ -302,6 +282,29 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		db.RegisterPreCheckpointHook(s.snapshotHook)
 	}
 	return s, nil
+}
+
+// ensureTable returns the named table with the given indexes, creating
+// whatever is missing.  The indexes are checked even when the table
+// exists: each piece of DDL is its own log record, so a crash between
+// CreateTable and a CreateIndex reopens with the table but not the index.
+func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...string) (*ordbms.Table, error) {
+	t := db.Table(name)
+	if t == nil {
+		var err error
+		if t, err = db.CreateTable(name, schema); err != nil {
+			return nil, err
+		}
+	}
+	for _, col := range indexes {
+		if t.Index(col) != nil {
+			continue
+		}
+		if err := t.CreateIndex(col); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 // rebuildDerived rescans the XML table to rebuild the text index, the
@@ -334,8 +337,8 @@ func (s *Store) rebuildDerived() error {
 		idxOf[rid] = len(flat)
 		flat = append(flat, flatNode{class: class, rid: rid, prev: -1, parent: -1, next: -1, child: -1})
 		pend = append(pend, pendingLinks{
-			prev:   bytesToRID(row[xmlColPrevRowID].Bytes),
-			parent: bytesToRID(row[xmlColParentRowID].Bytes),
+			prev:   row[xmlColPrevRowID].RowID(),
+			parent: row[xmlColParentRowID].RowID(),
 		})
 		switch class {
 		case sgml.ClassText:
@@ -526,7 +529,9 @@ func (s *Store) NumDocuments() int64 { return s.doc.Rows() }
 // NumNodes returns the number of stored nodes.
 func (s *Store) NumNodes() int64 { return s.xml.Rows() }
 
-// rowToNode decodes an XML-table row.
+// rowToNode decodes an XML-table row.  A NULL column reads as its zero
+// value, which is what the writer stored it for: "" for nodedata and
+// attrs, ZeroRowID for a link.
 func rowToNode(rid ordbms.RowID, row ordbms.Row) *Node {
 	return &Node{
 		Attrs:       decodeAttrs(row[xmlColAttrs].Str),
@@ -538,10 +543,10 @@ func rowToNode(rid ordbms.RowID, row ordbms.Row) *Node {
 		Ordinal:     int(row[xmlColOrdinal].Int),
 		ParentID:    uint64(row[xmlColParentNodeID].Int),
 		RowID:       rid,
-		ParentRowID: bytesToRID(row[xmlColParentRowID].Bytes),
-		PrevRowID:   bytesToRID(row[xmlColPrevRowID].Bytes),
-		NextRowID:   bytesToRID(row[xmlColNextRowID].Bytes),
-		ChildRowID:  bytesToRID(row[xmlColChildRowID].Bytes),
+		ParentRowID: row[xmlColParentRowID].RowID(),
+		PrevRowID:   row[xmlColPrevRowID].RowID(),
+		NextRowID:   row[xmlColNextRowID].RowID(),
+		ChildRowID:  row[xmlColChildRowID].RowID(),
 	}
 }
 
@@ -553,27 +558,10 @@ func rowToDoc(rid ordbms.RowID, row ordbms.Row) *DocInfo {
 		FileSize:  row[docColFileSize].Int,
 		Format:    row[docColFormat].Str,
 		Title:     row[docColTitle].Str,
-		RootRowID: bytesToRID(row[docColRootRowID].Bytes),
+		RootRowID: row[docColRootRowID].RowID(),
 		NNodes:    row[docColNNodes].Int,
 		RowID:     rid,
 	}
-}
-
-func ridToBytes(rid ordbms.RowID) []byte {
-	b := make([]byte, 8)
-	putRID(b, rid)
-	return b
-}
-
-func bytesToRID(b []byte) ordbms.RowID {
-	if len(b) != 8 {
-		return ordbms.ZeroRowID
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return ordbms.RowIDFromUint64(v)
 }
 
 // EnableNodeCache attaches a decoded-node cache capped at capacity
@@ -638,7 +626,7 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	var cols [xmlColAttrs + 1]ordbms.Value
 	err := s.xml.FetchView(rid, func(rec []byte) error {
-		return ordbms.DecodeRowInto(rec, cols[:])
+		return ordbms.DecodeRowInto(xmlSchema, rec, cols[:])
 	})
 	if err != nil {
 		return nil, err
@@ -653,10 +641,10 @@ func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 		Ordinal:     int(cols[xmlColOrdinal].Int),
 		ParentID:    uint64(cols[xmlColParentNodeID].Int),
 		RowID:       rid,
-		ParentRowID: bytesToRID(cols[xmlColParentRowID].Bytes),
-		PrevRowID:   bytesToRID(cols[xmlColPrevRowID].Bytes),
-		NextRowID:   bytesToRID(cols[xmlColNextRowID].Bytes),
-		ChildRowID:  bytesToRID(cols[xmlColChildRowID].Bytes),
+		ParentRowID: cols[xmlColParentRowID].RowID(),
+		PrevRowID:   cols[xmlColPrevRowID].RowID(),
+		NextRowID:   cols[xmlColNextRowID].RowID(),
+		ChildRowID:  cols[xmlColChildRowID].RowID(),
 	}, nil
 }
 
