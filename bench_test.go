@@ -105,7 +105,7 @@ func BenchmarkFig6ContextSearch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				secs, err := s.ContextSearch("Budget")
+				secs, err := s.ContextSearchN("Budget", 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func BenchmarkFig6ContentSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ContentSearch("cryogenic"); err != nil {
+		if _, err := s.ContentSearchN("cryogenic", 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func BenchmarkAugmentation(b *testing.B) {
 // physical RowID links against the same walk via NODEID B-tree probes.
 func BenchmarkAblationRowidTraversal(b *testing.B) {
 	s := loadedStore(b, 200, 17)
-	secs, err := s.ContextSearch("Budget")
+	secs, err := s.ContextSearchN("Budget", 0)
 	if err != nil || len(secs) == 0 {
 		b.Fatalf("setup: %v", err)
 	}
@@ -332,7 +332,7 @@ func BenchmarkAblationTextIndexVsScan(b *testing.B) {
 	b.Run("text-index", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.ContentSearch("cryogenic"); err != nil {
+			if _, err := s.ContentSearchN("cryogenic", 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -485,10 +485,10 @@ func BenchmarkIngestParallel(b *testing.B) {
 // nested blocks) where pointer-chasing is at its worst.  No query result
 // cache is involved: every iteration executes the full kernel.
 //
-//	baseline   = the pre-PR kernel: no node cache, pointer-chasing
-//	             ContextFor walk, serial section materialisation
-//	optimized  = decoded-node cache + derived node→CONTEXT index +
-//	             parallel materialisation (the default configuration)
+//	baseline   = no node cache, pointer-chasing ContextFor walk
+//	optimized  = decoded-node cache + derived node→CONTEXT index (the
+//	             default configuration; "optimized-serial" in the
+//	             recordings before BENCH_PR17.json)
 //
 // The acceptance bar for PR 3 is ≥5× fewer ns/op and allocs/op between
 // the two (see BENCH_PR3.json).
@@ -511,7 +511,7 @@ func BenchmarkColdContentSearch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			secs, err := s.ContentSearch("cryogenic")
+			secs, err := s.ContentSearchN("cryogenic", 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -523,13 +523,11 @@ func BenchmarkColdContentSearch(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
 		s := newDeepStore(b)
 		s.SetContextIndexEnabled(false)
-		s.SetQueryWorkers(1)
 		run(b, s)
 	})
 	b.Run("optimized", func(b *testing.B) {
 		s := newDeepStore(b)
 		s.EnableNodeCache(64 << 20)
-		s.SetQueryWorkers(0) // GOMAXPROCS
 		run(b, s)
 		b.StopTimer()
 		// Record the block-compressed text index's resident footprint and
@@ -538,13 +536,6 @@ func BenchmarkColdContentSearch(b *testing.B) {
 		st := s.TextIndexStats()
 		b.ReportMetric(float64(st.BytesResident), "index-bytes")
 		b.ReportMetric(st.CompressionRatio, "index-compression-x")
-	})
-	b.Run("optimized-serial", func(b *testing.B) {
-		// Isolates the node cache + context index from the worker pool.
-		s := newDeepStore(b)
-		s.EnableNodeCache(64 << 20)
-		s.SetQueryWorkers(1)
-		run(b, s)
 	})
 }
 
@@ -623,7 +614,7 @@ func BenchmarkCombinedQueryPlans(b *testing.B) {
 	s := loadedStore(b, 400, 37)
 	b.Run("planner", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Search("Budget", "request"); err != nil {
+			if _, err := s.SearchN("Budget", "request", 0); err != nil {
 				b.Fatal(err)
 			}
 		}

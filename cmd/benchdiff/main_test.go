@@ -51,12 +51,13 @@ func TestInjectedSlowdownFails(t *testing.T) {
 	}
 }
 
-// TestUnmatchedBenchmarksIgnored: benchmarks outside -match or missing
-// from the baseline never gate the build.
+// TestUnmatchedBenchmarksIgnored: benchmarks outside -match, or missing
+// from either recording, never gate the build.
 func TestUnmatchedBenchmarksIgnored(t *testing.T) {
 	match := regexp.MustCompile(defaultMatch)
 	base := report(map[string]float64{
-		"BenchmarkColdContentSearch/optimized-4": 6_400_000,
+		"BenchmarkColdContentSearch/optimized-4":        6_400_000,
+		"BenchmarkColdContentSearch/optimized-serial-4": 7_200_000, // gated but deleted since
 	})
 	cand := report(map[string]float64{
 		"BenchmarkColdContentSearch/optimized-4": 6_400_000,

@@ -37,8 +37,6 @@ func main() {
 		"query result cache cap in bytes (0 = default 64 MiB, negative = disabled)")
 	nodeCacheBytes := flag.Int64("node-cache-bytes", 0,
 		"decoded-node cache cap in bytes (0 = default 32 MiB, negative = disabled)")
-	queryWorkers := flag.Int("query-workers", 0,
-		"section materialisation workers per query (0 = GOMAXPROCS, 1 = serial)")
 	snapshots := flag.Bool("snapshots", true,
 		"load/save derived-index snapshots at checkpoints; disable to force the full-scan rebuild on open")
 	var banks stringList
@@ -49,7 +47,7 @@ func main() {
 
 	nm, err := netmark.Open(netmark.Config{
 		Dir: *dir, DropDir: *drop, PollInterval: *poll,
-		CacheBytes: *cacheBytes, NodeCacheBytes: *nodeCacheBytes, QueryWorkers: *queryWorkers,
+		CacheBytes: *cacheBytes, NodeCacheBytes: *nodeCacheBytes,
 		DisableSnapshots: !*snapshots,
 	})
 	if err != nil {

@@ -57,9 +57,6 @@ type Config struct {
 	// accelerates the cold query path by keeping hot traversal rows
 	// decoded in memory (0 = DefaultNodeCacheBytes, negative = disabled).
 	NodeCacheBytes int64
-	// QueryWorkers bounds the section-materialisation fan-out of search
-	// queries (0 = GOMAXPROCS, 1 = serial).
-	QueryWorkers int
 	// DisableSnapshots turns off the derived-state snapshots written at
 	// every checkpoint (the engine's heap-metadata/secondary-index
 	// snapshot and the XML store's text/context/generation snapshot) and
@@ -132,7 +129,6 @@ func Open(cfg Config) (*Netmark, error) {
 	if nodeCacheBytes > 0 {
 		store.EnableNodeCache(nodeCacheBytes)
 	}
-	store.SetQueryWorkers(cfg.QueryWorkers)
 	if cfg.DropDir != "" {
 		d, err := daemon.New(cfg.DropDir, store, cfg.PollInterval)
 		if err != nil {
@@ -237,7 +233,7 @@ func (n *Netmark) Query(raw string) (*xdb.Result, error) {
 
 // Search runs a context/content search directly.
 func (n *Netmark) Search(contextHeading, content string) ([]xmlstore.Section, error) {
-	return n.store.Search(contextHeading, content)
+	return n.store.SearchN(contextHeading, content, 0)
 }
 
 // RegisterStylesheet names a stylesheet for the xslt= query parameter.

@@ -391,7 +391,7 @@ func Fig6(sizes []int) ([]Fig6Point, string, error) {
 		var hits int
 		for i := 0; i < trials; i++ {
 			t0 := time.Now()
-			secs, err := s.ContextSearch("Budget")
+			secs, err := s.ContextSearchN("Budget", 0)
 			if err != nil {
 				return nil, "", err
 			}
@@ -588,7 +588,7 @@ func AblationRowidTraversal(docs int) (string, error) {
 	if err := LoadCorpus(s, gen.Proposals(docs)); err != nil {
 		return "", err
 	}
-	secs, err := s.ContextSearch("Budget")
+	secs, err := s.ContextSearchN("Budget", 0)
 	if err != nil {
 		return "", err
 	}
@@ -705,7 +705,7 @@ func AblationUniversalVsShred(docs int) (string, error) {
 
 	// Query: find a term with unknown element type.
 	t0 = time.Now()
-	uniHits, err := s.ContentSearch("shuttle")
+	uniHits, err := s.ContentSearchN("shuttle", 0)
 	if err != nil {
 		return "", err
 	}

@@ -113,7 +113,7 @@ func (a *DocAdapter) Extract(ctx context.Context, rel SourceRelation) ([]Tuple, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		secs, err := a.engine.Store().ContextSearch(attr)
+		secs, err := a.engine.Store().ContextSearchN(attr, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -2,35 +2,21 @@ package textindex
 
 // Streaming query iterators.
 //
-// Lookup/And/Or/Prefix materialize the whole result slice before the
-// caller sees the first id.  For callers that stream — section scans
-// that stop early, decode loops that reuse one chunk buffer — that
-// materialization is pure allocation overhead: the result can be the
-// size of the corpus while the caller only ever holds a page of it.
-// IDIter exposes the same block-skipping intersection and min-heap
-// merge kernels one id at a time, over the same immutable views
-// captured under the same brief RLock, so a streaming caller allocates
-// nothing per id beyond the iterator itself.
-//
-// The kernels are shared: intersectViews and mergeViews in block.go
-// are loops over stepIntersect/stepMerge, so the randomized equivalence
-// tests that exercise the materializing API validate the streaming one
-// too.
+// A query result can be the size of the corpus while the caller only
+// ever holds a page of it — a section scan that stops at its limit, a
+// decode loop that reuses one chunk buffer.  IDIter therefore hands the
+// block-skipping intersection out one id at a time, over immutable
+// views captured under one brief RLock, so a caller allocates nothing
+// per id beyond the iterator itself and pays only for the ids it pulls.
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // IDIter streams the ids of a query result in ascending order.  The
 // zero value is an exhausted iterator.  An IDIter is single-use and not
 // safe for concurrent use; it reads immutable view storage, so holding
 // one open never blocks writers.
 type IDIter struct {
-	its     []*iter // intersect: its[0] drives; merge: min-heap by head id
-	merge   bool
-	last    uint64 // last id emitted in merge mode (for dedup)
-	started bool
+	its []*iter // its[0] drives: the smallest list
 }
 
 // Next returns the next result id, or false when the stream is done.
@@ -40,20 +26,7 @@ func (x *IDIter) Next() (uint64, bool) {
 	if x == nil || len(x.its) == 0 {
 		return 0, false
 	}
-	if !x.merge {
-		return stepIntersect(x.its)
-	}
-	for {
-		id, ok := stepMerge(&x.its)
-		if !ok {
-			return 0, false
-		}
-		if x.started && id == x.last {
-			continue
-		}
-		x.started, x.last = true, id
-		return id, true
-	}
+	return stepIntersect(x.its)
 }
 
 // stepIntersect emits the next id present in every iterator.  its[0] is
@@ -84,33 +57,10 @@ outer:
 	}
 }
 
-// stepMerge pops the minimum head id off the iterator heap, advancing
-// its owner and dropping it when exhausted.  Duplicate ids across lists
-// come out as repeated emissions; callers dedup.
-func stepMerge(h *[]*iter) (uint64, bool) {
-	s := *h
-	if len(s) == 0 {
-		return 0, false
-	}
-	it := s[0]
-	id, _ := it.head()
-	it.advance()
-	if _, ok := it.head(); !ok {
-		s[0] = s[len(s)-1]
-		s = s[:len(s)-1]
-		*h = s
-	}
-	siftDown(s, 0)
-	return id, true
-}
-
 // intersectIter wraps sorted views (smallest first) as a streaming
 // intersection.  A single view streams through the same kernel — the
 // inner loop is empty.
 func intersectIter(views []view) *IDIter {
-	if len(views) == 0 {
-		return &IDIter{}
-	}
 	its := make([]*iter, len(views))
 	for i, v := range views {
 		its[i] = newIter(v)
@@ -118,63 +68,32 @@ func intersectIter(views []view) *IDIter {
 	return &IDIter{its: its}
 }
 
-// mergeIter wraps views as a streaming deduplicated union.
-func mergeIter(views []view) *IDIter {
-	h := make([]*iter, 0, len(views))
-	for _, v := range views {
-		it := newIter(v)
-		if _, ok := it.head(); ok {
-			h = append(h, it)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	return &IDIter{its: h, merge: true}
-}
-
-// LookupIter streams the ids containing term, in ascending order.
+// LookupIter streams the ids containing term (its first token), in
+// ascending order.
 func (ix *Index) LookupIter(term string) *IDIter {
-	term = normTerm(term)
-	if term == "" {
-		return &IDIter{}
-	}
-	ix.mu.RLock()
-	var v view
-	if got := ix.terms.Get(term); len(got) > 0 {
-		v = got[0].view()
-	}
-	ix.mu.RUnlock()
-	if v.live == 0 {
-		return &IDIter{}
-	}
-	return intersectIter([]view{v})
+	toks := Tokenize(term)
+	return intersectIter(ix.andViews(toks[:min(1, len(toks))]))
 }
 
-// AndIter streams the intersection of the query's terms.  Views are
-// captured under the read lock exactly as And does; the skip-driven
-// intersection runs outside it, one id per Next call.
+// AndIter streams the ids containing every term of the query.  The
+// query string is tokenized, so AndIter("space shuttle") intersects the
+// two terms.
+//
+// Only list views (slice headers over immutable storage) are captured
+// under the read lock; the skip-driven intersection runs outside it,
+// one id per Next call, so a long intersection over large lists never
+// starves writers.  The result reflects some interleaving of concurrent
+// writes — the same guarantee the traversal kernel already gives, since
+// rows can vanish between the index probe and the heap fetch anyway.
 func (ix *Index) AndIter(query string) *IDIter {
-	return intersectIter(ix.andViews(query))
-}
-
-// OrIter streams the deduplicated union of the query's terms.
-func (ix *Index) OrIter(query string) *IDIter {
-	return mergeIter(ix.orViews(query))
-}
-
-// PrefixIter streams the deduplicated union of every term starting
-// with p.
-func (ix *Index) PrefixIter(p string) *IDIter {
-	return mergeIter(ix.prefixViews(p))
+	return intersectIter(ix.andViews(Tokenize(query)))
 }
 
 // andViews captures one view per query term under a brief RLock and
 // sorts them smallest-live first so the rarest term drives.  A query
 // with no tokens or with a term absent from the index returns nil —
 // the intersection is empty either way.
-func (ix *Index) andViews(query string) []view {
-	toks := Tokenize(query)
+func (ix *Index) andViews(toks []Token) []view {
 	if len(toks) == 0 {
 		return nil
 	}
@@ -190,46 +109,5 @@ func (ix *Index) andViews(query string) []view {
 	}
 	ix.mu.RUnlock()
 	sort.Slice(views, func(i, j int) bool { return views[i].live < views[j].live })
-	return views
-}
-
-// orViews captures the non-empty views of the query's terms under one
-// brief RLock hold.
-func (ix *Index) orViews(query string) []view {
-	toks := Tokenize(query)
-	if len(toks) == 0 {
-		return nil
-	}
-	views := make([]view, 0, len(toks))
-	ix.mu.RLock()
-	for _, tok := range toks {
-		if got := ix.terms.Get(tok.Term); len(got) > 0 && got[0].live > 0 {
-			views = append(views, got[0].view())
-		}
-	}
-	ix.mu.RUnlock()
-	return views
-}
-
-// prefixViews captures the non-empty views of every term starting with
-// p under one brief RLock hold.
-func (ix *Index) prefixViews(p string) []view {
-	p = strings.ToLower(strings.TrimSpace(p))
-	if p == "" {
-		return nil
-	}
-	var views []view
-	ix.mu.RLock()
-	ix.terms.AscendPrefixFunc(p,
-		func(k string) bool { return strings.HasPrefix(k, p) },
-		func(_ string, vals []*postingList) bool {
-			for _, pl := range vals {
-				if pl.live > 0 {
-					views = append(views, pl.view())
-				}
-			}
-			return true
-		})
-	ix.mu.RUnlock()
 	return views
 }

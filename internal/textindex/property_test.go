@@ -74,32 +74,6 @@ func (m *refModel) and(query string) []uint64 {
 	})
 }
 
-func (m *refModel) or(query string) []uint64 {
-	toks := Tokenize(query)
-	return m.ids(func(terms []string) bool {
-		for _, tok := range toks {
-			for _, t := range terms {
-				if t == tok.Term {
-					return true
-				}
-			}
-		}
-		return false
-	})
-}
-
-func (m *refModel) prefix(p string) []uint64 {
-	p = strings.ToLower(p)
-	return m.ids(func(terms []string) bool {
-		for _, t := range terms {
-			if strings.HasPrefix(t, p) {
-				return true
-			}
-		}
-		return false
-	})
-}
-
 func (m *refModel) phrase(query string) []uint64 {
 	toks := Tokenize(query)
 	if len(toks) == 0 {
@@ -137,6 +111,18 @@ func eqIDs(a, b []uint64) bool {
 	return true
 }
 
+// drain pulls an iterator dry: the materialised result the tests compare.
+func drain(x *IDIter) []uint64 {
+	var out []uint64
+	for {
+		id, ok := x.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, id)
+	}
+}
+
 // TestPropertyCompressedListEquivalence runs randomized mutation
 // sequences and cross-checks every query family against the reference
 // after each phase.  The id space and vocabulary are sized to force
@@ -149,7 +135,6 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 		"alpha beta", "beta gamma delta", "alpha absent",
 		"alpha beta gamma",
 	}
-	prefixes := []string{"al", "g", "в", "absent", "alpha"}
 	phrases := []string{"alpha beta", "beta gamma", "gamma alpha beta"}
 
 	for seed := int64(1); seed <= 4; seed++ {
@@ -180,47 +165,15 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 				live = append(live, id)
 			}
 
-			drain := func(x *IDIter) []uint64 {
-				var out []uint64
-				for {
-					id, ok := x.Next()
-					if !ok {
-						return out
-					}
-					out = append(out, id)
-				}
-			}
 			check := func(stage string) {
 				t.Helper()
 				for _, q := range queries {
-					// Lookup normalises to the first token; mirror that.
-					if got, want := ix.Lookup(q), model.lookup(normTerm(q)); !eqIDs(got, want) {
-						t.Fatalf("%s: Lookup(%q) = %v, want %v", stage, q, got, want)
-					}
-					if got, want := ix.And(q), model.and(q); !eqIDs(got, want) {
-						t.Fatalf("%s: And(%q) = %v, want %v", stage, q, got, want)
-					}
-					if got, want := ix.Or(q), model.or(q); !eqIDs(got, want) {
-						t.Fatalf("%s: Or(%q) = %v, want %v", stage, q, got, want)
-					}
-					// Streaming iterators must emit exactly the materialized
-					// results, id for id.
+					// LookupIter normalises to the first token; mirror that.
 					if got, want := drain(ix.LookupIter(q)), model.lookup(normTerm(q)); !eqIDs(got, want) {
 						t.Fatalf("%s: LookupIter(%q) = %v, want %v", stage, q, got, want)
 					}
 					if got, want := drain(ix.AndIter(q)), model.and(q); !eqIDs(got, want) {
 						t.Fatalf("%s: AndIter(%q) = %v, want %v", stage, q, got, want)
-					}
-					if got, want := drain(ix.OrIter(q)), model.or(q); !eqIDs(got, want) {
-						t.Fatalf("%s: OrIter(%q) = %v, want %v", stage, q, got, want)
-					}
-				}
-				for _, p := range prefixes {
-					if got, want := ix.Prefix(p), model.prefix(p); !eqIDs(got, want) {
-						t.Fatalf("%s: Prefix(%q) = %v, want %v", stage, p, got, want)
-					}
-					if got, want := drain(ix.PrefixIter(p)), model.prefix(p); !eqIDs(got, want) {
-						t.Fatalf("%s: PrefixIter(%q) = %v, want %v", stage, p, got, want)
 					}
 				}
 				for _, p := range phrases {
@@ -293,7 +246,7 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, q := range queries {
-				if !reflect.DeepEqual(loaded.And(q), ix.And(q)) || !reflect.DeepEqual(loaded.Or(q), ix.Or(q)) {
+				if !reflect.DeepEqual(drain(loaded.AndIter(q)), drain(ix.AndIter(q))) {
 					t.Fatalf("snapshot round trip diverges on %q", q)
 				}
 			}

@@ -220,7 +220,7 @@ func TestDeleteDurableAcrossCrash(t *testing.T) {
 	if n := store2.NumDocuments(); n != 0 {
 		t.Fatalf("deleted document resurrected after crash: %d documents", n)
 	}
-	if secs, err := store2.ContextSearch("Budget"); err != nil || len(secs) != 0 {
+	if secs, err := store2.ContextSearchN("Budget", 0); err != nil || len(secs) != 0 {
 		t.Fatalf("search after replay: %d sections, err=%v", len(secs), err)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 	"netmark/internal/xmlstore"
 	"netmark/internal/xslt"
@@ -466,79 +465,32 @@ func (e *Engine) stampsFresh(stamps []docStamp) bool {
 	return true
 }
 
-// executeUncached evaluates the query against the store.
+// executeUncached evaluates the query against the store.  Every
+// section-shaped query — any mix of context, prefix, content and phrase
+// — is one call into the store's pipeline, which applies the limit
+// itself.
 func (e *Engine) executeUncached(q Query) (*Result, error) {
 	r := &Result{Query: q}
+	var err error
 	switch {
 	case q.XPath != "":
-		secs, err := e.executeXPath(q)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
+		r.Sections, err = e.executeXPath(q)
 	case q.DocsOnly:
 		if q.Content == "" {
 			return nil, fmt.Errorf("xdb: document scope requires content=")
 		}
-		docs, err := e.store.ContentSearchDocsN(q.Content, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Docs = docs
-	case q.ContextPrefix && q.Content == "":
-		secs, err := e.store.ContextPrefixSearchN(q.Context, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
-	case q.ContextPrefix:
-		// The residual content filter runs here, so the prefix search
-		// itself cannot be capped; the filter loop stops at the limit.
-		secs, err := e.store.ContextPrefixSearch(q.Context)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range secs {
-			if sectionMatchesContent(s, q) {
-				r.Sections = append(r.Sections, s)
-				if q.Limit > 0 && len(r.Sections) >= q.Limit {
-					break
-				}
-			}
-		}
-	case q.Phrase && q.Context == "":
-		secs, err := e.phraseSections(q.Content, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
-	case q.Phrase:
-		secs, err := e.store.ContextSearch(q.Context)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range secs {
-			if sectionMatchesContent(s, q) {
-				r.Sections = append(r.Sections, s)
-				if q.Limit > 0 && len(r.Sections) >= q.Limit {
-					break
-				}
-			}
-		}
+		r.Docs, err = e.store.ContentSearchDocsN(q.Content, q.Limit)
 	default:
-		secs, err := e.store.SearchN(q.Context, q.Content, q.Limit)
-		if err != nil {
-			return nil, err
-		}
-		r.Sections = secs
+		err = e.store.Sections(xmlstore.SectionQuery{
+			Context: q.Context, ContextPrefix: q.ContextPrefix,
+			Content: q.Content, Phrase: q.Phrase, Limit: q.Limit,
+		}, func(sec xmlstore.Section) bool {
+			r.Sections = append(r.Sections, sec)
+			return true
+		})
 	}
-	if q.Limit > 0 {
-		if len(r.Sections) > q.Limit {
-			r.Sections = r.Sections[:q.Limit]
-		}
-		if len(r.Docs) > q.Limit {
-			r.Docs = r.Docs[:q.Limit]
-		}
+	if err != nil {
+		return nil, err
 	}
 	if q.XSLT != "" {
 		sheet := e.Stylesheet(q.XSLT)
@@ -568,13 +520,13 @@ func (e *Engine) executeXPath(q Query) ([]xmlstore.Section, error) {
 	var docs []*xmlstore.DocInfo
 	switch {
 	case q.Content != "":
-		docs, err = e.store.ContentSearchDocs(q.Content)
+		docs, err = e.store.ContentSearchDocsN(q.Content, 0)
 	case q.Context != "":
 		var secs []xmlstore.Section
 		if q.ContextPrefix {
-			secs, err = e.store.ContextPrefixSearch(q.Context)
+			secs, err = e.store.ContextPrefixSearchN(q.Context, 0)
 		} else {
-			secs, err = e.store.ContextSearch(q.Context)
+			secs, err = e.store.ContextSearchN(q.Context, 0)
 		}
 		if err == nil {
 			seen := map[uint64]bool{}
@@ -629,55 +581,10 @@ func (e *Engine) executeXPath(q Query) ([]xmlstore.Section, error) {
 	return out, nil
 }
 
-// phraseSections runs a phrase query through the text index, then builds
-// sections via the traversal kernel, stopping at limit sections
-// (limit <= 0 means unlimited).
-func (e *Engine) phraseSections(phrase string, limit int) ([]xmlstore.Section, error) {
-	hits := e.store.ContentIndex().Phrase(phrase)
-	seen := make(map[ordbms.RowID]bool)
-	var out []xmlstore.Section
-	for _, h := range hits {
-		rid := ordbms.RowIDFromUint64(h)
-		node, err := e.store.FetchNode(rid)
-		if err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				continue
-			}
-			return nil, err
-		}
-		ctx, err := e.store.ContextFor(node)
-		if err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				continue // document mid-delete; skip the hit
-			}
-			return nil, err
-		}
-		if ctx == nil {
-			continue
-		}
-		if seen[ctx.RowID] {
-			continue
-		}
-		seen[ctx.RowID] = true
-		sec, err := e.store.SectionOf(ctx)
-		if err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				continue
-			}
-			return nil, err
-		}
-		out = append(out, sec)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out, nil
-}
-
-// sectionMatchesContent applies a query's content predicate to an
-// already-materialised section (used for residual filtering here and in
-// the databank's query augmentation).
-func sectionMatchesContent(s xmlstore.Section, q Query) bool {
+// SectionMatchesContent applies a query's content predicate to an
+// already-materialised section (the databank's residual filter over
+// sections a source returned).
+func SectionMatchesContent(s xmlstore.Section, q Query) bool {
 	if q.Content == "" {
 		return true
 	}
@@ -691,11 +598,6 @@ func sectionMatchesContent(s xmlstore.Section, q Query) bool {
 		}
 	}
 	return true
-}
-
-// SectionMatchesContent is the exported residual-filter predicate.
-func SectionMatchesContent(s xmlstore.Section, q Query) bool {
-	return sectionMatchesContent(s, q)
 }
 
 // SectionMatchesContext applies a query's context predicate to a section.

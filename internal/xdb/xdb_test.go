@@ -1,6 +1,8 @@
 package xdb
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -191,18 +193,80 @@ func TestExecutePhraseQuery(t *testing.T) {
 	}
 }
 
+// TestExecuteLimit runs every query shape at limits 0, 1 and 3: a capped
+// result is the prefix of the uncapped one, and the shapes that filter
+// context-driven candidates stop traversing at the limit instead of
+// materialising every candidate first.
 func TestExecuteLimit(t *testing.T) {
 	e := engine(t)
+	e.Store().EnableNodeCache(8 << 20)
 	for i := 0; i < 10; i++ {
-		load(t, e, strings.Repeat("x", i+1)+".html",
-			`<html><body><h1>Common</h1><p>text</p></body></html>`)
+		parity := "even"
+		if i%2 == 1 {
+			parity = "odd"
+		}
+		load(t, e, fmt.Sprintf("d%d.html", i), `<html><body>
+<h1>Common</h1><p>text `+parity+` filler</p>
+<h2>Common Ground</h2><p>the technology gap persists</p></body></html>`)
 	}
-	r, err := e.ExecuteString("context=Common&limit=3")
-	if err != nil {
+	if err := e.RegisterStylesheet("plain", `<xsl:stylesheet><xsl:template match="/">
+<out><xsl:for-each select="//result"><line><xsl:value-of select="context"/></line></xsl:for-each></out>
+</xsl:template></xsl:stylesheet>`); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("limited results = %d", r.Len())
+	// context=Common&content=… must run under both plans: as frequent as
+	// "text" the heading drives, rarer "odd" drives from the text index.
+	if c, df := e.Store().ContextCount("Common"), e.Store().ContentIndex().DF("text"); c > df {
+		t.Fatalf("context plan not taken: %d headings, DF %d", c, df)
+	}
+	if c, df := e.Store().ContextCount("Common"), e.Store().ContentIndex().DF("odd"); c <= df {
+		t.Fatalf("content plan not taken: %d headings, DF %d", c, df)
+	}
+	lookups := func() uint64 {
+		st, _ := e.Store().NodeCacheStats()
+		return st.Hits + st.Misses
+	}
+	for _, shape := range []struct {
+		name, query string
+		lazy        bool // filters context-driven candidates: must stop at the limit
+	}{
+		{"content", "content=text", false},
+		{"context", "context=Common", false},
+		{"prefix", "context=Com*", false},
+		{"prefix+content", "context=Com*&content=gap", true},
+		{"phrase", `content="technology gap"`, false},
+		{"phrase+context", `context=Common+Ground&content="technology gap"`, true},
+		{"context+content/context-plan", "context=Common&content=text", false},
+		{"context+content/content-plan", "context=Common&content=odd", false},
+		{"document", "content=text&scope=document", false},
+		{"xslt", "context=Common&xslt=plain", false},
+	} {
+		var full *Result
+		var fullWork uint64
+		for _, limit := range []int{0, 1, 3} {
+			before := lookups()
+			r, err := e.ExecuteString(fmt.Sprintf("%s&limit=%d", shape.query, limit))
+			if err != nil {
+				t.Fatalf("%s limit %d: %v", shape.name, limit, err)
+			}
+			work := lookups() - before
+			if limit == 0 {
+				if full, fullWork = r, work; r.Len() < 4 {
+					t.Fatalf("%s: %d results, too few to cap", shape.name, r.Len())
+				}
+				continue
+			}
+			if r.Len() != limit ||
+				!reflect.DeepEqual(r.Sections, full.Sections[:len(r.Sections)]) ||
+				!reflect.DeepEqual(r.Docs, full.Docs[:len(r.Docs)]) {
+				t.Fatalf("%s limit %d: %d results, not the prefix of the uncapped %d",
+					shape.name, limit, r.Len(), full.Len())
+			}
+			if shape.lazy && limit == 1 && work >= fullWork {
+				t.Fatalf("%s: limit=1 made %d node lookups, limit=0 made %d: every candidate materialised",
+					shape.name, work, fullWork)
+			}
+		}
 	}
 }
 

@@ -42,11 +42,11 @@ func TestStoreBatchMatchesSequential(t *testing.T) {
 	}
 	// Same query results either way.
 	for _, q := range []string{"Budget", "Title", "System"} {
-		a, err := seq.ContextSearch(q)
+		a, err := seq.ContextSearchN(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.ContextSearch(q)
+		b, err := par.ContextSearchN(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +54,8 @@ func TestStoreBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("context %q: seq %d sections, batch %d", q, len(a), len(b))
 		}
 	}
-	a, _ := seq.ContentSearch("engine")
-	b, _ := par.ContentSearch("engine")
+	a, _ := seq.ContentSearchN("engine", 0)
+	b, _ := par.ContentSearchN("engine", 0)
 	if len(a) != len(b) {
 		t.Fatalf("content search diverges: %d vs %d", len(a), len(b))
 	}
@@ -155,7 +155,7 @@ func TestStoreBatchConcurrent(t *testing.T) {
 	if got := s.NumDocuments(); got != callers*perBatch {
 		t.Fatalf("stored %d documents, want %d", got, callers*perBatch)
 	}
-	secs, err := s.ContextSearch("Title")
+	secs, err := s.ContextSearchN("Title", 0)
 	if err != nil || len(secs) == 0 {
 		t.Fatalf("search after concurrent batches: %d sections, err %v", len(secs), err)
 	}

@@ -133,7 +133,7 @@ func TestOpenAfterEveryDDLCut(t *testing.T) {
 		if _, err := s.DocumentByName(name); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		if hits, err := s.ContextSearch(fmt.Sprintf("Doc %d", cut)); err != nil || len(hits) != 1 {
+		if hits, err := s.ContextSearchN(fmt.Sprintf("Doc %d", cut), 0); err != nil || len(hits) != 1 {
 			t.Fatalf("cut %d: context search = %v, %v", cut, hits, err)
 		}
 		if err := db.Close(); err != nil {

@@ -25,9 +25,9 @@ func loadDeepCorpus(t testing.TB, s *Store) {
 }
 
 // TestKernelEquivalence proves the accelerated cold path — node cache,
-// derived governing-context index, batched fetches, parallel section
-// materialisation — returns byte-for-byte the results of the paper's
-// pointer-chasing kernel, across every query family and limit shape.
+// derived governing-context index, batched fetches — returns
+// byte-for-byte the results of the paper's pointer-chasing kernel,
+// across every query family and limit shape.
 // Both configurations run against the same store (heap page placement
 // uses map-ordered free-space hints, so two separately loaded stores can
 // legitimately differ in physical RowIDs).
@@ -36,12 +36,10 @@ func TestKernelEquivalence(t *testing.T) {
 	loadDeepCorpus(t, s)
 	asBaseline := func() {
 		s.EnableNodeCache(0)
-		s.SetQueryWorkers(1)
 		s.SetContextIndexEnabled(false)
 	}
 	asOptimized := func() {
 		s.EnableNodeCache(16 << 20)
-		s.SetQueryWorkers(8)
 		s.SetContextIndexEnabled(true)
 	}
 
@@ -50,20 +48,20 @@ func TestKernelEquivalence(t *testing.T) {
 		run  func(s *Store) (any, error)
 	}
 	plans := []plan{
-		{"content", func(s *Store) (any, error) { return s.ContentSearch("cryogenic") }},
-		{"content-multi", func(s *Store) (any, error) { return s.ContentSearch("cryogenic turbine") }},
+		{"content", func(s *Store) (any, error) { return s.ContentSearchN("cryogenic", 0) }},
+		{"content-multi", func(s *Store) (any, error) { return s.ContentSearchN("cryogenic turbine", 0) }},
 		{"content-limit", func(s *Store) (any, error) { return s.ContentSearchN("review", 5) }},
-		{"context", func(s *Store) (any, error) { return s.ContextSearch("Budget") }},
+		{"context", func(s *Store) (any, error) { return s.ContextSearchN("Budget", 0) }},
 		{"context-limit", func(s *Store) (any, error) { return s.ContextSearchN("Budget", 3) }},
-		{"context-prefix", func(s *Store) (any, error) { return s.ContextPrefixSearch("Tech") }},
+		{"context-prefix", func(s *Store) (any, error) { return s.ContextPrefixSearchN("Tech", 0) }},
 		{"context-prefix-limit", func(s *Store) (any, error) { return s.ContextPrefixSearchN("Tech", 2) }},
-		{"combined", func(s *Store) (any, error) { return s.Search("Budget", "request") }},
-		{"combined-drive-content", func(s *Store) (any, error) { return s.searchDriveContent("Budget", "request", 0) }},
-		{"combined-drive-context", func(s *Store) (any, error) { return s.searchDriveContext("Budget", "request", 0) }},
+		{"combined", func(s *Store) (any, error) { return s.SearchN("Budget", "request", 0) }},
+		{"combined-drive-content", func(s *Store) (any, error) { return drive(s, "Budget", "request", 0, true) }},
+		{"combined-drive-context", func(s *Store) (any, error) { return drive(s, "Budget", "request", 0, false) }},
 		{"docs", func(s *Store) (any, error) {
 			// Project out FileDate: it is stamped with time.Now at ingest
 			// and the two stores load at different instants.
-			infos, err := s.ContentSearchDocs("turbine")
+			infos, err := s.ContentSearchDocsN("turbine", 0)
 			if err != nil {
 				return nil, err
 			}
@@ -103,6 +101,34 @@ func TestKernelEquivalence(t *testing.T) {
 				t.Fatalf("node cache never hit during the warm pass: %+v", st)
 			}
 		})
+	}
+}
+
+// TestSameQuerySameWork repeats one capped content query on a warm store
+// and counts node-cache lookups: the pipeline pulls exactly what the
+// limit needs, so every execution must do identical work.
+func TestSameQuerySameWork(t *testing.T) {
+	s := memStore(t)
+	s.EnableNodeCache(64 << 20)
+	for _, d := range corpus.New(99).DeepReports(6, 4, 8, 5) {
+		if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func() uint64 {
+		before, _ := s.NodeCacheStats()
+		secs, err := s.ContentSearchN("review", 10)
+		if err != nil || len(secs) != 10 {
+			t.Fatalf("content=review&limit=10: %d sections, %v", len(secs), err)
+		}
+		after, _ := s.NodeCacheStats()
+		return after.Hits + after.Misses - before.Hits - before.Misses
+	}
+	want := run() // the first execution also warms the cache
+	for i := 0; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("execution %d made %d node lookups, the first made %d", i, got, want)
+		}
 	}
 }
 
@@ -168,7 +194,7 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadDeepCorpus(t, s)
-	want, err := s.ContentSearch("cryogenic")
+	want, err := s.ContentSearchN("cryogenic", 0)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("pre-close search: %v (%d sections)", err, len(want))
 	}
@@ -203,7 +229,7 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ContentSearch("cryogenic")
+	got, err := s.ContentSearchN("cryogenic", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +239,13 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 }
 
 // TestContentSearchRaceWithNodeCache hammers the accelerated kernel
-// against concurrent ingest and delete with the node cache and parallel
-// materialisation enabled.  Run under -race it proves the cache fill
-// tokens, the derived-index patching, and the worker pool are sound; the
-// results themselves must only ever contain complete sections.
+// against concurrent ingest and delete with the node cache enabled.  Run
+// under -race it proves the cache fill tokens and the derived-index
+// patching are sound; the results themselves must only ever contain
+// complete sections.
 func TestContentSearchRaceWithNodeCache(t *testing.T) {
 	s := memStore(t)
 	s.EnableNodeCache(8 << 20)
-	s.SetQueryWorkers(4)
 	gen := corpus.New(7)
 	for _, d := range gen.DeepReports(4, 3, 4, 3) {
 		if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
@@ -257,7 +282,7 @@ func TestContentSearchRaceWithNodeCache(t *testing.T) {
 			defer wg.Done()
 			queries := []string{"cryogenic", "turbine", "review", "nominal sensor"}
 			for i := 0; i < rounds*4; i++ {
-				secs, err := s.ContentSearch(queries[(r+i)%len(queries)])
+				secs, err := s.ContentSearchN(queries[(r+i)%len(queries)], 0)
 				if err != nil {
 					errs <- fmt.Errorf("search: %w", err)
 					return
@@ -268,7 +293,7 @@ func TestContentSearchRaceWithNodeCache(t *testing.T) {
 						return
 					}
 				}
-				if _, err := s.ContextSearch("Budget"); err != nil {
+				if _, err := s.ContextSearchN("Budget", 0); err != nil {
 					errs <- err
 					return
 				}

@@ -160,8 +160,8 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 			}
 			// Searches reach nodes through the derived indexes, DOC row or
 			// not: none may meet a link to a row the cut took away.
-			sections := func(search func(string) ([]Section, error), arg, doc string) int {
-				hits, err := search(arg)
+			sections := func(search func(string, int) ([]Section, error), arg, doc string) int {
+				hits, err := search(arg, 0)
 				if err != nil {
 					t.Fatalf("cut %d, open %d: search %q: %v", cut, crash, arg, err)
 				}
@@ -173,14 +173,14 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 				}
 				return n
 			}
-			if n := sections(s.ContextPrefixSearch, "Section", "long.html"); n != 0 && n != longSections {
+			if n := sections(s.ContextPrefixSearchN, "Section", "long.html"); n != 0 && n != longSections {
 				t.Fatalf("cut %d, open %d: %d of long.html's %d sections survive, want all or none", cut, crash, n, longSections)
 			}
-			if n := sections(s.ContentSearch, "alpha", "long.html"); n != 0 && n != longSections {
+			if n := sections(s.ContentSearchN, "alpha", "long.html"); n != 0 && n != longSections {
 				t.Fatalf("cut %d, open %d: content search finds %d of long.html's %d sections", cut, crash, n, longSections)
 			}
-			sections(s.ContextSearch, "Section 7 of long.html", "long.html")
-			sections(s.ContextSearch, "Doc 1", "")
+			sections(s.ContextSearchN, "Section 7 of long.html", "long.html")
+			sections(s.ContextSearchN, "Doc 1", "")
 			if crash == 1 {
 				// The store goes on: another long document lands (in part on
 				// whatever room the cut left) and reads back whole.
@@ -198,10 +198,10 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 						checkLinks(t, s, doc)
 					}
 				}
-				if n := sections(s.ContentSearch, "omega", "next.html"); n != 40 {
+				if n := sections(s.ContentSearchN, "omega", "next.html"); n != 40 {
 					t.Fatalf("cut %d: content search finds %d of next.html's 40 sections", cut, n)
 				}
-				if n := sections(s.ContextPrefixSearch, "Section", "long.html"); n != 0 && n != longSections {
+				if n := sections(s.ContextPrefixSearchN, "Section", "long.html"); n != 0 && n != longSections {
 					t.Fatalf("cut %d: %d of long.html's sections after the next ingest", cut, n)
 				}
 			}

@@ -16,8 +16,8 @@ import (
 // path is one shard read-lock map probe plus an atomic touch.
 //
 // Replacement is CLOCK (second chance), not strict LRU: a hit only sets
-// an atomic used flag under the shard's read lock, so concurrent query
-// workers hammering the same hot rows never serialise on a mutex the way
+// an atomic used flag under the shard's read lock, so concurrent queries
+// hammering the same hot rows never serialise on a mutex the way
 // an LRU list's MoveToFront would force them to.  Eviction sweeps the
 // shard map, reprieving used entries once and dropping the rest until
 // the shard fits its cap.

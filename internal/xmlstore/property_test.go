@@ -132,7 +132,7 @@ func TestQuickContentIndexCompleteness(t *testing.T) {
 		if _, err := s.StoreRaw(fmt.Sprintf("c%d.html", n), []byte(src)); err != nil {
 			return false
 		}
-		secs, err := s.ContentSearch(marker)
+		secs, err := s.ContentSearchN(marker, 0)
 		if err != nil || len(secs) != 1 {
 			return false
 		}
@@ -171,11 +171,11 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := s.ContextSearch("Common"); err != nil {
+				if _, err := s.ContextSearchN("Common", 0); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := s.ContentSearch("shared"); err != nil {
+				if _, err := s.ContentSearchN("shared", 0); err != nil {
 					errs <- err
 					return
 				}
@@ -188,7 +188,7 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Final state: all documents present and searchable.
-	secs, err := s.ContextSearch("Common")
+	secs, err := s.ContextSearchN("Common", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDeleteDuringSearch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			if _, err := s.ContextSearch("Volatile"); err != nil {
+			if _, err := s.ContextSearchN("Volatile", 0); err != nil {
 				errs <- err
 				return
 			}
@@ -236,7 +236,7 @@ func TestDeleteDuringSearch(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	secs, err := s.ContextSearch("Volatile")
+	secs, err := s.ContextSearchN("Volatile", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package xmlstore
 
 import (
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
@@ -23,36 +20,59 @@ import (
 //	the tree structure via the sibling node retrieves the corresponding
 //	content text."
 //
-// The implementation keeps the paper's plan but accelerates every stage
-// of the cold path: hits resolve to decoded nodes through the node cache
-// and batched heap fetches, the upward traversal is an O(1) probe of the
-// derived node→governing-CONTEXT index (the pointer-chasing walk remains
-// as the fallback and ablation baseline), and sections materialise on a
-// bounded worker pool with ordered emit and limit cancellation.
+// Every section-shaped query runs through one serial, demand-driven pull
+// pipeline (Store.Sections):
+//
+//	source   text-index hits (posting IDIter or phrase hit list), or the
+//	         context btree's rowids for an exact or prefix heading
+//	resolve  hit -> governing CONTEXT through the derived index, deduped
+//	         (a context rowid is its own section)
+//	filter   the one predicate the source does not already guarantee,
+//	         compiled once per query
+//	limit    stop after q.Limit sections
+//	fn       the caller's sink
+//
+// Nothing runs ahead of the sink, so the same query does the same work
+// every time and a capped query pays for the sections it returns.  Rows
+// reach the pipeline sectionChunk at a time through the node cache and
+// batched heap fetches; the pointer-chasing walk remains as the fallback
+// for nodes the derived index does not cover, and as the ablation
+// baseline.
 
 // ContextFor resolves a node to its governing CONTEXT node: the nearest
 // preceding heading in document order, at any ancestor level.  Returns
 // nil when the node has no governing context (raw XML with no headings).
 //
-// Text nodes resolve through the derived index maintained at ingest —
-// one map probe plus one (usually cached) node fetch, instead of an
-// O(siblings × depth) chain of row fetches.  Nodes without an index
-// entry fall back to the pointer-chasing walk.
-//
 // netmarkvet:hotpath
 func (s *Store) ContextFor(n *Node) (*Node, error) {
+	rid, ctx, err := s.resolveSection(n)
+	if err != nil || ctx != nil || rid.IsZero() {
+		return ctx, err
+	}
+	return s.FetchNode(rid)
+}
+
+// resolveSection maps a node to the rowid of its governing CONTEXT
+// without materialising anything (zero: no heading governs it).  Text
+// nodes resolve through the derived index maintained at ingest — one map
+// probe instead of an O(siblings × depth) chain of row fetches.  Nodes
+// without an index entry fall back to the pointer-chasing walk, which
+// has the CONTEXT node in hand and returns it as ctx.
+//
+// netmarkvet:hotpath
+func (s *Store) resolveSection(n *Node) (rid ordbms.RowID, ctx *Node, err error) {
 	if !s.ctxIdxOff {
 		s.ctxIdxMu.RLock()
-		rid, ok := s.ctxIdx[n.RowID]
+		r, ok := s.ctxIdx[n.RowID]
 		s.ctxIdxMu.RUnlock()
 		if ok {
-			if rid.IsZero() {
-				return nil, nil
-			}
-			return s.FetchNode(rid)
+			return r, nil, nil
 		}
 	}
-	return s.contextForWalk(n)
+	if ctx, err = s.contextForWalk(n); err != nil || ctx == nil {
+		return ordbms.ZeroRowID, nil, err
+	}
+	return ctx.RowID, ctx, nil
 }
 
 // contextForWalk is the paper's traversal: scan left across preceding
@@ -174,71 +194,168 @@ func (s *Store) subtreeText(n *Node) (string, error) {
 	return b.String(), nil
 }
 
-// ContextSearch returns the sections whose heading matches the query
-// (case- and whitespace-insensitive): the paper's Context=Introduction.
-func (s *Store) ContextSearch(heading string) ([]Section, error) {
-	return s.ContextSearchN(heading, 0)
+// SectionQuery is a section-shaped query: a heading predicate, a content
+// predicate, or both, and a cap.
+type SectionQuery struct {
+	// Context is the heading to match, case- and whitespace-insensitive
+	// ("" = any heading): the paper's Context=Introduction.
+	Context string
+	// ContextPrefix matches Context as a prefix of the heading (Context=Tech*).
+	ContextPrefix bool
+	// Content holds the terms a section must contain ("" = none): the
+	// paper's Content=Shuttle.
+	Content string
+	// Phrase requires the terms adjacent and in order.
+	Phrase bool
+	// Limit stops the traversal after this many sections (<= 0 = all).
+	Limit int
 }
 
-// ContextSearchN is ContextSearch with a result cap pushed into the
-// traversal: section materialisation stops as soon as limit sections
-// exist (limit <= 0 means unlimited), so limit=50 over a huge corpus
-// touches 50 sections, not all of them.
-func (s *Store) ContextSearchN(heading string, limit int) ([]Section, error) {
-	key := normalizeContext(heading)
+// Sections runs q through the pipeline described at the top of this file
+// and hands fn each distinct matching section as soon as it is
+// materialised — physical order when the context btree drives, first-hit
+// order when the text index does — until fn returns false or q.Limit
+// sections have been delivered.
+//
+// The paper's Context=Technology Gap & Content=Shrinking "returns the
+// 'Technology Gap' contexts (sections) of all documents where the term
+// 'Shrinking' occurs within the Technology Gap context".  For such a
+// query the planner picks the cheaper source — the heading's rowids when
+// the heading is rarer than the rarest term, the posting lists otherwise
+// — and the other predicate becomes the filter.  A term predicate means
+// the same under both plans: every term occurs, by the index tokenizer,
+// in the section's heading or content.  A phrase is located by token
+// positions when the text index drives and by case-insensitive substring
+// of content plus heading when it filters; a phrase-only query skips hits
+// no heading governs.
+func (s *Store) Sections(q SectionQuery, fn func(Section) bool) error {
+	return s.sections(q, s.contentDrives(q), fn)
+}
+
+// sections is Sections with the source already chosen.  fromContent is
+// valid for every q but a prefix heading, which only the btree can drive.
+func (s *Store) sections(q SectionQuery, fromContent bool, fn func(Section) bool) error {
+	keep := q.residual(fromContent)
+	n := 0
+	emit := func(sec Section) bool {
+		if keep != nil && !keep(sec) {
+			return true
+		}
+		n++
+		return fn(sec) && (q.Limit <= 0 || n < q.Limit)
+	}
+	if fromContent {
+		return s.contentSections(q, emit)
+	}
+	// With nothing to filter, the first q.Limit candidates are the result:
+	// push the cap into candidate collection.
+	bound := 0
+	if keep == nil {
+		bound = q.Limit
+	}
+	return s.contextSections(s.contextRIDs(q, bound), emit)
+}
+
+// residual compiles the predicate the driving source leaves unchecked
+// (nil: none), once per query.
+func (q SectionQuery) residual(fromContent bool) func(Section) bool {
+	switch {
+	case fromContent && q.Context == "", !fromContent && q.Content == "":
+		return nil
+	case fromContent:
+		want := normalizeContext(q.Context)
+		return func(sec Section) bool { return normalizeContext(sec.Context) == want }
+	case q.Phrase:
+		want := strings.ToLower(q.Content)
+		return func(sec Section) bool {
+			return strings.Contains(strings.ToLower(sec.Content+" "+sec.Context), want)
+		}
+	}
+	terms := textindex.Tokenize(q.Content)
+	return func(sec Section) bool {
+		have := make(map[string]bool)
+		for _, text := range [...]string{sec.Context, sec.Content} {
+			for _, tok := range textindex.Tokenize(text) {
+				have[tok.Term] = true
+			}
+		}
+		for _, tok := range terms {
+			if !have[tok.Term] {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// contentDrives is the planner: the text index drives a query with no
+// heading, and a heading-plus-terms query whose heading is more frequent
+// than its rarest term.  Both plans return the same sections; the choice
+// only affects cost.
+func (s *Store) contentDrives(q SectionQuery) bool {
+	switch {
+	case q.Context == "":
+		return true
+	case q.Content == "" || q.ContextPrefix || q.Phrase:
+		return false
+	}
+	return s.ContextCount(q.Context) > s.contentDF(q.Content)
+}
+
+// contentDF estimates the driving cost of a content query as the smallest
+// document frequency among its terms.
+func (s *Store) contentDF(query string) int {
+	min := -1
+	for _, tok := range textindex.Tokenize(query) {
+		df := s.content.DF(tok.Term)
+		if min < 0 || df < min {
+			min = df
+		}
+	}
+	if min < 0 {
+		return 0
+	}
+	return min
+}
+
+// contextRIDs snapshots the rowids of the CONTEXT nodes matching q's
+// heading predicate.  A prefix query with bound > 0 keeps only the bound
+// physically-smallest candidates, so Context=A*&limit=1 over a million
+// headings holds one rowid, not a million; the physical-order result
+// prefix is unchanged, and only a candidate deleted between this snapshot
+// and materialisation can make a capped result shorter than an uncapped
+// one would have been.
+func (s *Store) contextRIDs(q SectionQuery, bound int) []ordbms.RowID {
+	key := normalizeContext(q.Context)
+	var top ridBound
 	s.ctxMu.RLock()
-	rids := append([]ordbms.RowID(nil), s.contexts.Get(key)...)
-	s.ctxMu.RUnlock()
-	return s.sectionsForContexts(rids, limit)
-}
-
-// ContextPrefixSearch matches headings by prefix (Context=Tech*).
-func (s *Store) ContextPrefixSearch(prefix string) ([]Section, error) {
-	return s.ContextPrefixSearchN(prefix, 0)
-}
-
-// ContextPrefixSearchN is ContextPrefixSearch with the limit pushed all
-// the way into candidate collection: instead of copying every matching
-// rowid under ctxMu, a capped query keeps only the `limit` physically
-// smallest candidates (a bounded max-heap), so Context=A*&limit=1 over a
-// million headings holds one rowid, not a million.  The physical-order
-// result prefix is unchanged; only a candidate deleted between the index
-// snapshot and materialisation can make a capped result shorter than an
-// uncapped one would have been.
-func (s *Store) ContextPrefixSearchN(prefix string, limit int) ([]Section, error) {
-	key := normalizeContext(prefix)
-	var rids []ordbms.RowID
-	s.ctxMu.RLock()
-	if limit > 0 {
-		var bound ridBound
+	if q.ContextPrefix {
 		s.contexts.AscendPrefixFunc(key,
 			func(k string) bool { return strings.HasPrefix(k, key) },
 			func(_ string, vals []ordbms.RowID) bool {
 				for _, rid := range vals {
-					bound.push(rid, limit)
+					top.push(rid, bound)
 				}
 				return true
 			})
-		rids = bound.rids
 	} else {
-		s.contexts.AscendPrefixFunc(key,
-			func(k string) bool { return strings.HasPrefix(k, key) },
-			func(_ string, vals []ordbms.RowID) bool {
-				rids = append(rids, vals...)
-				return true
-			})
+		top.rids = append(top.rids, s.contexts.Get(key)...)
 	}
 	s.ctxMu.RUnlock()
-	return s.sectionsForContexts(rids, limit)
+	return top.rids
 }
 
 // ridBound keeps the k physically-smallest RowIDs pushed into it, as a
-// max-heap rooted at rids[0].
+// max-heap rooted at rids[0]; k <= 0 keeps them all, unordered.
 type ridBound struct {
 	rids []ordbms.RowID
 }
 
 func (h *ridBound) push(rid ordbms.RowID, k int) {
+	if k <= 0 {
+		h.rids = append(h.rids, rid)
+		return
+	}
 	if len(h.rids) < k {
 		h.rids = append(h.rids, rid)
 		i := len(h.rids) - 1
@@ -273,227 +390,67 @@ func (h *ridBound) push(rid ordbms.RowID, k int) {
 	}
 }
 
-func (s *Store) sectionsForContexts(rids []ordbms.RowID, limit int) ([]Section, error) {
-	var out []Section
-	err := s.forEachContextSection(rids, func(sec Section) bool {
-		out = append(out, sec)
-		return limit <= 0 || len(out) < limit
-	})
-	return out, err
-}
-
-// sectionWorkers picks the materialisation fan-out for n candidates.
-func (s *Store) sectionWorkers(n int) int {
-	if n < 4 {
-		return 1
-	}
-	w := s.queryWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// sectionChunk bounds the per-batch bookkeeping of the parallel
-// materialisers, so a limit-capped query over a huge candidate list
-// allocates per chunk, not per corpus.
+// sectionChunk is how many rowids the pipeline resolves per batched
+// fetch, so a capped query over a huge candidate list allocates per
+// chunk, not per corpus.
 const sectionChunk = 512
 
-// sectionOut is one materialised (or skipped, or failed) section slot.
-type sectionOut struct {
-	sec  Section
-	err  error
-	skip bool
-}
-
-// forEachContextSection materialises sections for CONTEXT rowids in
-// physical order until fn returns false — the shared lazy kernel beneath
-// every limit-aware context plan.  It sorts rids in place; callers pass
-// a private copy (snapshotted under ctxMu).  Candidates are resolved
-// through the node cache with batched heap fetches, and with more than
-// one query worker the sections themselves materialise concurrently with
-// ordered emit: results reach fn in exactly the physical order a serial
-// walk would produce, and a false return cancels the remaining work.
-func (s *Store) forEachContextSection(rids []ordbms.RowID, fn func(Section) bool) error {
+// contextSections is the context source: it sorts rids (a private copy)
+// into physical order and emits the section each one governs.
+func (s *Store) contextSections(rids []ordbms.RowID, emit func(Section) bool) error {
 	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
-	workers := s.sectionWorkers(len(rids))
-	for start := 0; start < len(rids); start += sectionChunk {
-		chunk := rids[start:min(start+sectionChunk, len(rids))]
-		stopped, err := s.emitContextChunk(chunk, workers, fn)
-		if err != nil || stopped {
+	for len(rids) > 0 {
+		chunk := rids[:min(sectionChunk, len(rids))]
+		rids = rids[len(chunk):]
+		nodes, err := s.fetchNodesBatch(chunk)
+		if err != nil {
 			return err
+		}
+		for _, ctx := range nodes {
+			if ctx == nil {
+				continue // deleted between snapshot and fetch
+			}
+			sec, err := s.SectionOf(ctx)
+			if err == ordbms.ErrRecordDeleted {
+				// A concurrent delete removed part of this section between
+				// the index probe and the traversal: skip it, the generation
+				// bump has already invalidated cached results.
+				continue
+			}
+			if err != nil || !emit(sec) {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// emitOrdered runs materialise(i) for i in [0, n) — serially when
-// workers <= 1, otherwise on a bounded worker pool — and feeds the
-// non-skipped results to fn in index order.  stopped reports that fn
-// returned false; remaining work is cancelled (workers check the stop
-// flag before claiming their next index, so overshoot is bounded by the
-// pool size).  This is the shared scaffold beneath every parallel
-// section materialiser.
-func (s *Store) emitOrdered(n, workers int, materialise func(int) sectionOut, fn func(Section) bool) (stopped bool, err error) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			o := materialise(i)
-			if o.skip {
-				continue
+// forEachHitNode streams the nodes the text index holds for query — the
+// AND of its terms, or the phrase — in physical order until fn returns
+// false.  The hit list leaves the index one id at a time and the rows
+// arrive sectionChunk at a time through one reused buffer, so a capped
+// scan over a stop-word-sized posting list stops after a chunk or two
+// instead of decoding the whole list.
+func (s *Store) forEachHitNode(query string, phrase bool, fn func(hit *Node) (more bool, err error)) error {
+	var next func() (uint64, bool)
+	if phrase {
+		hits := s.content.Phrase(query)
+		next = func() (uint64, bool) {
+			if len(hits) == 0 {
+				return 0, false
 			}
-			if o.err != nil {
-				return false, o.err
-			}
-			if !fn(o.sec) {
-				return true, nil
-			}
+			h := hits[0]
+			hits = hits[1:]
+			return h, true
 		}
-		return false, nil
+	} else {
+		next = s.content.AndIter(query).Next
 	}
-	outs := make([]sectionOut, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				outs[i] = materialise(i)
-				close(done[i])
-			}
-		}()
-	}
-	defer wg.Wait()
-	defer stop.Store(true)
-	for i := 0; i < n; i++ {
-		<-done[i]
-		o := &outs[i]
-		if o.skip {
-			continue
-		}
-		if o.err != nil {
-			return false, o.err
-		}
-		if !fn(o.sec) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// emitContextChunk materialises one chunk of CONTEXT rowids and emits the
-// sections in order.  stopped reports that fn returned false.
-func (s *Store) emitContextChunk(rids []ordbms.RowID, workers int, fn func(Section) bool) (stopped bool, err error) {
-	if workers <= 1 {
-		// Serial: one batched fetch resolves the whole chunk's headings.
-		nodes, err := s.fetchNodesBatch(rids)
-		if err != nil {
-			return false, err
-		}
-		return s.emitOrdered(len(nodes), 1, func(i int) sectionOut {
-			ctx := nodes[i]
-			if ctx == nil {
-				return sectionOut{skip: true} // deleted between snapshot and fetch
-			}
-			sec, serr := s.SectionOf(ctx)
-			if serr != nil {
-				if serr == ordbms.ErrRecordDeleted {
-					return sectionOut{skip: true}
-				}
-				return sectionOut{err: serr}
-			}
-			return sectionOut{sec: sec}
-		}, fn)
-	}
-	return s.emitOrdered(len(rids), workers, func(i int) sectionOut {
-		return s.materialiseContextSection(rids[i])
-	}, fn)
-}
-
-func (s *Store) materialiseContextSection(rid ordbms.RowID) sectionOut {
-	ctx, err := s.FetchNode(rid)
-	if err != nil {
-		if err == ordbms.ErrRecordDeleted {
-			return sectionOut{skip: true}
-		}
-		return sectionOut{err: err}
-	}
-	sec, err := s.SectionOf(ctx)
-	if err != nil {
-		if err == ordbms.ErrRecordDeleted {
-			// A concurrent delete removed part of this section between
-			// the index probe and the traversal: skip the section, the
-			// generation bump has already invalidated cached results.
-			return sectionOut{skip: true}
-		}
-		return sectionOut{err: err}
-	}
-	return sectionOut{sec: sec}
-}
-
-// ContentSearch returns the sections containing every term of the query:
-// the paper's Content=Shuttle.  Hits are grouped by their governing
-// context so each section appears once.
-func (s *Store) ContentSearch(query string) ([]Section, error) {
-	return s.ContentSearchN(query, 0)
-}
-
-// ContentSearchN is ContentSearch with the limit pushed into the
-// traversal kernel: the walk from text hits to governing contexts stops
-// once limit sections are materialised.
-func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
-	var out []Section
-	err := s.forEachContentSection(query, func(sec Section) bool {
-		out = append(out, sec)
-		return limit <= 0 || len(out) < limit
-	})
-	return out, err
-}
-
-// forEachContentSection runs the §2.1.4 kernel — text-index probe, then
-// resolution of each hit to its governing context — yielding each
-// distinct section as soon as it is materialised, in first-hit order,
-// until fn returns false.
-//
-// The kernel is a three-stage pipeline per chunk of hits: (1) batched
-// node-cache-aware fetch of the hit rows, (2) serial dedup of hits to
-// distinct section tasks via the derived context index (one map probe
-// per hit, no materialisation), (3) materialisation of the distinct
-// sections on the worker pool with ordered emit — so duplicate hits on
-// the same section cost a map probe, never a second traversal, and the
-// expensive stage parallelises over exactly the distinct sections.
-func (s *Store) forEachContentSection(query string, fn func(Section) bool) error {
-	// The hit list streams out of the text index one id at a time —
-	// a capped query over a huge posting list never materialises the
-	// full hit slice, only the current chunk, and the chunk buffer is
-	// reused across iterations.
-	it := s.content.AndIter(query)
-	seen := make(map[ordbms.RowID]bool)
-	var tasks []sectionTask
 	chunk := make([]ordbms.RowID, 0, sectionChunk)
 	for {
 		chunk = chunk[:0]
 		for len(chunk) < sectionChunk {
-			h, ok := it.Next()
+			h, ok := next()
 			if !ok {
 				break
 			}
@@ -506,106 +463,62 @@ func (s *Store) forEachContentSection(query string, fn func(Section) bool) error
 		if err != nil {
 			return err
 		}
-		tasks = tasks[:0]
-		for _, node := range nodes {
-			if node == nil {
+		for _, hit := range nodes {
+			if hit == nil {
 				continue // deleted between index probe and fetch
 			}
-			task, key, skip, err := s.resolveSectionTask(node)
-			if err != nil {
+			if more, err := fn(hit); err != nil || !more {
 				return err
 			}
-			if skip || seen[key] {
-				continue
-			}
-			seen[key] = true
-			tasks = append(tasks, task)
-		}
-		stopped, err := s.emitSectionTasks(tasks, s.sectionWorkers(len(tasks)), fn)
-		if err != nil || stopped {
-			return err
 		}
 	}
 }
 
-// sectionTask names one distinct section to materialise: a governing
-// CONTEXT (by rowid, or already fetched by the walk fallback), or a
-// heading-less hit to report through fallbackSection.
-type sectionTask struct {
-	ctxRID ordbms.RowID // governing context (zero = fallback section)
-	ctx    *Node        // already-fetched context, when the walk found it
-	hit    *Node        // the hit node (fallback sections only)
+// contentSections is the content source: each hit resolves to its
+// governing CONTEXT and each distinct section is emitted once, so
+// duplicate hits on a section cost a map probe, never a second traversal.
+func (s *Store) contentSections(q SectionQuery, emit func(Section) bool) error {
+	seen := make(map[ordbms.RowID]bool)
+	return s.forEachHitNode(q.Content, q.Phrase, func(hit *Node) (bool, error) {
+		sec, fresh, err := s.hitSection(hit, seen, q.Phrase)
+		if err == ordbms.ErrRecordDeleted {
+			return true, nil // document mid-delete: skip the hit
+		}
+		if err != nil {
+			return false, err
+		}
+		return !fresh || emit(sec), nil
+	})
 }
 
-// resolveSectionTask maps a hit node to its section identity without
-// materialising anything: an O(1) probe of the derived index, with the
-// pointer-chasing walk as fallback.  key identifies the section for
-// dedup (the context rowid, or the hit's own rowid for heading-less
-// documents).
-//
-// netmarkvet:hotpath
-func (s *Store) resolveSectionTask(node *Node) (task sectionTask, key ordbms.RowID, skip bool, err error) {
-	if !s.ctxIdxOff {
-		s.ctxIdxMu.RLock()
-		rid, ok := s.ctxIdx[node.RowID]
-		s.ctxIdxMu.RUnlock()
-		if ok {
-			if rid.IsZero() {
-				return sectionTask{hit: node}, node.RowID, false, nil
-			}
-			return sectionTask{ctxRID: rid}, rid, false, nil
-		}
+// hitSection materialises the section a hit belongs to, unless seen
+// already has it (fresh = false).  A hit no heading governs (raw XML) is
+// its own section, built by fallbackSection — or none at all when
+// skipHeadless is set.
+func (s *Store) hitSection(hit *Node, seen map[ordbms.RowID]bool, skipHeadless bool) (sec Section, fresh bool, err error) {
+	rid, ctx, err := s.resolveSection(hit)
+	if err != nil {
+		return sec, false, err
 	}
-	ctx, werr := s.contextForWalk(node)
-	if werr != nil {
-		if werr == ordbms.ErrRecordDeleted {
-			return sectionTask{}, ordbms.ZeroRowID, true, nil // document mid-delete
-		}
-		return sectionTask{}, ordbms.ZeroRowID, false, werr
+	key := rid
+	if rid.IsZero() {
+		key = hit.RowID
+	}
+	if seen[key] || rid.IsZero() && skipHeadless {
+		return sec, false, nil
+	}
+	seen[key] = true
+	if rid.IsZero() {
+		sec, err = s.fallbackSection(hit)
+		return sec, err == nil, err
 	}
 	if ctx == nil {
-		return sectionTask{hit: node}, node.RowID, false, nil
-	}
-	return sectionTask{ctxRID: ctx.RowID, ctx: ctx}, ctx.RowID, false, nil
-}
-
-// materialiseSectionTask builds the section for one task.
-func (s *Store) materialiseSectionTask(task sectionTask) sectionOut {
-	ctx := task.ctx
-	if ctx == nil && !task.ctxRID.IsZero() {
-		var err error
-		if ctx, err = s.FetchNode(task.ctxRID); err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				return sectionOut{skip: true}
-			}
-			return sectionOut{err: err}
+		if ctx, err = s.FetchNode(rid); err != nil {
+			return sec, false, err
 		}
 	}
-	var sec Section
-	var err error
-	if ctx != nil {
-		sec, err = s.SectionOf(ctx)
-	} else {
-		// No governing heading (raw XML): report the parent element's
-		// subtree as the section.
-		sec, err = s.fallbackSection(task.hit)
-	}
-	if err != nil {
-		if err == ordbms.ErrRecordDeleted {
-			return sectionOut{skip: true}
-		}
-		return sectionOut{err: err}
-	}
-	return sectionOut{sec: sec}
-}
-
-// emitSectionTasks materialises the distinct sections of one chunk and
-// emits them in first-hit order.  stopped reports that fn returned
-// false; remaining work is cancelled.
-func (s *Store) emitSectionTasks(tasks []sectionTask, workers int, fn func(Section) bool) (stopped bool, err error) {
-	return s.emitOrdered(len(tasks), workers, func(i int) sectionOut {
-		return s.materialiseSectionTask(tasks[i])
-	}, fn)
+	sec, err = s.SectionOf(ctx)
+	return sec, err == nil, err
 }
 
 // fallbackSection builds a section for a text hit with no heading.
@@ -630,164 +543,71 @@ func (s *Store) fallbackSection(n *Node) (Section, error) {
 	return sec, nil
 }
 
-// ContentSearchDocs returns the distinct documents containing the query —
-// the paper's "a content query such as Content=Shuttle will return all
-// documents that contain the term 'Shuttle' anywhere in the document".
-func (s *Store) ContentSearchDocs(query string) ([]*DocInfo, error) {
-	return s.ContentSearchDocsN(query, 0)
+// collect gathers the sections of q.
+func (s *Store) collect(q SectionQuery) ([]Section, error) {
+	var out []Section
+	err := s.Sections(q, func(sec Section) bool {
+		out = append(out, sec)
+		return true
+	})
+	return out, err
 }
 
-// ContentSearchDocsN is ContentSearchDocs with the limit pushed down:
-// the hit scan stops after limit distinct documents.  Hits arrive in
-// physical RowID order — usually, but not necessarily, ingestion order
+// SearchN returns at most limit (<= 0: all) sections matching a heading,
+// content terms, or both; see Sections.
+func (s *Store) SearchN(heading, query string, limit int) ([]Section, error) {
+	return s.collect(SectionQuery{Context: heading, Content: query, Limit: limit})
+}
+
+// ContextSearchN returns the sections whose heading matches (case- and
+// whitespace-insensitive): the paper's Context=Introduction.
+func (s *Store) ContextSearchN(heading string, limit int) ([]Section, error) {
+	return s.SearchN(heading, "", limit)
+}
+
+// ContextPrefixSearchN matches headings by prefix (Context=Tech*).
+func (s *Store) ContextPrefixSearchN(prefix string, limit int) ([]Section, error) {
+	return s.collect(SectionQuery{Context: prefix, ContextPrefix: true, Limit: limit})
+}
+
+// ContentSearchN returns the sections containing every term of the
+// query: the paper's Content=Shuttle.  Hits are grouped by their
+// governing context so each section appears once.
+func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
+	return s.SearchN("", query, limit)
+}
+
+// ContentSearchDocsN returns the distinct documents containing the query
+// — the paper's "a content query such as Content=Shuttle will return all
+// documents that contain the term 'Shuttle' anywhere in the document" —
+// stopping the hit scan after limit (<= 0: all) documents.  Hits arrive
+// in physical RowID order — usually, but not necessarily, ingestion order
 // (page reuse after deletes can reorder) — so a capped query returns
 // *some* limit matching documents, sorted by DocID, not a guaranteed
 // lowest-DocID prefix.
 func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) {
-	// Stream hits out of the index in chunks through one reused
-	// buffer: a limit-capped scan over a stop-word-sized posting list
-	// stops after a chunk or two instead of decoding the whole list.
-	it := s.content.AndIter(query)
 	seen := make(map[uint64]bool)
 	var out []*DocInfo
-	rids := make([]ordbms.RowID, 0, sectionChunk)
-	for limit <= 0 || len(out) < limit {
-		rids = rids[:0]
-		for len(rids) < sectionChunk {
-			h, ok := it.Next()
-			if !ok {
-				break
-			}
-			rids = append(rids, ordbms.RowIDFromUint64(h))
+	err := s.forEachHitNode(query, false, func(hit *Node) (bool, error) {
+		if seen[hit.DocID] {
+			return true, nil
 		}
-		if len(rids) == 0 {
-			break
+		seen[hit.DocID] = true
+		info, err := s.Document(hit.DocID)
+		if IsGone(err) {
+			// The DOC row vanished between the text hit and this lookup:
+			// the document is mid-delete, skip it.
+			return true, nil
 		}
-		nodes, err := s.fetchNodesBatch(rids)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		for _, node := range nodes {
-			if node == nil || seen[node.DocID] {
-				continue
-			}
-			seen[node.DocID] = true
-			info, err := s.Document(node.DocID)
-			if err != nil {
-				if IsGone(err) {
-					// The DOC row vanished between the text hit and this
-					// lookup: the document is mid-delete, skip it.
-					continue
-				}
-				return nil, err
-			}
-			out = append(out, info)
-			if limit > 0 && len(out) >= limit {
-				break
-			}
-		}
+		out = append(out, info)
+		return limit <= 0 || len(out) < limit, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
 	return out, nil
-}
-
-// Search combines context and content predicates — the paper's
-// Context=Technology Gap & Content=Shrinking: "returns the 'Technology
-// Gap' contexts (sections) of all documents where the term 'Shrinking'
-// occurs within the Technology Gap context".
-//
-// The planner picks the cheaper driving side: if the heading is rarer
-// than the content terms it drives from the context index and verifies
-// terms inside each section; otherwise it drives from the text index and
-// filters by governing context.  Both plans produce identical results
-// (asserted by tests); the choice only affects cost.
-func (s *Store) Search(heading, query string) ([]Section, error) {
-	return s.SearchN(heading, query, 0)
-}
-
-// SearchN is Search with the limit pushed through whichever plan the
-// planner picks, so capped combined queries stop traversing as soon as
-// limit matching sections exist.
-func (s *Store) SearchN(heading, query string, limit int) ([]Section, error) {
-	switch {
-	case heading == "" && query == "":
-		return nil, nil
-	case heading == "":
-		return s.ContentSearchN(query, limit)
-	case query == "":
-		return s.ContextSearchN(heading, limit)
-	}
-	ctxCount := s.ContextCount(heading)
-	contentCost := s.contentDF(query)
-	if ctxCount <= contentCost {
-		return s.searchDriveContext(heading, query, limit)
-	}
-	return s.searchDriveContent(heading, query, limit)
-}
-
-// contentDF estimates the driving cost of a content query as the smallest
-// document frequency among its terms.
-func (s *Store) contentDF(query string) int {
-	min := -1
-	for _, tok := range textindex.Tokenize(query) {
-		df := s.content.DF(tok.Term)
-		if min < 0 || df < min {
-			min = df
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
-// searchDriveContext: context index drives, content verified per
-// section; sections materialise lazily and stop at the limit.
-func (s *Store) searchDriveContext(heading, query string, limit int) ([]Section, error) {
-	key := normalizeContext(heading)
-	s.ctxMu.RLock()
-	rids := append([]ordbms.RowID(nil), s.contexts.Get(key)...)
-	s.ctxMu.RUnlock()
-	var out []Section
-	err := s.forEachContextSection(rids, func(sec Section) bool {
-		if sectionContainsAll(sec, query) {
-			out = append(out, sec)
-		}
-		return limit <= 0 || len(out) < limit
-	})
-	return out, err
-}
-
-// searchDriveContent: text index drives, context filters; the hit walk
-// stops once limit sections pass the filter.
-func (s *Store) searchDriveContent(heading, query string, limit int) ([]Section, error) {
-	want := normalizeContext(heading)
-	var out []Section
-	err := s.forEachContentSection(query, func(sec Section) bool {
-		if normalizeContext(sec.Context) == want {
-			out = append(out, sec)
-		}
-		return limit <= 0 || len(out) < limit
-	})
-	return out, err
-}
-
-// sectionContainsAll reports whether every query term occurs in the
-// section content (word-boundary, case-insensitive — the same tokenizer
-// as the index, so both plans agree).
-func sectionContainsAll(sec Section, query string) bool {
-	terms := textindex.Tokenize(query)
-	if len(terms) == 0 {
-		return true
-	}
-	have := make(map[string]bool)
-	for _, tok := range textindex.Tokenize(sec.Content) {
-		have[tok.Term] = true
-	}
-	for _, tok := range terms {
-		if !have[tok.Term] {
-			return false
-		}
-	}
-	return true
 }

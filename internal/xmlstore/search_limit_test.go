@@ -1,6 +1,7 @@
 package xmlstore
 
 import (
+	"reflect"
 	"testing"
 
 	"netmark/internal/corpus"
@@ -62,34 +63,58 @@ func TestContentSearchNLimit(t *testing.T) {
 	}
 }
 
+// drive runs a heading-plus-terms query with the planner's choice
+// overridden: the text index drives when fromContent, the context btree
+// otherwise.
+func drive(s *Store, heading, query string, limit int, fromContent bool) ([]Section, error) {
+	var out []Section
+	err := s.sections(SectionQuery{Context: heading, Content: query, Limit: limit}, fromContent,
+		func(sec Section) bool {
+			out = append(out, sec)
+			return true
+		})
+	return out, err
+}
+
 func TestSearchNLimitBothPlans(t *testing.T) {
 	s := loadProposals(t, 30)
-	// Planner-chosen plan, capped, must agree with the uncapped prefix.
-	full, err := s.SearchN("Budget", "request", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) < 4 {
-		t.Fatalf("corpus too small: %d combined hits", len(full))
-	}
-	capped, err := s.SearchN("Budget", "request", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) != 3 {
-		t.Fatalf("limit 3 returned %d", len(capped))
-	}
-	// Both explicit plans must respect the cap too.
-	a, err := s.searchDriveContext("Budget", "request", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.searchDriveContent("Budget", "request", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 3 || len(b) != 3 {
-		t.Fatalf("plan caps: ctx=%d content=%d", len(a), len(b))
+	for _, q := range []struct{ heading, term string }{
+		{"Budget", "request"},
+		// "assessment" occurs in no section's content, only in the heading
+		// text itself: the index posts it and both plans must count it.
+		{"Risk Assessment", "assessment"},
+	} {
+		// Planner-chosen plan, capped, must agree with the uncapped prefix.
+		full, err := s.SearchN(q.heading, q.term, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full) != 30 {
+			t.Fatalf("%v: %d combined hits, want one per proposal", q, len(full))
+		}
+		capped, err := s.SearchN(q.heading, q.term, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(capped) != 3 {
+			t.Fatalf("%v: limit 3 returned %d", q, len(capped))
+		}
+		// Both explicit plans must find the same sections and respect the cap.
+		for _, limit := range []int{0, 3} {
+			a, err := drive(s, q.heading, q.term, limit, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := drive(s, q.heading, q.term, limit, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, full[:len(a)]) || !reflect.DeepEqual(b, full[:len(b)]) ||
+				len(a) != len(b) || (limit > 0 && len(a) != limit) {
+				t.Fatalf("%v limit %d: ctx plan %d sections, content plan %d, planner %d",
+					q, limit, len(a), len(b), len(full))
+			}
+		}
 	}
 }
 

@@ -160,11 +160,6 @@ type Store struct {
 	// EnableNodeCache during setup, before the store serves traffic.
 	nodes *nodeCache
 
-	// queryWorkers bounds the section-materialisation fan-out of the
-	// search kernels (0 = GOMAXPROCS, 1 or negative = serial).  Set via
-	// SetQueryWorkers during setup.
-	queryWorkers int
-
 	// docGens tracks one mutation generation per document ID: bumped when
 	// the document becomes fully visible (tables + derived indexes) and
 	// again when a delete starts tearing it down.  Result caches validate
@@ -586,10 +581,11 @@ func (s *Store) NodeCacheStats() (stats NodeCacheStats, ok bool) {
 	return s.nodes.stats(), true
 }
 
-// SetQueryWorkers bounds the section-materialisation fan-out used by the
-// search kernels: n <= 0 means GOMAXPROCS, 1 means serial.  Call during
-// setup.
-func (s *Store) SetQueryWorkers(n int) { s.queryWorkers = n }
+// SetQueryWorkers does nothing: the query kernel is serial and has no
+// fan-out to bound.  It remains only because bench/nmtrace, frozen for
+// this change, still calls it; the next benchmark change drops the call
+// and this shim with it.
+func (s *Store) SetQueryWorkers(int) {}
 
 // SetContextIndexEnabled toggles the derived node→governing-CONTEXT
 // index consulted by ContextFor.  It exists for the kernel ablation

@@ -149,7 +149,7 @@ func TestNodeLinksFormAConsistentTree(t *testing.T) {
 func TestContextSearch(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
-	secs, err := s.ContextSearch("Budget")
+	secs, err := s.ContextSearchN("Budget", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestContextSearchCaseInsensitive(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
 	for _, q := range []string{"budget", "BUDGET", "  Budget  "} {
-		secs, err := s.ContextSearch(q)
+		secs, err := s.ContextSearchN(q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestContextSearchAcrossDocuments(t *testing.T) {
 		ingest(t, s, fmt.Sprintf("doc%d.html", i), fmt.Sprintf(
 			`<html><body><h1>Status</h1><p>status of unit %d</p><h1>Other</h1><p>x</p></body></html>`, i))
 	}
-	secs, err := s.ContextSearch("Status")
+	secs, err := s.ContextSearchN("Status", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestContextSearchAcrossDocuments(t *testing.T) {
 func TestContentSearch(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
-	secs, err := s.ContentSearch("shrinking")
+	secs, err := s.ContentSearchN("shrinking", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestContentSearch(t *testing.T) {
 func TestContentSearchMultiTermAND(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "a.html", `<html><body><h1>S1</h1><p>alpha beta</p><h1>S2</h1><p>alpha</p></body></html>`)
-	secs, err := s.ContentSearch("alpha beta")
+	secs, err := s.ContentSearchN("alpha beta", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +233,14 @@ func TestContentSearchDocs(t *testing.T) {
 	ingest(t, s, "one.html", `<html><body><h1>A</h1><p>shuttle engine</p></body></html>`)
 	ingest(t, s, "two.html", `<html><body><h1>B</h1><p>engine only</p></body></html>`)
 	ingest(t, s, "three.html", `<html><body><h1>C</h1><p>nothing relevant</p></body></html>`)
-	docs, err := s.ContentSearchDocs("engine")
+	docs, err := s.ContentSearchDocsN("engine", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != 2 {
 		t.Fatalf("docs = %d", len(docs))
 	}
-	docs, err = s.ContentSearchDocs("shuttle")
+	docs, err = s.ContentSearchDocsN("shuttle", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +259,11 @@ func TestCombinedSearchBothPlansAgree(t *testing.T) {
 	<h2>Technology Gap</h2><p>No relevant verb here.</p>
 	<h2>Schedule</h2><p>The shrinking schedule.</p></body></html>`)
 
-	fromCtx, err := s.searchDriveContext("Technology Gap", "shrinking", 0)
+	fromCtx, err := drive(s, "Technology Gap", "shrinking", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromContent, err := s.searchDriveContent("Technology Gap", "shrinking", 0)
+	fromContent, err := drive(s, "Technology Gap", "shrinking", 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestCombinedSearchBothPlansAgree(t *testing.T) {
 		t.Fatal("plans returned different sections")
 	}
 	// And via the public planner entry point.
-	secs, err := s.Search("Technology Gap", "shrinking")
+	secs, err := s.SearchN("Technology Gap", "shrinking", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,15 +286,15 @@ func TestCombinedSearchBothPlansAgree(t *testing.T) {
 func TestSearchEmptyPredicates(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "a.html", sampleHTML)
-	secs, err := s.Search("", "")
+	secs, err := s.SearchN("", "", 0)
 	if err != nil || secs != nil {
 		t.Fatalf("empty search: %v %v", secs, err)
 	}
-	secs, err = s.Search("Budget", "")
+	secs, err = s.SearchN("Budget", "", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("context-only via Search: %v %v", secs, err)
 	}
-	secs, err = s.Search("", "shrinking")
+	secs, err = s.SearchN("", "shrinking", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("content-only via Search: %v %v", secs, err)
 	}
@@ -303,14 +303,14 @@ func TestSearchEmptyPredicates(t *testing.T) {
 func TestSearchNoResults(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "a.html", sampleHTML)
-	secs, err := s.Search("Budget", "nonexistentterm")
+	secs, err := s.SearchN("Budget", "nonexistentterm", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(secs) != 0 {
 		t.Fatalf("expected empty, got %v", secs)
 	}
-	secs, err = s.ContextSearch("No Such Heading")
+	secs, err = s.ContextSearchN("No Such Heading", 0)
 	if err != nil || len(secs) != 0 {
 		t.Fatalf("missing context: %v %v", secs, err)
 	}
@@ -322,7 +322,7 @@ func TestContextPrefixSearch(t *testing.T) {
 	<h2>Technical Approach</h2><p>x</p>
 	<h2>Technology Gap</h2><p>y</p>
 	<h2>Budget</h2><p>z</p></body></html>`)
-	secs, err := s.ContextPrefixSearch("Tech")
+	secs, err := s.ContextPrefixSearchN("Tech", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestContextPrefixSearch(t *testing.T) {
 func TestCSVContextSearchFindsColumns(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "budget.csv", "Project,Division,Amount\nX,Science,100\nY,Engineering,200\n")
-	secs, err := s.ContextSearch("Division")
+	secs, err := s.ContextSearchN("Division", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestRawXMLNameElementActsAsContext(t *testing.T) {
 	// the record it labels — the schema-less analogue of a field lookup.
 	s := memStore(t)
 	ingest(t, s, "parts.xml", `<inventory><part><name>Cryo Valve</name><qty>3</qty></part></inventory>`)
-	secs, err := s.ContentSearch("valve")
+	secs, err := s.ContentSearchN("valve", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestRawXMLContentSearchFallback(t *testing.T) {
 	// back to reporting the parent element's subtree.
 	s := memStore(t)
 	ingest(t, s, "parts.xml", `<inventory><widget><label>Cryo Valve</label><qty>3</qty></widget></inventory>`)
-	secs, err := s.ContentSearch("valve")
+	secs, err := s.ContentSearchN("valve", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,16 +397,16 @@ func TestDeleteDocumentRemovesEverything(t *testing.T) {
 	if _, err := s.Document(gone); err == nil {
 		t.Fatal("deleted document still resolvable")
 	}
-	secs, err := s.ContentSearch("goneterm")
+	secs, err := s.ContentSearchN("goneterm", 0)
 	if err != nil || len(secs) != 0 {
 		t.Fatalf("deleted content still searchable: %v %v", secs, err)
 	}
-	secs, err = s.ContextSearch("Gone")
+	secs, err = s.ContextSearchN("Gone", 0)
 	if err != nil || len(secs) != 0 {
 		t.Fatalf("deleted context still searchable: %v %v", secs, err)
 	}
 	// Survivor intact.
-	secs, err = s.ContentSearch("keepterm")
+	secs, err = s.ContentSearchN("keepterm", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("survivor lost: %v %v", secs, err)
 	}
@@ -480,11 +480,11 @@ func TestPersistentStoreReopen(t *testing.T) {
 	if info.Title != "Sample Report" {
 		t.Fatalf("title = %q", info.Title)
 	}
-	secs, err := s2.ContextSearch("Budget")
+	secs, err := s2.ContextSearchN("Budget", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("context search after reopen: %v %v", secs, err)
 	}
-	secs, err = s2.ContentSearch("shrinking")
+	secs, err = s2.ContentSearchN("shrinking", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("content search after reopen: %v %v", secs, err)
 	}
@@ -526,7 +526,7 @@ func TestStoreCorpusAndSearchSelectivity(t *testing.T) {
 		ingest(t, s, d.Name, string(d.Data))
 	}
 	// Every proposal has a Budget section.
-	secs, err := s.ContextSearch("Budget")
+	secs, err := s.ContextSearchN("Budget", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +539,7 @@ func TestStoreCorpusAndSearchSelectivity(t *testing.T) {
 		}
 	}
 	// Combined query: Budget sections mentioning a division.
-	combined, err := s.Search("Budget", "Science")
+	combined, err := s.SearchN("Budget", "Science", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
