@@ -604,7 +604,6 @@ func BenchmarkMixedWriteHeavy(b *testing.B) {
 	if st, ok := e.CacheStats(); ok {
 		b.ReportMetric(float64(st.Hits), "hits")
 		b.ReportMetric(float64(st.Misses), "misses")
-		b.ReportMetric(float64(st.Stale), "stale")
 	}
 }
 

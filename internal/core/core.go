@@ -48,10 +48,10 @@ type Config struct {
 	IngestBatchSize int
 	// CacheBytes caps the invalidation-aware query result cache
 	// (0 = DefaultCacheBytes, negative = disabled).  The cache keys on
-	// per-term/per-heading mutation generations and validates entries
-	// against per-document generations, so results never outlive the
-	// data they were computed from while writes to other documents leave
-	// them cached; tune it to the working set of hot queries.
+	// the mutation generations of the terms and headings a query reads,
+	// so results never outlive the data they were computed from while
+	// writes to other documents leave them cached; tune it to the
+	// working set of hot queries.
 	CacheBytes int64
 	// NodeCacheBytes caps the XML store's decoded-node cache, which
 	// accelerates the cold query path by keeping hot traversal rows
@@ -59,7 +59,7 @@ type Config struct {
 	NodeCacheBytes int64
 	// DisableSnapshots turns off the derived-state snapshots written at
 	// every checkpoint (the engine's heap-metadata/secondary-index
-	// snapshot and the XML store's text/context/generation snapshot) and
+	// snapshot and the XML store's text/context snapshot) and
 	// forces the full-scan rebuild on open.  Snapshots make reopening a
 	// large store independent of corpus size; disable only for ablation
 	// measurements or when a snapshot is suspected of divergence.

@@ -76,7 +76,7 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 		return err
 	}
 	ci := CheckpointInfo{Dir: db.dir, FS: db.fs, Fault: db.ckptFault}
-	return ci.WriteSnapshotFile(catalogName, b, "catalog")
+	return ci.commitFile(catalogName, b, "catalog")
 }
 
 // writeFileSync writes data to path through fsys and fsyncs it before
@@ -141,7 +141,7 @@ func (db *DB) loadCatalog(cf *catalogFile) error {
 	db.catalogGen = cf.Generation
 	// A valid derived snapshot replaces the per-table heap scans (row
 	// count, free-space map, secondary index rebuilds) with direct loads.
-	der := db.loadDerivedSnapshot(cf.Generation)
+	der := db.loadDerivedSnapshot()
 	for _, ct := range cf.Tables {
 		cols := make([]Column, len(ct.Columns))
 		for i, c := range ct.Columns {

@@ -1,8 +1,11 @@
 package ordbms
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -115,12 +118,72 @@ func (ci CheckpointInfo) filesystem() vfs.FS {
 	return ci.FS
 }
 
-// WriteSnapshotFile commits a snapshot into the checkpoint's directory
-// with the engine's crash-durability sequence — temp file, fsync,
-// rename, directory fsync — calling the fault injector (when armed) at
-// "<step>-temp" and "<step>-rename".  Hooks use it so every snapshot in
-// the checkpoint shares one implementation of the atomic write.
-func (ci CheckpointInfo) WriteSnapshotFile(name string, data []byte, step string) error {
+// snapFrameLen is the fixed header of a snapshot file: magic(8)
+// version(4) crc32(4) length(8).  CRC and length cover everything after
+// it: the 16-byte (catalog generation, checkpoint LSN) stamp, then the
+// caller's payload.
+const snapFrameLen = 24
+
+// WriteSnapshotFile frames payload as a snapshot of this checkpoint —
+// header, the checkpoint's stamps, payload — and commits it into the
+// checkpoint's directory.  ReadSnapshotFile is its inverse; the frame,
+// the stamps and the test that decides whether a snapshot still
+// describes the heap exist only in this pair.
+func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version uint32, payload []byte, step string) error {
+	out := make([]byte, snapFrameLen, snapFrameLen+16+len(payload))
+	out = binary.LittleEndian.AppendUint64(out, ci.CatalogGen)
+	out = binary.LittleEndian.AppendUint64(out, ci.LSN)
+	out = append(out, payload...)
+	copy(out, magic[:])
+	binary.LittleEndian.PutUint32(out[8:], version)
+	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(out[snapFrameLen:]))
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(out)-snapFrameLen))
+	return ci.commitFile(name, out, step)
+}
+
+// ReadSnapshotFile returns the payload of the named snapshot when it was
+// written by the checkpoint this open started from, and otherwise the
+// reason it cannot be used: "wal-replay" (recovery applied records, so
+// the heap has moved past every snapshot on disk), "missing",
+// "unreadable", "corrupt", "version", or "stale" (its stamps are not the
+// catalog generation and log end this open found — a crash
+// mid-checkpoint, or writes after it).  A reason is never an error: the
+// caller rebuilds by scanning the heap, which stays the source of truth.
+func (db *DB) ReadSnapshotFile(name string, magic [8]byte, version uint32) (payload []byte, reason string) {
+	if db.Replayed != 0 {
+		return nil, "wal-replay"
+	}
+	data, err := db.fs.ReadFile(filepath.Join(db.dir, name))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, "missing"
+		}
+		return nil, "unreadable"
+	}
+	if len(data) < snapFrameLen || [8]byte(data[:8]) != magic {
+		return nil, "corrupt"
+	}
+	if binary.LittleEndian.Uint32(data[8:12]) != version {
+		return nil, "version"
+	}
+	body := data[snapFrameLen:]
+	if binary.LittleEndian.Uint64(data[16:24]) != uint64(len(body)) ||
+		binary.LittleEndian.Uint32(data[12:16]) != crc32.ChecksumIEEE(body) || len(body) < 16 {
+		return nil, "corrupt"
+	}
+	if binary.LittleEndian.Uint64(body[0:8]) != db.CatalogGen() ||
+		binary.LittleEndian.Uint64(body[8:16]) != db.WALEndLSN() {
+		return nil, "stale"
+	}
+	return body[16:], ""
+}
+
+// commitFile writes data under name in the checkpoint's directory with
+// the engine's crash-durability sequence — temp file, fsync, rename,
+// directory fsync — calling the fault injector (when armed) at
+// "<step>-temp" and "<step>-rename".  The catalog and every snapshot of
+// a checkpoint share this one implementation of the atomic write.
+func (ci CheckpointInfo) commitFile(name string, data []byte, step string) error {
 	fsys := ci.filesystem()
 	path := filepath.Join(ci.Dir, name)
 	if err := writeFileSync(fsys, path+".tmp", data); err != nil {
@@ -356,16 +419,6 @@ func (db *DB) Commit() error {
 	return err
 }
 
-// FS returns the filesystem all of the store's file I/O goes through.
-// Layered stores (xmlstore) use it for their own snapshot reads so
-// fault injection covers them too.
-func (db *DB) FS() vfs.FS {
-	if db.fs == nil {
-		return vfs.OS
-	}
-	return db.fs
-}
-
 // WALStats returns (records appended, fsyncs issued, bytes appended), all
 // zero for in-memory stores.  Group-commit batching shows up as syncs
 // growing per batch while appends grow per run inserted; bytes over the
@@ -500,7 +553,7 @@ func (db *DB) checkpoint() error {
 			}
 		}
 		if !db.opts.NoDerivedSnapshot {
-			if err := db.saveDerivedLocked(gen, cut); err != nil {
+			if err := db.saveDerivedLocked(info); err != nil {
 				return err
 			}
 		}

@@ -10,8 +10,8 @@ package ordbms
 // Any mismatch (crash mid-checkpoint, mutations after the checkpoint,
 // corruption, version skew) silently falls back to the scan rebuild.
 //
-// File layout: magic(8) version(4) crc32-of-payload(4) payloadLen(8)
-// payload.  The payload is varint-packed, tables and index columns in
+// The file is framed and stamped by CheckpointInfo.WriteSnapshotFile.  The
+// payload is varint-packed, tables and index columns in
 // sorted order, index keys in tree order.  Within one index, keys ascend
 // and so, mostly, do the rows they point at, so both are written as
 // zigzag deltas: an integer key as its distance from the previous key, a
@@ -19,9 +19,7 @@ package ordbms
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math"
-	"path/filepath"
 	"sort"
 
 	"netmark/internal/btree"
@@ -35,20 +33,15 @@ const (
 var derivedMagic = [8]byte{'N', 'M', 'D', 'E', 'R', 'V', '1', 0}
 
 // saveDerivedLocked serialises heap metadata and index contents for all
-// tables and writes the snapshot atomically (temp + fsync + rename +
-// dir fsync).  Caller holds db.mu; each table's read lock is taken while
+// tables and writes the snapshot under the checkpoint's stamps.  Caller
+// holds db.mu; each table's read lock is taken while
 // that table is serialised, so writers racing the checkpoint append WAL
 // records past the cut LSN and invalidate the snapshot rather than
 // tearing it.
 //
 // netmarkvet:snap-encode
-func (db *DB) saveDerivedLocked(gen, lsn uint64) error {
-	if db.dir == "" {
-		return nil
-	}
+func (db *DB) saveDerivedLocked(ci CheckpointInfo) error {
 	buf := make([]byte, 0, 1<<16)
-	buf = binary.LittleEndian.AppendUint64(buf, gen)
-	buf = binary.LittleEndian.AppendUint64(buf, lsn)
 	names := db.tableNamesLocked()
 	buf = binary.AppendUvarint(buf, uint64(len(names)))
 	for _, name := range names {
@@ -91,16 +84,7 @@ func (db *DB) saveDerivedLocked(gen, lsn uint64) error {
 		}
 		t.mu.RUnlock()
 	}
-
-	out := make([]byte, 0, len(buf)+24)
-	out = append(out, derivedMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, derivedVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(buf))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(buf)))
-	out = append(out, buf...)
-
-	ci := CheckpointInfo{Dir: db.dir, FS: db.fs, Fault: db.ckptFault}
-	return ci.WriteSnapshotFile(derivedName, out, "derived")
+	return ci.WriteSnapshotFile(derivedName, derivedMagic, derivedVersion, buf, "derived")
 }
 
 // derivedSnapshot is the decoded snapshot, keyed by table name.
@@ -119,38 +103,20 @@ type derivedKey struct {
 	rids []RowID
 }
 
-// loadDerivedSnapshot reads and validates the snapshot.  It returns nil
-// — caller falls back to heap scans — when the file is missing, corrupt,
-// version-skewed, disabled, or stale (stamps do not match the catalog
-// generation and WAL base, or recovery applied records after it).
+// loadDerivedSnapshot decodes the snapshot.  It returns nil — caller
+// falls back to heap scans — when snapshots are disabled or
+// ReadSnapshotFile gives a reason not to trust the file.
 //
 // netmarkvet:snap-decode
-func (db *DB) loadDerivedSnapshot(gen uint64) *derivedSnapshot {
-	if db.dir == "" || db.opts.NoDerivedSnapshot || db.wal == nil || db.Replayed != 0 {
+func (db *DB) loadDerivedSnapshot() *derivedSnapshot {
+	if db.opts.NoDerivedSnapshot {
 		return nil
 	}
-	data, err := db.fs.ReadFile(filepath.Join(db.dir, derivedName))
-	if err != nil {
-		return nil
-	}
-	if len(data) < 24 || [8]byte(data[:8]) != derivedMagic {
-		return nil
-	}
-	if binary.LittleEndian.Uint32(data[8:12]) != derivedVersion {
-		return nil
-	}
-	crc := binary.LittleEndian.Uint32(data[12:16])
-	if binary.LittleEndian.Uint64(data[16:24]) != uint64(len(data)-24) {
-		return nil
-	}
-	payload := data[24:]
-	if crc32.ChecksumIEEE(payload) != crc {
+	payload, reason := db.ReadSnapshotFile(derivedName, derivedMagic, derivedVersion)
+	if reason != "" {
 		return nil
 	}
 	r := &snapReader{b: payload}
-	if r.u64() != gen || r.u64() != db.walEndAtOpen {
-		return nil
-	}
 	ds := &derivedSnapshot{tables: make(map[string]*derivedTable)}
 	for nt := r.uvarint(); nt > 0; nt-- {
 		name := r.str()

@@ -38,13 +38,11 @@ import (
 func (ix *Index) AppendSnapshot(buf []byte) []byte {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	buf = binary.AppendUvarint(buf, ix.genCounter)
 	buf = binary.AppendUvarint(buf, uint64(ix.terms.Keys()))
 	ix.terms.Ascend(func(term string, pls []*postingList) bool {
 		pl := pls[0]
 		buf = binary.AppendUvarint(buf, uint64(len(term)))
 		buf = append(buf, term...)
-		buf = binary.AppendUvarint(buf, pl.gen)
 		buf = binary.AppendUvarint(buf, uint64(len(pl.blocks)))
 		for _, b := range pl.blocks {
 			buf = binary.AppendUvarint(buf, uint64(b.n))
@@ -130,11 +128,12 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 		}
 		return ids, nil
 	}
+	// Mutation generations are process-local cache keys and are not part
+	// of the encoding: every loaded term starts at 1 with the counter at
+	// 1, so zero keeps meaning "absent" and the next posting change moves
+	// the term to 2 or beyond.
 	ix := New()
-	var err error
-	if ix.genCounter, err = uv(); err != nil {
-		return nil, 0, err
-	}
+	ix.genCounter = 1
 	nTerms, err := uv()
 	if err != nil {
 		return nil, 0, err
@@ -155,10 +154,7 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 		}
 		term := string(data[off : off+int(tlen)])
 		off += int(tlen)
-		pl := &postingList{}
-		if pl.gen, err = uv(); err != nil {
-			return nil, 0, err
-		}
+		pl := &postingList{gen: 1}
 		nBlocks, err := uv()
 		if err != nil {
 			return nil, 0, err

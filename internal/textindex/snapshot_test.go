@@ -59,8 +59,26 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Phrase(q), ix.Phrase(q)) {
 			t.Fatalf("Phrase(%q) diverges: %v vs %v", q, got.Phrase(q), ix.Phrase(q))
 		}
-		if got.QueryGen(q) != ix.QueryGen(q) {
-			t.Fatalf("QueryGen(%q) diverges (per-term gens must survive the round trip)", q)
+	}
+
+	// Generations are process-local and not part of the encoding: a loaded
+	// term has a nonzero generation that the next posting change moves,
+	// and a term the index does not hold still folds as absent.
+	absent := New().QueryGen("cryogenic")
+	if got.QueryGen("nosuchterm") != absent {
+		t.Fatal("a never-seen term must fold as absent in a loaded index")
+	}
+	for _, mutate := range []func(){
+		func() { got.AddTokens(7000, Tokenize("cryogenic")) },
+		func() { got.Remove(7000) },
+	} {
+		before := got.QueryGen("cryogenic")
+		if before == absent {
+			t.Fatal("a loaded term folds as absent")
+		}
+		mutate()
+		if got.QueryGen("cryogenic") == before {
+			t.Fatal("a posting change left a loaded term's generation where it was")
 		}
 	}
 
@@ -146,11 +164,9 @@ func TestSnapshotCorruptBlocksError(t *testing.T) {
 
 	// A block-length varint >= 2^63 wraps negative as an int: the bounds
 	// check must compare in uint64 and reject it, not slice-panic.
-	crafted := binary.AppendUvarint(nil, 0) // genCounter
-	crafted = binary.AppendUvarint(crafted, 1)
+	crafted := binary.AppendUvarint(nil, 1)    // nterms
 	crafted = binary.AppendUvarint(crafted, 1) // len("a")
 	crafted = append(crafted, 'a')
-	crafted = binary.AppendUvarint(crafted, 1)     // gen
 	crafted = binary.AppendUvarint(crafted, 1)     // nblocks
 	crafted = binary.AppendUvarint(crafted, 1)     // n
 	crafted = binary.AppendUvarint(crafted, 1)     // maxID

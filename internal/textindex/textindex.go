@@ -123,8 +123,8 @@ type postingList struct {
 	// monotonic counter on every posting insert or removal.  Result caches
 	// fold the gens of a query's terms into their keys, so a write that
 	// never touches those terms leaves the cached results reachable —
-	// per-document invalidation collapsed to term granularity.
-	// netmarkvet:snap
+	// per-document invalidation collapsed to term granularity.  Process-
+	// local: not persisted, a term loaded from a snapshot starts at 1.
 	gen uint64
 }
 
@@ -285,7 +285,6 @@ type Index struct {
 	// genCounter is the monotonic source for posting-list generations;
 	// values are never reused, so a term that vanishes and reappears gets
 	// a generation distinct from every one it ever had.  Guarded by mu.
-	// netmarkvet:snap
 	genCounter uint64
 }
 

@@ -286,7 +286,6 @@ type Stats struct {
 		Misses    uint64 `json:"misses"`
 		Coalesced uint64 `json:"coalesced"`
 		Evictions uint64 `json:"evictions"`
-		Stale     uint64 `json:"stale"`
 		Entries   int    `json:"entries"`
 		Bytes     int64  `json:"bytes"`
 		Capacity  int64  `json:"capacity"`
@@ -349,7 +348,6 @@ func (s *Server) Snapshot() Stats {
 		st.Cache.Misses = cs.Misses
 		st.Cache.Coalesced = cs.Coalesced
 		st.Cache.Evictions = cs.Evictions
-		st.Cache.Stale = cs.Stale
 		st.Cache.Entries = cs.Entries
 		st.Cache.Bytes = cs.Bytes
 		st.Cache.Capacity = cs.Capacity

@@ -9,17 +9,15 @@ import (
 )
 
 // This file implements the invalidation-aware LRU query result cache.
-// Entries are keyed by (stylesheet generation, store fingerprint,
-// canonical query encoding), where the fingerprint folds the per-term and
-// per-heading generations of exactly the structures the query reads: a
-// mutation bumps only the generations it touches, so it makes stale keys
-// unreachable for the queries it could affect and leaves everything else
-// cached — invalidation costs a few counter bumps, never a scan.  Stale
-// keys age out of the LRU like any cold entry.
-//
-// Beneath the keys, every entry carries per-document generation stamps of
-// the documents its result actually returned, re-validated on each hit —
-// a second, independent layer of per-document invalidation.
+// Entries are keyed by (store fingerprint, canonical query encoding) —
+// see Engine.cacheKey — where the fingerprint folds the generations of
+// exactly the structures the query reads: a mutation bumps only the
+// generations it touches, so it makes stale keys unreachable for the
+// queries it could affect and leaves everything else cached —
+// invalidation costs a few counter bumps, never a scan.  The key is the
+// only staleness test: the cache itself compares strings and knows
+// nothing about the store.  Stale keys age out of the LRU like any cold
+// entry.
 //
 // Duplicate in-flight queries collapse: when N goroutines miss on the same
 // key simultaneously, one executes and the other N-1 wait for its result
@@ -32,22 +30,15 @@ type CacheStats struct {
 	Misses    uint64 // lookups that executed the query
 	Coalesced uint64 // lookups that waited on another goroutine's execution
 	Evictions uint64 // entries dropped to fit the byte cap
-	Stale     uint64 // hits rejected by per-document stamp validation
 	Entries   int    // live entries
 	Bytes     int64  // estimated bytes held
 	Capacity  int64  // configured byte cap
 }
 
-// docStamp pins one document's generation at result-insert time.
-type docStamp struct {
-	doc, gen uint64
-}
-
 type cacheEntry struct {
-	key    string
-	res    *Result
-	size   int64
-	stamps []docStamp // per-document generations of the result's documents
+	key  string
+	res  *Result
+	size int64
 
 	// rendered memoises the serialized XML response body, built on the
 	// first HTTP serve of this entry: repeated hot queries cost a byte
@@ -66,11 +57,6 @@ type flightCall struct {
 
 type resultCache struct {
 	capacity int64
-	// stamp captures per-document generations when a result is inserted;
-	// fresh re-validates them on every hit.  Either may be nil (no
-	// per-document validation).
-	stamp func(*Result) []docStamp
-	fresh func([]docStamp) bool
 
 	// mu is held for map/LRU bookkeeping only; query execution and
 	// flight waits happen outside it.  netmarkvet:hot
@@ -80,14 +66,12 @@ type resultCache struct {
 	flight  map[string]*flightCall   // guarded by mu
 	bytes   int64                    // guarded by mu
 
-	hits, misses, coalesced, evictions, stale uint64 // guarded by mu
+	hits, misses, coalesced, evictions uint64 // guarded by mu
 }
 
-func newResultCache(capacity int64, stamp func(*Result) []docStamp, fresh func([]docStamp) bool) *resultCache {
+func newResultCache(capacity int64) *resultCache {
 	return &resultCache{
 		capacity: capacity,
-		stamp:    stamp,
-		fresh:    fresh,
 		lru:      list.New(),
 		entries:  make(map[string]*list.Element),
 		flight:   make(map[string]*flightCall),
@@ -95,26 +79,18 @@ func newResultCache(capacity int64, stamp func(*Result) []docStamp, fresh func([
 }
 
 // fetch returns the cached result for key, joins an in-flight execution
-// of the same key, or runs fn itself and caches its result.  The returned
-// *Result is shared across callers and must be treated as read-only; the
-// *cacheEntry is nil when the result was not cached (oversized).
-func (c *resultCache) fetch(key string, fn func() (*Result, error)) (*Result, *cacheEntry, error) {
+// of the same key, or runs fn itself and caches its result if fn says it
+// may be kept.  The returned *Result is shared across callers and must be
+// treated as read-only; the *cacheEntry is nil when the result was not
+// cached (not to be kept, or oversized).
+func (c *resultCache) fetch(key string, fn func() (res *Result, keep bool, err error)) (*Result, *cacheEntry, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
-		if c.fresh == nil || c.fresh(e.stamps) {
-			c.lru.MoveToFront(el)
-			c.hits++
-			c.mu.Unlock()
-			return e.res, e, nil
-		}
-		// A document this result returned has been mutated since: the
-		// entry is stale even though its key was reachable.  Drop it and
-		// fall through to executing the query.
-		c.stale++
-		c.lru.Remove(el)
-		delete(c.entries, key)
-		c.bytes -= e.size
+		c.lru.MoveToFront(el)
+		c.hits++
+		c.mu.Unlock()
+		return e.res, e, nil
 	}
 	if fc, ok := c.flight[key]; ok {
 		c.coalesced++
@@ -132,23 +108,24 @@ func (c *resultCache) fetch(key string, fn func() (*Result, error)) (*Result, *c
 	// the flight slot must be released and waiters unblocked, or every
 	// future request for this key would hang in Wait forever.
 	func() {
+		keep := false
 		defer func() {
 			if r := recover(); r != nil {
 				fc.err = fmt.Errorf("xdb: query execution panicked: %v", r)
-				c.releaseFlight(key, fc)
+				c.releaseFlight(key, fc, false)
 				panic(r)
 			}
-			c.releaseFlight(key, fc)
+			c.releaseFlight(key, fc, keep)
 		}()
-		fc.res, fc.err = fn()
+		fc.res, keep, fc.err = fn()
 	}()
 	return fc.res, fc.entry, fc.err
 }
 
-func (c *resultCache) releaseFlight(key string, fc *flightCall) {
+func (c *resultCache) releaseFlight(key string, fc *flightCall, keep bool) {
 	c.mu.Lock()
 	delete(c.flight, key)
-	if fc.err == nil {
+	if keep {
 		fc.entry = c.insertLocked(key, fc.res)
 	}
 	c.mu.Unlock()
@@ -158,11 +135,7 @@ func (c *resultCache) releaseFlight(key string, fc *flightCall) {
 // insertLocked adds an entry and evicts from the cold end until the cache
 // fits its byte cap.  Results bigger than the whole cap are not cached.
 func (c *resultCache) insertLocked(key string, res *Result) *cacheEntry {
-	var stamps []docStamp
-	if c.stamp != nil {
-		stamps = c.stamp(res)
-	}
-	size := int64(len(key)) + resultSize(res) + int64(len(stamps))*16
+	size := int64(len(key)) + resultSize(res)
 	if size > c.capacity {
 		return nil
 	}
@@ -171,7 +144,7 @@ func (c *resultCache) insertLocked(key string, res *Result) *cacheEntry {
 		c.lru.Remove(el)
 		delete(c.entries, key)
 	}
-	e := &cacheEntry{key: key, res: res, size: size, stamps: stamps}
+	e := &cacheEntry{key: key, res: res, size: size}
 	c.entries[key] = c.lru.PushFront(e)
 	c.bytes += size
 	c.evictLocked()
@@ -219,7 +192,6 @@ func (c *resultCache) stats() CacheStats {
 		Misses:    c.misses,
 		Coalesced: c.coalesced,
 		Evictions: c.evictions,
-		Stale:     c.stale,
 		Entries:   len(c.entries),
 		Bytes:     c.bytes,
 		Capacity:  c.capacity,

@@ -100,12 +100,17 @@ func TestCacheInvalidatedByStylesheetReregistration(t *testing.T) {
 	if r.Transformed == nil || r.Transformed.Find("first") == nil {
 		t.Fatalf("first transform missing: %+v", r.Transformed)
 	}
+	plain := mustExecute(t, e, "context=Introduction")
 	if err := e.RegisterStylesheet("s", sheet("second")); err != nil {
 		t.Fatal(err)
 	}
 	r = mustExecute(t, e, "context=Introduction&xslt=s")
 	if r.Transformed == nil || r.Transformed.Find("second") == nil {
 		t.Fatal("re-registered stylesheet served a stale cached transform")
+	}
+	// An unstyled result does not depend on any sheet: it stays cached.
+	if mustExecute(t, e, "context=Introduction") != plain {
+		t.Fatal("registering a stylesheet evicted an unstyled result")
 	}
 }
 
@@ -244,9 +249,8 @@ func TestConcurrentStylesheetRegistrationDuringQueries(t *testing.T) {
 
 // TestCachePerDocumentInvalidation: a write to one document must not
 // invalidate cached queries that only touched other documents.  The
-// cache keys fold per-term/per-heading generations and entries validate
-// per-document stamps, so only queries whose predicates overlap the
-// written document go cold.
+// cache keys fold per-term/per-heading generations, so only queries
+// whose predicates overlap the written document go cold.
 func TestCachePerDocumentInvalidation(t *testing.T) {
 	e := cachedEngine(t, 1<<20)
 	load(t, e, "one.html", doc1)
@@ -333,5 +337,42 @@ func TestGenerationBumpsAfterIndexing(t *testing.T) {
 	st, _ := e.CacheStats()
 	if st.Hits != 1 {
 		t.Fatalf("post-ingest repeat was not a cache hit: %+v", st)
+	}
+}
+
+// TestResultComputedAcrossWriteNotCached: generations of absent things
+// read as zero, so the key a reader took while a heading was absent is
+// the current key again once the heading's last bearer is deleted.  A
+// result that saw the heading in between must not be waiting there.
+func TestResultComputedAcrossWriteNotCached(t *testing.T) {
+	e := cachedEngine(t, 1<<20)
+	load(t, e, "one.html", doc1)
+	q, err := Parse("context=Findings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reader fingerprints the store, then a write lands before it
+	// executes: doc2 brings the heading.
+	key := e.cacheKey(q)
+	load(t, e, "two.html", doc2)
+	res, entry, err := e.cache.fetch(key, func() (*Result, bool, error) { return e.compute(q, key) })
+	if err != nil || len(res.Sections) != 1 {
+		t.Fatalf("racing reader: %v, %d sections, want 1", err, len(res.Sections))
+	}
+	if entry != nil {
+		t.Fatal("a result computed across a write was cached under the pre-write key")
+	}
+	info, err := e.Store().DocumentByName("two.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Store().DeleteDocument(info.DocID); err != nil {
+		t.Fatal(err)
+	}
+	if e.cacheKey(q) != key {
+		t.Fatal("setup: the key did not return once the heading vanished")
+	}
+	if got := mustExecute(t, e, "context=Findings"); len(got.Sections) != 0 {
+		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", len(got.Sections))
 	}
 }

@@ -252,13 +252,13 @@ type Engine struct {
 	// netmarkvet:gen sheetGen
 	sheets map[string]*xslt.Stylesheet // guarded by sheetMu
 	// sheetGen counts stylesheet registrations.  Cached results of styled
-	// queries key on it, so re-registering a sheet invalidates them the
-	// same way a store mutation invalidates plain results.
+	// queries (and only those) key on it, so re-registering a sheet
+	// invalidates them the same way a store mutation invalidates plain
+	// results.
 	sheetGen atomic.Uint64
 
-	// cache, when non-nil, memoises query results keyed by (store
-	// generation, sheet generation, canonical query).  Set once via
-	// EnableCache before the engine serves traffic.
+	// cache, when non-nil, memoises query results under cacheKey.  Set
+	// once via EnableCache before the engine serves traffic.
 	cache *resultCache
 }
 
@@ -279,7 +279,7 @@ func (e *Engine) EnableCache(capacity int64) {
 		e.cache = nil
 		return
 	}
-	e.cache = newResultCache(capacity, e.stampResult, e.stampsFresh)
+	e.cache = newResultCache(capacity)
 }
 
 // CacheStats snapshots the result cache counters; ok is false when no
@@ -333,12 +333,26 @@ func (e *Engine) Execute(q Query) (*Result, error) {
 	if e.cache == nil {
 		return e.executeUncached(q)
 	}
-	// Snapshot both generations *before* executing: if a mutation lands
-	// mid-query, the result is cached under the pre-mutation key, which
-	// the mutation's bump has already made unreachable.
-	key := e.cacheKey(q)
-	res, _, err := e.cache.fetch(key, func() (*Result, error) { return e.executeUncached(q) })
+	res, _, err := e.fetch(q)
 	return res, err
+}
+
+// fetch runs q through the result cache.
+func (e *Engine) fetch(q Query) (*Result, *cacheEntry, error) {
+	key := e.cacheKey(q)
+	return e.cache.fetch(key, func() (*Result, bool, error) { return e.compute(q, key) })
+}
+
+// compute executes q for a cache miss under key, the fingerprint taken
+// before executing, and reports whether the result may be kept: only when
+// the fingerprint is still the same afterwards.  A write that landed
+// mid-query has moved it, and a result that may mix both states must not
+// sit under the old key — a key returns once the term or heading that
+// changed it is gone again (generations of absent things read as zero),
+// and would bring the mixed result back with it.
+func (e *Engine) compute(q Query, key string) (res *Result, keep bool, err error) {
+	res, err = e.executeUncached(q)
+	return res, err == nil && e.cacheKey(q) == key, err
 }
 
 // ExecuteInto runs a parsed query and writes its XML representation (the
@@ -355,12 +369,11 @@ func (e *Engine) ExecuteInto(q Query, w io.Writer) error {
 		}
 		return sgml.WriteIndent(w, resultTree(res))
 	}
-	key := e.cacheKey(q)
-	res, entry, err := e.cache.fetch(key, func() (*Result, error) { return e.executeUncached(q) })
+	res, entry, err := e.fetch(q)
 	if err != nil {
 		return err
 	}
-	if entry == nil { // oversized result: not cached, stream it
+	if entry == nil { // not cached (oversized, or computed across a write): stream it
 		return sgml.WriteIndent(w, resultTree(res))
 	}
 	body := e.cache.renderedXML(entry, func(r *Result) []byte {
@@ -380,38 +393,39 @@ func resultTree(r *Result) *sgml.Node {
 	return r.XML()
 }
 
-// cacheKey builds the invalidation-aware cache key: the stylesheet
-// generation and the store fingerprint of exactly the structures the
-// query reads prefix the canonical query encoding.
+// cacheKey builds the invalidation-aware cache key: the fingerprint of
+// exactly the structures the query reads, then the canonical query
+// encoding.  It is the only proof a cached result is fresh.
 //
 // PR 2 keyed on one global store generation, so any write invalidated
 // every cached result and mixed read/write traffic ran every query cold.
-// The key now folds per-document generations collapsed to the structures
-// a query actually depends on: the per-term generations of its content
-// terms (each bumped only when a posting for that term is added or
-// removed — i.e. when a document containing the term is written or
-// deleted) and the per-heading generations of its context predicate.  A
-// write to document A therefore leaves cached queries that only touched
-// document B reachable; snapshotting the fingerprint *before* executing
-// preserves the PR 2 invariant that a result computed across a mutation
-// is cached under a key the mutation has already made unreachable.
+// The fingerprint folds instead the per-term generations of the query's
+// content terms (each bumped only when a posting for that term is added
+// or removed — i.e. when a document containing the term is written or
+// deleted) and the per-heading generations of its context predicate.
+// Documents are immutable and every result row is reached through a
+// posting or a context-index entry, so a write to document A leaves
+// cached queries that only touched document B reachable, and one that
+// could change a query's answer changes its key.
 func (e *Engine) cacheKey(q Query) string {
 	var b strings.Builder
-	b.Grow(56)
-	b.WriteString(strconv.FormatUint(e.sheetGen.Load(), 16))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(e.storeFingerprint(q), 16))
+	b.Grow(40)
+	b.WriteString(strconv.FormatUint(e.fingerprint(q), 16))
 	b.WriteByte('|')
 	b.WriteString(q.Encode())
 	return b.String()
 }
 
-// storeFingerprint folds the generations of the store structures the
-// query's plan reads.
-func (e *Engine) storeFingerprint(q Query) uint64 {
+// fingerprint folds the generations of the structures the query's plan
+// reads.
+func (e *Engine) fingerprint(q Query) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) { h = (h ^ v) * prime64 }
+	if q.XSLT != "" {
+		// Only a styled result depends on the registered sheets.
+		mix(e.sheetGen.Load())
+	}
 	if q.XPath != "" {
 		// XPath plans reconstruct whole documents and may scan every one;
 		// any store mutation can change the answer, so they stay on the
@@ -430,39 +444,6 @@ func (e *Engine) storeFingerprint(q Query) uint64 {
 		}
 	}
 	return h
-}
-
-// stampResult records the per-document generations of every document in
-// a result, captured at insert time; stampsFresh rechecks them on every
-// hit.  This is the belt-and-braces layer under the fingerprint keys: a
-// cached entry is served only while none of the documents it actually
-// returned has been mutated since.
-func (e *Engine) stampResult(r *Result) []docStamp {
-	var stamps []docStamp
-	seen := make(map[uint64]bool)
-	add := func(id uint64) {
-		if id == 0 || seen[id] {
-			return
-		}
-		seen[id] = true
-		stamps = append(stamps, docStamp{doc: id, gen: e.store.DocGeneration(id)})
-	}
-	for i := range r.Sections {
-		add(r.Sections[i].DocID)
-	}
-	for _, d := range r.Docs {
-		add(d.DocID)
-	}
-	return stamps
-}
-
-func (e *Engine) stampsFresh(stamps []docStamp) bool {
-	for _, st := range stamps {
-		if e.store.DocGeneration(st.doc) != st.gen {
-			return false
-		}
-	}
-	return true
 }
 
 // executeUncached evaluates the query against the store.  Every

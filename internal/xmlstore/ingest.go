@@ -210,9 +210,6 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	defer func() {
 		if err != nil {
 			s.bumpGeneration()
-			// The document never became queryable, so no cached result
-			// can have stamped it; make sure no gen entry lingers.
-			s.pruneDocGeneration(p.docID)
 		}
 	}()
 	flat := p.flat
@@ -291,7 +288,6 @@ func (s *Store) indexPrepared(p *preparedDoc) {
 	// indexes consistent, so only now may a query snapshot the new
 	// generations and cache what it sees.
 	s.bumpGeneration()
-	s.bumpDocGeneration(p.docID)
 }
 
 // reserveDocIDs allocates a contiguous block of document IDs and returns
@@ -489,12 +485,8 @@ func (s *Store) DeleteDocument(docID uint64) error {
 		return err
 	}
 	// Past this point rows start disappearing; invalidate cached results
-	// whether or not the delete completes.  The doc generation is pruned
-	// rather than bumped: zero mismatches every stamp taken while the
-	// document was live, and dropping the entry keeps the map from
-	// growing with document churn.
+	// whether or not the delete completes.
 	defer s.bumpGeneration()
-	defer s.pruneDocGeneration(docID)
 	rids, err := s.xml.Lookup("docid", ordbms.I(int64(docID)))
 	if err != nil {
 		return err

@@ -4,32 +4,23 @@ package xmlstore
 // corpus size.  On every DB.Checkpoint (and therefore on Close) the
 // store serialises everything rebuildDerived would otherwise reconstruct
 // by scanning the whole heap — the text-index posting lists, the context
-// btree and its per-heading generations, the node→governing-CONTEXT map,
-// the per-document generations, and the ID counters — into a versioned,
-// CRC-checked file written inside the checkpoint critical section.
+// btree, the node→governing-CONTEXT map and the ID counters — into a file
+// written inside the checkpoint critical section.  The mutation
+// generations result caches key on are not part of it: they are
+// process-local, their only reader is a cache that is empty after a
+// restart, so a loaded term or heading simply starts over at 1.
 //
-// Validity is decided purely by stamps: the snapshot records the catalog
-// generation and WAL checkpoint LSN it was written under.  On Open it is
-// loaded only when
-//
-//   - crash recovery replayed nothing (the heap is exactly its
-//     checkpointed bytes),
-//   - the WAL's base LSN equals the snapshot's LSN stamp (no later
-//     checkpoint truncated past it, no earlier one preceded it), and
-//   - the catalog generation matches (the snapshot belongs to this
-//     checkpoint, not one that half-completed).
-//
-// Anything else — a crash at any step of the checkpoint sequence,
-// mutations after the checkpoint, corruption, version skew, the ablation
-// flag — falls back to the full-scan rebuild, which remains the source
-// of truth.  The snapshot is an accelerator, never an authority.
+// The engine frames, stamps and validates the file
+// (ordbms.CheckpointInfo.WriteSnapshotFile, DB.ReadSnapshotFile): it is
+// loaded only when it was written by the very checkpoint this open
+// started from.  Anything else — a crash at any step of the checkpoint
+// sequence, mutations after the checkpoint, corruption, version skew, the
+// ablation flag — falls back to the full-scan rebuild, which remains the
+// source of truth.  The snapshot is an accelerator, never an authority.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -42,13 +33,14 @@ const (
 	snapshotName = "xmlstore.nmsnap"
 	// snapshotVersion 2 switched the embedded text index to the
 	// block-compressed posting-list codec AND changed the tokenizer
-	// (combining marks, CJK script boundaries).  Any other version —
-	// older or newer — falls back to the scan rebuild, which retokenizes
-	// every document under the current contract; loading a v1 file's
-	// postings verbatim would permanently serve old-tokenizer terms
-	// against new-tokenizer queries.  The next checkpoint rewrites the
-	// file at the current version, so the penalty is one slow reopen.
-	snapshotVersion = 2
+	// (combining marks, CJK script boundaries); 3 stopped persisting the
+	// cache-key generations.  Any other version — older or newer — falls
+	// back to the scan rebuild, which retokenizes every document under
+	// the current contract; loading a v1 file's postings verbatim would
+	// permanently serve old-tokenizer terms against new-tokenizer
+	// queries.  The next checkpoint rewrites the file at the current
+	// version, so the penalty is one slow reopen.
+	snapshotVersion = 3
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
@@ -85,17 +77,10 @@ func (s *Store) SnapshotStats() SnapshotStats {
 // and its index entries landing.
 func (s *Store) snapshotHook(ci ordbms.CheckpointInfo) error {
 	s.ckptMu.Lock()
-	payload := s.encodeSnapshot(ci.CatalogGen, ci.LSN)
+	payload := s.encodeSnapshot()
 	s.ckptMu.Unlock()
 
-	out := make([]byte, 0, len(payload)+24)
-	out = append(out, snapshotMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, snapshotVersion)
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-
-	err := ci.WriteSnapshotFile(snapshotName, out, "snapshot")
+	err := ci.WriteSnapshotFile(snapshotName, snapshotMagic, snapshotVersion, payload, "snapshot")
 	s.snapMu.Lock()
 	if err != nil {
 		s.snapStat.SaveErrors++
@@ -111,16 +96,13 @@ func (s *Store) snapshotHook(ci ordbms.CheckpointInfo) error {
 // never touch ckptMu) stay race-free.
 //
 // netmarkvet:snap-encode
-func (s *Store) encodeSnapshot(catalogGen, walLSN uint64) []byte {
+func (s *Store) encodeSnapshot() []byte {
 	buf := make([]byte, 0, 1<<16)
-	buf = binary.LittleEndian.AppendUint64(buf, catalogGen)
-	buf = binary.LittleEndian.AppendUint64(buf, walLSN)
 
 	s.mu.RLock()
 	buf = binary.AppendUvarint(buf, s.nextNodeID)
 	buf = binary.AppendUvarint(buf, s.nextDocID)
 	s.mu.RUnlock()
-	buf = binary.AppendUvarint(buf, s.generation.Load())
 	s.statsMu.Lock()
 	buf = binary.AppendUvarint(buf, s.docsIngested)
 	buf = binary.AppendUvarint(buf, s.nodesInserted)
@@ -129,12 +111,10 @@ func (s *Store) encodeSnapshot(catalogGen, walLSN uint64) []byte {
 	buf = s.content.AppendSnapshot(buf)
 
 	s.ctxMu.RLock()
-	buf = binary.AppendUvarint(buf, s.ctxGenCounter)
 	buf = binary.AppendUvarint(buf, uint64(s.contexts.Keys()))
 	s.contexts.Ascend(func(key string, rids []ordbms.RowID) bool {
 		buf = binary.AppendUvarint(buf, uint64(len(key)))
 		buf = append(buf, key...)
-		buf = binary.AppendUvarint(buf, s.ctxGens[key])
 		buf = binary.AppendUvarint(buf, uint64(len(rids)))
 		for _, rid := range rids {
 			buf = binary.AppendUvarint(buf, rid.Uint64())
@@ -159,65 +139,22 @@ func (s *Store) encodeSnapshot(catalogGen, walLSN uint64) []byte {
 	}
 	s.ctxIdxMu.RUnlock()
 
-	s.docGenMu.RLock()
-	ids := make([]uint64, 0, len(s.docGens))
-	for id := range s.docGens {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	buf = binary.AppendUvarint(buf, s.docGenCounter)
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = binary.AppendUvarint(buf, id)
-		buf = binary.AppendUvarint(buf, s.docGens[id])
-	}
-	s.docGenMu.RUnlock()
-
 	return buf
 }
 
-// loadSnapshot reads, validates, and applies the snapshot.  It reports
-// ok=false with a reason (never an error — a bad snapshot means scan
-// rebuild, not a failed open) unless the snapshot was fully applied.
+// loadSnapshot applies the snapshot when the engine vouches for it.  It
+// reports ok=false with a reason (never an error — a bad snapshot means
+// scan rebuild, not a failed open) unless the snapshot was fully applied.
 // Called during Open, before the store is shared.
 func (s *Store) loadSnapshot(db *ordbms.DB) (ok bool, reason string) {
-	if db.Replayed != 0 {
-		// Recovery applied WAL records: the heap moved past the last
-		// checkpoint, so any snapshot on disk describes an older state.
-		return false, "wal-replay"
+	payload, reason := db.ReadSnapshotFile(snapshotName, snapshotMagic, snapshotVersion)
+	if reason != "" {
+		return false, reason
 	}
-	data, err := db.FS().ReadFile(filepath.Join(db.Dir(), snapshotName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, "missing"
-		}
-		return false, "unreadable"
-	}
-	if len(data) < 24 || [8]byte(data[:8]) != snapshotMagic {
-		return false, "corrupt"
-	}
-	if binary.LittleEndian.Uint32(data[8:12]) != snapshotVersion {
-		return false, "version"
-	}
-	crc := binary.LittleEndian.Uint32(data[12:16])
-	if binary.LittleEndian.Uint64(data[16:24]) != uint64(len(data)-24) {
-		return false, "corrupt"
-	}
-	payload := data[24:]
-	if crc32.ChecksumIEEE(payload) != crc {
-		return false, "corrupt"
-	}
-	if len(payload) < 16 {
-		return false, "corrupt"
-	}
-	if binary.LittleEndian.Uint64(payload[0:8]) != db.CatalogGen() ||
-		binary.LittleEndian.Uint64(payload[8:16]) != db.WALEndLSN() {
-		return false, "stale"
-	}
-	if err := s.applySnapshot(payload[16:]); err != nil {
+	if err := s.applySnapshot(payload); err != nil {
 		// The CRC passed, so this is version-skew territory; the scan
-		// rebuild below starts from the fresh structures applySnapshot
-		// left untouched on failure.
+		// rebuild starts from the fresh structures applySnapshot left
+		// untouched on failure.
 		return false, "corrupt"
 	}
 	return true, ""
@@ -247,10 +184,6 @@ func (s *Store) applySnapshot(p []byte) error {
 	if err != nil {
 		return err
 	}
-	generation, err := uv()
-	if err != nil {
-		return err
-	}
 	docsIngested, err := uv()
 	if err != nil {
 		return err
@@ -266,20 +199,13 @@ func (s *Store) applySnapshot(p []byte) error {
 	}
 	off += n
 
-	ctxGenCounter, err := uv()
-	if err != nil {
-		return err
-	}
 	nHeadings, err := uv()
 	if err != nil {
 		return err
 	}
-	type heading struct {
-		key  string
-		gen  uint64
-		rids []ordbms.RowID
-	}
-	headings := make([]heading, 0, nHeadings)
+	// Headings were serialised in tree order, so the context btree
+	// bulk-builds in O(n) like the other loaded indexes.
+	contexts := btree.NewBuilder[string, ordbms.RowID](strings.Compare, btree.DefaultOrder)
 	for i := uint64(0); i < nHeadings; i++ {
 		klen, err := uv()
 		if err != nil {
@@ -288,11 +214,8 @@ func (s *Store) applySnapshot(p []byte) error {
 		if off+int(klen) > len(p) {
 			return fmt.Errorf("xmlstore: truncated heading at byte %d", off)
 		}
-		h := heading{key: string(p[off : off+int(klen)])}
+		key := string(p[off : off+int(klen)])
 		off += int(klen)
-		if h.gen, err = uv(); err != nil {
-			return err
-		}
 		nr, err := uv()
 		if err != nil {
 			return err
@@ -300,15 +223,15 @@ func (s *Store) applySnapshot(p []byte) error {
 		if nr > uint64(len(p)) { // every rid costs >= 1 byte
 			return fmt.Errorf("xmlstore: implausible rid count %d", nr)
 		}
-		h.rids = make([]ordbms.RowID, nr)
-		for j := range h.rids {
+		rids := make([]ordbms.RowID, nr)
+		for j := range rids {
 			v, err := uv()
 			if err != nil {
 				return err
 			}
-			h.rids[j] = ordbms.RowIDFromUint64(v)
+			rids[j] = ordbms.RowIDFromUint64(v)
 		}
-		headings = append(headings, h)
+		contexts.Append(key, rids)
 	}
 
 	nCtx, err := uv()
@@ -332,49 +255,17 @@ func (s *Store) applySnapshot(p []byte) error {
 		}
 		ctxIdx[ordbms.RowIDFromUint64(prev)] = ordbms.RowIDFromUint64(g)
 	}
-
-	docGenCounter, err := uv()
-	if err != nil {
-		return err
-	}
-	nDocs, err := uv()
-	if err != nil {
-		return err
-	}
-	docGens := make(map[uint64]uint64, nDocs)
-	for i := uint64(0); i < nDocs; i++ {
-		id, err := uv()
-		if err != nil {
-			return err
-		}
-		g, err := uv()
-		if err != nil {
-			return err
-		}
-		docGens[id] = g
-	}
 	if off != len(p) {
 		return fmt.Errorf("xmlstore: %d trailing snapshot bytes", len(p)-off)
 	}
 
-	// Whole decode succeeded: install.  Headings were serialised in tree
-	// order, so the context btree bulk-builds in O(n) like the other
-	// loaded indexes.
+	// Whole decode succeeded: install.
 	s.nextNodeID = nextNodeID
 	s.nextDocID = nextDocID
-	s.generation.Store(generation)
 	s.docsIngested = docsIngested
 	s.nodesInserted = nodesInserted
 	s.content = content
-	s.ctxGenCounter = ctxGenCounter
-	tb := btree.NewBuilder[string, ordbms.RowID](strings.Compare, btree.DefaultOrder)
-	for _, h := range headings {
-		s.ctxGens[h.key] = h.gen
-		tb.Append(h.key, h.rids)
-	}
-	s.contexts = tb.Tree()
+	s.adoptContexts(contexts.Tree())
 	s.ctxIdx = ctxIdx
-	s.docGenCounter = docGenCounter
-	s.docGens = docGens
 	return nil
 }

@@ -325,7 +325,8 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 }
 
 // TestSnapshotVersionSkewFallsBack: a snapshot whose version field is
-// not the current one — an old v1 file or a newer format — must fall
+// not the current one — an old v1 file, the previous version's (which
+// still carried the cache-key generations), or a newer format — must fall
 // back to the scan rebuild (which retokenizes under the current
 // tokenizer contract) and be rewritten at the current version by the
 // next checkpoint.
@@ -346,7 +347,7 @@ func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 		t.Fatalf("fresh snapshot version = %d, want %d", got, snapshotVersion)
 	}
 
-	for _, skew := range []uint32{1, snapshotVersion + 1} {
+	for _, skew := range []uint32{1, snapshotVersion - 1, snapshotVersion + 1} {
 		t.Run(fmt.Sprintf("version=%d", skew), func(t *testing.T) {
 			stale := append([]byte(nil), pristine...)
 			binary.LittleEndian.PutUint32(stale[8:12], skew)

@@ -130,15 +130,15 @@ type Store struct {
 	// ctxMu protects the in-memory context btree and its generations;
 	// never held across I/O.  netmarkvet:hot netmarkvet:lockorder 30
 	ctxMu sync.RWMutex
-	// ctxGens carries one mutation generation per normalised heading,
-	// assigned from ctxGenCounter on every insert or removal of a RowID
-	// under that heading.  Entries are never deleted (a tombstoned gen
-	// keeps "heading existed then vanished" distinguishable from "never
-	// existed"); result caches fold these into their keys the way they
-	// fold the text index's per-term gens.  Guarded by ctxMu.
-	// netmarkvet:snap
-	ctxGens map[string]uint64
-	// netmarkvet:snap
+	// ctxGens carries one mutation generation per normalised heading the
+	// store holds, assigned from ctxGenCounter on every insert or removal
+	// of a RowID under that heading; the entry goes when the heading's
+	// last bearer does, so a heading absent from the store reads as zero.
+	// Result caches fold these into their keys the way they fold the text
+	// index's per-term gens.  Generations are process-local: they are not
+	// persisted, and a heading loaded from a snapshot starts at 1.
+	// Guarded by ctxMu.
+	ctxGens       map[string]uint64
 	ctxGenCounter uint64 // guarded by ctxMu
 
 	// ctxIdx is the derived node→governing-CONTEXT index: for every TEXT
@@ -160,16 +160,6 @@ type Store struct {
 	// EnableNodeCache during setup, before the store serves traffic.
 	nodes *nodeCache
 
-	// docGens tracks one mutation generation per document ID: bumped when
-	// the document becomes fully visible (tables + derived indexes) and
-	// again when a delete starts tearing it down.  Result caches validate
-	// entries against the generations of the documents they touched.
-	// docGenMu protects the per-document generation map; never held
-	// across I/O.  netmarkvet:hot netmarkvet:lockorder 34
-	docGenMu      sync.RWMutex
-	docGens       map[uint64]uint64 // guarded by docGenMu; netmarkvet:snap
-	docGenCounter uint64            // guarded by docGenMu; netmarkvet:snap
-
 	// Stats counters.  netmarkvet:hot netmarkvet:lockorder 40
 	statsMu       sync.Mutex
 	docsIngested  uint64 // guarded by statsMu; netmarkvet:snap
@@ -188,11 +178,11 @@ type Store struct {
 	snapMu   sync.Mutex
 	snapStat SnapshotStats // guarded by snapMu
 
-	// generation counts store mutations: every document ingest (including
-	// its link patches) and every delete bumps it.  Result caches key on
-	// it, so a bump implicitly invalidates everything cached against the
-	// previous state without the cache ever scanning its entries.
-	// netmarkvet:snap
+	// generation counts this process's store mutations: every document
+	// ingest and every delete bumps it.  Result caches key on it where no
+	// finer generation applies (XPath plans, over-budget prefixes), so a
+	// bump implicitly invalidates everything cached against the previous
+	// state without the cache ever scanning its entries.
 	generation atomic.Uint64
 }
 
@@ -233,7 +223,7 @@ type OpenOptions struct {
 
 // Open attaches the store to a database, creating the universal tables on
 // first use.  On a persistent reopen the derived indexes (text index,
-// context btree, node→CONTEXT map, generation maps, ID counters) are
+// context btree, node→CONTEXT map, ID counters) are
 // loaded from the checkpoint snapshot when its stamps prove the heap has
 // not moved since it was written; otherwise — and always for in-memory
 // stores — they are rebuilt by the full heap scan.
@@ -249,7 +239,6 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		contexts:   btree.New[string, ordbms.RowID](strings.Compare),
 		ctxGens:    make(map[string]uint64),
 		ctxIdx:     make(map[ordbms.RowID]ordbms.RowID),
-		docGens:    make(map[uint64]uint64),
 		nextNodeID: 1,
 		nextDocID:  1,
 	}
@@ -370,10 +359,6 @@ func (s *Store) rebuildDerived() error {
 		if id > maxDoc {
 			maxDoc = id
 		}
-		// Every stored document is live and queryable: give it a nonzero
-		// generation so reopened stores expose the same "zero means not
-		// live" stamp semantics a snapshot-loaded store does.
-		s.bumpDocGeneration(id)
 		return true
 	})
 	if err != nil {
@@ -394,6 +379,21 @@ func (s *Store) addContextKey(heading string, rid ordbms.RowID) {
 	s.ctxGenCounter++
 	s.ctxGens[key] = s.ctxGenCounter
 	s.ctxMu.Unlock()
+}
+
+// adoptContexts installs a context btree loaded from a snapshot.  Every
+// loaded heading starts at generation 1 with the counter at 1: zero must
+// keep meaning "absent", and the next write to a heading moves it to 2
+// or beyond.  Runs during OpenWith, before the store is shared.
+//
+// netmarkvet:ignore lockcheck — open-time, single-goroutine
+func (s *Store) adoptContexts(t *btree.Tree[string, ordbms.RowID]) {
+	s.contexts = t
+	s.ctxGenCounter = 1
+	t.Ascend(func(key string, _ []ordbms.RowID) bool {
+		s.ctxGens[key] = 1
+		return true
+	})
 }
 
 func (s *Store) removeContextKey(heading string, rid ordbms.RowID) {
@@ -419,7 +419,7 @@ func (s *Store) removeContextKey(heading string, rid ordbms.RowID) {
 
 // ContextGen returns the heading's mutation generation: it changes
 // exactly when a CONTEXT node bearing the (normalised) heading is added
-// or removed, and is zero for headings the store has never held.  Result
+// or removed, and is zero for headings the store does not hold.  Result
 // caches fold it into the key of an exact-context query, so writes that
 // never touch the heading leave cached results reachable.
 func (s *Store) ContextGen(heading string) uint64 {
@@ -462,33 +462,6 @@ func (s *Store) ContextPrefixGen(prefix string) uint64 {
 		h = (h ^ s.generation.Load()) * prime64
 	}
 	return h
-}
-
-// DocGeneration returns a document's mutation generation: assigned when
-// the document becomes fully queryable, pruned to zero when a delete
-// starts tearing it down.  Zero therefore means "not live" (never
-// stored, or deleted) — which mismatches every nonzero stamp a cached
-// result captured while the document was live, so stamp validation
-// still catches deletes while doc churn cannot grow the map without
-// bound.
-func (s *Store) DocGeneration(docID uint64) uint64 {
-	s.docGenMu.RLock()
-	g := s.docGens[docID]
-	s.docGenMu.RUnlock()
-	return g
-}
-
-func (s *Store) bumpDocGeneration(docID uint64) {
-	s.docGenMu.Lock()
-	s.docGenCounter++
-	s.docGens[docID] = s.docGenCounter
-	s.docGenMu.Unlock()
-}
-
-func (s *Store) pruneDocGeneration(docID uint64) {
-	s.docGenMu.Lock()
-	delete(s.docGens, docID)
-	s.docGenMu.Unlock()
 }
 
 // normalizeContext lowercases and squeezes whitespace so context matching
