@@ -75,20 +75,21 @@ fuzz:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# bench-smoke runs each serving / cold-kernel / reopen benchmark case
-# once: it proves the serving path, both caches, the write-heavy mixed
-# workload, the accelerated query kernel and the snapshot reopen path
-# still execute, without the cost of a timed benchmark run.
+# bench-smoke runs each serving / cold-kernel / reopen / delete benchmark
+# case once: it proves the serving path, both caches, the write-heavy
+# mixed workload, the accelerated query kernel, the snapshot reopen path
+# and the document delete still execute, without the cost of a timed
+# benchmark run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkServeParallel|BenchmarkMixedWriteHeavy|BenchmarkColdContentSearch|BenchmarkReopen' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkServeParallel|BenchmarkMixedWriteHeavy|BenchmarkColdContentSearch|BenchmarkReopen|BenchmarkDeleteDocument' -benchtime 1x .
 
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR20.json
-BENCH_OUT ?= BENCH_PR19.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR21.json
+BENCH_OUT ?= BENCH_PR20.json
 bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel' -benchmem -benchtime 2s . \
+	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)
 

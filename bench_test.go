@@ -256,32 +256,23 @@ func BenchmarkAblationRowidTraversal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("rowid-links", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := start
-			for !n.ParentRowID.IsZero() {
-				var err error
-				n, err = s.FetchNode(n.ParentRowID)
-				if err != nil {
+	byRowID, byNodeID, err := experiments.ParentClimbs(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name  string
+		climb func(*xmlstore.Node) (int, error)
+	}{{"rowid-links", byRowID}, {"btree-probe", byNodeID}} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := arm.climb(start); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-	})
-	b.Run("btree-probe", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := start
-			for n.ParentID != 0 {
-				var err error
-				n, err = s.FetchNodeByID(n.ParentID)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationShredVsUniversal compares document ingest into the
@@ -764,4 +755,53 @@ func BenchmarkReopen(b *testing.B) {
 		b.Run(fmt.Sprintf("snapshot/docs=%d", docs), func(b *testing.B) { reopen(b, false) })
 		b.Run(fmt.Sprintf("scan/docs=%d", docs), func(b *testing.B) { reopen(b, true) })
 	}
+}
+
+// BenchmarkDeleteDocument measures removing one deep report (some 2 600
+// nodes) from a durable store of 300 mixed documents, through to the
+// commit that makes the delete durable.  Each iteration re-ingests the
+// report off the clock, so later ones land on the slots earlier ones
+// freed.  ns/node is the per-row cost, comparable across document sizes.
+func BenchmarkDeleteDocument(b *testing.B) {
+	db, err := ordbms.Open(ordbms.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	s, err := xmlstore.Open(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := corpus.New(71)
+	if err := experiments.LoadCorpus(s, gen.Mixed(300)); err != nil {
+		b.Fatal(err)
+	}
+	victim := gen.DeepReport(0, 6, 24, 16)
+	var nodes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		id, err := s.StoreRaw(victim.Name, victim.Data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, err := s.Document(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += info.NNodes
+		if err := db.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := s.DeleteDocument(id); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer() // the deferred Close checkpoints: not part of a delete
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }

@@ -577,6 +577,43 @@ func Fig8(sourceCounts []int, docsPerSource int) ([]Fig8Point, string, error) {
 // Ablations.
 // ---------------------------------------------------------------------
 
+// ParentClimbs returns the two arms of the RowID-traversal ablation over
+// s, each climbing from a node to its document root and counting the hops:
+// byRowID follows the physical parent links the store itself uses, byNodeID
+// resolves every hop the way a system without them would — a B-tree probe
+// on NODEID, then the heap fetch.  The store keeps no such B-tree, so the
+// ablation builds one here, on a store private to it.
+func ParentClimbs(s *xmlstore.Store) (byRowID, byNodeID func(*xmlstore.Node) (int, error), err error) {
+	xml := s.DB().Table("XML")
+	if err := xml.CreateIndex("nodeid"); err != nil {
+		return nil, nil, err
+	}
+	byRowID = func(n *xmlstore.Node) (hops int, err error) {
+		for ; !n.ParentRowID.IsZero(); hops++ {
+			if n, err = s.FetchNode(n.ParentRowID); err != nil {
+				return hops, err
+			}
+		}
+		return hops, nil
+	}
+	byNodeID = func(n *xmlstore.Node) (hops int, err error) {
+		for ; n.ParentID != 0; hops++ {
+			rids, err := xml.Lookup("nodeid", ordbms.I(int64(n.ParentID)))
+			if err != nil {
+				return hops, err
+			}
+			if len(rids) == 0 {
+				return hops, fmt.Errorf("ablation: no node %d", n.ParentID)
+			}
+			if n, err = s.FetchNode(rids[0]); err != nil {
+				return hops, err
+			}
+		}
+		return hops, nil
+	}
+	return byRowID, byNodeID, nil
+}
+
 // AblationRowidTraversal compares walking a document tree by physical
 // RowID links against resolving each hop through the NODEID B-tree.
 func AblationRowidTraversal(docs int) (string, error) {
@@ -595,58 +632,45 @@ func AblationRowidTraversal(docs int) (string, error) {
 	if len(secs) == 0 {
 		return "", fmt.Errorf("ablation: empty corpus")
 	}
-	// Hop from each context node to its root via both mechanisms,
-	// alternating repetitions so cache warmth is shared evenly.
-	walkRowid := func() (int, error) {
+	byRowID, byNodeID, err := ParentClimbs(s)
+	if err != nil {
+		return "", err
+	}
+	// climbAll hops from every context node to its root.
+	climbAll := func(climb func(*xmlstore.Node) (int, error)) (int, error) {
 		hops := 0
 		for _, sec := range secs {
 			n, err := s.FetchNode(sec.ContextRID)
 			if err != nil {
 				return 0, err
 			}
-			for !n.ParentRowID.IsZero() {
-				n, err = s.FetchNode(n.ParentRowID)
-				if err != nil {
-					return 0, err
-				}
-				hops++
+			h, err := climb(n)
+			if err != nil {
+				return 0, err
 			}
+			hops += h
 		}
 		return hops, nil
 	}
-	walkJoin := func() error {
-		for _, sec := range secs {
-			n, err := s.FetchNode(sec.ContextRID)
-			if err != nil {
-				return err
-			}
-			for n.ParentID != 0 {
-				n, err = s.FetchNodeByID(n.ParentID)
-				if err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	// Warm both paths.
-	hops, err := walkRowid()
+	// Warm both paths, then alternate repetitions so cache warmth is
+	// shared evenly.
+	hops, err := climbAll(byRowID)
 	if err != nil {
 		return "", err
 	}
-	if err := walkJoin(); err != nil {
+	if _, err := climbAll(byNodeID); err != nil {
 		return "", err
 	}
 	const reps = 20
 	var rowid, join time.Duration
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		if _, err := walkRowid(); err != nil {
+		if _, err := climbAll(byRowID); err != nil {
 			return "", err
 		}
 		rowid += time.Since(t0)
 		t0 = time.Now()
-		if err := walkJoin(); err != nil {
+		if _, err := climbAll(byNodeID); err != nil {
 			return "", err
 		}
 		join += time.Since(t0)

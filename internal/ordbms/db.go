@@ -765,13 +765,16 @@ func (t *Table) Delete(rid RowID) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec, err := t.heap.Fetch(rid)
-	if err != nil {
-		return err
-	}
-	row, err := DecodeRow(t.schema, rec)
-	if err != nil {
-		return err
+	// The old row is read only to unhook its index entries.
+	var row Row
+	if len(t.indexes) > 0 {
+		rec, err := t.heap.Fetch(rid)
+		if err != nil {
+			return err
+		}
+		if row, err = DecodeRow(t.schema, rec); err != nil {
+			return err
+		}
 	}
 	if err := t.heap.Delete(rid); err != nil {
 		return t.noteIfIOFault("delete", err)

@@ -1,0 +1,301 @@
+package xmlstore
+
+import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime/debug"
+	"testing"
+
+	"netmark/internal/corpus"
+	"netmark/internal/docform"
+	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
+	"netmark/internal/vfs"
+)
+
+// checkDeleted fails unless the full scan — which needs no link and no
+// index to find a row — sees nothing left of docID.
+func checkDeleted(t *testing.T, s *Store, docID uint64) {
+	t.Helper()
+	left := 0
+	if err := s.ScanNodes(func(n *Node) bool {
+		if n.DocID == docID {
+			left++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if left != 0 {
+		t.Fatalf("%d rows of deleted document %d are still in the XML table", left, docID)
+	}
+}
+
+// reconstructAll serialises every stored document except skip.
+func reconstructAll(t *testing.T, s *Store, skip uint64) map[string]string {
+	t.Helper()
+	docs, err := s.Documents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(docs))
+	for _, d := range docs {
+		if d.DocID != skip {
+			out[d.FileName] = reconstructBytes(t, s, d.FileName)
+		}
+	}
+	return out
+}
+
+// checkInterrupted holds a store to what an interrupted delete of doc must
+// leave behind — the DOC row, no ctxIdx entry for a row that is gone and,
+// unless the interruption fell between the last node and the DOC row
+// (rootGone), the root and some but not all of the nodes — then takes one
+// more document, which lands in part on the slots the delete freed and so
+// under the links the survivors still carry, retries the delete and checks
+// it finished the job and touched nothing else.  before is NumNodes and
+// others the other documents' serialised trees, both from before the first
+// attempt.  It returns how many surviving links led into the new document.
+func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, before int64, others map[string]string) (foreign int) {
+	t.Helper()
+	if _, err := s.Document(doc.DocID); err != nil {
+		t.Fatalf("interrupted delete lost the DOC row: %v", err)
+	}
+	left := s.NumNodes() - (before - doc.NNodes)
+	if rootGone {
+		if left != 0 {
+			t.Fatalf("%d nodes left, want none", left)
+		}
+	} else {
+		if root, err := s.FetchNode(doc.RootRowID); err != nil || root.DocID != doc.DocID {
+			t.Fatalf("interrupted delete lost the root: %v, %v", root, err)
+		}
+		if left <= 0 || left >= doc.NNodes {
+			t.Fatalf("%d of %d nodes left: the delete was not interrupted partway", left, doc.NNodes)
+		}
+	}
+	s.ctxIdxMu.RLock()
+	mapped := make([]ordbms.RowID, 0, len(s.ctxIdx))
+	for rid := range s.ctxIdx {
+		mapped = append(mapped, rid)
+	}
+	s.ctxIdxMu.RUnlock()
+	for _, rid := range mapped {
+		if _, err := s.fetchNodeUncached(rid); err != nil {
+			t.Fatalf("ctxIdx still maps deleted row %v: %v", rid, err)
+		}
+	}
+
+	next := longDoc("next.html", 40, "omega")
+	nextID, err := s.StoreRaw(next.Name, next.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextInfo, err := s.Document(nextID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	others[next.Name] = reconstructBytes(t, s, next.Name)
+	// Count the surviving links that now lead into the new document: the
+	// retry's walk must not follow them.
+	err = s.ScanNodes(func(n *Node) bool {
+		if n.DocID != doc.DocID {
+			return true
+		}
+		for _, rid := range []ordbms.RowID{n.ChildRowID, n.NextRowID} {
+			if to, err := s.fetchNodeUncached(rid); !rid.IsZero() && err == nil && to.DocID == nextID {
+				foreign++
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := s.DeleteDocument(doc.DocID); err != nil {
+		t.Fatalf("retried delete: %v", err)
+	}
+	if _, err := s.Document(doc.DocID); !IsGone(err) {
+		t.Fatalf("DOC row after the retried delete: %v", err)
+	}
+	checkDeleted(t, s, doc.DocID)
+	if got, want := s.NumNodes(), before-doc.NNodes+nextInfo.NNodes; got != want {
+		t.Fatalf("%d nodes after the retried delete, want %d", got, want)
+	}
+	for name, want := range others {
+		if got := reconstructBytes(t, s, name); got != want {
+			t.Fatalf("%s is not byte-identical after the retried delete", name)
+		}
+	}
+	return foreign
+}
+
+// An interrupted DeleteDocument — by an I/O fault partway, or by a crash
+// that kept only a prefix of its log records — leaves a document a retry
+// can finish: rows go in reverse document order, so the survivors are a
+// prefix still reachable from DOC.rootrowid, and the retry's walk stays
+// inside the document whatever has been stored over the rest since.
+func TestDeleteInterruptedIsRetryable(t *testing.T) {
+	gen := corpus.New(41)
+	docs := append(gen.Mixed(40), gen.DeepReport(0, 6, 24, 16))
+	victim := docs[len(docs)-1].Name
+	load := func(t *testing.T, s *Store) *DocInfo {
+		for _, d := range docs {
+			if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		doc, err := s.DocumentByName(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+
+	// Reopened on a pool far smaller than the document, deleting dirties a
+	// page per few rows, every further page evicts a dirty one, and the
+	// fourth such write-back fails.
+	t.Run("io-fault", func(t *testing.T) {
+		dir := t.TempDir()
+		db, s := openDir(t, dir, OpenOptions{})
+		load(t, s)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ffs := vfs.NewFaultFS(nil)
+		db, err := ordbms.Open(ordbms.Options{Dir: dir, FS: ffs, PoolPages: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if s, err = Open(db); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := s.DocumentByName(victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, others := s.NumNodes(), reconstructAll(t, s, doc.DocID)
+		ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "data.nmdb", After: 3})
+		if err := s.DeleteDocument(doc.DocID); !IsTransient(err) {
+			t.Fatalf("delete under a failing data file = %v, want a transient error", err)
+		}
+		if err := s.DeleteDocument(doc.DocID); !IsDegraded(err) {
+			t.Fatalf("delete while degraded = %v, want ErrDegraded", err)
+		}
+		ffs.ClearFaults()
+		if err := db.Checkpoint(); err != nil {
+			t.Fatalf("healing checkpoint: %v", err)
+		}
+		checkInterrupted(t, s, doc, false, before, others)
+	})
+
+	// Cut the log of a whole delete after its walDelete records and reopen.
+	t.Run("log-cut", func(t *testing.T) {
+		src := t.TempDir()
+		db, s := openDir(t, src, OpenOptions{})
+		doc := load(t, s)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		before, others := s.NumNodes(), reconstructAll(t, s, doc.DocID)
+		if err := s.DeleteDocument(doc.DocID); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		db.CloseDiscard()
+		wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cuts []int
+		for pos := 16; pos < len(wal); {
+			pos += 8 + int(binary.LittleEndian.Uint32(wal[pos:]))
+			if wal[pos-7] != 2 { // walDelete: type, page u32, slot u16
+				t.Fatalf("the delete logged a record of type %d", wal[pos-7])
+			}
+			cuts = append(cuts, pos)
+		}
+		if int64(len(cuts)) != doc.NNodes+1 {
+			t.Fatalf("the delete logged %d records for %d nodes and a DOC row", len(cuts), doc.NNodes)
+		}
+		cuts = cuts[:len(cuts)-1] // the last cut is the whole delete; the one before it lacks only the DOC row
+		// Every cut early and late, where the prefix left is longest and
+		// shortest, and a sample of the middle.
+		foreign := 0
+		for i, cut := range cuts {
+			if i >= 20 && i < len(cuts)-20 && i%97 != 0 {
+				continue
+			}
+			dir := t.TempDir()
+			for _, f := range []string{"data.nmdb", "catalog.json", "derived.nmds", "xmlstore.nmsnap"} {
+				b, err := os.ReadFile(filepath.Join(src, f))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, f), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), wal[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, s := openDir(t, dir, OpenOptions{})
+			kept := make(map[string]string, len(others))
+			for name, tree := range others {
+				kept[name] = tree
+			}
+			foreign += checkInterrupted(t, s, doc, i == len(cuts)-1, before, kept)
+			db.CloseDiscard()
+		}
+		// A freed slot is reused only where its page has room left — the
+		// document's last page, which the early cuts empty first.
+		if foreign == 0 {
+			t.Fatal("no surviving link ever led into a reused slot: the retries prove nothing about them")
+		}
+	})
+}
+
+// A document nested 10 000 deep reconstructs and deletes on a goroutine
+// stack capped far below what one frame per level would need: the subtree
+// walk keeps its pending links on the heap.
+func TestDeepDocumentWalksIteratively(t *testing.T) {
+	const depth = 10000
+	root := sgml.NewElement("doc")
+	leaf := root
+	for i := 1; i < depth; i++ {
+		child := sgml.NewElement("level")
+		leaf.AppendChild(child)
+		leaf = child
+	}
+	leaf.AppendChild(sgml.NewText("bottom"))
+	s := memStore(t)
+	id, err := s.StoreDocument(docform.Meta{FileName: "deep.xml", Format: "xml"}, root, sgml.XMLConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Exceeding the cap is fatal to the process, not a test failure; 10 000
+	// frames of even 64 bytes would exceed it.
+	defer debug.SetMaxStack(debug.SetMaxStack(512 << 10))
+	tree, err := s.Reconstruct(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := 0
+	for n := tree; n != nil; n = n.FirstChild {
+		levels++
+	}
+	if levels != depth+1 {
+		t.Fatalf("reconstructed %d levels, want %d", levels, depth+1)
+	}
+	if err := s.DeleteDocument(id); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumNodes() != 0 {
+		t.Fatalf("%d nodes left of a deleted document", s.NumNodes())
+	}
+}

@@ -73,7 +73,7 @@ func FuzzDecodeRow(f *testing.F) {
 			}
 		}
 		if !doc {
-			rowToNode(ordbms.ZeroRowID, row) // attrs parsing must survive whatever a string column held
+			nodeFromCols(ordbms.ZeroRowID, row) // attrs parsing must survive whatever a string column held
 		}
 	})
 }

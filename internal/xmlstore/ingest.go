@@ -467,7 +467,10 @@ func decodeAttrs(s string) []sgml.Attr {
 
 // DeleteDocument removes a document: its DOC row, all its XML rows, and
 // their derived index entries (text postings, context keys, governing-
-// context map, cached node decodes).
+// context map, cached node decodes).  The rows are found by the walk that
+// reconstructs the document and deleted in reverse document order, the DOC
+// row last: whatever an interrupted delete leaves behind is a prefix of
+// the document still reachable from its root, and a retry finishes it.
 func (s *Store) DeleteDocument(docID uint64) error {
 	// Degraded mode rejects deletes up front: the multi-step teardown
 	// must not start if the engine will refuse its row deletes halfway.
@@ -484,45 +487,51 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	if err != nil {
 		return err
 	}
-	// Past this point rows start disappearing; invalidate cached results
-	// whether or not the delete completes.
-	defer s.bumpGeneration()
-	rids, err := s.xml.Lookup("docid", ordbms.I(int64(docID)))
+	// A link into a row an earlier, interrupted delete removed ends its
+	// branch, and so does one into a slot another document has since
+	// taken: the walk never leaves docID.  Uncached, so the doomed rows
+	// do not push live ones out of the node cache.
+	follow := func(rid ordbms.RowID) (*Node, error) {
+		n, err := s.fetchNodeUncached(rid)
+		if err == ordbms.ErrRecordDeleted || (err == nil && n.DocID != docID) {
+			return nil, nil
+		}
+		return n, err
+	}
+	var nodes []*Node // the document's live rows, in document order
+	root, err := follow(info.RootRowID)
+	if err == nil && root != nil {
+		err = walkSubtree(root, follow, func(n *Node, _ int) { nodes = append(nodes, n) })
+	}
 	if err != nil {
 		return err
 	}
-	var textRids []ordbms.RowID
-	for _, rid := range rids {
-		row, err := s.xml.Fetch(rid)
-		if err != nil {
-			if err == ordbms.ErrRecordDeleted {
-				continue
-			}
-			return err
-		}
-		switch sgml.NodeClass(row[xmlColNodeType].Int) {
+	// Past this point rows start disappearing; invalidate cached results
+	// whether or not the delete completes.
+	defer s.bumpGeneration()
+	for i := len(nodes) - 1; i >= 0; i-- {
+		n := nodes[i]
+		// Derived entries go before the row: once the row is gone a
+		// concurrent ingest may take its slot and file its own entries
+		// under the same RowID.
+		switch n.Class {
 		case sgml.ClassText:
-			s.content.Remove(rid.Uint64())
-			textRids = append(textRids, rid)
+			s.content.Remove(n.RowID.Uint64())
+			s.ctxIdxMu.Lock()
+			delete(s.ctxIdx, n.RowID)
+			s.ctxIdxMu.Unlock()
 		case sgml.ClassContext:
-			s.removeContextKey(row[xmlColNodeData].Str, rid)
+			s.removeContextKey(n.Data, n.RowID)
 		}
-		if err := s.xml.Delete(rid); err != nil && err != ordbms.ErrRecordDeleted {
+		if err := s.xml.Delete(n.RowID); err != nil && err != ordbms.ErrRecordDeleted {
 			return err
 		}
 		// Drop the cached decode after the row is gone, so a racing fill
 		// (which snapshotted its token before this invalidation) can never
 		// resurrect the record — essential once the heap reuses the slot.
 		if c := s.nodes; c != nil {
-			c.invalidate(rid)
+			c.invalidate(n.RowID)
 		}
-	}
-	if len(textRids) > 0 {
-		s.ctxIdxMu.Lock()
-		for _, rid := range textRids {
-			delete(s.ctxIdx, rid)
-		}
-		s.ctxIdxMu.Unlock()
 	}
 	return s.doc.Delete(info.RowID)
 }
@@ -534,38 +543,25 @@ func (s *Store) Reconstruct(docID uint64) (*sgml.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.reconstructFrom(info.RootRowID)
-}
-
-func (s *Store) reconstructFrom(rid ordbms.RowID) (*sgml.Node, error) {
-	n, err := s.FetchNode(rid)
+	root, err := s.FetchNode(info.RootRowID)
 	if err != nil {
 		return nil, err
 	}
-	return s.buildSubtree(n)
-}
-
-func (s *Store) buildSubtree(n *Node) (*sgml.Node, error) {
-	var out *sgml.Node
-	if n.Name == "#text" {
-		out = sgml.NewText(n.Data)
-	} else {
-		out = sgml.NewElement(n.Name, n.Attrs...)
-	}
-	child, err := s.FirstChild(n)
+	var path []*sgml.Node // path[d] is the node being built at depth d
+	err = walkSubtree(root, s.FetchNode, func(n *Node, depth int) {
+		var out *sgml.Node
+		if n.Name == "#text" {
+			out = sgml.NewText(n.Data)
+		} else {
+			out = sgml.NewElement(n.Name, n.Attrs...)
+		}
+		if depth > 0 {
+			path[depth-1].AppendChild(out)
+		}
+		path = append(path[:depth], out)
+	})
 	if err != nil {
 		return nil, err
 	}
-	for child != nil {
-		sub, err := s.buildSubtree(child)
-		if err != nil {
-			return nil, err
-		}
-		out.AppendChild(sub)
-		child, err = s.NextSibling(child)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return path[0], nil
 }

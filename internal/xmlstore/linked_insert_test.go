@@ -60,6 +60,28 @@ func checkLinks(t *testing.T, s *Store, doc *DocInfo) {
 	}
 }
 
+// docRowIDs enumerates a document's rows the way the store does: by the
+// subtree walk from DOC.rootrowid, in document order.
+func docRowIDs(t *testing.T, s *Store, docID uint64) []ordbms.RowID {
+	t.Helper()
+	info, err := s.Document(docID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := s.FetchNode(info.RootRowID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []ordbms.RowID
+	if err := walkSubtree(root, s.FetchNode, func(n *Node, _ int) { rids = append(rids, n.RowID) }); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(rids)) != info.NNodes {
+		t.Fatalf("%s: walked %d nodes, DOC row says %d", info.FileName, len(rids), info.NNodes)
+	}
+	return rids
+}
+
 // (b) Crash cuts: whatever prefix of the log survives, the store opens,
 // every document that has a DOC row is whole — byte-identical, every link
 // consistent — every search answers, over nodes whose DOC row was cut off
@@ -228,13 +250,6 @@ func TestSlotReuseNeverServesStaleNode(t *testing.T) {
 	}
 	s.EnableNodeCache(8 << 20)
 
-	rowIDs := func(docID uint64) []ordbms.RowID {
-		rids, err := s.xml.Lookup("docid", ordbms.I(int64(docID)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rids
-	}
 	store := func(d BatchDoc) uint64 {
 		id, err := s.StoreRaw(d.Name, d.Data)
 		if err != nil {
@@ -246,7 +261,7 @@ func TestSlotReuseNeverServesStaleNode(t *testing.T) {
 	// was deleted, so most of its nodes take over a dead slot.
 	docID := store(longDoc("a.html", 20, "stale"))
 	var hot atomic.Pointer[[]ordbms.RowID] // what the readers hammer: the live document's RowIDs
-	live := rowIDs(docID)
+	live := docRowIDs(t, s, docID)
 	first := live
 	hot.Store(&first)
 
@@ -281,7 +296,7 @@ func TestSlotReuseNeverServesStaleNode(t *testing.T) {
 		for _, rid := range live {
 			was[rid] = true
 		}
-		live = rowIDs(docID)
+		live = docRowIDs(t, s, docID)
 		for _, rid := range live {
 			if was[rid] {
 				reused++

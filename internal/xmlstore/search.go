@@ -142,47 +142,20 @@ func (s *Store) SectionOf(ctx *Node) (Section, error) {
 	return sec, nil
 }
 
-// appendSubtreeText walks the subtree under root in document order by
-// chasing child/sibling links iteratively (an explicit stack of pending
-// siblings instead of recursion-with-joins), appending each non-empty
-// trimmed text run to b, space-separated.
+// appendSubtreeText appends each non-empty trimmed text run beneath
+// root, in document order and space-separated, to b.
 func (s *Store) appendSubtreeText(root *Node, b *strings.Builder) error {
-	var stack []*Node
-	cur := root
-	for cur != nil {
-		if cur.Class == sgml.ClassText {
-			if t := strings.TrimSpace(cur.Data); t != "" {
-				if b.Len() > 0 {
-					b.WriteByte(' ')
-				}
-				b.WriteString(t)
+	return walkSubtree(root, s.FetchNode, func(n *Node, _ int) {
+		if n.Class != sgml.ClassText {
+			return
+		}
+		if t := strings.TrimSpace(n.Data); t != "" {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
 			}
+			b.WriteString(t)
 		}
-		// The next sibling comes after cur's whole subtree; queue it —
-		// except for root, whose siblings are outside the subtree.
-		if cur != root && !cur.NextRowID.IsZero() {
-			sib, err := s.FetchNode(cur.NextRowID)
-			if err != nil {
-				return err
-			}
-			stack = append(stack, sib)
-		}
-		if !cur.ChildRowID.IsZero() {
-			ch, err := s.FetchNode(cur.ChildRowID)
-			if err != nil {
-				return err
-			}
-			cur = ch
-			continue
-		}
-		if n := len(stack); n > 0 {
-			cur = stack[n-1]
-			stack = stack[:n-1]
-		} else {
-			cur = nil
-		}
-	}
-	return nil
+	})
 }
 
 // subtreeText collects the text beneath a node (physical hops only).

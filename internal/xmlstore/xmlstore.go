@@ -243,7 +243,9 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		nextDocID:  1,
 	}
 	var err error
-	if s.xml, err = ensureTable(db, "XML", xmlSchema, "nodeid", "docid", "nodename"); err != nil {
+	// XML has no secondary index: its rows are reached by ROWID link from
+	// DOC.rootrowid and from the derived indexes, never by key.
+	if s.xml, err = ensureTable(db, "XML", xmlSchema); err != nil {
 		return nil, err
 	}
 	if s.doc, err = ensureTable(db, "DOC", docSchema, "docid", "filename"); err != nil {
@@ -497,24 +499,24 @@ func (s *Store) NumDocuments() int64 { return s.doc.Rows() }
 // NumNodes returns the number of stored nodes.
 func (s *Store) NumNodes() int64 { return s.xml.Rows() }
 
-// rowToNode decodes an XML-table row.  A NULL column reads as its zero
-// value, which is what the writer stored it for: "" for nodedata and
-// attrs, ZeroRowID for a link.
-func rowToNode(rid ordbms.RowID, row ordbms.Row) *Node {
+// nodeFromCols decodes an XML-table row's columns.  A NULL column reads
+// as its zero value, which is what the writer stored it for: "" for
+// nodedata and attrs, ZeroRowID for a link.
+func nodeFromCols(rid ordbms.RowID, cols []ordbms.Value) *Node {
 	return &Node{
-		Attrs:       decodeAttrs(row[xmlColAttrs].Str),
-		NodeID:      uint64(row[xmlColNodeID].Int),
-		DocID:       uint64(row[xmlColDocID].Int),
-		Class:       sgml.NodeClass(row[xmlColNodeType].Int),
-		Name:        row[xmlColNodeName].Str,
-		Data:        row[xmlColNodeData].Str,
-		Ordinal:     int(row[xmlColOrdinal].Int),
-		ParentID:    uint64(row[xmlColParentNodeID].Int),
+		Attrs:       decodeAttrs(cols[xmlColAttrs].Str),
+		NodeID:      uint64(cols[xmlColNodeID].Int),
+		DocID:       uint64(cols[xmlColDocID].Int),
+		Class:       sgml.NodeClass(cols[xmlColNodeType].Int),
+		Name:        cols[xmlColNodeName].Str,
+		Data:        cols[xmlColNodeData].Str,
+		Ordinal:     int(cols[xmlColOrdinal].Int),
+		ParentID:    uint64(cols[xmlColParentNodeID].Int),
 		RowID:       rid,
-		ParentRowID: row[xmlColParentRowID].RowID(),
-		PrevRowID:   row[xmlColPrevRowID].RowID(),
-		NextRowID:   row[xmlColNextRowID].RowID(),
-		ChildRowID:  row[xmlColChildRowID].RowID(),
+		ParentRowID: cols[xmlColParentRowID].RowID(),
+		PrevRowID:   cols[xmlColPrevRowID].RowID(),
+		NextRowID:   cols[xmlColNextRowID].RowID(),
+		ChildRowID:  cols[xmlColChildRowID].RowID(),
 	}
 }
 
@@ -600,21 +602,7 @@ func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
-		Attrs:       decodeAttrs(cols[xmlColAttrs].Str),
-		NodeID:      uint64(cols[xmlColNodeID].Int),
-		DocID:       uint64(cols[xmlColDocID].Int),
-		Class:       sgml.NodeClass(cols[xmlColNodeType].Int),
-		Name:        cols[xmlColNodeName].Str,
-		Data:        cols[xmlColNodeData].Str,
-		Ordinal:     int(cols[xmlColOrdinal].Int),
-		ParentID:    uint64(cols[xmlColParentNodeID].Int),
-		RowID:       rid,
-		ParentRowID: cols[xmlColParentRowID].RowID(),
-		PrevRowID:   cols[xmlColPrevRowID].RowID(),
-		NextRowID:   cols[xmlColNextRowID].RowID(),
-		ChildRowID:  cols[xmlColChildRowID].RowID(),
-	}, nil
+	return nodeFromCols(rid, cols[:]), nil
 }
 
 // fetchNodesBatch resolves many RowIDs (sorted into physical order by
@@ -632,7 +620,7 @@ func (s *Store) fetchNodesBatch(rids []ordbms.RowID) ([]*Node, error) {
 		}
 		for i, row := range rows {
 			if row != nil {
-				out[i] = rowToNode(rids[i], row)
+				out[i] = nodeFromCols(rids[i], row)
 			}
 		}
 		return out, nil
@@ -660,26 +648,11 @@ func (s *Store) fetchNodesBatch(rids []ordbms.RowID) ([]*Node, error) {
 		if row == nil {
 			continue
 		}
-		n := rowToNode(missRids[j], row)
+		n := nodeFromCols(missRids[j], row)
 		out[missIdx[j]] = n
 		c.completeFill(missRids[j], n, tokens[j])
 	}
 	return out, nil
-}
-
-// FetchNodeByID resolves a node through the NODEID secondary index — the
-// traversal path a system without physical RowID links would use (B-tree
-// probe plus heap fetch per hop).  It exists for the rowid-traversal
-// ablation; the store itself always follows RowIDs.
-func (s *Store) FetchNodeByID(nodeID uint64) (*Node, error) {
-	rids, err := s.xml.Lookup("nodeid", ordbms.I(int64(nodeID)))
-	if err != nil {
-		return nil, err
-	}
-	if len(rids) == 0 {
-		return nil, fmt.Errorf("xmlstore: no node %d", nodeID)
-	}
-	return s.FetchNode(rids[0])
 }
 
 // Parent follows the parent link (ZeroRowID at the root).
@@ -714,11 +687,49 @@ func (s *Store) FirstChild(n *Node) (*Node, error) {
 	return s.FetchNode(n.ChildRowID)
 }
 
+// walkSubtree visits root and every node beneath it in document order
+// (depth 0 for root), chasing child and next-sibling links.  It is the
+// store's one subtree walk: reconstruction, section text and delete all
+// run on it.  The links still to follow are an explicit stack — at most two
+// per level — so hostile nesting costs heap, not goroutine stack.  follow
+// resolves a link; a nil node ends that branch.
+func walkSubtree(root *Node, follow func(ordbms.RowID) (*Node, error), visit func(n *Node, depth int)) error {
+	type link struct {
+		rid   ordbms.RowID
+		depth int
+	}
+	var buf [8]link // shallow subtrees never leave this array
+	todo := buf[:0]
+	for cur, depth := root, 0; ; {
+		visit(cur, depth)
+		// The next sibling comes after cur's whole subtree — except for
+		// root, whose siblings are outside the subtree.
+		if depth > 0 && !cur.NextRowID.IsZero() {
+			todo = append(todo, link{cur.NextRowID, depth})
+		}
+		if !cur.ChildRowID.IsZero() {
+			todo = append(todo, link{cur.ChildRowID, depth + 1})
+		}
+		for cur = nil; cur == nil; {
+			if len(todo) == 0 {
+				return nil
+			}
+			l := todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			var err error
+			if cur, err = follow(l.rid); err != nil {
+				return err
+			}
+			depth = l.depth
+		}
+	}
+}
+
 // ScanNodes iterates every stored node in physical order (used by
 // full-scan baselines and integrity checks).
 func (s *Store) ScanNodes(fn func(n *Node) bool) error {
 	return s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
-		return fn(rowToNode(rid, row))
+		return fn(nodeFromCols(rid, row))
 	})
 }
 

@@ -413,6 +413,34 @@ func TestDeleteDocumentRemovesEverything(t *testing.T) {
 	if _, err := s.Document(keep); err != nil {
 		t.Fatal(err)
 	}
+
+	// The delete finds a document's rows by walking its links; the full
+	// scan, which needs none, must agree it found them all — whatever the
+	// document's shape.
+	gen := corpus.New(5)
+	docs := append(gen.Mixed(30), gen.DeepReports(2, 4, 8, 5)...)
+	docs = append(docs, corpus.Document{Name: "flat.xml", Data: []byte(
+		`<inventory site="KSC"><item id="1" kind="valve">main <b>lox</b> valve</item><item id="2"/><spare/></inventory>`)})
+	for _, d := range docs {
+		ingest(t, s, d.Name, string(d.Data))
+	}
+	for i, d := range docs {
+		if i%3 != 0 && i < 30 {
+			continue // a third of the mixed documents, and all of the rest
+		}
+		info, err := s.DocumentByName(d.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.NumNodes()
+		if err := s.DeleteDocument(info.DocID); err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		checkDeleted(t, s, info.DocID)
+		if got := before - s.NumNodes(); got != info.NNodes {
+			t.Fatalf("%s: delete removed %d rows, DOC row said %d", d.Name, got, info.NNodes)
+		}
+	}
 }
 
 func TestReconstructRoundTrip(t *testing.T) {
