@@ -32,7 +32,7 @@ lint:
 # and crash-safety invariants, the dataflow tier's errflow, ackorder,
 # genbump and snapcover prove durability error routing, WAL-before-ack
 # ordering, generation-counter coherence and snapshot field coverage,
-# and the perf tier's hotalloc, boxcheck and aliascap keep the tagged
+# and the perf tier's hotalloc and aliascap keep the tagged
 # hot read paths zero-alloc — all documented in CONTRIBUTING.md.  It is
 # stdlib-only, so unlike lint it always runs.  Findings are gated
 # against the committed ANALYZE_BASELINE.json: a known finding being
@@ -66,10 +66,12 @@ race:
 
 # fuzz runs each native fuzz target for $(FUZZTIME) beyond its seeds:
 # hostile bytes against the record decoder under the store's two
-# schemas, and against the splitters recovery reads run records with.
+# schemas, the xmlstore.nmsnap payload decoder, and the splitters
+# recovery reads run records with.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) ./internal/xmlstore
+	$(GO) test -run xxx -fuzz FuzzApplySnapshot -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
 
 bench:
@@ -86,8 +88,8 @@ bench-smoke:
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR21.json
-BENCH_OUT ?= BENCH_PR20.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR22.json
+BENCH_OUT ?= BENCH_PR21.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)

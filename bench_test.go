@@ -245,7 +245,7 @@ func BenchmarkAugmentation(b *testing.B) {
 }
 
 // BenchmarkAblationRowidTraversal compares one parent-chain walk via
-// physical RowID links against the same walk via NODEID B-tree probes.
+// physical RowID links against the same walk via key B-tree probes.
 func BenchmarkAblationRowidTraversal(b *testing.B) {
 	s := loadedStore(b, 200, 17)
 	secs, err := s.ContextSearchN("Budget", 0)
@@ -256,14 +256,14 @@ func BenchmarkAblationRowidTraversal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	byRowID, byNodeID, err := experiments.ParentClimbs(s)
+	byRowID, byKey, err := experiments.ParentClimbs(s)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, arm := range []struct {
 		name  string
 		climb func(*xmlstore.Node) (int, error)
-	}{{"rowid-links", byRowID}, {"btree-probe", byNodeID}} {
+	}{{"rowid-links", byRowID}, {"btree-probe", byKey}} {
 		b.Run(arm.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,8 +1,8 @@
 // Command netmarkvet is the repo's analyzer suite: it type-checks
-// every package in the module once and runs the thirteen
+// every package in the module once and runs the twelve
 // netmark-specific passes (lockcheck, lockscope, atomicmix,
 // fsyncrename, vfsonly, cowview, errflow, ackorder, genbump,
-// snapcover, hotalloc, boxcheck, aliascap) that encode our
+// snapcover, hotalloc, aliascap) that encode our
 // concurrency, crash-safety, durability-ordering, fault-
 // injectability, cache-coherence, and zero-allocation invariants.
 // See internal/analysis for the annotation convention and
@@ -46,7 +46,6 @@ import (
 	"netmark/internal/analysis/ackorder"
 	"netmark/internal/analysis/aliascap"
 	"netmark/internal/analysis/atomicmix"
-	"netmark/internal/analysis/boxcheck"
 	"netmark/internal/analysis/cowview"
 	"netmark/internal/analysis/errflow"
 	"netmark/internal/analysis/fsyncrename"
@@ -70,7 +69,6 @@ var analyzers = []*analysis.Analyzer{
 	genbump.Analyzer,
 	snapcover.Analyzer,
 	hotalloc.Analyzer,
-	boxcheck.Analyzer,
 	aliascap.Analyzer,
 }
 
@@ -184,7 +182,7 @@ func main() {
 	}
 	loadStart := time.Now()
 	// One load for the whole module: every package is parsed and
-	// type-checked exactly once and shared by all ten analyzers (and
+	// type-checked exactly once and shared by every analyzer (and
 	// by the interprocedural summaries, which need cross-package
 	// bodies).
 	mod, err := loader.LoadModule(dirs)

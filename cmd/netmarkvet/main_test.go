@@ -36,7 +36,7 @@ func TestDedupeKeepsDistinctPositions(t *testing.T) {
 func TestApplyBaseline(t *testing.T) {
 	findings := []finding{
 		{File: "a.go", Line: 10, Analyzer: "hotalloc", Message: "make allocates"},
-		{File: "b.go", Line: 5, Analyzer: "boxcheck", Message: "boxes int"},
+		{File: "b.go", Line: 5, Analyzer: "hotalloc", Message: "boxes int"},
 	}
 	baseline := []finding{
 		// Same file/analyzer/message at a drifted line still matches.

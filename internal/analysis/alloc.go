@@ -1,7 +1,7 @@
 package analysis
 
 // Flow-insensitive allocation, boxing, and escape inference — the
-// machinery behind the performance tier (hotalloc, boxcheck, aliascap).
+// machinery behind the performance tier (hotalloc, aliascap).
 //
 // The inference answers three questions about each module function:
 //

@@ -40,8 +40,7 @@
 //	// netmarkvet:hotpath         on a function: performance-tier root;
 //	//                            it and the module functions it calls
 //	//                            must stay free of hidden allocations
-//	//                            (hotalloc) and interface boxing
-//	//                            (boxcheck)
+//	//                            and interface boxing (hotalloc)
 //	// netmarkvet:allocok <why>   on a site's line (or the line above),
 //	//                            or a function doc: excuse the
 //	//                            allocation — always with a reason

@@ -158,7 +158,7 @@ func BadConv(b []byte) string {
 // BadSprintf formats on the steady-state path.
 // netmarkvet:hotpath
 func BadSprintf(x int) string {
-	return fmt.Sprintf("%d", x) // want `call to fmt.Sprintf allocates`
+	return fmt.Sprintf("%d", x) // want `call to fmt.Sprintf allocates` `argument boxes int into any`
 }
 
 // BadReplacer rebuilds stdlib machinery per call.

@@ -7,9 +7,9 @@
 //     section into a multi-millisecond stall for every reader.
 //  2. `netmarkvet:lockorder <n>` mutexes must be acquired in ascending
 //     rank within a function.  The repo's documented order is
-//     ckptMu(10) → store mu(20) → table mu(20) → derived-index
-//     mus(30) → statsMu(40); taking a lower rank while holding a
-//     higher one is the shape of every lock-inversion deadlock.
+//     ckptMu(10) → table mu(20) → derived-index mus(30) → WAL
+//     mu(40); taking a lower rank while holding a higher one is the
+//     shape of every lock-inversion deadlock.
 package lockscope
 
 import (

@@ -66,8 +66,8 @@ type FuncSummary struct {
 	FieldWrites map[types.Object]bool
 
 	// HotPath: the function is a performance-tier root
-	// (netmarkvet:hotpath on its doc comment).  hotalloc and boxcheck
-	// close over the module functions it calls.
+	// (netmarkvet:hotpath on its doc comment).  hotalloc closes over the
+	// module functions it calls.
 	HotPath bool
 	// AllocOK: the whole function is excused from allocation checking
 	// (netmarkvet:allocok on its doc comment, with a reason).
@@ -233,7 +233,7 @@ func computeSummaries(m *Module) *Summaries {
 		}
 	}
 	// Allocation facts last: they consume the converged leak facts and
-	// need no further propagation (hotalloc/boxcheck walk HotCalls).
+	// need no further propagation (hotalloc walks HotCalls).
 	for _, fs := range s.byFunc {
 		collectAllocFacts(fs, s)
 	}

@@ -9,23 +9,31 @@ import (
 	"testing"
 )
 
-// A store written before format 2 — a catalog with no "format" field, or
-// a log that starts NMWALv1 — is refused by name, and refusing it writes
+// A store in any format older than this version's — a catalog with no
+// "format" field (format 1) or an older "format", a log that starts
+// NMWALv1 or NMWALv2 — is refused by name, and refusing it writes
 // nothing: the directory is byte-identical afterwards, so the version
 // that wrote it can still open it.
-func TestOpenRefusesV1Store(t *testing.T) {
-	v1Log := append([]byte("NMWALv1\x00"), make([]byte, 8)...)
-	// A committed v1 row insert (type 1) behind the header: replaying it
-	// under this version's codec would misread every column.
-	body := []byte{1, 2, 0, 0, 0, 0, 0, 2, 1, 42}
-	v1Log = binary.LittleEndian.AppendUint32(v1Log, uint32(len(body)))
-	v1Log = binary.LittleEndian.AppendUint32(v1Log, 0xdeadbeef)
-	v1Log = append(v1Log, body...)
+func TestOpenRefusesOlderFormats(t *testing.T) {
+	oldLog := func(version byte) []byte {
+		log := append([]byte{'N', 'M', 'W', 'A', 'L', 'v', version, 0}, make([]byte, 8)...)
+		// A committed row insert (type 1) behind the header: replaying it
+		// under this version's codec would misread every column.
+		body := []byte{1, 2, 0, 0, 0, 0, 0, 2, 1, 42}
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(body)))
+		log = binary.LittleEndian.AppendUint32(log, 0xdeadbeef)
+		return append(log, body...)
+	}
+	v1Log, v2Log := oldLog('1'), oldLog('2')
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
+	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format": {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":            {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v1 catalog and v1 log":  {"catalog.json": v1Catalog, "wal.nmlog": v1Log},
+		"format 2 catalog":       {"catalog.json": v2Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv2 log":            {"wal.nmlog": v2Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v2 catalog and v2 log":  {"catalog.json": v2Catalog, "wal.nmlog": v2Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -74,7 +82,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":2,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":3,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

@@ -202,10 +202,18 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 	rids = make([]RowID, len(recs))
 place:
 	for i, rec := range recs {
-		// Try pages with known free space first.
-		for no, free := range h.freeHint {
-			if free < len(rec)+slotSize {
-				continue
+		// Try pages with known free space first, lowest page first: map
+		// order is random, and the same inserts must land on the same
+		// RowIDs (query results come back in RowID order).
+		for {
+			no, found := uint32(0), false
+			for p, free := range h.freeHint {
+				if free >= len(rec)+slotSize && (!found || p < no) {
+					no, found = p, true
+				}
+			}
+			if !found {
+				break
 			}
 			rid, ok, err := tryPlace(no, rec)
 			if err != nil {

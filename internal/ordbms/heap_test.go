@@ -181,6 +181,26 @@ func TestHeapFreeSpaceReuse(t *testing.T) {
 	}
 }
 
+// Two pages with room for a small record: it goes to the lower one every
+// time, so the same inserts always land on the same RowIDs.
+func TestHeapPlacementIsDeterministic(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		h := NewHeapFile(memPool(t, 64), nil)
+		for i := 0; i < 4; i++ { // two per page, each page left with ~2 KB
+			if _, err := h.Insert(make([]byte, 3000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rid, err := h.Insert(make([]byte, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pages := h.Pages(); len(pages) != 2 || rid.Page != pages[0] {
+			t.Fatalf("round %d: small record on page %d of %v, want the first", round, rid.Page, pages)
+		}
+	}
+}
+
 func TestBufferPoolEviction(t *testing.T) {
 	disk := NewMemDisk()
 	pool := NewBufferPool(disk, 8)

@@ -139,7 +139,7 @@ func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, befor
 // inside the document whatever has been stored over the rest since.
 func TestDeleteInterruptedIsRetryable(t *testing.T) {
 	gen := corpus.New(41)
-	docs := append(gen.Mixed(40), gen.DeepReport(0, 6, 24, 16))
+	docs := append(gen.Mixed(40), gen.DeepReport(0, 8, 24, 16))
 	victim := docs[len(docs)-1].Name
 	load := func(t *testing.T, s *Store) *DocInfo {
 		for _, d := range docs {

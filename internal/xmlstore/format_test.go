@@ -16,21 +16,17 @@ import (
 // goldenNode is a text leaf: it has a parent and a previous sibling, no
 // next sibling, no child and no attributes.
 var goldenNode = Node{
-	NodeID: 300, DocID: 7, Class: sgml.ClassText, Name: "#text", Data: "hi", Ordinal: 2, ParentID: 299,
+	DocID: 7, Class: sgml.ClassText, Data: "hi",
 	ParentRowID: ordbms.RowID{Page: 5, Slot: 3},
 	PrevRowID:   ordbms.RowID{Page: 5, Slot: 2},
 }
 
-// goldenRecord is goldenNode's XML-table record, byte for byte.
+// goldenRecord is goldenNode's XML-table record, byte for byte: 19 bytes.
 const goldenRecord = "" +
-	"000e" + // null bitmap, 12 columns: nextrowid, childrowid and attrs (9, 10, 11) are NULL
-	"d804" + // nodeid 300, zigzag varint
-	"0e" + // docid 7
+	"c401" + // null bitmap, 9 columns: nodename (2), nextrowid, childrowid and attrs (6, 7, 8) are NULL
+	"0e" + // docid 7, zigzag varint
 	"04" + // nodetype TEXT (2)
-	"052374657874" + // nodename "#text", uvarint length first
-	"026869" + // nodedata "hi"
-	"04" + // ordinal 2
-	"d604" + // parentnodeid 299
+	"026869" + // nodedata "hi", uvarint length first
 	"050000000300" + // parentrowid: page u32 5, slot u16 3, little-endian
 	"050000000200" // prevrowid 5.2; nothing follows for the three NULLs
 
@@ -43,8 +39,7 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 	}
 	n := goldenNode
 	row := ordbms.Row{
-		ordbms.I(int64(n.NodeID)), ordbms.I(int64(n.DocID)), ordbms.I(int64(n.Class)),
-		ordbms.S(n.Name), optString(n.Data), ordbms.I(int64(n.Ordinal)), ordbms.I(int64(n.ParentID)),
+		ordbms.I(int64(n.DocID)), ordbms.I(int64(n.Class)), optString(n.Name), optString(n.Data),
 		ordbms.R(n.ParentRowID), ordbms.R(n.PrevRowID), linkSlot(-1), linkSlot(-1), optString(""),
 	}
 	if err := xmlSchema.Validate(row); err != nil {
@@ -54,6 +49,9 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 		t.Fatalf("record of the golden node:\n got %s\nwant %s", got, goldenRecord)
 	}
 	rec, _ := hex.DecodeString(goldenRecord)
+	if len(rec) != 19 {
+		t.Fatalf("golden text leaf is %d bytes, want 19", len(rec))
+	}
 	back, err := ordbms.DecodeRow(xmlSchema, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +63,7 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 }
 
 // What the ingest path stores for a leaf is what the golden test pins:
-// its missing links and empty strings are NULL bits, not bytes.
+// its name, missing links and empty strings are NULL bits, not bytes.
 func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
@@ -76,8 +74,8 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 		}
 		leaves++
 		ferr := s.xml.FetchView(n.RowID, func(rec []byte) error {
-			if rec[1]&0x0e != 0x0e { // columns 9, 10, 11
-				t.Errorf("node %d: null bitmap %08b %08b does not mark next, child and attrs NULL", n.NodeID, rec[0], rec[1])
+			if rec[0]&0xc4 != 0xc4 || rec[1]&0x01 != 0x01 { // columns 2, 6, 7, 8
+				t.Errorf("node %v: null bitmap %08b %08b does not mark name, next, child and attrs NULL", n.RowID, rec[0], rec[1])
 			}
 			return nil
 		})

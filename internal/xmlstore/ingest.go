@@ -15,12 +15,10 @@ import (
 // flatNode is the intermediate record the tree flattener emits before the
 // linked insert.
 type flatNode struct {
-	nodeID  uint64
-	class   sgml.NodeClass
-	name    string
-	data    string
-	attrs   string
-	ordinal int
+	class sgml.NodeClass
+	name  string // "" for a text node
+	data  string
+	attrs string
 
 	parent, prev, next, child int // indexes into the flat slice; -1 = none
 	rid                       ordbms.RowID
@@ -46,10 +44,10 @@ type preparedDoc struct {
 }
 
 // prepareDocument runs every part of StoreDocument that does not touch
-// the tables: it picks the root element, flattens the tree, reserves the
-// node-ID block, builds and encodes the rows (present links still zero), and
-// pre-tokenizes TEXT node data for the content index.  It is safe to call
-// from many goroutines concurrently; only the ID reservation takes a lock.
+// the tables: it picks the root element, flattens the tree, builds and
+// encodes the rows (present links still zero), and pre-tokenizes TEXT
+// node data for the content index.  It takes no locks and is safe to call
+// from many goroutines concurrently.
 func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64) (*preparedDoc, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("xmlstore: nil document tree")
@@ -75,11 +73,6 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 	if len(flat) == 0 {
 		return nil, fmt.Errorf("xmlstore: document %q flattened to no nodes", meta.FileName)
 	}
-	base := s.reserveNodeIDs(len(flat))
-	for i := range flat {
-		flat[i].nodeID = base + uint64(i)
-	}
-
 	p := &preparedDoc{
 		meta:  meta,
 		docID: docID,
@@ -92,13 +85,10 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 	for i := range flat {
 		fn := &flat[i]
 		row := ordbms.Row{
-			ordbms.I(int64(fn.nodeID)),
 			ordbms.I(int64(docID)),
 			ordbms.I(int64(fn.class)),
-			ordbms.S(fn.name),
+			optString(fn.name),
 			optString(fn.data),
-			ordbms.I(int64(fn.ordinal)),
-			ordbms.I(parentNodeID(flat, fn)),
 			linkSlot(fn.parent),
 			linkSlot(fn.prev),
 			linkSlot(fn.next),
@@ -249,10 +239,8 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 		return fmt.Errorf("xmlstore: insert DOC row for %q: %w", p.meta.FileName, err)
 	}
 
-	s.statsMu.Lock()
-	s.docsIngested++
-	s.nodesInserted += uint64(len(flat))
-	s.statsMu.Unlock()
+	s.docsIngested.Add(1)
+	s.nodesInserted.Add(uint64(len(flat)))
 	return nil
 }
 
@@ -294,20 +282,7 @@ func (s *Store) indexPrepared(p *preparedDoc) {
 // the first.  The batch pipeline reserves one block per batch up front so
 // document IDs always follow submission order.
 func (s *Store) reserveDocIDs(n int) uint64 {
-	s.mu.Lock()
-	base := s.nextDocID
-	s.nextDocID += uint64(n)
-	s.mu.Unlock()
-	return base
-}
-
-// reserveNodeIDs allocates a contiguous block of node IDs.
-func (s *Store) reserveNodeIDs(n int) uint64 {
-	s.mu.Lock()
-	base := s.nextNodeID
-	s.nextNodeID += uint64(n)
-	s.mu.Unlock()
-	return base
+	return s.nextDocID.Add(uint64(n)) - uint64(n)
 }
 
 // StoreDocument decomposes a parsed document tree into the universal XML
@@ -351,16 +326,8 @@ func (s *Store) StoreRaw(name string, data []byte) (uint64, error) {
 	return s.StoreDocument(meta, tree, sgml.XMLConfig())
 }
 
-func parentNodeID(flat []flatNode, fn *flatNode) int64 {
-	if fn.parent < 0 {
-		return 0
-	}
-	return int64(flat[fn.parent].nodeID)
-}
-
 // flattenTree walks the tree in document order, recording structural
-// relationships as slice indexes.  Node IDs are assigned afterwards from
-// a reserved block, so the walk itself takes no locks and can run in
+// relationships as slice indexes.  It takes no locks, so it can run in
 // parallel preparation workers.
 func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
 	var flat []flatNode
@@ -387,20 +354,16 @@ func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
 				fn.data = n.Text()
 			}
 		case sgml.TextNode:
-			fn.name = "#text"
 			fn.data = n.Data
 		}
 		flat = append(flat, fn)
 
 		prev := -1
-		ord := 0
 		for c := n.FirstChild; c != nil; c = c.NextSibling {
 			ci := walk(c, idx)
 			if ci < 0 {
 				continue
 			}
-			flat[ci].ordinal = ord
-			ord++
 			if prev >= 0 {
 				flat[prev].next = ci
 				flat[ci].prev = prev
@@ -550,7 +513,7 @@ func (s *Store) Reconstruct(docID uint64) (*sgml.Node, error) {
 	var path []*sgml.Node // path[d] is the node being built at depth d
 	err = walkSubtree(root, s.FetchNode, func(n *Node, depth int) {
 		var out *sgml.Node
-		if n.Name == "#text" {
+		if n.Class == sgml.ClassText {
 			out = sgml.NewText(n.Data)
 		} else {
 			out = sgml.NewElement(n.Name, n.Attrs...)

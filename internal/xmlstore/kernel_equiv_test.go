@@ -160,9 +160,9 @@ func TestContextIndexMatchesWalk(t *testing.T) {
 			switch {
 			case viaIdx == nil && viaWalk == nil:
 			case viaIdx == nil || viaWalk == nil:
-				t.Fatalf("%s: node %d: index=%v walk=%v", stage, n.NodeID, viaIdx, viaWalk)
+				t.Fatalf("%s: node %v: index=%v walk=%v", stage, n.RowID, viaIdx, viaWalk)
 			case viaIdx.RowID != viaWalk.RowID:
-				t.Fatalf("%s: node %d: index→%v walk→%v", stage, n.NodeID, viaIdx.RowID, viaWalk.RowID)
+				t.Fatalf("%s: node %v: index→%v walk→%v", stage, n.RowID, viaIdx.RowID, viaWalk.RowID)
 			}
 		}
 	}
@@ -223,7 +223,7 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 		switch {
 		case viaIdx == nil && viaWalk == nil:
 		case viaIdx == nil || viaWalk == nil || viaIdx.RowID != viaWalk.RowID:
-			t.Fatalf("node %d: rebuilt index and walk disagree (%v vs %v)", n.NodeID, viaIdx, viaWalk)
+			t.Fatalf("node %v: rebuilt index and walk disagree (%v vs %v)", n.RowID, viaIdx, viaWalk)
 		}
 		return true
 	}); err != nil {

@@ -309,11 +309,11 @@ func TestSlotReuseNeverServesStaleNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cached.NodeID != direct.NodeID || cached.Data != direct.Data || cached.DocID != docID ||
+			if cached.Name != direct.Name || cached.Data != direct.Data || cached.DocID != docID ||
 				cached.ParentRowID != direct.ParentRowID || cached.ChildRowID != direct.ChildRowID ||
 				cached.PrevRowID != direct.PrevRowID || cached.NextRowID != direct.NextRowID {
-				t.Fatalf("round %d: cache serves node %d of doc %d (%q) at %v, the table holds node %d (%q)",
-					round, cached.NodeID, cached.DocID, cached.Data, rid, direct.NodeID, direct.Data)
+				t.Fatalf("round %d: cache serves <%s> of doc %d (%q) at %v, the table holds <%s> (%q)",
+					round, cached.Name, cached.DocID, cached.Data, rid, direct.Name, direct.Data)
 			}
 		}
 		tree, err := s.Reconstruct(docID)

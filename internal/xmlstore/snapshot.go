@@ -4,7 +4,7 @@ package xmlstore
 // corpus size.  On every DB.Checkpoint (and therefore on Close) the
 // store serialises everything rebuildDerived would otherwise reconstruct
 // by scanning the whole heap — the text-index posting lists, the context
-// btree, the node→governing-CONTEXT map and the ID counters — into a file
+// btree, the node→governing-CONTEXT map and the counters — into a file
 // written inside the checkpoint critical section.  The mutation
 // generations result caches key on are not part of it: they are
 // process-local, their only reader is a cache that is empty after a
@@ -34,13 +34,14 @@ const (
 	// snapshotVersion 2 switched the embedded text index to the
 	// block-compressed posting-list codec AND changed the tokenizer
 	// (combining marks, CJK script boundaries); 3 stopped persisting the
-	// cache-key generations.  Any other version — older or newer — falls
+	// cache-key generations; 4 dropped the node-ID counter along with the
+	// node IDs.  Any other version — older or newer — falls
 	// back to the scan rebuild, which retokenizes every document under
 	// the current contract; loading a v1 file's postings verbatim would
 	// permanently serve old-tokenizer terms against new-tokenizer
 	// queries.  The next checkpoint rewrites the file at the current
 	// version, so the penalty is one slow reopen.
-	snapshotVersion = 3
+	snapshotVersion = 4
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
@@ -99,14 +100,9 @@ func (s *Store) snapshotHook(ci ordbms.CheckpointInfo) error {
 func (s *Store) encodeSnapshot() []byte {
 	buf := make([]byte, 0, 1<<16)
 
-	s.mu.RLock()
-	buf = binary.AppendUvarint(buf, s.nextNodeID)
-	buf = binary.AppendUvarint(buf, s.nextDocID)
-	s.mu.RUnlock()
-	s.statsMu.Lock()
-	buf = binary.AppendUvarint(buf, s.docsIngested)
-	buf = binary.AppendUvarint(buf, s.nodesInserted)
-	s.statsMu.Unlock()
+	buf = binary.AppendUvarint(buf, s.nextDocID.Load())
+	buf = binary.AppendUvarint(buf, s.docsIngested.Load())
+	buf = binary.AppendUvarint(buf, s.nodesInserted.Load())
 
 	buf = s.content.AppendSnapshot(buf)
 
@@ -176,10 +172,6 @@ func (s *Store) applySnapshot(p []byte) error {
 		off += n
 		return v, nil
 	}
-	nextNodeID, err := uv()
-	if err != nil {
-		return err
-	}
 	nextDocID, err := uv()
 	if err != nil {
 		return err
@@ -206,21 +198,26 @@ func (s *Store) applySnapshot(p []byte) error {
 	// Headings were serialised in tree order, so the context btree
 	// bulk-builds in O(n) like the other loaded indexes.
 	contexts := btree.NewBuilder[string, ordbms.RowID](strings.Compare, btree.DefaultOrder)
+	var prevKey string
 	for i := uint64(0); i < nHeadings; i++ {
 		klen, err := uv()
 		if err != nil {
 			return err
 		}
-		if off+int(klen) > len(p) {
+		if klen > uint64(len(p)-off) { // in uint64: a huge klen must not wrap int
 			return fmt.Errorf("xmlstore: truncated heading at byte %d", off)
 		}
 		key := string(p[off : off+int(klen)])
 		off += int(klen)
+		if i > 0 && key <= prevKey { // the builder needs strictly ascending keys
+			return fmt.Errorf("xmlstore: heading %q out of order", key)
+		}
+		prevKey = key
 		nr, err := uv()
 		if err != nil {
 			return err
 		}
-		if nr > uint64(len(p)) { // every rid costs >= 1 byte
+		if nr > uint64(len(p)-off) { // every rid costs >= 1 byte
 			return fmt.Errorf("xmlstore: implausible rid count %d", nr)
 		}
 		rids := make([]ordbms.RowID, nr)
@@ -238,7 +235,7 @@ func (s *Store) applySnapshot(p []byte) error {
 	if err != nil {
 		return err
 	}
-	if nCtx > uint64(len(p)) {
+	if nCtx > uint64(len(p)-off) { // every entry costs >= 2 bytes
 		return fmt.Errorf("xmlstore: implausible ctxIdx count %d", nCtx)
 	}
 	ctxIdx := make(map[ordbms.RowID]ordbms.RowID, nCtx)
@@ -260,10 +257,9 @@ func (s *Store) applySnapshot(p []byte) error {
 	}
 
 	// Whole decode succeeded: install.
-	s.nextNodeID = nextNodeID
-	s.nextDocID = nextDocID
-	s.docsIngested = docsIngested
-	s.nodesInserted = nodesInserted
+	s.nextDocID.Store(nextDocID)
+	s.docsIngested.Store(docsIngested)
+	s.nodesInserted.Store(nodesInserted)
 	s.content = content
 	s.adoptContexts(contexts.Tree())
 	s.ctxIdx = ctxIdx

@@ -4,15 +4,19 @@
 //
 //	DOC:  DOC_ID, FILE_NAME, FILE_DATE, FILE_SIZE, FORMAT, TITLE,
 //	      ROOT_ROWID, NNODES
-//	XML:  NODEID (PK), DOC_ID (FK), NODETYPE, NODENAME, NODEDATA,
-//	      ORDINAL, PARENTNODEID, PARENTROWID, PREVROWID, NEXTROWID,
-//	      CHILDROWID
+//	XML:  DOC_ID (FK), NODETYPE, NODENAME, NODEDATA, PARENTROWID,
+//	      PREVROWID, NEXTROWID, CHILDROWID, ATTRS
 //
 // No per-document-type schema ever exists: "the NETMARK storage scheme
 // uses the same relational tables to represent and store any XML document
 // type" (§2.1.1).  Node-to-node links are physical RowIDs, reproducing
 // the paper's use of Oracle ROWIDs "for very fast traversal between nodes
 // that are related": following a link costs one buffer-pool fetch.
+//
+// A node is its RowID.  Fig 5's NODEID, ORDINAL and PARENTNODEID are not
+// stored: the RowID names the node, the sibling links give its position,
+// and PARENTROWID names its parent.  Nor is a text node's name: NODETYPE
+// already says TEXT, so its NODENAME is NULL.
 //
 // This package persists derived snapshots, so every committing rename
 // must follow write-temp → fsync → rename → fsync-dir.
@@ -35,17 +39,15 @@ import (
 
 // Column order of the XML table.  The four link columns are ROWIDs: 6
 // bytes when the link exists, NULL — no bytes at all — when it does not,
-// as are an empty nodedata and an empty attrs.  Which links a node has is
-// known when its tree is flattened, so a record's size is final before
-// the row is placed and patching a link in never moves it.
+// as are a text node's nodename, an empty nodedata and an empty attrs.
+// Which links a node has is known when its tree is flattened, so a
+// record's size is final before the row is placed and patching a link in
+// never moves it.
 const (
-	xmlColNodeID = iota
-	xmlColDocID
+	xmlColDocID = iota
 	xmlColNodeType
 	xmlColNodeName
 	xmlColNodeData
-	xmlColOrdinal
-	xmlColParentNodeID
 	xmlColParentRowID
 	xmlColPrevRowID
 	xmlColNextRowID
@@ -65,16 +67,13 @@ const (
 	docColNNodes
 )
 
-// Node is a decoded row of the XML table.
+// Node is a decoded row of the XML table.  A text node's Name is "".
 type Node struct {
-	NodeID   uint64
-	DocID    uint64
-	Class    sgml.NodeClass
-	Name     string
-	Data     string
-	Ordinal  int
-	ParentID uint64
-	Attrs    []sgml.Attr
+	DocID uint64
+	Class sgml.NodeClass
+	Name  string
+	Data  string
+	Attrs []sgml.Attr
 
 	RowID       ordbms.RowID // physical address of this node
 	ParentRowID ordbms.RowID
@@ -113,11 +112,7 @@ type Store struct {
 	xml *ordbms.Table
 	doc *ordbms.Table
 
-	// mu protects ID allocation only; hold times are a few instructions.
-	// netmarkvet:hot netmarkvet:lockorder 20
-	mu         sync.RWMutex
-	nextNodeID uint64 // guarded by mu; netmarkvet:snap
-	nextDocID  uint64 // guarded by mu; netmarkvet:snap
+	nextDocID atomic.Uint64 // next unreserved document ID; netmarkvet:snap
 
 	// content is the full-text index over TEXT node data; IDs are packed
 	// physical RowIDs, so a hit leads straight to the page.
@@ -160,10 +155,9 @@ type Store struct {
 	// EnableNodeCache during setup, before the store serves traffic.
 	nodes *nodeCache
 
-	// Stats counters.  netmarkvet:hot netmarkvet:lockorder 40
-	statsMu       sync.Mutex
-	docsIngested  uint64 // guarded by statsMu; netmarkvet:snap
-	nodesInserted uint64 // guarded by statsMu; netmarkvet:snap
+	// Stats counters.
+	docsIngested  atomic.Uint64 // netmarkvet:snap
+	nodesInserted atomic.Uint64 // netmarkvet:snap
 
 	// ckptMu is the checkpoint barrier.  Every mutation path (ingest,
 	// batch writer+indexer, delete) holds it for reading across its whole
@@ -187,13 +181,10 @@ type Store struct {
 }
 
 var xmlSchema = ordbms.MustSchema(
-	ordbms.Column{Name: "nodeid", Type: ordbms.TypeInt},
 	ordbms.Column{Name: "docid", Type: ordbms.TypeInt},
 	ordbms.Column{Name: "nodetype", Type: ordbms.TypeInt},
 	ordbms.Column{Name: "nodename", Type: ordbms.TypeString},
 	ordbms.Column{Name: "nodedata", Type: ordbms.TypeString},
-	ordbms.Column{Name: "ordinal", Type: ordbms.TypeInt},
-	ordbms.Column{Name: "parentnodeid", Type: ordbms.TypeInt},
 	ordbms.Column{Name: "parentrowid", Type: ordbms.TypeRowID},
 	ordbms.Column{Name: "prevrowid", Type: ordbms.TypeRowID},
 	ordbms.Column{Name: "nextrowid", Type: ordbms.TypeRowID},
@@ -223,7 +214,7 @@ type OpenOptions struct {
 
 // Open attaches the store to a database, creating the universal tables on
 // first use.  On a persistent reopen the derived indexes (text index,
-// context btree, node→CONTEXT map, ID counters) are
+// context btree, node→CONTEXT map, document-ID counter) are
 // loaded from the checkpoint snapshot when its stamps prove the heap has
 // not moved since it was written; otherwise — and always for in-memory
 // stores — they are rebuilt by the full heap scan.
@@ -234,14 +225,13 @@ func Open(db *ordbms.DB) (*Store, error) {
 // OpenWith is Open with explicit options.
 func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 	s := &Store{
-		db:         db,
-		content:    textindex.New(),
-		contexts:   btree.New[string, ordbms.RowID](strings.Compare),
-		ctxGens:    make(map[string]uint64),
-		ctxIdx:     make(map[ordbms.RowID]ordbms.RowID),
-		nextNodeID: 1,
-		nextDocID:  1,
+		db:       db,
+		content:  textindex.New(),
+		contexts: btree.New[string, ordbms.RowID](strings.Compare),
+		ctxGens:  make(map[string]uint64),
+		ctxIdx:   make(map[ordbms.RowID]ordbms.RowID),
 	}
+	s.nextDocID.Store(1)
 	var err error
 	// XML has no secondary index: its rows are reached by ROWID link from
 	// DOC.rootrowid and from the derived indexes, never by key.
@@ -294,8 +284,8 @@ func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...st
 }
 
 // rebuildDerived rescans the XML table to rebuild the text index, the
-// context index, the node→governing-CONTEXT index and the ID counters
-// after reopening a persistent store.  Runs during OpenWith, before
+// context index, the node→governing-CONTEXT index and the document-ID
+// counter after reopening a persistent store.  Runs during OpenWith, before
 // the store is shared with any other goroutine.
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
@@ -309,13 +299,9 @@ func (s *Store) rebuildDerived() error {
 	idxOf := make(map[ordbms.RowID]int)
 	type pendingLinks struct{ prev, parent ordbms.RowID }
 	var pend []pendingLinks
-	maxNode, maxDoc := uint64(0), uint64(0)
+	maxDoc := uint64(0)
 	err := s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
-		nodeID := uint64(row[xmlColNodeID].Int)
 		docID := uint64(row[xmlColDocID].Int)
-		if nodeID > maxNode {
-			maxNode = nodeID
-		}
 		if docID > maxDoc {
 			maxDoc = docID
 		}
@@ -366,8 +352,7 @@ func (s *Store) rebuildDerived() error {
 	if err != nil {
 		return err
 	}
-	s.nextNodeID = maxNode + 1
-	s.nextDocID = maxDoc + 1
+	s.nextDocID.Store(maxDoc + 1)
 	return nil
 }
 
@@ -478,9 +463,7 @@ func (s *Store) DB() *ordbms.DB { return s.db }
 
 // Stats returns ingestion counters.
 func (s *Store) Stats() (docs, nodes uint64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.docsIngested, s.nodesInserted
+	return s.docsIngested.Load(), s.nodesInserted.Load()
 }
 
 // Generation returns the store's mutation generation.  It changes after
@@ -500,18 +483,15 @@ func (s *Store) NumDocuments() int64 { return s.doc.Rows() }
 func (s *Store) NumNodes() int64 { return s.xml.Rows() }
 
 // nodeFromCols decodes an XML-table row's columns.  A NULL column reads
-// as its zero value, which is what the writer stored it for: "" for
-// nodedata and attrs, ZeroRowID for a link.
+// as its zero value, which is what the writer stored it for: "" for a
+// text node's nodename, nodedata and attrs, ZeroRowID for a link.
 func nodeFromCols(rid ordbms.RowID, cols []ordbms.Value) *Node {
 	return &Node{
 		Attrs:       decodeAttrs(cols[xmlColAttrs].Str),
-		NodeID:      uint64(cols[xmlColNodeID].Int),
 		DocID:       uint64(cols[xmlColDocID].Int),
 		Class:       sgml.NodeClass(cols[xmlColNodeType].Int),
 		Name:        cols[xmlColNodeName].Str,
 		Data:        cols[xmlColNodeData].Str,
-		Ordinal:     int(cols[xmlColOrdinal].Int),
-		ParentID:    uint64(cols[xmlColParentNodeID].Int),
 		RowID:       rid,
 		ParentRowID: cols[xmlColParentRowID].RowID(),
 		PrevRowID:   cols[xmlColPrevRowID].RowID(),

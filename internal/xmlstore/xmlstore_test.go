@@ -119,17 +119,17 @@ func TestNodeLinksFormAConsistentTree(t *testing.T) {
 		var prev *Node
 		for child != nil {
 			if child.ParentRowID != n.RowID {
-				t.Fatalf("child %d parent link broken", child.NodeID)
+				t.Fatalf("child %v parent link broken", child.RowID)
 			}
 			if prev != nil {
 				if child.PrevRowID != prev.RowID {
-					t.Fatalf("prev link broken at node %d", child.NodeID)
+					t.Fatalf("prev link broken at node %v", child.RowID)
 				}
 				if prev.NextRowID != child.RowID {
-					t.Fatalf("next link broken at node %d", prev.NodeID)
+					t.Fatalf("next link broken at node %v", prev.RowID)
 				}
 			} else if !child.PrevRowID.IsZero() {
-				t.Fatalf("first child %d has prev link", child.NodeID)
+				t.Fatalf("first child %v has prev link", child.RowID)
 			}
 			count += check(child)
 			prev = child
