@@ -38,7 +38,7 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 	var cols [5]Value
 	fetch := func() {
 		err := tbl.FetchView(rid, func(rec []byte) error {
-			return DecodeRowInto(schema, rec, cols[:])
+			return DecodeRowInto(schema, rid.Page, rec, cols[:])
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -65,11 +65,15 @@ func TestWALAppendZeroAlloc(t *testing.T) {
 	rec := make([]byte, 96)
 	rows := make([]runRow, 40)
 	for i := range rows {
-		rows[i] = runRow{slot: uint16(i), rec: rec}
+		rows[i] = runRow{slot: uint16(i), idx: int32(i)}
 	}
 	run := []*runPage{{f: &Frame{PageNo: 7}, rows: rows}}
+	recs := make([][]byte, len(rows))
+	for i := range recs {
+		recs[i] = rec
+	}
 	batch := func() {
-		w.LogInsertRun(run)
+		w.LogInsertRun(run, recs)
 		w.LogDelete(7, 3)
 		lsn := w.LogUpdate(7, 4, rec)
 		if err := w.Flush(lsn); err != nil {

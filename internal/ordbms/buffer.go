@@ -23,6 +23,13 @@ type BufferPool struct {
 	// log out through that LSN first.  Guarded by mu.
 	flushGate func(lsn uint64) error
 
+	// onIOFault, when set, hears of every device fault the pool meets
+	// while writing for whichever caller needed a page: an eviction's
+	// write-back or the data file's extension.  A read that has to evict
+	// fails the same way a write does, so the DB degrades here, where the
+	// write happens, not in its callers.  Set before the pool is shared.
+	onIOFault func(err error)
+
 	// Stats
 	hits, misses, evictions uint64 // guarded by mu
 }
@@ -76,7 +83,7 @@ func (bp *BufferPool) Stats() (hits, misses, evictions uint64) {
 func (bp *BufferPool) NewPage() (*Frame, error) {
 	no, err := bp.disk.AllocatePage()
 	if err != nil {
-		return nil, err
+		return nil, bp.noteIOFault(err)
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -163,11 +170,11 @@ func (bp *BufferPool) ensureRoomLocked() error {
 		if victim.dirty {
 			if bp.flushGate != nil {
 				if err := bp.flushGate(victim.Page.LSN()); err != nil {
-					return err
+					return bp.noteIOFault(err)
 				}
 			}
 			if err := bp.disk.WritePage(victim.PageNo, victim.Page.Data()); err != nil {
-				return err
+				return bp.noteIOFault(err)
 			}
 		}
 		delete(bp.frames, victim.PageNo)
@@ -175,6 +182,15 @@ func (bp *BufferPool) ensureRoomLocked() error {
 		bp.evictions++
 	}
 	return nil
+}
+
+// noteIOFault tells onIOFault of err when the device caused it, then
+// passes err through.
+func (bp *BufferPool) noteIOFault(err error) error {
+	if bp.onIOFault != nil && IsIOFault(err) {
+		bp.onIOFault(err)
+	}
+	return err
 }
 
 func (bp *BufferPool) findVictimLocked() *Frame {

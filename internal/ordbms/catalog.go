@@ -19,7 +19,7 @@ import (
 // catalog itself.  There is one codec and no second reader, so the
 // policy is: any change to what a page, a log record or the catalog
 // means bumps it, and Open refuses every other value.
-const storeFormat = 3
+const storeFormat = 4
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.

@@ -239,6 +239,7 @@ func Open(opts Options) (*DB, error) {
 	db.disk = disk
 	db.wal = wal
 	db.pool = NewBufferPool(disk, opts.PoolPages)
+	db.pool.onIOFault = func(err error) { db.noteWriteError("page write", err) }
 	wal.AttachTo(db.pool)
 	// The open is doomed on these paths; closing may itself fail, and a
 	// failed WAL close is durability information, so fold it into the
@@ -625,15 +626,6 @@ func (t *Table) writable() error {
 	return t.db.Writable()
 }
 
-// noteIfIOFault degrades the store when a mutation failed because of
-// the device (not because of a logical error), then passes err through.
-func (t *Table) noteIfIOFault(op string, err error) error {
-	if err != nil && t.db != nil && IsIOFault(err) {
-		t.db.noteWriteError(op, err)
-	}
-	return err
-}
-
 // Schema returns the table schema.
 func (t *Table) Schema() Schema { return t.schema }
 
@@ -654,7 +646,7 @@ func (t *Table) Insert(row Row) (RowID, error) {
 	defer t.mu.Unlock()
 	rid, err := t.heap.Insert(t.schema.Encode(row))
 	if err != nil {
-		return ZeroRowID, t.noteIfIOFault("insert", err)
+		return ZeroRowID, err
 	}
 	for _, ix := range t.indexes {
 		ix.insert(row, rid)
@@ -663,16 +655,19 @@ func (t *Table) Insert(row Row) (RowID, error) {
 }
 
 // InsertRun stores a run of rows in one pass and returns their physical
-// RowIDs, in order.  recs[i] must equal Schema().Encode(rows[i]) except in the
-// bytes link patches: the caller encodes off the table's write lock (the
-// batch-ingest pipeline does it in its parse workers), and link, called
-// once every RowID of the run is settled and before any row is written,
-// may overwrite fixed-width unindexed columns in recs with those RowIDs
-// — so rows that reference each other physically are written and logged
-// once, with their final bytes (see HeapFile.InsertRun).  link runs
-// under the table lock: it must not block or call back into the table.
-// The run is all or nothing: an error means no row was written, logged
-// or indexed.
+// RowIDs, in order.  recs[i] must encode rows[i] (Schema().EncodeOffsets,
+// any ROWID column near or far) except in the bytes link patches: the
+// caller encodes off the table's write lock (the batch-ingest pipeline
+// does it in its parse workers), and link, called once every RowID of
+// the run is placed and before any row is written, may overwrite
+// unindexed ROWID columns in recs with those RowIDs — so rows that
+// reference each other physically are written and logged once, with
+// their final bytes.  A near link is only right if its target landed on
+// the record's page; link may re-encode such a record with the column
+// far, and a record that grows is placed again (see HeapFile.InsertRun).
+// link runs under the table lock: it must not block or call back into
+// the table.  The run is all or nothing: an error means no row was
+// written, logged or indexed.
 //
 // netmarkvet:mutates
 func (t *Table) InsertRun(rows []Row, recs [][]byte, link func(rids []RowID)) ([]RowID, error) {
@@ -691,7 +686,7 @@ func (t *Table) InsertRun(rows []Row, recs [][]byte, link func(rids []RowID)) ([
 	defer t.mu.Unlock()
 	rids, err := t.heap.InsertRun(recs, link)
 	if err != nil {
-		return nil, t.noteIfIOFault("insert", err)
+		return nil, err
 	}
 	for _, ix := range t.indexes {
 		for i, row := range rows {
@@ -710,7 +705,7 @@ func (t *Table) Fetch(rid RowID) (Row, error) {
 	var row Row
 	err := t.heap.View(rid, func(rec []byte) error {
 		var derr error
-		row, derr = DecodeRow(t.schema, rec)
+		row, derr = DecodeRow(t.schema, rid.Page, rec)
 		return derr
 	})
 	if err != nil {
@@ -743,7 +738,7 @@ func (t *Table) FetchMany(rids []RowID) ([]Row, error) {
 	defer t.mu.RUnlock()
 	rows := make([]Row, len(rids))
 	err := t.heap.ViewMany(rids, func(i int, rec []byte) error {
-		row, derr := DecodeRow(t.schema, rec)
+		row, derr := DecodeRow(t.schema, rids[i].Page, rec)
 		if derr != nil {
 			return derr
 		}
@@ -772,12 +767,12 @@ func (t *Table) Delete(rid RowID) error {
 		if err != nil {
 			return err
 		}
-		if row, err = DecodeRow(t.schema, rec); err != nil {
+		if row, err = DecodeRow(t.schema, rid.Page, rec); err != nil {
 			return err
 		}
 	}
 	if err := t.heap.Delete(rid); err != nil {
-		return t.noteIfIOFault("delete", err)
+		return err
 	}
 	for _, ix := range t.indexes {
 		ix.remove(row, rid)
@@ -785,8 +780,8 @@ func (t *Table) Delete(rid RowID) error {
 	return nil
 }
 
-// Update rewrites the row at rid in place.  The encoded row must not be
-// larger than the stored record.
+// Update rewrites the row at rid in place.  The encoded row — every
+// ROWID far — must not be larger than the stored record.
 //
 // netmarkvet:mutates
 func (t *Table) Update(rid RowID, row Row) error {
@@ -802,12 +797,12 @@ func (t *Table) Update(rid RowID, row Row) error {
 	if err != nil {
 		return err
 	}
-	oldRow, err := DecodeRow(t.schema, oldRec)
+	oldRow, err := DecodeRow(t.schema, rid.Page, oldRec)
 	if err != nil {
 		return err
 	}
 	if err := t.heap.Update(rid, t.schema.Encode(row)); err != nil {
-		return t.noteIfIOFault("update", err)
+		return err
 	}
 	for _, ix := range t.indexes {
 		if !oldRow[ix.colIdx].Equal(row[ix.colIdx]) {
@@ -824,7 +819,7 @@ func (t *Table) Scan(fn func(rid RowID, row Row) bool) error {
 	defer t.mu.RUnlock()
 	var derr error
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(t.schema, rec)
+		row, e := DecodeRow(t.schema, rid.Page, rec)
 		if e != nil {
 			derr = e
 			return false
@@ -862,7 +857,7 @@ func (t *Table) buildIndexLocked(column string) error {
 	ix := newIndex(column, ci)
 	var derr error
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(t.schema, rec)
+		row, e := DecodeRow(t.schema, rid.Page, rec)
 		if e != nil {
 			derr = e
 			return false

@@ -11,9 +11,9 @@ import (
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 or NMWALv2 — is refused by name, and refusing it writes
-// nothing: the directory is byte-identical afterwards, so the version
-// that wrote it can still open it.
+// NMWALv1, NMWALv2 or NMWALv3 — is refused by name, and refusing it
+// writes nothing: the directory is byte-identical afterwards, so the
+// version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
 	oldLog := func(version byte) []byte {
 		log := append([]byte{'N', 'M', 'W', 'A', 'L', 'v', version, 0}, make([]byte, 8)...)
@@ -24,9 +24,11 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		log = binary.LittleEndian.AppendUint32(log, 0xdeadbeef)
 		return append(log, body...)
 	}
-	v1Log, v2Log := oldLog('1'), oldLog('2')
+	v1Log, v2Log, v3Log := oldLog('1'), oldLog('2'), oldLog('3')
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
+	// Format 3 has this version's columns; only its links are all far.
+	v3Catalog := []byte(`{"format":3,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"parentrowid","type":6}],"pages":[1],"indexes":null}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format": {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":            {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -34,6 +36,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 2 catalog":       {"catalog.json": v2Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv2 log":            {"wal.nmlog": v2Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v2 catalog and v2 log":  {"catalog.json": v2Catalog, "wal.nmlog": v2Log},
+		"format 3 catalog":       {"catalog.json": v3Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv3 log":            {"wal.nmlog": v3Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v3 catalog and v3 log":  {"catalog.json": v3Catalog, "wal.nmlog": v3Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -82,7 +87,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":3,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":4,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

@@ -1,7 +1,9 @@
 package ordbms
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -19,21 +21,28 @@ type HeapFile struct {
 	wal   *WAL // may be nil for unlogged heaps
 	tag   string
 	pages []uint32 // guarded by mu
-	// freeHint maps pageNo -> approximate free bytes, only for pages with
-	// meaningful free space.  Guarded by mu.
-	freeHint map[uint32]int
-	rows     int64 // guarded by mu
+	// hints is the free-space map: the pages with meaningful free space
+	// and how much, in ascending page order, so the lowest page a record
+	// fits is the first one that does.  Guarded by mu.
+	hints []pageFree
+	rows  int64 // guarded by mu
+}
+
+// pageFree is one entry of the free-space map.
+type pageFree struct {
+	page uint32
+	free int32
 }
 
 // NewHeapFile creates an empty heap backed by the pool.
 func NewHeapFile(pool *BufferPool, wal *WAL) *HeapFile {
-	return &HeapFile{pool: pool, wal: wal, freeHint: make(map[uint32]int)}
+	return &HeapFile{pool: pool, wal: wal}
 }
 
 // OpenHeapFile reattaches a heap to an existing page list (from the
 // catalog) and rebuilds the free-space map and row count.
 func OpenHeapFile(pool *BufferPool, wal *WAL, pages []uint32) (*HeapFile, error) {
-	h := &HeapFile{pool: pool, wal: wal, pages: append([]uint32(nil), pages...), freeHint: make(map[uint32]int)}
+	h := &HeapFile{pool: pool, wal: wal, pages: append([]uint32(nil), pages...)}
 	for _, no := range pages {
 		f, err := pool.Fetch(no)
 		if err != nil {
@@ -45,43 +54,32 @@ func OpenHeapFile(pool *BufferPool, wal *WAL, pages []uint32) (*HeapFile, error)
 		f.Page.LiveRecords(func(int, []byte) bool { live++; return true })
 		f.Latch.RUnlock()
 		pool.Unpin(f, false)
-		if free > 64 {
-			h.freeHint[no] = free
+		if free > minHint {
+			h.hints = append(h.hints, pageFree{no, int32(free)})
 		}
 		h.rows += int64(live)
 	}
+	slices.SortFunc(h.hints, func(a, b pageFree) int { return cmp.Compare(a.page, b.page) })
 	return h, nil
 }
 
-// OpenHeapFileWithMeta reattaches a heap using checkpointed metadata —
-// row count and free-space map from the derived snapshot — instead of
-// fetching and scanning every page.  Only valid when the snapshot's
-// stamps prove the heap is byte-identical to checkpoint time (see
-// loadDerivedSnapshot); it is what makes reopening O(1) in corpus size.
-func OpenHeapFileWithMeta(pool *BufferPool, wal *WAL, pages []uint32, rows int64, free map[uint32]int) *HeapFile {
-	h := &HeapFile{
-		pool:     pool,
-		wal:      wal,
-		pages:    append([]uint32(nil), pages...),
-		freeHint: make(map[uint32]int, len(free)),
-		rows:     rows,
-	}
-	for p, f := range free {
-		h.freeHint[p] = f
-	}
-	return h
+// openHeapFileWithMeta reattaches a heap using checkpointed metadata —
+// row count and free-space map (ascending, as meta returns it) from the
+// derived snapshot — instead of fetching and scanning every page.  Only
+// valid when the snapshot's stamps prove the heap is byte-identical to
+// checkpoint time (see loadDerivedSnapshot); it is what makes reopening
+// O(1) in corpus size.
+func openHeapFileWithMeta(pool *BufferPool, wal *WAL, pages []uint32, rows int64, hints []pageFree) *HeapFile {
+	return &HeapFile{pool: pool, wal: wal, pages: append([]uint32(nil), pages...), rows: rows, hints: hints}
 }
 
-// Meta snapshots the heap's derived metadata (live row count and
-// free-space map) for the checkpoint's derived snapshot.
-func (h *HeapFile) Meta() (rows int64, free map[uint32]int) {
+// meta snapshots the heap's derived metadata (live row count and
+// free-space map, in ascending page order) for the checkpoint's derived
+// snapshot.
+func (h *HeapFile) meta() (rows int64, hints []pageFree) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	free = make(map[uint32]int, len(h.freeHint))
-	for p, f := range h.freeHint {
-		free[p] = f
-	}
-	return h.rows, free
+	return h.rows, slices.Clone(h.hints)
 }
 
 // Pages returns the page numbers owned by this heap (for the catalog).
@@ -113,27 +111,37 @@ func (h *HeapFile) Insert(rec []byte) (RowID, error) {
 type runPage struct {
 	f     *Frame
 	plan  pagePlan
-	free0 int      // FreeSpace when the run first looked, to undo the hints
+	plan0 pagePlan // the page as the run first found it, to plan again or undo the hints
 	rows  []runRow // what the run has placed here so far, in order
 }
 
-// runRow is one placed record of a run insert: the slot it was promised
-// and the record whose bytes the caller may still be patching.
+// runRow is one placed record of a run insert: the slot it was promised,
+// the size it was placed at, and which record of the run it is — its
+// bytes, which link may still patch or swap, are read from the run when
+// it is written.
 type runRow struct {
-	slot uint16
-	rec  []byte
+	slot, size uint16
+	idx        int32
 }
 
 // InsertRun stores a run of records in one pass and returns their
-// physical RowIDs, in order.  It first places every record — free-hint
-// pages, then the tail page, then a fresh page, which needs only the
-// record sizes — then hands the RowIDs to link, which may patch bytes of
-// the records in place (never their lengths): rows that point at each
-// other by RowID are written once, already linked.  Only then do the
-// pages take their rows, all under their write latches and one
-// walInsertRun record, so no reader and no page flush ever sees a row
-// before its final bytes are logged.  link runs under the heap lock and
-// must not block or call back into the heap; nil means nothing to patch.
+// physical RowIDs, in order.  It first places every record — the lowest
+// hinted page it fits, else the tail page, else a fresh page, which needs
+// only the record sizes — then hands the RowIDs to link, which may patch
+// bytes of the records in place: rows that point at each other by RowID
+// are written once, already linked.  Only then do the pages take their
+// rows, all under their write latches and one walInsertRun record, so no
+// reader and no page flush ever sees a row before its final bytes are
+// logged.  link runs under the heap lock and must not block or call back
+// into the heap; nil means nothing to patch.
+//
+// Where a record lands can decide its size — a link to a row on its own
+// page is stored near, in fewer bytes — so link may also replace records
+// in recs.  A shorter one is written where the record was placed.  A
+// longer one is placed again, and so is every record after it, as if the
+// run had reached it with that size: pages considered so far stay
+// pinned, a fresh page stays the heap's, and link is called with the new
+// RowIDs.  A record that only ever grows keeps this finite.
 //
 // A run is all or nothing, in memory and in the log.  Every page it
 // touches stays pinned until the end, so all that can fail — a read, an
@@ -143,10 +151,8 @@ type runRow struct {
 // the run's rows or none, never a row whose links point at rows that
 // were lost.
 func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []RowID, err error) {
-	for _, rec := range recs {
-		if len(rec) == 0 || len(rec) > MaxRecordSize {
-			return nil, fmt.Errorf("ordbms: record of %d bytes, want 1 to %d (the page capacity)", len(rec), MaxRecordSize)
-		}
+	if err := checkRecordSizes(recs); err != nil {
+		return nil, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -154,33 +160,51 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 	// pages holds every page considered so far, in first-touch order; the
 	// page a record lands on is nearly always the last one.
 	var pages []*runPage
+	// unplace takes the records from onwards off their pages: each page
+	// plans the records it keeps again from its first state, and its hint
+	// follows.  unplace(0) puts every page back as the run found it, save
+	// that a fresh page is now the heap's, hinted.
+	unplace := func(from int) {
+		for _, rp := range pages {
+			keep := len(rp.rows)
+			for keep > 0 && int(rp.rows[keep-1].idx) >= from {
+				keep--
+			}
+			if keep == len(rp.rows) {
+				continue
+			}
+			rp.rows, rp.plan = rp.rows[:keep], rp.plan0
+			for _, r := range rp.rows {
+				rp.plan.place(int(r.size))
+			}
+			h.setHintLocked(rp.f.PageNo, rp.plan.freeSpace())
+		}
+	}
 	written := false
 	defer func() {
-		for _, rp := range pages {
-			if !written { // nothing was placed after all: the hints go back
-				h.setHintLocked(rp.f.PageNo, rp.free0)
-			}
-			h.pool.Unpin(rp.f, written && len(rp.rows) > 0)
-		}
-		if !written {
+		if !written { // nothing was placed after all
+			unplace(0)
 			err = fmt.Errorf("ordbms: run insert of %d records wrote nothing (its pages stay pinned until it is logged): %w", len(recs), err)
+		}
+		for _, rp := range pages {
+			h.pool.Unpin(rp.f, written && len(rp.rows) > 0)
 		}
 	}()
 	consider := func(f *Frame) *runPage {
 		f.Latch.RLock()
 		rp := &runPage{f: f, plan: f.Page.plan()}
 		f.Latch.RUnlock()
-		rp.free0 = rp.plan.freeSpace()
+		rp.plan0 = rp.plan
 		pages = append(pages, rp)
 		return rp
 	}
-	// tryPlace reserves room for rec on page no and keeps the free-space
-	// map in step.
-	tryPlace := func(no uint32, rec []byte) (RowID, bool, error) {
+	// tryPlace reserves room for record i on page no and keeps the
+	// free-space map in step.
+	tryPlace := func(no uint32, i int) (RowID, bool, error) {
 		var rp *runPage
-		for i := len(pages) - 1; i >= 0 && rp == nil; i-- {
-			if pages[i].f.PageNo == no {
-				rp = pages[i]
+		for k := len(pages) - 1; k >= 0 && rp == nil; k-- {
+			if pages[k].f.PageNo == no {
+				rp = pages[k]
 			}
 		}
 		if rp == nil {
@@ -190,50 +214,34 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 			}
 			rp = consider(f)
 		}
-		slot, ok := rp.plan.place(len(rec))
+		slot, ok := rp.plan.place(len(recs[i]))
 		if !ok {
 			return ZeroRowID, false, nil
 		}
-		rp.rows = append(rp.rows, runRow{slot: uint16(slot), rec: rec})
+		rp.rows = append(rp.rows, runRow{slot: uint16(slot), size: uint16(len(recs[i])), idx: int32(i)})
 		h.setHintLocked(no, rp.plan.freeSpace())
 		return RowID{Page: no, Slot: uint16(slot)}, true, nil
 	}
-
-	rids = make([]RowID, len(recs))
-place:
-	for i, rec := range recs {
-		// Try pages with known free space first, lowest page first: map
-		// order is random, and the same inserts must land on the same
-		// RowIDs (query results come back in RowID order).
+	// place finds record i a page, lowest first among those with known
+	// free space: the same inserts must land on the same RowIDs (query
+	// results come back in RowID order).
+	place := func(i int) (RowID, error) {
 		for {
-			no, found := uint32(0), false
-			for p, free := range h.freeHint {
-				if free >= len(rec)+slotSize && (!found || p < no) {
-					no, found = p, true
-				}
-			}
+			no, found := h.firstFitLocked(len(recs[i]))
 			if !found {
 				break
 			}
-			rid, ok, err := tryPlace(no, rec)
-			if err != nil {
-				return nil, err
+			rid, ok, err := tryPlace(no, i)
+			if err != nil || ok {
+				return rid, err
 			}
-			if ok {
-				rids[i] = rid
-				continue place
-			}
-			delete(h.freeHint, no) // hint was stale
+			h.setHintLocked(no, 0) // hint was stale
 		}
 		// Try the last page (append locality).
 		if n := len(h.pages); n > 0 {
-			rid, ok, err := tryPlace(h.pages[n-1], rec)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				rids[i] = rid
-				continue place
+			rid, ok, err := tryPlace(h.pages[n-1], i)
+			if err != nil || ok {
+				return rid, err
 			}
 		}
 		// Allocate a fresh page.  Its adoption is logged here, ahead of the
@@ -241,22 +249,47 @@ place:
 		// heap even when the catalog predates the allocation (see walAlloc).
 		f, err := h.pool.NewPage()
 		if err != nil {
-			return nil, err
+			return ZeroRowID, err
 		}
 		h.pages = append(h.pages, f.PageNo)
 		if h.wal != nil {
 			h.wal.LogAlloc(h.tag, f.PageNo)
 		}
 		consider(f)
-		rid, _, err := tryPlace(f.PageNo, rec) // the size check above makes an empty page fit
-		if err != nil {
-			return nil, err
-		}
-		rids[i] = rid
+		rid, _, err := tryPlace(f.PageNo, i) // the size check makes an empty page fit
+		return rid, err
 	}
 
-	if link != nil {
-		link(rids)
+	// grownFrom is the first record link made longer than it was placed,
+	// or len(recs).
+	grownFrom := func() int {
+		from := len(recs)
+		for _, rp := range pages {
+			for _, r := range rp.rows {
+				if int(r.idx) < from && len(recs[r.idx]) > int(r.size) {
+					from = int(r.idx)
+				}
+			}
+		}
+		return from
+	}
+
+	rids = make([]RowID, len(recs))
+	for from := 0; from < len(recs); {
+		for i := from; i < len(recs); i++ {
+			if rids[i], err = place(i); err != nil {
+				return nil, err
+			}
+		}
+		if link != nil {
+			link(rids)
+		}
+		if from = grownFrom(); from < len(recs) {
+			if err = checkRecordSizes(recs[from:]); err != nil {
+				return nil, err
+			}
+			unplace(from)
+		}
 	}
 
 	// Every page is resident and pinned: from here on nothing does I/O.
@@ -270,19 +303,22 @@ place:
 		latched++
 		rp.f.Latch.Lock()
 		for k, r := range rp.rows {
-			if err = rp.f.Page.insertAt(int(r.slot), r.rec); err != nil {
+			if err = rp.f.Page.insertAt(int(r.slot), recs[r.idx]); err != nil {
 				rp.rows = rp.rows[:k]
 				break
 			}
 		}
 		h.rows += int64(len(rp.rows))
+		if len(rp.rows) > 0 { // a record link shortened left more room than planned
+			h.setHintLocked(rp.f.PageNo, rp.f.Page.FreeSpace())
+		}
 	}
 	for _, rp := range pages[latched:] {
 		rp.rows = nil
 	}
 	var lsn uint64
 	if h.wal != nil {
-		lsn = h.wal.LogInsertRun(pages)
+		lsn = h.wal.LogInsertRun(pages, recs)
 	}
 	for _, rp := range pages[:latched] {
 		if h.wal != nil && len(rp.rows) > 0 {
@@ -296,15 +332,59 @@ place:
 	return rids, nil
 }
 
+// minHint is the least free space that earns a page a place in the
+// free-space map: below it a page is not worth a visit.
+const minHint = 64
+
+// checkRecordSizes refuses a run holding a record no page can take.
+func checkRecordSizes(recs [][]byte) error {
+	for _, rec := range recs {
+		if len(rec) == 0 || len(rec) > MaxRecordSize {
+			return fmt.Errorf("ordbms: record of %d bytes, want 1 to %d (the page capacity)", len(rec), MaxRecordSize)
+		}
+	}
+	return nil
+}
+
+// firstFitLocked returns the lowest page the free-space map says has
+// room for an n-byte record.  Caller holds h.mu.
+func (h *HeapFile) firstFitLocked(n int) (uint32, bool) {
+	for _, pf := range h.hints {
+		if int(pf.free) >= n+slotSize {
+			return pf.page, true
+		}
+	}
+	return 0, false
+}
+
 // setHintLocked records page no's free space in the free-space map, or
 // drops the page from it when too little is left to be worth a visit.
 // Caller holds h.mu.
 func (h *HeapFile) setHintLocked(no uint32, free int) {
-	if free > 64 {
-		h.freeHint[no] = free
-	} else {
-		delete(h.freeHint, no)
+	i, found := h.hintIndexLocked(no)
+	switch {
+	case free > minHint && found:
+		h.hints[i].free = int32(free)
+	case free > minHint:
+		h.hints = slices.Insert(h.hints, i, pageFree{no, int32(free)})
+	case found:
+		h.hints = slices.Delete(h.hints, i, i+1)
 	}
+}
+
+// hintIndexLocked returns where page no's entry is, or would go, in the
+// free-space map.  Caller holds h.mu.
+func (h *HeapFile) hintIndexLocked(no uint32) (int, bool) {
+	// Most records land on the heap's newest page: the map's last entry,
+	// or past it.
+	n := len(h.hints)
+	switch {
+	case n == 0 || h.hints[n-1].page < no:
+		return n, false
+	case h.hints[n-1].page == no:
+		return n - 1, true
+	}
+	return slices.BinarySearchFunc(h.hints, no, func(pf pageFree, no uint32) int { return cmp.Compare(pf.page, no) })
 }
 
 // Fetch returns a copy of the record at rid.

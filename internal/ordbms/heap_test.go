@@ -3,6 +3,7 @@ package ordbms
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -198,6 +199,45 @@ func TestHeapPlacementIsDeterministic(t *testing.T) {
 		if pages := h.Pages(); len(pages) != 2 || rid.Page != pages[0] {
 			t.Fatalf("round %d: small record on page %d of %v, want the first", round, rid.Page, pages)
 		}
+	}
+}
+
+// The free-space map's ordered search picks the page the map walk it
+// replaced did — the lowest hinted page with room — over random hint
+// sets, record sizes, updates and drops.
+func TestFirstFitMatchesLowestHintedPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		h := NewHeapFile(memPool(t, 8), nil)
+		h.mu.Lock()
+		walk := make(map[uint32]int) // the old map, as the old rule kept it
+		for i := rng.Intn(80); i > 0; i-- {
+			no, free := uint32(1+rng.Intn(60)), rng.Intn(PageSize)
+			if rng.Intn(4) == 0 {
+				free = rng.Intn(2 * minHint) // often too little to keep
+			}
+			h.setHintLocked(no, free)
+			if free > minHint {
+				walk[no] = free
+			} else {
+				delete(walk, no)
+			}
+		}
+		if len(h.hints) != len(walk) {
+			t.Fatalf("round %d: %d hints, the map holds %d", round, len(h.hints), len(walk))
+		}
+		for n := 1; n <= MaxRecordSize; n += 1 + rng.Intn(400) {
+			want, wantOK := uint32(0), false
+			for p, free := range walk {
+				if free >= n+slotSize && (!wantOK || p < want) {
+					want, wantOK = p, true
+				}
+			}
+			if got, ok := h.firstFitLocked(n); got != want || ok != wantOK {
+				t.Fatalf("round %d, %d-byte record: ordered search picks %d (%v), the map walk %d (%v)", round, n, got, ok, want, wantOK)
+			}
+		}
+		h.mu.Unlock()
 	}
 }
 

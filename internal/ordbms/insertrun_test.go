@@ -11,8 +11,6 @@ import (
 // the placement policy in a fixed order: page 1 is off the tail with a
 // dead slot and 144 spare bytes (a free-hint page), page 2 is the tail
 // with 54 (below the hint threshold, so only the tail try reaches it).
-// At no point do two hinted pages fit the same record, which keeps the
-// map-ordered hint walk deterministic.
 func runPlacementSeed(t *testing.T) (*HeapFile, [][]byte) {
 	t.Helper()
 	h := NewHeapFile(memPool(t, 64), nil)
@@ -110,6 +108,52 @@ func TestInsertRunPlacementMatchesInsert(t *testing.T) {
 	}
 }
 
+// link may swap records of the run for others: a shorter one is written
+// where the record was placed, and a longer one is placed again, with
+// every record after it, and link is called again with the new RowIDs;
+// the records before it keep theirs.
+func TestInsertRunPlacesGrownRecordsAgain(t *testing.T) {
+	h := NewHeapFile(memPool(t, 64), nil)
+	run := make([][]byte, 30)
+	for i := range run {
+		run[i] = bytes.Repeat([]byte{byte(i)}, 500)
+	}
+	var calls [][]RowID
+	rids, err := h.InsertRun(run, func(rids []RowID) {
+		calls = append(calls, append([]RowID(nil), rids...))
+		if len(calls) == 1 {
+			run[3] = []byte{0xBB}                      // shorter: stays where it was placed
+			run[10] = bytes.Repeat([]byte{0xAA}, 4000) // longer: no longer fits beside records 0-9
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 2 {
+		t.Fatalf("link called %d times, want twice", len(calls))
+	}
+	for i, rid := range calls[0][:10] {
+		if rids[i] != rid {
+			t.Fatalf("record %d, before the one that grew, moved from %v to %v", i, rid, rids[i])
+		}
+	}
+	if rids[10] == calls[0][10] || rids[10].Page == rids[9].Page {
+		t.Fatalf("the grown record stayed at %v, beside record 9 at %v", rids[10], rids[9])
+	}
+	if calls[1][10] != rids[10] {
+		t.Fatalf("link's second call saw the grown record at %v, it landed at %v", calls[1][10], rids[10])
+	}
+	for i, rid := range rids {
+		got, err := h.Fetch(rid)
+		if err != nil || !bytes.Equal(got, run[i]) {
+			t.Fatalf("record %d at %v reads %d bytes (%v), want its final %d", i, rid, len(got), err, len(run[i]))
+		}
+	}
+	if h.Rows() != int64(len(run)) {
+		t.Fatalf("heap holds %d rows, want %d", h.Rows(), len(run))
+	}
+}
+
 // A run's pages stay pinned until it is logged, so a run whose pages
 // outnumber the buffer pool is refused — during placement, before a
 // single row is written, leaving the heap as it was.
@@ -120,7 +164,7 @@ func TestInsertRunLargerThanPoolFailsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, free0 := h.Meta()
+	_, free0 := h.meta()
 	run := make([][]byte, 200)
 	for i := range run {
 		run[i] = bytes.Repeat([]byte{byte(i)}, 1000)
@@ -142,8 +186,8 @@ func TestInsertRunLargerThanPoolFailsClean(t *testing.T) {
 	if scanned != 1 {
 		t.Fatalf("scan finds %d rows, want 1", scanned)
 	}
-	if _, free := h.Meta(); free[first.Page] != free0[first.Page] {
-		t.Fatalf("page %d hinted at %d free bytes after the refused run, %d before", first.Page, free[first.Page], free0[first.Page])
+	if _, free := h.meta(); free[0] != free0[0] || free[0].page != first.Page {
+		t.Fatalf("free-space map %v after the refused run, %v before", free, free0)
 	}
 	// Nothing stays pinned, and the pages the run adopted are reused.
 	pages := len(h.Pages())
@@ -184,7 +228,7 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 	offs := make([][]int, n)
 	for i := range rows {
 		rows[i] = Row{I(int64(i)), R(ZeroRowID)}
-		recs[i], offs[i] = linkSchema().EncodeOffsets(rows[i])
+		recs[i], offs[i] = linkSchema().EncodeOffsets(rows[i], 0)
 	}
 	before, _, bytes0 := db.WALStats()
 	rids, err := tbl.InsertRun(rows, recs, func(rids []RowID) {

@@ -48,17 +48,12 @@ func (db *DB) saveDerivedLocked(ci CheckpointInfo) error {
 		t := db.tables[name]
 		t.mu.RLock()
 		buf = appendSnapString(buf, name)
-		rows, free := t.heap.Meta()
+		rows, hints := t.heap.meta()
 		buf = binary.AppendUvarint(buf, uint64(rows))
-		pages := make([]uint32, 0, len(free))
-		for p := range free {
-			pages = append(pages, p)
-		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-		buf = binary.AppendUvarint(buf, uint64(len(pages)))
-		for _, p := range pages {
-			buf = binary.AppendUvarint(buf, uint64(p))
-			buf = binary.AppendUvarint(buf, uint64(free[p]))
+		buf = binary.AppendUvarint(buf, uint64(len(hints)))
+		for _, pf := range hints {
+			buf = binary.AppendUvarint(buf, uint64(pf.page))
+			buf = binary.AppendUvarint(buf, uint64(pf.free))
 		}
 		cols := make([]string, 0, len(t.indexes))
 		for c := range t.indexes {
@@ -94,7 +89,7 @@ type derivedSnapshot struct {
 
 type derivedTable struct {
 	rows    int64
-	free    map[uint32]int
+	hints   []pageFree
 	indexes map[string][]derivedKey
 }
 
@@ -120,11 +115,14 @@ func (db *DB) loadDerivedSnapshot() *derivedSnapshot {
 	ds := &derivedSnapshot{tables: make(map[string]*derivedTable)}
 	for nt := r.uvarint(); nt > 0; nt-- {
 		name := r.str()
-		dt := &derivedTable{free: make(map[uint32]int), indexes: make(map[string][]derivedKey)}
+		dt := &derivedTable{indexes: make(map[string][]derivedKey)}
 		dt.rows = int64(r.uvarint())
-		for nf := r.uvarint(); nf > 0; nf-- {
-			p := uint32(r.uvarint())
-			dt.free[p] = int(r.uvarint())
+		for nf := r.uvarint(); nf > 0 && !r.failed; nf-- {
+			pf := pageFree{page: uint32(r.uvarint()), free: int32(r.uvarint())}
+			if n := len(dt.hints); n > 0 && pf.page <= dt.hints[n-1].page {
+				return nil // the map is kept in ascending page order
+			}
+			dt.hints = append(dt.hints, pf)
 		}
 		for nc := r.uvarint(); nc > 0; nc-- {
 			col := r.str()
@@ -179,7 +177,7 @@ func (ds *derivedSnapshot) openTable(db *DB, ct catalogTable, schema Schema) (*T
 		db:      db,
 		name:    ct.Name,
 		schema:  schema,
-		heap:    OpenHeapFileWithMeta(db.pool, db.wal, ct.Pages, dt.rows, dt.free),
+		heap:    openHeapFileWithMeta(db.pool, db.wal, ct.Pages, dt.rows, dt.hints),
 		indexes: make(map[string]*Index),
 	}
 	for _, col := range ct.Indexes {

@@ -225,13 +225,16 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 		{Bl(true), Bl(false)},
 		{B(nil), B([]byte{0, 1, 2, 255})},
 		{Null(), I(7), Null(), S("x")},
-		{R(ZeroRowID), R(RowID{Page: 1<<32 - 1, Slot: 1<<16 - 1}), Null(), R(RowID{Page: 7, Slot: 3})},
+		{R(ZeroRowID), R(RowID{Page: 1<<32 - 1, Slot: 1<<15 - 1}), Null(), R(RowID{Page: 7, Slot: 3})},
 		{I(1), I(2), I(3), I(4), I(5), I(6), I(7), I(8), Null(), S("ninth and tenth cross a bitmap byte")},
 	}
 	for i, r := range rows {
 		schema := schemaOf(r)
+		if err := schema.Validate(r); err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
 		enc := schema.Encode(r)
-		dec, err := DecodeRow(schema, enc)
+		dec, err := DecodeRow(schema, 1, enc)
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
@@ -244,6 +247,46 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// A slot with the top bit set would read back as a near link: no page
+	// has one, and no row may hold one.
+	for _, slot := range []uint16{1 << 15, 1<<16 - 1} {
+		r := Row{R(RowID{Page: 7, Slot: slot})}
+		if err := schemaOf(r).Validate(r); err == nil {
+			t.Fatalf("slot %#x validated", slot)
+		}
+	}
+}
+
+// A near ROWID is the slot alone and reads back on the page the record
+// was read from; a far one carries its page.  Both widths sit side by
+// side in one record, and every cut of either is refused.
+func TestNearRowIDPayload(t *testing.T) {
+	schema := MustSchema(Column{"near", TypeRowID}, Column{"far", TypeRowID}, Column{"tail", TypeInt})
+	row := Row{R(RowID{Page: 0, Slot: 0x7FFF}), R(RowID{Page: 9, Slot: 0x1234}), I(-3)}
+	rec, offs := schema.EncodeOffsets(row, 1<<0)
+	if want := []byte{0x00, 0xFF, 0xFF, 0x34, 0x12, 9, 0, 0, 0, 0x05}; !bytes.Equal(rec, want) {
+		t.Fatalf("record %x, want %x", rec, want)
+	}
+	if offs[0] != 1 || offs[1] != 3 || offs[2] != 9 {
+		t.Fatalf("offsets %v", offs)
+	}
+	PutNearRowID(rec[offs[0]:], RowID{Page: 42, Slot: 5})
+	PutRowID(rec[offs[1]:], RowID{Page: 0xA1B2C3D4, Slot: 0x65F6})
+	got, err := DecodeRow(schema, 42, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].RowID() != (RowID{Page: 42, Slot: 5}) || got[1].RowID() != (RowID{Page: 0xA1B2C3D4, Slot: 0x65F6}) || got[2].Int != -3 {
+		t.Fatalf("decoded %v", got)
+	}
+	if again, _ := DecodeRow(schema, 43, rec); again[0].RowID() != (RowID{Page: 43, Slot: 5}) || again[1].RowID() != got[1].RowID() {
+		t.Fatalf("read from page 43: %v", again)
+	}
+	for cut := 0; cut < len(rec); cut++ {
+		if _, err := DecodeRow(schema, 42, rec[:cut]); err == nil {
+			t.Fatalf("truncation at %d silently accepted", cut)
+		}
+	}
 }
 
 func TestDecodeRowCorruption(t *testing.T) {
@@ -253,11 +296,11 @@ func TestDecodeRowCorruption(t *testing.T) {
 	// Truncations must error, never panic: the schema says three columns
 	// follow the bitmap, and no prefix holds them all.
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeRow(schema, enc[:cut]); err == nil {
+		if _, err := DecodeRow(schema, 1, enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d silently accepted", cut)
 		}
 	}
-	if _, err := DecodeRow(schema, append(enc[:len(enc):len(enc)], 0)); err == nil {
+	if _, err := DecodeRow(schema, 1, append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -267,7 +310,7 @@ func TestQuickRowRoundTrip(t *testing.T) {
 	f := func(i int64, s string, fl float64, bl bool, by []byte) bool {
 		r := Row{I(i), S(s), F(fl), Bl(bl), B(by), Null()}
 		schema := schemaOf(r)
-		dec, err := DecodeRow(schema, schema.Encode(r))
+		dec, err := DecodeRow(schema, 1, schema.Encode(r))
 		if err != nil || len(dec) != 6 {
 			return false
 		}

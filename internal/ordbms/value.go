@@ -248,27 +248,35 @@ func (r Row) Clone() Row {
 //	STRING  uvarint length, then the bytes
 //	BYTES   uvarint length, then the bytes
 //	BOOL    1 byte, 0 or 1
-//	ROWID   6 bytes: page u32, slot u16, little-endian (see PutRowID)
+//	ROWID   far, 6 bytes: slot u16, page u32, little-endian; or near,
+//	        2 bytes: slot | 0x8000, for a row on the record's own page
+//	        (see RowIDSize)
+//
+// A near ROWID means "this record's page", so decoding takes the page
+// the record was read from.
 
-// Encode serialises a row that satisfies s.Validate.
+// Encode serialises a row that satisfies s.Validate.  Every ROWID is
+// written far: only the caller that placed a record knows its page.
 func (s Schema) Encode(r Row) []byte {
-	return s.encode(r, nil)
+	return s.encode(r, 0, nil)
 }
 
-// EncodeOffsets serialises a row like Encode and additionally returns,
-// per column, the byte offset of that column's payload within the record
-// (-1 for a NULL, which has none).  A caller that learns a fixed-width
-// payload late — the XML store's ROWID link columns, known only once the
-// run is placed — patches those bytes directly with PutRowID instead of
-// re-encoding.
-func (s Schema) EncodeOffsets(r Row) ([]byte, []int) {
+// EncodeOffsets serialises a row like Encode, except that each non-NULL
+// ROWID column whose bit is set in near (bit i for column i, the first
+// 64 columns) gets a near payload, and additionally returns, per column,
+// the byte offset of that column's payload within the record (-1 for a
+// NULL, which has none).  A caller that learns a ROWID late — the XML
+// store's link columns, known only once the run is placed — patches
+// those bytes directly with PutRowID or PutNearRowID, whichever width
+// it encoded, instead of re-encoding.
+func (s Schema) EncodeOffsets(r Row, near uint64) ([]byte, []int) {
 	offs := make([]int, len(r))
-	return s.encode(r, offs), offs
+	return s.encode(r, near, offs), offs
 }
 
 // encode is the single definition of the record format.  When offs is
 // non-nil it receives each column's payload offset.
-func (s Schema) encode(r Row, offs []int) []byte {
+func (s Schema) encode(r Row, near uint64, offs []int) []byte {
 	nb := (len(r) + 7) / 8
 	size := nb + 4*len(r)
 	for _, v := range r {
@@ -304,31 +312,36 @@ func (s Schema) encode(r Row, offs []int) []byte {
 				buf = append(buf, 0)
 			}
 		case TypeRowID:
-			buf = append(buf, make([]byte, RowIDSize)...)
-			PutRowID(buf[len(buf)-RowIDSize:], v.RowID())
+			if near&(1<<i) != 0 {
+				buf = binary.LittleEndian.AppendUint16(buf, v.RowID().Slot|nearBit)
+			} else {
+				buf = append(buf, make([]byte, RowIDSize)...)
+				PutRowID(buf[len(buf)-RowIDSize:], v.RowID())
+			}
 		}
 	}
 	return buf
 }
 
-// DecodeRow parses a record of a table with schema s.
-func DecodeRow(s Schema, b []byte) (Row, error) {
+// DecodeRow parses a record of a table with schema s, stored on page.
+func DecodeRow(s Schema, page uint32, b []byte) (Row, error) {
 	row := make(Row, len(s.Columns))
-	if err := DecodeRowInto(s, b, row); err != nil {
+	if err := DecodeRowInto(s, page, b, row); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
-// DecodeRowInto decodes a record into a caller-provided row of the
-// schema's arity, avoiding the per-fetch Row allocation of DecodeRow —
-// callers with a fixed schema keep an array on the stack.  String and
-// byte payloads are copied, never aliased, so the decoded values outlive
-// the source buffer.  The record must be exactly one row: bytes left over
-// after the last column are an error.
+// DecodeRowInto decodes a record stored on page (the page a near ROWID
+// points into) into a caller-provided row of the schema's arity, avoiding
+// the per-fetch Row allocation of DecodeRow — callers with a fixed
+// schema keep an array on the stack.  String and byte payloads are
+// copied, never aliased, so the decoded values outlive the source buffer.
+// The record must be exactly one row: bytes left over after the last
+// column are an error.
 //
 // netmarkvet:hotpath
-func DecodeRowInto(s Schema, b []byte, row Row) error {
+func DecodeRowInto(s Schema, page uint32, b []byte, row Row) error {
 	if len(row) != len(s.Columns) {
 		return fmt.Errorf("ordbms: schema has %d columns, caller expects %d", len(s.Columns), len(row))
 	}
@@ -378,11 +391,12 @@ func DecodeRowInto(s Schema, b []byte, row Row) error {
 			v.Bool = b[pos] == 1
 			pos++
 		case TypeRowID:
-			if pos+RowIDSize > len(b) {
+			rid, m := getRowID(b[pos:], page)
+			if m == 0 {
 				return fmt.Errorf("ordbms: corrupt rowid at column %d", i)
 			}
-			v.Int = int64(getRowID(b[pos:]).Uint64())
-			pos += RowIDSize
+			v.Int = int64(rid.Uint64())
+			pos += m
 		default:
 			return fmt.Errorf("ordbms: column %d has no storable type (%v)", i, c.Type)
 		}

@@ -100,7 +100,7 @@ const (
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
 // walMagic names the log's format; the digit is storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '3', 0}
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '4', 0}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.
@@ -195,9 +195,10 @@ func (w *WAL) appendSlotRecord(typ byte, page uint32, slot uint16, rec []byte) u
 }
 
 // LogInsertRun records the rows a run insert placed, page by page in the
-// order they were placed, and returns the LSN.  Pages the run placed
-// nothing on are left out.
-func (w *WAL) LogInsertRun(pages []*runPage) uint64 {
+// order they were placed, and returns the LSN.  recs holds the run's
+// records, which the rows index.  Pages the run placed nothing on are
+// left out.
+func (w *WAL) LogInsertRun(pages []*runPage, recs [][]byte) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	start := w.beginLocked(walInsertRun)
@@ -208,9 +209,10 @@ func (w *WAL) LogInsertRun(pages []*runPage) uint64 {
 		w.buf = binary.LittleEndian.AppendUint32(w.buf, rp.f.PageNo)
 		w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(rp.rows)))
 		for _, r := range rp.rows {
+			rec := recs[r.idx]
 			w.buf = binary.LittleEndian.AppendUint16(w.buf, r.slot)
-			w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(r.rec)))
-			w.buf = append(w.buf, r.rec...)
+			w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(rec)))
+			w.buf = append(w.buf, rec...)
 		}
 	}
 	return w.endLocked(start)

@@ -246,3 +246,48 @@ func TestChaosByteBudget(t *testing.T) {
 	}
 	db2.CloseDiscard()
 }
+
+// A read that has to make room writes a dirty page back; when the device
+// refuses that write the store degrades exactly as if a mutation had hit
+// it — the read reports the fault, health says degraded, and the next
+// ingest is refused with ErrDegraded rather than writing on.
+func TestEvictionFaultDuringReadDegrades(t *testing.T) {
+	const poolPages = 8
+	ffs := vfs.NewFaultFS(nil)
+	db, err := ordbms.Open(ordbms.Options{Dir: t.TempDir(), FS: ffs, PoolPages: poolPages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseDiscard()
+	s, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ingest until the first document's pages have left the pool: every
+	// page still in it was written since and is dirty.
+	first := longDoc("first.html", 20, "early")
+	firstID, err := s.StoreRaw(first.Name, first.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstRoot := docRowIDs(t, s, firstID)[0]
+	for i := 0; ; i++ {
+		if pages, _ := db.HeapStats(); pages >= 3*poolPages {
+			break
+		}
+		d := longDoc(fmt.Sprintf("fill-%d.html", i), 20, "filler")
+		if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "data.nmdb"})
+	if _, err := s.FetchNode(firstRoot); !ordbms.IsIOFault(err) {
+		t.Fatalf("FetchNode that must evict a dirty page under a failing data file = %v, want an I/O fault", err)
+	}
+	if h := s.Health(); !h.Degraded {
+		t.Fatalf("health after a failed write-back = %+v, want degraded", h)
+	}
+	if _, err := s.StoreRaw("refused.html", []byte("<html><body><p>x</p></body></html>")); !IsDegraded(err) {
+		t.Fatalf("ingest after a failed write-back = %v, want ErrDegraded", err)
+	}
+}

@@ -154,10 +154,13 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		return doc
 	}
 
-	// Reopened on a pool far smaller than the document, deleting dirties a
-	// page per few rows, every further page evicts a dirty one, and the
-	// fourth such write-back fails.
+	// Reopened on a pool far smaller than the document, deleting — last
+	// page first — dirties every page of the document, and once the pool
+	// is full each further page evicts a dirty one: about one write-back
+	// per page beyond the pool's.  The write-back halfway through those
+	// fails, whatever the record format makes the document's page count.
 	t.Run("io-fault", func(t *testing.T) {
+		const poolPages = 8
 		dir := t.TempDir()
 		db, s := openDir(t, dir, OpenOptions{})
 		load(t, s)
@@ -165,7 +168,7 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 			t.Fatal(err)
 		}
 		ffs := vfs.NewFaultFS(nil)
-		db, err := ordbms.Open(ordbms.Options{Dir: dir, FS: ffs, PoolPages: 8})
+		db, err := ordbms.Open(ordbms.Options{Dir: dir, FS: ffs, PoolPages: poolPages})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,8 +180,15 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pages := make(map[uint32]bool)
+		for _, rid := range docRowIDs(t, s, doc.DocID) {
+			pages[rid.Page] = true
+		}
+		if len(pages) < poolPages+3 {
+			t.Fatalf("the victim spans %d pages: too few past a %d-page pool to interrupt its delete", len(pages), poolPages)
+		}
 		before, others := s.NumNodes(), reconstructAll(t, s, doc.DocID)
-		ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "data.nmdb", After: 3})
+		ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "data.nmdb", After: (len(pages) - poolPages) / 2})
 		if err := s.DeleteDocument(doc.DocID); !IsTransient(err) {
 			t.Fatalf("delete under a failing data file = %v, want a transient error", err)
 		}

@@ -14,51 +14,74 @@ import (
 )
 
 // goldenNode is a text leaf: it has a parent and a previous sibling, no
-// next sibling, no child and no attributes.
+// next sibling, no child and no attributes.  Stored on page 5, beside
+// both, it is goldenRecord.
 var goldenNode = Node{
 	DocID: 7, Class: sgml.ClassText, Data: "hi",
+	RowID:       ordbms.RowID{Page: 5, Slot: 4},
 	ParentRowID: ordbms.RowID{Page: 5, Slot: 3},
 	PrevRowID:   ordbms.RowID{Page: 5, Slot: 2},
 }
 
-// goldenRecord is goldenNode's XML-table record, byte for byte: 19 bytes.
+// goldenRecord is goldenNode's XML-table record as stored, byte for
+// byte: 11 bytes.
 const goldenRecord = "" +
 	"c401" + // null bitmap, 9 columns: nodename (2), nextrowid, childrowid and attrs (6, 7, 8) are NULL
 	"0e" + // docid 7, zigzag varint
 	"04" + // nodetype TEXT (2)
 	"026869" + // nodedata "hi", uvarint length first
-	"050000000300" + // parentrowid: page u32 5, slot u16 3, little-endian
-	"050000000200" // prevrowid 5.2; nothing follows for the three NULLs
+	"0380" + // parentrowid, near: slot 3 | 0x8000, little-endian — page 5 is the record's own
+	"0280" // prevrowid, near: 5.2; nothing follows for the three NULLs
 
 // The record format is pinned: a change to what the bytes of a stored
 // node mean must show up here (and in ordbms's storeFormat) rather than
-// silently misread existing stores.
+// silently misread existing stores.  A link to a row on the node's own
+// page is its slot alone; a link elsewhere carries the page too.
 func TestXMLRecordGoldenBytes(t *testing.T) {
 	if sgml.ClassText != 2 {
 		t.Fatalf("ClassText = %d; goldenRecord's nodetype byte assumes 2", sgml.ClassText)
 	}
-	n := goldenNode
-	row := ordbms.Row{
-		ordbms.I(int64(n.DocID)), ordbms.I(int64(n.Class)), optString(n.Name), optString(n.Data),
-		ordbms.R(n.ParentRowID), ordbms.R(n.PrevRowID), linkSlot(-1), linkSlot(-1), optString(""),
+	farParent := goldenNode
+	farParent.ParentRowID = ordbms.RowID{Page: 0x0102, Slot: 3}
+	for _, c := range []struct {
+		name string
+		n    Node
+		rec  string
+	}{
+		{"near", goldenNode, goldenRecord},
+		{"far parent", farParent, "c401" + "0e" + "04" + "026869" +
+			"0300" + "02010000" + // parentrowid, far: slot u16 3, then page u32 0x0102
+			"0280"},
+	} {
+		n := c.n
+		row := ordbms.Row{
+			ordbms.I(int64(n.DocID)), ordbms.I(int64(n.Class)), optString(n.Name), optString(n.Data),
+			ordbms.R(n.ParentRowID), ordbms.R(n.PrevRowID), linkSlot(-1), linkSlot(-1), optString(""),
+		}
+		if err := xmlSchema.Validate(row); err != nil {
+			t.Fatal(err)
+		}
+		near := uint64(0)
+		for col, link := range map[int]ordbms.RowID{xmlColParentRowID: n.ParentRowID, xmlColPrevRowID: n.PrevRowID} {
+			if link.Page == n.RowID.Page {
+				near |= 1 << col
+			}
+		}
+		if got, _ := xmlSchema.EncodeOffsets(row, near); hex.EncodeToString(got) != c.rec {
+			t.Fatalf("%s: record of the golden node:\n got %x\nwant %s", c.name, got, c.rec)
+		}
+		rec, _ := hex.DecodeString(c.rec)
+		back, err := ordbms.DecodeRow(xmlSchema, n.RowID.Page, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The NULLs read back as the values they stood for: no link, no text.
+		if got := nodeFromCols(n.RowID, back); !reflect.DeepEqual(*got, n) {
+			t.Fatalf("%s: golden record decodes to %+v, want %+v", c.name, *got, n)
+		}
 	}
-	if err := xmlSchema.Validate(row); err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(xmlSchema.Encode(row)); got != goldenRecord {
-		t.Fatalf("record of the golden node:\n got %s\nwant %s", got, goldenRecord)
-	}
-	rec, _ := hex.DecodeString(goldenRecord)
-	if len(rec) != 19 {
-		t.Fatalf("golden text leaf is %d bytes, want 19", len(rec))
-	}
-	back, err := ordbms.DecodeRow(xmlSchema, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The NULLs read back as the values they stood for: no link, no text.
-	if got := nodeFromCols(ordbms.ZeroRowID, back); !reflect.DeepEqual(*got, n) {
-		t.Fatalf("golden record decodes to %+v, want %+v", *got, n)
+	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 11 {
+		t.Fatalf("golden text leaf is %d bytes, want 11", len(rec))
 	}
 }
 

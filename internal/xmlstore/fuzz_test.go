@@ -29,6 +29,14 @@ func FuzzApplySnapshot(f *testing.F) {
 	huge := textindex.New().AppendSnapshot([]byte{0, 0, 0})
 	huge = binary.AppendUvarint(huge, 1)
 	f.Add(binary.AppendUvarint(huge, ^uint64(0)))
+	// No headings, then three node→CONTEXT entries whose heading deltas
+	// climb past 48 bits, fall below zero and cancel out.
+	wrap := textindex.New().AppendSnapshot([]byte{0, 0, 0})
+	wrap = append(wrap, 0, 3)
+	for _, d := range []int64{1 << 50, -(1<<50 + 9), 9} {
+		wrap = binary.AppendVarint(binary.AppendUvarint(wrap, 1), d)
+	}
+	f.Add(wrap)
 	f.Fuzz(func(t *testing.T, p []byte) {
 		s := &Store{ctxGens: make(map[string]uint64)}
 		var before, after runtime.MemStats
@@ -56,47 +64,56 @@ func FuzzApplySnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRow throws hostile bytes at the record decoder under the two
-// schemas every stored byte is read with.  It must never panic, never
-// build values bigger than the bytes it was given, and whatever it
-// accepts must be a row: one that validates, re-encodes, and decodes
-// back to itself (Decode∘Encode = id on valid rows; the bytes may differ,
-// since a varint has more than one spelling).
+// FuzzDecodeRow throws hostile bytes, read from any page, at the record
+// decoder under the two schemas every stored byte is read with.  It must
+// never panic, never build values bigger than the bytes it was given,
+// and whatever it accepts must be a row: one that validates, re-encodes
+// and decodes back to itself (Decode∘Encode = id on valid rows; the
+// bytes may differ, since a varint has more than one spelling and Encode
+// writes every ROWID far, 4 bytes wider than a near one).
 func FuzzDecodeRow(f *testing.F) {
 	golden, _ := hex.DecodeString(goldenRecord)
-	f.Add(golden, false)
-	f.Add(golden[:len(golden)-1], false) // last link cut short
-	f.Add(append(golden[:len(golden):len(golden)], 0), false)
-	f.Add([]byte{0xFF, 0xFF}, false) // every column NULL
-	f.Add([]byte{0xFF}, true)
-	f.Add([]byte{}, true)
-	f.Add([]byte{0x7F, 0x0F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, false) // a string longer than the record
-	// Every boundary of a ROWID payload, in each link column and in
-	// DOC.rootrowid: zero, the largest slot, the largest page, both.
-	rids := []ordbms.RowID{{}, {Slot: 1<<16 - 1}, {Page: 1<<32 - 1}, {Page: 1<<32 - 1, Slot: 1<<16 - 1}}
+	page := goldenNode.RowID.Page
+	f.Add(golden, page, false)
+	f.Add(golden[:len(golden)-1], page, false) // last link cut short
+	f.Add(append(golden[:len(golden):len(golden)], 0), page, false)
+	f.Add([]byte{0xFF, 0xFF}, page, false) // every column NULL
+	f.Add([]byte{0xFF}, page, true)
+	f.Add([]byte{}, page, true)
+	f.Add([]byte{0x7F, 0x0F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, page, false) // a string longer than the record
+	// Every boundary of a ROWID payload, far in each link column and in
+	// DOC.rootrowid, and near in each link column: zero, the largest
+	// slot, the largest page, both — read from the largest page too.
+	rids := []ordbms.RowID{{}, {Slot: 1<<15 - 1}, {Page: 1<<32 - 1}, {Page: 1<<32 - 1, Slot: 1<<15 - 1}}
 	for i, rid := range rids {
 		links := [4]ordbms.Value{ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null()}
 		links[i] = ordbms.R(rid)
-		f.Add(xmlSchema.Encode(ordbms.Row{
+		row := ordbms.Row{
 			ordbms.I(1 << 62), ordbms.I(0), ordbms.S(""), ordbms.Null(),
 			links[0], links[1], links[2], links[3], ordbms.S(`a="b"`),
-		}), false)
+		}
+		f.Add(xmlSchema.Encode(row), rid.Page, false)
 		f.Add(docSchema.Encode(ordbms.Row{
 			ordbms.I(1), ordbms.S("f.html"), ordbms.I(0), ordbms.I(0), ordbms.S("html"), ordbms.Null(), ordbms.R(rid), ordbms.I(3),
-		}), true)
+		}), rid.Page, true)
+		near, _ := xmlSchema.EncodeOffsets(row, allNear)
+		f.Add(near, rid.Page, false)
 	}
-	f.Fuzz(func(t *testing.T, b []byte, doc bool) {
+	f.Fuzz(func(t *testing.T, b []byte, page uint32, doc bool) {
 		schema := xmlSchema
 		if doc {
 			schema = docSchema
 		}
-		row, err := ordbms.DecodeRow(schema, b)
+		row, err := ordbms.DecodeRow(schema, page, b)
 		if err != nil {
 			return
 		}
-		payload := 0
-		for _, v := range row {
+		payload, links := 0, 0
+		for i, v := range row {
 			payload += len(v.Str) + len(v.Bytes)
+			if schema.Columns[i].Type == ordbms.TypeRowID {
+				links++
+			}
 		}
 		if payload > len(b) {
 			t.Fatalf("%d bytes decoded into %d bytes of strings", len(b), payload)
@@ -105,10 +122,10 @@ func FuzzDecodeRow(f *testing.F) {
 			t.Fatalf("decoded row does not fit its schema: %v", err)
 		}
 		enc := schema.Encode(row)
-		if len(enc) > len(b) {
+		if len(enc) > len(b)+(ordbms.RowIDSize-ordbms.NearRowIDSize)*links {
 			t.Fatalf("%d bytes re-encode to %d", len(b), len(enc))
 		}
-		again, err := ordbms.DecodeRow(schema, enc)
+		again, err := ordbms.DecodeRow(schema, page+1, enc) // far links name their page
 		if err != nil {
 			t.Fatalf("re-encoded row does not decode: %v", err)
 		}

@@ -36,6 +36,7 @@ type preparedDoc struct {
 	rows  []ordbms.Row // rows as validated and indexed; their present links stay zero
 	recs  [][]byte     // pre-encoded records; the insert patches the present links in
 	offs  [][]int      // per-record column payload offsets (for link patches)
+	far   []uint64     // per record, the link columns encoded far; the others are near
 	toks  [][]textindex.Token
 	// governs[i] is the flat index of node i's governing CONTEXT (-1 =
 	// none), precomputed in the parse workers so the derived
@@ -80,6 +81,7 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		rows:  make([]ordbms.Row, len(flat)),
 		recs:  make([][]byte, len(flat)),
 		offs:  make([][]int, len(flat)),
+		far:   make([]uint64, len(flat)),
 		toks:  make([][]textindex.Token, len(flat)),
 	}
 	for i := range flat {
@@ -96,7 +98,7 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 			optString(fn.attrs),
 		}
 		p.rows[i] = row
-		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row)
+		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, allNear) // every link starts near
 		if fn.class == sgml.ClassText {
 			p.toks[i] = textindex.Tokenize(fn.data)
 		}
@@ -115,13 +117,36 @@ func optString(v string) ordbms.Value {
 }
 
 // linkSlot is the link column of a row not yet placed: NULL when the
-// node has no such relative (idx < 0), else a ROWID-wide hole that
+// node has no such relative (idx < 0), else a ROWID hole that
 // storePrepared fills once the run's RowIDs are settled.
 func linkSlot(idx int) ordbms.Value {
 	if idx < 0 {
 		return ordbms.Null()
 	}
 	return ordbms.R(ordbms.ZeroRowID)
+}
+
+// allNear is the EncodeOffsets mask that writes every link near.
+const allNear = ^uint64(0)
+
+// farLinks is the mask of node i's links whose target was placed on
+// another page than the node.  It runs for every node of a document on
+// every placement, hence the unrolled tests.
+func (fn *flatNode) farLinks(rids []ordbms.RowID, i int) (far uint64) {
+	page := rids[i].Page
+	if fn.parent >= 0 && rids[fn.parent].Page != page {
+		far |= 1 << xmlColParentRowID
+	}
+	if fn.prev >= 0 && rids[fn.prev].Page != page {
+		far |= 1 << xmlColPrevRowID
+	}
+	if fn.next >= 0 && rids[fn.next].Page != page {
+		far |= 1 << xmlColNextRowID
+	}
+	if fn.child >= 0 && rids[fn.child].Page != page {
+		far |= 1 << xmlColChildRowID
+	}
+	return far
 }
 
 // governingContexts resolves, for every flattened node, the flat index of
@@ -186,10 +211,16 @@ func governingContexts(flat []flatNode) []int32 {
 // linked insert into the XML table, then the DOC row.  The table places
 // the whole document first — RowIDs depend only on record sizes, and the
 // links a node has were fixed when its row was encoded — and calls back
-// with the RowIDs; the callback patches the 6-byte payload of each link
-// the node has into the cached encodings, and only then is each row
-// written and logged, once, with its final bytes.  No reader ever sees a
-// node whose links are not set.
+// with the RowIDs.  Every link starts near, two bytes, and the callback
+// turns one far wherever its target landed on another page, re-encoding
+// that record four bytes wider per link, which sends the table back to
+// place the run again from the first record that grew; until nothing
+// grows a link once far stays far, so the placements end.  Then the
+// callback turns near again each far link whose target came back to its
+// page, and patches every link into the cached encodings — the slot alone
+// for a near link, slot and page for a far one — and only then is each
+// row written and logged, once, with its final bytes.  No reader ever
+// sees a node whose links are not set.
 func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	// On success the generation bump belongs to indexPrepared — bumping
 	// here, before the derived indexes hold the document, would let a
@@ -204,14 +235,41 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	}()
 	flat := p.flat
 
+	// encode re-encodes node i with the given links far.
+	encode := func(i int, far uint64) {
+		p.far[i] = far
+		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], allNear&^far)
+	}
 	_, err = s.xml.InsertRun(p.rows, p.recs, func(rids []ordbms.RowID) {
+		grew := false
+		for i := range flat {
+			if far := flat[i].farLinks(rids, i) &^ p.far[i]; far != 0 {
+				encode(i, p.far[i]|far)
+				grew = true
+			}
+		}
+		if grew {
+			return // placed again from the first record that grew
+		}
 		for i := range flat {
 			fn := &flat[i]
 			fn.rid = rids[i]
-			rec, offs := p.recs[i], p.offs[i]
+			// A link gone far in an earlier placement whose target has come
+			// back beside it is stored near after all: the record only
+			// shrinks, so it still fits where it was placed.
+			if p.far[i] != 0 {
+				if far := fn.farLinks(rids, i); far != p.far[i] {
+					encode(i, far)
+				}
+			}
+			rec, offs, far := p.recs[i], p.offs[i], p.far[i]
 			link := func(col, idx int) {
-				if idx >= 0 {
+				switch {
+				case idx < 0:
+				case far&(1<<col) != 0:
 					ordbms.PutRowID(rec[offs[col]:], rids[idx])
+				default:
+					ordbms.PutNearRowID(rec[offs[col]:], rids[idx])
 				}
 			}
 			link(xmlColParentRowID, fn.parent)

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"netmark/internal/docform"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 )
@@ -232,6 +233,89 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 	}
 	if !sawPartial {
 		t.Fatal("no cut left a proper subset of the batch: the cuts prove nothing")
+	}
+}
+
+// A document whose run spans pages stores each link as wide as it must
+// be: near — the slot alone — exactly when its target landed on the
+// node's own page, far otherwise, each decoding to the node the flattened
+// tree names.  Every link starts near, so a far one means the run was
+// placed again after its record grew; two fresh stores still place the
+// run identically.
+func TestNearLinksFollowPlacement(t *testing.T) {
+	d := longDoc("long.html", 150, "near")
+	var placed [2][]ordbms.RowID
+	for round := range placed {
+		s := memStore(t)
+		id, err := s.StoreRaw(d.Name, d.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, meta, err := docform.Convert(d.Name, d.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.prepareDocument(meta, tree, sgml.XMLConfig(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids := docRowIDs(t, s, id) // document order, the order the tree flattens in
+		if len(rids) != len(p.flat) {
+			t.Fatalf("stored %d nodes, the tree flattens to %d", len(rids), len(p.flat))
+		}
+		ridOf := func(idx int) ordbms.RowID {
+			if idx < 0 {
+				return ordbms.ZeroRowID
+			}
+			return rids[idx]
+		}
+		pages := make(map[uint32]bool)
+		nearLinks, farLinks := 0, 0
+		for i, fn := range p.flat {
+			pages[rids[i].Page] = true
+			row := append(ordbms.Row(nil), p.rows[i]...)
+			near := uint64(0)
+			for _, l := range []struct{ col, idx int }{
+				{xmlColParentRowID, fn.parent}, {xmlColPrevRowID, fn.prev},
+				{xmlColNextRowID, fn.next}, {xmlColChildRowID, fn.child},
+			} {
+				if l.idx < 0 {
+					continue
+				}
+				row[l.col] = ordbms.R(rids[l.idx])
+				if rids[l.idx].Page == rids[i].Page {
+					near |= 1 << l.col
+					nearLinks++
+				} else {
+					farLinks++
+				}
+			}
+			want, _ := xmlSchema.EncodeOffsets(row, near)
+			err := s.xml.FetchView(rids[i], func(rec []byte) error {
+				if string(rec) != string(want) {
+					t.Errorf("node %d at %v is stored as %x, want %x", i, rids[i], rec, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := s.FetchNode(rids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.ParentRowID != ridOf(fn.parent) || n.PrevRowID != ridOf(fn.prev) || n.NextRowID != ridOf(fn.next) || n.ChildRowID != ridOf(fn.child) {
+				t.Fatalf("node %d at %v links %v %v %v %v, the tree says %v %v %v %v", i, rids[i],
+					n.ParentRowID, n.PrevRowID, n.NextRowID, n.ChildRowID, ridOf(fn.parent), ridOf(fn.prev), ridOf(fn.next), ridOf(fn.child))
+			}
+		}
+		if len(pages) < 3 || farLinks == 0 || nearLinks <= farLinks {
+			t.Fatalf("the run spans %d pages with %d near and %d far links: want 3 or more pages, mostly near", len(pages), nearLinks, farLinks)
+		}
+		placed[round] = rids
+	}
+	if fmt.Sprint(placed[0]) != fmt.Sprint(placed[1]) {
+		t.Fatal("two fresh stores placed the same document differently")
 	}
 }
 

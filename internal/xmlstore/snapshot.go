@@ -35,13 +35,14 @@ const (
 	// block-compressed posting-list codec AND changed the tokenizer
 	// (combining marks, CJK script boundaries); 3 stopped persisting the
 	// cache-key generations; 4 dropped the node-ID counter along with the
-	// node IDs.  Any other version — older or newer — falls
+	// node IDs; 5 writes each node→CONTEXT entry's heading as a delta from
+	// the previous entry's.  Any other version — older or newer — falls
 	// back to the scan rebuild, which retokenizes every document under
 	// the current contract; loading a v1 file's postings verbatim would
 	// permanently serve old-tokenizer terms against new-tokenizer
 	// queries.  The next checkpoint rewrites the file at the current
 	// version, so the penalty is one slow reopen.
-	snapshotVersion = 4
+	snapshotVersion = 5
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
@@ -125,13 +126,16 @@ func (s *Store) encodeSnapshot() []byte {
 		rids = append(rids, rid)
 	}
 	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
+	// Keys ascend, so each is a uvarint delta; consecutive text nodes
+	// mostly share a heading, so each heading is a zigzag delta from the
+	// previous entry's — usually a single zero byte.
 	buf = binary.AppendUvarint(buf, uint64(len(rids)))
-	prev := uint64(0)
+	var prev, prevCtx uint64
 	for _, rid := range rids {
-		v := rid.Uint64()
+		v, ctx := rid.Uint64(), s.ctxIdx[rid].Uint64()
 		buf = binary.AppendUvarint(buf, v-prev)
-		prev = v
-		buf = binary.AppendUvarint(buf, s.ctxIdx[rid].Uint64())
+		buf = binary.AppendVarint(buf, int64(ctx-prevCtx))
+		prev, prevCtx = v, ctx
 	}
 	s.ctxIdxMu.RUnlock()
 
@@ -239,18 +243,20 @@ func (s *Store) applySnapshot(p []byte) error {
 		return fmt.Errorf("xmlstore: implausible ctxIdx count %d", nCtx)
 	}
 	ctxIdx := make(map[ordbms.RowID]ordbms.RowID, nCtx)
-	prev := uint64(0)
+	var prev, prevCtx uint64
 	for i := uint64(0); i < nCtx; i++ {
 		d, err := uv()
 		if err != nil {
 			return err
 		}
 		prev += d
-		g, err := uv()
-		if err != nil {
-			return err
+		dc, n := binary.Varint(p[off:])
+		if n <= 0 {
+			return fmt.Errorf("xmlstore: truncated snapshot at byte %d", off)
 		}
-		ctxIdx[ordbms.RowIDFromUint64(prev)] = ordbms.RowIDFromUint64(g)
+		off += n
+		prevCtx += uint64(dc)
+		ctxIdx[ordbms.RowIDFromUint64(prev)] = ordbms.RowIDFromUint64(prevCtx)
 	}
 	if off != len(p) {
 		return fmt.Errorf("xmlstore: %d trailing snapshot bytes", len(p)-off)

@@ -326,7 +326,7 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 
 // TestSnapshotVersionSkewFallsBack: a snapshot whose version field is
 // not the current one — an old v1 file, the previous version's (which
-// still carried the cache-key generations), or a newer format — must fall
+// wrote each node→CONTEXT heading in full), or a newer format — must fall
 // back to the scan rebuild (which retokenizes under the current
 // tokenizer contract) and be rewritten at the current version by the
 // next checkpoint.

@@ -37,12 +37,14 @@ import (
 	"netmark/internal/textindex"
 )
 
-// Column order of the XML table.  The four link columns are ROWIDs: 6
-// bytes when the link exists, NULL — no bytes at all — when it does not,
-// as are a text node's nodename, an empty nodedata and an empty attrs.
-// Which links a node has is known when its tree is flattened, so a
-// record's size is final before the row is placed and patching a link in
-// never moves it.
+// Column order of the XML table.  The four link columns are ROWIDs: 2
+// bytes (the slot alone) when the link points at a row on the node's own
+// page, 6 when it points elsewhere, and NULL — no bytes at all — when
+// the node has no such link, as are a text node's nodename, an empty
+// nodedata and an empty attrs.  Which links a node has is known when its
+// tree is flattened; how wide each is, only once the document's run is
+// placed, and the run is placed again when a link turns out wider than
+// it was encoded (see storePrepared).
 const (
 	xmlColDocID = iota
 	xmlColNodeType
@@ -577,7 +579,7 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	var cols [xmlColAttrs + 1]ordbms.Value
 	err := s.xml.FetchView(rid, func(rec []byte) error {
-		return ordbms.DecodeRowInto(xmlSchema, rec, cols[:])
+		return ordbms.DecodeRowInto(xmlSchema, rid.Page, rec, cols[:])
 	})
 	if err != nil {
 		return nil, err
