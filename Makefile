@@ -65,9 +65,10 @@ race:
 	$(GO) test -race ./...
 
 # fuzz runs each native fuzz target for $(FUZZTIME) beyond its seeds:
-# hostile bytes against the record decoder under the store's two
-# schemas, the xmlstore.nmsnap payload decoder, and the splitters
-# recovery reads run records with.
+# hostile bytes against the record decoder under the store's three
+# schemas (XML, DOC and TAG, arbitrary tag codes included), the
+# xmlstore.nmsnap payload decoder, and the splitters recovery reads run
+# records with.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) ./internal/xmlstore
@@ -88,8 +89,8 @@ bench-smoke:
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR23.json
-BENCH_OUT ?= BENCH_PR22.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR24.json
+BENCH_OUT ?= BENCH_PR23.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)

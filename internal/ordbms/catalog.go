@@ -15,11 +15,12 @@ import (
 // reproduction (a production engine would self-host it in pages).
 
 // storeFormat is the on-disk format version: the record codec, the WAL
-// record set (see walMagic, which carries the same number) and the
-// catalog itself.  There is one codec and no second reader, so the
-// policy is: any change to what a page, a log record or the catalog
-// means bumps it, and Open refuses every other value.
-const storeFormat = 4
+// record set (see walMagic, which carries the same number), the catalog
+// itself and the schemas of the tables the XML store keeps in it.  There
+// is one codec and no second reader, so the policy is: any change to what
+// a page, a log record, the catalog or a stored row means bumps it, and
+// Open refuses every other value.
+const storeFormat = 5
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.

@@ -11,7 +11,7 @@ import (
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1, NMWALv2 or NMWALv3 — is refused by name, and refusing it
+// NMWALv1 to NMWALv4 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
@@ -24,11 +24,14 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		log = binary.LittleEndian.AppendUint32(log, 0xdeadbeef)
 		return append(log, body...)
 	}
-	v1Log, v2Log, v3Log := oldLog('1'), oldLog('2'), oldLog('3')
+	v1Log, v2Log, v3Log, v4Log := oldLog('1'), oldLog('2'), oldLog('3'), oldLog('4')
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	// Format 3 has this version's columns; only its links are all far.
 	v3Catalog := []byte(`{"format":3,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"parentrowid","type":6}],"pages":[1],"indexes":null}]}`)
+	// Format 4 has this version's codec; only its XML rows spell out their
+	// nodetype and nodename.
+	v4Catalog := []byte(`{"format":4,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"nodetype","type":1},{"name":"nodename","type":3}],"pages":[1],"indexes":null}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format": {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":            {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -39,6 +42,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 3 catalog":       {"catalog.json": v3Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv3 log":            {"wal.nmlog": v3Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v3 catalog and v3 log":  {"catalog.json": v3Catalog, "wal.nmlog": v3Log},
+		"format 4 catalog":       {"catalog.json": v4Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv4 log":            {"wal.nmlog": v4Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v4 catalog and v4 log":  {"catalog.json": v4Catalog, "wal.nmlog": v4Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -87,7 +93,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":4,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":5,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

@@ -4,7 +4,7 @@ import "strings"
 
 // NodeClass is the paper's five-way node data type, "specified in the
 // HTML or XML configuration files passed by the daemon" and stored in the
-// NODETYPE column of the XML table (§2.1.1):
+// NODETYPE column (§2.1.1), which the XML store keeps in its TAG table:
 //
 //	(1) ELEMENT, (2) TEXT, (3) CONTEXT, (4) INTENSE, (5) SIMULATION.
 //

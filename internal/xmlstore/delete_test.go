@@ -32,6 +32,16 @@ func checkDeleted(t *testing.T, s *Store, docID uint64) {
 	}
 }
 
+// docPages counts the heap pages holding doc's rows.
+func docPages(t *testing.T, s *Store, doc *DocInfo) int {
+	t.Helper()
+	pages := make(map[uint32]bool)
+	for _, rid := range docRowIDs(t, s, doc.DocID) {
+		pages[rid.Page] = true
+	}
+	return len(pages)
+}
+
 // reconstructAll serialises every stored document except skip.
 func reconstructAll(t *testing.T, s *Store, skip uint64) map[string]string {
 	t.Helper()
@@ -52,12 +62,12 @@ func reconstructAll(t *testing.T, s *Store, skip uint64) map[string]string {
 // leave behind — the DOC row, no ctxIdx entry for a row that is gone and,
 // unless the interruption fell between the last node and the DOC row
 // (rootGone), the root and some but not all of the nodes — then takes one
-// more document, which lands in part on the slots the delete freed and so
-// under the links the survivors still carry, retries the delete and checks
-// it finished the job and touched nothing else.  before is NumNodes and
-// others the other documents' serialised trees, both from before the first
-// attempt.  It returns how many surviving links led into the new document.
-func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, before int64, others map[string]string) (foreign int) {
+// more document, next, which lands in part on the slots the delete freed
+// and so under the links the survivors still carry, retries the delete and
+// checks it finished the job and touched nothing else.  before is NumNodes
+// and others the other documents' serialised trees, both from before the
+// first attempt.  It returns how many surviving links led into next.
+func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, before int64, others map[string]string, next BatchDoc) (foreign int) {
 	t.Helper()
 	if _, err := s.Document(doc.DocID); err != nil {
 		t.Fatalf("interrupted delete lost the DOC row: %v", err)
@@ -87,7 +97,6 @@ func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, befor
 		}
 	}
 
-	next := longDoc("next.html", 40, "omega")
 	nextID, err := s.StoreRaw(next.Name, next.Data)
 	if err != nil {
 		t.Fatal(err)
@@ -138,20 +147,34 @@ func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, befor
 // prefix still reachable from DOC.rootrowid, and the retry's walk stays
 // inside the document whatever has been stored over the rest since.
 func TestDeleteInterruptedIsRetryable(t *testing.T) {
-	gen := corpus.New(41)
-	docs := append(gen.Mixed(40), gen.DeepReport(0, 8, 24, 16))
-	victim := docs[len(docs)-1].Name
+	const poolPages = 8
+	var docs []corpus.Document
+	victim := func() string { return docs[len(docs)-1].Name }
 	load := func(t *testing.T, s *Store) *DocInfo {
 		for _, d := range docs {
 			if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
 				t.Fatal(err)
 			}
 		}
-		doc, err := s.DocumentByName(victim)
+		doc, err := s.DocumentByName(victim())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return doc
+	}
+	// The victim, the last document in, is a deep report grown until the
+	// built store holds it on poolPages+3 pages or more, however small the
+	// record format makes a node: each round scales its sections by the
+	// pages still missing.
+	for sections := 8; ; {
+		gen := corpus.New(41)
+		docs = append(gen.Mixed(40), gen.DeepReport(0, sections, 24, 16))
+		s := memStore(t)
+		pages := docPages(t, s, load(t, s))
+		if pages >= poolPages+3 {
+			break
+		}
+		sections = sections*(poolPages+3)/pages + 1
 	}
 
 	// Reopened on a pool far smaller than the document, deleting — last
@@ -160,7 +183,6 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 	// per page beyond the pool's.  The write-back halfway through those
 	// fails, whatever the record format makes the document's page count.
 	t.Run("io-fault", func(t *testing.T) {
-		const poolPages = 8
 		dir := t.TempDir()
 		db, s := openDir(t, dir, OpenOptions{})
 		load(t, s)
@@ -176,19 +198,16 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		if s, err = Open(db); err != nil {
 			t.Fatal(err)
 		}
-		doc, err := s.DocumentByName(victim)
+		doc, err := s.DocumentByName(victim())
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages := make(map[uint32]bool)
-		for _, rid := range docRowIDs(t, s, doc.DocID) {
-			pages[rid.Page] = true
-		}
-		if len(pages) < poolPages+3 {
-			t.Fatalf("the victim spans %d pages: too few past a %d-page pool to interrupt its delete", len(pages), poolPages)
+		pages := docPages(t, s, doc)
+		if pages < poolPages+3 {
+			t.Fatalf("the victim spans %d pages: too few past a %d-page pool to interrupt its delete", pages, poolPages)
 		}
 		before, others := s.NumNodes(), reconstructAll(t, s, doc.DocID)
-		ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "data.nmdb", After: (len(pages) - poolPages) / 2})
+		ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "data.nmdb", After: (pages - poolPages) / 2})
 		if err := s.DeleteDocument(doc.DocID); !IsTransient(err) {
 			t.Fatalf("delete under a failing data file = %v, want a transient error", err)
 		}
@@ -199,7 +218,10 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatalf("healing checkpoint: %v", err)
 		}
-		checkInterrupted(t, s, doc, false, before, others)
+		// The next document's run pins every page it lands on, and every
+		// page with a little room left is a candidate: a one-section
+		// document fits the pool's frames.
+		checkInterrupted(t, s, doc, false, before, others, longDoc("next.html", 1, "omega"))
 	})
 
 	// Cut the log of a whole delete after its walDelete records and reopen.
@@ -235,10 +257,12 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		}
 		cuts = cuts[:len(cuts)-1] // the last cut is the whole delete; the one before it lacks only the DOC row
 		// Every cut early and late, where the prefix left is longest and
-		// shortest, and a sample of the middle.
+		// shortest, and about three dozen from the middle, however large the
+		// victim had to grow.
+		stride := max(97, len(cuts)/36)
 		foreign := 0
 		for i, cut := range cuts {
-			if i >= 20 && i < len(cuts)-20 && i%97 != 0 {
+			if i >= 20 && i < len(cuts)-20 && i%stride != 0 {
 				continue
 			}
 			dir := t.TempDir()
@@ -259,7 +283,7 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 			for name, tree := range others {
 				kept[name] = tree
 			}
-			foreign += checkInterrupted(t, s, doc, i == len(cuts)-1, before, kept)
+			foreign += checkInterrupted(t, s, doc, i == len(cuts)-1, before, kept, longDoc("next.html", 40, "omega"))
 			db.CloseDiscard()
 		}
 		// A freed slot is reused only where its page has room left — the

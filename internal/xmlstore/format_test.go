@@ -13,6 +13,10 @@ import (
 	"netmark/internal/sgml"
 )
 
+// goldenTags is the dictionary the golden records are read with: code 0
+// is the <para> element, code 1 the text class.
+var goldenTags = []tagPair{{sgml.ClassElement, "para"}, {sgml.ClassText, ""}}
+
 // goldenNode is a text leaf: it has a parent and a previous sibling, no
 // next sibling, no child and no attributes.  Stored on page 5, beside
 // both, it is goldenRecord.
@@ -24,23 +28,62 @@ var goldenNode = Node{
 }
 
 // goldenRecord is goldenNode's XML-table record as stored, byte for
-// byte: 11 bytes.
+// byte: 10 bytes.
 const goldenRecord = "" +
-	"c401" + // null bitmap, 9 columns: nodename (2), nextrowid, childrowid and attrs (6, 7, 8) are NULL
+	"e0" + // null bitmap, 8 columns: nextrowid, childrowid and attrs (5, 6, 7) are NULL
 	"0e" + // docid 7, zigzag varint
-	"04" + // nodetype TEXT (2)
+	"02" + // tag 1, the text class
 	"026869" + // nodedata "hi", uvarint length first
 	"0380" + // parentrowid, near: slot 3 | 0x8000, little-endian — page 5 is the record's own
 	"0280" // prevrowid, near: 5.2; nothing follows for the three NULLs
 
+// goldenElement is a <para> with a parent and a first child and nothing
+// else: its name is the one byte of tag 0.
+var goldenElement = Node{
+	DocID: 7, Class: sgml.ClassElement, Name: "para",
+	RowID:       ordbms.RowID{Page: 5, Slot: 3},
+	ParentRowID: ordbms.RowID{Page: 5, Slot: 1},
+	ChildRowID:  ordbms.RowID{Page: 5, Slot: 4},
+}
+
+// goldenStore is a bare store holding only goldenTags.
+func goldenStore() *Store {
+	s := &Store{}
+	s.tags.install(append([]tagPair(nil), goldenTags...))
+	return s
+}
+
+// goldenRow is n's XML-table row under goldenTags, and the mask of its
+// links that point into n's own page.
+func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
+	code, ok := s.tags.known(tagPair{n.Class, n.Name})
+	if !ok {
+		t.Fatalf("no golden tag for %v <%s>", n.Class, n.Name)
+	}
+	row = ordbms.Row{ordbms.I(int64(n.DocID)), ordbms.I(code), optString(n.Data)}
+	for col, link := range []ordbms.RowID{n.ParentRowID, n.PrevRowID, n.NextRowID, n.ChildRowID} {
+		if link.IsZero() {
+			row = append(row, ordbms.Null())
+			continue
+		}
+		row = append(row, ordbms.R(link))
+		if link.Page == n.RowID.Page {
+			near |= 1 << (xmlColParentRowID + col)
+		}
+	}
+	return append(row, optString(encodeAttrs(n.Attrs))), near
+}
+
 // The record format is pinned: a change to what the bytes of a stored
 // node mean must show up here (and in ordbms's storeFormat) rather than
 // silently misread existing stores.  A link to a row on the node's own
-// page is its slot alone; a link elsewhere carries the page too.
+// page is its slot alone; a link elsewhere carries the page too; a node's
+// class and name are its tag code.
 func TestXMLRecordGoldenBytes(t *testing.T) {
-	if sgml.ClassText != 2 {
-		t.Fatalf("ClassText = %d; goldenRecord's nodetype byte assumes 2", sgml.ClassText)
+	if sgml.ClassText != 2 || sgml.ClassElement != 1 {
+		t.Fatalf("ClassText = %d, ClassElement = %d; goldenTags assumes 2 and 1", sgml.ClassText, sgml.ClassElement)
 	}
+	s := goldenStore()
 	farParent := goldenNode
 	farParent.ParentRowID = ordbms.RowID{Page: 0x0102, Slot: 3}
 	for _, c := range []struct {
@@ -48,24 +91,21 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 		n    Node
 		rec  string
 	}{
-		{"near", goldenNode, goldenRecord},
-		{"far parent", farParent, "c401" + "0e" + "04" + "026869" +
+		{"text leaf", goldenNode, goldenRecord},
+		{"far parent", farParent, "e0" + "0e" + "02" + "026869" +
 			"0300" + "02010000" + // parentrowid, far: slot u16 3, then page u32 0x0102
 			"0280"},
+		{"element", goldenElement, "" +
+			"b4" + // nodedata, prevrowid, nextrowid and attrs (2, 4, 5, 7) are NULL
+			"0e" + // docid 7
+			"00" + // tag 0, <para>
+			"0180" + // parentrowid, near 5.1
+			"0480"}, // childrowid, near 5.4
 	} {
 		n := c.n
-		row := ordbms.Row{
-			ordbms.I(int64(n.DocID)), ordbms.I(int64(n.Class)), optString(n.Name), optString(n.Data),
-			ordbms.R(n.ParentRowID), ordbms.R(n.PrevRowID), linkSlot(-1), linkSlot(-1), optString(""),
-		}
+		row, near := goldenRow(t, s, n)
 		if err := xmlSchema.Validate(row); err != nil {
 			t.Fatal(err)
-		}
-		near := uint64(0)
-		for col, link := range map[int]ordbms.RowID{xmlColParentRowID: n.ParentRowID, xmlColPrevRowID: n.PrevRowID} {
-			if link.Page == n.RowID.Page {
-				near |= 1 << col
-			}
 		}
 		if got, _ := xmlSchema.EncodeOffsets(row, near); hex.EncodeToString(got) != c.rec {
 			t.Fatalf("%s: record of the golden node:\n got %x\nwant %s", c.name, got, c.rec)
@@ -76,17 +116,18 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The NULLs read back as the values they stood for: no link, no text.
-		if got := nodeFromCols(n.RowID, back); !reflect.DeepEqual(*got, n) {
-			t.Fatalf("%s: golden record decodes to %+v, want %+v", c.name, *got, n)
+		got, err := s.nodeFromCols(n.RowID, back)
+		if err != nil || !reflect.DeepEqual(*got, n) {
+			t.Fatalf("%s: golden record decodes to %+v, %v, want %+v", c.name, got, err, n)
 		}
 	}
-	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 11 {
-		t.Fatalf("golden text leaf is %d bytes, want 11", len(rec))
+	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 10 {
+		t.Fatalf("golden text leaf is %d bytes, want 10", len(rec))
 	}
 }
 
 // What the ingest path stores for a leaf is what the golden test pins:
-// its name, missing links and empty strings are NULL bits, not bytes.
+// its missing links and empty strings are NULL bits, not bytes.
 func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
@@ -97,8 +138,8 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 		}
 		leaves++
 		ferr := s.xml.FetchView(n.RowID, func(rec []byte) error {
-			if rec[0]&0xc4 != 0xc4 || rec[1]&0x01 != 0x01 { // columns 2, 6, 7, 8
-				t.Errorf("node %v: null bitmap %08b %08b does not mark name, next, child and attrs NULL", n.RowID, rec[0], rec[1])
+			if rec[0]&0xe0 != 0xe0 { // columns 5, 6, 7
+				t.Errorf("node %v: null bitmap %08b does not mark next, child and attrs NULL", n.RowID, rec[0])
 			}
 			return nil
 		})
@@ -138,8 +179,8 @@ func TestOpenAfterEveryDDLCut(t *testing.T) {
 		pos += 8 + int(binary.LittleEndian.Uint32(wal[pos:]))
 		cuts = append(cuts, pos)
 	}
-	if len(cuts) != 1+2+2 { // header, two tables, DOC's two indexes
-		t.Fatalf("a fresh store logs %d DDL records, want 4", len(cuts)-1)
+	if len(cuts) != 1+2+2+1 { // header, two tables, DOC's two indexes, TAG
+		t.Fatalf("a fresh store logs %d DDL records, want 5", len(cuts)-1)
 	}
 	for _, cut := range cuts {
 		dir := t.TempDir()
@@ -169,6 +210,9 @@ func TestOpenAfterEveryDDLCut(t *testing.T) {
 			if db.Table("DOC").Index(col) == nil {
 				t.Fatalf("cut %d: no index on DOC.%s after reopen", cut, col)
 			}
+		}
+		if db.Table("TAG") == nil || len(*s.tags.view.Load()) == 0 {
+			t.Fatalf("cut %d: no TAG table, or an empty dictionary, after reopen", cut)
 		}
 		// XML rows are reached by ROWID link only.
 		for _, col := range xmlSchema.Columns {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
 	"netmark/internal/textindex"
 )
 
@@ -65,22 +66,27 @@ func FuzzApplySnapshot(f *testing.F) {
 }
 
 // FuzzDecodeRow throws hostile bytes, read from any page, at the record
-// decoder under the two schemas every stored byte is read with.  It must
-// never panic, never build values bigger than the bytes it was given,
-// and whatever it accepts must be a row: one that validates, re-encodes
-// and decodes back to itself (Decode∘Encode = id on valid rows; the
-// bytes may differ, since a varint has more than one spelling and Encode
-// writes every ROWID far, 4 bytes wider than a near one).
+// decoder under the three schemas every stored byte is read with (XML,
+// DOC, TAG: table picks one).  It must never panic, never build values
+// bigger than the bytes it was given, and whatever it accepts must be a
+// row: one that validates, re-encodes and decodes back to itself
+// (Decode∘Encode = id on valid rows; the bytes may differ, since a varint
+// has more than one spelling and Encode writes every ROWID far, 4 bytes
+// wider than a near one).  An XML row then becomes a node exactly when
+// its tag is one the dictionary holds — any other code is an error, never
+// a node with an empty class — and a TAG row is a dictionary exactly when
+// it is code 0 of a real node class.
 func FuzzDecodeRow(f *testing.F) {
+	const xmlTable, docTable, tagTable = 0, 1, 2
 	golden, _ := hex.DecodeString(goldenRecord)
 	page := goldenNode.RowID.Page
-	f.Add(golden, page, false)
-	f.Add(golden[:len(golden)-1], page, false) // last link cut short
-	f.Add(append(golden[:len(golden):len(golden)], 0), page, false)
-	f.Add([]byte{0xFF, 0xFF}, page, false) // every column NULL
-	f.Add([]byte{0xFF}, page, true)
-	f.Add([]byte{}, page, true)
-	f.Add([]byte{0x7F, 0x0F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, page, false) // a string longer than the record
+	f.Add(golden, page, uint8(xmlTable))
+	f.Add(golden[:len(golden)-1], page, uint8(xmlTable)) // last link cut short
+	f.Add(append(golden[:len(golden):len(golden)], 0), page, uint8(xmlTable))
+	f.Add([]byte{0xFF}, page, uint8(xmlTable)) // every column NULL
+	f.Add([]byte{0xFF}, page, uint8(docTable))
+	f.Add([]byte{}, page, uint8(docTable))
+	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, page, uint8(xmlTable)) // a string longer than the record
 	// Every boundary of a ROWID payload, far in each link column and in
 	// DOC.rootrowid, and near in each link column: zero, the largest
 	// slot, the largest page, both — read from the largest page too.
@@ -89,21 +95,29 @@ func FuzzDecodeRow(f *testing.F) {
 		links := [4]ordbms.Value{ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null()}
 		links[i] = ordbms.R(rid)
 		row := ordbms.Row{
-			ordbms.I(1 << 62), ordbms.I(0), ordbms.S(""), ordbms.Null(),
+			ordbms.I(1 << 62), ordbms.I(0), ordbms.Null(),
 			links[0], links[1], links[2], links[3], ordbms.S(`a="b"`),
 		}
-		f.Add(xmlSchema.Encode(row), rid.Page, false)
+		f.Add(xmlSchema.Encode(row), rid.Page, uint8(xmlTable))
 		f.Add(docSchema.Encode(ordbms.Row{
 			ordbms.I(1), ordbms.S("f.html"), ordbms.I(0), ordbms.I(0), ordbms.S("html"), ordbms.Null(), ordbms.R(rid), ordbms.I(3),
-		}), rid.Page, true)
+		}), rid.Page, uint8(docTable))
 		near, _ := xmlSchema.EncodeOffsets(row, allNear)
-		f.Add(near, rid.Page, false)
+		f.Add(near, rid.Page, uint8(xmlTable))
 	}
-	f.Fuzz(func(t *testing.T, b []byte, page uint32, doc bool) {
-		schema := xmlSchema
-		if doc {
-			schema = docSchema
-		}
+	// Tag codes in and out of the dictionary: each end of it, one past,
+	// negative, NULL, and the widest varints.
+	for _, code := range []ordbms.Value{ordbms.I(0), ordbms.I(1), ordbms.I(2), ordbms.I(-1), ordbms.I(1<<63 - 1), ordbms.I(-1 << 63), ordbms.Null()} {
+		row := ordbms.Row{ordbms.I(7), code, ordbms.S("x"), ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null()}
+		f.Add(xmlSchema.Encode(row), page, uint8(xmlTable))
+		f.Add(tagSchema.Encode(ordbms.Row{code, ordbms.I(int64(sgml.ClassElement)), ordbms.S("para")}), page, uint8(tagTable))
+	}
+	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(2), ordbms.Null()}), page, uint8(tagTable))
+	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(6), ordbms.S("p")}), page, uint8(tagTable))
+	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(257), ordbms.S("p")}), page, uint8(tagTable))
+	s := goldenStore()
+	f.Fuzz(func(t *testing.T, b []byte, page uint32, table uint8) {
+		schema := [...]ordbms.Schema{xmlSchema, docSchema, tagSchema}[table%3]
 		row, err := ordbms.DecodeRow(schema, page, b)
 		if err != nil {
 			return
@@ -137,8 +151,26 @@ func FuzzDecodeRow(f *testing.F) {
 				t.Fatalf("column %d: %v became %v", i, row[i], again[i])
 			}
 		}
-		if !doc {
-			nodeFromCols(ordbms.ZeroRowID, row) // attrs parsing must survive whatever a string column held
+		switch table % 3 {
+		case xmlTable:
+			// attrs parsing must survive whatever a string column held
+			n, err := s.nodeFromCols(ordbms.ZeroRowID, row)
+			code := row[xmlColTag]
+			known := !code.IsNull() && code.Int >= 0 && code.Int < int64(len(goldenTags))
+			switch {
+			case known && (err != nil || n.Class != goldenTags[code.Int].class || n.Name != goldenTags[code.Int].name):
+				t.Fatalf("tag %d decodes to %+v, %v, want %v", code.Int, n, err, goldenTags[code.Int])
+			case !known && (err == nil || n != nil):
+				t.Fatalf("tag %v is not in the dictionary, yet decodes to %+v, %v", code, n, err)
+			}
+		case tagTable:
+			pairs, err := tagPairs([]ordbms.Row{row})
+			class := row[tagColNodeType].Int
+			valid := row[tagColTag].Int == 0 && !row[tagColTag].IsNull() &&
+				class >= int64(sgml.ClassElement) && class <= int64(sgml.ClassSimulation)
+			if valid != (err == nil) || (err == nil && (len(pairs) != 1 || int64(pairs[0].class) != class || pairs[0].name != row[tagColNodeName].Str)) {
+				t.Fatalf("TAG row %v reads as %v, %v", row, pairs, err)
+			}
 		}
 	})
 }

@@ -37,7 +37,11 @@ type preparedDoc struct {
 	recs  [][]byte     // pre-encoded records; the insert patches the present links in
 	offs  [][]int      // per-record column payload offsets (for link patches)
 	far   []uint64     // per record, the link columns encoded far; the others are near
-	toks  [][]textindex.Token
+	// untagged lists the nodes whose (class, name) had no TAG code when
+	// the document was prepared: their tag column and record wait for the
+	// ordered writer, which assigns codes in document order.
+	untagged []int
+	toks     [][]textindex.Token
 	// governs[i] is the flat index of node i's governing CONTEXT (-1 =
 	// none), precomputed in the parse workers so the derived
 	// node→context index is a batch of map inserts, not a walk.
@@ -46,9 +50,10 @@ type preparedDoc struct {
 
 // prepareDocument runs every part of StoreDocument that does not touch
 // the tables: it picks the root element, flattens the tree, builds and
-// encodes the rows (present links still zero), and pre-tokenizes TEXT
-// node data for the content index.  It takes no locks and is safe to call
-// from many goroutines concurrently.
+// encodes the rows (present links still zero; a node whose tag has no
+// code yet is left for the writer), and pre-tokenizes TEXT node data for
+// the content index.  It is safe to call from many goroutines
+// concurrently.
 func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64) (*preparedDoc, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("xmlstore: nil document tree")
@@ -84,12 +89,20 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		far:   make([]uint64, len(flat)),
 		toks:  make([][]textindex.Token, len(flat)),
 	}
+	codes := make(map[tagPair]int64) // this document's tags; -1 = no code yet
 	for i := range flat {
 		fn := &flat[i]
+		tag := tagPair{fn.class, fn.name}
+		code, ok := codes[tag]
+		if !ok {
+			if code, ok = s.tags.known(tag); !ok {
+				code = -1
+			}
+			codes[tag] = code
+		}
 		row := ordbms.Row{
 			ordbms.I(int64(docID)),
-			ordbms.I(int64(fn.class)),
-			optString(fn.name),
+			ordbms.I(code),
 			optString(fn.data),
 			linkSlot(fn.parent),
 			linkSlot(fn.prev),
@@ -98,7 +111,11 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 			optString(fn.attrs),
 		}
 		p.rows[i] = row
-		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, allNear) // every link starts near
+		if code < 0 {
+			p.untagged = append(p.untagged, i)
+		} else {
+			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, allNear) // every link starts near
+		}
 		if fn.class == sgml.ClassText {
 			p.toks[i] = textindex.Tokenize(fn.data)
 		}
@@ -208,7 +225,8 @@ func governingContexts(flat []flatNode) []int32 {
 }
 
 // storePrepared performs the ordered write of a prepared document: one
-// linked insert into the XML table, then the DOC row.  The table places
+// TAG run for the pairs it is the first to use, one linked insert into
+// the XML table, then the DOC row.  The XML table places
 // the whole document first — RowIDs depend only on record sizes, and the
 // links a node has were fixed when its row was encoded — and calls back
 // with the RowIDs.  Every link starts near, two bytes, and the callback
@@ -234,6 +252,24 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 		}
 	}()
 	flat := p.flat
+
+	// Tags first, in document order, so a batch assigns the same codes
+	// however its workers were scheduled; the new pairs' TAG rows are
+	// logged before the run that uses their codes.
+	if len(p.untagged) > 0 {
+		pairs := make([]tagPair, len(p.untagged))
+		for k, i := range p.untagged {
+			pairs[k] = tagPair{flat[i].class, flat[i].name}
+		}
+		codes, err := s.tagCodes(pairs)
+		if err != nil {
+			return err
+		}
+		for k, i := range p.untagged {
+			p.rows[i][xmlColTag] = ordbms.I(codes[k])
+			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], allNear)
+		}
+	}
 
 	// encode re-encodes node i with the given links far.
 	encode := func(i int, far uint64) {

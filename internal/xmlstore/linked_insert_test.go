@@ -114,7 +114,19 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 		}
 		want[r.Name] = reconstructBytes(t, s, r.Name)
 	}
-	db.CloseDiscard() // nothing checkpointed: the batch exists only in the log
+	db.CloseDiscard()
+	// The documents that are the first to use some name, found by storing
+	// the batch again one document at a time.
+	tagRuns, ref := 0, memStore(t)
+	for _, d := range batch {
+		known := len(dictionary(ref))
+		if _, err := ref.StoreRaw(d.Name, d.Data); err != nil {
+			t.Fatal(err)
+		}
+		if len(dictionary(ref)) > known {
+			tagRuns++
+		}
+	} // nothing checkpointed: the batch exists only in the log
 
 	wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
 	if err != nil {
@@ -137,8 +149,10 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 		pos += 8 + n
 	}
 	cuts = append(cuts, len(wal))
-	if runs != len(batch)+len(batch) { // each document: its nodes, then its DOC row
-		t.Fatalf("log holds %d run records for %d documents, want one per document and one per DOC row", runs, len(batch))
+	// Each document: the TAG rows of the names it is the first to use (if
+	// any), its nodes, then its DOC row.
+	if tagRuns == 0 || runs != tagRuns+len(batch)+len(batch) {
+		t.Fatalf("log holds %d run records for %d documents, %d of them with new tags; want one per document with new tags, one per document and one per DOC row", runs, len(batch), tagRuns)
 	}
 	const longSections = 120
 

@@ -1,11 +1,12 @@
 // Package xmlstore implements the NETMARK XML Store — the paper's core
 // contribution.  Every document, whatever its type, is decomposed into
-// nodes and stored in the same two relational tables (Fig 5):
+// nodes and stored in the same relational tables (Fig 5):
 //
 //	DOC:  DOC_ID, FILE_NAME, FILE_DATE, FILE_SIZE, FORMAT, TITLE,
 //	      ROOT_ROWID, NNODES
-//	XML:  DOC_ID (FK), NODETYPE, NODENAME, NODEDATA, PARENTROWID,
-//	      PREVROWID, NEXTROWID, CHILDROWID, ATTRS
+//	XML:  DOC_ID (FK), TAG (FK), NODEDATA, PARENTROWID, PREVROWID,
+//	      NEXTROWID, CHILDROWID, ATTRS
+//	TAG:  TAG, NODETYPE, NODENAME
 //
 // No per-document-type schema ever exists: "the NETMARK storage scheme
 // uses the same relational tables to represent and store any XML document
@@ -15,8 +16,9 @@
 //
 // A node is its RowID.  Fig 5's NODEID, ORDINAL and PARENTNODEID are not
 // stored: the RowID names the node, the sibling links give its position,
-// and PARENTROWID names its parent.  Nor is a text node's name: NODETYPE
-// already says TEXT, so its NODENAME is NULL.
+// and PARENTROWID names its parent.  Fig 5's NODETYPE and NODENAME live
+// in TAG, once per distinct pair, and a node stores the pair's code (see
+// tags.go); XML JOIN TAG ON XML.tag = TAG.tag gives Fig 5's columns back.
 //
 // This package persists derived snapshots, so every committing rename
 // must follow write-temp → fsync → rename → fsync-dir.
@@ -40,15 +42,14 @@ import (
 // Column order of the XML table.  The four link columns are ROWIDs: 2
 // bytes (the slot alone) when the link points at a row on the node's own
 // page, 6 when it points elsewhere, and NULL — no bytes at all — when
-// the node has no such link, as are a text node's nodename, an empty
-// nodedata and an empty attrs.  Which links a node has is known when its
-// tree is flattened; how wide each is, only once the document's run is
-// placed, and the run is placed again when a link turns out wider than
-// it was encoded (see storePrepared).
+// the node has no such link, as are an empty nodedata and an empty attrs.
+// Which links a node has is known when its tree is flattened; how wide
+// each is, only once the document's run is placed, and the run is placed
+// again when a link turns out wider than it was encoded (see
+// storePrepared).  tag is a TAG code, never NULL.
 const (
 	xmlColDocID = iota
-	xmlColNodeType
-	xmlColNodeName
+	xmlColTag
 	xmlColNodeData
 	xmlColParentRowID
 	xmlColPrevRowID
@@ -113,6 +114,9 @@ type Store struct {
 	db  *ordbms.DB
 	xml *ordbms.Table
 	doc *ordbms.Table
+	tag *ordbms.Table
+
+	tags tagDict // the TAG table, in memory
 
 	nextDocID atomic.Uint64 // next unreserved document ID; netmarkvet:snap
 
@@ -184,8 +188,7 @@ type Store struct {
 
 var xmlSchema = ordbms.MustSchema(
 	ordbms.Column{Name: "docid", Type: ordbms.TypeInt},
-	ordbms.Column{Name: "nodetype", Type: ordbms.TypeInt},
-	ordbms.Column{Name: "nodename", Type: ordbms.TypeString},
+	ordbms.Column{Name: "tag", Type: ordbms.TypeInt},
 	ordbms.Column{Name: "nodedata", Type: ordbms.TypeString},
 	ordbms.Column{Name: "parentrowid", Type: ordbms.TypeRowID},
 	ordbms.Column{Name: "prevrowid", Type: ordbms.TypeRowID},
@@ -241,6 +244,14 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		return nil, err
 	}
 	if s.doc, err = ensureTable(db, "DOC", docSchema, "docid", "filename"); err != nil {
+		return nil, err
+	}
+	if s.tag, err = ensureTable(db, "TAG", tagSchema); err != nil {
+		return nil, err
+	}
+	// Every XML row is read through the dictionary, the scan rebuild
+	// included, so it comes first.
+	if err := s.loadTags(); err != nil {
 		return nil, err
 	}
 	if db.Dir() != "" && !opts.DisableSnapshot {
@@ -302,19 +313,24 @@ func (s *Store) rebuildDerived() error {
 	type pendingLinks struct{ prev, parent ordbms.RowID }
 	var pend []pendingLinks
 	maxDoc := uint64(0)
+	var bad error
 	err := s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
 		docID := uint64(row[xmlColDocID].Int)
 		if docID > maxDoc {
 			maxDoc = docID
 		}
-		class := sgml.NodeClass(row[xmlColNodeType].Int)
+		tag, err := s.tagOf(rid, row)
+		if err != nil {
+			bad = err
+			return false
+		}
 		idxOf[rid] = len(flat)
-		flat = append(flat, flatNode{class: class, rid: rid, prev: -1, parent: -1, next: -1, child: -1})
+		flat = append(flat, flatNode{class: tag.class, rid: rid, prev: -1, parent: -1, next: -1, child: -1})
 		pend = append(pend, pendingLinks{
 			prev:   row[xmlColPrevRowID].RowID(),
 			parent: row[xmlColParentRowID].RowID(),
 		})
-		switch class {
+		switch tag.class {
 		case sgml.ClassText:
 			s.content.Add(rid.Uint64(), row[xmlColNodeData].Str)
 		case sgml.ClassContext:
@@ -322,6 +338,9 @@ func (s *Store) rebuildDerived() error {
 		}
 		return true
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return err
 	}
@@ -484,22 +503,37 @@ func (s *Store) NumDocuments() int64 { return s.doc.Rows() }
 // NumNodes returns the number of stored nodes.
 func (s *Store) NumNodes() int64 { return s.xml.Rows() }
 
-// nodeFromCols decodes an XML-table row's columns.  A NULL column reads
-// as its zero value, which is what the writer stored it for: "" for a
-// text node's nodename, nodedata and attrs, ZeroRowID for a link.
-func nodeFromCols(rid ordbms.RowID, cols []ordbms.Value) *Node {
+// tagOf resolves an XML-table row's tag column.  A NULL tag or a code the
+// dictionary does not hold makes the record corrupt.
+func (s *Store) tagOf(rid ordbms.RowID, cols []ordbms.Value) (tagPair, error) {
+	tag := cols[xmlColTag]
+	if p, ok := s.tags.pair(tag.Int); ok && !tag.IsNull() {
+		return p, nil
+	}
+	return tagPair{}, fmt.Errorf("xmlstore: corrupt node %v: tag %v is not in TAG", rid, tag)
+}
+
+// nodeFromCols decodes an XML-table row's columns.  The class and name
+// come from the row's tag, and the name is the dictionary's own string.
+// A NULL column reads as its zero value, which is what the writer stored
+// it for: "" for nodedata and attrs, ZeroRowID for a link.
+func (s *Store) nodeFromCols(rid ordbms.RowID, cols []ordbms.Value) (*Node, error) {
+	tag, err := s.tagOf(rid, cols)
+	if err != nil {
+		return nil, err
+	}
 	return &Node{
 		Attrs:       decodeAttrs(cols[xmlColAttrs].Str),
 		DocID:       uint64(cols[xmlColDocID].Int),
-		Class:       sgml.NodeClass(cols[xmlColNodeType].Int),
-		Name:        cols[xmlColNodeName].Str,
+		Class:       tag.class,
+		Name:        tag.name,
 		Data:        cols[xmlColNodeData].Str,
 		RowID:       rid,
 		ParentRowID: cols[xmlColParentRowID].RowID(),
 		PrevRowID:   cols[xmlColPrevRowID].RowID(),
 		NextRowID:   cols[xmlColNextRowID].RowID(),
 		ChildRowID:  cols[xmlColChildRowID].RowID(),
-	}
+	}, nil
 }
 
 func rowToDoc(rid ordbms.RowID, row ordbms.Row) *DocInfo {
@@ -584,7 +618,7 @@ func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return nodeFromCols(rid, cols[:]), nil
+	return s.nodeFromCols(rid, cols[:])
 }
 
 // fetchNodesBatch resolves many RowIDs (sorted into physical order by
@@ -602,7 +636,9 @@ func (s *Store) fetchNodesBatch(rids []ordbms.RowID) ([]*Node, error) {
 		}
 		for i, row := range rows {
 			if row != nil {
-				out[i] = nodeFromCols(rids[i], row)
+				if out[i], err = s.nodeFromCols(rids[i], row); err != nil {
+					return nil, err
+				}
 			}
 		}
 		return out, nil
@@ -630,7 +666,10 @@ func (s *Store) fetchNodesBatch(rids []ordbms.RowID) ([]*Node, error) {
 		if row == nil {
 			continue
 		}
-		n := nodeFromCols(missRids[j], row)
+		n, err := s.nodeFromCols(missRids[j], row)
+		if err != nil {
+			return nil, err
+		}
 		out[missIdx[j]] = n
 		c.completeFill(missRids[j], n, tokens[j])
 	}
@@ -710,9 +749,19 @@ func walkSubtree(root *Node, follow func(ordbms.RowID) (*Node, error), visit fun
 // ScanNodes iterates every stored node in physical order (used by
 // full-scan baselines and integrity checks).
 func (s *Store) ScanNodes(fn func(n *Node) bool) error {
-	return s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
-		return fn(nodeFromCols(rid, row))
+	var bad error
+	err := s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
+		n, err := s.nodeFromCols(rid, row)
+		if err != nil {
+			bad = err
+			return false
+		}
+		return fn(n)
 	})
+	if err == nil {
+		err = bad
+	}
+	return err
 }
 
 // ErrNoDocument reports a document ID or name with no DOC row — either
