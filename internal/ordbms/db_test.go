@@ -130,27 +130,6 @@ func TestDBIndexDeleteMaintenance(t *testing.T) {
 	}
 }
 
-func TestDBUpdateMaintainsIndex(t *testing.T) {
-	db, _ := Open(Options{})
-	defer db.Close()
-	tbl, _ := db.CreateTable("t", testSchema(t))
-	tbl.CreateIndex("name")
-	rid, _ := tbl.Insert(Row{I(1), S("before"), F(0)})
-	if err := tbl.Update(rid, Row{I(1), S("after"), F(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if rids, _ := tbl.Lookup("name", S("before")); len(rids) != 0 {
-		t.Fatal("stale index entry after update")
-	}
-	if rids, _ := tbl.Lookup("name", S("after")); len(rids) != 1 {
-		t.Fatal("missing index entry after update")
-	}
-	row, _ := tbl.Fetch(rid)
-	if row[1].Str != "after" {
-		t.Fatalf("row = %v", row)
-	}
-}
-
 func TestDBIndexRangeAndPrefix(t *testing.T) {
 	db, _ := Open(Options{})
 	defer db.Close()

@@ -3,17 +3,18 @@ package ordbms
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 )
 
 // runRecord frames one page section of a walInsertRun payload the way
 // WAL.LogInsertRun does.
-func runRecord(page uint32, slots []uint16, recs ...[]byte) []byte {
+func runRecord(page uint32, first uint16, recs ...[]byte) []byte {
 	p := binary.LittleEndian.AppendUint32(nil, page)
+	p = binary.LittleEndian.AppendUint16(p, first)
 	p = binary.LittleEndian.AppendUint16(p, uint16(len(recs)))
-	for i, rec := range recs {
-		p = binary.LittleEndian.AppendUint16(p, slots[i])
-		p = binary.LittleEndian.AppendUint16(p, uint16(len(rec)))
+	for _, rec := range recs {
+		p = binary.AppendUvarint(p, uint64(len(rec)))
 		p = append(p, rec...)
 	}
 	return p
@@ -22,38 +23,50 @@ func runRecord(page uint32, slots []uint16, recs ...[]byte) []byte {
 // FuzzRunRecord feeds nextRunPage and nextRunRow — the splitters both
 // Replay's framing check and Recover's apply loop rely on — truncated,
 // overlong and arbitrary payloads.  Neither may panic or hand out bytes
-// beyond its input, and what nextRunPage accepts, nextRunRow must split
-// into exactly the promised rows with nothing left over: recovery
-// ignores nextRunRow's ok on the strength of that.
+// beyond its input; what nextRunPage accepts names slots a page's
+// directory can hold, and nextRunRow must split it into exactly the
+// promised rows with nothing left over: recovery ignores nextRunRow's ok
+// on the strength of that.
 func FuzzRunRecord(f *testing.F) {
-	one := runRecord(7, []uint16{0, 1, 5}, []byte("first"), []byte("second row"), []byte{0})
-	two := append(append([]byte(nil), one...), runRecord(8, []uint16{3}, bytes.Repeat([]byte{0xAB}, 300))...)
+	one := runRecord(7, 0, []byte("first"), []byte("second row"), []byte{0})
+	two := append(append([]byte(nil), one...), runRecord(8, 3, bytes.Repeat([]byte{0xAB}, 300))...)
+	twoRows := runRecord(9, 4, []byte("a"), []byte("b"))
+	overflow := append(runRecord(9, 0, []byte("x"))[:runPageHeader], bytes.Repeat([]byte{0xFF}, 10)...)
 	f.Add(one)
 	f.Add(two)
-	f.Add(one[:len(one)-1])                                // last row cut short
-	f.Add(one[:5])                                         // cut inside the page header
-	f.Add(two[:len(one)+6])                                // second page promises a row it does not have
-	f.Add(runRecord(9, nil))                               // a page with no rows
-	f.Add(runRecord(9, []uint16{0}, nil))                  // a zero-length row
-	f.Add([]byte{1, 0, 0, 0, 0xFF, 0xFF})                  // 65535 rows promised, none present
-	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0, 0xFF, 0xFF, 'x'}) // row length far past the payload
+	f.Add(one[:len(one)-1])                                               // last row cut short
+	f.Add(one[:5])                                                        // cut inside the page header
+	f.Add(two[:len(one)+runPageHeader])                                   // second page promises a row it does not have
+	f.Add(runRecord(9, 0))                                                // a page with no rows
+	f.Add(runRecord(9, 0, nil))                                           // a zero-length row
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0xFF, 0xFF})                           // 65535 rows promised, none present
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 1, 0, 0xFF, 0x7F, 'x'})                // row length far past the payload
+	f.Add(runRecord(9, 0x7FFF, []byte("a")))                              // first+count past 0x7FFF
+	f.Add(runRecord(9, maxSlots-1, []byte("a")))                          // the directory's last entry
+	f.Add(runRecord(9, maxSlots, []byte("a")))                            // one past it
+	f.Add(append(overflow, 0x01))                                         // a row length that overflows a uvarint
+	f.Add(append(twoRows[:6:6], append([]byte{3, 0}, twoRows[8:]...)...)) // three rows promised, two present
 	f.Fuzz(func(t *testing.T, p []byte) {
 		for rest := p; len(rest) > 0; {
-			_, rows, tail, ok := nextRunPage(rest)
+			_, first, rows, tail, ok := nextRunPage(rest)
 			if !ok {
 				return
 			}
-			if len(rest) < 6 || len(rows)+len(tail)+6 != len(rest) || !bytes.HasSuffix(rest, tail) {
+			if len(rest) < runPageHeader || len(rows)+len(tail)+runPageHeader != len(rest) || !bytes.HasSuffix(rest, tail) {
 				t.Fatalf("page section of %d bytes split into header + %d + %d", len(rest), len(rows), len(tail))
 			}
-			want := int(binary.LittleEndian.Uint16(rest[4:6]))
+			want := int(binary.LittleEndian.Uint16(rest[6:8]))
+			if int(first)+want > maxSlots {
+				t.Fatalf("section accepted for slots %d to %d, past the directory's %d", first, int(first)+want, maxSlots)
+			}
 			got := 0
 			for len(rows) > 0 {
-				_, rec, more, ok := nextRunRow(rows)
+				rec, more, ok := nextRunRow(rows)
 				if !ok {
 					t.Fatalf("nextRunPage accepted rows nextRunRow rejects at row %d", got)
 				}
-				if len(rec) == 0 || 4+len(rec)+len(more) != len(rows) {
+				n, sz := binary.Uvarint(rows)
+				if len(rec) == 0 || uint64(len(rec)) != n || sz+len(rec)+len(more) != len(rows) {
 					t.Fatalf("row of %d bytes out of %d, %d left", len(rec), len(rows), len(more))
 				}
 				rows = more
@@ -65,4 +78,158 @@ func FuzzRunRecord(f *testing.F) {
 			rest = tail
 		}
 	})
+}
+
+// at is where a record Get or LiveRecords returned starts on its page:
+// both slice page memory through the page's end.
+func at(rec []byte) int { return PageSize - cap(rec) }
+
+// FuzzPage reads arbitrary page bytes and runs arbitrary Insert, Delete
+// and Compact sequences on a fresh page.
+//
+// Read side: NumSlots, Get, LiveRecords, plan, FreeSpace and Insert never
+// panic, and every record they hand out lies past the slot directory,
+// inside the page, between its slot's entry and the one before it.
+//
+// Write side: after every operation each live record reads back exactly,
+// each deleted one is ErrRecordDeleted, and the layout holds — offsets
+// fall with slot number and the record area is exactly the bytes held.
+func FuzzPage(f *testing.F) {
+	built := NewPage()
+	for i := 0; i < 6; i++ {
+		built.Insert(bytes.Repeat([]byte{byte('a' + i)}, 10*i+1))
+	}
+	built.Delete(0)
+	built.Delete(3)
+	compacted := *built
+	compacted.Compact()
+	withCount := func(p Page, n uint16) []byte {
+		binary.LittleEndian.PutUint16(p.data[0:2], n)
+		return p.data[:]
+	}
+	withEntry := func(p Page, i int, v uint16) []byte {
+		binary.LittleEndian.PutUint16(p.data[pageHeaderSize+2*i:], v)
+		return p.data[:]
+	}
+	allDead := NewPage()
+	for i := 0; i < maxSlots; i++ {
+		allDead.setEntry(i, PageSize, true)
+	}
+	f.Add([]byte(nil), []byte{0, 1, 2, 3})
+	f.Add(append([]byte(nil), built.data[:]...), []byte{0, 0, 0, 6, 3, 1})
+	f.Add(append([]byte(nil), compacted.data[:]...), []byte{2, 2, 2, 3, 0})
+	f.Add(withCount(*built, 0xFFFF), []byte{})                  // a count past the page
+	f.Add(withCount(*built, maxSlots+1), []byte{})              // one entry too many
+	f.Add(withCount(*allDead, maxSlots), []byte{})              // a full directory of empty dead slots
+	f.Add(withEntry(*built, 2, PageSize+1), []byte{})           // an offset past the page
+	f.Add(withEntry(*built, 4, 4), []byte{})                    // an offset inside the directory
+	f.Add(withEntry(*built, 1, 8100), []byte{})                 // an offset above the slot before
+	f.Add(withEntry(*built, 5, 0x7FFF), []byte{})               // the last offset, far past the page
+	f.Add(withCount(*built, 3), bytes.Repeat([]byte{0, 3}, 40)) // a cut directory
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
+		var p Page
+		copy(p.data[:], data)
+		readPage(t, &p)
+		if s, err := p.Insert([]byte("new")); err == nil {
+			if rec, gerr := p.Get(s); gerr != nil || string(rec) != "new" {
+				t.Fatalf("inserted slot %d reads %q, %v", s, rec, gerr)
+			}
+		}
+		writePage(t, ops)
+	})
+}
+
+// readPage checks the read side of FuzzPage on p.
+func readPage(t *testing.T, p *Page) {
+	n, lower := p.NumSlots(), pageHeaderSize+slotSize*p.NumSlots()
+	pp := p.plan()
+	if free := p.FreeSpace(); pp.gap < 0 || free < 0 || free != pp.freeSpace() || lower <= PageSize && pp.gap > PageSize-lower {
+		t.Fatalf("plan gap %d, FreeSpace %d, directory ends at %d", pp.gap, free, lower)
+	}
+	inPlace := func(slot int, rec []byte) {
+		t.Helper()
+		off := at(rec)
+		if off < lower || off+len(rec) > PageSize {
+			t.Fatalf("slot %d: %d bytes at %d, outside %d to %d", slot, len(rec), off, lower, PageSize)
+		}
+		end := PageSize
+		if slot > 0 {
+			end = int(binary.LittleEndian.Uint16(p.data[pageHeaderSize+2*slot-2:]) &^ slotDead)
+		}
+		if want := int(binary.LittleEndian.Uint16(p.data[pageHeaderSize+2*slot:]) &^ slotDead); off != want || off+len(rec) != end {
+			t.Fatalf("slot %d: %d to %d, its entries say %d to %d", slot, off, off+len(rec), want, end)
+		}
+	}
+	last := n + 1
+	if lower > PageSize { // every Get fails on a directory off the page
+		last = 1
+	}
+	for slot := -1; slot <= last; slot++ {
+		if rec, err := p.Get(slot); err == nil {
+			inPlace(slot, rec)
+		}
+	}
+	lerr := p.LiveRecords(func(slot int, rec []byte) bool {
+		inPlace(slot, rec)
+		if got, err := p.Get(slot); err != nil || at(got) != at(rec) || len(got) != len(rec) {
+			t.Fatalf("LiveRecords and Get disagree on slot %d: %v", slot, err)
+		}
+		return true
+	})
+	if lerr != nil && !errors.Is(lerr, errCorruptPage) {
+		t.Fatalf("LiveRecords: %v, want a corrupt-page error", lerr)
+	}
+}
+
+// writePage checks the write side of FuzzPage: ops, two bytes per
+// operation, run on a fresh page.  Every prefix of ops is a sequence
+// too, so the full check runs once, at the end.
+func writePage(t *testing.T, ops []byte) {
+	p := NewPage()
+	var recs [][]byte // by slot; nil once deleted
+	held := 0         // bytes the record area holds, dead records' included
+	for i := 0; i+1 < len(ops); i += 2 {
+		switch arg := int(ops[i+1]); ops[i] % 4 {
+		case 0, 1:
+			rec := bytes.Repeat([]byte{byte(i)}, 1+arg*int(ops[i]/4%32))
+			slot, err := p.Insert(rec)
+			if err == errPageFull {
+				if p.FreeSpace() >= len(rec) {
+					t.Fatalf("a %d-byte record refused with %d free", len(rec), p.FreeSpace())
+				}
+				continue
+			}
+			if err != nil || slot != len(recs) {
+				t.Fatalf("insert took slot %d of %d: %v", slot, len(recs), err)
+			}
+			recs, held = append(recs, rec), held+len(rec)
+		case 2:
+			if len(recs) > 0 && p.Delete(arg%len(recs)) == nil {
+				recs[arg%len(recs)] = nil
+			}
+		case 3:
+			if err := p.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			held = 0
+			for _, rec := range recs {
+				held += len(rec)
+			}
+		}
+		if p.NumSlots() != len(recs) || p.FreeSpace() != max(PageSize-pageHeaderSize-slotSize*len(recs)-held-slotSize, 0) {
+			t.Fatalf("after op %d: %d slots and %d free, want %d and %d held", i/2, p.NumSlots(), p.FreeSpace(), len(recs), held)
+		}
+	}
+	prev := PageSize
+	for slot, want := range recs {
+		off, _ := p.entry(slot)
+		got, err := p.Get(slot)
+		if off > prev || want == nil && err != ErrRecordDeleted || want != nil && (err != nil || !bytes.Equal(got, want)) {
+			t.Fatalf("slot %d at %d (the slot before at %d) reads %q, %v; want %q", slot, off, prev, got, err, want)
+		}
+		prev = off
+	}
+	if prev != PageSize-held {
+		t.Fatalf("the record area starts at %d, want %d", prev, PageSize-held)
+	}
 }

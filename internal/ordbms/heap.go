@@ -51,9 +51,12 @@ func OpenHeapFile(pool *BufferPool, wal *WAL, pages []uint32) (*HeapFile, error)
 		f.Latch.RLock()
 		free := f.Page.FreeSpace()
 		live := 0
-		f.Page.LiveRecords(func(int, []byte) bool { live++; return true })
+		err = f.Page.LiveRecords(func(int, []byte) bool { live++; return true })
 		f.Latch.RUnlock()
 		pool.Unpin(f, false)
+		if err != nil {
+			return nil, fmt.Errorf("ordbms: page %d: %w", no, err)
+		}
 		if free > minHint {
 			h.hints = append(h.hints, pageFree{no, int32(free)})
 		}
@@ -293,9 +296,9 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 	}
 
 	// Every page is resident and pinned: from here on nothing does I/O.
-	// insertAt cannot fail either — under the heap lock a planned page only
-	// ever gains room — but were it to, the run ends there, and the log is
-	// told exactly what the pages hold.
+	// insertAt cannot fail either — under the heap lock nothing else takes
+	// room or slots on a planned page — but were it to, the run ends there,
+	// and the log is told exactly what the pages hold.
 	written = true
 	latched := 0 // pages[:latched] hold their write latch
 	for err == nil && latched < len(pages) {
@@ -470,7 +473,8 @@ func (h *HeapFile) ViewMany(rids []RowID, fn func(i int, rec []byte) error) erro
 	return nil
 }
 
-// Delete removes the record at rid.
+// Delete removes the record at rid.  Its slot stays dead: no later insert
+// is given rid.
 func (h *HeapFile) Delete(rid RowID) error {
 	f, err := h.pool.Fetch(rid.Page)
 	if err != nil {
@@ -493,31 +497,6 @@ func (h *HeapFile) Delete(rid RowID) error {
 	return nil
 }
 
-// Update rewrites the record at rid in place.  The caller must ensure the
-// new record is not larger than the original; larger payloads return an
-// error.
-func (h *HeapFile) Update(rid RowID, rec []byte) error {
-	f, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	f.Latch.Lock()
-	ok, uerr := f.Page.UpdateInPlace(int(rid.Slot), rec)
-	if uerr == nil && ok && h.wal != nil {
-		lsn := h.wal.LogUpdate(rid.Page, rid.Slot, rec)
-		f.Page.SetLSN(lsn)
-	}
-	f.Latch.Unlock()
-	h.pool.Unpin(f, uerr == nil && ok)
-	if uerr != nil {
-		return uerr
-	}
-	if !ok {
-		return fmt.Errorf("ordbms: update at %v does not fit in place (%d bytes)", rid, len(rec))
-	}
-	return nil
-}
-
 // Scan calls fn for every live record in physical order.  fn must copy the
 // record if it retains it.  Returning false stops the scan.
 func (h *HeapFile) Scan(fn func(rid RowID, rec []byte) bool) error {
@@ -531,15 +510,15 @@ func (h *HeapFile) Scan(fn func(rid RowID, rec []byte) bool) error {
 		}
 		stop := false
 		f.Latch.RLock()
-		f.Page.LiveRecords(func(slot int, rec []byte) bool {
-			if !fn(RowID{Page: no, Slot: uint16(slot)}, rec) {
-				stop = true
-				return false
-			}
-			return true
+		err = f.Page.LiveRecords(func(slot int, rec []byte) bool {
+			stop = !fn(RowID{Page: no, Slot: uint16(slot)}, rec)
+			return !stop
 		})
 		f.Latch.RUnlock()
 		h.pool.Unpin(f, false)
+		if err != nil {
+			return fmt.Errorf("ordbms: page %d: %w", no, err)
+		}
 		if stop {
 			return nil
 		}

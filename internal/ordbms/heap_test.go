@@ -101,21 +101,6 @@ func TestHeapDeleteSemantics(t *testing.T) {
 	}
 }
 
-func TestHeapUpdateInPlace(t *testing.T) {
-	h := NewHeapFile(memPool(t, 64), nil)
-	rid, _ := h.Insert([]byte("aaaaaaaaaa"))
-	if err := h.Update(rid, []byte("bbbb")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := h.Fetch(rid)
-	if string(got) != "bbbb" {
-		t.Fatalf("got %q", got)
-	}
-	if err := h.Update(rid, make([]byte, 5000)); err == nil {
-		t.Fatal("oversize in-place update should fail")
-	}
-}
-
 func TestHeapScanOrderAndStop(t *testing.T) {
 	h := NewHeapFile(memPool(t, 64), nil)
 	for i := 0; i < 30; i++ {

@@ -2,6 +2,8 @@ package ordbms
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -44,37 +46,44 @@ func TestPageFillsAndReportsFull(t *testing.T) {
 		}
 		n++
 	}
-	// 8192-byte page, 16-byte header, 104 bytes per record+slot.
-	if n < 70 || n > 81 {
-		t.Fatalf("fit %d 100-byte records, expected ~78", n)
+	// 8192-byte page, 16-byte header, 102 bytes per record+slot: 80.
+	if n != 80 {
+		t.Fatalf("fit %d 100-byte records, expected 80", n)
 	}
-	if p.FreeSpace() >= 104 {
+	if p.FreeSpace() >= 102 {
 		t.Fatalf("page claims %d free after filling", p.FreeSpace())
 	}
 }
 
+// A dead slot is not reused; its neighbours keep their bytes and lengths.
 func TestPageDeleteAndSlotReuse(t *testing.T) {
 	p := NewPage()
-	s0, _ := p.Insert([]byte("aaaa"))
-	s1, _ := p.Insert([]byte("bbbb"))
-	if err := p.Delete(s0); err != nil {
+	recs := [][]byte{[]byte("aaaa"), []byte("bbbbbbb"), []byte("c")}
+	for i, rec := range recs {
+		if s, err := p.Insert(rec); s != i || err != nil {
+			t.Fatalf("insert %d took slot %d: %v", i, s, err)
+		}
+	}
+	free := p.FreeSpace()
+	if err := p.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Get(s0); err != ErrRecordDeleted {
+	if _, err := p.Get(1); err != ErrRecordDeleted {
 		t.Fatalf("want ErrRecordDeleted, got %v", err)
 	}
-	if err := p.Delete(s0); err != ErrRecordDeleted {
+	if err := p.Delete(1); err != ErrRecordDeleted {
 		t.Fatalf("double delete: %v", err)
 	}
-	// New insert reuses the dead slot.
-	s2, _ := p.Insert([]byte("cccc"))
-	if s2 != s0 {
-		t.Fatalf("expected slot reuse: got %d want %d", s2, s0)
+	if p.FreeSpace() != free {
+		t.Fatalf("a delete changed free space from %d to %d", free, p.FreeSpace())
 	}
-	// Survivor must be intact.
-	got, err := p.Get(s1)
-	if err != nil || !bytes.Equal(got, []byte("bbbb")) {
-		t.Fatalf("survivor damaged: %q %v", got, err)
+	if s, err := p.Insert([]byte("dd")); s != 3 || err != nil {
+		t.Fatalf("insert after a delete took slot %d (%v), want the new slot 3", s, err)
+	}
+	for i, want := range [][]byte{recs[0], nil, recs[2], []byte("dd")} {
+		if got, err := p.Get(i); want != nil && (err != nil || !bytes.Equal(got, want)) {
+			t.Fatalf("slot %d reads %q (%v), want %q", i, got, err, want)
+		}
 	}
 }
 
@@ -95,10 +104,16 @@ func TestPageCompactPreservesSlots(t *testing.T) {
 		}
 	}
 	before := p.FreeSpace()
-	p.Compact()
-	after := p.FreeSpace()
-	if after <= before {
-		t.Fatalf("compaction did not reclaim: before=%d after=%d", before, after)
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if after := p.FreeSpace(); after != before+10*50 {
+		t.Fatalf("compaction reclaimed %d bytes, want the 500 of 10 dead records", after-before)
+	}
+	for i := 0; i < 20; i += 2 {
+		if _, err := p.Get(slots[i]); err != ErrRecordDeleted {
+			t.Fatalf("dead slot %d after compact: %v", slots[i], err)
+		}
 	}
 	// Survivors keep their slot numbers and contents.
 	for i := 1; i < 20; i += 2 {
@@ -113,23 +128,58 @@ func TestPageCompactPreservesSlots(t *testing.T) {
 	}
 }
 
-func TestPageUpdateInPlace(t *testing.T) {
+// A dead slot 0, compacted, has zero length: its entry holds PageSize,
+// dead, and the slots after it read as before.
+func TestPageCompactedDeadSlotZero(t *testing.T) {
 	p := NewPage()
-	s, _ := p.Insert([]byte("0123456789"))
-	ok, err := p.UpdateInPlace(s, []byte("abcde"))
-	if err != nil || !ok {
-		t.Fatalf("shrinking update: ok=%v err=%v", ok, err)
+	for _, rec := range []string{"zero", "one", "two"} {
+		if _, err := p.Insert([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, _ := p.Get(s)
-	if string(got) != "abcde" {
-		t.Fatalf("got %q", got)
-	}
-	ok, err = p.UpdateInPlace(s, bytes.Repeat([]byte("x"), 100))
-	if err != nil {
+	if err := p.Delete(0); err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("growing update should not fit in place")
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if e := binary.LittleEndian.Uint16(p.Data()[pageHeaderSize:]); e != PageSize|slotDead {
+		t.Fatalf("slot 0's entry is %#x, want %#x", e, PageSize|slotDead)
+	}
+	if _, err := p.Get(0); err != ErrRecordDeleted {
+		t.Fatalf("slot 0: %v, want ErrRecordDeleted", err)
+	}
+	for i, want := range []string{"", "one", "two"} {
+		if got, err := p.Get(i); i > 0 && (err != nil || string(got) != want) {
+			t.Fatalf("slot %d reads %q, %v", i, got, err)
+		}
+	}
+	if got := p.FreeSpace(); got != PageSize-pageHeaderSize-3*slotSize-len("onetwo")-slotSize {
+		t.Fatalf("%d bytes free after compacting away slot 0", got)
+	}
+}
+
+// A page whose directory breaks the layout is reported, never sliced
+// past: a count that runs the directory off the page, an offset above
+// the slot before it, an offset inside the directory.
+func TestPageCorruptDirectory(t *testing.T) {
+	for name, corrupt := range map[string]func(b []byte){
+		"count":      func(b []byte) { binary.LittleEndian.PutUint16(b, maxSlots+1) },
+		"rising":     func(b []byte) { binary.LittleEndian.PutUint16(b[pageHeaderSize+2:], PageSize-1) },
+		"past page":  func(b []byte) { binary.LittleEndian.PutUint16(b[pageHeaderSize:], PageSize+8) },
+		"into slots": func(b []byte) { binary.LittleEndian.PutUint16(b[pageHeaderSize+2:], pageHeaderSize) },
+	} {
+		p := NewPage()
+		for _, rec := range []string{"zero", "one", "two"} {
+			p.Insert([]byte(rec))
+		}
+		corrupt(p.Data())
+		if _, err := p.Get(1); !errors.Is(err, errCorruptPage) {
+			t.Errorf("%s: Get = %v, want a corrupt-page error", name, err)
+		}
+		if err := p.LiveRecords(func(int, []byte) bool { return true }); !errors.Is(err, errCorruptPage) {
+			t.Errorf("%s: LiveRecords = %v, want a corrupt-page error", name, err)
+		}
 	}
 }
 

@@ -6,29 +6,22 @@ import (
 )
 
 // applyInsertAt places rec at an exact slot during recovery.  Unlike
-// Insert, the slot number is dictated by the log record; the slot
-// directory is extended with dead slots as needed so slot numbers match
-// the pre-crash layout.
+// Insert, the slot number is dictated by the log record; a slot past the
+// directory's end is reached through zero-length dead slots, so slot
+// numbers match the pre-crash layout.  A slot the page already has is an
+// error: the page-LSN check skips every record a page holds, so only a
+// corrupt page or log names one.
 func (p *Page) applyInsertAt(slot int, rec []byte) error {
-	for p.numSlots() <= slot {
-		if p.freeUpper()-p.freeLower() < slotSize {
-			return fmt.Errorf("ordbms: recovery overflow extending slot directory")
-		}
-		p.setSlot(p.numSlots(), slotDead, 0)
-		p.setNumSlots(p.numSlots() + 1)
-		p.setFreeLower(p.freeLower() + slotSize)
+	if n := p.numSlots(); slot < n {
+		return fmt.Errorf("ordbms: slot %d is already on the page (it has %d)", slot, n)
 	}
-	if off, _ := p.slotAt(slot); off != slotDead {
-		// Slot already live: the record reached disk before the crash via
-		// an earlier flush; overwrite deterministically.
-		p.setSlot(slot, slotDead, 0)
-		p.Compact()
-	}
-	if p.freeUpper()-p.freeLower() < len(rec) {
-		p.Compact()
-		if p.freeUpper()-p.freeLower() < len(rec) {
-			return fmt.Errorf("ordbms: recovery insert does not fit (%d bytes)", len(rec))
+	for n := p.numSlots(); n < slot; n++ {
+		upper := p.freeUpper()
+		if upper-p.freeLower() < slotSize {
+			return fmt.Errorf("ordbms: slot %d is past what the page's directory can reach", slot)
 		}
+		p.setNumSlots(n + 1)
+		p.setEntry(n, upper, true)
 	}
 	return p.insertAt(slot, rec)
 }
@@ -75,29 +68,17 @@ func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs
 		}
 		switch r.Type {
 		case walInsertRun:
-			for rest := r.Rec; len(rest) > 0; {
-				slot, rec, tail, _ := nextRunRow(rest) // Replay checked the framing
-				if aerr := f.Page.applyInsertAt(int(slot), rec); aerr != nil {
-					return aerr
+			// The section's rows take consecutive new slots from r.Slot.
+			for slot, rest := int(r.Slot), r.Rec; len(rest) > 0; slot++ {
+				rec, tail, _ := nextRunRow(rest) // Replay checked the framing
+				if aerr := f.Page.applyInsertAt(slot, rec); aerr != nil {
+					return fmt.Errorf("ordbms: recovery of page %d: %w", r.Page, aerr)
 				}
 				rest = tail
 			}
 		case walDelete:
 			if derr := f.Page.Delete(int(r.Slot)); derr != nil && derr != ErrRecordDeleted {
 				return derr
-			}
-		case walUpdate:
-			ok, uerr := f.Page.UpdateInPlace(int(r.Slot), r.Rec)
-			if uerr == ErrRecordDeleted {
-				// Update follows an unreplayed insert only when the page
-				// was flushed between them, which the LSN check excludes.
-				return fmt.Errorf("ordbms: recovery update of deleted slot %d.%d", r.Page, r.Slot)
-			}
-			if uerr != nil {
-				return uerr
-			}
-			if !ok {
-				return fmt.Errorf("ordbms: recovery update does not fit at %d.%d", r.Page, r.Slot)
 			}
 		}
 		f.Page.SetLSN(r.LSN)
@@ -163,8 +144,8 @@ func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs
 		// record's LSN against its own, and the record counts once.
 		before := replayed
 		for rest := r.Rec; len(rest) > 0; {
-			no, rows, tail, _ := nextRunPage(rest) // Replay checked the framing
-			r.Page, r.Rec = no, rows
+			no, first, rows, tail, _ := nextRunPage(rest) // Replay checked the framing
+			r.Page, r.Slot, r.Rec = no, first, rows
 			if aerr := onPage(r); aerr != nil {
 				return aerr
 			}

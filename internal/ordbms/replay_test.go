@@ -1,0 +1,203 @@
+package ordbms
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"netmark/internal/vfs"
+)
+
+// Replay rebuilds pages byte for byte.  A heap is built by single
+// inserts, runs that span pages and deletes, with the pages flushed now
+// and then; its log is cut at every record boundary, and each cut is
+// recovered onto the pages as they were last flushed before it.  Every
+// recovered page equals the live page at the cut's LSN: a row's slot
+// and length are derived, not logged, so this is what says they are
+// derived right.
+func TestReplayRebuildsPagesByteForByte(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "wal.nmlog")
+	w, err := OpenWAL(vfs.OS, logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := NewMemDisk()
+	pool := NewBufferPool(disk, 64)
+	w.AttachTo(pool)
+	h := NewHeapFile(pool, w)
+
+	// image is every page's bytes (page 1 first) once the log reached lsn.
+	type image struct {
+		lsn   uint64
+		pages [][]byte
+	}
+	pagesOf := func(read func(no uint32, buf []byte) error) [][]byte {
+		var pages [][]byte
+		for no := uint32(1); no < disk.NumPages(); no++ {
+			buf := make([]byte, PageSize)
+			if err := read(no, buf); err != nil {
+				t.Fatal(err)
+			}
+			pages = append(pages, buf)
+		}
+		return pages
+	}
+	fromPool := func(no uint32, buf []byte) error {
+		f, err := pool.Fetch(no)
+		if err != nil {
+			return err
+		}
+		copy(buf, f.Page.Data())
+		pool.Unpin(f, false)
+		return nil
+	}
+	var live, flushed []image
+	snap := func() { live = append(live, image{w.NextLSN(), pagesOf(fromPool)}) }
+	flush := func() {
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		flushed = append(flushed, image{w.NextLSN(), pagesOf(disk.ReadPage)})
+	}
+	flush() // the empty heap
+
+	rng := rand.New(rand.NewSource(1))
+	rec := func(lo, hi int) []byte { return bytes.Repeat([]byte{byte(rng.Intn(256))}, lo+rng.Intn(hi-lo)) }
+	var rids []RowID
+	for step := 0; step < 40; step++ {
+		switch step % 5 {
+		case 0, 1:
+			rid, err := h.Insert(rec(20, 600))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, rid)
+		case 2:
+			run := make([][]byte, 10+rng.Intn(30))
+			for i := range run {
+				run[i] = rec(100, 900)
+			}
+			got, err := h.InsertRun(run, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids = append(rids, got...)
+		case 3:
+			for k := 1 + rng.Intn(5); k > 0; k-- {
+				if err := h.Delete(rids[rng.Intn(len(rids))]); err != nil && err != ErrRecordDeleted {
+					t.Fatal(err)
+				}
+				snap() // each delete is a record of its own
+			}
+		case 4:
+			if step%10 == 4 {
+				flush()
+			}
+		}
+		snap()
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(live[len(live)-1].pages); n < 8 {
+		t.Fatalf("the heap spans %d pages: too few to say much", n)
+	}
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := []uint64{0}
+	if _, err := w.Replay(func(r WALRecord) error { cuts = append(cuts, r.LSN); return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	zero := make([]byte, PageSize)
+	for _, cut := range cuts {
+		base, want := flushed[0], flushed[0]
+		for _, im := range flushed {
+			if im.lsn <= cut {
+				base = im
+			}
+		}
+		for _, im := range live {
+			if im.lsn <= cut {
+				want = im
+			}
+		}
+		d := NewMemDisk()
+		for _, pg := range base.pages {
+			no, _ := d.AllocatePage()
+			d.WritePage(no, pg)
+		}
+		cutPath := filepath.Join(t.TempDir(), "wal.nmlog")
+		if err := os.WriteFile(cutPath, log[:walHeaderSize+cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cw, err := OpenWAL(vfs.OS, cutPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewBufferPool(d, 64)
+		if _, _, _, torn, err := Recover(d, p, cw); err != nil || torn {
+			t.Fatalf("cut at %d: recovery: torn %v, %v", cut, torn, err)
+		}
+		cw.closeFile()
+		if got := int(d.NumPages()) - 1; got < len(want.pages) {
+			t.Fatalf("cut at %d: recovered %d pages, want %d", cut, got, len(want.pages))
+		}
+		for no := uint32(1); no < d.NumPages(); no++ {
+			f, err := p.Fetch(no)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantPage := zero // allocated by a record the cut kept, filled by one it did not
+			if int(no) <= len(want.pages) {
+				wantPage = want.pages[no-1]
+			}
+			if !bytes.Equal(f.Page.Data(), wantPage) {
+				t.Fatalf("cut at %d (pages flushed at %d): page %d differs from the live page at %d", cut, base.lsn, no, want.lsn)
+			}
+			p.Unpin(f, false)
+		}
+	}
+
+	// A section for a slot its page already holds comes only from a
+	// corrupt page or log; Open refuses it and names both.
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", MustSchema(Column{"v", TypeInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rid [2]RowID
+	for i := range rid {
+		if rid[i], err = tbl.Insert(Row{I(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db.CloseDiscard()
+	cw, err := OpenWAL(vfs.OS, filepath.Join(dir, "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cw.LogInsertRun([]*runPage{{f: &Frame{PageNo: rid[1].Page}, rows: []runRow{{slot: rid[1].Slot}}}}, [][]byte{{0, 6}})
+	if err := cw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{Dir: dir}); err == nil {
+		db.CloseDiscard()
+		t.Fatal("a section for an existing slot recovered")
+	} else if want := fmt.Sprintf("page %d: ordbms: slot %d is already on the page", rid[1].Page, rid[1].Slot); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want it to say %q", err, want)
+	}
+}

@@ -10,8 +10,9 @@ import (
 // "for very fast traversal between nodes that are related": following a
 // RowID is a single buffer-pool fetch, no index involved.
 //
-// RowIDs are stable for the lifetime of a record: deletes tombstone the
-// slot and page compaction preserves slot numbers.
+// RowIDs are stable for the lifetime of a record and are never handed
+// out twice: a delete leaves the slot dead for good, and page compaction
+// preserves slot numbers.
 type RowID struct {
 	Page uint32
 	Slot uint16
@@ -40,7 +41,7 @@ func RowIDFromUint64(v uint64) RowID {
 //
 // A record never changes page (RowIDs are stable and Compact keeps slot
 // numbers), so a near link means the same thing for the record's life.
-// A page holds at most 2 044 slots, so no real slot has the top bit set,
+// A page holds at most 4 087 slots, so no real slot has the top bit set,
 // and Schema.Validate refuses a ROWID whose slot does.
 const (
 	RowIDSize     = 6

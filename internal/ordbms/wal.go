@@ -57,22 +57,22 @@ type WAL struct {
 // the body: one type byte and a payload.  All integers are little-endian;
 // "record bytes" are a row exactly as its page holds it (null bitmap and
 // payloads, see Schema.Encode), so what a row costs the heap it costs
-// the log, plus four bytes of slot and length.
+// the log, plus its length as a uvarint — one byte below 128.
 //
 //	walDelete       page u32, slot u16
-//	walUpdate       page u32, slot u16, record bytes
 //	walCheckpoint   empty
 //	walAlloc        page u32, table name
 //	walCreateTable  table name, uvarint column count, then name + type byte per column
 //	walCreateIndex  table name, column name
 //	walDropTable    table name
-//	walInsertRun    per page: page u32, row count u16, then per row: slot u16, length u16, record bytes
+//	walInsertRun    per page: page u32, first slot u16, row count u16, then per row: uvarint length, record bytes
 //
-// Names are uvarint-length-prefixed strings, except walAlloc's, which
-// runs to the end of the body.
+// A run's rows on one page take consecutive new slots, so a page section
+// names only the first.  Names are uvarint-length-prefixed strings,
+// except walAlloc's, which runs to the end of the body.
 const (
 	walDelete byte = 2 + iota // 1 was format 1's per-row insert
-	walUpdate
+	_                         // 3 was the in-place update, gone in format 6
 	walCheckpoint
 	// walAlloc records that a table adopted a freshly allocated page.
 	// The catalog persists page ownership only at checkpoints, so without
@@ -90,7 +90,7 @@ const (
 	walDropTable
 	// walInsertRun records every row of one run insert, page by page: one
 	// frame, one CRC and one LSN for the whole run, so the rows of a
-	// document cost their bytes plus four each, and a log cut anywhere
+	// document cost their bytes plus a length each, and a log cut anywhere
 	// keeps all of the run or none of it — rows that point at each other
 	// by RowID never outlive the rows they point at.  Each page checks the
 	// record's LSN against its own.
@@ -100,7 +100,7 @@ const (
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
 // walMagic names the log's format; the digit is storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '5', 0}
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '6', 0}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.
@@ -182,22 +182,11 @@ func (w *WAL) endLocked(start int) uint64 {
 	return w.bufStart + uint64(len(w.buf))
 }
 
-// appendSlotRecord logs a record addressed to one (page, slot), with the
-// row bytes when the type carries them.
-func (w *WAL) appendSlotRecord(typ byte, page uint32, slot uint16, rec []byte) uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	start := w.beginLocked(typ)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, page)
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, slot)
-	w.buf = append(w.buf, rec...)
-	return w.endLocked(start)
-}
-
 // LogInsertRun records the rows a run insert placed, page by page in the
 // order they were placed, and returns the LSN.  recs holds the run's
-// records, which the rows index.  Pages the run placed nothing on are
-// left out.
+// records, which the rows index; a page's rows hold consecutive new
+// slots, as pagePlan.place hands them out.  Pages the run placed nothing
+// on are left out.
 func (w *WAL) LogInsertRun(pages []*runPage, recs [][]byte) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -207,55 +196,61 @@ func (w *WAL) LogInsertRun(pages []*runPage, recs [][]byte) uint64 {
 			continue
 		}
 		w.buf = binary.LittleEndian.AppendUint32(w.buf, rp.f.PageNo)
+		w.buf = binary.LittleEndian.AppendUint16(w.buf, rp.rows[0].slot)
 		w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(rp.rows)))
 		for _, r := range rp.rows {
 			rec := recs[r.idx]
-			w.buf = binary.LittleEndian.AppendUint16(w.buf, r.slot)
-			w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(len(rec)))
+			w.buf = binary.AppendUvarint(w.buf, uint64(len(rec)))
 			w.buf = append(w.buf, rec...)
 		}
 	}
 	return w.endLocked(start)
 }
 
+// runPageHeader is a page section's page u32, first slot u16 and row
+// count u16.
+const runPageHeader = 8
+
 // nextRunPage splits the first page section off a walInsertRun payload:
-// the page number and that page's rows, for nextRunRow to split in turn.
-// ok is false when the section is malformed.
-func nextRunPage(p []byte) (no uint32, rows, rest []byte, ok bool) {
-	if len(p) < 6 {
-		return 0, nil, nil, false
+// the page number, the first row's slot and that page's rows, for
+// nextRunRow to split in turn.  ok is false when the section is
+// malformed, or names a slot past what a page's directory can hold.
+func nextRunPage(p []byte) (no uint32, first uint16, rows, rest []byte, ok bool) {
+	if len(p) < runPageHeader {
+		return 0, 0, nil, nil, false
 	}
-	no = binary.LittleEndian.Uint32(p[0:4])
-	rest = p[6:]
-	for n := binary.LittleEndian.Uint16(p[4:6]); n > 0; n-- {
-		if _, _, rest, ok = nextRunRow(rest); !ok {
-			return 0, nil, nil, false
+	no, first = binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint16(p[4:6])
+	n := int(binary.LittleEndian.Uint16(p[6:8]))
+	if int(first)+n > maxSlots {
+		return 0, 0, nil, nil, false
+	}
+	rest = p[runPageHeader:]
+	for ; n > 0; n-- {
+		if _, rest, ok = nextRunRow(rest); !ok {
+			return 0, 0, nil, nil, false
 		}
 	}
-	return no, p[6 : len(p)-len(rest)], rest, true
+	return no, first, p[runPageHeader : len(p)-len(rest)], rest, true
 }
 
 // nextRunRow splits the first row off a page section's rows; ok is false
 // when the row is malformed.
-func nextRunRow(p []byte) (slot uint16, rec, rest []byte, ok bool) {
-	if len(p) < 4 {
-		return 0, nil, nil, false
+func nextRunRow(p []byte) (rec, rest []byte, ok bool) {
+	n, sz := binary.Uvarint(p)
+	if sz <= 0 || n == 0 || n > uint64(len(p)-sz) {
+		return nil, nil, false
 	}
-	n := int(binary.LittleEndian.Uint16(p[2:4]))
-	if n == 0 || n > len(p)-4 {
-		return 0, nil, nil, false
-	}
-	return binary.LittleEndian.Uint16(p[0:2]), p[4 : 4+n], p[4+n:], true
+	return p[sz : sz+int(n)], p[sz+int(n):], true
 }
 
 // LogDelete records a delete at (page, slot).
 func (w *WAL) LogDelete(page uint32, slot uint16) uint64 {
-	return w.appendSlotRecord(walDelete, page, slot, nil)
-}
-
-// LogUpdate records an in-place update at (page, slot).
-func (w *WAL) LogUpdate(page uint32, slot uint16, rec []byte) uint64 {
-	return w.appendSlotRecord(walUpdate, page, slot, rec)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(walDelete)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, page)
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, slot)
+	return w.endLocked(start)
 }
 
 // LogAlloc records that table now owns page (logged before the first
@@ -598,8 +593,8 @@ type WALRecord struct {
 	LSN  uint64 // end LSN of the record
 	Type byte
 	Page uint32
-	Slot uint16
-	Rec  []byte // row bytes; for walInsertRun every page and row, see nextRunPage
+	Slot uint16 // a delete's slot; the first row's slot of a walInsertRun page section
+	Rec  []byte // walInsertRun's page sections (see nextRunPage), walAlloc's table name, DDL payloads
 }
 
 // Replay scans the physical log and calls fn for each intact record.
@@ -640,13 +635,12 @@ func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 		lsn = w.base + uint64(pos-walHeaderSize)
 		r := WALRecord{LSN: lsn, Type: body[0]}
 		switch body[0] {
-		case walDelete, walUpdate:
+		case walDelete:
 			if len(body) < 7 {
 				return true, nil
 			}
 			r.Page = binary.LittleEndian.Uint32(body[1:5])
 			r.Slot = binary.LittleEndian.Uint16(body[5:7])
-			r.Rec = body[7:] // the new row bytes of an update; empty for a delete
 		case walAlloc:
 			if len(body) < 5 {
 				return true, nil
@@ -656,7 +650,7 @@ func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 		case walInsertRun:
 			r.Rec = body[1:] // page sections, split by nextRunPage
 			for rest := r.Rec; len(rest) > 0; {
-				_, _, tail, ok := nextRunPage(rest)
+				_, _, _, tail, ok := nextRunPage(rest)
 				if !ok {
 					return true, nil
 				}

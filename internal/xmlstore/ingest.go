@@ -568,9 +568,7 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	defer s.bumpGeneration()
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := nodes[i]
-		// Derived entries go before the row: once the row is gone a
-		// concurrent ingest may take its slot and file its own entries
-		// under the same RowID.
+		// Derived entries go before the row, so none outlives it.
 		switch n.Class {
 		case sgml.ClassText:
 			s.content.Remove(n.RowID.Uint64())
@@ -585,7 +583,7 @@ func (s *Store) DeleteDocument(docID uint64) error {
 		}
 		// Drop the cached decode after the row is gone, so a racing fill
 		// (which snapshotted its token before this invalidation) can never
-		// resurrect the record — essential once the heap reuses the slot.
+		// resurrect the record.
 		if c := s.nodes; c != nil {
 			c.invalidate(n.RowID)
 		}

@@ -555,7 +555,7 @@ func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
 // documents that contain the term 'Shuttle' anywhere in the document" —
 // stopping the hit scan after limit (<= 0: all) documents.  Hits arrive
 // in physical RowID order — usually, but not necessarily, ingestion order
-// (page reuse after deletes can reorder) — so a capped query returns
+// (a small document can fill room left on an earlier page) — so a capped query returns
 // *some* limit matching documents, sorted by DocID, not a guaranteed
 // lowest-DocID prefix.
 func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) {
