@@ -65,3 +65,22 @@ func TestIterDrainBoundedAllocs(t *testing.T) {
 		t.Errorf("full drain = %.1f allocs, want constant constructor cost", n)
 	}
 }
+
+// The phrase matcher runs once per AND candidate a phrase query pulls,
+// over text the store has already fetched: it must cost no allocation,
+// matched or not, whatever script the text is in.
+func TestHasPhraseZeroAlloc(t *testing.T) {
+	cases := []struct{ text, query string }{
+		{"the technology gap is shrinking across propulsion systems", "gap is shrinking"},
+		{"the technology gap is shrinking across propulsion systems", "shrinking gap"},
+		{"Cafés near the ÜBER station", "cafés near"},
+		{"東京タワーの報告 and more", "京タワー"},
+		{"gap gap gap technology gap", "gap technology gap"},
+	}
+	for _, c := range cases {
+		terms := Tokenize(c.query)
+		if n := testing.AllocsPerRun(100, func() { HasPhrase(c.text, terms) }); n != 0 {
+			t.Errorf("HasPhrase(%q, %q) = %.2f allocs/op, want 0", c.text, c.query, n)
+		}
+	}
+}

@@ -93,14 +93,14 @@ func (ix *Index) AndIter(query string) *IDIter {
 // sorts them smallest-live first so the rarest term drives.  A query
 // with no tokens or with a term absent from the index returns nil —
 // the intersection is empty either way.
-func (ix *Index) andViews(toks []Token) []view {
-	if len(toks) == 0 {
+func (ix *Index) andViews(terms []string) []view {
+	if len(terms) == 0 {
 		return nil
 	}
-	views := make([]view, 0, len(toks))
+	views := make([]view, 0, len(terms))
 	ix.mu.RLock()
-	for _, tok := range toks {
-		got := ix.terms.Get(tok.Term)
+	for _, term := range terms {
+		got := ix.terms.Get(term)
 		if len(got) == 0 {
 			ix.mu.RUnlock()
 			return nil

@@ -23,12 +23,7 @@ type refModel struct {
 func newRefModel() *refModel { return &refModel{docs: make(map[uint64][]string)} }
 
 func (m *refModel) add(id uint64, text string) {
-	toks := Tokenize(text)
-	terms := make([]string, len(toks))
-	for i, tok := range toks {
-		terms[i] = tok.Term
-	}
-	m.docs[id] = append(m.docs[id], terms...)
+	m.docs[id] = append(m.docs[id], Tokenize(text)...)
 }
 
 func (m *refModel) remove(id uint64) { delete(m.docs, id) }
@@ -56,12 +51,12 @@ func (m *refModel) lookup(term string) []uint64 {
 }
 
 func (m *refModel) and(query string) []uint64 {
-	toks := Tokenize(query)
+	want := Tokenize(query)
 	return m.ids(func(terms []string) bool {
-		for _, tok := range toks {
+		for _, w := range want {
 			found := false
 			for _, t := range terms {
-				if t == tok.Term {
+				if t == w {
 					found = true
 					break
 				}
@@ -75,13 +70,9 @@ func (m *refModel) and(query string) []uint64 {
 }
 
 func (m *refModel) phrase(query string) []uint64 {
-	toks := Tokenize(query)
-	if len(toks) == 0 {
+	want := Tokenize(query)
+	if len(want) == 0 {
 		return nil
-	}
-	want := make([]string, len(toks))
-	for i, tok := range toks {
-		want[i] = tok.Term
 	}
 	return m.ids(func(terms []string) bool {
 	starts:
@@ -143,6 +134,7 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			ix := New()
 			model := newRefModel()
+			texts := make(map[uint64]string)   // what the store's heap would hold
 			live := make([]uint64, 0, 2048)    // ids currently indexed
 			removed := make([]uint64, 0, 1024) // ids removed at least once
 			nextID := uint64(1)
@@ -162,6 +154,7 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 				text := makeText()
 				ix.Add(id, text)
 				model.add(id, text)
+				texts[id] = text
 				live = append(live, id)
 			}
 
@@ -177,7 +170,7 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 					}
 				}
 				for _, p := range phrases {
-					if got, want := ix.Phrase(p), model.phrase(p); !eqIDs(got, want) {
+					if got, want := phrase(ix, texts, p), model.phrase(p); !eqIDs(got, want) {
 						t.Fatalf("%s: Phrase(%q) = %v, want %v", stage, p, got, want)
 					}
 				}
@@ -216,6 +209,7 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 						}
 						ix.Remove(id)
 						model.remove(id)
+						delete(texts, id)
 						live = append(live[:i], live[i+1:]...)
 						removed = append(removed, id)
 					default: // re-insert a previously removed id — revival

@@ -6,14 +6,13 @@ package textindex
 // checkpoint critical section and reloads it on open when the snapshot's
 // stamps prove the heap has not moved (see xmlstore's snapshot).
 //
-// The current (v2) encoding shares one codec with the in-memory layout:
-// sealed blocks are written verbatim (their bytes are already
-// delta+varint packed), followed by the uncompressed tail and tombstone
-// lists as delta varints, so a snapshot save is mostly a copy and a
-// load rebuilds each posting list without re-encoding anything.  Token
-// positions are stored verbatim per live id — phrase queries need them
-// and they are not guaranteed sorted across multiple Add calls for the
-// same ID.
+// The encoding shares one codec with the in-memory layout: per term,
+// the sealed blocks verbatim (their bytes are already delta+varint
+// packed), then the uncompressed tail and tombstone lists as delta
+// varints — ids only, so a snapshot save is mostly a copy and a load
+// rebuilds each posting list without re-encoding anything.  The store's
+// snapshot version covers this encoding: xmlstore snapshot v6 is the
+// first without a token-position list per (term, id) pair.
 //
 // The legacy v1 encoding (flat delta-varint id lists, from before
 // posting lists were block-compressed) is not decoded: v1 files also
@@ -29,8 +28,8 @@ import (
 	"netmark/internal/btree"
 )
 
-// AppendSnapshot serialises the index onto buf in the v2 (block) format
-// and returns the extended slice.  The encoding is self-delimiting:
+// AppendSnapshot serialises the index onto buf and returns the extended
+// slice.  The encoding is self-delimiting:
 // LoadSnapshot reports how many bytes it consumed, so callers can embed
 // the index inside a larger snapshot payload.
 //
@@ -52,18 +51,6 @@ func (ix *Index) AppendSnapshot(buf []byte) []byte {
 		}
 		buf = appendDeltaIDs(buf, pl.tail)
 		buf = appendDeltaIDs(buf, pl.dead)
-		// positions keyed by live id, in ascending id order
-		for it := newIter(pl.view()); ; it.advance() {
-			id, ok := it.head()
-			if !ok {
-				break
-			}
-			pos := pl.pos[id]
-			buf = binary.AppendUvarint(buf, uint64(len(pos)))
-			for _, p := range pos {
-				buf = binary.AppendUvarint(buf, uint64(p))
-			}
-		}
 		return true
 	})
 	return buf
@@ -79,11 +66,11 @@ func appendDeltaIDs(buf []byte, ids []uint64) []byte {
 	return buf
 }
 
-// LoadSnapshot decodes a v2 index serialised by AppendSnapshot from the
+// LoadSnapshot decodes an index serialised by AppendSnapshot from the
 // front of data, returning the rebuilt index and the number of bytes
 // consumed.  Block payloads are copied into shared arenas (not aliased)
-// so the caller's snapshot buffer — which also carries positions and
-// every other derived structure — can be released to the GC, and every
+// so the caller's snapshot buffer — which also carries every other
+// derived structure — can be released to the GC, and every
 // block is validated before anything trusts its framing: decodeBlock
 // has no bounds checks and seekGE trusts maxID, so a corrupt block that
 // slipped past the file CRC must surface here as an error (the store
@@ -142,6 +129,7 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 	// instead of paying a descent per insert.
 	tb := btree.NewBuilder[string, *postingList](strings.Compare, btree.DefaultOrder)
 	var arena []byte // shared backing for copied block payloads
+	var prevTerm string
 	for t := uint64(0); t < nTerms; t++ {
 		tlen, err := uv()
 		if err != nil {
@@ -154,6 +142,12 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 		}
 		term := string(data[off : off+int(tlen)])
 		off += int(tlen)
+		// the builder and every id's sorted term list need strictly
+		// ascending terms
+		if t > 0 && term <= prevTerm {
+			return nil, 0, fmt.Errorf("textindex: term %q out of order", term)
+		}
+		prevTerm = term
 		pl := &postingList{gen: 1}
 		nBlocks, err := uv()
 		if err != nil {
@@ -227,40 +221,12 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 		if pl.live < 0 {
 			return nil, 0, fmt.Errorf("textindex: more tombstones than ids for %q", term)
 		}
-		pl.pos = make(map[uint64][]uint32, pl.live)
-		// Per-id position slices are carved from shared backing arrays:
-		// one allocation per chunk instead of one per (term, id) pair.
-		var backing []uint32
+		// Terms arrive ascending, so every id's term list comes out sorted.
 		for it := newIter(pl.view()); ; it.advance() {
 			id, ok := it.head()
 			if !ok {
 				break
 			}
-			npos, err := uv()
-			if err != nil {
-				return nil, 0, err
-			}
-			if npos > uint64(len(data)) {
-				return nil, 0, fmt.Errorf("textindex: implausible position count %d", npos)
-			}
-			if uint64(cap(backing)-len(backing)) < npos {
-				n := 1024
-				if int(npos) > n {
-					n = int(npos)
-				}
-				backing = make([]uint32, 0, n)
-			}
-			start := len(backing)
-			backing = backing[:start+int(npos)]
-			pos := backing[start : start+int(npos) : start+int(npos)]
-			for i := range pos {
-				p, err := uv()
-				if err != nil {
-					return nil, 0, err
-				}
-				pos[i] = uint32(p)
-			}
-			pl.pos[id] = pos
 			ix.byID[id] = append(ix.byID[id], term)
 		}
 		tb.Append(term, []*postingList{pl})

@@ -5,10 +5,12 @@
 // original system.
 //
 // The index maps lowercased terms to block-compressed posting lists of
-// document/node IDs with token positions, supporting AND and phrase
-// queries.  IDs are opaque uint64s; the XML store uses packed physical
-// RowIDs so a text hit leads directly to the page holding the node.
-// Posting lists are stored as delta+varint blocks
+// the IDs that hold them, and answers which IDs hold a term or every
+// term of a query; it stores nothing about where in an ID's text a term
+// sits.  IDs are opaque uint64s; the XML store uses packed physical
+// RowIDs, so a hit leads directly to the page holding the node, and a
+// phrase is checked by HasPhrase against the text of the hit the store
+// has already fetched.  Posting lists are stored as delta+varint blocks
 // with per-block maxID skip entries (see block.go): intersections seek
 // by skip entry and decode only candidate blocks, and resident memory
 // is a fraction of the flat []uint64 layout the index used before.
@@ -24,35 +26,48 @@
 // Hangul, and everything else ends the current token, and Han
 // ideographs are additionally emitted as single-rune tokens (unigrams)
 // so unsegmented CJK text is searchable — a multi-ideograph query
-// matches via phrase adjacency over the unigram positions.  Letter/
-// digit transitions within one script do not flush ("v2" is one term).
-// Positions count tokens, not bytes.
+// matches as a phrase of unigrams.  Letter/digit transitions within one
+// script do not flush ("v2" is one term).  Tokenize and HasPhrase cut
+// text into tokens with the same scanner, nextToken.
 package textindex
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 
 	"netmark/internal/btree"
 )
 
-// Token is one term occurrence produced by the tokenizer.
-type Token struct {
-	Term string
-	Pos  uint32
-}
-
 // Rune classes whose boundaries end a token (see the package comment's
-// tokenizer contract).
+// tokenizer contract), and the two kinds of rune that are in no class:
+// a combining mark, which extends a token, and a separator, which ends
+// one.
 const (
 	classOther = iota // Latin, Cyrillic, Greek, digits, ... — run-based
 	classHan          // unigrams
 	classHiragana
 	classKatakana
 	classHangul
+
+	kindMark = -1
+	kindSep  = -2
 )
+
+// runeKind is r's class when r is a letter or digit, else kindMark or
+// kindSep.
+func runeKind(r rune) int {
+	switch {
+	case unicode.IsLetter(r) || unicode.IsDigit(r):
+		return runeClass(r)
+	case unicode.IsMark(r):
+		return kindMark
+	}
+	return kindSep
+}
 
 func runeClass(r rune) int {
 	switch {
@@ -69,56 +84,107 @@ func runeClass(r rune) int {
 	}
 }
 
-// Tokenize splits text into lowercase terms per the tokenizer contract
-// in the package comment.  Position counts tokens, not bytes, so phrase
-// queries can check adjacency.
-func Tokenize(text string) []Token {
-	var out []Token
-	var b strings.Builder
-	pos := uint32(0)
-	last := classOther
-	flush := func() {
-		if b.Len() > 0 {
-			out = append(out, Token{Term: b.String(), Pos: pos})
-			pos++
-			b.Reset()
-		}
-	}
-	for _, r := range text {
+// nextToken returns the byte span [start, end) of the first token of
+// text at or after off, which must be 0 or the end of a previous span;
+// start == end == len(text) when none is left.  A token is a run of
+// letters and digits of one class and the combining marks among and
+// after them; a Han ideograph is a token alone, and a mark that
+// follows no letter or digit of the token is a separator.
+func nextToken(text string, off int) (start, end int) {
+	start, class := -1, kindSep
+	for i := off; i < len(text); {
+		r, size := utf8.DecodeRuneInString(text[i:])
+		k := runeKind(r)
 		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			c := runeClass(r)
-			if c != last {
-				flush()
+		case k >= 0 && start < 0:
+			if k == classHan {
+				return i, i + size
 			}
-			b.WriteRune(unicode.ToLower(r))
-			last = c
-			if c == classHan {
-				flush()
-			}
-		case unicode.IsMark(r) && b.Len() > 0:
-			// combining marks extend the current token (NFD accents)
-			b.WriteRune(r)
-		default:
-			flush()
+			start, class = i, k
+		case k >= 0 && k != class, k == kindSep && start >= 0:
+			return start, i
 		}
+		i += size
 	}
-	flush()
+	if start < 0 {
+		return len(text), len(text)
+	}
+	return start, len(text)
+}
+
+// termRune is what rune r of a token becomes in its term: letters and
+// digits lowercased, marks as written.
+func termRune(r rune) rune {
+	if unicode.IsMark(r) {
+		return r
+	}
+	return unicode.ToLower(r)
+}
+
+// Tokenize splits text into lowercase terms, in text order, per the
+// tokenizer contract in the package comment.
+func Tokenize(text string) []string {
+	var out []string
+	for start, end := nextToken(text, 0); start < end; start, end = nextToken(text, end) {
+		var b strings.Builder
+		b.Grow(end - start)
+		for _, r := range text[start:end] {
+			b.WriteRune(termRune(r))
+		}
+		out = append(out, b.String())
+	}
 	return out
 }
 
+// HasPhrase reports whether the tokens of text, as Tokenize cuts them,
+// hold terms consecutively and in order (an empty terms always holds).
+// It compares each token span with a term in place, building no token,
+// so it does not allocate.
+func HasPhrase(text string, terms []string) bool {
+	if len(terms) == 0 {
+		return true
+	}
+	for start, end := nextToken(text, 0); start < end; start, end = nextToken(text, end) {
+		if !tokenIs(text[start:end], terms[0]) {
+			continue
+		}
+		k, next := 1, end
+		for ; k < len(terms); k++ {
+			var s int
+			if s, next = nextToken(text, next); s == next || !tokenIs(text[s:next], terms[k]) {
+				break
+			}
+		}
+		if k == len(terms) {
+			return true
+		}
+	}
+	return false
+}
+
+// tokenIs reports whether the token span tok spells term.
+func tokenIs(tok, term string) bool {
+	for len(tok) > 0 {
+		r, n := utf8.DecodeRuneInString(tok)
+		t, m := utf8.DecodeRuneInString(term)
+		if m == 0 || termRune(r) != t {
+			return false
+		}
+		tok, term = tok[n:], term[m:]
+	}
+	return term == ""
+}
+
 // postingList stores, for one term, the block-compressed sorted ids
-// that contain it (see block.go for the storage invariants) and per-id
-// token positions.
+// that contain it (see block.go for the storage invariants).
 type postingList struct {
 	// blocks/tail/dead are published to captured views (see view()):
 	// mutation methods must replace the slices, never write elements in
 	// place, or a concurrent reader holding a view sees torn state.
-	blocks []block             // netmarkvet:cow netmarkvet:snap — sealed, immutable, ascending non-overlapping runs
-	tail   []uint64            // netmarkvet:cow netmarkvet:snap — sorted uncompressed append area
-	dead   []uint64            // netmarkvet:cow netmarkvet:snap — sorted tombstones; always ids resident in blocks
-	live   int                 // id count net of tombstones; netmarkvet:snap
-	pos    map[uint64][]uint32 // netmarkvet:snap
+	blocks []block  // netmarkvet:cow netmarkvet:snap — sealed, immutable, ascending non-overlapping runs
+	tail   []uint64 // netmarkvet:cow netmarkvet:snap — sorted uncompressed append area
+	dead   []uint64 // netmarkvet:cow netmarkvet:snap — sorted tombstones; always ids resident in blocks
+	live   int      // id count net of tombstones: derived from the three above, not encoded
 	// gen is the term's mutation generation: assigned from the index-wide
 	// monotonic counter on every posting insert or removal.  Result caches
 	// fold the gens of a query's terms into their keys, so a write that
@@ -130,16 +196,6 @@ type postingList struct {
 
 func (pl *postingList) view() view {
 	return view{blocks: pl.blocks, tail: pl.tail, dead: pl.dead, live: pl.live}
-}
-
-func (pl *postingList) add(id uint64, p uint32) {
-	if pl.pos == nil {
-		pl.pos = make(map[uint64][]uint32)
-	}
-	if _, seen := pl.pos[id]; !seen {
-		pl.insertID(id)
-	}
-	pl.pos[id] = append(pl.pos[id], p)
 }
 
 // insertID adds a not-currently-live id.  A tombstoned id is revived in
@@ -216,17 +272,11 @@ func (pl *postingList) maybeSeal() {
 	pl.tail = nil
 }
 
-// remove drops id, replacing (never editing) the published slices.
+// remove drops id, which must be live (the index's byID says which
+// lists hold it), replacing (never editing) the published slices.
 //
 // netmarkvet:mutator
 func (pl *postingList) remove(id uint64) {
-	if pl.pos == nil {
-		return
-	}
-	if _, ok := pl.pos[id]; !ok {
-		return
-	}
-	delete(pl.pos, id)
 	pl.live--
 	if i := searchIDs(pl.tail, id); i < len(pl.tail) && pl.tail[i] == id {
 		nt := make([]uint64, 0, len(pl.tail)-1)
@@ -280,7 +330,7 @@ type Index struct {
 	mu sync.RWMutex
 	// netmarkvet:snap netmarkvet:gen genCounter
 	terms *btree.Tree[string, *postingList] // guarded by mu; term -> single posting list
-	byID  map[uint64][]string               // guarded by mu; reverse map for Remove
+	byID  map[uint64][]string               // guarded by mu; id -> its distinct terms, sorted; reverse map for Remove
 	docs  int                               // guarded by mu
 	// genCounter is the monotonic source for posting-list generations;
 	// values are never reused, so a term that vanishes and reappears gets
@@ -296,38 +346,44 @@ func New() *Index {
 	}
 }
 
-// Add indexes text under id.  Calling Add twice with the same id extends
-// the entry (positions continue from zero per call; use one call per id
-// for phrase correctness).
+// Add indexes text under id.  Calling Add twice with the same id adds
+// the second text's terms to the entry.
 func (ix *Index) Add(id uint64, text string) {
 	ix.AddTokens(id, Tokenize(text))
 }
 
-// AddTokens indexes pre-tokenized text under id.  Tokenization is the
-// CPU-bound half of Add; batch ingestion runs it in parse workers and
-// hands the tokens here so only the posting-list insert runs under the
-// index lock.
-func (ix *Index) AddTokens(id uint64, toks []Token) {
+// AddTokens indexes pre-tokenized text under id; toks may repeat a term.
+// Tokenization is the CPU-bound half of Add; batch ingestion runs it in
+// parse workers and hands the tokens here, and the repeats are dropped
+// before the lock, so only the posting-list insert runs under it.
+func (ix *Index) AddTokens(id uint64, toks []string) {
 	if len(toks) == 0 {
 		return
 	}
+	terms := slices.Clone(toks)
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if _, seen := ix.byID[id]; !seen {
+	had, seen := ix.byID[id]
+	if !seen {
 		ix.docs++
 	}
-	for _, tok := range toks {
-		pl := ix.getOrCreateLocked(tok.Term)
-		if pl.pos == nil {
-			pl.pos = make(map[uint64][]uint32)
+	for _, term := range terms {
+		if _, found := slices.BinarySearch(had, term); found {
+			continue
 		}
-		if _, exists := pl.pos[id]; !exists {
-			ix.byID[id] = append(ix.byID[id], tok.Term)
-		}
-		pl.add(id, tok.Pos)
+		pl := ix.getOrCreateLocked(term)
+		pl.insertID(id)
 		ix.genCounter++
 		pl.gen = ix.genCounter
 	}
+	if seen {
+		terms = append(terms, had...)
+		slices.Sort(terms)
+		terms = slices.Compact(terms)
+	}
+	ix.byID[id] = terms
 }
 
 func (ix *Index) getOrCreateLocked(term string) *postingList {
@@ -391,7 +447,7 @@ func normTerm(t string) string {
 	if len(toks) == 0 {
 		return ""
 	}
-	return toks[0].Term
+	return toks[0]
 }
 
 // QueryGen folds the mutation generations of every term a query depends
@@ -406,9 +462,9 @@ func (ix *Index) QueryGen(query string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	ix.mu.RLock()
-	for _, tok := range Tokenize(query) {
+	for _, term := range Tokenize(query) {
 		var g uint64
-		if got := ix.terms.Get(tok.Term); len(got) > 0 {
+		if got := ix.terms.Get(term); len(got) > 0 {
 			g = got[0].gen
 		}
 		h = (h ^ g) * prime64
@@ -417,57 +473,10 @@ func (ix *Index) QueryGen(query string) uint64 {
 	return h
 }
 
-// Phrase returns IDs where the query terms occur adjacently in order:
-// the AndIter candidates, kept when the token positions line up.
-func (ix *Index) Phrase(query string) []uint64 {
-	toks := Tokenize(query)
-	var candidates []uint64
-	for it := intersectIter(ix.andViews(toks)); ; {
-		id, ok := it.Next()
-		if !ok {
-			break
-		}
-		candidates = append(candidates, id)
-	}
-	if len(toks) < 2 || len(candidates) == 0 {
-		return candidates
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	plists := make([]*postingList, len(toks))
-	for i, tok := range toks {
-		got := ix.terms.Get(tok.Term)
-		if len(got) == 0 {
-			return nil
-		}
-		plists[i] = got[0]
-	}
-	var res []uint64
-	for _, id := range candidates {
-		first := plists[0].pos[id]
-		for _, start := range first {
-			ok := true
-			for i := 1; i < len(plists); i++ {
-				if !containsPos(plists[i].pos[id], start+uint32(i)) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				res = append(res, id)
-				break
-			}
-		}
-	}
-	return res
-}
-
 // Stats describes the posting-list storage: how many ids sit in sealed
 // compressed blocks versus the uncompressed tails, how many tombstones
 // are pending compaction, and what the whole id storage costs resident
-// versus the flat 8-bytes-per-id layout it replaced.  Token positions
-// (needed for phrase queries) are not part of the id storage and are
-// not counted.
+// versus the flat 8-bytes-per-id layout it replaced.
 type Stats struct {
 	Terms    int // distinct terms
 	Postings int // live (term, id) pairs
@@ -505,13 +514,4 @@ func (ix *Index) Stats() Stats {
 		st.CompressionRatio = float64(st.UncompressedBytes) / float64(st.BytesResident)
 	}
 	return st
-}
-
-func containsPos(ps []uint32, want uint32) bool {
-	for _, p := range ps {
-		if p == want {
-			return true
-		}
-	}
-	return false
 }

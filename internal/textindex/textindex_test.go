@@ -33,11 +33,7 @@ func TestTokenize(t *testing.T) {
 		{"서울2024", []string{"서울", "2024"}},
 	}
 	for _, c := range cases {
-		got := Tokenize(c.in)
-		var terms []string
-		for _, tok := range got {
-			terms = append(terms, tok.Term)
-		}
+		terms := Tokenize(c.in)
 		if len(terms) != len(c.want) {
 			t.Fatalf("Tokenize(%q) = %v, want %v", c.in, terms, c.want)
 		}
@@ -45,15 +41,6 @@ func TestTokenize(t *testing.T) {
 			if terms[i] != c.want[i] {
 				t.Fatalf("Tokenize(%q) = %v, want %v", c.in, terms, c.want)
 			}
-		}
-	}
-}
-
-func TestTokenizePositionsAreSequential(t *testing.T) {
-	toks := Tokenize("one two three four")
-	for i, tok := range toks {
-		if tok.Pos != uint32(i) {
-			t.Fatalf("token %d has pos %d", i, tok.Pos)
 		}
 	}
 }
@@ -94,18 +81,44 @@ func TestAnd(t *testing.T) {
 	}
 }
 
-func TestPhrase(t *testing.T) {
-	ix := New()
-	ix.Add(1, "the technology gap is shrinking")
-	ix.Add(2, "gap in technology assessments") // both words, wrong order
-	ix.Add(3, "technology gap widening")
-
-	got := ix.Phrase("technology gap")
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Phrase = %v", got)
+// phrase is a phrase query over an index whose texts the caller keeps:
+// the AND of the terms, kept where HasPhrase finds them adjacent — the
+// store's pipeline, with a map standing in for the heap.
+func phrase(ix *Index, texts map[uint64]string, query string) []uint64 {
+	terms := Tokenize(query)
+	var out []uint64
+	for _, id := range drain(ix.AndIter(query)) {
+		if HasPhrase(texts[id], terms) {
+			out = append(out, id)
+		}
 	}
-	if got := ix.Phrase("shrinking"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("single-term phrase = %v", got)
+	return out
+}
+
+func TestPhrase(t *testing.T) {
+	cases := []struct {
+		text, query string
+		want        bool
+	}{
+		{"the technology gap is shrinking", "technology gap", true},
+		{"gap in technology assessments", "technology gap", false}, // both words, wrong order
+		{"technology gap widening", "technology gap", true},
+		{"Technology, GAP!", "technology gap", true}, // separators and case do not matter
+		{"biotechnology gaps", "technology gap", false},
+		{"the technology   gap is shrinking", "gap is shrinking", true},
+		{"the technology gap is shrinking", "shrinking", true},
+		{"the technology gap is shrinking", "shrinking is", false},
+		{"gap gap gap technology gap", "gap technology gap", true}, // a false start does not hide a later match
+		{"a b a b c", "a b c", true},
+		{"a b a b", "a b c", false},
+		{"technology", "technology gap", false}, // the phrase runs past the text
+		{"anything", "", true},
+		{"", "gap", false},
+	}
+	for _, c := range cases {
+		if got := HasPhrase(c.text, Tokenize(c.query)); got != c.want {
+			t.Errorf("HasPhrase(%q, %q) = %v, want %v", c.text, c.query, got, c.want)
+		}
 	}
 }
 
@@ -423,14 +436,18 @@ func TestReinsertTombstonedID(t *testing.T) {
 // candidate ids live in sealed blocks.
 func TestPhraseAcrossBlocks(t *testing.T) {
 	ix := New()
+	texts := make(map[uint64]string)
 	for id := uint64(1); id <= 3*blockSize; id++ {
+		texts[id] = "oxygen liquid reversed"
 		if id%2 == 0 {
-			ix.Add(id, "liquid oxygen tank")
-		} else {
-			ix.Add(id, "oxygen liquid reversed")
+			texts[id] = "liquid oxygen tank"
 		}
+		ix.Add(id, texts[id])
 	}
-	got := ix.Phrase("liquid oxygen")
+	if ix.Stats().Blocks == 0 {
+		t.Fatal("setup: no sealed blocks")
+	}
+	got := phrase(ix, texts, "liquid oxygen")
 	if len(got) != 3*blockSize/2 {
 		t.Fatalf("Phrase = %d ids, want %d", len(got), 3*blockSize/2)
 	}
@@ -445,10 +462,18 @@ func TestPhraseAcrossBlocks(t *testing.T) {
 // searchable via phrase adjacency.
 func TestCJKPhraseSearch(t *testing.T) {
 	ix := New()
-	ix.Add(1, "東京の報告")
-	ix.Add(2, "京東の報告") // reversed ideographs
-	if got := ix.Phrase("東京"); len(got) != 1 || got[0] != 1 {
+	texts := map[uint64]string{
+		1: "東京の報告",
+		2: "京東の報告", // reversed ideographs
+	}
+	for id, text := range texts {
+		ix.Add(id, text)
+	}
+	if got := phrase(ix, texts, "東京"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("Phrase(東京) = %v", got)
+	}
+	if got := phrase(ix, texts, "の報告"); len(got) != 2 {
+		t.Fatalf("Phrase(の報告) = %v", got)
 	}
 	if got := drain(ix.LookupIter("東")); len(got) != 2 {
 		t.Fatalf("Lookup(東) = %v", got)

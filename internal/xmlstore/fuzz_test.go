@@ -38,6 +38,28 @@ func FuzzApplySnapshot(f *testing.F) {
 		wrap = binary.AppendVarint(binary.AppendUvarint(wrap, 1), d)
 	}
 	f.Add(wrap)
+	// One heading whose three rid deltas climb past 48 bits, fall below
+	// zero and cancel out, then no node→CONTEXT entries.
+	ridWrap := textindex.New().AppendSnapshot([]byte{0, 0, 0})
+	ridWrap = append(ridWrap, 1, 1, 'a', 3)
+	for _, d := range []int64{1 << 50, -(1<<50 + 9), 9} {
+		ridWrap = binary.AppendVarint(ridWrap, d)
+	}
+	f.Add(append(ridWrap, 0))
+	// A store with deletes and headings that many sections share, so rid
+	// lists run long and out of physical order.
+	rich := memStore(f)
+	loadDeepCorpus(f, rich)
+	docs, err := rich.Documents()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, d := range docs[:3] {
+		if err := rich.DeleteDocument(d.DocID); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(rich.encodeSnapshot())
 	f.Fuzz(func(t *testing.T, p []byte) {
 		s := &Store{ctxGens: make(map[string]uint64)}
 		var before, after runtime.MemStats

@@ -41,7 +41,7 @@ type preparedDoc struct {
 	// the document was prepared: their tag column and record wait for the
 	// ordered writer, which assigns codes in document order.
 	untagged []int
-	toks     [][]textindex.Token
+	toks     [][]string
 	// governs[i] is the flat index of node i's governing CONTEXT (-1 =
 	// none), precomputed in the parse workers so the derived
 	// node→context index is a batch of map inserts, not a walk.
@@ -87,7 +87,7 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		recs:  make([][]byte, len(flat)),
 		offs:  make([][]int, len(flat)),
 		far:   make([]uint64, len(flat)),
-		toks:  make([][]textindex.Token, len(flat)),
+		toks:  make([][]string, len(flat)),
 	}
 	codes := make(map[tagPair]int64) // this document's tags; -1 = no code yet
 	for i := range flat {

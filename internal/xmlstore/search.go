@@ -23,7 +23,8 @@ import (
 // Every section-shaped query runs through one serial, demand-driven pull
 // pipeline (Store.Sections):
 //
-//	source   text-index hits (posting IDIter or phrase hit list), or the
+//	source   text-index hits (the AND of the query's terms; a phrase
+//	         keeps a hit only when the hit's own text holds it), or the
 //	         context btree's rowids for an exact or prefix heading
 //	resolve  hit -> governing CONTEXT through the derived index, deduped
 //	         (a context rowid is its own section)
@@ -197,10 +198,10 @@ type SectionQuery struct {
 // the heading is rarer than the rarest term, the posting lists otherwise
 // — and the other predicate becomes the filter.  A term predicate means
 // the same under both plans: every term occurs, by the index tokenizer,
-// in the section's heading or content.  A phrase is located by token
-// positions when the text index drives and by case-insensitive substring
-// of content plus heading when it filters; a phrase-only query skips hits
-// no heading governs.
+// in the section's heading or content.  A phrase is found in the text of
+// one node, by textindex.HasPhrase, when the text index drives, and by
+// case-insensitive substring of content plus heading when it filters; a
+// phrase-only query skips hits no heading governs.
 func (s *Store) Sections(q SectionQuery, fn func(Section) bool) error {
 	return s.sections(q, s.contentDrives(q), fn)
 }
@@ -248,12 +249,12 @@ func (q SectionQuery) residual(fromContent bool) func(Section) bool {
 	return func(sec Section) bool {
 		have := make(map[string]bool)
 		for _, text := range [...]string{sec.Context, sec.Content} {
-			for _, tok := range textindex.Tokenize(text) {
-				have[tok.Term] = true
+			for _, term := range textindex.Tokenize(text) {
+				have[term] = true
 			}
 		}
-		for _, tok := range terms {
-			if !have[tok.Term] {
+		for _, term := range terms {
+			if !have[term] {
 				return false
 			}
 		}
@@ -279,8 +280,8 @@ func (s *Store) contentDrives(q SectionQuery) bool {
 // document frequency among its terms.
 func (s *Store) contentDF(query string) int {
 	min := -1
-	for _, tok := range textindex.Tokenize(query) {
-		df := s.content.DF(tok.Term)
+	for _, term := range textindex.Tokenize(query) {
+		df := s.content.DF(term)
 		if min < 0 || df < min {
 			min = df
 		}
@@ -399,31 +400,18 @@ func (s *Store) contextSections(rids []ordbms.RowID, emit func(Section) bool) er
 }
 
 // forEachHitNode streams the nodes the text index holds for query — the
-// AND of its terms, or the phrase — in physical order until fn returns
-// false.  The hit list leaves the index one id at a time and the rows
-// arrive sectionChunk at a time through one reused buffer, so a capped
-// scan over a stop-word-sized posting list stops after a chunk or two
+// AND of its terms — in physical order until fn returns false.  The hit
+// list leaves the index one id at a time and the rows arrive
+// sectionChunk at a time through one reused buffer, so a capped scan
+// over a stop-word-sized posting list stops after a chunk or two
 // instead of decoding the whole list.
-func (s *Store) forEachHitNode(query string, phrase bool, fn func(hit *Node) (more bool, err error)) error {
-	var next func() (uint64, bool)
-	if phrase {
-		hits := s.content.Phrase(query)
-		next = func() (uint64, bool) {
-			if len(hits) == 0 {
-				return 0, false
-			}
-			h := hits[0]
-			hits = hits[1:]
-			return h, true
-		}
-	} else {
-		next = s.content.AndIter(query).Next
-	}
+func (s *Store) forEachHitNode(query string, fn func(hit *Node) (more bool, err error)) error {
+	it := s.content.AndIter(query)
 	chunk := make([]ordbms.RowID, 0, sectionChunk)
 	for {
 		chunk = chunk[:0]
 		for len(chunk) < sectionChunk {
-			h, ok := next()
+			h, ok := it.Next()
 			if !ok {
 				break
 			}
@@ -447,12 +435,33 @@ func (s *Store) forEachHitNode(query string, phrase bool, fn func(hit *Node) (mo
 	}
 }
 
+// phraseFilter is the test a phrase query puts each AND hit to: the
+// index stores no positions, and the hit's text is in hand once its row
+// is.  nil means every hit passes: the query is no phrase, or a phrase
+// of one term, which the AND already is.
+func phraseFilter(query string, phrase bool) func(hit *Node) bool {
+	if !phrase {
+		return nil
+	}
+	terms := textindex.Tokenize(query)
+	if len(terms) < 2 {
+		return nil
+	}
+	return func(hit *Node) bool { return textindex.HasPhrase(hit.Data, terms) }
+}
+
 // contentSections is the content source: each hit resolves to its
 // governing CONTEXT and each distinct section is emitted once, so
 // duplicate hits on a section cost a map probe, never a second traversal.
+// A phrase's text check runs first: it reads only the fetched row, while
+// resolving may walk the tree when the context index is off.
 func (s *Store) contentSections(q SectionQuery, emit func(Section) bool) error {
 	seen := make(map[ordbms.RowID]bool)
-	return s.forEachHitNode(q.Content, q.Phrase, func(hit *Node) (bool, error) {
+	keep := phraseFilter(q.Content, q.Phrase)
+	return s.forEachHitNode(q.Content, func(hit *Node) (bool, error) {
+		if keep != nil && !keep(hit) {
+			return true, nil
+		}
 		sec, fresh, err := s.hitSection(hit, seen, q.Phrase)
 		if err == ordbms.ErrRecordDeleted {
 			return true, nil // document mid-delete: skip the hit
@@ -561,7 +570,7 @@ func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
 func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) {
 	seen := make(map[uint64]bool)
 	var out []*DocInfo
-	err := s.forEachHitNode(query, false, func(hit *Node) (bool, error) {
+	err := s.forEachHitNode(query, func(hit *Node) (bool, error) {
 		if seen[hit.DocID] {
 			return true, nil
 		}

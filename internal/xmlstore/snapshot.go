@@ -36,13 +36,14 @@ const (
 	// (combining marks, CJK script boundaries); 3 stopped persisting the
 	// cache-key generations; 4 dropped the node-ID counter along with the
 	// node IDs; 5 writes each node→CONTEXT entry's heading as a delta from
-	// the previous entry's.  Any other version — older or newer — falls
-	// back to the scan rebuild, which retokenizes every document under
-	// the current contract; loading a v1 file's postings verbatim would
-	// permanently serve old-tokenizer terms against new-tokenizer
-	// queries.  The next checkpoint rewrites the file at the current
-	// version, so the penalty is one slow reopen.
-	snapshotVersion = 5
+	// the previous entry's; 6 drops the text index's token positions and
+	// writes each heading's rids as deltas.  Any other version — older or
+	// newer — falls back to the scan rebuild, which retokenizes every
+	// document under the current contract; loading a v1 file's postings
+	// verbatim would permanently serve old-tokenizer terms against
+	// new-tokenizer queries.  The next checkpoint rewrites the file at the
+	// current version, so the penalty is one slow reopen.
+	snapshotVersion = 6
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
@@ -107,14 +108,18 @@ func (s *Store) encodeSnapshot() []byte {
 
 	buf = s.content.AppendSnapshot(buf)
 
+	// A heading's rids keep their stored order, which need not be
+	// physical order, so each is a zigzag delta from the one before.
 	s.ctxMu.RLock()
 	buf = binary.AppendUvarint(buf, uint64(s.contexts.Keys()))
 	s.contexts.Ascend(func(key string, rids []ordbms.RowID) bool {
 		buf = binary.AppendUvarint(buf, uint64(len(key)))
 		buf = append(buf, key...)
 		buf = binary.AppendUvarint(buf, uint64(len(rids)))
+		var prev uint64
 		for _, rid := range rids {
-			buf = binary.AppendUvarint(buf, rid.Uint64())
+			buf = binary.AppendVarint(buf, int64(rid.Uint64()-prev))
+			prev = rid.Uint64()
 		}
 		return true
 	})
@@ -225,12 +230,15 @@ func (s *Store) applySnapshot(p []byte) error {
 			return fmt.Errorf("xmlstore: implausible rid count %d", nr)
 		}
 		rids := make([]ordbms.RowID, nr)
+		var prev uint64
 		for j := range rids {
-			v, err := uv()
-			if err != nil {
-				return err
+			d, n := binary.Varint(p[off:])
+			if n <= 0 {
+				return fmt.Errorf("xmlstore: truncated snapshot at byte %d", off)
 			}
-			rids[j] = ordbms.RowIDFromUint64(v)
+			off += n
+			prev += uint64(d)
+			rids[j] = ordbms.RowIDFromUint64(prev)
 		}
 		contexts.Append(key, rids)
 	}

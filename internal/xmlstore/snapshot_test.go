@@ -39,6 +39,10 @@ var snapshotQueryPlans = []struct {
 	{"context", func(s *Store) (any, error) { return s.ContextSearchN("Budget", 0) }},
 	{"context-prefix", func(s *Store) (any, error) { return s.ContextPrefixSearchN("Tech", 0) }},
 	{"combined", func(s *Store) (any, error) { return s.SearchN("Budget", "request", 0) }},
+	{"phrase", func(s *Store) (any, error) {
+		return s.collect(SectionQuery{Content: "was tested during", Phrase: true})
+	}},
+	{"phrase-hits", func(s *Store) (any, error) { return s.ContentIndex().Phrase("cryogenic turbine"), nil }},
 	{"docs", func(s *Store) (any, error) { return s.ContentSearchDocsN("turbine", 0) }},
 	{"headings", func(s *Store) (any, error) { return s.ContextHeadings(), nil }},
 }
@@ -325,8 +329,9 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 }
 
 // TestSnapshotVersionSkewFallsBack: a snapshot whose version field is
-// not the current one — an old v1 file, the previous version's (which
-// wrote each node→CONTEXT heading in full), or a newer format — must fall
+// not the current one — an old v1 file, the previous version's (whose
+// text index carries token positions and whose heading rids are not
+// delta-coded), or a newer format — must fall
 // back to the scan rebuild (which retokenizes under the current
 // tokenizer contract) and be rewritten at the current version by the
 // next checkpoint.

@@ -846,8 +846,36 @@ func (s *Store) DocumentByName(name string) (*DocInfo, error) {
 	return rowToDoc(rids[0], row), nil
 }
 
+// TextIndex is the store's text index as callers see it: every
+// textindex.Index query, and Phrase, which needs the node text that only
+// the heap holds.
+type TextIndex struct {
+	*textindex.Index
+	s *Store
+}
+
 // ContentIndex exposes the text index (the query planner consults DF).
-func (s *Store) ContentIndex() *textindex.Index { return s.content }
+func (s *Store) ContentIndex() TextIndex { return TextIndex{s.content, s} }
+
+// Phrase returns, ascending, the RowIDs (packed by Uint64) of the text
+// nodes that hold the query's terms adjacent and in order: the section
+// pipeline's hit source and phrase filter, drained.  A node deleted
+// between the index probe and its fetch is not a hit; a read error
+// yields nil.
+func (t TextIndex) Phrase(query string) []uint64 {
+	keep := phraseFilter(query, true)
+	var ids []uint64
+	err := t.s.forEachHitNode(query, func(hit *Node) (bool, error) {
+		if keep == nil || keep(hit) {
+			ids = append(ids, hit.RowID.Uint64())
+		}
+		return true, nil
+	})
+	if err != nil {
+		return nil
+	}
+	return ids
+}
 
 // TextIndexStats reports the text index's posting-list storage counters
 // (block counts, resident bytes, compression ratio) for /stats.
