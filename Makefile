@@ -68,7 +68,8 @@ race:
 # 10s in CI, 5m nightly: hostile bytes against the record decoder under
 # the store's three schemas (XML, DOC and TAG, arbitrary tag codes
 # included), the xmlstore.nmsnap payload decoder, the splitters recovery
-# reads run records with, the slotted page — arbitrary page bytes read,
+# reads run records with, a delete-run record of arbitrary payload
+# opened end to end, the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
 # layout — and the phrase matcher against tokenize-then-compare.
 FUZZTIME ?= 10s
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzApplySnapshot -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
+	$(GO) test -run xxx -fuzz FuzzDeleteRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPage -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPhraseMatch -fuzztime $(FUZZTIME) ./internal/textindex
 
@@ -93,8 +95,8 @@ bench-smoke:
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR26.json
-BENCH_OUT ?= BENCH_PR25.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR27.json
+BENCH_OUT ?= BENCH_PR26.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)

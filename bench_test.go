@@ -760,8 +760,9 @@ func BenchmarkReopen(b *testing.B) {
 // BenchmarkDeleteDocument measures removing one deep report (some 2 600
 // nodes) from a durable store of 300 mixed documents, through to the
 // commit that makes the delete durable.  Each iteration re-ingests the
-// report off the clock, so later ones land on the slots earlier ones
-// freed.  ns/node is the per-row cost, comparable across document sizes.
+// report off the clock, onto new slots: a deleted one is never reused.
+// ns/node is the per-row cost, comparable across document sizes;
+// wal-B/node and wal-appends/op are what each delete costs the log.
 func BenchmarkDeleteDocument(b *testing.B) {
 	db, err := ordbms.Open(ordbms.Options{Dir: b.TempDir()})
 	if err != nil {
@@ -778,6 +779,7 @@ func BenchmarkDeleteDocument(b *testing.B) {
 	}
 	victim := gen.DeepReport(0, 6, 24, 16)
 	var nodes int64
+	var walAppends, walBytes uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -794,6 +796,7 @@ func BenchmarkDeleteDocument(b *testing.B) {
 		if err := db.Commit(); err != nil {
 			b.Fatal(err)
 		}
+		appends0, _, bytes0 := db.WALStats()
 		b.StartTimer()
 		if err := s.DeleteDocument(id); err != nil {
 			b.Fatal(err)
@@ -801,7 +804,14 @@ func BenchmarkDeleteDocument(b *testing.B) {
 		if err := db.Commit(); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		appends, _, bytes := db.WALStats()
+		walAppends += appends - appends0
+		walBytes += bytes - bytes0
+		b.StartTimer()
 	}
 	b.StopTimer() // the deferred Close checkpoints: not part of a delete
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+	b.ReportMetric(float64(walBytes)/float64(nodes), "wal-B/node")
+	b.ReportMetric(float64(walAppends)/float64(b.N), "wal-appends/op")
 }

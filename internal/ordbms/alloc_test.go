@@ -55,7 +55,7 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 
 // A WAL append frames its record straight into the log buffer and CRCs
 // the bytes where they lie: once the buffer has grown to a batch's size,
-// logging a page of rows or a delete allocates nothing.
+// logging a page of rows or a delete run allocates nothing.
 func TestWALAppendZeroAlloc(t *testing.T) {
 	w, err := OpenWAL(vfs.OS, filepath.Join(t.TempDir(), "wal.nmlog"))
 	if err != nil {
@@ -72,10 +72,11 @@ func TestWALAppendZeroAlloc(t *testing.T) {
 	for i := range recs {
 		recs[i] = rec
 	}
+	dels := []RowID{{Page: 7, Slot: 3}, {Page: 7, Slot: 4}, {Page: 7, Slot: 9}, {Page: 8, Slot: 0}}
 	batch := func() {
 		w.LogInsertRun(run, recs)
-		w.LogDelete(7, 3)
-		lsn := w.LogDelete(7, 4)
+		w.LogDeleteRun(dels[:1])
+		lsn := w.LogDeleteRun(dels)
 		if err := w.Flush(lsn); err != nil {
 			t.Fatal(err)
 		}

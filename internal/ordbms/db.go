@@ -751,31 +751,50 @@ func (t *Table) FetchMany(rids []RowID) ([]Row, error) {
 	return rows, nil
 }
 
-// Delete removes the row at rid and its index entries.
+// Delete removes the row at rid and its index entries: a run of one.
 //
 // netmarkvet:mutates
-func (t *Table) Delete(rid RowID) error {
+func (t *Table) Delete(rid RowID) error { return t.DeleteRun([]RowID{rid}) }
+
+// DeleteRun removes the rows at rids, in the order given, and their index
+// entries, in one table-lock hold and one log record; see
+// HeapFile.DeleteRun for what a failure partway leaves.  ErrRecordDeleted
+// means every row was gone already.
+//
+// netmarkvet:mutates
+func (t *Table) DeleteRun(rids []RowID) error {
 	if err := t.writable(); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// The old row is read only to unhook its index entries.
-	var row Row
+	// The old rows are read only to unhook their index entries.
+	var rows []Row
 	if len(t.indexes) > 0 {
-		rec, err := t.heap.Fetch(rid)
-		if err != nil {
-			return err
-		}
-		if row, err = DecodeRow(t.schema, rid.Page, rec); err != nil {
-			return err
+		rows = make([]Row, len(rids))
+		for i, rid := range rids {
+			rec, err := t.heap.Fetch(rid)
+			if err == ErrRecordDeleted {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			if rows[i], err = DecodeRow(t.schema, rid.Page, rec); err != nil {
+				return err
+			}
 		}
 	}
-	if err := t.heap.Delete(rid); err != nil {
+	if err := t.heap.DeleteRun(rids); err != nil {
 		return err
 	}
-	for _, ix := range t.indexes {
-		ix.remove(row, rid)
+	for i, row := range rows {
+		if row == nil {
+			continue // gone already
+		}
+		for _, ix := range t.indexes {
+			ix.remove(row, rids[i])
+		}
 	}
 	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -37,7 +40,7 @@ func FuzzRunRecord(f *testing.F) {
 	f.Add(one[:len(one)-1])                                               // last row cut short
 	f.Add(one[:5])                                                        // cut inside the page header
 	f.Add(two[:len(one)+runPageHeader])                                   // second page promises a row it does not have
-	f.Add(runRecord(9, 0))                                                // a page with no rows
+	f.Add(runRecord(9, 0))                                                // a page with no rows: refused
 	f.Add(runRecord(9, 0, nil))                                           // a zero-length row
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0xFF, 0xFF})                           // 65535 rows promised, none present
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 1, 0, 0xFF, 0x7F, 'x'})                // row length far past the payload
@@ -76,6 +79,116 @@ func FuzzRunRecord(f *testing.F) {
 				t.Fatalf("page promised %d rows, split into %d", want, got)
 			}
 			rest = tail
+		}
+	})
+}
+
+// deleteSection frames one page section of a walDeleteRun payload.
+func deleteSection(page uint32, first, n uint16) []byte {
+	p := binary.LittleEndian.AppendUint32(nil, page)
+	p = binary.LittleEndian.AppendUint16(p, first)
+	return binary.LittleEndian.AppendUint16(p, n)
+}
+
+// FuzzDeleteRunRecord appends a walDeleteRun record with an arbitrary
+// payload — framed and checksummed as the log's writer frames them — to
+// the log of a small checkpointed store, and opens it.  Open never
+// panics.  A payload that does not split into whole page sections, or
+// that names a page the data file does not have or a slot past its
+// page's directory, is an Open error.  Any other payload opens, and
+// exactly the rows it names are gone.
+func FuzzDeleteRunRecord(f *testing.F) {
+	src := f.TempDir()
+	db, err := Open(Options{Dir: src})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", MustSchema(Column{"v", TypeString}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var rids []RowID // three pages of rows, the second of them deleted
+	for i := 0; i < 20; i++ {
+		rid, err := tbl.Insert(Row{S(string(bytes.Repeat([]byte{byte('a' + i)}, 1000)))})
+		if err != nil {
+			f.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	if err := tbl.Delete(rids[1]); err != nil {
+		f.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		f.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, name := range []string{"data.nmdb", catalogName, "wal.nmlog"} {
+		if files[name], err = os.ReadFile(filepath.Join(src, name)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	numPages := uint32(len(files["data.nmdb"]) / PageSize)
+	slots := make(map[uint32]int) // page → its directory's size
+	for _, rid := range rids {
+		slots[rid.Page] = max(slots[rid.Page], int(rid.Slot)+1)
+	}
+	last := rids[len(rids)-1]
+
+	valid := append(deleteSection(rids[0].Page, 0, 3), deleteSection(last.Page, last.Slot, 1)...)
+	f.Add(valid)
+	f.Add([]byte(nil))                                           // a run of no rows
+	f.Add(valid[:5])                                             // a section cut short
+	f.Add(deleteSection(rids[0].Page, 0, 0))                     // a section of no slots
+	f.Add(deleteSection(rids[0].Page, maxSlots-1, 2))            // first+count past the directory's room
+	f.Add(deleteSection(last.Page, uint16(slots[last.Page]), 1)) // a slot past the page's directory
+	f.Add(deleteSection(numPages, 0, 1))                         // a page past the data file
+	f.Add(deleteSection(0, 0, 1))                                // the reserved page
+	f.Add(deleteSection(rids[1].Page, rids[1].Slot, 1))          // a row deleted already
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// What the payload should do: gone is every slot it names, bad
+		// that it cannot open.
+		gone := make(map[RowID]bool)
+		bad := !runFramed(walDeleteRun, payload)
+		for rest := payload; !bad && len(rest) > 0; {
+			no, first, n, tail, _ := nextRunSection(rest)
+			if no == 0 || no >= numPages || int(first)+n > slots[no] {
+				bad = true
+			}
+			for s := int(first); s < int(first)+n; s++ {
+				gone[RowID{Page: no, Slot: uint16(s)}] = true
+			}
+			rest = tail
+		}
+
+		dir := t.TempDir()
+		for name, data := range files {
+			if name == "wal.nmlog" {
+				body := append([]byte{walDeleteRun}, payload...)
+				data = binary.LittleEndian.AppendUint32(append([]byte(nil), data...), uint32(len(body)))
+				data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
+				data = append(data, body...)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := Open(Options{Dir: dir})
+		if bad {
+			if err == nil {
+				db.CloseDiscard()
+				t.Fatal("a delete run naming what the store does not have opened")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("a delete run of rows the store has: %v", err)
+		}
+		defer db.CloseDiscard()
+		for i, rid := range rids {
+			_, err := db.Table("t").Fetch(rid)
+			if want := gone[rid] || i == 1; (err == ErrRecordDeleted) != want {
+				t.Fatalf("row %v after the run: %v, deleted = %v", rid, err, want)
+			}
 		}
 	})
 }

@@ -473,29 +473,102 @@ func (h *HeapFile) ViewMany(rids []RowID, fn func(i int, rec []byte) error) erro
 	return nil
 }
 
-// Delete removes the record at rid.  Its slot stays dead: no later insert
-// is given rid.
-func (h *HeapFile) Delete(rid RowID) error {
-	f, err := h.pool.Fetch(rid.Page)
-	if err != nil {
-		return err
-	}
-	f.Latch.Lock()
-	derr := f.Page.Delete(int(rid.Slot))
-	if derr == nil && h.wal != nil {
-		lsn := h.wal.LogDelete(rid.Page, rid.Slot)
-		f.Page.SetLSN(lsn)
-	}
-	f.Latch.Unlock()
-	h.pool.Unpin(f, derr == nil)
-	if derr != nil {
-		return derr
-	}
+// Delete removes the record at rid: a run of one.
+func (h *HeapFile) Delete(rid RowID) error { return h.DeleteRun([]RowID{rid}) }
+
+// DeleteRun removes the records at rids, in the order given, under one
+// walDeleteRun log record.  Their slots stay dead: no later insert is
+// given any of rids.  Every rid must name a slot its page has; a record
+// already deleted is passed over, and ErrRecordDeleted means every one
+// was.
+//
+// The record is logged before any page changes, and the pages then take
+// it one pin at a time — a run larger than the buffer pool deletes too —
+// while the flush gate keeps each page it touched off the disk until the
+// record is written.  A failure partway leaves the records before it
+// deleted and the rest in place, in memory, and the whole run in the log,
+// for a crash to finish: either way the records that survive are the
+// ones rids names last.
+func (h *HeapFile) DeleteRun(rids []RowID) error {
 	h.mu.Lock()
-	h.rows--
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	// The log may name only slots their pages have, or recovery would
+	// refuse the store: check each, a page at a time, and keep the live.
+	live := slices.Clone(rids)
+	slices.SortFunc(live, cmpRowID)
+	live = slices.Compact(live)
+	kept := live[:0]
+	for i := 0; i < len(live); {
+		j := i + 1
+		for j < len(live) && live[j].Page == live[i].Page {
+			j++
+		}
+		f, err := h.pool.Fetch(live[i].Page)
+		if err != nil {
+			return err
+		}
+		f.Latch.RLock()
+		for _, rid := range live[i:j] {
+			_, gerr := f.Page.Get(int(rid.Slot))
+			if gerr == nil {
+				kept = append(kept, rid)
+			} else if gerr != ErrRecordDeleted {
+				err = gerr
+				break
+			}
+		}
+		f.Latch.RUnlock()
+		h.pool.Unpin(f, false)
+		if err != nil {
+			return err
+		}
+		i = j
+	}
+	if len(kept) == 0 {
+		return ErrRecordDeleted
+	}
+	var lsn uint64
+	if h.wal != nil {
+		lsn = h.wal.LogDeleteRun(kept)
+	}
+	var f *Frame // the page being deleted from, write-latched
+	release := func() {
+		if f != nil {
+			f.Latch.Unlock()
+			h.pool.Unpin(f, true)
+			f = nil
+		}
+	}
+	defer release()
+	for _, rid := range rids {
+		if _, ok := slices.BinarySearchFunc(kept, rid, cmpRowID); !ok {
+			continue
+		}
+		if f == nil || f.PageNo != rid.Page {
+			release()
+			next, err := h.pool.Fetch(rid.Page)
+			if err != nil {
+				return err
+			}
+			f = next
+			f.Latch.Lock()
+		}
+		switch err := f.Page.Delete(int(rid.Slot)); err {
+		case nil:
+			h.rows--
+		case ErrRecordDeleted: // named twice in rids
+		default:
+			return err
+		}
+		if h.wal != nil {
+			f.Page.SetLSN(lsn)
+		}
+	}
 	return nil
 }
+
+// cmpRowID orders RowIDs physically, as RowID.Less does.
+func cmpRowID(a, b RowID) int { return cmp.Compare(a.Uint64(), b.Uint64()) }
 
 // Scan calls fn for every live record in physical order.  fn must copy the
 // record if it retains it.  Returning false stops the scan.

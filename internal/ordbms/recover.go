@@ -26,6 +26,34 @@ func (p *Page) applyInsertAt(slot int, rec []byte) error {
 	return p.insertAt(slot, rec)
 }
 
+// applyRun applies one page's sections of a walInsertRun or walDeleteRun
+// record to the page.  An insert section's rows take consecutive new
+// slots from its first; a delete passes over a slot already dead.
+func (p *Page) applyRun(typ byte, secs []byte) error {
+	for len(secs) > 0 {
+		if typ == walInsertRun {
+			_, first, rows, rest, _ := nextRunPage(secs) // Replay checked the framing
+			for slot := int(first); len(rows) > 0; slot++ {
+				var rec []byte
+				rec, rows, _ = nextRunRow(rows)
+				if err := p.applyInsertAt(slot, rec); err != nil {
+					return err
+				}
+			}
+			secs = rest
+			continue
+		}
+		_, first, n, rest, _ := nextRunSection(secs)
+		for slot := int(first); slot < int(first)+n; slot++ {
+			if err := p.Delete(slot); err != nil && err != ErrRecordDeleted {
+				return err
+			}
+		}
+		secs = rest
+	}
+	return nil
+}
+
 // Recover replays the WAL against the disk, bringing pages forward to the
 // log's end state.  It must run before any heap is opened.  Replay is
 // idempotent thanks to page LSNs, so a crash during recovery is safe: the
@@ -41,55 +69,81 @@ func (p *Page) applyInsertAt(slot int, rec []byte) error {
 // rebuilt instead of silently losing their committed rows.
 func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs map[string][]uint32, ops []RecoveredOp, torn bool, err error) {
 	allocs = make(map[string][]uint32)
-	// onPage brings r.Page forward by r, a record addressed to that one
-	// page (of a walInsertRun, the page's own section).
-	onPage := func(r WALRecord) error {
-		if r.Page == 0 || r.Page >= disk.NumPages() {
-			// The page was allocated after the last page flush but its
-			// allocation never reached the data file: re-extend the file.
-			for disk.NumPages() <= r.Page {
-				if _, aerr := disk.AllocatePage(); aerr != nil {
-					return aerr
-				}
+	// extend grows the data file to page no: a page allocated after the
+	// last page flush may never have reached it.
+	extend := func(no uint32) error {
+		for disk.NumPages() <= no {
+			if _, aerr := disk.AllocatePage(); aerr != nil {
+				return aerr
 			}
 		}
-		if r.Type == walAlloc || r.Type == walCheckpoint {
-			return nil // no page mutation to apply
-		}
-		f, ferr := pool.Fetch(r.Page)
+		return nil
+	}
+	// onPage brings page no forward to the record ending at lsn through
+	// apply, unless the page holds that record already, and reports
+	// whether it did.
+	onPage := func(no uint32, lsn uint64, apply func(p *Page) error) (bool, error) {
+		f, ferr := pool.Fetch(no)
 		if ferr != nil {
-			return ferr
+			return false, ferr
 		}
 		defer pool.Unpin(f, true)
 		f.Latch.Lock()
 		defer f.Latch.Unlock()
-		if f.Page.LSN() >= r.LSN {
-			return nil // already applied before the crash
+		if f.Page.LSN() >= lsn {
+			return false, nil // already applied before the crash
 		}
-		switch r.Type {
-		case walInsertRun:
-			// The section's rows take consecutive new slots from r.Slot.
-			for slot, rest := int(r.Slot), r.Rec; len(rest) > 0; slot++ {
-				rec, tail, _ := nextRunRow(rest) // Replay checked the framing
-				if aerr := f.Page.applyInsertAt(slot, rec); aerr != nil {
-					return fmt.Errorf("ordbms: recovery of page %d: %w", r.Page, aerr)
+		if aerr := apply(f.Page); aerr != nil {
+			return false, fmt.Errorf("ordbms: recovery of page %d: %w", no, aerr)
+		}
+		f.Page.SetLSN(lsn)
+		return true, nil
+	}
+	// onRun applies a run record a page at a time.  Each page checks the
+	// record's LSN against its own, and the record counts once.
+	onRun := func(r WALRecord) error {
+		applied := false
+		for rest := r.Rec; len(rest) > 0; {
+			// A page's sections lie side by side — a delete run's one per run
+			// of consecutive slots — and are applied in one visit, since the
+			// page takes the record's LSN on the first.
+			no, _, _ := nextSection(r.Type, rest) // Replay checked the framing
+			secs := rest
+			for len(rest) > 0 {
+				next, tail, _ := nextSection(r.Type, rest)
+				if next != no {
+					break
 				}
 				rest = tail
 			}
-		case walDelete:
-			if derr := f.Page.Delete(int(r.Slot)); derr != nil && derr != ErrRecordDeleted {
-				return derr
+			secs = secs[:len(secs)-len(rest)]
+			if r.Type == walInsertRun {
+				if err := extend(no); err != nil {
+					return err
+				}
+			} else if no == 0 || no >= disk.NumPages() {
+				// A delete names rows the log has already put on their pages.
+				return fmt.Errorf("ordbms: recovery: delete on page %d, which the data file does not have", no)
 			}
+			done, err := onPage(no, r.LSN, func(p *Page) error { return p.applyRun(r.Type, secs) })
+			if err != nil {
+				return err
+			}
+			applied = applied || done
 		}
-		f.Page.SetLSN(r.LSN)
-		replayed++
+		if applied {
+			replayed++
+		}
 		return nil
 	}
 	torn, err = wal.Replay(func(r WALRecord) error {
 		switch r.Type {
+		case walInsertRun, walDeleteRun:
+			return onRun(r)
 		case walAlloc:
 			name := string(r.Rec)
 			allocs[name] = append(allocs[name], r.Page)
+			return extend(r.Page)
 		case walCreateTable:
 			name, rest, ok := readWALString(r.Rec)
 			if !ok {
@@ -135,24 +189,6 @@ func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs
 			// semantics); they must not leak into a later same-named table.
 			delete(allocs, name)
 			ops = append(ops, RecoveredOp{Kind: walDropTable, Table: name})
-			return nil
-		}
-		if r.Type != walInsertRun {
-			return onPage(r)
-		}
-		// One record for the pages of a whole run: each page checks the
-		// record's LSN against its own, and the record counts once.
-		before := replayed
-		for rest := r.Rec; len(rest) > 0; {
-			no, first, rows, tail, _ := nextRunPage(rest) // Replay checked the framing
-			r.Page, r.Slot, r.Rec = no, first, rows
-			if aerr := onPage(r); aerr != nil {
-				return aerr
-			}
-			rest = tail
-		}
-		if replayed > before {
-			replayed = before + 1
 		}
 		return nil
 	})

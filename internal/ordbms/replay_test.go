@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,12 +14,14 @@ import (
 )
 
 // Replay rebuilds pages byte for byte.  A heap is built by single
-// inserts, runs that span pages and deletes, with the pages flushed now
-// and then; its log is cut at every record boundary, and each cut is
-// recovered onto the pages as they were last flushed before it.  Every
-// recovered page equals the live page at the cut's LSN: a row's slot
-// and length are derived, not logged, so this is what says they are
-// derived right.
+// inserts, runs that span pages, one-row deletes and delete runs that
+// span pages, with the pages flushed now and then; its log is cut at
+// every record boundary, and each cut is recovered onto the pages as they
+// were last flushed before it.  Every recovered page equals the live page
+// at the cut's LSN: a row's slot and length are derived, not logged, so
+// this is what says they are derived right — and a delete run, applied
+// live in the caller's order and replayed in page order, leaves the same
+// bytes.
 func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "wal.nmlog")
 	w, err := OpenWAL(vfs.OS, logPath)
@@ -29,6 +32,7 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	pool := NewBufferPool(disk, 64)
 	w.AttachTo(pool)
 	h := NewHeapFile(pool, w)
+	tbl := &Table{name: "t", heap: h} // a bare table over h, for its deletes
 
 	// image is every page's bytes (page 1 first) once the log reached lsn.
 	type image struct {
@@ -68,8 +72,9 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rec := func(lo, hi int) []byte { return bytes.Repeat([]byte{byte(rng.Intn(256))}, lo+rng.Intn(hi-lo)) }
 	var rids []RowID
-	for step := 0; step < 40; step++ {
-		switch step % 5 {
+	runPages := 0 // the most pages one delete run touched
+	for step := 0; step < 48; step++ {
+		switch step % 6 {
 		case 0, 1:
 			rid, err := h.Insert(rec(20, 600))
 			if err != nil {
@@ -88,17 +93,37 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 			rids = append(rids, got...)
 		case 3:
 			for k := 1 + rng.Intn(5); k > 0; k-- {
-				if err := h.Delete(rids[rng.Intn(len(rids))]); err != nil && err != ErrRecordDeleted {
+				if err := tbl.Delete(rids[rng.Intn(len(rids))]); err != nil && err != ErrRecordDeleted {
 					t.Fatal(err)
 				}
 				snap() // each delete is a record of its own
 			}
 		case 4:
-			if step%10 == 4 {
+			// A run from the newest rows back, with a few older ones mixed
+			// in and one named twice: one record over several pages.
+			run := slices.Clone(rids[max(len(rids)-20-rng.Intn(20), 0):])
+			for k := 0; k < 5; k++ {
+				run = append(run, rids[rng.Intn(len(rids))])
+			}
+			run = append(run, run[0])
+			rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+			if err := tbl.DeleteRun(run); err != nil && err != ErrRecordDeleted {
+				t.Fatal(err)
+			}
+			pages := make(map[uint32]bool)
+			for _, rid := range run {
+				pages[rid.Page] = true
+			}
+			runPages = max(runPages, len(pages))
+		case 5:
+			if step%12 == 5 {
 				flush()
 			}
 		}
 		snap()
+	}
+	if runPages < 3 {
+		t.Fatalf("no delete run touched more than %d pages", runPages)
 	}
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
@@ -172,7 +197,7 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable("t", MustSchema(Column{"v", TypeInt}))
+	tbl, err = db.CreateTable("t", MustSchema(Column{"v", TypeInt}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package ordbms
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -59,20 +60,21 @@ type WAL struct {
 // payloads, see Schema.Encode), so what a row costs the heap it costs
 // the log, plus its length as a uvarint — one byte below 128.
 //
-//	walDelete       page u32, slot u16
 //	walCheckpoint   empty
 //	walAlloc        page u32, table name
 //	walCreateTable  table name, uvarint column count, then name + type byte per column
 //	walCreateIndex  table name, column name
 //	walDropTable    table name
 //	walInsertRun    per page: page u32, first slot u16, row count u16, then per row: uvarint length, record bytes
+//	walDeleteRun    per run of consecutive slots: page u32, first slot u16, slot count u16
 //
 // A run's rows on one page take consecutive new slots, so a page section
-// names only the first.  Names are uvarint-length-prefixed strings,
-// except walAlloc's, which runs to the end of the body.
+// names only the first; a delete run names its slots the same way, with
+// no bytes per row.  Names are uvarint-length-prefixed strings, except
+// walAlloc's, which runs to the end of the body.
 const (
-	walDelete byte = 2 + iota // 1 was format 1's per-row insert
-	_                         // 3 was the in-place update, gone in format 6
+	_ byte = 2 + iota // 1 was format 1's per-row insert, 2 the per-row delete, gone in format 7
+	_                 // 3 was the in-place update, gone in format 6
 	walCheckpoint
 	// walAlloc records that a table adopted a freshly allocated page.
 	// The catalog persists page ownership only at checkpoints, so without
@@ -95,12 +97,15 @@ const (
 	// by RowID never outlive the rows they point at.  Each page checks the
 	// record's LSN against its own.
 	walInsertRun
+	// walDeleteRun records the rows of one delete run: a document's nodes
+	// leave the log as they entered it, in one record.
+	walDeleteRun
 )
 
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
 // walMagic names the log's format; the digit is storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '6', 0}
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '7', 0}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.
@@ -211,26 +216,58 @@ func (w *WAL) LogInsertRun(pages []*runPage, recs [][]byte) uint64 {
 // count u16.
 const runPageHeader = 8
 
+// nextRunSection splits the header of the first page section off a run
+// record's payload: the page, the first slot and how many slots follow
+// it — all of a walDeleteRun section.  ok is false when the header is cut
+// short, names no slot, or names one past what a page's directory can
+// hold.
+func nextRunSection(p []byte) (no uint32, first uint16, n int, rest []byte, ok bool) {
+	if len(p) < runPageHeader {
+		return 0, 0, 0, nil, false
+	}
+	no, first = binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint16(p[4:6])
+	n = int(binary.LittleEndian.Uint16(p[6:8]))
+	if n == 0 || int(first)+n > maxSlots {
+		return 0, 0, 0, nil, false
+	}
+	return no, first, n, p[runPageHeader:], true
+}
+
 // nextRunPage splits the first page section off a walInsertRun payload:
 // the page number, the first row's slot and that page's rows, for
 // nextRunRow to split in turn.  ok is false when the section is
-// malformed, or names a slot past what a page's directory can hold.
+// malformed (see nextRunSection).
 func nextRunPage(p []byte) (no uint32, first uint16, rows, rest []byte, ok bool) {
-	if len(p) < runPageHeader {
+	no, first, n, rest, ok := nextRunSection(p)
+	if !ok {
 		return 0, 0, nil, nil, false
 	}
-	no, first = binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint16(p[4:6])
-	n := int(binary.LittleEndian.Uint16(p[6:8]))
-	if int(first)+n > maxSlots {
-		return 0, 0, nil, nil, false
-	}
-	rest = p[runPageHeader:]
 	for ; n > 0; n-- {
 		if _, rest, ok = nextRunRow(rest); !ok {
 			return 0, 0, nil, nil, false
 		}
 	}
 	return no, first, p[runPageHeader : len(p)-len(rest)], rest, true
+}
+
+// nextSection splits the first page section off a walInsertRun or
+// walDeleteRun payload and returns its page.
+func nextSection(typ byte, p []byte) (no uint32, rest []byte, ok bool) {
+	if typ == walInsertRun {
+		no, _, _, rest, ok = nextRunPage(p)
+	} else {
+		no, _, _, rest, ok = nextRunSection(p)
+	}
+	return no, rest, ok
+}
+
+// runFramed reports whether a run record's payload splits into whole page
+// sections.
+func runFramed(typ byte, p []byte) (ok bool) {
+	for ok = true; ok && len(p) > 0; {
+		_, p, ok = nextSection(typ, p)
+	}
+	return ok
 }
 
 // nextRunRow splits the first row off a page section's rows; ok is false
@@ -243,13 +280,23 @@ func nextRunRow(p []byte) (rec, rest []byte, ok bool) {
 	return p[sz : sz+int(n)], p[sz+int(n):], true
 }
 
-// LogDelete records a delete at (page, slot).
-func (w *WAL) LogDelete(page uint32, slot uint16) uint64 {
+// LogDeleteRun records the delete of rids, which must be sorted and
+// distinct, and returns the LSN: one page section per run of consecutive
+// slots on a page.
+func (w *WAL) LogDeleteRun(rids []RowID) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	start := w.beginLocked(walDelete)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, page)
-	w.buf = binary.LittleEndian.AppendUint16(w.buf, slot)
+	start := w.beginLocked(walDeleteRun)
+	for i := 0; i < len(rids); {
+		j := i + 1
+		for j < len(rids) && rids[j].Page == rids[i].Page && rids[j].Slot == rids[j-1].Slot+1 {
+			j++
+		}
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, rids[i].Page)
+		w.buf = binary.LittleEndian.AppendUint16(w.buf, rids[i].Slot)
+		w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(j-i))
+		i = j
+	}
 	return w.endLocked(start)
 }
 
@@ -592,16 +639,22 @@ func (w *WAL) Close() error {
 type WALRecord struct {
 	LSN  uint64 // end LSN of the record
 	Type byte
-	Page uint32
-	Slot uint16 // a delete's slot; the first row's slot of a walInsertRun page section
-	Rec  []byte // walInsertRun's page sections (see nextRunPage), walAlloc's table name, DDL payloads
+	Page uint32 // walAlloc's page
+	Rec  []byte // a run's page sections (see nextRunSection), walAlloc's table name, DDL payloads
 }
 
+// errCorruptRecord reports a log record whose checksum holds but whose
+// body does not parse: no crash writes one, so the log is corrupt.
+var errCorruptRecord = errors.New("ordbms: corrupt log record")
+
 // Replay scans the physical log and calls fn for each intact record.
-// A torn or corrupt tail terminates the scan cleanly (crash semantics);
-// torn=true reports that garbage bytes follow the last intact record —
-// the caller must checkpoint the log before appending new records, or
-// the next replay would stop at the garbage and never reach them.
+// A torn tail — a record cut short or failing its checksum — terminates
+// the scan cleanly (crash semantics); torn=true reports that garbage
+// bytes follow the last intact record — the caller must checkpoint the
+// log before appending new records, or the next replay would stop at the
+// garbage and never reach them.  A record that passes its checksum but
+// does not parse is an error, not a tail: the records after it were
+// committed.
 func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -633,35 +686,25 @@ func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 		}
 		pos += 8 + int64(n)
 		lsn = w.base + uint64(pos-walHeaderSize)
-		r := WALRecord{LSN: lsn, Type: body[0]}
+		r := WALRecord{LSN: lsn, Type: body[0], Rec: body[1:]}
+		ok := true
 		switch body[0] {
-		case walDelete:
-			if len(body) < 7 {
-				return true, nil
-			}
-			r.Page = binary.LittleEndian.Uint32(body[1:5])
-			r.Slot = binary.LittleEndian.Uint16(body[5:7])
 		case walAlloc:
-			if len(body) < 5 {
-				return true, nil
+			if ok = len(body) >= 5; ok {
+				r.Page = binary.LittleEndian.Uint32(body[1:5])
+				r.Rec = body[5:] // table name
 			}
-			r.Page = binary.LittleEndian.Uint32(body[1:5])
-			r.Rec = body[5:] // table name
-		case walInsertRun:
-			r.Rec = body[1:] // page sections, split by nextRunPage
-			for rest := r.Rec; len(rest) > 0; {
-				_, _, _, tail, ok := nextRunPage(rest)
-				if !ok {
-					return true, nil
-				}
-				rest = tail
-			}
+		case walInsertRun, walDeleteRun:
+			ok = runFramed(r.Type, r.Rec)
 		case walCreateTable, walCreateIndex, walDropTable:
-			r.Rec = body[1:] // DDL payload, decoded by recovery
+			// DDL payload, decoded by recovery
 		case walCheckpoint:
 			// informational only
 		default:
-			return true, nil
+			ok = false
+		}
+		if !ok {
+			return false, fmt.Errorf("%w: type %d, ending at LSN %d", errCorruptRecord, body[0], lsn)
 		}
 		if err := fn(r); err != nil {
 			return false, err

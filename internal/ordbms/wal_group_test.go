@@ -26,7 +26,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				lsn := w.LogDelete(uint32(g), uint16(i))
+				lsn := w.LogDeleteRun([]RowID{{Page: uint32(g), Slot: uint16(i)}})
 				if err := w.SyncTo(lsn); err != nil {
 					t.Error(err)
 					return
@@ -44,7 +44,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	}
 	count := 0
 	torn, err := w.Replay(func(r WALRecord) error {
-		if r.Type == walDelete {
+		if r.Type == walDeleteRun {
 			count++
 		}
 		return nil
@@ -72,8 +72,8 @@ func TestWALSyncToAlreadyCovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	lsn1 := w.LogDelete(1, 0)
-	lsn2 := w.LogDelete(1, 1)
+	lsn1 := w.LogDeleteRun([]RowID{{Page: 1, Slot: 0}})
+	lsn2 := w.LogDeleteRun([]RowID{{Page: 1, Slot: 1}})
 	if err := w.SyncTo(lsn2); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestWALSyncDuringCheckpoint(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				lsn := w.LogDelete(uint32(g+1), uint16(i))
+				lsn := w.LogDeleteRun([]RowID{{Page: uint32(g + 1), Slot: uint16(i)}})
 				if err := w.SyncTo(lsn); err != nil {
 					t.Errorf("SyncTo: %v", err)
 					return
@@ -235,7 +235,7 @@ func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := w.LogDelete(1, 0)
+	lsn := w.LogDeleteRun([]RowID{{Page: 1, Slot: 0}})
 	if err := w.SyncTo(lsn); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package xdb
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"netmark/internal/corpus"
@@ -10,10 +11,10 @@ import (
 )
 
 // TestReopenEquivalenceThroughEngine proves the full query surface —
-// context, content, combined, limit, and XPath plans — renders byte-for-
-// byte identical responses whether the store was just built, reopened
-// via the derived snapshot, or reopened via the forced full-scan
-// fallback.  This is the HTTP-visible version of the xmlstore-level
+// context, content, combined, limit, document-scope and XPath plans, and
+// the sections of a document with no headings — renders byte-for-byte
+// identical responses whether the store was just built, reopened via the
+// derived snapshot, or reopened via the forced full-scan fallback.  This is the HTTP-visible version of the xmlstore-level
 // reopen-equivalence test: what a client sees cannot depend on how the
 // middleware restarted.
 func TestReopenEquivalenceThroughEngine(t *testing.T) {
@@ -27,6 +28,10 @@ func TestReopenEquivalenceThroughEngine(t *testing.T) {
 		"xpath=//h2",
 		"xpath=//p&limit=4",
 		"content=effort&xpath=//p",
+		"content=cryogenic&scope=document",
+		"content=gasket",                // sections of parts.xml, which has no heading
+		"content=gasket&scope=document", // its document, found from the root
+		"content=review+gasket&scope=document",
 	}
 
 	render := func(t *testing.T, e *Engine) map[string][]byte {
@@ -66,7 +71,16 @@ func TestReopenEquivalenceThroughEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	parts := `<inventory><widget><label>Cryo gasket</label><qty>3</qty></widget><widget><label>Spare gasket, review due</label></widget></inventory>`
+	if _, err := s.StoreRaw("parts.xml", []byte(parts)); err != nil {
+		t.Fatal(err)
+	}
 	want := render(t, NewEngine(s))
+	for _, raw := range queries {
+		if strings.Contains(raw, "gasket") && !bytes.Contains(want[raw], []byte(`"parts.xml"`)) {
+			t.Fatalf("%q does not find parts.xml:\n%s", raw, want[raw])
+		}
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,22 @@ import (
 )
 
 // checkDeleted fails unless the full scan — which needs no link and no
-// index to find a row — sees nothing left of docID.
+// index to find a row — sees nothing left of docID: every row it finds is
+// in another document, by docOf, and none is cut off from the rows above
+// it that name its document.
 func checkDeleted(t *testing.T, s *Store, docID uint64) {
 	t.Helper()
-	left := 0
+	var nodes []*Node
 	if err := s.ScanNodes(func(n *Node) bool {
-		if n.DocID == docID {
-			left++
-		}
+		nodes = append(nodes, n)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if left != 0 {
-		t.Fatalf("%d rows of deleted document %d are still in the XML table", left, docID)
+	for _, n := range nodes {
+		if id, err := s.docOf(n); err != nil || id == docID {
+			t.Fatalf("row %v is in document %d (%v) after document %d was deleted", n.RowID, id, err, docID)
+		}
 	}
 }
 
@@ -59,31 +61,29 @@ func reconstructAll(t *testing.T, s *Store, skip uint64) map[string]string {
 }
 
 // checkInterrupted holds a store to what an interrupted delete of doc must
-// leave behind — the DOC row, no ctxIdx entry for a row that is gone and,
-// unless the interruption fell between the last node and the DOC row
-// (rootGone), the root and some but not all of the nodes — then takes one
-// more document, next, which lands on pages the delete left with room but
-// never on a slot it freed, so under none of the links the survivors
-// still carry; retries the delete and checks it finished the job and
-// touched nothing else.  before is NumNodes and others the other
-// documents' serialised trees, both from before the first attempt.
-func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, before int64, others map[string]string, next BatchDoc) {
+// leave behind — the DOC row, no ctxIdx entry for a row that is gone,
+// and kept nodes (-1: some but not all of them), the root among them
+// unless none are — then takes one more document, next, which lands on
+// pages the delete left with room but never on a slot it freed, so under
+// none of the links the survivors still carry; retries the delete and
+// checks it finished the job and touched nothing else.  before is
+// NumNodes and others the other documents' serialised trees, both from
+// before the first attempt.
+func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, kept int64, before int64, others map[string]string, next BatchDoc) {
 	t.Helper()
 	if _, err := s.Document(doc.DocID); err != nil {
 		t.Fatalf("interrupted delete lost the DOC row: %v", err)
 	}
 	left := s.NumNodes() - (before - doc.NNodes)
-	if rootGone {
-		if left != 0 {
-			t.Fatalf("%d nodes left, want none", left)
-		}
-	} else {
-		if root, err := s.FetchNode(doc.RootRowID); err != nil || root.DocID != doc.DocID {
-			t.Fatalf("interrupted delete lost the root: %v, %v", root, err)
-		}
-		if left <= 0 || left >= doc.NNodes {
-			t.Fatalf("%d of %d nodes left: the delete was not interrupted partway", left, doc.NNodes)
-		}
+	switch {
+	case kept < 0 && (left <= 0 || left >= doc.NNodes):
+		t.Fatalf("%d of %d nodes left: the delete was not interrupted partway", left, doc.NNodes)
+	case kept >= 0 && left != kept:
+		t.Fatalf("%d of %d nodes left, want %d", left, doc.NNodes, kept)
+	}
+	root, err := s.fetchNodeUncached(doc.RootRowID)
+	if left > 0 && (err != nil || root.DocID != doc.DocID) {
+		t.Fatalf("interrupted delete lost the root: %v, %v", root, err)
 	}
 	s.ctxIdxMu.RLock()
 	mapped := make([]ordbms.RowID, 0, len(s.ctxIdx))
@@ -106,21 +106,27 @@ func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, befor
 		t.Fatal(err)
 	}
 	others[next.Name] = reconstructBytes(t, s, next.Name)
-	// A RowID is never handed out twice, so no surviving link leads into
-	// the new document.
-	err = s.ScanNodes(func(n *Node) bool {
-		if n.DocID != doc.DocID {
-			return true
-		}
-		for _, rid := range []ordbms.RowID{n.ChildRowID, n.NextRowID} {
-			if to, err := s.fetchNodeUncached(rid); !rid.IsZero() && err == nil && to.DocID == nextID {
-				t.Errorf("node %v of the deleted document links to %v of the next one", n.RowID, rid)
+	// A RowID is never handed out twice, so every survivor the walk from
+	// the root reaches — the walk the retry makes — is the deleted
+	// document's, not the new one's.
+	if left > 0 {
+		reached := int64(0)
+		follow := func(rid ordbms.RowID) (*Node, error) {
+			n, err := s.fetchNodeUncached(rid)
+			if err == ordbms.ErrRecordDeleted {
+				return nil, nil
 			}
+			return n, err
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
+		err := walkSubtree(root, follow, func(n *Node, _ int) {
+			reached++
+			if id, err := s.docOf(n); err != nil || id != doc.DocID {
+				t.Errorf("node %v, reached from the deleted document's root, is in document %d (%v)", n.RowID, id, err)
+			}
+		})
+		if err != nil || reached != left {
+			t.Fatalf("the walk from the root reached %d of %d survivors: %v", reached, left, err)
+		}
 	}
 
 	if err := s.DeleteDocument(doc.DocID); err != nil {
@@ -141,10 +147,10 @@ func checkInterrupted(t *testing.T, s *Store, doc *DocInfo, rootGone bool, befor
 }
 
 // An interrupted DeleteDocument — by an I/O fault partway, or by a crash
-// that kept only a prefix of its log records — leaves a document a retry
-// can finish: rows go in reverse document order, so the survivors are a
-// prefix still reachable from DOC.rootrowid, and the retry's walk stays
-// inside the document whatever has been stored over the rest since.
+// that kept only a prefix of its two log records — leaves a document a
+// retry can finish: rows go in reverse document order, so the survivors
+// are a prefix still reachable from DOC.rootrowid, and the retry's walk
+// stays inside the document whatever has been stored since.
 func TestDeleteInterruptedIsRetryable(t *testing.T) {
 	const poolPages = 8
 	var docs []corpus.Document
@@ -220,10 +226,11 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		// The next document's run pins every page it lands on, and every
 		// page with a little room left is a candidate: a one-section
 		// document fits the pool's frames.
-		checkInterrupted(t, s, doc, false, before, others, longDoc("next.html", 1, "omega"))
+		checkInterrupted(t, s, doc, -1, before, others, longDoc("next.html", 1, "omega"))
 	})
 
-	// Cut the log of a whole delete after its walDelete records and reopen.
+	// A delete logs two records, the XML run and then the DOC row.  Cut
+	// the log of a whole delete before each and reopen.
 	t.Run("log-cut", func(t *testing.T) {
 		src := t.TempDir()
 		db, s := openDir(t, src, OpenOptions{})
@@ -243,26 +250,28 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cuts []int
+		cuts := []int{16}
+		var rows []int64 // each record's rows
 		for pos := 16; pos < len(wal); {
-			pos += 8 + int(binary.LittleEndian.Uint32(wal[pos:]))
-			if wal[pos-7] != 2 { // walDelete: type, page u32, slot u16
-				t.Fatalf("the delete logged a record of type %d", wal[pos-7])
+			body := wal[pos+8 : pos+8+int(binary.LittleEndian.Uint32(wal[pos:]))]
+			if body[0] != 10 { // walDeleteRun: per section page u32, first slot u16, count u16
+				t.Fatalf("the delete logged a record of type %d", body[0])
 			}
+			n := int64(0)
+			for sec := body[1:]; len(sec) >= 8; sec = sec[8:] {
+				n += int64(binary.LittleEndian.Uint16(sec[6:]))
+			}
+			rows = append(rows, n)
+			pos += 8 + len(body)
 			cuts = append(cuts, pos)
 		}
-		if int64(len(cuts)) != doc.NNodes+1 {
-			t.Fatalf("the delete logged %d records for %d nodes and a DOC row", len(cuts), doc.NNodes)
+		if len(rows) != 2 || rows[0] != doc.NNodes || rows[1] != 1 {
+			t.Fatalf("the delete logged runs of %v rows, want the document's %d nodes, then its DOC row", rows, doc.NNodes)
 		}
-		cuts = cuts[:len(cuts)-1] // the last cut is the whole delete; the one before it lacks only the DOC row
-		// Every cut early and late, where the prefix left is longest and
-		// shortest, and about three dozen from the middle, however large the
-		// victim had to grow.
-		stride := max(97, len(cuts)/36)
-		for i, cut := range cuts {
-			if i >= 20 && i < len(cuts)-20 && i%stride != 0 {
-				continue
-			}
+		// The last cut is the whole delete; the one before it lacks only
+		// the DOC row, and the first lacks the delete.
+		for i, kept := range []int64{doc.NNodes, 0} {
+			cut := cuts[i]
 			dir := t.TempDir()
 			for _, f := range []string{"data.nmdb", "catalog.json", "derived.nmds", "xmlstore.nmsnap"} {
 				b, err := os.ReadFile(filepath.Join(src, f))
@@ -277,11 +286,11 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 				t.Fatal(err)
 			}
 			db, s := openDir(t, dir, OpenOptions{})
-			kept := make(map[string]string, len(others))
+			trees := make(map[string]string, len(others))
 			for name, tree := range others {
-				kept[name] = tree
+				trees[name] = tree
 			}
-			checkInterrupted(t, s, doc, i == len(cuts)-1, before, kept, longDoc("next.html", 40, "omega"))
+			checkInterrupted(t, s, doc, kept, before, trees, longDoc("next.html", 40, "omega"))
 			db.CloseDiscard()
 		}
 	})

@@ -9,29 +9,29 @@ import (
 	"reflect"
 	"testing"
 
+	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 )
 
 // goldenTags is the dictionary the golden records are read with: code 0
-// is the <para> element, code 1 the text class.
-var goldenTags = []tagPair{{sgml.ClassElement, "para"}, {sgml.ClassText, ""}}
+// is the <para> element, code 1 the text class, code 2 the <h2> heading.
+var goldenTags = []tagPair{{sgml.ClassElement, "para"}, {sgml.ClassText, ""}, {sgml.ClassContext, "h2"}}
 
 // goldenNode is a text leaf: it has a parent and a previous sibling, no
-// next sibling, no child and no attributes.  Stored on page 5, beside
-// both, it is goldenRecord.
+// next sibling, no child and no attributes, and — neither a root nor a
+// heading — no docid.  Stored on page 5, beside both, it is goldenRecord.
 var goldenNode = Node{
-	DocID: 7, Class: sgml.ClassText, Data: "hi",
+	Class: sgml.ClassText, Data: "hi",
 	RowID:       ordbms.RowID{Page: 5, Slot: 4},
 	ParentRowID: ordbms.RowID{Page: 5, Slot: 3},
 	PrevRowID:   ordbms.RowID{Page: 5, Slot: 2},
 }
 
 // goldenRecord is goldenNode's XML-table record as stored, byte for
-// byte: 10 bytes.
+// byte: 9 bytes.
 const goldenRecord = "" +
-	"e0" + // null bitmap, 8 columns: nextrowid, childrowid and attrs (5, 6, 7) are NULL
-	"0e" + // docid 7, zigzag varint
+	"e1" + // null bitmap, 8 columns: docid, nextrowid, childrowid and attrs (0, 5, 6, 7) are NULL
 	"02" + // tag 1, the text class
 	"026869" + // nodedata "hi", uvarint length first
 	"0380" + // parentrowid, near: slot 3 | 0x8000, little-endian — page 5 is the record's own
@@ -40,10 +40,20 @@ const goldenRecord = "" +
 // goldenElement is a <para> with a parent and a first child and nothing
 // else: its name is the one byte of tag 0.
 var goldenElement = Node{
-	DocID: 7, Class: sgml.ClassElement, Name: "para",
+	Class: sgml.ClassElement, Name: "para",
 	RowID:       ordbms.RowID{Page: 5, Slot: 3},
 	ParentRowID: ordbms.RowID{Page: 5, Slot: 1},
 	ChildRowID:  ordbms.RowID{Page: 5, Slot: 4},
+}
+
+// goldenContext is an <h2> heading: a heading row keeps its docid, as a
+// root does, and its text.
+var goldenContext = Node{
+	DocID: 7, Class: sgml.ClassContext, Name: "h2", Data: "Go",
+	RowID:       ordbms.RowID{Page: 5, Slot: 1},
+	ParentRowID: ordbms.RowID{Page: 5, Slot: 0},
+	NextRowID:   ordbms.RowID{Page: 5, Slot: 3},
+	ChildRowID:  ordbms.RowID{Page: 5, Slot: 2},
 }
 
 // goldenStore is a bare store holding only goldenTags.
@@ -60,7 +70,11 @@ func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 	if !ok {
 		t.Fatalf("no golden tag for %v <%s>", n.Class, n.Name)
 	}
-	row = ordbms.Row{ordbms.I(int64(n.DocID)), ordbms.I(code), optString(n.Data)}
+	docID := ordbms.Null()
+	if n.DocID != 0 {
+		docID = ordbms.I(int64(n.DocID))
+	}
+	row = ordbms.Row{docID, ordbms.I(code), optString(n.Data)}
 	for col, link := range []ordbms.RowID{n.ParentRowID, n.PrevRowID, n.NextRowID, n.ChildRowID} {
 		if link.IsZero() {
 			row = append(row, ordbms.Null())
@@ -78,7 +92,8 @@ func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 // node mean must show up here (and in ordbms's storeFormat) rather than
 // silently misread existing stores.  A link to a row on the node's own
 // page is its slot alone; a link elsewhere carries the page too; a node's
-// class and name are its tag code.
+// class and name are its tag code; only a root or a heading stores its
+// docid.
 func TestXMLRecordGoldenBytes(t *testing.T) {
 	if sgml.ClassText != 2 || sgml.ClassElement != 1 {
 		t.Fatalf("ClassText = %d, ClassElement = %d; goldenTags assumes 2 and 1", sgml.ClassText, sgml.ClassElement)
@@ -92,15 +107,22 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 		rec  string
 	}{
 		{"text leaf", goldenNode, goldenRecord},
-		{"far parent", farParent, "e0" + "0e" + "02" + "026869" +
+		{"far parent", farParent, "e1" + "02" + "026869" +
 			"0300" + "02010000" + // parentrowid, far: slot u16 3, then page u32 0x0102
 			"0280"},
 		{"element", goldenElement, "" +
-			"b4" + // nodedata, prevrowid, nextrowid and attrs (2, 4, 5, 7) are NULL
-			"0e" + // docid 7
+			"b5" + // docid, nodedata, prevrowid, nextrowid and attrs (0, 2, 4, 5, 7) are NULL
 			"00" + // tag 0, <para>
 			"0180" + // parentrowid, near 5.1
 			"0480"}, // childrowid, near 5.4
+		{"heading", goldenContext, "" +
+			"90" + // prevrowid and attrs (4, 7) are NULL
+			"0e" + // docid 7, zigzag varint
+			"04" + // tag 2, <h2>
+			"02476f" + // nodedata "Go"
+			"0080" + // parentrowid, near 5.0
+			"0380" + // nextrowid, near 5.3
+			"0280"}, // childrowid, near 5.2
 	} {
 		n := c.n
 		row, near := goldenRow(t, s, n)
@@ -121,13 +143,13 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 			t.Fatalf("%s: golden record decodes to %+v, %v, want %+v", c.name, got, err, n)
 		}
 	}
-	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 10 {
-		t.Fatalf("golden text leaf is %d bytes, want 10", len(rec))
+	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 9 {
+		t.Fatalf("golden text leaf is %d bytes, want 9", len(rec))
 	}
 }
 
 // What the ingest path stores for a leaf is what the golden test pins:
-// its missing links and empty strings are NULL bits, not bytes.
+// its docid, missing links and empty strings are NULL bits, not bytes.
 func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
@@ -138,8 +160,8 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 		}
 		leaves++
 		ferr := s.xml.FetchView(n.RowID, func(rec []byte) error {
-			if rec[0]&0xe0 != 0xe0 { // columns 5, 6, 7
-				t.Errorf("node %v: null bitmap %08b does not mark next, child and attrs NULL", n.RowID, rec[0])
+			if rec[0]&0xe1 != 0xe1 { // columns 0, 5, 6, 7
+				t.Errorf("node %v: null bitmap %08b does not mark docid, next, child and attrs NULL", n.RowID, rec[0])
 			}
 			return nil
 		})
@@ -150,6 +172,88 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 	})
 	if err != nil || leaves == 0 {
 		t.Fatalf("scanned %d last-sibling text leaves, err %v", leaves, err)
+	}
+}
+
+// A document's docid is stored on its root and its CONTEXT rows, and on
+// no other: every other row's bitmap marks it NULL.  docOf still finds
+// every text node's document — the one whose DOC row leads to its root —
+// by the derived index and, with that off, by the parent links alone.
+func TestDocIDStoredOncePerSection(t *testing.T) {
+	s := memStore(t)
+	gen := corpus.New(1)
+	docs := append(gen.Mixed(600), gen.DeepReports(30, 3, 8, 4)...)
+	docs = append(docs,
+		corpus.Document{Name: "budget.csv", Data: []byte("item,amount\ncryogenic pump,100\nturbine,200\n")},
+		corpus.Document{Name: "parts.xml", Data: []byte(`<inventory><widget><label>Cryo Valve</label><qty>3</qty></widget></inventory>`)})
+	for _, d := range docs {
+		ingest(t, s, d.Name, string(d.Data))
+	}
+	infos, err := s.Documents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := make(map[ordbms.RowID]bool, len(infos))
+	for _, info := range infos {
+		roots[info.RootRowID] = true
+	}
+	var nodes []*Node
+	if err := s.ScanNodes(func(n *Node) bool {
+		nodes = append(nodes, n)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stored := 0
+	for _, n := range nodes {
+		want := roots[n.RowID] || n.Class == sgml.ClassContext
+		err := s.xml.FetchView(n.RowID, func(rec []byte) error {
+			if has := rec[0]&1 == 0; has != want {
+				t.Errorf("%v <%s> of class %d: docid stored = %v, want %v", n.RowID, n.Name, n.Class, has, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want {
+			stored++
+		}
+	}
+	if stored*4 > len(nodes) {
+		t.Fatalf("%d of %d rows store a docid: the corpus is nearly all headings", stored, len(nodes))
+	}
+
+	for _, indexed := range []bool{true, false} {
+		s.SetContextIndexEnabled(indexed)
+		texts, headless := 0, 0
+		for _, info := range infos {
+			for _, rid := range docRowIDs(t, s, info.DocID) {
+				n, err := s.FetchNode(rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n.Class != sgml.ClassText {
+					continue
+				}
+				texts++
+				if ctx, _ := s.indexedSection(rid); ctx.IsZero() {
+					headless++
+				}
+				if id, err := s.docOf(n); err != nil || id != info.DocID {
+					t.Fatalf("index %v: text node %v of %s is in document %d (%v), want %d", indexed, rid, info.FileName, id, err, info.DocID)
+				}
+			}
+		}
+		all := 0
+		for _, n := range nodes {
+			if n.Class == sgml.ClassText {
+				all++
+			}
+		}
+		if texts != all || headless == 0 {
+			t.Fatalf("index %v: the documents' walks reach %d of %d text nodes, %d under no heading", indexed, texts, all, headless)
+		}
 	}
 }
 

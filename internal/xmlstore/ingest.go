@@ -101,7 +101,7 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 			codes[tag] = code
 		}
 		row := ordbms.Row{
-			ordbms.I(int64(docID)),
+			ordbms.Null(), // see Node.DocID
 			ordbms.I(code),
 			optString(fn.data),
 			linkSlot(fn.parent),
@@ -109,6 +109,9 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 			linkSlot(fn.next),
 			linkSlot(fn.child),
 			optString(fn.attrs),
+		}
+		if i == 0 || fn.class == sgml.ClassContext {
+			row[xmlColDocID] = ordbms.I(int64(docID))
 		}
 		p.rows[i] = row
 		if code < 0 {
@@ -525,32 +528,30 @@ func decodeAttrs(s string) []sgml.Attr {
 // DeleteDocument removes a document: its DOC row, all its XML rows, and
 // their derived index entries (text postings, context keys, governing-
 // context map, cached node decodes).  The rows are found by the walk that
-// reconstructs the document and deleted in reverse document order, the DOC
-// row last: whatever an interrupted delete leaves behind is a prefix of
-// the document still reachable from its root, and a retry finishes it.
+// reconstructs the document and deleted as one run, in reverse document
+// order, then the DOC row: two log records.  Whatever an interrupted
+// delete leaves behind — a prefix of the run in memory, or in the log the
+// run without the DOC row — is a prefix of the document still reachable
+// from its root, and a retry finishes it.
 func (s *Store) DeleteDocument(docID uint64) error {
 	// Degraded mode rejects deletes up front: the multi-step teardown
 	// must not start if the engine will refuse its row deletes halfway.
 	if err := s.db.Writable(); err != nil {
 		return err
 	}
-	// The checkpoint barrier keeps the multi-step teardown (DOC row, XML
-	// rows, postings, context keys, ctxIdx entries) out of any snapshot
-	// serialisation; a snapshot sees the document fully present or fully
-	// gone from the derived indexes it persists.
+	// The checkpoint barrier keeps the teardown out of every snapshot: one
+	// sees the document fully present or fully gone.
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 	info, err := s.Document(docID)
 	if err != nil {
 		return err
 	}
-	// A link into a row an earlier, interrupted delete removed ends its
-	// branch, and so does one into a slot another document has since
-	// taken: the walk never leaves docID.  Uncached, so the doomed rows
-	// do not push live ones out of the node cache.
+	// A link into a row an interrupted delete removed ends its branch.
+	// Uncached, so the doomed rows push no live ones out of the cache.
 	follow := func(rid ordbms.RowID) (*Node, error) {
 		n, err := s.fetchNodeUncached(rid)
-		if err == ordbms.ErrRecordDeleted || (err == nil && n.DocID != docID) {
+		if err == ordbms.ErrRecordDeleted {
 			return nil, nil
 		}
 		return n, err
@@ -563,12 +564,12 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	if err != nil {
 		return err
 	}
-	// Past this point rows start disappearing; invalidate cached results
-	// whether or not the delete completes.
-	defer s.bumpGeneration()
-	for i := len(nodes) - 1; i >= 0; i-- {
-		n := nodes[i]
-		// Derived entries go before the row, so none outlives it.
+	defer s.bumpGeneration() // rows start disappearing: invalidate even on failure
+	// Derived entries go before the rows, so none outlives its row; the run
+	// is in reverse document order, so one that stops leaves a prefix.
+	rids := make([]ordbms.RowID, len(nodes))
+	for i, n := range nodes {
+		rids[len(nodes)-1-i] = n.RowID
 		switch n.Class {
 		case sgml.ClassText:
 			s.content.Remove(n.RowID.Uint64())
@@ -578,15 +579,17 @@ func (s *Store) DeleteDocument(docID uint64) error {
 		case sgml.ClassContext:
 			s.removeContextKey(n.Data, n.RowID)
 		}
-		if err := s.xml.Delete(n.RowID); err != nil && err != ordbms.ErrRecordDeleted {
-			return err
-		}
-		// Drop the cached decode after the row is gone, so a racing fill
-		// (which snapshotted its token before this invalidation) can never
-		// resurrect the record.
+	}
+	err = s.xml.DeleteRun(rids) // ErrRecordDeleted: a retry found no rows left
+	// Cached decodes go after the rows, so a racing fill (whose token
+	// predates this invalidation) can never resurrect a record.
+	for _, rid := range rids {
 		if c := s.nodes; c != nil {
-			c.invalidate(n.RowID)
+			c.invalidate(rid)
 		}
+	}
+	if err != nil && err != ordbms.ErrRecordDeleted {
+		return err
 	}
 	return s.doc.Delete(info.RowID)
 }

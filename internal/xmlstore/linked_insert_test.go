@@ -35,8 +35,8 @@ func checkLinks(t *testing.T, s *Store, doc *DocInfo) {
 	var walk func(n *Node, parent ordbms.RowID)
 	walk = func(n *Node, parent ordbms.RowID) {
 		nodes++
-		if n.ParentRowID != parent || n.DocID != doc.DocID {
-			t.Fatalf("%s: node %v has parent %v doc %d, reached from %v in doc %d", doc.FileName, n.RowID, n.ParentRowID, n.DocID, parent, doc.DocID)
+		if id, err := s.docOf(n); n.ParentRowID != parent || err != nil || id != doc.DocID {
+			t.Fatalf("%s: node %v has parent %v doc %d (%v), reached from %v in doc %d", doc.FileName, n.RowID, n.ParentRowID, id, err, parent, doc.DocID)
 		}
 		prev := ordbms.ZeroRowID
 		for at := n.ChildRowID; at != ordbms.ZeroRowID; {
@@ -407,11 +407,15 @@ func TestSlotReuseNeverServesStaleNode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cached.Name != direct.Name || cached.Data != direct.Data || cached.DocID != docID ||
+			id, err := s.docOf(cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached.Name != direct.Name || cached.Data != direct.Data || cached.DocID != direct.DocID || id != docID ||
 				cached.ParentRowID != direct.ParentRowID || cached.ChildRowID != direct.ChildRowID ||
 				cached.PrevRowID != direct.PrevRowID || cached.NextRowID != direct.NextRowID {
 				t.Fatalf("round %d: cache serves <%s> of doc %d (%q) at %v, the table holds <%s> (%q)",
-					round, cached.Name, cached.DocID, cached.Data, rid, direct.Name, direct.Data)
+					round, cached.Name, id, cached.Data, rid, direct.Name, direct.Data)
 			}
 		}
 		tree, err := s.Reconstruct(docID)

@@ -1,6 +1,7 @@
 package xmlstore
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 
@@ -62,18 +63,47 @@ func (s *Store) ContextFor(n *Node) (*Node, error) {
 //
 // netmarkvet:hotpath
 func (s *Store) resolveSection(n *Node) (rid ordbms.RowID, ctx *Node, err error) {
-	if !s.ctxIdxOff {
-		s.ctxIdxMu.RLock()
-		r, ok := s.ctxIdx[n.RowID]
-		s.ctxIdxMu.RUnlock()
-		if ok {
-			return r, nil, nil
-		}
+	if r, ok := s.indexedSection(n.RowID); ok {
+		return r, nil, nil
 	}
 	if ctx, err = s.contextForWalk(n); err != nil || ctx == nil {
 		return ordbms.ZeroRowID, nil, err
 	}
 	return ctx.RowID, ctx, nil
+}
+
+// indexedSection probes the derived index for the CONTEXT governing the
+// text node at rid (zero: none does); ok is false when the index holds no
+// entry for rid, or is off.
+func (s *Store) indexedSection(rid ordbms.RowID) (ctx ordbms.RowID, ok bool) {
+	if s.ctxIdxOff {
+		return ordbms.ZeroRowID, false
+	}
+	s.ctxIdxMu.RLock()
+	ctx, ok = s.ctxIdx[rid]
+	s.ctxIdxMu.RUnlock()
+	return ctx, ok
+}
+
+// docOf returns the document n belongs to.  Only root and CONTEXT rows
+// store their docid; any other row takes it from the heading that governs
+// it, found by the derived index, or else from its nearest ancestor that
+// stores one — the root at the latest.
+func (s *Store) docOf(n *Node) (uint64, error) {
+	for n.DocID == 0 {
+		up := n.ParentRowID
+		if ctx, _ := s.indexedSection(n.RowID); !ctx.IsZero() {
+			up = ctx
+		}
+		if up.IsZero() {
+			return 0, fmt.Errorf("xmlstore: corrupt node %v: a root that names no document", n.RowID)
+		}
+		var err error
+		if n, err = s.FetchNode(up); err != nil {
+			return 0, err
+		}
+	}
+	return n.DocID, nil
 }
 
 // contextForWalk is the paper's traversal: scan left across preceding
@@ -517,8 +547,12 @@ func (s *Store) fallbackSection(n *Node) (Section, error) {
 	if err != nil {
 		return Section{}, err
 	}
-	sec := Section{DocID: n.DocID, Content: txt, ContextRID: scope.RowID}
-	if info, err := s.Document(n.DocID); err == nil {
+	docID, err := s.docOf(scope)
+	if err != nil {
+		return Section{}, err
+	}
+	sec := Section{DocID: docID, Content: txt, ContextRID: scope.RowID}
+	if info, err := s.Document(docID); err == nil {
 		sec.DocName = info.FileName
 		sec.DocTitle = info.Title
 	}
@@ -569,22 +603,33 @@ func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
 // lowest-DocID prefix.
 func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) {
 	seen := make(map[uint64]bool)
+	// Every hit under one heading is in the heading's document: the first
+	// finds it, and the rest are passed over without a fetch.
+	sections := make(map[ordbms.RowID]bool)
 	var out []*DocInfo
 	err := s.forEachHitNode(query, func(hit *Node) (bool, error) {
-		if seen[hit.DocID] {
-			return true, nil
+		if ctx, _ := s.indexedSection(hit.RowID); !ctx.IsZero() {
+			if sections[ctx] {
+				return true, nil
+			}
+			sections[ctx] = true
 		}
-		seen[hit.DocID] = true
-		info, err := s.Document(hit.DocID)
+		docID, err := s.docOf(hit)
+		if err == nil && !seen[docID] {
+			seen[docID] = true
+			var info *DocInfo
+			if info, err = s.Document(docID); err == nil {
+				out = append(out, info)
+			}
+		}
 		if IsGone(err) {
-			// The DOC row vanished between the text hit and this lookup:
-			// the document is mid-delete, skip it.
+			// A row above the hit or the DOC row vanished since the text
+			// hit: the document is mid-delete, skip it.
 			return true, nil
 		}
 		if err != nil {
 			return false, err
 		}
-		out = append(out, info)
 		return limit <= 0 || len(out) < limit, nil
 	})
 	if err != nil {

@@ -462,3 +462,67 @@ func TestTagJoinThroughSQL(t *testing.T) {
 		t.Fatalf("%d text and %d named rows: the join proves little", texts, named)
 	}
 }
+
+// Fig 5's DOC_ID stays queryable where it is stored: joining XML to DOC
+// on docid gives each heading, and each root, its document, and joining
+// a node's parentrowid to DOC's rootrowid gives the root's children theirs.
+func TestDocJoinThroughSQL(t *testing.T) {
+	s := memStore(t)
+	ingest(t, s, "sample.html", sampleHTML)
+	ingest(t, s, "parts.xml", `<inventory><widget><label>Cryo Valve</label></widget></inventory>`)
+	docs, err := s.Documents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*Node
+	if err := s.ScanNodes(func(n *Node) bool {
+		nodes = append(nodes, n)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql  string
+		want func(n *Node) bool // the nodes the join returns, in scan order
+	}{
+		{`SELECT DOC.filename, XML.nodedata FROM XML JOIN DOC ON XML.docid = DOC.docid`,
+			func(n *Node) bool { return n.DocID != 0 }},
+		{`SELECT DOC.filename, XML.nodedata FROM XML JOIN DOC ON XML.parentrowid = DOC.rootrowid`,
+			func(n *Node) bool {
+				for _, d := range docs {
+					if n.ParentRowID == d.RootRowID {
+						return true
+					}
+				}
+				return false
+			}},
+	} {
+		res, err := sqlx.New(s.DB()).Exec(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][2]string
+		for _, n := range nodes {
+			if c.want(n) {
+				id, err := s.docOf(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := s.Document(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, [2]string{d.FileName, n.Data})
+			}
+		}
+		got := make([][2]string, len(res.Rows))
+		files := make(map[string]bool)
+		for i, row := range res.Rows {
+			got[i] = [2]string{row[0].Str, row[1].Str}
+			files[row[0].Str] = true
+		}
+		if !reflect.DeepEqual(got, want) || len(files) != 2 {
+			t.Fatalf("%s:\n got %q\nwant %q", c.sql, got, want)
+		}
+	}
+}

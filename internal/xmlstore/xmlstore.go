@@ -19,6 +19,11 @@
 // and PARENTROWID names its parent.  Fig 5's NODETYPE and NODENAME live
 // in TAG, once per distinct pair, and a node stores the pair's code (see
 // tags.go); XML JOIN TAG ON XML.tag = TAG.tag gives Fig 5's columns back.
+// Fig 5 puts DOC_ID on every row; here only a document's root and its
+// CONTEXT rows store it, and every other row is NULL there, which costs
+// nothing.  A row's document is its governing heading's, or, under no
+// heading, its root's (Store.docOf): a RowID is never handed out twice,
+// so the links cannot lead into another document.
 //
 // This package persists derived snapshots, so every committing rename
 // must follow write-temp → fsync → rename → fsync-dir.
@@ -72,6 +77,8 @@ const (
 
 // Node is a decoded row of the XML table.  A text node's Name is "".
 type Node struct {
+	// DocID is set on root and CONTEXT rows, zero elsewhere: Store.docOf
+	// finds any row's document.
 	DocID uint64
 	Class sgml.NodeClass
 	Name  string
@@ -303,39 +310,47 @@ func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...st
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
 func (s *Store) rebuildDerived() error {
+	stored := make(map[uint64]bool) // the documents with a DOC row
+	maxDoc := uint64(0)
+	err := s.doc.Scan(func(_ ordbms.RowID, row ordbms.Row) bool {
+		id := uint64(row[docColDocID].Int)
+		stored[id] = true
+		maxDoc = max(maxDoc, id)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	s.nextDocID.Store(maxDoc + 1)
+
 	// The scan collects a flatNode view of the stored forest (structural
 	// links remapped from RowIDs to slice indexes) so the governing-
 	// context resolution reuses the exact ingest-time algorithm
 	// (governingContexts) instead of a second implementation that could
 	// drift from it.
 	var flat []flatNode
+	var docs []uint64 // per node, the docid it stores (0 = NULL)
 	idxOf := make(map[ordbms.RowID]int)
 	type pendingLinks struct{ prev, parent ordbms.RowID }
 	var pend []pendingLinks
-	maxDoc := uint64(0)
 	var bad error
-	err := s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
-		docID := uint64(row[xmlColDocID].Int)
-		if docID > maxDoc {
-			maxDoc = docID
-		}
+	err = s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
 		tag, err := s.tagOf(rid, row)
 		if err != nil {
 			bad = err
 			return false
 		}
 		idxOf[rid] = len(flat)
-		flat = append(flat, flatNode{class: tag.class, rid: rid, prev: -1, parent: -1, next: -1, child: -1})
+		fn := flatNode{class: tag.class, rid: rid, prev: -1, parent: -1, next: -1, child: -1}
+		if tag.class == sgml.ClassText || tag.class == sgml.ClassContext {
+			fn.data = row[xmlColNodeData].Str
+		}
+		flat = append(flat, fn)
+		docs = append(docs, uint64(row[xmlColDocID].Int))
 		pend = append(pend, pendingLinks{
 			prev:   row[xmlColPrevRowID].RowID(),
 			parent: row[xmlColParentRowID].RowID(),
 		})
-		switch tag.class {
-		case sgml.ClassText:
-			s.content.Add(rid.Uint64(), row[xmlColNodeData].Str)
-		case sgml.ClassContext:
-			s.addContextKey(row[xmlColNodeData].Str, rid)
-		}
 		return true
 	})
 	if err == nil {
@@ -352,28 +367,38 @@ func (s *Store) rebuildDerived() error {
 			flat[i].parent = j
 		}
 	}
+	// A node is in the document its nearest ancestor that stores a docid
+	// names.  Nodes of a document with no DOC row — a crash kept its run
+	// and lost the DOC row behind it — stay out of every index: no query
+	// may reach them, and their docid may be handed out again.
+	var chain []int
+	for i := range flat {
+		j := i
+		for chain = chain[:0]; docs[j] == 0 && flat[j].parent >= 0; j = flat[j].parent {
+			chain = append(chain, j)
+		}
+		for _, k := range chain {
+			docs[k] = docs[j]
+		}
+	}
 	governs := governingContexts(flat)
 	for i := range flat {
-		if flat[i].class != sgml.ClassText {
+		fn := &flat[i]
+		if !stored[docs[i]] {
 			continue
 		}
-		if g := governs[i]; g >= 0 {
-			s.ctxIdx[flat[i].rid] = flat[g].rid
-		} else {
-			s.ctxIdx[flat[i].rid] = ordbms.ZeroRowID
+		switch fn.class {
+		case sgml.ClassText:
+			s.content.Add(fn.rid.Uint64(), fn.data)
+			if g := governs[i]; g >= 0 {
+				s.ctxIdx[fn.rid] = flat[g].rid
+			} else {
+				s.ctxIdx[fn.rid] = ordbms.ZeroRowID
+			}
+		case sgml.ClassContext:
+			s.addContextKey(fn.data, fn.rid)
 		}
 	}
-	err = s.doc.Scan(func(_ ordbms.RowID, row ordbms.Row) bool {
-		id := uint64(row[docColDocID].Int)
-		if id > maxDoc {
-			maxDoc = id
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	s.nextDocID.Store(maxDoc + 1)
 	return nil
 }
 
