@@ -67,9 +67,9 @@ race:
 # fuzz runs each native fuzz target for $(FUZZTIME) beyond its seeds —
 # 10s in CI, 5m nightly: hostile bytes against the record decoder under
 # the store's three schemas (XML, DOC and TAG, arbitrary tag codes
-# included), the xmlstore.nmsnap payload decoder, the splitters recovery
-# reads run records with, a delete-run record of arbitrary payload
-# opened end to end, the slotted page — arbitrary page bytes read,
+# included) read from any RowID, the xmlstore.nmsnap payload decoder,
+# the splitters recovery reads run records with, a delete-run record of
+# arbitrary payload opened end to end, the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
 # layout — and the phrase matcher against tokenize-then-compare.
 FUZZTIME ?= 10s
@@ -96,7 +96,7 @@ bench-smoke:
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
 # output file per PR: make bench-json BENCH_OUT=BENCH_PR27.json
-BENCH_OUT ?= BENCH_PR26.json
+BENCH_OUT ?= BENCH_PR27.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)

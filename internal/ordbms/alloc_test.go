@@ -38,7 +38,7 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 	var cols [5]Value
 	fetch := func() {
 		err := tbl.FetchView(rid, func(rec []byte) error {
-			return DecodeRowInto(schema, rid.Page, rec, cols[:])
+			return DecodeRowInto(schema, rid, rec, cols[:])
 		})
 		if err != nil {
 			t.Fatal(err)

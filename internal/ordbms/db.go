@@ -662,9 +662,10 @@ func (t *Table) Insert(row Row) (RowID, error) {
 // the run is placed and before any row is written, may overwrite
 // unindexed ROWID columns in recs with those RowIDs — so rows that
 // reference each other physically are written and logged once, with
-// their final bytes.  A near link is only right if its target landed on
-// the record's page; link may re-encode such a record with the column
-// far, and a record that grows is placed again (see HeapFile.InsertRun).
+// their final bytes.  A near link is only right if its target landed
+// near the record (see Near); link may re-encode such a record with the
+// column far, and a record that grows is placed again (see
+// HeapFile.InsertRun).
 // link runs under the table lock: it must not block or call back into
 // the table.  The run is all or nothing: an error means no row was
 // written, logged or indexed.
@@ -705,7 +706,7 @@ func (t *Table) Fetch(rid RowID) (Row, error) {
 	var row Row
 	err := t.heap.View(rid, func(rec []byte) error {
 		var derr error
-		row, derr = DecodeRow(t.schema, rid.Page, rec)
+		row, derr = DecodeRow(t.schema, rid, rec)
 		return derr
 	})
 	if err != nil {
@@ -738,7 +739,7 @@ func (t *Table) FetchMany(rids []RowID) ([]Row, error) {
 	defer t.mu.RUnlock()
 	rows := make([]Row, len(rids))
 	err := t.heap.ViewMany(rids, func(i int, rec []byte) error {
-		row, derr := DecodeRow(t.schema, rids[i].Page, rec)
+		row, derr := DecodeRow(t.schema, rids[i], rec)
 		if derr != nil {
 			return derr
 		}
@@ -780,7 +781,7 @@ func (t *Table) DeleteRun(rids []RowID) error {
 			if err != nil {
 				return err
 			}
-			if rows[i], err = DecodeRow(t.schema, rid.Page, rec); err != nil {
+			if rows[i], err = DecodeRow(t.schema, rid, rec); err != nil {
 				return err
 			}
 		}
@@ -805,7 +806,7 @@ func (t *Table) Scan(fn func(rid RowID, row Row) bool) error {
 	defer t.mu.RUnlock()
 	var derr error
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(t.schema, rid.Page, rec)
+		row, e := DecodeRow(t.schema, rid, rec)
 		if e != nil {
 			derr = e
 			return false
@@ -843,7 +844,7 @@ func (t *Table) buildIndexLocked(column string) error {
 	ix := newIndex(column, ci)
 	var derr error
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(t.schema, rid.Page, rec)
+		row, e := DecodeRow(t.schema, rid, rec)
 		if e != nil {
 			derr = e
 			return false

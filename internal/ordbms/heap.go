@@ -138,13 +138,14 @@ type runRow struct {
 // logged.  link runs under the heap lock and must not block or call back
 // into the heap; nil means nothing to patch.
 //
-// Where a record lands can decide its size — a link to a row on its own
-// page is stored near, in fewer bytes — so link may also replace records
-// in recs.  A shorter one is written where the record was placed.  A
-// longer one is placed again, and so is every record after it, as if the
-// run had reached it with that size: pages considered so far stay
-// pinned, a fresh page stays the heap's, and link is called with the new
-// RowIDs.  A record that only ever grows keeps this finite.
+// Where a record lands can decide its size — a link to a row a few slots
+// away on its own page is stored near, in fewer bytes — so link may also
+// replace records in recs.  A shorter one is written where the record
+// was placed.  A longer one is placed again, and so is every record
+// after it, as if the run had reached it with that size: pages
+// considered so far stay pinned, a fresh page stays the heap's, and link
+// is called with the new RowIDs.  A record that only ever grows keeps
+// this finite.
 //
 // A run is all or nothing, in memory and in the log.  Every page it
 // touches stays pinned until the end, so all that can fail — a read, an

@@ -229,7 +229,7 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 	offs := make([][]int, n)
 	for i := range rows {
 		rows[i] = Row{I(int64(i)), R(ZeroRowID)}
-		recs[i], offs[i] = linkSchema().EncodeOffsets(rows[i], 0)
+		recs[i], offs[i] = linkSchema().EncodeOffsets(rows[i], ZeroRowID, 0)
 	}
 	before, _, bytes0 := db.WALStats()
 	rids, err := tbl.InsertRun(rows, recs, func(rids []RowID) {

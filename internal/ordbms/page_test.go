@@ -284,7 +284,7 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: %v", i, err)
 		}
 		enc := schema.Encode(r)
-		dec, err := DecodeRow(schema, 1, enc)
+		dec, err := DecodeRow(schema, RowID{Page: 1}, enc)
 		if err != nil {
 			t.Fatalf("row %d: %v", i, err)
 		}
@@ -297,8 +297,8 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A slot with the top bit set would read back as a near link: no page
-	// has one, and no row may hold one.
+	// A slot with the top bit set would collide with a far payload's
+	// marker: no page has one, and no row may hold one.
 	for _, slot := range []uint16{1 << 15, 1<<16 - 1} {
 		r := Row{R(RowID{Page: 7, Slot: slot})}
 		if err := schemaOf(r).Validate(r); err == nil {
@@ -307,34 +307,71 @@ func TestValueEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// A near ROWID is the slot alone and reads back on the page the record
-// was read from; a far one carries its page.  Both widths sit side by
-// side in one record, and every cut of either is refused.
+// A near ROWID is the slot distance from the record to its target, one
+// zigzag byte, and reads back relative to the RowID the record was read
+// from; a far one carries its slot and page.  Both widths sit side by
+// side in one record, a near bit the byte cannot honour is written far,
+// a distance that leaves the page's slot directory is refused, and so is
+// every cut of either payload.
 func TestNearRowIDPayload(t *testing.T) {
 	schema := MustSchema(Column{"near", TypeRowID}, Column{"far", TypeRowID}, Column{"tail", TypeInt})
-	row := Row{R(RowID{Page: 0, Slot: 0x7FFF}), R(RowID{Page: 9, Slot: 0x1234}), I(-3)}
-	rec, offs := schema.EncodeOffsets(row, 1<<0)
-	if want := []byte{0x00, 0xFF, 0xFF, 0x34, 0x12, 9, 0, 0, 0, 0x05}; !bytes.Equal(rec, want) {
+	at := RowID{Page: 42, Slot: 100}
+	row := Row{R(RowID{Page: 42, Slot: 36}), R(RowID{Page: 9, Slot: 0x1234}), I(-3)}
+	rec, offs := schema.EncodeOffsets(row, at, 1<<0|1<<1)
+	// Δ = −64 is zigzag 127; page 9 is not the record's, so its near bit
+	// is not honoured.
+	if want := []byte{0x00, 0x7F, 0x92, 0x34, 9, 0, 0, 0, 0x05}; !bytes.Equal(rec, want) {
 		t.Fatalf("record %x, want %x", rec, want)
 	}
-	if offs[0] != 1 || offs[1] != 3 || offs[2] != 9 {
+	if offs[0] != 1 || offs[1] != 2 || offs[2] != 8 {
 		t.Fatalf("offsets %v", offs)
 	}
-	PutNearRowID(rec[offs[0]:], RowID{Page: 42, Slot: 5})
+	PutNearRowID(rec[offs[0]:], at, RowID{Page: 42, Slot: 163})
 	PutRowID(rec[offs[1]:], RowID{Page: 0xA1B2C3D4, Slot: 0x65F6})
-	got, err := DecodeRow(schema, 42, rec)
+	if want := []byte{0x00, 0x7E, 0xE5, 0xF6, 0xD4, 0xC3, 0xB2, 0xA1, 0x05}; !bytes.Equal(rec, want) {
+		t.Fatalf("patched record %x, want %x", rec, want)
+	}
+	got, err := DecodeRow(schema, at, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].RowID() != (RowID{Page: 42, Slot: 5}) || got[1].RowID() != (RowID{Page: 0xA1B2C3D4, Slot: 0x65F6}) || got[2].Int != -3 {
+	if got[0].RowID() != (RowID{Page: 42, Slot: 163}) || got[1].RowID() != (RowID{Page: 0xA1B2C3D4, Slot: 0x65F6}) || got[2].Int != -3 {
 		t.Fatalf("decoded %v", got)
 	}
-	if again, _ := DecodeRow(schema, 43, rec); again[0].RowID() != (RowID{Page: 43, Slot: 5}) || again[1].RowID() != got[1].RowID() {
-		t.Fatalf("read from page 43: %v", again)
+	if again, _ := DecodeRow(schema, RowID{Page: 43, Slot: 5}, rec); again[0].RowID() != (RowID{Page: 43, Slot: 68}) || again[1].RowID() != got[1].RowID() {
+		t.Fatalf("read from 43.5: %v", again)
 	}
 	for cut := 0; cut < len(rec); cut++ {
-		if _, err := DecodeRow(schema, 42, rec[:cut]); err == nil {
+		if _, err := DecodeRow(schema, at, rec[:cut]); err == nil {
 			t.Fatalf("truncation at %d silently accepted", cut)
+		}
+	}
+	// Δ = +63 from the directory's last 63 slots, and Δ = −64 from its
+	// first 64, name a slot no page has.
+	for _, c := range []struct {
+		code byte
+		slot uint16
+		ok   bool
+	}{{0x7E, maxSlots - 64, true}, {0x7E, maxSlots - 63, false}, {0x7F, 64, true}, {0x7F, 63, false}} {
+		rec[offs[0]] = c.code
+		if _, err := DecodeRow(schema, RowID{Page: 42, Slot: c.slot}, rec); (err == nil) != c.ok {
+			t.Fatalf("near code %#x read at slot %d: %v", c.code, c.slot, err)
+		}
+	}
+}
+
+// Near is the same page and at most 63 slots either way.
+func TestNearReach(t *testing.T) {
+	at := RowID{Page: 7, Slot: 200}
+	for _, c := range []struct {
+		to   RowID
+		near bool
+	}{
+		{RowID{Page: 7, Slot: 200}, true}, {RowID{Page: 7, Slot: 263}, true}, {RowID{Page: 7, Slot: 137}, true},
+		{RowID{Page: 7, Slot: 264}, false}, {RowID{Page: 7, Slot: 136}, false}, {RowID{Page: 8, Slot: 200}, false},
+	} {
+		if got := Near(at, c.to); got != c.near {
+			t.Fatalf("Near(%v, %v) = %v, want %v", at, c.to, got, c.near)
 		}
 	}
 }
@@ -346,12 +383,19 @@ func TestDecodeRowCorruption(t *testing.T) {
 	// Truncations must error, never panic: the schema says three columns
 	// follow the bitmap, and no prefix holds them all.
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := DecodeRow(schema, 1, enc[:cut]); err == nil {
+		if _, err := DecodeRow(schema, RowID{Page: 1}, enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d silently accepted", cut)
 		}
 	}
-	if _, err := DecodeRow(schema, 1, append(enc[:len(enc):len(enc)], 0)); err == nil {
+	if _, err := DecodeRow(schema, RowID{Page: 1}, append(enc[:len(enc):len(enc)], 0)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+	// Three columns use three bitmap bits: a fourth marks a column the
+	// schema does not have.
+	padded := append([]byte(nil), enc...)
+	padded[0] |= 1 << 3
+	if _, err := DecodeRow(schema, RowID{Page: 1}, padded); err == nil {
+		t.Fatal("bitmap bit past the last column accepted")
 	}
 }
 
@@ -360,7 +404,7 @@ func TestQuickRowRoundTrip(t *testing.T) {
 	f := func(i int64, s string, fl float64, bl bool, by []byte) bool {
 		r := Row{I(i), S(s), F(fl), Bl(bl), B(by), Null()}
 		schema := schemaOf(r)
-		dec, err := DecodeRow(schema, 1, schema.Encode(r))
+		dec, err := DecodeRow(schema, RowID{Page: 1}, schema.Encode(r))
 		if err != nil || len(dec) != 6 {
 			return false
 		}

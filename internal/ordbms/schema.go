@@ -59,7 +59,7 @@ func (s Schema) Arity() int { return len(s.Columns) }
 
 // Validate checks a row against the schema.  NULL is allowed in any
 // column; otherwise value types must match exactly, and a ROWID's slot
-// must leave the top bit clear (it marks a near payload; see RowIDSize).
+// must leave the top bit clear (it marks a far payload; see RowIDSize).
 func (s Schema) Validate(r Row) error {
 	if len(r) != len(s.Columns) {
 		return fmt.Errorf("ordbms: row arity %d != schema arity %d", len(r), len(s.Columns))
@@ -71,7 +71,7 @@ func (s Schema) Validate(r Row) error {
 		if v.Type != s.Columns[i].Type {
 			return fmt.Errorf("ordbms: column %q expects %v, got %v", s.Columns[i].Name, s.Columns[i].Type, v.Type)
 		}
-		if v.Type == TypeRowID && v.RowID().Slot&nearBit != 0 {
+		if v.Type == TypeRowID && v.RowID().Slot&farBit != 0 {
 			return fmt.Errorf("ordbms: column %q holds %v, a slot no page has", s.Columns[i].Name, v.RowID())
 		}
 	}

@@ -248,35 +248,38 @@ func (r Row) Clone() Row {
 //	STRING  uvarint length, then the bytes
 //	BYTES   uvarint length, then the bytes
 //	BOOL    1 byte, 0 or 1
-//	ROWID   far, 6 bytes: slot u16, page u32, little-endian; or near,
-//	        2 bytes: slot | 0x8000, for a row on the record's own page
+//	ROWID   near, 1 byte 0zzzzzzz: the zigzag of the slot distance from
+//	        the record to a row on its own page, −64 to 63; or far,
+//	        6 bytes: slot | 0x8000 big-endian u16, page u32 little-endian
 //	        (see RowIDSize)
 //
-// A near ROWID means "this record's page", so decoding takes the page
-// the record was read from.
+// A near ROWID is relative to the record's own RowID, so decoding takes
+// the RowID the record was read from.
 
 // Encode serialises a row that satisfies s.Validate.  Every ROWID is
-// written far: only the caller that placed a record knows its page.
+// written far: only the caller that placed a record knows its RowID.
 func (s Schema) Encode(r Row) []byte {
-	return s.encode(r, 0, nil)
+	return s.encode(r, ZeroRowID, 0, nil)
 }
 
-// EncodeOffsets serialises a row like Encode, except that each non-NULL
-// ROWID column whose bit is set in near (bit i for column i, the first
-// 64 columns) gets a near payload, and additionally returns, per column,
-// the byte offset of that column's payload within the record (-1 for a
-// NULL, which has none).  A caller that learns a ROWID late — the XML
-// store's link columns, known only once the run is placed — patches
-// those bytes directly with PutRowID or PutNearRowID, whichever width
-// it encoded, instead of re-encoding.
-func (s Schema) EncodeOffsets(r Row, near uint64) ([]byte, []int) {
+// EncodeOffsets serialises a row like Encode for the record at at, except
+// that each non-NULL ROWID column whose bit is set in near (bit i for
+// column i, the first 64 columns) gets a near payload if one byte reaches
+// its target from at, and additionally returns, per column, the byte
+// offset of that column's payload within the record (-1 for a NULL,
+// which has none).  A caller that learns a ROWID late — the XML store's
+// link columns, known only once the run is placed — encodes a zero RowID
+// at ZeroRowID, which is near wherever its bit asks, and patches those
+// bytes directly with PutNearRowID or PutRowID, whichever width it
+// encoded, instead of re-encoding.
+func (s Schema) EncodeOffsets(r Row, at RowID, near uint64) ([]byte, []int) {
 	offs := make([]int, len(r))
-	return s.encode(r, near, offs), offs
+	return s.encode(r, at, near, offs), offs
 }
 
 // encode is the single definition of the record format.  When offs is
 // non-nil it receives each column's payload offset.
-func (s Schema) encode(r Row, near uint64, offs []int) []byte {
+func (s Schema) encode(r Row, at RowID, near uint64, offs []int) []byte {
 	nb := (len(r) + 7) / 8
 	size := nb + 4*len(r)
 	for _, v := range r {
@@ -312,8 +315,8 @@ func (s Schema) encode(r Row, near uint64, offs []int) []byte {
 				buf = append(buf, 0)
 			}
 		case TypeRowID:
-			if near&(1<<i) != 0 {
-				buf = binary.LittleEndian.AppendUint16(buf, v.RowID().Slot|nearBit)
+			if z, ok := nearCode(at, v.RowID()); ok && near&(1<<i) != 0 {
+				buf = append(buf, z)
 			} else {
 				buf = append(buf, make([]byte, RowIDSize)...)
 				PutRowID(buf[len(buf)-RowIDSize:], v.RowID())
@@ -323,31 +326,34 @@ func (s Schema) encode(r Row, near uint64, offs []int) []byte {
 	return buf
 }
 
-// DecodeRow parses a record of a table with schema s, stored on page.
-func DecodeRow(s Schema, page uint32, b []byte) (Row, error) {
+// DecodeRow parses the record at at, of a table with schema s.
+func DecodeRow(s Schema, at RowID, b []byte) (Row, error) {
 	row := make(Row, len(s.Columns))
-	if err := DecodeRowInto(s, page, b, row); err != nil {
+	if err := DecodeRowInto(s, at, b, row); err != nil {
 		return nil, err
 	}
 	return row, nil
 }
 
-// DecodeRowInto decodes a record stored on page (the page a near ROWID
-// points into) into a caller-provided row of the schema's arity, avoiding
-// the per-fetch Row allocation of DecodeRow — callers with a fixed
-// schema keep an array on the stack.  String and byte payloads are
-// copied, never aliased, so the decoded values outlive the source buffer.
-// The record must be exactly one row: bytes left over after the last
-// column are an error.
+// DecodeRowInto decodes the record at at (the RowID a near ROWID counts
+// its slot distance from) into a caller-provided row of the schema's
+// arity, avoiding the per-fetch Row allocation of DecodeRow — callers
+// with a fixed schema keep an array on the stack.  String and byte
+// payloads are copied, never aliased, so the decoded values outlive the
+// source buffer.  The record must be exactly one row: a bitmap bit past
+// the last column, or bytes left over after it, are an error.
 //
 // netmarkvet:hotpath
-func DecodeRowInto(s Schema, page uint32, b []byte, row Row) error {
+func DecodeRowInto(s Schema, at RowID, b []byte, row Row) error {
 	if len(row) != len(s.Columns) {
 		return fmt.Errorf("ordbms: schema has %d columns, caller expects %d", len(s.Columns), len(row))
 	}
 	pos := (len(row) + 7) / 8
 	if len(b) < pos {
 		return fmt.Errorf("ordbms: record of %d bytes is shorter than its null bitmap", len(b))
+	}
+	if n := len(row) % 8; n != 0 && b[pos-1]>>n != 0 {
+		return fmt.Errorf("ordbms: null bitmap marks columns past the schema's %d", len(row))
 	}
 	for i, c := range s.Columns {
 		if b[i/8]&(1<<(i%8)) != 0 {
@@ -391,7 +397,7 @@ func DecodeRowInto(s Schema, page uint32, b []byte, row Row) error {
 			v.Bool = b[pos] == 1
 			pos++
 		case TypeRowID:
-			rid, m := getRowID(b[pos:], page)
+			rid, m := getRowID(b[pos:], at)
 			if m == 0 {
 				return fmt.Errorf("ordbms: corrupt rowid at column %d", i)
 			}

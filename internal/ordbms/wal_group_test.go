@@ -147,7 +147,7 @@ func TestEncodeOffsetsPatchable(t *testing.T) {
 		Column{"id", TypeInt}, Column{"pre", TypeString},
 		Column{"absent", TypeRowID}, Column{"link", TypeRowID}, Column{"post", TypeString},
 	)
-	rec, offs := schema.EncodeOffsets(row, 0)
+	rec, offs := schema.EncodeOffsets(row, ZeroRowID, 0)
 	if want := schema.Encode(row); string(rec) != string(want) {
 		t.Fatal("EncodeOffsets encoding diverges from Encode")
 	}
@@ -157,7 +157,7 @@ func TestEncodeOffsetsPatchable(t *testing.T) {
 	// Patch the present link's payload in place and decode.
 	want := RowID{Page: 0xA1B2C3D4, Slot: 0x65F6}
 	PutRowID(rec[offs[3]:], want)
-	got, err := DecodeRow(schema, 1, rec)
+	got, err := DecodeRow(schema, RowID{Page: 1}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEncodeOffsetsPatchable(t *testing.T) {
 	if got[0].Int != 42 || got[1].Str != "variable-width prefix" || got[4].Str != "suffix" {
 		t.Fatal("patch corrupted neighboring columns")
 	}
-	// A slot with the top bit set is a near payload's marker, not a slot.
+	// A slot with the top bit set is a far payload's marker, not a slot.
 	row[3] = R(RowID{Page: 0xA1B2C3D4, Slot: 0xE5F6})
 	if err := schema.Validate(row); err == nil {
 		t.Fatal("slot 0xE5F6 validated")

@@ -197,21 +197,29 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 							continue
 						}
 						addID(id)
-					case p < 90: // remove a live id — tombstones + compaction
-						if len(live) == 0 {
-							continue
-						}
-						i := r.Intn(len(live))
-						id := live[i]
-						if _, ok := model.docs[id]; !ok {
+					case p < 90: // remove up to four live ids in one call — tombstones + compaction
+						var batch []uint64
+						for k := r.Intn(4) + 1; k > 0 && len(live) > 0; k-- {
+							i := r.Intn(len(live))
+							id := live[i]
 							live = append(live[:i], live[i+1:]...)
-							continue
+							if _, ok := model.docs[id]; !ok {
+								continue
+							}
+							batch = append(batch, id)
+							model.remove(id)
+							delete(texts, id)
+							removed = append(removed, id)
 						}
-						ix.Remove(id)
-						model.remove(id)
-						delete(texts, id)
-						live = append(live[:i], live[i+1:]...)
-						removed = append(removed, id)
+						// An id the index no longer holds rides along and is skipped:
+						// one removed earlier, or one of this batch a second time.
+						if len(removed) > 0 {
+							id := removed[r.Intn(len(removed))]
+							if _, ok := model.docs[id]; !ok {
+								batch = append(batch, id)
+							}
+						}
+						ix.Remove(batch...)
 					default: // re-insert a previously removed id — revival
 						if len(removed) == 0 {
 							continue

@@ -395,26 +395,29 @@ func (ix *Index) getOrCreateLocked(term string) *postingList {
 	return pl
 }
 
-// Remove deletes every posting for id.
-func (ix *Index) Remove(id uint64) {
+// Remove deletes every posting for each of ids, in one lock hold.  An id
+// the index does not hold is skipped.
+func (ix *Index) Remove(ids ...uint64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	terms, ok := ix.byID[id]
-	if !ok {
-		return
-	}
-	for _, t := range terms {
-		if got := ix.terms.Get(t); len(got) > 0 {
-			got[0].remove(id)
-			ix.genCounter++
-			got[0].gen = ix.genCounter
-			if got[0].live == 0 {
-				ix.terms.DeleteKey(t)
+	for _, id := range ids {
+		terms, ok := ix.byID[id]
+		if !ok {
+			continue
+		}
+		for _, t := range terms {
+			if got := ix.terms.Get(t); len(got) > 0 {
+				got[0].remove(id)
+				ix.genCounter++
+				got[0].gen = ix.genCounter
+				if got[0].live == 0 {
+					ix.terms.DeleteKey(t)
+				}
 			}
 		}
+		delete(ix.byID, id)
+		ix.docs--
 	}
-	delete(ix.byID, id)
-	ix.docs--
 }
 
 // Docs returns the number of distinct indexed IDs.

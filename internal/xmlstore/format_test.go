@@ -29,13 +29,13 @@ var goldenNode = Node{
 }
 
 // goldenRecord is goldenNode's XML-table record as stored, byte for
-// byte: 9 bytes.
+// byte: 7 bytes.
 const goldenRecord = "" +
 	"e1" + // null bitmap, 8 columns: docid, nextrowid, childrowid and attrs (0, 5, 6, 7) are NULL
 	"02" + // tag 1, the text class
 	"026869" + // nodedata "hi", uvarint length first
-	"0380" + // parentrowid, near: slot 3 | 0x8000, little-endian — page 5 is the record's own
-	"0280" // prevrowid, near: 5.2; nothing follows for the three NULLs
+	"01" + // parentrowid, near: 5.3 is Δ = −1 from 5.4, zigzag 1
+	"03" // prevrowid, near: 5.2, Δ = −2, zigzag 3; nothing follows for the three NULLs
 
 // goldenElement is a <para> with a parent and a first child and nothing
 // else: its name is the one byte of tag 0.
@@ -64,7 +64,7 @@ func goldenStore() *Store {
 }
 
 // goldenRow is n's XML-table row under goldenTags, and the mask of its
-// links that point into n's own page.
+// links that are stored near.
 func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 	code, ok := s.tags.known(tagPair{n.Class, n.Name})
 	if !ok {
@@ -81,7 +81,7 @@ func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 			continue
 		}
 		row = append(row, ordbms.R(link))
-		if link.Page == n.RowID.Page {
+		if ordbms.Near(n.RowID, link) {
 			near |= 1 << (xmlColParentRowID + col)
 		}
 	}
@@ -90,10 +90,10 @@ func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 
 // The record format is pinned: a change to what the bytes of a stored
 // node mean must show up here (and in ordbms's storeFormat) rather than
-// silently misread existing stores.  A link to a row on the node's own
-// page is its slot alone; a link elsewhere carries the page too; a node's
-// class and name are its tag code; only a root or a heading stores its
-// docid.
+// silently misread existing stores.  A link to a row near the node on
+// its own page is its slot distance, one byte; a link elsewhere is its
+// slot and page; a node's class and name are its tag code; only a root
+// or a heading stores its docid.
 func TestXMLRecordGoldenBytes(t *testing.T) {
 	if sgml.ClassText != 2 || sgml.ClassElement != 1 {
 		t.Fatalf("ClassText = %d, ClassElement = %d; goldenTags assumes 2 and 1", sgml.ClassText, sgml.ClassElement)
@@ -108,32 +108,32 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 	}{
 		{"text leaf", goldenNode, goldenRecord},
 		{"far parent", farParent, "e1" + "02" + "026869" +
-			"0300" + "02010000" + // parentrowid, far: slot u16 3, then page u32 0x0102
-			"0280"},
+			"8003" + "02010000" + // parentrowid, far: slot 3 | 0x8000 big-endian, then page u32 0x0102
+			"03"},
 		{"element", goldenElement, "" +
 			"b5" + // docid, nodedata, prevrowid, nextrowid and attrs (0, 2, 4, 5, 7) are NULL
 			"00" + // tag 0, <para>
-			"0180" + // parentrowid, near 5.1
-			"0480"}, // childrowid, near 5.4
+			"03" + // parentrowid, near 5.1: Δ = −2
+			"02"}, // childrowid, near 5.4: Δ = +1
 		{"heading", goldenContext, "" +
 			"90" + // prevrowid and attrs (4, 7) are NULL
 			"0e" + // docid 7, zigzag varint
 			"04" + // tag 2, <h2>
 			"02476f" + // nodedata "Go"
-			"0080" + // parentrowid, near 5.0
-			"0380" + // nextrowid, near 5.3
-			"0280"}, // childrowid, near 5.2
+			"01" + // parentrowid, near 5.0: Δ = −1
+			"04" + // nextrowid, near 5.3: Δ = +2
+			"02"}, // childrowid, near 5.2: Δ = +1
 	} {
 		n := c.n
 		row, near := goldenRow(t, s, n)
 		if err := xmlSchema.Validate(row); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := xmlSchema.EncodeOffsets(row, near); hex.EncodeToString(got) != c.rec {
+		if got, _ := xmlSchema.EncodeOffsets(row, n.RowID, near); hex.EncodeToString(got) != c.rec {
 			t.Fatalf("%s: record of the golden node:\n got %x\nwant %s", c.name, got, c.rec)
 		}
 		rec, _ := hex.DecodeString(c.rec)
-		back, err := ordbms.DecodeRow(xmlSchema, n.RowID.Page, rec)
+		back, err := ordbms.DecodeRow(xmlSchema, n.RowID, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +143,8 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 			t.Fatalf("%s: golden record decodes to %+v, %v, want %+v", c.name, got, err, n)
 		}
 	}
-	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 9 {
-		t.Fatalf("golden text leaf is %d bytes, want 9", len(rec))
+	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 7 {
+		t.Fatalf("golden text leaf is %d bytes, want 7", len(rec))
 	}
 }
 

@@ -87,60 +87,78 @@ func FuzzApplySnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRow throws hostile bytes, read from any page, at the record
+// FuzzDecodeRow throws hostile bytes, read from any RowID, at the record
 // decoder under the three schemas every stored byte is read with (XML,
 // DOC, TAG: table picks one).  It must never panic, never build values
-// bigger than the bytes it was given, and whatever it accepts must be a
-// row: one that validates, re-encodes and decodes back to itself
-// (Decode∘Encode = id on valid rows; the bytes may differ, since a varint
-// has more than one spelling and Encode writes every ROWID far, 4 bytes
-// wider than a near one).  An XML row then becomes a node exactly when
-// its tag is one the dictionary holds — any other code is an error, never
-// a node with an empty class — and a TAG row is a dictionary exactly when
-// it is code 0 of a real node class.
+// bigger than the bytes it was given, never read a near link to a slot
+// outside the page's directory, and whatever it accepts must be a row:
+// one that validates and, encoded again at the same RowID with the same
+// links near, gives back the same bytes — or fewer, when b spelled a
+// varint longer than it needs.  Encode, which writes every ROWID far, may
+// grow a record by RowIDSize−NearRowIDSize bytes a link, and what it
+// writes decodes back to the same row from any RowID.  An XML row then
+// becomes a node exactly when its tag is one the dictionary holds — any
+// other code is an error, never a node with an empty class — and a TAG
+// row is a dictionary exactly when it is code 0 of a real node class.
 func FuzzDecodeRow(f *testing.F) {
 	const xmlTable, docTable, tagTable = 0, 1, 2
+	const directory = (ordbms.PageSize - 16) / 2 // a page's slot-directory entries, 2 bytes each after a 16-byte header
 	golden, _ := hex.DecodeString(goldenRecord)
-	page := goldenNode.RowID.Page
-	f.Add(golden, page, uint8(xmlTable))
-	f.Add(golden[:len(golden)-1], page, uint8(xmlTable)) // last link cut short
-	f.Add(append(golden[:len(golden):len(golden)], 0), page, uint8(xmlTable))
-	f.Add([]byte{0xFF}, page, uint8(xmlTable)) // every column NULL
-	f.Add([]byte{0xFF}, page, uint8(docTable))
-	f.Add([]byte{}, page, uint8(docTable))
-	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, page, uint8(xmlTable)) // a string longer than the record
-	// Every boundary of a ROWID payload, far in each link column and in
-	// DOC.rootrowid, and near in each link column: zero, the largest
-	// slot, the largest page, both — read from the largest page too.
+	at := goldenNode.RowID
+	f.Add(golden, at.Page, at.Slot, uint8(xmlTable))
+	f.Add(golden[:len(golden)-1], at.Page, at.Slot, uint8(xmlTable)) // last link cut short
+	f.Add(append(golden[:len(golden):len(golden)], 0), at.Page, at.Slot, uint8(xmlTable))
+	f.Add(golden, at.Page, uint16(1), uint8(xmlTable))     // parent link lands on slot 0, prev link below it
+	f.Add([]byte{0xFF}, at.Page, at.Slot, uint8(xmlTable)) // every column NULL
+	f.Add([]byte{0xFF}, at.Page, at.Slot, uint8(docTable))
+	f.Add([]byte{0x37}, at.Page, at.Slot, uint8(tagTable)) // bitmap bits past TAG's three columns
+	f.Add([]byte{}, at.Page, at.Slot, uint8(docTable))
+	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, at.Page, at.Slot, uint8(xmlTable)) // a string longer than the record
+	// Every boundary of a far payload, in each link column and in
+	// DOC.rootrowid: zero, the largest slot, the largest page, both — read
+	// from the largest page too.
 	rids := []ordbms.RowID{{}, {Slot: 1<<15 - 1}, {Page: 1<<32 - 1}, {Page: 1<<32 - 1, Slot: 1<<15 - 1}}
-	for i, rid := range rids {
-		links := [4]ordbms.Value{ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null()}
-		links[i] = ordbms.R(rid)
-		row := ordbms.Row{
-			ordbms.I(1 << 62), ordbms.I(0), ordbms.Null(),
-			links[0], links[1], links[2], links[3], ordbms.S(`a="b"`),
+	xmlRow := func(links [4]ordbms.RowID) ordbms.Row {
+		row := ordbms.Row{ordbms.I(1 << 62), ordbms.I(0), ordbms.Null()}
+		for _, l := range links {
+			row = append(row, ordbms.R(l))
 		}
-		f.Add(xmlSchema.Encode(row), rid.Page, uint8(xmlTable))
+		return append(row, ordbms.S(`a="b"`))
+	}
+	for _, rid := range rids {
+		f.Add(xmlSchema.Encode(xmlRow([4]ordbms.RowID{rid, rid, rid, rid})), rid.Page, rid.Slot, uint8(xmlTable))
 		f.Add(docSchema.Encode(ordbms.Row{
 			ordbms.I(1), ordbms.S("f.html"), ordbms.I(0), ordbms.I(0), ordbms.S("html"), ordbms.Null(), ordbms.R(rid), ordbms.I(3),
-		}), rid.Page, uint8(docTable))
-		near, _ := xmlSchema.EncodeOffsets(row, allNear)
-		f.Add(near, rid.Page, uint8(xmlTable))
+		}), rid.Page, rid.Slot, uint8(docTable))
 	}
+	// Near payloads at both ends of their reach, Δ = −64 and 63, beside a
+	// self-link and a far one; then the same record read from slots where
+	// the −64 lands below slot 0 and where the 63 lands on the directory's
+	// end, or beyond it.
+	mid := ordbms.RowID{Page: 7, Slot: 100}
+	edges := [4]ordbms.RowID{{Page: 7, Slot: 36}, {Page: 7, Slot: 163}, mid, {Page: 8, Slot: 100}}
+	near, _ := xmlSchema.EncodeOffsets(xmlRow(edges), mid, allNear)
+	for _, slot := range []uint16{mid.Slot, 63, 64, directory - 64, directory - 63, 1<<16 - 1} {
+		f.Add(near, mid.Page, slot, uint8(xmlTable))
+	}
+	// A far payload cut short, and one whose slot field has every bit set.
+	f.Add(near[:len(near)-len(`a="b"`)-4], mid.Page, mid.Slot, uint8(xmlTable))                  // childrowid's far payload 3 bytes short
+	f.Add([]byte{0xF7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, mid.Page, mid.Slot, uint8(xmlTable)) // parentrowid alone: rid(4294967295.32767)
 	// Tag codes in and out of the dictionary: each end of it, one past,
 	// negative, NULL, and the widest varints.
 	for _, code := range []ordbms.Value{ordbms.I(0), ordbms.I(1), ordbms.I(2), ordbms.I(-1), ordbms.I(1<<63 - 1), ordbms.I(-1 << 63), ordbms.Null()} {
 		row := ordbms.Row{ordbms.I(7), code, ordbms.S("x"), ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null()}
-		f.Add(xmlSchema.Encode(row), page, uint8(xmlTable))
-		f.Add(tagSchema.Encode(ordbms.Row{code, ordbms.I(int64(sgml.ClassElement)), ordbms.S("para")}), page, uint8(tagTable))
+		f.Add(xmlSchema.Encode(row), at.Page, at.Slot, uint8(xmlTable))
+		f.Add(tagSchema.Encode(ordbms.Row{code, ordbms.I(int64(sgml.ClassElement)), ordbms.S("para")}), at.Page, at.Slot, uint8(tagTable))
 	}
-	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(2), ordbms.Null()}), page, uint8(tagTable))
-	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(6), ordbms.S("p")}), page, uint8(tagTable))
-	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(257), ordbms.S("p")}), page, uint8(tagTable))
+	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(2), ordbms.Null()}), at.Page, at.Slot, uint8(tagTable))
+	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(6), ordbms.S("p")}), at.Page, at.Slot, uint8(tagTable))
+	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(257), ordbms.S("p")}), at.Page, at.Slot, uint8(tagTable))
 	s := goldenStore()
-	f.Fuzz(func(t *testing.T, b []byte, page uint32, table uint8) {
+	f.Fuzz(func(t *testing.T, b []byte, page uint32, slot uint16, table uint8) {
 		schema := [...]ordbms.Schema{xmlSchema, docSchema, tagSchema}[table%3]
-		row, err := ordbms.DecodeRow(schema, page, b)
+		at := ordbms.RowID{Page: page, Slot: slot}
+		row, err := ordbms.DecodeRow(schema, at, b)
 		if err != nil {
 			return
 		}
@@ -157,11 +175,21 @@ func FuzzDecodeRow(f *testing.F) {
 		if err := schema.Validate(row); err != nil {
 			t.Fatalf("decoded row does not fit its schema: %v", err)
 		}
+		near := nearColumns(schema, row, b)
+		for i, v := range row {
+			if near&(1<<i) != 0 && (v.RowID().Page != page || v.RowID().Slot >= directory) {
+				t.Fatalf("column %d: a near link read at %v names %v", i, at, v.RowID())
+			}
+		}
+		same, _ := schema.EncodeOffsets(row, at, near)
+		if len(same) > len(b) || (len(same) == len(b) && !bytes.Equal(same, b)) {
+			t.Fatalf("%x read at %v re-encodes as %x", b, at, same)
+		}
 		enc := schema.Encode(row)
 		if len(enc) > len(b)+(ordbms.RowIDSize-ordbms.NearRowIDSize)*links {
 			t.Fatalf("%d bytes re-encode to %d", len(b), len(enc))
 		}
-		again, err := ordbms.DecodeRow(schema, page+1, enc) // far links name their page
+		again, err := ordbms.DecodeRow(schema, ordbms.RowID{Page: page + 1, Slot: slot + 1}, enc) // far links name their RowID
 		if err != nil {
 			t.Fatalf("re-encoded row does not decode: %v", err)
 		}
@@ -176,7 +204,7 @@ func FuzzDecodeRow(f *testing.F) {
 		switch table % 3 {
 		case xmlTable:
 			// attrs parsing must survive whatever a string column held
-			n, err := s.nodeFromCols(ordbms.ZeroRowID, row)
+			n, err := s.nodeFromCols(at, row)
 			code := row[xmlColTag]
 			known := !code.IsNull() && code.Int >= 0 && code.Int < int64(len(goldenTags))
 			switch {
@@ -195,4 +223,32 @@ func FuzzDecodeRow(f *testing.F) {
 			}
 		}
 	})
+}
+
+// nearColumns is the mask of row's ROWID columns that b, a record it was
+// decoded from, stores near: it walks b's payloads as the decoder did.
+// The store's three schemas hold only INT, STRING and ROWID columns.
+func nearColumns(schema ordbms.Schema, row ordbms.Row, b []byte) (near uint64) {
+	pos := (len(row) + 7) / 8
+	for i, c := range schema.Columns {
+		if row[i].IsNull() {
+			continue
+		}
+		switch c.Type {
+		case ordbms.TypeInt:
+			_, m := binary.Varint(b[pos:])
+			pos += m
+		case ordbms.TypeString:
+			l, m := binary.Uvarint(b[pos:])
+			pos += m + int(l)
+		case ordbms.TypeRowID:
+			if b[pos]&0x80 == 0 {
+				near |= 1 << i
+				pos += ordbms.NearRowIDSize
+			} else {
+				pos += ordbms.RowIDSize
+			}
+		}
+	}
+	return near
 }

@@ -117,7 +117,7 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		if code < 0 {
 			p.untagged = append(p.untagged, i)
 		} else {
-			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, allNear) // every link starts near
+			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, ordbms.ZeroRowID, allNear) // every link starts near
 		}
 		if fn.class == sgml.ClassText {
 			p.toks[i] = textindex.Tokenize(fn.data)
@@ -149,21 +149,21 @@ func linkSlot(idx int) ordbms.Value {
 // allNear is the EncodeOffsets mask that writes every link near.
 const allNear = ^uint64(0)
 
-// farLinks is the mask of node i's links whose target was placed on
-// another page than the node.  It runs for every node of a document on
-// every placement, hence the unrolled tests.
+// farLinks is the mask of node i's links whose target was placed too
+// far from the node to be stored near (see ordbms.Near).  It runs for
+// every node of a document on every placement, hence the unrolled tests.
 func (fn *flatNode) farLinks(rids []ordbms.RowID, i int) (far uint64) {
-	page := rids[i].Page
-	if fn.parent >= 0 && rids[fn.parent].Page != page {
+	at := rids[i]
+	if fn.parent >= 0 && !ordbms.Near(at, rids[fn.parent]) {
 		far |= 1 << xmlColParentRowID
 	}
-	if fn.prev >= 0 && rids[fn.prev].Page != page {
+	if fn.prev >= 0 && !ordbms.Near(at, rids[fn.prev]) {
 		far |= 1 << xmlColPrevRowID
 	}
-	if fn.next >= 0 && rids[fn.next].Page != page {
+	if fn.next >= 0 && !ordbms.Near(at, rids[fn.next]) {
 		far |= 1 << xmlColNextRowID
 	}
-	if fn.child >= 0 && rids[fn.child].Page != page {
+	if fn.child >= 0 && !ordbms.Near(at, rids[fn.child]) {
 		far |= 1 << xmlColChildRowID
 	}
 	return far
@@ -232,16 +232,17 @@ func governingContexts(flat []flatNode) []int32 {
 // the XML table, then the DOC row.  The XML table places
 // the whole document first — RowIDs depend only on record sizes, and the
 // links a node has were fixed when its row was encoded — and calls back
-// with the RowIDs.  Every link starts near, two bytes, and the callback
-// turns one far wherever its target landed on another page, re-encoding
-// that record four bytes wider per link, which sends the table back to
-// place the run again from the first record that grew; until nothing
-// grows a link once far stays far, so the placements end.  Then the
-// callback turns near again each far link whose target came back to its
-// page, and patches every link into the cached encodings — the slot alone
-// for a near link, slot and page for a far one — and only then is each
-// row written and logged, once, with its final bytes.  No reader ever
-// sees a node whose links are not set.
+// with the RowIDs.  Every link starts near, one byte, and the callback
+// turns one far wherever its target landed on another page or more than
+// 63 slots away (ordbms.Near), re-encoding that record five bytes wider
+// per link, which sends the table back to place the run again from the
+// first record that grew; until nothing grows a link once far stays far,
+// so the placements end.  Then the callback turns near again each far
+// link whose target came back beside it, and patches every link into the
+// cached encodings — the slot distance for a near link, slot and page
+// for a far one — and only then is each row written and logged, once,
+// with its final bytes.  No reader ever sees a node whose links are not
+// set.
 func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	// On success the generation bump belongs to indexPrepared — bumping
 	// here, before the derived indexes hold the document, would let a
@@ -270,14 +271,14 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 		}
 		for k, i := range p.untagged {
 			p.rows[i][xmlColTag] = ordbms.I(codes[k])
-			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], allNear)
+			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], ordbms.ZeroRowID, allNear)
 		}
 	}
 
 	// encode re-encodes node i with the given links far.
 	encode := func(i int, far uint64) {
 		p.far[i] = far
-		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], allNear&^far)
+		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], ordbms.ZeroRowID, allNear&^far)
 	}
 	_, err = s.xml.InsertRun(p.rows, p.recs, func(rids []ordbms.RowID) {
 		grew := false
@@ -308,7 +309,7 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 				case far&(1<<col) != 0:
 					ordbms.PutRowID(rec[offs[col]:], rids[idx])
 				default:
-					ordbms.PutNearRowID(rec[offs[col]:], rids[idx])
+					ordbms.PutNearRowID(rec[offs[col]:], rids[i], rids[idx])
 				}
 			}
 			link(xmlColParentRowID, fn.parent)
@@ -567,19 +568,25 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	defer s.bumpGeneration() // rows start disappearing: invalidate even on failure
 	// Derived entries go before the rows, so none outlives its row; the run
 	// is in reverse document order, so one that stops leaves a prefix.
+	// Postings go before governing-context entries, the reverse of
+	// indexPrepared, so a text hit always finds its entry.
 	rids := make([]ordbms.RowID, len(nodes))
+	texts := make([]uint64, 0, len(nodes))
 	for i, n := range nodes {
 		rids[len(nodes)-1-i] = n.RowID
 		switch n.Class {
 		case sgml.ClassText:
-			s.content.Remove(n.RowID.Uint64())
-			s.ctxIdxMu.Lock()
-			delete(s.ctxIdx, n.RowID)
-			s.ctxIdxMu.Unlock()
+			texts = append(texts, n.RowID.Uint64())
 		case sgml.ClassContext:
 			s.removeContextKey(n.Data, n.RowID)
 		}
 	}
+	s.content.Remove(texts...)
+	s.ctxIdxMu.Lock()
+	for _, id := range texts {
+		delete(s.ctxIdx, ordbms.RowIDFromUint64(id))
+	}
+	s.ctxIdxMu.Unlock()
 	err = s.xml.DeleteRun(rids) // ErrRecordDeleted: a retry found no rows left
 	// Cached decodes go after the rows, so a racing fill (whose token
 	// predates this invalidation) can never resurrect a record.

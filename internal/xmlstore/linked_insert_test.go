@@ -250,12 +250,82 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 	}
 }
 
+// linkWidths checks every link of document id, which is d as stored,
+// against the tree d flattens to: each decodes to the node the tree
+// names, and is stored near — its slot distance, one byte — exactly when
+// ordbms.Near says so: its target is on the node's own page and at most
+// 63 slots away.  It returns the document's RowIDs in document order, its
+// near and far links, and, per link column, the far links whose target
+// is on the node's own page.
+func linkWidths(t *testing.T, s *Store, d BatchDoc, id uint64) (rids []ordbms.RowID, near, far int, samePageFar map[int]int) {
+	t.Helper()
+	tree, meta, err := docform.Convert(d.Name, d.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.prepareDocument(meta, tree, sgml.XMLConfig(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rids = docRowIDs(t, s, id) // document order, the order the tree flattens in
+	if len(rids) != len(p.flat) {
+		t.Fatalf("stored %d nodes, the tree flattens to %d", len(rids), len(p.flat))
+	}
+	ridOf := func(idx int) ordbms.RowID {
+		if idx < 0 {
+			return ordbms.ZeroRowID
+		}
+		return rids[idx]
+	}
+	samePageFar = make(map[int]int)
+	for i, fn := range p.flat {
+		row := append(ordbms.Row(nil), p.rows[i]...)
+		mask := uint64(0)
+		for _, l := range []struct{ col, idx int }{
+			{xmlColParentRowID, fn.parent}, {xmlColPrevRowID, fn.prev},
+			{xmlColNextRowID, fn.next}, {xmlColChildRowID, fn.child},
+		} {
+			if l.idx < 0 {
+				continue
+			}
+			row[l.col] = ordbms.R(rids[l.idx])
+			switch {
+			case ordbms.Near(rids[i], rids[l.idx]):
+				mask |= 1 << l.col
+				near++
+			case rids[l.idx].Page == rids[i].Page:
+				samePageFar[l.col]++
+				far++
+			default:
+				far++
+			}
+		}
+		want, _ := xmlSchema.EncodeOffsets(row, rids[i], mask)
+		err := s.xml.FetchView(rids[i], func(rec []byte) error {
+			if string(rec) != string(want) {
+				t.Errorf("node %d at %v is stored as %x, want %x", i, rids[i], rec, want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := s.FetchNode(rids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.ParentRowID != ridOf(fn.parent) || n.PrevRowID != ridOf(fn.prev) || n.NextRowID != ridOf(fn.next) || n.ChildRowID != ridOf(fn.child) {
+			t.Fatalf("node %d at %v links %v %v %v %v, the tree says %v %v %v %v", i, rids[i],
+				n.ParentRowID, n.PrevRowID, n.NextRowID, n.ChildRowID, ridOf(fn.parent), ridOf(fn.prev), ridOf(fn.next), ridOf(fn.child))
+		}
+	}
+	return rids, near, far, samePageFar
+}
+
 // A document whose run spans pages stores each link as wide as it must
-// be: near — the slot alone — exactly when its target landed on the
-// node's own page, far otherwise, each decoding to the node the flattened
-// tree names.  Every link starts near, so a far one means the run was
-// placed again after its record grew; two fresh stores still place the
-// run identically.
+// be (see linkWidths).  Every link starts near, so a far one means the
+// run was placed again after its record grew; two fresh stores still
+// place the run identically.
 func TestNearLinksFollowPlacement(t *testing.T) {
 	d := longDoc("long.html", 150, "near")
 	var placed [2][]ordbms.RowID
@@ -265,63 +335,10 @@ func TestNearLinksFollowPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, meta, err := docform.Convert(d.Name, d.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := s.prepareDocument(meta, tree, sgml.XMLConfig(), id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids := docRowIDs(t, s, id) // document order, the order the tree flattens in
-		if len(rids) != len(p.flat) {
-			t.Fatalf("stored %d nodes, the tree flattens to %d", len(rids), len(p.flat))
-		}
-		ridOf := func(idx int) ordbms.RowID {
-			if idx < 0 {
-				return ordbms.ZeroRowID
-			}
-			return rids[idx]
-		}
+		rids, nearLinks, farLinks, _ := linkWidths(t, s, d, id)
 		pages := make(map[uint32]bool)
-		nearLinks, farLinks := 0, 0
-		for i, fn := range p.flat {
-			pages[rids[i].Page] = true
-			row := append(ordbms.Row(nil), p.rows[i]...)
-			near := uint64(0)
-			for _, l := range []struct{ col, idx int }{
-				{xmlColParentRowID, fn.parent}, {xmlColPrevRowID, fn.prev},
-				{xmlColNextRowID, fn.next}, {xmlColChildRowID, fn.child},
-			} {
-				if l.idx < 0 {
-					continue
-				}
-				row[l.col] = ordbms.R(rids[l.idx])
-				if rids[l.idx].Page == rids[i].Page {
-					near |= 1 << l.col
-					nearLinks++
-				} else {
-					farLinks++
-				}
-			}
-			want, _ := xmlSchema.EncodeOffsets(row, near)
-			err := s.xml.FetchView(rids[i], func(rec []byte) error {
-				if string(rec) != string(want) {
-					t.Errorf("node %d at %v is stored as %x, want %x", i, rids[i], rec, want)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			n, err := s.FetchNode(rids[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n.ParentRowID != ridOf(fn.parent) || n.PrevRowID != ridOf(fn.prev) || n.NextRowID != ridOf(fn.next) || n.ChildRowID != ridOf(fn.child) {
-				t.Fatalf("node %d at %v links %v %v %v %v, the tree says %v %v %v %v", i, rids[i],
-					n.ParentRowID, n.PrevRowID, n.NextRowID, n.ChildRowID, ridOf(fn.parent), ridOf(fn.prev), ridOf(fn.next), ridOf(fn.child))
-			}
+		for _, rid := range rids {
+			pages[rid.Page] = true
 		}
 		if len(pages) < 3 || farLinks == 0 || nearLinks <= farLinks {
 			t.Fatalf("the run spans %d pages with %d near and %d far links: want 3 or more pages, mostly near", len(pages), nearLinks, farLinks)
@@ -330,6 +347,55 @@ func TestNearLinksFollowPlacement(t *testing.T) {
 	}
 	if fmt.Sprint(placed[0]) != fmt.Sprint(placed[1]) {
 		t.Fatal("two fresh stores placed the same document differently")
+	}
+}
+
+// A link to a row on the node's own page more than 63 slots away is
+// stored far.  A section holding a list of 70 items puts the list's next
+// sibling 141 slots on, and the later items' parent up to 139 slots back,
+// all on one page; the document reads back as it went in, in memory, from
+// a snapshot and from a scan.
+func TestNearLinksEndAt63Slots(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<html><head><title>Wide</title></head><body><h2>Wide section</h2><ul>")
+	for i := 0; i < 70; i++ {
+		fmt.Fprintf(&b, "<li>item %d</li>", i)
+	}
+	b.WriteString("</ul><p>after the list</p></body></html>")
+	d := BatchDoc{Name: "wide.html", Data: []byte(b.String())}
+	want := sourceBytes(t, d)
+	dir := t.TempDir()
+	db, s := openDir(t, dir, OpenOptions{})
+	id, err := s.StoreRaw(d.Name, d.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, s *Store) {
+		t.Helper()
+		rids, near, _, samePageFar := linkWidths(t, s, d, id)
+		for _, rid := range rids {
+			if rid.Page != rids[0].Page {
+				t.Fatalf("%s: the document spans pages %d and %d, want one", stage, rids[0].Page, rid.Page)
+			}
+		}
+		if samePageFar[xmlColNextRowID] == 0 || samePageFar[xmlColParentRowID] == 0 || near == 0 {
+			t.Fatalf("%s: %d near links, far ones on the node's own page by column %v: want a next and a parent link among them", stage, near, samePageFar)
+		}
+		if got := reconstructBytes(t, s, d.Name); got != want {
+			t.Fatalf("%s: the document does not reconstruct as it went in", stage)
+		}
+	}
+	check("in memory", s)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []OpenOptions{{}, {DisableSnapshot: true}} {
+		db, s := openDir(t, dir, opts)
+		if s.SnapshotStats().Loaded == opts.DisableSnapshot {
+			t.Fatalf("%+v: snapshot stats %+v", opts, s.SnapshotStats())
+		}
+		check(fmt.Sprintf("reopen %+v", opts), s)
+		db.CloseDiscard()
 	}
 }
 

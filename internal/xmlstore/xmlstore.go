@@ -12,7 +12,10 @@
 // uses the same relational tables to represent and store any XML document
 // type" (§2.1.1).  Node-to-node links are physical RowIDs, reproducing
 // the paper's use of Oracle ROWIDs "for very fast traversal between nodes
-// that are related": following a link costs one buffer-pool fetch.
+// that are related": following a link costs one buffer-pool fetch.  A
+// document's nodes are placed in document order, so nearly every link
+// points a few slots away on the node's own page, and such a link is
+// stored as its slot distance, one byte (ordbms.Near); any other is six.
 //
 // A node is its RowID.  Fig 5's NODEID, ORDINAL and PARENTNODEID are not
 // stored: the RowID names the node, the sibling links give its position,
@@ -44,10 +47,11 @@ import (
 	"netmark/internal/textindex"
 )
 
-// Column order of the XML table.  The four link columns are ROWIDs: 2
-// bytes (the slot alone) when the link points at a row on the node's own
-// page, 6 when it points elsewhere, and NULL — no bytes at all — when
-// the node has no such link, as are an empty nodedata and an empty attrs.
+// Column order of the XML table.  The four link columns are ROWIDs: 1
+// byte (the slot distance) when the link points at a row on the node's
+// own page at most 63 slots away, 6 when it points elsewhere, and NULL —
+// no bytes at all — when the node has no such link, as are an empty
+// nodedata and an empty attrs.
 // Which links a node has is known when its tree is flattened; how wide
 // each is, only once the document's run is placed, and the run is placed
 // again when a link turns out wider than it was encoded (see
@@ -638,7 +642,7 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	var cols [xmlColAttrs + 1]ordbms.Value
 	err := s.xml.FetchView(rid, func(rec []byte) error {
-		return ordbms.DecodeRowInto(xmlSchema, rid.Page, rec, cols[:])
+		return ordbms.DecodeRowInto(xmlSchema, rid, rec, cols[:])
 	})
 	if err != nil {
 		return nil, err
