@@ -333,7 +333,7 @@ func BenchmarkAblationTextIndexVsScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			count := 0
 			err := s.ScanNodes(func(n *xmlstore.Node) bool {
-				if strings.Contains(strings.ToLower(n.Data), "cryogenic") {
+				if text, ok := n.OwnText(); ok && strings.Contains(strings.ToLower(text), "cryogenic") {
 					count++
 				}
 				return true

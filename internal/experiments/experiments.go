@@ -23,7 +23,6 @@ import (
 	"netmark/internal/docform"
 	"netmark/internal/mediator"
 	"netmark/internal/ordbms"
-	"netmark/internal/sgml"
 	"netmark/internal/shred"
 	"netmark/internal/xdb"
 	"netmark/internal/xmlstore"
@@ -766,8 +765,9 @@ func AblationTextIndexVsScan(docs int) (string, error) {
 	}
 	term := "cryogenic"
 
-	// Both paths produce the same thing — the set of matching TEXT-node
-	// locations — so only the lookup mechanism differs.  Section
+	// Both paths produce the same thing — the set of matching node
+	// locations, each node's own text (xmlstore.Node.OwnText) searched —
+	// so only the lookup mechanism differs.  Section
 	// materialisation (identical either way) is excluded.
 	// Stream the posting list through the block iterator: the timed
 	// work is the index probe plus block decode, not the allocation of
@@ -784,7 +784,7 @@ func AblationTextIndexVsScan(docs int) (string, error) {
 	findScanned := func() (int, error) {
 		hits := 0
 		err := s.ScanNodes(func(n *xmlstore.Node) bool {
-			if n.Class == sgml.ClassText && strings.Contains(strings.ToLower(n.Data), term) {
+			if text, ok := n.OwnText(); ok && strings.Contains(strings.ToLower(text), term) {
 				hits++
 			}
 			return true

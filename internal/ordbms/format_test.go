@@ -11,7 +11,7 @@ import (
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 to NMWALv7 — is refused by name, and refusing it
+// NMWALv1 to NMWALv8 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
@@ -24,7 +24,7 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		log = binary.LittleEndian.AppendUint32(log, 0xdeadbeef)
 		return append(log, body...)
 	}
-	v1Log, v2Log, v3Log, v4Log, v5Log, v6Log, v7Log := oldLog('1'), oldLog('2'), oldLog('3'), oldLog('4'), oldLog('5'), oldLog('6'), oldLog('7')
+	v1Log, v2Log, v3Log, v4Log, v5Log, v6Log, v7Log, v8Log := oldLog('1'), oldLog('2'), oldLog('3'), oldLog('4'), oldLog('5'), oldLog('6'), oldLog('7'), oldLog('8')
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	// Format 3 has this version's columns; only its links are all far.
@@ -41,6 +41,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	// Format 7 has this version's tables, pages and log; only its near
 	// links are two-byte slots, not one-byte slot distances.
 	v7Catalog := []byte(`{"format":7,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"parentrowid","type":6}],"pages":[1],"indexes":null}]}`)
+	// Format 8 has this version's codec, tables, pages and log; only its
+	// headings keep a text child that repeats their nodedata.
+	v8Catalog := []byte(`{"format":8,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6}],"pages":[1],"indexes":null}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format": {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":            {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -63,6 +66,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 7 catalog":       {"catalog.json": v7Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv7 log":            {"wal.nmlog": v7Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v7 catalog and v7 log":  {"catalog.json": v7Catalog, "wal.nmlog": v7Log},
+		"format 8 catalog":       {"catalog.json": v8Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv8 log":            {"wal.nmlog": v8Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v8 catalog and v8 log":  {"catalog.json": v8Catalog, "wal.nmlog": v8Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -111,7 +117,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":8,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":9,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

@@ -105,7 +105,7 @@ const (
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
 // walMagic names the log's format; the digit is storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '8', 0}
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '9', 0}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.

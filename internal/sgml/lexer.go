@@ -128,13 +128,14 @@ func (l *lexer) lexDoctype() (token, error) {
 
 func (l *lexer) lexProcInst() (token, error) {
 	start := l.pos
-	end := strings.Index(l.src[l.pos:], "?>")
+	// The "?>" that ends it starts after "<?": in "<?>" the '?' opens.
+	end := strings.Index(l.src[l.pos+2:], "?>")
 	if end < 0 {
 		l.pos = len(l.src)
 		return token{kind: tokProcInst, data: l.src[start+2:], pos: start}, nil
 	}
-	body := l.src[l.pos+2 : l.pos+end]
-	l.pos += end + 2
+	body := l.src[l.pos+2 : l.pos+2+end]
+	l.pos += 2 + end + 2
 	name := body
 	if i := strings.IndexAny(body, " \t\r\n"); i >= 0 {
 		name = body[:i]

@@ -85,6 +85,24 @@ func TestParseCommentDoctypePI(t *testing.T) {
 	}
 }
 
+// A processing instruction ends at the first "?>" after its "<?": "<?>"
+// is an unterminated one, not a slice of its own opener.
+func TestParseShortProcInst(t *testing.T) {
+	for src, want := range map[string][2]string{
+		`<?>`:           {"", ">"},
+		`<??><d/>`:      {"", ""},
+		`<?pi x?><d/>`:  {"pi", "x"},
+		`<?>?><d/>`:     {">", ""},
+		`<?pi?> <doc/>`: {"pi", ""},
+	} {
+		doc := mustParse(t, src, ModeXML)
+		pi := doc.FirstChild
+		if pi == nil || pi.Kind != ProcInstNode || pi.Name != want[0] || pi.Data != want[1] {
+			t.Errorf("%q: first node %+v, want PI %q %q", src, pi, want[0], want[1])
+		}
+	}
+}
+
 func TestParseCDATA(t *testing.T) {
 	doc := mustParse(t, `<t><![CDATA[<not> & markup]]></t>`, ModeXML)
 	if got := doc.FirstChild.Text(); got != "<not> & markup" {

@@ -296,6 +296,47 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 	})
 }
 
+// A folded heading's words are posted under its CONTEXT row, so deleting
+// the document must take them out of the text index with the row: a word
+// that occurs only in the deleted document's headings matches nothing,
+// in memory and after both reopens, while the survivor's still match.
+func TestDeleteRemovesFoldedHeadingWords(t *testing.T) {
+	dir := t.TempDir()
+	db, s := openDir(t, dir, OpenOptions{})
+	ingest(t, s, "keep.html", `<html><body><h1>Keepheading</h1><p>shared body</p></body></html>`)
+	gone := ingest(t, s, "gone.html", `<html><body><h1>Goneheading</h1><p>shared body</p><h2>Gonesub Title</h2><p>more</p></body></html>`)
+	if secs, err := s.ContentSearchN("goneheading", 0); err != nil || len(secs) != 1 || secs[0].Context != "Goneheading" {
+		t.Fatalf("heading word before the delete: %+v, %v", secs, err)
+	}
+	if err := s.DeleteDocument(gone); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, s *Store) {
+		t.Helper()
+		for _, word := range []string{"goneheading", "gonesub", "title"} {
+			if secs, err := s.ContentSearchN(word, 0); err != nil || len(secs) != 0 || s.ContentIndex().DF(word) != 0 {
+				t.Fatalf("%s: deleted heading word %q matches %+v (df %d), %v", stage, word, secs, s.ContentIndex().DF(word), err)
+			}
+		}
+		if secs, err := s.ContentSearchN("keepheading", 0); err != nil || len(secs) != 1 || secs[0].Content != "shared body" {
+			t.Fatalf("%s: survivor's heading word matches %+v, %v", stage, secs, err)
+		}
+	}
+	check("in memory", s)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, s = openDir(t, dir, OpenOptions{})
+	if !s.SnapshotStats().Loaded {
+		t.Fatalf("snapshot not loaded: %+v", s.SnapshotStats())
+	}
+	check("snapshot reopen", s)
+	db.CloseDiscard()
+	db, s = openDir(t, dir, OpenOptions{DisableSnapshot: true})
+	check("scan reopen", s)
+	db.CloseDiscard()
+}
+
 // A document nested 10 000 deep reconstructs and deletes on a goroutine
 // stack capped far below what one frame per level would need: the subtree
 // walk keeps its pending links on the heap.

@@ -1,17 +1,22 @@
 package xmlstore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"netmark/internal/corpus"
+	"netmark/internal/docform"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
+	"netmark/internal/textindex"
 )
 
 // goldenTags is the dictionary the golden records are read with: code 0
@@ -46,14 +51,14 @@ var goldenElement = Node{
 	ChildRowID:  ordbms.RowID{Page: 5, Slot: 4},
 }
 
-// goldenContext is an <h2> heading: a heading row keeps its docid, as a
-// root does, and its text.
+// goldenContext is an <h2>Go</h2> heading: a heading row keeps its docid,
+// as a root does, and its text, which is its text child's too, so it has
+// no child row.
 var goldenContext = Node{
 	DocID: 7, Class: sgml.ClassContext, Name: "h2", Data: "Go",
 	RowID:       ordbms.RowID{Page: 5, Slot: 1},
 	ParentRowID: ordbms.RowID{Page: 5, Slot: 0},
-	NextRowID:   ordbms.RowID{Page: 5, Slot: 3},
-	ChildRowID:  ordbms.RowID{Page: 5, Slot: 2},
+	NextRowID:   ordbms.RowID{Page: 5, Slot: 2},
 }
 
 // goldenStore is a bare store holding only goldenTags.
@@ -93,7 +98,8 @@ func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 // silently misread existing stores.  A link to a row near the node on
 // its own page is its slot distance, one byte; a link elsewhere is its
 // slot and page; a node's class and name are its tag code; only a root
-// or a heading stores its docid.
+// or a heading stores its docid; a heading folded with its text child
+// links to no child.
 func TestXMLRecordGoldenBytes(t *testing.T) {
 	if sgml.ClassText != 2 || sgml.ClassElement != 1 {
 		t.Fatalf("ClassText = %d, ClassElement = %d; goldenTags assumes 2 and 1", sgml.ClassText, sgml.ClassElement)
@@ -116,13 +122,12 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 			"03" + // parentrowid, near 5.1: Δ = −2
 			"02"}, // childrowid, near 5.4: Δ = +1
 		{"heading", goldenContext, "" +
-			"90" + // prevrowid and attrs (4, 7) are NULL
+			"d0" + // prevrowid, childrowid and attrs (4, 6, 7) are NULL
 			"0e" + // docid 7, zigzag varint
 			"04" + // tag 2, <h2>
 			"02476f" + // nodedata "Go"
 			"01" + // parentrowid, near 5.0: Δ = −1
-			"04" + // nextrowid, near 5.3: Δ = +2
-			"02"}, // childrowid, near 5.2: Δ = +1
+			"02"}, // nextrowid, near 5.2: Δ = +1
 	} {
 		n := c.n
 		row, near := goldenRow(t, s, n)
@@ -175,15 +180,100 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 	}
 }
 
+// A heading whose only child is one text node holding exactly its text is
+// stored as one row: no child link, no text row, its text its own, posted
+// under its RowID and with no node→CONTEXT entry.  Every other heading
+// keeps its children, and a nested heading's text is not its parent's.
+// Each document reconstructs to what was stored.
+func TestFoldedHeadingHasNoChildRow(t *testing.T) {
+	parse := func(src string) *sgml.Node {
+		doc, err := sgml.ParseString(src, sgml.ModeXML)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc.FirstChild
+	}
+	// The parser drops a blank text node; a converter may still build one.
+	blank := sgml.NewElement("heading")
+	blank.AppendChild(sgml.NewText(" "))
+	for _, c := range []struct {
+		heading *sgml.Node
+		data    string // the CONTEXT's nodedata
+		rows    int    // the heading's stored rows, its own included
+		folded  bool
+	}{
+		{parse(`<heading>Intro</heading>`), "Intro", 1, true},
+		{parse(`<heading id="7" class="a">Attributes</heading>`), "Attributes", 1, true},
+		{parse(`<heading>kept<!-- c --></heading>`), "kept", 1, true},
+		{parse(`<heading> Padded  text </heading>`), "Padded text", 2, false},
+		{blank, "", 2, false},
+		{parse(`<heading></heading>`), "", 1, false},
+		{parse(`<heading>Mixed <b>bold</b> tail</heading>`), "Mixed bold tail", 5, false},
+		{parse(`<heading>Outer <heading>Inner</heading></heading>`), "Outer", 3, false},
+	} {
+		tree := sgml.NewElement("report")
+		tree.AppendChild(c.heading)
+		tree.AppendChild(sgml.NewElement("para")).AppendChild(sgml.NewText("body words"))
+		name := sgml.Serialize(c.heading)
+		s := memStore(t)
+		id, err := s.StoreDocument(docform.Meta{FileName: "h.xml"}, tree, sgml.XMLConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.Document(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := s.FetchNode(info.RootRowID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := s.FirstChild(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, own := h.OwnText()
+		if h.Class != sgml.ClassContext || h.Data != c.data || own != c.folded || h.ChildRowID.IsZero() != (c.rows == 1) {
+			t.Errorf("%s: heading row %+v, own text %q %v", name, h, text, own)
+		}
+		// The root, the heading's rows, the para and its text.
+		if want := int64(1 + c.rows + 2); info.NNodes != want || s.NumNodes() != want {
+			t.Errorf("%s: %d rows, DOC says %d, want %d", name, s.NumNodes(), info.NNodes, want)
+		}
+		if _, ok := s.indexedSection(h.RowID); ok {
+			t.Errorf("%s: the heading has a node→CONTEXT entry", name)
+		}
+		for _, term := range textindex.Tokenize(c.data) {
+			for it := s.ContentIndex().LookupIter(term); ; {
+				id, ok := it.Next()
+				if !ok {
+					break
+				}
+				if (ordbms.RowIDFromUint64(id) == h.RowID) != c.folded {
+					t.Errorf("%s: %q posted under %v, the heading is %v", name, term, ordbms.RowIDFromUint64(id), h.RowID)
+				}
+			}
+		}
+		if got, want := reconstructBytes(t, s, "h.xml"), sgml.Serialize(keptTree(tree)); got != want {
+			t.Errorf("%s: reconstructs as %s, want %s", name, got, want)
+		}
+	}
+	// A folded heading inside another heading's section is that section's
+	// text too.
+	s := memStore(t)
+	ingest(t, s, "nested.xml", `<report><heading>Outer</heading><section><heading>Inner</heading><para>body</para></section></report>`)
+	if secs, err := s.ContextSearchN("Outer", 0); err != nil || len(secs) != 1 || secs[0].Content != "Inner body" {
+		t.Errorf("outer section %+v, %v", secs, err)
+	}
+}
+
 // A document's docid is stored on its root and its CONTEXT rows, and on
 // no other: every other row's bitmap marks it NULL.  docOf still finds
 // every text node's document — the one whose DOC row leads to its root —
 // by the derived index and, with that off, by the parent links alone.
 func TestDocIDStoredOncePerSection(t *testing.T) {
 	s := memStore(t)
-	gen := corpus.New(1)
-	docs := append(gen.Mixed(600), gen.DeepReports(30, 3, 8, 4)...)
-	docs = append(docs,
+	docs := append(pinnedCorpus(),
 		corpus.Document{Name: "budget.csv", Data: []byte("item,amount\ncryogenic pump,100\nturbine,200\n")},
 		corpus.Document{Name: "parts.xml", Data: []byte(`<inventory><widget><label>Cryo Valve</label><qty>3</qty></widget></inventory>`)})
 	for _, d := range docs {
@@ -255,6 +345,145 @@ func TestDocIDStoredOncePerSection(t *testing.T) {
 			t.Fatalf("index %v: the documents' walks reach %d of %d text nodes, %d under no heading", indexed, texts, all, headless)
 		}
 	}
+}
+
+// pinnedCorpus is the corpus whose trees and query answers are pinned
+// across format changes: 630 documents of every generated type.
+func pinnedCorpus() []corpus.Document {
+	gen := corpus.New(1)
+	return append(gen.Mixed(600), gen.DeepReports(30, 3, 8, 4)...)
+}
+
+// headingOnlyWords occur in pinnedCorpus only inside headings.
+var headingOnlyWords = []string{"abstract", "facilities", "objective", "recommendation"}
+
+// pinnedQueries is every section query shape, uncapped: single terms,
+// pairs, heading-only words, phrases inside a heading and in body text,
+// exact and prefix headings, and heading plus terms.
+var pinnedQueries = []SectionQuery{
+	{Content: "cryogenic"}, {Content: "review"}, {Content: "avionics"}, {Content: "budget"},
+	{Content: "cryogenic turbine"}, {Content: "nominal sensor"}, {Content: "assessment risk"},
+	{Content: headingOnlyWords[0]}, {Content: headingOnlyWords[1]}, {Content: headingOnlyWords[2]}, {Content: headingOnlyWords[3]},
+	{Content: "risk assessment", Phrase: true}, {Content: "corrective action", Phrase: true}, {Content: "was tested during", Phrase: true},
+	{Context: "Budget"}, {Context: "Facilities"},
+	{Context: "Tech", ContextPrefix: true}, {Context: "Crit", ContextPrefix: true},
+	{Context: "Budget", Content: "request"}, {Context: "Risk Assessment", Content: "assessment"}, {Context: "Abstract", Content: "cryogenic"},
+}
+
+// answerDigest hashes the answers to pinnedQueries, each as the sorted
+// multiset of its sections' (DocName, Context, Content), and the
+// document-scope answers to a body term and a heading-only word.
+func answerDigest(t *testing.T, s *Store) string {
+	t.Helper()
+	h := sha256.New()
+	for _, q := range pinnedQueries {
+		secs, err := s.collect(q)
+		if err != nil || len(secs) == 0 {
+			t.Fatalf("%+v: %d sections, %v", q, len(secs), err)
+		}
+		rows := make([]string, len(secs))
+		for i, sec := range secs {
+			rows[i] = sec.DocName + "\x00" + sec.Context + "\x00" + sec.Content
+		}
+		sort.Strings(rows)
+		fmt.Fprintf(h, "%q %q %v %v %d\n", q.Context, q.Content, q.ContextPrefix, q.Phrase, len(rows))
+		for _, r := range rows {
+			fmt.Fprintf(h, "%s\n", r)
+		}
+	}
+	for _, term := range []string{"turbine", headingOnlyWords[2]} {
+		docs, err := s.ContentSearchDocsN(term, 0)
+		if err != nil || len(docs) == 0 {
+			t.Fatalf("documents with %q: %d, %v", term, len(docs), err)
+		}
+		fmt.Fprintf(h, "docs %q %d\n", term, len(docs))
+		for _, d := range docs {
+			fmt.Fprintf(h, "%s\n", d.FileName)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// treeDigests reconstructs every document in DocID order and hashes the
+// concatenated serialisations, and a sha256sum-style listing of them.
+func treeDigests(t *testing.T, s *Store) (trees, listing string) {
+	t.Helper()
+	docs, err := s.Documents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(docs, func(i, j int) bool { return docs[i].DocID < docs[j].DocID })
+	all, list := sha256.New(), sha256.New()
+	for _, d := range docs {
+		tree, err := s.Reconstruct(d.DocID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ser := sgml.Serialize(tree)
+		all.Write([]byte(ser))
+		fmt.Fprintf(list, "%x  %s\n", sha256.Sum256([]byte(ser)), d.FileName)
+	}
+	return hex.EncodeToString(all.Sum(nil)), hex.EncodeToString(list.Sum(nil))
+}
+
+// A change of on-disk format changes no answer: every document of
+// pinnedCorpus reconstructs to the same bytes, and every query shape
+// returns the same sections, with the context index on and off, as built
+// and after a snapshot reopen and a scan reopen.  The digests were taken
+// on format 8, which stored 22 510 nodes, before headings were folded.
+func TestTreesAndAnswersPinned(t *testing.T) {
+	const (
+		wantTrees   = "2c149adaa53cac3a172c7f26affeca7660299b60494155ff804998ea63813088"
+		wantListing = "ba9275d6e7f3d67f6cd184abb22b3e0757095eaec2299c03f5215217230a1843"
+		wantAnswers = "3965789605a297b70e4ffc990c480045a877fc1fb49ea47da967c086bde9d533"
+		wantNodes   = 19620 // 22 510 rows less 2 890 folded headings
+	)
+	dir := t.TempDir()
+	db, s := openDir(t, dir, OpenOptions{})
+	for _, d := range pinnedCorpus() {
+		ingest(t, s, d.Name, string(d.Data))
+	}
+	t.Logf("%d documents, %d stored nodes", s.NumDocuments(), s.NumNodes())
+	if s.NumNodes() != wantNodes {
+		t.Errorf("%d stored nodes, want %d", s.NumNodes(), wantNodes)
+	}
+	for _, w := range headingOnlyWords {
+		secs, err := s.ContentSearchN(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range secs {
+			if !slices.Contains(textindex.Tokenize(sec.Context), w) {
+				t.Fatalf("%q is not a heading-only word: it matches section %+v", w, sec)
+			}
+		}
+	}
+	check := func(stage string, s *Store) {
+		t.Helper()
+		if trees, listing := treeDigests(t, s); trees != wantTrees || listing != wantListing {
+			t.Errorf("%s: trees %s, listing %s", stage, trees, listing)
+		}
+		for _, indexed := range []bool{true, false} {
+			s.SetContextIndexEnabled(indexed)
+			if got := answerDigest(t, s); got != wantAnswers {
+				t.Errorf("%s, context index %v: answers %s", stage, indexed, got)
+			}
+		}
+		s.SetContextIndexEnabled(true)
+	}
+	check("as built", s)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, s = openDir(t, dir, OpenOptions{})
+	if !s.SnapshotStats().Loaded {
+		t.Fatalf("snapshot not loaded: %+v", s.SnapshotStats())
+	}
+	check("snapshot reopen", s)
+	db.CloseDiscard()
+	db, s = openDir(t, dir, OpenOptions{DisableSnapshot: true})
+	check("scan reopen", s)
+	db.CloseDiscard()
 }
 
 // Each piece of the store's DDL is its own log record, so a crash can

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"runtime"
+	"strings"
 	"testing"
 
+	"netmark/internal/docform"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 	"netmark/internal/textindex"
@@ -85,6 +87,88 @@ func FuzzApplySnapshot(f *testing.F) {
 			t.Fatalf("snapshot re-encodes differently after a round trip")
 		}
 	})
+}
+
+// FuzzStoreReconstruct stores whatever arbitrary bytes parse to, in XML
+// or HTML mode, and reads the document back.  Reconstruct must serialise
+// exactly as the parsed tree does once cut down to what the store keeps:
+// the root element, without comments, doctypes and processing
+// instructions.  No input may panic, and parse, store and reconstruct
+// together allocate no more than FuzzApplySnapshot allows a payload plus
+// 2 KiB a kept node: about what ingest and reconstruction spend on a node
+// today, and an input can buy a node for two or three bytes.  The seeds
+// cover every heading shape the store folds or keeps, and the densest
+// node shapes; a chain of unclosed headings was quadratic before a
+// heading's text left out the headings nested in it.  testdata keeps the
+// input "<?>", on which the lexer sliced a processing instruction out of
+// its own opener and panicked.
+func FuzzStoreReconstruct(f *testing.F) {
+	for _, seed := range []string{
+		`<report><heading>Intro</heading><para>body</para></report>`,
+		`<report><heading> </heading><para>whitespace-only heading</para></report>`,
+		`<report><heading>Mixed <b>bold</b> tail</heading><para>x</para></report>`,
+		`<report><heading id="7" class="a &amp; b">Attributes</heading></report>`,
+		`<report><section><heading>Outer</heading><section><heading>Inner</heading><para>y</para></section></section></report>`,
+		`<heading>Root</heading>`,
+		`<report><heading></heading><heading>kept<!-- c --></heading><heading> Padded  text </heading></report>`,
+	} {
+		f.Add([]byte(seed), false)
+	}
+	f.Add([]byte(sampleHTML), true)
+	// The most nodes a byte can buy, deep and wide, and nested headings.
+	f.Add([]byte(strings.Repeat("<a>", 1000)), false)
+	f.Add([]byte("<r>"+strings.Repeat("<a/>x", 1000)), false)
+	f.Add([]byte(strings.Repeat("<p>x", 1000)), true)
+	f.Add([]byte(strings.Repeat("<h1>x", 1000)), true)
+	f.Fuzz(func(t *testing.T, src []byte, html bool) {
+		mode, cfg := sgml.ModeXML, sgml.XMLConfig()
+		if html {
+			mode, cfg = sgml.ModeHTML, sgml.HTMLConfig()
+		}
+		s := memStore(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tree, err := sgml.ParseString(string(src), mode)
+		if err != nil {
+			return
+		}
+		id, err := s.StoreDocument(docform.Meta{FileName: "fuzz"}, tree, cfg)
+		if err != nil {
+			return // no root element, or a record no page can hold
+		}
+		got, err := s.Reconstruct(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		kept := keptTree(tree)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<18+256*uint64(len(src))+2048*uint64(kept.CountNodes()) {
+			t.Fatalf("a %d-byte input of %d nodes allocated %d bytes", len(src), kept.CountNodes(), grew)
+		}
+		if want := sgml.Serialize(kept); sgml.Serialize(got) != want {
+			t.Fatalf("stored %q, reconstructed\n%s\nwant\n%s", src, sgml.Serialize(got), want)
+		}
+	})
+}
+
+// keptTree copies the part of a parsed tree StoreDocument stores: the
+// first root element, with only element and text nodes beneath it.
+func keptTree(tree *sgml.Node) *sgml.Node {
+	for c := tree.FirstChild; tree.Kind == sgml.DocumentNode && c != nil; c = c.NextSibling {
+		if c.Kind == sgml.ElementNode {
+			return keptTree(c)
+		}
+	}
+	if tree.Kind == sgml.TextNode {
+		return sgml.NewText(tree.Data)
+	}
+	out := sgml.NewElement(tree.Name, tree.Attrs...)
+	for c := tree.FirstChild; c != nil; c = c.NextSibling {
+		if c.Kind == sgml.ElementNode || c.Kind == sgml.TextNode {
+			out.AppendChild(keptTree(c))
+		}
+	}
+	return out
 }
 
 // FuzzDecodeRow throws hostile bytes, read from any RowID, at the record

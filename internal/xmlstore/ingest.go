@@ -24,6 +24,9 @@ type flatNode struct {
 	rid                       ordbms.RowID
 }
 
+// ownText is Node.OwnText for a node not yet stored.
+func (fn *flatNode) ownText() (string, bool) { return ownText(fn.class, fn.data, fn.child >= 0) }
+
 // preparedDoc is a document that has been through the CPU-bound half of
 // ingestion — flattening, row construction, record encoding, text
 // tokenization — and is ready for its ordered write into the store.  The
@@ -51,8 +54,8 @@ type preparedDoc struct {
 // prepareDocument runs every part of StoreDocument that does not touch
 // the tables: it picks the root element, flattens the tree, builds and
 // encodes the rows (present links still zero; a node whose tag has no
-// code yet is left for the writer), and pre-tokenizes TEXT node data for
-// the content index.  It is safe to call from many goroutines
+// code yet is left for the writer), and pre-tokenizes each node's own
+// text for the content index.  It is safe to call from many goroutines
 // concurrently.
 func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64) (*preparedDoc, error) {
 	if tree == nil {
@@ -119,8 +122,8 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		} else {
 			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, ordbms.ZeroRowID, allNear) // every link starts near
 		}
-		if fn.class == sgml.ClassText {
-			p.toks[i] = textindex.Tokenize(fn.data)
+		if text, ok := fn.ownText(); ok {
+			p.toks[i] = textindex.Tokenize(text)
 		}
 	}
 	p.governs = governingContexts(flat)
@@ -342,8 +345,10 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	return nil
 }
 
-// indexPrepared feeds a stored document's TEXT and CONTEXT nodes into
-// the derived indexes.  The indexes carry their own locks, so this stage
+// indexPrepared feeds a stored document's nodes into the derived indexes:
+// each node's own text into the text index, each TEXT node's governing
+// heading into ctxIdx, and each heading into the context btree.  The
+// indexes carry their own locks, so this stage
 // runs concurrently with the writer storing the next document.
 func (s *Store) indexPrepared(p *preparedDoc) {
 	// Governing-context entries land first: a text hit can only be found
@@ -363,10 +368,10 @@ func (s *Store) indexPrepared(p *preparedDoc) {
 	s.ctxIdxMu.Unlock()
 	for i := range p.flat {
 		fn := &p.flat[i]
-		switch fn.class {
-		case sgml.ClassText:
+		if _, ok := fn.ownText(); ok {
 			s.content.AddTokens(fn.rid.Uint64(), p.toks[i])
-		case sgml.ClassContext:
+		}
+		if fn.class == sgml.ClassContext {
 			s.addContextKey(fn.data, fn.rid)
 		}
 	}
@@ -425,8 +430,12 @@ func (s *Store) StoreRaw(name string, data []byte) (uint64, error) {
 }
 
 // flattenTree walks the tree in document order, recording structural
-// relationships as slice indexes.  It takes no locks, so it can run in
-// parallel preparation workers.
+// relationships as slice indexes.  A CONTEXT's heading text is copied
+// onto it, and a heading whose only stored child is one text node holding
+// exactly that text is folded: the child is left out, so the text is
+// stored once, and Node.OwnText reads it back.  Every other heading —
+// mixed content, element children, no text — keeps its children.  It
+// takes no locks, so it can run in parallel preparation workers.
 func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
 	var flat []flatNode
 	var walk func(n *sgml.Node, parent int) int
@@ -449,7 +458,7 @@ func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
 				// Denormalise the heading text onto the CONTEXT node so
 				// the context index and the traversal kernel never need
 				// to descend to find the heading.
-				fn.data = n.Text()
+				fn.data = headingText(n, cfg)
 			}
 		case sgml.TextNode:
 			fn.data = n.Data
@@ -470,10 +479,38 @@ func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
 			}
 			prev = ci
 		}
+		if class == sgml.ClassContext && fn.data != "" && len(flat) == idx+2 &&
+			flat[idx+1].class == sgml.ClassText && flat[idx+1].data == fn.data {
+			flat = flat[:idx+1]
+			flat[idx].child = -1
+		}
 		return idx
 	}
 	walk(root, -1)
 	return flat
+}
+
+// headingText is a heading's text as sgml.Node.Text reads it, its text
+// runs whitespace-squeezed, less the text of every heading nested in it,
+// which heads a section of its own.  Each text run belongs to one heading
+// at most, so a chain of nested headings costs time and bytes linear in
+// the document, not quadratic.
+func headingText(n *sgml.Node, cfg *sgml.Config) string {
+	var b strings.Builder
+	var collect func(*sgml.Node)
+	collect = func(x *sgml.Node) {
+		for c := x.FirstChild; c != nil; c = c.NextSibling {
+			switch {
+			case c.Kind == sgml.TextNode:
+				b.WriteString(c.Data)
+				b.WriteByte(' ')
+			case c.Kind == sgml.ElementNode && cfg.Classify(c) != sgml.ClassContext:
+				collect(c)
+			}
+		}
+	}
+	collect(n)
+	return strings.Join(strings.Fields(b.String()), " ")
 }
 
 // encodeAttrs packs attributes as space-separated name=quoted pairs.
@@ -571,19 +608,19 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	// Postings go before governing-context entries, the reverse of
 	// indexPrepared, so a text hit always finds its entry.
 	rids := make([]ordbms.RowID, len(nodes))
-	texts := make([]uint64, 0, len(nodes))
+	posted := make([]uint64, 0, len(nodes)) // the rows with text of their own
 	for i, n := range nodes {
 		rids[len(nodes)-1-i] = n.RowID
-		switch n.Class {
-		case sgml.ClassText:
-			texts = append(texts, n.RowID.Uint64())
-		case sgml.ClassContext:
+		if _, ok := n.OwnText(); ok {
+			posted = append(posted, n.RowID.Uint64())
+		}
+		if n.Class == sgml.ClassContext {
 			s.removeContextKey(n.Data, n.RowID)
 		}
 	}
-	s.content.Remove(texts...)
+	s.content.Remove(posted...)
 	s.ctxIdxMu.Lock()
-	for _, id := range texts {
+	for _, id := range posted {
 		delete(s.ctxIdx, ordbms.RowIDFromUint64(id))
 	}
 	s.ctxIdxMu.Unlock()
@@ -603,6 +640,7 @@ func (s *Store) DeleteDocument(docID uint64) error {
 
 // Reconstruct rebuilds the full document tree for a document by chasing
 // physical links from the root node (used by HTTP GET and the examples).
+// A folded heading gets its text child back from its own text.
 func (s *Store) Reconstruct(docID uint64) (*sgml.Node, error) {
 	info, err := s.Document(docID)
 	if err != nil {
@@ -619,6 +657,9 @@ func (s *Store) Reconstruct(docID uint64) (*sgml.Node, error) {
 			out = sgml.NewText(n.Data)
 		} else {
 			out = sgml.NewElement(n.Name, n.Attrs...)
+			if text, ok := n.OwnText(); ok {
+				out.AppendChild(sgml.NewText(text))
+			}
 		}
 		if depth > 0 {
 			path[depth-1].AppendChild(out)

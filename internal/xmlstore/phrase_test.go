@@ -66,38 +66,37 @@ func TestStorePhrase(t *testing.T) {
 			t.Errorf("phrase %q: sections %q, want %q", phrase, got, want)
 		}
 	}
-	// A heading's text is a text node too: three nodes hold the phrase.
+	// A heading's text is its own: three nodes hold the phrase, the
+	// "Technology Gap" heading among them.
 	hits := s.ContentIndex().Phrase("technology gap")
 	if len(hits) != 3 || !slices.IsSorted(hits) {
 		t.Fatalf("ContentIndex().Phrase = %v, want three ascending node RowIDs", hits)
 	}
+	inHeading := 0
 	for _, h := range hits {
 		n, err := s.FetchNode(ordbms.RowIDFromUint64(h))
 		if err != nil || !textindex.HasPhrase(n.Data, []string{"technology", "gap"}) {
 			t.Fatalf("hit %d is %+v, %v", h, n, err)
 		}
+		if n.Class == sgml.ClassContext {
+			inHeading++
+		}
+	}
+	if inHeading != 1 {
+		t.Fatalf("%d of the hits are headings, want 1", inHeading)
 	}
 }
 
-// textNodes calls fn with every TEXT node's RowID and tokens, in
-// physical order.
+// textNodes calls fn with the RowID of every node that has text of its
+// own (Node.OwnText) and the tokens of that text, in physical order.
 func textNodes(t *testing.T, s *Store, fn func(rid ordbms.RowID, toks []string)) {
 	t.Helper()
-	var bad error
-	err := s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
-		tag, err := s.tagOf(rid, row)
-		if err != nil {
-			bad = err
-			return false
-		}
-		if tag.class == sgml.ClassText {
-			fn(rid, textindex.Tokenize(row[xmlColNodeData].Str))
+	err := s.ScanNodes(func(n *Node) bool {
+		if text, ok := n.OwnText(); ok {
+			fn(n.RowID, textindex.Tokenize(text))
 		}
 		return true
 	})
-	if err == nil {
-		err = bad
-	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestPhraseAcrossChunks(t *testing.T) {
 }
 
 // bruteForcePhrase answers a phrase-only query without the text index or
-// the derived context map: scan every text node, tokenize it, look for
+// the derived context map: scan every node's own text, tokenize it, look for
 // the terms as consecutive tokens, and walk each hit to its heading the
 // paper's way.  It returns the matching nodes and the headings they
 // resolve to, both in the pipeline's order.

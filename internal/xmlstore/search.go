@@ -28,7 +28,8 @@ import (
 //	         keeps a hit only when the hit's own text holds it), or the
 //	         context btree's rowids for an exact or prefix heading
 //	resolve  hit -> governing CONTEXT through the derived index, deduped
-//	         (a context rowid is its own section)
+//	         (a context rowid, and a hit on a heading's own text, is its
+//	         own section)
 //	filter   the one predicate the source does not already guarantee,
 //	         compiled once per query
 //	limit    stop after q.Limit sections
@@ -59,7 +60,8 @@ func (s *Store) ContextFor(n *Node) (*Node, error) {
 // nodes resolve through the derived index maintained at ingest — one map
 // probe instead of an O(siblings × depth) chain of row fetches.  Nodes
 // without an index entry fall back to the pointer-chasing walk, which
-// has the CONTEXT node in hand and returns it as ctx.
+// has the CONTEXT node in hand and returns it as ctx; a CONTEXT, which
+// has no entry, is its own at once.
 //
 // netmarkvet:hotpath
 func (s *Store) resolveSection(n *Node) (rid ordbms.RowID, ctx *Node, err error) {
@@ -108,8 +110,12 @@ func (s *Store) docOf(n *Node) (uint64, error) {
 
 // contextForWalk is the paper's traversal: scan left across preceding
 // siblings, then climb, until the first CONTEXT node.  It is the
-// correctness baseline the derived index is tested against.
+// correctness baseline the derived index is tested against.  A CONTEXT
+// governs itself: a hit on a folded heading's text is in that heading.
 func (s *Store) contextForWalk(n *Node) (*Node, error) {
+	if n.Class == sgml.ClassContext {
+		return n, nil
+	}
 	cur := n
 	for cur != nil {
 		// Scan left across preceding siblings.
@@ -174,13 +180,15 @@ func (s *Store) SectionOf(ctx *Node) (Section, error) {
 }
 
 // appendSubtreeText appends each non-empty trimmed text run beneath
-// root, in document order and space-separated, to b.
+// root, a folded heading's included, in document order and
+// space-separated, to b.
 func (s *Store) appendSubtreeText(root *Node, b *strings.Builder) error {
 	return walkSubtree(root, s.FetchNode, func(n *Node, _ int) {
-		if n.Class != sgml.ClassText {
+		text, ok := n.OwnText()
+		if !ok {
 			return
 		}
-		if t := strings.TrimSpace(n.Data); t != "" {
+		if t := strings.TrimSpace(text); t != "" {
 			if b.Len() > 0 {
 				b.WriteByte(' ')
 			}

@@ -37,13 +37,15 @@ const (
 	// cache-key generations; 4 dropped the node-ID counter along with the
 	// node IDs; 5 writes each node→CONTEXT entry's heading as a delta from
 	// the previous entry's; 6 drops the text index's token positions and
-	// writes each heading's rids as deltas.  Any other version — older or
+	// writes each heading's rids as deltas; 7 posts a folded heading's
+	// words under its CONTEXT, which has no node→CONTEXT entry, instead of
+	// under a text child.  Any other version — older or
 	// newer — falls back to the scan rebuild, which retokenizes every
 	// document under the current contract; loading a v1 file's postings
 	// verbatim would permanently serve old-tokenizer terms against
 	// new-tokenizer queries.  The next checkpoint rewrites the file at the
 	// current version, so the penalty is one slow reopen.
-	snapshotVersion = 6
+	snapshotVersion = 7
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}

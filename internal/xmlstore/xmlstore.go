@@ -28,6 +28,13 @@
 // heading, its root's (Store.docOf): a RowID is never handed out twice,
 // so the links cannot lead into another document.
 //
+// A CONTEXT row carries its heading's text in NODEDATA, so neither the
+// context index nor the kernel descends to read a heading.  A heading
+// whose only child is one text node holding exactly that text — nearly
+// every heading — stores no child row: the text is stored once, on the
+// CONTEXT, and Node.OwnText is where indexing, section text and
+// Reconstruct read it.  Every other heading keeps its children.
+//
 // This package persists derived snapshots, so every committing rename
 // must follow write-temp → fsync → rename → fsync-dir.
 //
@@ -79,7 +86,10 @@ const (
 	docColNNodes
 )
 
-// Node is a decoded row of the XML table.  A text node's Name is "".
+// Node is a decoded row of the XML table.  A text node's Name is "".  A
+// CONTEXT's Data is its heading text; a folded CONTEXT, one whose only
+// child was a text node holding exactly that text, has no child row, and
+// OwnText gives its text.
 type Node struct {
 	// DocID is set on root and CONTEXT rows, zero elsewhere: Store.docOf
 	// finds any row's document.
@@ -94,6 +104,27 @@ type Node struct {
 	PrevRowID   ordbms.RowID
 	NextRowID   ordbms.RowID
 	ChildRowID  ordbms.RowID
+}
+
+// OwnText is the text n holds itself: a text node's data, or a folded
+// CONTEXT's heading.  ok is false for every other node.  It is what the
+// text index posts under n's RowID, and what a subtree's text and a
+// reconstructed tree read from n.
+func (n *Node) OwnText() (text string, ok bool) {
+	return ownText(n.Class, n.Data, !n.ChildRowID.IsZero())
+}
+
+// ownText reads the fold back: a CONTEXT row with a heading and no child
+// link is a folded heading, since an unfolded heading with text always
+// has a child row (see flattenTree).
+func ownText(class sgml.NodeClass, data string, hasChild bool) (string, bool) {
+	switch {
+	case class == sgml.ClassText:
+		return data, true
+	case class == sgml.ClassContext && data != "" && !hasChild:
+		return data, true
+	}
+	return "", false
 }
 
 // DocInfo is a decoded row of the DOC table.
@@ -131,8 +162,9 @@ type Store struct {
 
 	nextDocID atomic.Uint64 // next unreserved document ID; netmarkvet:snap
 
-	// content is the full-text index over TEXT node data; IDs are packed
-	// physical RowIDs, so a hit leads straight to the page.
+	// content is the full-text index over each node's own text
+	// (Node.OwnText); IDs are packed physical RowIDs, so a hit leads
+	// straight to the page.
 	// netmarkvet:snap
 	content *textindex.Index
 	// contexts maps normalised (lowercased) heading text to the RowIDs
@@ -335,7 +367,7 @@ func (s *Store) rebuildDerived() error {
 	var flat []flatNode
 	var docs []uint64 // per node, the docid it stores (0 = NULL)
 	idxOf := make(map[ordbms.RowID]int)
-	type pendingLinks struct{ prev, parent ordbms.RowID }
+	type pendingLinks struct{ prev, parent, child ordbms.RowID }
 	var pend []pendingLinks
 	var bad error
 	err = s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
@@ -354,6 +386,7 @@ func (s *Store) rebuildDerived() error {
 		pend = append(pend, pendingLinks{
 			prev:   row[xmlColPrevRowID].RowID(),
 			parent: row[xmlColParentRowID].RowID(),
+			child:  row[xmlColChildRowID].RowID(),
 		})
 		return true
 	})
@@ -391,9 +424,13 @@ func (s *Store) rebuildDerived() error {
 		if !stored[docs[i]] {
 			continue
 		}
+		// The child link as stored, not as found: a dangling one still
+		// says the heading was not folded.
+		if text, ok := ownText(fn.class, fn.data, !pend[i].child.IsZero()); ok {
+			s.content.Add(fn.rid.Uint64(), text)
+		}
 		switch fn.class {
 		case sgml.ClassText:
-			s.content.Add(fn.rid.Uint64(), fn.data)
 			if g := governs[i]; g >= 0 {
 				s.ctxIdx[fn.rid] = flat[g].rid
 			} else {
@@ -886,8 +923,8 @@ type TextIndex struct {
 // ContentIndex exposes the text index (the query planner consults DF).
 func (s *Store) ContentIndex() TextIndex { return TextIndex{s.content, s} }
 
-// Phrase returns, ascending, the RowIDs (packed by Uint64) of the text
-// nodes that hold the query's terms adjacent and in order: the section
+// Phrase returns, ascending, the RowIDs (packed by Uint64) of the nodes
+// whose own text holds the query's terms adjacent and in order: the section
 // pipeline's hit source and phrase filter, drained.  A node deleted
 // between the index probe and its fetch is not a hit; a read error
 // yields nil.
