@@ -24,6 +24,7 @@ import (
 	"netmark/internal/mediator"
 	"netmark/internal/ordbms"
 	"netmark/internal/shred"
+	"netmark/internal/textindex"
 	"netmark/internal/xdb"
 	"netmark/internal/xmlstore"
 )
@@ -765,13 +766,13 @@ func AblationTextIndexVsScan(docs int) (string, error) {
 	}
 	term := "cryogenic"
 
-	// Both paths produce the same thing — the set of matching node
-	// locations, each node's own text (xmlstore.Node.OwnText) searched —
-	// so only the lookup mechanism differs.  Section
-	// materialisation (identical either way) is excluded.
-	// Stream the posting list through the block iterator: the timed
-	// work is the index probe plus block decode, not the allocation of
-	// a hit slice nobody reads.
+	// Both paths produce the same thing — the distinct sections whose own
+	// text holds the term — so only the lookup mechanism differs: the
+	// index posts each section's words under its key row, the scan walks
+	// each matching node to its heading.  Section materialisation
+	// (identical either way) is excluded.  Stream the posting list through
+	// the block iterator: the timed work is the index probe plus block
+	// decode, not the allocation of a hit slice nobody reads.
 	findIndexed := func() int {
 		n := 0
 		for it := s.ContentIndex().LookupIter(term); ; {
@@ -781,21 +782,15 @@ func AblationTextIndexVsScan(docs int) (string, error) {
 			n++
 		}
 	}
-	findScanned := func() (int, error) {
-		hits := 0
-		err := s.ScanNodes(func(n *xmlstore.Node) bool {
-			if text, ok := n.OwnText(); ok && strings.Contains(strings.ToLower(text), term) {
-				hits++
-			}
-			return true
-		})
-		return hits, err
-	}
+	findScanned := func() (int, error) { return ScanSections(s, term) }
 	// Warm both.
 	idxHits := findIndexed()
 	scanHits, err := findScanned()
 	if err != nil {
 		return "", err
+	}
+	if idxHits != scanHits {
+		return "", fmt.Errorf("experiments: the index finds %d sections holding %q, the scan %d", idxHits, term, scanHits)
 	}
 	const reps = 10
 	var viaIndex, viaScan time.Duration
@@ -819,4 +814,36 @@ func AblationTextIndexVsScan(docs int) (string, error) {
 	fmt.Fprintf(&sb, "%-16s %-12s %-6d\n", "full scan", viaScan, scanHits)
 	fmt.Fprintf(&sb, "index advantage: %.1fx\n", float64(viaScan)/float64(viaIndex))
 	return sb.String(), nil
+}
+
+// ScanSections answers a one-term content query without the text index:
+// it scans every node for own text (xmlstore.Node.OwnText) holding term,
+// by the index's tokenizer, and counts the distinct sections the matches
+// are in — the heading the ContextFor walk finds, or, where none governs
+// a node, its parent element.
+func ScanSections(s *xmlstore.Store, term string) (int, error) {
+	terms := []string{term}
+	var hits []*xmlstore.Node
+	err := s.ScanNodes(func(n *xmlstore.Node) bool {
+		if text, ok := n.OwnText(); ok && textindex.HasPhrase(text, terms) {
+			hits = append(hits, n)
+		}
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	sections := make(map[ordbms.RowID]bool)
+	for _, n := range hits {
+		ctx, err := s.ContextFor(n)
+		if err != nil {
+			return 0, err
+		}
+		if ctx != nil {
+			sections[ctx.RowID] = true
+		} else {
+			sections[n.ParentRowID] = true
+		}
+	}
+	return len(sections), nil
 }

@@ -29,6 +29,19 @@ func (x *IDIter) Next() (uint64, bool) {
 	return stepIntersect(x.its)
 }
 
+// SeekGE skips the result ids below target and returns the next one, or
+// false when the stream is done.  Like Next it consumes the id it
+// returns.
+//
+// netmarkvet:hotpath
+func (x *IDIter) SeekGE(target uint64) (uint64, bool) {
+	if x == nil || len(x.its) == 0 {
+		return 0, false
+	}
+	x.its[0].seekGE(target)
+	return stepIntersect(x.its)
+}
+
 // stepIntersect emits the next id present in every iterator.  its[0] is
 // the driver (smallest list); the rest are sought by block maxID, so
 // only candidate blocks decode.  When an iterator disagrees, the driver

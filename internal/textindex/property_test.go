@@ -168,6 +168,21 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 					if got, want := drain(ix.AndIter(q)), model.and(q); !eqIDs(got, want) {
 						t.Fatalf("%s: AndIter(%q) = %v, want %v", stage, q, got, want)
 					}
+					// SeekGE through ascending targets gives, each time, the
+					// first result at or past the target not yet given.
+					want, it, target := model.and(q), ix.AndIter(q), uint64(0)
+					for {
+						target += uint64(r.Intn(40))
+						i := sort.Search(len(want), func(i int) bool { return want[i] >= target })
+						got, ok := it.SeekGE(target)
+						if ok != (i < len(want)) || ok && got != want[i] {
+							t.Fatalf("%s: AndIter(%q).SeekGE(%d) = %d, %v", stage, q, target, got, ok)
+						}
+						if !ok {
+							break
+						}
+						want, target = want[i+1:], got+1
+					}
 				}
 				for _, p := range phrases {
 					if got, want := phrase(ix, texts, p), model.phrase(p); !eqIDs(got, want) {

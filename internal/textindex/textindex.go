@@ -7,10 +7,12 @@
 // The index maps lowercased terms to block-compressed posting lists of
 // the IDs that hold them, and answers which IDs hold a term or every
 // term of a query; it stores nothing about where in an ID's text a term
-// sits.  IDs are opaque uint64s; the XML store uses packed physical
-// RowIDs, so a hit leads directly to the page holding the node, and a
-// phrase is checked by HasPhrase against the text of the hit the store
-// has already fetched.  Posting lists are stored as delta+varint blocks
+// sits.  IDs are opaque uint64s; to the XML store an ID is a section's
+// key row — its heading's packed physical RowID, or the enclosing
+// element's where no heading governs the text — and its terms are every
+// word of that section's own text, so a hit is a section and leads
+// directly to the page holding its key row.  A phrase is checked by
+// HasPhrase against the text of the section the store has materialised.  Posting lists are stored as delta+varint blocks
 // with per-block maxID skip entries (see block.go): intersections seek
 // by skip entry and decode only candidate blocks, and resident memory
 // is a fraction of the flat []uint64 layout the index used before.

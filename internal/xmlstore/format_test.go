@@ -182,7 +182,7 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 
 // A heading whose only child is one text node holding exactly its text is
 // stored as one row: no child link, no text row, its text its own, posted
-// under its RowID and with no node→CONTEXT entry.  Every other heading
+// under its RowID like every word of its section.  Every other heading
 // keeps its children, and a nested heading's text is not its parent's.
 // Each document reconstructs to what was stored.
 func TestFoldedHeadingHasNoChildRow(t *testing.T) {
@@ -240,18 +240,10 @@ func TestFoldedHeadingHasNoChildRow(t *testing.T) {
 		if want := int64(1 + c.rows + 2); info.NNodes != want || s.NumNodes() != want {
 			t.Errorf("%s: %d rows, DOC says %d, want %d", name, s.NumNodes(), info.NNodes, want)
 		}
-		if _, ok := s.indexedSection(h.RowID); ok {
-			t.Errorf("%s: the heading has a node→CONTEXT entry", name)
-		}
+		// Folded or not, a heading's words are its section's.
 		for _, term := range textindex.Tokenize(c.data) {
-			for it := s.ContentIndex().LookupIter(term); ; {
-				id, ok := it.Next()
-				if !ok {
-					break
-				}
-				if (ordbms.RowIDFromUint64(id) == h.RowID) != c.folded {
-					t.Errorf("%s: %q posted under %v, the heading is %v", name, term, ordbms.RowIDFromUint64(id), h.RowID)
-				}
+			if id, ok := s.ContentIndex().LookupIter(term).SeekGE(h.RowID.Uint64()); !ok || id != h.RowID.Uint64() {
+				t.Errorf("%s: %q is not posted under the heading %v", name, term, h.RowID)
 			}
 		}
 		if got, want := reconstructBytes(t, s, "h.xml"), sgml.Serialize(keptTree(tree)); got != want {
@@ -270,7 +262,7 @@ func TestFoldedHeadingHasNoChildRow(t *testing.T) {
 // A document's docid is stored on its root and its CONTEXT rows, and on
 // no other: every other row's bitmap marks it NULL.  docOf still finds
 // every text node's document — the one whose DOC row leads to its root —
-// by the derived index and, with that off, by the parent links alone.
+// by the parent links alone.
 func TestDocIDStoredOncePerSection(t *testing.T) {
 	s := memStore(t)
 	docs := append(pinnedCorpus(),
@@ -314,36 +306,33 @@ func TestDocIDStoredOncePerSection(t *testing.T) {
 		t.Fatalf("%d of %d rows store a docid: the corpus is nearly all headings", stored, len(nodes))
 	}
 
-	for _, indexed := range []bool{true, false} {
-		s.SetContextIndexEnabled(indexed)
-		texts, headless := 0, 0
-		for _, info := range infos {
-			for _, rid := range docRowIDs(t, s, info.DocID) {
-				n, err := s.FetchNode(rid)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n.Class != sgml.ClassText {
-					continue
-				}
-				texts++
-				if ctx, _ := s.indexedSection(rid); ctx.IsZero() {
-					headless++
-				}
-				if id, err := s.docOf(n); err != nil || id != info.DocID {
-					t.Fatalf("index %v: text node %v of %s is in document %d (%v), want %d", indexed, rid, info.FileName, id, err, info.DocID)
-				}
+	texts, headless := 0, 0
+	for _, info := range infos {
+		for _, rid := range docRowIDs(t, s, info.DocID) {
+			n, err := s.FetchNode(rid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Class != sgml.ClassText {
+				continue
+			}
+			texts++
+			if ctx, err := s.ContextFor(n); err != nil || ctx == nil {
+				headless++
+			}
+			if id, err := s.docOf(n); err != nil || id != info.DocID {
+				t.Fatalf("text node %v of %s is in document %d (%v), want %d", rid, info.FileName, id, err, info.DocID)
 			}
 		}
-		all := 0
-		for _, n := range nodes {
-			if n.Class == sgml.ClassText {
-				all++
-			}
+	}
+	all := 0
+	for _, n := range nodes {
+		if n.Class == sgml.ClassText {
+			all++
 		}
-		if texts != all || headless == 0 {
-			t.Fatalf("index %v: the documents' walks reach %d of %d text nodes, %d under no heading", indexed, texts, all, headless)
-		}
+	}
+	if texts != all || headless == 0 {
+		t.Fatalf("the documents' walks reach %d of %d text nodes, %d under no heading", texts, all, headless)
 	}
 }
 
@@ -428,14 +417,17 @@ func treeDigests(t *testing.T, s *Store) (trees, listing string) {
 
 // A change of on-disk format changes no answer: every document of
 // pinnedCorpus reconstructs to the same bytes, and every query shape
-// returns the same sections, with the context index on and off, as built
-// and after a snapshot reopen and a scan reopen.  The digests were taken
-// on format 8, which stored 22 510 nodes, before headings were folded.
+// returns the same sections, as built and after a snapshot reopen and a
+// scan reopen.  The tree digests were taken on format 8, which stored
+// 22 510 nodes, before headings were folded; the answers digest when the
+// text index began posting words under their section, which let the two
+// two-term content queries match terms in different text runs of one
+// section (46 more sections each, none lost).
 func TestTreesAndAnswersPinned(t *testing.T) {
 	const (
 		wantTrees   = "2c149adaa53cac3a172c7f26affeca7660299b60494155ff804998ea63813088"
 		wantListing = "ba9275d6e7f3d67f6cd184abb22b3e0757095eaec2299c03f5215217230a1843"
-		wantAnswers = "3965789605a297b70e4ffc990c480045a877fc1fb49ea47da967c086bde9d533"
+		wantAnswers = "95d1929277206e40c1d79e26682c718b830093f0cb000566eb323713f67b460c"
 		wantNodes   = 19620 // 22 510 rows less 2 890 folded headings
 	)
 	dir := t.TempDir()
@@ -463,13 +455,9 @@ func TestTreesAndAnswersPinned(t *testing.T) {
 		if trees, listing := treeDigests(t, s); trees != wantTrees || listing != wantListing {
 			t.Errorf("%s: trees %s, listing %s", stage, trees, listing)
 		}
-		for _, indexed := range []bool{true, false} {
-			s.SetContextIndexEnabled(indexed)
-			if got := answerDigest(t, s); got != wantAnswers {
-				t.Errorf("%s, context index %v: answers %s", stage, indexed, got)
-			}
+		if got := answerDigest(t, s); got != wantAnswers {
+			t.Errorf("%s: answers %s", stage, got)
 		}
-		s.SetContextIndexEnabled(true)
 	}
 	check("as built", s)
 	if err := db.Close(); err != nil {

@@ -32,22 +32,23 @@ func FuzzApplySnapshot(f *testing.F) {
 	huge := textindex.New().AppendSnapshot([]byte{0, 0, 0})
 	huge = binary.AppendUvarint(huge, 1)
 	f.Add(binary.AppendUvarint(huge, ^uint64(0)))
-	// No headings, then three node→CONTEXT entries whose heading deltas
-	// climb past 48 bits, fall below zero and cancel out.
-	wrap := textindex.New().AppendSnapshot([]byte{0, 0, 0})
-	wrap = append(wrap, 0, 3)
+	// No headings, then what version 7 wrote next: three node→CONTEXT
+	// entries whose heading deltas climb past 48 bits, fall below zero and
+	// cancel out — trailing bytes now.
+	v7 := textindex.New().AppendSnapshot([]byte{0, 0, 0})
+	v7 = append(v7, 0, 3)
 	for _, d := range []int64{1 << 50, -(1<<50 + 9), 9} {
-		wrap = binary.AppendVarint(binary.AppendUvarint(wrap, 1), d)
+		v7 = binary.AppendVarint(binary.AppendUvarint(v7, 1), d)
 	}
-	f.Add(wrap)
+	f.Add(v7)
 	// One heading whose three rid deltas climb past 48 bits, fall below
-	// zero and cancel out, then no node→CONTEXT entries.
+	// zero and cancel out.
 	ridWrap := textindex.New().AppendSnapshot([]byte{0, 0, 0})
 	ridWrap = append(ridWrap, 1, 1, 'a', 3)
 	for _, d := range []int64{1 << 50, -(1<<50 + 9), 9} {
 		ridWrap = binary.AppendVarint(ridWrap, d)
 	}
-	f.Add(append(ridWrap, 0))
+	f.Add(ridWrap)
 	// A store with deletes and headings that many sections share, so rid
 	// lists run long and out of physical order.
 	rich := memStore(f)

@@ -44,19 +44,18 @@ type preparedDoc struct {
 	// the document was prepared: their tag column and record wait for the
 	// ordered writer, which assigns codes in document order.
 	untagged []int
-	toks     [][]string
-	// governs[i] is the flat index of node i's governing CONTEXT (-1 =
-	// none), precomputed in the parse workers so the derived
-	// node→context index is a batch of map inserts, not a walk.
-	governs []int32
+	// toks[k] holds the words of every node posted under node k, a
+	// section's key row (see postKey): tokenized and grouped in the parse
+	// workers, so indexing is one posting insert per section.
+	toks [][]string
 }
 
 // prepareDocument runs every part of StoreDocument that does not touch
 // the tables: it picks the root element, flattens the tree, builds and
 // encodes the rows (present links still zero; a node whose tag has no
 // code yet is left for the writer), and pre-tokenizes each node's own
-// text for the content index.  It is safe to call from many goroutines
-// concurrently.
+// text under its section's key row for the content index.  It is safe to
+// call from many goroutines concurrently.
 func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64) (*preparedDoc, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("xmlstore: nil document tree")
@@ -92,6 +91,7 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		far:   make([]uint64, len(flat)),
 		toks:  make([][]string, len(flat)),
 	}
+	governs := governingContexts(flat)
 	codes := make(map[tagPair]int64) // this document's tags; -1 = no code yet
 	for i := range flat {
 		fn := &flat[i]
@@ -123,10 +123,10 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, ordbms.ZeroRowID, allNear) // every link starts near
 		}
 		if text, ok := fn.ownText(); ok {
-			p.toks[i] = textindex.Tokenize(text)
+			k := postKey(flat, governs, i)
+			p.toks[k] = append(p.toks[k], textindex.Tokenize(text)...)
 		}
 	}
-	p.governs = governingContexts(flat)
 	return p, nil
 }
 
@@ -228,6 +228,23 @@ func governingContexts(flat []flatNode) []int32 {
 		}
 	}
 	return out
+}
+
+// postKey is the flat index of the row node i's own text is posted under
+// in the text index: its section's key row.  A CONTEXT keys its own
+// section, so a folded heading's text is its own; any other node's key is
+// the CONTEXT governing it, or, where no heading does (raw XML), its
+// parent element, the scope fallbackSection reports.
+func postKey(flat []flatNode, governs []int32, i int) int {
+	switch {
+	case flat[i].class == sgml.ClassContext:
+		return i
+	case governs[i] >= 0:
+		return int(governs[i])
+	case flat[i].parent >= 0:
+		return flat[i].parent
+	}
+	return i
 }
 
 // storePrepared performs the ordered write of a prepared document: one
@@ -345,32 +362,14 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	return nil
 }
 
-// indexPrepared feeds a stored document's nodes into the derived indexes:
-// each node's own text into the text index, each TEXT node's governing
-// heading into ctxIdx, and each heading into the context btree.  The
-// indexes carry their own locks, so this stage
-// runs concurrently with the writer storing the next document.
+// indexPrepared feeds a stored document into the derived indexes: each
+// section's words into the text index under its key row, and each heading
+// into the context btree.  The indexes carry their own locks, so this
+// stage runs concurrently with the writer storing the next document.
 func (s *Store) indexPrepared(p *preparedDoc) {
-	// Governing-context entries land first: a text hit can only be found
-	// once its posting exists, and by then its ctxIdx entry must answer.
-	s.ctxIdxMu.Lock()
 	for i := range p.flat {
 		fn := &p.flat[i]
-		if fn.class != sgml.ClassText {
-			continue
-		}
-		if g := p.governs[i]; g >= 0 {
-			s.ctxIdx[fn.rid] = p.flat[g].rid
-		} else {
-			s.ctxIdx[fn.rid] = ordbms.ZeroRowID
-		}
-	}
-	s.ctxIdxMu.Unlock()
-	for i := range p.flat {
-		fn := &p.flat[i]
-		if _, ok := fn.ownText(); ok {
-			s.content.AddTokens(fn.rid.Uint64(), p.toks[i])
-		}
+		s.content.AddTokens(fn.rid.Uint64(), p.toks[i])
 		if fn.class == sgml.ClassContext {
 			s.addContextKey(fn.data, fn.rid)
 		}
@@ -564,10 +563,10 @@ func decodeAttrs(s string) []sgml.Attr {
 }
 
 // DeleteDocument removes a document: its DOC row, all its XML rows, and
-// their derived index entries (text postings, context keys, governing-
-// context map, cached node decodes).  The rows are found by the walk that
-// reconstructs the document and deleted as one run, in reverse document
-// order, then the DOC row: two log records.  Whatever an interrupted
+// their derived index entries (text postings, context keys, cached node
+// decodes).  The rows are found by the walk that reconstructs the
+// document and deleted as one run, in reverse document order, then the
+// DOC row: two log records.  Whatever an interrupted
 // delete leaves behind — a prefix of the run in memory, or in the log the
 // run without the DOC row — is a prefix of the document still reachable
 // from its root, and a retry finishes it.
@@ -605,25 +604,18 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	defer s.bumpGeneration() // rows start disappearing: invalidate even on failure
 	// Derived entries go before the rows, so none outlives its row; the run
 	// is in reverse document order, so one that stops leaves a prefix.
-	// Postings go before governing-context entries, the reverse of
-	// indexPrepared, so a text hit always finds its entry.
+	// Every key row a document's words are posted under is one of its
+	// rows, and Remove skips the rest.
 	rids := make([]ordbms.RowID, len(nodes))
-	posted := make([]uint64, 0, len(nodes)) // the rows with text of their own
+	ids := make([]uint64, len(nodes))
 	for i, n := range nodes {
 		rids[len(nodes)-1-i] = n.RowID
-		if _, ok := n.OwnText(); ok {
-			posted = append(posted, n.RowID.Uint64())
-		}
+		ids[i] = n.RowID.Uint64()
 		if n.Class == sgml.ClassContext {
 			s.removeContextKey(n.Data, n.RowID)
 		}
 	}
-	s.content.Remove(posted...)
-	s.ctxIdxMu.Lock()
-	for _, id := range posted {
-		delete(s.ctxIdx, ordbms.RowIDFromUint64(id))
-	}
-	s.ctxIdxMu.Unlock()
+	s.content.Remove(ids...)
 	err = s.xml.DeleteRun(rids) // ErrRecordDeleted: a retry found no rows left
 	// Cached decodes go after the rows, so a racing fill (whose token
 	// predates this invalidation) can never resurrect a record.

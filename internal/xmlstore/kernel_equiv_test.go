@@ -8,6 +8,7 @@ import (
 
 	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
+	"netmark/internal/textindex"
 )
 
 // loadDeepCorpus fills a store with a mixed corpus: deep XML reports
@@ -24,24 +25,17 @@ func loadDeepCorpus(t testing.TB, s *Store) {
 	}
 }
 
-// TestKernelEquivalence proves the accelerated cold path — node cache,
-// derived governing-context index, batched fetches — returns
-// byte-for-byte the results of the paper's pointer-chasing kernel,
-// across every query family and limit shape.
+// TestKernelEquivalence proves the decoded-node cache changes no answer:
+// with it, cold and warm, every query family and limit shape returns
+// byte-for-byte what the store returns with every hop decoding its row.
 // Both configurations run against the same store (heap page placement
 // uses map-ordered free-space hints, so two separately loaded stores can
 // legitimately differ in physical RowIDs).
 func TestKernelEquivalence(t *testing.T) {
 	s := memStore(t)
 	loadDeepCorpus(t, s)
-	asBaseline := func() {
-		s.EnableNodeCache(0)
-		s.SetContextIndexEnabled(false)
-	}
-	asOptimized := func() {
-		s.EnableNodeCache(16 << 20)
-		s.SetContextIndexEnabled(true)
-	}
+	asBaseline := func() { s.EnableNodeCache(0) }
+	asOptimized := func() { s.EnableNodeCache(16 << 20) }
 
 	type plan struct {
 		name string
@@ -94,7 +88,7 @@ func TestKernelEquivalence(t *testing.T) {
 					t.Fatalf("optimized %s: %v", pass, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s pass diverges from pointer-chasing kernel:\n got: %+v\nwant: %+v", pass, got, want)
+					t.Fatalf("%s pass diverges from the uncached kernel:\n got: %+v\nwant: %+v", pass, got, want)
 				}
 			}
 			if st, ok := s.NodeCacheStats(); !ok || st.Hits == 0 {
@@ -132,41 +126,60 @@ func TestSameQuerySameWork(t *testing.T) {
 	}
 }
 
-// TestContextIndexMatchesWalk checks the derived node→governing-CONTEXT
-// index against the pointer-chasing walk for every text node in the
-// store, including after deletes force index patching.
-func TestContextIndexMatchesWalk(t *testing.T) {
-	s := memStore(t)
-	loadDeepCorpus(t, s)
-
-	check := func(stage string) {
-		t.Helper()
-		var nodes []*Node
-		if err := s.ScanNodes(func(n *Node) bool {
-			nodes = append(nodes, n)
-			return true
-		}); err != nil {
-			t.Fatal(err)
+// checkPostings holds the text index to what ingest posts: every node
+// with words of its own has them posted under its section's key row — the
+// heading the ContextFor walk finds, or its parent where no heading
+// governs it — and the index holds no other key, so none names a deleted
+// row.  The rows of document skip (0: none), which an interrupted delete
+// left behind, may be posted or not.
+func checkPostings(t *testing.T, stage string, s *Store, skip uint64) {
+	t.Helper()
+	var nodes []*Node
+	if err := s.ScanNodes(func(n *Node) bool {
+		nodes = append(nodes, n)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	posted := make(map[ordbms.RowID]bool)
+	for _, n := range nodes {
+		text, _ := n.OwnText()
+		terms := textindex.Tokenize(text)
+		if len(terms) == 0 {
+			continue
 		}
-		for _, n := range nodes {
-			viaIdx, err := s.ContextFor(n)
-			if err != nil {
-				t.Fatalf("%s: ContextFor: %v", stage, err)
+		ctx, err := s.ContextFor(n)
+		if err != nil {
+			t.Fatalf("%s: ContextFor(%v): %v", stage, n.RowID, err)
+		}
+		key := n.ParentRowID
+		if ctx != nil {
+			key = ctx.RowID
+		}
+		for _, term := range terms {
+			if id, ok := s.content.LookupIter(term).SeekGE(key.Uint64()); ok && id == key.Uint64() {
+				posted[key] = true
+				continue
 			}
-			viaWalk, err := s.contextForWalk(n)
-			if err != nil {
-				t.Fatalf("%s: walk: %v", stage, err)
-			}
-			switch {
-			case viaIdx == nil && viaWalk == nil:
-			case viaIdx == nil || viaWalk == nil:
-				t.Fatalf("%s: node %v: index=%v walk=%v", stage, n.RowID, viaIdx, viaWalk)
-			case viaIdx.RowID != viaWalk.RowID:
-				t.Fatalf("%s: node %v: index→%v walk→%v", stage, n.RowID, viaIdx.RowID, viaWalk.RowID)
+			if doc, err := s.docOf(n); err != nil || doc != skip {
+				t.Fatalf("%s: %q of node %v is not posted under its section's key row %v (document %d, %v)", stage, term, n.RowID, key, doc, err)
 			}
 		}
 	}
-	check("after ingest")
+	if got := s.content.Docs(); got != len(posted) {
+		t.Fatalf("%s: the text index holds %d keys, %d of them stored sections'", stage, got, len(posted))
+	}
+}
+
+// TestContextIndexMatchesWalk checks the text index, which posts each
+// node's words under its section's key row, against the paper's
+// ContextFor walk for every node in the store, after ingest and after a
+// delete removes a document's postings.
+func TestContextIndexMatchesWalk(t *testing.T) {
+	s := memStore(t)
+	loadDeepCorpus(t, s)
+	ingest(t, s, "raw.xml", `<r><p>alpha <b>beta</b> alpha gamma</p><q>delta</q></r>`)
+	checkPostings(t, "after ingest", s, 0)
 
 	docs, err := s.Documents()
 	if err != nil || len(docs) < 3 {
@@ -175,25 +188,25 @@ func TestContextIndexMatchesWalk(t *testing.T) {
 	if err := s.DeleteDocument(docs[1].DocID); err != nil {
 		t.Fatal(err)
 	}
-	check("after delete")
+	checkPostings(t, "after delete", s, 0)
 }
 
-// TestContextIndexRebuildOnReopen proves the governing-context index
-// rebuilt by rebuildDerived on a persistent reopen (a separate
-// implementation of the recurrence, driven by RowID links instead of
-// flat-tree indexes) agrees with the pointer-chasing walk for every
-// node — guarding the two resolver implementations against drift.
+// TestContextIndexRebuildOnReopen checks the postings rebuilt on a
+// persistent reopen against the ContextFor walk, after a snapshot reopen
+// and after a scan reopen, whose rebuild finds each key row from the
+// stored links rather than the parsed tree, and that a search answers as
+// it did before the close.
 func TestContextIndexRebuildOnReopen(t *testing.T) {
 	dir := t.TempDir()
-	db, err := ordbms.Open(ordbms.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, s := openDir(t, dir, OpenOptions{})
 	loadDeepCorpus(t, s)
+	docs, err := s.Documents()
+	if err != nil || len(docs) < 3 {
+		t.Fatalf("docs: %v (%d)", err, len(docs))
+	}
+	if err := s.DeleteDocument(docs[1].DocID); err != nil {
+		t.Fatal(err)
+	}
 	want, err := s.ContentSearchN("cryogenic", 0)
 	if err != nil || len(want) == 0 {
 		t.Fatalf("pre-close search: %v (%d sections)", err, len(want))
@@ -202,46 +215,33 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db, err = ordbms.Open(ordbms.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s, err = Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScanNodes(func(n *Node) bool {
-		viaIdx, ierr := s.ContextFor(n)
-		if ierr != nil {
-			t.Fatalf("ContextFor: %v", ierr)
+	reopened := func(stage string, s *Store) {
+		t.Helper()
+		checkPostings(t, stage, s, 0)
+		got, err := s.ContentSearchN("cryogenic", 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		viaWalk, werr := s.contextForWalk(n)
-		if werr != nil {
-			t.Fatalf("walk: %v", werr)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: results diverge:\n got %d sections\nwant %d sections", stage, len(got), len(want))
 		}
-		switch {
-		case viaIdx == nil && viaWalk == nil:
-		case viaIdx == nil || viaWalk == nil || viaIdx.RowID != viaWalk.RowID:
-			t.Fatalf("node %v: rebuilt index and walk disagree (%v vs %v)", n.RowID, viaIdx, viaWalk)
-		}
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
-	got, err := s.ContentSearchN("cryogenic", 0)
-	if err != nil {
-		t.Fatal(err)
+	db, s = openDir(t, dir, OpenOptions{})
+	if !s.SnapshotStats().Loaded {
+		t.Fatalf("snapshot not loaded: %+v", s.SnapshotStats())
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-reopen results diverge:\n got %d sections\nwant %d sections", len(got), len(want))
-	}
+	reopened("snapshot reopen", s)
+	db.CloseDiscard()
+
+	db, s = openDir(t, dir, OpenOptions{DisableSnapshot: true})
+	defer db.CloseDiscard()
+	reopened("scan reopen", s)
 }
 
 // TestContentSearchRaceWithNodeCache hammers the accelerated kernel
 // against concurrent ingest and delete with the node cache enabled.  Run
-// under -race it proves the cache fill tokens and the derived-index
-// patching are sound; the results themselves must only ever contain
+// under -race it proves the cache fill tokens and the posting removals
+// are sound; the results themselves must only ever contain
 // complete sections.
 func TestContentSearchRaceWithNodeCache(t *testing.T) {
 	s := memStore(t)

@@ -15,24 +15,26 @@ import (
 )
 
 // phraseSectionRIDs runs a phrase-only query through the section pipeline
-// and returns the heading RowIDs it delivers, in delivery order.
-func phraseSectionRIDs(t *testing.T, s *Store, phrase string) []ordbms.RowID {
+// and returns the key rows (packed by Uint64) of the sections it
+// delivers, in delivery order.
+func phraseSectionRIDs(t *testing.T, s *Store, phrase string) []uint64 {
 	t.Helper()
 	secs, err := s.collect(SectionQuery{Content: phrase, Phrase: true})
 	if err != nil {
 		t.Fatalf("phrase %q: %v", phrase, err)
 	}
-	var out []ordbms.RowID
+	var out []uint64
 	for _, sec := range secs {
-		out = append(out, sec.ContextRID)
+		out = append(out, sec.ContextRID.Uint64())
 	}
 	return out
 }
 
 // TestStorePhrase runs the store's phrase query end to end: adjacency and
-// order decide, separators and case do not, a phrase never spans two text
-// nodes, CJK text matches as a run of unigrams, and ContentIndex().Phrase
-// returns the matching nodes themselves, ascending.
+// order decide, separators and case do not, a phrase may run across the
+// text runs of one section but not from one section into the next, CJK
+// text matches as a run of unigrams, and ContentIndex().Phrase returns
+// the matching sections' key rows, ascending.
 func TestStorePhrase(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "gap.html", `<html><body>
@@ -55,9 +57,10 @@ func TestStorePhrase(t *testing.T) {
 		return out
 	}
 	for phrase, want := range map[string][]string{
-		"technology gap":   {"Technology Gap", "Punctuated"},
+		"technology gap":   {"Technology Gap", "Punctuated", "Split"},
 		"gap is shrinking": {"Technology Gap"},
 		"shrinking is":     nil,
+		"widening split":   nil,
 		"technology":       {"Technology Gap", "Reversed", "Punctuated", "Split"},
 		"東京":               {"東京"},
 		"の報告":              {"東京", "京東"},
@@ -66,24 +69,14 @@ func TestStorePhrase(t *testing.T) {
 			t.Errorf("phrase %q: sections %q, want %q", phrase, got, want)
 		}
 	}
-	// A heading's text is its own: three nodes hold the phrase, the
-	// "Technology Gap" heading among them.
 	hits := s.ContentIndex().Phrase("technology gap")
 	if len(hits) != 3 || !slices.IsSorted(hits) {
-		t.Fatalf("ContentIndex().Phrase = %v, want three ascending node RowIDs", hits)
+		t.Fatalf("ContentIndex().Phrase = %v, want three ascending key rows", hits)
 	}
-	inHeading := 0
 	for _, h := range hits {
-		n, err := s.FetchNode(ordbms.RowIDFromUint64(h))
-		if err != nil || !textindex.HasPhrase(n.Data, []string{"technology", "gap"}) {
-			t.Fatalf("hit %d is %+v, %v", h, n, err)
+		if n, err := s.FetchNode(ordbms.RowIDFromUint64(h)); err != nil || n.Class != sgml.ClassContext {
+			t.Fatalf("hit %d is %+v, %v, not a heading", h, n, err)
 		}
-		if n.Class == sgml.ClassContext {
-			inHeading++
-		}
-	}
-	if inHeading != 1 {
-		t.Fatalf("%d of the hits are headings, want 1", inHeading)
 	}
 }
 
@@ -124,7 +117,7 @@ func TestPhraseAcrossChunks(t *testing.T) {
 		t.Fatalf("setup: %d candidates fit one chunk", and)
 	}
 	if got := len(s.ContentIndex().Phrase("liquid oxygen")); got != want {
-		t.Fatalf("Phrase found %d nodes, want %d", got, want)
+		t.Fatalf("Phrase found %d sections, want %d", got, want)
 	}
 	if got := len(phraseSectionRIDs(t, s, "liquid oxygen")); got != want {
 		t.Fatalf("%d sections, want %d", got, want)
@@ -135,49 +128,81 @@ func TestPhraseAcrossChunks(t *testing.T) {
 	}
 }
 
-// bruteForcePhrase answers a phrase-only query without the text index or
-// the derived context map: scan every node's own text, tokenize it, look for
-// the terms as consecutive tokens, and walk each hit to its heading the
-// paper's way.  It returns the matching nodes and the headings they
-// resolve to, both in the pipeline's order.
-func bruteForcePhrase(t *testing.T, s *Store, phrase string) (hits []uint64, sections []ordbms.RowID) {
+// bruteForcePhrase answers a phrase-only query without the text index:
+// scan every node's own text, put its tokens in the section the paper's
+// walk finds for it (its parent's where no heading governs it), and keep,
+// in key-row order, each section holding every term whose heading or
+// content, tokenized, holds the terms as consecutive tokens.
+func bruteForcePhrase(t *testing.T, s *Store, phrase string) []uint64 {
 	t.Helper()
 	terms := textindex.Tokenize(phrase)
-	var rids []ordbms.RowID
-	textNodes(t, s, func(rid ordbms.RowID, toks []string) {
-		for i := 0; i+len(terms) <= len(toks); i++ {
-			if slices.Equal(toks[i:i+len(terms)], terms) {
-				rids = append(rids, rid)
-				return
-			}
+	words := make(map[ordbms.RowID]map[string]bool)
+	var nodes []*Node
+	if err := s.ScanNodes(func(n *Node) bool {
+		nodes = append(nodes, n)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		text, ok := n.OwnText()
+		if !ok {
+			continue
 		}
-	})
-	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
-	seen := make(map[ordbms.RowID]bool)
-	for _, rid := range rids {
-		n, err := s.FetchNode(rid)
+		key := n.ParentRowID
+		ctx, err := s.ContextFor(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits = append(hits, rid.Uint64())
-		ctx, err := s.contextForWalk(n)
-		if err != nil {
-			t.Fatal(err)
+		if ctx != nil {
+			key = ctx.RowID
 		}
-		if ctx != nil && !seen[ctx.RowID] {
-			seen[ctx.RowID] = true
-			sections = append(sections, ctx.RowID)
+		if words[key] == nil {
+			words[key] = make(map[string]bool)
+		}
+		for _, tok := range textindex.Tokenize(text) {
+			words[key][tok] = true
 		}
 	}
-	return hits, sections
+	var keys []ordbms.RowID
+	for key, have := range words {
+		if !slices.ContainsFunc(terms, func(term string) bool { return !have[term] }) {
+			keys = append(keys, key)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	holds := func(text string) bool {
+		toks := textindex.Tokenize(text)
+		for i := 0; i+len(terms) <= len(toks); i++ {
+			if slices.Equal(toks[i:i+len(terms)], terms) {
+				return true
+			}
+		}
+		return false
+	}
+	var out []uint64
+	for _, key := range keys {
+		n, err := s.FetchNode(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := s.keySection(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if holds(sec.Context) || holds(sec.Content) {
+			out = append(out, key.Uint64())
+		}
+	}
+	return out
 }
 
 // TestPhraseMatchesBruteForce is the differential test for the phrase
 // path: for a few dozen phrases over a generated corpus — runs of two and
 // three tokens lifted from its text, the same runs reversed, single terms,
-// and runs that straddle two text nodes — the pipeline must return
-// exactly the sections, and ContentIndex().Phrase exactly the nodes, that
-// a brute-force scan finds.  Checked after ingest, after a snapshot
+// and runs that straddle two text nodes — the pipeline and
+// ContentIndex().Phrase must return exactly the sections a brute-force
+// scan finds.  Checked after ingest, after a snapshot
 // reopen, after a scan-rebuild reopen, and after deleting documents.
 func TestPhraseMatchesBruteForce(t *testing.T) {
 	dir := t.TempDir()
@@ -220,14 +245,14 @@ func TestPhraseMatchesBruteForce(t *testing.T) {
 	check := func(stage string, s *Store) {
 		t.Helper()
 		for _, p := range phrases {
-			wantHits, wantSecs := bruteForcePhrase(t, s, p)
-			if got := s.ContentIndex().Phrase(p); !slices.Equal(got, wantHits) {
-				t.Fatalf("%s: ContentIndex().Phrase(%q) = %v, brute force %v", stage, p, got, wantHits)
+			want := bruteForcePhrase(t, s, p)
+			if got := s.ContentIndex().Phrase(p); !slices.Equal(got, want) {
+				t.Fatalf("%s: ContentIndex().Phrase(%q) = %v, brute force %v", stage, p, got, want)
 			}
-			if got := phraseSectionRIDs(t, s, p); !slices.Equal(got, wantSecs) {
-				t.Fatalf("%s: phrase %q sections %v, brute force %v", stage, p, got, wantSecs)
+			if got := phraseSectionRIDs(t, s, p); !slices.Equal(got, want) {
+				t.Fatalf("%s: phrase %q sections %v, brute force %v", stage, p, got, want)
 			}
-			if len(wantHits) > 0 {
+			if len(want) > 0 {
 				matched++
 			}
 		}

@@ -21,98 +21,34 @@ import (
 //	the tree structure via the sibling node retrieves the corresponding
 //	content text."
 //
-// Every section-shaped query runs through one serial, demand-driven pull
+// The walk up from each hit runs once, at ingest (governingContexts):
+// each node's own text is posted in the text index under its section's
+// key row — the CONTEXT that governs it, or, in raw XML under no heading,
+// its parent element — so a text-index hit is a section.  Every
+// section-shaped query runs through one serial, demand-driven pull
 // pipeline (Store.Sections):
 //
-//	source   text-index hits (the AND of the query's terms; a phrase
-//	         keeps a hit only when the hit's own text holds it), or the
-//	         context btree's rowids for an exact or prefix heading
-//	resolve  hit -> governing CONTEXT through the derived index, deduped
-//	         (a context rowid, and a hit on a heading's own text, is its
-//	         own section)
-//	filter   the one predicate the source does not already guarantee,
-//	         compiled once per query
+//	source   the key rows of the candidate sections, ascending: the AND
+//	         of the query's terms, or the context btree's rowids for an
+//	         exact or prefix heading less those the AND does not hold
+//	filter   a heading is checked on each key row the text index yields,
+//	         a phrase on each materialised section
 //	limit    stop after q.Limit sections
 //	fn       the caller's sink
 //
 // Nothing runs ahead of the sink, so the same query does the same work
-// every time and a capped query pays for the sections it returns.  Rows
-// reach the pipeline sectionChunk at a time through the node cache and
-// batched heap fetches; the pointer-chasing walk remains as the fallback
-// for nodes the derived index does not cover, and as the ablation
-// baseline.
+// every time and a capped query pays for the sections it returns.  Key
+// rows reach the pipeline sectionChunk at a time through the node cache
+// and batched heap fetches.
 
-// ContextFor resolves a node to its governing CONTEXT node: the nearest
-// preceding heading in document order, at any ancestor level.  Returns
-// nil when the node has no governing context (raw XML with no headings).
-//
-// netmarkvet:hotpath
+// ContextFor resolves a node to its governing CONTEXT node by the paper's
+// traversal: scan left across preceding siblings, then climb, until the
+// first CONTEXT node — the nearest preceding heading in document order,
+// at any ancestor level.  A CONTEXT governs itself: a hit on a folded
+// heading's text is in that heading.  Returns nil when no heading governs
+// the node (raw XML).  Queries never walk: ingest posts each node's words
+// under the heading this walk finds.
 func (s *Store) ContextFor(n *Node) (*Node, error) {
-	rid, ctx, err := s.resolveSection(n)
-	if err != nil || ctx != nil || rid.IsZero() {
-		return ctx, err
-	}
-	return s.FetchNode(rid)
-}
-
-// resolveSection maps a node to the rowid of its governing CONTEXT
-// without materialising anything (zero: no heading governs it).  Text
-// nodes resolve through the derived index maintained at ingest — one map
-// probe instead of an O(siblings × depth) chain of row fetches.  Nodes
-// without an index entry fall back to the pointer-chasing walk, which
-// has the CONTEXT node in hand and returns it as ctx; a CONTEXT, which
-// has no entry, is its own at once.
-//
-// netmarkvet:hotpath
-func (s *Store) resolveSection(n *Node) (rid ordbms.RowID, ctx *Node, err error) {
-	if r, ok := s.indexedSection(n.RowID); ok {
-		return r, nil, nil
-	}
-	if ctx, err = s.contextForWalk(n); err != nil || ctx == nil {
-		return ordbms.ZeroRowID, nil, err
-	}
-	return ctx.RowID, ctx, nil
-}
-
-// indexedSection probes the derived index for the CONTEXT governing the
-// text node at rid (zero: none does); ok is false when the index holds no
-// entry for rid, or is off.
-func (s *Store) indexedSection(rid ordbms.RowID) (ctx ordbms.RowID, ok bool) {
-	if s.ctxIdxOff {
-		return ordbms.ZeroRowID, false
-	}
-	s.ctxIdxMu.RLock()
-	ctx, ok = s.ctxIdx[rid]
-	s.ctxIdxMu.RUnlock()
-	return ctx, ok
-}
-
-// docOf returns the document n belongs to.  Only root and CONTEXT rows
-// store their docid; any other row takes it from the heading that governs
-// it, found by the derived index, or else from its nearest ancestor that
-// stores one — the root at the latest.
-func (s *Store) docOf(n *Node) (uint64, error) {
-	for n.DocID == 0 {
-		up := n.ParentRowID
-		if ctx, _ := s.indexedSection(n.RowID); !ctx.IsZero() {
-			up = ctx
-		}
-		if up.IsZero() {
-			return 0, fmt.Errorf("xmlstore: corrupt node %v: a root that names no document", n.RowID)
-		}
-		var err error
-		if n, err = s.FetchNode(up); err != nil {
-			return 0, err
-		}
-	}
-	return n.DocID, nil
-}
-
-// contextForWalk is the paper's traversal: scan left across preceding
-// siblings, then climb, until the first CONTEXT node.  It is the
-// correctness baseline the derived index is tested against.  A CONTEXT
-// governs itself: a hit on a folded heading's text is in that heading.
-func (s *Store) contextForWalk(n *Node) (*Node, error) {
 	if n.Class == sgml.ClassContext {
 		return n, nil
 	}
@@ -144,6 +80,22 @@ func (s *Store) contextForWalk(n *Node) (*Node, error) {
 		cur = parent
 	}
 	return nil, nil
+}
+
+// docOf returns the document n belongs to.  Only root and CONTEXT rows
+// store their docid; any other row takes it from its nearest ancestor
+// that stores one — the root at the latest.
+func (s *Store) docOf(n *Node) (uint64, error) {
+	for n.DocID == 0 {
+		if n.ParentRowID.IsZero() {
+			return 0, fmt.Errorf("xmlstore: corrupt node %v: a root that names no document", n.RowID)
+		}
+		var err error
+		if n, err = s.FetchNode(n.ParentRowID); err != nil {
+			return 0, err
+		}
+	}
+	return n.DocID, nil
 }
 
 // SectionOf materialises the Section governed by a CONTEXT node:
@@ -224,9 +176,8 @@ type SectionQuery struct {
 }
 
 // Sections runs q through the pipeline described at the top of this file
-// and hands fn each distinct matching section as soon as it is
-// materialised — physical order when the context btree drives, first-hit
-// order when the text index does — until fn returns false or q.Limit
+// and hands fn each matching section, in the physical order of its key
+// row, as soon as it is materialised, until fn returns false or q.Limit
 // sections have been delivered.
 //
 // The paper's Context=Technology Gap & Content=Shrinking "returns the
@@ -234,12 +185,12 @@ type SectionQuery struct {
 // 'Shrinking' occurs within the Technology Gap context".  For such a
 // query the planner picks the cheaper source — the heading's rowids when
 // the heading is rarer than the rarest term, the posting lists otherwise
-// — and the other predicate becomes the filter.  A term predicate means
-// the same under both plans: every term occurs, by the index tokenizer,
-// in the section's heading or content.  A phrase is found in the text of
-// one node, by textindex.HasPhrase, when the text index drives, and by
-// case-insensitive substring of content plus heading when it filters; a
-// phrase-only query skips hits no heading governs.
+// — and both plans return the same sections in the same order: those
+// whose key row bears the heading and holds every term in the text
+// index.  A section holds the words of its heading and of the text that
+// heading governs; a word under a nested heading is that heading's,
+// though SectionOf's content shows it too.  A phrase must also occur, by
+// textindex.HasPhrase, in the section's heading or in its content.
 func (s *Store) Sections(q SectionQuery, fn func(Section) bool) error {
 	return s.sections(q, s.contentDrives(q), fn)
 }
@@ -247,75 +198,97 @@ func (s *Store) Sections(q SectionQuery, fn func(Section) bool) error {
 // sections is Sections with the source already chosen.  fromContent is
 // valid for every q but a prefix heading, which only the btree can drive.
 func (s *Store) sections(q SectionQuery, fromContent bool, fn func(Section) bool) error {
-	keep := q.residual(fromContent)
+	var phrase []string // the phrase to find beyond the AND; a one-term one is the AND
+	if q.Phrase {
+		if terms := textindex.Tokenize(q.Content); len(terms) > 1 {
+			phrase = terms
+		}
+	}
+	// The text index yields any section: check its key row for the
+	// heading, which the btree holds only when it is not blank.
+	checkHeading, heading := fromContent && q.Context != "", normalizeContext(q.Context)
 	n := 0
-	emit := func(sec Section) bool {
-		if keep != nil && !keep(sec) {
-			return true
+	visit := func(key *Node) (bool, error) {
+		if checkHeading && (key.Class != sgml.ClassContext || heading == "" || normalizeContext(key.Data) != heading) {
+			return true, nil
+		}
+		sec, err := s.keySection(key)
+		if IsGone(err) {
+			// A concurrent delete removed part of this section since the
+			// index probe: skip it, the generation bump has already
+			// invalidated cached results.
+			return true, nil
+		}
+		if err != nil {
+			return false, err
+		}
+		if phrase != nil && !textindex.HasPhrase(sec.Context, phrase) && !textindex.HasPhrase(sec.Content, phrase) {
+			return true, nil
 		}
 		n++
-		return fn(sec) && (q.Limit <= 0 || n < q.Limit)
+		return fn(sec) && (q.Limit <= 0 || n < q.Limit), nil
 	}
 	if fromContent {
-		return s.contentSections(q, emit)
+		return s.forEachKeyRow(iterRows(s.content.AndIter(q.Content)), visit)
 	}
-	// With nothing to filter, the first q.Limit candidates are the result:
+	// With no terms to hold, the first q.Limit candidates are the result:
 	// push the cap into candidate collection.
 	bound := 0
-	if keep == nil {
+	if q.Content == "" {
 		bound = q.Limit
 	}
-	return s.contextSections(s.contextRIDs(q, bound), emit)
+	rids := s.contextRIDs(q, bound)
+	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
+	if q.Content != "" {
+		rids = s.holding(rids, q.Content)
+	}
+	return s.forEachKeyRow(func() (ordbms.RowID, bool) {
+		if len(rids) == 0 {
+			return ordbms.ZeroRowID, false
+		}
+		rid := rids[0]
+		rids = rids[1:]
+		return rid, true
+	}, visit)
 }
 
-// residual compiles the predicate the driving source leaves unchecked
-// (nil: none), once per query.
-func (q SectionQuery) residual(fromContent bool) func(Section) bool {
-	switch {
-	case fromContent && q.Context == "", !fromContent && q.Content == "":
-		return nil
-	case fromContent:
-		want := normalizeContext(q.Context)
-		return func(sec Section) bool { return normalizeContext(sec.Context) == want }
-	case q.Phrase:
-		want := strings.ToLower(q.Content)
-		return func(sec Section) bool {
-			return strings.Contains(strings.ToLower(sec.Content+" "+sec.Context), want)
-		}
-	}
-	terms := textindex.Tokenize(q.Content)
-	return func(sec Section) bool {
-		have := make(map[string]bool)
-		for _, text := range [...]string{sec.Context, sec.Content} {
-			for _, term := range textindex.Tokenize(text) {
-				have[term] = true
+// holding keeps, in place, the rids (ascending) that hold every term of
+// query, found by seeking one AND iterator through them: blocks of a
+// posting list that no rid falls in are never decoded.
+func (s *Store) holding(rids []ordbms.RowID, query string) []ordbms.RowID {
+	it := s.content.AndIter(query)
+	out := rids[:0]
+	var at uint64 // the last id the iterator gave; no row is ZeroRowID
+	for _, rid := range rids {
+		if r := rid.Uint64(); at < r {
+			var ok bool
+			if at, ok = it.SeekGE(r); !ok {
+				break
 			}
 		}
-		for _, term := range terms {
-			if !have[term] {
-				return false
-			}
+		if at == rid.Uint64() {
+			out = append(out, rid)
 		}
-		return true
 	}
+	return out
 }
 
 // contentDrives is the planner: the text index drives a query with no
-// heading, and a heading-plus-terms query whose heading is more frequent
-// than its rarest term.  Both plans return the same sections; the choice
-// only affects cost.
+// heading, and a heading-plus-terms query whose heading heads more
+// sections than its rarest term is posted under.  Both plans return the
+// same sections; the choice only affects cost.
 func (s *Store) contentDrives(q SectionQuery) bool {
 	switch {
 	case q.Context == "":
 		return true
-	case q.Content == "" || q.ContextPrefix || q.Phrase:
+	case q.Content == "" || q.ContextPrefix:
 		return false
 	}
 	return s.ContextCount(q.Context) > s.contentDF(q.Content)
 }
 
 // contentDF estimates the driving cost of a content query as the smallest
-// document frequency among its terms.
+// document frequency among its terms: the sections that hold it.
 func (s *Store) contentDF(query string) int {
 	min := -1
 	for _, term := range textindex.Tokenize(query) {
@@ -407,53 +380,30 @@ func (h *ridBound) push(rid ordbms.RowID, k int) {
 // chunk, not per corpus.
 const sectionChunk = 512
 
-// contextSections is the context source: it sorts rids (a private copy)
-// into physical order and emits the section each one governs.
-func (s *Store) contextSections(rids []ordbms.RowID, emit func(Section) bool) error {
-	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
-	for len(rids) > 0 {
-		chunk := rids[:min(sectionChunk, len(rids))]
-		rids = rids[len(chunk):]
-		nodes, err := s.fetchNodesBatch(chunk)
-		if err != nil {
-			return err
-		}
-		for _, ctx := range nodes {
-			if ctx == nil {
-				continue // deleted between snapshot and fetch
-			}
-			sec, err := s.SectionOf(ctx)
-			if err == ordbms.ErrRecordDeleted {
-				// A concurrent delete removed part of this section between
-				// the index probe and the traversal: skip it, the generation
-				// bump has already invalidated cached results.
-				continue
-			}
-			if err != nil || !emit(sec) {
-				return err
-			}
-		}
+// iterRows adapts an ID iterator to the key-row source forEachKeyRow
+// pulls from.
+func iterRows(it *textindex.IDIter) func() (ordbms.RowID, bool) {
+	return func() (ordbms.RowID, bool) {
+		id, ok := it.Next()
+		return ordbms.RowIDFromUint64(id), ok
 	}
-	return nil
 }
 
-// forEachHitNode streams the nodes the text index holds for query — the
-// AND of its terms — in physical order until fn returns false.  The hit
-// list leaves the index one id at a time and the rows arrive
-// sectionChunk at a time through one reused buffer, so a capped scan
-// over a stop-word-sized posting list stops after a chunk or two
-// instead of decoding the whole list.
-func (s *Store) forEachHitNode(query string, fn func(hit *Node) (more bool, err error)) error {
-	it := s.content.AndIter(query)
+// forEachKeyRow fetches the rows next yields, ascending, and hands each
+// to fn until next is done or fn returns false.  The rows arrive
+// sectionChunk at a time through one reused buffer, so a capped scan over
+// a stop-word-sized posting list stops after a chunk or two instead of
+// decoding the whole list.
+func (s *Store) forEachKeyRow(next func() (ordbms.RowID, bool), fn func(key *Node) (more bool, err error)) error {
 	chunk := make([]ordbms.RowID, 0, sectionChunk)
 	for {
 		chunk = chunk[:0]
 		for len(chunk) < sectionChunk {
-			h, ok := it.Next()
+			rid, ok := next()
 			if !ok {
 				break
 			}
-			chunk = append(chunk, ordbms.RowIDFromUint64(h))
+			chunk = append(chunk, rid)
 		}
 		if len(chunk) == 0 {
 			return nil
@@ -462,95 +412,29 @@ func (s *Store) forEachHitNode(query string, fn func(hit *Node) (more bool, err 
 		if err != nil {
 			return err
 		}
-		for _, hit := range nodes {
-			if hit == nil {
+		for _, key := range nodes {
+			if key == nil {
 				continue // deleted between index probe and fetch
 			}
-			if more, err := fn(hit); err != nil || !more {
+			if more, err := fn(key); err != nil || !more {
 				return err
 			}
 		}
 	}
 }
 
-// phraseFilter is the test a phrase query puts each AND hit to: the
-// index stores no positions, and the hit's text is in hand once its row
-// is.  nil means every hit passes: the query is no phrase, or a phrase
-// of one term, which the AND already is.
-func phraseFilter(query string, phrase bool) func(hit *Node) bool {
-	if !phrase {
-		return nil
+// keySection materialises the section a key row heads: a CONTEXT's, or
+// that of a scope no heading governs.
+func (s *Store) keySection(key *Node) (Section, error) {
+	if key.Class == sgml.ClassContext {
+		return s.SectionOf(key)
 	}
-	terms := textindex.Tokenize(query)
-	if len(terms) < 2 {
-		return nil
-	}
-	return func(hit *Node) bool { return textindex.HasPhrase(hit.Data, terms) }
+	return s.fallbackSection(key)
 }
 
-// contentSections is the content source: each hit resolves to its
-// governing CONTEXT and each distinct section is emitted once, so
-// duplicate hits on a section cost a map probe, never a second traversal.
-// A phrase's text check runs first: it reads only the fetched row, while
-// resolving may walk the tree when the context index is off.
-func (s *Store) contentSections(q SectionQuery, emit func(Section) bool) error {
-	seen := make(map[ordbms.RowID]bool)
-	keep := phraseFilter(q.Content, q.Phrase)
-	return s.forEachHitNode(q.Content, func(hit *Node) (bool, error) {
-		if keep != nil && !keep(hit) {
-			return true, nil
-		}
-		sec, fresh, err := s.hitSection(hit, seen, q.Phrase)
-		if err == ordbms.ErrRecordDeleted {
-			return true, nil // document mid-delete: skip the hit
-		}
-		if err != nil {
-			return false, err
-		}
-		return !fresh || emit(sec), nil
-	})
-}
-
-// hitSection materialises the section a hit belongs to, unless seen
-// already has it (fresh = false).  A hit no heading governs (raw XML) is
-// its own section, built by fallbackSection — or none at all when
-// skipHeadless is set.
-func (s *Store) hitSection(hit *Node, seen map[ordbms.RowID]bool, skipHeadless bool) (sec Section, fresh bool, err error) {
-	rid, ctx, err := s.resolveSection(hit)
-	if err != nil {
-		return sec, false, err
-	}
-	key := rid
-	if rid.IsZero() {
-		key = hit.RowID
-	}
-	if seen[key] || rid.IsZero() && skipHeadless {
-		return sec, false, nil
-	}
-	seen[key] = true
-	if rid.IsZero() {
-		sec, err = s.fallbackSection(hit)
-		return sec, err == nil, err
-	}
-	if ctx == nil {
-		if ctx, err = s.FetchNode(rid); err != nil {
-			return sec, false, err
-		}
-	}
-	sec, err = s.SectionOf(ctx)
-	return sec, err == nil, err
-}
-
-// fallbackSection builds a section for a text hit with no heading.
-func (s *Store) fallbackSection(n *Node) (Section, error) {
-	parent, err := s.Parent(n)
-	if err != nil {
-		return Section{}, err
-	}
-	scope := n
-	if parent != nil {
-		scope = parent
-	}
+// fallbackSection builds the section of a scope no heading governs (raw
+// XML): the text of its whole subtree, under no heading.
+func (s *Store) fallbackSection(scope *Node) (Section, error) {
 	txt, err := s.subtreeText(scope)
 	if err != nil {
 		return Section{}, err
@@ -595,8 +479,8 @@ func (s *Store) ContextPrefixSearchN(prefix string, limit int) ([]Section, error
 }
 
 // ContentSearchN returns the sections containing every term of the
-// query: the paper's Content=Shuttle.  Hits are grouped by their
-// governing context so each section appears once.
+// query: the paper's Content=Shuttle.  Each text-index hit is one
+// section.
 func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
 	return s.SearchN("", query, limit)
 }
@@ -611,18 +495,9 @@ func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
 // lowest-DocID prefix.
 func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) {
 	seen := make(map[uint64]bool)
-	// Every hit under one heading is in the heading's document: the first
-	// finds it, and the rest are passed over without a fetch.
-	sections := make(map[ordbms.RowID]bool)
 	var out []*DocInfo
-	err := s.forEachHitNode(query, func(hit *Node) (bool, error) {
-		if ctx, _ := s.indexedSection(hit.RowID); !ctx.IsZero() {
-			if sections[ctx] {
-				return true, nil
-			}
-			sections[ctx] = true
-		}
-		docID, err := s.docOf(hit)
+	err := s.forEachKeyRow(iterRows(s.content.AndIter(query)), func(key *Node) (bool, error) {
+		docID, err := s.docOf(key)
 		if err == nil && !seen[docID] {
 			seen[docID] = true
 			var info *DocInfo
@@ -631,8 +506,8 @@ func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) 
 			}
 		}
 		if IsGone(err) {
-			// A row above the hit or the DOC row vanished since the text
-			// hit: the document is mid-delete, skip it.
+			// A row above the key row or the DOC row vanished since the
+			// text hit: the document is mid-delete, skip it.
 			return true, nil
 		}
 		if err != nil {

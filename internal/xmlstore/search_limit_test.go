@@ -2,9 +2,11 @@ package xmlstore
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"netmark/internal/corpus"
+	"netmark/internal/textindex"
 )
 
 // loadProposals fills a store with n generated proposals, each carrying
@@ -74,6 +76,68 @@ func drive(s *Store, heading, query string, limit int, fromContent bool) ([]Sect
 			return true
 		})
 	return out, err
+}
+
+// TestPlansAgree runs heading-plus-terms and heading-plus-phrase queries
+// through both plans: the sections and their order must not depend on
+// which source drives.  The terms are lifted from the sections' own text,
+// a phrase forwards and reversed, and one document splits a two-term
+// query across two text runs of one section.
+func TestPlansAgree(t *testing.T) {
+	s := memStore(t)
+	loadDeepCorpus(t, s)
+	ingest(t, s, "liquid.html", `<html><body><h1>Budget</h1><p>liquid fuel</p><p>oxygen tank</p></body></html>`)
+	queries := []SectionQuery{
+		{Context: "Budget", Content: "liquid tank"},
+		{Context: "Budget", Content: "fuel oxygen", Phrase: true},
+	}
+	headings := s.ContextHeadings()
+	for i := 0; i < len(headings); i += max(1, len(headings)/12) {
+		h := headings[i]
+		secs, err := s.ContextSearchN(h, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range secs {
+			toks := textindex.Tokenize(sec.Content)
+			if len(toks) < 4 {
+				continue
+			}
+			k := len(toks)/2 - 1
+			queries = append(queries,
+				SectionQuery{Context: h, Content: toks[0]},
+				SectionQuery{Context: h, Content: toks[k] + " " + toks[len(toks)-1]},
+				SectionQuery{Context: h, Content: strings.Join(toks[k:k+3], " ")},
+				SectionQuery{Context: h, Content: strings.Join(toks[k:k+2], " "), Phrase: true},
+				SectionQuery{Context: h, Content: toks[k+1] + " " + toks[k], Phrase: true})
+		}
+	}
+	run := func(q SectionQuery, fromContent bool) []Section {
+		var out []Section
+		if err := s.sections(q, fromContent, func(sec Section) bool {
+			out = append(out, sec)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	matched := 0
+	for _, q := range queries {
+		for _, limit := range []int{0, 1, 3} {
+			q.Limit = limit
+			byContent, byHeading := run(q, true), run(q, false)
+			if !reflect.DeepEqual(byContent, byHeading) {
+				t.Fatalf("%+v: the text index finds %d sections, the heading %d:\n%+v\n%+v", q, len(byContent), len(byHeading), byContent, byHeading)
+			}
+			if limit == 0 && len(byContent) > 0 {
+				matched++
+			}
+		}
+	}
+	if matched < len(queries)/2 {
+		t.Fatalf("only %d of %d queries match anything: the agreement proves little", matched, len(queries))
+	}
 }
 
 func TestSearchNLimitBothPlans(t *testing.T) {

@@ -4,7 +4,7 @@ package xmlstore
 // corpus size.  On every DB.Checkpoint (and therefore on Close) the
 // store serialises everything rebuildDerived would otherwise reconstruct
 // by scanning the whole heap — the text-index posting lists, the context
-// btree, the node→governing-CONTEXT map and the counters — into a file
+// btree and the counters — into a file
 // written inside the checkpoint critical section.  The mutation
 // generations result caches key on are not part of it: they are
 // process-local, their only reader is a cache that is empty after a
@@ -21,7 +21,6 @@ package xmlstore
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 
 	"netmark/internal/btree"
@@ -39,13 +38,14 @@ const (
 	// the previous entry's; 6 drops the text index's token positions and
 	// writes each heading's rids as deltas; 7 posts a folded heading's
 	// words under its CONTEXT, which has no node→CONTEXT entry, instead of
-	// under a text child.  Any other version — older or
+	// under a text child; 8 posts every word under its section's key row
+	// and drops the node→CONTEXT entries.  Any other version — older or
 	// newer — falls back to the scan rebuild, which retokenizes every
 	// document under the current contract; loading a v1 file's postings
 	// verbatim would permanently serve old-tokenizer terms against
 	// new-tokenizer queries.  The next checkpoint rewrites the file at the
 	// current version, so the penalty is one slow reopen.
-	snapshotVersion = 7
+	snapshotVersion = 8
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
@@ -126,25 +126,6 @@ func (s *Store) encodeSnapshot() []byte {
 		return true
 	})
 	s.ctxMu.RUnlock()
-
-	s.ctxIdxMu.RLock()
-	rids := make([]ordbms.RowID, 0, len(s.ctxIdx))
-	for rid := range s.ctxIdx {
-		rids = append(rids, rid)
-	}
-	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
-	// Keys ascend, so each is a uvarint delta; consecutive text nodes
-	// mostly share a heading, so each heading is a zigzag delta from the
-	// previous entry's — usually a single zero byte.
-	buf = binary.AppendUvarint(buf, uint64(len(rids)))
-	var prev, prevCtx uint64
-	for _, rid := range rids {
-		v, ctx := rid.Uint64(), s.ctxIdx[rid].Uint64()
-		buf = binary.AppendUvarint(buf, v-prev)
-		buf = binary.AppendVarint(buf, int64(ctx-prevCtx))
-		prev, prevCtx = v, ctx
-	}
-	s.ctxIdxMu.RUnlock()
 
 	return buf
 }
@@ -245,29 +226,6 @@ func (s *Store) applySnapshot(p []byte) error {
 		contexts.Append(key, rids)
 	}
 
-	nCtx, err := uv()
-	if err != nil {
-		return err
-	}
-	if nCtx > uint64(len(p)-off) { // every entry costs >= 2 bytes
-		return fmt.Errorf("xmlstore: implausible ctxIdx count %d", nCtx)
-	}
-	ctxIdx := make(map[ordbms.RowID]ordbms.RowID, nCtx)
-	var prev, prevCtx uint64
-	for i := uint64(0); i < nCtx; i++ {
-		d, err := uv()
-		if err != nil {
-			return err
-		}
-		prev += d
-		dc, n := binary.Varint(p[off:])
-		if n <= 0 {
-			return fmt.Errorf("xmlstore: truncated snapshot at byte %d", off)
-		}
-		off += n
-		prevCtx += uint64(dc)
-		ctxIdx[ordbms.RowIDFromUint64(prev)] = ordbms.RowIDFromUint64(prevCtx)
-	}
 	if off != len(p) {
 		return fmt.Errorf("xmlstore: %d trailing snapshot bytes", len(p)-off)
 	}
@@ -278,6 +236,5 @@ func (s *Store) applySnapshot(p []byte) error {
 	s.nodesInserted.Store(nodesInserted)
 	s.content = content
 	s.adoptContexts(contexts.Tree())
-	s.ctxIdx = ctxIdx
 	return nil
 }

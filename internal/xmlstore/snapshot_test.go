@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -330,11 +331,10 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 
 // TestSnapshotVersionSkewFallsBack: a snapshot whose version field is
 // not the current one — an old v1 file, the previous version's (whose
-// text index carries token positions and whose heading rids are not
-// delta-coded), or a newer format — must fall
-// back to the scan rebuild (which retokenizes under the current
-// tokenizer contract) and be rewritten at the current version by the
-// next checkpoint.
+// text index posts words under text nodes, followed by node→CONTEXT
+// entries), or a newer format — must fall back to the scan rebuild (which
+// retokenizes under the current tokenizer contract) and be rewritten at
+// the current version by the next checkpoint.
 func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	db, s := openDir(t, dir, OpenOptions{})
@@ -390,4 +390,41 @@ func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 			diffPlans(t, "upgraded reopen", runPlans(t, s3), want)
 		})
 	}
+}
+
+// TestSnapshotV7FallsBack writes a file in version 7's layout — a
+// payload followed by node→CONTEXT entries — and opens it: the
+// store must rebuild by scan with reason "version" and answer as before,
+// and the payload must not apply even under the current version number.
+func TestSnapshotV7FallsBack(t *testing.T) {
+	dir := t.TempDir()
+	db, s := openDir(t, dir, OpenOptions{})
+	loadDeepCorpus(t, s)
+	want := runPlans(t, s)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapshotName)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two node→CONTEXT entries: key and heading deltas.
+	file = append(file, 2, 1, 2, 1, 0)
+	body := file[24:] // the frame's header is magic, version, CRC, length
+	binary.LittleEndian.PutUint32(file[8:], 7)
+	binary.LittleEndian.PutUint32(file[12:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint64(file[16:], uint64(len(body)))
+	if err := (&Store{ctxGens: make(map[string]uint64)}).applySnapshot(body[16:]); err == nil {
+		t.Fatal("a version 7 payload applies")
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db2, s2 := openDir(t, dir, OpenOptions{})
+	defer db2.CloseDiscard()
+	if st := s2.SnapshotStats(); st.Loaded || st.Fallback != "version" {
+		t.Fatalf("version 7 snapshot: %+v", st)
+	}
+	diffPlans(t, "v7 reopen", runPlans(t, s2), want)
 }

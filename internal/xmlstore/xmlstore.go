@@ -24,15 +24,16 @@
 // tags.go); XML JOIN TAG ON XML.tag = TAG.tag gives Fig 5's columns back.
 // Fig 5 puts DOC_ID on every row; here only a document's root and its
 // CONTEXT rows store it, and every other row is NULL there, which costs
-// nothing.  A row's document is its governing heading's, or, under no
-// heading, its root's (Store.docOf): a RowID is never handed out twice,
-// so the links cannot lead into another document.
+// nothing.  A row's document is its nearest ancestor's that stores one,
+// the root's at the latest (Store.docOf): a RowID is never handed out
+// twice, so the links cannot lead into another document.
 //
 // A CONTEXT row carries its heading's text in NODEDATA, so neither the
-// context index nor the kernel descends to read a heading.  A heading
-// whose only child is one text node holding exactly that text — nearly
-// every heading — stores no child row: the text is stored once, on the
-// CONTEXT, and Node.OwnText is where indexing, section text and
+// context index nor the kernel descends to read a heading, and it is the
+// key row its section's words are posted under in the text index.  A
+// heading whose only child is one text node holding exactly that text —
+// nearly every heading — stores no child row: the text is stored once, on
+// the CONTEXT, and Node.OwnText is where indexing, section text and
 // Reconstruct read it.  Every other heading keeps its children.
 //
 // This package persists derived snapshots, so every committing rename
@@ -108,8 +109,8 @@ type Node struct {
 
 // OwnText is the text n holds itself: a text node's data, or a folded
 // CONTEXT's heading.  ok is false for every other node.  It is what the
-// text index posts under n's RowID, and what a subtree's text and a
-// reconstructed tree read from n.
+// text index posts under n's section's key row, and what a subtree's text
+// and a reconstructed tree read from n.
 func (n *Node) OwnText() (text string, ok bool) {
 	return ownText(n.Class, n.Data, !n.ChildRowID.IsZero())
 }
@@ -162,9 +163,10 @@ type Store struct {
 
 	nextDocID atomic.Uint64 // next unreserved document ID; netmarkvet:snap
 
-	// content is the full-text index over each node's own text
-	// (Node.OwnText); IDs are packed physical RowIDs, so a hit leads
-	// straight to the page.
+	// content is the full-text index.  Each node's own text
+	// (Node.OwnText) is posted under its section's key row (see postKey),
+	// so a hit is a section, and its packed physical RowID leads straight
+	// to the page.
 	// netmarkvet:snap
 	content *textindex.Index
 	// contexts maps normalised (lowercased) heading text to the RowIDs
@@ -184,21 +186,6 @@ type Store struct {
 	// Guarded by ctxMu.
 	ctxGens       map[string]uint64
 	ctxGenCounter uint64 // guarded by ctxMu
-
-	// ctxIdx is the derived node→governing-CONTEXT index: for every TEXT
-	// node, the RowID of the heading that governs it (ZeroRowID when the
-	// document has no headings above the node).  Built from the flattened
-	// tree at ingest, rebuilt on open, patched on delete — it turns the
-	// §2.1.4 "traverse up via parent/sibling until the first context"
-	// walk into one map probe.
-	// ctxIdxMu protects the derived map only; never held across I/O.
-	// netmarkvet:hot netmarkvet:lockorder 32
-	ctxIdxMu sync.RWMutex
-	ctxIdx   map[ordbms.RowID]ordbms.RowID // guarded by ctxIdxMu; netmarkvet:snap
-	// ctxIdxOff disables the derived index so ContextFor falls back to
-	// the pointer-chasing walk — the kernel ablation knob, set during
-	// benchmark setup only.
-	ctxIdxOff bool
 
 	// nodes is the decoded-node cache (nil = disabled).  Set once via
 	// EnableNodeCache during setup, before the store serves traffic.
@@ -262,8 +249,7 @@ type OpenOptions struct {
 
 // Open attaches the store to a database, creating the universal tables on
 // first use.  On a persistent reopen the derived indexes (text index,
-// context btree, node→CONTEXT map, document-ID counter) are
-// loaded from the checkpoint snapshot when its stamps prove the heap has
+// context btree, document-ID counter) are loaded from the checkpoint snapshot when its stamps prove the heap has
 // not moved since it was written; otherwise — and always for in-memory
 // stores — they are rebuilt by the full heap scan.
 func Open(db *ordbms.DB) (*Store, error) {
@@ -277,7 +263,6 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		content:  textindex.New(),
 		contexts: btree.New[string, ordbms.RowID](strings.Compare),
 		ctxGens:  make(map[string]uint64),
-		ctxIdx:   make(map[ordbms.RowID]ordbms.RowID),
 	}
 	s.nextDocID.Store(1)
 	var err error
@@ -340,8 +325,8 @@ func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...st
 }
 
 // rebuildDerived rescans the XML table to rebuild the text index, the
-// context index, the node→governing-CONTEXT index and the document-ID
-// counter after reopening a persistent store.  Runs during OpenWith, before
+// context index and the document-ID counter after reopening a persistent
+// store.  Runs during OpenWith, before
 // the store is shared with any other goroutine.
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
@@ -360,10 +345,9 @@ func (s *Store) rebuildDerived() error {
 	s.nextDocID.Store(maxDoc + 1)
 
 	// The scan collects a flatNode view of the stored forest (structural
-	// links remapped from RowIDs to slice indexes) so the governing-
-	// context resolution reuses the exact ingest-time algorithm
-	// (governingContexts) instead of a second implementation that could
-	// drift from it.
+	// links remapped from RowIDs to slice indexes) so each node's words
+	// are posted under the key row the ingest-time algorithm (postKey)
+	// picks, not a second implementation that could drift from it.
 	var flat []flatNode
 	var docs []uint64 // per node, the docid it stores (0 = NULL)
 	idxOf := make(map[ordbms.RowID]int)
@@ -419,6 +403,7 @@ func (s *Store) rebuildDerived() error {
 		}
 	}
 	governs := governingContexts(flat)
+	toks := make([][]string, len(flat)) // per key row, the words posted under it
 	for i := range flat {
 		fn := &flat[i]
 		if !stored[docs[i]] {
@@ -427,18 +412,15 @@ func (s *Store) rebuildDerived() error {
 		// The child link as stored, not as found: a dangling one still
 		// says the heading was not folded.
 		if text, ok := ownText(fn.class, fn.data, !pend[i].child.IsZero()); ok {
-			s.content.Add(fn.rid.Uint64(), text)
+			k := postKey(flat, governs, i)
+			toks[k] = append(toks[k], textindex.Tokenize(text)...)
 		}
-		switch fn.class {
-		case sgml.ClassText:
-			if g := governs[i]; g >= 0 {
-				s.ctxIdx[fn.rid] = flat[g].rid
-			} else {
-				s.ctxIdx[fn.rid] = ordbms.ZeroRowID
-			}
-		case sgml.ClassContext:
+		if fn.class == sgml.ClassContext {
 			s.addContextKey(fn.data, fn.rid)
 		}
+	}
+	for k, t := range toks {
+		s.content.AddTokens(flat[k].rid.Uint64(), t)
 	}
 	return nil
 }
@@ -643,12 +625,6 @@ func (s *Store) NodeCacheStats() (stats NodeCacheStats, ok bool) {
 // this change, still calls it; the next benchmark change drops the call
 // and this shim with it.
 func (s *Store) SetQueryWorkers(int) {}
-
-// SetContextIndexEnabled toggles the derived node→governing-CONTEXT
-// index consulted by ContextFor.  It exists for the kernel ablation
-// benchmarks (compare the O(1) probe against the paper's pointer-chasing
-// walk); call during setup only.
-func (s *Store) SetContextIndexEnabled(enabled bool) { s.ctxIdxOff = !enabled }
 
 // FetchNode reads the node at a physical RowID — one traversal hop.
 // With the node cache enabled a warm hop is a shard map probe; a cold
@@ -913,8 +889,8 @@ func (s *Store) DocumentByName(name string) (*DocInfo, error) {
 }
 
 // TextIndex is the store's text index as callers see it: every
-// textindex.Index query, and Phrase, which needs the node text that only
-// the heap holds.
+// textindex.Index query, and Phrase, which needs the section text that
+// only the heap holds.
 type TextIndex struct {
 	*textindex.Index
 	s *Store
@@ -923,19 +899,15 @@ type TextIndex struct {
 // ContentIndex exposes the text index (the query planner consults DF).
 func (s *Store) ContentIndex() TextIndex { return TextIndex{s.content, s} }
 
-// Phrase returns, ascending, the RowIDs (packed by Uint64) of the nodes
-// whose own text holds the query's terms adjacent and in order: the section
-// pipeline's hit source and phrase filter, drained.  A node deleted
-// between the index probe and its fetch is not a hit; a read error
-// yields nil.
+// Phrase returns, ascending, the key rows (RowIDs packed by Uint64) of
+// the sections that hold the query's terms adjacent and in order: the
+// section pipeline's answer to the phrase, as section keys.  A section
+// deleted while it is read is not a hit; a read error yields nil.
 func (t TextIndex) Phrase(query string) []uint64 {
-	keep := phraseFilter(query, true)
 	var ids []uint64
-	err := t.s.forEachHitNode(query, func(hit *Node) (bool, error) {
-		if keep == nil || keep(hit) {
-			ids = append(ids, hit.RowID.Uint64())
-		}
-		return true, nil
+	err := t.s.Sections(SectionQuery{Content: query, Phrase: true}, func(sec Section) bool {
+		ids = append(ids, sec.ContextRID.Uint64())
+		return true
 	})
 	if err != nil {
 		return nil

@@ -384,6 +384,20 @@ func TestRawXMLContentSearchFallback(t *testing.T) {
 	}
 }
 
+// A word that occurs in two text runs of one scope no heading governs
+// finds that scope once: the scope is the key row both runs post under.
+func TestRawXMLContentSearchOncePerScope(t *testing.T) {
+	s := memStore(t)
+	ingest(t, s, "r.xml", `<r><p>alpha <b>beta</b> alpha gamma</p></r>`)
+	secs, err := s.ContentSearchN("alpha", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(secs) != 1 || secs[0].Context != "" || secs[0].Content != "alpha beta alpha gamma" {
+		t.Fatalf("sections = %+v", secs)
+	}
+}
+
 func TestDeleteDocumentRemovesEverything(t *testing.T) {
 	s := memStore(t)
 	keep := ingest(t, s, "keep.html", `<html><body><h1>Keep</h1><p>shuttle keepterm</p></body></html>`)
