@@ -71,7 +71,8 @@ race:
 # the splitters recovery reads run records with, a delete-run record of
 # arbitrary payload opened end to end, the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
-# layout — and the phrase matcher against tokenize-then-compare.
+# layout — the phrase matcher against tokenize-then-compare, arbitrary
+# XML/HTML through store and Reconstruct, and the xdb query parser.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) ./internal/xmlstore
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeleteRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPage -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPhraseMatch -fuzztime $(FUZZTIME) ./internal/textindex
+	$(GO) test -run xxx -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/xdb
 
 bench:
 	$(GO) test -bench . -benchmem ./...
@@ -96,8 +98,8 @@ bench-smoke:
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR28.json
-BENCH_OUT ?= BENCH_PR28.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR30.json
+BENCH_OUT ?= BENCH_PR30.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)

@@ -375,9 +375,10 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // on a multi-core runner the worker sweep shows the pipeline's
 // throughput multiple.  Those cases run in memory, unlogged; "durable"
 // runs the pipeline on a directory and reports what storage cost: WAL
-// bytes and heap bytes (whole pages) per ingested byte and WAL records
-// per document, read before the close (its checkpoint appends nothing,
-// but truncates the log).
+// bytes and heap bytes (whole pages) per ingested byte, WAL records and
+// stored XML rows per document, read before the close (its checkpoint
+// appends nothing, but truncates the log), and the bytes the batch
+// ingest allocates per ingested byte.
 func BenchmarkIngestParallel(b *testing.B) {
 	gen := corpus.New(47)
 	docs := gen.Mixed(200)
@@ -431,8 +432,9 @@ func BenchmarkIngestParallel(b *testing.B) {
 	b.Run("durable", func(b *testing.B) {
 		b.SetBytes(total)
 		b.ReportAllocs()
-		var appends, walBytes uint64
-		var heapBytes int64
+		var appends, walBytes, allocBytes uint64
+		var heapBytes, rows int64
+		var m0, m1 runtime.MemStats
 		for i := 0; i < b.N; i++ {
 			nm, err := netmark.Open(netmark.Config{
 				Dir:             b.TempDir(),
@@ -443,11 +445,15 @@ func BenchmarkIngestParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			a0, _, w0 := nm.DB().WALStats() // the open logged the schema
+			runtime.ReadMemStats(&m0)
 			for _, r := range nm.IngestBatch(batch) {
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
 			}
+			runtime.ReadMemStats(&m1)
+			allocBytes += m1.TotalAlloc - m0.TotalAlloc
+			rows += nm.Store().NumNodes()
 			a1, _, w1 := nm.DB().WALStats()
 			appends += a1 - a0
 			walBytes += w1 - w0
@@ -460,6 +466,8 @@ func BenchmarkIngestParallel(b *testing.B) {
 		b.ReportMetric(float64(walBytes)/float64(total*int64(b.N)), "wal-B/user-B")
 		b.ReportMetric(float64(heapBytes)/float64(total*int64(b.N)), "heap-B/user-B")
 		b.ReportMetric(float64(appends)/float64(len(batch)*b.N), "wal-appends/doc")
+		b.ReportMetric(float64(rows)/float64(len(batch)*b.N), "rows/doc")
+		b.ReportMetric(float64(allocBytes)/float64(total*int64(b.N)), "alloc-B/user-B")
 	})
 }
 

@@ -20,7 +20,7 @@ import (
 // is one codec and no second reader, so the policy is: any change to what
 // a page, a log record, the catalog or a stored row means bumps it, and
 // Open refuses every other value.
-const storeFormat = 9
+const storeFormat = 10
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.

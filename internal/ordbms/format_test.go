@@ -6,12 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 to NMWALv8 — is refused by name, and refusing it
+// NMWALv1 to NMWALv9 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
@@ -24,7 +25,7 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		log = binary.LittleEndian.AppendUint32(log, 0xdeadbeef)
 		return append(log, body...)
 	}
-	v1Log, v2Log, v3Log, v4Log, v5Log, v6Log, v7Log, v8Log := oldLog('1'), oldLog('2'), oldLog('3'), oldLog('4'), oldLog('5'), oldLog('6'), oldLog('7'), oldLog('8')
+	v1Log, v2Log, v3Log, v4Log, v5Log, v6Log, v7Log, v8Log, v9Log := oldLog('1'), oldLog('2'), oldLog('3'), oldLog('4'), oldLog('5'), oldLog('6'), oldLog('7'), oldLog('8'), oldLog('9')
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	// Format 3 has this version's columns; only its links are all far.
@@ -44,6 +45,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	// Format 8 has this version's codec, tables, pages and log; only its
 	// headings keep a text child that repeats their nodedata.
 	v8Catalog := []byte(`{"format":8,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6}],"pages":[1],"indexes":null}]}`)
+	// Format 9 has this version's codec, tables, pages and log; only its
+	// elements keep a lone text child, and its roots repeat DOC.title.
+	v9Catalog := []byte(`{"format":9,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format": {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":            {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -69,6 +73,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 8 catalog":       {"catalog.json": v8Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv8 log":            {"wal.nmlog": v8Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v8 catalog and v8 log":  {"catalog.json": v8Catalog, "wal.nmlog": v8Log},
+		"format 9 catalog":       {"catalog.json": v9Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv9 log":            {"wal.nmlog": v9Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v9 catalog and v9 log":  {"catalog.json": v9Catalog, "wal.nmlog": v9Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -85,6 +92,11 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 					db.CloseDiscard()
 				}
 				t.Fatalf("Open = %v, want ErrStoreFormat", err)
+			}
+			// A log with no catalog is refused by the whole magic this
+			// version wants.
+			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv10"`) {
+				t.Fatalf("Open = %v, want it to name NMWALv10", err)
 			}
 			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
 				t.Fatalf("refusing the store changed it:\nbefore %v\nafter  %v", before, after)
@@ -117,7 +129,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":9,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":10,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

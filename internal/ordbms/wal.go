@@ -52,7 +52,7 @@ type WAL struct {
 	syncDone chan struct{} // guarded by mu
 }
 
-// Log layout.  The file is a 16-byte header — walMagic, whose digit is
+// Log layout.  The file is a 16-byte header — walMagic, whose digits are
 // the store's format number, then the base LSN — followed by records.
 // Every record is framed as u32 body length, u32 CRC-32 of the body, then
 // the body: one type byte and a payload.  All integers are little-endian;
@@ -104,8 +104,8 @@ const (
 
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
-// walMagic names the log's format; the digit is storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '9', 0}
+// walMagic names the log's format; the digits are storeFormat.
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', '0'}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.
@@ -136,7 +136,7 @@ func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
 		}
 		if [8]byte(hdr[:8]) != walMagic {
 			f.Close()
-			return nil, fmt.Errorf("%w (%s does not start with %q)", ErrStoreFormat, path, walMagic[:7])
+			return nil, fmt.Errorf("%w (%s does not start with %q)", ErrStoreFormat, path, walMagic[:])
 		}
 		w.base = binary.LittleEndian.Uint64(hdr[8:16])
 	}

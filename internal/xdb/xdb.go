@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -93,7 +94,10 @@ func (q Query) Encode() string {
 
 // Parse parses the query-string form (with or without a leading '?').
 // Keys are case-insensitive, matching the paper's Context=/Content=
-// examples.
+// examples, so a parameter spelled twice in two cases (or as both xslt=
+// and stylesheet=) is refused rather than one spelling picked.  A repeated
+// key takes its last value.  The same string always parses to the same
+// query or error, and Parse(q.Encode()) gives q back.
 func Parse(raw string) (Query, error) {
 	raw = strings.TrimPrefix(strings.TrimSpace(raw), "?")
 	if raw == "" {
@@ -103,24 +107,35 @@ func Parse(raw string) (Query, error) {
 	if err != nil {
 		return Query{}, fmt.Errorf("xdb: malformed query: %w", err)
 	}
+	keys := make([]string, 0, len(vals))
+	for key := range vals {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys) // map order must not pick the error reported
 	var q Query
-	for key, vs := range vals {
-		if len(vs) == 0 {
-			continue
+	given := make(map[string]string, len(keys)) // parameter → the key that gave it
+	for _, key := range keys {
+		name := strings.ToLower(key)
+		if name == "stylesheet" {
+			name = "xslt"
 		}
+		if other, ok := given[name]; ok {
+			return Query{}, fmt.Errorf("xdb: parameter %s given twice, as %q and %q", name, other, key)
+		}
+		given[name] = key
+		vs := vals[key]
 		v := vs[len(vs)-1]
-		switch strings.ToLower(key) {
+		switch name {
 		case "context":
-			q.Context = strings.TrimSpace(v)
-			if strings.HasSuffix(q.Context, "*") {
-				q.Context = strings.TrimRight(q.Context, "*")
-				q.ContextPrefix = true
-			}
+			v = strings.TrimSpace(v)
+			q.Context = strings.TrimRight(v, "*")
+			// context=* names no heading: it is no context predicate.
+			q.ContextPrefix = q.Context != "" && q.Context != v
 		case "content":
 			v = strings.TrimSpace(v)
 			if len(v) >= 2 && v[0] == '"' && v[len(v)-1] == '"' {
 				v = v[1 : len(v)-1]
-				q.Phrase = true
+				q.Phrase = v != ""
 			}
 			q.Content = v
 		case "scope":
@@ -133,7 +148,7 @@ func Parse(raw string) (Query, error) {
 			}
 		case "xpath":
 			q.XPath = v
-		case "xslt", "stylesheet":
+		case "xslt":
 			q.XSLT = v
 		case "limit":
 			n, err := strconv.Atoi(v)

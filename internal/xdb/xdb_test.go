@@ -77,6 +77,46 @@ func TestParseQueryErrors(t *testing.T) {
 	}
 }
 
+// A parameter given under two spellings of its key is refused, every
+// time: Parse once ranged over the parsed map, so which spelling won
+// depended on map order, and so did the result-cache key built from it.
+func TestParseRefusesParameterGivenTwice(t *testing.T) {
+	for _, raw := range []string{"Context=alpha&context=beta", "content=a&CONTENT=b", "xslt=a&stylesheet=b", "limit=1&Limit=1"} {
+		for i := 0; i < 50; i++ {
+			if q, err := Parse(raw); err == nil {
+				t.Fatalf("Parse(%q) = %+v, want an error", raw, q)
+			}
+		}
+	}
+	// One spelling given twice is no ambiguity: the last value wins.
+	if q, err := Parse("context=alpha&context=beta"); err != nil || q != (Query{Context: "beta"}) {
+		t.Fatalf("Parse = %+v, %v", q, err)
+	}
+}
+
+// context=* and content="" name no heading and no phrase: they parse to
+// no predicate at all, so the parsed query encodes and parses back to
+// itself.
+func TestParseFoldsEmptyPredicates(t *testing.T) {
+	for raw, want := range map[string]Query{
+		"context=*&content=x":        {Content: "x"},
+		"context=+**+&content=x":     {Content: "x"},
+		"context=a&content=%22%22":   {Context: "a"},
+		"context=a*&content=%22b%22": {Context: "a", ContextPrefix: true, Content: "b", Phrase: true},
+	} {
+		q, err := Parse(raw)
+		if err != nil || q != want {
+			t.Fatalf("Parse(%q) = %#v, %v, want %#v", raw, q, err, want)
+		}
+		if back, err := Parse(q.Encode()); err != nil || back != q {
+			t.Fatalf("%q parses to %#v, which encodes as %q and parses back to %#v, %v", raw, q, q.Encode(), back, err)
+		}
+	}
+	if q, err := Parse("context=*"); err == nil {
+		t.Fatalf("Parse(context=*) = %+v: a query with no predicate", q)
+	}
+}
+
 func TestEncodeParseRoundTrip(t *testing.T) {
 	qs := []Query{
 		{Context: "Budget"},

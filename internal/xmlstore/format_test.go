@@ -61,6 +61,22 @@ var goldenContext = Node{
 	NextRowID:   ordbms.RowID{Page: 5, Slot: 2},
 }
 
+// goldenFolded is a <para>hi</para> that absorbed its text child: the
+// text is its own nodedata, and it has no child link.
+var goldenFolded = Node{
+	Class: sgml.ClassElement, Name: "para", Data: "hi",
+	RowID:       ordbms.RowID{Page: 5, Slot: 3},
+	ParentRowID: ordbms.RowID{Page: 5, Slot: 1},
+}
+
+// goldenTitled is a root whose only attribute is title="…" valued as its
+// DOC row's title: it stores the zero-length attrs that stands for it.
+var goldenTitled = Node{
+	DocID: 7, Class: sgml.ClassElement, Name: "para", Titled: true,
+	RowID:      ordbms.RowID{Page: 5, Slot: 0},
+	ChildRowID: ordbms.RowID{Page: 5, Slot: 1},
+}
+
 // goldenStore is a bare store holding only goldenTags.
 func goldenStore() *Store {
 	s := &Store{}
@@ -90,7 +106,11 @@ func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 			near |= 1 << (xmlColParentRowID + col)
 		}
 	}
-	return append(row, optString(encodeAttrs(n.Attrs))), near
+	attrs := optString(encodeAttrs(n.Attrs))
+	if n.Titled {
+		attrs = ordbms.S("")
+	}
+	return append(row, attrs), near
 }
 
 // The record format is pinned: a change to what the bytes of a stored
@@ -98,8 +118,8 @@ func goldenRow(t testing.TB, s *Store, n Node) (row ordbms.Row, near uint64) {
 // silently misread existing stores.  A link to a row near the node on
 // its own page is its slot distance, one byte; a link elsewhere is its
 // slot and page; a node's class and name are its tag code; only a root
-// or a heading stores its docid; a heading folded with its text child
-// links to no child.
+// or a heading stores its docid; an element or heading that absorbed its
+// text child links to no child; a titled root stores a zero-length attrs.
 func TestXMLRecordGoldenBytes(t *testing.T) {
 	if sgml.ClassText != 2 || sgml.ClassElement != 1 {
 		t.Fatalf("ClassText = %d, ClassElement = %d; goldenTags assumes 2 and 1", sgml.ClassText, sgml.ClassElement)
@@ -128,6 +148,17 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 			"02476f" + // nodedata "Go"
 			"01" + // parentrowid, near 5.0: Δ = −1
 			"02"}, // nextrowid, near 5.2: Δ = +1
+		{"folded element", goldenFolded, "" +
+			"f1" + // docid, prevrowid, nextrowid, childrowid and attrs (0, 4, 5, 6, 7) are NULL
+			"00" + // tag 0, <para>
+			"026869" + // nodedata "hi", its text child's
+			"03"}, // parentrowid, near 5.1: Δ = −2
+		{"titled root", goldenTitled, "" +
+			"3c" + // nodedata, parentrowid, prevrowid and nextrowid (2, 3, 4, 5) are NULL
+			"0e" + // docid 7
+			"00" + // tag 0, <para>
+			"02" + // childrowid, near 5.1: Δ = +1
+			"00"}, // attrs, zero-length: title="…" is DOC.title
 	} {
 		n := c.n
 		row, near := goldenRow(t, s, n)
@@ -154,14 +185,19 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 }
 
 // What the ingest path stores for a leaf is what the golden test pins:
-// its docid, missing links and empty strings are NULL bits, not bytes.
+// its docid, missing links and empty strings are NULL bits, not bytes.  A
+// leaf is a text node, or an element holding its text itself.
 func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
-	leaves := 0
+	ingest(t, s, "mixed.xml", `<report><para>one <b>bold</b> tail</para></report>`)
+	leaves, texts := 0, 0
 	err := s.ScanNodes(func(n *Node) bool {
-		if n.Class != sgml.ClassText || !n.NextRowID.IsZero() {
+		if _, own := n.OwnText(); !own || n.Class == sgml.ClassContext || !n.NextRowID.IsZero() || n.ParentRowID.IsZero() || n.Attrs != nil {
 			return true
+		}
+		if n.Class == sgml.ClassText {
+			texts++
 		}
 		leaves++
 		ferr := s.xml.FetchView(n.RowID, func(rec []byte) error {
@@ -175,8 +211,8 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 		}
 		return true
 	})
-	if err != nil || leaves == 0 {
-		t.Fatalf("scanned %d last-sibling text leaves, err %v", leaves, err)
+	if err != nil || texts == 0 || leaves == texts {
+		t.Fatalf("scanned %d last-sibling leaves, %d of them text nodes, err %v", leaves, texts, err)
 	}
 }
 
@@ -186,13 +222,6 @@ func TestIngestStoresAbsentLinksAsNull(t *testing.T) {
 // keeps its children, and a nested heading's text is not its parent's.
 // Each document reconstructs to what was stored.
 func TestFoldedHeadingHasNoChildRow(t *testing.T) {
-	parse := func(src string) *sgml.Node {
-		doc, err := sgml.ParseString(src, sgml.ModeXML)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return doc.FirstChild
-	}
 	// The parser drops a blank text node; a converter may still build one.
 	blank := sgml.NewElement("heading")
 	blank.AppendChild(sgml.NewText(" "))
@@ -202,14 +231,14 @@ func TestFoldedHeadingHasNoChildRow(t *testing.T) {
 		rows    int    // the heading's stored rows, its own included
 		folded  bool
 	}{
-		{parse(`<heading>Intro</heading>`), "Intro", 1, true},
-		{parse(`<heading id="7" class="a">Attributes</heading>`), "Attributes", 1, true},
-		{parse(`<heading>kept<!-- c --></heading>`), "kept", 1, true},
-		{parse(`<heading> Padded  text </heading>`), "Padded text", 2, false},
+		{parseRoot(t, `<heading>Intro</heading>`), "Intro", 1, true},
+		{parseRoot(t, `<heading id="7" class="a">Attributes</heading>`), "Attributes", 1, true},
+		{parseRoot(t, `<heading>kept<!-- c --></heading>`), "kept", 1, true},
+		{parseRoot(t, `<heading> Padded  text </heading>`), "Padded text", 2, false},
 		{blank, "", 2, false},
-		{parse(`<heading></heading>`), "", 1, false},
-		{parse(`<heading>Mixed <b>bold</b> tail</heading>`), "Mixed bold tail", 5, false},
-		{parse(`<heading>Outer <heading>Inner</heading></heading>`), "Outer", 3, false},
+		{parseRoot(t, `<heading></heading>`), "", 1, false},
+		{parseRoot(t, `<heading>Mixed <b>bold</b> tail</heading>`), "Mixed bold tail", 4, false}, // <b> holds "bold"
+		{parseRoot(t, `<heading>Outer <heading>Inner</heading></heading>`), "Outer", 3, false},
 	} {
 		tree := sgml.NewElement("report")
 		tree.AppendChild(c.heading)
@@ -236,8 +265,8 @@ func TestFoldedHeadingHasNoChildRow(t *testing.T) {
 		if h.Class != sgml.ClassContext || h.Data != c.data || own != c.folded || h.ChildRowID.IsZero() != (c.rows == 1) {
 			t.Errorf("%s: heading row %+v, own text %q %v", name, h, text, own)
 		}
-		// The root, the heading's rows, the para and its text.
-		if want := int64(1 + c.rows + 2); info.NNodes != want || s.NumNodes() != want {
+		// The root, the heading's rows and the para, which holds its text.
+		if want := int64(1 + c.rows + 1); info.NNodes != want || s.NumNodes() != want {
 			t.Errorf("%s: %d rows, DOC says %d, want %d", name, s.NumNodes(), info.NNodes, want)
 		}
 		// Folded or not, a heading's words are its section's.
@@ -259,10 +288,78 @@ func TestFoldedHeadingHasNoChildRow(t *testing.T) {
 	}
 }
 
+// An element whose only child is one non-empty text node holds the text
+// itself and stores no text row, whatever its attributes and wherever it
+// sits; mixed content keeps its text rows.  A root whose only attribute is
+// title="…" valued as the DOC row's title stores a zero-length attrs in
+// its place, and no other root does.  Each document reconstructs to what
+// was stored.
+func TestElementAbsorbsLoneText(t *testing.T) {
+	blank := sgml.NewElement("para")
+	blank.AppendChild(sgml.NewText(" \n "))
+	for _, c := range []struct {
+		name  string
+		root  *sgml.Node
+		title string // Meta.Title
+		rows  int64
+		text  string // the root's own text
+		mark  bool   // the root stores the title marker
+	}{
+		{"root with a text child", parseRoot(t, `<para>only</para>`), "", 1, "only", false},
+		{"attributes kept", parseRoot(t, `<report><para id="1" class="a &amp; b">x</para></report>`), "", 2, "", false},
+		{"whitespace only", blank, "", 1, " \n ", false},
+		{"mixed content", parseRoot(t, `<para>one <b>bold</b> tail</para>`), "", 4, "", false},
+		{"title", parseRoot(t, `<document title="Report"><para>x</para></document>`), "Report", 2, "", true},
+		{"title and text", parseRoot(t, `<document title="Report">x</document>`), "Report", 1, "x", true},
+		{"title beside another attribute", parseRoot(t, `<document title="Report" lang="en"><para>x</para></document>`), "Report", 2, "", false},
+		{"title not DOC's", parseRoot(t, `<document title="Report"><para>x</para></document>`), "Other", 2, "", false},
+		{"no title attribute", parseRoot(t, `<document><para>x</para></document>`), "", 2, "", false},
+	} {
+		s := memStore(t)
+		id, err := s.StoreDocument(docform.Meta{FileName: "e.xml", Title: c.title}, c.root, sgml.XMLConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.Document(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.NNodes != c.rows || s.NumNodes() != c.rows {
+			t.Errorf("%s: %d rows, DOC says %d, want %d", c.name, s.NumNodes(), info.NNodes, c.rows)
+		}
+		row, err := s.xml.Fetch(info.RootRowID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := s.nodeFromCols(info.RootRowID, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _ := root.OwnText()
+		marked := !row[xmlColAttrs].IsNull() && row[xmlColAttrs].Str == ""
+		if text != c.text || marked != c.mark || root.Titled != c.mark {
+			t.Errorf("%s: root holds %q, attrs column %v, Titled %v", c.name, text, row[xmlColAttrs], root.Titled)
+		}
+		if got, want := reconstructBytes(t, s, "e.xml"), sgml.Serialize(keptTree(c.root)); got != want {
+			t.Errorf("%s: reconstructs as %s, want %s", c.name, got, want)
+		}
+	}
+}
+
+// parseRoot parses XML and returns its root element.
+func parseRoot(t *testing.T, src string) *sgml.Node {
+	t.Helper()
+	doc, err := sgml.ParseString(src, sgml.ModeXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc.FirstChild
+}
+
 // A document's docid is stored on its root and its CONTEXT rows, and on
 // no other: every other row's bitmap marks it NULL.  docOf still finds
-// every text node's document — the one whose DOC row leads to its root —
-// by the parent links alone.
+// the document of every row holding body text — the one whose DOC row
+// leads to its root — by the parent links alone.
 func TestDocIDStoredOncePerSection(t *testing.T) {
 	s := memStore(t)
 	docs := append(pinnedCorpus(),
@@ -306,6 +403,11 @@ func TestDocIDStoredOncePerSection(t *testing.T) {
 		t.Fatalf("%d of %d rows store a docid: the corpus is nearly all headings", stored, len(nodes))
 	}
 
+	// bodyText is a row holding text of its own that is not a heading's.
+	bodyText := func(n *Node) bool {
+		_, own := n.OwnText()
+		return own && n.Class != sgml.ClassContext
+	}
 	texts, headless := 0, 0
 	for _, info := range infos {
 		for _, rid := range docRowIDs(t, s, info.DocID) {
@@ -313,7 +415,7 @@ func TestDocIDStoredOncePerSection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n.Class != sgml.ClassText {
+			if !bodyText(n) {
 				continue
 			}
 			texts++
@@ -321,18 +423,18 @@ func TestDocIDStoredOncePerSection(t *testing.T) {
 				headless++
 			}
 			if id, err := s.docOf(n); err != nil || id != info.DocID {
-				t.Fatalf("text node %v of %s is in document %d (%v), want %d", rid, info.FileName, id, err, info.DocID)
+				t.Fatalf("text row %v of %s is in document %d (%v), want %d", rid, info.FileName, id, err, info.DocID)
 			}
 		}
 	}
 	all := 0
 	for _, n := range nodes {
-		if n.Class == sgml.ClassText {
+		if bodyText(n) {
 			all++
 		}
 	}
 	if texts != all || headless == 0 {
-		t.Fatalf("the documents' walks reach %d of %d text nodes, %d under no heading", texts, all, headless)
+		t.Fatalf("the documents' walks reach %d of %d text rows, %d under no heading", texts, all, headless)
 	}
 }
 
@@ -428,7 +530,9 @@ func TestTreesAndAnswersPinned(t *testing.T) {
 		wantTrees   = "2c149adaa53cac3a172c7f26affeca7660299b60494155ff804998ea63813088"
 		wantListing = "ba9275d6e7f3d67f6cd184abb22b3e0757095eaec2299c03f5215217230a1843"
 		wantAnswers = "95d1929277206e40c1d79e26682c718b830093f0cb000566eb323713f67b460c"
-		wantNodes   = 19620 // 22 510 rows less 2 890 folded headings
+		// 22 510 rows less 2 890 headings folded with their text in format
+		// 9, less 3 720 elements that absorbed their text child in format 10.
+		wantNodes = 15900
 	)
 	dir := t.TempDir()
 	db, s := openDir(t, dir, OpenOptions{})

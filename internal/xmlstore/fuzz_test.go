@@ -97,10 +97,13 @@ func FuzzApplySnapshot(f *testing.F) {
 // instructions.  No input may panic, and parse, store and reconstruct
 // together allocate no more than FuzzApplySnapshot allows a payload plus
 // 2 KiB a kept node: about what ingest and reconstruction spend on a node
-// today, and an input can buy a node for two or three bytes.  The seeds
-// cover every heading shape the store folds or keeps, and the densest
-// node shapes; a chain of unclosed headings was quadratic before a
-// heading's text left out the headings nested in it.  testdata keeps the
+// today, and an input can buy a node for two or three bytes.  The
+// document's title is the root's non-empty title attribute, as
+// docform.Convert gives it, so a root may store the title marker.  The
+// seeds cover every element and heading shape the store folds or keeps,
+// every title the root may or may not stand in for, and the densest node
+// shapes; a chain of unclosed headings was quadratic before a heading's
+// text left out the headings nested in it.  testdata keeps the
 // input "<?>", on which the lexer sliced a processing instruction out of
 // its own opener and panicked.
 func FuzzStoreReconstruct(f *testing.F) {
@@ -112,6 +115,17 @@ func FuzzStoreReconstruct(f *testing.F) {
 		`<report><section><heading>Outer</heading><section><heading>Inner</heading><para>y</para></section></section></report>`,
 		`<heading>Root</heading>`,
 		`<report><heading></heading><heading>kept<!-- c --></heading><heading> Padded  text </heading></report>`,
+		`<report><para id="1" class="a &amp; b">attributes</para><item/></report>`,
+		`<para>root text only</para>`,
+		"<report><para> \n\t </para><para>\n</para></report>",
+		`<report><para>mixed <b>bold</b> tail</para><para><i>inner</i></para></report>`,
+		`<document title="Report"><para>x</para></document>`,
+		`<document title="Report">root text</document>`,
+		`<document title="Report" lang="en"><para>x</para></document>`,
+		`<document lang="en" title="Report"/>`,
+		`<document title=""><para>x</para></document>`,
+		`<document title="a" title="b"><para>x</para></document>`,
+		`<document TITLE="Report"><para>x</para></document>`,
 	} {
 		f.Add([]byte(seed), false)
 	}
@@ -133,7 +147,14 @@ func FuzzStoreReconstruct(f *testing.F) {
 		if err != nil {
 			return
 		}
-		id, err := s.StoreDocument(docform.Meta{FileName: "fuzz"}, tree, cfg)
+		meta := docform.Meta{FileName: "fuzz"}
+		for c := tree.FirstChild; c != nil; c = c.NextSibling {
+			if c.Kind == sgml.ElementNode {
+				meta.Title, _ = c.Attr("title")
+				break
+			}
+		}
+		id, err := s.StoreDocument(meta, tree, cfg)
 		if err != nil {
 			return // no root element, or a record no page can hold
 		}

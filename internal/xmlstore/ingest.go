@@ -116,6 +116,9 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		if i == 0 || fn.class == sgml.ClassContext {
 			row[xmlColDocID] = ordbms.I(int64(docID))
 		}
+		if i == 0 && len(root.Attrs) == 1 && root.Attrs[0] == (sgml.Attr{Name: "title", Value: meta.Title}) {
+			row[xmlColAttrs] = ordbms.S("") // DOC.title holds it (see Node.Titled)
+		}
 		p.rows[i] = row
 		if code < 0 {
 			p.untagged = append(p.untagged, i)
@@ -233,15 +236,16 @@ func governingContexts(flat []flatNode) []int32 {
 // postKey is the flat index of the row node i's own text is posted under
 // in the text index: its section's key row.  A CONTEXT keys its own
 // section, so a folded heading's text is its own; any other node's key is
-// the CONTEXT governing it, or, where no heading does (raw XML), its
-// parent element, the scope fallbackSection reports.
+// the CONTEXT governing it, or, where no heading does (raw XML), the
+// element holding the text — a text node's parent, or an element that
+// absorbed its text child — the scope fallbackSection reports.
 func postKey(flat []flatNode, governs []int32, i int) int {
 	switch {
 	case flat[i].class == sgml.ClassContext:
 		return i
 	case governs[i] >= 0:
 		return int(governs[i])
-	case flat[i].parent >= 0:
+	case flat[i].class == sgml.ClassText && flat[i].parent >= 0:
 		return flat[i].parent
 	}
 	return i
@@ -430,9 +434,10 @@ func (s *Store) StoreRaw(name string, data []byte) (uint64, error) {
 
 // flattenTree walks the tree in document order, recording structural
 // relationships as slice indexes.  A CONTEXT's heading text is copied
-// onto it, and a heading whose only stored child is one text node holding
-// exactly that text is folded: the child is left out, so the text is
-// stored once, and Node.OwnText reads it back.  Every other heading —
+// onto it.  An element whose only stored child is one non-empty text node
+// — on a heading, one holding exactly the heading — absorbs it: the child
+// is left out, its text becomes the element's nodedata, so it is stored
+// once, and Node.OwnText reads it back.  Every other element —
 // mixed content, element children, no text — keeps its children.  It
 // takes no locks, so it can run in parallel preparation workers.
 func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
@@ -478,10 +483,11 @@ func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
 			}
 			prev = ci
 		}
-		if class == sgml.ClassContext && fn.data != "" && len(flat) == idx+2 &&
-			flat[idx+1].class == sgml.ClassText && flat[idx+1].data == fn.data {
-			flat = flat[:idx+1]
-			flat[idx].child = -1
+		if len(flat) == idx+2 && flat[idx+1].class == sgml.ClassText {
+			if text := flat[idx+1].data; text != "" && (class != sgml.ClassContext || text == fn.data) {
+				flat = flat[:idx+1]
+				flat[idx].data, flat[idx].child = text, -1
+			}
 		}
 		return idx
 	}
@@ -632,7 +638,8 @@ func (s *Store) DeleteDocument(docID uint64) error {
 
 // Reconstruct rebuilds the full document tree for a document by chasing
 // physical links from the root node (used by HTTP GET and the examples).
-// A folded heading gets its text child back from its own text.
+// An element that absorbed its text child gets it back from its own text,
+// and a titled root its title attribute from the DOC row.
 func (s *Store) Reconstruct(docID uint64) (*sgml.Node, error) {
 	info, err := s.Document(docID)
 	if err != nil {
@@ -648,7 +655,11 @@ func (s *Store) Reconstruct(docID uint64) (*sgml.Node, error) {
 		if n.Class == sgml.ClassText {
 			out = sgml.NewText(n.Data)
 		} else {
-			out = sgml.NewElement(n.Name, n.Attrs...)
+			attrs := n.Attrs
+			if n.Titled {
+				attrs = []sgml.Attr{{Name: "title", Value: info.Title}}
+			}
+			out = sgml.NewElement(n.Name, attrs...)
 			if text, ok := n.OwnText(); ok {
 				out.AppendChild(sgml.NewText(text))
 			}

@@ -8,6 +8,7 @@ import (
 
 	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
 	"netmark/internal/textindex"
 )
 
@@ -128,8 +129,9 @@ func TestSameQuerySameWork(t *testing.T) {
 
 // checkPostings holds the text index to what ingest posts: every node
 // with words of its own has them posted under its section's key row — the
-// heading the ContextFor walk finds, or its parent where no heading
-// governs it — and the index holds no other key, so none names a deleted
+// heading the ContextFor walk finds, or where no heading governs it the
+// element holding the text: a text node's parent, or the node itself —
+// and the index holds no other key, so none names a deleted
 // row.  The rows of document skip (0: none), which an interrupted delete
 // left behind, may be posted or not.
 func checkPostings(t *testing.T, stage string, s *Store, skip uint64) {
@@ -153,8 +155,11 @@ func checkPostings(t *testing.T, stage string, s *Store, skip uint64) {
 			t.Fatalf("%s: ContextFor(%v): %v", stage, n.RowID, err)
 		}
 		key := n.ParentRowID
-		if ctx != nil {
+		switch {
+		case ctx != nil:
 			key = ctx.RowID
+		case n.Class != sgml.ClassText:
+			key = n.RowID // an element holding its own text is its scope
 		}
 		for _, term := range terms {
 			if id, ok := s.content.LookupIter(term).SeekGE(key.Uint64()); ok && id == key.Uint64() {

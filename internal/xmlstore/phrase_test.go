@@ -130,7 +130,8 @@ func TestPhraseAcrossChunks(t *testing.T) {
 
 // bruteForcePhrase answers a phrase-only query without the text index:
 // scan every node's own text, put its tokens in the section the paper's
-// walk finds for it (its parent's where no heading governs it), and keep,
+// walk finds for it (where no heading governs it, the element holding the
+// text: a text node's parent, or the node itself), and keep,
 // in key-row order, each section holding every term whose heading or
 // content, tokenized, holds the terms as consecutive tokens.
 func bruteForcePhrase(t *testing.T, s *Store, phrase string) []uint64 {
@@ -154,8 +155,11 @@ func bruteForcePhrase(t *testing.T, s *Store, phrase string) []uint64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ctx != nil {
+		switch {
+		case ctx != nil:
 			key = ctx.RowID
+		case n.Class != sgml.ClassText:
+			key = n.RowID // an element holding its own text is its scope
 		}
 		if words[key] == nil {
 			words[key] = make(map[string]bool)

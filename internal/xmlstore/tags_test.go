@@ -428,7 +428,9 @@ func TestTagTableMustBeDense(t *testing.T) {
 }
 
 // Fig 5's NODETYPE and NODENAME stay queryable: joining XML to TAG on the
-// code gives every node its class and name.
+// code gives every node its class and name.  Text sits on element rows
+// since they absorb a lone text child, so a paragraph's text is its <p>
+// row's nodedata.
 func TestTagJoinThroughSQL(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "sample.html", sampleHTML)
@@ -446,20 +448,28 @@ func TestTagJoinThroughSQL(t *testing.T) {
 	if len(res.Rows) != len(want) || len(want) == 0 {
 		t.Fatalf("the join returns %d rows for %d nodes", len(res.Rows), len(want))
 	}
-	texts, named := 0, 0
+	withData, named := 0, 0
 	for i, row := range res.Rows {
 		got := [3]string{row[0].Str, fmt.Sprint(row[1].Int), row[2].Str}
 		if got != want[i] {
 			t.Fatalf("row %d: the join says %q, the node is %q", i, got, want[i])
 		}
-		if row[1].Int == int64(sgml.ClassText) {
-			texts++
-		} else if row[2].Str != "" {
+		if row[0].Str != "" {
+			withData++
+		}
+		if row[2].Str != "" {
 			named++
 		}
 	}
-	if texts == 0 || named == 0 {
-		t.Fatalf("%d text and %d named rows: the join proves little", texts, named)
+	if withData == 0 || named == 0 {
+		t.Fatalf("%d rows with nodedata and %d named rows: the join proves little", withData, named)
+	}
+	res, err = sqlx.New(s.DB()).Exec(`SELECT XML.nodedata FROM XML JOIN TAG ON XML.tag = TAG.tag WHERE TAG.nodename = 'p'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 || res.Rows[1][0].Str != "The gap is shrinking across propulsion systems." {
+		t.Fatalf("the paragraphs by SQL: %v", res.Rows)
 	}
 }
 

@@ -30,11 +30,16 @@
 //
 // A CONTEXT row carries its heading's text in NODEDATA, so neither the
 // context index nor the kernel descends to read a heading, and it is the
-// key row its section's words are posted under in the text index.  A
-// heading whose only child is one text node holding exactly that text —
-// nearly every heading — stores no child row: the text is stored once, on
-// the CONTEXT, and Node.OwnText is where indexing, section text and
-// Reconstruct read it.  Every other heading keeps its children.
+// key row its section's words are posted under in the text index.
+//
+// Text is stored once.  An element whose only child is one non-empty text
+// node — a <p>, an <li>, a <para>, nearly every heading — absorbs it: the
+// text goes in the element's own NODEDATA and no child row is stored; a
+// CONTEXT absorbs it only when the text is exactly its heading.
+// Node.OwnText is where indexing, section text and Reconstruct read a
+// node's text, folded or not.  Likewise a root whose only attribute is
+// title="…", valued as DOC's TITLE, stores a zero-length ATTRS (NULL means
+// no attributes), and Reconstruct puts the attribute back from DOC.
 //
 // This package persists derived snapshots, so every committing rename
 // must follow write-temp → fsync → rename → fsync-dir.
@@ -88,9 +93,9 @@ const (
 )
 
 // Node is a decoded row of the XML table.  A text node's Name is "".  A
-// CONTEXT's Data is its heading text; a folded CONTEXT, one whose only
-// child was a text node holding exactly that text, has no child row, and
-// OwnText gives its text.
+// CONTEXT's Data is its heading text.  An element that absorbed its lone
+// text child has no child row and holds the text in Data; OwnText gives
+// it.
 type Node struct {
 	// DocID is set on root and CONTEXT rows, zero elsewhere: Store.docOf
 	// finds any row's document.
@@ -99,6 +104,10 @@ type Node struct {
 	Name  string
 	Data  string
 	Attrs []sgml.Attr
+	// Titled marks a root whose only attribute was title="DOC.title",
+	// stored as a zero-length attrs: Attrs is nil, and Reconstruct puts
+	// the attribute back from the DOC row.
+	Titled bool
 
 	RowID       ordbms.RowID // physical address of this node
 	ParentRowID ordbms.RowID
@@ -107,25 +116,23 @@ type Node struct {
 	ChildRowID  ordbms.RowID
 }
 
-// OwnText is the text n holds itself: a text node's data, or a folded
-// CONTEXT's heading.  ok is false for every other node.  It is what the
-// text index posts under n's section's key row, and what a subtree's text
-// and a reconstructed tree read from n.
+// OwnText is the text n holds itself: a text node's data, or the text an
+// element absorbed from its lone text child.  ok is false for every other
+// node.  It is what the text index posts under n's section's key row, and
+// what a subtree's text and a reconstructed tree read from n.
 func (n *Node) OwnText() (text string, ok bool) {
 	return ownText(n.Class, n.Data, !n.ChildRowID.IsZero())
 }
 
-// ownText reads the fold back: a CONTEXT row with a heading and no child
-// link is a folded heading, since an unfolded heading with text always
-// has a child row (see flattenTree).
+// ownText reads the fold back: any row but a text node's that has
+// nodedata and no child link absorbed its text child, since only a heading
+// has nodedata otherwise, and a heading with text has a child row unless
+// it folded (see flattenTree).
 func ownText(class sgml.NodeClass, data string, hasChild bool) (string, bool) {
-	switch {
-	case class == sgml.ClassText:
-		return data, true
-	case class == sgml.ClassContext && data != "" && !hasChild:
-		return data, true
+	if class != sgml.ClassText && (data == "" || hasChild) {
+		return "", false
 	}
-	return "", false
+	return data, true
 }
 
 // DocInfo is a decoded row of the DOC table.
@@ -361,11 +368,7 @@ func (s *Store) rebuildDerived() error {
 			return false
 		}
 		idxOf[rid] = len(flat)
-		fn := flatNode{class: tag.class, rid: rid, prev: -1, parent: -1, next: -1, child: -1}
-		if tag.class == sgml.ClassText || tag.class == sgml.ClassContext {
-			fn.data = row[xmlColNodeData].Str
-		}
-		flat = append(flat, fn)
+		flat = append(flat, flatNode{class: tag.class, data: row[xmlColNodeData].Str, rid: rid, prev: -1, parent: -1, next: -1, child: -1})
 		docs = append(docs, uint64(row[xmlColDocID].Int))
 		pend = append(pend, pendingLinks{
 			prev:   row[xmlColPrevRowID].RowID(),
@@ -410,7 +413,7 @@ func (s *Store) rebuildDerived() error {
 			continue
 		}
 		// The child link as stored, not as found: a dangling one still
-		// says the heading was not folded.
+		// says the element did not fold.
 		if text, ok := ownText(fn.class, fn.data, !pend[i].child.IsZero()); ok {
 			k := postKey(flat, governs, i)
 			toks[k] = append(toks[k], textindex.Tokenize(text)...)
@@ -570,8 +573,10 @@ func (s *Store) nodeFromCols(rid ordbms.RowID, cols []ordbms.Value) (*Node, erro
 	if err != nil {
 		return nil, err
 	}
+	attrs := cols[xmlColAttrs]
 	return &Node{
-		Attrs:       decodeAttrs(cols[xmlColAttrs].Str),
+		Attrs:       decodeAttrs(attrs.Str),
+		Titled:      !attrs.IsNull() && attrs.Str == "",
 		DocID:       uint64(cols[xmlColDocID].Int),
 		Class:       tag.class,
 		Name:        tag.name,
