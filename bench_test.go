@@ -535,11 +535,12 @@ func BenchmarkColdContentSearch(b *testing.B) {
 // mixed traffic: half of all operations are writes (1/3 ingests plus
 // 1/6 deletes of churn documents), the other half are queries over a
 // stable set of documents whose headings and terms the churn never
-// touches.  With PR 2's single
-// global cache generation every write invalidated everything and each
-// read ran the kernel cold; with per-term/per-heading keyed caching the
-// untouched-document queries keep being served from cache — the reported
-// hit metric is the proof (hits ≈ reads, misses ≈ distinct queries).
+// touches.  With PR 2's single global cache generation every write
+// invalidated everything and each read ran the kernel cold; with caching
+// keyed on the text index's generations of each query's words, heading
+// words included, the untouched-document queries keep being served from
+// cache — the reported hit metric is the proof (hits ≈ reads, misses ≈
+// distinct queries).
 func BenchmarkMixedWriteHeavy(b *testing.B) {
 	store := loadedStore(b, 200, 43)
 	store.EnableNodeCache(32 << 20)

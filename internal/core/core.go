@@ -48,10 +48,11 @@ type Config struct {
 	IngestBatchSize int
 	// CacheBytes caps the invalidation-aware query result cache
 	// (0 = DefaultCacheBytes, negative = disabled).  The cache keys on
-	// the mutation generations of the terms and headings a query reads,
-	// so results never outlive the data they were computed from while
-	// writes to other documents leave them cached; tune it to the
-	// working set of hot queries.
+	// the text index's generations of a query's words, its heading's
+	// included (on the store's generation for XPath, a prefix heading or
+	// a heading with no word), so results never outlive the data they
+	// were computed from while writes to other documents leave them
+	// cached; tune it to the working set of hot queries.
 	CacheBytes int64
 	// NodeCacheBytes caps the XML store's decoded-node cache, which
 	// accelerates the cold query path by keeping hot traversal rows

@@ -117,8 +117,7 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 	}
 	// Mutation generations are process-local cache keys and are not part
 	// of the encoding: every loaded term starts at 1 with the counter at
-	// 1, so zero keeps meaning "absent" and the next posting change moves
-	// the term to 2 or beyond.
+	// 1, and the next posting change moves the term to 2 or beyond.
 	ix := New()
 	ix.genCounter = 1
 	nTerms, err := uv()

@@ -334,9 +334,10 @@ type Index struct {
 	terms *btree.Tree[string, *postingList] // guarded by mu; term -> single posting list
 	byID  map[uint64][]string               // guarded by mu; id -> its distinct terms, sorted; reverse map for Remove
 	docs  int                               // guarded by mu
-	// genCounter is the monotonic source for posting-list generations;
-	// values are never reused, so a term that vanishes and reappears gets
-	// a generation distinct from every one it ever had.  Guarded by mu.
+	// genCounter is the monotonic source for posting-list generations,
+	// and what QueryGen folds for a term the index does not hold; values
+	// are never reused, so a term that vanishes and reappears gets a
+	// generation distinct from every one it ever had.  Guarded by mu.
 	genCounter uint64
 }
 
@@ -455,20 +456,22 @@ func normTerm(t string) string {
 	return toks[0]
 }
 
-// QueryGen folds the mutation generations of every term a query depends
-// on into one fingerprint (FNV-1a over the per-term gens; absent terms
-// contribute zero).  Two calls return the same value iff none of the
-// query's posting lists changed in between, so result caches can key on
-// it: a write that never touches the query's terms leaves cached results
-// for the query reachable, while any posting insert or removal — a new
-// document containing a term, a deleted document that contained one —
-// makes every stale key unreachable.
-func (ix *Index) QueryGen(query string) uint64 {
+// QueryGen folds the mutation generations of the given terms (as Tokenize
+// cuts them) into one fingerprint, FNV-1a over the per-term gens.  A term
+// the index does not hold folds genCounter, which every posting change
+// moves.  So each term's value only ever grows, and grows on every change
+// to its postings: two calls return the same value iff none of the terms'
+// posting lists changed in between, and a term that appears and vanishes
+// again does not bring its old value back.  Result caches key on it: a
+// write that never touches a query's terms leaves its cached results
+// reachable, while a new document containing a term, or a deleted one
+// that contained it, makes every stale key unreachable for good.
+func (ix *Index) QueryGen(terms ...string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
 	ix.mu.RLock()
-	for _, term := range Tokenize(query) {
-		var g uint64
+	for _, term := range terms {
+		g := ix.genCounter
 		if got := ix.terms.Get(term); len(got) > 0 {
 			g = got[0].gen
 		}

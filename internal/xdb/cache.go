@@ -10,10 +10,11 @@ import (
 
 // This file implements the invalidation-aware LRU query result cache.
 // Entries are keyed by (store fingerprint, canonical query encoding) —
-// see Engine.cacheKey — where the fingerprint folds the generations of
-// exactly the structures the query reads: a mutation bumps only the
-// generations it touches, so it makes stale keys unreachable for the
-// queries it could affect and leaves everything else cached —
+// see Engine.cacheKey — where the fingerprint folds the text index's
+// generations of the query's words, or the store's generation when the
+// query is not made of words: a mutation bumps only the generations of
+// the words it posts or removes, so it makes stale keys unreachable for
+// the queries it could affect and leaves everything else cached —
 // invalidation costs a few counter bumps, never a scan.  The key is the
 // only staleness test: the cache itself compares strings and knows
 // nothing about the store.  Stale keys age out of the LRU like any cold

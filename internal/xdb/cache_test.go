@@ -249,8 +249,9 @@ func TestConcurrentStylesheetRegistrationDuringQueries(t *testing.T) {
 
 // TestCachePerDocumentInvalidation: a write to one document must not
 // invalidate cached queries that only touched other documents.  The
-// cache keys fold per-term/per-heading generations, so only queries
-// whose predicates overlap the written document go cold.
+// cache keys fold the generations of each query's words, heading words
+// included, so only queries whose words overlap the written document go
+// cold.
 func TestCachePerDocumentInvalidation(t *testing.T) {
 	e := cachedEngine(t, 1<<20)
 	load(t, e, "one.html", doc1)
@@ -340,10 +341,11 @@ func TestGenerationBumpsAfterIndexing(t *testing.T) {
 	}
 }
 
-// TestResultComputedAcrossWriteNotCached: generations of absent things
-// read as zero, so the key a reader took while a heading was absent is
-// the current key again once the heading's last bearer is deleted.  A
-// result that saw the heading in between must not be waiting there.
+// TestResultComputedAcrossWriteNotCached: a reader fingerprints the store
+// while a heading is absent, and a write brings the heading before it
+// executes.  The result must not be cached under the pre-write key, and
+// that key must not come back once the heading's last bearer is deleted:
+// an absent word folds the text index's counter, which only grows.
 func TestResultComputedAcrossWriteNotCached(t *testing.T) {
 	e := cachedEngine(t, 1<<20)
 	load(t, e, "one.html", doc1)
@@ -369,8 +371,45 @@ func TestResultComputedAcrossWriteNotCached(t *testing.T) {
 	if err := e.Store().DeleteDocument(info.DocID); err != nil {
 		t.Fatal(err)
 	}
-	if e.cacheKey(q) != key {
-		t.Fatal("setup: the key did not return once the heading vanished")
+	if e.cacheKey(q) == key {
+		t.Fatal("the pre-write key returned once the heading vanished")
+	}
+	if got := mustExecute(t, e, "context=Findings"); len(got.Sections) != 0 {
+		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", len(got.Sections))
+	}
+}
+
+// TestAppearAndVanishNotCached: the heading appears and vanishes again
+// while the reader executes, so the fingerprint it takes afterwards folds
+// an absent heading both times.  Those two must differ, or the answer
+// that saw the heading is kept and served after the delete.
+func TestAppearAndVanishNotCached(t *testing.T) {
+	e := cachedEngine(t, 1<<20)
+	load(t, e, "one.html", doc1)
+	q, err := Parse("context=Findings")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := e.cacheKey(q)
+	// compute with the writes inside it: ingest, execute, delete, then
+	// compute's test of whether the result may be kept.
+	res, entry, err := e.cache.fetch(key, func() (*Result, bool, error) {
+		load(t, e, "two.html", doc2)
+		res, err := e.executeUncached(q)
+		info, derr := e.Store().DocumentByName("two.html")
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if derr := e.Store().DeleteDocument(info.DocID); derr != nil {
+			t.Fatal(derr)
+		}
+		return res, err == nil && e.cacheKey(q) == key, err
+	})
+	if err != nil || len(res.Sections) != 1 {
+		t.Fatalf("racing reader: %v, %d sections, want 1", err, len(res.Sections))
+	}
+	if entry != nil {
+		t.Fatal("a result that saw a vanished heading was cached")
 	}
 	if got := mustExecute(t, e, "context=Findings"); len(got.Sections) != 0 {
 		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", len(got.Sections))

@@ -23,8 +23,9 @@ import (
 var diffQueries = []string{
 	"context=Budget",                          // exact heading, shared by many documents
 	"context=Ephemeral+1",                     // exact heading that comes and goes with its last bearer
-	"context=Ephemeral*",                      // prefix under the 64-heading budget
-	"context=Zone*&limit=8",                   // prefix over the budget while the atlas is stored
+	"context=Ephemeral*",                      // prefix: keys on the store's generation
+	"context=Zone*&limit=8",                   // prefix over many headings, capped
+	"context=%C2%A7",                          // exact heading with no word: keys on the store's generation
 	"content=cryogenic",                       // one term
 	"content=cryogenic+shuttle",               // several terms
 	`content="was tested during the"`,         // phrase
@@ -46,8 +47,9 @@ const diffSheet = `<xsl:stylesheet><xsl:template match="/">
 // diffPool is the document set the sequences ingest from and delete
 // back into: corpus documents (shared headings and terms on purpose),
 // churn documents whose "Ephemeral k" headings have few bearers, so
-// deletes prune the last one, and an atlas whose 70 "Zone" headings push
-// the Zone* prefix over the fingerprint's heading budget.
+// deletes take away the last one, and whose "§" heading has no word for
+// the text index to post, and an atlas of 70 "Zone" headings, so the
+// capped Zone* prefix always has more candidates than it returns.
 func diffPool() []corpus.Document {
 	pool := corpus.New(19).Mixed(36)
 	for i := 0; i < 12; i++ {
@@ -56,7 +58,8 @@ func diffPool() []corpus.Document {
 			Data: []byte(fmt.Sprintf(`<html><head><title>Churn %d</title></head><body>
 <h1>Ephemeral %d</h1><p>The cryogenic shuttle relay %d was tested during the drill.</p>
 <h2>Zone %03d</h2><p>Sector budget note %d.</p>
-<h2>Budget</h2><p>Relay spares, lot %d.</p></body></html>`, i, i%4, i, 100+i, i, i)),
+<h2>Budget</h2><p>Relay spares, lot %d.</p>
+<h2>§</h2><p>Clause %d.</p></body></html>`, i, i%4, i, 100+i, i, i, i)),
 		})
 	}
 	var atlas strings.Builder
@@ -184,10 +187,10 @@ func TestCacheAgreesWithUncached(t *testing.T) {
 			h.check(fmt.Sprintf("step %d (%s)", i, op))
 			if i == steps/2 {
 				// A restart through the snapshot.  The generations the keys
-				// fold are not in it, so every loaded term and heading must
-				// come back with one that is nonzero and that the next write
-				// moves: the first write after the load gives "Ephemeral 1",
-				// loaded with one bearer, a second.
+				// fold are not in it, so every loaded term must come back
+				// with one that the next write moves: the first write after
+				// the load gives "Ephemeral 1", loaded with one bearer, a
+				// second.
 				h.ensure("churn-05.html", true)
 				h.ensure("churn-01.html", false)
 				if err := h.db.Close(); err != nil {

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"netmark/internal/sgml"
+	"netmark/internal/textindex"
 	"netmark/internal/xmlstore"
 	"netmark/internal/xslt"
 )
@@ -361,10 +362,9 @@ func (e *Engine) fetch(q Query) (*Result, *cacheEntry, error) {
 // compute executes q for a cache miss under key, the fingerprint taken
 // before executing, and reports whether the result may be kept: only when
 // the fingerprint is still the same afterwards.  A write that landed
-// mid-query has moved it, and a result that may mix both states must not
-// sit under the old key — a key returns once the term or heading that
-// changed it is gone again (generations of absent things read as zero),
-// and would bring the mixed result back with it.
+// mid-query has moved it, and every generation it folds only grows, so the
+// pre-write key never returns: the result, which may mix both states,
+// would only sit in the cache unreachable.
 func (e *Engine) compute(q Query, key string) (res *Result, keep bool, err error) {
 	res, err = e.executeUncached(q)
 	return res, err == nil && e.cacheKey(q) == key, err
@@ -412,16 +412,17 @@ func resultTree(r *Result) *sgml.Node {
 // exactly the structures the query reads, then the canonical query
 // encoding.  It is the only proof a cached result is fresh.
 //
-// PR 2 keyed on one global store generation, so any write invalidated
-// every cached result and mixed read/write traffic ran every query cold.
-// The fingerprint folds instead the per-term generations of the query's
-// content terms (each bumped only when a posting for that term is added
-// or removed — i.e. when a document containing the term is written or
-// deleted) and the per-heading generations of its context predicate.
-// Documents are immutable and every result row is reached through a
-// posting or a context-index entry, so a write to document A leaves
+// A query made of words — content terms, an exact heading with at least
+// one word, or both — keys on the text index's generations of those words
+// (textindex.Index.QueryGen), each bumped only when a posting for the word
+// is added or removed.  That covers the heading too: documents are
+// immutable, and every word of a stored heading is posted under its own
+// document, so a write that adds or removes a bearer of the heading moves
+// the generation of each of its words.  A write to document A thus leaves
 // cached queries that only touched document B reachable, and one that
-// could change a query's answer changes its key.
+// could change a query's answer changes its key.  Every other query — an
+// XPath, a prefix heading, a heading with no word — keys on the store's
+// generation, which every write moves.
 func (e *Engine) cacheKey(q Query) string {
 	var b strings.Builder
 	b.Grow(40)
@@ -441,22 +442,20 @@ func (e *Engine) fingerprint(q Query) uint64 {
 		// Only a styled result depends on the registered sheets.
 		mix(e.sheetGen.Load())
 	}
-	if q.XPath != "" {
-		// XPath plans reconstruct whole documents and may scan every one;
-		// any store mutation can change the answer, so they stay on the
-		// global generation.
+	var heading []string
+	if q.Context != "" && !q.ContextPrefix {
+		heading = textindex.Tokenize(q.Context)
+	}
+	if q.XPath != "" || q.Context != "" && len(heading) == 0 {
 		mix(e.store.Generation())
 		return h
 	}
+	ix := e.store.ContentIndex()
 	if q.Content != "" {
-		mix(e.store.ContentIndex().QueryGen(q.Content))
+		mix(ix.QueryGen(textindex.Tokenize(q.Content)...))
 	}
-	if q.Context != "" {
-		if q.ContextPrefix {
-			mix(e.store.ContextPrefixGen(q.Context))
-		} else {
-			mix(e.store.ContextGen(q.Context))
-		}
+	if heading != nil {
+		mix(ix.QueryGen(heading...))
 	}
 	return h
 }
@@ -579,21 +578,26 @@ func (e *Engine) executeXPath(q Query) ([]xmlstore.Section, error) {
 
 // SectionMatchesContent applies a query's content predicate to an
 // already-materialised section (the databank's residual filter over
-// sections a source returned).
+// sections a source returned) by the store's rule: every term, as
+// textindex.Tokenize cuts them, is a word of the heading or the content,
+// and a phrase occurs in one of them (textindex.HasPhrase).
 func SectionMatchesContent(s xmlstore.Section, q Query) bool {
 	if q.Content == "" {
 		return true
 	}
-	text := strings.ToLower(s.Content + " " + s.Context)
-	if q.Phrase {
-		return strings.Contains(text, strings.ToLower(q.Content))
+	has := func(phrase []string) bool {
+		return textindex.HasPhrase(s.Context, phrase) || textindex.HasPhrase(s.Content, phrase)
 	}
-	for _, term := range strings.Fields(strings.ToLower(q.Content)) {
-		if !containsWord(text, term) {
+	terms := textindex.Tokenize(q.Content)
+	if q.Phrase {
+		return len(terms) > 0 && has(terms)
+	}
+	for i := range terms {
+		if !has(terms[i : i+1]) {
 			return false
 		}
 	}
-	return true
+	return len(terms) > 0
 }
 
 // SectionMatchesContext applies a query's context predicate to a section.
@@ -607,27 +611,4 @@ func SectionMatchesContext(s xmlstore.Section, q Query) bool {
 		return strings.HasPrefix(have, want)
 	}
 	return have == want
-}
-
-// containsWord checks a word-boundary match.
-func containsWord(text, word string) bool {
-	idx := 0
-	for {
-		i := strings.Index(text[idx:], word)
-		if i < 0 {
-			return false
-		}
-		start := idx + i
-		end := start + len(word)
-		beforeOK := start == 0 || !isWordChar(text[start-1])
-		afterOK := end >= len(text) || !isWordChar(text[end])
-		if beforeOK && afterOK {
-			return true
-		}
-		idx = start + 1
-	}
-}
-
-func isWordChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c >= 'A' && c <= 'Z'
 }

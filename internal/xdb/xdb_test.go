@@ -426,6 +426,21 @@ func TestSectionPredicates(t *testing.T) {
 	if SectionMatchesContent(sec, Query{Content: "shrinking is", Phrase: true}) {
 		t.Fatal("reversed phrase matched")
 	}
+	// The store's tokenizer decides, not byte offsets: punctuation between
+	// two words does not break a phrase, and a word is whole.
+	for _, c := range []struct {
+		content string
+		q       Query
+		want    bool
+	}{
+		{"technology gap, shrinking fast", Query{Content: "gap shrinking", Phrase: true}, true},
+		{"liquid tanker", Query{Content: "liquid tank", Phrase: true}, false},
+		{"café", Query{Content: "caf"}, false},
+	} {
+		if got := SectionMatchesContent(xmlstore.Section{Content: c.content}, c.q); got != c.want {
+			t.Fatalf("%q in %q: matched = %v, want %v", c.q.Content, c.content, got, c.want)
+		}
+	}
 	if !SectionMatchesContext(sec, Query{Context: "technology gap"}) {
 		t.Fatal("case-insensitive context")
 	}

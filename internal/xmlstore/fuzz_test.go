@@ -64,7 +64,7 @@ func FuzzApplySnapshot(f *testing.F) {
 	}
 	f.Add(rich.encodeSnapshot())
 	f.Fuzz(func(t *testing.T, p []byte) {
-		s := &Store{ctxGens: make(map[string]uint64)}
+		s := &Store{}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := s.applySnapshot(p)
@@ -80,7 +80,7 @@ func FuzzApplySnapshot(f *testing.F) {
 			t.Fatalf("the store's own snapshot re-encodes differently")
 		}
 		// Whatever applies settles after one round trip.
-		again := &Store{ctxGens: make(map[string]uint64)}
+		again := &Store{}
 		if err := again.applySnapshot(enc); err != nil {
 			t.Fatalf("re-encoded snapshot does not apply: %v", err)
 		}

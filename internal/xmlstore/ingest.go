@@ -367,16 +367,23 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 }
 
 // indexPrepared feeds a stored document into the derived indexes: each
-// section's words into the text index under its key row, and each heading
-// into the context btree.  The indexes carry their own locks, so this
+// heading into the context btree, then each section's words into the text
+// index under its key row.  The indexes carry their own locks, so this
 // stage runs concurrently with the writer storing the next document.
+//
+// Headings go in before words.  A cached exact-heading query is keyed on
+// the generations of its heading's words, which this document's postings
+// move; a reader that keyed on the moved generations while the heading was
+// not yet in the btree would cache an answer without it under the final
+// key.  DeleteDocument keeps the mirror order: headings out, then words.
 func (s *Store) indexPrepared(p *preparedDoc) {
 	for i := range p.flat {
-		fn := &p.flat[i]
-		s.content.AddTokens(fn.rid.Uint64(), p.toks[i])
-		if fn.class == sgml.ClassContext {
+		if fn := &p.flat[i]; fn.class == sgml.ClassContext {
 			s.addContextKey(fn.data, fn.rid)
 		}
+	}
+	for i := range p.flat {
+		s.content.AddTokens(p.flat[i].rid.Uint64(), p.toks[i])
 	}
 	// The ingest's generation bumps: only now are tables AND derived
 	// indexes consistent, so only now may a query snapshot the new
@@ -610,8 +617,9 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	defer s.bumpGeneration() // rows start disappearing: invalidate even on failure
 	// Derived entries go before the rows, so none outlives its row; the run
 	// is in reverse document order, so one that stops leaves a prefix.
-	// Every key row a document's words are posted under is one of its
-	// rows, and Remove skips the rest.
+	// Headings go before words, the mirror of indexPrepared's order.  Every
+	// key row a document's words are posted under is one of its rows, and
+	// Remove skips the rest.
 	rids := make([]ordbms.RowID, len(nodes))
 	ids := make([]uint64, len(nodes))
 	for i, n := range nodes {

@@ -5,10 +5,10 @@ package xmlstore
 // store serialises everything rebuildDerived would otherwise reconstruct
 // by scanning the whole heap — the text-index posting lists, the context
 // btree and the counters — into a file
-// written inside the checkpoint critical section.  The mutation
-// generations result caches key on are not part of it: they are
+// written inside the checkpoint critical section.  The text index's term
+// generations, which result caches key on, are not part of it: they are
 // process-local, their only reader is a cache that is empty after a
-// restart, so a loaded term or heading simply starts over at 1.
+// restart, so a loaded term simply starts over at 1.
 //
 // The engine frames, stamps and validates the file
 // (ordbms.CheckpointInfo.WriteSnapshotFile, DB.ReadSnapshotFile): it is
@@ -235,6 +235,6 @@ func (s *Store) applySnapshot(p []byte) error {
 	s.docsIngested.Store(docsIngested)
 	s.nodesInserted.Store(nodesInserted)
 	s.content = content
-	s.adoptContexts(contexts.Tree())
+	s.contexts = contexts.Tree()
 	return nil
 }

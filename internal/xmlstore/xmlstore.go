@@ -178,21 +178,11 @@ type Store struct {
 	content *textindex.Index
 	// contexts maps normalised (lowercased) heading text to the RowIDs
 	// of CONTEXT nodes bearing it.  Guarded by ctxMu.
-	// netmarkvet:snap netmarkvet:gen ctxGens
+	// netmarkvet:snap
 	contexts *btree.Tree[string, ordbms.RowID]
-	// ctxMu protects the in-memory context btree and its generations;
-	// never held across I/O.  netmarkvet:hot netmarkvet:lockorder 30
+	// ctxMu protects the in-memory context btree; never held across I/O.
+	// netmarkvet:hot netmarkvet:lockorder 30
 	ctxMu sync.RWMutex
-	// ctxGens carries one mutation generation per normalised heading the
-	// store holds, assigned from ctxGenCounter on every insert or removal
-	// of a RowID under that heading; the entry goes when the heading's
-	// last bearer does, so a heading absent from the store reads as zero.
-	// Result caches fold these into their keys the way they fold the text
-	// index's per-term gens.  Generations are process-local: they are not
-	// persisted, and a heading loaded from a snapshot starts at 1.
-	// Guarded by ctxMu.
-	ctxGens       map[string]uint64
-	ctxGenCounter uint64 // guarded by ctxMu
 
 	// nodes is the decoded-node cache (nil = disabled).  Set once via
 	// EnableNodeCache during setup, before the store serves traffic.
@@ -216,10 +206,11 @@ type Store struct {
 	snapStat SnapshotStats // guarded by snapMu
 
 	// generation counts this process's store mutations: every document
-	// ingest and every delete bumps it.  Result caches key on it where no
-	// finer generation applies (XPath plans, over-budget prefixes), so a
-	// bump implicitly invalidates everything cached against the previous
-	// state without the cache ever scanning its entries.
+	// ingest and every delete bumps it.  Result caches key on it where the
+	// text index's term generations do not cover the query (XPath, a prefix
+	// heading, a heading with no word), so a bump implicitly invalidates
+	// everything cached against the previous state without the cache ever
+	// scanning its entries.
 	generation atomic.Uint64
 }
 
@@ -269,7 +260,6 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		db:       db,
 		content:  textindex.New(),
 		contexts: btree.New[string, ordbms.RowID](strings.Compare),
-		ctxGens:  make(map[string]uint64),
 	}
 	s.nextDocID.Store(1)
 	var err error
@@ -435,24 +425,7 @@ func (s *Store) addContextKey(heading string, rid ordbms.RowID) {
 	}
 	s.ctxMu.Lock()
 	s.contexts.Insert(key, rid)
-	s.ctxGenCounter++
-	s.ctxGens[key] = s.ctxGenCounter
 	s.ctxMu.Unlock()
-}
-
-// adoptContexts installs a context btree loaded from a snapshot.  Every
-// loaded heading starts at generation 1 with the counter at 1: zero must
-// keep meaning "absent", and the next write to a heading moves it to 2
-// or beyond.  Runs during OpenWith, before the store is shared.
-//
-// netmarkvet:ignore lockcheck — open-time, single-goroutine
-func (s *Store) adoptContexts(t *btree.Tree[string, ordbms.RowID]) {
-	s.contexts = t
-	s.ctxGenCounter = 1
-	t.Ascend(func(key string, _ []ordbms.RowID) bool {
-		s.ctxGens[key] = 1
-		return true
-	})
 }
 
 func (s *Store) removeContextKey(heading string, rid ordbms.RowID) {
@@ -462,65 +435,7 @@ func (s *Store) removeContextKey(heading string, rid ordbms.RowID) {
 	}
 	s.ctxMu.Lock()
 	s.contexts.Delete(key, func(r ordbms.RowID) bool { return r == rid })
-	if len(s.contexts.Get(key)) == 0 {
-		// Last bearer gone: prune the gen entry so heading churn cannot
-		// grow the map without bound.  ContextGen reverts to 0, which
-		// differs from every generation the heading held while live, and
-		// the only results ever cached under 0 were computed while the
-		// heading was absent — i.e. empty, which is again correct.
-		delete(s.ctxGens, key)
-	} else {
-		s.ctxGenCounter++
-		s.ctxGens[key] = s.ctxGenCounter
-	}
 	s.ctxMu.Unlock()
-}
-
-// ContextGen returns the heading's mutation generation: it changes
-// exactly when a CONTEXT node bearing the (normalised) heading is added
-// or removed, and is zero for headings the store does not hold.  Result
-// caches fold it into the key of an exact-context query, so writes that
-// never touch the heading leave cached results reachable.
-func (s *Store) ContextGen(heading string) uint64 {
-	key := normalizeContext(heading)
-	s.ctxMu.RLock()
-	g := s.ctxGens[key]
-	s.ctxMu.RUnlock()
-	return g
-}
-
-// ContextPrefixGen fingerprints the part of the context index a prefix
-// query reads: the set of matching headings and each one's generation.
-// Any heading added under, removed from, or mutated within the prefix
-// changes the value.  The ascent is bounded: a prefix matching more
-// than prefixGenKeyBudget headings folds the global generation instead,
-// so a cache-key computation never scans an unbounded slice of the
-// index under ctxMu (broad prefixes trade invalidation precision for
-// O(1) lookups).
-func (s *Store) ContextPrefixGen(prefix string) uint64 {
-	const prefixGenKeyBudget = 64
-	key := normalizeContext(prefix)
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	n := 0
-	s.ctxMu.RLock()
-	s.contexts.AscendPrefixFunc(key,
-		func(k string) bool { return strings.HasPrefix(k, key) },
-		func(k string, _ []ordbms.RowID) bool {
-			if n++; n > prefixGenKeyBudget {
-				return false
-			}
-			for i := 0; i < len(k); i++ {
-				h = (h ^ uint64(k[i])) * prime64
-			}
-			h = (h ^ s.ctxGens[k]) * prime64
-			return true
-		})
-	s.ctxMu.RUnlock()
-	if n > prefixGenKeyBudget {
-		h = (h ^ s.generation.Load()) * prime64
-	}
-	return h
 }
 
 // normalizeContext lowercases and squeezes whitespace so context matching
