@@ -53,6 +53,30 @@ func TestFetchViewDecodeIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// A coded string decodes into one allocation, the string itself, as a
+// raw one does: the decoder sizes it before it writes it.
+func TestCodedStringDecodesInOneAlloc(t *testing.T) {
+	st := trainSymbols(prose(1, 400))
+	schema := MustSchema(Column{"a", TypeInt}, Column{"s", TypeString}).WithSymbols(st)
+	text := prose(2, 1)[0]
+	rec := schema.Encode(Row{I(7), S(text)})
+	if len(rec) >= len(text) {
+		t.Fatalf("%q is %d bytes coded", text, len(rec))
+	}
+	var cols [2]Value
+	decode := func() {
+		if err := DecodeRowInto(schema, RowID{Page: 1}, rec, cols[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(500, decode); n != 1 {
+		t.Errorf("decoding a coded string = %.2f allocs, want 1", n)
+	}
+	if cols[1].Str != text {
+		t.Fatalf("decoded %q, want %q", cols[1].Str, text)
+	}
+}
+
 // A WAL append frames its record straight into the log buffer and CRCs
 // the bytes where they lie: once the buffer has grown to a batch's size,
 // logging a page of rows or a delete run allocates nothing.

@@ -9,10 +9,11 @@ import (
 	"netmark/internal/vfs"
 )
 
-// The catalog records table metadata: schemas, heap page lists, and which
-// indexes to rebuild on open.  It is persisted as JSON next to the data
-// file at every checkpoint — the simple, inspectable choice for a
-// reproduction (a production engine would self-host it in pages).
+// The catalog records table metadata: schemas, heap page lists, which
+// indexes to rebuild on open, and each table's symbol table.  It is
+// persisted as JSON next to the data file at every checkpoint — the
+// simple, inspectable choice for a reproduction (a production engine
+// would self-host it in pages).
 
 // storeFormat is the on-disk format version: the record codec, the WAL
 // record set (see walMagic, which carries the same number), the catalog
@@ -20,7 +21,7 @@ import (
 // is one codec and no second reader, so the policy is: any change to what
 // a page, a log record, the catalog or a stored row means bumps it, and
 // Open refuses every other value.
-const storeFormat = 10
+const storeFormat = 11
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.
@@ -42,6 +43,9 @@ type catalogTable struct {
 	Columns []catalogColumn `json:"columns"`
 	Pages   []uint32        `json:"pages"`
 	Indexes []string        `json:"indexes"`
+	// Symbols is the table's symbol table as walSymbols logs it, absent
+	// until the table has trained one.
+	Symbols []byte `json:"symbols,omitempty"`
 }
 
 type catalogColumn struct {
@@ -64,6 +68,9 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]
 		ct := catalogTable{Name: t.name, Pages: t.heap.Pages()}
+		if st := t.syms.Load(); st != nil {
+			ct.Symbols = st.appendBinary(nil)
+		}
 		for _, c := range t.schema.Columns {
 			ct.Columns = append(ct.Columns, catalogColumn{Name: c.Name, Type: uint8(c.Type)})
 		}
@@ -133,11 +140,13 @@ func (db *DB) readCatalog() (*catalogFile, error) {
 
 // loadCatalog rebuilds the table set from the catalog readCatalog
 // returned, during Open, before the DB is shared with any other goroutine.
+// It returns the secondary indexes the derived snapshot did not load: Open
+// builds them once the log has given every table its symbol table.
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
-func (db *DB) loadCatalog(cf *catalogFile) error {
+func (db *DB) loadCatalog(cf *catalogFile) (builds []indexBuild, err error) {
 	if cf == nil {
-		return nil // fresh store
+		return nil, nil // fresh store
 	}
 	db.catalogGen = cf.Generation
 	// A valid derived snapshot replaces the per-table heap scans (row
@@ -150,7 +159,13 @@ func (db *DB) loadCatalog(cf *catalogFile) error {
 		}
 		schema, err := NewSchema(cols...)
 		if err != nil {
-			return err
+			return nil, err
+		}
+		var syms *SymbolTable
+		if ct.Symbols != nil {
+			if syms, err = ParseSymbols(ct.Symbols); err != nil {
+				return nil, fmt.Errorf("ordbms: corrupt catalog: table %s: %w", ct.Name, err)
+			}
 		}
 		// Adopt pages the WAL allocated to this table after the catalog
 		// was last saved — the catalog only learns about pages at
@@ -172,6 +187,7 @@ func (db *DB) loadCatalog(cf *catalogFile) error {
 		if der != nil && !grew {
 			if t, ok := der.openTable(db, ct, schema); ok {
 				t.heap.tag = ct.Name
+				t.syms.Store(syms)
 				db.tables[ct.Name] = t
 				db.DerivedLoads++
 				continue
@@ -179,16 +195,15 @@ func (db *DB) loadCatalog(cf *catalogFile) error {
 		}
 		heap, err := OpenHeapFile(db.pool, db.wal, ct.Pages)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		heap.tag = ct.Name
 		t := &Table{db: db, name: ct.Name, schema: schema, heap: heap, indexes: make(map[string]*Index)}
+		t.syms.Store(syms)
 		for _, col := range ct.Indexes {
-			if err := t.buildIndexLocked(col); err != nil {
-				return err
-			}
+			builds = append(builds, indexBuild{t, col})
 		}
 		db.tables[ct.Name] = t
 	}
-	return nil
+	return builds, nil
 }

@@ -7,8 +7,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"netmark/internal/vfs"
 )
@@ -85,6 +87,15 @@ type DB struct {
 	// snapshot instead of a heap scan (0 when the snapshot was missing,
 	// stale, corrupt, or disabled).
 	DerivedLoads int
+
+	// stringsRaw and stringsStored sum, over every row inserted since
+	// open, the bytes of its STRING values and the bytes their payloads
+	// took stored, coded or raw (see StringStats).
+	stringsRaw, stringsStored atomic.Uint64
+	// trainDue says some table's strings have passed the training sample
+	// since the last commit looked (see Table.train).  It spares Commit
+	// the db.mu a checkpoint holds across its fsyncs.
+	trainDue atomic.Bool
 }
 
 // CheckpointInfo is handed to pre-checkpoint hooks.  At hook time every
@@ -254,11 +265,30 @@ func Open(opts Options) (*DB, error) {
 	db.Replayed = replayed
 	db.walAllocs = allocs
 	db.walEndAtOpen = wal.SyncedLSN()
-	if err := db.loadCatalog(cat); err != nil {
+	builds, err := db.loadCatalog(cat)
+	if err != nil {
 		return nil, fail(err)
 	}
-	if err := db.applyRecoveredOps(ops); err != nil {
+	if builds, err = db.applyRecoveredOps(ops, builds); err != nil {
 		return nil, fail(err)
+	}
+	// Indexes are built last: a table's rows decode only once it has its
+	// symbol table, which the log may hold past every index it creates.
+	for _, b := range builds {
+		if db.tables[b.t.name] != b.t {
+			continue // dropped since
+		}
+		if err := b.t.buildIndexLocked(b.col); err != nil {
+			return nil, fail(err)
+		}
+	}
+	for _, t := range db.tables {
+		if t.syms.Load() == nil {
+			// How far the table's strings are past the sample is read off
+			// the heap at the first commit, as if they had just passed it.
+			t.untrained.Store(sampleBytes)
+			db.trainDue.Store(true)
+		}
 	}
 	if replayed > 0 || db.allocsGrew || torn {
 		// Re-establish the checkpoint invariants recovery consumed: the
@@ -307,15 +337,24 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 	return t, nil
 }
 
+// indexBuild is a secondary index Open has still to build from its
+// table's heap.
+type indexBuild struct {
+	t   *Table
+	col string
+}
+
 // applyRecoveredOps replays logged DDL the catalog has not seen: tables
-// created (with their committed pages), indexes added, tables dropped —
-// all since the last checkpoint.  Ops the catalog already reflects are
-// skipped; applying anything marks the catalog stale so Open runs a
-// full checkpoint to persist the merged state.  Runs during Open,
-// before the DB is shared with any other goroutine.
+// created (with their committed pages), indexes added, tables dropped,
+// symbol tables trained — all since the last checkpoint.  Ops the catalog
+// already reflects are skipped; applying anything marks the catalog stale
+// so Open runs a full checkpoint to persist the merged state.  An index
+// is not built here but added to builds, the indexes still to build,
+// which it returns.  Runs during Open, before the DB is shared with any
+// other goroutine.
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
-func (db *DB) applyRecoveredOps(ops []RecoveredOp) error {
+func (db *DB) applyRecoveredOps(ops []RecoveredOp, builds []indexBuild) ([]indexBuild, error) {
 	for _, op := range ops {
 		switch op.Kind {
 		case walCreateTable:
@@ -324,11 +363,11 @@ func (db *DB) applyRecoveredOps(ops []RecoveredOp) error {
 			}
 			schema, err := NewSchema(op.Cols...)
 			if err != nil {
-				return fmt.Errorf("ordbms: recovered create of %q: %w", op.Table, err)
+				return nil, fmt.Errorf("ordbms: recovered create of %q: %w", op.Table, err)
 			}
 			heap, err := OpenHeapFile(db.pool, db.wal, db.walAllocs[op.Table])
 			if err != nil {
-				return err
+				return nil, err
 			}
 			heap.tag = op.Table
 			db.tables[op.Table] = &Table{
@@ -341,21 +380,25 @@ func (db *DB) applyRecoveredOps(ops []RecoveredOp) error {
 			if t == nil {
 				continue
 			}
-			if _, dup := t.indexes[op.Column]; dup {
+			if _, dup := t.indexes[op.Column]; dup || slices.Contains(builds, indexBuild{t, op.Column}) {
 				continue
 			}
-			if err := t.buildIndexLocked(op.Column); err != nil {
-				return err
-			}
+			builds = append(builds, indexBuild{t, op.Column})
 			db.allocsGrew = true
 		case walDropTable:
 			if _, ok := db.tables[op.Table]; ok {
 				delete(db.tables, op.Table)
 				db.allocsGrew = true
 			}
+		case walSymbols:
+			// The catalog learns a table's symbol table at the checkpoint
+			// after it was trained; until then the log is where it is.
+			if t := db.tables[op.Table]; t != nil {
+				t.syms.Store(op.Symbols)
+			}
 		}
 	}
-	return nil
+	return builds, nil
 }
 
 // Table returns the named table, or nil.
@@ -401,11 +444,17 @@ func (db *DB) tableNamesLocked() []string {
 // (WAL group commit).  In-memory stores are a no-op.  A commit failure
 // degrades the store (see Writable); the data whose commit failed is
 // reported failed, never silently acked.
+//
+// A table whose strings have passed the training sample trains its
+// symbol table here, once, and the commit carries the walSymbols record.
 func (db *DB) Commit() error {
 	if db.wal == nil {
-		return nil
+		return db.train()
 	}
 	if err := db.Writable(); err != nil {
+		return err
+	}
+	if err := db.train(); err != nil {
 		return err
 	}
 	var err error
@@ -441,6 +490,43 @@ func (db *DB) HeapStats() (pages int, bytes int64) {
 		pages += len(t.heap.Pages())
 	}
 	return pages, int64(pages) * PageSize
+}
+
+// StringStats returns the bytes of STRING values inserted since open,
+// the bytes their payloads took stored — codes where coding was
+// shorter, the string where not — and how many tables have a symbol
+// table.  Stored over raw is what coding saves; on a store whose later
+// documents differ from those its tables trained on, it drifts up.
+func (db *DB) StringStats() (raw, stored uint64, coded int) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, t := range db.tables {
+		if t.syms.Load() != nil {
+			coded++
+		}
+	}
+	return db.stringsRaw.Load(), db.stringsStored.Load(), coded
+}
+
+// train has every table whose strings have passed the training sample
+// build its symbol table; a commit runs it when trainDue says one has.
+func (db *DB) train() error {
+	if !db.trainDue.Swap(false) {
+		return nil
+	}
+	db.mu.RLock()
+	tables := make([]*Table, 0, len(db.tables))
+	for _, name := range db.tableNamesLocked() {
+		tables = append(tables, db.tables[name])
+	}
+	db.mu.RUnlock()
+	for _, t := range tables {
+		if err := t.train(); err != nil {
+			db.trainDue.Store(true) // the next commit tries again
+			return err
+		}
+	}
+	return nil
 }
 
 // RegisterPreCheckpointHook installs fn to run inside every checkpoint's
@@ -612,6 +698,13 @@ type Table struct {
 	// indexes is mutated by CreateIndex while queries resolve index
 	// names.  Guarded by mu.  netmarkvet:snap
 	indexes map[string]*Index
+	// syms is the table's symbol table: nil until the table trains it,
+	// then set once, under mu, and never changed.  Schema reads it.
+	syms atomic.Pointer[SymbolTable]
+	// untrained counts, while syms is nil, the bytes of STRING values the
+	// table holds as far as its inserts tell: sampleBytes at open, until a
+	// commit reads the heap's (see train), and every insert's since.
+	untrained atomic.Int64
 }
 
 // Name returns the table name.
@@ -626,8 +719,99 @@ func (t *Table) writable() error {
 	return t.db.Writable()
 }
 
-// Schema returns the table schema.
-func (t *Table) Schema() Schema { return t.schema }
+// Schema returns the table schema, with the table's symbol table once it
+// has one.  The table's rows are encoded and decoded with the schema as
+// it is then: a record coded with the symbol table is only ever written
+// after the table has it.  A reader must take the schema after it has
+// the record in view, under the table's lock.
+func (t *Table) Schema() Schema { return t.schema.WithSymbols(t.syms.Load()) }
+
+// noteStrings counts what a run of stored rows spent on strings: their
+// bytes toward training, and both those and stored, the bytes their
+// payloads took (see EncodeOffsets), in the store's stats.  Caller holds
+// t.mu.
+func (t *Table) noteStrings(rows []Row, stored int) {
+	raw := 0
+	for _, row := range rows {
+		for _, v := range row {
+			if v.Type == TypeString {
+				raw += len(v.Str)
+			}
+		}
+	}
+	if raw == 0 || t.db == nil {
+		return
+	}
+	if t.syms.Load() == nil && t.untrained.Add(int64(raw)) >= sampleBytes {
+		t.db.trainDue.Store(true)
+	}
+	t.db.stringsRaw.Add(uint64(raw))
+	t.db.stringsStored.Add(uint64(stored))
+}
+
+// train builds the table's symbol table once its strings have passed
+// sampleBytes.  The sample is the first sampleBytes of STRING values in
+// the heap, in physical order, which is RowID order: the same rows give
+// the same table, so a restart that lost the walSymbols record builds
+// the same one again.
+//
+// The table is published, then logged, both under the table's write
+// lock.  Every record is logged under that lock too, so none coded with
+// the table is logged before it; and a checkpoint whose cut covers the
+// walSymbols record saves a catalog that holds the table.
+func (t *Table) train() error {
+	if t.syms.Load() != nil || t.untrained.Load() < sampleBytes {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.syms.Load() != nil {
+		return nil
+	}
+	sample, n, err := t.sampleLocked()
+	if err != nil {
+		return fmt.Errorf("ordbms: sample %s for its symbol table: %w", t.name, err)
+	}
+	if t.untrained.Store(int64(n)); n < sampleBytes {
+		return nil // not there yet: reopened early, or deletes took it back
+	}
+	st := trainSymbols(sample)
+	t.syms.Store(st)
+	if t.db.wal != nil {
+		t.db.wal.LogSymbols(t.name, st)
+	}
+	return nil
+}
+
+// sampleLocked returns the table's first sampleBytes of STRING values,
+// in physical order — the last one cut short where the sample ends —
+// or all there are, and their total length.  Caller holds t.mu.
+func (t *Table) sampleLocked() (sample []string, n int, err error) {
+	if !slices.ContainsFunc(t.schema.Columns, func(c Column) bool { return c.Type == TypeString }) {
+		return nil, 0, nil
+	}
+	sch := t.Schema()
+	var derr error
+	err = t.heap.Scan(func(rid RowID, rec []byte) bool {
+		row, e := DecodeRow(sch, rid, rec)
+		if e != nil {
+			derr = e
+			return false
+		}
+		for _, v := range row {
+			if v.Type == TypeString && v.Str != "" && n < sampleBytes {
+				s := v.Str[:min(len(v.Str), sampleBytes-n)]
+				sample = append(sample, s)
+				n += len(s)
+			}
+		}
+		return n < sampleBytes
+	})
+	if derr != nil {
+		return nil, 0, derr
+	}
+	return sample, n, err
+}
 
 // Rows returns the live row count.
 func (t *Table) Rows() int64 { return t.heap.Rows() }
@@ -644,19 +828,22 @@ func (t *Table) Insert(row Row) (RowID, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rid, err := t.heap.Insert(t.schema.Encode(row))
+	rec, strs := t.Schema().encode(row, ZeroRowID, 0, nil)
+	rid, err := t.heap.Insert(rec)
 	if err != nil {
 		return ZeroRowID, err
 	}
 	for _, ix := range t.indexes {
 		ix.insert(row, rid)
 	}
+	t.noteStrings([]Row{row}, strs)
 	return rid, nil
 }
 
 // InsertRun stores a run of rows in one pass and returns their physical
-// RowIDs, in order.  recs[i] must encode rows[i] (Schema().EncodeOffsets,
-// any ROWID column near or far) except in the bytes link patches: the
+// RowIDs, in order.  recs[i] must encode rows[i] (EncodeOffsets of a
+// schema Schema returned before the call, any ROWID column near or far)
+// except in the bytes link patches: the
 // caller encodes off the table's write lock (the batch-ingest pipeline
 // does it in its parse workers), and link, called once every RowID of
 // the run is placed and before any row is written, may overwrite
@@ -667,11 +854,12 @@ func (t *Table) Insert(row Row) (RowID, error) {
 // column far, and a record that grows is placed again (see
 // HeapFile.InsertRun).
 // link runs under the table lock: it must not block or call back into
-// the table.  The run is all or nothing: an error means no row was
-// written, logged or indexed.
+// the table.  strs sums the strs EncodeOffsets returned for recs; it
+// feeds only StringStats.  The run is all or nothing: an error means no
+// row was written, logged or indexed.
 //
 // netmarkvet:mutates
-func (t *Table) InsertRun(rows []Row, recs [][]byte, link func(rids []RowID)) ([]RowID, error) {
+func (t *Table) InsertRun(rows []Row, recs [][]byte, strs int, link func(rids []RowID)) ([]RowID, error) {
 	if len(rows) != len(recs) {
 		return nil, fmt.Errorf("ordbms: run of %d rows with %d records", len(rows), len(recs))
 	}
@@ -694,6 +882,7 @@ func (t *Table) InsertRun(rows []Row, recs [][]byte, link func(rids []RowID)) ([
 			ix.insert(row, rids[i])
 		}
 	}
+	t.noteStrings(rows, strs)
 	return rids, nil
 }
 
@@ -704,9 +893,10 @@ func (t *Table) Fetch(rid RowID) (Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var row Row
+	sch := t.Schema()
 	err := t.heap.View(rid, func(rec []byte) error {
 		var derr error
-		row, derr = DecodeRow(t.schema, rid, rec)
+		row, derr = DecodeRow(sch, rid, rec)
 		return derr
 	})
 	if err != nil {
@@ -738,8 +928,9 @@ func (t *Table) FetchMany(rids []RowID) ([]Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	rows := make([]Row, len(rids))
+	sch := t.Schema()
 	err := t.heap.ViewMany(rids, func(i int, rec []byte) error {
-		row, derr := DecodeRow(t.schema, rids[i], rec)
+		row, derr := DecodeRow(sch, rids[i], rec)
 		if derr != nil {
 			return derr
 		}
@@ -772,6 +963,7 @@ func (t *Table) DeleteRun(rids []RowID) error {
 	// The old rows are read only to unhook their index entries.
 	var rows []Row
 	if len(t.indexes) > 0 {
+		sch := t.Schema()
 		rows = make([]Row, len(rids))
 		for i, rid := range rids {
 			rec, err := t.heap.Fetch(rid)
@@ -781,7 +973,7 @@ func (t *Table) DeleteRun(rids []RowID) error {
 			if err != nil {
 				return err
 			}
-			if rows[i], err = DecodeRow(t.schema, rid, rec); err != nil {
+			if rows[i], err = DecodeRow(sch, rid, rec); err != nil {
 				return err
 			}
 		}
@@ -805,8 +997,9 @@ func (t *Table) Scan(fn func(rid RowID, row Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var derr error
+	sch := t.Schema()
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(t.schema, rid, rec)
+		row, e := DecodeRow(sch, rid, rec)
 		if e != nil {
 			derr = e
 			return false
@@ -843,8 +1036,9 @@ func (t *Table) buildIndexLocked(column string) error {
 	}
 	ix := newIndex(column, ci)
 	var derr error
+	sch := t.Schema()
 	err := t.heap.Scan(func(rid RowID, rec []byte) bool {
-		row, e := DecodeRow(t.schema, rid, rec)
+		row, e := DecodeRow(sch, rid, rec)
 		if e != nil {
 			derr = e
 			return false

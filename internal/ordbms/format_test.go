@@ -3,6 +3,7 @@ package ordbms
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,12 +13,14 @@ import (
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 to NMWALv9 — is refused by name, and refusing it
+// NMWALv1 to NMWALv10 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
-	oldLog := func(version byte) []byte {
-		log := append([]byte{'N', 'M', 'W', 'A', 'L', 'v', version, 0}, make([]byte, 8)...)
+	oldLog := func(version string) []byte {
+		magic := [8]byte{'N', 'M', 'W', 'A', 'L', 'v'}
+		copy(magic[6:], version)
+		log := append(magic[:], make([]byte, 8)...)
 		// A committed row insert (type 1) behind the header: replaying it
 		// under this version's codec would misread every column.
 		body := []byte{1, 2, 0, 0, 0, 0, 0, 2, 1, 42}
@@ -25,7 +28,16 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		log = binary.LittleEndian.AppendUint32(log, 0xdeadbeef)
 		return append(log, body...)
 	}
-	v1Log, v2Log, v3Log, v4Log, v5Log, v6Log, v7Log, v8Log, v9Log := oldLog('1'), oldLog('2'), oldLog('3'), oldLog('4'), oldLog('5'), oldLog('6'), oldLog('7'), oldLog('8'), oldLog('9')
+	v1Log, v2Log, v3Log, v4Log, v5Log, v6Log, v7Log, v8Log, v9Log := oldLog("1"), oldLog("2"), oldLog("3"), oldLog("4"), oldLog("5"), oldLog("6"), oldLog("7"), oldLog("8"), oldLog("9")
+	// Format 10 has this version's tables, pages and log records; only
+	// its strings are never coded, and their lengths are not shifted by
+	// the coded bit.  Its log holds a committed run whose row is the
+	// string "hi", which this version would misread as the one byte "h".
+	v10Log := append([]byte("NMWALv10"), make([]byte, 8)...)
+	v10Run := []byte{9, 1, 0, 0, 0, 0, 0, 1, 0, 4, 0x00, 0x02, 'h', 'i'}
+	v10Log = binary.LittleEndian.AppendUint32(v10Log, uint32(len(v10Run)))
+	v10Log = binary.LittleEndian.AppendUint32(v10Log, crc32.ChecksumIEEE(v10Run))
+	v10Log = append(v10Log, v10Run...)
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	// Format 3 has this version's columns; only its links are all far.
@@ -48,34 +60,38 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	// Format 9 has this version's codec, tables, pages and log; only its
 	// elements keep a lone text child, and its roots repeat DOC.title.
 	v9Catalog := []byte(`{"format":9,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
+	v10Catalog := []byte(`{"format":10,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	stores := map[string]map[string][]byte{
-		"catalog without format": {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv1 log":            {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v1 catalog and v1 log":  {"catalog.json": v1Catalog, "wal.nmlog": v1Log},
-		"format 2 catalog":       {"catalog.json": v2Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv2 log":            {"wal.nmlog": v2Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v2 catalog and v2 log":  {"catalog.json": v2Catalog, "wal.nmlog": v2Log},
-		"format 3 catalog":       {"catalog.json": v3Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv3 log":            {"wal.nmlog": v3Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v3 catalog and v3 log":  {"catalog.json": v3Catalog, "wal.nmlog": v3Log},
-		"format 4 catalog":       {"catalog.json": v4Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv4 log":            {"wal.nmlog": v4Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v4 catalog and v4 log":  {"catalog.json": v4Catalog, "wal.nmlog": v4Log},
-		"format 5 catalog":       {"catalog.json": v5Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv5 log":            {"wal.nmlog": v5Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v5 catalog and v5 log":  {"catalog.json": v5Catalog, "wal.nmlog": v5Log},
-		"format 6 catalog":       {"catalog.json": v6Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv6 log":            {"wal.nmlog": v6Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v6 catalog and v6 log":  {"catalog.json": v6Catalog, "wal.nmlog": v6Log},
-		"format 7 catalog":       {"catalog.json": v7Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv7 log":            {"wal.nmlog": v7Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v7 catalog and v7 log":  {"catalog.json": v7Catalog, "wal.nmlog": v7Log},
-		"format 8 catalog":       {"catalog.json": v8Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv8 log":            {"wal.nmlog": v8Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v8 catalog and v8 log":  {"catalog.json": v8Catalog, "wal.nmlog": v8Log},
-		"format 9 catalog":       {"catalog.json": v9Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
-		"NMWALv9 log":            {"wal.nmlog": v9Log, "wal.nmlog.ckpt": []byte("half-built successor")},
-		"v9 catalog and v9 log":  {"catalog.json": v9Catalog, "wal.nmlog": v9Log},
+		"catalog without format":  {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv1 log":             {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v1 catalog and v1 log":   {"catalog.json": v1Catalog, "wal.nmlog": v1Log},
+		"format 2 catalog":        {"catalog.json": v2Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv2 log":             {"wal.nmlog": v2Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v2 catalog and v2 log":   {"catalog.json": v2Catalog, "wal.nmlog": v2Log},
+		"format 3 catalog":        {"catalog.json": v3Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv3 log":             {"wal.nmlog": v3Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v3 catalog and v3 log":   {"catalog.json": v3Catalog, "wal.nmlog": v3Log},
+		"format 4 catalog":        {"catalog.json": v4Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv4 log":             {"wal.nmlog": v4Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v4 catalog and v4 log":   {"catalog.json": v4Catalog, "wal.nmlog": v4Log},
+		"format 5 catalog":        {"catalog.json": v5Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv5 log":             {"wal.nmlog": v5Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v5 catalog and v5 log":   {"catalog.json": v5Catalog, "wal.nmlog": v5Log},
+		"format 6 catalog":        {"catalog.json": v6Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv6 log":             {"wal.nmlog": v6Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v6 catalog and v6 log":   {"catalog.json": v6Catalog, "wal.nmlog": v6Log},
+		"format 7 catalog":        {"catalog.json": v7Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv7 log":             {"wal.nmlog": v7Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v7 catalog and v7 log":   {"catalog.json": v7Catalog, "wal.nmlog": v7Log},
+		"format 8 catalog":        {"catalog.json": v8Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv8 log":             {"wal.nmlog": v8Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v8 catalog and v8 log":   {"catalog.json": v8Catalog, "wal.nmlog": v8Log},
+		"format 9 catalog":        {"catalog.json": v9Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv9 log":             {"wal.nmlog": v9Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v9 catalog and v9 log":   {"catalog.json": v9Catalog, "wal.nmlog": v9Log},
+		"format 10 catalog":       {"catalog.json": v10Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv10 log":            {"wal.nmlog": v10Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v10 catalog and v10 log": {"catalog.json": v10Catalog, "wal.nmlog": v10Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -95,8 +111,8 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 			}
 			// A log with no catalog is refused by the whole magic this
 			// version wants.
-			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv10"`) {
-				t.Fatalf("Open = %v, want it to name NMWALv10", err)
+			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv11"`) {
+				t.Fatalf("Open = %v, want it to name NMWALv11", err)
 			}
 			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
 				t.Fatalf("refusing the store changed it:\nbefore %v\nafter  %v", before, after)
@@ -129,7 +145,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":10,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":11,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

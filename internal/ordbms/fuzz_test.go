@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -345,4 +346,48 @@ func writePage(t *testing.T, ops []byte) {
 	if prev != PageSize-held {
 		t.Fatalf("the record area starts at %d, want %d", prev, PageSize-held)
 	}
+}
+
+// FuzzSymbolCodec throws arbitrary table bytes and arbitrary input at the
+// string codec.  Nothing may panic.  A table ParseSymbols accepts
+// serialises back to the same bytes; under it, whatever codes decode
+// come to at most 8 bytes a code — each symbol is at most 8 bytes — and
+// exactly as many as decodedLen promised, and the input, coded, decodes
+// back to itself.  And the trainer, given the input's lines, builds a
+// table that codes them, the table bytes and the input back exactly.
+func FuzzSymbolCodec(f *testing.F) {
+	trained := trainSymbols(prose(1, 100)).appendBinary(nil)
+	f.Add(trained, []byte(prose(2, 1)[0]))
+	f.Add(trained, []byte{0, 1, 2, escapeCode})                                 // an escape as the last byte
+	f.Add(trained, []byte{escapeCode, escapeCode, 254})                         // an escaped escape, then code 254
+	f.Add([]byte{0}, []byte("no symbols at all"))                               // every byte escaped
+	f.Add([]byte{2, 1, 'h', 2, 'h', 'i'}, []byte{1, 0, 2})                      // code 2 is past the table
+	f.Add([]byte{1, 8, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}, []byte{0, 0})   // 8-byte symbols: the most a code decodes to
+	f.Add([]byte{1, 9, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i'}, []byte{0}) // a 9-byte symbol: refused
+	f.Add([]byte{3, 1, 'a'}, []byte("a\nb\nab\nab"))                            // the count promises symbols that are not there
+	f.Add([]byte{255}, []byte("x\ny\n"))
+	f.Fuzz(func(t *testing.T, table, in []byte) {
+		if st, err := ParseSymbols(table); err == nil {
+			if !bytes.Equal(st.appendBinary(nil), table) {
+				t.Fatalf("table %x serialises as %x", table, st.appendBinary(nil))
+			}
+			n := st.decodedLen(in)
+			if s, ok := st.decode(in); ok != (n >= 0) || (ok && len(s) != n) || len(s) > 8*len(in) {
+				t.Fatalf("%d codes decode to %d bytes (%v), decodedLen says %d", len(in), len(s), ok, n)
+			}
+			codeAndBack(t, st, string(in))
+		}
+		sample := strings.Split(string(in), "\n")
+		st := trainSymbols(sample)
+		if again := trainSymbols(sample); !bytes.Equal(again.appendBinary(nil), st.appendBinary(nil)) {
+			t.Fatal("one sample trained two tables")
+		}
+		parsed, err := ParseSymbols(st.appendBinary(nil))
+		if err != nil {
+			t.Fatalf("a trained table does not parse: %v", err)
+		}
+		for _, s := range append(sample, string(table), string(in)) {
+			codeAndBack(t, parsed, s)
+		}
+	})
 }

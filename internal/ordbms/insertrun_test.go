@@ -229,10 +229,10 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 	offs := make([][]int, n)
 	for i := range rows {
 		rows[i] = Row{I(int64(i)), R(ZeroRowID)}
-		recs[i], offs[i] = linkSchema().EncodeOffsets(rows[i], ZeroRowID, 0)
+		recs[i], offs[i], _ = linkSchema().EncodeOffsets(rows[i], ZeroRowID, 0)
 	}
 	before, _, bytes0 := db.WALStats()
-	rids, err := tbl.InsertRun(rows, recs, func(rids []RowID) {
+	rids, err := tbl.InsertRun(rows, recs, 0, func(rids []RowID) {
 		for i := range recs { // each row points at its successor, the last at nothing
 			next := ZeroRowID
 			if i+1 < len(rids) {

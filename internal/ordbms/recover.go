@@ -189,16 +189,21 @@ func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs
 			// semantics); they must not leak into a later same-named table.
 			delete(allocs, name)
 			ops = append(ops, RecoveredOp{Kind: walDropTable, Table: name})
+		case walSymbols:
+			name, st, _ := readSymbolsRecord(r.Rec) // Replay checked it
+			ops = append(ops, RecoveredOp{Kind: walSymbols, Table: name, Symbols: st})
 		}
 		return nil
 	})
 	return replayed, allocs, ops, torn, err
 }
 
-// RecoveredOp is one logged DDL operation, in log order.
+// RecoveredOp is one logged DDL operation, or a table's symbol table,
+// in log order.
 type RecoveredOp struct {
-	Kind   byte // walCreateTable, walCreateIndex, or walDropTable
-	Table  string
-	Column string   // index creates
-	Cols   []Column // table creates
+	Kind    byte // walCreateTable, walCreateIndex, walDropTable or walSymbols
+	Table   string
+	Column  string       // index creates
+	Cols    []Column     // table creates
+	Symbols *SymbolTable // walSymbols
 }

@@ -15,13 +15,17 @@ import (
 
 // Replay rebuilds pages byte for byte.  A heap is built by single
 // inserts, runs that span pages, one-row deletes and delete runs that
-// span pages, with the pages flushed now and then; its log is cut at
-// every record boundary, and each cut is recovered onto the pages as they
-// were last flushed before it.  Every recovered page equals the live page
-// at the cut's LSN: a row's slot and length are derived, not logged, so
-// this is what says they are derived right — and a delete run, applied
-// live in the caller's order and replayed in page order, leaves the same
-// bytes.
+// span pages, with the pages flushed now and then; halfway, the table's
+// symbol table is logged, and from then on its rows are coded with it.
+// Its log is cut at every record boundary, and each cut is recovered
+// onto the pages as they were last flushed before it.  Every recovered
+// page equals the live page at the cut's LSN: a row's slot and length
+// are derived, not logged, so this is what says they are derived right —
+// and a delete run, applied live in the caller's order and replayed in
+// page order, leaves the same bytes.  Recovery hands back the symbol
+// table exactly when the cut kept its record — before it, between it and
+// the first coded run, and after — and every coded row the cut kept
+// decodes with it.
 func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "wal.nmlog")
 	w, err := OpenWAL(vfs.OS, logPath)
@@ -70,16 +74,45 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	flush() // the empty heap
 
 	rng := rand.New(rand.NewSource(1))
-	rec := func(lo, hi int) []byte { return bytes.Repeat([]byte{byte(rng.Intn(256))}, lo+rng.Intn(hi-lo)) }
+	st := trainSymbols(prose(1, 200))
+	var symLSN uint64           // the end of the walSymbols record, once logged
+	texts := map[RowID]string{} // what each coded row holds
+	coded := MustSchema(Column{"s", TypeString}).WithSymbols(st)
+	rec := func(lo, hi int) []byte {
+		n := lo + rng.Intn(hi-lo)
+		if symLSN == 0 {
+			return bytes.Repeat([]byte{byte(rng.Intn(256))}, n)
+		}
+		text := strings.Join(prose(rng.Int63(), n/30+1), " ")
+		return coded.Encode(Row{S(text)})
+	}
+	// note remembers the text of each coded row of recs, stored at rids.
+	note := func(recs [][]byte, rids []RowID) {
+		for i, r := range recs {
+			if symLSN != 0 {
+				row, err := DecodeRow(coded, rids[i], r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				texts[rids[i]] = row[0].Str
+			}
+		}
+	}
 	var rids []RowID
 	runPages := 0 // the most pages one delete run touched
 	for step := 0; step < 48; step++ {
+		if step == 24 {
+			symLSN = w.LogSymbols("t", st)
+			snap()
+		}
 		switch step % 6 {
 		case 0, 1:
-			rid, err := h.Insert(rec(20, 600))
+			r := rec(20, 600)
+			rid, err := h.Insert(r)
 			if err != nil {
 				t.Fatal(err)
 			}
+			note([][]byte{r}, []RowID{rid})
 			rids = append(rids, rid)
 		case 2:
 			run := make([][]byte, 10+rng.Intn(30))
@@ -90,6 +123,7 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			note(run, got)
 			rids = append(rids, got...)
 		case 3:
 			for k := 1 + rng.Intn(5); k > 0; k-- {
@@ -167,10 +201,37 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := NewBufferPool(d, 64)
-		if _, _, _, torn, err := Recover(d, p, cw); err != nil || torn {
+		_, _, ops, torn, err := Recover(d, p, cw)
+		if err != nil || torn {
 			t.Fatalf("cut at %d: recovery: torn %v, %v", cut, torn, err)
 		}
 		cw.closeFile()
+		var got *SymbolTable
+		for _, op := range ops {
+			if op.Kind == walSymbols && op.Table == "t" {
+				got = op.Symbols
+			}
+		}
+		if (got != nil) != (cut >= symLSN) || (got != nil && !bytes.Equal(got.appendBinary(nil), st.appendBinary(nil))) {
+			t.Fatalf("cut at %d (walSymbols ends at %d): recovered symbol table %v", cut, symLSN, got)
+		}
+		for rid, text := range texts {
+			if int(rid.Page) >= int(d.NumPages()) {
+				continue
+			}
+			f, err := p.Fetch(rid.Page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, gerr := f.Page.Get(int(rid.Slot))
+			if gerr == nil {
+				row, err := DecodeRow(coded.WithSymbols(got), rid, r)
+				if err != nil || row[0].Str != text {
+					t.Fatalf("cut at %d: coded row %v reads %v, %v", cut, rid, row, err)
+				}
+			}
+			p.Unpin(f, false)
+		}
 		if got := int(d.NumPages()) - 1; got < len(want.pages) {
 			t.Fatalf("cut at %d: recovered %d pages, want %d", cut, got, len(want.pages))
 		}

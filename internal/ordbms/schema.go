@@ -8,11 +8,23 @@ type Column struct {
 	Type Type
 }
 
-// Schema is an ordered list of columns.
+// Schema is an ordered list of columns, and the symbol table its
+// STRING payloads are coded with (none until the table trains one; see
+// Table.Schema).
 type Schema struct {
 	Columns []Column
 	byName  map[string]int
+	syms    *SymbolTable
 }
+
+// WithSymbols returns s coding its strings with st; nil codes none.
+func (s Schema) WithSymbols(st *SymbolTable) Schema {
+	s.syms = st
+	return s
+}
+
+// Symbols returns the symbol table s codes its strings with, or nil.
+func (s Schema) Symbols() *SymbolTable { return s.syms }
 
 // NewSchema builds a schema, validating that column names are unique.
 func NewSchema(cols ...Column) (Schema, error) {

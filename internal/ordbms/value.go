@@ -245,7 +245,9 @@ func (r Row) Clone() Row {
 //
 //	INT     zigzag varint
 //	FLOAT   8 bytes, little-endian IEEE 754
-//	STRING  uvarint length, then the bytes
+//	STRING  uvarint(length<<1 | coded), then length bytes: the string
+//	        itself (coded = 0), or its codes under the table's symbol
+//	        table (coded = 1), written only when they are shorter
 //	BYTES   uvarint length, then the bytes
 //	BOOL    1 byte, 0 or 1
 //	ROWID   near, 1 byte 0zzzzzzz: the zigzag of the slot distance from
@@ -254,12 +256,15 @@ func (r Row) Clone() Row {
 //	        (see RowIDSize)
 //
 // A near ROWID is relative to the record's own RowID, so decoding takes
-// the RowID the record was read from.
+// the RowID the record was read from; a coded STRING is read with the
+// symbol table of the table's Schema (see SymbolTable), so decoding a
+// table's records takes its Schema as Table.Schema returns it.
 
 // Encode serialises a row that satisfies s.Validate.  Every ROWID is
 // written far: only the caller that placed a record knows its RowID.
 func (s Schema) Encode(r Row) []byte {
-	return s.encode(r, ZeroRowID, 0, nil)
+	rec, _ := s.encode(r, ZeroRowID, 0, nil)
+	return rec
 }
 
 // EncodeOffsets serialises a row like Encode for the record at at, except
@@ -271,21 +276,25 @@ func (s Schema) Encode(r Row) []byte {
 // link columns, known only once the run is placed — encodes a zero RowID
 // at ZeroRowID, which is near wherever its bit asks, and patches those
 // bytes directly with PutNearRowID or PutRowID, whichever width it
-// encoded, instead of re-encoding.
-func (s Schema) EncodeOffsets(r Row, at RowID, near uint64) ([]byte, []int) {
-	offs := make([]int, len(r))
-	return s.encode(r, at, near, offs), offs
+// encoded, instead of re-encoding.  strs is what the record spends on
+// STRING payloads after their lengths — the strings, or their codes —
+// which Table.InsertRun takes summed over its run.
+func (s Schema) EncodeOffsets(r Row, at RowID, near uint64) (rec []byte, offs []int, strs int) {
+	offs = make([]int, len(r))
+	rec, strs = s.encode(r, at, near, offs)
+	return rec, offs, strs
 }
 
 // encode is the single definition of the record format.  When offs is
-// non-nil it receives each column's payload offset.
-func (s Schema) encode(r Row, at RowID, near uint64, offs []int) []byte {
+// non-nil it receives each column's payload offset.  strs is as
+// EncodeOffsets returns it.
+func (s Schema) encode(r Row, at RowID, near uint64, offs []int) (buf []byte, strs int) {
 	nb := (len(r) + 7) / 8
 	size := nb + 4*len(r)
 	for _, v := range r {
 		size += len(v.Str) + len(v.Bytes)
 	}
-	buf := make([]byte, nb, size)
+	buf = make([]byte, nb, size)
 	for i, v := range r {
 		if v.Type == TypeNull {
 			buf[i/8] |= 1 << (i % 8)
@@ -303,8 +312,9 @@ func (s Schema) encode(r Row, at RowID, near uint64, offs []int) []byte {
 		case TypeFloat:
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
 		case TypeString:
-			buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
-			buf = append(buf, v.Str...)
+			var n int
+			buf, n = s.appendString(buf, v.Str)
+			strs += n
 		case TypeBytes:
 			buf = binary.AppendUvarint(buf, uint64(len(v.Bytes)))
 			buf = append(buf, v.Bytes...)
@@ -323,7 +333,29 @@ func (s Schema) encode(r Row, at RowID, near uint64, offs []int) []byte {
 			}
 		}
 	}
-	return buf
+	return buf, strs
+}
+
+// appendString appends a STRING payload, and returns the bytes it spent
+// after the length: the string's codes when the schema has a symbol table
+// and they are shorter, else the string.  The codes go in first, where
+// the payload starts, and move up by the width of the length that then
+// goes before them.
+func (s Schema) appendString(buf []byte, str string) ([]byte, int) {
+	if s.syms != nil {
+		mark := len(buf)
+		if coded, ok := s.syms.appendCodes(buf, str, len(str)); ok {
+			n := len(coded) - mark
+			var hdr [binary.MaxVarintLen64]byte
+			h := binary.PutUvarint(hdr[:], uint64(n)<<1|1)
+			buf = append(coded, hdr[:h]...)
+			copy(buf[mark+h:], buf[mark:mark+n])
+			copy(buf[mark:], hdr[:h])
+			return buf, n
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(str))<<1)
+	return append(buf, str...), len(str)
 }
 
 // DecodeRow parses the record at at, of a table with schema s.
@@ -340,8 +372,10 @@ func DecodeRow(s Schema, at RowID, b []byte) (Row, error) {
 // arity, avoiding the per-fetch Row allocation of DecodeRow — callers
 // with a fixed schema keep an array on the stack.  String and byte
 // payloads are copied, never aliased, so the decoded values outlive the
-// source buffer.  The record must be exactly one row: a bitmap bit past
-// the last column, or bytes left over after it, are an error.
+// source buffer; a coded string is decoded with s's symbol table, sized
+// first, so it too is one allocation.  The record must be exactly one
+// row: a bitmap bit past the last column, or bytes left over after it,
+// are an error.
 //
 // netmarkvet:hotpath
 func DecodeRowInto(s Schema, at RowID, b []byte, row Row) error {
@@ -377,15 +411,25 @@ func DecodeRowInto(s Schema, at RowID, b []byte, row Row) error {
 			pos += 8
 		case TypeString, TypeBytes:
 			l, m := binary.Uvarint(b[pos:])
+			coded := false
+			if c.Type == TypeString {
+				coded, l = l&1 != 0, l>>1
+			}
 			if m <= 0 || l > uint64(len(b)-pos-m) {
 				return fmt.Errorf("ordbms: corrupt %v at column %d", c.Type, i)
 			}
 			pos += m
-			if c.Type == TypeString {
+			switch {
+			case coded:
+				var ok bool
+				if v.Str, ok = s.syms.decode(b[pos : pos+int(l)]); !ok {
+					return fmt.Errorf("ordbms: corrupt coded string at column %d", i)
+				}
+			case c.Type == TypeString:
 				// netmarkvet:allocok — payload copy is the documented
 				// contract: decoded values outlive the page latch
 				v.Str = string(b[pos : pos+int(l)])
-			} else {
+			default:
 				// netmarkvet:allocok — payload copy, same contract as strings
 				v.Bytes = append([]byte(nil), b[pos:pos+int(l)]...)
 			}

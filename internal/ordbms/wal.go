@@ -67,6 +67,7 @@ type WAL struct {
 //	walDropTable    table name
 //	walInsertRun    per page: page u32, first slot u16, row count u16, then per row: uvarint length, record bytes
 //	walDeleteRun    per run of consecutive slots: page u32, first slot u16, slot count u16
+//	walSymbols      table name, then its symbol table: symbol count u8, then per symbol its length u8 and bytes
 //
 // A run's rows on one page take consecutive new slots, so a page section
 // names only the first; a delete run names its slots the same way, with
@@ -100,12 +101,17 @@ const (
 	// walDeleteRun records the rows of one delete run: a document's nodes
 	// leave the log as they entered it, in one record.
 	walDeleteRun
+	// walSymbols records the symbol table a table codes its strings with
+	// from then on (see SymbolTable), logged once, before any record
+	// coded with it.  Like walAlloc it is the only copy until the next
+	// checkpoint saves it in the catalog.
+	walSymbols
 )
 
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
 // walMagic names the log's format; the digits are storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', '0'}
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', '1'}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.
@@ -344,6 +350,27 @@ func (w *WAL) LogDropTable(table string) uint64 {
 	start := w.beginLocked(walDropTable)
 	w.buf = appendWALString(w.buf, table)
 	return w.endLocked(start)
+}
+
+// LogSymbols records the symbol table table has trained.
+func (w *WAL) LogSymbols(table string, st *SymbolTable) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := w.beginLocked(walSymbols)
+	w.buf = appendWALString(w.buf, table)
+	w.buf = st.appendBinary(w.buf)
+	return w.endLocked(start)
+}
+
+// readSymbolsRecord splits a walSymbols payload into its table name and
+// symbol table.
+func readSymbolsRecord(p []byte) (string, *SymbolTable, bool) {
+	name, rest, ok := readWALString(p)
+	if !ok {
+		return "", nil, false
+	}
+	st, err := ParseSymbols(rest)
+	return name, st, err == nil
 }
 
 func appendWALString(p []byte, s string) []byte {
@@ -696,6 +723,8 @@ func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 			}
 		case walInsertRun, walDeleteRun:
 			ok = runFramed(r.Type, r.Rec)
+		case walSymbols:
+			_, _, ok = readSymbolsRecord(r.Rec)
 		case walCreateTable, walCreateIndex, walDropTable:
 			// DDL payload, decoded by recovery
 		case walCheckpoint:

@@ -147,7 +147,7 @@ func TestEncodeOffsetsPatchable(t *testing.T) {
 		Column{"id", TypeInt}, Column{"pre", TypeString},
 		Column{"absent", TypeRowID}, Column{"link", TypeRowID}, Column{"post", TypeString},
 	)
-	rec, offs := schema.EncodeOffsets(row, ZeroRowID, 0)
+	rec, offs, _ := schema.EncodeOffsets(row, ZeroRowID, 0)
 	if want := schema.Encode(row); string(rec) != string(want) {
 		t.Fatal("EncodeOffsets encoding diverges from Encode")
 	}

@@ -122,6 +122,10 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Heap.Pages < 2 || st.Heap.Bytes != int64(st.Heap.Pages)*8192 { // at least a page each for XML and DOC
 		t.Fatalf("heap counters: %+v", st.Heap)
 	}
+	// One small document trains no table: its strings are stored as they are.
+	if st.Heap.StringsRawBytes == 0 || st.Heap.StringsStoredBytes != st.Heap.StringsRawBytes || st.Heap.SymbolTables != 0 {
+		t.Fatalf("string counters before training: %+v", st.Heap)
+	}
 	if st.Generation == 0 {
 		t.Fatalf("generation not bumped by ingest: %+v", st)
 	}
@@ -133,6 +137,33 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if ti.CompressionRatio <= 0 {
 		t.Fatalf("textindex compression ratio missing: %+v", ti)
+	}
+}
+
+// Once the tables have trained their symbol tables, /stats shows the
+// strings stored since in fewer bytes than they hold.
+func TestStatsShowStringCoding(t *testing.T) {
+	_, ts, e := testServer(t)
+	var docs []xmlstore.BatchDoc
+	for i := 0; i < 240; i++ { // 120 of them pass the 16 KiB sample
+		docs = append(docs, xmlstore.BatchDoc{Name: fmt.Sprintf("d%d.html", i), Data: []byte(fmt.Sprintf(
+			"<html><head><title>Report %d</title></head><body><h1>Budget</h1><p>The cryogenic turbine budget request for year %d was reviewed.</p>"+
+				"<h2>Risk</h2><p>Propulsion systems risk assessment with corrective action %d.</p></body></html>", i, i, i))})
+	}
+	for _, half := range [][]xmlstore.BatchDoc{docs[:120], docs[120:]} { // the first batch's commit trains XML
+		for _, r := range e.Store().StoreBatch(half, 2) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	_, body := get(t, ts.URL+"/stats")
+	var st Stats
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Heap.SymbolTables == 0 || st.Heap.StringsStoredBytes >= st.Heap.StringsRawBytes {
+		t.Fatalf("string counters after training: %+v", st.Heap)
 	}
 }
 

@@ -257,9 +257,16 @@ type Stats struct {
 
 	// Heap is the tables' share of the data file; over the bytes ingested
 	// it is the store's space amplification, as wal.bytes is the log's.
+	// strings_stored_bytes over strings_raw_bytes, both summed at insert
+	// since open, is what the tables' symbol tables save on the strings
+	// inserted since; it drifts up when later documents differ from those
+	// the tables trained on.  symbol_tables counts the tables that have one.
 	Heap struct {
-		Pages int   `json:"pages"`
-		Bytes int64 `json:"bytes"`
+		Pages              int    `json:"pages"`
+		Bytes              int64  `json:"bytes"`
+		StringsRawBytes    uint64 `json:"strings_raw_bytes"`
+		StringsStoredBytes uint64 `json:"strings_stored_bytes"`
+		SymbolTables       int    `json:"symbol_tables"`
 	} `json:"heap"`
 
 	// Snapshot reports how this process's store came up and how its
@@ -334,6 +341,7 @@ func (s *Server) Snapshot() Stats {
 	st.WAL.Appends, st.WAL.Syncs, st.WAL.Bytes = store.DB().WALStats()
 	st.WAL.Replayed = store.DB().Replayed
 	st.Heap.Pages, st.Heap.Bytes = store.DB().HeapStats()
+	st.Heap.StringsRawBytes, st.Heap.StringsStoredBytes, st.Heap.SymbolTables = store.DB().StringStats()
 	st.Pool.Hits, st.Pool.Misses, st.Pool.Evictions = store.DB().Pool().Stats()
 	ss := store.SnapshotStats()
 	st.Snapshot.Enabled = ss.Enabled

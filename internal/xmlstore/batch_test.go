@@ -7,6 +7,7 @@ import (
 
 	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
 )
 
 func corpusBatch(n int, seed int64) []BatchDoc {
@@ -220,5 +221,96 @@ func BenchmarkStoreBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// The tables train their symbol tables at a commit while other batches
+// are being prepared and stored and readers reconstruct what is already
+// in (run under -race): every document, coded or not, reconstructs to
+// what a store that never trains makes of it, during the run and after.
+func TestTrainingRacesReadersAndWriters(t *testing.T) {
+	const writers, perBatch = 3, 8
+	batch := corpusBatch(writers*6*perBatch, 57)
+	ref := memStore(t) // StoreRaw never commits, so this store never trains
+	want := make(map[string]string, len(batch))
+	for _, d := range batch {
+		ingest(t, ref, d.Name, string(d.Data))
+		want[d.Name] = reconstructBytes(t, ref, d.Name)
+	}
+
+	s := memStore(t)
+	var mu sync.Mutex
+	var stored []string // guarded by mu
+	check := func(name string) error {
+		info, err := s.DocumentByName(name)
+		if err != nil {
+			return err
+		}
+		tree, err := s.Reconstruct(info.DocID)
+		if err != nil {
+			return err
+		}
+		if got := sgml.Serialize(tree); got != want[name] {
+			return fmt.Errorf("%s reconstructs to %d bytes unlike the untrained store's %d", name, len(got), len(want[name]))
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w * perBatch; i < len(batch); i += writers * perBatch {
+				for _, r := range s.StoreBatch(batch[i:i+perBatch], 2) {
+					if r.Err != nil {
+						t.Errorf("store %s: %v", r.Name, r.Err)
+						return
+					}
+					mu.Lock()
+					stored = append(stored, r.Name)
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for k := r; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				n := len(stored)
+				var name string
+				if n > 0 {
+					name = stored[k%n]
+				}
+				mu.Unlock()
+				if name == "" {
+					continue
+				}
+				if err := check(name); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	if _, _, coded := s.DB().StringStats(); coded == 0 {
+		t.Fatal("no table trained during the run")
+	}
+	for _, d := range batch {
+		if err := check(d.Name); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

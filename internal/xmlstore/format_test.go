@@ -38,7 +38,7 @@ var goldenNode = Node{
 const goldenRecord = "" +
 	"e1" + // null bitmap, 8 columns: docid, nextrowid, childrowid and attrs (0, 5, 6, 7) are NULL
 	"02" + // tag 1, the text class
-	"026869" + // nodedata "hi", uvarint length first
+	"046869" + // nodedata "hi", uvarint length<<1 first: 2, not coded
 	"01" + // parentrowid, near: 5.3 is Δ = −1 from 5.4, zigzag 1
 	"03" // prevrowid, near: 5.2, Δ = −2, zigzag 3; nothing follows for the three NULLs
 
@@ -133,7 +133,7 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 		rec  string
 	}{
 		{"text leaf", goldenNode, goldenRecord},
-		{"far parent", farParent, "e1" + "02" + "026869" +
+		{"far parent", farParent, "e1" + "02" + "046869" +
 			"8003" + "02010000" + // parentrowid, far: slot 3 | 0x8000 big-endian, then page u32 0x0102
 			"03"},
 		{"element", goldenElement, "" +
@@ -145,13 +145,13 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 			"d0" + // prevrowid, childrowid and attrs (4, 6, 7) are NULL
 			"0e" + // docid 7, zigzag varint
 			"04" + // tag 2, <h2>
-			"02476f" + // nodedata "Go"
+			"04476f" + // nodedata "Go"
 			"01" + // parentrowid, near 5.0: Δ = −1
 			"02"}, // nextrowid, near 5.2: Δ = +1
 		{"folded element", goldenFolded, "" +
 			"f1" + // docid, prevrowid, nextrowid, childrowid and attrs (0, 4, 5, 6, 7) are NULL
 			"00" + // tag 0, <para>
-			"026869" + // nodedata "hi", its text child's
+			"046869" + // nodedata "hi", its text child's
 			"03"}, // parentrowid, near 5.1: Δ = −2
 		{"titled root", goldenTitled, "" +
 			"3c" + // nodedata, parentrowid, prevrowid and nextrowid (2, 3, 4, 5) are NULL
@@ -165,7 +165,7 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 		if err := xmlSchema.Validate(row); err != nil {
 			t.Fatal(err)
 		}
-		if got, _ := xmlSchema.EncodeOffsets(row, n.RowID, near); hex.EncodeToString(got) != c.rec {
+		if got, _, _ := xmlSchema.EncodeOffsets(row, n.RowID, near); hex.EncodeToString(got) != c.rec {
 			t.Fatalf("%s: record of the golden node:\n got %x\nwant %s", c.name, got, c.rec)
 		}
 		rec, _ := hex.DecodeString(c.rec)
@@ -181,6 +181,57 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 	}
 	if rec, _ := hex.DecodeString(goldenRecord); len(rec) != 7 {
 		t.Fatalf("golden text leaf is %d bytes, want 7", len(rec))
+	}
+}
+
+// goldenSymbols is the symbol table the coded golden record is read
+// with, as the log and catalog hold it: two symbols, code 0 "h" and
+// code 1 "hi".
+var goldenSymbols = []byte{2, 1, 'h', 2, 'h', 'i'}
+
+// A string is coded once its table has a symbol table, wherever that is
+// shorter.  The folded <para>hi</para> stored before the XML table had
+// one keeps its text raw; stored after, the text is one code.  Under the
+// table both read back as the node; without it the coded record is no
+// record at all.
+func TestXMLRecordCodedGoldenBytes(t *testing.T) {
+	st, err := ordbms.ParseSymbols(goldenSymbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coded := xmlSchema.WithSymbols(st)
+	s := goldenStore()
+	row, near := goldenRow(t, s, goldenFolded)
+	for _, c := range []struct {
+		name   string
+		schema ordbms.Schema
+		rec    string
+	}{
+		{"raw, before the table", xmlSchema, "" +
+			"f1" + // docid, prevrowid, nextrowid, childrowid and attrs (0, 4, 5, 6, 7) are NULL
+			"00" + // tag 0, <para>
+			"046869" + // nodedata "hi": uvarint 2<<1, not coded, then the bytes
+			"03"}, // parentrowid, near 5.1: Δ = −2
+		{"coded", coded, "" +
+			"f1" +
+			"00" +
+			"0301" + // nodedata "hi": uvarint 1<<1 | 1, one byte coded, then code 1
+			"03"},
+	} {
+		if got, _, _ := c.schema.EncodeOffsets(row, goldenFolded.RowID, near); hex.EncodeToString(got) != c.rec {
+			t.Fatalf("%s: record of the folded <para>:\n got %x\nwant %s", c.name, got, c.rec)
+		}
+		rec, _ := hex.DecodeString(c.rec)
+		back, err := ordbms.DecodeRow(coded, goldenFolded.RowID, rec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got, err := s.nodeFromCols(goldenFolded.RowID, back); err != nil || !reflect.DeepEqual(*got, goldenFolded) {
+			t.Fatalf("%s: decodes to %+v, %v, want %+v", c.name, got, err, goldenFolded)
+		}
+		if _, err := ordbms.DecodeRow(xmlSchema, goldenFolded.RowID, rec); (err == nil) != (c.schema.Symbols() == nil) {
+			t.Fatalf("%s: read with no symbol table: %v", c.name, err)
+		}
 	}
 }
 
@@ -520,7 +571,8 @@ func treeDigests(t *testing.T, s *Store) (trees, listing string) {
 // A change of on-disk format changes no answer: every document of
 // pinnedCorpus reconstructs to the same bytes, and every query shape
 // returns the same sections, as built and after a snapshot reopen and a
-// scan reopen.  The tree digests were taken on format 8, which stored
+// scan reopen — with the XML and DOC tables trained early on, so most
+// of what is read is coded.  The tree digests were taken on format 8, which stored
 // 22 510 nodes, before headings were folded; the answers digest when the
 // text index began posting words under their section, which let the two
 // two-term content queries match terms in different text runs of one
@@ -536,10 +588,19 @@ func TestTreesAndAnswersPinned(t *testing.T) {
 	)
 	dir := t.TempDir()
 	db, s := openDir(t, dir, OpenOptions{})
-	for _, d := range pinnedCorpus() {
+	for i, d := range pinnedCorpus() {
 		ingest(t, s, d.Name, string(d.Data))
+		if i%50 == 49 { // the tables train at the first commit past their sample
+			if err := db.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	t.Logf("%d documents, %d stored nodes", s.NumDocuments(), s.NumNodes())
+	raw, stored, coded := db.StringStats()
+	t.Logf("%d documents, %d stored nodes; strings %d B raw, %d B stored, %d tables coded", s.NumDocuments(), s.NumNodes(), raw, stored, coded)
+	if coded != 2 || 2*stored > raw { // XML and DOC; TAG never holds a sample's worth
+		t.Errorf("strings %d B raw, %d B stored, %d tables coded: want most of XML and DOC coded", raw, stored, coded)
+	}
 	if s.NumNodes() != wantNodes {
 		t.Errorf("%d stored nodes, want %d", s.NumNodes(), wantNodes)
 	}
@@ -576,6 +637,56 @@ func TestTreesAndAnswersPinned(t *testing.T) {
 	db, s = openDir(t, dir, OpenOptions{DisableSnapshot: true})
 	check("scan reopen", s)
 	db.CloseDiscard()
+}
+
+// A crash after DOC and XML trained their symbol tables and stored rows
+// coded with them, and before any checkpoint saved the tables, loses
+// nothing: recovery puts the coded rows back, and the log gives each
+// table its symbol table before DOC's indexes are rebuilt from them.
+// The crash comes once with the tables only in the log, and once with a
+// catalog checkpointed before they trained.
+func TestReopenAfterTrainingCrash(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		dir := t.TempDir()
+		db, s := openDir(t, dir, OpenOptions{})
+		docs := corpus.New(1).Mixed(600)
+		n, coded := 0, 0 // documents stored, and how many since DOC trained
+		for ; coded < 20; n++ {
+			if n == len(docs) {
+				t.Fatalf("DOC untrained after %d documents", n)
+			}
+			if db.Table("DOC").Schema().Symbols() != nil {
+				coded++
+			}
+			ingest(t, s, docs[n].Name, string(docs[n].Data))
+			if err := db.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if checkpoint && n == 0 {
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if db.Table("XML").Schema().Symbols() == nil {
+			t.Fatal("DOC trained before XML")
+		}
+		want := make([]string, n)
+		for i := range want {
+			want[i] = reconstructBytes(t, s, docs[i].Name)
+		}
+		db.CloseDiscard()
+		db, s = openDir(t, dir, OpenOptions{})
+		if db.Table("DOC").Schema().Symbols() == nil {
+			t.Fatalf("checkpoint %v: DOC lost its symbol table", checkpoint)
+		}
+		for i, w := range want {
+			if got := reconstructBytes(t, s, docs[i].Name); got != w {
+				t.Fatalf("checkpoint %v: %s reads back as %q, want %q", checkpoint, docs[i].Name, got, w)
+			}
+		}
+		db.CloseDiscard()
+	}
 }
 
 // Each piece of the store's DDL is its own log record, so a crash can

@@ -195,19 +195,26 @@ func keptTree(tree *sgml.Node) *sgml.Node {
 
 // FuzzDecodeRow throws hostile bytes, read from any RowID, at the record
 // decoder under the three schemas every stored byte is read with (XML,
-// DOC, TAG: table picks one).  It must never panic, never build values
-// bigger than the bytes it was given, never read a near link to a slot
-// outside the page's directory, and whatever it accepts must be a row:
-// one that validates and, encoded again at the same RowID with the same
-// links near, gives back the same bytes — or fewer, when b spelled a
-// varint longer than it needs.  Encode, which writes every ROWID far, may
-// grow a record by RowIDSize−NearRowIDSize bytes a link, and what it
-// writes decodes back to the same row from any RowID.  An XML row then
-// becomes a node exactly when its tag is one the dictionary holds — any
-// other code is an error, never a node with an empty class — and a TAG
-// row is a dictionary exactly when it is code 0 of a real node class.
+// DOC, TAG), and XML's again with a symbol table (table picks one).  It
+// must never panic, never build values bigger than the bytes it was
+// given — or, coded, than 8 bytes a code — never read a near link to a
+// slot outside the page's directory, and whatever it accepts must be a
+// row: one that validates and, uncoded, encoded again at the same RowID
+// with the same links near, gives back the same bytes — or fewer, when b
+// spelled a varint longer than it needs.  Encode, which writes every
+// ROWID far, may grow an uncoded record by RowIDSize−NearRowIDSize bytes
+// a link, and what it writes decodes back to the same row from any
+// RowID.  An XML row then becomes a node exactly when its tag is one the
+// dictionary holds — any other code is an error, never a node with an
+// empty class — and a TAG row is a dictionary exactly when it is code 0
+// of a real node class.
 func FuzzDecodeRow(f *testing.F) {
-	const xmlTable, docTable, tagTable = 0, 1, 2
+	const xmlTable, docTable, tagTable, codedTable = 0, 1, 2, 3
+	st, err := ordbms.ParseSymbols(goldenSymbols)
+	if err != nil {
+		f.Fatal(err)
+	}
+	coded := xmlSchema.WithSymbols(st)
 	const directory = (ordbms.PageSize - 16) / 2 // a page's slot-directory entries, 2 bytes each after a 16-byte header
 	golden, _ := hex.DecodeString(goldenRecord)
 	at := goldenNode.RowID
@@ -243,7 +250,7 @@ func FuzzDecodeRow(f *testing.F) {
 	// end, or beyond it.
 	mid := ordbms.RowID{Page: 7, Slot: 100}
 	edges := [4]ordbms.RowID{{Page: 7, Slot: 36}, {Page: 7, Slot: 163}, mid, {Page: 8, Slot: 100}}
-	near, _ := xmlSchema.EncodeOffsets(xmlRow(edges), mid, allNear)
+	near, _, _ := xmlSchema.EncodeOffsets(xmlRow(edges), mid, allNear)
 	for _, slot := range []uint16{mid.Slot, 63, 64, directory - 64, directory - 63, 1<<16 - 1} {
 		f.Add(near, mid.Page, slot, uint8(xmlTable))
 	}
@@ -260,9 +267,23 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(2), ordbms.Null()}), at.Page, at.Slot, uint8(tagTable))
 	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(6), ordbms.S("p")}), at.Page, at.Slot, uint8(tagTable))
 	f.Add(tagSchema.Encode(ordbms.Row{ordbms.I(0), ordbms.I(257), ordbms.S("p")}), at.Page, at.Slot, uint8(tagTable))
+	// Coded strings: the golden folded <para>, raw and coded, and its
+	// coded nodedata broken three ways — an escape as the last byte, a
+	// code past the table's two, and the coded flag read with no table.
+	folded, foldedNear := goldenRow(f, goldenStore(), goldenFolded)
+	rawFolded, _, _ := xmlSchema.EncodeOffsets(folded, goldenFolded.RowID, foldedNear)
+	codedFolded, _, _ := coded.EncodeOffsets(folded, goldenFolded.RowID, foldedNear)
+	at = goldenFolded.RowID
+	f.Add(rawFolded, at.Page, at.Slot, uint8(codedTable))
+	f.Add(codedFolded, at.Page, at.Slot, uint8(codedTable))
+	f.Add([]byte{0xf1, 0x00, 0x05, 0x01, 0xff, 0x03}, at.Page, at.Slot, uint8(codedTable))      // "hi", then an escape with no byte
+	f.Add([]byte{0xf1, 0x00, 0x03, 0x02, 0x03}, at.Page, at.Slot, uint8(codedTable))            // code 2: the table has 0 and 1
+	f.Add(codedFolded, at.Page, at.Slot, uint8(xmlTable))                                       // coded, and no table to read it with
+	f.Add([]byte{0xf1, 0x00, 0x07, 0xff, 'h', 0x01, 0x03}, at.Page, at.Slot, uint8(codedTable)) // an escaped byte, then a code: "hhi"
 	s := goldenStore()
 	f.Fuzz(func(t *testing.T, b []byte, page uint32, slot uint16, table uint8) {
-		schema := [...]ordbms.Schema{xmlSchema, docSchema, tagSchema}[table%3]
+		schema := [...]ordbms.Schema{xmlSchema, docSchema, tagSchema, coded}[table%4]
+		isCoded := schema.Symbols() != nil
 		at := ordbms.RowID{Page: page, Slot: slot}
 		row, err := ordbms.DecodeRow(schema, at, b)
 		if err != nil {
@@ -275,7 +296,11 @@ func FuzzDecodeRow(f *testing.F) {
 				links++
 			}
 		}
-		if payload > len(b) {
+		limit := len(b)
+		if isCoded {
+			limit *= 8
+		}
+		if payload > limit {
 			t.Fatalf("%d bytes decoded into %d bytes of strings", len(b), payload)
 		}
 		if err := schema.Validate(row); err != nil {
@@ -287,12 +312,14 @@ func FuzzDecodeRow(f *testing.F) {
 				t.Fatalf("column %d: a near link read at %v names %v", i, at, v.RowID())
 			}
 		}
-		same, _ := schema.EncodeOffsets(row, at, near)
-		if len(same) > len(b) || (len(same) == len(b) && !bytes.Equal(same, b)) {
+		// Codes b chose need not be the ones Encode would: the lengths
+		// hold for uncoded records only.
+		same, _, _ := schema.EncodeOffsets(row, at, near)
+		if !isCoded && (len(same) > len(b) || (len(same) == len(b) && !bytes.Equal(same, b))) {
 			t.Fatalf("%x read at %v re-encodes as %x", b, at, same)
 		}
 		enc := schema.Encode(row)
-		if len(enc) > len(b)+(ordbms.RowIDSize-ordbms.NearRowIDSize)*links {
+		if !isCoded && len(enc) > len(b)+(ordbms.RowIDSize-ordbms.NearRowIDSize)*links {
 			t.Fatalf("%d bytes re-encode to %d", len(b), len(enc))
 		}
 		again, err := ordbms.DecodeRow(schema, ordbms.RowID{Page: page + 1, Slot: slot + 1}, enc) // far links name their RowID
@@ -307,8 +334,8 @@ func FuzzDecodeRow(f *testing.F) {
 				t.Fatalf("column %d: %v became %v", i, row[i], again[i])
 			}
 		}
-		switch table % 3 {
-		case xmlTable:
+		switch table % 4 {
+		case xmlTable, codedTable:
 			// attrs parsing must survive whatever a string column held
 			n, err := s.nodeFromCols(at, row)
 			code := row[xmlColTag]
@@ -346,7 +373,7 @@ func nearColumns(schema ordbms.Schema, row ordbms.Row, b []byte) (near uint64) {
 			pos += m
 		case ordbms.TypeString:
 			l, m := binary.Uvarint(b[pos:])
-			pos += m + int(l)
+			pos += m + int(l>>1)
 		case ordbms.TypeRowID:
 			if b[pos]&0x80 == 0 {
 				near |= 1 << i

@@ -35,11 +35,16 @@ func (fn *flatNode) ownText() (string, bool) { return ownText(fn.class, fn.data,
 type preparedDoc struct {
 	meta  docform.Meta
 	docID uint64
-	flat  []flatNode
-	rows  []ordbms.Row // rows as validated and indexed; their present links stay zero
-	recs  [][]byte     // pre-encoded records; the insert patches the present links in
-	offs  [][]int      // per-record column payload offsets (for link patches)
-	far   []uint64     // per record, the link columns encoded far; the others are near
+	// schema is the XML table's, with its symbol table as it was when
+	// the document was prepared: every record of the document is encoded
+	// with it, the writer's re-encodes included.
+	schema ordbms.Schema
+	flat   []flatNode
+	rows   []ordbms.Row // rows as validated and indexed; their present links stay zero
+	recs   [][]byte     // pre-encoded records; the insert patches the present links in
+	offs   [][]int      // per-record column payload offsets (for link patches)
+	far    []uint64     // per record, the link columns encoded far; the others are near
+	strs   int          // the records' STRING payload bytes (see ordbms.Schema.EncodeOffsets)
 	// untagged lists the nodes whose (class, name) had no TAG code when
 	// the document was prepared: their tag column and record wait for the
 	// ordered writer, which assigns codes in document order.
@@ -82,14 +87,15 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		return nil, fmt.Errorf("xmlstore: document %q flattened to no nodes", meta.FileName)
 	}
 	p := &preparedDoc{
-		meta:  meta,
-		docID: docID,
-		flat:  flat,
-		rows:  make([]ordbms.Row, len(flat)),
-		recs:  make([][]byte, len(flat)),
-		offs:  make([][]int, len(flat)),
-		far:   make([]uint64, len(flat)),
-		toks:  make([][]string, len(flat)),
+		meta:   meta,
+		docID:  docID,
+		schema: s.xml.Schema(),
+		flat:   flat,
+		rows:   make([]ordbms.Row, len(flat)),
+		recs:   make([][]byte, len(flat)),
+		offs:   make([][]int, len(flat)),
+		far:    make([]uint64, len(flat)),
+		toks:   make([][]string, len(flat)),
 	}
 	governs := governingContexts(flat)
 	codes := make(map[tagPair]int64) // this document's tags; -1 = no code yet
@@ -123,7 +129,7 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		if code < 0 {
 			p.untagged = append(p.untagged, i)
 		} else {
-			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(row, ordbms.ZeroRowID, allNear) // every link starts near
+			p.encode(i, 0) // every link starts near
 		}
 		if text, ok := fn.ownText(); ok {
 			k := postKey(flat, governs, i)
@@ -150,6 +156,19 @@ func linkSlot(idx int) ordbms.Value {
 		return ordbms.Null()
 	}
 	return ordbms.R(ordbms.ZeroRowID)
+}
+
+// encode encodes node i's record with the given links far.  A record's
+// strings are the same however its links are stored, so strs counts them
+// once, at the first encode.
+func (p *preparedDoc) encode(i int, far uint64) {
+	first := p.recs[i] == nil
+	var strs int
+	p.far[i] = far
+	p.recs[i], p.offs[i], strs = p.schema.EncodeOffsets(p.rows[i], ordbms.ZeroRowID, allNear&^far)
+	if first {
+		p.strs += strs
+	}
 }
 
 // allNear is the EncodeOffsets mask that writes every link near.
@@ -295,20 +314,15 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 		}
 		for k, i := range p.untagged {
 			p.rows[i][xmlColTag] = ordbms.I(codes[k])
-			p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], ordbms.ZeroRowID, allNear)
+			p.encode(i, 0)
 		}
 	}
 
-	// encode re-encodes node i with the given links far.
-	encode := func(i int, far uint64) {
-		p.far[i] = far
-		p.recs[i], p.offs[i] = xmlSchema.EncodeOffsets(p.rows[i], ordbms.ZeroRowID, allNear&^far)
-	}
-	_, err = s.xml.InsertRun(p.rows, p.recs, func(rids []ordbms.RowID) {
+	_, err = s.xml.InsertRun(p.rows, p.recs, p.strs, func(rids []ordbms.RowID) {
 		grew := false
 		for i := range flat {
 			if far := flat[i].farLinks(rids, i) &^ p.far[i]; far != 0 {
-				encode(i, p.far[i]|far)
+				p.encode(i, p.far[i]|far)
 				grew = true
 			}
 		}
@@ -323,7 +337,7 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 			// shrinks, so it still fits where it was placed.
 			if p.far[i] != 0 {
 				if far := fn.farLinks(rids, i); far != p.far[i] {
-					encode(i, far)
+					p.encode(i, far)
 				}
 			}
 			rec, offs, far := p.recs[i], p.offs[i], p.far[i]

@@ -300,7 +300,7 @@ func linkWidths(t *testing.T, s *Store, d BatchDoc, id uint64) (rids []ordbms.Ro
 				far++
 			}
 		}
-		want, _ := xmlSchema.EncodeOffsets(row, rids[i], mask)
+		want, _, _ := xmlSchema.EncodeOffsets(row, rids[i], mask)
 		err := s.xml.FetchView(rids[i], func(rec []byte) error {
 			if string(rec) != string(want) {
 				t.Errorf("node %d at %v is stored as %x, want %x", i, rids[i], rec, want)

@@ -116,11 +116,15 @@ func (s *Store) tagCodes(pairs []tagPair) ([]int64, error) {
 	}
 	rows := make([]ordbms.Row, len(added))
 	recs := make([][]byte, len(added))
+	schema := s.tag.Schema()
+	strs := 0
 	for i, p := range added {
 		rows[i] = ordbms.Row{ordbms.I(int64(published + i)), ordbms.I(int64(p.class)), optString(p.name)}
-		recs[i] = tagSchema.Encode(rows[i])
+		var n int
+		recs[i], _, n = schema.EncodeOffsets(rows[i], ordbms.ZeroRowID, 0)
+		strs += n
 	}
-	if _, err := s.tag.InsertRun(rows, recs, nil); err != nil {
+	if _, err := s.tag.InsertRun(rows, recs, strs, nil); err != nil {
 		for _, p := range added {
 			delete(d.codes, p)
 		}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"netmark/internal/corpus"
 	"netmark/internal/docform"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
@@ -430,9 +431,20 @@ func TestTagTableMustBeDense(t *testing.T) {
 // Fig 5's NODETYPE and NODENAME stay queryable: joining XML to TAG on the
 // code gives every node its class and name.  Text sits on element rows
 // since they absorb a lone text child, so a paragraph's text is its <p>
-// row's nodedata.
+// row's nodedata.  The sample goes in after the XML table has trained
+// its symbol table, so its nodedata is stored coded, and SQL reads and
+// filters it as the text it stands for.
 func TestTagJoinThroughSQL(t *testing.T) {
 	s := memStore(t)
+	for _, d := range corpus.New(3).Mixed(40) {
+		ingest(t, s, d.Name, string(d.Data))
+	}
+	if err := s.DB().Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s.xml.Schema().Symbols() == nil {
+		t.Fatal("the XML table has no symbol table after 40 documents")
+	}
 	ingest(t, s, "sample.html", sampleHTML)
 	res, err := sqlx.New(s.DB()).Exec(`SELECT XML.nodedata, TAG.nodetype, TAG.nodename FROM XML JOIN TAG ON XML.tag = TAG.tag`)
 	if err != nil {
@@ -464,12 +476,54 @@ func TestTagJoinThroughSQL(t *testing.T) {
 	if withData == 0 || named == 0 {
 		t.Fatalf("%d rows with nodedata and %d named rows: the join proves little", withData, named)
 	}
+	// Every <p> row, in order; the sample's three paragraphs among them.
 	res, err = sqlx.New(s.DB()).Exec(`SELECT XML.nodedata FROM XML JOIN TAG ON XML.tag = TAG.tag WHERE TAG.nodename = 'p'`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 || res.Rows[1][0].Str != "The gap is shrinking across propulsion systems." {
-		t.Fatalf("the paragraphs by SQL: %v", res.Rows)
+	var paras []string
+	for _, w := range want {
+		if w[2] == "p" {
+			paras = append(paras, w[0])
+		}
+	}
+	var sample []string
+	for i, row := range res.Rows {
+		if i >= len(paras) || row[0].Str != paras[i] {
+			t.Fatalf("paragraph %d by SQL is %q; the <p> nodes hold %q", i, row[0].Str, paras)
+		}
+		if strings.Contains(sampleHTML, "<p>"+row[0].Str+"</p>") {
+			sample = append(sample, row[0].Str)
+		}
+	}
+	const gap = "The gap is shrinking across propulsion systems."
+	if len(res.Rows) != len(paras) || len(sample) != 3 || sample[1] != gap {
+		t.Fatalf("%d paragraphs by SQL for %d <p> nodes; the sample's: %q", len(res.Rows), len(paras), sample)
+	}
+	// Filtering on nodedata compares the text, not its codes.
+	res, err = sqlx.New(s.DB()).Exec(`SELECT XML.nodedata FROM XML JOIN TAG ON XML.tag = TAG.tag WHERE TAG.nodename = 'p' AND XML.nodedata = '` + gap + `'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].Str != gap {
+		t.Fatalf("the paragraph by SQL: %v", res.Rows)
+	}
+	// The row SQL read is stored coded: without the table's symbol table
+	// its record does not decode.
+	var rid ordbms.RowID
+	if err := s.ScanNodes(func(n *Node) bool {
+		if n.Data == gap {
+			rid = n.RowID
+		}
+		return rid.IsZero()
+	}); err != nil || rid.IsZero() {
+		t.Fatalf("no node holds %q: %v", gap, err)
+	}
+	if err := s.xml.FetchView(rid, func(rec []byte) error {
+		_, err := ordbms.DecodeRow(xmlSchema, rid, rec)
+		return err
+	}); err == nil {
+		t.Fatalf("%q is stored raw", gap)
 	}
 }
 

@@ -41,6 +41,16 @@
 // title="…", valued as DOC's TITLE, stores a zero-length ATTRS (NULL means
 // no attributes), and Reconstruct puts the attribute back from DOC.
 //
+// Strings are stored coded (on-disk format 11).  Each table codes its
+// STRING columns — XML's NODEDATA and ATTRS, DOC's names — with the
+// symbol table it trained on its own first 16 KiB of them
+// (ordbms.SymbolTable), wherever the codes are shorter.  A document's
+// records are all encoded with the XML table's schema as it was when the
+// document was prepared (Table.Schema), so the writer's re-encodes match
+// its workers'; a fetch decodes with the schema as it is when the record
+// is in view.  Above the engine every string is plain: Node, the node
+// cache, the text index, Reconstruct and SQL never see a code.
+//
 // This package persists derived snapshots, so every committing rename
 // must follow write-temp → fsync → rename → fsync-dir.
 //
@@ -575,7 +585,9 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	var cols [xmlColAttrs + 1]ordbms.Value
 	err := s.xml.FetchView(rid, func(rec []byte) error {
-		return ordbms.DecodeRowInto(xmlSchema, rid, rec, cols[:])
+		// The schema is taken with the record in view: a coded record
+		// exists only once the table has its symbol table.
+		return ordbms.DecodeRowInto(s.xml.Schema(), rid, rec, cols[:])
 	})
 	if err != nil {
 		return nil, err
