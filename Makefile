@@ -69,8 +69,9 @@ race:
 # the store's three schemas (XML, DOC and TAG, arbitrary tag codes
 # included) and XML's coded with a symbol table, read from any RowID,
 # the string codec (arbitrary symbol tables and codes, and the trainer's
-# round trip), the xmlstore.nmsnap payload decoder,
-# the splitters recovery reads run records with, a delete-run record of
+# round trip), the xmlstore.nmsnap payload decoder, arbitrary catalog
+# bytes opened beside a valid data file and log, the splitters recovery
+# reads run records with, a delete-run record of
 # arbitrary payload opened end to end, the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
 # layout — the phrase matcher against tokenize-then-compare, arbitrary
@@ -84,6 +85,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeleteRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPage -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzSymbolCodec -fuzztime $(FUZZTIME) ./internal/ordbms
+	$(GO) test -run xxx -fuzz FuzzOpenCatalog -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPhraseMatch -fuzztime $(FUZZTIME) ./internal/textindex
 	$(GO) test -run xxx -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/xdb
 
@@ -101,8 +103,8 @@ bench-smoke:
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR32.json
-BENCH_OUT ?= BENCH_PR32.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR33.json
+BENCH_OUT ?= BENCH_PR33.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)

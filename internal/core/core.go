@@ -58,13 +58,6 @@ type Config struct {
 	// accelerates the cold query path by keeping hot traversal rows
 	// decoded in memory (0 = DefaultNodeCacheBytes, negative = disabled).
 	NodeCacheBytes int64
-	// DisableSnapshots turns off the derived-state snapshots written at
-	// every checkpoint (the engine's heap-metadata/secondary-index
-	// snapshot and the XML store's text/context snapshot) and
-	// forces the full-scan rebuild on open.  Snapshots make reopening a
-	// large store independent of corpus size; disable only for ablation
-	// measurements or when a snapshot is suspected of divergence.
-	DisableSnapshots bool
 }
 
 // DefaultCacheBytes is the query result cache cap used when Config
@@ -95,15 +88,11 @@ type Netmark struct {
 
 // Open creates or reopens an instance.
 func Open(cfg Config) (*Netmark, error) {
-	db, err := ordbms.Open(ordbms.Options{
-		Dir:               cfg.Dir,
-		PoolPages:         cfg.PoolPages,
-		NoDerivedSnapshot: cfg.DisableSnapshots,
-	})
+	db, err := ordbms.Open(ordbms.Options{Dir: cfg.Dir, PoolPages: cfg.PoolPages})
 	if err != nil {
 		return nil, err
 	}
-	store, err := xmlstore.OpenWith(db, xmlstore.OpenOptions{DisableSnapshot: cfg.DisableSnapshots})
+	store, err := xmlstore.Open(db)
 	if err != nil {
 		// The open is already doomed; fold a close failure into the
 		// reported error rather than dropping it.

@@ -9,11 +9,13 @@ import (
 	"netmark/internal/vfs"
 )
 
-// The catalog records table metadata: schemas, heap page lists, which
-// indexes to rebuild on open, and each table's symbol table.  It is
-// persisted as JSON next to the data file at every checkpoint — the
-// simple, inspectable choice for a reproduction (a production engine
-// would self-host it in pages).
+// The catalog records table metadata: schemas, heap page lists, each
+// heap's live-row count and free-space map, which indexes to build on
+// open, and each table's symbol table.  It is persisted as JSON next to
+// the data file at every checkpoint — the simple, inspectable choice for
+// a reproduction (a production engine would self-host it in pages) —
+// and it is the engine's only checkpoint file: secondary indexes are
+// derived state, rebuilt by a heap scan on every open.
 
 // storeFormat is the on-disk format version: the record codec, the WAL
 // record set (see walMagic, which carries the same number), the catalog
@@ -21,7 +23,7 @@ import (
 // is one codec and no second reader, so the policy is: any change to what
 // a page, a log record, the catalog or a stored row means bumps it, and
 // Open refuses every other value.
-const storeFormat = 11
+const storeFormat = 12
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.
@@ -29,11 +31,11 @@ var ErrStoreFormat = fmt.Errorf("ordbms: store is not in on-disk format %d; re-i
 
 type catalogFile struct {
 	Format int `json:"format"`
-	// Generation counts catalog saves.  Derived-state snapshots (the
-	// engine's own index/heap-meta snapshot and any store-level snapshot
-	// written by a pre-checkpoint hook) are stamped with the generation
-	// they were written under; a snapshot whose stamp does not match the
-	// catalog on disk is from a different checkpoint and must be ignored.
+	// Generation counts catalog saves.  A store-level snapshot written by
+	// a pre-checkpoint hook (see WriteSnapshotFile) is stamped with the
+	// generation it was written under; a snapshot whose stamp does not
+	// match the catalog on disk is from a different checkpoint and must
+	// be ignored.
 	Generation uint64         `json:"generation"`
 	Tables     []catalogTable `json:"tables"`
 }
@@ -43,6 +45,12 @@ type catalogTable struct {
 	Columns []catalogColumn `json:"columns"`
 	Pages   []uint32        `json:"pages"`
 	Indexes []string        `json:"indexes"`
+	// Rows and Free are the heap's live-row count and free-space map —
+	// [page, free bytes] pairs in ascending page order — as the
+	// checkpoint found them.  Open trusts them only when the log holds no
+	// record (see loadCatalog); otherwise it scans the pages.
+	Rows int64       `json:"rows"`
+	Free [][2]uint32 `json:"free,omitempty"`
 	// Symbols is the table's symbol table as walSymbols logs it, absent
 	// until the table has trained one.
 	Symbols []byte `json:"symbols,omitempty"`
@@ -59,7 +67,12 @@ const catalogName = "catalog.json"
 // The write is crash-durable: temp file, fsync, rename, directory fsync.
 // Without the fsync a crash right after DB.Checkpoint truncates the WAL
 // could lose the catalog while the log that could have reconstructed the
-// table layout is already gone.
+// table layout is already gone.  Caller holds db.mu; each table is read
+// under its read lock, so its page list, row count and free-space map
+// agree with each other.  A writer racing the checkpoint logs past the
+// cut, and the reopen that finds its record scans instead.
+//
+// netmarkvet:snap-encode
 func (db *DB) saveCatalogLocked(gen uint64) error {
 	if db.dir == "" {
 		return nil
@@ -67,7 +80,9 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 	cf := catalogFile{Format: storeFormat, Generation: gen}
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]
-		ct := catalogTable{Name: t.name, Pages: t.heap.Pages()}
+		t.mu.RLock()
+		ct := catalogTable{Name: t.name}
+		ct.Pages, ct.Rows, ct.Free = t.heap.meta()
 		if st := t.syms.Load(); st != nil {
 			ct.Symbols = st.appendBinary(nil)
 		}
@@ -77,6 +92,7 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 		for col := range t.indexes {
 			ct.Indexes = append(ct.Indexes, col)
 		}
+		t.mu.RUnlock()
 		cf.Tables = append(cf.Tables, ct)
 	}
 	b, err := json.Marshal(&cf)
@@ -119,7 +135,8 @@ func syncDir(fsys vfs.FS, dir string) error {
 }
 
 // readCatalog reads and parses the on-disk catalog; nil means a fresh
-// store.  A catalog of another format version is ErrStoreFormat.
+// store.  A catalog of another format version is ErrStoreFormat, and one
+// whose page lists or heap metadata no checkpoint writes is corrupt.
 func (db *DB) readCatalog() (*catalogFile, error) {
 	b, err := db.fs.ReadFile(filepath.Join(db.dir, catalogName))
 	if err != nil {
@@ -135,23 +152,57 @@ func (db *DB) readCatalog() (*catalogFile, error) {
 	if cf.Format != storeFormat {
 		return nil, fmt.Errorf("%w (catalog says %d)", ErrStoreFormat, cf.Format)
 	}
+	if err := cf.check(); err != nil {
+		return nil, fmt.Errorf("ordbms: corrupt catalog: %w", err)
+	}
 	return &cf, nil
+}
+
+// check refuses page lists and heap metadata no checkpoint writes: the
+// reserved page 0, a page listed twice, in one table or two, a negative
+// row count, or a free-space map that is out of page order, names a page
+// its table does not own or gives a page no room or more than a page.
+func (cf *catalogFile) check() error {
+	owner := make(map[uint32]int) // page → 1 + the index of the table listing it
+	for i, ct := range cf.Tables {
+		for _, p := range ct.Pages {
+			if p == 0 || owner[p] != 0 {
+				return fmt.Errorf("table %s: page %d is the reserved page or listed twice", ct.Name, p)
+			}
+			owner[p] = i + 1
+		}
+		if ct.Rows < 0 {
+			return fmt.Errorf("table %s: %d rows", ct.Name, ct.Rows)
+		}
+		for k, pf := range ct.Free {
+			switch {
+			case k > 0 && pf[0] <= ct.Free[k-1][0]:
+				return fmt.Errorf("table %s: free-space map out of page order at page %d", ct.Name, pf[0])
+			case owner[pf[0]] != i+1:
+				return fmt.Errorf("table %s: free-space map names page %d, not the table's", ct.Name, pf[0])
+			case pf[1] == 0 || pf[1] > PageSize:
+				return fmt.Errorf("table %s: free-space map gives page %d %d free bytes", ct.Name, pf[0], pf[1])
+			}
+		}
+	}
+	return nil
 }
 
 // loadCatalog rebuilds the table set from the catalog readCatalog
 // returned, during Open, before the DB is shared with any other goroutine.
-// It returns the secondary indexes the derived snapshot did not load: Open
-// builds them once the log has given every table its symbol table.
+// A heap takes its row count and free-space map from the catalog when
+// trusted says the log added nothing to the checkpoint that wrote it, and
+// nothing was adopted for the table since; otherwise it scans its pages.
+// It returns every index the catalog names: Open builds them once the
+// log has given every table its symbol table.
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
-func (db *DB) loadCatalog(cf *catalogFile) (builds []indexBuild, err error) {
+// netmarkvet:snap-decode
+func (db *DB) loadCatalog(cf *catalogFile, trusted bool) (builds []indexBuild, err error) {
 	if cf == nil {
 		return nil, nil // fresh store
 	}
 	db.catalogGen = cf.Generation
-	// A valid derived snapshot replaces the per-table heap scans (row
-	// count, free-space map, secondary index rebuilds) with direct loads.
-	der := db.loadDerivedSnapshot()
 	for _, ct := range cf.Tables {
 		cols := make([]Column, len(ct.Columns))
 		for i, c := range ct.Columns {
@@ -184,17 +235,10 @@ func (db *DB) loadCatalog(cf *catalogFile) (builds []indexBuild, err error) {
 				db.allocsGrew = true
 			}
 		}
-		if der != nil && !grew {
-			if t, ok := der.openTable(db, ct, schema); ok {
-				t.heap.tag = ct.Name
-				t.syms.Store(syms)
-				db.tables[ct.Name] = t
-				db.DerivedLoads++
-				continue
-			}
-		}
-		heap, err := OpenHeapFile(db.pool, db.wal, ct.Pages)
-		if err != nil {
+		var heap *HeapFile
+		if trusted && !grew {
+			heap = openHeapFileWithMeta(db.pool, db.wal, ct.Pages, ct.Rows, ct.Free)
+		} else if heap, err = OpenHeapFile(db.pool, db.wal, ct.Pages); err != nil {
 			return nil, err
 		}
 		heap.tag = ct.Name

@@ -25,11 +25,6 @@ type Options struct {
 	// SyncOnCommit forces an fsync of the WAL on every Commit call.
 	// Defaults to true for durable stores.
 	NoSyncOnCommit bool
-	// NoDerivedSnapshot disables writing and loading the engine's derived
-	// snapshot (heap metadata + secondary index contents), forcing the
-	// full-scan rebuild on every open — the ablation knob for measuring
-	// what the snapshot buys.
-	NoDerivedSnapshot bool
 	// FS routes every file operation the store performs (data file, WAL,
 	// catalog, snapshots).  Nil means the real filesystem; fault-injection
 	// tests pass a vfs.FaultFS.
@@ -76,17 +71,12 @@ type DB struct {
 	// beyond what the catalog recorded.
 	allocsGrew bool
 	// walEndAtOpen is the WAL's end LSN captured right after recovery —
-	// the stamp persisted derived snapshots must carry to be current.
+	// the stamp a store-level snapshot must carry to be current.
 	walEndAtOpen uint64
 
 	// Replayed reports how many WAL records crash recovery applied when
 	// the store was opened (0 for clean shutdowns and fresh stores).
 	Replayed int
-
-	// DerivedLoads reports how many tables were opened from the derived
-	// snapshot instead of a heap scan (0 when the snapshot was missing,
-	// stale, corrupt, or disabled).
-	DerivedLoads int
 
 	// stringsRaw and stringsStored sum, over every row inserted since
 	// open, the bytes of its STRING values and the bytes their payloads
@@ -265,7 +255,10 @@ func Open(opts Options) (*DB, error) {
 	db.Replayed = replayed
 	db.walAllocs = allocs
 	db.walEndAtOpen = wal.SyncedLSN()
-	builds, err := db.loadCatalog(cat)
+	// The catalog's heap metadata describes the pages only if nothing
+	// happened after the checkpoint that wrote it: no record in the log,
+	// none replayed and no torn tail.
+	builds, err := db.loadCatalog(cat, replayed == 0 && !torn && db.walEndAtOpen == wal.BaseLSN())
 	if err != nil {
 		return nil, fail(err)
 	}
@@ -294,8 +287,8 @@ func Open(opts Options) (*DB, error) {
 		// Re-establish the checkpoint invariants recovery consumed: the
 		// catalog must record every page the replayed records adopted
 		// before those records can be dropped, so run the full sequence
-		// (derived snapshot, catalog, WAL truncation) rather than bare
-		// WAL surgery.  A torn tail forces this too — new records
+		// (snapshot hooks, catalog, WAL truncation) rather than bare WAL
+		// surgery.  A torn tail forces this too — new records
 		// appended after surviving garbage would be unreachable by the
 		// next replay, so the garbage must be truncated away before any
 		// append happens.
@@ -559,7 +552,7 @@ func (db *DB) WALBaseLSN() uint64 {
 }
 
 // WALEndLSN returns the log's end LSN as captured at open, before any
-// new activity.  A derived snapshot is current exactly when it is
+// new activity.  A store-level snapshot is current exactly when it is
 // stamped with this LSN and recovery replayed nothing: every logged
 // record was already reflected in the flushed heap the snapshot
 // serialised, and nothing was logged since.
@@ -575,8 +568,8 @@ func (db *DB) Dir() string { return db.dir }
 
 // SetCheckpointFault installs a test-only crash injector: fn is invoked
 // at each named step of the checkpoint sequence ("snapshot-temp",
-// "snapshot-rename", "derived-temp", "derived-rename", "catalog-temp",
-// "catalog-rename", "wal-temp", "wal-rename") and a returned error
+// "snapshot-rename", "catalog-temp", "catalog-rename", "wal-temp",
+// "wal-rename") and a returned error
 // aborts the checkpoint at that point, leaving the files exactly as a
 // crash there would.  Never set in production.
 func (db *DB) SetCheckpointFault(fn func(step string) error) {
@@ -585,13 +578,14 @@ func (db *DB) SetCheckpointFault(fn func(step string) error) {
 	db.mu.Unlock()
 }
 
-// Checkpoint flushes all pages, persists derived snapshots and the
-// catalog, and truncates the WAL.  After a clean checkpoint, reopening
-// replays nothing and loads derived state directly.
+// Checkpoint flushes all pages, runs the snapshot hooks, persists the
+// catalog with each heap's metadata, and truncates the WAL.  After a
+// clean checkpoint, reopening replays nothing and takes the heap
+// metadata from the catalog.
 //
 // The sequence is crash-safe at every step: the catalog and the WAL
 // successor are written temp-file-first with fsyncs and committed by
-// rename, and every derived snapshot is stamped with the catalog
+// rename, and every hook's snapshot is stamped with the catalog
 // generation and checkpoint LSN so a reopen after a mid-sequence crash
 // either sees matching stamps (state is current) or falls back to the
 // WAL replay + full-scan rebuild path.
@@ -636,11 +630,6 @@ func (db *DB) checkpoint() error {
 		info := CheckpointInfo{Dir: db.dir, CatalogGen: gen, LSN: cut, FS: db.fs, Fault: db.ckptFault}
 		for _, hook := range db.preCkpt {
 			if err := hook(info); err != nil {
-				return err
-			}
-		}
-		if !db.opts.NoDerivedSnapshot {
-			if err := db.saveDerivedLocked(info); err != nil {
 				return err
 			}
 		}
@@ -691,12 +680,12 @@ type Table struct {
 	// mu is the table-level lock.  netmarkvet:lockorder 20
 	mu     sync.RWMutex
 	schema Schema
-	// heap's row/free meta rides in the derived snapshot; dropping it
-	// from either codec path silently degrades reopen to a full scan.
-	// netmarkvet:snap
+	// heap's pages, row count and free-space map ride in the catalog;
+	// dropping them from either side silently degrades reopen to a full
+	// scan.  netmarkvet:snap
 	heap *HeapFile
 	// indexes is mutated by CreateIndex while queries resolve index
-	// names.  Guarded by mu.  netmarkvet:snap
+	// names.  Guarded by mu.
 	indexes map[string]*Index
 	// syms is the table's symbol table: nil until the table trains it,
 	// then set once, under mu, and never changed.  Schema reads it.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -262,15 +264,13 @@ func TestConcurrentTablesIndependent(t *testing.T) {
 }
 
 // TestCheckpointCrashMatrix simulates a crash at every step of the
-// checkpoint sequence — derived-snapshot write, catalog write, WAL
-// truncation — and proves each aborted state recovers to the exact
+// checkpoint sequence — catalog write, WAL truncation — and proves each aborted state recovers to the exact
 // pre-crash contents, and that LSNs handed out after recovery never lag
 // already-flushed page LSNs (the old truncate-before-header-rewrite bug:
 // an empty log carrying the stale base made recovery skip the next
 // session's records).
 func TestCheckpointCrashMatrix(t *testing.T) {
 	steps := []string{
-		"derived-temp", "derived-rename",
 		"catalog-temp", "catalog-rename",
 		"wal-temp", "wal-rename",
 	}
@@ -416,9 +416,11 @@ func TestCheckpointKeepsConcurrentTail(t *testing.T) {
 	}
 }
 
-// TestDerivedSnapshotReopen proves a clean close/reopen loads heap
-// metadata and secondary indexes from the derived snapshot (no scans)
-// and that the loaded state behaves identically to a scan rebuild.
+// TestDerivedSnapshotReopen proves a clean close/reopen takes each
+// heap's row count and free-space map from the catalog, reading no page
+// of a table without indexes, rebuilds the secondary indexes by scan,
+// and behaves exactly as a scan rebuild does; and that a write after the
+// checkpoint sends the next open back to the scan, with the right counts.
 func TestDerivedSnapshotReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})
@@ -428,6 +430,7 @@ func TestDerivedSnapshotReopen(t *testing.T) {
 	tbl, _ := db.CreateTable("t", MustSchema(Column{"v", TypeInt}, Column{"s", TypeString}))
 	tbl.CreateIndex("v")
 	tbl.CreateIndex("s")
+	plain, _ := db.CreateTable("u", MustSchema(Column{"x", TypeString}))
 	var deleted RowID
 	for i := 0; i < 200; i++ {
 		rid, err := tbl.Insert(Row{I(int64(i)), S(fmt.Sprintf("row-%03d", i))})
@@ -437,6 +440,9 @@ func TestDerivedSnapshotReopen(t *testing.T) {
 		if i == 77 {
 			deleted = rid
 		}
+		if _, err := plain.Insert(Row{S(fmt.Sprintf("plain %d %s", i, strings.Repeat("x", i%90)))}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := tbl.Delete(deleted); err != nil {
 		t.Fatal(err)
@@ -445,14 +451,22 @@ func TestDerivedSnapshotReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(db *DB, wantDerived int) {
+	check := func(db *DB, rows int64) {
 		t.Helper()
-		if db.DerivedLoads != wantDerived {
-			t.Fatalf("DerivedLoads = %d, want %d", db.DerivedLoads, wantDerived)
-		}
 		tbl := db.Table("t")
-		if tbl.Rows() != 199 {
-			t.Fatalf("rows = %d", tbl.Rows())
+		if tbl.Rows() != rows || db.Table("u").Rows() != 200 {
+			t.Fatalf("rows = %d and %d, want %d and 200", tbl.Rows(), db.Table("u").Rows(), rows)
+		}
+		// The heap as opened agrees with a scan of its pages.
+		for _, name := range []string{"t", "u"} {
+			pages, rows, free := db.Table(name).heap.meta()
+			srows, sfree, err := ScanMeta(db.pool, pages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if srows != rows || !reflect.DeepEqual(sfree, free) {
+				t.Fatalf("%s opened with %d rows, free %v; a scan finds %d, %v", name, rows, free, srows, sfree)
+			}
 		}
 		if rids, _ := tbl.Lookup("v", I(77)); len(rids) != 0 {
 			t.Fatal("deleted row resurfaced in index")
@@ -465,10 +479,10 @@ func TestDerivedSnapshotReopen(t *testing.T) {
 		}
 		// The free-space map must still be usable: inserting lands rows
 		// without corrupting pages.
-		if _, err := tbl.Insert(Row{I(1000), S("post-reopen")}); err != nil {
+		if _, err := tbl.Insert(Row{I(1000 + rows), S("post-reopen")}); err != nil {
 			t.Fatal(err)
 		}
-		if rids, _ := tbl.Lookup("v", I(1000)); len(rids) != 1 {
+		if rids, _ := tbl.Lookup("v", I(1000+rows)); len(rids) != 1 {
 			t.Fatal("post-reopen insert not indexed")
 		}
 	}
@@ -477,16 +491,24 @@ func TestDerivedSnapshotReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(db2, 1)
-	db2.CloseDiscard()
+	// Only the indexed table's pages were read, to build its indexes.
+	if _, misses, _ := db2.Pool().Stats(); misses != uint64(len(db2.Table("t").heap.Pages())) {
+		t.Fatalf("a clean reopen missed %d pages, want the %d of the indexed table", misses, len(db2.Table("t").heap.Pages()))
+	}
+	check(db2, 199)
+	if err := db2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db2.CloseDiscard() // a crash with the insert in the log
 
-	// Ablation: the same on-disk state opened with snapshots disabled
-	// must scan-rebuild to identical answers.
-	db3, err := Open(Options{Dir: dir, NoDerivedSnapshot: true})
+	db3, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(db3, 0)
+	if _, misses, _ := db3.Pool().Stats(); misses < uint64(len(db3.Table("t").heap.Pages())+len(db3.Table("u").heap.Pages())) {
+		t.Fatalf("a reopen with a logged insert missed only %d pages: it did not scan", misses)
+	}
+	check(db3, 200)
 	db3.CloseDiscard()
 }
 
@@ -705,8 +727,6 @@ func TestCheckpointENOSPCMatrix(t *testing.T) {
 		name string
 		rule vfs.Rule
 	}{
-		{"derived-temp", vfs.Rule{Op: vfs.OpWrite, Path: "derived.nmds.tmp", Err: syscall.ENOSPC}},
-		{"derived-rename", vfs.Rule{Op: vfs.OpRename, Path: "derived.nmds", Err: syscall.ENOSPC}},
 		{"catalog-temp", vfs.Rule{Op: vfs.OpWrite, Path: "catalog.json.tmp", Err: syscall.ENOSPC}},
 		{"catalog-rename", vfs.Rule{Op: vfs.OpRename, Path: "catalog.json", Err: syscall.ENOSPC}},
 		{"wal-temp", vfs.Rule{Op: vfs.OpWrite, Path: "wal.nmlog.ckpt", Err: syscall.ENOSPC}},

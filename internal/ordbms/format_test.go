@@ -2,6 +2,7 @@ package ordbms
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -13,7 +14,7 @@ import (
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 to NMWALv10 — is refused by name, and refusing it
+// NMWALv1 to NMWALv11 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
@@ -38,6 +39,13 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	v10Log = binary.LittleEndian.AppendUint32(v10Log, uint32(len(v10Run)))
 	v10Log = binary.LittleEndian.AppendUint32(v10Log, crc32.ChecksumIEEE(v10Run))
 	v10Log = append(v10Log, v10Run...)
+	// Format 11 has this version's codec, tables, pages and log records;
+	// only its catalog keeps no heap metadata, which sat in a second file.
+	// Its log holds a committed run, so opening it would replay.
+	v11Log := append([]byte("NMWALv11"), make([]byte, 8)...)
+	v11Log = binary.LittleEndian.AppendUint32(v11Log, uint32(len(v10Run)))
+	v11Log = binary.LittleEndian.AppendUint32(v11Log, crc32.ChecksumIEEE(v10Run))
+	v11Log = append(v11Log, v10Run...)
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	// Format 3 has this version's columns; only its links are all far.
@@ -61,6 +69,7 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	// elements keep a lone text child, and its roots repeat DOC.title.
 	v9Catalog := []byte(`{"format":9,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	v10Catalog := []byte(`{"format":10,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
+	v11Catalog := []byte(`{"format":11,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format":  {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":             {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -92,6 +101,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 10 catalog":       {"catalog.json": v10Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv10 log":            {"wal.nmlog": v10Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v10 catalog and v10 log": {"catalog.json": v10Catalog, "wal.nmlog": v10Log},
+		"format 11 catalog":       {"catalog.json": v11Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv11 log":            {"wal.nmlog": v11Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v11 catalog and v11 log": {"catalog.json": v11Catalog, "wal.nmlog": v11Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -111,8 +123,8 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 			}
 			// A log with no catalog is refused by the whole magic this
 			// version wants.
-			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv11"`) {
-				t.Fatalf("Open = %v, want it to name NMWALv11", err)
+			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv12"`) {
+				t.Fatalf("Open = %v, want it to name NMWALv12", err)
 			}
 			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
 				t.Fatalf("refusing the store changed it:\nbefore %v\nafter  %v", before, after)
@@ -145,7 +157,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":11,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":12,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})
@@ -157,4 +169,95 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil || row[1].RowID() != (RowID{Page: 0, Slot: 1}) || db2.Table("t").Schema().Columns[1].Type != TypeRowID {
 		t.Fatalf("first row after reopen = %v, %v", row, err)
 	}
+}
+
+// A catalog whose page lists or heap metadata no checkpoint could have
+// written is refused as corrupt before anything is written: in
+// particular a free-space map naming another table's page, which an
+// insert would otherwise write into.
+func TestOpenRefusesBadHeapMeta(t *testing.T) {
+	src := t.TempDir()
+	db, err := Open(Options{Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		tbl, err := db.CreateTable(name, MustSchema(Column{"s", TypeString}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // three rows of 3000 bytes: two pages, both with room
+			if _, err := tbl.Insert(Row{S(strings.Repeat(name, 3000))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(src, catalogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf catalogFile
+	if err := json.Unmarshal(good, &cf); err != nil {
+		t.Fatal(err)
+	}
+	a, b := &cf.Tables[0], &cf.Tables[1]
+	if a.Name != "a" || len(a.Pages) != 2 || len(a.Free) != 2 || a.Rows != 3 || len(b.Free) != 2 {
+		t.Fatalf("catalog tables %+v", cf.Tables)
+	}
+	for name, edit := range map[string]func(a, b *catalogTable){
+		"another table's page": func(a, b *catalogTable) { a.Free = [][2]uint32{{b.Pages[0], 100}} },
+		"pages out of order":   func(a, b *catalogTable) { a.Free = [][2]uint32{{a.Pages[1], 100}, {a.Pages[0], 100}} },
+		"a page twice":         func(a, b *catalogTable) { a.Free = [][2]uint32{{a.Pages[0], 100}, {a.Pages[0], 100}} },
+		"no free bytes":        func(a, b *catalogTable) { a.Free[0][1] = 0 },
+		"more than a page":     func(a, b *catalogTable) { a.Free[0][1] = PageSize + 1 },
+		"negative rows":        func(a, b *catalogTable) { a.Rows = -1 },
+		"a page in two tables": func(a, b *catalogTable) { a.Pages = append(a.Pages, b.Pages[0]) },
+		"a page listed twice":  func(a, b *catalogTable) { a.Pages = append(a.Pages, a.Pages[0]) },
+		"the reserved page":    func(a, b *catalogTable) { a.Pages = append(a.Pages, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := cf
+			bad.Tables = []catalogTable{*a, *b}
+			bad.Tables[0].Pages = append([]uint32(nil), a.Pages...)
+			bad.Tables[0].Free = append([][2]uint32(nil), a.Free...)
+			edit(&bad.Tables[0], &bad.Tables[1])
+			cat, err := json.Marshal(&bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for _, file := range []string{"data.nmdb", "wal.nmlog"} {
+				data, err := os.ReadFile(filepath.Join(src, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, catalogName), cat, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirDigest(t, dir)
+			db, err := Open(Options{Dir: dir})
+			if err == nil || !strings.Contains(err.Error(), "corrupt catalog") {
+				if err == nil {
+					db.CloseDiscard()
+				}
+				t.Fatalf("Open = %v, want a corrupt catalog", err)
+			}
+			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refusing the catalog changed the store:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+	// The catalog as written opens.
+	db, err = Open(Options{Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.CloseDiscard()
 }

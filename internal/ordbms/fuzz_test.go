@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -388,6 +389,90 @@ func FuzzSymbolCodec(f *testing.F) {
 		}
 		for _, s := range append(sample, string(table), string(in)) {
 			codeAndBack(t, parsed, s)
+		}
+	})
+}
+
+// FuzzOpenCatalog opens arbitrary catalog bytes beside the data file and
+// log of a small cleanly closed store: two tables, one with an index on a
+// coded string column, some pages full and some deleted from.  Open
+// returns a store or an error, never panics, and allocates no more than
+// FuzzApplySnapshot allows a payload: 256 KiB plus 256 bytes an input
+// byte.
+func FuzzOpenCatalog(f *testing.F) {
+	src := f.TempDir()
+	db, err := Open(Options{Dir: src})
+	if err != nil {
+		f.Fatal(err)
+	}
+	a, err := db.CreateTable("a", MustSchema(Column{"n", TypeInt}, Column{"s", TypeString}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := a.CreateIndex("s"); err != nil {
+		f.Fatal(err)
+	}
+	b, err := db.CreateTable("b", MustSchema(Column{"at", TypeRowID}, Column{"x", TypeBytes}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	texts := prose(5, 400)
+	for i, text := range texts {
+		rid, err := a.Insert(Row{I(int64(i)), S(text)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if i%50 == 0 {
+			if _, err := b.Insert(Row{R(rid), B(bytes.Repeat([]byte{byte(i)}, 2000))}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := db.Commit(); err != nil { // trains a's symbol table on the way
+			f.Fatal(err)
+		}
+		if i%7 == 3 {
+			if err := a.Delete(rid); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		f.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, name := range []string{"data.nmdb", "wal.nmlog", catalogName} {
+		if files[name], err = os.ReadFile(filepath.Join(src, name)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	good := files[catalogName]
+	delete(files, catalogName)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{"format":12,"generation":1,"tables":[{"name":"a","columns":[{"name":"s","type":3}],"pages":[1,1,1],"indexes":["s"]}]}`))
+	f.Add([]byte(`{"format":12,"generation":1,"tables":[{"name":"a","columns":[{"name":"s","type":200}],"pages":[1],"indexes":["s"],"rows":5,"free":[[1,9]]}]}`))
+	f.Add([]byte(`{"format":12,"tables":[{"name":"a","pages":[4000000000],"rows":1,"free":[[4000000000,8192]]}]}`))
+	f.Fuzz(func(t *testing.T, cat []byte) {
+		dir := t.TempDir()
+		for name, data := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, catalogName), cat, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		db, err := Open(Options{Dir: dir, PoolPages: 16})
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<18+256*uint64(len(cat)) {
+			t.Fatalf("a %d-byte catalog allocated %d bytes", len(cat), grew)
+		}
+		if err == nil {
+			db.CloseDiscard()
+		} else if bytes.Equal(cat, good) {
+			t.Fatalf("the store's own catalog: %v", err)
 		}
 	})
 }

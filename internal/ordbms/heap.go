@@ -11,8 +11,9 @@ import (
 // Each table owns one heap file.  Records larger than MaxRecordSize are
 // rejected (the XML store keeps node payloads well under a page).
 //
-// The heap keeps an in-memory free-space map so inserts do not scan; the
-// map is rebuilt when a store is reopened.
+// The heap keeps an in-memory free-space map so inserts do not scan; a
+// checkpoint saves it in the catalog with the live-row count, and a
+// reopen that cannot trust those rebuilds both by scanning the pages.
 type HeapFile struct {
 	// mu orders page-list growth and the free-space map.
 	// netmarkvet:lockorder 30
@@ -66,26 +67,32 @@ func OpenHeapFile(pool *BufferPool, wal *WAL, pages []uint32) (*HeapFile, error)
 	return h, nil
 }
 
-// openHeapFileWithMeta reattaches a heap using checkpointed metadata —
-// row count and free-space map (ascending, as meta returns it) from the
-// derived snapshot — instead of fetching and scanning every page.  Only
-// valid when the snapshot's stamps prove the heap is byte-identical to
-// checkpoint time (see loadDerivedSnapshot); it is what makes reopening
-// O(1) in corpus size.
-func openHeapFileWithMeta(pool *BufferPool, wal *WAL, pages []uint32, rows int64, hints []pageFree) *HeapFile {
-	return &HeapFile{pool: pool, wal: wal, pages: append([]uint32(nil), pages...), rows: rows, hints: hints}
+// openHeapFileWithMeta reattaches a heap using the row count and
+// free-space map the catalog holds, as meta gave them to it, instead of
+// fetching and scanning every page.  Only valid when the heap is
+// byte-identical to the checkpoint that wrote them (see loadCatalog); it
+// is what keeps a clean reopen from reading the heap.
+func openHeapFileWithMeta(pool *BufferPool, wal *WAL, pages []uint32, rows int64, free [][2]uint32) *HeapFile {
+	h := &HeapFile{pool: pool, wal: wal, pages: append([]uint32(nil), pages...), rows: rows}
+	for _, pf := range free {
+		h.hints = append(h.hints, pageFree{pf[0], int32(pf[1])})
+	}
+	return h
 }
 
-// meta snapshots the heap's derived metadata (live row count and
-// free-space map, in ascending page order) for the checkpoint's derived
-// snapshot.
-func (h *HeapFile) meta() (rows int64, hints []pageFree) {
+// meta snapshots the heap for the catalog: its page list, live row count
+// and free-space map, as [page, free bytes] in ascending page order.
+func (h *HeapFile) meta() (pages []uint32, rows int64, free [][2]uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.rows, slices.Clone(h.hints)
+	free = make([][2]uint32, len(h.hints))
+	for i, pf := range h.hints {
+		free[i] = [2]uint32{pf.page, uint32(pf.free)}
+	}
+	return slices.Clone(h.pages), h.rows, free
 }
 
-// Pages returns the page numbers owned by this heap (for the catalog).
+// Pages returns the page numbers owned by this heap.
 func (h *HeapFile) Pages() []uint32 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -165,7 +165,7 @@ func TestInsertRunLargerThanPoolFailsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, free0 := h.meta()
+	_, _, free0 := h.meta()
 	run := make([][]byte, 200)
 	for i := range run {
 		run[i] = bytes.Repeat([]byte{byte(i)}, 1000)
@@ -187,7 +187,7 @@ func TestInsertRunLargerThanPoolFailsClean(t *testing.T) {
 	if scanned != 1 {
 		t.Fatalf("scan finds %d rows, want 1", scanned)
 	}
-	if _, free := h.meta(); free[0] != free0[0] || free[0].page != first.Page {
+	if _, _, free := h.meta(); free[0] != free0[0] || free[0][0] != first.Page {
 		t.Fatalf("free-space map %v after the refused run, %v before", free, free0)
 	}
 	// Nothing stays pinned, and the pages the run adopted are reused.

@@ -111,7 +111,7 @@ const (
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
 // walMagic names the log's format; the digits are storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', '1'}
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', '2'}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.

@@ -273,12 +273,11 @@ type Stats struct {
 	// checkpoint snapshots are faring: loaded=true means reopen skipped
 	// the full-corpus scan; fallback names why it could not.
 	Snapshot struct {
-		Enabled       bool   `json:"enabled"`
-		Loaded        bool   `json:"loaded"`
-		Fallback      string `json:"fallback,omitempty"`
-		Saves         uint64 `json:"saves"`
-		SaveErrors    uint64 `json:"save_errors"`
-		DerivedTables int    `json:"derived_tables"`
+		Enabled    bool   `json:"enabled"`
+		Loaded     bool   `json:"loaded"`
+		Fallback   string `json:"fallback,omitempty"`
+		Saves      uint64 `json:"saves"`
+		SaveErrors uint64 `json:"save_errors"`
 	} `json:"snapshot"`
 
 	Pool struct {
@@ -349,7 +348,6 @@ func (s *Server) Snapshot() Stats {
 	st.Snapshot.Fallback = ss.Fallback
 	st.Snapshot.Saves = ss.Saves
 	st.Snapshot.SaveErrors = ss.SaveErrors
-	st.Snapshot.DerivedTables = store.DB().DerivedLoads
 	if cs, ok := s.engine.CacheStats(); ok {
 		st.Cache.Enabled = true
 		st.Cache.Hits = cs.Hits

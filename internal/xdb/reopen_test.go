@@ -14,7 +14,7 @@ import (
 // context, content, combined, limit, document-scope and XPath plans, and
 // the sections of a document with no headings — renders byte-for-byte
 // identical responses whether the store was just built, reopened via the
-// derived snapshot, or reopened via the forced full-scan fallback.  This is the HTTP-visible version of the xmlstore-level
+// checkpoint snapshot, or reopened via the forced full-scan fallback.  This is the HTTP-visible version of the xmlstore-level
 // reopen-equivalence test: what a client sees cannot depend on how the
 // middleware restarted.
 func TestReopenEquivalenceThroughEngine(t *testing.T) {
@@ -86,7 +86,7 @@ func TestReopenEquivalenceThroughEngine(t *testing.T) {
 	}
 
 	open := func(disable bool) (*ordbms.DB, *xmlstore.Store) {
-		db, err := ordbms.Open(ordbms.Options{Dir: dir, NoDerivedSnapshot: disable})
+		db, err := ordbms.Open(ordbms.Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

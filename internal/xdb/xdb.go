@@ -16,9 +16,11 @@ package xdb
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -503,9 +505,10 @@ func (e *Engine) executeUncached(q Query) (*Result, error) {
 
 // executeXPath evaluates an XPath-lite expression against matching
 // documents — the paper's "full-fledged XML querying ... over any
-// information repository".  Content/context predicates prefilter the
-// candidate documents through the indexes; a bare xpath= scans all of
-// them.  Each selected node becomes a result section whose content is
+// information repository".  Context, content and phrase predicates pick
+// the candidate documents: those with a section that satisfies them all,
+// as the same query without xpath= would return it.  A bare xpath= scans
+// every document.  Each selected node becomes a result section whose content is
 // the node's serialised XML (elements) or text.
 func (e *Engine) executeXPath(q Query) ([]xmlstore.Section, error) {
 	path, err := xslt.CompilePath(q.XPath)
@@ -513,34 +516,20 @@ func (e *Engine) executeXPath(q Query) ([]xmlstore.Section, error) {
 		return nil, err
 	}
 	var docs []*xmlstore.DocInfo
-	switch {
-	case q.Content != "":
-		docs, err = e.store.ContentSearchDocsN(q.Content, 0)
-	case q.Context != "":
-		var secs []xmlstore.Section
-		if q.ContextPrefix {
-			secs, err = e.store.ContextPrefixSearchN(q.Context, 0)
-		} else {
-			secs, err = e.store.ContextSearchN(q.Context, 0)
-		}
-		if err == nil {
-			seen := map[uint64]bool{}
-			for _, s := range secs {
-				if !seen[s.DocID] {
-					seen[s.DocID] = true
-					info, derr := e.store.Document(s.DocID)
-					if derr != nil {
-						if xmlstore.IsGone(derr) {
-							continue // deleted since the section matched
-						}
-						return nil, derr
-					}
-					docs = append(docs, info)
-				}
-			}
-		}
-	default:
+	if q.Content == "" && q.Context == "" {
 		docs, err = e.store.Documents()
+	} else {
+		// The candidates are the documents of the sections every
+		// predicate selects, in DocID order.
+		err = e.store.Sections(xmlstore.SectionQuery{
+			Context: q.Context, ContextPrefix: q.ContextPrefix,
+			Content: q.Content, Phrase: q.Phrase,
+		}, func(sec xmlstore.Section) bool {
+			docs = append(docs, &xmlstore.DocInfo{DocID: sec.DocID, FileName: sec.DocName, Title: sec.DocTitle})
+			return true
+		})
+		slices.SortFunc(docs, func(a, b *xmlstore.DocInfo) int { return cmp.Compare(a.DocID, b.DocID) })
+		docs = slices.CompactFunc(docs, func(a, b *xmlstore.DocInfo) bool { return a.DocID == b.DocID })
 	}
 	if err != nil {
 		return nil, err

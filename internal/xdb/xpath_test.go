@@ -99,3 +99,34 @@ func TestXPathEncodeRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v vs %+v", got, q)
 	}
 }
+
+// The candidates of an XPath query are the documents with a section that
+// satisfies every predicate: a word outside the named heading does not
+// make its document one.
+func TestXPathPrefilteredByContextAndContent(t *testing.T) {
+	e := engine(t)
+	load(t, e, "a.html", `<html><body><h1>Budget</h1><p>alpha</p><h1>Schedule</h1><p>leak found</p></body></html>`)
+	load(t, e, "b.html", `<html><body><h1>Budget</h1><p>leak reserve</p></body></html>`)
+	r, err := e.ExecuteString("context=Budget&content=leak&xpath=//p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 1 || r.Sections[0].DocName != "b.html" || !strings.Contains(r.Sections[0].Content, "leak reserve") {
+		t.Fatalf("results = %v", r.Sections)
+	}
+}
+
+// A quoted phrase picks only the documents where its words stand
+// together, not every document holding them all.
+func TestXPathPrefilteredByPhrase(t *testing.T) {
+	e := engine(t)
+	load(t, e, "one.xml", `<report><finding>valve leak</finding></report>`)
+	load(t, e, "two.xml", `<report><finding>leak at the valve</finding></report>`)
+	r, err := e.ExecuteString("content=%22valve+leak%22&xpath=//finding")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 1 || r.Sections[0].DocName != "one.xml" {
+		t.Fatalf("results = %v", r.Sections)
+	}
+}

@@ -269,7 +269,7 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 		for i, kept := range []int64{doc.NNodes, 0} {
 			cut := cuts[i]
 			dir := t.TempDir()
-			for _, f := range []string{"data.nmdb", "catalog.json", "derived.nmds", "xmlstore.nmsnap"} {
+			for _, f := range []string{"data.nmdb", "catalog.json", "xmlstore.nmsnap"} {
 				b, err := os.ReadFile(filepath.Join(src, f))
 				if err != nil {
 					t.Fatal(err)

@@ -2,12 +2,14 @@ package xmlstore
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netmark/internal/corpus"
@@ -17,7 +19,7 @@ import (
 // openDir opens a persistent store, failing the test on error.
 func openDir(t *testing.T, dir string, opts OpenOptions) (*ordbms.DB, *Store) {
 	t.Helper()
-	db, err := ordbms.Open(ordbms.Options{Dir: dir, NoDerivedSnapshot: opts.DisableSnapshot})
+	db, err := ordbms.Open(ordbms.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,6 +28,31 @@ func openDir(t *testing.T, dir string, opts OpenOptions) (*ordbms.DB, *Store) {
 		t.Fatal(err)
 	}
 	return db, s
+}
+
+// catalogPages counts the pages the catalog in dir lists for tables.
+func catalogPages(t *testing.T, dir string, tables ...string) int {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cat struct {
+		Tables []struct {
+			Name  string
+			Pages []uint32
+		}
+	}
+	if err := json.Unmarshal(b, &cat); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ct := range cat.Tables {
+		if slices.Contains(tables, ct.Name) {
+			n += len(ct.Pages)
+		}
+	}
+	return n
 }
 
 // snapshotQueryPlans is the query battery the reopen-equivalence tests
@@ -104,8 +131,11 @@ func TestSnapshotReopenEquivalence(t *testing.T) {
 	if st := s2.SnapshotStats(); !st.Enabled || !st.Loaded {
 		t.Fatalf("snapshot not loaded: %+v", st)
 	}
-	if db2.DerivedLoads == 0 {
-		t.Fatal("engine derived snapshot not loaded")
+	// The heaps took their metadata from the catalog: the open read the
+	// DOC pages to build DOC's indexes, and the TAG pages to load the tag
+	// dictionary, but no XML page.
+	if _, misses, _ := db2.Pool().Stats(); misses > uint64(catalogPages(t, dir, "DOC", "TAG")) {
+		t.Fatalf("a clean reopen missed %d pages, more than DOC's and TAG's %d", misses, catalogPages(t, dir, "DOC", "TAG"))
 	}
 	diffPlans(t, "snapshot reopen", runPlans(t, s2), want)
 	db2.CloseDiscard()
@@ -192,8 +222,8 @@ func TestSnapshotStaleAfterCrash(t *testing.T) {
 }
 
 // TestSnapshotCheckpointCrashMatrix simulates a crash at every step of
-// the full checkpoint sequence — store snapshot write, engine derived
-// write, catalog write, WAL truncation — and proves each aborted state
+// the full checkpoint sequence — store snapshot write, catalog write, WAL
+// truncation — and proves each aborted state
 // reopens to the exact pre-crash answers, via the snapshot when its
 // stamps prove it current and via the scan fallback otherwise.
 func TestSnapshotCheckpointCrashMatrix(t *testing.T) {
@@ -210,8 +240,6 @@ func TestSnapshotCheckpointCrashMatrix(t *testing.T) {
 	}{
 		{"snapshot-temp", false}, // previous snapshot, stale LSN stamp
 		{"snapshot-rename", true},
-		{"derived-temp", true},
-		{"derived-rename", true},
 		{"catalog-temp", true},
 		{"catalog-rename", true},
 		{"wal-temp", true},
