@@ -381,16 +381,13 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // ingest allocates per ingested byte and the allocations it makes per
 // stored node.  Its 200 documents are one batch and one commit, so no
 // table has trained a symbol table before every row is stored: the byte
-// figures are those of uncoded strings.
+// figures are those of uncoded strings.  "deep" is "durable" over eight
+// deep reports of some 2 500 nodes each, where the per-node costs of
+// preparing a document show and those of converting it do not.
 func BenchmarkIngestParallel(b *testing.B) {
 	gen := corpus.New(47)
 	docs := gen.Mixed(200)
-	batch := make([]netmark.Doc, len(docs))
-	var total int64
-	for i, d := range docs {
-		batch[i] = netmark.Doc{Name: d.Name, Data: d.Data}
-		total += int64(len(d.Data))
-	}
+	batch, total := ingestBatch(docs)
 	b.Run("sequential", func(b *testing.B) {
 		b.SetBytes(total)
 		b.ReportAllocs()
@@ -432,48 +429,65 @@ func BenchmarkIngestParallel(b *testing.B) {
 			}
 		})
 	}
-	b.Run("durable", func(b *testing.B) {
-		b.SetBytes(total)
-		b.ReportAllocs()
-		var appends, walBytes, allocBytes, allocs uint64
-		var heapBytes, rows int64
-		var m0, m1 runtime.MemStats
-		for i := 0; i < b.N; i++ {
-			nm, err := netmark.Open(netmark.Config{
-				Dir:             b.TempDir(),
-				IngestWorkers:   2,
-				IngestBatchSize: len(batch),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a0, _, w0 := nm.DB().WALStats() // the open logged the schema
-			runtime.ReadMemStats(&m0)
-			for _, r := range nm.IngestBatch(batch) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-			runtime.ReadMemStats(&m1)
-			allocBytes += m1.TotalAlloc - m0.TotalAlloc
-			allocs += m1.Mallocs - m0.Mallocs
-			rows += nm.Store().NumNodes()
-			a1, _, w1 := nm.DB().WALStats()
-			appends += a1 - a0
-			walBytes += w1 - w0
-			_, h := nm.DB().HeapStats()
-			heapBytes += h
-			if err := nm.Close(); err != nil {
-				b.Fatal(err)
+	b.Run("durable", func(b *testing.B) { benchDurableIngest(b, batch, total) })
+	deep, deepTotal := ingestBatch(gen.DeepReports(8, 6, 24, 16))
+	b.Run("deep", func(b *testing.B) { benchDurableIngest(b, deep, deepTotal) })
+}
+
+// ingestBatch is docs as one IngestBatch, and their bytes.
+func ingestBatch(docs []corpus.Document) (batch []netmark.Doc, total int64) {
+	batch = make([]netmark.Doc, len(docs))
+	for i, d := range docs {
+		batch[i] = netmark.Doc{Name: d.Name, Data: d.Data}
+		total += int64(len(d.Data))
+	}
+	return batch, total
+}
+
+// benchDurableIngest ingests batch, of total bytes, into a fresh
+// directory store per iteration, as one batch on two workers, and
+// reports what it cost (see BenchmarkIngestParallel).
+func benchDurableIngest(b *testing.B, batch []netmark.Doc, total int64) {
+	b.SetBytes(total)
+	b.ReportAllocs()
+	var appends, walBytes, allocBytes, allocs uint64
+	var heapBytes, rows int64
+	var m0, m1 runtime.MemStats
+	for i := 0; i < b.N; i++ {
+		nm, err := netmark.Open(netmark.Config{
+			Dir:             b.TempDir(),
+			IngestWorkers:   2,
+			IngestBatchSize: len(batch),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		a0, _, w0 := nm.DB().WALStats() // the open logged the schema
+		runtime.ReadMemStats(&m0)
+		for _, r := range nm.IngestBatch(batch) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
 			}
 		}
-		b.ReportMetric(float64(walBytes)/float64(total*int64(b.N)), "wal-B/user-B")
-		b.ReportMetric(float64(heapBytes)/float64(total*int64(b.N)), "heap-B/user-B")
-		b.ReportMetric(float64(appends)/float64(len(batch)*b.N), "wal-appends/doc")
-		b.ReportMetric(float64(rows)/float64(len(batch)*b.N), "rows/doc")
-		b.ReportMetric(float64(allocBytes)/float64(total*int64(b.N)), "alloc-B/user-B")
-		b.ReportMetric(float64(allocs)/float64(rows), "allocs/node")
-	})
+		runtime.ReadMemStats(&m1)
+		allocBytes += m1.TotalAlloc - m0.TotalAlloc
+		allocs += m1.Mallocs - m0.Mallocs
+		rows += nm.Store().NumNodes()
+		a1, _, w1 := nm.DB().WALStats()
+		appends += a1 - a0
+		walBytes += w1 - w0
+		_, h := nm.DB().HeapStats()
+		heapBytes += h
+		if err := nm.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(walBytes)/float64(total*int64(b.N)), "wal-B/user-B")
+	b.ReportMetric(float64(heapBytes)/float64(total*int64(b.N)), "heap-B/user-B")
+	b.ReportMetric(float64(appends)/float64(len(batch)*b.N), "wal-appends/doc")
+	b.ReportMetric(float64(rows)/float64(len(batch)*b.N), "rows/doc")
+	b.ReportMetric(float64(allocBytes)/float64(total*int64(b.N)), "alloc-B/user-B")
+	b.ReportMetric(float64(allocs)/float64(rows), "allocs/node")
 }
 
 // BenchmarkColdContentSearch measures the uncached §2.1.4 kernel — text

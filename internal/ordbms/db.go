@@ -715,19 +715,11 @@ func (t *Table) writable() error {
 // the record in view, under the table's lock.
 func (t *Table) Schema() Schema { return t.schema.WithSymbols(t.syms.Load()) }
 
-// noteStrings counts what a run of stored rows spent on strings: their
-// bytes toward training, and both those and stored, the bytes their
-// payloads took (see EncodeOffsets), in the store's stats.  Caller holds
-// t.mu.
-func (t *Table) noteStrings(rows []Row, stored int) {
-	raw := 0
-	for _, row := range rows {
-		for _, v := range row {
-			if v.Type == TypeString {
-				raw += len(v.Str)
-			}
-		}
-	}
+// noteStrings counts what a run of stored rows spent on strings: raw,
+// their STRING values' bytes, toward training, and both those and
+// stored, the bytes their payloads took (see EncodeOffsets), in the
+// store's stats.  Caller holds t.mu.
+func (t *Table) noteStrings(raw, stored int) {
 	if raw == 0 || t.db == nil {
 		return
 	}
@@ -817,7 +809,7 @@ func (t *Table) Insert(row Row) (RowID, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rec, strs := t.Schema().encode(row, ZeroRowID, 0, nil)
+	rec, raw, stored := t.Schema().EncodeOffsets(nil, nil, row, ZeroRowID, 0)
 	rid, err := t.heap.Insert(rec)
 	if err != nil {
 		return ZeroRowID, err
@@ -825,38 +817,33 @@ func (t *Table) Insert(row Row) (RowID, error) {
 	for _, ix := range t.indexes {
 		ix.insert(row, rid)
 	}
-	t.noteStrings([]Row{row}, strs)
+	t.noteStrings(raw, stored)
 	return rid, nil
 }
 
-// InsertRun stores a run of rows in one pass and returns their physical
-// RowIDs, in order.  recs[i] must encode rows[i] (EncodeOffsets of a
-// schema Schema returned before the call, any ROWID column near or far)
-// except in the bytes link patches: the
+// InsertRun stores a run of records in one pass and returns their
+// physical RowIDs, in order.  Each of recs must be a row the caller has
+// checked with Schema.Validate, encoded by EncodeOffsets with a Schema
+// this table returned before the call (any ROWID column near or far),
+// except in the bytes link patches; raw and stored sum what
+// EncodeOffsets returned for recs, and raw decides when the table trains
+// its symbol table, so it must count every string of the run.  The
 // caller encodes off the table's write lock (the batch-ingest pipeline
 // does it in its parse workers), and link, called once every RowID of
-// the run is placed and before any row is written, may overwrite
-// unindexed ROWID columns in recs with those RowIDs — so rows that
-// reference each other physically are written and logged once, with
-// their final bytes.  A near link is only right if its target landed
-// near the record (see Near); link may re-encode such a record with the
-// column far, and a record that grows is placed again (see
-// HeapFile.InsertRun).
+// the run is placed and before any row is written, may overwrite ROWID
+// columns in recs with those RowIDs — so rows that reference each other
+// physically are written and logged once, with their final bytes.  A
+// near link is only right if its target landed near the record (see
+// Near); link may re-encode such a record with the column far, and a
+// record that grows is placed again (see HeapFile.InsertRun).
 // link runs under the table lock: it must not block or call back into
-// the table.  strs sums the strs EncodeOffsets returned for recs; it
-// feeds only StringStats.  The run is all or nothing: an error means no
-// row was written, logged or indexed.
+// the table.  A table with secondary indexes decodes each record, with
+// its final bytes, to index it; a table without any decodes nothing.
+// The run is all or nothing: an error means no row was written, logged
+// or indexed.
 //
 // netmarkvet:mutates
-func (t *Table) InsertRun(rows []Row, recs [][]byte, strs int, link func(rids []RowID)) ([]RowID, error) {
-	if len(rows) != len(recs) {
-		return nil, fmt.Errorf("ordbms: run of %d rows with %d records", len(rows), len(recs))
-	}
-	for _, row := range rows {
-		if err := t.schema.Validate(row); err != nil {
-			return nil, err
-		}
-	}
+func (t *Table) InsertRun(recs [][]byte, raw, stored int, link func(rids []RowID)) ([]RowID, error) {
 	if err := t.writable(); err != nil {
 		return nil, err
 	}
@@ -866,12 +853,21 @@ func (t *Table) InsertRun(rows []Row, recs [][]byte, strs int, link func(rids []
 	if err != nil {
 		return nil, err
 	}
-	for _, ix := range t.indexes {
-		for i, row := range rows {
-			ix.insert(row, rids[i])
+	if len(t.indexes) > 0 {
+		sch := t.Schema()
+		row := make(Row, len(sch.Columns))
+		for i, rec := range recs {
+			// A record EncodeOffsets wrote always decodes, and this one
+			// is already written: failing here is a broken caller.
+			if err := DecodeRowInto(sch, rids[i], rec, row); err != nil {
+				panic(fmt.Sprintf("ordbms: run record %d written to %s does not decode: %v", i, t.name, err))
+			}
+			for _, ix := range t.indexes {
+				ix.insert(row, rids[i])
+			}
 		}
 	}
-	t.noteStrings(rows, strs)
+	t.noteStrings(raw, stored)
 	return rids, nil
 }
 

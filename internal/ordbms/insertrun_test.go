@@ -220,19 +220,20 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.CreateIndex("id"); err != nil {
-		t.Fatal(err)
+	for _, col := range []string{"id", "next"} {
+		if err := tbl.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const n = 3000
-	rows := make([]Row, n)
 	recs := make([][]byte, n)
 	offs := make([][]int, n)
-	for i := range rows {
-		rows[i] = Row{I(int64(i)), R(ZeroRowID)}
-		recs[i], offs[i], _ = linkSchema().EncodeOffsets(rows[i], ZeroRowID, 0)
+	for i := range recs {
+		offs[i] = make([]int, 2)
+		recs[i], _, _ = linkSchema().EncodeOffsets(nil, offs[i], Row{I(int64(i)), R(ZeroRowID)}, ZeroRowID, 0)
 	}
 	before, _, bytes0 := db.WALStats()
-	rids, err := tbl.InsertRun(rows, recs, 0, func(rids []RowID) {
+	rids, err := tbl.InsertRun(recs, 0, 0, func(rids []RowID) {
 		for i := range recs { // each row points at its successor, the last at nothing
 			next := ZeroRowID
 			if i+1 < len(rids) {
@@ -255,6 +256,16 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 	}
 	if got := int(bytes1 - bytes0); got > payload+n+32*pages { // a row's framing is its one-byte length
 		t.Fatalf("run of %d payload bytes logged %d", payload, got)
+	}
+	// The run indexes each row as written: the link too, which only the
+	// patched bytes hold.
+	for i := 0; i+1 < n; i++ {
+		if hits, _ := tbl.Lookup("id", I(int64(i))); len(hits) != 1 || hits[0] != rids[i] {
+			t.Fatalf("index for id %d = %v, want %v", i, hits, rids[i])
+		}
+		if hits, _ := tbl.Lookup("next", R(rids[i+1])); len(hits) != 1 || hits[0] != rids[i] {
+			t.Fatalf("index for next %v = %v, want %v", rids[i+1], hits, rids[i])
+		}
 	}
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)

@@ -317,7 +317,8 @@ func TestNearRowIDPayload(t *testing.T) {
 	schema := MustSchema(Column{"near", TypeRowID}, Column{"far", TypeRowID}, Column{"tail", TypeInt})
 	at := RowID{Page: 42, Slot: 100}
 	row := Row{R(RowID{Page: 42, Slot: 36}), R(RowID{Page: 9, Slot: 0x1234}), I(-3)}
-	rec, offs, _ := schema.EncodeOffsets(row, at, 1<<0|1<<1)
+	offs := make([]int, 3)
+	rec, _, _ := schema.EncodeOffsets(nil, offs, row, at, 1<<0|1<<1)
 	// Δ = −64 is zigzag 127; page 9 is not the record's, so its near bit
 	// is not honoured.
 	if want := []byte{0x00, 0x7F, 0x92, 0x34, 9, 0, 0, 0, 0x05}; !bytes.Equal(rec, want) {

@@ -76,7 +76,8 @@ func (s Schema) Validate(r Row) error {
 	if len(r) != len(s.Columns) {
 		return fmt.Errorf("ordbms: row arity %d != schema arity %d", len(r), len(s.Columns))
 	}
-	for i, v := range r {
+	for i := range r {
+		v := &r[i]
 		if v.Type == TypeNull {
 			continue
 		}

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Type identifies the dynamic type of a Value.
@@ -263,48 +264,46 @@ func (r Row) Clone() Row {
 // Encode serialises a row that satisfies s.Validate.  Every ROWID is
 // written far: only the caller that placed a record knows its RowID.
 func (s Schema) Encode(r Row) []byte {
-	rec, _ := s.encode(r, ZeroRowID, 0, nil)
+	rec, _, _ := s.EncodeOffsets(nil, nil, r, ZeroRowID, 0)
 	return rec
 }
 
-// EncodeOffsets serialises a row like Encode for the record at at, except
-// that each non-NULL ROWID column whose bit is set in near (bit i for
-// column i, the first 64 columns) gets a near payload if one byte reaches
-// its target from at, and additionally returns, per column, the byte
-// offset of that column's payload within the record (-1 for a NULL,
-// which has none).  A caller that learns a ROWID late — the XML store's
-// link columns, known only once the run is placed — encodes a zero RowID
-// at ZeroRowID, which is near wherever its bit asks, and patches those
-// bytes directly with PutNearRowID or PutRowID, whichever width it
-// encoded, instead of re-encoding.  strs is what the record spends on
-// STRING payloads after their lengths — the strings, or their codes —
-// which Table.InsertRun takes summed over its run.
-func (s Schema) EncodeOffsets(r Row, at RowID, near uint64) (rec []byte, offs []int, strs int) {
-	offs = make([]int, len(r))
-	rec, strs = s.encode(r, at, near, offs)
-	return rec, offs, strs
-}
-
-// encode is the single definition of the record format.  When offs is
-// non-nil it receives each column's payload offset.  strs is as
-// EncodeOffsets returns it.
-func (s Schema) encode(r Row, at RowID, near uint64, offs []int) (buf []byte, strs int) {
+// EncodeOffsets is the single definition of the record format.  It
+// appends to dst the record of r at at, and returns the extended buffer:
+// the record is buf[len(dst):].  It is Encode, except that each non-NULL
+// ROWID column whose bit is set in near (bit i for column i, the first
+// 64 columns) gets a near payload if one byte reaches its target from
+// at, and that offs, unless nil, receives per column the byte offset of
+// that column's payload within the record (-1 for a NULL, which has
+// none).  A caller that learns a ROWID late — the
+// XML store's link columns, known only once the run is placed — encodes
+// a zero RowID at ZeroRowID, which is near wherever its bit asks, and
+// patches those bytes directly with PutNearRowID or PutRowID, whichever
+// width it encoded, instead of re-encoding.  A caller encoding many
+// records appends them all to one buffer.  raw is the bytes of r's
+// STRING values, and stored what their payloads spend after their
+// lengths — the strings, or their codes; Table.InsertRun takes both
+// summed over its run.
+func (s Schema) EncodeOffsets(dst []byte, offs []int, r Row, at RowID, near uint64) (buf []byte, raw, stored int) {
+	start := len(dst)
 	nb := (len(r) + 7) / 8
 	size := nb + 4*len(r)
-	for _, v := range r {
-		size += len(v.Str) + len(v.Bytes)
+	for i := range r {
+		size += len(r[i].Str) + len(r[i].Bytes)
 	}
-	buf = make([]byte, nb, size)
-	for i, v := range r {
+	buf = slices.Grow(dst, size)[:start+nb]
+	clear(buf[start:])
+	for i := range r {
+		v := &r[i] // a Value is 72 bytes: not copied
 		if v.Type == TypeNull {
-			buf[i/8] |= 1 << (i % 8)
+			buf[start+i/8] |= 1 << (i % 8)
 			if offs != nil {
 				offs[i] = -1
 			}
 			continue
 		}
 		if offs != nil {
-			offs[i] = len(buf)
+			offs[i] = len(buf) - start
 		}
 		switch s.Columns[i].Type {
 		case TypeInt:
@@ -314,7 +313,8 @@ func (s Schema) encode(r Row, at RowID, near uint64, offs []int) (buf []byte, st
 		case TypeString:
 			var n int
 			buf, n = s.appendString(buf, v.Str)
-			strs += n
+			raw += len(v.Str)
+			stored += n
 		case TypeBytes:
 			buf = binary.AppendUvarint(buf, uint64(len(v.Bytes)))
 			buf = append(buf, v.Bytes...)
@@ -333,7 +333,7 @@ func (s Schema) encode(r Row, at RowID, near uint64, offs []int) (buf []byte, st
 			}
 		}
 	}
-	return buf, strs
+	return buf, raw, stored
 }
 
 // appendString appends a STRING payload, and returns the bytes it spent

@@ -147,9 +147,16 @@ func TestEncodeOffsetsPatchable(t *testing.T) {
 		Column{"id", TypeInt}, Column{"pre", TypeString},
 		Column{"absent", TypeRowID}, Column{"link", TypeRowID}, Column{"post", TypeString},
 	)
-	rec, offs, _ := schema.EncodeOffsets(row, ZeroRowID, 0)
-	if want := schema.Encode(row); string(rec) != string(want) {
+	// Appended behind another record, the offsets are still the record's
+	// own.
+	offs := make([]int, len(row))
+	buf, raw, stored := schema.EncodeOffsets([]byte("prior record"), offs, row, ZeroRowID, 0)
+	rec := buf[len("prior record"):]
+	if want := schema.Encode(row); string(rec) != string(want) || string(buf[:len("prior record")]) != "prior record" {
 		t.Fatal("EncodeOffsets encoding diverges from Encode")
+	}
+	if n := len("variable-width prefix") + len("suffix"); raw != n || stored != n {
+		t.Fatalf("strings %d B raw, %d B stored, want %d each", raw, stored, n)
 	}
 	if offs[2] != -1 {
 		t.Fatalf("NULL column has payload offset %d, want -1", offs[2])

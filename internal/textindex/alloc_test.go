@@ -84,3 +84,21 @@ func TestHasPhraseZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// Ingest cuts every text with one Terms per worker and batch: a text
+// whose words the Terms has seen costs no allocation at all, whatever
+// script it is in.
+func TestTermsSeenWordsZeroAlloc(t *testing.T) {
+	var tm Terms
+	dst := make([]string, 0, 64)
+	for _, text := range []string{
+		"The technology gap is shrinking across Propulsion systems, 2024",
+		"Cafés near the ÜBER station",
+		"東京タワーの報告 and more",
+	} {
+		tm.Append(dst, text)
+		if n := testing.AllocsPerRun(100, func() { tm.Append(dst, text) }); n != 0 {
+			t.Errorf("Terms.Append(%q) again = %.2f allocs/op, want 0", text, n)
+		}
+	}
+}

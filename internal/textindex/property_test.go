@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -111,6 +112,34 @@ func drain(x *IDIter) []uint64 {
 			return out
 		}
 		out = append(out, id)
+	}
+}
+
+// The terms ingest cuts from a text are Tokenize's, from one Terms that
+// cuts every text in turn — so a term interned from one text, and the
+// buffer reused from the last, never leak into the next.  The texts mix ASCII of either case, digits,
+// punctuation and control bytes with accented and combining-mark Latin,
+// Han, kana, Hangul and broken UTF-8, so the ASCII path and the rune
+// path meet inside tokens.
+func TestTermsAreTokenize(t *testing.T) {
+	pieces := []string{
+		"a", "B", "z", "Q", "7", "0", " ", ".", "-", "\x00", "\x7f", "\t",
+		"é", "É", "\u0301", "ß", "Ω", "東", "京", "カ", "ｶ", "ひ", "한", "\xff", "\xc3",
+		"gap", "GAP", "Gap", "tech", "v2",
+	}
+	rng := rand.New(rand.NewSource(34))
+	var tm Terms
+	for i := 0; i < 5000; i++ {
+		var b strings.Builder
+		for n := rng.Intn(24); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		text := b.String()
+		want := Tokenize(text)
+		got := tm.Append([]string{"dst"}, text)
+		if got[0] != "dst" || !slices.Equal(got[1:], want) {
+			t.Fatalf("Terms cut %q as %q, want %q after the dst it was given", text, got, want)
+		}
 	}
 }
 

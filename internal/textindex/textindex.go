@@ -29,8 +29,12 @@
 // ideographs are additionally emitted as single-rune tokens (unigrams)
 // so unsegmented CJK text is searchable — a multi-ideograph query
 // matches as a phrase of unigrams.  Letter/digit transitions within one
-// script do not flush ("v2" is one term).  Tokenize and HasPhrase cut
-// text into tokens with the same scanner, nextToken.
+// script do not flush ("v2" is one term).  Tokenize, Terms (ingest's
+// form of it, which interns each term) and HasPhrase cut text into
+// tokens with the same scanner, nextToken, which classifies ASCII bytes
+// — nearly all of a corpus — without the Unicode tables; only a byte of
+// 0x80 or above takes the rune path, so a combining mark after an ASCII
+// letter still extends its token.
 package textindex
 
 import (
@@ -91,12 +95,22 @@ func runeClass(r rune) int {
 // start == end == len(text) when none is left.  A token is a run of
 // letters and digits of one class and the combining marks among and
 // after them; a Han ideograph is a token alone, and a mark that
-// follows no letter or digit of the token is a separator.
+// follows no letter or digit of the token is a separator.  A byte below
+// 0x80 is classified without the Unicode tables: an ASCII letter or
+// digit is classOther, anything else a separator.
 func nextToken(text string, off int) (start, end int) {
 	start, class := -1, kindSep
 	for i := off; i < len(text); {
-		r, size := utf8.DecodeRuneInString(text[i:])
-		k := runeKind(r)
+		k, size := kindSep, 1
+		if c := text[i]; c < utf8.RuneSelf {
+			if 'a' <= c|0x20 && c|0x20 <= 'z' || '0' <= c && c <= '9' {
+				k = classOther
+			}
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			k = runeKind(r)
+		}
 		switch {
 		case k >= 0 && start < 0:
 			if k == classHan {
@@ -115,27 +129,66 @@ func nextToken(text string, off int) (start, end int) {
 }
 
 // termRune is what rune r of a token becomes in its term: letters and
-// digits lowercased, marks as written.
+// digits lowercased, marks as written.  An ASCII rune is lowercased
+// without the Unicode tables.
 func termRune(r rune) rune {
-	if unicode.IsMark(r) {
-		return r
+	switch {
+	case r >= utf8.RuneSelf:
+		if unicode.IsMark(r) {
+			return r
+		}
+		return unicode.ToLower(r)
+	case 'A' <= r && r <= 'Z':
+		return r + 'a' - 'A'
 	}
-	return unicode.ToLower(r)
+	return r
+}
+
+// appendTerm appends the term of the token span tok to b.
+func appendTerm(b []byte, tok string) []byte {
+	for _, r := range tok {
+		b = utf8.AppendRune(b, termRune(r))
+	}
+	return b
 }
 
 // Tokenize splits text into lowercase terms, in text order, per the
 // tokenizer contract in the package comment.
 func Tokenize(text string) []string {
 	var out []string
+	var b []byte
 	for start, end := nextToken(text, 0); start < end; start, end = nextToken(text, end) {
-		var b strings.Builder
-		b.Grow(end - start)
-		for _, r := range text[start:end] {
-			b.WriteRune(termRune(r))
-		}
-		out = append(out, b.String())
+		b = appendTerm(b[:0], text[start:end])
+		out = append(out, string(b))
 	}
 	return out
+}
+
+// Terms is how ingest cuts text into terms: Tokenize's terms, each
+// built in one reused buffer and interned, so a term seen before costs
+// no allocation and every text's copy of a word shares one string.  One
+// goroutine owns a Terms; the zero value is ready to use.  It holds every
+// distinct term it has handed out, so it lives for one batch of work.
+type Terms struct {
+	seen map[string]string
+	buf  []byte
+}
+
+// Append appends to dst the terms of text, as Tokenize cuts them.
+func (t *Terms) Append(dst []string, text string) []string {
+	for start, end := nextToken(text, 0); start < end; start, end = nextToken(text, end) {
+		t.buf = appendTerm(t.buf[:0], text[start:end])
+		term, ok := t.seen[string(t.buf)]
+		if !ok {
+			if t.seen == nil {
+				t.seen = make(map[string]string)
+			}
+			term = string(t.buf)
+			t.seen[term] = term
+		}
+		dst = append(dst, term)
+	}
+	return dst
 }
 
 // HasPhrase reports whether the tokens of text, as Tokenize cuts them,
@@ -355,17 +408,17 @@ func (ix *Index) Add(id uint64, text string) {
 	ix.AddTokens(id, Tokenize(text))
 }
 
-// AddTokens indexes pre-tokenized text under id; toks may repeat a term.
-// Tokenization is the CPU-bound half of Add; batch ingestion runs it in
-// parse workers and hands the tokens here, and the repeats are dropped
-// before the lock, so only the posting-list insert runs under it.
+// AddTokens indexes pre-tokenized text under id; toks may repeat a term,
+// and AddTokens sorts it in place.  Tokenization is the CPU-bound half
+// of Add; batch ingestion runs it in parse workers and hands the tokens
+// here, and the repeats are dropped before the lock, so only the
+// posting-list insert runs under it.
 func (ix *Index) AddTokens(id uint64, toks []string) {
 	if len(toks) == 0 {
 		return
 	}
-	terms := slices.Clone(toks)
-	slices.Sort(terms)
-	terms = slices.Compact(terms)
+	slices.Sort(toks)
+	terms := slices.Clone(slices.Compact(toks))
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	had, seen := ix.byID[id]

@@ -21,7 +21,12 @@ import (
 // writer feeds the tables in submission order (so document IDs are
 // deterministic), the derived-index stage overlaps with the writer's
 // next document, and one WAL group-commit makes the whole batch durable
-// — one fsync per batch instead of one per document.
+// — one fsync per batch instead of one per document.  A worker encodes
+// each record straight from the flattened tree into one buffer per
+// document, building no Go row that outlives the encode (see
+// preparedDoc.add), and cuts text into terms with a prepWorker it
+// keeps for the batch: a word the worker has seen before costs no
+// allocation.
 
 // BatchDoc is one raw input document for StoreBatch.
 type BatchDoc struct {
@@ -83,6 +88,7 @@ func (s *Store) StoreBatch(docs []BatchDoc, workers int) []BatchResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var pw prepWorker // this worker's, for this batch
 			for {
 				i := int(next.Add(1))
 				if i >= len(docs) {
@@ -90,7 +96,7 @@ func (s *Store) StoreBatch(docs []BatchDoc, workers int) []BatchResult {
 				}
 				tree, meta, err := docform.Convert(docs[i].Name, docs[i].Data)
 				if err == nil {
-					preps[i], err = s.prepareDocument(meta, tree, cfg, docBase+uint64(i))
+					preps[i], err = s.prepareDocument(meta, tree, cfg, docBase+uint64(i), &pw)
 				}
 				results[i].Err = err
 				close(ready[i])

@@ -1,6 +1,7 @@
 package xmlstore
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -165,7 +166,7 @@ func TestXMLRecordGoldenBytes(t *testing.T) {
 		if err := xmlSchema.Validate(row); err != nil {
 			t.Fatal(err)
 		}
-		if got, _, _ := xmlSchema.EncodeOffsets(row, n.RowID, near); hex.EncodeToString(got) != c.rec {
+		if got, _, _ := xmlSchema.EncodeOffsets(nil, nil, row, n.RowID, near); hex.EncodeToString(got) != c.rec {
 			t.Fatalf("%s: record of the golden node:\n got %x\nwant %s", c.name, got, c.rec)
 		}
 		rec, _ := hex.DecodeString(c.rec)
@@ -218,7 +219,7 @@ func TestXMLRecordCodedGoldenBytes(t *testing.T) {
 			"0301" + // nodedata "hi": uvarint 1<<1 | 1, one byte coded, then code 1
 			"03"},
 	} {
-		if got, _, _ := c.schema.EncodeOffsets(row, goldenFolded.RowID, near); hex.EncodeToString(got) != c.rec {
+		if got, _, _ := c.schema.EncodeOffsets(nil, nil, row, goldenFolded.RowID, near); hex.EncodeToString(got) != c.rec {
 			t.Fatalf("%s: record of the folded <para>:\n got %x\nwant %s", c.name, got, c.rec)
 		}
 		rec, _ := hex.DecodeString(c.rec)
@@ -757,5 +758,68 @@ func TestOpenAfterEveryDDLCut(t *testing.T) {
 			}
 		}
 		db.Close()
+	}
+}
+
+// Ingest writes the same bytes however it builds them: every XML and TAG
+// record of a directory store fed through StoreBatch, in RowID order,
+// hashes to the digest taken before ingest stopped building a Go row per
+// node, and the string counters — whose raw count decides when a table
+// trains its symbol table, and with it every coded record after — read
+// as they did then.  The 64-document batches commit, and so train,
+// between batches, so most records are coded.  DOC rows carry the ingest
+// time and stay out of the digest.
+func TestIngestRecordsPinned(t *testing.T) {
+	const (
+		wantRecords = "ad8488bc09d327d814b76818dd531e74d9881c7c39f14e12cd0ecbfd526dcd70"
+		wantRaw     = 274125
+		wantStored  = 133128
+		wantCoded   = 2 // XML and DOC; TAG never holds a sample's worth
+	)
+	g := corpus.New(1)
+	docs := append(g.Mixed(300), g.DeepReports(2, 6, 24, 16)...)
+	db, s := openDir(t, t.TempDir(), OpenOptions{})
+	defer db.CloseDiscard()
+	for len(docs) > 0 {
+		n := min(64, len(docs))
+		batch := make([]BatchDoc, n)
+		for i, d := range docs[:n] {
+			batch[i] = BatchDoc{Name: d.Name, Data: d.Data}
+		}
+		for _, r := range s.StoreBatch(batch, 2) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Name, r.Err)
+			}
+		}
+		docs = docs[n:]
+	}
+	h := sha256.New()
+	for _, name := range []string{"XML", "TAG"} {
+		tbl := db.Table(name)
+		var rids []ordbms.RowID
+		if err := tbl.Scan(func(rid ordbms.RowID, _ ordbms.Row) bool {
+			rids = append(rids, rid)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(rids, func(a, b ordbms.RowID) int { return cmp.Compare(a.Uint64(), b.Uint64()) })
+		fmt.Fprintf(h, "%s %d\n", name, len(rids))
+		for _, rid := range rids {
+			if err := tbl.FetchView(rid, func(rec []byte) error {
+				fmt.Fprintf(h, "%v %d ", rid, len(rec))
+				h.Write(rec)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	raw, stored, coded := db.StringStats()
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantRecords {
+		t.Errorf("records hash to %s, want %s", got, wantRecords)
+	}
+	if raw != wantRaw || stored != wantStored || coded != wantCoded {
+		t.Errorf("strings %d B raw, %d B stored, %d tables coded; want %d, %d, %d", raw, stored, coded, wantRaw, wantStored, wantCoded)
 	}
 }

@@ -22,46 +22,70 @@ type flatNode struct {
 
 	parent, prev, next, child int // indexes into the flat slice; -1 = none
 	rid                       ordbms.RowID
+	// linkAt holds, parent first, the payload offsets of the four link
+	// columns in the node's record as last encoded, for the link patch.
+	linkAt [4]uint16
+	tag    int64 // the TAG code of (class, name); -1 = none yet
 }
 
 // ownText is Node.OwnText for a node not yet stored.
 func (fn *flatNode) ownText() (string, bool) { return ownText(fn.class, fn.data, fn.child >= 0) }
 
 // preparedDoc is a document that has been through the CPU-bound half of
-// ingestion — flattening, row construction, record encoding, text
-// tokenization — and is ready for its ordered write into the store.  The
-// batch pipeline builds preparedDocs in parallel workers; the single
-// writer goroutine consumes them.
+// ingestion — flattening, record encoding, text tokenization — and is
+// ready for its ordered write into the store.  The batch pipeline builds
+// preparedDocs in parallel workers; the single writer goroutine consumes
+// them.  No row of the document is kept: each record is encoded from its
+// flatNode (see add and encode), which is all a row would repeat.
 type preparedDoc struct {
 	meta  docform.Meta
 	docID uint64
+	// titled marks a root whose only attribute is title= DOC.title: its
+	// attrs are stored empty, not NULL (see Node.Titled).
+	titled bool
 	// schema is the XML table's, with its symbol table as it was when
 	// the document was prepared: every record of the document is encoded
 	// with it, the writer's re-encodes included.
 	schema ordbms.Schema
 	flat   []flatNode
-	rows   []ordbms.Row // rows as validated and indexed; their present links stay zero
-	recs   [][]byte     // pre-encoded records; the insert patches the present links in
-	offs   [][]int      // per-record column payload offsets (for link patches)
-	far    []uint64     // per record, the link columns encoded far; the others are near
-	strs   int          // the records' STRING payload bytes (see ordbms.Schema.EncodeOffsets)
+	buf    []byte   // the records' backing array: every encode appends to it
+	recs   [][]byte // per node, its record in buf; the insert patches the present links in
+	far    []uint64 // per record, the link columns encoded far; the others are near
+	// raw and stored sum the records' STRING bytes and what their payloads
+	// spend on them (see ordbms.Schema.EncodeOffsets), each record counted
+	// once, when it is added (see add).
+	raw, stored int
 	// untagged lists the nodes whose (class, name) had no TAG code when
 	// the document was prepared: their tag column and record wait for the
 	// ordered writer, which assigns codes in document order.
 	untagged []int
-	// toks[k] holds the words of every node posted under node k, a
-	// section's key row (see postKey): tokenized and grouped in the parse
-	// workers, so indexing is one posting insert per section.
-	toks [][]string
+	// toks[ends[k]:ends[k+1]] are the words of every node posted under
+	// node k, a section's key row (see postKey): tokenized and grouped in
+	// the parse workers, so indexing is one posting insert per section.
+	toks []string
+	ends []int32
 }
 
+// prepWorker is what one preparing goroutine reuses from document to
+// document: its Terms, and the terms of the document at hand in text
+// order, before prepareDocument groups them by section.
+type prepWorker struct {
+	terms textindex.Terms
+	toks  []string
+	texts []textTerms
+}
+
+// textTerms places one text's terms in prepWorker.toks: they end at
+// end, and are posted under the flat node key.
+type textTerms struct{ key, end int32 }
+
 // prepareDocument runs every part of StoreDocument that does not touch
-// the tables: it picks the root element, flattens the tree, builds and
-// encodes the rows (present links still zero; a node whose tag has no
-// code yet is left for the writer), and pre-tokenizes each node's own
-// text under its section's key row for the content index.  It is safe to
-// call from many goroutines concurrently.
-func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64) (*preparedDoc, error) {
+// the tables: it picks the root element, flattens the tree, encodes each
+// node's record (present links still zero; a node whose tag has no code
+// yet is left for the writer), and cuts each node's own text into terms
+// under its section's key row for the content index.  It is safe to call
+// from many goroutines concurrently, each with its own prepWorker.
+func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Config, docID uint64, pw *prepWorker) (*preparedDoc, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("xmlstore: nil document tree")
 	}
@@ -86,17 +110,21 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 	if len(flat) == 0 {
 		return nil, fmt.Errorf("xmlstore: document %q flattened to no nodes", meta.FileName)
 	}
+	size := 0 // room for every record: its strings, and 16 bytes for the rest
+	for i := range flat {
+		size += len(flat[i].data) + len(flat[i].attrs) + 16
+	}
 	p := &preparedDoc{
 		meta:   meta,
 		docID:  docID,
+		titled: len(root.Attrs) == 1 && root.Attrs[0] == (sgml.Attr{Name: "title", Value: meta.Title}),
 		schema: s.xml.Schema(),
 		flat:   flat,
-		rows:   make([]ordbms.Row, len(flat)),
+		buf:    make([]byte, 0, size),
 		recs:   make([][]byte, len(flat)),
-		offs:   make([][]int, len(flat)),
 		far:    make([]uint64, len(flat)),
-		toks:   make([][]string, len(flat)),
 	}
+	pw.toks, pw.texts = pw.toks[:0], pw.texts[:0]
 	governs := governingContexts(flat)
 	codes := make(map[tagPair]int64) // this document's tags; -1 = no code yet
 	for i := range flat {
@@ -109,34 +137,43 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 			}
 			codes[tag] = code
 		}
-		row := ordbms.Row{
-			ordbms.Null(), // see Node.DocID
-			ordbms.I(code),
-			optString(fn.data),
-			linkSlot(fn.parent),
-			linkSlot(fn.prev),
-			linkSlot(fn.next),
-			linkSlot(fn.child),
-			optString(fn.attrs),
-		}
-		if i == 0 || fn.class == sgml.ClassContext {
-			row[xmlColDocID] = ordbms.I(int64(docID))
-		}
-		if i == 0 && len(root.Attrs) == 1 && root.Attrs[0] == (sgml.Attr{Name: "title", Value: meta.Title}) {
-			row[xmlColAttrs] = ordbms.S("") // DOC.title holds it (see Node.Titled)
-		}
-		p.rows[i] = row
-		if code < 0 {
+		if fn.tag = code; code < 0 {
 			p.untagged = append(p.untagged, i)
-		} else {
-			p.encode(i, 0) // every link starts near
+		} else if err := p.add(i); err != nil {
+			return nil, err
 		}
 		if text, ok := fn.ownText(); ok {
-			k := postKey(flat, governs, i)
-			p.toks[k] = append(p.toks[k], textindex.Tokenize(text)...)
+			pw.toks = pw.terms.Append(pw.toks, text)
+			pw.texts = append(pw.texts, textTerms{int32(postKey(flat, governs, i)), int32(len(pw.toks))})
 		}
 	}
+	p.groupTerms(pw)
 	return p, nil
+}
+
+// groupTerms copies the document's terms from pw into p.toks, each
+// section's together, in one counting sort.
+func (p *preparedDoc) groupTerms(pw *prepWorker) {
+	ends := make([]int32, len(p.flat)+1)
+	start := int32(0)
+	for _, t := range pw.texts {
+		ends[t.key+1] += t.end - start
+		start = t.end
+	}
+	for k := 1; k < len(ends); k++ {
+		ends[k] += ends[k-1]
+	}
+	// ends[k] is where section k starts; it moves up as its terms go in,
+	// to where section k+1 starts, and then everything shifts down one.
+	toks := make([]string, len(pw.toks))
+	start = 0
+	for _, t := range pw.texts {
+		ends[t.key] += int32(copy(toks[ends[t.key]:], pw.toks[start:t.end]))
+		start = t.end
+	}
+	copy(ends[1:], ends)
+	ends[0] = 0
+	p.toks, p.ends = toks, ends
 }
 
 // optString stores an empty string as NULL: no bytes in the record, and
@@ -158,17 +195,55 @@ func linkSlot(idx int) ordbms.Value {
 	return ordbms.R(ordbms.ZeroRowID)
 }
 
-// encode encodes node i's record with the given links far.  A record's
-// strings are the same however its links are stored, so strs counts them
-// once, at the first encode.
-func (p *preparedDoc) encode(i int, far uint64) {
-	first := p.recs[i] == nil
-	var strs int
-	p.far[i] = far
-	p.recs[i], p.offs[i], strs = p.schema.EncodeOffsets(p.rows[i], ordbms.ZeroRowID, allNear&^far)
-	if first {
-		p.strs += strs
+// row builds node i's row from its flatNode, on the caller's stack.
+func (p *preparedDoc) row(i int) [xmlCols]ordbms.Value {
+	fn := &p.flat[i]
+	row := [xmlCols]ordbms.Value{
+		xmlColTag:         ordbms.I(fn.tag),
+		xmlColNodeData:    optString(fn.data),
+		xmlColParentRowID: linkSlot(fn.parent),
+		xmlColPrevRowID:   linkSlot(fn.prev),
+		xmlColNextRowID:   linkSlot(fn.next),
+		xmlColChildRowID:  linkSlot(fn.child),
+		xmlColAttrs:       optString(fn.attrs),
 	}
+	if i == 0 || fn.class == sgml.ClassContext {
+		row[xmlColDocID] = ordbms.I(int64(p.docID)) // see Node.DocID
+	}
+	if i == 0 && p.titled {
+		row[xmlColAttrs] = ordbms.S("") // DOC.title holds it (see Node.Titled)
+	}
+	return row
+}
+
+// add checks node i's row against the schema and encodes its record with
+// every link near, counting its strings: a re-encode changes only how
+// wide its links are, so neither the check nor the count can change.
+func (p *preparedDoc) add(i int) error {
+	row := p.row(i)
+	if err := p.schema.Validate(row[:]); err != nil {
+		return fmt.Errorf("xmlstore: node %d of %q: %w", i, p.meta.FileName, err)
+	}
+	raw, stored := p.encode(i, 0)
+	p.raw += raw
+	p.stored += stored
+	return nil
+}
+
+// encode appends node i's record, with the given links far, to the
+// document's buffer, and returns what EncodeOffsets counts of its
+// strings.
+func (p *preparedDoc) encode(i int, far uint64) (raw, stored int) {
+	row := p.row(i)
+	start := len(p.buf)
+	var offs [xmlCols]int
+	p.buf, raw, stored = p.schema.EncodeOffsets(p.buf, offs[:], row[:], ordbms.ZeroRowID, allNear&^far)
+	p.recs[i], p.far[i] = p.buf[start:len(p.buf):len(p.buf)], far
+	fn := &p.flat[i]
+	for k := range fn.linkAt {
+		fn.linkAt[k] = uint16(offs[xmlColParentRowID+k]) // a NULL's -1 is never patched
+	}
+	return raw, stored
 }
 
 // allNear is the EncodeOffsets mask that writes every link near.
@@ -313,12 +388,14 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 			return err
 		}
 		for k, i := range p.untagged {
-			p.rows[i][xmlColTag] = ordbms.I(codes[k])
-			p.encode(i, 0)
+			flat[i].tag = codes[k]
+			if err := p.add(i); err != nil {
+				return err
+			}
 		}
 	}
 
-	_, err = s.xml.InsertRun(p.rows, p.recs, p.strs, func(rids []ordbms.RowID) {
+	_, err = s.xml.InsertRun(p.recs, p.raw, p.stored, func(rids []ordbms.RowID) {
 		grew := false
 		for i := range flat {
 			if far := flat[i].farLinks(rids, i) &^ p.far[i]; far != 0 {
@@ -340,20 +417,16 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 					p.encode(i, far)
 				}
 			}
-			rec, offs, far := p.recs[i], p.offs[i], p.far[i]
-			link := func(col, idx int) {
+			rec, far := p.recs[i], p.far[i]
+			for k, idx := range [4]int{fn.parent, fn.prev, fn.next, fn.child} {
 				switch {
 				case idx < 0:
-				case far&(1<<col) != 0:
-					ordbms.PutRowID(rec[offs[col]:], rids[idx])
+				case far&(1<<(xmlColParentRowID+k)) != 0:
+					ordbms.PutRowID(rec[fn.linkAt[k]:], rids[idx])
 				default:
-					ordbms.PutNearRowID(rec[offs[col]:], rids[i], rids[idx])
+					ordbms.PutNearRowID(rec[fn.linkAt[k]:], rids[i], rids[idx])
 				}
 			}
-			link(xmlColParentRowID, fn.parent)
-			link(xmlColPrevRowID, fn.prev)
-			link(xmlColNextRowID, fn.next)
-			link(xmlColChildRowID, fn.child)
 		}
 	})
 	if err != nil {
@@ -397,7 +470,7 @@ func (s *Store) indexPrepared(p *preparedDoc) {
 		}
 	}
 	for i := range p.flat {
-		s.content.AddTokens(p.flat[i].rid.Uint64(), p.toks[i])
+		s.content.AddTokens(p.flat[i].rid.Uint64(), p.toks[p.ends[i]:p.ends[i+1]])
 	}
 	// The ingest's generation bumps: only now are tables AND derived
 	// indexes consistent, so only now may a query snapshot the new
@@ -428,7 +501,7 @@ func (s *Store) StoreDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Conf
 	if err := s.db.Writable(); err != nil {
 		return 0, err
 	}
-	p, err := s.prepareDocument(meta, tree, cfg, s.reserveDocIDs(1))
+	p, err := s.prepareDocument(meta, tree, cfg, s.reserveDocIDs(1), new(prepWorker))
 	if err != nil {
 		return 0, err
 	}
@@ -462,7 +535,7 @@ func (s *Store) StoreRaw(name string, data []byte) (uint64, error) {
 // mixed content, element children, no text — keeps its children.  It
 // takes no locks, so it can run in parallel preparation workers.
 func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
-	var flat []flatNode
+	flat := make([]flatNode, 0, root.CountNodes())
 	var walk func(n *sgml.Node, parent int) int
 	walk = func(n *sgml.Node, parent int) int {
 		if n.Kind != sgml.ElementNode && n.Kind != sgml.TextNode {

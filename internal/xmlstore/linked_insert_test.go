@@ -263,7 +263,7 @@ func linkWidths(t *testing.T, s *Store, d BatchDoc, id uint64) (rids []ordbms.Ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.prepareDocument(meta, tree, sgml.XMLConfig(), id)
+	p, err := s.prepareDocument(meta, tree, sgml.XMLConfig(), id, new(prepWorker))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,10 @@ func linkWidths(t *testing.T, s *Store, d BatchDoc, id uint64) (rids []ordbms.Ro
 	}
 	samePageFar = make(map[int]int)
 	for i, fn := range p.flat {
-		row := append(ordbms.Row(nil), p.rows[i]...)
+		row, err := ordbms.DecodeRow(p.schema, ordbms.ZeroRowID, p.recs[i]) // its links zero
+		if err != nil {
+			t.Fatal(err)
+		}
 		mask := uint64(0)
 		for _, l := range []struct{ col, idx int }{
 			{xmlColParentRowID, fn.parent}, {xmlColPrevRowID, fn.prev},
@@ -300,8 +303,8 @@ func linkWidths(t *testing.T, s *Store, d BatchDoc, id uint64) (rids []ordbms.Ro
 				far++
 			}
 		}
-		want, _, _ := xmlSchema.EncodeOffsets(row, rids[i], mask)
-		err := s.xml.FetchView(rids[i], func(rec []byte) error {
+		want, _, _ := xmlSchema.EncodeOffsets(nil, nil, row, rids[i], mask)
+		err = s.xml.FetchView(rids[i], func(rec []byte) error {
 			if string(rec) != string(want) {
 				t.Errorf("node %d at %v is stored as %x, want %x", i, rids[i], rec, want)
 			}

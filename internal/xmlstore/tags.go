@@ -114,17 +114,23 @@ func (s *Store) tagCodes(pairs []tagPair) ([]int64, error) {
 	if len(added) == 0 {
 		return codes, nil
 	}
-	rows := make([]ordbms.Row, len(added))
 	recs := make([][]byte, len(added))
 	schema := s.tag.Schema()
-	strs := 0
+	raw, stored := 0, 0
+	var err error
 	for i, p := range added {
-		rows[i] = ordbms.Row{ordbms.I(int64(published + i)), ordbms.I(int64(p.class)), optString(p.name)}
-		var n int
-		recs[i], _, n = schema.EncodeOffsets(rows[i], ordbms.ZeroRowID, 0)
-		strs += n
+		row := ordbms.Row{ordbms.I(int64(published + i)), ordbms.I(int64(p.class)), optString(p.name)}
+		if err = schema.Validate(row); err != nil {
+			break
+		}
+		var r, st int
+		recs[i], r, st = schema.EncodeOffsets(nil, nil, row, ordbms.ZeroRowID, 0)
+		raw, stored = raw+r, stored+st
 	}
-	if _, err := s.tag.InsertRun(rows, recs, strs, nil); err != nil {
+	if err == nil {
+		_, err = s.tag.InsertRun(recs, raw, stored, nil)
+	}
+	if err != nil {
 		for _, p := range added {
 			delete(d.codes, p)
 		}

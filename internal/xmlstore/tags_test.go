@@ -590,3 +590,82 @@ func TestDocJoinThroughSQL(t *testing.T) {
 		}
 	}
 }
+
+// The store keeps no secondary index on XML or TAG, but an operator may
+// create one through SQL, and every later ingest keeps it whole: batches
+// and single documents, before and after the XML table trains its symbol
+// table, with each node's links as finally stored.
+func TestSQLIndexesFollowIngest(t *testing.T) {
+	s := memStore(t)
+	ingest(t, s, "sample.html", sampleHTML)
+	sql := sqlx.New(s.DB())
+	for _, q := range []string{
+		`CREATE INDEX ON XML (tag)`, `CREATE INDEX ON XML (nodedata)`, `CREATE INDEX ON XML (parentrowid)`,
+		`CREATE INDEX ON TAG (tag)`, `CREATE INDEX ON TAG (nodename)`,
+	} {
+		if _, err := sql.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	docs := corpus.New(5).Mixed(60)
+	for from := 0; from < len(docs); from += 20 {
+		var batch []BatchDoc
+		for _, d := range docs[from : from+20] {
+			batch = append(batch, BatchDoc{Name: d.Name, Data: d.Data})
+		}
+		for _, r := range s.StoreBatch(batch, 2) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	ingest(t, s, "names.xml", string(namesDoc("names.xml", "fresh", "newer").Data))
+	if s.xml.Schema().Symbols() == nil {
+		t.Fatal("the XML table has no symbol table after 60 documents")
+	}
+
+	holds := func(tbl *ordbms.Table, col string, v ordbms.Value, rid ordbms.RowID) {
+		t.Helper()
+		hits, err := tbl.Lookup(col, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hits {
+			if h == rid {
+				return
+			}
+		}
+		t.Fatalf("%s.%s = %v finds %v, not the row at %v", tbl.Name(), col, v, hits, rid)
+	}
+	nodes := 0
+	if err := s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
+		nodes++
+		holds(s.xml, "tag", row[xmlColTag], rid)
+		if row[xmlColNodeData].Type == ordbms.TypeString {
+			holds(s.xml, "nodedata", row[xmlColNodeData], rid)
+		}
+		if row[xmlColParentRowID].Type == ordbms.TypeRowID {
+			holds(s.xml, "parentrowid", row[xmlColParentRowID], rid)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tags := 0
+	if err := s.tag.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
+		tags++
+		holds(s.tag, "tag", row[0], rid)
+		if row[2].Type == ordbms.TypeString {
+			holds(s.tag, "nodename", row[2], rid)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.xml.Index("tag").Len(); got != nodes {
+		t.Fatalf("the XML tag index holds %d rows for %d nodes", got, nodes)
+	}
+	if hits, _ := s.tag.Lookup("nodename", ordbms.S("fresh")); len(hits) != 1 || tags < 10 {
+		t.Fatalf("TAG holds %d rows; nodename \"fresh\" finds %v", tags, hits)
+	}
+}

@@ -88,6 +88,7 @@ const (
 	xmlColNextRowID
 	xmlColChildRowID
 	xmlColAttrs
+	xmlCols // the XML table's arity
 )
 
 // Column order of the DOC table.
@@ -407,6 +408,7 @@ func (s *Store) rebuildDerived() error {
 	}
 	governs := governingContexts(flat)
 	toks := make([][]string, len(flat)) // per key row, the words posted under it
+	var terms textindex.Terms
 	for i := range flat {
 		fn := &flat[i]
 		if !stored[docs[i]] {
@@ -416,7 +418,7 @@ func (s *Store) rebuildDerived() error {
 		// says the element did not fold.
 		if text, ok := ownText(fn.class, fn.data, !pend[i].child.IsZero()); ok {
 			k := postKey(flat, governs, i)
-			toks[k] = append(toks[k], textindex.Tokenize(text)...)
+			toks[k] = terms.Append(toks[k], text)
 		}
 		if fn.class == sgml.ClassContext {
 			s.addContextKey(fn.data, fn.rid)
