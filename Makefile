@@ -93,28 +93,29 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-smoke runs each serving / cold-kernel / reopen / delete / ingest
-# benchmark case once: it proves the serving path, both caches, the
-# write-heavy mixed workload, the accelerated query kernel, the snapshot
-# reopen path, the document delete and the batch ingest pipeline still
-# execute, without the cost of a timed benchmark run.
+# / reconstruct benchmark case once: it proves the serving path, both
+# caches, the write-heavy mixed workload, the accelerated query kernel,
+# the snapshot reopen path, the document delete, the batch ingest
+# pipeline and the cold-store Reconstruct still execute, without the
+# cost of a timed benchmark run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkServeParallel|BenchmarkMixedWriteHeavy|BenchmarkColdContentSearch|BenchmarkReopen|BenchmarkDeleteDocument|BenchmarkIngestParallel' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkServeParallel|BenchmarkMixedWriteHeavy|BenchmarkColdContentSearch|BenchmarkReopen|BenchmarkDeleteDocument|BenchmarkIngestParallel|BenchmarkReconstruct' -benchtime 1x .
 
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
 # $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR34.json
-BENCH_OUT ?= BENCH_PR34.json
+# output file per PR: make bench-json BENCH_OUT=BENCH_PR35.json
+BENCH_OUT ?= BENCH_PR35.json
 bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument' -benchmem -benchtime 2s . \
+	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct' -benchmem -benchtime 2s . \
 		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)
 
 # bench-diff gates $(BENCH_OUT) against the newest committed
 # BENCH_PR*.json — excluding $(BENCH_OUT) itself, so recording this
 # PR's own baseline file never degrades into a self-comparison.  >2x
-# ns/op or allocs/op on any serving/cold-kernel/reopen/ingest benchmark
-# fails.  This is
+# ns/op or allocs/op on any serving/cold-kernel/reopen/ingest/reconstruct
+# benchmark fails.  This is
 # what the CI bench-regression job runs (with BENCH_OUT=BENCH_CI.json).
 bench-diff:
 	@base=$$(ls BENCH_PR*.json | grep -vx '$(BENCH_OUT)' | sort -V | tail -1); \

@@ -8,6 +8,7 @@ package netmark_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -15,12 +16,14 @@ import (
 	"testing"
 
 	"netmark"
+	"netmark/internal/core"
 	"netmark/internal/corpus"
 	"netmark/internal/costmodel"
 	"netmark/internal/databank"
 	"netmark/internal/docform"
 	"netmark/internal/experiments"
 	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
 	"netmark/internal/shred"
 	"netmark/internal/webdav"
 	"netmark/internal/xdb"
@@ -777,6 +780,72 @@ func BenchmarkReopen(b *testing.B) {
 		b.Run(fmt.Sprintf("snapshot/docs=%d", docs), func(b *testing.B) { reopen(b, false) })
 		b.Run(fmt.Sprintf("scan/docs=%d", docs), func(b *testing.B) { reopen(b, true) })
 	}
+}
+
+// BenchmarkReconstruct measures the read path of an HTTP GET on a cold
+// store: each op opens a directory store of 100 deep reports (some
+// 260 000 nodes, more than the default node cache holds) off the clock,
+// then rebuilds every document with Reconstruct and serializes it with
+// sgml.WriteIndent.  ns/node and allocs/node are the per-hop cost of the
+// ROWID-linked traversal through the node cache.
+func BenchmarkReconstruct(b *testing.B) {
+	dir := b.TempDir()
+	db, err := ordbms.Open(ordbms.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := xmlstore.Open(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ids []uint64
+	for _, d := range corpus.New(1).DeepReports(100, 6, 24, 16) {
+		id, err := s.StoreRaw(d.Name, d.Data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	nodes := s.NumNodes()
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var allocs uint64
+	var ms runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		db, err := ordbms.Open(ordbms.Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := xmlstore.Open(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.EnableNodeCache(core.DefaultNodeCacheBytes)
+		runtime.ReadMemStats(&ms)
+		allocs -= ms.Mallocs
+		b.StartTimer()
+		for _, id := range ids {
+			tree, err := s.Reconstruct(id)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sgml.WriteIndent(io.Discard, tree); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		allocs += ms.Mallocs
+		db.CloseDiscard()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes*int64(b.N)), "ns/node")
+	b.ReportMetric(float64(allocs)/float64(nodes*int64(b.N)), "allocs/node")
 }
 
 // BenchmarkDeleteDocument measures removing one deep report (some 2 600

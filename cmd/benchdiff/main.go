@@ -24,9 +24,9 @@ import (
 	"netmark/internal/benchfmt"
 )
 
-// defaultMatch covers the serving / cold-kernel / reopen / ingest
-// trajectory benchmarks recorded in every BENCH_PR*.json.
-const defaultMatch = "BenchmarkServeParallel|BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkReopen|BenchmarkIngestParallel"
+// defaultMatch covers the serving / cold-kernel / reopen / ingest /
+// reconstruct trajectory benchmarks recorded in every BENCH_PR*.json.
+const defaultMatch = "BenchmarkServeParallel|BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkReconstruct"
 
 type row struct {
 	name      string

@@ -903,29 +903,20 @@ func (t *Table) FetchView(rid RowID, fn func(rec []byte) error) error {
 	return t.heap.View(rid, fn)
 }
 
-// FetchMany fetches and decodes many rows under a single shared-lock
-// acquisition, reusing the page pin across consecutive rids on the same
-// page — the batched analogue of Fetch for traversal kernels that already
-// hold a sorted rid list.  out[i] is nil when rid i's record was deleted
-// (readers racing a document delete skip those rows); any other error
-// aborts the batch.
-func (t *Table) FetchMany(rids []RowID) ([]Row, error) {
+// ViewPage reads page no under one shared table lock and one page read
+// latch: fn gets the table's schema, the page's slot count, dead slots
+// included, and live, which calls yield for every live record in slot
+// order (Page.LiveRecords) and reports a corrupt directory.  fn must not
+// retain rec, block, or call back into the table.
+func (t *Table) ViewPage(no uint32, fn func(sch Schema, slots int, live func(yield func(slot int, rec []byte) bool) error) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	rows := make([]Row, len(rids))
-	sch := t.Schema()
-	err := t.heap.ViewMany(rids, func(i int, rec []byte) error {
-		row, derr := DecodeRow(sch, rids[i], rec)
-		if derr != nil {
-			return derr
+	return t.heap.ViewPage(no, func(p *Page) error {
+		if p.freeLower() > PageSize {
+			return fmt.Errorf("%w: %d slots", errCorruptPage, p.numSlots())
 		}
-		rows[i] = row
-		return nil
+		return fn(t.Schema(), p.NumSlots(), p.LiveRecords)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Delete removes the row at rid and its index entries: a run of one.

@@ -1,8 +1,12 @@
 package ordbms
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -368,5 +372,81 @@ func TestDropTable(t *testing.T) {
 	}
 	if err := db.DropTable("t"); err == nil {
 		t.Fatal("double drop accepted")
+	}
+}
+
+// ViewPage yields exactly the slots LiveRecords does, with the page's
+// slot count, dead slots included, and reports a corrupt directory.
+func TestViewPageYieldsLiveRecords(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t", testSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rids []RowID
+	for i := 0; i < 40; i++ {
+		rid, err := tbl.Insert(Row{I(int64(i)), S(fmt.Sprintf("row %d", i)), F(float64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	for i := 0; i < len(rids); i += 3 {
+		if err := tbl.Delete(rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	no := rids[0].Page
+	type rec struct {
+		slot int
+		data string
+	}
+	var want []rec
+	f, err := tbl.heap.pool.Fetch(no)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSlots := f.Page.NumSlots()
+	if err := f.Page.LiveRecords(func(slot int, b []byte) bool {
+		want = append(want, rec{slot, string(b)})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []rec
+	gotSlots := -1
+	err = tbl.ViewPage(no, func(sch Schema, slots int, live func(func(int, []byte) bool) error) error {
+		if len(sch.Columns) != 3 {
+			t.Errorf("schema has %d columns, want 3", len(sch.Columns))
+		}
+		gotSlots = slots
+		return live(func(slot int, b []byte) bool {
+			got = append(got, rec{slot, string(b)})
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotSlots != wantSlots || wantSlots != len(rids) {
+		t.Errorf("slots = %d, page has %d, rows inserted %d", gotSlots, wantSlots, len(rids))
+	}
+	if !reflect.DeepEqual(got, want) || len(got) != len(rids)-(len(rids)+2)/3 {
+		t.Errorf("ViewPage yielded %d records, LiveRecords %d", len(got), len(want))
+	}
+
+	binary.LittleEndian.PutUint16(f.Page.Data(), maxSlots+1)
+	tbl.heap.pool.Unpin(f, true)
+	called := false
+	err = tbl.ViewPage(no, func(Schema, int, func(func(int, []byte) bool) error) error {
+		called = true
+		return nil
+	})
+	if !errors.Is(err, errCorruptPage) || called {
+		t.Fatalf("ViewPage of a corrupt directory = %v (fn called: %v), want a corrupt-page error", err, called)
 	}
 }

@@ -45,16 +45,11 @@ func NewHeapFile(pool *BufferPool, wal *WAL) *HeapFile {
 func OpenHeapFile(pool *BufferPool, wal *WAL, pages []uint32) (*HeapFile, error) {
 	h := &HeapFile{pool: pool, wal: wal, pages: append([]uint32(nil), pages...)}
 	for _, no := range pages {
-		f, err := pool.Fetch(no)
-		if err != nil {
-			return nil, err
-		}
-		f.Latch.RLock()
-		free := f.Page.FreeSpace()
-		live := 0
-		err = f.Page.LiveRecords(func(int, []byte) bool { live++; return true })
-		f.Latch.RUnlock()
-		pool.Unpin(f, false)
+		free, live := 0, 0
+		err := h.ViewPage(no, func(p *Page) error {
+			free = p.FreeSpace()
+			return p.LiveRecords(func(int, []byte) bool { live++; return true })
+		})
 		if err != nil {
 			return nil, fmt.Errorf("ordbms: page %d: %w", no, err)
 		}
@@ -438,47 +433,18 @@ func (h *HeapFile) View(rid RowID, fn func(rec []byte) error) error {
 	return gerr
 }
 
-// ViewMany invokes fn for each live record among rids, in input order,
-// reusing the pinned page frame across consecutive rids on the same page
-// — callers that sort rids into physical order pay one pool fetch per
-// page, not per record.  Deleted records are silently skipped (readers
-// racing a delete want the survivors, not an error); any other fetch
-// error, or an error from fn, aborts the walk.  The fn contract is the
-// same as View's: rec is only valid during the call.
-func (h *HeapFile) ViewMany(rids []RowID, fn func(i int, rec []byte) error) error {
-	var f *Frame
-	var cur uint32
-	release := func() {
-		if f != nil {
-			h.pool.Unpin(f, false)
-			f = nil
-		}
+// ViewPage invokes fn with page no while its read latch is held.  fn
+// must not retain the page or block.
+func (h *HeapFile) ViewPage(no uint32, fn func(p *Page) error) error {
+	f, err := h.pool.Fetch(no)
+	if err != nil {
+		return err
 	}
-	defer release()
-	for i, rid := range rids {
-		if f == nil || cur != rid.Page {
-			release()
-			var err error
-			if f, err = h.pool.Fetch(rid.Page); err != nil {
-				return err
-			}
-			cur = rid.Page
-		}
-		f.Latch.RLock()
-		rec, gerr := f.Page.Get(int(rid.Slot))
-		var ferr error
-		if gerr == nil {
-			ferr = fn(i, rec)
-		}
-		f.Latch.RUnlock()
-		if gerr != nil && gerr != ErrRecordDeleted {
-			return gerr
-		}
-		if ferr != nil {
-			return ferr
-		}
-	}
-	return nil
+	f.Latch.RLock()
+	err = fn(f.Page)
+	f.Latch.RUnlock()
+	h.pool.Unpin(f, false)
+	return err
 }
 
 // Delete removes the record at rid: a run of one.
@@ -585,18 +551,13 @@ func (h *HeapFile) Scan(fn func(rid RowID, rec []byte) bool) error {
 	pages := append([]uint32(nil), h.pages...)
 	h.mu.Unlock()
 	for _, no := range pages {
-		f, err := h.pool.Fetch(no)
-		if err != nil {
-			return err
-		}
 		stop := false
-		f.Latch.RLock()
-		err = f.Page.LiveRecords(func(slot int, rec []byte) bool {
-			stop = !fn(RowID{Page: no, Slot: uint16(slot)}, rec)
-			return !stop
+		err := h.ViewPage(no, func(p *Page) error {
+			return p.LiveRecords(func(slot int, rec []byte) bool {
+				stop = !fn(RowID{Page: no, Slot: uint16(slot)}, rec)
+				return !stop
+			})
 		})
-		f.Latch.RUnlock()
-		h.pool.Unpin(f, false)
 		if err != nil {
 			return fmt.Errorf("ordbms: page %d: %w", no, err)
 		}

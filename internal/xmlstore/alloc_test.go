@@ -7,7 +7,8 @@ import (
 )
 
 // A node-cache hit — the warm traversal hop beneath every query kernel —
-// must be allocation-free: shard probe, two atomic counters, done.
+// must be allocation-free: a directory load, a page image's slot and a
+// hit counter.
 func TestFetchNodeWarmZeroAlloc(t *testing.T) {
 	s := memStore(t)
 	s.EnableNodeCache(1 << 20)

@@ -718,12 +718,16 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	}
 	s.content.Remove(ids...)
 	err = s.xml.DeleteRun(rids) // ErrRecordDeleted: a retry found no rows left
-	// Cached decodes go after the rows, so a racing fill (whose token
+	// Page images go after the rows, so a racing fill (whose token
 	// predates this invalidation) can never resurrect a record.
-	for _, rid := range rids {
-		if c := s.nodes; c != nil {
-			c.invalidate(rid)
+	if c := s.nodes; c != nil {
+		var pages []uint32
+		for _, rid := range rids {
+			if len(pages) == 0 || pages[len(pages)-1] != rid.Page {
+				pages = append(pages, rid.Page)
+			}
 		}
+		c.invalidate(pages)
 	}
 	if err != nil && err != ordbms.ErrRecordDeleted {
 		return err

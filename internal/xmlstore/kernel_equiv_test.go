@@ -244,23 +244,69 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 }
 
 // TestContentSearchRaceWithNodeCache hammers the accelerated kernel
-// against concurrent ingest and delete with the node cache enabled.  Run
-// under -race it proves the cache fill tokens and the posting removals
-// are sound; the results themselves must only ever contain
-// complete sections.
+// against concurrent ingest and delete with the node cache enabled, and
+// small documents that land in the free space of cached pages beside
+// Reconstructs of the documents that stay.  Run under -race it proves
+// the lock-free page-image hops, the fill tokens and the posting removals
+// are sound; the results themselves must only ever contain complete
+// sections, and every staying document must read back byte for byte.
 func TestContentSearchRaceWithNodeCache(t *testing.T) {
 	s := memStore(t)
 	s.EnableNodeCache(8 << 20)
 	gen := corpus.New(7)
+	want := make(map[uint64]string)
 	for _, d := range gen.DeepReports(4, 3, 4, 3) {
-		if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
+		id, err := s.StoreRaw(d.Name, d.Data)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want[id] = reconstructBytes(t, s, d.Name)
 	}
 
-	const writers, searchers, rounds = 2, 4, 40
+	const writers, searchers, readers, rounds = 2, 4, 2, 40
 	var wg sync.WaitGroup
-	errs := make(chan error, writers+searchers)
+	errs := make(chan error, writers+1+searchers+readers)
+	wg.Add(1)
+	go func() { // small documents, stored into cached pages' free space
+		defer wg.Done()
+		for r := 0; r < rounds; r++ {
+			id, err := s.StoreRaw(fmt.Sprintf("small-%d.html", r),
+				[]byte(fmt.Sprintf("<html><body><h1>Budget</h1><p>cryogenic review %d</p></body></html>", r)))
+			if err != nil {
+				errs <- err
+				return
+			}
+			if tree, err := s.Reconstruct(id); err != nil || len(sgml.Serialize(tree)) == 0 {
+				errs <- fmt.Errorf("small document %d: %v", r, err)
+				return
+			}
+			if r%2 == 0 {
+				if err := s.DeleteDocument(id); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds/4; i++ {
+				for id, text := range want {
+					tree, err := s.Reconstruct(id)
+					if err != nil {
+						errs <- fmt.Errorf("reconstruct %d: %w", id, err)
+						return
+					}
+					if got := sgml.Serialize(tree); got != text {
+						errs <- fmt.Errorf("document %d reads back differently under churn", id)
+						return
+					}
+				}
+			}
+		}()
+	}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -7,208 +7,216 @@ import (
 	"netmark/internal/ordbms"
 )
 
-// This file implements the decoded-node cache: a sharded, byte-capped
-// cache of decoded XML-table rows, keyed by physical RowID.  The §2.1.4
-// traversal kernel revisits the same rows constantly — every hit in a
-// section walks the same parent/sibling chain, every section re-reads the
-// heading's neighbours — and without the cache each revisit pays a table
-// lock, a page latch, and a full record decode.  With it, a hop on a warm
-// path is one shard read-lock map probe plus an atomic touch.
+// This file implements the decoded-node cache: a byte-capped cache of
+// page images, one per XML-table heap page.  The §2.1.4 traversal kernel
+// revisits the same rows constantly — every hit in a section walks the
+// same parent/sibling chain, every section re-reads the heading's
+// neighbours — and the rows a walk visits sit on a few neighbouring
+// pages.  So a miss decodes its whole page once, and the page's other
+// rows are then hits.
 //
-// Replacement is CLOCK (second chance), not strict LRU: a hit only sets
-// an atomic used flag under the shard's read lock, so concurrent queries
-// hammering the same hot rows never serialise on a mutex the way
-// an LRU list's MoveToFront would force them to.  Eviction sweeps the
-// shard map, reprieving used entries once and dropping the rest until
-// the shard fits its cap.
+// A page image is an immutable []Node indexed by slot; a zero RowID marks
+// a slot that was dead when the page was decoded.  Images live in a
+// directory indexed by page number and published through an atomic
+// pointer, so a warm hop is an atomic load, an index and a slot index: no
+// lock, no hash, no allocation.  Writers — publish, evict, invalidate —
+// serialise on one mutex and store into the directory's entries, and grow
+// it by publishing a copy.
 //
-// Coherence: XML rows are written once, with their final bytes, and never
-// change until their document is deleted; the delete calls invalidate()
-// for every RowID after its row is gone, so a slot the heap hands to a
-// later ingest starts with no entry and can only be filled from the new
-// row.  Fills racing an invalidation are handled with a fill token:
-// beginFill snapshots the shard's invalidation generation before the heap
-// fetch, and completeFill drops the fill if any invalidation hit the
-// shard in between — a stale decode can never be published over a newer
-// invalidation.
+// Replacement is CLOCK (second chance) over the resident images: a hop
+// sets its image's used bit when it is clear, and the eviction hand walks
+// the directory, reprieving a used image once and dropping the rest until
+// the cache fits its cap.
+//
+// Coherence rests on four facts:
+//   - Rows are immutable: an XML row is written once, with its final
+//     bytes, and never changes until its document is deleted.
+//   - Slots are never reused: a deleted row's slot stays dead, so an
+//     image's live node can go stale only by being deleted.
+//   - A row added later to a page (InsertRun fills free space) takes a
+//     slot past every slot the page had, so a hop to a slot past its
+//     image's slot count decodes the page again and replaces the image.
+//   - Fill tokens: a fill reads gen before it decodes and publishes only
+//     if gen has not moved.  DeleteDocument invalidates each page its run
+//     touched after the rows are gone, bumping gen, so a decode that may
+//     predate the delete is never published over it.
 //
 // Cached *Node values are shared across goroutines and MUST be treated as
 // read-only, like cached query results.
 
-const nodeCacheShardCount = 32
-
-// nodeCacheEntry boxes one cached node with its byte charge and CLOCK
-// reference flag.
-type nodeCacheEntry struct {
-	node *Node
-	size int64
-	used atomic.Bool
+// pageImage is one heap page decoded.  Only used changes after it is
+// published.
+type pageImage struct {
+	nodes []Node // by slot; a zero RowID is a slot dead at decode
+	live  int    // nodes with a row
+	size  int64  // byte charge: nodeFootprint over the live nodes
+	used  atomic.Bool
 }
 
-type nodeCacheShard struct {
-	// mu is held for map probes only; never across I/O or decode.
-	// netmarkvet:hot
-	mu  sync.RWMutex
-	gen uint64 // guarded by mu; bumped by every invalidation landing in this shard
-	// netmarkvet:gen gen
-	m     map[ordbms.RowID]*nodeCacheEntry // guarded by mu
-	bytes int64                            // guarded by mu
-}
+// pageDir maps a page number to its resident image, or nil.
+type pageDir []atomic.Pointer[pageImage]
 
-// nodeCache is the sharded cache.  Shards keep lock hold times tiny and
-// let concurrent queries touching different pages proceed in parallel.
+// nodeCache is the page-image cache.
 type nodeCache struct {
-	capPerShard int64
-	shards      [nodeCacheShardCount]nodeCacheShard
+	capacity int64
+	dir      atomic.Pointer[pageDir] // replaced to grow, under mu
+
+	// mu serialises every directory write; a hop never takes it.
+	// netmarkvet:hot
+	mu  sync.Mutex
+	gen uint64 // guarded by mu; the fill token, bumped by every invalidation
+	// bytes is the resident images' charge.  Every directory write moves
+	// it, so genbump holds each one to the fill-token rule.
+	// netmarkvet:gen gen
+	bytes   int64 // guarded by mu
+	entries int   // guarded by mu; live nodes in the resident images
+	hand    int   // guarded by mu; the CLOCK hand, a page number
 
 	hits, misses, evictions atomic.Uint64
+
+	// fillHook, when set, runs between a fill's decode and its publish
+	// (tests only).
+	fillHook func()
 }
 
 // NodeCacheStats is a snapshot of the decoded-node cache counters.
 type NodeCacheStats struct {
-	Hits      uint64 // lookups served from a cached decode
-	Misses    uint64 // lookups that fetched and decoded the row
-	Evictions uint64 // entries dropped to fit the byte cap
-	Entries   int    // live entries
+	Hits      uint64 // hops served from a resident page image
+	Misses    uint64 // hops that decoded their page
+	Evictions uint64 // nodes dropped with their images to fit the byte cap
+	Entries   int    // nodes held by the resident images
 	Bytes     int64  // estimated bytes held
 	Capacity  int64  // configured byte cap
 }
 
 func newNodeCache(capacity int64) *nodeCache {
-	per := capacity / nodeCacheShardCount
-	if per < 1 {
-		per = 1
-	}
-	c := &nodeCache{capPerShard: per}
-	for i := range c.shards {
-		c.shards[i].m = make(map[ordbms.RowID]*nodeCacheEntry)
-	}
+	c := &nodeCache{capacity: capacity}
+	c.dir.Store(&pageDir{})
 	return c
 }
 
-func (c *nodeCache) shard(rid ordbms.RowID) *nodeCacheShard {
-	// Fibonacci hashing over the packed rid spreads sequential pages
-	// across shards.
-	h := rid.Uint64() * 0x9E3779B97F4A7C15
-	return &c.shards[h>>(64-5)]
-}
-
-// get probes the shard map for a decoded node: the warm traversal hop,
-// two atomic counters and a map read.
+// hop serves rid from its page's image.  It returns nil when the page has
+// no image, or one decoded before rid's slot existed.
 //
 // netmarkvet:hotpath
-func (c *nodeCache) get(rid ordbms.RowID) (*Node, bool) {
-	s := c.shard(rid)
-	s.mu.RLock()
-	e := s.m[rid]
-	s.mu.RUnlock()
-	if e == nil {
+func (c *nodeCache) hop(rid ordbms.RowID) *Node {
+	dir := *c.dir.Load()
+	var img *pageImage
+	if int(rid.Page) < len(dir) {
+		img = dir[rid.Page].Load()
+	}
+	if img == nil || int(rid.Slot) >= len(img.nodes) {
 		c.misses.Add(1)
-		return nil, false
+		return nil
 	}
-	e.used.Store(true)
+	if !img.used.Load() {
+		img.used.Store(true)
+	}
 	c.hits.Add(1)
-	return e.node, true
+	return &img.nodes[rid.Slot]
 }
 
-// beginFill snapshots the shard invalidation generation before the caller
-// fetches and decodes the row.
-func (c *nodeCache) beginFill(rid ordbms.RowID) uint64 {
-	s := c.shard(rid)
-	s.mu.RLock()
-	g := s.gen
-	s.mu.RUnlock()
-	return g
+// token is a fill's fence, read before its decode.
+func (c *nodeCache) token() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
 }
 
-// completeFill publishes a decoded node unless an invalidation hit the
-// shard since beginFill — in that race the decode may predate the
-// mutation, so it is dropped rather than published.
+// publish installs img as page no's image unless an invalidation came
+// after token, the image outweighs the whole cache, or the page already
+// has an image that knows as many slots.
 //
-// netmarkvet:ignore genbump — a fill publishes a decode the gen token
+// netmarkvet:ignore genbump — a publish installs a decode the token
 // already fenced; it is not a logical mutation, so it must NOT bump gen
-// (a bump here would invalidate concurrent fills forever).
-func (c *nodeCache) completeFill(rid ordbms.RowID, n *Node, token uint64) {
-	size := nodeFootprint(n)
-	if size > c.capPerShard {
+// (a bump here would drop every concurrent fill).
+func (c *nodeCache) publish(no uint32, img *pageImage, token uint64) {
+	if img.size > c.capacity {
 		return
 	}
-	s := c.shard(rid)
-	s.mu.Lock()
-	if s.gen != token {
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen != token {
 		return
 	}
-	if _, ok := s.m[rid]; ok { // lost a fill race: keep the incumbent
-		s.mu.Unlock()
-		return
+	dir := *c.dir.Load()
+	if int(no) >= len(dir) {
+		grown := make(pageDir, max(2*len(dir), int(no)+1))
+		for i := range dir {
+			grown[i].Store(dir[i].Load())
+		}
+		c.dir.Store(&grown)
+		dir = grown
 	}
-	s.m[rid] = &nodeCacheEntry{node: n, size: size}
-	s.bytes += size
-	var evicted uint64
-	if s.bytes > c.capPerShard {
-		evicted = s.evictLocked(c.capPerShard)
+	if old := dir[no].Load(); old != nil {
+		if len(old.nodes) >= len(img.nodes) {
+			return // a racing fill got there first
+		}
+		c.bytes -= old.size
+		c.entries -= old.live
 	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
+	img.used.Store(true)
+	dir[no].Store(img)
+	c.bytes += img.size
+	c.entries += img.live
+	c.evictLocked(dir)
+}
+
+// evictLocked is the CLOCK sweep: the hand walks the directory, an image
+// used since the hand last passed it is reprieved once, and an unused one
+// is dropped, until the cache fits its cap.  No image outweighs the cap,
+// and after one whole turn none is reprieved, so the sweep ends however
+// hard hops keep setting used bits.  Caller holds c.mu.
+func (c *nodeCache) evictLocked(dir pageDir) {
+	for step := 0; c.bytes > c.capacity; step++ {
+		c.hand++
+		if c.hand >= len(dir) {
+			c.hand = 0
+		}
+		img := dir[c.hand].Load()
+		if img == nil || (step < len(dir) && img.used.Swap(false)) {
+			continue
+		}
+		dir[c.hand].Store(nil)
+		c.bytes -= img.size
+		c.entries -= img.live
+		c.evictions.Add(uint64(img.live))
 	}
 }
 
-// evictLocked is the CLOCK sweep: entries touched since the last sweep
-// get a second chance (flag cleared), untouched entries are dropped,
-// until the shard fits cap.  Map iteration order serves as the clock
-// hand; a second pass catches the case where every entry had its flag
-// set.  Caller holds s.mu.
-func (s *nodeCacheShard) evictLocked(cap int64) uint64 {
-	var evicted uint64
-	for pass := 0; pass < 2 && s.bytes > cap; pass++ {
-		for rid, e := range s.m {
-			if s.bytes <= cap {
-				break
-			}
-			if pass == 0 && e.used.Swap(false) {
-				continue // second chance
-			}
-			delete(s.m, rid)
-			s.bytes -= e.size
-			evicted++
+// invalidate drops the images of the pages a delete has just removed rows
+// from, and fences every fill in flight, in one hold of mu.
+func (c *nodeCache) invalidate(pages []uint32) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gen++
+	dir := *c.dir.Load()
+	for _, no := range pages {
+		if int(no) >= len(dir) {
+			continue
+		}
+		if img := dir[no].Swap(nil); img != nil {
+			c.bytes -= img.size
+			c.entries -= img.live
 		}
 	}
-	return evicted
-}
-
-// invalidate drops rid and fences concurrent fills of the shard.
-func (c *nodeCache) invalidate(rid ordbms.RowID) {
-	s := c.shard(rid)
-	s.mu.Lock()
-	s.gen++
-	if e, ok := s.m[rid]; ok {
-		delete(s.m, rid)
-		s.bytes -= e.size
-	}
-	s.mu.Unlock()
 }
 
 func (c *nodeCache) stats() NodeCacheStats {
-	st := NodeCacheStats{
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return NodeCacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Capacity:  c.capPerShard * nodeCacheShardCount,
+		Entries:   c.entries,
+		Bytes:     c.bytes,
+		Capacity:  c.capacity,
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		st.Entries += len(s.m)
-		st.Bytes += s.bytes
-		s.mu.RUnlock()
-	}
-	return st
 }
 
 // nodeFootprint estimates a decoded node's resident bytes: string
-// payloads plus a fixed overhead for the struct and map slot.
+// payloads plus a fixed overhead for the struct and its bookkeeping.
 func nodeFootprint(n *Node) int64 {
 	size := int64(len(n.Name)+len(n.Data)) + 160
 	for _, a := range n.Attrs {

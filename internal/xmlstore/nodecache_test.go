@@ -1,0 +1,231 @@
+package xmlstore
+
+import (
+	"fmt"
+	"testing"
+
+	"netmark/internal/corpus"
+	"netmark/internal/sgml"
+)
+
+// lookups is how many hops the node cache has served or missed.
+func lookups(s *Store) uint64 {
+	st, _ := s.NodeCacheStats()
+	return st.Hits + st.Misses
+}
+
+// reconstructUncached serializes document id with every hop decoding
+// its own row.
+func reconstructUncached(t *testing.T, s *Store, id uint64) string {
+	t.Helper()
+	c := s.nodes
+	s.nodes = nil
+	defer func() { s.nodes = c }()
+	tree, err := s.Reconstruct(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sgml.Serialize(tree)
+}
+
+// A row stored into the free space of a page whose image is cached has a
+// slot past the image's: the hop decodes the page again, and the new
+// document reads back as it does without the cache.
+func TestPageImageSeesNewRow(t *testing.T) {
+	s := memStore(t)
+	s.EnableNodeCache(1 << 20)
+	first := ingest(t, s, "sample.html", sampleHTML)
+	firstText := reconstructBytes(t, s, "sample.html") // caches its page
+	info, err := s.Document(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := info.RootRowID.Page
+	img := (*s.nodes.dir.Load())[page].Load()
+	if img == nil {
+		t.Fatal("setup: the first document's page has no image")
+	}
+
+	second := ingest(t, s, "small.html", `<html><body><h1>Later</h1><p>a late row on a cached page</p></body></html>`)
+	info, err = s.Document(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.RootRowID.Page != page || int(info.RootRowID.Slot) < len(img.nodes) {
+		t.Fatalf("setup: the small document's root is %v, want page %d past slot %d", info.RootRowID, page, len(img.nodes))
+	}
+	before, _ := s.NodeCacheStats()
+	if got, want := reconstructBytes(t, s, "small.html"), reconstructUncached(t, s, second); got != want {
+		t.Fatalf("cached Reconstruct of the new document:\n got: %s\nwant: %s", got, want)
+	}
+	after, _ := s.NodeCacheStats()
+	if after.Misses != before.Misses+1 {
+		t.Errorf("the new document took %d page decodes, want 1", after.Misses-before.Misses)
+	}
+	if (*s.nodes.dir.Load())[page].Load() == img {
+		t.Error("the stale image is still published")
+	}
+	if got := reconstructBytes(t, s, "sample.html"); got != firstText {
+		t.Fatal("the first document changed")
+	}
+}
+
+// A deleted row is gone both through the image decoded after its delete
+// and after the delete invalidated the image that held it.
+func TestPageImageDeletedRow(t *testing.T) {
+	s := memStore(t)
+	s.EnableNodeCache(1 << 20)
+	a := ingest(t, s, "a.html", sampleHTML)
+	b := ingest(t, s, "b.html", sampleHTML)
+	ra, err := s.Document(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := s.Document(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.RootRowID.Page != rb.RootRowID.Page {
+		t.Fatalf("setup: the documents' roots are on pages %d and %d", ra.RootRowID.Page, rb.RootRowID.Page)
+	}
+	if _, err := s.FetchNode(ra.RootRowID); err != nil { // caches the page, a live
+		t.Fatal(err)
+	}
+	if err := s.DeleteDocument(a); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := s.NodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("the delete left its page's image: %+v", st)
+	}
+	if n, err := s.FetchNode(ra.RootRowID); !IsGone(err) {
+		t.Fatalf("after the invalidation, the deleted root = %+v, %v", n, err)
+	}
+
+	// The hop above decoded the page again, with a's slots dead.
+	before, _ := s.NodeCacheStats()
+	if n, err := s.FetchNode(ra.RootRowID); !IsGone(err) {
+		t.Fatalf("through the cached image, the deleted root = %+v, %v", n, err)
+	}
+	if after, _ := s.NodeCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("the hop was not served from the image: %+v then %+v", before, after)
+	}
+	if _, err := s.FetchNode(rb.RootRowID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A fill that decoded its page before a delete and publishes after it
+// must not publish: the image would serve the deleted rows.
+func TestFillRacingDeleteIsDropped(t *testing.T) {
+	s := memStore(t)
+	s.EnableNodeCache(1 << 20)
+	a := ingest(t, s, "a.html", sampleHTML)
+	ingest(t, s, "b.html", sampleHTML)
+	info, err := s.Document(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, release := make(chan struct{}), make(chan struct{})
+	s.setFillHook(func() {
+		close(decoded)
+		<-release
+	})
+	done := make(chan error)
+	go func() {
+		_, err := s.FetchNode(info.RootRowID)
+		done <- err
+	}()
+	<-decoded
+	if err := s.DeleteDocument(a); err != nil { // the walk reads around the cache
+		t.Fatal(err)
+	}
+	s.setFillHook(nil)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("the hop that raced the delete: %v", err)
+	}
+	if st, _ := s.NodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("the stale image was published: %+v", st)
+	}
+	if n, err := s.FetchNode(info.RootRowID); !IsGone(err) {
+		t.Fatalf("the deleted root = %+v, %v", n, err)
+	}
+}
+
+// A corpus that decodes to twice the cap stays within it, evicting whole
+// images, and Entries and Evictions count nodes.
+func TestPageImagesFitTheCap(t *testing.T) {
+	s := memStore(t)
+	var ids []uint64
+	for _, d := range corpus.New(5).DeepReports(8, 4, 8, 5) {
+		id, err := s.StoreRaw(d.Name, d.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	readAll := func() {
+		for _, id := range ids {
+			if _, err := s.Reconstruct(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.EnableNodeCache(1 << 30)
+	readAll()
+	whole, _ := s.NodeCacheStats()
+	if whole.Entries != int(s.NumNodes()) || whole.Evictions != 0 {
+		t.Fatalf("an uncapped read of every document holds %d entries and evicted %d, want every one of %d nodes",
+			whole.Entries, whole.Evictions, s.NumNodes())
+	}
+
+	s.EnableNodeCache(whole.Bytes / 2)
+	readAll()
+	st, _ := s.NodeCacheStats()
+	if st.Bytes > st.Capacity || st.Evictions == 0 || st.Entries == 0 {
+		t.Fatalf("over the cap or no eviction: %+v", st)
+	}
+	// Every node was decoded, so each one not resident was evicted.
+	if missing := s.NumNodes() - int64(st.Entries); int64(st.Evictions) < missing {
+		t.Fatalf("%d nodes evicted, but %d are not resident", st.Evictions, missing)
+	}
+}
+
+// A capped query pulls key rows for its limit, not a whole chunk: a
+// limit-1 content query over more candidates than sectionChunk makes at
+// most 16 key-row lookups besides its section's hops.
+func TestPullFollowsTheLimit(t *testing.T) {
+	s := memStore(t)
+	s.EnableNodeCache(64 << 20)
+	for d := 0; d < 12; d++ {
+		doc := "<report>"
+		for i := 0; i < 60; i++ {
+			doc += fmt.Sprintf("<heading>H%d</heading><para>liquid oxygen %d</para>", i, i)
+		}
+		ingest(t, s, fmt.Sprintf("d%d.xml", d), doc+"</report>")
+	}
+	if df := s.ContentIndex().DF("liquid"); df <= sectionChunk {
+		t.Fatalf("setup: %d candidates fit one chunk", df)
+	}
+	for pass := 0; pass < 2; pass++ { // cold, then warm
+		before := lookups(s)
+		secs, err := s.ContentSearchN("liquid", 1)
+		if err != nil || len(secs) != 1 {
+			t.Fatalf("content=liquid&limit=1: %d sections, %v", len(secs), err)
+		}
+		query := lookups(s) - before
+
+		key, err := s.FetchNode(secs[0].ContextRID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = lookups(s)
+		if _, err := s.keySection(key); err != nil {
+			t.Fatal(err)
+		}
+		section := lookups(s) - before
+		if query > 16+section {
+			t.Fatalf("pass %d: the query made %d lookups, want at most 16 key rows + %d for its section", pass, query, section)
+		}
+	}
+}

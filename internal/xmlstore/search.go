@@ -38,8 +38,8 @@ import (
 //
 // Nothing runs ahead of the sink, so the same query does the same work
 // every time and a capped query pays for the sections it returns.  Key
-// rows reach the pipeline sectionChunk at a time through the node cache
-// and batched heap fetches.
+// rows are pulled on demand — a first chunk sized to the limit, doubling
+// up to sectionChunk — and each resolves through the node cache.
 
 // ContextFor resolves a node to its governing CONTEXT node by the paper's
 // traversal: scan left across preceding siblings, then climb, until the
@@ -229,7 +229,7 @@ func (s *Store) sections(q SectionQuery, fromContent bool, fn func(Section) bool
 		return fn(sec) && (q.Limit <= 0 || n < q.Limit), nil
 	}
 	if fromContent {
-		return s.forEachKeyRow(iterRows(s.content.AndIter(q.Content)), visit)
+		return s.forEachKeyRow(pullSize(q.Limit), iterRows(s.content.AndIter(q.Content)), visit)
 	}
 	// With no terms to hold, the first q.Limit candidates are the result:
 	// push the cap into candidate collection.
@@ -242,7 +242,7 @@ func (s *Store) sections(q SectionQuery, fromContent bool, fn func(Section) bool
 	if q.Content != "" {
 		rids = s.holding(rids, q.Content)
 	}
-	return s.forEachKeyRow(func() (ordbms.RowID, bool) {
+	return s.forEachKeyRow(pullSize(q.Limit), func() (ordbms.RowID, bool) {
 		if len(rids) == 0 {
 			return ordbms.ZeroRowID, false
 		}
@@ -375,10 +375,20 @@ func (h *ridBound) push(rid ordbms.RowID, k int) {
 	}
 }
 
-// sectionChunk is how many rowids the pipeline resolves per batched
-// fetch, so a capped query over a huge candidate list allocates per
-// chunk, not per corpus.
+// sectionChunk is the most rowids the pipeline pulls and resolves at a
+// time, so a query over a huge candidate list holds a chunk, not the
+// corpus.
 const sectionChunk = 512
+
+// pullSize is the first chunk a query with this limit pulls: enough for
+// the limit, with a floor, so a query that skips a few candidates seldom
+// pulls twice; a whole chunk when there is no limit.
+func pullSize(limit int) int {
+	if limit <= 0 {
+		return sectionChunk
+	}
+	return min(max(limit, 16), sectionChunk)
+}
 
 // iterRows adapts an ID iterator to the key-row source forEachKeyRow
 // pulls from.
@@ -389,33 +399,38 @@ func iterRows(it *textindex.IDIter) func() (ordbms.RowID, bool) {
 	}
 }
 
-// forEachKeyRow fetches the rows next yields, ascending, and hands each
-// to fn until next is done or fn returns false.  The rows arrive
-// sectionChunk at a time through one reused buffer, so a capped scan over
-// a stop-word-sized posting list stops after a chunk or two instead of
-// decoding the whole list.
-func (s *Store) forEachKeyRow(next func() (ordbms.RowID, bool), fn func(key *Node) (more bool, err error)) error {
-	chunk := make([]ordbms.RowID, 0, sectionChunk)
-	for {
-		chunk = chunk[:0]
-		for len(chunk) < sectionChunk {
+// forEachKeyRow resolves the rows next yields, ascending, and hands each
+// to fn until next is done or fn returns false.  It pulls first rows,
+// then twice as many each time up to sectionChunk, so a capped query
+// resolves about as many key rows as its limit needs and a stop-word-sized
+// posting list is never decoded whole.
+func (s *Store) forEachKeyRow(first int, next func() (ordbms.RowID, bool), fn func(key *Node) (more bool, err error)) error {
+	var rids []ordbms.RowID
+	var keys []*Node
+	for size := first; ; size = min(2*size, sectionChunk) {
+		rids = rids[:0]
+		for len(rids) < size {
 			rid, ok := next()
 			if !ok {
 				break
 			}
-			chunk = append(chunk, rid)
+			rids = append(rids, rid)
 		}
-		if len(chunk) == 0 {
+		if len(rids) == 0 {
 			return nil
 		}
-		nodes, err := s.fetchNodesBatch(chunk)
-		if err != nil {
-			return err
-		}
-		for _, key := range nodes {
-			if key == nil {
+		keys = keys[:0]
+		for _, rid := range rids {
+			key, err := s.FetchNode(rid)
+			if err == ordbms.ErrRecordDeleted {
 				continue // deleted between index probe and fetch
 			}
+			if err != nil {
+				return err
+			}
+			keys = append(keys, key)
+		}
+		for _, key := range keys {
 			if more, err := fn(key); err != nil || !more {
 				return err
 			}
@@ -496,7 +511,7 @@ func (s *Store) ContentSearchN(query string, limit int) ([]Section, error) {
 func (s *Store) ContentSearchDocsN(query string, limit int) ([]*DocInfo, error) {
 	seen := make(map[uint64]bool)
 	var out []*DocInfo
-	err := s.forEachKeyRow(iterRows(s.content.AndIter(query)), func(key *Node) (bool, error) {
+	err := s.forEachKeyRow(pullSize(limit), iterRows(s.content.AndIter(query)), func(key *Node) (bool, error) {
 		docID, err := s.docOf(key)
 		if err == nil && !seen[docID] {
 			seen[docID] = true

@@ -375,9 +375,11 @@ func TestUnknownTagIsAnError(t *testing.T) {
 	if n, err := s.FetchNode(rid); err == nil {
 		t.Fatalf("FetchNode of an unknown tag = %+v", n)
 	}
-	if _, err := s.fetchNodesBatch([]ordbms.RowID{rid}); err == nil {
-		t.Fatal("fetchNodesBatch of an unknown tag succeeded")
+	s.EnableNodeCache(1 << 20)
+	if n, err := s.FetchNode(rid); err == nil {
+		t.Fatalf("FetchNode through the node cache of an unknown tag = %+v", n)
 	}
+	s.EnableNodeCache(0)
 	if err := s.ScanNodes(func(*Node) bool { return true }); err == nil {
 		t.Fatal("ScanNodes over an unknown tag succeeded")
 	}

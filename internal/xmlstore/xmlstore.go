@@ -496,12 +496,21 @@ func (s *Store) tagOf(rid ordbms.RowID, cols []ordbms.Value) (tagPair, error) {
 // A NULL column reads as its zero value, which is what the writer stored
 // it for: "" for nodedata and attrs, ZeroRowID for a link.
 func (s *Store) nodeFromCols(rid ordbms.RowID, cols []ordbms.Value) (*Node, error) {
-	tag, err := s.tagOf(rid, cols)
-	if err != nil {
+	n := new(Node)
+	if err := s.nodeInto(n, rid, cols); err != nil {
 		return nil, err
 	}
+	return n, nil
+}
+
+// nodeInto is nodeFromCols decoding into n.
+func (s *Store) nodeInto(n *Node, rid ordbms.RowID, cols []ordbms.Value) error {
+	tag, err := s.tagOf(rid, cols)
+	if err != nil {
+		return err
+	}
 	attrs := cols[xmlColAttrs]
-	return &Node{
+	*n = Node{
 		Attrs:       decodeAttrs(attrs.Str),
 		Titled:      !attrs.IsNull() && attrs.Str == "",
 		DocID:       uint64(cols[xmlColDocID].Int),
@@ -513,7 +522,8 @@ func (s *Store) nodeFromCols(rid ordbms.RowID, cols []ordbms.Value) (*Node, erro
 		PrevRowID:   cols[xmlColPrevRowID].RowID(),
 		NextRowID:   cols[xmlColNextRowID].RowID(),
 		ChildRowID:  cols[xmlColChildRowID].RowID(),
-	}, nil
+	}
+	return nil
 }
 
 func rowToDoc(rid ordbms.RowID, row ordbms.Row) *DocInfo {
@@ -559,9 +569,10 @@ func (s *Store) NodeCacheStats() (stats NodeCacheStats, ok bool) {
 func (s *Store) SetQueryWorkers(int) {}
 
 // FetchNode reads the node at a physical RowID — one traversal hop.
-// With the node cache enabled a warm hop is a shard map probe; a cold
-// hop decodes straight from the latched page into a fresh Node with no
-// intermediate Row or record copy.
+// With the node cache enabled a warm hop reads its page's image, and a
+// cold one decodes the whole page; without it, a hop decodes straight
+// from the latched page into a fresh Node with no intermediate Row or
+// record copy.
 //
 // netmarkvet:hotpath
 func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
@@ -569,16 +580,66 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 	if c == nil {
 		return s.fetchNodeUncached(rid) // netmarkvet:allocok — uncached store: every hop decodes a fresh Node
 	}
-	if n, ok := c.get(rid); ok {
-		return n, nil
+	n := c.hop(rid)
+	if n == nil {
+		var err error
+		if n, err = s.fill(rid); err != nil { // netmarkvet:allocok — cold hop: the decoded page is the product
+			return nil, err
+		}
 	}
-	token := c.beginFill(rid)
-	n, err := s.fetchNodeUncached(rid) // netmarkvet:allocok — cold hop: the decoded Node is the product
+	if n.RowID.IsZero() {
+		return nil, ordbms.ErrRecordDeleted
+	}
+	return n, nil
+}
+
+// fill serves a hop the node cache missed: it decodes rid's whole page
+// into a fresh image, publishes it under a fill token, and returns rid's
+// node from it.  A page that does not decode whole, or has no slot for
+// rid, answers for rid alone, as an uncached store does.
+func (s *Store) fill(rid ordbms.RowID) (*Node, error) {
+	c := s.nodes
+	token := c.token()
+	img, err := s.decodePage(rid.Page)
+	if err != nil || int(rid.Slot) >= len(img.nodes) {
+		return s.fetchNodeUncached(rid)
+	}
+	if c.fillHook != nil {
+		c.fillHook()
+	}
+	c.publish(rid.Page, img, token)
+	return &img.nodes[rid.Slot], nil
+}
+
+// decodePage decodes page no of the XML table, every live row into its
+// slot's Node, under one table lock and one page latch.
+//
+// netmarkvet:allocok — a cold hop decodes its whole page: the image is the product
+func (s *Store) decodePage(no uint32) (*pageImage, error) {
+	img := new(pageImage)
+	err := s.xml.ViewPage(no, func(sch ordbms.Schema, slots int, live func(func(int, []byte) bool) error) error {
+		img.nodes = make([]Node, slots)
+		var cols [xmlColAttrs + 1]ordbms.Value
+		var derr error
+		err := live(func(slot int, rec []byte) bool {
+			rid := ordbms.RowID{Page: no, Slot: uint16(slot)}
+			n := &img.nodes[slot]
+			if derr = ordbms.DecodeRowInto(sch, rid, rec, cols[:]); derr == nil {
+				derr = s.nodeInto(n, rid, cols[:])
+			}
+			img.live++
+			img.size += nodeFootprint(n)
+			return derr == nil
+		})
+		if derr != nil {
+			return derr
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.completeFill(rid, n, token) // netmarkvet:allocok — publishing the fill allocates the cache entry
-	return n, nil
+	return img, nil
 }
 
 // fetchNodeUncached is the cold fetch path: one shared table lock, one
@@ -595,61 +656,6 @@ func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 		return nil, err
 	}
 	return s.nodeFromCols(rid, cols[:])
-}
-
-// fetchNodesBatch resolves many RowIDs (sorted into physical order by
-// the caller) to decoded nodes: cache hits are probed first, the misses
-// go through Table.FetchMany in one lock acquisition, and the fresh
-// decodes are published to the cache under their fill tokens.  out[i] is
-// nil when rid i's record was deleted.
-func (s *Store) fetchNodesBatch(rids []ordbms.RowID) ([]*Node, error) {
-	out := make([]*Node, len(rids))
-	c := s.nodes
-	if c == nil {
-		rows, err := s.xml.FetchMany(rids)
-		if err != nil {
-			return nil, err
-		}
-		for i, row := range rows {
-			if row != nil {
-				if out[i], err = s.nodeFromCols(rids[i], row); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
-	var missIdx []int
-	var missRids []ordbms.RowID
-	var tokens []uint64
-	for i, rid := range rids {
-		if n, ok := c.get(rid); ok {
-			out[i] = n
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missRids = append(missRids, rid)
-		tokens = append(tokens, c.beginFill(rid))
-	}
-	if len(missRids) == 0 {
-		return out, nil
-	}
-	rows, err := s.xml.FetchMany(missRids)
-	if err != nil {
-		return nil, err
-	}
-	for j, row := range rows {
-		if row == nil {
-			continue
-		}
-		n, err := s.nodeFromCols(missRids[j], row)
-		if err != nil {
-			return nil, err
-		}
-		out[missIdx[j]] = n
-		c.completeFill(missRids[j], n, tokens[j])
-	}
-	return out, nil
 }
 
 // Parent follows the parent link (ZeroRowID at the root).
