@@ -725,12 +725,14 @@ func BenchmarkServeParallel(b *testing.B) {
 
 // BenchmarkReopen measures restarting the middle tier over an existing
 // persistent store — the paper keeps everything derivable in the ORDBMS,
-// and a reopen that scanned the entire heap to rebuild the text index
-// and the context btree would make restart O(corpus).
+// and a reopen that rebuilt the text index and the context btree from
+// every stored document would make restart O(corpus).
 //
 //	snapshot = load the text index and context btree from
 //	           xmlstore.nmsnap (stamp-validated against catalog + WAL)
-//	scan     = the ablation: rebuild them by scanning the heap
+//	scan     = the ablation: rebuild them a document at a time, each
+//	           DOC row's document walked from its root a decoded page at
+//	           a time and indexed by ingest's posting code
 //
 // Both arms take each heap's row count and free-space map from the
 // catalog and rebuild DOC's secondary indexes by scanning DOC.  Snapshot

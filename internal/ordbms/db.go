@@ -149,7 +149,7 @@ func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version u
 // "unreadable", "corrupt", "version", or "stale" (its stamps are not the
 // catalog generation and log end this open found — a crash
 // mid-checkpoint, or writes after it).  A reason is never an error: the
-// caller rebuilds by scanning the heap, which stays the source of truth.
+// caller rebuilds from its tables, which stay the source of truth.
 func (db *DB) ReadSnapshotFile(name string, magic [8]byte, version uint32) (payload []byte, reason string) {
 	if db.Replayed != 0 {
 		return nil, "wal-replay"
@@ -588,7 +588,7 @@ func (db *DB) SetCheckpointFault(fn func(step string) error) {
 // rename, and every hook's snapshot is stamped with the catalog
 // generation and checkpoint LSN so a reopen after a mid-sequence crash
 // either sees matching stamps (state is current) or falls back to the
-// WAL replay + full-scan rebuild path.
+// WAL replay + derived-rebuild path.
 func (db *DB) Checkpoint() error {
 	if err := db.checkpoint(); err != nil {
 		// A failed checkpoint is a write-path failure: durability could

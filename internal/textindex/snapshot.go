@@ -17,8 +17,8 @@ package textindex
 // The legacy v1 encoding (flat delta-varint id lists, from before
 // posting lists were block-compressed) is not decoded: v1 files also
 // predate the current tokenizer contract, so the store treats them as
-// version skew and falls back to the scan rebuild, which retokenizes
-// every document (see xmlstore's snapshot version check).
+// version skew and falls back to the derived rebuild, which walks and
+// retokenizes every document (see xmlstore's snapshot version check).
 
 import (
 	"encoding/binary"

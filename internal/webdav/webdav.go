@@ -271,7 +271,8 @@ type Stats struct {
 
 	// Snapshot reports how this process's store came up and how its
 	// checkpoint snapshots are faring: loaded=true means reopen skipped
-	// the full-corpus scan; fallback names why it could not.
+	// rebuilding the derived indexes from every document; fallback names
+	// why it could not.
 	Snapshot struct {
 		Enabled    bool   `json:"enabled"`
 		Loaded     bool   `json:"loaded"`

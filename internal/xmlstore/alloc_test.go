@@ -3,6 +3,7 @@ package xmlstore
 import (
 	"testing"
 
+	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
 )
 
@@ -30,5 +31,33 @@ func TestFetchNodeWarmZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("warm FetchNode = %.2f allocs/op, want 0", n)
+	}
+}
+
+// The open-time rebuild walks one document at a time, so on large
+// documents its allocations follow the pages it decodes, not the stored
+// rows.  (A corpus of small documents pays each one's fixed costs, a few
+// allocations a row; this test holds the large-document case.)
+func TestScanReopenAllocs(t *testing.T) {
+	dir := t.TempDir()
+	db, s := openDir(t, dir, OpenOptions{})
+	for _, d := range corpus.New(61).DeepReports(8, 6, 24, 16) {
+		if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := s.NumNodes()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(2, func() {
+		db, s := openDir(t, dir, OpenOptions{DisableSnapshot: true})
+		if s.SnapshotStats().Loaded {
+			t.Fatal("the snapshot was loaded")
+		}
+		db.CloseDiscard()
+	})
+	if perRow := allocs / float64(rows); perRow >= 0.5 {
+		t.Errorf("scan reopen = %.0f allocs over %d rows, %.2f per row, want < 0.5", allocs, rows, perRow)
 	}
 }

@@ -68,7 +68,7 @@ type preparedDoc struct {
 
 // prepWorker is what one preparing goroutine reuses from document to
 // document: its Terms, and the terms of the document at hand in text
-// order, before prepareDocument groups them by section.
+// order, before postTerms groups them by section.
 type prepWorker struct {
 	terms textindex.Terms
 	toks  []string
@@ -124,8 +124,6 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		recs:   make([][]byte, len(flat)),
 		far:    make([]uint64, len(flat)),
 	}
-	pw.toks, pw.texts = pw.toks[:0], pw.texts[:0]
-	governs := governingContexts(flat)
 	codes := make(map[tagPair]int64) // this document's tags; -1 = no code yet
 	for i := range flat {
 		fn := &flat[i]
@@ -142,19 +140,25 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 		} else if err := p.add(i); err != nil {
 			return nil, err
 		}
-		if text, ok := fn.ownText(); ok {
+	}
+	p.toks, p.ends = pw.postTerms(flat)
+	return p, nil
+}
+
+// postTerms cuts each node's own text into terms, posted under its
+// section's key row (see postKey), and groups them by key row in one
+// counting sort: node k's section holds toks[ends[k]:ends[k+1]].  Ingest
+// and the open-time rebuild both index through it.
+func (pw *prepWorker) postTerms(flat []flatNode) (toks []string, ends []int32) {
+	pw.toks, pw.texts = pw.toks[:0], pw.texts[:0]
+	governs := governingContexts(flat)
+	for i := range flat {
+		if text, ok := flat[i].ownText(); ok {
 			pw.toks = pw.terms.Append(pw.toks, text)
 			pw.texts = append(pw.texts, textTerms{int32(postKey(flat, governs, i)), int32(len(pw.toks))})
 		}
 	}
-	p.groupTerms(pw)
-	return p, nil
-}
-
-// groupTerms copies the document's terms from pw into p.toks, each
-// section's together, in one counting sort.
-func (p *preparedDoc) groupTerms(pw *prepWorker) {
-	ends := make([]int32, len(p.flat)+1)
+	ends = make([]int32, len(flat)+1)
 	start := int32(0)
 	for _, t := range pw.texts {
 		ends[t.key+1] += t.end - start
@@ -165,7 +169,7 @@ func (p *preparedDoc) groupTerms(pw *prepWorker) {
 	}
 	// ends[k] is where section k starts; it moves up as its terms go in,
 	// to where section k+1 starts, and then everything shifts down one.
-	toks := make([]string, len(pw.toks))
+	toks = make([]string, len(pw.toks))
 	start = 0
 	for _, t := range pw.texts {
 		ends[t.key] += int32(copy(toks[ends[t.key]:], pw.toks[start:t.end]))
@@ -173,7 +177,7 @@ func (p *preparedDoc) groupTerms(pw *prepWorker) {
 	}
 	copy(ends[1:], ends)
 	ends[0] = 0
-	p.toks, p.ends = toks, ends
+	return toks, ends
 }
 
 // optString stores an empty string as NULL: no bytes in the record, and

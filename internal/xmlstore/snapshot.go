@@ -3,7 +3,7 @@ package xmlstore
 // The derived-index snapshot makes reopening a large store O(1) in
 // corpus size.  On every DB.Checkpoint (and therefore on Close) the
 // store serialises everything rebuildDerived would otherwise reconstruct
-// by scanning the whole heap — the text-index posting lists, the context
+// by walking every document — the text-index posting lists, the context
 // btree and the counters — into a file
 // written inside the checkpoint critical section.  The text index's term
 // generations, which result caches key on, are not part of it: they are
@@ -15,8 +15,10 @@ package xmlstore
 // loaded only when it was written by the very checkpoint this open
 // started from.  Anything else — a crash at any step of the checkpoint
 // sequence, mutations after the checkpoint, corruption, version skew, the
-// ablation flag — falls back to the full-scan rebuild, which remains the
-// source of truth.  The snapshot is an accelerator, never an authority.
+// ablation flag — falls back to the derived rebuild, which walks each
+// document DOC lists from its root and indexes it with the code ingest
+// runs; the tables remain the source of truth.  The snapshot is an
+// accelerator, never an authority.
 
 import (
 	"encoding/binary"
@@ -40,7 +42,7 @@ const (
 	// words under its CONTEXT, which has no node→CONTEXT entry, instead of
 	// under a text child; 8 posts every word under its section's key row
 	// and drops the node→CONTEXT entries.  Any other version — older or
-	// newer — falls back to the scan rebuild, which retokenizes every
+	// newer — falls back to the derived rebuild, which retokenizes every
 	// document under the current contract; loading a v1 file's postings
 	// verbatim would permanently serve old-tokenizer terms against
 	// new-tokenizer queries.  The next checkpoint rewrites the file at the
@@ -56,7 +58,7 @@ type SnapshotStats struct {
 	// persistent store without the ablation flag).
 	Enabled bool
 	// Loaded is true when this Open was served by a valid snapshot
-	// instead of the full-scan rebuild.
+	// instead of the document-by-document rebuild.
 	Loaded bool
 	// Fallback names why the snapshot was not used ("" when Loaded):
 	// "missing", "unreadable", "corrupt", "version", "stale", or
@@ -132,7 +134,8 @@ func (s *Store) encodeSnapshot() []byte {
 
 // loadSnapshot applies the snapshot when the engine vouches for it.  It
 // reports ok=false with a reason (never an error — a bad snapshot means
-// scan rebuild, not a failed open) unless the snapshot was fully applied.
+// the derived rebuild, not a failed open) unless the snapshot was fully
+// applied.
 // Called during Open, before the store is shared.
 func (s *Store) loadSnapshot(db *ordbms.DB) (ok bool, reason string) {
 	payload, reason := db.ReadSnapshotFile(snapshotName, snapshotMagic, snapshotVersion)

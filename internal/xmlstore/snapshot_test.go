@@ -10,10 +10,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"netmark/internal/corpus"
+	"netmark/internal/docform"
 	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
 )
 
 // openDir opens a persistent store, failing the test on error.
@@ -98,7 +101,7 @@ func diffPlans(t *testing.T, stage string, got, want map[string]any) {
 }
 
 // TestSnapshotReopenEquivalence ingests a corpus, checkpoints, and
-// reopens both via the snapshot and via the forced full-scan fallback:
+// reopens both via the snapshot and via the forced rebuild fallback:
 // every query family must answer byte-for-byte what the pre-close store
 // answered, and the snapshot-loaded store must keep working as a live
 // store (counters restored, new ingests visible and searchable).
@@ -115,12 +118,32 @@ func TestSnapshotReopenEquivalence(t *testing.T) {
 	if err := s.DeleteDocument(docs[2].DocID); err != nil {
 		t.Fatal(err)
 	}
+	// A document whose root fills a page takes a fresh one, and a small
+	// document stored after it lands in an earlier page's free space: DOC
+	// order and heap order differ, and the rebuild walks DOC order.  The
+	// root's filler is punctuation, which the symbol table codes no
+	// shorter, so it is stored at full size.
+	memo := sgml.NewElement("memo")
+	memo.AppendChild(sgml.NewText(strings.Repeat("~|", 4000)))
+	big, err := s.StoreDocument(docform.Meta{FileName: "big.xml", Format: "xml"}, memo, sgml.XMLConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := s.StoreRaw("small.xml", []byte(`<note>krypton ballast</note>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigInfo, err := s.Document(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err := s.Document(small); err != nil || !info.RootRowID.Less(bigInfo.RootRowID) {
+		t.Fatalf("small document %+v (%v) not placed before the previous document's root %v", info, err, bigInfo.RootRowID)
+	}
 	want := runPlans(t, s)
-	maxDoc := uint64(0)
+	maxDoc := max(big, small)
 	for _, d := range docs {
-		if d.DocID > maxDoc {
-			maxDoc = d.DocID
-		}
+		maxDoc = max(maxDoc, d.DocID)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -140,7 +163,7 @@ func TestSnapshotReopenEquivalence(t *testing.T) {
 	diffPlans(t, "snapshot reopen", runPlans(t, s2), want)
 	db2.CloseDiscard()
 
-	// Forced full-scan fallback on the identical on-disk state.
+	// Forced rebuild fallback on the identical on-disk state.
 	db3, s3 := openDir(t, dir, OpenOptions{DisableSnapshot: true})
 	if st := s3.SnapshotStats(); st.Enabled || st.Loaded {
 		t.Fatalf("ablation flag ignored: %+v", st)
@@ -171,13 +194,27 @@ func TestSnapshotReopenEquivalence(t *testing.T) {
 
 	// And the refreshed snapshot includes the new document.
 	db5, s5 := openDir(t, dir, OpenOptions{})
-	defer db5.CloseDiscard()
 	if !s5.SnapshotStats().Loaded {
 		t.Fatalf("refreshed snapshot not loaded: %+v", s5.SnapshotStats())
 	}
 	secs, err = s5.ContentSearchN("erosion", 0)
 	if err != nil || len(secs) != 1 {
 		t.Fatalf("refreshed snapshot misses new doc: %v %+v", err, secs)
+	}
+	if err := db5.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rebuild restores the doc-ID counter too: past every document,
+	// whichever order DOC and the heap hold them in.
+	db6, s6 := openDir(t, dir, OpenOptions{DisableSnapshot: true})
+	defer db6.CloseDiscard()
+	next, err := s6.StoreRaw("after-rebuild.xml", []byte(`<note>argon purge</note>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next <= id {
+		t.Fatalf("rebuilt doc-ID counter reused an ID: got %d, prior max %d", next, id)
 	}
 }
 

@@ -383,6 +383,12 @@ func TestUnknownTagIsAnError(t *testing.T) {
 	if err := s.ScanNodes(func(*Node) bool { return true }); err == nil {
 		t.Fatal("ScanNodes over an unknown tag succeeded")
 	}
+	// A DOC row whose root is the orphan, so the rebuild's walk reads it
+	// wherever it landed, not only when it shares a page with the sample.
+	if _, err := s.doc.Insert(ordbms.Row{ordbms.I(99), ordbms.S("orphan.xml"), ordbms.I(0), ordbms.I(0),
+		ordbms.S("xml"), ordbms.S(""), ordbms.R(rid), ordbms.I(1)}); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

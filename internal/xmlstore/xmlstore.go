@@ -249,8 +249,9 @@ var docSchema = ordbms.MustSchema(
 
 // OpenOptions tunes Open's behaviour.
 type OpenOptions struct {
-	// DisableSnapshot forces the full-scan derived rebuild on open and
-	// stops the store from writing snapshots at checkpoints — the
+	// DisableSnapshot forces the derived rebuild on open — every
+	// document walked from its root and indexed as ingest indexes it —
+	// and stops the store from writing snapshots at checkpoints: the
 	// ablation knob for measuring what snapshotting buys (and the escape
 	// hatch should a snapshot ever be suspected of divergence).
 	DisableSnapshot bool
@@ -258,9 +259,11 @@ type OpenOptions struct {
 
 // Open attaches the store to a database, creating the universal tables on
 // first use.  On a persistent reopen the derived indexes (text index,
-// context btree, document-ID counter) are loaded from the checkpoint snapshot when its stamps prove the heap has
-// not moved since it was written; otherwise — and always for in-memory
-// stores — they are rebuilt by the full heap scan.
+// context btree, document-ID counter) are loaded from the checkpoint
+// snapshot when its stamps prove the heap has not moved since it was
+// written; otherwise — and always for in-memory stores — they are rebuilt
+// a document at a time, each DOC row's document walked from its root (see
+// rebuildDerived).
 func Open(db *ordbms.DB) (*Store, error) {
 	return OpenWith(db, OpenOptions{})
 }
@@ -285,7 +288,7 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 	if s.tag, err = ensureTable(db, "TAG", tagSchema); err != nil {
 		return nil, err
 	}
-	// Every XML row is read through the dictionary, the scan rebuild
+	// Every XML row is read through the dictionary, the derived rebuild
 	// included, so it comes first.
 	if err := s.loadTags(); err != nil {
 		return nil, err
@@ -332,100 +335,75 @@ func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...st
 	return t, nil
 }
 
-// rebuildDerived rescans the XML table to rebuild the text index, the
-// context index and the document-ID counter after reopening a persistent
-// store.  Runs during OpenWith, before
-// the store is shared with any other goroutine.
+// rebuildDerived rebuilds the text index, the context index and the
+// document-ID counter from the tables, a document at a time: each document
+// DOC lists is walked from its root and indexed by the code ingest runs
+// (postTerms, indexPrepared).  The walk decodes a page at a time and
+// holds one, since a document's run sits on adjacent pages.  A dead or
+// missing row ends its branch, as in DeleteDocument, so a document an
+// interrupted delete cut short is indexed as far as it still reaches, and
+// rows no DOC row reaches — a run a crash kept without its DOC row — are
+// never read.  Runs during OpenWith, before the store is shared with any
+// other goroutine.
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
 func (s *Store) rebuildDerived() error {
-	stored := make(map[uint64]bool) // the documents with a DOC row
-	maxDoc := uint64(0)
-	err := s.doc.Scan(func(_ ordbms.RowID, row ordbms.Row) bool {
-		id := uint64(row[docColDocID].Int)
-		stored[id] = true
-		maxDoc = max(maxDoc, id)
-		return true
-	})
+	docs, err := s.Documents()
 	if err != nil {
 		return err
 	}
-	s.nextDocID.Store(maxDoc + 1)
-
-	// The scan collects a flatNode view of the stored forest (structural
-	// links remapped from RowIDs to slice indexes) so each node's words
-	// are posted under the key row the ingest-time algorithm (postKey)
-	// picks, not a second implementation that could drift from it.
+	// img is page at, the last page decoded, and the only one held: each
+	// page is decoded into it in turn.  walkSubtree reads a node only
+	// until its next follow.
+	img, at := new(pageImage), uint32(0)
+	follow := func(rid ordbms.RowID) (*Node, error) {
+		if img.nodes == nil || at != rid.Page {
+			if err := s.decodePage(img, rid.Page); err != nil {
+				return nil, err
+			}
+			at = rid.Page
+		}
+		if int(rid.Slot) < len(img.nodes) && !img.nodes[rid.Slot].RowID.IsZero() {
+			return &img.nodes[rid.Slot], nil
+		}
+		return nil, nil
+	}
+	var pw prepWorker
 	var flat []flatNode
-	var docs []uint64 // per node, the docid it stores (0 = NULL)
-	idxOf := make(map[ordbms.RowID]int)
-	type pendingLinks struct{ prev, parent, child ordbms.RowID }
-	var pend []pendingLinks
-	var bad error
-	err = s.xml.Scan(func(rid ordbms.RowID, row ordbms.Row) bool {
-		tag, err := s.tagOf(rid, row)
-		if err != nil {
-			bad = err
-			return false
+	var last []int // last[d] is the node last seen at depth d
+	visit := func(n *Node, depth int) {
+		fn := flatNode{class: n.Class, data: n.Data, rid: n.RowID, parent: -1, prev: -1, next: -1, child: -1}
+		if depth > 0 {
+			fn.parent = last[depth-1]
 		}
-		idxOf[rid] = len(flat)
-		flat = append(flat, flatNode{class: tag.class, data: row[xmlColNodeData].Str, rid: rid, prev: -1, parent: -1, next: -1, child: -1})
-		docs = append(docs, uint64(row[xmlColDocID].Int))
-		pend = append(pend, pendingLinks{
-			prev:   row[xmlColPrevRowID].RowID(),
-			parent: row[xmlColParentRowID].RowID(),
-			child:  row[xmlColChildRowID].RowID(),
-		})
-		return true
-	})
-	if err == nil {
-		err = bad
-	}
-	if err != nil {
-		return err
-	}
-	for i := range flat {
-		if j, ok := idxOf[pend[i].prev]; ok && !pend[i].prev.IsZero() {
-			flat[i].prev = j
-		}
-		if j, ok := idxOf[pend[i].parent]; ok && !pend[i].parent.IsZero() {
-			flat[i].parent = j
-		}
-	}
-	// A node is in the document its nearest ancestor that stores a docid
-	// names.  Nodes of a document with no DOC row — a crash kept its run
-	// and lost the DOC row behind it — stay out of every index: no query
-	// may reach them, and their docid may be handed out again.
-	var chain []int
-	for i := range flat {
-		j := i
-		for chain = chain[:0]; docs[j] == 0 && flat[j].parent >= 0; j = flat[j].parent {
-			chain = append(chain, j)
-		}
-		for _, k := range chain {
-			docs[k] = docs[j]
-		}
-	}
-	governs := governingContexts(flat)
-	toks := make([][]string, len(flat)) // per key row, the words posted under it
-	var terms textindex.Terms
-	for i := range flat {
-		fn := &flat[i]
-		if !stored[docs[i]] {
-			continue
+		if depth < len(last) {
+			fn.prev = last[depth]
 		}
 		// The child link as stored, not as found: a dangling one still
-		// says the element did not fold.
-		if text, ok := ownText(fn.class, fn.data, !pend[i].child.IsZero()); ok {
-			k := postKey(flat, governs, i)
-			toks[k] = terms.Append(toks[k], text)
+		// says the element did not fold.  Only its sign is read (ownText),
+		// so any index will do.
+		if !n.ChildRowID.IsZero() {
+			fn.child = 0
 		}
-		if fn.class == sgml.ClassContext {
-			s.addContextKey(fn.data, fn.rid)
-		}
+		last = append(last[:depth], len(flat))
+		flat = append(flat, fn)
 	}
-	for k, t := range toks {
-		s.content.AddTokens(flat[k].rid.Uint64(), t)
+	for _, d := range docs {
+		s.nextDocID.Store(max(s.nextDocID.Load(), d.DocID+1))
+		root, err := follow(d.RootRowID)
+		if err != nil {
+			return err
+		}
+		if root == nil {
+			continue // an interrupted delete took every row
+		}
+		flat, last = flat[:0], last[:0]
+		if err := walkSubtree(root, follow, visit); err != nil {
+			return err
+		}
+		p := &preparedDoc{flat: flat}
+		p.toks, p.ends = pw.postTerms(flat)
+		s.indexPrepared(p)
 	}
 	return nil
 }
@@ -600,8 +578,8 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 func (s *Store) fill(rid ordbms.RowID) (*Node, error) {
 	c := s.nodes
 	token := c.token()
-	img, err := s.decodePage(rid.Page)
-	if err != nil || int(rid.Slot) >= len(img.nodes) {
+	img := new(pageImage)
+	if err := s.decodePage(img, rid.Page); err != nil || int(rid.Slot) >= len(img.nodes) {
 		return s.fetchNodeUncached(rid)
 	}
 	if c.fillHook != nil {
@@ -611,14 +589,23 @@ func (s *Store) fill(rid ordbms.RowID) (*Node, error) {
 	return &img.nodes[rid.Slot], nil
 }
 
-// decodePage decodes page no of the XML table, every live row into its
-// slot's Node, under one table lock and one page latch.
+// decodePage decodes page no of the XML table into img, every live row
+// into its slot's Node, under one table lock and one page latch.  The
+// node cache passes a fresh image, which it publishes, and gets nodes for
+// exactly the page's slots; the derived rebuild, which holds one page at
+// a time, passes the same image each time, and its nodes are reused when
+// they have room.
 //
 // netmarkvet:allocok — a cold hop decodes its whole page: the image is the product
-func (s *Store) decodePage(no uint32) (*pageImage, error) {
-	img := new(pageImage)
-	err := s.xml.ViewPage(no, func(sch ordbms.Schema, slots int, live func(func(int, []byte) bool) error) error {
-		img.nodes = make([]Node, slots)
+func (s *Store) decodePage(img *pageImage, no uint32) error {
+	img.live, img.size = 0, 0
+	return s.xml.ViewPage(no, func(sch ordbms.Schema, slots int, live func(func(int, []byte) bool) error) error {
+		if cap(img.nodes) < slots {
+			img.nodes = make([]Node, slots)
+		} else {
+			img.nodes = img.nodes[:slots]
+			clear(img.nodes) // a dead slot is a zero Node
+		}
 		var cols [xmlColAttrs + 1]ordbms.Value
 		var derr error
 		err := live(func(slot int, rec []byte) bool {
@@ -636,10 +623,6 @@ func (s *Store) decodePage(no uint32) (*pageImage, error) {
 		}
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return img, nil
 }
 
 // fetchNodeUncached is the cold fetch path: one shared table lock, one
