@@ -103,12 +103,13 @@ bench-smoke:
 
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
-# $(BENCH_OUT), so regressions are diffable across PRs.  Override the
-# output file per PR: make bench-json BENCH_OUT=BENCH_PR36.json
-BENCH_OUT ?= BENCH_PR36.json
+# $(BENCH_OUT) with cmd/benchdiff -record, so regressions are diffable
+# across PRs.  Override the output file per PR:
+# make bench-json BENCH_OUT=BENCH_PR38.json
+BENCH_OUT ?= BENCH_PR38.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct' -benchmem -benchtime 2s . \
-		| $(GO) run ./cmd/benchjson > $(BENCH_OUT)
+		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)
 
 # bench-diff gates $(BENCH_OUT) against the newest committed

@@ -1,6 +1,15 @@
-// Command benchdiff compares two benchmark recordings produced by
-// cmd/benchjson and fails (exit 1) when any benchmark present in both
-// regressed beyond a threshold — the CI bench-regression gate:
+// Command benchdiff records `go test -bench` output as JSON, and compares
+// two recordings, failing (exit 1) when any benchmark present in both
+// regressed beyond a threshold — the CI bench-regression gate.
+//
+// -record converts benchmark output on stdin into a JSON record on
+// stdout, keeping the raw benchmark lines (the format benchstat parses)
+// beside the parsed per-benchmark numbers, so perf trajectories can be
+// committed and diffed across PRs:
+//
+//	go test -run xxx -bench . -benchmem . | go run ./cmd/benchdiff -record > BENCH.json
+//
+// Without it, benchdiff compares two such records:
 //
 //	go run ./cmd/benchdiff -old BENCH_PR4.json -new BENCH_CI.json -threshold 2
 //
@@ -15,14 +24,112 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
-
-	"netmark/internal/benchfmt"
 )
+
+// Benchmark is one parsed benchmark result line.
+type Benchmark struct {
+	Name        string             `json:"name"`
+	Runs        int64              `json:"runs"`
+	NsPerOp     float64            `json:"ns_per_op,omitempty"`
+	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
+	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Report is the whole recorded document.
+type Report struct {
+	GoVersion  string      `json:"go_version"`
+	GOOS       string      `json:"goos"`
+	GOARCH     string      `json:"goarch"`
+	Benchmarks []Benchmark `json:"benchmarks"`
+	// Raw holds the verbatim benchmark lines; feed them to benchstat.
+	Raw []string `json:"raw"`
+}
+
+// parseLine parses one result line:
+//
+//	BenchmarkX/case-8   100   123 ns/op   9 hits   456 B/op   7 allocs/op
+func parseLine(line string) (Benchmark, bool) {
+	fields := strings.Fields(line)
+	if len(fields) < 3 {
+		return Benchmark{}, false
+	}
+	runs, err := strconv.ParseInt(fields[1], 10, 64)
+	if err != nil {
+		return Benchmark{}, false
+	}
+	b := Benchmark{Name: fields[0], Runs: runs}
+	for i := 2; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			continue
+		}
+		switch unit := fields[i+1]; unit {
+		case "ns/op":
+			b.NsPerOp = v
+		case "B/op":
+			b.BytesPerOp = v
+		case "allocs/op":
+			b.AllocsPerOp = v
+		default:
+			if b.Metrics == nil {
+				b.Metrics = make(map[string]float64)
+			}
+			b.Metrics[unit] = v
+		}
+	}
+	return b, true
+}
+
+// record reads benchmark output from r and writes its JSON record to w.
+func record(r io.Reader, w io.Writer) error {
+	rep := Report{
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue
+		}
+		rep.Raw = append(rep.Raw, line)
+		if b, ok := parseLine(line); ok {
+			rep.Benchmarks = append(rep.Benchmarks, b)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
+}
+
+// readReport loads a report -record wrote.
+func readReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &rep, nil
+}
 
 // defaultMatch covers the serving / cold-kernel / reopen / ingest /
 // reconstruct trajectory benchmarks recorded in every BENCH_PR*.json.
@@ -57,8 +164,8 @@ func normalizeName(name string) string {
 // allocs/op grew by more than allocThreshold.  Allocations are only
 // compared when both recordings report them (benchmarks without
 // ReportAllocs leave the field zero).
-func diff(oldRep, newRep *benchfmt.Report, match *regexp.Regexp, threshold, allocThreshold float64) []row {
-	old := make(map[string]benchfmt.Benchmark, len(oldRep.Benchmarks))
+func diff(oldRep, newRep *Report, match *regexp.Regexp, threshold, allocThreshold float64) []row {
+	old := make(map[string]Benchmark, len(oldRep.Benchmarks))
 	for _, b := range oldRep.Benchmarks {
 		old[normalizeName(b.Name)] = b
 	}
@@ -118,14 +225,22 @@ func render(rows []row, threshold float64) (string, bool) {
 }
 
 func main() {
-	oldPath := flag.String("old", "", "baseline benchjson file (e.g. newest committed BENCH_PR*.json)")
-	newPath := flag.String("new", "", "candidate benchjson file (e.g. BENCH_CI.json)")
+	rec := flag.Bool("record", false, "record `go test -bench` output on stdin as JSON on stdout")
+	oldPath := flag.String("old", "", "baseline record (e.g. newest committed BENCH_PR*.json)")
+	newPath := flag.String("new", "", "candidate record (e.g. BENCH_CI.json)")
 	threshold := flag.Float64("threshold", 2.0, "fail when new ns/op exceeds old by more than this factor")
 	allocThreshold := flag.Float64("alloc-threshold", 2.0, "fail when new allocs/op exceeds old by more than this factor")
 	match := flag.String("match", defaultMatch, "regexp of benchmark names to gate")
 	flag.Parse()
+	if *rec {
+		if err := record(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "benchdiff:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if *oldPath == "" || *newPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff -old OLD.json -new NEW.json [-threshold 2] [-match regexp]")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff -record < bench.txt > NEW.json | benchdiff -old OLD.json -new NEW.json [-threshold 2] [-match regexp]")
 		os.Exit(2)
 	}
 	re, err := regexp.Compile(*match)
@@ -133,12 +248,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff: bad -match:", err)
 		os.Exit(2)
 	}
-	oldRep, err := benchfmt.ReadFile(*oldPath)
+	oldRep, err := readReport(*oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	newRep, err := benchfmt.ReadFile(*newPath)
+	newRep, err := readReport(*newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)

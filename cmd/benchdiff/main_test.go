@@ -1,17 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
-
-	"netmark/internal/benchfmt"
 )
 
-func report(ns map[string]float64) *benchfmt.Report {
-	rep := &benchfmt.Report{GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64"}
+func report(ns map[string]float64) *Report {
+	rep := &Report{GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64"}
 	for name, v := range ns {
-		rep.Benchmarks = append(rep.Benchmarks, benchfmt.Benchmark{Name: name, Runs: 10, NsPerOp: v})
+		rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name, Runs: 10, NsPerOp: v})
 	}
 	return rep
 }
@@ -109,11 +110,11 @@ func TestEmptyOverlap(t *testing.T) {
 	}
 }
 
-func reportWithAllocs(vals map[string][2]float64) *benchfmt.Report {
-	rep := &benchfmt.Report{GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64"}
+func reportWithAllocs(vals map[string][2]float64) *Report {
+	rep := &Report{GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64"}
 	for name, v := range vals {
 		rep.Benchmarks = append(rep.Benchmarks,
-			benchfmt.Benchmark{Name: name, Runs: 10, NsPerOp: v[0], AllocsPerOp: v[1]})
+			Benchmark{Name: name, Runs: 10, NsPerOp: v[0], AllocsPerOp: v[1]})
 	}
 	return rep
 }
@@ -156,5 +157,37 @@ func TestInjectedAllocRegressionFails(t *testing.T) {
 	})
 	if out, regressed := render(diff(noAllocBase, leaky, match, 2.0, 2.0), 2.0); regressed {
 		t.Fatalf("alloc gate fired without a baseline:\n%s", out)
+	}
+}
+
+// TestRecordReproducesCommittedFile: -record turns a committed record's
+// raw lines back into that record byte for byte, given its toolchain
+// header, so recordings stay diffable across the tool's history.
+func TestRecordReproducesCommittedFile(t *testing.T) {
+	const path = "../../BENCH_PR36.json"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := readReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := "goos: linux\nPASS\n" + strings.Join(committed.Raw, "\n") + "\nok  \tnetmark\t1.0s\n"
+	var out bytes.Buffer
+	if err := record(strings.NewReader(in), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	rep.GoVersion, rep.GOOS, rep.GOARCH = committed.GoVersion, committed.GOOS, committed.GOARCH
+	got, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("-record of %s's raw lines differs from the file", path)
 	}
 }

@@ -2,10 +2,10 @@
 // struct field annotated both `guarded by <mu>` and `netmarkvet:gen
 // <counter>` must have every mutation paired with a bump of the
 // sibling counter before the guarding mutex is released.  Readers key
-// caches on the counter (the node cache's fill token, textindex's
-// per-term gens, xdb's stylesheet gen); a mutation that
-// escapes its critical section without bumping leaves those caches
-// serving stale data with nothing ever invalidating them.
+// caches on the counter (textindex's per-term gens, xdb's stylesheet
+// gen); a mutation that escapes its critical section without bumping
+// leaves those caches serving stale data with nothing ever invalidating
+// them.
 //
 // "Bump" is any write to the counter inside the same critical section
 // — before or after the mutation; the protocol only requires that the

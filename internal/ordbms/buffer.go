@@ -39,8 +39,12 @@ type Frame struct {
 	PageNo uint32
 	Page   *Page
 	pins   int
-	dirty  bool
-	lruEl  *list.Element
+	// dirty marks a page changed since it was last written.  A writer sets
+	// it in the write-latch hold that changes the page; FlushAll reads and
+	// clears it under the read latch, holding a pin, and eviction reads it
+	// under mu, of a frame nobody pins.
+	dirty bool
+	lruEl *list.Element
 
 	// loading is non-nil while the fetch that missed is still reading the
 	// page in; it is closed once the read has landed in Page or failed
@@ -110,7 +114,7 @@ func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 		if loading != nil {
 			<-loading
 			if f.loadErr != nil {
-				bp.Unpin(f, false)
+				bp.Unpin(f)
 				return nil, f.loadErr
 			}
 		}
@@ -147,13 +151,11 @@ func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 	return f, nil
 }
 
-// Unpin releases a pin.  markDirty records that the caller modified the page.
-func (bp *BufferPool) Unpin(f *Frame, markDirty bool) {
+// Unpin releases a pin.  A caller that changed the page marked it dirty
+// while it held the write latch.
+func (bp *BufferPool) Unpin(f *Frame) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if markDirty {
-		f.dirty = true
-	}
 	if f.pins > 0 {
 		f.pins--
 	}
@@ -203,32 +205,53 @@ func (bp *BufferPool) findVictimLocked() *Frame {
 	return nil
 }
 
-// FlushAll writes every dirty page to disk (a checkpoint helper).
+// FlushAll writes every dirty page to disk (a checkpoint helper).  It
+// pins each frame while it writes it, one at a time, so eviction leaves
+// the frame alone and a full pool still has its other frames to evict.
+// A frame evicted before its turn was written by the eviction.
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
-	frames := make([]*Frame, 0, len(bp.frames))
-	for _, f := range bp.frames {
-		frames = append(frames, f)
+	pages := make([]uint32, 0, len(bp.frames))
+	for no := range bp.frames {
+		pages = append(pages, no)
 	}
 	gate := bp.flushGate
 	bp.mu.Unlock()
 
-	for _, f := range frames {
-		f.Latch.RLock()
-		if f.dirty {
-			if gate != nil {
-				if err := gate(f.Page.LSN()); err != nil {
-					f.Latch.RUnlock()
-					return err
-				}
-			}
-			if err := bp.disk.WritePage(f.PageNo, f.Page.Data()); err != nil {
-				f.Latch.RUnlock()
-				return err
-			}
-			f.dirty = false
+	for _, no := range pages {
+		bp.mu.Lock()
+		f, ok := bp.frames[no]
+		if ok {
+			f.pins++
 		}
-		f.Latch.RUnlock()
+		bp.mu.Unlock()
+		if !ok {
+			continue
+		}
+		err := bp.flushFrame(f, gate)
+		bp.Unpin(f)
+		if err != nil {
+			return err
+		}
 	}
 	return bp.disk.Sync()
+}
+
+// flushFrame writes f's page if it is dirty.  The caller pins f.
+func (bp *BufferPool) flushFrame(f *Frame, gate func(lsn uint64) error) error {
+	f.Latch.RLock()
+	defer f.Latch.RUnlock()
+	if !f.dirty {
+		return nil
+	}
+	if gate != nil {
+		if err := gate(f.Page.LSN()); err != nil {
+			return err
+		}
+	}
+	if err := bp.disk.WritePage(f.PageNo, f.Page.Data()); err != nil {
+		return err
+	}
+	f.dirty = false
+	return nil
 }

@@ -1,6 +1,7 @@
 package ordbms
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestFetchWaitsForInflightRead(t *testing.T) {
 			got <- string(rec)
 		}
 		f.Latch.RUnlock()
-		pool.Unpin(f, false)
+		pool.Unpin(f)
 	}
 	go read()
 	<-disk.arrived // the frame is published, its read is parked
@@ -97,7 +98,7 @@ func TestFetchInflightReadFailure(t *testing.T) {
 	fetch := func() {
 		f, err := pool.Fetch(rid.Page)
 		if err == nil {
-			pool.Unpin(f, false)
+			pool.Unpin(f)
 		}
 		errs <- err
 	}
@@ -120,5 +121,59 @@ func TestFetchInflightReadFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fetch after the fault cleared: %v", err)
 	}
-	pool.Unpin(f, false)
+	pool.Unpin(f)
+}
+
+// A checkpoint's page flush runs beside writers.  A writer marks its page
+// dirty in the latch hold that changes it, so a flush can never find the
+// page changed but clean and skip it — the record below the checkpoint's
+// cut would then be truncated from the log with its page unwritten — and
+// the flag is never touched by two goroutines with no lock between them,
+// which go test -race checks.
+func TestFlushAllBesideInsert(t *testing.T) {
+	disk := NewMemDisk()
+	h := NewHeapFile(NewBufferPool(disk, 8), nil)
+	stop := make(chan struct{})
+	flushed := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				flushed <- nil
+				return
+			default:
+			}
+			if err := h.pool.FlushAll(); err != nil {
+				flushed <- err
+				return
+			}
+		}
+	}()
+	var rids []RowID
+	for i := 0; i < 2000; i++ {
+		rid, err := h.Insert([]byte(fmt.Sprintf("row %d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+	}
+	close(stop)
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if err := h.pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	cold := NewBufferPool(disk, 8) // reads every page from the disk
+	for i, rid := range rids {
+		f, err := cold.Fetch(rid.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := f.Page.Get(int(rid.Slot))
+		cold.Unpin(f)
+		if want := fmt.Sprintf("row %d", i); err != nil || string(rec) != want {
+			t.Fatalf("row %d on disk = %q, %v; want %q", i, rec, err, want)
+		}
+	}
 }

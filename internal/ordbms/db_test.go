@@ -440,7 +440,8 @@ func TestViewPageYieldsLiveRecords(t *testing.T) {
 	}
 
 	binary.LittleEndian.PutUint16(f.Page.Data(), maxSlots+1)
-	tbl.heap.pool.Unpin(f, true)
+	f.dirty = true
+	tbl.heap.pool.Unpin(f)
 	called := false
 	err = tbl.ViewPage(no, func(Schema, int, func(func(int, []byte) bool) error) error {
 		called = true

@@ -225,7 +225,7 @@ func TestBufferPoolExhaustionError(t *testing.T) {
 		t.Fatal("pool exhaustion not reported")
 	}
 	// Unpinning frees capacity again.
-	pool.Unpin(frames[0], false)
+	pool.Unpin(frames[0])
 	if _, err := pool.NewPage(); err != nil {
 		t.Fatalf("after unpin: %v", err)
 	}

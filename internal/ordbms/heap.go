@@ -193,7 +193,7 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 			err = fmt.Errorf("ordbms: run insert of %d records wrote nothing (its pages stay pinned until it is logged): %w", len(recs), err)
 		}
 		for _, rp := range pages {
-			h.pool.Unpin(rp.f, written && len(rp.rows) > 0)
+			h.pool.Unpin(rp.f)
 		}
 	}()
 	consider := func(f *Frame) *runPage {
@@ -315,7 +315,9 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 			}
 		}
 		h.rows += int64(len(rp.rows))
-		if len(rp.rows) > 0 { // a record link shortened left more room than planned
+		if len(rp.rows) > 0 {
+			rp.f.dirty = true
+			// a record link shortened left more room than planned
 			h.setHintLocked(rp.f.PageNo, rp.f.Page.FreeSpace())
 		}
 	}
@@ -407,7 +409,7 @@ func (h *HeapFile) Fetch(rid RowID) ([]byte, error) {
 		copy(cp, rec)
 	}
 	f.Latch.RUnlock()
-	h.pool.Unpin(f, false)
+	h.pool.Unpin(f)
 	if gerr != nil {
 		return nil, gerr
 	}
@@ -429,7 +431,7 @@ func (h *HeapFile) View(rid RowID, fn func(rec []byte) error) error {
 		gerr = fn(rec)
 	}
 	f.Latch.RUnlock()
-	h.pool.Unpin(f, false)
+	h.pool.Unpin(f)
 	return gerr
 }
 
@@ -443,7 +445,7 @@ func (h *HeapFile) ViewPage(no uint32, fn func(p *Page) error) error {
 	f.Latch.RLock()
 	err = fn(f.Page)
 	f.Latch.RUnlock()
-	h.pool.Unpin(f, false)
+	h.pool.Unpin(f)
 	return err
 }
 
@@ -492,7 +494,7 @@ func (h *HeapFile) DeleteRun(rids []RowID) error {
 			}
 		}
 		f.Latch.RUnlock()
-		h.pool.Unpin(f, false)
+		h.pool.Unpin(f)
 		if err != nil {
 			return err
 		}
@@ -509,7 +511,7 @@ func (h *HeapFile) DeleteRun(rids []RowID) error {
 	release := func() {
 		if f != nil {
 			f.Latch.Unlock()
-			h.pool.Unpin(f, true)
+			h.pool.Unpin(f)
 			f = nil
 		}
 	}
@@ -526,6 +528,7 @@ func (h *HeapFile) DeleteRun(rids []RowID) error {
 			}
 			f = next
 			f.Latch.Lock()
+			f.dirty = true // the page changes in this hold
 		}
 		switch err := f.Page.Delete(int(rid.Slot)); err {
 		case nil:

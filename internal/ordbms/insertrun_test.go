@@ -104,8 +104,8 @@ func TestInsertRunPlacementMatchesInsert(t *testing.T) {
 		if !bytes.Equal(fa.Page.Data(), fb.Page.Data()) {
 			t.Fatalf("page %d differs between the run and the one-by-one heap", no)
 		}
-		all.pool.Unpin(fa, false)
-		one.pool.Unpin(fb, false)
+		all.pool.Unpin(fa)
+		one.pool.Unpin(fb)
 	}
 }
 

@@ -87,12 +87,13 @@ func Recover(disk DiskManager, pool *BufferPool, wal *WAL) (replayed int, allocs
 		if ferr != nil {
 			return false, ferr
 		}
-		defer pool.Unpin(f, true)
+		defer pool.Unpin(f)
 		f.Latch.Lock()
 		defer f.Latch.Unlock()
 		if f.Page.LSN() >= lsn {
 			return false, nil // already applied before the crash
 		}
+		f.dirty = true
 		if aerr := apply(f.Page); aerr != nil {
 			return false, fmt.Errorf("ordbms: recovery of page %d: %w", no, aerr)
 		}

@@ -60,7 +60,7 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 			return err
 		}
 		copy(buf, f.Page.Data())
-		pool.Unpin(f, false)
+		pool.Unpin(f)
 		return nil
 	}
 	var live, flushed []image
@@ -230,7 +230,7 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 					t.Fatalf("cut at %d: coded row %v reads %v, %v", cut, rid, row, err)
 				}
 			}
-			p.Unpin(f, false)
+			p.Unpin(f)
 		}
 		if got := int(d.NumPages()) - 1; got < len(want.pages) {
 			t.Fatalf("cut at %d: recovered %d pages, want %d", cut, got, len(want.pages))
@@ -247,7 +247,7 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 			if !bytes.Equal(f.Page.Data(), wantPage) {
 				t.Fatalf("cut at %d (pages flushed at %d): page %d differs from the live page at %d", cut, base.lsn, no, want.lsn)
 			}
-			p.Unpin(f, false)
+			p.Unpin(f)
 		}
 	}
 

@@ -21,7 +21,7 @@ func TestIterNextZeroAlloc(t *testing.T) {
 	}
 	// Tombstones exercise the isDead path of every step.
 	for id := uint64(5); id <= docs; id += 17 {
-		ix.Remove(id)
+		remove(ix, id, "alpha beta gamma")
 	}
 
 	cases := map[string]func() *IDIter{

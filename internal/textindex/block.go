@@ -85,6 +85,21 @@ func decodeBlock(b block, dst []uint64) []uint64 {
 	return dst
 }
 
+// holds reports whether id is one of the block's ids.  It decodes in
+// place, stopping at the first id at or past id.
+func (b block) holds(id uint64) bool {
+	cur, off := uint64(0), 0
+	for i := 0; i < b.n; i++ {
+		d, n := binary.Uvarint(b.data[off:])
+		cur += d
+		off += n
+		if cur >= id {
+			return cur == id
+		}
+	}
+	return false
+}
+
 // checkBlock verifies an untrusted (snapshot-loaded) block: exactly n
 // strictly ascending ids encoded in exactly len(data) bytes, ending at
 // maxID.  Everything after load trusts these invariants — decodeBlock

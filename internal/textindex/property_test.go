@@ -163,12 +163,15 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			ix := New()
 			model := newRefModel()
-			texts := make(map[uint64]string)   // what the store's heap would hold
+			texts := make(map[uint64]string)   // what the store's heap would hold: every text added, in order
 			live := make([]uint64, 0, 2048)    // ids currently indexed
 			removed := make([]uint64, 0, 1024) // ids removed at least once
 			nextID := uint64(1)
 
-			makeText := func() string {
+			// more draws the repeated adds and the text of a removed id riding
+			// along, so r's sequence of operations is the same as without them.
+			more := rand.New(rand.NewSource(-seed))
+			makeText := func(r *rand.Rand) string {
 				k := r.Intn(4) + 1
 				var sb strings.Builder
 				for i := 0; i < k; i++ {
@@ -179,11 +182,20 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 				}
 				return sb.String()
 			}
-			addID := func(id uint64) {
-				text := makeText()
+			// addText adds a text to id, live or not.  The texts an id holds
+			// are kept joined by a separator, so a phrase may span two of
+			// them, as the model's concatenated tokens let it.
+			addText := func(id uint64, r *rand.Rand) {
+				text := makeText(r)
 				ix.Add(id, text)
 				model.add(id, text)
+				if prev, ok := texts[id]; ok {
+					text = prev + " " + text
+				}
 				texts[id] = text
+			}
+			addID := func(id uint64) {
+				addText(id, r)
 				live = append(live, id)
 			}
 
@@ -218,8 +230,16 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 						t.Fatalf("%s: Phrase(%q) = %v, want %v", stage, p, got, want)
 					}
 				}
-				if ix.Docs() != len(model.docs) {
-					t.Fatalf("%s: Docs() = %d, want %d", stage, ix.Docs(), len(model.docs))
+				postings := 0
+				for _, terms := range model.docs {
+					distinct := make(map[string]bool)
+					for _, term := range terms {
+						distinct[term] = true
+					}
+					postings += len(distinct)
+				}
+				if got := ix.Stats().Postings; got != postings {
+					t.Fatalf("%s: Stats().Postings = %d, want %d", stage, got, postings)
 				}
 				for _, w := range vocab {
 					if got, want := ix.DF(w), len(model.lookup(w)); got != want {
@@ -231,6 +251,9 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 			const phases, opsPerPhase = 5, 400
 			for phase := 0; phase < phases; phase++ {
 				for op := 0; op < opsPerPhase; op++ {
+					if len(live) > 0 && more.Intn(10) == 0 { // more text for a live id — a second Add
+						addText(live[more.Intn(len(live))], more)
+					}
 					switch p := r.Intn(100); {
 					case p < 55: // fresh ascending id — the common RowID pattern
 						addID(nextID)
@@ -243,6 +266,13 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 						addID(id)
 					case p < 90: // remove up to four live ids in one call — tombstones + compaction
 						var batch []uint64
+						var toks []string
+						ends := []int32{0}
+						take := func(id uint64, text string) {
+							batch = append(batch, id)
+							toks = append(toks, Tokenize(text)...)
+							ends = append(ends, int32(len(toks)))
+						}
 						for k := r.Intn(4) + 1; k > 0 && len(live) > 0; k-- {
 							i := r.Intn(len(live))
 							id := live[i]
@@ -250,20 +280,21 @@ func TestPropertyCompressedListEquivalence(t *testing.T) {
 							if _, ok := model.docs[id]; !ok {
 								continue
 							}
-							batch = append(batch, id)
+							take(id, texts[id])
 							model.remove(id)
 							delete(texts, id)
 							removed = append(removed, id)
 						}
-						// An id the index no longer holds rides along and is skipped:
-						// one removed earlier, or one of this batch a second time.
+						// An id the index no longer holds rides along with text it
+						// never had or no longer has, and is skipped: one removed
+						// earlier, or one of this batch a second time.
 						if len(removed) > 0 {
 							id := removed[r.Intn(len(removed))]
 							if _, ok := model.docs[id]; !ok {
-								batch = append(batch, id)
+								take(id, makeText(more))
 							}
 						}
-						ix.Remove(batch...)
+						ix.RemoveTokens(batch, toks, ends)
 					default: // re-insert a previously removed id — revival
 						if len(removed) == 0 {
 							continue

@@ -141,8 +141,7 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 		}
 		term := string(data[off : off+int(tlen)])
 		off += int(tlen)
-		// the builder and every id's sorted term list need strictly
-		// ascending terms
+		// the builder needs strictly ascending terms
 		if t > 0 && term <= prevTerm {
 			return nil, 0, fmt.Errorf("textindex: term %q out of order", term)
 		}
@@ -220,17 +219,8 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 		if pl.live < 0 {
 			return nil, 0, fmt.Errorf("textindex: more tombstones than ids for %q", term)
 		}
-		// Terms arrive ascending, so every id's term list comes out sorted.
-		for it := newIter(pl.view()); ; it.advance() {
-			id, ok := it.head()
-			if !ok {
-				break
-			}
-			ix.byID[id] = append(ix.byID[id], term)
-		}
 		tb.Append(term, []*postingList{pl})
 	}
 	ix.terms = tb.Tree()
-	ix.docs = len(ix.byID)
 	return ix, off, nil
 }

@@ -22,7 +22,7 @@ func buildIndex() *Index {
 		ix.Add(uint64(1000+i*7), d)
 	}
 	ix.Add(1000, "appendix: turbopump cavitation margins") // second Add, same id
-	ix.Remove(1021)                                        // fox doc vanishes
+	remove(ix, 1021, docs[3])                              // fox doc vanishes
 	return ix
 }
 
@@ -41,8 +41,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("consumed %d bytes, want %d (must stop before trailing data)", n, len(buf)-len("prefix"))
 	}
 
-	if got.Docs() != ix.Docs() || got.Terms() != ix.Terms() {
-		t.Fatalf("docs/terms = %d/%d, want %d/%d", got.Docs(), got.Terms(), ix.Docs(), ix.Terms())
+	if got.Stats().Postings != ix.Stats().Postings || got.Terms() != ix.Terms() {
+		t.Fatalf("postings/terms = %d/%d, want %d/%d", got.Stats().Postings, got.Terms(), ix.Stats().Postings, ix.Terms())
 	}
 	for _, q := range []string{"cryogenic", "turbopump", "liquid", "fox", "absent"} {
 		if !reflect.DeepEqual(drain(got.LookupIter(q)), drain(ix.LookupIter(q))) {
@@ -69,7 +69,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	for _, mutate := range []func(){
 		func() { got.AddTokens(7000, Tokenize("cryogenic nosuchterm")) },
-		func() { got.Remove(7000) },
+		func() { remove(got, 7000, "cryogenic nosuchterm") },
 	} {
 		before := got.QueryGen("cryogenic")
 		mutate()
@@ -82,20 +82,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// The loaded index must keep evolving identically: same mutation on
-	// both sides yields the same lookups and a working Remove (byID was
-	// rebuilt from the posting lists).
+	// both sides yields the same lookups and a working RemoveTokens, which
+	// finds each posting in the loaded lists themselves.
 	ix.Add(5000, "cryogenic margins")
 	got.Add(5000, "cryogenic margins")
 	if !reflect.DeepEqual(drain(got.LookupIter("cryogenic")), drain(ix.LookupIter("cryogenic"))) {
 		t.Fatal("post-load Add diverges")
 	}
-	ix.Remove(1000)
-	got.Remove(1000)
+	for _, x := range []*Index{ix, got} {
+		remove(x, 1000, "the liquid oxygen turbopump showed cryogenic stress fractures", "appendix: turbopump cavitation margins")
+	}
 	if !reflect.DeepEqual(drain(got.LookupIter("turbopump")), drain(ix.LookupIter("turbopump"))) {
 		t.Fatal("post-load Remove diverges")
 	}
-	if got.Docs() != ix.Docs() {
-		t.Fatalf("post-mutation docs = %d, want %d", got.Docs(), ix.Docs())
+	if got.Stats().Postings != ix.Stats().Postings {
+		t.Fatalf("post-mutation postings = %d, want %d", got.Stats().Postings, ix.Stats().Postings)
 	}
 }
 
@@ -118,7 +119,7 @@ func TestSnapshotEmpty(t *testing.T) {
 	if err != nil || n != len(buf) {
 		t.Fatalf("empty round trip: %v (n=%d)", err, n)
 	}
-	if got.Docs() != 0 || got.Terms() != 0 {
+	if got.Stats().Postings != 0 || got.Terms() != 0 {
 		t.Fatal("empty index not empty after round trip")
 	}
 	if drain(got.LookupIter("anything")) != nil {
@@ -148,7 +149,7 @@ func TestSnapshotCorruptBlocksError(t *testing.T) {
 		}
 		// A flip that decodes cleanly (e.g. inside a tail delta) must still
 		// yield a structurally sound index.
-		if got.Docs() < 0 || got.Terms() < 0 {
+		if got.Stats().Postings < 0 || got.Terms() < 0 {
 			t.Fatalf("corrupt load at byte %d produced broken index", cut)
 		}
 		drain(got.LookupIter("alpha"))
@@ -172,5 +173,23 @@ func TestSnapshotCorruptBlocksError(t *testing.T) {
 	crafted = binary.AppendUvarint(crafted, 1<<63) // dlen: wraps int negative
 	if _, _, err := LoadSnapshot(crafted); err == nil {
 		t.Fatal("2^63 block length decoded cleanly")
+	}
+}
+
+// Loading a snapshot copies each list's blocks and builds the term tree,
+// and reads no posting one at a time: its allocations do not grow with
+// the ids a term holds.
+func TestLoadSnapshotAllocs(t *testing.T) {
+	ix := New()
+	for id := uint64(1); id <= 20000; id++ {
+		ix.Add(id, "alpha beta")
+	}
+	buf := ix.AppendSnapshot(nil)
+	if n := testing.AllocsPerRun(5, func() {
+		if _, _, err := LoadSnapshot(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n >= 100 {
+		t.Fatalf("LoadSnapshot of 2 terms x 20000 ids = %.0f allocs, want fewer than 100", n)
 	}
 }

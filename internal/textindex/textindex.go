@@ -327,8 +327,22 @@ func (pl *postingList) maybeSeal() {
 	pl.tail = nil
 }
 
-// remove drops id, which must be live (the index's byID says which
-// lists hold it), replacing (never editing) the published slices.
+// has reports whether id is live in the list: not tombstoned, and in the
+// tail or in the one block whose maxID is the first at or past it.  It
+// reads that block in place, so it does not allocate.
+func (pl *postingList) has(id uint64) bool {
+	if i := searchIDs(pl.dead, id); i < len(pl.dead) && pl.dead[i] == id {
+		return false
+	}
+	if i := searchIDs(pl.tail, id); i < len(pl.tail) && pl.tail[i] == id {
+		return true
+	}
+	j := sort.Search(len(pl.blocks), func(k int) bool { return pl.blocks[k].maxID >= id })
+	return j < len(pl.blocks) && pl.blocks[j].holds(id)
+}
+
+// remove drops id, which must be live (has says so), replacing (never
+// editing) the published slices.
 //
 // netmarkvet:mutator
 func (pl *postingList) remove(id uint64) {
@@ -377,7 +391,9 @@ func searchIDs(s []uint64, id uint64) int {
 	return sort.Search(len(s), func(i int) bool { return s[i] >= id })
 }
 
-// Index is the inverted index.  Safe for concurrent use.
+// Index is the inverted index.  Safe for concurrent use.  It holds each
+// posting once, in its term's list: removing an id's postings takes the
+// terms it was added under, which the caller derives again (RemoveTokens).
 type Index struct {
 	// mu protects the in-memory term btree; queries capture posting
 	// views under it and release it before scoring, so it is never held
@@ -385,8 +401,6 @@ type Index struct {
 	mu sync.RWMutex
 	// netmarkvet:snap netmarkvet:gen genCounter
 	terms *btree.Tree[string, *postingList] // guarded by mu; term -> single posting list
-	byID  map[uint64][]string               // guarded by mu; id -> its distinct terms, sorted; reverse map for Remove
-	docs  int                               // guarded by mu
 	// genCounter is the monotonic source for posting-list generations,
 	// and what QueryGen folds for a term the index does not hold; values
 	// are never reused, so a term that vanishes and reappears gets a
@@ -396,10 +410,7 @@ type Index struct {
 
 // New creates an empty index.
 func New() *Index {
-	return &Index{
-		terms: btree.New[string, *postingList](strings.Compare),
-		byID:  make(map[uint64][]string),
-	}
+	return &Index{terms: btree.New[string, *postingList](strings.Compare)}
 }
 
 // Add indexes text under id.  Calling Add twice with the same id adds
@@ -412,34 +423,25 @@ func (ix *Index) Add(id uint64, text string) {
 // and AddTokens sorts it in place.  Tokenization is the CPU-bound half
 // of Add; batch ingestion runs it in parse workers and hands the tokens
 // here, and the repeats are dropped before the lock, so only the
-// posting-list insert runs under it.
+// posting-list insert runs under it.  A term id already holds is passed
+// over.
 func (ix *Index) AddTokens(id uint64, toks []string) {
 	if len(toks) == 0 {
 		return
 	}
 	slices.Sort(toks)
-	terms := slices.Clone(slices.Compact(toks))
+	terms := slices.Compact(toks)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	had, seen := ix.byID[id]
-	if !seen {
-		ix.docs++
-	}
 	for _, term := range terms {
-		if _, found := slices.BinarySearch(had, term); found {
+		pl := ix.getOrCreateLocked(term)
+		if pl.has(id) {
 			continue
 		}
-		pl := ix.getOrCreateLocked(term)
 		pl.insertID(id)
 		ix.genCounter++
 		pl.gen = ix.genCounter
 	}
-	if seen {
-		terms = append(terms, had...)
-		slices.Sort(terms)
-		terms = slices.Compact(terms)
-	}
-	ix.byID[id] = terms
 }
 
 func (ix *Index) getOrCreateLocked(term string) *postingList {
@@ -451,36 +453,36 @@ func (ix *Index) getOrCreateLocked(term string) *postingList {
 	return pl
 }
 
-// Remove deletes every posting for each of ids, in one lock hold.  An id
-// the index does not hold is skipped.
-func (ix *Index) Remove(ids ...uint64) {
+// RemoveTokens undoes AddTokens for a batch of ids: toks[ends[k]:ends[k+1]]
+// are the terms ids[k] was added under, repeats allowed, and they are
+// sorted in place.  The postings go in one lock hold.  A term ids[k] does
+// not hold is passed over, so removing again what is already gone is a
+// no-op.
+func (ix *Index) RemoveTokens(ids []uint64, toks []string, ends []int32) {
+	for k := range ids {
+		slices.Sort(toks[ends[k]:ends[k+1]])
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, id := range ids {
-		terms, ok := ix.byID[id]
-		if !ok {
-			continue
-		}
-		for _, t := range terms {
-			if got := ix.terms.Get(t); len(got) > 0 {
-				got[0].remove(id)
-				ix.genCounter++
-				got[0].gen = ix.genCounter
-				if got[0].live == 0 {
-					ix.terms.DeleteKey(t)
-				}
+	for k, id := range ids {
+		group := toks[ends[k]:ends[k+1]]
+		for i, t := range group {
+			if i > 0 && t == group[i-1] {
+				continue
+			}
+			got := ix.terms.Get(t)
+			if len(got) == 0 || !got[0].has(id) {
+				continue
+			}
+			pl := got[0]
+			pl.remove(id)
+			ix.genCounter++
+			pl.gen = ix.genCounter
+			if pl.live == 0 {
+				ix.terms.DeleteKey(t)
 			}
 		}
-		delete(ix.byID, id)
-		ix.docs--
 	}
-}
-
-// Docs returns the number of distinct indexed IDs.
-func (ix *Index) Docs() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.docs
 }
 
 // Terms returns the number of distinct terms.

@@ -84,6 +84,12 @@ func TestAnd(t *testing.T) {
 // phrase is a phrase query over an index whose texts the caller keeps:
 // the AND of the terms, kept where HasPhrase finds them adjacent — the
 // store's pipeline, with a map standing in for the heap.
+// remove takes back what Add(id, text) put in, for each text given.
+func remove(ix *Index, id uint64, texts ...string) {
+	toks := Tokenize(strings.Join(texts, " "))
+	ix.RemoveTokens([]uint64{id}, toks, []int32{0, int32(len(toks))})
+}
+
 func phrase(ix *Index, texts map[uint64]string, query string) []uint64 {
 	terms := Tokenize(query)
 	var out []uint64
@@ -126,20 +132,20 @@ func TestRemove(t *testing.T) {
 	ix := New()
 	ix.Add(1, "alpha beta")
 	ix.Add(2, "beta gamma")
-	ix.Remove(1)
+	remove(ix, 1, "alpha beta")
 	if got := drain(ix.LookupIter("alpha")); got != nil {
 		t.Fatalf("alpha survives remove: %v", got)
 	}
 	if got := drain(ix.LookupIter("beta")); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("beta postings wrong after remove: %v", got)
 	}
-	if ix.Docs() != 1 {
-		t.Fatalf("docs = %d", ix.Docs())
+	if got := ix.Stats().Postings; got != 2 {
+		t.Fatalf("postings = %d, want 2", got)
 	}
-	// Removing again is a no-op.
-	ix.Remove(1)
-	if ix.Docs() != 1 {
-		t.Fatalf("double remove changed docs: %d", ix.Docs())
+	// Removing again is a no-op, and so is removing a term id never held.
+	remove(ix, 1, "alpha beta gamma")
+	if got := ix.Stats().Postings; got != 2 || ix.DF("beta") != 1 || ix.DF("gamma") != 1 {
+		t.Fatalf("double remove changed postings: %d (beta %d, gamma %d)", got, ix.DF("beta"), ix.DF("gamma"))
 	}
 }
 
@@ -154,8 +160,8 @@ func TestDFAndStats(t *testing.T) {
 	if ix.Terms() != 3 {
 		t.Fatalf("terms = %d", ix.Terms())
 	}
-	if ix.Docs() != 3 {
-		t.Fatalf("docs = %d", ix.Docs())
+	if got := ix.Stats().Postings; got != 6 {
+		t.Fatalf("postings = %d, want 6", got)
 	}
 }
 
@@ -378,7 +384,7 @@ func TestTombstoneCompaction(t *testing.T) {
 	}
 	for id := uint64(1); id <= n; id++ {
 		if id%3 != 0 {
-			ix.Remove(id)
+			remove(ix, id, "victim keeper")
 		}
 	}
 	st := ix.Stats()
@@ -406,7 +412,7 @@ func TestReinsertTombstonedID(t *testing.T) {
 	for id := uint64(1); id <= 2*blockSize; id++ {
 		ix.Add(id, "stable flux")
 	}
-	ix.Remove(7) // inside the first sealed block
+	remove(ix, 7, "stable flux") // inside the first sealed block
 	if got := drain(ix.LookupIter("flux")); len(got) != 2*blockSize-1 {
 		t.Fatalf("after remove: %d ids", len(got))
 	}
@@ -477,5 +483,40 @@ func TestCJKPhraseSearch(t *testing.T) {
 	}
 	if got := drain(ix.LookupIter("東")); len(got) != 2 {
 		t.Fatalf("Lookup(東) = %v", got)
+	}
+}
+
+// has answers for every id exactly as the list's live ids do — 0, ids
+// in a sealed block, in the tail, tombstoned and past the end — whether
+// the list holds id 0 or not, and reads a block in place, without
+// allocating.
+func TestHasExact(t *testing.T) {
+	for _, first := range []uint64{0, 1} {
+		ix := New()
+		want := make(map[uint64]bool)
+		for id := first; id < 3*blockSize; id += 1 + id%3 {
+			ix.Add(id, "term")
+			want[id] = true
+		}
+		for id := uint64(4); id < 2*blockSize; id += 9 {
+			if want[id] {
+				remove(ix, id, "term")
+				delete(want, id)
+			}
+		}
+		ix.Add(5, "term") // out of order: the tail overlaps a block
+		want[5] = true
+		pl := ix.terms.Get("term")[0]
+		if len(pl.blocks) == 0 || len(pl.tail) == 0 || len(pl.dead) == 0 {
+			t.Fatalf("setup: %d blocks, %d tail ids, %d tombstones", len(pl.blocks), len(pl.tail), len(pl.dead))
+		}
+		for id := uint64(0); id < 3*blockSize+2; id++ {
+			if got := pl.has(id); got != want[id] {
+				t.Fatalf("first id %d: has(%d) = %v, want %v", first, id, got, want[id])
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { pl.has(2 * blockSize) }); n != 0 {
+			t.Fatalf("has = %.1f allocs, want 0", n)
+		}
 	}
 }

@@ -668,12 +668,14 @@ func decodeAttrs(s string) []sgml.Attr {
 
 // DeleteDocument removes a document: its DOC row, all its XML rows, and
 // their derived index entries (text postings, context keys, cached node
-// decodes).  The rows are found by the walk that reconstructs the
-// document and deleted as one run, in reverse document order, then the
-// DOC row: two log records.  Whatever an interrupted
+// decodes).  The rows are found by the walk the rebuild flattens a
+// document with (flattenStored), which gives postTerms the postings
+// ingest made, and deleted as one run, in reverse document order, then
+// the DOC row: two log records.  Whatever an interrupted
 // delete leaves behind — a prefix of the run in memory, or in the log the
 // run without the DOC row — is a prefix of the document still reachable
-// from its root, and a retry finishes it.
+// from its root, and a retry finishes it: the postings it derives again
+// are gone already, and RemoveTokens passes them over.
 func (s *Store) DeleteDocument(docID uint64) error {
 	// Degraded mode rejects deletes up front: the multi-step teardown
 	// must not start if the engine will refuse its row deletes halfway.
@@ -697,33 +699,29 @@ func (s *Store) DeleteDocument(docID uint64) error {
 		}
 		return n, err
 	}
-	var nodes []*Node // the document's live rows, in document order
-	root, err := follow(info.RootRowID)
-	if err == nil && root != nil {
-		err = walkSubtree(root, follow, func(n *Node, _ int) { nodes = append(nodes, n) })
-	}
+	flat, err := flattenStored(make([]flatNode, 0, info.NNodes), info.RootRowID, follow)
 	if err != nil {
 		return err
 	}
 	defer s.bumpGeneration() // rows start disappearing: invalidate even on failure
 	// Derived entries go before the rows, so none outlives its row; the run
 	// is in reverse document order, so one that stops leaves a prefix.
-	// Headings go before words, the mirror of indexPrepared's order.  Every
-	// key row a document's words are posted under is one of its rows, and
-	// Remove skips the rest.
-	rids := make([]ordbms.RowID, len(nodes))
-	ids := make([]uint64, len(nodes))
-	for i, n := range nodes {
-		rids[len(nodes)-1-i] = n.RowID
-		ids[i] = n.RowID.Uint64()
-		if n.Class == sgml.ClassContext {
-			s.removeContextKey(n.Data, n.RowID)
+	// Headings go before words, the mirror of indexPrepared's order.
+	toks, ends := new(prepWorker).postTerms(flat)
+	rids := make([]ordbms.RowID, len(flat))
+	ids := make([]uint64, len(flat))
+	for i := range flat {
+		fn := &flat[i]
+		rids[len(flat)-1-i] = fn.rid
+		ids[i] = fn.rid.Uint64()
+		if fn.class == sgml.ClassContext {
+			s.removeContextKey(fn.data, fn.rid)
 		}
 	}
-	s.content.Remove(ids...)
+	s.content.RemoveTokens(ids, toks, ends)
 	err = s.xml.DeleteRun(rids) // ErrRecordDeleted: a retry found no rows left
-	// Page images go after the rows, so a racing fill (whose token
-	// predates this invalidation) can never resurrect a record.
+	// Page images go after the rows: a fill that decoded a page before the
+	// run published its image before the run could latch the page.
 	if c := s.nodes; c != nil {
 		var pages []uint32
 		for _, rid := range rids {

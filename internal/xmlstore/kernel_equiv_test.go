@@ -131,9 +131,9 @@ func TestSameQuerySameWork(t *testing.T) {
 // with words of its own has them posted under its section's key row — the
 // heading the ContextFor walk finds, or where no heading governs it the
 // element holding the text: a text node's parent, or the node itself —
-// and the index holds no other key, so none names a deleted
-// row.  The rows of document skip (0: none), which an interrupted delete
-// left behind, may be posted or not.
+// and the index holds no other posting, so none names a deleted row or
+// a word its row does not hold.  The rows of document skip (0: none),
+// which an interrupted delete left behind, may be posted or not.
 func checkPostings(t *testing.T, stage string, s *Store, skip uint64) {
 	t.Helper()
 	var nodes []*Node
@@ -143,7 +143,11 @@ func checkPostings(t *testing.T, stage string, s *Store, skip uint64) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	posted := make(map[ordbms.RowID]bool)
+	type posting struct {
+		term string
+		key  ordbms.RowID
+	}
+	posted := make(map[posting]bool)
 	for _, n := range nodes {
 		text, _ := n.OwnText()
 		terms := textindex.Tokenize(text)
@@ -163,7 +167,7 @@ func checkPostings(t *testing.T, stage string, s *Store, skip uint64) {
 		}
 		for _, term := range terms {
 			if id, ok := s.content.LookupIter(term).SeekGE(key.Uint64()); ok && id == key.Uint64() {
-				posted[key] = true
+				posted[posting{term, key}] = true
 				continue
 			}
 			if doc, err := s.docOf(n); err != nil || doc != skip {
@@ -171,8 +175,8 @@ func checkPostings(t *testing.T, stage string, s *Store, skip uint64) {
 			}
 		}
 	}
-	if got := s.content.Docs(); got != len(posted) {
-		t.Fatalf("%s: the text index holds %d keys, %d of them stored sections'", stage, got, len(posted))
+	if got := s.content.Stats().Postings; got != len(posted) {
+		t.Fatalf("%s: the text index holds %d postings, %d of them stored sections' words", stage, got, len(posted))
 	}
 }
 
@@ -247,9 +251,10 @@ func TestContextIndexRebuildOnReopen(t *testing.T) {
 // against concurrent ingest and delete with the node cache enabled, and
 // small documents that land in the free space of cached pages beside
 // Reconstructs of the documents that stay.  Run under -race it proves
-// the lock-free page-image hops, the fill tokens and the posting removals
-// are sound; the results themselves must only ever contain complete
-// sections, and every staying document must read back byte for byte.
+// the lock-free page-image hops, fills published under the page latch
+// and the posting removals are sound; the results themselves must only
+// ever contain complete sections, and every staying document must read
+// back byte for byte.
 func TestContentSearchRaceWithNodeCache(t *testing.T) {
 	s := memStore(t)
 	s.EnableNodeCache(8 << 20)

@@ -36,10 +36,12 @@ import (
 //   - A row added later to a page (InsertRun fills free space) takes a
 //     slot past every slot the page had, so a hop to a slot past its
 //     image's slot count decodes the page again and replaces the image.
-//   - Fill tokens: a fill reads gen before it decodes and publishes only
-//     if gen has not moved.  DeleteDocument invalidates each page its run
-//     touched after the rows are gone, bumping gen, so a decode that may
-//     predate the delete is never published over it.
+//   - The page latch fences fills: a fill decodes its page and publishes
+//     the image in one hold of the page's read latch.  A delete takes the
+//     write latch of each page it removes rows from, so a fill that decoded
+//     the page before the delete has published before the delete changes
+//     it, and DeleteDocument invalidates each page its run touched after
+//     the rows are gone, dropping that image.
 //
 // Cached *Node values are shared across goroutines and MUST be treated as
 // read-only, like cached query results.
@@ -63,20 +65,12 @@ type nodeCache struct {
 
 	// mu serialises every directory write; a hop never takes it.
 	// netmarkvet:hot
-	mu  sync.Mutex
-	gen uint64 // guarded by mu; the fill token, bumped by every invalidation
-	// bytes is the resident images' charge.  Every directory write moves
-	// it, so genbump holds each one to the fill-token rule.
-	// netmarkvet:gen gen
-	bytes   int64 // guarded by mu
+	mu      sync.Mutex
+	bytes   int64 // guarded by mu; the resident images' charge
 	entries int   // guarded by mu; live nodes in the resident images
 	hand    int   // guarded by mu; the CLOCK hand, a page number
 
 	hits, misses, evictions atomic.Uint64
-
-	// fillHook, when set, runs between a fill's decode and its publish
-	// (tests only).
-	fillHook func()
 }
 
 // NodeCacheStats is a snapshot of the decoded-node cache counters.
@@ -116,29 +110,15 @@ func (c *nodeCache) hop(rid ordbms.RowID) *Node {
 	return &img.nodes[rid.Slot]
 }
 
-// token is a fill's fence, read before its decode.
-func (c *nodeCache) token() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// publish installs img as page no's image unless an invalidation came
-// after token, the image outweighs the whole cache, or the page already
-// has an image that knows as many slots.
-//
-// netmarkvet:ignore genbump — a publish installs a decode the token
-// already fenced; it is not a logical mutation, so it must NOT bump gen
-// (a bump here would drop every concurrent fill).
-func (c *nodeCache) publish(no uint32, img *pageImage, token uint64) {
+// publish installs img as page no's image unless the image outweighs the
+// whole cache or the page already has an image that knows as many slots.
+// The caller holds page no's read latch, under which img was decoded.
+func (c *nodeCache) publish(no uint32, img *pageImage) {
 	if img.size > c.capacity {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != token {
-		return
-	}
 	dir := *c.dir.Load()
 	if int(no) >= len(dir) {
 		grown := make(pageDir, max(2*len(dir), int(no)+1))
@@ -185,11 +165,10 @@ func (c *nodeCache) evictLocked(dir pageDir) {
 }
 
 // invalidate drops the images of the pages a delete has just removed rows
-// from, and fences every fill in flight, in one hold of mu.
+// from, in one hold of mu.
 func (c *nodeCache) invalidate(pages []uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
 	dir := *c.dir.Load()
 	for _, no := range pages {
 		if int(no) >= len(dir) {

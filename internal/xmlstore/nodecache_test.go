@@ -3,6 +3,7 @@ package xmlstore
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"netmark/internal/corpus"
 	"netmark/internal/sgml"
@@ -114,8 +115,10 @@ func TestPageImageDeletedRow(t *testing.T) {
 	}
 }
 
-// A fill that decoded its page before a delete and publishes after it
-// must not publish: the image would serve the deleted rows.
+// A fill that decoded its page before a delete publishes before the
+// delete can change the page, since it holds the page latch from its
+// decode to its publish, and the delete's invalidation then drops the
+// image: it would serve the deleted rows.
 func TestFillRacingDeleteIsDropped(t *testing.T) {
 	s := memStore(t)
 	s.EnableNodeCache(1 << 20)
@@ -125,27 +128,35 @@ func TestFillRacingDeleteIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fill of the root's page, as fill runs one, held between its
+	// decode and its publish.
+	no, img := info.RootRowID.Page, new(pageImage)
 	decoded, release := make(chan struct{}), make(chan struct{})
-	s.setFillHook(func() {
-		close(decoded)
-		<-release
-	})
-	done := make(chan error)
+	filled := make(chan error)
 	go func() {
-		_, err := s.FetchNode(info.RootRowID)
-		done <- err
+		filled <- s.decodePage(img, no, func() {
+			close(decoded)
+			<-release
+			s.nodes.publish(no, img)
+		})
 	}()
 	<-decoded
-	if err := s.DeleteDocument(a); err != nil { // the walk reads around the cache
+	deleted := make(chan error)
+	go func() { deleted <- s.DeleteDocument(a) }() // the walk reads around the cache
+	select {
+	case err := <-deleted:
+		t.Fatalf("the delete returned (%v) while a fill held its page between decode and publish", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-filled; err != nil {
+		t.Fatalf("the fill that raced the delete: %v", err)
+	}
+	if err := <-deleted; err != nil {
 		t.Fatal(err)
 	}
-	s.setFillHook(nil)
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("the hop that raced the delete: %v", err)
-	}
 	if st, _ := s.NodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("the stale image was published: %+v", st)
+		t.Fatalf("the stale image survived the delete: %+v", st)
 	}
 	if n, err := s.FetchNode(info.RootRowID); !IsGone(err) {
 		t.Fatalf("the deleted root = %+v, %v", n, err)

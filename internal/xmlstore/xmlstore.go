@@ -337,14 +337,14 @@ func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...st
 
 // rebuildDerived rebuilds the text index, the context index and the
 // document-ID counter from the tables, a document at a time: each document
-// DOC lists is walked from its root and indexed by the code ingest runs
-// (postTerms, indexPrepared).  The walk decodes a page at a time and
-// holds one, since a document's run sits on adjacent pages.  A dead or
-// missing row ends its branch, as in DeleteDocument, so a document an
-// interrupted delete cut short is indexed as far as it still reaches, and
-// rows no DOC row reaches — a run a crash kept without its DOC row — are
-// never read.  Runs during OpenWith, before the store is shared with any
-// other goroutine.
+// DOC lists is flattened from its root (flattenStored) and indexed by the
+// code ingest runs (postTerms, indexPrepared).  The walk decodes a page at
+// a time and holds one, since a document's run sits on adjacent pages.  A
+// dead or missing row ends its branch, as in DeleteDocument, so a
+// document an interrupted delete cut short is indexed as far as it still
+// reaches, and rows no DOC row reaches — a run a crash kept without its
+// DOC row — are never read.  Runs during OpenWith, before the store is
+// shared with any other goroutine.
 //
 // netmarkvet:ignore lockcheck — open-time, single-goroutine
 func (s *Store) rebuildDerived() error {
@@ -358,7 +358,7 @@ func (s *Store) rebuildDerived() error {
 	img, at := new(pageImage), uint32(0)
 	follow := func(rid ordbms.RowID) (*Node, error) {
 		if img.nodes == nil || at != rid.Page {
-			if err := s.decodePage(img, rid.Page); err != nil {
+			if err := s.decodePage(img, rid.Page, nil); err != nil {
 				return nil, err
 			}
 			at = rid.Page
@@ -370,8 +370,33 @@ func (s *Store) rebuildDerived() error {
 	}
 	var pw prepWorker
 	var flat []flatNode
+	for _, d := range docs {
+		s.nextDocID.Store(max(s.nextDocID.Load(), d.DocID+1))
+		if flat, err = flattenStored(flat, d.RootRowID, follow); err != nil {
+			return err
+		}
+		p := &preparedDoc{flat: flat}
+		p.toks, p.ends = pw.postTerms(flat)
+		s.indexPrepared(p)
+	}
+	return nil
+}
+
+// flattenStored walks the stored document whose root is at rid, resolving
+// each link with follow, into flat[:0]: each row becomes the flatNode
+// flattenTree made of it at ingest, as far as postTerms and indexPrepared
+// read one — class, data, RowID, and the parent, prev and child links.
+// So the rebuild and DeleteDocument derive a document's postings as its
+// ingest did.  A root that follow finds gone leaves flat empty: an
+// interrupted delete took every row.
+func flattenStored(flat []flatNode, rid ordbms.RowID, follow func(ordbms.RowID) (*Node, error)) ([]flatNode, error) {
+	flat = flat[:0]
+	root, err := follow(rid)
+	if err != nil || root == nil {
+		return flat, err
+	}
 	var last []int // last[d] is the node last seen at depth d
-	visit := func(n *Node, depth int) {
+	err = walkSubtree(root, follow, func(n *Node, depth int) {
 		fn := flatNode{class: n.Class, data: n.Data, rid: n.RowID, parent: -1, prev: -1, next: -1, child: -1}
 		if depth > 0 {
 			fn.parent = last[depth-1]
@@ -387,25 +412,8 @@ func (s *Store) rebuildDerived() error {
 		}
 		last = append(last[:depth], len(flat))
 		flat = append(flat, fn)
-	}
-	for _, d := range docs {
-		s.nextDocID.Store(max(s.nextDocID.Load(), d.DocID+1))
-		root, err := follow(d.RootRowID)
-		if err != nil {
-			return err
-		}
-		if root == nil {
-			continue // an interrupted delete took every row
-		}
-		flat, last = flat[:0], last[:0]
-		if err := walkSubtree(root, follow, visit); err != nil {
-			return err
-		}
-		p := &preparedDoc{flat: flat}
-		p.toks, p.ends = pw.postTerms(flat)
-		s.indexPrepared(p)
-	}
-	return nil
+	})
+	return flat, err
 }
 
 func (s *Store) addContextKey(heading string, rid ordbms.RowID) {
@@ -572,32 +580,33 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 }
 
 // fill serves a hop the node cache missed: it decodes rid's whole page
-// into a fresh image, publishes it under a fill token, and returns rid's
-// node from it.  A page that does not decode whole, or has no slot for
-// rid, answers for rid alone, as an uncached store does.
+// into a fresh image, publishes it while the page is still latched (see
+// nodecache.go), and returns rid's node from it.  A page that does not
+// decode whole, or has no slot for rid, answers for rid alone, as an
+// uncached store does.
 func (s *Store) fill(rid ordbms.RowID) (*Node, error) {
-	c := s.nodes
-	token := c.token()
 	img := new(pageImage)
-	if err := s.decodePage(img, rid.Page); err != nil || int(rid.Slot) >= len(img.nodes) {
+	err := s.decodePage(img, rid.Page, func() {
+		if int(rid.Slot) < len(img.nodes) {
+			s.nodes.publish(rid.Page, img)
+		}
+	})
+	if err != nil || int(rid.Slot) >= len(img.nodes) {
 		return s.fetchNodeUncached(rid)
 	}
-	if c.fillHook != nil {
-		c.fillHook()
-	}
-	c.publish(rid.Page, img, token)
 	return &img.nodes[rid.Slot], nil
 }
 
 // decodePage decodes page no of the XML table into img, every live row
-// into its slot's Node, under one table lock and one page latch.  The
-// node cache passes a fresh image, which it publishes, and gets nodes for
+// into its slot's Node, under one table lock and one page latch, and
+// calls decoded, when not nil, before it lets the latch go.  The node
+// cache passes a fresh image, which decoded publishes, and gets nodes for
 // exactly the page's slots; the derived rebuild, which holds one page at
 // a time, passes the same image each time, and its nodes are reused when
 // they have room.
 //
 // netmarkvet:allocok — a cold hop decodes its whole page: the image is the product
-func (s *Store) decodePage(img *pageImage, no uint32) error {
+func (s *Store) decodePage(img *pageImage, no uint32, decoded func()) error {
 	img.live, img.size = 0, 0
 	return s.xml.ViewPage(no, func(sch ordbms.Schema, slots int, live func(func(int, []byte) bool) error) error {
 		if cap(img.nodes) < slots {
@@ -620,6 +629,9 @@ func (s *Store) decodePage(img *pageImage, no uint32) error {
 		})
 		if derr != nil {
 			return derr
+		}
+		if err == nil && decoded != nil {
+			decoded()
 		}
 		return err
 	})
