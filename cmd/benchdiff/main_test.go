@@ -9,6 +9,10 @@ import (
 	"testing"
 )
 
+// twoX is the default gate with allocs/op loosened to 2x, as
+// -alloc-threshold 2 sets it: the bounds the tests below were written for.
+var twoX = func() gate { g := defaultGate; g.allocs = 2; return g }()
+
 func report(ns map[string]float64) *Report {
 	rep := &Report{GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64"}
 	for name, v := range ns {
@@ -33,7 +37,7 @@ func TestInjectedSlowdownFails(t *testing.T) {
 		"BenchmarkServeParallel/hot/cached-4":    50_000,
 		"BenchmarkReopen/snapshot/docs=8-4":      2_000_000,
 	})
-	out, regressed := render(diff(base, slow, match, 2.0, 2.0), 2.0)
+	out, regressed := render(diff(base, slow, match, twoX), twoX)
 	if !regressed {
 		t.Fatalf("2.5x slowdown not flagged:\n%s", out)
 	}
@@ -47,7 +51,7 @@ func TestInjectedSlowdownFails(t *testing.T) {
 		"BenchmarkServeParallel/hot/cached-4":    75_000,
 		"BenchmarkReopen/snapshot/docs=8-4":      2_000_000,
 	})
-	if out, regressed := render(diff(base, drift, match, 2.0, 2.0), 2.0); regressed {
+	if out, regressed := render(diff(base, drift, match, twoX), twoX); regressed {
 		t.Fatalf("1.5x drift wrongly flagged:\n%s", out)
 	}
 }
@@ -65,11 +69,11 @@ func TestUnmatchedBenchmarksIgnored(t *testing.T) {
 		"BenchmarkAdd-4":                         9_999_999_999, // not gated
 		"BenchmarkReopen/scan/docs=32-4":         5_000_000,     // gated but no baseline
 	})
-	rows := diff(base, cand, match, 2.0, 2.0)
+	rows := diff(base, cand, match, twoX)
 	if len(rows) != 1 || rows[0].name != "BenchmarkColdContentSearch/optimized" {
 		t.Fatalf("rows = %+v", rows)
 	}
-	if _, regressed := render(rows, 2.0); regressed {
+	if _, regressed := render(rows, twoX); regressed {
 		t.Fatal("unmatched benchmarks gated the build")
 	}
 }
@@ -87,11 +91,11 @@ func TestGomaxprocsSuffixPairing(t *testing.T) {
 		"BenchmarkColdContentSearch/optimized-serial-4": 19_000_000, // 4-vCPU runner, 3.2x
 		"BenchmarkMixedWriteHeavy-4":                    90_000,
 	})
-	rows := diff(base, ci, match, 2.0, 2.0)
+	rows := diff(base, ci, match, twoX)
 	if len(rows) != 2 {
 		t.Fatalf("suffix-skewed names not paired: %+v", rows)
 	}
-	out, regressed := render(rows, 2.0)
+	out, regressed := render(rows, twoX)
 	if !regressed || !strings.Contains(out, "BenchmarkColdContentSearch/optimized-serial") {
 		t.Fatalf("regression lost across suffix skew:\n%s", out)
 	}
@@ -104,7 +108,7 @@ func TestEmptyOverlap(t *testing.T) {
 	match := regexp.MustCompile(defaultMatch)
 	out, regressed := render(diff(report(nil), report(map[string]float64{
 		"BenchmarkReopen/snapshot/docs=8-4": 1,
-	}), match, 2.0, 2.0), 2.0)
+	}), match, twoX), twoX)
 	if !regressed || !strings.Contains(out, "no comparable benchmarks") {
 		t.Fatalf("empty overlap mishandled: %v %q", regressed, out)
 	}
@@ -134,11 +138,11 @@ func TestInjectedAllocRegressionFails(t *testing.T) {
 		"BenchmarkServeParallel/hot/cached-4": {50_000, 360},
 		"BenchmarkReopen/snapshot/docs=8-4":   {2_000_000, 900},
 	})
-	out, regressed := render(diff(base, leaky, match, 2.0, 2.0), 2.0)
+	out, regressed := render(diff(base, leaky, match, twoX), twoX)
 	if !regressed {
 		t.Fatalf("3x alloc regression not flagged:\n%s", out)
 	}
-	if !strings.Contains(out, "ALLOCS REGRESSED") || !strings.Contains(out, "BenchmarkServeParallel/hot/cached") {
+	if !strings.Contains(out, "allocs/op  +200.0%  REGRESSED") || !strings.Contains(out, "BenchmarkServeParallel/hot/cached") {
 		t.Fatalf("alloc regression not named:\n%s", out)
 	}
 
@@ -147,7 +151,7 @@ func TestInjectedAllocRegressionFails(t *testing.T) {
 		"BenchmarkServeParallel/hot/cached-4": {50_000, 180},
 		"BenchmarkReopen/snapshot/docs=8-4":   {2_000_000, 900},
 	})
-	if out, regressed := render(diff(base, drift, match, 2.0, 2.0), 2.0); regressed {
+	if out, regressed := render(diff(base, drift, match, twoX), twoX); regressed {
 		t.Fatalf("1.5x alloc drift wrongly flagged:\n%s", out)
 	}
 
@@ -155,8 +159,95 @@ func TestInjectedAllocRegressionFails(t *testing.T) {
 	noAllocBase := report(map[string]float64{
 		"BenchmarkServeParallel/hot/cached-4": 50_000,
 	})
-	if out, regressed := render(diff(noAllocBase, leaky, match, 2.0, 2.0), 2.0); regressed {
+	if out, regressed := render(diff(noAllocBase, leaky, match, twoX), twoX); regressed {
 		t.Fatalf("alloc gate fired without a baseline:\n%s", out)
+	}
+}
+
+func reportWith(name string, b Benchmark) *Report {
+	b.Name, b.Runs = name, 10
+	return &Report{GoVersion: "go1.24", GOOS: "linux", GOARCH: "amd64", Benchmarks: []Benchmark{b}}
+}
+
+// TestDefaultGateSeesDrift: under the default bounds a +5 % rise in
+// allocs/op, +10 % in B/op or +1 % in a deterministic metric fails, and
+// a smaller rise — or any rise in a metric not declared deterministic —
+// passes.
+func TestDefaultGateSeesDrift(t *testing.T) {
+	match := regexp.MustCompile(defaultMatch)
+	const name = "BenchmarkIngestParallel/durable-2"
+	base := Benchmark{NsPerOp: 26_000_000, BytesPerOp: 100_000, AllocsPerOp: 100,
+		Metrics: map[string]float64{"wal-B/user-B": 1, "MB/s": 6.8, "hits": 10}}
+	cases := []struct {
+		what   string
+		change func(*Benchmark)
+		fails  bool
+	}{
+		{"allocs/op +5%", func(b *Benchmark) { b.AllocsPerOp = 105 }, true},
+		{"allocs/op +4%", func(b *Benchmark) { b.AllocsPerOp = 104 }, false},
+		{"B/op +10%", func(b *Benchmark) { b.BytesPerOp = 110_000 }, true},
+		{"B/op +9%", func(b *Benchmark) { b.BytesPerOp = 109_000 }, false},
+		{"wal-B/user-B +1%", func(b *Benchmark) { b.Metrics["wal-B/user-B"] = 1.01 }, true},
+		{"wal-B/user-B +0.9%", func(b *Benchmark) { b.Metrics["wal-B/user-B"] = 1.009 }, false},
+		{"MB/s and hits halved", func(b *Benchmark) { b.Metrics["MB/s"], b.Metrics["hits"] = 3.4, 5 }, false},
+		{"ns/op +90%", func(b *Benchmark) { b.NsPerOp = 49_400_000 }, false},
+	}
+	for _, c := range cases {
+		nb := base
+		nb.Metrics = map[string]float64{}
+		for k, v := range base.Metrics {
+			nb.Metrics[k] = v
+		}
+		c.change(&nb)
+		out, regressed := render(diff(reportWith(name, base), reportWith(name, nb), match, defaultGate), defaultGate)
+		if regressed != c.fails {
+			t.Errorf("%s: regressed = %v, want %v:\n%s", c.what, regressed, c.fails, out)
+		}
+	}
+}
+
+// TestGrowsWithNKeepsLooseBound: a benchmark whose allocations follow
+// b.N is held to 2x on allocs/op and B/op, so
+// MixedWriteHeavy's +6.5 % from BENCH_PR36.json to BENCH_PR38.json passes
+// and a doubling still fails.
+func TestGrowsWithNKeepsLooseBound(t *testing.T) {
+	match := regexp.MustCompile(defaultMatch)
+	base := Benchmark{NsPerOp: 35_000, BytesPerOp: 67_000, AllocsPerOp: 46}
+	for _, c := range []struct {
+		allocs float64
+		fails  bool
+	}{{49, false}, {92, true}} {
+		nb := base
+		nb.AllocsPerOp = c.allocs
+		out, regressed := render(diff(reportWith("BenchmarkMixedWriteHeavy-2", base),
+			reportWith("BenchmarkMixedWriteHeavy-2", nb), match, defaultGate), defaultGate)
+		if regressed != c.fails {
+			t.Errorf("46 -> %g allocs/op: regressed = %v, want %v:\n%s", c.allocs, regressed, c.fails, out)
+		}
+	}
+}
+
+// TestCommittedMachineSwapPasses: BENCH_PR35.json was recorded on a VM
+// about 1.7x slower than BENCH_PR34.json.  Its allocs/op moved between
+// -24 % and +2.2 % and no deterministic metric moved 1 %, so the tight
+// bounds raise nothing on it.
+func TestCommittedMachineSwapPasses(t *testing.T) {
+	oldRep, err := readReport("../../BENCH_PR34.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRep, err := readReport("../../BENCH_PR35.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := diff(oldRep, newRep, regexp.MustCompile(defaultMatch), defaultGate)
+	if len(rows) == 0 {
+		t.Fatal("no benchmark paired")
+	}
+	for _, r := range rows {
+		for _, f := range r.findings {
+			t.Errorf("%s: %s %g -> %g flagged", r.name, f.unit, f.old, f.new)
+		}
 	}
 }
 

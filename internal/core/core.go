@@ -46,13 +46,15 @@ type Config struct {
 	// covers (default DefaultIngestBatch).  Larger batches amortise the
 	// fsync further at the cost of more work buffered between commits.
 	IngestBatchSize int
-	// CacheBytes caps the invalidation-aware query result cache
-	// (0 = DefaultCacheBytes, negative = disabled).  The cache keys on
-	// the text index's generations of a query's words, its heading's
-	// included (on the store's generation for XPath, a prefix heading or
-	// a heading with no word), so results never outlive the data they
-	// were computed from while writes to other documents leave them
-	// cached; tune it to the working set of hot queries.
+	// CacheBytes caps the invalidation-aware query result cache: the
+	// exact bytes of the keys and rendered response bodies it keeps for
+	// the HTTP query path, Engine.ExecuteInto (0 = DefaultCacheBytes,
+	// negative = disabled).  The cache keys on the text index's
+	// generations of a query's words, its heading's included (on the
+	// store's generation for XPath, a prefix heading or a heading with no
+	// word), so bodies never outlive the data they were computed from
+	// while writes to other documents leave them cached; tune it to the
+	// working set of hot queries.
 	CacheBytes int64
 	// NodeCacheBytes caps the XML store's decoded-node cache, which
 	// accelerates the cold query path by keeping hot traversal rows
@@ -216,7 +218,8 @@ func (n *Netmark) IngestFiles(paths []string) []IngestResult {
 }
 
 // Query parses and executes a URL-form XDB query against the local
-// store.
+// store.  It always evaluates: the result cache holds response bodies
+// for the HTTP path only, and no benchmark workload calls Query.
 func (n *Netmark) Query(raw string) (*xdb.Result, error) {
 	return n.engine.ExecuteString(raw)
 }
@@ -263,21 +266,31 @@ func (n *Netmark) QueryBank(ctx context.Context, bank string, q xdb.Query) (*dat
 }
 
 // Serve starts the HTTP/WebDAV server and, when configured, the
-// ingestion daemon, until ctx is cancelled.
+// ingestion daemon, until ctx is cancelled.  It returns only once both
+// have stopped — no handler running and no daemon batch in flight — so
+// the caller may Close the instance right after.
 func (n *Netmark) Serve(ctx context.Context, addr string) error {
 	srv, err := webdav.NewServer(n.engine, n.banks, n.cfg.DropDir)
 	if err != nil {
 		return err
 	}
 	n.server = srv
-	if n.daemon != nil {
-		go func() {
-			if err := n.daemon.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-				n.noteDaemonExit(err)
-			}
-		}()
+	if n.daemon == nil {
+		return srv.Serve(ctx, addr)
 	}
-	return srv.Serve(ctx, addr)
+	// The daemon stops when the server does, a listen error included.
+	dctx, stop := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := n.daemon.Run(dctx); err != nil && !errors.Is(err, context.Canceled) {
+			n.noteDaemonExit(err)
+		}
+	}()
+	err = srv.Serve(ctx, addr)
+	stop()
+	<-done
+	return err
 }
 
 // noteDaemonExit records an abnormal ingestion-daemon exit.  The server

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,6 +158,57 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
+// TestServeWaitsForDaemonBatch: cancelling Serve while the daemon is
+// inside a batch must not return before the batch is done, or the
+// caller's Close would checkpoint and close the store under it.
+func TestServeWaitsForDaemonBatch(t *testing.T) {
+	drop := t.TempDir()
+	nm, err := Open(Config{DropDir: drop, PollInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nm.Close()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	nm.Daemon().OnIngest = func(string, uint64, error) {
+		once.Do(func() { close(entered) })
+		<-release
+	}
+	if err := os.WriteFile(filepath.Join(drop, "x.html"),
+		[]byte(`<html><body><h1>T</h1><p>dropped</p></body></html>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- nm.Serve(ctx, "127.0.0.1:0") }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the daemon never ingested the dropped file")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		close(release)
+		t.Fatalf("Serve returned %v with the daemon's batch still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return once the batch was done")
+	}
+	// Serve returned after the batch archived the file, not before.
+	if _, err := os.Stat(filepath.Join(drop, ".processed", "x.html")); err != nil {
+		t.Fatalf("stored file not archived when Serve returned: %v", err)
+	}
+}
+
 func TestServeSurfacesDaemonExit(t *testing.T) {
 	drop := filepath.Join(t.TempDir(), "drop")
 	if err := os.MkdirAll(drop, 0o755); err != nil {
@@ -226,19 +280,38 @@ func TestCacheBytesConfig(t *testing.T) {
 	if _, ok := nm3.Engine().CacheStats(); ok {
 		t.Fatal("negative CacheBytes left the cache enabled")
 	}
-	// Cached queries stay correct across mutations through the facade.
+	// Cached answers stay correct across mutations through the facade:
+	// the engine's serving path, ExecuteInto, is the one the cache serves
+	// (Query evaluates uncached).
+	serve := func() string {
+		t.Helper()
+		q, err := xdb.Parse("context=K")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := nm.Engine().ExecuteInto(q, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
 	if _, err := nm.Ingest("a.html", []byte(`<html><head><title>A</title></head><body><h1>K</h1><p>one</p></body></html>`)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := nm.Query("context=K")
-	if err != nil || len(r.Sections) != 1 {
-		t.Fatalf("query 1: %v %d", err, r.Len())
+	if body := serve(); !strings.Contains(body, "one") || strings.Contains(body, "two") {
+		t.Fatalf("query 1 served:\n%s", body)
+	}
+	before, _ := nm.Engine().CacheStats()
+	if body := serve(); !strings.Contains(body, "one") {
+		t.Fatalf("query 1 again served:\n%s", body)
+	}
+	if after, _ := nm.Engine().CacheStats(); after.Hits != before.Hits+1 {
+		t.Fatalf("repeated query missed the cache: %+v -> %+v", before, after)
 	}
 	if _, err := nm.Ingest("b.html", []byte(`<html><head><title>B</title></head><body><h1>K</h1><p>two</p></body></html>`)); err != nil {
 		t.Fatal(err)
 	}
-	r, err = nm.Query("context=K")
-	if err != nil || len(r.Sections) != 2 {
-		t.Fatalf("query 2 after ingest: %v %d (stale cache?)", err, r.Len())
+	if body := serve(); !strings.Contains(body, "one") || !strings.Contains(body, "two") {
+		t.Fatalf("query 2 after ingest served (stale cache?):\n%s", body)
 	}
 }

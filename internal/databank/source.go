@@ -109,7 +109,9 @@ func (s *LocalSource) Name() string             { return s.name }
 func (s *LocalSource) Capabilities() Capability { return Full }
 func (s *LocalSource) Engine() *xdb.Engine      { return s.engine }
 
-// Query executes locally.
+// Query executes locally, uncached: the engine's result cache holds
+// response bodies for the HTTP path only, and no benchmark workload
+// queries a local source.
 func (s *LocalSource) Query(ctx context.Context, q xdb.Query) (*xdb.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -136,7 +138,8 @@ func NewLegacySource(name string, caps Capability, engine *xdb.Engine) *LegacySo
 func (s *LegacySource) Name() string             { return s.name }
 func (s *LegacySource) Capabilities() Capability { return s.caps }
 
-// Query enforces the capability contract, then executes.
+// Query enforces the capability contract, then executes uncached, as
+// LocalSource does.
 func (s *LegacySource) Query(ctx context.Context, q xdb.Query) (*xdb.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

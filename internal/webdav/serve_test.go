@@ -3,6 +3,7 @@ package webdav
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -89,6 +90,54 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused after shutdown.
 	if _, err := net.DialTimeout("tcp", ln.Addr().String(), 200*time.Millisecond); err == nil {
 		t.Fatal("listener still accepting after shutdown")
+	}
+}
+
+// TestForcedCloseWaitsForHandlers: when the grace expires with a handler
+// still running, ServeListener force-closes its connection but returns
+// only once the handler has, so the caller may tear the store down.
+func TestForcedCloseWaitsForHandlers(t *testing.T) {
+	e := newEngine(t)
+	s, err := NewServer(e, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ShutdownGrace = 10 * time.Millisecond
+	started := make(chan struct{})
+	release := make(chan struct{})
+	s.Handle("/stuck", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(started)
+		<-release
+	}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.ServeListener(ctx, ln) }()
+	go func() {
+		if resp, err := http.Get("http://" + ln.Addr().String() + "/stuck"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+
+	<-started
+	cancel()
+	select {
+	case err := <-serveDone:
+		close(release)
+		t.Fatalf("ServeListener returned %v with a handler still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-serveDone:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("ServeListener = %v, want the expired grace", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeListener did not return once the handler did")
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"netmark/internal/databank"
@@ -132,10 +133,11 @@ func (s *Server) handleXDB(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// ExecuteInto streams uncached results and writes the memoized body
-	// for cache hits; execution errors surface before any bytes go out,
-	// so a 500 is only valid while the response is still unwritten (an
-	// error after the first byte means the client went away mid-stream).
+	// ExecuteInto writes the cached response body (rendered on a miss),
+	// or streams the result when the cache is off; execution errors
+	// surface before any bytes go out, so a 500 is only valid while the
+	// response is still unwritten (an error after the first byte means
+	// the client went away mid-stream).
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	cw := &countingWriter{w: w}
 	if err := s.engine.ExecuteInto(q, cw); err != nil && cw.n == 0 {
@@ -726,7 +728,7 @@ func orDefault(d, def time.Duration) time.Duration {
 // Serve listens on addr and runs the hardened server until ctx is
 // cancelled, then drains gracefully: in-flight requests get up to
 // ShutdownGrace to complete before connections are forced closed.
-// Returns nil after a clean drain.
+// Returns nil after a clean drain, and never while a handler still runs.
 func (s *Server) Serve(ctx context.Context, addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -736,33 +738,48 @@ func (s *Server) Serve(ctx context.Context, addr string) error {
 }
 
 // ServeListener is Serve over an existing listener (tests and embedders
-// that need the bound address before traffic starts).  The listener is
-// closed when ServeListener returns.
+// that need the bound address before traffic starts).  The listener and
+// every connection are closed when ServeListener returns, and no handler
+// is still running, so callers may tear the store down.
 func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
+	// conns counts connections until their serving goroutine is done,
+	// handler included: http.Server.Close drops the connections but does
+	// not wait for handlers still running on them.  StateNew is reported
+	// by the accept loop before srv.Serve returns, so every Add happens
+	// before the Wait below.
+	var conns sync.WaitGroup
 	srv := &http.Server{
 		Handler:           s.mux,
 		ReadTimeout:       orDefault(s.ReadTimeout, DefaultReadTimeout),
 		ReadHeaderTimeout: orDefault(s.ReadTimeout, DefaultReadTimeout),
 		WriteTimeout:      orDefault(s.WriteTimeout, DefaultWriteTimeout),
 		IdleTimeout:       orDefault(s.IdleTimeout, DefaultIdleTimeout),
+		ConnState: func(_ net.Conn, state http.ConnState) {
+			switch state {
+			case http.StateNew:
+				conns.Add(1)
+			case http.StateClosed, http.StateHijacked:
+				conns.Done()
+			}
+		},
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
+	var err error
 	select {
 	case <-ctx.Done():
 		grace := orDefault(s.ShutdownGrace, DefaultShutdownGrace)
 		sctx, cancel := context.WithTimeout(context.Background(), grace)
 		defer cancel()
-		err := srv.Shutdown(sctx)
-		if err != nil {
-			// Grace expired with handlers still running: force-close the
-			// stragglers so callers can safely tear the store down after
-			// Serve returns.
+		if err = srv.Shutdown(sctx); err != nil {
+			// Grace expired with handlers still running: force-close
+			// their connections, then wait for the handlers below.
 			srv.Close()
 		}
 		<-errc // reap the serve goroutine (returns http.ErrServerClosed)
-		return err
-	case err := <-errc:
-		return err
+	case err = <-errc:
+		srv.Close()
 	}
+	conns.Wait()
+	return err
 }

@@ -4,11 +4,14 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-
-	"netmark/internal/sgml"
 )
 
 // This file implements the invalidation-aware LRU query result cache.
+// An entry is a key and the response body ExecuteInto writes for it, and
+// nothing else: a hit costs a byte copy, and the cap bounds exactly the
+// bytes held, len(key)+cap(body) per entry, where compute makes cap(body)
+// equal len(body).  (The allocator's size-class rounding is not counted.)
+//
 // Entries are keyed by (store fingerprint, canonical query encoding) —
 // see Engine.cacheKey — where the fingerprint folds the text index's
 // generations of the query's words, or the store's generation when the
@@ -21,7 +24,7 @@ import (
 // entry.
 //
 // Duplicate in-flight queries collapse: when N goroutines miss on the same
-// key simultaneously, one executes and the other N-1 wait for its result
+// key simultaneously, one executes and the other N-1 wait for its body
 // (singleflight), so a hot query going cold — or being invalidated under
 // load — costs one execution, not a thundering herd.
 
@@ -32,28 +35,24 @@ type CacheStats struct {
 	Coalesced uint64 // lookups that waited on another goroutine's execution
 	Evictions uint64 // entries dropped to fit the byte cap
 	Entries   int    // live entries
-	Bytes     int64  // estimated bytes held
+	Bytes     int64  // bytes held: len(key)+cap(body) summed over entries
 	Capacity  int64  // configured byte cap
 }
 
 type cacheEntry struct {
 	key  string
-	res  *Result
-	size int64
-
-	// rendered memoises the serialized XML response body, built on the
-	// first HTTP serve of this entry: repeated hot queries cost a byte
-	// copy, not a re-serialization of the whole result set.
-	renderOnce sync.Once
-	rendered   []byte
+	body []byte
 }
+
+// size charges the body's whole array, so spare capacity cannot hide
+// from the cap.
+func (e *cacheEntry) size() int64 { return int64(len(e.key) + cap(e.body)) }
 
 // flightCall tracks one in-flight execution that later arrivals join.
 type flightCall struct {
-	wg    sync.WaitGroup
-	res   *Result
-	entry *cacheEntry // nil when the result was not cacheable
-	err   error
+	wg   sync.WaitGroup
+	body []byte
+	err  error
 }
 
 type resultCache struct {
@@ -79,25 +78,23 @@ func newResultCache(capacity int64) *resultCache {
 	}
 }
 
-// fetch returns the cached result for key, joins an in-flight execution
-// of the same key, or runs fn itself and caches its result if fn says it
-// may be kept.  The returned *Result is shared across callers and must be
-// treated as read-only; the *cacheEntry is nil when the result was not
-// cached (not to be kept, or oversized).
-func (c *resultCache) fetch(key string, fn func() (res *Result, keep bool, err error)) (*Result, *cacheEntry, error) {
+// fetch returns the cached body for key, joins an in-flight execution of
+// the same key, or runs fn itself and caches its body if fn says it may
+// be kept.  Hits and coalesced waiters share one byte slice: treat it as
+// read-only.
+func (c *resultCache) fetch(key string, fn func() (body []byte, keep bool, err error)) ([]byte, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
 		c.lru.MoveToFront(el)
 		c.hits++
 		c.mu.Unlock()
-		return e.res, e, nil
+		return el.Value.(*cacheEntry).body, nil
 	}
 	if fc, ok := c.flight[key]; ok {
 		c.coalesced++
 		c.mu.Unlock()
 		fc.wg.Wait()
-		return fc.res, fc.entry, fc.err
+		return fc.body, fc.err
 	}
 	c.misses++
 	fc := &flightCall{}
@@ -118,71 +115,39 @@ func (c *resultCache) fetch(key string, fn func() (res *Result, keep bool, err e
 			}
 			c.releaseFlight(key, fc, keep)
 		}()
-		fc.res, keep, fc.err = fn()
+		fc.body, keep, fc.err = fn()
 	}()
-	return fc.res, fc.entry, fc.err
+	return fc.body, fc.err
 }
 
 func (c *resultCache) releaseFlight(key string, fc *flightCall, keep bool) {
 	c.mu.Lock()
 	delete(c.flight, key)
 	if keep {
-		fc.entry = c.insertLocked(key, fc.res)
+		c.insertLocked(&cacheEntry{key: key, body: fc.body})
 	}
 	c.mu.Unlock()
 	fc.wg.Done()
 }
 
 // insertLocked adds an entry and evicts from the cold end until the cache
-// fits its byte cap.  Results bigger than the whole cap are not cached.
-func (c *resultCache) insertLocked(key string, res *Result) *cacheEntry {
-	size := int64(len(key)) + resultSize(res)
-	if size > c.capacity {
-		return nil
+// fits its byte cap.  Bodies bigger than the whole cap are not cached.
+// Only a key's flight inserts it, and no flight starts while its entry is
+// resident, so the key is never already present.
+func (c *resultCache) insertLocked(e *cacheEntry) {
+	if e.size() > c.capacity {
+		return
 	}
-	if el, ok := c.entries[key]; ok { // lost a race with an equal key
-		c.bytes -= el.Value.(*cacheEntry).size
-		c.lru.Remove(el)
-		delete(c.entries, key)
-	}
-	e := &cacheEntry{key: key, res: res, size: size}
-	c.entries[key] = c.lru.PushFront(e)
-	c.bytes += size
-	c.evictLocked()
-	return e
-}
-
-func (c *resultCache) evictLocked() {
+	c.entries[e.key] = c.lru.PushFront(e)
+	c.bytes += e.size()
 	for c.bytes > c.capacity {
 		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*cacheEntry)
+		old := back.Value.(*cacheEntry)
 		c.lru.Remove(back)
-		delete(c.entries, e.key)
-		c.bytes -= e.size
+		delete(c.entries, old.key)
+		c.bytes -= old.size()
 		c.evictions++
 	}
-}
-
-// renderedXML returns the entry's memoized response body, building it on
-// first use and charging its bytes against the cache cap.
-func (c *resultCache) renderedXML(e *cacheEntry, render func(*Result) []byte) []byte {
-	e.renderOnce.Do(func() {
-		e.rendered = render(e.res)
-		c.mu.Lock()
-		// Charge the rendering only while the entry is still resident
-		// (it may have been evicted between fetch and render).
-		if el, ok := c.entries[e.key]; ok && el.Value.(*cacheEntry) == e {
-			add := int64(len(e.rendered))
-			e.size += add
-			c.bytes += add
-			c.evictLocked()
-		}
-		c.mu.Unlock()
-	})
-	return e.rendered
 }
 
 func (c *resultCache) stats() CacheStats {
@@ -197,33 +162,4 @@ func (c *resultCache) stats() CacheStats {
 		Bytes:     c.bytes,
 		Capacity:  c.capacity,
 	}
-}
-
-// resultSize estimates a result's resident footprint: string payloads plus
-// a fixed per-item overhead for headers and slice bookkeeping.
-func resultSize(r *Result) int64 {
-	const itemOverhead = 96
-	n := int64(128)
-	for i := range r.Sections {
-		s := &r.Sections[i]
-		n += int64(len(s.DocName)+len(s.DocTitle)+len(s.Context)+len(s.Content)) + itemOverhead
-	}
-	for _, d := range r.Docs {
-		n += int64(len(d.FileName)+len(d.Title)+len(d.Format)) + itemOverhead
-	}
-	if r.Transformed != nil {
-		n += nodeSize(r.Transformed)
-	}
-	return n
-}
-
-func nodeSize(n *sgml.Node) int64 {
-	size := int64(len(n.Name)+len(n.Data)) + 96
-	for _, a := range n.Attrs {
-		size += int64(len(a.Name)+len(a.Value)) + 32
-	}
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		size += nodeSize(c)
-	}
-	return size
 }

@@ -2,6 +2,7 @@ package xdb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -13,33 +14,59 @@ func cachedEngine(t testing.TB, capacity int64) *Engine {
 	return e
 }
 
-func mustExecute(t testing.TB, e *Engine, raw string) *Result {
+// mustExecute runs raw through ExecuteInto, the path the result cache
+// serves, and returns the response body.
+func mustExecute(t testing.TB, e *Engine, raw string) string {
 	t.Helper()
-	r, err := e.ExecuteString(raw)
+	body, err := renderQuery(e, raw)
 	if err != nil {
 		t.Fatalf("execute %q: %v", raw, err)
 	}
-	return r
+	return string(body)
+}
+
+// sectionCount decodes a response body and counts its sections.
+func sectionCount(body string) (int, error) {
+	r, err := ParseResultXML(body)
+	if err != nil {
+		return 0, err
+	}
+	return len(r.Sections), nil
+}
+
+func mustSections(t testing.TB, body string) int {
+	t.Helper()
+	n, err := sectionCount(body)
+	if err != nil {
+		t.Fatalf("decode %q: %v", body, err)
+	}
+	return n
+}
+
+// mustCount runs raw through ExecuteInto and counts the sections served.
+func mustCount(t testing.TB, e *Engine, raw string) int {
+	t.Helper()
+	return mustSections(t, mustExecute(t, e, raw))
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
 	e := cachedEngine(t, 1<<20)
 	load(t, e, "one.html", doc1)
 
-	r1 := mustExecute(t, e, "context=Introduction")
-	r2 := mustExecute(t, e, "context=Introduction")
-	if len(r1.Sections) != 1 || len(r2.Sections) != 1 {
-		t.Fatalf("sections = %d / %d, want 1", len(r1.Sections), len(r2.Sections))
+	b1 := mustExecute(t, e, "context=Introduction")
+	b2 := mustExecute(t, e, "context=Introduction")
+	if n1, n2 := mustSections(t, b1), mustSections(t, b2); n1 != 1 || n2 != 1 {
+		t.Fatalf("sections = %d / %d, want 1", n1, n2)
 	}
-	if r1 != r2 {
-		t.Fatal("repeated query did not return the cached result")
+	if b1 != b2 {
+		t.Fatalf("the hit served\n%s\nthe miss served\n%s", b2, b1)
 	}
 	st, ok := e.CacheStats()
 	if !ok {
 		t.Fatal("cache reported disabled")
 	}
 	if st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want 1 miss + 1 hit", st)
+		t.Fatalf("stats = %+v, want 1 miss + 1 hit (repeat not served from the cache)", st)
 	}
 	if st.Entries != 1 || st.Bytes <= 0 {
 		t.Fatalf("stats = %+v, want 1 sized entry", st)
@@ -50,14 +77,13 @@ func TestCacheInvalidatedByIngest(t *testing.T) {
 	e := cachedEngine(t, 1<<20)
 	load(t, e, "one.html", doc1)
 
-	if got := mustExecute(t, e, "context=Introduction"); len(got.Sections) != 1 {
-		t.Fatalf("pre-ingest sections = %d", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 1 {
+		t.Fatalf("pre-ingest sections = %d", got)
 	}
 	load(t, e, "two.html", doc2) // bumps the store generation
 
-	got := mustExecute(t, e, "context=Introduction")
-	if len(got.Sections) != 2 {
-		t.Fatalf("post-ingest sections = %d, want 2 (stale cache served?)", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 2 {
+		t.Fatalf("post-ingest sections = %d, want 2 (stale cache served?)", got)
 	}
 	st, _ := e.CacheStats()
 	if st.Misses != 2 {
@@ -70,8 +96,8 @@ func TestCacheInvalidatedByDelete(t *testing.T) {
 	load(t, e, "one.html", doc1)
 	load(t, e, "two.html", doc2)
 
-	if got := mustExecute(t, e, "context=Introduction"); len(got.Sections) != 2 {
-		t.Fatalf("pre-delete sections = %d", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 2 {
+		t.Fatalf("pre-delete sections = %d", got)
 	}
 	info, err := e.Store().DocumentByName("two.html")
 	if err != nil {
@@ -80,9 +106,8 @@ func TestCacheInvalidatedByDelete(t *testing.T) {
 	if err := e.Store().DeleteDocument(info.DocID); err != nil {
 		t.Fatal(err)
 	}
-	got := mustExecute(t, e, "context=Introduction")
-	if len(got.Sections) != 1 {
-		t.Fatalf("post-delete sections = %d, want 1 (stale cache served?)", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 1 {
+		t.Fatalf("post-delete sections = %d, want 1 (stale cache served?)", got)
 	}
 }
 
@@ -96,21 +121,21 @@ func TestCacheInvalidatedByStylesheetReregistration(t *testing.T) {
 	if err := e.RegisterStylesheet("s", sheet("first")); err != nil {
 		t.Fatal(err)
 	}
-	r := mustExecute(t, e, "context=Introduction&xslt=s")
-	if r.Transformed == nil || r.Transformed.Find("first") == nil {
-		t.Fatalf("first transform missing: %+v", r.Transformed)
+	if body := mustExecute(t, e, "context=Introduction&xslt=s"); !strings.Contains(body, "<first") {
+		t.Fatalf("first transform missing: %s", body)
 	}
-	plain := mustExecute(t, e, "context=Introduction")
+	mustExecute(t, e, "context=Introduction")
 	if err := e.RegisterStylesheet("s", sheet("second")); err != nil {
 		t.Fatal(err)
 	}
-	r = mustExecute(t, e, "context=Introduction&xslt=s")
-	if r.Transformed == nil || r.Transformed.Find("second") == nil {
-		t.Fatal("re-registered stylesheet served a stale cached transform")
+	if body := mustExecute(t, e, "context=Introduction&xslt=s"); !strings.Contains(body, "<second") {
+		t.Fatalf("re-registered stylesheet served a stale cached transform: %s", body)
 	}
 	// An unstyled result does not depend on any sheet: it stays cached.
-	if mustExecute(t, e, "context=Introduction") != plain {
-		t.Fatal("registering a stylesheet evicted an unstyled result")
+	before, _ := e.CacheStats()
+	mustExecute(t, e, "context=Introduction")
+	if after, _ := e.CacheStats(); after.Hits != before.Hits+1 {
+		t.Fatalf("registering a stylesheet evicted an unstyled result: hits %d -> %d", before.Hits, after.Hits)
 	}
 }
 
@@ -137,8 +162,8 @@ func TestCacheEvictionRespectsByteCap(t *testing.T) {
 		t.Fatalf("cache holds %d bytes over its %d cap", st.Bytes, st.Capacity)
 	}
 	// Evicted entries must re-execute, not vanish.
-	if got := mustExecute(t, e, "context=Introduction"); len(got.Sections) != 2 {
-		t.Fatalf("post-eviction sections = %d", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 2 {
+		t.Fatalf("post-eviction sections = %d", got)
 	}
 }
 
@@ -168,9 +193,12 @@ func TestCacheSingleflightCollapsesDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := e.ExecuteString("context=Introduction")
-			if err == nil && len(r.Sections) != 2 {
-				err = fmt.Errorf("sections = %d", len(r.Sections))
+			body, err := renderQuery(e, "context=Introduction")
+			if err == nil {
+				var n int
+				if n, err = sectionCount(string(body)); err == nil && n != 2 {
+					err = fmt.Errorf("sections = %d", n)
+				}
 			}
 			if err != nil {
 				errs <- err
@@ -229,11 +257,11 @@ func TestConcurrentStylesheetRegistrationDuringQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 40; j++ {
-				if _, err := e.ExecuteString("context=Introduction&xslt=hot"); err != nil {
+				if _, err := renderQuery(e, "context=Introduction&xslt=hot"); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := e.ExecuteString("content=shuttle"); err != nil {
+				if _, err := renderQuery(e, "content=shuttle"); err != nil {
 					errs <- err
 					return
 				}
@@ -257,11 +285,11 @@ func TestCachePerDocumentInvalidation(t *testing.T) {
 	load(t, e, "one.html", doc1)
 
 	// Prime the cache with queries that only touch doc1.
-	if got := mustExecute(t, e, "context=Technology+Gap"); len(got.Sections) != 1 {
-		t.Fatalf("prime sections = %d", len(got.Sections))
+	if got := mustCount(t, e, "context=Technology+Gap"); got != 1 {
+		t.Fatalf("prime sections = %d", got)
 	}
-	if got := mustExecute(t, e, "content=shuttle"); len(got.Sections) != 1 {
-		t.Fatalf("prime content sections = %d", len(got.Sections))
+	if got := mustCount(t, e, "content=shuttle"); got != 1 {
+		t.Fatalf("prime content sections = %d", got)
 	}
 
 	// Write a document sharing no headings or terms with the cached
@@ -292,11 +320,11 @@ func TestCachePerDocumentInvalidation(t *testing.T) {
 	// A write that overlaps the predicate must invalidate: doc2 carries
 	// the terms "technology gap".
 	load(t, e, "two.html", doc2)
-	if got := mustExecute(t, e, "content=technology+gap"); len(got.Sections) != 2 {
-		t.Fatalf("overlap sections = %d, want 2", len(got.Sections))
+	if got := mustCount(t, e, "content=technology+gap"); got != 2 {
+		t.Fatalf("overlap sections = %d, want 2", got)
 	}
-	if got := mustExecute(t, e, "context=Introduction"); len(got.Sections) != 2 {
-		t.Fatalf("introduction sections = %d, want 2", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 2 {
+		t.Fatalf("introduction sections = %d, want 2", got)
 	}
 
 	// Deleting doc1 must invalidate the queries whose results contained
@@ -308,11 +336,11 @@ func TestCachePerDocumentInvalidation(t *testing.T) {
 	if err := e.Store().DeleteDocument(info.DocID); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustExecute(t, e, "context=Technology+Gap"); len(got.Sections) != 0 {
-		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", len(got.Sections))
+	if got := mustCount(t, e, "context=Technology+Gap"); got != 0 {
+		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", got)
 	}
-	if got := mustExecute(t, e, "content=shuttle"); len(got.Sections) != 0 {
-		t.Fatalf("post-delete content sections = %d, want 0", len(got.Sections))
+	if got := mustCount(t, e, "content=shuttle"); got != 0 {
+		t.Fatalf("post-delete content sections = %d, want 0", got)
 	}
 }
 
@@ -329,11 +357,11 @@ func TestGenerationBumpsAfterIndexing(t *testing.T) {
 	}
 	// A query right after ingest must see the document and be cached
 	// under the post-indexing generation.
-	if got := mustExecute(t, e, "context=Introduction"); len(got.Sections) != 1 {
-		t.Fatalf("sections = %d", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 1 {
+		t.Fatalf("sections = %d", got)
 	}
-	if got := mustExecute(t, e, "context=Introduction"); len(got.Sections) != 1 {
-		t.Fatalf("cached sections = %d", len(got.Sections))
+	if got := mustCount(t, e, "context=Introduction"); got != 1 {
+		t.Fatalf("cached sections = %d", got)
 	}
 	st, _ := e.CacheStats()
 	if st.Hits != 1 {
@@ -357,12 +385,15 @@ func TestResultComputedAcrossWriteNotCached(t *testing.T) {
 	// executes: doc2 brings the heading.
 	key := e.cacheKey(q)
 	load(t, e, "two.html", doc2)
-	res, entry, err := e.cache.fetch(key, func() (*Result, bool, error) { return e.compute(q, key) })
-	if err != nil || len(res.Sections) != 1 {
-		t.Fatalf("racing reader: %v, %d sections, want 1", err, len(res.Sections))
+	body, keep, err := e.compute(q, key)
+	if err != nil {
+		t.Fatalf("racing reader: %v", err)
 	}
-	if entry != nil {
-		t.Fatal("a result computed across a write was cached under the pre-write key")
+	if n := mustSections(t, string(body)); n != 1 {
+		t.Fatalf("racing reader: %d sections, want 1", n)
+	}
+	if keep {
+		t.Fatal("a result computed across a write may be cached under the pre-write key")
 	}
 	info, err := e.Store().DocumentByName("two.html")
 	if err != nil {
@@ -374,8 +405,8 @@ func TestResultComputedAcrossWriteNotCached(t *testing.T) {
 	if e.cacheKey(q) == key {
 		t.Fatal("the pre-write key returned once the heading vanished")
 	}
-	if got := mustExecute(t, e, "context=Findings"); len(got.Sections) != 0 {
-		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", len(got.Sections))
+	if got := mustCount(t, e, "context=Findings"); got != 0 {
+		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", got)
 	}
 }
 
@@ -391,11 +422,11 @@ func TestAppearAndVanishNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := e.cacheKey(q)
-	// compute with the writes inside it: ingest, execute, delete, then
-	// compute's test of whether the result may be kept.
-	res, entry, err := e.cache.fetch(key, func() (*Result, bool, error) {
+	// A miss with the writes inside it: ingest, execute and render, delete,
+	// then compute's test of whether the body may be kept.
+	body, err := e.cache.fetch(key, func() ([]byte, bool, error) {
 		load(t, e, "two.html", doc2)
-		res, err := e.executeUncached(q)
+		body, _, err := e.compute(q, key)
 		info, derr := e.Store().DocumentByName("two.html")
 		if derr != nil {
 			t.Fatal(derr)
@@ -403,15 +434,82 @@ func TestAppearAndVanishNotCached(t *testing.T) {
 		if derr := e.Store().DeleteDocument(info.DocID); derr != nil {
 			t.Fatal(derr)
 		}
-		return res, err == nil && e.cacheKey(q) == key, err
+		return body, err == nil && e.cacheKey(q) == key, err
 	})
-	if err != nil || len(res.Sections) != 1 {
-		t.Fatalf("racing reader: %v, %d sections, want 1", err, len(res.Sections))
+	if err != nil {
+		t.Fatalf("racing reader: %v", err)
 	}
-	if entry != nil {
-		t.Fatal("a result that saw a vanished heading was cached")
+	if n := mustSections(t, string(body)); n != 1 {
+		t.Fatalf("racing reader: %d sections, want 1", n)
 	}
-	if got := mustExecute(t, e, "context=Findings"); len(got.Sections) != 0 {
-		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", len(got.Sections))
+	if st, _ := e.CacheStats(); st.Entries != 0 {
+		t.Fatalf("a result that saw a vanished heading was cached: %+v", st)
+	}
+	if got := mustCount(t, e, "context=Findings"); got != 0 {
+		t.Fatalf("post-delete sections = %d, want 0 (stale cache served?)", got)
+	}
+}
+
+// TestCacheChargesBodies: the cache charges each entry exactly its key
+// and body's array, and keeps no spare capacity behind a body, so after
+// inserts and evictions its byte count is the sum of len(key)+len(body)
+// over the resident entries, and never over the cap.
+func TestCacheChargesBodies(t *testing.T) {
+	e := engine(t)
+	load(t, e, "one.html", doc1)
+	load(t, e, "two.html", doc2)
+	queries := []string{
+		"context=Introduction",
+		"content=shuttle",
+		"content=engine",
+		"context=Findings",
+		"context=Technology+Gap",
+		"content=technology&scope=document",
+		"context=Intro*",
+		"content=%22technology+gap%22",
+	}
+	// Each query's key and body, from the engine before its cache is on.
+	keys := make([]string, len(queries))
+	bodies := make([]string, len(queries))
+	largest := 0
+	for i, raw := range queries {
+		q, err := Parse(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i], bodies[i] = e.cacheKey(q), mustExecute(t, e, raw)
+		largest = max(largest, len(keys[i])+len(bodies[i]))
+	}
+	capacity := int64(2 * largest) // every body fits; all of them do not
+	e.EnableCache(capacity)
+	// Each query runs twice in a row, a miss then a hit, and the cap
+	// evicts as the rounds cycle through them.
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 2*len(queries); i++ {
+			raw, want := queries[i/2], bodies[i/2]
+			if body := mustExecute(t, e, raw); body != want {
+				t.Fatalf("%q served\n%s\nwant\n%s", raw, body, want)
+			}
+			st, _ := e.CacheStats()
+			var charged int64
+			resident := 0
+			e.cache.mu.Lock()
+			for j, key := range keys {
+				if _, ok := e.cache.entries[key]; ok {
+					charged += int64(len(key) + len(bodies[j]))
+					resident++
+				}
+			}
+			e.cache.mu.Unlock()
+			if st.Bytes != charged || st.Entries != resident {
+				t.Fatalf("after %q: cache charges %d bytes for %d entries, want %d for %d", raw, st.Bytes, st.Entries, charged, resident)
+			}
+			if st.Bytes > st.Capacity {
+				t.Fatalf("after %q: cache holds %d bytes over its %d cap", raw, st.Bytes, st.Capacity)
+			}
+		}
+	}
+	if st, _ := e.CacheStats(); st.Evictions == 0 || st.Hits == 0 {
+		t.Fatalf("the sequence never evicted or hit: %+v", st)
 	}
 }

@@ -275,8 +275,9 @@ type Engine struct {
 	// results.
 	sheetGen atomic.Uint64
 
-	// cache, when non-nil, memoises query results under cacheKey.  Set
-	// once via EnableCache before the engine serves traffic.
+	// cache, when non-nil, memoises ExecuteInto's response bodies under
+	// cacheKey.  Set once via EnableCache before the engine serves
+	// traffic.
 	cache *resultCache
 }
 
@@ -288,10 +289,10 @@ func NewEngine(store *xmlstore.Store) *Engine {
 // Store returns the underlying XML store.
 func (e *Engine) Store() *xmlstore.Store { return e.store }
 
-// EnableCache attaches an LRU result cache capped at capacity bytes.
-// Call it during setup, before queries run; capacity <= 0 disables
-// caching.  Results served from the cache are shared — treat them as
-// read-only.
+// EnableCache attaches an LRU result cache to ExecuteInto, capped at
+// capacity bytes of keys and response bodies.  Call it during setup,
+// before queries run; capacity <= 0 disables caching.  Execute never
+// consults the cache.
 func (e *Engine) EnableCache(capacity int64) {
 	if capacity <= 0 {
 		e.cache = nil
@@ -344,62 +345,55 @@ func (e *Engine) ExecuteString(raw string) (*Result, error) {
 	return e.Execute(q)
 }
 
-// Execute runs a parsed query, consulting the result cache when one is
-// enabled.  Cached results are shared across callers and must be treated
-// as read-only.
-func (e *Engine) Execute(q Query) (*Result, error) {
-	if e.cache == nil {
-		return e.executeUncached(q)
-	}
-	res, _, err := e.fetch(q)
-	return res, err
-}
-
-// fetch runs q through the result cache.
-func (e *Engine) fetch(q Query) (*Result, *cacheEntry, error) {
-	key := e.cacheKey(q)
-	return e.cache.fetch(key, func() (*Result, bool, error) { return e.compute(q, key) })
-}
-
-// compute executes q for a cache miss under key, the fingerprint taken
-// before executing, and reports whether the result may be kept: only when
-// the fingerprint is still the same afterwards.  A write that landed
-// mid-query has moved it, and every generation it folds only grows, so the
-// pre-write key never returns: the result, which may mix both states,
-// would only sit in the cache unreachable.
-func (e *Engine) compute(q Query, key string) (res *Result, keep bool, err error) {
-	res, err = e.executeUncached(q)
-	return res, err == nil && e.cacheKey(q) == key, err
-}
-
 // ExecuteInto runs a parsed query and writes its XML representation (the
 // transformed document when the query named a stylesheet, the result set
-// otherwise) to w — the serving layer's path.  Cache hits write the
-// memoized response body; uncached results stream without building the
-// serialized document in memory.  Execution errors are reported before
-// anything is written.
+// otherwise) to w — the serving layer's path, and the only one the result
+// cache serves.  With the cache on, a hit writes the cached body and a
+// miss renders the body into memory, keeps it when it may, and writes it;
+// with the cache off the result streams without a serialized copy.
+// Execution errors are reported before anything is written.
 func (e *Engine) ExecuteInto(q Query, w io.Writer) error {
 	if e.cache == nil {
-		res, err := e.executeUncached(q)
+		res, err := e.Execute(q)
 		if err != nil {
 			return err
 		}
 		return sgml.WriteIndent(w, resultTree(res))
 	}
-	res, entry, err := e.fetch(q)
+	key := e.cacheKey(q)
+	body, err := e.cache.fetch(key, func() ([]byte, bool, error) { return e.compute(q, key) })
 	if err != nil {
 		return err
 	}
-	if entry == nil { // not cached (oversized, or computed across a write): stream it
-		return sgml.WriteIndent(w, resultTree(res))
-	}
-	body := e.cache.renderedXML(entry, func(r *Result) []byte {
-		var buf bytes.Buffer
-		sgml.WriteIndent(&buf, resultTree(r))
-		return buf.Bytes()
-	})
 	_, err = w.Write(body)
 	return err
+}
+
+// compute executes q for a cache miss under key, the fingerprint taken
+// before executing, renders its response body, and reports whether the
+// body may be kept: only when the fingerprint is still the same
+// afterwards.  A write that landed mid-query has moved it, and every
+// generation it folds only grows, so the pre-write key never returns: the
+// body, which may mix both states, would only sit in the cache
+// unreachable.
+func (e *Engine) compute(q Query, key string) (body []byte, keep bool, err error) {
+	res, err := e.Execute(q)
+	if err != nil {
+		return nil, false, err
+	}
+	var buf bytes.Buffer
+	if err := sgml.WriteIndent(&buf, resultTree(res)); err != nil {
+		return nil, false, err
+	}
+	if e.cacheKey(q) != key {
+		return buf.Bytes(), false, nil
+	}
+	// The buffer grew by doubling, so its array can be up to twice the
+	// body; a kept body gets an array of its own length, which is what
+	// the cache charges.
+	body = make([]byte, buf.Len())
+	copy(body, buf.Bytes())
+	return body, true, nil
 }
 
 // resultTree picks the document a result serves over the wire.
@@ -462,11 +456,13 @@ func (e *Engine) fingerprint(q Query) uint64 {
 	return h
 }
 
-// executeUncached evaluates the query against the store.  Every
+// Execute evaluates a parsed query against the store.  Every
 // section-shaped query — any mix of context, prefix, content and phrase
 // — is one call into the store's pipeline, which applies the limit
-// itself.
-func (e *Engine) executeUncached(q Query) (*Result, error) {
+// itself.  Execute never consults the result cache, which holds
+// ExecuteInto's response bodies only: its callers (core's Query, the
+// databank's local and legacy sources) serve no benchmark workload.
+func (e *Engine) Execute(q Query) (*Result, error) {
 	r := &Result{Query: q}
 	var err error
 	switch {

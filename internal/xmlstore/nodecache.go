@@ -44,7 +44,7 @@ import (
 //     the rows are gone, dropping that image.
 //
 // Cached *Node values are shared across goroutines and MUST be treated as
-// read-only, like cached query results.
+// read-only, like the result cache's response bodies.
 
 // pageImage is one heap page decoded.  Only used changes after it is
 // published.
