@@ -107,8 +107,8 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR39.json
-BENCH_OUT ?= BENCH_PR39.json
+# make bench-json BENCH_OUT=BENCH_PR40.json
+BENCH_OUT ?= BENCH_PR40.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)
@@ -119,8 +119,8 @@ bench-json:
 # PR's own baseline file never degrades into a self-comparison.  On any
 # serving/cold-kernel/reopen/ingest/reconstruct benchmark, 2x ns/op, +5 %
 # allocs/op, +10 % B/op or +1 % in a deterministic metric fails (a
-# benchmark whose allocs/op follow b.N keeps 2x on allocs/op and B/op; see
-# cmd/benchdiff).  This is
+# benchmark whose allocs/op spread run to run keeps 2x on allocs/op and
+# B/op; see cmd/benchdiff).  This is
 # what the CI bench-regression job runs (with BENCH_OUT=BENCH_CI.json).
 bench-diff:
 	@base=$$(ls BENCH_PR*.json | grep -vx '$(BENCH_OUT)' | sort -V | tail -1); \

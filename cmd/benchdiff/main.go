@@ -22,9 +22,8 @@
 // deterministic ReportMetric (deterministicMetrics) fails.  `make
 // bench-json` records at -cpu 2, so baselines and CI share GOMAXPROCS;
 // whether the counts repeat on other hardware is not verified.
-// A benchmark whose allocations follow b.N, because its writes grow the
-// store as it runs, is listed in growsWithN and keeps the 2x bound on
-// allocs/op and B/op.
+// A benchmark whose allocs/op spread by more than 1 % run to run is
+// listed in looseAllocs and keeps the 2x bound on allocs/op and B/op.
 package main
 
 import (
@@ -151,19 +150,16 @@ var deterministicMetrics = []string{
 	"allocs/node", "alloc-B/user-B", "index-bytes", "wal-B/node",
 }
 
-// growsWithN are the gated benchmarks whose allocs/op spread by more
-// than 1 % across three -count=3 runs of one tree on one 2-CPU box
-// (ServeParallel/mixed/cached 120–144, MixedWriteHeavy 48–49; every
-// other gated benchmark stayed within 0.5 %).  Their writes grow the
-// store as they run, so allocs/op follow b.N, which -benchtime 2s sets
-// from the tree's speed: mixed/cached gave 105, 123 and 168 at 10 000,
-// 30 000 and 80 000 iterations, and 123 in each of three runs at 30 000.
-// Their allocs/op and B/op keep growsWithNBound.
-var growsWithN = []string{"BenchmarkServeParallel/mixed/cached", "BenchmarkMixedWriteHeavy"}
+// looseAllocs are the gated benchmarks whose allocs/op spread by more
+// than 1 % across three -count=3 runs of one tree on one 2-CPU box; every
+// other gated benchmark stays within 0.5 %.  ServeParallel/mixed/cached
+// keeps a fixed store size, yet read 121–125; what moves it is not yet
+// found.  Their allocs/op and B/op keep looseAllocsBound.
+var looseAllocs = []string{"BenchmarkServeParallel/mixed/cached"}
 
-// growsWithNBound is the allocs/op and B/op bound of a growsWithN
+// looseAllocsBound is the allocs/op and B/op bound of a looseAllocs
 // benchmark.
-const growsWithNBound = 2.0
+const looseAllocsBound = 2.0
 
 // gate holds the bounds, each a ratio new/old at or above which a
 // matched benchmark fails.  -threshold and -alloc-threshold set ns and
@@ -232,8 +228,8 @@ func diff(oldRep, newRep *Report, match *regexp.Regexp, g gate) []row {
 		}
 		r.regressed = r.ratio >= g.ns
 		allocs, bytes := g.allocs, g.bytes
-		if slices.Contains(growsWithN, name) {
-			allocs, bytes = growsWithNBound, growsWithNBound
+		if slices.Contains(looseAllocs, name) {
+			allocs, bytes = looseAllocsBound, looseAllocsBound
 		}
 		check := func(unit string, old, new, bound float64) {
 			if old > 0 && new > 0 && new/old >= bound {

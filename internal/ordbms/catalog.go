@@ -99,8 +99,8 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 	if err != nil {
 		return err
 	}
-	ci := CheckpointInfo{Dir: db.dir, FS: db.fs, Fault: db.ckptFault}
-	return ci.commitFile(catalogName, b, "catalog")
+	ci := CheckpointInfo{Dir: db.dir, FS: db.fs}
+	return ci.commitFile(catalogName, b)
 }
 
 // writeFileSync writes data to path through fsys and fsyncs it before

@@ -59,10 +59,6 @@ type DB struct {
 	// the catalog is saved and the WAL truncated.
 	preCkpt []func(CheckpointInfo) error
 
-	// ckptFault, when set, injects a simulated crash at a named step of
-	// the checkpoint sequence (test-only; see SetCheckpointFault).
-	ckptFault func(step string) error
-
 	// walAllocs maps table name to pages the WAL says it adopted —
 	// collected during recovery, merged into the catalog page lists by
 	// loadCatalog (the catalog only learns about pages at checkpoints).
@@ -104,10 +100,6 @@ type CheckpointInfo struct {
 	// FS is the filesystem the snapshot must be written through (the
 	// store's configured vfs; nil falls back to the real filesystem).
 	FS vfs.FS
-	// Fault is the test-only crash injector (nil in production): hooks
-	// performing multi-step writes call it between steps and abort when
-	// it returns an error, leaving files as a crash would.
-	Fault func(step string) error
 }
 
 // filesystem returns the FS snapshots are written through, defaulting
@@ -130,7 +122,7 @@ const snapFrameLen = 24
 // checkpoint's directory.  ReadSnapshotFile is its inverse; the frame,
 // the stamps and the test that decides whether a snapshot still
 // describes the heap exist only in this pair.
-func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version uint32, payload []byte, step string) error {
+func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version uint32, payload []byte) error {
 	out := make([]byte, snapFrameLen, snapFrameLen+16+len(payload))
 	out = binary.LittleEndian.AppendUint64(out, ci.CatalogGen)
 	out = binary.LittleEndian.AppendUint64(out, ci.LSN)
@@ -139,7 +131,7 @@ func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version u
 	binary.LittleEndian.PutUint32(out[8:], version)
 	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(out[snapFrameLen:]))
 	binary.LittleEndian.PutUint64(out[16:], uint64(len(out)-snapFrameLen))
-	return ci.commitFile(name, out, step)
+	return ci.commitFile(name, out)
 }
 
 // ReadSnapshotFile returns the payload of the named snapshot when it was
@@ -181,27 +173,16 @@ func (db *DB) ReadSnapshotFile(name string, magic [8]byte, version uint32) (payl
 
 // commitFile writes data under name in the checkpoint's directory with
 // the engine's crash-durability sequence — temp file, fsync, rename,
-// directory fsync — calling the fault injector (when armed) at
-// "<step>-temp" and "<step>-rename".  The catalog and every snapshot of
-// a checkpoint share this one implementation of the atomic write.
-func (ci CheckpointInfo) commitFile(name string, data []byte, step string) error {
+// directory fsync.  The catalog and every snapshot of a checkpoint share
+// this one implementation of the atomic write.
+func (ci CheckpointInfo) commitFile(name string, data []byte) error {
 	fsys := ci.filesystem()
 	path := filepath.Join(ci.Dir, name)
 	if err := writeFileSync(fsys, path+".tmp", data); err != nil {
 		return err
 	}
-	if ci.Fault != nil {
-		if err := ci.Fault(step + "-temp"); err != nil {
-			return err
-		}
-	}
 	if err := fsys.Rename(path+".tmp", path); err != nil {
 		return err
-	}
-	if ci.Fault != nil {
-		if err := ci.Fault(step + "-rename"); err != nil {
-			return err
-		}
 	}
 	return syncDir(fsys, ci.Dir)
 }
@@ -566,18 +547,6 @@ func (db *DB) WALEndLSN() uint64 {
 // Dir returns the storage directory ("" for in-memory stores).
 func (db *DB) Dir() string { return db.dir }
 
-// SetCheckpointFault installs a test-only crash injector: fn is invoked
-// at each named step of the checkpoint sequence ("snapshot-temp",
-// "snapshot-rename", "catalog-temp", "catalog-rename", "wal-temp",
-// "wal-rename") and a returned error
-// aborts the checkpoint at that point, leaving the files exactly as a
-// crash there would.  Never set in production.
-func (db *DB) SetCheckpointFault(fn func(step string) error) {
-	db.mu.Lock()
-	db.ckptFault = fn
-	db.mu.Unlock()
-}
-
 // Checkpoint flushes all pages, runs the snapshot hooks, persists the
 // catalog with each heap's metadata, and truncates the WAL.  After a
 // clean checkpoint, reopening replays nothing and takes the heap
@@ -627,7 +596,7 @@ func (db *DB) checkpoint() error {
 	}
 	if db.dir != "" {
 		gen := db.catalogGen + 1
-		info := CheckpointInfo{Dir: db.dir, CatalogGen: gen, LSN: cut, FS: db.fs, Fault: db.ckptFault}
+		info := CheckpointInfo{Dir: db.dir, CatalogGen: gen, LSN: cut, FS: db.fs}
 		for _, hook := range db.preCkpt {
 			if err := hook(info); err != nil {
 				return err
@@ -639,7 +608,7 @@ func (db *DB) checkpoint() error {
 		db.catalogGen = gen
 	}
 	if db.wal != nil {
-		return db.wal.checkpointTo(cut, db.ckptFault)
+		return db.wal.checkpointTo(cut)
 	}
 	return nil
 }

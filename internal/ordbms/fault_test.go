@@ -1,6 +1,7 @@
 package ordbms
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -268,16 +269,26 @@ func TestConcurrentTablesIndependent(t *testing.T) {
 // pre-crash contents, and that LSNs handed out after recovery never lag
 // already-flushed page LSNs (the old truncate-before-header-rewrite bug:
 // an empty log carrying the stale base made recovery skip the next
-// session's records).
+// session's records).  A FaultFS cuts each step: a "<x>-temp" crash fails
+// the rename onto x's final name, leaving the fsynced temp beside the old
+// x; a "<x>-rename" crash fails the store directory's fsync after the
+// rename, the checkpoint's Nth, leaving the new x and no temp.
 func TestCheckpointCrashMatrix(t *testing.T) {
-	steps := []string{
-		"catalog-temp", "catalog-rename",
-		"wal-temp", "wal-rename",
+	steps := []struct {
+		name      string
+		file, tmp string
+		rule      vfs.Rule // an OpSync rule names the store directory
+	}{
+		{"catalog-temp", "catalog.json", "catalog.json.tmp", vfs.Rule{Op: vfs.OpRename, Path: "catalog.json"}},
+		{"catalog-rename", "catalog.json", "catalog.json.tmp", vfs.Rule{Op: vfs.OpSync}},
+		{"wal-temp", "wal.nmlog", "wal.nmlog.ckpt", vfs.Rule{Op: vfs.OpRename, Path: "wal.nmlog"}},
+		{"wal-rename", "wal.nmlog", "wal.nmlog.ckpt", vfs.Rule{Op: vfs.OpSync, After: 1}},
 	}
 	for _, step := range steps {
-		t.Run(step, func(t *testing.T) {
+		t.Run(step.name, func(t *testing.T) {
 			dir := t.TempDir()
-			db, err := Open(Options{Dir: dir})
+			ffs := vfs.NewFaultFS(nil)
+			db, err := Open(Options{Dir: dir, FS: ffs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,29 +315,34 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			if err := db.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			db.SetCheckpointFault(func(s string) error {
-				if s == step {
-					return errInjected
-				}
-				return nil
-			})
-			if err := db.Checkpoint(); !errors.Is(err, errInjected) {
-				t.Fatalf("checkpoint survived the injected crash at %s: %v", step, err)
+			before, err := os.ReadFile(filepath.Join(dir, step.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rule := step.rule
+			rule.Times = 1
+			if rule.Op == vfs.OpSync {
+				rule.Path = filepath.Base(dir)
+			}
+			ffs.AddRule(rule)
+			if err := db.Checkpoint(); !errors.Is(err, syscall.EIO) {
+				t.Fatalf("checkpoint survived the injected crash at %s: %v", step.name, err)
 			}
 			db.CloseDiscard() // the crash
+			checkCrashFiles(t, dir, step.name, step.file, step.tmp, before)
 
 			db2, err := Open(Options{Dir: dir})
 			if err != nil {
-				t.Fatalf("reopen after crash at %s: %v", step, err)
+				t.Fatalf("reopen after crash at %s: %v", step.name, err)
 			}
 			tbl2 := db2.Table("t")
 			if tbl2 == nil || tbl2.Rows() != 80 {
-				t.Fatalf("after crash at %s: rows = %v", step, tbl2.Rows())
+				t.Fatalf("after crash at %s: rows = %v", step.name, tbl2.Rows())
 			}
 			for i := 0; i < 80; i++ {
 				rids, err := tbl2.Lookup("v", I(int64(i)))
 				if err != nil || len(rids) != 1 {
-					t.Fatalf("after crash at %s: lookup %d -> %v, %v", step, i, rids, err)
+					t.Fatalf("after crash at %s: lookup %d -> %v, %v", step.name, i, rids, err)
 				}
 			}
 			// LSN-regression guard: a fresh record must be replayable.  If
@@ -355,6 +371,22 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 	}
 }
 
+// checkCrashFiles asserts the files a checkpoint crash at step left in
+// dir: after a "-temp" crash the fsynced temp file beside file, which
+// still holds before; after a "-rename" crash file replaced and no temp.
+func checkCrashFiles(t *testing.T, dir, step, file, tmp string, before []byte) {
+	t.Helper()
+	now, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = os.Stat(filepath.Join(dir, tmp))
+	tempLeft := err == nil
+	if strings.HasSuffix(step, "-temp") != tempLeft || strings.HasSuffix(step, "-temp") != bytes.Equal(now, before) {
+		t.Fatalf("crash at %s: temp %s left = %v, %s unchanged = %v", step, tmp, tempLeft, file, bytes.Equal(now, before))
+	}
+}
+
 // TestCheckpointKeepsConcurrentTail proves records appended while a
 // checkpoint is in flight survive its WAL truncation: the truncate drops
 // only records covered by the page flush, so a crash right after the
@@ -377,11 +409,11 @@ func TestCheckpointKeepsConcurrentTail(t *testing.T) {
 	}
 	db.Commit()
 	// Sneak a write into the middle of the checkpoint (after the page
-	// flush, before the WAL truncation) via the fault hook, then let the
-	// checkpoint complete.
+	// flush, before the WAL truncation) from a pre-checkpoint hook, then
+	// let the checkpoint complete.
 	raced := false
-	db.SetCheckpointFault(func(step string) error {
-		if step == "catalog-temp" && !raced {
+	db.RegisterPreCheckpointHook(func(CheckpointInfo) error {
+		if !raced {
 			raced = true
 			if _, err := tbl.Insert(Row{I(999)}); err != nil {
 				t.Errorf("racing insert: %v", err)
@@ -396,7 +428,7 @@ func TestCheckpointKeepsConcurrentTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !raced {
-		t.Fatal("fault hook never fired")
+		t.Fatal("pre-checkpoint hook never ran")
 	}
 	db.CloseDiscard() // crash: the raced write's page never reached disk
 

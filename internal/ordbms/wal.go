@@ -507,10 +507,8 @@ const walCkptSuffix = ".ckpt"
 // the live log.  At no instant does an empty log carry the old base LSN
 // (the bug the old truncate-then-rewrite-header order had: a crash in
 // that window made recovery hand out LSNs lagging already-flushed page
-// LSNs, so post-crash records were skipped on the next replay).  fault,
-// when non-nil, is the test-only crash injector: returning an error
-// aborts mid-sequence, leaving the files exactly as a crash would.
-func (w *WAL) checkpointTo(cut uint64, fault func(step string) error) error {
+// LSNs, so post-crash records were skipped on the next replay).
+func (w *WAL) checkpointTo(cut uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Wait out any in-flight group commit: its leader fsyncs the current
@@ -566,12 +564,6 @@ func (w *WAL) checkpointTo(cut uint64, fault func(step string) error) error {
 		nf.Close()
 		return err
 	}
-	if fault != nil {
-		if err := fault("wal-temp"); err != nil {
-			nf.Close()
-			return err
-		}
-	}
 	// The rename is the commit point of the truncation.
 	if err := w.fs.Rename(tmp, w.path); err != nil {
 		nf.Close()
@@ -585,11 +577,6 @@ func (w *WAL) checkpointTo(cut uint64, fault func(step string) error) error {
 	w.syncs++
 	w.base = cut
 	w.synced = w.flushed
-	if fault != nil {
-		if err := fault("wal-rename"); err != nil {
-			return err
-		}
-	}
 	if err := syncDir(w.fs, w.dir); err != nil {
 		return err
 	}

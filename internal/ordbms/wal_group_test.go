@@ -220,7 +220,7 @@ func TestWALSyncDuringCheckpoint(t *testing.T) {
 			stop = true
 		default:
 		}
-		if err := w.checkpointTo(w.SyncedLSN(), nil); err != nil {
+		if err := w.checkpointTo(w.SyncedLSN()); err != nil {
 			t.Errorf("checkpointTo: %v", err)
 			break
 		}
@@ -254,7 +254,7 @@ func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	w.mu.Unlock()
 
 	ckptDone := make(chan error, 1)
-	go func() { ckptDone <- w.checkpointTo(w.SyncedLSN(), nil) }()
+	go func() { ckptDone <- w.checkpointTo(w.SyncedLSN()) }()
 	select {
 	case <-ckptDone:
 		t.Fatal("checkpointTo completed while a group commit was in flight")

@@ -9,7 +9,11 @@ package textindex
 // views captured under one brief RLock, so a caller allocates nothing
 // per id beyond the iterator itself and pays only for the ids it pulls.
 
-import "sort"
+import (
+	"slices"
+	"sort"
+	"strings"
+)
 
 // IDIter streams the ids of a query result in ascending order.  The
 // zero value is an exhausted iterator.  An IDIter is single-use and not
@@ -40,6 +44,18 @@ func (x *IDIter) SeekGE(target uint64) (uint64, bool) {
 	}
 	x.its[0].seekGE(target)
 	return stepIntersect(x.its)
+}
+
+// And streams the ids in both x and y, consuming both.  They may come
+// from different indexes: a view is immutable, so their iterators meet
+// in one stepIntersect, the smallest list driving.
+func (x *IDIter) And(y *IDIter) *IDIter {
+	if x == nil || y == nil || len(x.its) == 0 || len(y.its) == 0 {
+		return &IDIter{}
+	}
+	its := append(x.its[:len(x.its):len(x.its)], y.its...)
+	slices.SortFunc(its, func(a, b *iter) int { return a.v.live - b.v.live })
+	return &IDIter{its: its}
 }
 
 // stepIntersect emits the next id present in every iterator.  its[0] is
@@ -86,6 +102,32 @@ func intersectIter(views []view) *IDIter {
 func (ix *Index) LookupIter(term string) *IDIter {
 	toks := Tokenize(term)
 	return intersectIter(ix.andViews(toks[:min(1, len(toks))]))
+}
+
+// Postings streams the ids posted under term, taken as it is: it is not
+// tokenized, so a term of several words, or of none, is one key.
+func (ix *Index) Postings(term string) *IDIter {
+	return intersectIter(ix.andViews([]string{term}))
+}
+
+// EachPrefix calls fn, in term order, with each term that begins with
+// prefix and the ids posted under it.  The views are captured under one
+// RLock and fn runs after it is released.
+func (ix *Index) EachPrefix(prefix string, fn func(term string, ids *IDIter)) {
+	var terms []string
+	var views []view
+	ix.mu.RLock()
+	ix.terms.AscendPrefixFunc(prefix,
+		func(t string) bool { return strings.HasPrefix(t, prefix) },
+		func(t string, pls []*postingList) bool {
+			terms = append(terms, t)
+			views = append(views, pls[0].view())
+			return true
+		})
+	ix.mu.RUnlock()
+	for i, t := range terms {
+		fn(t, intersectIter(views[i:i+1]))
+	}
 }
 
 // AndIter streams the ids containing every term of the query.  The

@@ -124,9 +124,16 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	if nTerms > uint64(len(data)) { // every term costs >= 1 byte
+		return nil, 0, fmt.Errorf("textindex: implausible term count %d", nTerms)
+	}
 	// Terms were serialised in tree order: bulk-build the term tree
-	// instead of paying a descent per insert.
+	// instead of paying a descent per insert.  Every posting list, and
+	// the one-element value slice the tree holds it in, comes from one
+	// array apiece.
 	tb := btree.NewBuilder[string, *postingList](strings.Compare, btree.DefaultOrder)
+	pls := make([]postingList, nTerms)
+	vals := make([]*postingList, nTerms)
 	var arena []byte // shared backing for copied block payloads
 	var prevTerm string
 	for t := uint64(0); t < nTerms; t++ {
@@ -146,7 +153,6 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 			return nil, 0, fmt.Errorf("textindex: term %q out of order", term)
 		}
 		prevTerm = term
-		pl := &postingList{gen: 1}
 		nBlocks, err := uv()
 		if err != nil {
 			return nil, 0, err
@@ -155,10 +161,11 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 			return nil, 0, fmt.Errorf("textindex: implausible block count %d", nBlocks)
 		}
 		physical := 0
+		var blocks []block
 		if nBlocks > 0 {
 			prevMax := uint64(0)
-			pl.blocks = make([]block, nBlocks)
-			for i := range pl.blocks {
+			blocks = make([]block, nBlocks)
+			for i := range blocks {
 				n, err := uv()
 				if err != nil {
 					return nil, 0, err
@@ -203,23 +210,26 @@ func LoadSnapshot(data []byte) (*Index, int, error) {
 					return nil, 0, fmt.Errorf("textindex: blocks out of order for %q", term)
 				}
 				prevMax = b.maxID
-				pl.blocks[i] = b
+				blocks[i] = b
 				off += int(dlen)
 				physical += int(n)
 			}
 		}
-		if pl.tail, err = readDeltaIDs(); err != nil {
+		tail, err := readDeltaIDs()
+		if err != nil {
 			return nil, 0, err
 		}
-		if pl.dead, err = readDeltaIDs(); err != nil {
+		dead, err := readDeltaIDs()
+		if err != nil {
 			return nil, 0, err
 		}
-		physical += len(pl.tail)
-		pl.live = physical - len(pl.dead)
-		if pl.live < 0 {
+		live := physical + len(tail) - len(dead)
+		if live < 0 {
 			return nil, 0, fmt.Errorf("textindex: more tombstones than ids for %q", term)
 		}
-		tb.Append(term, []*postingList{pl})
+		pls[t] = postingList{blocks: blocks, tail: tail, dead: dead, live: live, gen: 1}
+		vals[t] = &pls[t]
+		tb.Append(term, vals[t:t+1:t+1])
 	}
 	ix.terms = tb.Tree()
 	return ix, off, nil

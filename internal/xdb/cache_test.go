@@ -116,19 +116,19 @@ func TestCacheInvalidatedByStylesheetReregistration(t *testing.T) {
 	load(t, e, "one.html", doc1)
 	sheet := func(tag string) string {
 		return `<xsl:stylesheet><xsl:template match="/"><` + tag +
-			`><xsl:value-of select="count(//result)"/></` + tag + `></xsl:template></xsl:stylesheet>`
+			`><xsl:value-of select="//result/context"/></` + tag + `></xsl:template></xsl:stylesheet>`
 	}
 	if err := e.RegisterStylesheet("s", sheet("first")); err != nil {
 		t.Fatal(err)
 	}
-	if body := mustExecute(t, e, "context=Introduction&xslt=s"); !strings.Contains(body, "<first") {
+	if body := mustExecute(t, e, "context=Introduction&xslt=s"); !strings.Contains(body, "<first>Introduction</first>") {
 		t.Fatalf("first transform missing: %s", body)
 	}
 	mustExecute(t, e, "context=Introduction")
 	if err := e.RegisterStylesheet("s", sheet("second")); err != nil {
 		t.Fatal(err)
 	}
-	if body := mustExecute(t, e, "context=Introduction&xslt=s"); !strings.Contains(body, "<second") {
+	if body := mustExecute(t, e, "context=Introduction&xslt=s"); !strings.Contains(body, "<second>Introduction</second>") {
 		t.Fatalf("re-registered stylesheet served a stale cached transform: %s", body)
 	}
 	// An unstyled result does not depend on any sheet: it stays cached.
@@ -341,6 +341,57 @@ func TestCachePerDocumentInvalidation(t *testing.T) {
 	}
 	if got := mustCount(t, e, "content=shuttle"); got != 0 {
 		t.Fatalf("post-delete content sections = %d, want 0", got)
+	}
+}
+
+// TestExactHeadingKeyIgnoresBodyText: an exact heading keys on its own
+// posting list, so a document that only mentions the heading's word in
+// its body text leaves the cached answer reachable, while one that brings
+// or takes away a bearer of the heading moves the key.
+func TestExactHeadingKeyIgnoresBodyText(t *testing.T) {
+	e := cachedEngine(t, 1<<20)
+	load(t, e, "one.html", `<html><body><h1>Budget</h1><p>Spares.</p></body></html>`)
+	counts := func(want int, hits, misses uint64) {
+		t.Helper()
+		if got := mustCount(t, e, "context=Budget"); got != want {
+			t.Fatalf("context=Budget: %d sections, want %d", got, want)
+		}
+		if st, _ := e.CacheStats(); st.Hits != hits || st.Misses != misses {
+			t.Fatalf("stats = %+v, want %d hits and %d misses", st, hits, misses)
+		}
+	}
+	counts(1, 0, 1)
+	load(t, e, "mention.html", `<html><body><h1>Notes</h1><p>The budget is tight.</p></body></html>`)
+	counts(1, 1, 1)
+	load(t, e, "two.html", `<html><body><h1>Budget</h1><p>Fuel.</p></body></html>`)
+	counts(2, 1, 2)
+	info, err := e.Store().DocumentByName("two.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Store().DeleteDocument(info.DocID); err != nil {
+		t.Fatal(err)
+	}
+	counts(1, 1, 3)
+}
+
+// TestWordlessHeadingCached: a heading with no word for the text index
+// is found like any other, and a second bearer of it moves its key.
+func TestWordlessHeadingCached(t *testing.T) {
+	e := cachedEngine(t, 1<<20)
+	load(t, e, "one.html", `<html><body><h1>---</h1><p>Clause one.</p></body></html>`)
+	if got := mustCount(t, e, "context=---"); got != 1 {
+		t.Fatalf("context=---: %d sections, want 1", got)
+	}
+	if got := mustCount(t, e, "context=---"); got != 1 {
+		t.Fatalf("cached context=---: %d sections, want 1", got)
+	}
+	if st, _ := e.CacheStats(); st.Hits != 1 {
+		t.Fatalf("the repeat was not a hit: %+v", st)
+	}
+	load(t, e, "two.html", `<html><body><h1>---</h1><p>Clause two.</p></body></html>`)
+	if got := mustCount(t, e, "context=---"); got != 2 {
+		t.Fatalf("context=--- after a second bearer: %d sections, want 2 (stale cache served?)", got)
 	}
 }
 

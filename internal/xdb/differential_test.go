@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -19,18 +20,18 @@ import (
 // whether an entry is fresh, so this is the test that fails if a write
 // can change an answer without changing the key.
 
-// diffQueries covers every plan the key fingerprints differently.
+// diffQueries covers every query shape the key fingerprints differently.
 var diffQueries = []string{
 	"context=Budget",                          // exact heading, shared by many documents
 	"context=Ephemeral+1",                     // exact heading that comes and goes with its last bearer
 	"context=Ephemeral*",                      // prefix: keys on the store's generation
 	"context=Zone*&limit=8",                   // prefix over many headings, capped
-	"context=%C2%A7",                          // exact heading with no word: keys on the store's generation
+	"context=%C2%A7",                          // exact heading with no word: a posting list like any other
 	"content=cryogenic",                       // one term
 	"content=cryogenic+shuttle",               // several terms
 	`content="was tested during the"`,         // phrase
-	"context=Budget&content=relay",            // heading + terms, the text index drives
-	"context=Ephemeral+2&content=the",         // heading + terms, the heading drives
+	"context=Budget&content=relay",            // heading + terms, the term's list drives
+	"context=Ephemeral+2&content=the",         // heading + terms, the heading's list drives
 	"content=shuttle&scope=document",          // document scope
 	"xpath=//context&limit=40",                // bare XPath: scans the documents
 	"content=relay&xpath=//p&limit=6",         // XPath behind a content prefilter
@@ -69,6 +70,21 @@ func diffPool() []corpus.Document {
 	}
 	atlas.WriteString("</body></html>")
 	return append(pool, corpus.Document{Name: "atlas.html", Data: []byte(atlas.String())})
+}
+
+// poolQueries is diffQueries and an exact-heading query for every
+// heading of the pool, whose keys each move with one heading's list.
+func poolQueries(t *testing.T) []string {
+	t.Helper()
+	e := engine(t)
+	for _, d := range diffPool() {
+		load(t, e, d.Name, string(d.Data))
+	}
+	out := append([]string(nil), diffQueries...)
+	for _, h := range e.Store().ContextHeadings() {
+		out = append(out, "context="+url.QueryEscape(h))
+	}
+	return out
 }
 
 // diffHarness drives one store through two engines, one cached.
@@ -159,10 +175,10 @@ func renderQuery(e *Engine, raw string) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// check compares every query's cached answer with the uncached one.
-func (h *diffHarness) check(when string) {
+// check compares each query's cached answer with the uncached one.
+func (h *diffHarness) check(when string, queries []string) {
 	h.t.Helper()
-	for _, raw := range diffQueries {
+	for _, raw := range queries {
 		got, err := renderQuery(h.cached, raw)
 		if err != nil {
 			h.t.Fatalf("%s: cached %q: %v", when, raw, err)
@@ -184,7 +200,7 @@ func TestCacheAgreesWithUncached(t *testing.T) {
 		const steps = 320
 		for i := 0; i < steps; i++ {
 			op := h.mutate(rng)
-			h.check(fmt.Sprintf("step %d (%s)", i, op))
+			h.check(fmt.Sprintf("step %d (%s)", i, op), diffQueries)
 			if i == steps/2 {
 				// A restart through the snapshot.  The generations the keys
 				// fold are not in it, so every loaded term must come back
@@ -200,9 +216,9 @@ func TestCacheAgreesWithUncached(t *testing.T) {
 				if st := h.store.SnapshotStats(); !st.Loaded {
 					t.Fatalf("reopen did not load the snapshot: %+v", st)
 				}
-				h.check("after reopen")
+				h.check("after reopen", diffQueries)
 				h.ensure("churn-01.html", true)
-				h.check("first write after reopen")
+				h.check("first write after reopen", diffQueries)
 			}
 		}
 		st, _ := h.cached.CacheStats()
@@ -216,8 +232,10 @@ func TestCacheAgreesWithUncached(t *testing.T) {
 
 	// Readers fill the cache while a writer moves the store under them; a
 	// result computed across a write must never be served once the store
-	// is quiet again.
+	// is quiet again: with the writer stopped, every pool query's cached
+	// body must be the uncached rendering.
 	t.Run("concurrent", func(t *testing.T) {
+		queries := poolQueries(t)
 		h := newDiffHarness(t, "")
 		rng := rand.New(rand.NewSource(11))
 		for i := 0; i < 30; i++ {
@@ -235,7 +253,7 @@ func TestCacheAgreesWithUncached(t *testing.T) {
 						return
 					default:
 					}
-					raw := diffQueries[i%len(diffQueries)]
+					raw := queries[i%len(queries)]
 					if _, err := renderQuery(h.cached, raw); err != nil {
 						t.Errorf("reader: %q: %v", raw, err)
 						return
@@ -256,6 +274,6 @@ func TestCacheAgreesWithUncached(t *testing.T) {
 		}
 		close(stop)
 		readers.Wait()
-		h.check("after the writer stopped")
+		h.check("after the writer stopped", queries)
 	})
 }

@@ -150,6 +150,11 @@ func Parse(raw string) (Query, error) {
 				return Query{}, fmt.Errorf("xdb: unknown scope %q", v)
 			}
 		case "xpath":
+			if v != "" {
+				if _, err := xslt.CompilePath(v); err != nil {
+					return Query{}, fmt.Errorf("xdb: bad xpath: %w", err)
+				}
+			}
 			q.XPath = v
 		case "xslt":
 			q.XSLT = v
@@ -407,18 +412,6 @@ func resultTree(r *Result) *sgml.Node {
 // cacheKey builds the invalidation-aware cache key: the fingerprint of
 // exactly the structures the query reads, then the canonical query
 // encoding.  It is the only proof a cached result is fresh.
-//
-// A query made of words — content terms, an exact heading with at least
-// one word, or both — keys on the text index's generations of those words
-// (textindex.Index.QueryGen), each bumped only when a posting for the word
-// is added or removed.  That covers the heading too: documents are
-// immutable, and every word of a stored heading is posted under its own
-// document, so a write that adds or removes a bearer of the heading moves
-// the generation of each of its words.  A write to document A thus leaves
-// cached queries that only touched document B reachable, and one that
-// could change a query's answer changes its key.  Every other query — an
-// XPath, a prefix heading, a heading with no word — keys on the store's
-// generation, which every write moves.
 func (e *Engine) cacheKey(q Query) string {
 	var b strings.Builder
 	b.Grow(40)
@@ -428,8 +421,13 @@ func (e *Engine) cacheKey(q Query) string {
 	return b.String()
 }
 
-// fingerprint folds the generations of the structures the query's plan
-// reads.
+// fingerprint folds the generations of the structures the query reads.
+// A section-shaped query's are the store's to name (Store.QueryGen): the
+// posting lists of its terms and of an exact heading, so a write to
+// document A leaves cached queries that only touched document B
+// reachable, and one that could change a query's answer changes its key.
+// An XPath reads whole documents, so it keys on the store's generation,
+// which every write moves.
 func (e *Engine) fingerprint(q Query) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
@@ -438,20 +436,10 @@ func (e *Engine) fingerprint(q Query) uint64 {
 		// Only a styled result depends on the registered sheets.
 		mix(e.sheetGen.Load())
 	}
-	var heading []string
-	if q.Context != "" && !q.ContextPrefix {
-		heading = textindex.Tokenize(q.Context)
-	}
-	if q.XPath != "" || q.Context != "" && len(heading) == 0 {
+	if q.XPath != "" {
 		mix(e.store.Generation())
-		return h
-	}
-	ix := e.store.ContentIndex()
-	if q.Content != "" {
-		mix(ix.QueryGen(textindex.Tokenize(q.Content)...))
-	}
-	if heading != nil {
-		mix(ix.QueryGen(heading...))
+	} else {
+		mix(e.store.QueryGen(xmlstore.SectionQuery{Context: q.Context, ContextPrefix: q.ContextPrefix, Content: q.Content}))
 	}
 	return h
 }

@@ -84,8 +84,10 @@ func TestXPathLimit(t *testing.T) {
 func TestXPathBadExpressionRejected(t *testing.T) {
 	e := engine(t)
 	load(t, e, "parts.xml", inventoryXML)
-	if _, err := e.ExecuteString("xpath=//part["); err == nil {
-		t.Fatal("bad xpath accepted")
+	for _, raw := range []string{"xpath=//part[", "xpath=count(//part)", "xpath=//part[count(label)]"} {
+		if _, err := e.ExecuteString(raw); err == nil {
+			t.Fatalf("%s accepted", raw)
+		}
 	}
 }
 

@@ -27,30 +27,31 @@ func FuzzApplySnapshot(f *testing.F) {
 	f.Add(real)
 	f.Add(real[:len(real)-1])
 	f.Add([]byte{})
-	// Three zero counters, an empty text index, one heading whose length
-	// wraps int negative.
+	// Three zero counters, an empty text index, then a heading index of
+	// one heading whose length wraps int negative.
 	huge := textindex.New().AppendSnapshot([]byte{0, 0, 0})
 	huge = binary.AppendUvarint(huge, 1)
 	f.Add(binary.AppendUvarint(huge, ^uint64(0)))
 	// No headings, then what version 7 wrote next: three node→CONTEXT
 	// entries whose heading deltas climb past 48 bits, fall below zero and
-	// cancel out — trailing bytes now.
+	// cancel out — trailing bytes since version 8.
 	v7 := textindex.New().AppendSnapshot([]byte{0, 0, 0})
 	v7 = append(v7, 0, 3)
 	for _, d := range []int64{1 << 50, -(1<<50 + 9), 9} {
 		v7 = binary.AppendVarint(binary.AppendUvarint(v7, 1), d)
 	}
 	f.Add(v7)
-	// One heading whose three rid deltas climb past 48 bits, fall below
-	// zero and cancel out.
+	// What version 8 wrote for one heading "a" and three rid deltas that
+	// climb past 48 bits, fall below zero and cancel out: a heading index
+	// claiming three blocks now.
 	ridWrap := textindex.New().AppendSnapshot([]byte{0, 0, 0})
 	ridWrap = append(ridWrap, 1, 1, 'a', 3)
 	for _, d := range []int64{1 << 50, -(1<<50 + 9), 9} {
 		ridWrap = binary.AppendVarint(ridWrap, d)
 	}
 	f.Add(ridWrap)
-	// A store with deletes and headings that many sections share, so rid
-	// lists run long and out of physical order.
+	// A store with deletes and headings that many sections share, so the
+	// heading lists run long and carry removals.
 	rich := memStore(f)
 	loadDeepCorpus(f, rich)
 	docs, err := rich.Documents()

@@ -458,19 +458,22 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 }
 
 // indexPrepared feeds a stored document into the derived indexes: each
-// heading into the context btree, then each section's words into the text
-// index under its key row.  The indexes carry their own locks, so this
-// stage runs concurrently with the writer storing the next document.
+// heading into the heading index under its CONTEXT row, then each
+// section's words into the text index under its key row.  The indexes
+// carry their own locks, so this stage runs concurrently with the writer
+// storing the next document.
 //
-// Headings go in before words.  A cached exact-heading query is keyed on
-// the generations of its heading's words, which this document's postings
-// move; a reader that keyed on the moved generations while the heading was
-// not yet in the btree would cache an answer without it under the final
-// key.  DeleteDocument keeps the mirror order: headings out, then words.
+// Headings go in before words.  A cached heading-plus-terms query is
+// keyed on the generations of its heading's list and its terms' lists
+// (Store.QueryGen), and each posting moves one of them, so a reader that
+// runs between the two steps cannot keep what it saw under the final key.
+// DeleteDocument keeps the mirror order: headings out, then words.
 func (s *Store) indexPrepared(p *preparedDoc) {
 	for i := range p.flat {
 		if fn := &p.flat[i]; fn.class == sgml.ClassContext {
-			s.addContextKey(fn.data, fn.rid)
+			if key := normalizeContext(fn.data); key != "" {
+				s.headings.AddTokens(fn.rid.Uint64(), []string{key})
+			}
 		}
 	}
 	for i := range p.flat {
@@ -558,7 +561,7 @@ func flattenTree(root *sgml.Node, cfg *sgml.Config) []flatNode {
 			fn.attrs = encodeAttrs(n.Attrs)
 			if class == sgml.ClassContext {
 				// Denormalise the heading text onto the CONTEXT node so
-				// the context index and the traversal kernel never need
+				// the heading index and the traversal kernel never need
 				// to descend to find the heading.
 				fn.data = headingText(n, cfg)
 			}
@@ -667,7 +670,7 @@ func decodeAttrs(s string) []sgml.Attr {
 }
 
 // DeleteDocument removes a document: its DOC row, all its XML rows, and
-// their derived index entries (text postings, context keys, cached node
+// their derived index entries (heading and text postings, cached node
 // decodes).  The rows are found by the walk the rebuild flattens a
 // document with (flattenStored), which gives postTerms the postings
 // ingest made, and deleted as one run, in reverse document order, then
@@ -710,14 +713,21 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	toks, ends := new(prepWorker).postTerms(flat)
 	rids := make([]ordbms.RowID, len(flat))
 	ids := make([]uint64, len(flat))
+	var hids []uint64
+	var heads []string
+	hends := []int32{0}
 	for i := range flat {
 		fn := &flat[i]
 		rids[len(flat)-1-i] = fn.rid
 		ids[i] = fn.rid.Uint64()
 		if fn.class == sgml.ClassContext {
-			s.removeContextKey(fn.data, fn.rid)
+			if key := normalizeContext(fn.data); key != "" {
+				hids, heads = append(hids, ids[i]), append(heads, key)
+				hends = append(hends, int32(len(heads)))
+			}
 		}
 	}
+	s.headings.RemoveTokens(hids, heads, hends)
 	s.content.RemoveTokens(ids, toks, ends)
 	err = s.xml.DeleteRun(rids) // ErrRecordDeleted: a retry found no rows left
 	// Page images go after the rows: a fill that decoded a page before the

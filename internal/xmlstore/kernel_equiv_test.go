@@ -51,8 +51,12 @@ func TestKernelEquivalence(t *testing.T) {
 		{"context-prefix", func(s *Store) (any, error) { return s.ContextPrefixSearchN("Tech", 0) }},
 		{"context-prefix-limit", func(s *Store) (any, error) { return s.ContextPrefixSearchN("Tech", 2) }},
 		{"combined", func(s *Store) (any, error) { return s.SearchN("Budget", "request", 0) }},
-		{"combined-drive-content", func(s *Store) (any, error) { return drive(s, "Budget", "request", 0, true) }},
-		{"combined-drive-context", func(s *Store) (any, error) { return drive(s, "Budget", "request", 0, false) }},
+		{"combined-drive-content", func(s *Store) (any, error) {
+			return s.collect(SectionQuery{Context: "Budget", Content: "request"})
+		}},
+		{"combined-drive-context", func(s *Store) (any, error) {
+			return headingPlan(t, s, SectionQuery{Context: "Budget", Content: "request"}), nil
+		}},
 		{"docs", func(s *Store) (any, error) {
 			// Project out FileDate: it is stamped with time.Now at ingest
 			// and the two stores load at different instants.

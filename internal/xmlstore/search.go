@@ -24,15 +24,17 @@ import (
 // The walk up from each hit runs once, at ingest (governingContexts):
 // each node's own text is posted in the text index under its section's
 // key row — the CONTEXT that governs it, or, in raw XML under no heading,
-// its parent element — so a text-index hit is a section.  Every
+// its parent element — so a text-index hit is a section.  Each CONTEXT
+// row is posted, the same way, in the heading index under its normalised
+// heading, so a heading and a word are both posting lists.  Every
 // section-shaped query runs through one serial, demand-driven pull
 // pipeline (Store.Sections):
 //
 //	source   the key rows of the candidate sections, ascending: the AND
-//	         of the query's terms, or the context btree's rowids for an
-//	         exact or prefix heading less those the AND does not hold
-//	filter   a heading is checked on each key row the text index yields,
-//	         a phrase on each materialised section
+//	         of the query's terms, the heading's posting list, or both
+//	         intersected; for a prefix heading, the rows of every heading
+//	         it begins less those the AND does not hold
+//	filter   a phrase, on each materialised section
 //	limit    stop after q.Limit sections
 //	fn       the caller's sink
 //
@@ -182,36 +184,23 @@ type SectionQuery struct {
 //
 // The paper's Context=Technology Gap & Content=Shrinking "returns the
 // 'Technology Gap' contexts (sections) of all documents where the term
-// 'Shrinking' occurs within the Technology Gap context".  For such a
-// query the planner picks the cheaper source — the heading's rowids when
-// the heading is rarer than the rarest term, the posting lists otherwise
-// — and both plans return the same sections in the same order: those
-// whose key row bears the heading and holds every term in the text
-// index.  A section holds the words of its heading and of the text that
-// heading governs; a word under a nested heading is that heading's,
-// though SectionOf's content shows it too.  A phrase must also occur, by
-// textindex.HasPhrase, in the section's heading or in its content.
+// 'Shrinking' occurs within the Technology Gap context": the sections
+// whose key row is posted under the heading in the heading index and
+// under every term in the text index, one intersection of their posting
+// lists with the rarest driving.  A section holds the words of its
+// heading and of the text that heading governs; a word under a nested
+// heading is that heading's, though SectionOf's content shows it too.  A
+// phrase must also occur, by textindex.HasPhrase, in the section's heading
+// or in its content.
 func (s *Store) Sections(q SectionQuery, fn func(Section) bool) error {
-	return s.sections(q, s.contentDrives(q), fn)
-}
-
-// sections is Sections with the source already chosen.  fromContent is
-// valid for every q but a prefix heading, which only the btree can drive.
-func (s *Store) sections(q SectionQuery, fromContent bool, fn func(Section) bool) error {
 	var phrase []string // the phrase to find beyond the AND; a one-term one is the AND
 	if q.Phrase {
 		if terms := textindex.Tokenize(q.Content); len(terms) > 1 {
 			phrase = terms
 		}
 	}
-	// The text index yields any section: check its key row for the
-	// heading, which the btree holds only when it is not blank.
-	checkHeading, heading := fromContent && q.Context != "", normalizeContext(q.Context)
 	n := 0
-	visit := func(key *Node) (bool, error) {
-		if checkHeading && (key.Class != sgml.ClassContext || heading == "" || normalizeContext(key.Data) != heading) {
-			return true, nil
-		}
+	return s.forEachKeyRow(pullSize(q.Limit), s.keyRows(q), func(key *Node) (bool, error) {
 		sec, err := s.keySection(key)
 		if IsGone(err) {
 			// A concurrent delete removed part of this section since the
@@ -227,29 +216,68 @@ func (s *Store) sections(q SectionQuery, fromContent bool, fn func(Section) bool
 		}
 		n++
 		return fn(sec) && (q.Limit <= 0 || n < q.Limit), nil
+	})
+}
+
+// QueryGen is the cache key of q's answer: a value that moves whenever a
+// write could change what Sections returns for q.  It folds the
+// generations of the posting lists q's plan reads (textindex.Index.QueryGen)
+// — its terms', and its heading's when the heading is exact — so a write
+// that touches none of them leaves the key where it was.  A prefix
+// heading reads lists no one term names, so it folds the store's
+// generation, which every write moves.
+func (s *Store) QueryGen(q SectionQuery) uint64 {
+	if q.Context != "" && q.ContextPrefix {
+		return s.Generation()
 	}
-	if fromContent {
-		return s.forEachKeyRow(pullSize(q.Limit), iterRows(s.content.AndIter(q.Content)), visit)
+	h := s.content.QueryGen(textindex.Tokenize(q.Content)...)
+	if q.Context != "" {
+		h = (h ^ s.headings.QueryGen(normalizeContext(q.Context))) * 1099511628211 // FNV-1a's prime
+	}
+	return h
+}
+
+// keyRows is the source of q's key rows, ascending: the AND of its terms,
+// the heading's posting list, the intersection of the two, or for a
+// prefix heading the rows of every heading it begins, less those the AND
+// does not hold.
+func (s *Store) keyRows(q SectionQuery) func() (ordbms.RowID, bool) {
+	switch {
+	case q.Context == "":
+		return iterRows(s.content.AndIter(q.Content))
+	case !q.ContextPrefix && q.Content == "":
+		return iterRows(s.headings.Postings(normalizeContext(q.Context)))
+	case !q.ContextPrefix:
+		return iterRows(s.headings.Postings(normalizeContext(q.Context)).And(s.content.AndIter(q.Content)))
 	}
 	// With no terms to hold, the first q.Limit candidates are the result:
-	// push the cap into candidate collection.
+	// push the cap into candidate collection, so Context=A*&limit=1 over a
+	// million headings holds one rowid, not a million.  Only a candidate
+	// deleted before it is materialised can make a capped result shorter
+	// than an uncapped one would have been.
 	bound := 0
 	if q.Content == "" {
 		bound = q.Limit
 	}
-	rids := s.contextRIDs(q, bound)
+	var top ridBound
+	s.headings.EachPrefix(normalizeContext(q.Context), func(_ string, ids *textindex.IDIter) {
+		for id, ok := ids.Next(); ok; id, ok = ids.Next() {
+			top.push(ordbms.RowIDFromUint64(id), bound)
+		}
+	})
+	rids := top.rids
 	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
 	if q.Content != "" {
 		rids = s.holding(rids, q.Content)
 	}
-	return s.forEachKeyRow(pullSize(q.Limit), func() (ordbms.RowID, bool) {
+	return func() (ordbms.RowID, bool) {
 		if len(rids) == 0 {
 			return ordbms.ZeroRowID, false
 		}
 		rid := rids[0]
 		rids = rids[1:]
 		return rid, true
-	}, visit)
+	}
 }
 
 // holding keeps, in place, the rids (ascending) that hold every term of
@@ -271,63 +299,6 @@ func (s *Store) holding(rids []ordbms.RowID, query string) []ordbms.RowID {
 		}
 	}
 	return out
-}
-
-// contentDrives is the planner: the text index drives a query with no
-// heading, and a heading-plus-terms query whose heading heads more
-// sections than its rarest term is posted under.  Both plans return the
-// same sections; the choice only affects cost.
-func (s *Store) contentDrives(q SectionQuery) bool {
-	switch {
-	case q.Context == "":
-		return true
-	case q.Content == "" || q.ContextPrefix:
-		return false
-	}
-	return s.ContextCount(q.Context) > s.contentDF(q.Content)
-}
-
-// contentDF estimates the driving cost of a content query as the smallest
-// document frequency among its terms: the sections that hold it.
-func (s *Store) contentDF(query string) int {
-	min := -1
-	for _, term := range textindex.Tokenize(query) {
-		df := s.content.DF(term)
-		if min < 0 || df < min {
-			min = df
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
-// contextRIDs snapshots the rowids of the CONTEXT nodes matching q's
-// heading predicate.  A prefix query with bound > 0 keeps only the bound
-// physically-smallest candidates, so Context=A*&limit=1 over a million
-// headings holds one rowid, not a million; the physical-order result
-// prefix is unchanged, and only a candidate deleted between this snapshot
-// and materialisation can make a capped result shorter than an uncapped
-// one would have been.
-func (s *Store) contextRIDs(q SectionQuery, bound int) []ordbms.RowID {
-	key := normalizeContext(q.Context)
-	var top ridBound
-	s.ctxMu.RLock()
-	if q.ContextPrefix {
-		s.contexts.AscendPrefixFunc(key,
-			func(k string) bool { return strings.HasPrefix(k, key) },
-			func(_ string, vals []ordbms.RowID) bool {
-				for _, rid := range vals {
-					top.push(rid, bound)
-				}
-				return true
-			})
-	} else {
-		top.rids = append(top.rids, s.contexts.Get(key)...)
-	}
-	s.ctxMu.RUnlock()
-	return top.rids
 }
 
 // ridBound keeps the k physically-smallest RowIDs pushed into it, as a

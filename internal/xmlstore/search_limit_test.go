@@ -2,10 +2,13 @@ package xmlstore
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"netmark/internal/corpus"
+	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
 	"netmark/internal/textindex"
 )
 
@@ -65,22 +68,54 @@ func TestContentSearchNLimit(t *testing.T) {
 	}
 }
 
-// drive runs a heading-plus-terms query with the planner's choice
-// overridden: the text index drives when fromContent, the context btree
-// otherwise.
-func drive(s *Store, heading, query string, limit int, fromContent bool) ([]Section, error) {
+// headingPlan is the reference a heading-plus-terms query is held to,
+// the plan that drove such a query from the heading's rows: the CONTEXT
+// rows bearing the heading, found by a scan of the table, that the text
+// index holds every term under, in physical order, with the phrase and
+// the cap applied as Sections applies them.
+func headingPlan(t testing.TB, s *Store, q SectionQuery) []Section {
+	t.Helper()
+	norm := func(h string) string { return strings.ToLower(strings.Join(strings.Fields(h), " ")) }
+	var rids []ordbms.RowID
+	if err := s.ScanNodes(func(n *Node) bool {
+		if n.Class == sgml.ClassContext && norm(n.Data) != "" && norm(n.Data) == norm(q.Context) {
+			rids = append(rids, n.RowID)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(rids, func(i, j int) bool { return rids[i].Less(rids[j]) })
+	terms := textindex.Tokenize(q.Content)
 	var out []Section
-	err := s.sections(SectionQuery{Context: heading, Content: query, Limit: limit}, fromContent,
-		func(sec Section) bool {
-			out = append(out, sec)
-			return true
-		})
-	return out, err
+	for _, rid := range rids {
+		if q.Limit > 0 && len(out) == q.Limit {
+			break
+		}
+		it := s.content.AndIter(q.Content)
+		if id, ok := it.SeekGE(rid.Uint64()); !ok || id != rid.Uint64() {
+			continue
+		}
+		key, err := s.FetchNode(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec, err := s.keySection(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Phrase && len(terms) > 1 && !textindex.HasPhrase(sec.Context, terms) && !textindex.HasPhrase(sec.Content, terms) {
+			continue
+		}
+		out = append(out, sec)
+	}
+	return out
 }
 
 // TestPlansAgree runs heading-plus-terms and heading-plus-phrase queries
-// through both plans: the sections and their order must not depend on
-// which source drives.  The terms are lifted from the sections' own text,
+// through Sections, which intersects the heading's posting list with the
+// terms', and through headingPlan: the sections and their order must be
+// the same.  The terms are lifted from the sections' own text,
 // a phrase forwards and reversed, and one document splits a two-term
 // query across two text runs of one section.
 func TestPlansAgree(t *testing.T) {
@@ -112,25 +147,18 @@ func TestPlansAgree(t *testing.T) {
 				SectionQuery{Context: h, Content: toks[k+1] + " " + toks[k], Phrase: true})
 		}
 	}
-	run := func(q SectionQuery, fromContent bool) []Section {
-		var out []Section
-		if err := s.sections(q, fromContent, func(sec Section) bool {
-			out = append(out, sec)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
 	matched := 0
 	for _, q := range queries {
 		for _, limit := range []int{0, 1, 3} {
 			q.Limit = limit
-			byContent, byHeading := run(q, true), run(q, false)
-			if !reflect.DeepEqual(byContent, byHeading) {
-				t.Fatalf("%+v: the text index finds %d sections, the heading %d:\n%+v\n%+v", q, len(byContent), len(byHeading), byContent, byHeading)
+			got, err := s.collect(q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if limit == 0 && len(byContent) > 0 {
+			if want := headingPlan(t, s, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: Sections finds %d sections, the heading plan %d:\n%+v\n%+v", q, len(got), len(want), got, want)
+			}
+			if limit == 0 && len(got) > 0 {
 				matched++
 			}
 		}
@@ -145,10 +173,10 @@ func TestSearchNLimitBothPlans(t *testing.T) {
 	for _, q := range []struct{ heading, term string }{
 		{"Budget", "request"},
 		// "assessment" occurs in no section's content, only in the heading
-		// text itself: the index posts it and both plans must count it.
+		// text itself: the index posts it and both must count it.
 		{"Risk Assessment", "assessment"},
 	} {
-		// Planner-chosen plan, capped, must agree with the uncapped prefix.
+		// Capped, the answer must be the uncapped one's prefix.
 		full, err := s.SearchN(q.heading, q.term, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -163,19 +191,17 @@ func TestSearchNLimitBothPlans(t *testing.T) {
 		if len(capped) != 3 {
 			t.Fatalf("%v: limit 3 returned %d", q, len(capped))
 		}
-		// Both explicit plans must find the same sections and respect the cap.
+		// Sections and the heading plan must find the same sections and
+		// respect the cap.
 		for _, limit := range []int{0, 3} {
-			a, err := drive(s, q.heading, q.term, limit, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := drive(s, q.heading, q.term, limit, true)
+			a := headingPlan(t, s, SectionQuery{Context: q.heading, Content: q.term, Limit: limit})
+			b, err := s.SearchN(q.heading, q.term, limit)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a, full[:len(a)]) || !reflect.DeepEqual(b, full[:len(b)]) ||
 				len(a) != len(b) || (limit > 0 && len(a) != limit) {
-				t.Fatalf("%v limit %d: ctx plan %d sections, content plan %d, planner %d",
+				t.Fatalf("%v limit %d: heading plan %d sections, Sections %d, uncapped %d",
 					q, limit, len(a), len(b), len(full))
 			}
 		}

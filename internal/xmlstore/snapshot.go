@@ -3,9 +3,9 @@ package xmlstore
 // The derived-index snapshot makes reopening a large store O(1) in
 // corpus size.  On every DB.Checkpoint (and therefore on Close) the
 // store serialises everything rebuildDerived would otherwise reconstruct
-// by walking every document — the text-index posting lists, the context
-// btree and the counters — into a file
-// written inside the checkpoint critical section.  The text index's term
+// by walking every document — the posting lists of the text index and
+// of the heading index, and the counters — into a file
+// written inside the checkpoint critical section.  The indexes' term
 // generations, which result caches key on, are not part of it: they are
 // process-local, their only reader is a cache that is empty after a
 // restart, so a loaded term simply starts over at 1.
@@ -23,9 +23,7 @@ package xmlstore
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
-	"netmark/internal/btree"
 	"netmark/internal/ordbms"
 	"netmark/internal/textindex"
 )
@@ -41,13 +39,14 @@ const (
 	// writes each heading's rids as deltas; 7 posts a folded heading's
 	// words under its CONTEXT, which has no node→CONTEXT entry, instead of
 	// under a text child; 8 posts every word under its section's key row
-	// and drops the node→CONTEXT entries.  Any other version — older or
+	// and drops the node→CONTEXT entries; 9 writes the headings as a
+	// second text index, in its codec.  Any other version — older or
 	// newer — falls back to the derived rebuild, which retokenizes every
 	// document under the current contract; loading a v1 file's postings
 	// verbatim would permanently serve old-tokenizer terms against
 	// new-tokenizer queries.  The next checkpoint rewrites the file at the
 	// current version, so the penalty is one slow reopen.
-	snapshotVersion = 8
+	snapshotVersion = 9
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
@@ -87,7 +86,7 @@ func (s *Store) snapshotHook(ci ordbms.CheckpointInfo) error {
 	payload := s.encodeSnapshot()
 	s.ckptMu.Unlock()
 
-	err := ci.WriteSnapshotFile(snapshotName, snapshotMagic, snapshotVersion, payload, "snapshot")
+	err := ci.WriteSnapshotFile(snapshotName, snapshotMagic, snapshotVersion, payload)
 	s.snapMu.Lock()
 	if err != nil {
 		s.snapStat.SaveErrors++
@@ -111,25 +110,7 @@ func (s *Store) encodeSnapshot() []byte {
 	buf = binary.AppendUvarint(buf, s.nodesInserted.Load())
 
 	buf = s.content.AppendSnapshot(buf)
-
-	// A heading's rids keep their stored order, which need not be
-	// physical order, so each is a zigzag delta from the one before.
-	s.ctxMu.RLock()
-	buf = binary.AppendUvarint(buf, uint64(s.contexts.Keys()))
-	s.contexts.Ascend(func(key string, rids []ordbms.RowID) bool {
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		buf = append(buf, key...)
-		buf = binary.AppendUvarint(buf, uint64(len(rids)))
-		var prev uint64
-		for _, rid := range rids {
-			buf = binary.AppendVarint(buf, int64(rid.Uint64()-prev))
-			prev = rid.Uint64()
-		}
-		return true
-	})
-	s.ctxMu.RUnlock()
-
-	return buf
+	return s.headings.AppendSnapshot(buf)
 }
 
 // loadSnapshot applies the snapshot when the engine vouches for it.  It
@@ -186,48 +167,11 @@ func (s *Store) applySnapshot(p []byte) error {
 	}
 	off += n
 
-	nHeadings, err := uv()
+	headings, n, err := textindex.LoadSnapshot(p[off:])
 	if err != nil {
 		return err
 	}
-	// Headings were serialised in tree order, so the context btree
-	// bulk-builds in O(n) like the other loaded indexes.
-	contexts := btree.NewBuilder[string, ordbms.RowID](strings.Compare, btree.DefaultOrder)
-	var prevKey string
-	for i := uint64(0); i < nHeadings; i++ {
-		klen, err := uv()
-		if err != nil {
-			return err
-		}
-		if klen > uint64(len(p)-off) { // in uint64: a huge klen must not wrap int
-			return fmt.Errorf("xmlstore: truncated heading at byte %d", off)
-		}
-		key := string(p[off : off+int(klen)])
-		off += int(klen)
-		if i > 0 && key <= prevKey { // the builder needs strictly ascending keys
-			return fmt.Errorf("xmlstore: heading %q out of order", key)
-		}
-		prevKey = key
-		nr, err := uv()
-		if err != nil {
-			return err
-		}
-		if nr > uint64(len(p)-off) { // every rid costs >= 1 byte
-			return fmt.Errorf("xmlstore: implausible rid count %d", nr)
-		}
-		rids := make([]ordbms.RowID, nr)
-		var prev uint64
-		for j := range rids {
-			d, n := binary.Varint(p[off:])
-			if n <= 0 {
-				return fmt.Errorf("xmlstore: truncated snapshot at byte %d", off)
-			}
-			off += n
-			prev += uint64(d)
-			rids[j] = ordbms.RowIDFromUint64(prev)
-		}
-		contexts.Append(key, rids)
-	}
+	off += n
 
 	if off != len(p) {
 		return fmt.Errorf("xmlstore: %d trailing snapshot bytes", len(p)-off)
@@ -238,6 +182,6 @@ func (s *Store) applySnapshot(p []byte) error {
 	s.docsIngested.Store(docsIngested)
 	s.nodesInserted.Store(nodesInserted)
 	s.content = content
-	s.contexts = contexts.Tree()
+	s.headings = headings
 	return nil
 }

@@ -1,6 +1,7 @@
 package xmlstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -11,12 +12,14 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"netmark/internal/corpus"
 	"netmark/internal/docform"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
+	"netmark/internal/vfs"
 )
 
 // openDir opens a persistent store, failing the test on error.
@@ -262,7 +265,11 @@ func TestSnapshotStaleAfterCrash(t *testing.T) {
 // the full checkpoint sequence — store snapshot write, catalog write, WAL
 // truncation — and proves each aborted state
 // reopens to the exact pre-crash answers, via the snapshot when its
-// stamps prove it current and via the scan fallback otherwise.
+// stamps prove it current and via the scan fallback otherwise.  A FaultFS
+// cuts each step: a "<x>-temp" crash fails the rename onto x's final
+// name, leaving the fsynced temp beside the old x; a "<x>-rename" crash
+// fails the store directory's fsync after the rename, the checkpoint's
+// Nth, leaving the new x and no temp.
 func TestSnapshotCheckpointCrashMatrix(t *testing.T) {
 	// The store snapshot's commit point is its rename: a crash before it
 	// leaves the previous snapshot, whose LSN stamp no longer matches the
@@ -273,19 +280,30 @@ func TestSnapshotCheckpointCrashMatrix(t *testing.T) {
 	// catalog at the generation the aborted checkpoint stamped).
 	steps := []struct {
 		step       string
-		wantLoaded bool // snapshot valid after this crash?
+		file, tmp  string
+		rule       vfs.Rule // an OpSync rule names the store directory
+		wantLoaded bool     // snapshot valid after this crash?
 	}{
-		{"snapshot-temp", false}, // previous snapshot, stale LSN stamp
-		{"snapshot-rename", true},
-		{"catalog-temp", true},
-		{"catalog-rename", true},
-		{"wal-temp", true},
-		{"wal-rename", true},
+		// previous snapshot, stale LSN stamp
+		{"snapshot-temp", snapshotName, snapshotName + ".tmp", vfs.Rule{Op: vfs.OpRename, Path: snapshotName}, false},
+		{"snapshot-rename", snapshotName, snapshotName + ".tmp", vfs.Rule{Op: vfs.OpSync}, true},
+		{"catalog-temp", "catalog.json", "catalog.json.tmp", vfs.Rule{Op: vfs.OpRename, Path: "catalog.json"}, true},
+		{"catalog-rename", "catalog.json", "catalog.json.tmp", vfs.Rule{Op: vfs.OpSync, After: 1}, true},
+		{"wal-temp", "wal.nmlog", "wal.nmlog.ckpt", vfs.Rule{Op: vfs.OpRename, Path: "wal.nmlog"}, true},
+		{"wal-rename", "wal.nmlog", "wal.nmlog.ckpt", vfs.Rule{Op: vfs.OpSync, After: 2}, true},
 	}
 	for _, tc := range steps {
 		t.Run(tc.step, func(t *testing.T) {
 			dir := t.TempDir()
-			db, s := openDir(t, dir, OpenOptions{})
+			ffs := vfs.NewFaultFS(nil)
+			db, err := ordbms.Open(ordbms.Options{Dir: dir, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
 			gen := corpus.New(99)
 			for _, d := range gen.DeepReports(3, 3, 6, 4) {
 				if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
@@ -306,17 +324,29 @@ func TestSnapshotCheckpointCrashMatrix(t *testing.T) {
 			want := runPlans(t, s)
 			wantDocs := s.NumDocuments()
 
-			injected := errors.New("injected crash")
-			db.SetCheckpointFault(func(step string) error {
-				if step == tc.step {
-					return injected
-				}
-				return nil
-			})
-			if err := db.Checkpoint(); !errors.Is(err, injected) {
+			before, err := os.ReadFile(filepath.Join(dir, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rule := tc.rule
+			rule.Times = 1
+			if rule.Op == vfs.OpSync {
+				rule.Path = filepath.Base(dir)
+			}
+			ffs.AddRule(rule)
+			if err := db.Checkpoint(); !errors.Is(err, syscall.EIO) {
 				t.Fatalf("checkpoint survived injected crash at %s: %v", tc.step, err)
 			}
 			db.CloseDiscard() // the crash
+			now, err := os.ReadFile(filepath.Join(dir, tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = os.Stat(filepath.Join(dir, tc.tmp))
+			tempLeft, atTemp := err == nil, strings.HasSuffix(tc.step, "-temp")
+			if tempLeft != atTemp || bytes.Equal(now, before) != atTemp {
+				t.Fatalf("crash at %s: temp %s left = %v, %s unchanged = %v", tc.step, tc.tmp, tempLeft, tc.file, bytes.Equal(now, before))
+			}
 
 			db2, s2 := openDir(t, dir, OpenOptions{})
 			defer db2.CloseDiscard()
@@ -395,9 +425,10 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 }
 
 // TestSnapshotVersionSkewFallsBack: a snapshot whose version field is
-// not the current one — an old v1 file, the previous version's (whose
-// text index posts words under text nodes, followed by node→CONTEXT
-// entries), or a newer format — must fall back to the scan rebuild (which
+// not the current one — an old v1 file, version 7's (whose text index
+// posts words under text nodes, followed by node→CONTEXT entries), the
+// previous version's, or a newer format — must fall back to the scan
+// rebuild (which
 // retokenizes under the current tokenizer contract) and be rewritten at
 // the current version by the next checkpoint.
 func TestSnapshotVersionSkewFallsBack(t *testing.T) {

@@ -29,7 +29,7 @@
 // twice, so the links cannot lead into another document.
 //
 // A CONTEXT row carries its heading's text in NODEDATA, so neither the
-// context index nor the kernel descends to read a heading, and it is the
+// heading index nor the kernel descends to read a heading, and it is the
 // key row its section's words are posted under in the text index.
 //
 // Text is stored once.  An element whose only child is one non-empty text
@@ -63,8 +63,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 
-	"netmark/internal/btree"
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 	"netmark/internal/textindex"
@@ -187,13 +187,12 @@ type Store struct {
 	// to the page.
 	// netmarkvet:snap
 	content *textindex.Index
-	// contexts maps normalised (lowercased) heading text to the RowIDs
-	// of CONTEXT nodes bearing it.  Guarded by ctxMu.
+	// headings is the heading index: each CONTEXT row posted under its
+	// normalised heading (normalizeContext) as one raw term, so a heading
+	// is a posting list like a word, and Context= and Content= meet in one
+	// intersection.  A blank heading is not posted.
 	// netmarkvet:snap
-	contexts *btree.Tree[string, ordbms.RowID]
-	// ctxMu protects the in-memory context btree; never held across I/O.
-	// netmarkvet:hot netmarkvet:lockorder 30
-	ctxMu sync.RWMutex
+	headings *textindex.Index
 
 	// nodes is the decoded-node cache (nil = disabled).  Set once via
 	// EnableNodeCache during setup, before the store serves traffic.
@@ -259,7 +258,7 @@ type OpenOptions struct {
 
 // Open attaches the store to a database, creating the universal tables on
 // first use.  On a persistent reopen the derived indexes (text index,
-// context btree, document-ID counter) are loaded from the checkpoint
+// heading index, document-ID counter) are loaded from the checkpoint
 // snapshot when its stamps prove the heap has not moved since it was
 // written; otherwise — and always for in-memory stores — they are rebuilt
 // a document at a time, each DOC row's document walked from its root (see
@@ -273,7 +272,7 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 	s := &Store{
 		db:       db,
 		content:  textindex.New(),
-		contexts: btree.New[string, ordbms.RowID](strings.Compare),
+		headings: textindex.New(),
 	}
 	s.nextDocID.Store(1)
 	var err error
@@ -335,7 +334,7 @@ func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...st
 	return t, nil
 }
 
-// rebuildDerived rebuilds the text index, the context index and the
+// rebuildDerived rebuilds the text index, the heading index and the
 // document-ID counter from the tables, a document at a time: each document
 // DOC lists is flattened from its root (flattenStored) and indexed by the
 // code ingest runs (postTerms, indexPrepared).  The walk decodes a page at
@@ -416,31 +415,27 @@ func flattenStored(flat []flatNode, rid ordbms.RowID, follow func(ordbms.RowID) 
 	return flat, err
 }
 
-func (s *Store) addContextKey(heading string, rid ordbms.RowID) {
-	key := normalizeContext(heading)
-	if key == "" {
-		return
-	}
-	s.ctxMu.Lock()
-	s.contexts.Insert(key, rid)
-	s.ctxMu.Unlock()
-}
-
-func (s *Store) removeContextKey(heading string, rid ordbms.RowID) {
-	key := normalizeContext(heading)
-	if key == "" {
-		return
-	}
-	s.ctxMu.Lock()
-	s.contexts.Delete(key, func(r ordbms.RowID) bool { return r == rid })
-	s.ctxMu.Unlock()
-}
-
 // normalizeContext lowercases and squeezes whitespace so context matching
 // is forgiving about case and layout (Context=introduction matches the
-// "Introduction" heading).
+// "Introduction" heading).  It is
+// strings.ToLower(strings.Join(strings.Fields(h), " ")) built in one
+// buffer, an invalid byte read as U+FFFD as ToLower reads it.
 func normalizeContext(h string) string {
-	return strings.ToLower(strings.Join(strings.Fields(h), " "))
+	var b strings.Builder
+	b.Grow(len(h))
+	space := false // a space is owed before the next word
+	for _, r := range h {
+		if unicode.IsSpace(r) {
+			space = b.Len() > 0
+			continue
+		}
+		if space {
+			b.WriteByte(' ')
+			space = false
+		}
+		b.WriteRune(unicode.ToLower(r))
+	}
+	return b.String()
 }
 
 // DB returns the underlying database (for stats and checkpoints).
@@ -831,7 +826,7 @@ type TextIndex struct {
 	s *Store
 }
 
-// ContentIndex exposes the text index (the query planner consults DF).
+// ContentIndex exposes the text index.
 func (s *Store) ContentIndex() TextIndex { return TextIndex{s.content, s} }
 
 // Phrase returns, ascending, the key rows (RowIDs packed by Uint64) of
@@ -856,19 +851,18 @@ func (s *Store) TextIndexStats() textindex.Stats { return s.content.Stats() }
 
 // ContextCount returns how many CONTEXT nodes carry the heading.
 func (s *Store) ContextCount(heading string) int {
-	s.ctxMu.RLock()
-	defer s.ctxMu.RUnlock()
-	return len(s.contexts.Get(normalizeContext(heading)))
+	n := 0
+	for it := s.headings.Postings(normalizeContext(heading)); ; n++ {
+		if _, ok := it.Next(); !ok {
+			return n
+		}
+	}
 }
 
-// ContextHeadings lists the distinct normalised headings in the store.
+// ContextHeadings lists the distinct normalised headings in the store,
+// sorted.
 func (s *Store) ContextHeadings() []string {
-	s.ctxMu.RLock()
-	defer s.ctxMu.RUnlock()
-	out := make([]string, 0, s.contexts.Keys())
-	s.contexts.Ascend(func(k string, _ []ordbms.RowID) bool {
-		out = append(out, k)
-		return true
-	})
+	out := make([]string, 0, s.headings.Terms())
+	s.headings.EachPrefix("", func(h string, _ *textindex.IDIter) { out = append(out, h) })
 	return out
 }

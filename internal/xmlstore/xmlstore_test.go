@@ -251,7 +251,7 @@ func TestContentSearchDocs(t *testing.T) {
 
 // TestCombinedSearchBothPlansAgree is the §2.1.3 example: the paper's
 // Context=Technology Gap & Content=Shrinking query, verified to return
-// identical results whichever side the planner drives from.
+// what the heading plan (headingPlan) returns.
 func TestCombinedSearchBothPlansAgree(t *testing.T) {
 	s := memStore(t)
 	ingest(t, s, "a.html", sampleHTML)
@@ -259,11 +259,8 @@ func TestCombinedSearchBothPlansAgree(t *testing.T) {
 	<h2>Technology Gap</h2><p>No relevant verb here.</p>
 	<h2>Schedule</h2><p>The shrinking schedule.</p></body></html>`)
 
-	fromCtx, err := drive(s, "Technology Gap", "shrinking", 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromContent, err := drive(s, "Technology Gap", "shrinking", 0, true)
+	fromCtx := headingPlan(t, s, SectionQuery{Context: "Technology Gap", Content: "shrinking"})
+	fromContent, err := s.collect(SectionQuery{Context: "Technology Gap", Content: "shrinking"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +270,7 @@ func TestCombinedSearchBothPlansAgree(t *testing.T) {
 	if fromCtx[0].ContextRID != fromContent[0].ContextRID {
 		t.Fatal("plans returned different sections")
 	}
-	// And via the public planner entry point.
+	// And via the public entry point.
 	secs, err := s.SearchN("Technology Gap", "shrinking", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -603,6 +600,33 @@ func TestContextHeadingsEnumeration(t *testing.T) {
 	}
 	if found != 3 {
 		t.Fatalf("headings = %v", heads)
+	}
+}
+
+// TestNormalizeContextMatchesFormula holds normalizeContext, which builds
+// a heading key in one buffer, to the formula it replaces, on corpus
+// headings, Unicode spaces, case mappings that change a rune's width and
+// invalid UTF-8.
+func TestNormalizeContextMatchesFormula(t *testing.T) {
+	inputs := []string{
+		"", " ", "\t\n", "Budget", "  Technology   Gap ", "RISK\tAssessment\n",
+		"a\u00a0b", "\u0085lead", "trail\u2003", "ideo\u3000graphic", "\v\fx\r",
+		"ÉCOLE Normale", "İstanbul", "Ⱥ wide", "ΣΊΣΥΦΟΣ", "\ufffd literal",
+		"\xff", "a\xc3", "\xed\xa0\x80 surrogate", "bad\xff\xfeTAIL", " \x80 ",
+	}
+	s := loadProposals(t, 4)
+	if err := s.ScanNodes(func(n *Node) bool {
+		if n.Class == sgml.ClassContext {
+			inputs = append(inputs, n.Data, strings.ToUpper(n.Data))
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range inputs {
+		if got, want := normalizeContext(h), strings.ToLower(strings.Join(strings.Fields(h), " ")); got != want {
+			t.Fatalf("normalizeContext(%q) = %q, want %q", h, got, want)
+		}
 	}
 }
 

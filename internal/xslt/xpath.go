@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"netmark/internal/sgml"
 )
@@ -154,16 +155,30 @@ func parseStep(s string) (Step, error) {
 		st.Axis, st.Name = "parent", "*"
 	case s == "text()":
 		st.Name = "#text"
-	case strings.HasPrefix(s, "@"):
+	case s == "*", isName(strings.TrimPrefix(s, "@")):
 		st.Name = s
-	case s == "*":
-		st.Name = "*"
 	case s == "":
 		return st, fmt.Errorf("empty step")
 	default:
-		st.Name = s
+		// A function call, an operator, a literal: nothing a step could
+		// match, so the expression is one XPath-lite cannot evaluate.
+		return st, fmt.Errorf("unsupported step %q", s)
 	}
 	return st, nil
+}
+
+// isName reports whether s is an XML name: a letter, '_' or ':', then
+// letters, digits, combining marks, '.', '-', '_' and ':'.
+func isName(s string) bool {
+	for i, r := range s {
+		switch {
+		case unicode.IsLetter(r), r == '_', r == ':':
+		case i > 0 && (unicode.IsDigit(r) || unicode.IsMark(r) || r == '.' || r == '-'):
+		default:
+			return false
+		}
+	}
+	return s != ""
 }
 
 func matchBracket(s string, open int) int {
@@ -198,7 +213,13 @@ func parsePred(s string) (Pred, error) {
 		} else {
 			return Pred{}, fmt.Errorf("predicate value must be quoted: %q", s)
 		}
+		if _, err := CompilePath(left); err != nil {
+			return Pred{}, err
+		}
 		return Pred{Left: left, Right: right}, nil
+	}
+	if _, err := CompilePath(s); err != nil {
+		return Pred{}, err
 	}
 	return Pred{Exists: s}, nil
 }
@@ -330,11 +351,11 @@ func (pr Pred) holds(n *sgml.Node) bool {
 }
 
 // EvalString evaluates an expression to its string value: attribute
-// lookups, text() and node text.
+// lookups, text() and node text.  An expression XPath-lite cannot
+// evaluate is an error.
 func EvalString(ctx *sgml.Node, expr string) (string, error) {
-	expr = strings.TrimSpace(expr)
-	if expr == "" {
-		return "", fmt.Errorf("xslt: empty expression")
+	if _, err := CompilePath(expr); err != nil {
+		return "", err
 	}
 	return EvalStringOn(ctx, expr), nil
 }

@@ -155,6 +155,38 @@ func TestCompilePathErrors(t *testing.T) {
 	}
 }
 
+// TestUnsupportedExpressionsRejected: a step that is not an XML name,
+// *, @name, text(), . or .. — a function call, an operator, a number or
+// a string — is one XPath-lite cannot evaluate, so the expression is
+// refused at compile time, in a predicate too, and a value-of selecting
+// it fails the transform instead of rendering nothing.
+func TestUnsupportedExpressionsRejected(t *testing.T) {
+	for _, bad := range []string{
+		"count(//result)", "count(x)", "name()", "position()", "last()",
+		"a|b", "a + b", "1", "'lit'", "#text", "@", "@1x", "a/-b", "a/1",
+		"//x[count(y)]", "//x[name()='y']", "a[b or c]", "a/b()",
+	} {
+		if _, err := CompilePath(bad); err == nil {
+			t.Errorf("CompilePath(%q) accepted", bad)
+		}
+	}
+	for _, good := range []string{
+		".", "..", "*", "text()", "@id", "a/@xml:lang", "//ns:x/y.z", "_a-1",
+		"//section[context='Budget']/content", "a[@k='v'][2]", "a[b]", "a[text()='x']",
+	} {
+		if _, err := CompilePath(good); err != nil {
+			t.Errorf("CompilePath(%q): %v", good, err)
+		}
+	}
+	sheet, err := ParseStylesheet(`<xsl:stylesheet><xsl:template match="/"><n><xsl:value-of select="count(//section)"/></n></xsl:template></xsl:stylesheet>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := sheet.TransformToString(parse(t, sampleDoc)); err == nil {
+		t.Fatalf("value-of count() rendered %q", out)
+	}
+}
+
 const composeSheet = `<xsl:stylesheet>
 <xsl:template match="/">
   <composed>
