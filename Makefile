@@ -27,13 +27,13 @@ lint:
 		echo "lint: staticcheck/golangci-lint not installed; skipping (go vet still runs)"; \
 	fi
 
-# analyze runs netmarkvet, the repo's own analyzer suite: lockcheck,
-# lockscope, atomicmix, fsyncrename and cowview prove the concurrency
-# and crash-safety invariants, the dataflow tier's errflow, ackorder,
-# genbump and snapcover prove durability error routing, WAL-before-ack
-# ordering, generation-counter coherence and snapshot field coverage,
-# and the perf tier's hotalloc and aliascap keep the tagged
-# hot read paths zero-alloc — all documented in CONTRIBUTING.md.  It is
+# analyze runs netmarkvet, the repo's own analyzer suite: lockcheck
+# (guarded fields, lock order, hot locks), fsyncrename, vfsonly and
+# cowview prove the concurrency and crash-safety invariants, and the
+# dataflow tier's errflow, ackorder and snapcover prove durability
+# error routing, WAL-before-ack ordering and snapshot field coverage —
+# all documented in CONTRIBUTING.md.  Zero-alloc hot paths and cache
+# generation bumps are pinned by tests, not analyzers.  It is
 # stdlib-only, so unlike lint it always runs.  Findings are gated
 # against the committed ANALYZE_BASELINE.json: a known finding being
 # worked off stays visible without failing the build, but any *new*
@@ -107,8 +107,8 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR40.json
-BENCH_OUT ?= BENCH_PR40.json
+# make bench-json BENCH_OUT=BENCH_PR42.json
+BENCH_OUT ?= BENCH_PR42.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)

@@ -30,13 +30,16 @@ import (
 	"netmark/internal/xmlstore"
 )
 
-// loadedStore builds an in-memory store pre-loaded with n proposals.
+// loadedStore builds an in-memory store pre-loaded with n proposals.  Its
+// node cache is on at core's default size, as netmarkd's is, so the
+// benchmarks built on it measure the read path the product serves.
 func loadedStore(b *testing.B, n int, seed int64) *xmlstore.Store {
 	b.Helper()
 	s, err := experiments.NewStore()
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.EnableNodeCache(core.DefaultNodeCacheBytes)
 	gen := corpus.New(seed)
 	if err := experiments.LoadCorpus(s, gen.Proposals(n)); err != nil {
 		b.Fatal(err)
@@ -499,7 +502,8 @@ func benchDurableIngest(b *testing.B, batch []netmark.Doc, total int64) {
 // pointer-chasing is at its worst.  No query result cache is involved:
 // every iteration executes the full kernel.
 //
-//	baseline   = no node cache: every hop decodes its row
+//	baseline   = no node cache: every hop decodes its row (the one
+//	             benchmark arm that runs without it)
 //	optimized  = decoded-node cache (the default configuration;
 //	             "optimized-serial" in the recordings before
 //	             BENCH_PR17.json)
@@ -567,7 +571,6 @@ func BenchmarkColdContentSearch(b *testing.B) {
 // reads, misses ≈ distinct queries).
 func BenchmarkMixedWriteHeavy(b *testing.B) {
 	store := loadedStore(b, 200, 43)
-	store.EnableNodeCache(32 << 20)
 	e := xdb.NewEngine(store)
 	e.EnableCache(64 << 20)
 	srv, err := webdav.NewServer(e, nil, "")
@@ -869,8 +872,9 @@ func BenchmarkReconstruct(b *testing.B) {
 }
 
 // BenchmarkDeleteDocument measures removing one deep report (some 2 600
-// nodes) from a durable store of 300 mixed documents, through to the
-// commit that makes the delete durable.  Each iteration re-ingests the
+// nodes) from a durable store of 300 mixed documents, its node cache on
+// at core's default size, through to the commit that makes the delete
+// durable.  Each iteration re-ingests the
 // report off the clock, onto new slots: a deleted one is never reused.
 // ns/node is the per-row cost, comparable across document sizes;
 // wal-B/node and wal-appends/op are what each delete costs the log.
@@ -884,6 +888,7 @@ func BenchmarkDeleteDocument(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.EnableNodeCache(core.DefaultNodeCacheBytes)
 	gen := corpus.New(71)
 	if err := experiments.LoadCorpus(s, gen.Mixed(300)); err != nil {
 		b.Fatal(err)

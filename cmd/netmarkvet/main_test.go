@@ -35,12 +35,12 @@ func TestDedupeKeepsDistinctPositions(t *testing.T) {
 
 func TestApplyBaseline(t *testing.T) {
 	findings := []finding{
-		{File: "a.go", Line: 10, Analyzer: "hotalloc", Message: "make allocates"},
-		{File: "b.go", Line: 5, Analyzer: "hotalloc", Message: "boxes int"},
+		{File: "a.go", Line: 10, Analyzer: "lockcheck", Message: "read of s.n without mu held"},
+		{File: "b.go", Line: 5, Analyzer: "lockcheck", Message: "channel send while holding hot lock mu"},
 	}
 	baseline := []finding{
 		// Same file/analyzer/message at a drifted line still matches.
-		{File: "a.go", Line: 99, Analyzer: "hotalloc", Message: "make allocates"},
+		{File: "a.go", Line: 99, Analyzer: "lockcheck", Message: "read of s.n without mu held"},
 		// A worked-off entry that no longer fires.
 		{File: "c.go", Line: 1, Analyzer: "errflow", Message: "gone"},
 	}

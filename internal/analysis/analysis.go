@@ -11,10 +11,13 @@
 //
 //	// guarded by <mu>            on a struct field: every access must
 //	//                            hold the sibling mutex field <mu>
+//	//                            (lockcheck)
 //	// netmarkvet:hot             on a mutex field: no blocking calls
 //	//                            (I/O, channels, sleeps) while held
+//	//                            (lockcheck)
 //	// netmarkvet:lockorder <n>   on a mutex field: acquisition rank;
 //	//                            locks must be taken in ascending rank
+//	//                            (lockcheck)
 //	// netmarkvet:cow             on a slice field published to readers
 //	//                            copy-on-write: never mutated in place
 //	// netmarkvet:mutator         on a function: may reassign cow fields
@@ -30,24 +33,10 @@
 //	//                            store state — ackorder seed
 //	// netmarkvet:errsink         on a function: passing an error to it
 //	//                            counts as handling it (errflow)
-//	// netmarkvet:gen <counter>   on a guarded field: mutations must
-//	//                            bump the sibling counter before the
-//	//                            guard is released (genbump)
 //	// netmarkvet:snap            on a field: must be referenced by both
 //	//                            snapshot encode and decode (snapcover)
 //	// netmarkvet:snap-encode     on a function: snapshot encode root
 //	// netmarkvet:snap-decode     on a function: snapshot decode root
-//	// netmarkvet:hotpath         on a function: performance-tier root;
-//	//                            it and the module functions it calls
-//	//                            must stay free of hidden allocations
-//	//                            and interface boxing (hotalloc)
-//	// netmarkvet:allocok <why>   on a site's line (or the line above),
-//	//                            or a function doc: excuse the
-//	//                            allocation — always with a reason
-//	// netmarkvet:arena           on a pooled/reused buffer field:
-//	//                            aliases derived from it must not be
-//	//                            retained past the fill/decode scope
-//	//                            (aliascap)
 package analysis
 
 import (

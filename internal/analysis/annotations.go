@@ -27,10 +27,6 @@ type Facts struct {
 	// Mutators holds the functions allowed to reassign cow fields
 	// ("netmarkvet:mutator").
 	Mutators map[*ast.FuncDecl]bool
-	// Gen maps a guarded field to the name of the sibling generation
-	// counter that every mutation must bump before the guard is
-	// released ("netmarkvet:gen <counter>").
-	Gen map[types.Object]string
 	// Snap marks persistable fields that must round-trip through the
 	// snapshot encode and decode paths ("netmarkvet:snap").
 	Snap map[types.Object]bool
@@ -51,7 +47,6 @@ var (
 	guardedRe   = regexp.MustCompile(`(?i)\bguarded by (\w+)\b`)
 	lockorderRe = regexp.MustCompile(`\bnetmarkvet:lockorder\s+(\d+)\b`)
 	ignoreRe    = regexp.MustCompile(`\bnetmarkvet:ignore\b([^\n]*)`)
-	genRe       = regexp.MustCompile(`\bnetmarkvet:gen\s+(\w+)`)
 	// "netmarkvet:snap" must not also match the snap-encode/snap-decode
 	// function annotations, so the tag ends at whitespace or EOF.
 	snapRe = regexp.MustCompile(`netmarkvet:snap(\s|$)`)
@@ -90,7 +85,6 @@ func CollectFacts(pass *Pass) *Facts {
 		Order:      make(map[types.Object]int),
 		Cow:        make(map[types.Object]bool),
 		Mutators:   make(map[*ast.FuncDecl]bool),
-		Gen:        make(map[types.Object]string),
 		Snap:       make(map[types.Object]bool),
 		SnapEncode: make(map[*ast.FuncDecl]bool),
 		SnapDecode: make(map[*ast.FuncDecl]bool),
@@ -126,9 +120,6 @@ func CollectFacts(pass *Pass) *Facts {
 					}
 					if strings.Contains(text, "netmarkvet:cow") {
 						f.Cow[obj] = true
-					}
-					if m := genRe.FindStringSubmatch(text); m != nil {
-						f.Gen[obj] = m[1]
 					}
 					if snapRe.MatchString(text) {
 						f.Snap[obj] = true

@@ -1,7 +1,7 @@
 package analysis
 
-// Control-flow graphs over go/ast.  The dataflow analyzers (ackorder,
-// genbump) need "on every path" / "on some path" answers that the
+// Control-flow graphs over go/ast.  The dataflow analyzer ackorder
+// needs "on every path" / "on some path" answers that the
 // source-order LockWalker cannot give: a fact established inside one
 // branch must survive the join, and loops must reach a fixed point.
 // FuncCFG explodes a function body into basic blocks whose Nodes are

@@ -10,3 +10,7 @@ import (
 func TestLockcheck(t *testing.T) {
 	analysistest.Run(t, ".", "a", lockcheck.Analyzer)
 }
+
+func TestLockcheckScope(t *testing.T) {
+	analysistest.Run(t, ".", "scope", lockcheck.Analyzer)
+}

@@ -1,5 +1,6 @@
-// Package a is the lockscope golden corpus.
-package a
+// Package scope is lockcheck's golden corpus for the hot-lock and
+// lock-order rules.
+package scope
 
 import (
 	"os"
@@ -126,4 +127,19 @@ func (e *engine) badCkptAfterTable() {
 	defer e.mu.Unlock()
 	e.ckptMu.RLock() // want `ckptMu \(lockorder 10\) acquired while holding mu \(lockorder 20\)`
 	defer e.ckptMu.RUnlock()
+}
+
+// A …Locked function is exempt from the guard rule only: its own
+// acquisitions and blocking calls are still checked.
+func (e *engine) badOrderInversionLocked() {
+	e.statsMu.Lock()
+	e.ckptMu.RLock() // want `ckptMu \(lockorder 10\) acquired while holding statsMu \(lockorder 40\) in \(\*engine\)\.badOrderInversionLocked`
+	e.ckptMu.RUnlock()
+	e.statsMu.Unlock()
+}
+
+func (e *engine) badFsyncUnderHotLockLocked() error {
+	e.idxMu.Lock()
+	defer e.idxMu.Unlock()
+	return e.f.Sync() // want `\(\*os\.File\)\.Sync while holding hot lock idxMu in \(\*engine\)\.badFsyncUnderHotLockLocked`
 }

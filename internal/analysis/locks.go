@@ -25,7 +25,7 @@ type heldLock struct {
 	Kind LockKind
 	// Obj is the types.Object of the mutex field when the lock
 	// expression ends in a field selector (nil for plain variables);
-	// lockscope resolves hot/order annotations through it.
+	// lockcheck resolves hot/order annotations through it.
 	Obj types.Object
 }
 
@@ -126,12 +126,6 @@ func isMutexType(t types.Type) bool {
 		return false
 	}
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// LockCall is the exported form of lockCall for analyzers that track
-// critical sections themselves (genbump's CFG dataflow).
-func LockCall(info *types.Info, call *ast.CallExpr) (mu ast.Expr, kind LockKind, release bool, ok bool) {
-	return lockCall(info, call)
 }
 
 // lockCall classifies a call expression as a mutex operation.  It

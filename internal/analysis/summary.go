@@ -59,57 +59,11 @@ type FuncSummary struct {
 	// success response to that writer parameter (http.ResponseWriter /
 	// io.Writer) — directly or through callees.
 	AcksParam []bool
-	// FieldWrites is the set of struct fields the function writes
-	// (assign / ++ / delete / mutating method), including through
-	// same-module callees.  genbump uses it to credit generation bumps
-	// made by helpers called under the guard.
-	FieldWrites map[types.Object]bool
-
-	// HotPath: the function is a performance-tier root
-	// (netmarkvet:hotpath on its doc comment).  hotalloc closes over the
-	// module functions it calls.
-	HotPath bool
-	// AllocOK: the whole function is excused from allocation checking
-	// (netmarkvet:allocok on its doc comment, with a reason).
-	AllocOK bool
-	// Allocs are the function's own hidden-allocation sites, already
-	// filtered by allocok lines and error-path exemptions.
-	Allocs []AllocSite
-	// Boxes are the function's own concrete->interface conversion
-	// sites, filtered the same way.
-	Boxes []AllocSite
-	// HotCalls are the statically resolved same-module calls the
-	// hotpath closure follows (calls on allocok lines are dropped).
-	HotCalls []CallEdge
-	// LeaksParam reports, per parameter, whether the function may
-	// retain the argument past the call (stored into a field, a global,
-	// a channel, or handed to a callee that does).
-	LeaksParam []bool
-	// ReturnsParam reports, per parameter, whether a result may alias
-	// the argument.
-	ReturnsParam []bool
-	// ReturnsArena: a result may alias a netmarkvet:arena buffer.
-	ReturnsArena bool
-	// ArenaParam reports, per parameter, whether some caller passes an
-	// arena-derived alias in that position (aliascap checks the body
-	// under that assumption).
-	ArenaParam []bool
 }
 
 // Summaries indexes FuncSummary by the function's types.Func identity.
 type Summaries struct {
 	byFunc map[*types.Func]*FuncSummary
-	// ArenaFields is the module-wide set of struct fields tagged
-	// netmarkvet:arena — pooled or reused buffers whose aliases must
-	// not outlive the fill/decode scope (aliascap).
-	ArenaFields map[types.Object]bool
-}
-
-// Funcs calls f for every module function summary (unordered).
-func (s *Summaries) Funcs(f func(*FuncSummary)) {
-	for _, fs := range s.byFunc {
-		f(fs)
-	}
 }
 
 // Of returns the summary for fn, or nil for functions outside the
@@ -167,15 +121,7 @@ func unparen(e ast.Expr) ast.Expr {
 }
 
 func computeSummaries(m *Module) *Summaries {
-	s := &Summaries{
-		byFunc:      make(map[*types.Func]*FuncSummary),
-		ArenaFields: make(map[types.Object]bool),
-	}
-	// Arena fields first: the taint fixed point below needs the full
-	// module-wide set.
-	for _, pkg := range m.Packages {
-		collectArenaFields(pkg, s.ArenaFields)
-	}
+	s := &Summaries{byFunc: make(map[*types.Func]*FuncSummary)}
 	// Seed pass: one summary per declared function, annotation bits set.
 	for _, pkg := range m.Packages {
 		for _, file := range pkg.Files {
@@ -190,23 +136,17 @@ func computeSummaries(m *Module) *Summaries {
 				}
 				nparams := funcSig(fn).Params().Len()
 				fs := &FuncSummary{
-					Fn:           fn,
-					Decl:         fd,
-					Pkg:          pkg,
-					ConsumesErr:  make([]bool, nparams),
-					AcksParam:    make([]bool, nparams),
-					FieldWrites:  make(map[types.Object]bool),
-					LeaksParam:   make([]bool, nparams),
-					ReturnsParam: make([]bool, nparams),
-					ArenaParam:   make([]bool, nparams),
+					Fn:          fn,
+					Decl:        fd,
+					Pkg:         pkg,
+					ConsumesErr: make([]bool, nparams),
+					AcksParam:   make([]bool, nparams),
 				}
 				if fd.Doc != nil {
 					doc := fd.Doc.Text()
 					fs.Commits = strings.Contains(doc, "netmarkvet:commit")
 					fs.Mutates = strings.Contains(doc, "netmarkvet:mutates")
 					fs.ErrSink = strings.Contains(doc, "netmarkvet:errsink")
-					fs.HotPath = strings.Contains(doc, "netmarkvet:hotpath")
-					fs.AllocOK = strings.Contains(doc, "netmarkvet:allocok")
 				}
 				if fs.ErrSink {
 					// Handing an error to a sink in any position handles it.
@@ -232,36 +172,7 @@ func computeSummaries(m *Module) *Summaries {
 			break
 		}
 	}
-	// Allocation facts last: they consume the converged leak facts and
-	// need no further propagation (hotalloc walks HotCalls).
-	for _, fs := range s.byFunc {
-		collectAllocFacts(fs, s)
-	}
 	return s
-}
-
-// collectArenaFields records struct fields tagged netmarkvet:arena.
-func collectArenaFields(pkg *Package, out map[types.Object]bool) {
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				text := fieldCommentText(field)
-				if !strings.Contains(text, "netmarkvet:arena") {
-					continue
-				}
-				for _, name := range field.Names {
-					if obj := pkg.Info.Defs[name]; obj != nil {
-						out[obj] = true
-					}
-				}
-			}
-			return true
-		})
-	}
 }
 
 // updateSummary re-derives fs's transitive facts, reporting whether
@@ -275,36 +186,12 @@ func updateSummary(fs *FuncSummary, s *Summaries) bool {
 			changed = true
 		}
 	}
-	// Propagate Commits / Mutates / FieldWrites through calls; record
-	// direct field writes.
+	// Propagate Commits / Mutates through calls.
 	ast.Inspect(fs.Decl.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			if callee := s.OfCall(info, v); callee != nil && callee != fs {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if callee := s.OfCall(info, call); callee != nil && callee != fs {
 				set(&fs.Commits, callee.Commits)
 				set(&fs.Mutates, callee.Mutates)
-				for obj := range callee.FieldWrites {
-					if !fs.FieldWrites[obj] {
-						fs.FieldWrites[obj] = true
-						changed = true
-					}
-				}
-			}
-			if obj := MutatedField(info, v); obj != nil && !fs.FieldWrites[obj] {
-				fs.FieldWrites[obj] = true
-				changed = true
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				if obj := writtenField(info, lhs); obj != nil && !fs.FieldWrites[obj] {
-					fs.FieldWrites[obj] = true
-					changed = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if obj := writtenField(info, v.X); obj != nil && !fs.FieldWrites[obj] {
-				fs.FieldWrites[obj] = true
-				changed = true
 			}
 		}
 		return true
@@ -346,77 +233,7 @@ func updateSummary(fs *FuncSummary, s *Summaries) bool {
 			changed = true
 		}
 	}
-	// LeaksParam / ReturnsParam per aliasable parameter.
-	for i := 0; i < params.Len(); i++ {
-		if (fs.LeaksParam[i] && fs.ReturnsParam[i]) || !aliasable(params.At(i).Type()) {
-			continue
-		}
-		pi := i
-		ts := paramSeeds(fs.Pkg, fs.Decl, func(j int) bool { return j == pi })
-		localTaint(fs.Pkg, fs.Decl, ts, nil, s)
-		if !fs.LeaksParam[i] && len(findSinks(fs.Pkg, fs.Decl, ts, nil, s, sinkOpts{})) > 0 {
-			fs.LeaksParam[i] = true
-			changed = true
-		}
-		if !fs.ReturnsParam[i] && returnsTainted(fs.Pkg, fs.Decl, ts, nil, s) {
-			fs.ReturnsParam[i] = true
-			changed = true
-		}
-	}
-	// Arena taint: ReturnsArena for this function, ArenaParam for its
-	// callees (caller-ward marking inside the same fixed point).
-	if len(s.ArenaFields) > 0 {
-		ts, seed, any := arenaSeed(fs, s)
-		if any {
-			localTaint(fs.Pkg, fs.Decl, ts, seed, s)
-			// ReturnsArena comes from arena *fields* (and arena-returning
-			// callees) only — not from ArenaParam seeds.  A function that
-			// hands a parameter back (decodeBlock-style) is covered by
-			// ReturnsParam at each call site, where the caller knows
-			// whether its argument was arena-derived; folding it into
-			// ReturnsArena would taint every caller unconditionally.
-			if !fs.ReturnsArena {
-				fieldTs := localTaint(fs.Pkg, fs.Decl, make(taintSet), seed, s)
-				if returnsTainted(fs.Pkg, fs.Decl, fieldTs, seed, s) {
-					fs.ReturnsArena = true
-					changed = true
-				}
-			}
-			info := fs.Pkg.Info
-			ast.Inspect(fs.Decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				cs := s.Of(CalleeFunc(info, call))
-				if cs == nil || cs == fs {
-					return true
-				}
-				sig := funcSig(cs.Fn)
-				for i, a := range call.Args {
-					if !aliasTainted(info, ts, seed, s, a) {
-						continue
-					}
-					pi := i
-					if sig.Variadic() && pi >= sig.Params().Len()-1 {
-						pi = sig.Params().Len() - 1
-					}
-					if pi < len(cs.ArenaParam) && !cs.ArenaParam[pi] && aliasable(sig.Params().At(pi).Type()) {
-						cs.ArenaParam[pi] = true
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-	}
 	return changed
-}
-
-// WrittenField returns the struct-field object a write target resolves
-// to: `x.f = ...`, `x.f[k] = ...`, `x.f++` — nil for non-field targets.
-func WrittenField(info *types.Info, lhs ast.Expr) types.Object {
-	return writtenField(info, lhs)
 }
 
 // StdlibWriterArg reports the index of the writer argument a standard-
@@ -445,49 +262,6 @@ func IsResponseWriter(t types.Type) bool {
 
 // Unparen strips parentheses.
 func Unparen(e ast.Expr) ast.Expr { return unparen(e) }
-
-// writtenField returns the struct-field object a write target resolves
-// to: `x.f = ...`, `x.f[k] = ...`, `x.f++`.
-func writtenField(info *types.Info, lhs ast.Expr) types.Object {
-	switch v := unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[v]; ok && sel.Kind() == types.FieldVal {
-			return sel.Obj()
-		}
-	case *ast.IndexExpr:
-		return writtenField(info, v.X)
-	case *ast.StarExpr:
-		return writtenField(info, v.X)
-	}
-	return nil
-}
-
-// mutatingNames are method-name prefixes treated as mutating their
-// receiver (genbump's heuristic for container fields like btrees).
-var mutatingNames = []string{
-	"insert", "delete", "remove", "add", "set", "store", "clear",
-	"put", "push", "pop", "reset", "swap", "append",
-}
-
-// MutatedField classifies a call as a mutation of a struct field:
-// either `delete(x.f, k)` or a mutating-named method on x.f
-// (x.f.Insert(...)).  It returns the field object, or nil.
-func MutatedField(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fun.Name == "delete" && len(call.Args) >= 1 {
-			return writtenField(info, call.Args[0])
-		}
-	case *ast.SelectorExpr:
-		name := strings.ToLower(fun.Sel.Name)
-		for _, p := range mutatingNames {
-			if strings.HasPrefix(name, p) {
-				return writtenField(info, fun.X)
-			}
-		}
-	}
-	return nil
-}
 
 // DurabilityCall reports whether call is a durability operation whose
 // error result must not be dropped: os.Rename, any Sync/SyncTo/Commit/

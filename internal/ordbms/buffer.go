@@ -125,8 +125,8 @@ func (bp *BufferPool) Fetch(no uint32) (*Frame, error) {
 		bp.mu.Unlock()
 		return nil, err
 	}
-	// netmarkvet:allocok — miss path: the frame and page backing a
-	// newly resident page are the point of the fetch
+	// Miss path: the frame and page backing a newly resident page are
+	// the point of the fetch.
 	f := &Frame{PageNo: no, Page: NewPage(), pins: 1, loading: make(chan struct{})}
 	f.lruEl = bp.lru.PushFront(f)
 	bp.frames[no] = f

@@ -864,8 +864,6 @@ func (t *Table) Fetch(rid RowID) (Row, error) {
 // callers with a fixed schema decode straight into stack storage with
 // DecodeRowInto, paying zero per-fetch heap allocations inside the
 // engine.  fn must not retain rec, block, or call back into the table.
-//
-// netmarkvet:hotpath
 func (t *Table) FetchView(rid RowID, fn func(rec []byte) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

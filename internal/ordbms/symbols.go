@@ -186,7 +186,7 @@ func (st *SymbolTable) decode(codes []byte) (string, bool) {
 		return "", false
 	}
 	var b strings.Builder
-	b.Grow(n) // netmarkvet:allocok — the decoded string, sized once
+	b.Grow(n) // the decoded string, sized once
 	for i := 0; i < len(codes); i++ {
 		if c := codes[i]; c != escapeCode {
 			b.Write(st.text[c][:st.slen[c]])

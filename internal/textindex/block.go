@@ -167,7 +167,6 @@ type iter struct {
 	bi int // index of the block decoded into buf (-1: none yet)
 	// buf is refilled in place for every decoded block; aliases must
 	// not outlive the current block.
-	// netmarkvet:arena
 	buf []uint64
 	pi  int // cursor into buf
 	ti  int // cursor into tail

@@ -24,8 +24,6 @@ type IDIter struct {
 }
 
 // Next returns the next result id, or false when the stream is done.
-//
-// netmarkvet:hotpath
 func (x *IDIter) Next() (uint64, bool) {
 	if x == nil || len(x.its) == 0 {
 		return 0, false
@@ -36,8 +34,6 @@ func (x *IDIter) Next() (uint64, bool) {
 // SeekGE skips the result ids below target and returns the next one, or
 // false when the stream is done.  Like Next it consumes the id it
 // returns.
-//
-// netmarkvet:hotpath
 func (x *IDIter) SeekGE(target uint64) (uint64, bool) {
 	if x == nil || len(x.its) == 0 {
 		return 0, false

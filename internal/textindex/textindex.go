@@ -399,7 +399,7 @@ type Index struct {
 	// views under it and release it before scoring, so it is never held
 	// across anything blocking.  netmarkvet:hot
 	mu sync.RWMutex
-	// netmarkvet:snap netmarkvet:gen genCounter
+	// netmarkvet:snap
 	terms *btree.Tree[string, *postingList] // guarded by mu; term -> single posting list
 	// genCounter is the monotonic source for posting-list generations,
 	// and what QueryGen folds for a term the index does not hold; values

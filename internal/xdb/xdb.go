@@ -272,8 +272,7 @@ type Engine struct {
 	// sheetMu guards sheets: PUT /xslt/{name} registers stylesheets while
 	// concurrent queries resolve them.
 	sheetMu sync.RWMutex
-	// netmarkvet:gen sheetGen
-	sheets map[string]*xslt.Stylesheet // guarded by sheetMu
+	sheets  map[string]*xslt.Stylesheet // guarded by sheetMu
 	// sheetGen counts stylesheet registrations.  Cached results of styled
 	// queries (and only those) key on it, so re-registering a sheet
 	// invalidates them the same way a store mutation invalidates plain
@@ -578,8 +577,7 @@ func SectionMatchesContext(s xmlstore.Section, q Query) bool {
 	if q.Context == "" {
 		return true
 	}
-	have := strings.ToLower(strings.Join(strings.Fields(s.Context), " "))
-	want := strings.ToLower(strings.Join(strings.Fields(q.Context), " "))
+	have, want := xmlstore.NormalizeContext(s.Context), xmlstore.NormalizeContext(q.Context)
 	if q.ContextPrefix {
 		return strings.HasPrefix(have, want)
 	}

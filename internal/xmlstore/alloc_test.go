@@ -34,6 +34,26 @@ func TestFetchNodeWarmZeroAlloc(t *testing.T) {
 	}
 }
 
+// Every decoded row maps its tag code to a (nodetype, nodename) pair:
+// the lookup is one atomic load and an index, with no allocation.
+func TestTagPairZeroAlloc(t *testing.T) {
+	s := memStore(t)
+	ingest(t, s, "sample.html", sampleHTML)
+	codes := int64(len(*s.tags.view.Load()))
+	if codes < 2 {
+		t.Fatalf("the dictionary holds %d pairs", codes)
+	}
+	var code int64
+	if n := testing.AllocsPerRun(500, func() {
+		if _, ok := s.tags.pair(code % codes); !ok {
+			t.Fatalf("code %d has no pair", code%codes)
+		}
+		code++
+	}); n != 0 {
+		t.Errorf("tagDict.pair = %.2f allocs/op, want 0", n)
+	}
+}
+
 // The open-time rebuild walks one document at a time, so on large
 // documents its allocations follow the pages it decodes, not the stored
 // rows.  (A corpus of small documents pays each one's fixed costs, a few

@@ -471,7 +471,7 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 func (s *Store) indexPrepared(p *preparedDoc) {
 	for i := range p.flat {
 		if fn := &p.flat[i]; fn.class == sgml.ClassContext {
-			if key := normalizeContext(fn.data); key != "" {
+			if key := NormalizeContext(fn.data); key != "" {
 				s.headings.AddTokens(fn.rid.Uint64(), []string{key})
 			}
 		}
@@ -721,7 +721,7 @@ func (s *Store) DeleteDocument(docID uint64) error {
 		rids[len(flat)-1-i] = fn.rid
 		ids[i] = fn.rid.Uint64()
 		if fn.class == sgml.ClassContext {
-			if key := normalizeContext(fn.data); key != "" {
+			if key := NormalizeContext(fn.data); key != "" {
 				hids, heads = append(hids, ids[i]), append(heads, key)
 				hends = append(hends, int32(len(heads)))
 			}

@@ -91,8 +91,6 @@ func newNodeCache(capacity int64) *nodeCache {
 
 // hop serves rid from its page's image.  It returns nil when the page has
 // no image, or one decoded before rid's slot existed.
-//
-// netmarkvet:hotpath
 func (c *nodeCache) hop(rid ordbms.RowID) *Node {
 	dir := *c.dir.Load()
 	var img *pageImage

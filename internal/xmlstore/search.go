@@ -232,7 +232,7 @@ func (s *Store) QueryGen(q SectionQuery) uint64 {
 	}
 	h := s.content.QueryGen(textindex.Tokenize(q.Content)...)
 	if q.Context != "" {
-		h = (h ^ s.headings.QueryGen(normalizeContext(q.Context))) * 1099511628211 // FNV-1a's prime
+		h = (h ^ s.headings.QueryGen(NormalizeContext(q.Context))) * 1099511628211 // FNV-1a's prime
 	}
 	return h
 }
@@ -246,9 +246,9 @@ func (s *Store) keyRows(q SectionQuery) func() (ordbms.RowID, bool) {
 	case q.Context == "":
 		return iterRows(s.content.AndIter(q.Content))
 	case !q.ContextPrefix && q.Content == "":
-		return iterRows(s.headings.Postings(normalizeContext(q.Context)))
+		return iterRows(s.headings.Postings(NormalizeContext(q.Context)))
 	case !q.ContextPrefix:
-		return iterRows(s.headings.Postings(normalizeContext(q.Context)).And(s.content.AndIter(q.Content)))
+		return iterRows(s.headings.Postings(NormalizeContext(q.Context)).And(s.content.AndIter(q.Content)))
 	}
 	// With no terms to hold, the first q.Limit candidates are the result:
 	// push the cap into candidate collection, so Context=A*&limit=1 over a
@@ -260,7 +260,7 @@ func (s *Store) keyRows(q SectionQuery) func() (ordbms.RowID, bool) {
 		bound = q.Limit
 	}
 	var top ridBound
-	s.headings.EachPrefix(normalizeContext(q.Context), func(_ string, ids *textindex.IDIter) {
+	s.headings.EachPrefix(NormalizeContext(q.Context), func(_ string, ids *textindex.IDIter) {
 		for id, ok := ids.Next(); ok; id, ok = ids.Next() {
 			top.push(ordbms.RowIDFromUint64(id), bound)
 		}

@@ -58,8 +58,6 @@ type tagDict struct {
 
 // pair maps a code to its pair; ok is false for a code the store never
 // assigned — a corrupt record.
-//
-// netmarkvet:hotpath
 func (d *tagDict) pair(code int64) (p tagPair, ok bool) {
 	v := *d.view.Load() // installed by Open
 	if code < 0 || code >= int64(len(v)) {

@@ -188,7 +188,7 @@ type Store struct {
 	// netmarkvet:snap
 	content *textindex.Index
 	// headings is the heading index: each CONTEXT row posted under its
-	// normalised heading (normalizeContext) as one raw term, so a heading
+	// normalised heading (NormalizeContext) as one raw term, so a heading
 	// is a posting list like a word, and Context= and Content= meet in one
 	// intersection.  A blank heading is not posted.
 	// netmarkvet:snap
@@ -415,12 +415,13 @@ func flattenStored(flat []flatNode, rid ordbms.RowID, follow func(ordbms.RowID) 
 	return flat, err
 }
 
-// normalizeContext lowercases and squeezes whitespace so context matching
+// NormalizeContext lowercases and squeezes whitespace so context matching
 // is forgiving about case and layout (Context=introduction matches the
-// "Introduction" heading).  It is
+// "Introduction" heading); the store's heading index and the databank's
+// residual filter (xdb.SectionMatchesContext) both match by it.  It is
 // strings.ToLower(strings.Join(strings.Fields(h), " ")) built in one
 // buffer, an invalid byte read as U+FFFD as ToLower reads it.
-func normalizeContext(h string) string {
+func NormalizeContext(h string) string {
 	var b strings.Builder
 	b.Grow(len(h))
 	space := false // a space is owed before the next word
@@ -554,17 +555,15 @@ func (s *Store) SetQueryWorkers(int) {}
 // cold one decodes the whole page; without it, a hop decodes straight
 // from the latched page into a fresh Node with no intermediate Row or
 // record copy.
-//
-// netmarkvet:hotpath
 func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 	c := s.nodes
 	if c == nil {
-		return s.fetchNodeUncached(rid) // netmarkvet:allocok — uncached store: every hop decodes a fresh Node
+		return s.fetchNodeUncached(rid) // uncached store: every hop decodes a fresh Node
 	}
 	n := c.hop(rid)
 	if n == nil {
 		var err error
-		if n, err = s.fill(rid); err != nil { // netmarkvet:allocok — cold hop: the decoded page is the product
+		if n, err = s.fill(rid); err != nil { // cold hop: the decoded page is the product
 			return nil, err
 		}
 	}
@@ -598,9 +597,8 @@ func (s *Store) fill(rid ordbms.RowID) (*Node, error) {
 // cache passes a fresh image, which decoded publishes, and gets nodes for
 // exactly the page's slots; the derived rebuild, which holds one page at
 // a time, passes the same image each time, and its nodes are reused when
-// they have room.
-//
-// netmarkvet:allocok — a cold hop decodes its whole page: the image is the product
+// they have room.  A cold hop decodes its whole page: the image is the
+// product.
 func (s *Store) decodePage(img *pageImage, no uint32, decoded func()) error {
 	img.live, img.size = 0, 0
 	return s.xml.ViewPage(no, func(sch ordbms.Schema, slots int, live func(func(int, []byte) bool) error) error {
@@ -852,7 +850,7 @@ func (s *Store) TextIndexStats() textindex.Stats { return s.content.Stats() }
 // ContextCount returns how many CONTEXT nodes carry the heading.
 func (s *Store) ContextCount(heading string) int {
 	n := 0
-	for it := s.headings.Postings(normalizeContext(heading)); ; n++ {
+	for it := s.headings.Postings(NormalizeContext(heading)); ; n++ {
 		if _, ok := it.Next(); !ok {
 			return n
 		}

@@ -603,7 +603,7 @@ func TestContextHeadingsEnumeration(t *testing.T) {
 	}
 }
 
-// TestNormalizeContextMatchesFormula holds normalizeContext, which builds
+// TestNormalizeContextMatchesFormula holds NormalizeContext, which builds
 // a heading key in one buffer, to the formula it replaces, on corpus
 // headings, Unicode spaces, case mappings that change a rune's width and
 // invalid UTF-8.
@@ -624,8 +624,8 @@ func TestNormalizeContextMatchesFormula(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range inputs {
-		if got, want := normalizeContext(h), strings.ToLower(strings.Join(strings.Fields(h), " ")); got != want {
-			t.Fatalf("normalizeContext(%q) = %q, want %q", h, got, want)
+		if got, want := NormalizeContext(h), strings.ToLower(strings.Join(strings.Fields(h), " ")); got != want {
+			t.Fatalf("NormalizeContext(%q) = %q, want %q", h, got, want)
 		}
 	}
 }
