@@ -70,7 +70,8 @@ race:
 # included) and XML's coded with a symbol table, read from any RowID,
 # the string codec (arbitrary symbol tables and codes, and the trainer's
 # round trip), the xmlstore.nmsnap payload decoder, arbitrary catalog
-# bytes opened beside a valid data file and log, the splitters recovery
+# bytes opened beside a valid data file and log, hostile log frames
+# after a valid header opened and replayed, the splitters recovery
 # reads run records with, a delete-run record of
 # arbitrary payload opened end to end, the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPage -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzSymbolCodec -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzOpenCatalog -fuzztime $(FUZZTIME) ./internal/ordbms
+	$(GO) test -run xxx -fuzz FuzzWALLog -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPhraseMatch -fuzztime $(FUZZTIME) ./internal/textindex
 	$(GO) test -run xxx -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/xdb
 
@@ -107,8 +109,8 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR42.json
-BENCH_OUT ?= BENCH_PR42.json
+# make bench-json BENCH_OUT=BENCH_PR43.json
+BENCH_OUT ?= BENCH_PR43.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)

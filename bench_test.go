@@ -381,7 +381,9 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // on a multi-core runner the worker sweep shows the pipeline's
 // throughput multiple.  Those cases run in memory, unlogged; "durable"
 // runs the pipeline on a directory and reports what storage cost: WAL
-// bytes and heap bytes (whole pages) per ingested byte, WAL records and
+// bytes — the records (wal-B/user-B) and what the log's file took of
+// them, deflated (walfile-B/user-B) — and heap bytes (whole pages) per
+// ingested byte, WAL records and
 // stored XML rows per document, read before the close (its checkpoint
 // appends nothing, but truncates the log), and the bytes the batch
 // ingest allocates per ingested byte and the allocations it makes per
@@ -456,7 +458,7 @@ func ingestBatch(docs []corpus.Document) (batch []netmark.Doc, total int64) {
 func benchDurableIngest(b *testing.B, batch []netmark.Doc, total int64) {
 	b.SetBytes(total)
 	b.ReportAllocs()
-	var appends, walBytes, allocBytes, allocs uint64
+	var appends, walBytes, walFileBytes, allocBytes, allocs uint64
 	var heapBytes, rows int64
 	var m0, m1 runtime.MemStats
 	for i := 0; i < b.N; i++ {
@@ -469,6 +471,7 @@ func benchDurableIngest(b *testing.B, batch []netmark.Doc, total int64) {
 			b.Fatal(err)
 		}
 		a0, _, w0 := nm.DB().WALStats() // the open logged the schema
+		f0 := nm.DB().WALFileBytes()
 		runtime.ReadMemStats(&m0)
 		for _, r := range nm.IngestBatch(batch) {
 			if r.Err != nil {
@@ -482,6 +485,7 @@ func benchDurableIngest(b *testing.B, batch []netmark.Doc, total int64) {
 		a1, _, w1 := nm.DB().WALStats()
 		appends += a1 - a0
 		walBytes += w1 - w0
+		walFileBytes += nm.DB().WALFileBytes() - f0
 		_, h := nm.DB().HeapStats()
 		heapBytes += h
 		if err := nm.Close(); err != nil {
@@ -489,6 +493,7 @@ func benchDurableIngest(b *testing.B, batch []netmark.Doc, total int64) {
 		}
 	}
 	b.ReportMetric(float64(walBytes)/float64(total*int64(b.N)), "wal-B/user-B")
+	b.ReportMetric(float64(walFileBytes)/float64(total*int64(b.N)), "walfile-B/user-B")
 	b.ReportMetric(float64(heapBytes)/float64(total*int64(b.N)), "heap-B/user-B")
 	b.ReportMetric(float64(appends)/float64(len(batch)*b.N), "wal-appends/doc")
 	b.ReportMetric(float64(rows)/float64(len(batch)*b.N), "rows/doc")

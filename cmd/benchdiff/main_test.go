@@ -78,6 +78,23 @@ func TestUnmatchedBenchmarksIgnored(t *testing.T) {
 	}
 }
 
+// TestFig6AndDeleteGated: every recording carries the Fig 6 kernels and
+// the document delete, so the gate covers them: a 10 % rise in either's
+// allocs/op fails.
+func TestFig6AndDeleteGated(t *testing.T) {
+	match := regexp.MustCompile(defaultMatch)
+	for _, name := range []string{"BenchmarkFig6ContextSearch/docs=1000", "BenchmarkFig6ContentSearch", "BenchmarkDeleteDocument"} {
+		if !match.MatchString(name) {
+			t.Fatalf("%s is not gated", name)
+		}
+		base := &Report{Benchmarks: []Benchmark{{Name: name + "-2", NsPerOp: 1e6, AllocsPerOp: 2967}}}
+		cand := &Report{Benchmarks: []Benchmark{{Name: name + "-2", NsPerOp: 1e6, AllocsPerOp: 3264}}}
+		if _, regressed := render(diff(base, cand, match, defaultGate), defaultGate); !regressed {
+			t.Fatalf("a 10 %% allocs/op rise in %s passed", name)
+		}
+	}
+}
+
 // TestGomaxprocsSuffixPairing: a baseline recorded on a 1-CPU machine
 // has no "-N" suffix while a multi-core CI runner emits one; pairing
 // must still match, or the gate never compares anything.

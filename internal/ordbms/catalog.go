@@ -18,12 +18,13 @@ import (
 // derived state, rebuilt by a heap scan on every open.
 
 // storeFormat is the on-disk format version: the record codec, the WAL
-// record set (see walMagic, which carries the same number), the catalog
-// itself and the schemas of the tables the XML store keeps in it.  There
-// is one codec and no second reader, so the policy is: any change to what
-// a page, a log record, the catalog or a stored row means bumps it, and
-// Open refuses every other value.
-const storeFormat = 12
+// record set and the log's framing (see walMagic, which carries the same
+// number), the catalog itself and the schemas of the tables the XML
+// store keeps in it.  There is one codec and no second reader, so the
+// policy is: any change to what a page, a log record or frame, the
+// catalog or a stored row means bumps it, and Open refuses every other
+// value.  Format 13 deflates the log: the same records, in frames.
+const storeFormat = 13
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.

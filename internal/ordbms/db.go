@@ -445,13 +445,24 @@ func (db *DB) Commit() error {
 
 // WALStats returns (records appended, fsyncs issued, bytes appended), all
 // zero for in-memory stores.  Group-commit batching shows up as syncs
-// growing per batch while appends grow per run inserted; bytes over the
-// bytes ingested is the log's write amplification.
+// growing per batch while appends grow per run inserted; bytes — the
+// records as appended, framing included, before the log deflates them —
+// over the bytes ingested is what the store logs per byte.
 func (db *DB) WALStats() (appends, syncs, bytes uint64) {
 	if db.wal == nil {
 		return 0, 0, 0
 	}
 	return db.wal.Appends(), db.wal.Syncs(), db.wal.Bytes()
+}
+
+// WALFileBytes returns the bytes written to the log's files since open
+// (see WAL.FileBytes), zero for in-memory stores: over the bytes
+// ingested, the log's write amplification on the device.
+func (db *DB) WALFileBytes() uint64 {
+	if db.wal == nil {
+		return 0
+	}
+	return db.wal.FileBytes()
 }
 
 // HeapStats returns how many pages the tables' heaps own and what those

@@ -161,8 +161,10 @@ func TestWALTornTailIgnored(t *testing.T) {
 	}
 }
 
-// TestWALMidRecordCorruption flips a byte inside a committed record; the
-// CRC must reject it and recovery must keep the prefix.
+// TestWALMidRecordCorruption flips a byte inside a committed frame; the
+// CRC must reject it and recovery must keep exactly the frames before it.
+// The log is rewritten a record a frame first, so the frames kept are a
+// known prefix of the rows.
 func TestWALMidRecordCorruption(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})
@@ -183,12 +185,26 @@ func TestWALMidRecordCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a byte ~80% in: the first 80% of records stay valid.
-	pos := walHeaderSize + (len(data)-walHeaderSize)*8/10
-	data[pos] ^= 0xFF
+	img, err := ReadLog(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each := make([]int, len(img.Types))
+	for i := range each {
+		each[i] = 1
+	}
+	data = img.Framed(each...)
+	if img, err = ReadLog(data); err != nil || len(img.Frames) != len(each) {
+		t.Fatalf("reframed log: %d frames, %v; want %d", len(img.Frames), err, len(each))
+	}
+	// Flip a byte in the middle of a frame ~80% in: the frames before it
+	// stay valid, and so do their rows.
+	k := len(img.Frames) * 8 / 10
+	data[(img.Frames[k-1]+img.Frames[k])/2] ^= 0xFF
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	want := int64(bytes.Count(img.Types[:k], []byte{walInsertRun}))
 
 	db2, err := Open(Options{Dir: dir})
 	if err != nil {
@@ -196,8 +212,8 @@ func TestWALMidRecordCorruption(t *testing.T) {
 	}
 	defer db2.Close()
 	rows := db2.Table("t").Rows()
-	if rows == 0 || rows > 50 {
-		t.Fatalf("rows after partial recovery = %d", rows)
+	if rows == 0 || rows > 50 || rows != want {
+		t.Fatalf("rows after partial recovery = %d, want the %d the frames before the flip hold", rows, want)
 	}
 	// Rows that survived must read back intact and in prefix order.
 	seen := int64(0)

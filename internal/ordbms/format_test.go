@@ -14,7 +14,7 @@ import (
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 to NMWALv11 — is refused by name, and refusing it
+// NMWALv1 to NMWALv12 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
@@ -34,18 +34,27 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	// its strings are never coded, and their lengths are not shifted by
 	// the coded bit.  Its log holds a committed run whose row is the
 	// string "hi", which this version would misread as the one byte "h".
-	v10Log := append([]byte("NMWALv10"), make([]byte, 8)...)
+	//
+	// Formats 10 to 12 wrote their records straight to the file, each
+	// framed as the record stream frames it now; rawLog is such a log of
+	// one record.
+	rawLog := func(magic string, body []byte) []byte {
+		log := append([]byte(magic), make([]byte, 8)...)
+		log = binary.LittleEndian.AppendUint32(log, uint32(len(body)))
+		log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(body))
+		return append(log, body...)
+	}
 	v10Run := []byte{9, 1, 0, 0, 0, 0, 0, 1, 0, 4, 0x00, 0x02, 'h', 'i'}
-	v10Log = binary.LittleEndian.AppendUint32(v10Log, uint32(len(v10Run)))
-	v10Log = binary.LittleEndian.AppendUint32(v10Log, crc32.ChecksumIEEE(v10Run))
-	v10Log = append(v10Log, v10Run...)
+	v10Log := rawLog("NMWALv10", v10Run)
 	// Format 11 has this version's codec, tables, pages and log records;
 	// only its catalog keeps no heap metadata, which sat in a second file.
 	// Its log holds a committed run, so opening it would replay.
-	v11Log := append([]byte("NMWALv11"), make([]byte, 8)...)
-	v11Log = binary.LittleEndian.AppendUint32(v11Log, uint32(len(v10Run)))
-	v11Log = binary.LittleEndian.AppendUint32(v11Log, crc32.ChecksumIEEE(v10Run))
-	v11Log = append(v11Log, v10Run...)
+	v11Log := rawLog("NMWALv11", v10Run)
+	// Format 12 has this version's codec, tables, pages, records and
+	// catalog; only its log is not deflated.  Its log holds a committed
+	// run, whose bytes this version would read as a frame.
+	v12Run := []byte{9, 1, 0, 0, 0, 0, 0, 1, 0, 4, 0x00, 0x04, 'h', 'i'}
+	v12Log := rawLog("NMWALv12", v12Run)
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	// Format 3 has this version's columns; only its links are all far.
@@ -70,6 +79,7 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	v9Catalog := []byte(`{"format":9,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	v10Catalog := []byte(`{"format":10,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	v11Catalog := []byte(`{"format":11,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
+	v12Catalog := []byte(`{"format":12,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null,"rows":1,"free":[[1,8000]]}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format":  {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":             {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -104,6 +114,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 11 catalog":       {"catalog.json": v11Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv11 log":            {"wal.nmlog": v11Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v11 catalog and v11 log": {"catalog.json": v11Catalog, "wal.nmlog": v11Log},
+		"format 12 catalog":       {"catalog.json": v12Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
+		"NMWALv12 log":            {"wal.nmlog": v12Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v12 catalog and v12 log": {"catalog.json": v12Catalog, "wal.nmlog": v12Log},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -123,8 +136,8 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 			}
 			// A log with no catalog is refused by the whole magic this
 			// version wants.
-			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv12"`) {
-				t.Fatalf("Open = %v, want it to name NMWALv12", err)
+			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv13"`) {
+				t.Fatalf("Open = %v, want it to name NMWALv13", err)
 			}
 			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
 				t.Fatalf("refusing the store changed it:\nbefore %v\nafter  %v", before, after)
@@ -157,7 +170,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":12,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":13,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

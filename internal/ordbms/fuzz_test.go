@@ -93,8 +93,8 @@ func deleteSection(page uint32, first, n uint16) []byte {
 }
 
 // FuzzDeleteRunRecord appends a walDeleteRun record with an arbitrary
-// payload — framed and checksummed as the log's writer frames them — to
-// the log of a small checkpointed store, and opens it.  Open never
+// payload — framed, checksummed and deflated into a frame as the log's
+// writer does it — to the log of a small checkpointed store, and opens it.  Open never
 // panics.  A payload that does not split into whole page sections, or
 // that names a page the data file does not have or a slot past its
 // page's directory, is an Open error.  Any other payload opens, and
@@ -166,9 +166,11 @@ func FuzzDeleteRunRecord(f *testing.F) {
 		for name, data := range files {
 			if name == "wal.nmlog" {
 				body := append([]byte{walDeleteRun}, payload...)
-				data = binary.LittleEndian.AppendUint32(append([]byte(nil), data...), uint32(len(body)))
-				data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
-				data = append(data, body...)
+				rec := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+				rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
+				var fw frameWriter
+				data = append(append([]byte(nil), data...), fw.frame(append(rec, body...))...)
+				fw.release()
 			}
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 				t.Fatal(err)

@@ -272,14 +272,25 @@ func TestTableInsertRunLogsEachRowOnce(t *testing.T) {
 	}
 	db.CloseDiscard() // crash: the heap exists only in the log
 
-	// The run's record is the log's last: cut it short, in its last page's
-	// rows, and the pages before that one get none of theirs either.
+	// The run's record is the log's last: give it a frame of its own and
+	// cut that short, and no page gets any of its rows.
 	log, err := os.ReadFile(filepath.Join(dir, "wal.nmlog"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := ReadLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(img.Types); n < 2 || img.Types[n-1] != walInsertRun {
+		t.Fatalf("log record types %v: want the run last", img.Types)
+	}
+	cut := img.Framed(len(img.Types)-1, 1)
+	if img, err = ReadLog(cut); err != nil || len(img.Frames) != 2 {
+		t.Fatalf("reframed log: %d frames, %v", len(img.Frames), err)
+	}
 	cutDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(cutDir, "wal.nmlog"), log[:len(log)-100], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(cutDir, "wal.nmlog"), cut[:(img.Frames[0]+img.Frames[1])/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	dbCut, err := Open(Options{Dir: cutDir})

@@ -17,8 +17,9 @@ import (
 // inserts, runs that span pages, one-row deletes and delete runs that
 // span pages, with the pages flushed now and then; halfway, the table's
 // symbol table is logged, and from then on its rows are coded with it.
-// Its log is cut at every record boundary, and each cut is recovered
-// onto the pages as they were last flushed before it.  Every recovered
+// Its log is cut after every record — rewritten as a log of exactly the
+// records before the cut — and each cut is recovered onto the pages as
+// they were last flushed before it.  Every recovered
 // page equals the live page at the cut's LSN: a row's slot and length
 // are derived, not logged, so this is what says they are derived right —
 // and a delete run, applied live in the caller's order and replayed in
@@ -173,9 +174,19 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	if _, err := w.Replay(func(r WALRecord) error { cuts = append(cuts, r.LSN); return nil }); err != nil {
 		t.Fatal(err)
 	}
+	img, err := ReadLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Ends) != len(cuts)-1 {
+		t.Fatalf("the log holds %d records, Replay found %d", len(img.Ends), len(cuts)-1)
+	}
 
 	zero := make([]byte, PageSize)
-	for _, cut := range cuts {
+	for k, cut := range cuts {
+		if k > 0 && img.Base+uint64(img.Ends[k-1]) != cut {
+			t.Fatalf("record %d ends at LSN %d, %d bytes into the record stream", k, cut, img.Ends[k-1])
+		}
 		base, want := flushed[0], flushed[0]
 		for _, im := range flushed {
 			if im.lsn <= cut {
@@ -193,7 +204,7 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 			d.WritePage(no, pg)
 		}
 		cutPath := filepath.Join(t.TempDir(), "wal.nmlog")
-		if err := os.WriteFile(cutPath, log[:walHeaderSize+cut], 0o644); err != nil {
+		if err := os.WriteFile(cutPath, img.Framed(k), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		cw, err := OpenWAL(vfs.OS, cutPath)

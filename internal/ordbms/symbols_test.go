@@ -2,7 +2,6 @@ package ordbms
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -120,19 +119,6 @@ func TestSymbolCodesRefused(t *testing.T) {
 	}
 }
 
-// walRecords lists a log's records: each one's type and the offset it
-// ends at.
-func walRecords(t *testing.T, log []byte) (types []byte, ends []int) {
-	t.Helper()
-	for pos := walHeaderSize; pos < len(log); {
-		n := int(binary.LittleEndian.Uint32(log[pos:]))
-		types = append(types, log[pos+8])
-		pos += 8 + n
-		ends = append(ends, pos)
-	}
-	return types, ends
-}
-
 // A table trains its symbol table at the first commit past the sample,
 // logs it before the first record coded with it, and a crash anywhere
 // around that point loses nothing: the log is cut before walSymbols,
@@ -207,7 +193,11 @@ func testTrainingSurvivesLogCuts(t *testing.T, withCatalog bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	types, ends := walRecords(t, log)
+	img, err := ReadLog(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types, ends := img.Types, img.Ends
 	sym := bytes.IndexByte(types, walSymbols)
 	if sym < 1 || bytes.Count(types, []byte{walSymbols}) != 1 || types[sym-1] != walInsertRun {
 		t.Fatalf("log record types %v: want one walSymbols, after a run", types)
@@ -253,15 +243,17 @@ func testTrainingSurvivesLogCuts(t *testing.T, withCatalog bool) {
 			}
 		}
 	}
+	// Each cut is a log of exactly the records before it.
 	for _, cut := range []struct {
 		name string
-		end  int
+		kept int // records
 	}{
-		{"before walSymbols", ends[sym-1]},
-		{"between walSymbols and the first coded run", ends[sym]},
-		{"after the first coded run", ends[coded]},
-		{"whole log", len(log)},
+		{"before walSymbols", sym},
+		{"between walSymbols and the first coded run", sym + 1},
+		{"after the first coded run", coded + 1},
+		{"whole log", len(types)},
 	} {
+		end := ends[cut.kept-1]
 		dir := t.TempDir()
 		files, err := os.ReadDir(src)
 		if err != nil {
@@ -272,8 +264,8 @@ func testTrainingSurvivesLogCuts(t *testing.T, withCatalog bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Name() == "wal.nmlog" {
-				b = b[:cut.end]
+			if f.Name() == "wal.nmlog" && cut.kept < len(types) {
+				b = img.Framed(cut.kept)
 			}
 			if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
 				t.Fatal(err)
@@ -285,10 +277,10 @@ func testTrainingSurvivesLogCuts(t *testing.T, withCatalog bool) {
 		}
 		tbl := db.Table("t")
 		kept := tbl.Schema().Symbols()
-		if (kept != nil) != (cut.end >= ends[sym]) || (kept != nil && !bytes.Equal(kept.appendBinary(nil), st.appendBinary(nil))) {
+		if (kept != nil) != (end >= ends[sym]) || (kept != nil && !bytes.Equal(kept.appendBinary(nil), st.appendBinary(nil))) {
 			t.Fatalf("%s: symbol table %v after the cut", cut.name, kept)
 		}
-		rows := rowsAt(cut.end)
+		rows := rowsAt(end)
 		check(cut.name, tbl, rows)
 		// The next commit trains the table if the cut lost it.
 		if _, err := tbl.Insert(Row{I(int64(rows)), S(texts[rows])}); err != nil {

@@ -9,11 +9,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
 	"netmark/internal/xdb"
 	"netmark/internal/xmlstore"
@@ -186,6 +189,53 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if ti.CompressionRatio <= 0 {
 		t.Fatalf("textindex compression ratio missing: %+v", ti)
+	}
+}
+
+// wal.file_bytes is what the log's file grew by, deflated, and below
+// wal.bytes, the records appended, for a batch of Mixed documents.
+func TestStatsWALFileBytes(t *testing.T) {
+	dir := t.TempDir()
+	db, err := ordbms.Open(ordbms.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	store, err := xmlstore.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(xdb.NewEngine(store), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := func() (st Stats, size int64) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, "wal.nmlog"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, fi.Size()
+	}
+	st0, size0 := stats()
+	var batch []xmlstore.BatchDoc
+	for _, d := range corpus.New(3).Mixed(40) {
+		batch = append(batch, xmlstore.BatchDoc{Name: d.Name, Data: d.Data})
+	}
+	for _, r := range store.StoreBatch(batch, 2) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	st1, size1 := stats()
+	file, logged := st1.WAL.FileBytes-st0.WAL.FileBytes, st1.WAL.Bytes-st0.WAL.Bytes
+	if int64(file) != size1-size0 || file == 0 || file >= logged {
+		t.Fatalf("the batch wrote %d bytes to the log, logged %d, and the file grew %d", file, logged, size1-size0)
 	}
 }
 

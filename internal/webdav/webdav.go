@@ -249,14 +249,16 @@ type Stats struct {
 	} `json:"health"`
 
 	WAL struct {
-		Appends  uint64 `json:"appends"`
-		Syncs    uint64 `json:"syncs"`
-		Bytes    uint64 `json:"bytes"` // appended since open, framing included
-		Replayed int    `json:"replayed"`
+		Appends   uint64 `json:"appends"`
+		Syncs     uint64 `json:"syncs"`
+		Bytes     uint64 `json:"bytes"`      // records appended since open, framing included
+		FileBytes uint64 `json:"file_bytes"` // written to the log's files since open, deflated
+		Replayed  int    `json:"replayed"`
 	} `json:"wal"`
 
 	// Heap is the tables' share of the data file; over the bytes ingested
-	// it is the store's space amplification, as wal.bytes is the log's.
+	// it is the store's space amplification, as wal.file_bytes is the
+	// log's.
 	// strings_stored_bytes over strings_raw_bytes, both summed at insert
 	// since open, is what the tables' symbol tables save on the strings
 	// inserted since; it drifts up when later documents differ from those
@@ -339,6 +341,7 @@ func (s *Server) Snapshot() Stats {
 	}
 	st.Health.WriteErrors = h.WriteErrors
 	st.WAL.Appends, st.WAL.Syncs, st.WAL.Bytes = store.DB().WALStats()
+	st.WAL.FileBytes = store.DB().WALFileBytes()
 	st.WAL.Replayed = store.DB().Replayed
 	st.Heap.Pages, st.Heap.Bytes = store.DB().HeapStats()
 	st.Heap.StringsRawBytes, st.Heap.StringsStoredBytes, st.Heap.SymbolTables = store.DB().StringStats()

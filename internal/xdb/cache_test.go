@@ -434,9 +434,9 @@ func TestResultComputedAcrossWriteNotCached(t *testing.T) {
 	}
 	// The reader fingerprints the store, then a write lands before it
 	// executes: doc2 brings the heading.
-	key := e.cacheKey(q)
+	key := e.cacheKey(q, e.sheets.Load())
 	load(t, e, "two.html", doc2)
-	body, keep, err := e.compute(q, key)
+	body, keep, err := e.compute(q, e.sheets.Load(), key)
 	if err != nil {
 		t.Fatalf("racing reader: %v", err)
 	}
@@ -453,7 +453,7 @@ func TestResultComputedAcrossWriteNotCached(t *testing.T) {
 	if err := e.Store().DeleteDocument(info.DocID); err != nil {
 		t.Fatal(err)
 	}
-	if e.cacheKey(q) == key {
+	if e.cacheKey(q, e.sheets.Load()) == key {
 		t.Fatal("the pre-write key returned once the heading vanished")
 	}
 	if got := mustCount(t, e, "context=Findings"); got != 0 {
@@ -472,12 +472,12 @@ func TestAppearAndVanishNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := e.cacheKey(q)
+	key := e.cacheKey(q, e.sheets.Load())
 	// A miss with the writes inside it: ingest, execute and render, delete,
 	// then compute's test of whether the body may be kept.
 	body, err := e.cache.fetch(key, func() ([]byte, bool, error) {
 		load(t, e, "two.html", doc2)
-		body, _, err := e.compute(q, key)
+		body, _, err := e.compute(q, e.sheets.Load(), key)
 		info, derr := e.Store().DocumentByName("two.html")
 		if derr != nil {
 			t.Fatal(derr)
@@ -485,7 +485,7 @@ func TestAppearAndVanishNotCached(t *testing.T) {
 		if derr := e.Store().DeleteDocument(info.DocID); derr != nil {
 			t.Fatal(derr)
 		}
-		return body, err == nil && e.cacheKey(q) == key, err
+		return body, err == nil && e.cacheKey(q, e.sheets.Load()) == key, err
 	})
 	if err != nil {
 		t.Fatalf("racing reader: %v", err)
@@ -528,7 +528,7 @@ func TestCacheChargesBodies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[i], bodies[i] = e.cacheKey(q), mustExecute(t, e, raw)
+		keys[i], bodies[i] = e.cacheKey(q, e.sheets.Load()), mustExecute(t, e, raw)
 		largest = max(largest, len(keys[i])+len(bodies[i]))
 	}
 	capacity := int64(2 * largest) // every body fits; all of them do not
@@ -562,5 +562,82 @@ func TestCacheChargesBodies(t *testing.T) {
 	}
 	if st, _ := e.CacheStats(); st.Evictions == 0 || st.Hits == 0 {
 		t.Fatalf("the sequence never evicted or hit: %+v", st)
+	}
+}
+
+// TestStyledResultKeyedOnItsSheets: a query keys on and is styled by one
+// published set of stylesheets.  A reader that took the sheets before a
+// registration styles with what it took and does not keep the body; and
+// with registrations racing queries, every styled body the cache holds
+// is the one the generation in its key names.  Registration g installs
+// sheet g, so generation g's key must hold sheet g's output.
+func TestStyledResultKeyedOnItsSheets(t *testing.T) {
+	e := cachedEngine(t, 1<<20)
+	load(t, e, "one.html", doc1)
+	sheet := func(g int) string {
+		return fmt.Sprintf(`<xsl:stylesheet><xsl:template match="/"><v%dx/></xsl:template></xsl:stylesheet>`, g)
+	}
+	q, err := Parse("context=Introduction&xslt=s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterStylesheet("s", sheet(1)); err != nil {
+		t.Fatal(err)
+	}
+	sheets := e.sheets.Load()
+	key := e.cacheKey(q, sheets)
+	if err := e.RegisterStylesheet("s", sheet(2)); err != nil {
+		t.Fatal(err)
+	}
+	body, keep, err := e.compute(q, sheets, key)
+	if err != nil || keep || !strings.Contains(string(body), "v1x") {
+		t.Fatalf("a reader holding registration 1's sheets: keep %v, %v, body %s", keep, err, body)
+	}
+	if body := mustExecute(t, e, q.Encode()); !strings.Contains(body, "v2x") {
+		t.Fatalf("after registration 2: %s", body)
+	}
+
+	const registrations = 200
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := renderQuery(e, q.Encode()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 3; g <= registrations; g++ {
+		if err := e.RegisterStylesheet("s", sheet(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	cached := 0
+	for g := 1; g <= registrations; g++ {
+		el, ok := e.cache.entries[e.cacheKey(q, &sheetSet{gen: uint64(g)})]
+		if !ok {
+			continue
+		}
+		cached++
+		if body := string(el.Value.(*cacheEntry).body); !strings.Contains(body, fmt.Sprintf("v%dx", g)) {
+			t.Fatalf("generation %d's key holds %s", g, body)
+		}
+	}
+	if cached == 0 {
+		t.Fatal("no styled body was cached: the race proves nothing")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"net/url"
 	"slices"
 	"sort"
@@ -269,15 +270,13 @@ func ParseResultXML(src string) (*Result, error) {
 type Engine struct {
 	store *xmlstore.Store
 
-	// sheetMu guards sheets: PUT /xslt/{name} registers stylesheets while
-	// concurrent queries resolve them.
-	sheetMu sync.RWMutex
-	sheets  map[string]*xslt.Stylesheet // guarded by sheetMu
-	// sheetGen counts stylesheet registrations.  Cached results of styled
-	// queries (and only those) key on it, so re-registering a sheet
-	// invalidates them the same way a store mutation invalidates plain
-	// results.
-	sheetGen atomic.Uint64
+	// sheets is the registered stylesheets, published whole: PUT
+	// /xslt/{name} registers stylesheets while concurrent queries resolve
+	// them, and a query loads it once, to key and to style with.
+	sheets atomic.Pointer[sheetSet]
+	// regMu serialises registrations' copy-and-publish of sheets; queries
+	// never take it.
+	regMu sync.Mutex
 
 	// cache, when non-nil, memoises ExecuteInto's response bodies under
 	// cacheKey.  Set once via EnableCache before the engine serves
@@ -285,9 +284,22 @@ type Engine struct {
 	cache *resultCache
 }
 
+// sheetSet is one state of the registered stylesheets: the sheets by
+// name and gen, the registrations that made them.  Cached results of
+// styled queries (and only those) key on gen, so re-registering a sheet
+// invalidates them the same way a store mutation invalidates plain
+// results.  A published sheetSet is never modified, so the generation a
+// query keys on is always that of the sheets it is styled with.
+type sheetSet struct {
+	gen    uint64
+	byName map[string]*xslt.Stylesheet
+}
+
 // NewEngine wraps a store.
 func NewEngine(store *xmlstore.Store) *Engine {
-	return &Engine{store: store, sheets: make(map[string]*xslt.Stylesheet)}
+	e := &Engine{store: store}
+	e.sheets.Store(&sheetSet{byName: map[string]*xslt.Stylesheet{}})
+	return e
 }
 
 // Store returns the underlying XML store.
@@ -321,23 +333,18 @@ func (e *Engine) RegisterStylesheet(name, src string) error {
 	if err != nil {
 		return err
 	}
-	e.sheetMu.Lock()
-	e.sheets[name] = sheet
-	// Bump before releasing the guard: with the bump outside, a query
-	// landing between the unlock and the bump could read the new sheet
-	// yet key (or hit) a cached result under the old generation —
-	// serving a result styled by the replaced sheet after registration
-	// already completed.
-	e.sheetGen.Add(1)
-	e.sheetMu.Unlock()
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	old := e.sheets.Load()
+	next := &sheetSet{gen: old.gen + 1, byName: maps.Clone(old.byName)}
+	next.byName[name] = sheet
+	e.sheets.Store(next)
 	return nil
 }
 
 // Stylesheet returns a registered stylesheet, or nil.
 func (e *Engine) Stylesheet(name string) *xslt.Stylesheet {
-	e.sheetMu.RLock()
-	defer e.sheetMu.RUnlock()
-	return e.sheets[name]
+	return e.sheets.Load().byName[name]
 }
 
 // ExecuteString parses and executes a URL-form query.
@@ -364,8 +371,9 @@ func (e *Engine) ExecuteInto(q Query, w io.Writer) error {
 		}
 		return sgml.WriteIndent(w, resultTree(res))
 	}
-	key := e.cacheKey(q)
-	body, err := e.cache.fetch(key, func() ([]byte, bool, error) { return e.compute(q, key) })
+	sheets := e.sheets.Load()
+	key := e.cacheKey(q, sheets)
+	body, err := e.cache.fetch(key, func() ([]byte, bool, error) { return e.compute(q, sheets, key) })
 	if err != nil {
 		return err
 	}
@@ -373,15 +381,15 @@ func (e *Engine) ExecuteInto(q Query, w io.Writer) error {
 	return err
 }
 
-// compute executes q for a cache miss under key, the fingerprint taken
-// before executing, renders its response body, and reports whether the
-// body may be kept: only when the fingerprint is still the same
-// afterwards.  A write that landed mid-query has moved it, and every
+// compute executes q, styled by sheets, for a cache miss under key, the
+// fingerprint taken before executing, renders its response body, and
+// reports whether the body may be kept: only when the fingerprint is
+// still the same afterwards.  A write that landed mid-query has moved it, and every
 // generation it folds only grows, so the pre-write key never returns: the
 // body, which may mix both states, would only sit in the cache
 // unreachable.
-func (e *Engine) compute(q Query, key string) (body []byte, keep bool, err error) {
-	res, err := e.Execute(q)
+func (e *Engine) compute(q Query, sheets *sheetSet, key string) (body []byte, keep bool, err error) {
+	res, err := e.execute(q, sheets)
 	if err != nil {
 		return nil, false, err
 	}
@@ -389,7 +397,7 @@ func (e *Engine) compute(q Query, key string) (body []byte, keep bool, err error
 	if err := sgml.WriteIndent(&buf, resultTree(res)); err != nil {
 		return nil, false, err
 	}
-	if e.cacheKey(q) != key {
+	if e.cacheKey(q, e.sheets.Load()) != key {
 		return buf.Bytes(), false, nil
 	}
 	// The buffer grew by doubling, so its array can be up to twice the
@@ -409,12 +417,13 @@ func resultTree(r *Result) *sgml.Node {
 }
 
 // cacheKey builds the invalidation-aware cache key: the fingerprint of
-// exactly the structures the query reads, then the canonical query
-// encoding.  It is the only proof a cached result is fresh.
-func (e *Engine) cacheKey(q Query) string {
+// exactly the structures the query reads, the sheets among them, then
+// the canonical query encoding.  It is the only proof a cached result is
+// fresh.
+func (e *Engine) cacheKey(q Query, sheets *sheetSet) string {
 	var b strings.Builder
 	b.Grow(40)
-	b.WriteString(strconv.FormatUint(e.fingerprint(q), 16))
+	b.WriteString(strconv.FormatUint(e.fingerprint(q, sheets), 16))
 	b.WriteByte('|')
 	b.WriteString(q.Encode())
 	return b.String()
@@ -427,13 +436,13 @@ func (e *Engine) cacheKey(q Query) string {
 // reachable, and one that could change a query's answer changes its key.
 // An XPath reads whole documents, so it keys on the store's generation,
 // which every write moves.
-func (e *Engine) fingerprint(q Query) uint64 {
+func (e *Engine) fingerprint(q Query, sheets *sheetSet) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) { h = (h ^ v) * prime64 }
 	if q.XSLT != "" {
 		// Only a styled result depends on the registered sheets.
-		mix(e.sheetGen.Load())
+		mix(sheets.gen)
 	}
 	if q.XPath != "" {
 		mix(e.store.Generation())
@@ -450,6 +459,11 @@ func (e *Engine) fingerprint(q Query) uint64 {
 // ExecuteInto's response bodies only: its callers (core's Query, the
 // databank's local and legacy sources) serve no benchmark workload.
 func (e *Engine) Execute(q Query) (*Result, error) {
+	return e.execute(q, e.sheets.Load())
+}
+
+// execute is Execute styled by sheets.
+func (e *Engine) execute(q Query, sheets *sheetSet) (*Result, error) {
 	r := &Result{Query: q}
 	var err error
 	switch {
@@ -473,7 +487,7 @@ func (e *Engine) Execute(q Query) (*Result, error) {
 		return nil, err
 	}
 	if q.XSLT != "" {
-		sheet := e.Stylesheet(q.XSLT)
+		sheet := sheets.byName[q.XSLT]
 		if sheet == nil {
 			return nil, fmt.Errorf("xdb: no stylesheet %q registered", q.XSLT)
 		}

@@ -242,14 +242,12 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 			t.Fatal(err)
 		}
 		db.CloseDiscard()
-		wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cuts := []int{16}
+		_, img := readLog(t, filepath.Join(src, "wal.nmlog"))
 		var rows []int64 // each record's rows
-		for pos := 16; pos < len(wal); {
-			body := wal[pos+8 : pos+8+int(binary.LittleEndian.Uint32(wal[pos:]))]
+		start := 0
+		for _, end := range img.Ends {
+			body := img.Stream[start+8 : end] // past the record's length and CRC
+			start = end
 			if body[0] != 10 { // walDeleteRun: per section page u32, first slot u16, count u16
 				t.Fatalf("the delete logged a record of type %d", body[0])
 			}
@@ -258,9 +256,8 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 				n += int64(binary.LittleEndian.Uint16(sec[6:]))
 			}
 			rows = append(rows, n)
-			pos += 8 + len(body)
-			cuts = append(cuts, pos)
 		}
+		cuts := recordCuts(img)
 		if len(rows) != 2 || rows[0] != doc.NNodes || rows[1] != 1 {
 			t.Fatalf("the delete logged runs of %v rows, want the document's %d nodes, then its DOC row", rows, doc.NNodes)
 		}
@@ -278,7 +275,7 @@ func TestDeleteInterruptedIsRetryable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), wal[:cut], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), cut.log, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			db, s := openDir(t, dir, OpenOptions{})

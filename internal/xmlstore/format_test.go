@@ -3,7 +3,6 @@ package xmlstore
 import (
 	"cmp"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -707,21 +706,13 @@ func TestOpenAfterEveryDDLCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.CloseDiscard()
-	wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
-	if err != nil {
-		t.Fatal(err)
+	_, img := readLog(t, filepath.Join(src, "wal.nmlog"))
+	if len(img.Types) != 2+2+1 { // two tables, DOC's two indexes, TAG
+		t.Fatalf("a fresh store logs %d DDL records, want 5", len(img.Types))
 	}
-	cuts := []int{16}
-	for pos := 16; pos < len(wal); {
-		pos += 8 + int(binary.LittleEndian.Uint32(wal[pos:]))
-		cuts = append(cuts, pos)
-	}
-	if len(cuts) != 1+2+2+1 { // header, two tables, DOC's two indexes, TAG
-		t.Fatalf("a fresh store logs %d DDL records, want 5", len(cuts)-1)
-	}
-	for _, cut := range cuts {
+	for cut, log := range recordCuts(img) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), wal[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), log.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		db, s := openDir(t, dir, OpenOptions{})

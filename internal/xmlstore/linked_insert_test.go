@@ -1,7 +1,7 @@
 package xmlstore
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -128,27 +128,16 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 		}
 	} // nothing checkpointed: the batch exists only in the log
 
-	wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wal, img := readLog(t, filepath.Join(src, "wal.nmlog"))
 	data0, err := os.ReadFile(filepath.Join(src, "data.nmdb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every record boundary, and two offsets inside every record: in the
-	// frame header and in the middle of the body.
-	var cuts []int
-	runs := 0
-	for pos := 16; pos < len(wal); {
-		n := int(binary.LittleEndian.Uint32(wal[pos:]))
-		if wal[pos+8] == 9 { // walInsertRun
-			runs++
-		}
-		cuts = append(cuts, pos, pos+5, pos+8+n/2)
-		pos += 8 + n
-	}
-	cuts = append(cuts, len(wal))
+	// Every record boundary, each as a log of exactly the records before
+	// it, and the log as written cut at every frame boundary and twice
+	// inside every frame: in its header and in the middle of its payload.
+	cuts := append(recordCuts(img), frameCuts(wal, img)...)
+	runs := bytes.Count(img.Types, []byte{9}) // walInsertRun
 	// Each document: the TAG rows of the names it is the first to use (if
 	// any), its nodes, then its DOC row.
 	if tagRuns == 0 || runs != tagRuns+len(batch)+len(batch) {
@@ -159,7 +148,7 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 	sawPartial := false
 	for _, cut := range cuts {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), wal[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), cut.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "data.nmdb"), data0, 0o644); err != nil {
@@ -169,28 +158,28 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 		for crash := 0; crash < 2; crash++ {
 			db, err := ordbms.Open(ordbms.Options{Dir: dir})
 			if err != nil {
-				t.Fatalf("cut %d, open %d: %v", cut, crash, err)
+				t.Fatalf("cut %s, open %d: %v", cut.name, crash, err)
 			}
 			s, err := Open(db)
 			if err != nil {
-				t.Fatalf("cut %d, open %d: %v", cut, crash, err)
+				t.Fatalf("cut %s, open %d: %v", cut.name, crash, err)
 			}
 			docs, err := s.Documents()
 			if err != nil {
-				t.Fatalf("cut %d, open %d: %v", cut, crash, err)
+				t.Fatalf("cut %s, open %d: %v", cut.name, crash, err)
 			}
 			var names []string
 			for _, doc := range docs {
 				names = append(names, doc.FileName)
 				if got := reconstructBytes(t, s, doc.FileName); got != want[doc.FileName] {
-					t.Fatalf("cut %d, open %d: %s is not byte-identical", cut, crash, doc.FileName)
+					t.Fatalf("cut %s, open %d: %s is not byte-identical", cut.name, crash, doc.FileName)
 				}
 				checkLinks(t, s, doc)
 			}
 			if crash == 0 {
 				first = names
 			} else if strings.Join(names, ",") != strings.Join(first, ",") {
-				t.Fatalf("cut %d: documents %v after the first crash, %v after the second", cut, first, names)
+				t.Fatalf("cut %s: documents %v after the first crash, %v after the second", cut.name, first, names)
 			}
 			if len(docs) > 0 && len(docs) < len(batch) {
 				sawPartial = true
@@ -200,7 +189,7 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 			sections := func(search func(string, int) ([]Section, error), arg, doc string) int {
 				hits, err := search(arg, 0)
 				if err != nil {
-					t.Fatalf("cut %d, open %d: search %q: %v", cut, crash, arg, err)
+					t.Fatalf("cut %s, open %d: search %q: %v", cut.name, crash, arg, err)
 				}
 				n := 0
 				for _, h := range hits {
@@ -211,10 +200,10 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 				return n
 			}
 			if n := sections(s.ContextPrefixSearchN, "Section", "long.html"); n != 0 && n != longSections {
-				t.Fatalf("cut %d, open %d: %d of long.html's %d sections survive, want all or none", cut, crash, n, longSections)
+				t.Fatalf("cut %s, open %d: %d of long.html's %d sections survive, want all or none", cut.name, crash, n, longSections)
 			}
 			if n := sections(s.ContentSearchN, "alpha", "long.html"); n != 0 && n != longSections {
-				t.Fatalf("cut %d, open %d: content search finds %d of long.html's %d sections", cut, crash, n, longSections)
+				t.Fatalf("cut %s, open %d: content search finds %d of long.html's %d sections", cut.name, crash, n, longSections)
 			}
 			sections(s.ContextSearchN, "Section 7 of long.html", "long.html")
 			sections(s.ContextSearchN, "Doc 1", "")
@@ -224,11 +213,11 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 				next := longDoc("next.html", 40, "omega")
 				id, err := s.StoreRaw(next.Name, next.Data)
 				if err != nil {
-					t.Fatalf("cut %d: ingest after recovery: %v", cut, err)
+					t.Fatalf("cut %s: ingest after recovery: %v", cut.name, err)
 				}
 				docs, err := s.Documents()
 				if err != nil {
-					t.Fatalf("cut %d: %v", cut, err)
+					t.Fatalf("cut %s: %v", cut.name, err)
 				}
 				for _, doc := range docs {
 					if doc.DocID == id {
@@ -236,10 +225,10 @@ func TestLinkedInsertCrashCuts(t *testing.T) {
 					}
 				}
 				if n := sections(s.ContentSearchN, "omega", "next.html"); n != 40 {
-					t.Fatalf("cut %d: content search finds %d of next.html's 40 sections", cut, n)
+					t.Fatalf("cut %s: content search finds %d of next.html's 40 sections", cut.name, n)
 				}
 				if n := sections(s.ContextPrefixSearchN, "Section", "long.html"); n != 0 && n != longSections {
-					t.Fatalf("cut %d: %d of long.html's sections after the next ingest", cut, n)
+					t.Fatalf("cut %s: %d of long.html's sections after the next ingest", cut.name, n)
 				}
 			}
 			db.CloseDiscard()

@@ -1,7 +1,6 @@
 package xmlstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -120,23 +119,16 @@ func TestTagsSurviveCrashCuts(t *testing.T) {
 	}
 	db.CloseDiscard() // nothing checkpointed: the documents exist only in the log
 
-	wal, err := os.ReadFile(filepath.Join(src, "wal.nmlog"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, img := readLog(t, filepath.Join(src, "wal.nmlog"))
 	data0, err := os.ReadFile(filepath.Join(src, "data.nmdb"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts := []int{16}
-	for pos := 16; pos < len(wal); {
-		pos += 8 + int(binary.LittleEndian.Uint32(wal[pos:]))
-		cuts = append(cuts, pos)
-	}
+	cuts := recordCuts(img)
 	sawPartial := false
 	for _, cut := range cuts {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), wal[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "wal.nmlog"), cut.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, "data.nmdb"), data0, 0o644); err != nil {
@@ -145,7 +137,7 @@ func TestTagsSurviveCrashCuts(t *testing.T) {
 		db, s := openDir(t, dir, OpenOptions{})
 		dict := dictionary(s)
 		if len(dict) > len(full) || !reflect.DeepEqual(dict, full[:len(dict)]) {
-			t.Fatalf("cut %d: %d tags survive and are not a prefix of the %d written", cut, len(dict), len(full))
+			t.Fatalf("cut %s: %d tags survive and are not a prefix of the %d written", cut.name, len(dict), len(full))
 		}
 		if len(dict) > 0 && len(dict) < len(full) {
 			sawPartial = true
@@ -157,7 +149,7 @@ func TestTagsSurviveCrashCuts(t *testing.T) {
 		}
 		for _, doc := range docs {
 			if got := reconstructBytes(t, s, doc.FileName); got != want[doc.FileName] {
-				t.Fatalf("cut %d: %s is not byte-identical", cut, doc.FileName)
+				t.Fatalf("cut %s: %s is not byte-identical", cut.name, doc.FileName)
 			}
 		}
 		db.CloseDiscard()
