@@ -76,12 +76,15 @@ race:
 # arbitrary payload opened end to end, the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
 # layout — the phrase matcher against tokenize-then-compare, arbitrary
-# XML/HTML through store and Reconstruct, and the xdb query parser.
+# XML/HTML through store and Reconstruct (and streamed as GET /doc writes
+# it) and through the serializer's parse-write fixed point, and the xdb
+# query parser.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzApplySnapshot -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzStoreReconstruct -fuzztime $(FUZZTIME) ./internal/xmlstore
+	$(GO) test -run xxx -fuzz FuzzSerialize -fuzztime $(FUZZTIME) ./internal/sgml
 	$(GO) test -run xxx -fuzz FuzzRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzDeleteRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzPage -fuzztime $(FUZZTIME) ./internal/ordbms
@@ -95,13 +98,14 @@ bench:
 	$(GO) test -bench . -benchmem ./...
 
 # bench-smoke runs each serving / cold-kernel / reopen / delete / ingest
-# / reconstruct benchmark case once: it proves the serving path, both
-# caches, the write-heavy mixed workload, the accelerated query kernel,
-# the snapshot reopen path, the document delete, the batch ingest
-# pipeline and the cold-store Reconstruct still execute, without the
-# cost of a timed benchmark run.
+# / reconstruct / document-write benchmark case once: it proves the
+# serving path, both caches, the write-heavy mixed workload, the
+# accelerated query kernel, the snapshot reopen path, the document
+# delete, the batch ingest pipeline, the cold-store Reconstruct and the
+# streamed document write still execute, without the cost of a timed
+# benchmark run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkServeParallel|BenchmarkMixedWriteHeavy|BenchmarkColdContentSearch|BenchmarkReopen|BenchmarkDeleteDocument|BenchmarkIngestParallel|BenchmarkReconstruct' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkServeParallel|BenchmarkMixedWriteHeavy|BenchmarkColdContentSearch|BenchmarkReopen|BenchmarkDeleteDocument|BenchmarkIngestParallel|BenchmarkReconstruct|BenchmarkWriteDocument' -benchtime 1x .
 
 # bench-json runs the perf-trajectory benchmark suite and records the
 # results (parsed numbers + benchstat-parseable raw lines) in
@@ -109,10 +113,10 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR43.json
-BENCH_OUT ?= BENCH_PR43.json
+# make bench-json BENCH_OUT=BENCH_PR45.json
+BENCH_OUT ?= BENCH_PR45.json
 bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct' -benchmem -benchtime 2s -cpu 2 . \
+	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct|BenchmarkWriteDocument' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)
 

@@ -6,6 +6,7 @@
 package netmark_test
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -810,13 +811,44 @@ func BenchmarkReopen(b *testing.B) {
 	}
 }
 
-// BenchmarkReconstruct measures the read path of an HTTP GET on a cold
-// store: each op opens a directory store of 100 deep reports (some
-// 260 000 nodes, more than the default node cache holds) off the clock,
-// then rebuilds every document with Reconstruct and serializes it with
-// sgml.WriteIndent.  ns/node and allocs/node are the per-hop cost of the
-// ROWID-linked traversal through the node cache.
+// BenchmarkReconstruct measures the XPath path's read of whole
+// documents on a cold store: each op opens a directory store of 100 deep
+// reports (some 260 000 nodes, more than the default node cache holds)
+// off the clock, then rebuilds every document as a tree with Reconstruct
+// and serializes it with sgml.WriteIndent.  ns/node and allocs/node are
+// the per-hop cost of the ROWID-linked traversal through the node cache
+// plus the tree's.  BenchmarkWriteDocument is the same read as an HTTP
+// GET makes it, with no tree.
 func BenchmarkReconstruct(b *testing.B) {
+	benchColdDocuments(b, func(s *xmlstore.Store, id uint64) error {
+		tree, err := s.Reconstruct(id)
+		if err != nil {
+			return err
+		}
+		return sgml.WriteIndent(io.Discard, tree)
+	})
+}
+
+// BenchmarkWriteDocument measures the read path of an HTTP GET /doc on
+// the store BenchmarkReconstruct reads: every document's events go from
+// the node cache's page images straight into an indenting sgml.Encoder
+// over a 32 KiB buffered writer, as the server writes them to the
+// client.  ns/node and allocs/node compare with BenchmarkReconstruct's.
+func BenchmarkWriteDocument(b *testing.B) {
+	bw := bufio.NewWriterSize(io.Discard, 32<<10)
+	benchColdDocuments(b, func(s *xmlstore.Store, id uint64) error {
+		if err := s.EmitDocument(id, sgml.NewEncoder(bw, true)); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
+}
+
+// benchColdDocuments times read over each of 100 deep reports: every op
+// opens their directory store off the clock, its node cache at core's
+// default size, and reads every document.  It reports ns/node and
+// allocs/node over the stored nodes.
+func benchColdDocuments(b *testing.B, read func(s *xmlstore.Store, id uint64) error) {
 	dir := b.TempDir()
 	db, err := ordbms.Open(ordbms.Options{Dir: dir})
 	if err != nil {
@@ -857,11 +889,7 @@ func BenchmarkReconstruct(b *testing.B) {
 		allocs -= ms.Mallocs
 		b.StartTimer()
 		for _, id := range ids {
-			tree, err := s.Reconstruct(id)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sgml.WriteIndent(io.Discard, tree); err != nil {
+			if err := read(s, id); err != nil {
 				b.Fatal(err)
 			}
 		}

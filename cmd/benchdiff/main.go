@@ -136,9 +136,9 @@ func readReport(path string) (*Report, error) {
 }
 
 // defaultMatch covers the serving / cold-kernel / Fig 6 / reopen /
-// ingest / reconstruct / delete trajectory benchmarks recorded in every
-// BENCH_PR*.json.
-const defaultMatch = "BenchmarkServeParallel|BenchmarkColdContentSearch|BenchmarkFig6|BenchmarkMixedWriteHeavy|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkReconstruct|BenchmarkDeleteDocument"
+// ingest / reconstruct / document-write / delete trajectory benchmarks
+// recorded in every BENCH_PR*.json.
+const defaultMatch = "BenchmarkServeParallel|BenchmarkColdContentSearch|BenchmarkFig6|BenchmarkMixedWriteHeavy|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkReconstruct|BenchmarkWriteDocument|BenchmarkDeleteDocument"
 
 // deterministicMetrics are the ReportMetric units that count work —
 // bytes and rows stored or logged per byte, document or node, log

@@ -95,6 +95,27 @@ func TestFig6AndDeleteGated(t *testing.T) {
 	}
 }
 
+// TestWriteDocumentGated: the streamed document write is gated beside
+// Reconstruct, and its allocs/node, which counts work, fails on a 1 %
+// rise as Reconstruct's does.
+func TestWriteDocumentGated(t *testing.T) {
+	match := regexp.MustCompile(defaultMatch)
+	if !match.MatchString("BenchmarkWriteDocument") {
+		t.Fatal("BenchmarkWriteDocument is not gated")
+	}
+	bench := func(allocsPerNode float64) *Report {
+		return &Report{Benchmarks: []Benchmark{{Name: "BenchmarkWriteDocument-2", NsPerOp: 8e7, AllocsPerOp: 19600,
+			Metrics: map[string]float64{"ns/node": 330, "allocs/node": allocsPerNode}}}}
+	}
+	if out, regressed := render(diff(bench(0.0798), bench(0.0799), match, defaultGate), defaultGate); regressed {
+		t.Fatalf("an unchanged allocs/node failed:\n%s", out)
+	}
+	out, regressed := render(diff(bench(0.0798), bench(0.0820), match, defaultGate), defaultGate)
+	if !regressed || !strings.Contains(out, "allocs/node") {
+		t.Fatalf("a 3 %% allocs/node rise in BenchmarkWriteDocument passed:\n%s", out)
+	}
+}
+
 // TestGomaxprocsSuffixPairing: a baseline recorded on a 1-CPU machine
 // has no "-N" suffix while a multi-core CI runner emits one; pairing
 // must still match, or the gate never compares anything.

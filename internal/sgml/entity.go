@@ -102,18 +102,18 @@ func decodeOneEntity(ent string) (string, bool) {
 	return "", false
 }
 
-// The escape replacers are built once: a strings.Replacer costs an
-// allocation (plus a lazily built lookup table) per construction, and
-// the serializer calls these for every text run and attribute of every
-// rendered node.  Replacer is safe for concurrent use, and Replace on
-// a string with nothing to escape returns the input without copying.
-var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-)
+// escapeText and escapeAttr are the escapes as strings, by the rules
+// the Encoder writes them with: a string with nothing to escape comes
+// back as it is, uncopied.
+func escapeText(s string) string { return escapeString(s, false) }
 
-// escapeText escapes text content for XML serialisation.
-func escapeText(s string) string { return textEscaper.Replace(s) }
+func escapeAttr(s string) string { return escapeString(s, true) }
 
-// escapeAttr escapes an attribute value for XML serialisation.
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
+func escapeString(s string, attr bool) string {
+	if firstEscape(s, attr) == len(s) {
+		return s
+	}
+	var sb strings.Builder
+	writeEscaped(&sb, s, attr)
+	return sb.String()
+}

@@ -24,6 +24,7 @@
 package webdav
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -492,12 +493,7 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
-		tree, err := s.engine.Store().Reconstruct(id)
-		if err != nil {
-			http.Error(w, err.Error(), docErrStatus(err))
-			return
-		}
-		writeXML(w, tree)
+		s.writeDocument(w, id)
 	case http.MethodDelete:
 		if err := s.engine.Store().DeleteDocument(id); err != nil {
 			// 404 only when the document is genuinely gone; an I/O error
@@ -520,6 +516,41 @@ func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", "GET, DELETE")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// docBufBytes is the buffer a document is written to the client
+// through: a document that fits goes out in one write, and an error
+// before the buffer first fills still gets a status of its own.
+const docBufBytes = 32 << 10
+
+// docBufs keeps the document buffers between requests: most documents
+// are a few KB, and a fresh 32 KiB buffer each would cost more than
+// writing them.
+var docBufs = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, docBufBytes) }}
+
+// writeDocument streams document id to the client straight from the
+// store's node images: no tree is built, and the store holds no lock
+// while a write to the client blocks.  A read that fails before the
+// first buffer's worth has gone out is answered 404 or 500; one that
+// fails after it aborts the connection, so the client sees a transport
+// error and never a complete-looking document.
+func (s *Server) writeDocument(w http.ResponseWriter, id uint64) {
+	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
+	cw := &countingWriter{w: w}
+	bw := docBufs.Get().(*bufio.Writer)
+	bw.Reset(cw)
+	defer func() {
+		bw.Reset(nil) // keep no reference to this response
+		docBufs.Put(bw)
+	}()
+	if err := s.engine.Store().EmitDocument(id, sgml.NewEncoder(bw, true)); err != nil {
+		if cw.n == 0 {
+			http.Error(w, err.Error(), docErrStatus(err))
+			return
+		}
+		panic(http.ErrAbortHandler)
+	}
+	bw.Flush() // an error here is the client's: it went away
 }
 
 // docErrStatus maps a store error to the right status for /doc/{id}:

@@ -15,6 +15,7 @@
 package xdb
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"fmt"
@@ -196,32 +197,41 @@ func (r *Result) Len() int {
 // XML materialises the result set as a document tree, the wire format
 // used by HTTP clients and by databank routers merging multiple sources.
 func (r *Result) XML() *sgml.Node {
-	root := sgml.NewElement("results")
-	root.SetAttr("count", strconv.Itoa(r.Len()))
+	var b sgml.Builder
+	r.emit(&b)
+	return b.Root()
+}
+
+// emit feeds the result set to sink as the wire format's events: XML
+// builds the tree of them, and ExecuteInto writes them.
+func (r *Result) emit(sink sgml.Sink) {
+	var attrs [4]sgml.Attr // each element's, reused: a Sink does not keep them
+	sink.Start("results", append(attrs[:0], sgml.Attr{Name: "count", Value: strconv.Itoa(r.Len())}))
 	if r.Query.DocsOnly {
 		for _, d := range r.Docs {
-			el := sgml.NewElement("document")
-			el.SetAttr("id", strconv.FormatUint(d.DocID, 10))
-			el.SetAttr("name", d.FileName)
-			el.SetAttr("title", d.Title)
-			el.SetAttr("format", d.Format)
-			root.AppendChild(el)
+			sink.Start("document", append(attrs[:0],
+				sgml.Attr{Name: "id", Value: strconv.FormatUint(d.DocID, 10)},
+				sgml.Attr{Name: "name", Value: d.FileName},
+				sgml.Attr{Name: "title", Value: d.Title},
+				sgml.Attr{Name: "format", Value: d.Format}))
+			sink.End()
 		}
-		return root
+	} else {
+		for i := range r.Sections {
+			s := &r.Sections[i]
+			sink.Start("result", append(attrs[:0],
+				sgml.Attr{Name: "doc", Value: s.DocName},
+				sgml.Attr{Name: "doc-title", Value: s.DocTitle}))
+			sink.Start("context", nil)
+			sink.Text(s.Context)
+			sink.End()
+			sink.Start("content", nil)
+			sink.Text(s.Content)
+			sink.End()
+			sink.End()
+		}
 	}
-	for _, s := range r.Sections {
-		el := sgml.NewElement("result")
-		el.SetAttr("doc", s.DocName)
-		el.SetAttr("doc-title", s.DocTitle)
-		ctx := sgml.NewElement("context")
-		ctx.AppendChild(sgml.NewText(s.Context))
-		el.AppendChild(ctx)
-		content := sgml.NewElement("content")
-		content.AppendChild(sgml.NewText(s.Content))
-		el.AppendChild(content)
-		root.AppendChild(el)
-	}
-	return root
+	sink.End()
 }
 
 // ParseResultXML decodes the wire format back into a Result (used by the
@@ -369,7 +379,12 @@ func (e *Engine) ExecuteInto(q Query, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return sgml.WriteIndent(w, resultTree(res))
+		bw, ok := w.(*bufio.Writer)
+		if !ok {
+			bw = bufio.NewWriter(w)
+		}
+		writeBody(bw, res)
+		return bw.Flush()
 	}
 	sheets := e.sheets.Load()
 	key := e.cacheKey(q, sheets)
@@ -394,9 +409,7 @@ func (e *Engine) compute(q Query, sheets *sheetSet, key string) (body []byte, ke
 		return nil, false, err
 	}
 	var buf bytes.Buffer
-	if err := sgml.WriteIndent(&buf, resultTree(res)); err != nil {
-		return nil, false, err
-	}
+	writeBody(&buf, res)
 	if e.cacheKey(q, e.sheets.Load()) != key {
 		return buf.Bytes(), false, nil
 	}
@@ -408,12 +421,15 @@ func (e *Engine) compute(q Query, sheets *sheetSet, key string) (body []byte, ke
 	return body, true, nil
 }
 
-// resultTree picks the document a result serves over the wire.
-func resultTree(r *Result) *sgml.Node {
+// writeBody writes the body a result serves over the wire: the styled
+// document when the query named a stylesheet, the result set otherwise.
+func writeBody(w sgml.Writer, r *Result) {
+	enc := sgml.NewEncoder(w, true)
 	if r.Transformed != nil {
-		return r.Transformed
+		enc.Node(r.Transformed)
+		return
 	}
-	return r.XML()
+	r.emit(enc)
 }
 
 // cacheKey builds the invalidation-aware cache key: the fingerprint of

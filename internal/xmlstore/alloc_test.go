@@ -1,10 +1,15 @@
 package xmlstore
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 
 	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
+	"netmark/internal/sgml"
 )
 
 // A node-cache hit — the warm traversal hop beneath every query kernel —
@@ -79,5 +84,38 @@ func TestScanReopenAllocs(t *testing.T) {
 	})
 	if perRow := allocs / float64(rows); perRow >= 0.5 {
 		t.Errorf("scan reopen = %.0f allocs over %d rows, %.2f per row, want < 0.5", allocs, rows, perRow)
+	}
+}
+
+// Writing a document whose pages sit in the node cache, as GET /doc
+// does, allocates per document and never per node: the encoder writes
+// straight from the page images, so a 1 000-node document costs what a
+// 10-node one does.
+func TestEmitDocumentWarmAllocsFlat(t *testing.T) {
+	s := memStore(t)
+	s.EnableNodeCache(1 << 22)
+	bw := bufio.NewWriter(io.Discard)
+	var allocs []float64
+	for _, size := range []int{10, 1000} {
+		// docform wraps the root in a <document>: size nodes in all.
+		id := ingest(t, s, fmt.Sprintf("flat-%d.xml", size), "<doc>"+strings.Repeat("<p>x</p>", size-2)+"</doc>")
+		info, err := s.Document(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.NNodes != int64(size) {
+			t.Fatalf("stored %d nodes, want %d", info.NNodes, size)
+		}
+		write := func() {
+			if err := s.EmitDocument(id, sgml.NewEncoder(bw, true)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write() // fills the node cache
+		allocs = append(allocs, testing.AllocsPerRun(50, write))
+	}
+	t.Logf("allocs/op: %v for 10 and 1000 nodes", allocs)
+	if allocs[0] != allocs[1] {
+		t.Errorf("writing a document costs %v allocs/op for 10 and 1000 nodes: they grow with the document", allocs)
 	}
 }

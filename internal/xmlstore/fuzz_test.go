@@ -108,7 +108,9 @@ func FuzzApplySnapshot(f *testing.F) {
 // shapes; a chain of unclosed headings was quadratic before a heading's
 // text left out the headings nested in it.  testdata keeps the
 // input "<?>", on which the lexer sliced a processing instruction out of
-// its own opener and panicked.
+// its own opener and panicked.  The document streamed as GET /doc writes
+// it, events from the node images straight into the encoder, is
+// byte-identical to the reconstructed tree's indented serialization.
 func FuzzStoreReconstruct(f *testing.F) {
 	for _, seed := range []string{
 		`<report><heading>Intro</heading><para>body</para></report>`,
@@ -172,6 +174,16 @@ func FuzzStoreReconstruct(f *testing.F) {
 		}
 		if want := sgml.Serialize(kept); sgml.Serialize(got) != want {
 			t.Fatalf("stored %q, reconstructed\n%s\nwant\n%s", src, sgml.Serialize(got), want)
+		}
+		var streamed, built bytes.Buffer
+		if err := s.EmitDocument(id, sgml.NewEncoder(&streamed, true)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sgml.WriteIndent(&built, got); err != nil {
+			t.Fatal(err)
+		}
+		if streamed.String() != built.String() {
+			t.Fatalf("stored %q, streamed\n%s\nwhere the reconstructed tree writes\n%s", src, streamed.String(), built.String())
 		}
 	})
 }

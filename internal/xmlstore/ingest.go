@@ -747,41 +747,58 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	return s.doc.Delete(info.RowID)
 }
 
-// Reconstruct rebuilds the full document tree for a document by chasing
-// physical links from the root node (used by HTTP GET and the examples).
-// An element that absorbed its text child gets it back from its own text,
-// and a titled root its title attribute from the DOC row.
+// Reconstruct rebuilds the full document tree for a document: its
+// EmitDocument events made into a tree (the XPath path and the examples
+// use it; GET /doc writes the events without one).
 func (s *Store) Reconstruct(docID uint64) (*sgml.Node, error) {
+	var b sgml.Builder
+	if err := s.EmitDocument(docID, &b); err != nil {
+		return nil, err
+	}
+	return b.Root(), nil
+}
+
+// EmitDocument feeds a document to sink as events in document order,
+// chasing physical links from its root node a hop at a time: an element
+// closes when the walk climbs above it, an element that absorbed its
+// text child gives it back from its own text, and a titled root gets its
+// title attribute from the DOC row.  No lock is held while sink runs, so
+// a sink may block, on a slow client say, and stall no writer; a delete
+// that lands meanwhile ends the walk with ErrRecordDeleted.  On an error
+// sink has seen part of the document.
+func (s *Store) EmitDocument(docID uint64, sink sgml.Sink) error {
 	info, err := s.Document(docID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	root, err := s.FetchNode(info.RootRowID)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var path []*sgml.Node // path[d] is the node being built at depth d
+	open := 0 // elements started and not yet ended
 	err = walkSubtree(root, s.FetchNode, func(n *Node, depth int) {
-		var out *sgml.Node
+		for ; open > depth; open-- {
+			sink.End()
+		}
 		if n.Class == sgml.ClassText {
-			out = sgml.NewText(n.Data)
-		} else {
-			attrs := n.Attrs
-			if n.Titled {
-				attrs = []sgml.Attr{{Name: "title", Value: info.Title}}
-			}
-			out = sgml.NewElement(n.Name, attrs...)
-			if text, ok := n.OwnText(); ok {
-				out.AppendChild(sgml.NewText(text))
-			}
+			sink.Text(n.Data)
+			return
 		}
-		if depth > 0 {
-			path[depth-1].AppendChild(out)
+		attrs := n.Attrs
+		if n.Titled {
+			attrs = []sgml.Attr{{Name: "title", Value: info.Title}}
 		}
-		path = append(path[:depth], out)
+		sink.Start(n.Name, attrs)
+		open++
+		if text, ok := n.OwnText(); ok {
+			sink.Text(text)
+		}
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return path[0], nil
+	for ; open > 0; open-- {
+		sink.End()
+	}
+	return nil
 }
