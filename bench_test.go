@@ -393,6 +393,11 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // figures are those of uncoded strings.  "deep" is "durable" over eight
 // deep reports of some 2 500 nodes each, where the per-node costs of
 // preparing a document show and those of converting it do not.
+// "chunked" is the drag-and-drop path as IngestBatch and the daemon run
+// it: 640 documents at the default batch size, ten group commits the
+// pipeline does not stop for, so the tables train after the first and
+// the heap figure is that of coded strings.  It reports no
+// walfile-B/user-B: where its frames are cut follows the scheduler.
 func BenchmarkIngestParallel(b *testing.B) {
 	gen := corpus.New(47)
 	docs := gen.Mixed(200)
@@ -441,6 +446,36 @@ func BenchmarkIngestParallel(b *testing.B) {
 	b.Run("durable", func(b *testing.B) { benchDurableIngest(b, batch, total) })
 	deep, deepTotal := ingestBatch(gen.DeepReports(8, 6, 24, 16))
 	b.Run("deep", func(b *testing.B) { benchDurableIngest(b, deep, deepTotal) })
+	chunked, chunkedTotal := ingestBatch(gen.Mixed(640))
+	b.Run("chunked", func(b *testing.B) { benchChunkedIngest(b, chunked, chunkedTotal) })
+}
+
+// benchChunkedIngest ingests batch, of total bytes, into a fresh
+// directory store per iteration, at the default batch size on two
+// workers, and reports what the heap cost (see BenchmarkIngestParallel).
+func benchChunkedIngest(b *testing.B, batch []netmark.Doc, total int64) {
+	b.SetBytes(total)
+	b.ReportAllocs()
+	var heapBytes, rows int64
+	for i := 0; i < b.N; i++ {
+		nm, err := netmark.Open(netmark.Config{Dir: b.TempDir(), IngestWorkers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range nm.IngestBatch(batch) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+		rows += nm.Store().NumNodes()
+		_, h := nm.DB().HeapStats()
+		heapBytes += h
+		if err := nm.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(heapBytes)/float64(total*int64(b.N)), "heap-B/user-B")
+	b.ReportMetric(float64(rows)/float64(len(batch)*b.N), "rows/doc")
 }
 
 // ingestBatch is docs as one IngestBatch, and their bytes.

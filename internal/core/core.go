@@ -42,9 +42,13 @@ type Config struct {
 	// fan-out (default GOMAXPROCS).  It applies to IngestBatch and to
 	// the drop-folder daemon.
 	IngestWorkers int
-	// IngestBatchSize caps how many documents one WAL group-commit
-	// covers (default DefaultIngestBatch).  Larger batches amortise the
-	// fsync further at the cost of more work buffered between commits.
+	// IngestBatchSize is how many documents one WAL group commit covers
+	// (default DefaultIngestBatch), in IngestBatch and the drop-folder
+	// daemon.  The pipeline does not stop between commits.  It also caps
+	// how many documents the pipeline holds at once, and the tables
+	// train their symbol tables only at a chunk's end, so larger chunks
+	// amortise the fsync further at the cost of more documents held at
+	// once and of a later start to coding strings.
 	IngestBatchSize int
 	// CacheBytes caps the invalidation-aware query result cache: the
 	// exact bytes of the keys and rendered response bodies it keeps for
@@ -174,22 +178,19 @@ type IngestResult = xmlstore.BatchResult
 // IngestBatch converts and stores many documents through the concurrent
 // pipeline: parsing and upmarking fan out across IngestWorkers, a single
 // ordered writer feeds the store (document IDs follow input order), and
-// each IngestBatchSize chunk is made durable by one WAL group-commit
-// instead of a commit per document.  Per-document failures are isolated
-// in their result slot.
+// each IngestBatchSize chunk is made durable by one WAL group commit
+// instead of a commit per document.  The pipeline runs straight across
+// the chunks: the commits deflate and fsync behind the writer.
+// Per-document failures are isolated in their result slot.
 func (n *Netmark) IngestBatch(docs []Doc) []IngestResult {
 	batch := n.cfg.IngestBatchSize
 	if batch <= 0 {
 		batch = DefaultIngestBatch
 	}
-	out := make([]IngestResult, 0, len(docs))
-	for start := 0; start < len(docs); start += batch {
-		end := start + batch
-		if end > len(docs) {
-			end = len(docs)
-		}
-		out = append(out, n.store.StoreBatch(docs[start:end], n.cfg.IngestWorkers)...)
-	}
+	out := make([]IngestResult, len(docs))
+	n.store.StoreChunks(len(docs), n.cfg.IngestWorkers, batch,
+		func(i int) (Doc, error) { return docs[i], nil },
+		func(first int, rs []IngestResult) { copy(out[first:], rs) })
 	return out
 }
 

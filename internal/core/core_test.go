@@ -3,15 +3,20 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"netmark/internal/databank"
+	"netmark/internal/ordbms"
+	"netmark/internal/vfs"
 	"netmark/internal/xdb"
+	"netmark/internal/xmlstore"
 )
 
 func TestOpenInMemory(t *testing.T) {
@@ -85,6 +90,75 @@ func TestIngestBatchPipeline(t *testing.T) {
 	secs, err := nm.Search("Batch", "payload")
 	if err != nil || len(secs) != len(docs) {
 		t.Fatalf("search = %d sections, %v", len(secs), err)
+	}
+}
+
+// IngestBatch leaves no goroutine behind: not when it succeeds, not when
+// a commit's fsync fails under it, and not once the instance is closed.
+// A failed fsync fails the chunk it committed and every chunk after it,
+// and no chunk before it.
+func TestIngestBatchLeavesNothingRunning(t *testing.T) {
+	ffs := vfs.NewFaultFS(nil)
+	db, err := ordbms.Open(ordbms.Options{Dir: t.TempDir(), FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := xmlstore.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 8
+	n := &Netmark{cfg: Config{IngestWorkers: 2, IngestBatchSize: chunk}, db: db, store: store}
+	docs := func(run int) []Doc {
+		out := make([]Doc, 5*chunk)
+		for i := range out {
+			out[i] = Doc{
+				Name: fmt.Sprintf("run%d-%02d.html", run, i),
+				Data: []byte(fmt.Sprintf(`<html><body><h1>Run %d</h1><p>document %d</p></body></html>`, run, i)),
+			}
+		}
+		return out
+	}
+	start := runtime.NumGoroutine()
+	for _, r := range n.IngestBatch(docs(1)) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+	}
+	goroutinesBackTo(t, start, "after IngestBatch")
+
+	ffs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "wal.nmlog", After: 2, Times: 1})
+	failed := -1
+	for i, r := range n.IngestBatch(docs(2)) {
+		switch {
+		case r.Err != nil && failed < 0:
+			failed = i
+		case r.Err == nil && failed >= 0:
+			t.Fatalf("%s stored after %s failed", r.Name, docs(2)[failed].Name)
+		}
+	}
+	if failed < 0 || failed%chunk != 0 {
+		t.Fatalf("the first failure is document %d, want the first of a chunk", failed)
+	}
+	goroutinesBackTo(t, start, "after a failed fsync")
+
+	ffs.ClearFaults()
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	goroutinesBackTo(t, start, "after Close")
+}
+
+// goroutinesBackTo fails t unless the goroutine count falls back to want
+// within a second: a goroutine that has signalled its end may still be
+// on its way out.
+func goroutinesBackTo(t *testing.T, want int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, want %d:\n%s", when, runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

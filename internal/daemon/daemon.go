@@ -30,12 +30,15 @@
 // only a file that exhausts its retries is quarantined.
 //
 // Each scan's stable files are ingested through the store's concurrent
-// batch pipeline: preparation fans across workers and the whole scan
-// costs one WAL group-commit.
+// pipeline as one run: preparation fans across workers, and each
+// BatchSize of files costs one WAL group commit, which the pipeline does
+// not stop for.  A file is archived, and OnIngest hears of it, only once
+// its commit has landed.
 package daemon
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -54,7 +57,7 @@ const (
 	failedDir    = ".failed"
 )
 
-// DefaultBatchSize caps how many documents one WAL group-commit covers
+// DefaultBatchSize is how many documents one WAL group commit covers
 // when no explicit batch size is configured.
 const DefaultBatchSize = 64
 
@@ -90,8 +93,10 @@ type Daemon struct {
 	// Workers sets the batch pipeline's preparation fan-out
 	// (0 = GOMAXPROCS).  Set before Run/ScanOnce.
 	Workers int
-	// BatchSize caps documents per WAL group-commit batch
-	// (0 = DefaultBatchSize).  Set before Run/ScanOnce.
+	// BatchSize is how many documents one WAL group commit covers
+	// (0 = DefaultBatchSize): a scan's files go through the pipeline as
+	// one run, committed every BatchSize files, and are archived as
+	// each commit lands.  Set before Run/ScanOnce.
 	BatchSize int
 	// MaxRetries caps transient-failure retries per file before the
 	// file is quarantined (0 = DefaultMaxRetries).  Set before
@@ -114,7 +119,7 @@ type Daemon struct {
 	deferred map[string]time.Time
 
 	// now and rng are the clock and jitter source, swappable in tests.
-	// Only the ScanOnce goroutine touches rng.
+	// Only ScanOnce, and the pipeline reports it waits for, touch rng.
 	now func() time.Time
 	rng *rand.Rand
 
@@ -242,69 +247,71 @@ func (d *Daemon) ScanOnce() (int, error) {
 	}
 	d.pending = current
 
-	count := 0
+	return d.ingest(stable), nil
+}
+
+// readError is a drop file that could not be read.  It may read fine
+// once a copy or mount hiccup passes, so it is transient.
+type readError struct{ error }
+
+// ingest reads and stores the stable files through the concurrent
+// pipeline, one group commit per BatchSize of them, and archives each
+// file by its outcome once its commit has landed.  The pipeline's
+// workers read the files, no more than a batch of them ahead.
+func (d *Daemon) ingest(names []string) int {
 	batchSize := d.BatchSize
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	for start := 0; start < len(stable); start += batchSize {
-		end := start + batchSize
-		if end > len(stable) {
-			end = len(stable)
-		}
-		count += d.ingestBatch(stable[start:end])
-	}
-	return count, nil
-}
-
-// ingestBatch reads and stores one batch of stable files through the
-// concurrent pipeline, then archives each file by its outcome.
-func (d *Daemon) ingestBatch(names []string) int {
-	docs := make([]xmlstore.BatchDoc, 0, len(names))
-	for _, name := range names {
-		full := filepath.Join(d.dir, name)
-		data, err := os.ReadFile(full)
+	load := func(i int) (xmlstore.BatchDoc, error) {
+		data, err := os.ReadFile(filepath.Join(d.dir, names[i]))
 		if err != nil {
-			// A drop file that cannot be read now may read fine once a
-			// copy or mount hiccup passes: transient.
-			if d.failOrRetry(name, full, err, true) {
-				delete(d.pending, name)
-			}
-			continue
+			return xmlstore.BatchDoc{Name: names[i]}, readError{err}
 		}
-		docs = append(docs, xmlstore.BatchDoc{Name: name, Data: data})
+		return xmlstore.BatchDoc{Name: names[i], Data: data}, nil
 	}
 	count := 0
-	for _, r := range d.store.StoreBatch(docs, d.Workers) {
-		full := filepath.Join(d.dir, r.Name)
-		if r.Err != nil {
-			if d.failOrRetry(r.Name, full, r.Err, xmlstore.IsTransient(r.Err)) {
-				delete(d.pending, r.Name)
+	d.store.StoreChunks(len(names), d.Workers, batchSize, load, func(_ int, rs []xmlstore.BatchResult) {
+		for _, r := range rs {
+			if d.archive(r) {
+				count++
 			}
-			continue
 		}
-		delete(d.pending, r.Name)
-		delete(d.attempts, r.Name)
-		delete(d.deferred, r.Name)
-		d.mu.Lock()
-		d.ingested++
-		d.mu.Unlock()
-		count++
-		if d.OnIngest != nil {
-			d.OnIngest(r.Name, r.DocID, nil)
-		}
-		if err := os.Rename(full, filepath.Join(d.dir, processedDir, r.Name)); err != nil {
-			// The document is stored; remember the name so no later scan
-			// ingests it again, and surface the stuck archive.  The file
-			// must stay in place — it is not a failed ingest, and later
-			// scans retry the move — so only the bookkeeping half of
-			// recordFailure runs.
-			d.processed[r.Name] = true
-			d.noteFailure(r.Name,
-				fmt.Errorf("stored as doc %d but archive to %s failed: %w", r.DocID, processedDir, err))
-		}
-	}
+	})
 	return count
+}
+
+// archive settles one file by its ingest outcome and reports whether it
+// was stored.
+func (d *Daemon) archive(r xmlstore.BatchResult) bool {
+	full := filepath.Join(d.dir, r.Name)
+	if r.Err != nil {
+		var re readError
+		if d.failOrRetry(r.Name, full, r.Err, errors.As(r.Err, &re) || xmlstore.IsTransient(r.Err)) {
+			delete(d.pending, r.Name)
+		}
+		return false
+	}
+	delete(d.pending, r.Name)
+	delete(d.attempts, r.Name)
+	delete(d.deferred, r.Name)
+	d.mu.Lock()
+	d.ingested++
+	d.mu.Unlock()
+	if d.OnIngest != nil {
+		d.OnIngest(r.Name, r.DocID, nil)
+	}
+	if err := os.Rename(full, filepath.Join(d.dir, processedDir, r.Name)); err != nil {
+		// The document is stored; remember the name so no later scan
+		// ingests it again, and surface the stuck archive.  The file
+		// must stay in place — it is not a failed ingest, and later
+		// scans retry the move — so only the bookkeeping half of
+		// recordFailure runs.
+		d.processed[r.Name] = true
+		d.noteFailure(r.Name,
+			fmt.Errorf("stored as doc %d but archive to %s failed: %w", r.DocID, processedDir, err))
+	}
+	return true
 }
 
 // failOrRetry decides a failed ingest's fate and reports whether the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"netmark/internal/vfs"
 )
@@ -93,6 +94,7 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 		for col := range t.indexes {
 			ct.Indexes = append(ct.Indexes, col)
 		}
+		slices.Sort(ct.Indexes) // one catalog for one store, whatever the map's order
 		t.mu.RUnlock()
 		cf.Tables = append(cf.Tables, ct)
 	}

@@ -79,8 +79,8 @@ type DB struct {
 	// took stored, coded or raw (see StringStats).
 	stringsRaw, stringsStored atomic.Uint64
 	// trainDue says some table's strings have passed the training sample
-	// since the last commit looked (see Table.train).  It spares Commit
-	// the db.mu a checkpoint holds across its fsyncs.
+	// since CommitPoint last looked (see Table.train).  It spares
+	// CommitPoint the db.mu a checkpoint holds across its fsyncs.
 	trainDue atomic.Bool
 }
 
@@ -421,21 +421,52 @@ func (db *DB) tableNamesLocked() []string {
 //
 // A table whose strings have passed the training sample trains its
 // symbol table here, once, and the commit carries the walSymbols record.
+// Commit is CommitPoint then CommitTo.
 func (db *DB) Commit() error {
+	if db.wal != nil {
+		if err := db.Writable(); err != nil {
+			return err
+		}
+	}
+	lsn, err := db.CommitPoint()
+	if err != nil {
+		return err
+	}
+	return db.CommitTo(lsn)
+}
+
+// CommitPoint is the half of Commit that orders: a table whose strings
+// have passed the training sample trains here, and the LSN returned is
+// the one CommitTo must reach to make every mutation so far durable.  A
+// writer that commits behind itself calls it where Commit would run, and
+// carries on while CommitTo runs elsewhere: the tables train at the same
+// rows whenever the fsync lands.
+func (db *DB) CommitPoint() (uint64, error) {
+	if err := db.train(); err != nil {
+		return 0, err
+	}
 	if db.wal == nil {
-		return db.train()
+		return 0, nil
+	}
+	return db.wal.NextLSN(), nil
+}
+
+// CommitTo makes the log durable through lsn, an LSN CommitPoint
+// returned, as Commit does, and trains nothing.
+//
+// netmarkvet:commit
+func (db *DB) CommitTo(lsn uint64) error {
+	if db.wal == nil {
+		return nil
 	}
 	if err := db.Writable(); err != nil {
 		return err
 	}
-	if err := db.train(); err != nil {
-		return err
-	}
 	var err error
 	if db.opts.NoSyncOnCommit {
-		err = db.wal.Flush(db.wal.NextLSN())
+		err = db.wal.Flush(lsn)
 	} else {
-		err = db.wal.Sync()
+		err = db.wal.SyncTo(lsn)
 	}
 	if err != nil {
 		db.noteWriteError("wal commit", err)
@@ -494,7 +525,7 @@ func (db *DB) StringStats() (raw, stored uint64, coded int) {
 }
 
 // train has every table whose strings have passed the training sample
-// build its symbol table; a commit runs it when trainDue says one has.
+// build its symbol table; CommitPoint runs it when trainDue says one has.
 func (db *DB) train() error {
 	if !db.trainDue.Swap(false) {
 		return nil
@@ -507,7 +538,7 @@ func (db *DB) train() error {
 	db.mu.RUnlock()
 	for _, t := range tables {
 		if err := t.train(); err != nil {
-			db.trainDue.Store(true) // the next commit tries again
+			db.trainDue.Store(true) // the next CommitPoint tries again
 			return err
 		}
 	}
@@ -671,8 +702,8 @@ type Table struct {
 	// then set once, under mu, and never changed.  Schema reads it.
 	syms atomic.Pointer[SymbolTable]
 	// untrained counts, while syms is nil, the bytes of STRING values the
-	// table holds as far as its inserts tell: sampleBytes at open, until a
-	// commit reads the heap's (see train), and every insert's since.
+	// table holds as far as its inserts tell: sampleBytes at open, until
+	// CommitPoint reads the heap's (see train), and every insert's since.
 	untrained atomic.Int64
 }
 
@@ -714,7 +745,10 @@ func (t *Table) noteStrings(raw, stored int) {
 // sampleBytes.  The sample is the first sampleBytes of STRING values in
 // the heap, in physical order, which is RowID order: the same rows give
 // the same table, so a restart that lost the walSymbols record builds
-// the same one again.
+// the same one again.  CommitPoint runs it, on the writer's path, never
+// the goroutine that waits for the fsync: which rows are coded depends
+// on where the writer stood when the table trained, so a heap is the
+// same whenever the fsync lands.
 //
 // The table is published, then logged, both under the table's write
 // lock.  Every record is logged under that lock too, so none coded with

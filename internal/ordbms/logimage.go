@@ -27,7 +27,7 @@ func ReadLog(file []byte) (*LogImage, error) {
 		return nil, fmt.Errorf("%w (the log does not start with %q)", ErrStoreFormat, walMagic[:])
 	}
 	li := &LogImage{Base: binary.LittleEndian.Uint64(file[8:walHeaderSize])}
-	s := newLogScanner(bytes.NewReader(file), int64(len(file)), true)
+	s := newLogScanner(bytes.NewReader(file), int64(len(file)), walHeaderSize)
 	for {
 		ok, err := s.next()
 		if err != nil {

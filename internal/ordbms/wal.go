@@ -26,27 +26,44 @@ import (
 // they say nothing about where a record sits in the file; a checkpoint
 // truncates the file but advances a persistent base so LSNs never repeat.
 type WAL struct {
-	// mu is deliberately not marked hot — flush and checkpoint
-	// legitimately write and fsync the log while holding it (group
-	// commit drops it around the leader's fsync).  netmarkvet:lockorder 40
+	// flushMu is the flush token.  Its holder alone cuts frames from the
+	// buffered records, writes them and fsyncs the file, and it does all
+	// of that outside mu, which it takes only to swap the buffer out and
+	// to publish what it wrote: appenders keep filling the buffer while
+	// a group commit deflates and fsyncs.  A checkpoint holds it to swap
+	// the file.  netmarkvet:lockorder 38
+	flushMu sync.Mutex
+	f       vfs.File    // guarded by flushMu
+	fw      frameWriter // guarded by flushMu; the deflate stream the file's frames are cut from
+	pending []byte      // guarded by flushMu; a frame whose write failed, written first by the next flush
+	pendEnd uint64      // guarded by flushMu; the LSN pending ends at
+	spare   []byte      // guarded by flushMu; the buffer the next flush swaps in for buf
+	fileEnd int64       // guarded by flushMu; file offset of the next frame: the end of the last intact one
+	torn    bool        // guarded by flushMu; bytes past fileEnd at open, dropped by the next checkpoint
+	// opened holds the records OpenWAL inflated, frame by frame as
+	// openedFrames cuts them, until Replay takes them; openedAt is where
+	// their frames end in the file, and where Replay goes on reading.
+	opened       []byte        // guarded by flushMu
+	openedFrames []openedFrame // guarded by flushMu
+	openedAt     int64         // guarded by flushMu
+	fs           vfs.FS        // filesystem all log I/O goes through
+	path         string        // log file path (checkpoints swap the file atomically)
+	dir          string        // parent directory, fsynced after the swap
+
+	// mu guards the buffer and the log's marks.  No file I/O happens
+	// under it: the flush token's holder writes and fsyncs outside it, so
+	// an append never waits for the device.  netmarkvet:hot
+	// netmarkvet:lockorder 40
 	mu        sync.Mutex
-	fs        vfs.FS      // filesystem all log I/O goes through
-	f         vfs.File    // guarded by mu
-	path      string      // log file path (checkpoints swap the file atomically)
-	dir       string      // parent directory, fsynced after the swap
-	base      uint64      // guarded by mu; LSN of the first record the file's frames carry
-	buf       []byte      // guarded by mu; appended but not yet framed records
-	bufStart  uint64      // guarded by mu; LSN of buf[0]
-	fw        frameWriter // guarded by mu; the deflate stream the file's frames are cut from
-	pending   []byte      // guarded by mu; a frame whose write failed, written first by the next flush; it ends at bufStart
-	fileEnd   int64       // guarded by mu; file offset of the next frame: the end of the last intact one
-	torn      bool        // guarded by mu; bytes past fileEnd at open, dropped by the next checkpoint
-	flushed   uint64      // guarded by mu; LSN through which the file is written (not necessarily synced)
-	synced    uint64      // guarded by mu; LSN through which the file is fsynced
-	appends   uint64      // guarded by mu; stat: records appended
-	bytes     uint64      // guarded by mu; stat: bytes appended, framing included
-	fileBytes uint64      // guarded by mu; stat: bytes written to the log files
-	syncs     uint64      // guarded by mu; stat: fsyncs issued
+	base      uint64 // guarded by mu; LSN of the first record the file's frames carry
+	buf       []byte // guarded by mu; appended records no flush has taken yet
+	bufStart  uint64 // guarded by mu; LSN of buf[0]
+	flushed   uint64 // guarded by mu; LSN through which the file is written (not necessarily synced)
+	synced    uint64 // guarded by mu; LSN through which the file is fsynced
+	appends   uint64 // guarded by mu; stat: records appended
+	bytes     uint64 // guarded by mu; stat: bytes appended, framing included
+	fileBytes uint64 // guarded by mu; stat: bytes written to the log files
+	syncs     uint64 // guarded by mu; stat: fsyncs issued
 
 	// poisoned is the first commit-fsync failure, sticky until a
 	// checkpoint rebuilds the log on a fresh handle.  After a failed
@@ -55,11 +72,6 @@ type WAL struct {
 	// records: every commit must keep erroring rather than silently ack
 	// data that may not be durable.  Guarded by mu.
 	poisoned error
-
-	// Group-commit state: while a leader's fsync is in flight, followers
-	// wait on syncDone instead of issuing their own.  Guarded by mu.
-	syncing  bool
-	syncDone chan struct{} // guarded by mu
 }
 
 // Log layout.  The file is a 16-byte header — walMagic, whose digits are
@@ -266,17 +278,24 @@ type logScanner struct {
 	r       io.ReaderAt
 	end     int64 // the file's size
 	pos     int64 // where the next frame starts
-	keep    bool  // keep each frame's records in out, not just their last walWindow bytes
 	zr      io.ReadCloser
 	src     bytes.Reader
 	payload []byte
 	hist    []byte // the last walWindow bytes of the current stream
-	out     []byte // the frame's records, or with keep unset their tail
-	n       int    // the bytes the frame inflated to
+	out     []byte // the frame's records
 }
 
-func newLogScanner(r io.ReaderAt, end int64, keep bool) *logScanner {
-	return &logScanner{r: r, end: end, pos: walHeaderSize, keep: keep}
+// newLogScanner reads r's frames from pos, where a frame that starts a
+// stream begins: the header's end, or the end of the frames an open read.
+func newLogScanner(r io.ReaderAt, end, pos int64) *logScanner {
+	return &logScanner{r: r, end: end, pos: pos}
+}
+
+// openedFrame is where one frame OpenWAL inflated ends: in WAL.opened,
+// and in the file.
+type openedFrame struct {
+	end int
+	pos int64
 }
 
 // torn reports bytes past the last intact frame.
@@ -320,18 +339,15 @@ func (s *logScanner) next() (ok bool, err error) {
 		return false, err
 	}
 	limit := int(n) * walMaxInflate
-	s.out, s.n = s.out[:0], 0
+	s.out = s.out[:0]
 	for {
 		if len(s.out) == cap(s.out) {
-			s.out = slices.Grow(s.out, min(max(len(s.out), 4<<10), limit+1-s.n))
+			s.out = slices.Grow(s.out, min(max(len(s.out), 4<<10), limit+1-len(s.out)))
 		}
 		k, rerr := s.zr.Read(s.out[len(s.out):cap(s.out)])
-		s.out, s.n = s.out[:len(s.out)+k], s.n+k
-		if s.n > limit {
+		s.out = s.out[:len(s.out)+k]
+		if len(s.out) > limit {
 			return false, fmt.Errorf("%w at byte %d: %d bytes inflate past %d times as many", errCorruptFrame, s.pos, n, walMaxInflate)
-		}
-		if !s.keep && len(s.out) > 2*walWindow {
-			s.out = s.out[:copy(s.out, s.out[len(s.out)-walWindow:])]
 		}
 		if rerr == io.ErrUnexpectedEOF || rerr == io.EOF {
 			break // the payload is spent: a sync-flushed frame ends at a block boundary
@@ -360,7 +376,8 @@ func tornOr(err error) error {
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.  It inflates the log's intact frames to find where the record
-// stream ends: a log's size says nothing about its LSNs.
+// stream ends, since a log's size says nothing about its LSNs, and keeps
+// the records for Replay, so an open reads and inflates the log once.
 func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -396,8 +413,7 @@ func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
 	// A leftover checkpoint temp means a crash before the atomic rename:
 	// the live log is authoritative, the half-built successor is garbage.
 	fsys.Remove(path + walCkptSuffix)
-	var end uint64 // the bytes of records the intact frames carry
-	s := newLogScanner(f, st.Size(), false)
+	s := newLogScanner(f, st.Size(), walHeaderSize)
 	for {
 		ok, err := s.next()
 		if err != nil {
@@ -407,10 +423,12 @@ func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
 		if !ok {
 			break
 		}
-		end += uint64(s.n)
+		w.opened = append(w.opened, s.out...)
+		w.openedFrames = append(w.openedFrames, openedFrame{len(w.opened), s.pos})
 	}
 	w.fileEnd, w.torn = s.pos, s.torn()
-	w.flushed = w.base + end
+	w.openedAt = s.pos
+	w.flushed = w.base + uint64(len(w.opened))
 	w.synced = w.flushed
 	w.bufStart = w.flushed
 	return w, nil
@@ -643,26 +661,44 @@ func readWALString(p []byte) (string, []byte, bool) {
 	return string(p[sz : sz+int(n)]), p[sz+int(n):], true
 }
 
-// Flush writes buffered records through lsn to the file (no fsync).
+// Flush writes buffered records through lsn to the file (no fsync): the
+// buffer pool's WAL-ahead gate.  A flush in flight, a group commit's
+// included, is waited out first.
 func (w *WAL) Flush(lsn uint64) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	done := w.flushed >= lsn
+	w.mu.Unlock()
+	if done {
+		return nil
+	}
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	return w.flushLocked(lsn)
 }
 
-// flushLocked writes what is buffered through lsn as one frame, after
-// any frame a failed write left pending.  Caller holds w.mu.
+// flushLocked writes what is buffered through lsn, after any frame a
+// failed write left pending.  It takes the whole buffer under mu in one
+// frame, swapping the spare in, and deflates and writes it with mu
+// released: one payload to deflate, one CRC and one write however many
+// records it holds.  Frames go out in LSN order because only the holder
+// of the flush token cuts them.  Caller holds flushMu, not mu.
 func (w *WAL) flushLocked(lsn uint64) error {
-	for lsn > w.flushed {
+	for {
+		w.mu.Lock()
+		if w.flushed >= lsn || (w.pending == nil && len(w.buf) == 0) {
+			w.mu.Unlock()
+			return nil
+		}
+		var recs []byte
 		if w.pending == nil {
-			if len(w.buf) == 0 {
-				return nil
-			}
-			// The whole buffer goes in one frame: one payload to deflate,
-			// one CRC and one write however many records it holds.
-			w.pending = w.fw.frame(w.buf)
-			w.bufStart += uint64(len(w.buf))
-			w.buf = w.buf[:0]
+			recs, w.buf = w.buf, w.spare[:0]
+			w.bufStart += uint64(len(recs))
+			w.pendEnd = w.bufStart
+		}
+		w.mu.Unlock()
+		if recs != nil {
+			w.pending = w.fw.frame(recs)
+			w.spare = recs
 		}
 		if _, err := w.f.WriteAt(w.pending, w.fileEnd); err != nil {
 			// The frame stays pending, so a transient write failure is
@@ -671,11 +707,12 @@ func (w *WAL) flushLocked(lsn uint64) error {
 			return &IOFault{Op: "wal write", Err: err}
 		}
 		w.fileEnd += int64(len(w.pending))
+		w.mu.Lock()
 		w.fileBytes += uint64(len(w.pending))
-		w.flushed = w.bufStart
+		w.flushed = w.pendEnd
+		w.mu.Unlock()
 		w.pending = nil
 	}
-	return nil
 }
 
 // Sync forces all buffered records to stable storage.
@@ -687,78 +724,67 @@ func (w *WAL) Sync() error {
 
 // SyncTo makes the log durable through lsn (which must not exceed
 // NextLSN at the time of the call), coalescing concurrent callers into a
-// single fsync — group commit.  The first caller to find no fsync in
-// flight becomes the leader: it flushes everything buffered so far and
-// fsyncs outside the lock, so records appended meanwhile keep flowing
-// and every follower whose LSN the group covers returns without its own
-// fsync.
+// single fsync — group commit.  The caller that takes the flush token
+// while its records are not yet durable leads a group: it flushes
+// everything buffered so far and fsyncs, all outside mu, so records
+// appended meanwhile keep flowing into the buffer, and every caller
+// waiting for the token whose LSN the group covers returns without an
+// fsync of its own.
 //
 // netmarkvet:commit
 func (w *WAL) SyncTo(lsn uint64) error {
-	for {
-		w.mu.Lock()
-		if w.synced >= lsn {
-			// Everything the caller needs was fsynced before any
-			// poisoning event; acking it is honest even if later
-			// records are in doubt.
-			w.mu.Unlock()
-			return nil
-		}
-		if w.poisoned != nil {
-			err := &WALPoisonedError{Cause: w.poisoned}
-			w.mu.Unlock()
-			return err
-		}
-		if w.syncing {
-			// Ride on the in-flight group, then re-check coverage.
-			done := w.syncDone
-			w.mu.Unlock()
-			<-done
-			continue
-		}
-		w.syncing = true
-		w.syncDone = make(chan struct{})
-		flushErr := w.flushLocked(w.bufStart + uint64(len(w.buf)))
-		target := w.flushed
-		// Capture the handle while the lock is held: checkpointTo swaps
-		// w.f for the truncated successor and closes the old handle, and
-		// it defers that swap until no group fsync is in flight (syncing
-		// is true here), so f stays open for the Sync below.
-		f := w.f
-		w.mu.Unlock()
-
-		var syncErr error
-		if flushErr == nil {
-			syncErr = f.Sync()
-		}
-
-		w.mu.Lock()
-		if flushErr == nil && syncErr == nil && target > w.synced {
-			w.synced = target
-			w.syncs++
-		}
-		if syncErr != nil {
-			// Sticky: a failed commit fsync poisons the log (see the
-			// poisoned field).  Every waiting follower and every later
-			// commit gets an error instead of a phantom ack.
-			w.poisoned = syncErr
-		}
-		w.syncing = false
-		close(w.syncDone)
-		covered := w.synced >= lsn
-		w.mu.Unlock()
-		if flushErr != nil {
-			return flushErr
-		}
-		if syncErr != nil {
-			return &IOFault{Op: "wal fsync", Err: syncErr}
-		}
-		if covered {
-			return nil
-		}
-		// Our records were appended after the flush point we led (only
-		// possible for misuse with lsn > NextLSN); lead another group.
+	if done, err := w.syncedThrough(lsn); done || err != nil {
+		return err
 	}
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	// The token's last holder may have covered lsn, or poisoned the log.
+	if done, err := w.syncedThrough(lsn); done || err != nil {
+		return err
+	}
+	if err := w.flushLocked(w.NextLSN()); err != nil {
+		return err
+	}
+	// Only the token's holder moves flushed, so this is what the fsync
+	// covers.
+	w.mu.Lock()
+	target := w.flushed
+	w.mu.Unlock()
+	if err := w.f.Sync(); err != nil {
+		// Sticky: a failed commit fsync poisons the log (see the
+		// poisoned field).  Every caller waiting for the token and every
+		// later commit gets an error instead of a phantom ack.
+		w.mu.Lock()
+		w.poisoned = err
+		w.mu.Unlock()
+		return &IOFault{Op: "wal fsync", Err: err}
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if target > w.synced {
+		w.synced = target
+		w.syncs++
+	}
+	if w.synced < lsn {
+		return fmt.Errorf("ordbms: wal sync to LSN %d, past the log's end at %d", lsn, w.synced)
+	}
+	return nil
+}
+
+// syncedThrough reports whether the log is durable through lsn, or the
+// error a commit that is not covered gets from a poisoned log.
+func (w *WAL) syncedThrough(lsn uint64) (bool, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.synced >= lsn {
+		// Everything the caller needs was fsynced before any poisoning
+		// event; acking it is honest even if later records are in doubt.
+		return true, nil
+	}
+	if w.poisoned != nil {
+		return false, &WALPoisonedError{Cause: w.poisoned}
+	}
+	return false, nil
 }
 
 // walCkptSuffix names the temp file a checkpoint builds next to the log.
@@ -777,26 +803,20 @@ const walCkptSuffix = ".ckpt"
 // that window made recovery hand out LSNs lagging already-flushed page
 // LSNs, so post-crash records were skipped on the next replay).
 func (w *WAL) checkpointTo(cut uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	// Wait out any in-flight group commit: its leader fsyncs the current
-	// w.f outside the lock, and the swap below closes that handle.
-	for w.syncing {
-		done := w.syncDone
-		w.mu.Unlock()
-		<-done
-		w.mu.Lock()
-	}
-	if err := w.flushLocked(w.bufStart + uint64(len(w.buf))); err != nil {
+	// The flush token keeps every flush and group commit out until the
+	// successor is live: a leader writes and fsyncs w.f, which the swap
+	// below closes.  Appenders go on filling the buffer meanwhile; what
+	// they add is past flushed, and goes to whichever file is live.
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	if err := w.flushLocked(w.NextLSN()); err != nil {
 		return err
 	}
-	if cut < w.base {
-		cut = w.base
-	}
-	if cut > w.flushed {
-		cut = w.flushed
-	}
-	if cut == w.base && w.poisoned == nil && !w.torn {
+	w.mu.Lock()
+	base, flushed, poisoned := w.base, w.flushed, w.poisoned
+	w.mu.Unlock()
+	cut = min(max(cut, base), flushed)
+	if cut == base && poisoned == nil && !w.torn {
 		return nil // nothing to drop; the log already starts at cut
 	}
 	// A poisoned log is rebuilt even when there is nothing to drop: the
@@ -806,9 +826,9 @@ func (w *WAL) checkpointTo(cut uint64) error {
 	// with a torn tail: a frame written over the garbage could leave some
 	// of it behind, such as a stale frame that still passes its CRC.
 	var tail []byte
-	if cut < w.flushed {
+	if cut < flushed {
 		var err error
-		if tail, err = w.recordsPastLocked(cut); err != nil {
+		if tail, err = w.recordsPastLocked(base, flushed, cut); err != nil {
 			return fmt.Errorf("ordbms: wal checkpoint tail read: %w", err)
 		}
 	}
@@ -824,7 +844,7 @@ func (w *WAL) checkpointTo(cut uint64) error {
 		nf.Close()
 		return err
 	}
-	w.fileBytes += walHeaderSize
+	w.addFileBytes(walHeaderSize)
 	// The successor starts a stream of its own, and so does the next
 	// frame, whichever file the swap leaves live.
 	w.fw.fresh = true
@@ -837,7 +857,7 @@ func (w *WAL) checkpointTo(cut uint64) error {
 			return err
 		}
 		end += int64(len(frame))
-		w.fileBytes += uint64(len(frame))
+		w.addFileBytes(uint64(len(frame)))
 	}
 	if err := nf.Sync(); err != nil {
 		nf.Close()
@@ -853,26 +873,38 @@ func (w *WAL) checkpointTo(cut uint64) error {
 	// and fsyncs must land in the live file, not the unlinked old inode.
 	w.f.Close()
 	w.f = nf
+	w.fileEnd, w.torn = end, false
+	w.opened, w.openedFrames, w.openedAt = nil, nil, walHeaderSize
+	w.mu.Lock()
 	w.syncs++
 	w.base = cut
-	w.fileEnd, w.torn = end, false
-	w.synced = w.flushed
+	w.synced = flushed
+	w.mu.Unlock()
 	if err := syncDir(w.fs, w.dir); err != nil {
 		return err
 	}
 	// The live log is now a file that was written and fsynced end to end
 	// on a fresh handle; any earlier fsync failure no longer taints it.
+	w.mu.Lock()
 	w.poisoned = nil
+	w.mu.Unlock()
 	return nil
 }
 
-// recordsPastLocked inflates the file's frames and returns the records
-// past LSN cut, which must lie on a record boundary at or below
-// w.flushed.  Caller holds w.mu, with nothing pending.
-func (w *WAL) recordsPastLocked(cut uint64) ([]byte, error) {
-	tail := make([]byte, 0, w.flushed-cut)
-	s := newLogScanner(w.f, w.fileEnd, true)
-	for lsn := w.base; ; lsn += uint64(s.n) {
+// addFileBytes counts n bytes written to the log's files.
+func (w *WAL) addFileBytes(n uint64) {
+	w.mu.Lock()
+	w.fileBytes += n
+	w.mu.Unlock()
+}
+
+// recordsPastLocked inflates the file's frames, which carry the records
+// from base to flushed, and returns those past LSN cut, which must lie on
+// a record boundary.  Caller holds flushMu, with nothing pending.
+func (w *WAL) recordsPastLocked(base, flushed, cut uint64) ([]byte, error) {
+	tail := make([]byte, 0, flushed-cut)
+	s := newLogScanner(w.f, w.fileEnd, walHeaderSize)
+	for lsn := base; ; lsn += uint64(len(s.out)) {
 		ok, err := s.next()
 		if err != nil {
 			return nil, err
@@ -880,12 +912,12 @@ func (w *WAL) recordsPastLocked(cut uint64) ([]byte, error) {
 		if !ok {
 			break
 		}
-		if lsn+uint64(s.n) > cut {
+		if lsn+uint64(len(s.out)) > cut {
 			tail = append(tail, s.out[max(cut, lsn)-lsn:]...)
 		}
 	}
-	if uint64(len(tail)) != w.flushed-cut {
-		return nil, fmt.Errorf("the log's frames hold %d bytes past LSN %d, want %d", len(tail), cut, w.flushed-cut)
+	if uint64(len(tail)) != flushed-cut {
+		return nil, fmt.Errorf("the log's frames hold %d bytes past LSN %d, want %d", len(tail), cut, flushed-cut)
 	}
 	return tail, nil
 }
@@ -917,8 +949,8 @@ func (w *WAL) SyncedLSN() uint64 {
 // closeFile releases the file handle without flushing — the crash-close
 // path (CloseDiscard) for tests and read-only benchmark reopens.
 func (w *WAL) closeFile() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	w.fw.release()
 	return w.f.Close()
 }
@@ -991,24 +1023,37 @@ func nextRecord(p []byte) (body, rest []byte, ok bool) {
 	return body, p[8+n:], crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(p[4:8])
 }
 
-// Replay inflates the log's frames in order and calls fn for each record
-// they carry; r.Rec is valid only during the call.  A torn tail — a frame
-// cut short or failing its CRC — terminates the scan cleanly (crash
-// semantics); torn=true reports that bytes follow the last intact frame —
-// the caller must checkpoint the log before appending new records, or the
-// next replay would stop at the garbage and never reach them.  A frame
-// that passes its CRC but does not inflate to whole intact records, or a
+// Replay calls fn for each record the log's frames carry, in order;
+// r.Rec is valid only during the call.  The frames OpenWAL inflated are
+// not read again: Replay takes their records from the open, once, and
+// reads only the frames written since.  A torn tail — a frame cut short
+// or failing its CRC — terminates the scan cleanly (crash semantics);
+// torn=true reports that bytes follow the last intact frame — the caller
+// must checkpoint the log before appending new records, or the next
+// replay would stop at the garbage and never reach them.  A frame that
+// passes its CRC but does not inflate to whole intact records, or a
 // record that does not parse, is an error, not a tail: the frames after
 // it were committed.
 func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	lsn := w.base
+	w.mu.Unlock()
+	opened, frames, pos := w.opened, w.openedFrames, w.openedAt
+	w.opened, w.openedFrames, w.openedAt = nil, nil, walHeaderSize
+	start := 0
+	for _, fr := range frames {
+		if lsn, err = replayFrame(opened[start:fr.end], fr.pos, lsn, fn); err != nil {
+			return false, err
+		}
+		start = fr.end
+	}
 	st, err := w.f.Stat()
 	if err != nil {
 		return false, err
 	}
-	s := newLogScanner(w.f, st.Size(), true)
-	lsn := w.base
+	s := newLogScanner(w.f, st.Size(), pos)
 	for {
 		ok, err := s.next()
 		if err != nil {
@@ -1017,38 +1062,48 @@ func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 		if !ok {
 			return s.torn(), nil
 		}
-		for p := s.out; len(p) > 0; {
-			body, rest, ok := nextRecord(p)
-			if !ok {
-				return false, fmt.Errorf("%w: the frame ending at byte %d holds a record, at LSN %d, cut short or failing its CRC", errCorruptRecord, s.pos, lsn)
-			}
-			lsn += uint64(len(p) - len(rest))
-			p = rest
-			r := WALRecord{LSN: lsn, Type: body[0], Rec: body[1:]}
-			ok = true
-			switch body[0] {
-			case walAlloc:
-				if ok = len(body) >= 5; ok {
-					r.Page = binary.LittleEndian.Uint32(body[1:5])
-					r.Rec = body[5:] // table name
-				}
-			case walInsertRun, walDeleteRun:
-				ok = runFramed(r.Type, r.Rec)
-			case walSymbols:
-				_, _, ok = readSymbolsRecord(r.Rec)
-			case walCreateTable, walCreateIndex, walDropTable:
-				// DDL payload, decoded by recovery
-			case walCheckpoint:
-				// informational only
-			default:
-				ok = false
-			}
-			if !ok {
-				return false, fmt.Errorf("%w: type %d, ending at LSN %d", errCorruptRecord, body[0], lsn)
-			}
-			if err := fn(r); err != nil {
-				return false, err
-			}
+		if lsn, err = replayFrame(s.out, s.pos, lsn, fn); err != nil {
+			return false, err
 		}
 	}
+}
+
+// replayFrame calls fn for each record of p, the records of the frame
+// ending at byte pos, which start at LSN lsn, and returns the LSN they
+// end at.
+func replayFrame(p []byte, pos int64, lsn uint64, fn func(r WALRecord) error) (uint64, error) {
+	for len(p) > 0 {
+		body, rest, ok := nextRecord(p)
+		if !ok {
+			return lsn, fmt.Errorf("%w: the frame ending at byte %d holds a record, at LSN %d, cut short or failing its CRC", errCorruptRecord, pos, lsn)
+		}
+		lsn += uint64(len(p) - len(rest))
+		p = rest
+		r := WALRecord{LSN: lsn, Type: body[0], Rec: body[1:]}
+		ok = true
+		switch body[0] {
+		case walAlloc:
+			if ok = len(body) >= 5; ok {
+				r.Page = binary.LittleEndian.Uint32(body[1:5])
+				r.Rec = body[5:] // table name
+			}
+		case walInsertRun, walDeleteRun:
+			ok = runFramed(r.Type, r.Rec)
+		case walSymbols:
+			_, _, ok = readSymbolsRecord(r.Rec)
+		case walCreateTable, walCreateIndex, walDropTable:
+			// DDL payload, decoded by recovery
+		case walCheckpoint:
+			// informational only
+		default:
+			ok = false
+		}
+		if !ok {
+			return lsn, fmt.Errorf("%w: type %d, ending at LSN %d", errCorruptRecord, body[0], lsn)
+		}
+		if err := fn(r); err != nil {
+			return lsn, err
+		}
+	}
+	return lsn, nil
 }

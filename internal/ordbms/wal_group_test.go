@@ -232,10 +232,10 @@ func TestWALSyncDuringCheckpoint(t *testing.T) {
 }
 
 // TestWALCheckpointWaitsForInflightSync pins the invariant directly:
-// while a group-commit leader is fsyncing (syncing set, lock released),
-// checkpointTo must not swap and close the log file.  Before the fix it
-// returned immediately, closing the handle the leader was about to
-// fsync.
+// while a group-commit leader is fsyncing (the flush token held, mu
+// released), checkpointTo must not swap and close the log file.  Before
+// the fix it returned immediately, closing the handle the leader was
+// about to fsync.
 func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(vfs.OS, filepath.Join(dir, "wal.nmlog"))
@@ -248,10 +248,7 @@ func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	}
 
 	// Pose as a group-commit leader mid-fsync.
-	w.mu.Lock()
-	w.syncing = true
-	w.syncDone = make(chan struct{})
-	w.mu.Unlock()
+	w.flushMu.Lock()
 
 	ckptDone := make(chan error, 1)
 	go func() { ckptDone <- w.checkpointTo(w.SyncedLSN()) }()
@@ -262,10 +259,7 @@ func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	}
 
 	// Leader finishes; the checkpoint may now proceed.
-	w.mu.Lock()
-	w.syncing = false
-	close(w.syncDone)
-	w.mu.Unlock()
+	w.flushMu.Unlock()
 	if err := <-ckptDone; err != nil {
 		t.Fatal(err)
 	}

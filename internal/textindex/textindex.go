@@ -416,24 +416,23 @@ func New() *Index {
 // Add indexes text under id.  Calling Add twice with the same id adds
 // the second text's terms to the entry.
 func (ix *Index) Add(id uint64, text string) {
-	ix.AddTokens(id, Tokenize(text))
+	toks := Tokenize(text)
+	slices.Sort(toks)
+	ix.AddTokens(id, slices.Compact(toks))
 }
 
-// AddTokens indexes pre-tokenized text under id; toks may repeat a term,
-// and AddTokens sorts it in place.  Tokenization is the CPU-bound half
-// of Add; batch ingestion runs it in parse workers and hands the tokens
-// here, and the repeats are dropped before the lock, so only the
-// posting-list insert runs under it.  A term id already holds is passed
-// over.
+// AddTokens indexes terms under id; toks must be sorted and distinct.
+// Tokenization, sorting and the dropping of repeats are the CPU-bound
+// half of Add; batch ingestion runs them in parse workers and hands the
+// terms here, so only the posting-list insert runs under the lock, on
+// the indexer's one goroutine.  A term id already holds is passed over.
 func (ix *Index) AddTokens(id uint64, toks []string) {
 	if len(toks) == 0 {
 		return
 	}
-	slices.Sort(toks)
-	terms := slices.Compact(toks)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, term := range terms {
+	for _, term := range toks {
 		pl := ix.getOrCreateLocked(term)
 		if pl.has(id) {
 			continue

@@ -1,6 +1,7 @@
 package xmlstore
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"netmark/internal/corpus"
 	"netmark/internal/docform"
@@ -758,8 +760,11 @@ func TestOpenAfterEveryDDLCut(t *testing.T) {
 // node, and the string counters — whose raw count decides when a table
 // trains its symbol table, and with it every coded record after — read
 // as they did then.  The 64-document batches commit, and so train,
-// between batches, so most records are coded.  DOC rows carry the ingest
-// time and stay out of the digest.
+// between batches, so most records are coded.  The pipeline, fed the
+// same documents in one run that commits every 64 of them, writes the
+// same records on any number of workers: its tables train where a
+// batch-at-a-time loop's commits would, whenever its fsyncs land.  DOC
+// rows carry the ingest time and stay out of the digest.
 func TestIngestRecordsPinned(t *testing.T) {
 	const (
 		wantRecords = "ad8488bc09d327d814b76818dd531e74d9881c7c39f14e12cd0ecbfd526dcd70"
@@ -768,49 +773,141 @@ func TestIngestRecordsPinned(t *testing.T) {
 		wantCoded   = 2 // XML and DOC; TAG never holds a sample's worth
 	)
 	g := corpus.New(1)
-	docs := append(g.Mixed(300), g.DeepReports(2, 6, 24, 16)...)
-	db, s := openDir(t, t.TempDir(), OpenOptions{})
-	defer db.CloseDiscard()
-	for len(docs) > 0 {
-		n := min(64, len(docs))
-		batch := make([]BatchDoc, n)
-		for i, d := range docs[:n] {
-			batch[i] = BatchDoc{Name: d.Name, Data: d.Data}
+	var docs []BatchDoc
+	for _, d := range append(g.Mixed(300), g.DeepReports(2, 6, 24, 16)...) {
+		docs = append(docs, BatchDoc{Name: d.Name, Data: d.Data})
+	}
+	check := func(t *testing.T, db *ordbms.DB) {
+		h := sha256.New()
+		for _, name := range []string{"XML", "TAG"} {
+			tbl := db.Table(name)
+			var rids []ordbms.RowID
+			if err := tbl.Scan(func(rid ordbms.RowID, _ ordbms.Row) bool {
+				rids = append(rids, rid)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			slices.SortFunc(rids, func(a, b ordbms.RowID) int { return cmp.Compare(a.Uint64(), b.Uint64()) })
+			fmt.Fprintf(h, "%s %d\n", name, len(rids))
+			for _, rid := range rids {
+				if err := tbl.FetchView(rid, func(rec []byte) error {
+					fmt.Fprintf(h, "%v %d ", rid, len(rec))
+					h.Write(rec)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		for _, r := range s.StoreBatch(batch, 2) {
+		raw, stored, coded := db.StringStats()
+		if got := hex.EncodeToString(h.Sum(nil)); got != wantRecords {
+			t.Errorf("records hash to %s, want %s", got, wantRecords)
+		}
+		if raw != wantRaw || stored != wantStored || coded != wantCoded {
+			t.Errorf("strings %d B raw, %d B stored, %d tables coded; want %d, %d, %d", raw, stored, coded, wantRaw, wantStored, wantCoded)
+		}
+	}
+	t.Run("batches", func(t *testing.T) {
+		db, s := openDir(t, t.TempDir(), OpenOptions{})
+		defer db.CloseDiscard()
+		storeBatches(t, s, docs, 64)
+		check(t, db)
+	})
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("pipeline/workers=%d", workers), func(t *testing.T) {
+			db, s := openDir(t, t.TempDir(), OpenOptions{})
+			defer db.CloseDiscard()
+			storeChunks(t, s, docs, workers, 64)
+			check(t, db)
+		})
+	}
+}
+
+// storeBatches stores docs a chunk at a time, each chunk one StoreBatch
+// on two workers and so one commit, and fails t on any document's error.
+func storeBatches(t *testing.T, s *Store, docs []BatchDoc, chunk int) {
+	t.Helper()
+	for start := 0; start < len(docs); start += chunk {
+		for _, r := range s.StoreBatch(docs[start:min(start+chunk, len(docs))], 2) {
 			if r.Err != nil {
 				t.Fatalf("%s: %v", r.Name, r.Err)
 			}
 		}
-		docs = docs[n:]
 	}
-	h := sha256.New()
-	for _, name := range []string{"XML", "TAG"} {
-		tbl := db.Table(name)
-		var rids []ordbms.RowID
-		if err := tbl.Scan(func(rid ordbms.RowID, _ ordbms.Row) bool {
-			rids = append(rids, rid)
-			return true
-		}); err != nil {
+}
+
+// storeChunks runs docs through the pipeline in one run, committing
+// every chunk of them, and fails t on any document's error or on results
+// reported out of order.
+func storeChunks(t *testing.T, s *Store, docs []BatchDoc, workers, chunk int) {
+	t.Helper()
+	next := 0
+	s.StoreChunks(len(docs), workers, chunk,
+		func(i int) (BatchDoc, error) { return docs[i], nil },
+		func(first int, rs []BatchResult) {
+			if first != next || len(rs) != min(chunk, len(docs)-first) {
+				t.Errorf("results for %d documents from %d, want %d from %d", len(rs), first, min(chunk, len(docs)-next), next)
+			}
+			next = first + len(rs)
+			for _, r := range rs {
+				if r.Err != nil {
+					t.Errorf("%s: %v", r.Name, r.Err)
+				}
+			}
+		})
+	if next != len(docs) {
+		t.Fatalf("results reported for %d of %d documents", next, len(docs))
+	}
+}
+
+// The pipeline writes a store byte-identical to a loop that stores and
+// commits one chunk at a time: the same data file, catalog, log and
+// derived snapshot after a clean close, whatever the chunk size — one
+// document, 64, or all of them.  It holds because the tables train on
+// the writer at each chunk's end, where the loop's commits train, and
+// the writer encodes again a document prepared before its table trained.
+func TestPipelineMatchesChunkLoop(t *testing.T) {
+	var docs []BatchDoc
+	for _, d := range corpus.New(1).Mixed(300) {
+		docs = append(docs, BatchDoc{Name: d.Name, Data: d.Data})
+	}
+	// DOC rows are stamped with the ingest time: both stores get the same.
+	stamp := time.Unix(1_700_000_000, 0)
+	ingest := func(t *testing.T, run func(s *Store)) map[string][]byte {
+		dir := t.TempDir()
+		db, s := openDir(t, dir, OpenOptions{})
+		s.now = func() time.Time { return stamp }
+		run(s)
+		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}
-		slices.SortFunc(rids, func(a, b ordbms.RowID) int { return cmp.Compare(a.Uint64(), b.Uint64()) })
-		fmt.Fprintf(h, "%s %d\n", name, len(rids))
-		for _, rid := range rids {
-			if err := tbl.FetchView(rid, func(rec []byte) error {
-				fmt.Fprintf(h, "%v %d ", rid, len(rec))
-				h.Write(rec)
-				return nil
-			}); err != nil {
+		files := map[string][]byte{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
 				t.Fatal(err)
 			}
+			files[e.Name()] = b
 		}
+		return files
 	}
-	raw, stored, coded := db.StringStats()
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantRecords {
-		t.Errorf("records hash to %s, want %s", got, wantRecords)
-	}
-	if raw != wantRaw || stored != wantStored || coded != wantCoded {
-		t.Errorf("strings %d B raw, %d B stored, %d tables coded; want %d, %d, %d", raw, stored, coded, wantRaw, wantStored, wantCoded)
+	for _, chunk := range []int{1, 64, 300} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			want := ingest(t, func(s *Store) { storeBatches(t, s, docs, chunk) })
+			got := ingest(t, func(s *Store) { storeChunks(t, s, docs, 2, chunk) })
+			if len(want) != 4 || len(got) != len(want) {
+				t.Fatalf("the stores hold %d and %d files, want 4 each", len(want), len(got))
+			}
+			for name, b := range want {
+				if !bytes.Equal(got[name], b) {
+					t.Errorf("%s: the pipeline's %d bytes differ from the chunk loop's %d", name, len(got[name]), len(b))
+				}
+			}
+		})
 	}
 }

@@ -2,9 +2,9 @@ package xmlstore
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"netmark/internal/docform"
 	"netmark/internal/ordbms"
@@ -44,8 +44,9 @@ type preparedDoc struct {
 	// attrs are stored empty, not NULL (see Node.Titled).
 	titled bool
 	// schema is the XML table's, with its symbol table as it was when
-	// the document was prepared: every record of the document is encoded
-	// with it, the writer's re-encodes included.
+	// the document was prepared, or when the writer found the table had
+	// trained since (see reencode): every record of the document is
+	// encoded with it, the writer's re-encodes included.
 	schema ordbms.Schema
 	flat   []flatNode
 	buf    []byte   // the records' backing array: every encode appends to it
@@ -147,8 +148,10 @@ func (s *Store) prepareDocument(meta docform.Meta, tree *sgml.Node, cfg *sgml.Co
 
 // postTerms cuts each node's own text into terms, posted under its
 // section's key row (see postKey), and groups them by key row in one
-// counting sort: node k's section holds toks[ends[k]:ends[k+1]].  Ingest
-// and the open-time rebuild both index through it.
+// counting sort: node k's section holds toks[ends[k]:ends[k+1]], sorted
+// and distinct, as textindex.AddTokens takes them, so the indexer's one
+// goroutine only inserts postings.  Ingest and the open-time rebuild
+// both index through it.
 func (pw *prepWorker) postTerms(flat []flatNode) (toks []string, ends []int32) {
 	pw.toks, pw.texts = pw.toks[:0], pw.texts[:0]
 	governs := governingContexts(flat)
@@ -177,7 +180,17 @@ func (pw *prepWorker) postTerms(flat []flatNode) (toks []string, ends []int32) {
 	}
 	copy(ends[1:], ends)
 	ends[0] = 0
-	return toks, ends
+	// Each section's terms sorted, their repeats dropped and the sections
+	// after it moved down over the gap.
+	start, n := int32(0), int32(0)
+	for k := 1; k < len(ends); k++ {
+		group := toks[start:ends[k]]
+		slices.Sort(group)
+		start = ends[k]
+		n += int32(copy(toks[n:], slices.Compact(group)))
+		ends[k] = n
+	}
+	return toks[:n], ends
 }
 
 // optString stores an empty string as NULL: no bytes in the record, and
@@ -232,6 +245,21 @@ func (p *preparedDoc) add(i int) error {
 	p.raw += raw
 	p.stored += stored
 	return nil
+}
+
+// reencode encodes every record the document has again under schema,
+// the XML table's now.  A node still waiting for its TAG code has no
+// record yet: storePrepared encodes it once the code is assigned.
+func (p *preparedDoc) reencode(schema ordbms.Schema) {
+	p.schema = schema
+	p.buf, p.raw, p.stored = p.buf[:0], 0, 0
+	for i := range p.flat {
+		if p.flat[i].tag >= 0 {
+			raw, stored := p.encode(i, 0)
+			p.raw += raw
+			p.stored += stored
+		}
+	}
 }
 
 // encode appends node i's record, with the given links far, to the
@@ -379,6 +407,14 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	}()
 	flat := p.flat
 
+	// A document prepared before the XML table trained is encoded again
+	// under the table's symbol table, as if it had been prepared after:
+	// which records are coded depends on where the writer stood when the
+	// table trained, not on when a worker got to the document.
+	if sch := s.xml.Schema(); sch.Symbols() != p.schema.Symbols() {
+		p.reencode(sch)
+	}
+
 	// Tags first, in document order, so a batch assigns the same codes
 	// however its workers were scheduled; the new pairs' TAG rows are
 	// logged before the run that uses their codes.
@@ -441,7 +477,7 @@ func (s *Store) storePrepared(p *preparedDoc) (err error) {
 	docRow := ordbms.Row{
 		ordbms.I(int64(p.docID)),
 		ordbms.S(p.meta.FileName),
-		ordbms.I(time.Now().Unix()),
+		ordbms.I(s.now().Unix()),
 		ordbms.I(int64(p.meta.Size)),
 		ordbms.S(p.meta.Format),
 		ordbms.S(p.meta.Title),

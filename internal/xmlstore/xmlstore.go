@@ -63,6 +63,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unicode"
 
 	"netmark/internal/ordbms"
@@ -222,6 +223,10 @@ type Store struct {
 	// everything cached against the previous state without the cache ever
 	// scanning its entries.
 	generation atomic.Uint64
+
+	// now is the clock DOC rows are stamped with (filedate); tests that
+	// compare the bytes of two stores pin it.
+	now func() time.Time
 }
 
 var xmlSchema = ordbms.MustSchema(
@@ -273,6 +278,7 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		db:       db,
 		content:  textindex.New(),
 		headings: textindex.New(),
+		now:      time.Now,
 	}
 	s.nextDocID.Store(1)
 	var err error
