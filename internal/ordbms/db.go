@@ -210,7 +210,8 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal, err := OpenWAL(db.fs, filepath.Join(opts.Dir, "wal.nmlog"))
+	// Recovery's replay is the scan that finds where the log ends.
+	wal, err := openWAL(db.fs, filepath.Join(opts.Dir, "wal.nmlog"))
 	if err != nil {
 		return nil, err
 	}

@@ -26,33 +26,38 @@ import (
 // they say nothing about where a record sits in the file; a checkpoint
 // truncates the file but advances a persistent base so LSNs never repeat.
 type WAL struct {
+	// syncMu is the group-commit token.  Its holder leads a group: it
+	// flushes what is buffered, then fsyncs with only this token held, so
+	// a flush — the buffer pool's WAL-ahead gate — writes frames while
+	// the device syncs.  A checkpoint holds it too, so the file a leader
+	// fsyncs is not swapped and closed under it.
+	// netmarkvet:lockorder 37
+	syncMu sync.Mutex
 	// flushMu is the flush token.  Its holder alone cuts frames from the
-	// buffered records, writes them and fsyncs the file, and it does all
-	// of that outside mu, which it takes only to swap the buffer out and
-	// to publish what it wrote: appenders keep filling the buffer while
-	// a group commit deflates and fsyncs.  A checkpoint holds it to swap
-	// the file.  netmarkvet:lockorder 38
+	// buffered records and writes them, and it does that outside mu,
+	// which it takes only to swap the buffer out and to publish what it
+	// wrote: appenders keep filling the buffer while a flush deflates and
+	// writes.  A checkpoint holds it to swap the file.
+	// netmarkvet:lockorder 38
 	flushMu sync.Mutex
-	f       vfs.File    // guarded by flushMu
+	f       vfs.File    // guarded by flushMu; swapped only with syncMu held too
 	fw      frameWriter // guarded by flushMu; the deflate stream the file's frames are cut from
 	pending []byte      // guarded by flushMu; a frame whose write failed, written first by the next flush
 	pendEnd uint64      // guarded by flushMu; the LSN pending ends at
 	spare   []byte      // guarded by flushMu; the buffer the next flush swaps in for buf
 	fileEnd int64       // guarded by flushMu; file offset of the next frame: the end of the last intact one
 	torn    bool        // guarded by flushMu; bytes past fileEnd at open, dropped by the next checkpoint
-	// opened holds the records OpenWAL inflated, frame by frame as
-	// openedFrames cuts them, until Replay takes them; openedAt is where
-	// their frames end in the file, and where Replay goes on reading.
-	opened       []byte        // guarded by flushMu
-	openedFrames []openedFrame // guarded by flushMu
-	openedAt     int64         // guarded by flushMu
-	fs           vfs.FS        // filesystem all log I/O goes through
-	path         string        // log file path (checkpoints swap the file atomically)
-	dir          string        // parent directory, fsynced after the swap
+	// scanned is set once a scan has found where the file's intact
+	// frames end: OpenWAL's, or the first Replay after openWAL.
+	scanned bool   // guarded by flushMu
+	fs      vfs.FS // filesystem all log I/O goes through
+	path    string // log file path (checkpoints swap the file atomically)
+	dir     string // parent directory, fsynced after the swap
 
 	// mu guards the buffer and the log's marks.  No file I/O happens
-	// under it: the flush token's holder writes and fsyncs outside it, so
-	// an append never waits for the device.  netmarkvet:hot
+	// under it: the flush token's holder writes outside it and the
+	// group-commit leader fsyncs outside it, so an append never waits for
+	// the device.  netmarkvet:hot
 	// netmarkvet:lockorder 40
 	mu        sync.Mutex
 	base      uint64 // guarded by mu; LSN of the first record the file's frames carry
@@ -291,13 +296,6 @@ func newLogScanner(r io.ReaderAt, end, pos int64) *logScanner {
 	return &logScanner{r: r, end: end, pos: pos}
 }
 
-// openedFrame is where one frame OpenWAL inflated ends: in WAL.opened,
-// and in the file.
-type openedFrame struct {
-	end int
-	pos int64
-}
-
 // torn reports bytes past the last intact frame.
 func (s *logScanner) torn() bool { return s.pos < s.end }
 
@@ -376,9 +374,24 @@ func tornOr(err error) error {
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.  It inflates the log's intact frames to find where the record
-// stream ends, since a log's size says nothing about its LSNs, and keeps
-// the records for Replay, so an open reads and inflates the log once.
+// stream ends, since a log's size says nothing about its LSNs.
 func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
+	w, err := openWAL(fsys, path)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Replay(nil); err != nil {
+		w.closeFile()
+		return nil, fmt.Errorf("ordbms: open wal: %w", err)
+	}
+	return w, nil
+}
+
+// openWAL opens or creates the log at path without reading its frames:
+// the first Replay finds where they end, so a recovery reads and
+// inflates the log once, a frame at a time.  Until that Replay the log
+// takes no appends.
+func openWAL(fsys vfs.FS, path string) (*WAL, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ordbms: open wal: %w", err)
@@ -413,24 +426,9 @@ func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
 	// A leftover checkpoint temp means a crash before the atomic rename:
 	// the live log is authoritative, the half-built successor is garbage.
 	fsys.Remove(path + walCkptSuffix)
-	s := newLogScanner(f, st.Size(), walHeaderSize)
-	for {
-		ok, err := s.next()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ordbms: open wal: %w", err)
-		}
-		if !ok {
-			break
-		}
-		w.opened = append(w.opened, s.out...)
-		w.openedFrames = append(w.openedFrames, openedFrame{len(w.opened), s.pos})
-	}
-	w.fileEnd, w.torn = s.pos, s.torn()
-	w.openedAt = s.pos
-	w.flushed = w.base + uint64(len(w.opened))
-	w.synced = w.flushed
-	w.bufStart = w.flushed
+	w.flushed = w.base
+	w.synced = w.base
+	w.bufStart = w.base
 	return w, nil
 }
 
@@ -662,8 +660,8 @@ func readWALString(p []byte) (string, []byte, bool) {
 }
 
 // Flush writes buffered records through lsn to the file (no fsync): the
-// buffer pool's WAL-ahead gate.  A flush in flight, a group commit's
-// included, is waited out first.
+// buffer pool's WAL-ahead gate.  It waits for a flush in flight, which
+// deflates and writes, but not for a group commit's fsync.
 func (w *WAL) Flush(lsn uint64) error {
 	w.mu.Lock()
 	done := w.flushed >= lsn
@@ -724,33 +722,37 @@ func (w *WAL) Sync() error {
 
 // SyncTo makes the log durable through lsn (which must not exceed
 // NextLSN at the time of the call), coalescing concurrent callers into a
-// single fsync — group commit.  The caller that takes the flush token
-// while its records are not yet durable leads a group: it flushes
-// everything buffered so far and fsyncs, all outside mu, so records
-// appended meanwhile keep flowing into the buffer, and every caller
-// waiting for the token whose LSN the group covers returns without an
-// fsync of its own.
+// single fsync — group commit.  The caller that takes the group-commit
+// token while its records are not yet durable leads a group: it flushes
+// everything buffered so far, then fsyncs holding that token alone, so
+// records appended meanwhile keep flowing into the buffer and a flush
+// may write them to the file.  Every caller waiting for the token whose
+// LSN the group covers returns without an fsync of its own.
 //
 // netmarkvet:commit
 func (w *WAL) SyncTo(lsn uint64) error {
 	if done, err := w.syncedThrough(lsn); done || err != nil {
 		return err
 	}
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	// The token's last holder may have covered lsn, or poisoned the log.
 	if done, err := w.syncedThrough(lsn); done || err != nil {
 		return err
 	}
-	if err := w.flushLocked(w.NextLSN()); err != nil {
-		return err
-	}
-	// Only the token's holder moves flushed, so this is what the fsync
-	// covers.
+	w.flushMu.Lock()
+	err := w.flushLocked(w.NextLSN())
+	// Flushes move flushed only after their write, so this is what the
+	// fsync covers; a checkpoint, which swaps the file, waits for syncMu.
+	f := w.f
 	w.mu.Lock()
 	target := w.flushed
 	w.mu.Unlock()
-	if err := w.f.Sync(); err != nil {
+	w.flushMu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		// Sticky: a failed commit fsync poisons the log (see the
 		// poisoned field).  Every caller waiting for the token and every
 		// later commit gets an error instead of a phantom ack.
@@ -803,10 +805,13 @@ const walCkptSuffix = ".ckpt"
 // that window made recovery hand out LSNs lagging already-flushed page
 // LSNs, so post-crash records were skipped on the next replay).
 func (w *WAL) checkpointTo(cut uint64) error {
-	// The flush token keeps every flush and group commit out until the
-	// successor is live: a leader writes and fsyncs w.f, which the swap
-	// below closes.  Appenders go on filling the buffer meanwhile; what
-	// they add is past flushed, and goes to whichever file is live.
+	// The two tokens keep every group commit and flush out until the
+	// successor is live: a leader fsyncs w.f and a flush writes it, and
+	// the swap below closes it.  Appenders go on filling the buffer
+	// meanwhile; what they add is past flushed, and goes to whichever
+	// file is live.
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	if err := w.flushLocked(w.NextLSN()); err != nil {
@@ -874,7 +879,6 @@ func (w *WAL) checkpointTo(cut uint64) error {
 	w.f.Close()
 	w.f = nf
 	w.fileEnd, w.torn = end, false
-	w.opened, w.openedFrames, w.openedAt = nil, nil, walHeaderSize
 	w.mu.Lock()
 	w.syncs++
 	w.base = cut
@@ -949,6 +953,8 @@ func (w *WAL) SyncedLSN() uint64 {
 // closeFile releases the file handle without flushing — the crash-close
 // path (CloseDiscard) for tests and read-only benchmark reopens.
 func (w *WAL) closeFile() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.fw.release()
@@ -1024,48 +1030,56 @@ func nextRecord(p []byte) (body, rest []byte, ok bool) {
 }
 
 // Replay calls fn for each record the log's frames carry, in order;
-// r.Rec is valid only during the call.  The frames OpenWAL inflated are
-// not read again: Replay takes their records from the open, once, and
-// reads only the frames written since.  A torn tail — a frame cut short
-// or failing its CRC — terminates the scan cleanly (crash semantics);
+// r.Rec is valid only during the call, and a nil fn inflates the frames
+// without reading their records.  A torn tail — a frame cut short or
+// failing its CRC — terminates the scan cleanly (crash semantics);
 // torn=true reports that bytes follow the last intact frame — the caller
 // must checkpoint the log before appending new records, or the next
 // replay would stop at the garbage and never reach them.  A frame that
 // passes its CRC but does not inflate to whole intact records, or a
 // record that does not parse, is an error, not a tail: the frames after
 // it were committed.
+//
+// The first Replay after openWAL is also the scan that finds the log's
+// end: the log counts as written and durable through each frame before
+// fn sees its records, so a page recovery dirties passes the buffer
+// pool's flush gate.  Memory stays at a frame whatever the log's size.
 func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	lsn := w.base
-	w.mu.Unlock()
-	opened, frames, pos := w.opened, w.openedFrames, w.openedAt
-	w.opened, w.openedFrames, w.openedAt = nil, nil, walHeaderSize
-	start := 0
-	for _, fr := range frames {
-		if lsn, err = replayFrame(opened[start:fr.end], fr.pos, lsn, fn); err != nil {
-			return false, err
-		}
-		start = fr.end
-	}
 	st, err := w.f.Stat()
 	if err != nil {
 		return false, err
 	}
-	s := newLogScanner(w.f, st.Size(), pos)
+	w.mu.Lock()
+	lsn := w.base
+	w.mu.Unlock()
+	s := newLogScanner(w.f, st.Size(), walHeaderSize)
 	for {
 		ok, err := s.next()
 		if err != nil {
 			return false, err
 		}
 		if !ok {
-			return s.torn(), nil
+			break
+		}
+		if !w.scanned {
+			w.mu.Lock()
+			w.flushed += uint64(len(s.out))
+			w.synced, w.bufStart = w.flushed, w.flushed
+			w.mu.Unlock()
+		}
+		if fn == nil {
+			continue
 		}
 		if lsn, err = replayFrame(s.out, s.pos, lsn, fn); err != nil {
 			return false, err
 		}
 	}
+	if !w.scanned {
+		w.fileEnd, w.torn, w.scanned = s.pos, s.torn(), true
+	}
+	return s.torn(), nil
 }
 
 // replayFrame calls fn for each record of p, the records of the frame

@@ -1,6 +1,7 @@
 package ordbms
 
 import (
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -232,8 +233,8 @@ func TestWALSyncDuringCheckpoint(t *testing.T) {
 }
 
 // TestWALCheckpointWaitsForInflightSync pins the invariant directly:
-// while a group-commit leader is fsyncing (the flush token held, mu
-// released), checkpointTo must not swap and close the log file.  Before
+// while a group-commit leader is fsyncing (the group-commit token held),
+// checkpointTo must not swap and close the log file.  Before
 // the fix it returned immediately, closing the handle the leader was
 // about to fsync.
 func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
@@ -248,7 +249,7 @@ func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	}
 
 	// Pose as a group-commit leader mid-fsync.
-	w.flushMu.Lock()
+	w.syncMu.Lock()
 
 	ckptDone := make(chan error, 1)
 	go func() { ckptDone <- w.checkpointTo(w.SyncedLSN()) }()
@@ -259,9 +260,87 @@ func TestWALCheckpointWaitsForInflightSync(t *testing.T) {
 	}
 
 	// Leader finishes; the checkpoint may now proceed.
-	w.flushMu.Unlock()
+	w.syncMu.Unlock()
 	if err := <-ckptDone; err != nil {
 		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stallSyncFS stalls the first fsync of a file until release is closed,
+// and closes entered when it starts.
+type stallSyncFS struct {
+	vfs.FS
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (s *stallSyncFS) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := s.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return stallSyncFile{f, s}, nil
+}
+
+type stallSyncFile struct {
+	vfs.File
+	fs *stallSyncFS
+}
+
+func (f stallSyncFile) Sync() error {
+	f.fs.once.Do(func() {
+		close(f.fs.entered)
+		<-f.fs.release
+	})
+	return f.File.Sync()
+}
+
+// A flush, the buffer pool's WAL-ahead gate, writes its frame while a
+// group commit's fsync is in flight: an eviction the pool makes under
+// its lock waits for a write, never for the device.  The records the
+// fsync did not cover stay unsynced until a commit covers them.
+func TestWALFlushDuringGroupFsync(t *testing.T) {
+	sfs := &stallSyncFS{FS: vfs.OS, entered: make(chan struct{}), release: make(chan struct{})}
+	w, err := OpenWAL(sfs, filepath.Join(t.TempDir(), "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := w.LogDeleteRun([]RowID{{Page: 1, Slot: 0}})
+	synced := make(chan error, 1)
+	go func() { synced <- w.SyncTo(first) }()
+	<-sfs.entered
+
+	second := w.LogDeleteRun([]RowID{{Page: 2, Slot: 0}})
+	flushed := make(chan error, 1)
+	go func() { flushed <- w.Flush(second) }()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(sfs.release)
+		t.Fatal("Flush waited for a group commit's fsync")
+	}
+	close(sfs.release)
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if got := w.SyncedLSN(); got != first {
+		t.Fatalf("synced through %d after the group, want %d: the group covers what it flushed, not what was flushed during its fsync", got, first)
+	}
+	if err := w.SyncTo(second); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	if _, err := w.Replay(func(r WALRecord) error { got = append(got, r.LSN); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != first || got[1] != second {
+		t.Fatalf("replayed LSNs %v, want [%d %d]", got, first, second)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

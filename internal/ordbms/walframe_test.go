@@ -347,3 +347,66 @@ func FuzzWALLog(f *testing.F) {
 		}
 	})
 }
+
+// A recovery reads the log a frame at a time: what opening a log and
+// replaying it allocates does not grow with the log.  Two logs cut in
+// the same 64 KiB frames, one eight times the other, are opened as
+// DB.Open opens them (openWAL, then the replay recovery drives), and the
+// larger may cost no more than an eighth of the records it adds.
+func TestReplayAllocationFlat(t *testing.T) {
+	build := func(frames int) (path string, size uint64) {
+		path = filepath.Join(t.TempDir(), "wal.nmlog")
+		w, err := OpenWAL(vfs.OS, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids := make([]RowID, 1024)
+		for i := 0; i < frames; i++ {
+			for j := 0; j < 8; j++ {
+				for k := range rids {
+					// Runs of one slot, on pages that differ from
+					// record to record: 8 bytes a row, in 8 KiB records.
+					rids[k] = RowID{Page: uint32(i*8192 + j*1024 + k + 1), Slot: uint16(k)}
+				}
+				w.LogDeleteRun(rids)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		size = w.NextLSN()
+		if err := w.closeFile(); err != nil {
+			t.Fatal(err)
+		}
+		return path, size
+	}
+	reopen := func(path string) (allocated uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w, err := openWAL(vfs.OS, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		if _, err := w.Replay(func(WALRecord) error { records++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := w.closeFile(); err != nil {
+			t.Fatal(err)
+		}
+		if records == 0 {
+			t.Fatal("the replay found no records")
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	smallPath, small := build(4)
+	bigPath, big := build(32)
+	reopen(smallPath) // warm the scanner's one-time allocations
+	smallAlloc, bigAlloc := reopen(smallPath), reopen(bigPath)
+	t.Logf("a %d-byte record stream allocates %d bytes to reopen, a %d-byte one %d", small, smallAlloc, big, bigAlloc)
+	if bigAlloc > smallAlloc+(big-small)/8 {
+		t.Fatalf("the reopen allocated %d bytes for %d bytes of records and %d for %d: it grows with the log", smallAlloc, small, bigAlloc, big)
+	}
+}

@@ -112,8 +112,8 @@ func (f readCountFile) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// A crash reopen reads and inflates the log once: the records OpenWAL
-// inflated to find the log's end are the ones recovery replays.  The log
+// A crash reopen reads and inflates the log once: recovery's replay is
+// the scan that finds the log's end.  The log
 // is that of 1 000 Mixed documents stored in 16-document batches and
 // never checkpointed.
 func TestCrashReopenReadsLogOnce(t *testing.T) {
