@@ -47,8 +47,8 @@ type WAL struct {
 	spare   []byte      // guarded by flushMu; the buffer the next flush swaps in for buf
 	fileEnd int64       // guarded by flushMu; file offset of the next frame: the end of the last intact one
 	torn    bool        // guarded by flushMu; bytes past fileEnd at open, dropped by the next checkpoint
-	// scanned is set once a scan has found where the file's intact
-	// frames end: OpenWAL's, or the first Replay after openWAL.
+	// scanned is set once the first Replay has found where the file's
+	// intact frames end.
 	scanned bool   // guarded by flushMu
 	fs      vfs.FS // filesystem all log I/O goes through
 	path    string // log file path (checkpoints swap the file atomically)
