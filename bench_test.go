@@ -541,33 +541,24 @@ func benchDurableIngest(b *testing.B, batch []netmark.Doc, total int64) {
 // index probe, whose hits are sections, and section materialisation —
 // over a deep-document corpus (long sibling runs, nested blocks) where
 // pointer-chasing is at its worst.  No query result cache is involved:
-// every iteration executes the full kernel.
-//
-//	baseline   = no node cache: every hop decodes its row (the one
-//	             benchmark arm that runs without it)
-//	optimized  = decoded-node cache (the default configuration;
-//	             "optimized-serial" in the recordings before
-//	             BENCH_PR17.json)
-//
-// In the recordings before the text index posted words by section, the
-// baseline also walked each hit up to its heading (BENCH_PR3.json's ≥5×
-// bar was against that walk).
+// every iteration executes the full kernel.  Its one arm, optimized,
+// reads through the decoded-node cache, as every store does
+// ("optimized-serial" in the recordings before BENCH_PR17.json).  The
+// recordings through BENCH_PR46.json also have a baseline arm, with no
+// node cache and every hop decoding its row; that configuration no
+// longer exists.
 func BenchmarkColdContentSearch(b *testing.B) {
-	newDeepStore := func(b *testing.B) *xmlstore.Store {
-		b.Helper()
+	b.Run("optimized", func(b *testing.B) {
 		s, err := experiments.NewStore()
 		if err != nil {
 			b.Fatal(err)
 		}
-		gen := corpus.New(61)
-		for _, d := range gen.DeepReports(20, 6, 24, 16) {
+		for _, d := range corpus.New(61).DeepReports(20, 6, 24, 16) {
 			if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
 				b.Fatal(err)
 			}
 		}
-		return s
-	}
-	run := func(b *testing.B, s *xmlstore.Store) {
+		s.EnableNodeCache(64 << 20)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -579,15 +570,6 @@ func BenchmarkColdContentSearch(b *testing.B) {
 				b.Fatal("no sections")
 			}
 		}
-	}
-	b.Run("baseline", func(b *testing.B) {
-		s := newDeepStore(b)
-		run(b, s)
-	})
-	b.Run("optimized", func(b *testing.B) {
-		s := newDeepStore(b)
-		s.EnableNodeCache(64 << 20)
-		run(b, s)
 		b.StopTimer()
 		// Record the block-compressed text index's resident footprint and
 		// its multiple over the flat 8-bytes-per-id layout it replaced, so

@@ -7,6 +7,9 @@
 //	netmarkd -addr :8080 -dir ./data -drop ./drop \
 //	         -bank pfm.json -bank anomaly.json \
 //	         -stylesheet ibpd=ibpd.xsl
+//
+// -cache-bytes caps the query result cache.  The store's decoded-node
+// cache has no flag: every store reads through one capped at 32 MiB.
 package main
 
 import (
@@ -35,8 +38,6 @@ func main() {
 	poll := flag.Duration("poll", time.Second, "drop folder poll interval")
 	cacheBytes := flag.Int64("cache-bytes", 0,
 		"query result cache cap in bytes (0 = default 64 MiB, negative = disabled)")
-	nodeCacheBytes := flag.Int64("node-cache-bytes", 0,
-		"decoded-node cache cap in bytes (0 = default 32 MiB, negative = disabled)")
 	var banks stringList
 	flag.Var(&banks, "bank", "databank spec JSON file (repeatable)")
 	var sheets stringList
@@ -45,7 +46,7 @@ func main() {
 
 	nm, err := netmark.Open(netmark.Config{
 		Dir: *dir, DropDir: *drop, PollInterval: *poll,
-		CacheBytes: *cacheBytes, NodeCacheBytes: *nodeCacheBytes,
+		CacheBytes: *cacheBytes,
 	})
 	if err != nil {
 		log.Fatalf("open: %v", err)

@@ -13,8 +13,7 @@ package analysis
 //   - Function literals are NOT inlined; the FuncLit expression appears
 //     as a node and analyzers decide whether to recurse.
 //   - defer/go statements appear as ordinary nodes at their syntactic
-//     position; an analyzer that cares about at-return effects inspects
-//     the recorded Defers list.
+//     position.
 //   - goto is treated as terminating (edge to Exit) — the repo style
 //     bans it, and a conservative edge errs toward silence.
 //   - panic(...) and calls to os.Exit / log.Fatal* end their block with
@@ -30,10 +29,6 @@ type CFG struct {
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block // every return/panic path leads here; carries no nodes
-	// Defers lists every defer statement in the body (outermost
-	// function only, source order).  Deferred calls run on the Exit
-	// edge; analyzers that model at-return effects replay these.
-	Defers []*ast.DeferStmt
 }
 
 // Block is one basic block: a maximal run of straight-line nodes.
@@ -254,16 +249,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		}
 		b.cur = nil
 		b.startBlock(after)
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, v)
-		b.add(v)
 	case *ast.ExprStmt:
 		b.add(v)
 		if b.terminates(v.X) {
 			b.jump(b.g.Exit)
 		}
 	default:
-		// Assign, IncDec, Send, Decl, Go, Empty: straight-line.
+		// Assign, IncDec, Send, Decl, Defer, Go, Empty: straight-line.
 		b.add(s)
 	}
 }
@@ -393,16 +385,4 @@ func (g *CFG) RPO() []*Block {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// Preds returns the predecessor lists of every block (indexed like
-// Blocks).
-func (g *CFG) Preds() [][]*Block {
-	preds := make([][]*Block, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		for _, s := range blk.Succs {
-			preds[s.Index] = append(preds[s.Index], blk)
-		}
-	}
-	return preds
 }

@@ -124,14 +124,6 @@ _ = x`)
 	}
 }
 
-func TestCFGRecordsDefers(t *testing.T) {
-	g := buildCFG(t, `defer println("a")
-defer println("b")`)
-	if len(g.Defers) != 2 {
-		t.Fatalf("recorded %d defers, want 2", len(g.Defers))
-	}
-}
-
 func TestCFGSwitchFanout(t *testing.T) {
 	g := buildCFG(t, `x := 1
 switch x {
@@ -156,6 +148,18 @@ _ = x`)
 	if !reachable(g)[g.Exit] {
 		t.Fatal("exit unreachable after switch")
 	}
+}
+
+// Preds returns the predecessor lists of every block (indexed like
+// Blocks).
+func (g *CFG) Preds() [][]*Block {
+	preds := make([][]*Block, len(g.Blocks))
+	for _, blk := range g.Blocks {
+		for _, s := range blk.Succs {
+			preds[s.Index] = append(preds[s.Index], blk)
+		}
+	}
+	return preds
 }
 
 func TestCFGPreds(t *testing.T) {

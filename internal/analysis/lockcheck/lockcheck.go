@@ -231,6 +231,11 @@ var nonBlockingOSFuncs = map[string]bool{
 	"ExpandEnv": true, "Getpagesize": true, "UserHomeDir": true,
 }
 
+// vfsPackage holds vfs.File and vfs.FS, the interfaces every persistence
+// package does its file I/O through: each of their methods is a file
+// operation, so each blocks as an *os.File method does.
+const vfsPackage = "netmark/internal/vfs"
+
 // blockingOp classifies a node as a blocking operation and names it.
 func blockingOp(info *types.Info, n ast.Node) string {
 	switch v := n.(type) {
@@ -279,7 +284,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		}
 	}
 	// Method calls on blocking receivers: (*os.File).Sync/Write/...,
-	// net.Conn methods, sync.WaitGroup.Wait.
+	// vfs.File and vfs.FS methods, net.Conn methods, sync.WaitGroup.Wait.
 	tv, ok := info.Types[sel.X]
 	if !ok {
 		return ""
@@ -299,6 +304,8 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 	switch {
 	case obj.Pkg().Path() == "os" && obj.Name() == "File":
 		return "(*os.File)." + sel.Sel.Name
+	case obj.Pkg().Path() == vfsPackage && (obj.Name() == "File" || obj.Name() == "FS"):
+		return "vfs." + obj.Name() + "." + sel.Sel.Name
 	case obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup" && sel.Sel.Name == "Wait":
 		return "WaitGroup.Wait"
 	case blockingPackages[obj.Pkg().Path()]:

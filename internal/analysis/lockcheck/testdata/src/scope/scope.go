@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"netmark/internal/vfs"
 )
 
 type engine struct {
@@ -29,6 +31,8 @@ type engine struct {
 	hits int
 	ch   chan int
 	f    *os.File
+	vf   vfs.File
+	fs   vfs.FS
 }
 
 // --- known good ---------------------------------------------------------
@@ -55,6 +59,12 @@ func (e *engine) goodBlockingUnderColdLock() error {
 	e.coldMu.Lock()
 	defer e.coldMu.Unlock()
 	return e.f.Sync()
+}
+
+func (e *engine) goodVFSSyncUnderColdLock() error {
+	e.coldMu.Lock()
+	defer e.coldMu.Unlock()
+	return e.vf.Sync()
 }
 
 func (e *engine) goodNonBlockingSelect() {
@@ -87,6 +97,18 @@ func (e *engine) badFsyncUnderHotLock() error {
 	e.statsMu.Lock()
 	defer e.statsMu.Unlock()
 	return e.f.Sync() // want `\(\*os\.File\)\.Sync while holding hot lock statsMu`
+}
+
+func (e *engine) badVFSSyncUnderHotLock() error {
+	e.statsMu.Lock()
+	defer e.statsMu.Unlock()
+	return e.vf.Sync() // want `vfs\.File\.Sync while holding hot lock statsMu`
+}
+
+func (e *engine) badVFSRenameUnderHotLock() error {
+	e.idxMu.Lock()
+	defer e.idxMu.Unlock()
+	return e.fs.Rename("a", "b") // want `vfs\.FS\.Rename while holding hot lock idxMu`
 }
 
 func (e *engine) badFileIOUnderHotLock() {

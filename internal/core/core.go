@@ -60,19 +60,14 @@ type Config struct {
 	// while writes to other documents leave them cached; tune it to the
 	// working set of hot queries.
 	CacheBytes int64
-	// NodeCacheBytes caps the XML store's decoded-node cache, which
-	// accelerates the cold query path by keeping hot traversal rows
-	// decoded in memory (0 = DefaultNodeCacheBytes, negative = disabled).
-	NodeCacheBytes int64
 }
 
 // DefaultCacheBytes is the query result cache cap used when Config
 // leaves CacheBytes zero.
 const DefaultCacheBytes int64 = 64 << 20
 
-// DefaultNodeCacheBytes is the decoded-node cache cap used when Config
-// leaves NodeCacheBytes zero.
-const DefaultNodeCacheBytes int64 = 32 << 20
+// DefaultNodeCacheBytes is the XML store's decoded-node cache cap.
+const DefaultNodeCacheBytes = xmlstore.DefaultNodeCacheBytes
 
 // DefaultIngestBatch is the batch size used when Config leaves
 // IngestBatchSize zero.
@@ -117,13 +112,6 @@ func Open(cfg Config) (*Netmark, error) {
 	}
 	if cacheBytes > 0 {
 		n.engine.EnableCache(cacheBytes)
-	}
-	nodeCacheBytes := cfg.NodeCacheBytes
-	if nodeCacheBytes == 0 {
-		nodeCacheBytes = DefaultNodeCacheBytes
-	}
-	if nodeCacheBytes > 0 {
-		store.EnableNodeCache(nodeCacheBytes)
 	}
 	if cfg.DropDir != "" {
 		d, err := daemon.New(cfg.DropDir, store, cfg.PollInterval)

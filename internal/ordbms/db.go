@@ -22,9 +22,6 @@ type Options struct {
 	Dir string
 	// PoolPages caps the buffer pool (default 4096 pages = 32 MiB).
 	PoolPages int
-	// SyncOnCommit forces an fsync of the WAL on every Commit call.
-	// Defaults to true for durable stores.
-	NoSyncOnCommit bool
 	// FS routes every file operation the store performs (data file, WAL,
 	// catalog, snapshots).  Nil means the real filesystem; fault-injection
 	// tests pass a vfs.FaultFS.
@@ -463,12 +460,7 @@ func (db *DB) CommitTo(lsn uint64) error {
 	if err := db.Writable(); err != nil {
 		return err
 	}
-	var err error
-	if db.opts.NoSyncOnCommit {
-		err = db.wal.Flush(lsn)
-	} else {
-		err = db.wal.SyncTo(lsn)
-	}
+	err := db.wal.SyncTo(lsn)
 	if err != nil {
 		db.noteWriteError("wal commit", err)
 	}

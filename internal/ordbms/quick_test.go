@@ -140,25 +140,6 @@ func BenchmarkInsertUnlogged(b *testing.B) {
 	}
 }
 
-func BenchmarkInsertLoggedNoSync(b *testing.B) {
-	db, err := Open(Options{Dir: b.TempDir(), NoSyncOnCommit: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	tbl, _ := db.CreateTable("t", MustSchema(Column{"v", TypeString}))
-	row := Row{S("a typical short document node payload for sizing")}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tbl.Insert(row); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	db.Commit()
-}
-
 func BenchmarkCommitGroup(b *testing.B) {
 	// Group commit: 100 inserts per durable commit.
 	db, err := Open(Options{Dir: b.TempDir()})

@@ -372,21 +372,6 @@ func tornOr(err error) error {
 	return err
 }
 
-// OpenWAL opens or creates the log at path, doing all file I/O through
-// fsys.  It inflates the log's intact frames to find where the record
-// stream ends, since a log's size says nothing about its LSNs.
-func OpenWAL(fsys vfs.FS, path string) (*WAL, error) {
-	w, err := openWAL(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Replay(nil); err != nil {
-		w.closeFile()
-		return nil, fmt.Errorf("ordbms: open wal: %w", err)
-	}
-	return w, nil
-}
-
 // openWAL opens or creates the log at path without reading its frames:
 // the first Replay finds where they end, so a recovery reads and
 // inflates the log once, a frame at a time.  Until that Replay the log

@@ -101,19 +101,3 @@ func decodeOneEntity(ent string) (string, bool) {
 	}
 	return "", false
 }
-
-// escapeText and escapeAttr are the escapes as strings, by the rules
-// the Encoder writes them with: a string with nothing to escape comes
-// back as it is, uncopied.
-func escapeText(s string) string { return escapeString(s, false) }
-
-func escapeAttr(s string) string { return escapeString(s, true) }
-
-func escapeString(s string, attr bool) string {
-	if firstEscape(s, attr) == len(s) {
-		return s
-	}
-	var sb strings.Builder
-	writeEscaped(&sb, s, attr)
-	return sb.String()
-}

@@ -302,7 +302,6 @@ type Stats struct {
 	} `json:"cache"`
 
 	NodeCache struct {
-		Enabled   bool   `json:"enabled"`
 		Hits      uint64 `json:"hits"`
 		Misses    uint64 `json:"misses"`
 		Evictions uint64 `json:"evictions"`
@@ -371,15 +370,13 @@ func (s *Server) Snapshot() Stats {
 	st.TextIndex.DeadIDs = ti.DeadIDs
 	st.TextIndex.Bytes = ti.BytesResident
 	st.TextIndex.CompressionRatio = ti.CompressionRatio
-	if ns, ok := store.NodeCacheStats(); ok {
-		st.NodeCache.Enabled = true
-		st.NodeCache.Hits = ns.Hits
-		st.NodeCache.Misses = ns.Misses
-		st.NodeCache.Evictions = ns.Evictions
-		st.NodeCache.Entries = ns.Entries
-		st.NodeCache.Bytes = ns.Bytes
-		st.NodeCache.Capacity = ns.Capacity
-	}
+	ns := store.NodeCacheStats()
+	st.NodeCache.Hits = ns.Hits
+	st.NodeCache.Misses = ns.Misses
+	st.NodeCache.Evictions = ns.Evictions
+	st.NodeCache.Entries = ns.Entries
+	st.NodeCache.Bytes = ns.Bytes
+	st.NodeCache.Capacity = ns.Capacity
 	return st
 }
 

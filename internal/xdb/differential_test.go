@@ -109,7 +109,7 @@ func newDiffHarness(t *testing.T, dir string) *diffHarness {
 // process would.
 func (h *diffHarness) open() {
 	h.t.Helper()
-	db, err := ordbms.Open(ordbms.Options{Dir: h.dir, NoSyncOnCommit: true})
+	db, err := ordbms.Open(ordbms.Options{Dir: h.dir})
 	if err != nil {
 		h.t.Fatal(err)
 	}

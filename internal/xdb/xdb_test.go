@@ -264,7 +264,7 @@ func TestExecuteLimit(t *testing.T) {
 		t.Fatalf("the term's list does not drive: %d headings, DF %d", c, df)
 	}
 	lookups := func() uint64 {
-		st, _ := e.Store().NodeCacheStats()
+		st := e.Store().NodeCacheStats()
 		return st.Hits + st.Misses
 	}
 	for _, shape := range []struct {

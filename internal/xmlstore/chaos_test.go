@@ -286,6 +286,9 @@ func TestEvictionFaultDuringReadDegrades(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A cold node cache: the walk above published the root's page image,
+	// and the read must go to the pool.
+	s.EnableNodeCache(DefaultNodeCacheBytes)
 	ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "data.nmdb"})
 	if _, err := s.FetchNode(firstRoot); !ordbms.IsIOFault(err) {
 		t.Fatalf("FetchNode that must evict a dirty page under a failing data file = %v, want an I/O fault", err)

@@ -708,9 +708,11 @@ func decodeAttrs(s string) []sgml.Attr {
 // DeleteDocument removes a document: its DOC row, all its XML rows, and
 // their derived index entries (heading and text postings, cached node
 // decodes).  The rows are found by the walk the rebuild flattens a
-// document with (flattenStored), which gives postTerms the postings
-// ingest made, and deleted as one run, in reverse document order, then
-// the DOC row: two log records.  Whatever an interrupted
+// document with (flattenStored over pageWalker), which gives postTerms
+// the postings ingest made, and deleted as one run, in reverse document
+// order, then the DOC row: two log records.  A page of the document that
+// holds a row that does not decode fails the delete, as it fails the
+// rebuild.  Whatever an interrupted
 // delete leaves behind — a prefix of the run in memory, or in the log the
 // run without the DOC row — is a prefix of the document still reachable
 // from its root, and a retry finishes it: the postings it derives again
@@ -729,16 +731,10 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	if err != nil {
 		return err
 	}
-	// A link into a row an interrupted delete removed ends its branch.
-	// Uncached, so the doomed rows push no live ones out of the cache.
-	follow := func(rid ordbms.RowID) (*Node, error) {
-		n, err := s.fetchNodeUncached(rid)
-		if err == ordbms.ErrRecordDeleted {
-			return nil, nil
-		}
-		return n, err
-	}
-	flat, err := flattenStored(make([]flatNode, 0, info.NNodes), info.RootRowID, follow)
+	// A link into a row an interrupted delete removed ends its branch, and
+	// the doomed rows push no live image out of the cache.
+	w := pageWalker{s: s}
+	flat, err := flattenStored(make([]flatNode, 0, info.NNodes), info.RootRowID, w.follow)
 	if err != nil {
 		return err
 	}
@@ -768,15 +764,13 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	err = s.xml.DeleteRun(rids) // ErrRecordDeleted: a retry found no rows left
 	// Page images go after the rows: a fill that decoded a page before the
 	// run published its image before the run could latch the page.
-	if c := s.nodes; c != nil {
-		var pages []uint32
-		for _, rid := range rids {
-			if len(pages) == 0 || pages[len(pages)-1] != rid.Page {
-				pages = append(pages, rid.Page)
-			}
+	var pages []uint32
+	for _, rid := range rids {
+		if len(pages) == 0 || pages[len(pages)-1] != rid.Page {
+			pages = append(pages, rid.Page)
 		}
-		c.invalidate(pages)
 	}
+	s.nodes.invalidate(pages)
 	if err != nil && err != ordbms.ErrRecordDeleted {
 		return err
 	}

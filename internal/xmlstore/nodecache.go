@@ -46,6 +46,10 @@ import (
 // Cached *Node values are shared across goroutines and MUST be treated as
 // read-only, like the result cache's response bodies.
 
+// DefaultNodeCacheBytes is the node cache's cap until EnableNodeCache
+// sets another.
+const DefaultNodeCacheBytes int64 = 32 << 20
+
 // pageImage is one heap page decoded.  Only used changes after it is
 // published.
 type pageImage struct {

@@ -2,25 +2,28 @@ package xmlstore
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"netmark/internal/corpus"
+	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
 )
 
 // lookups is how many hops the node cache has served or missed.
 func lookups(s *Store) uint64 {
-	st, _ := s.NodeCacheStats()
+	st := s.NodeCacheStats()
 	return st.Hits + st.Misses
 }
 
-// reconstructUncached serializes document id with every hop decoding
-// its own row.
+// reconstructUncached serializes document id through a zero-budget node
+// cache, every hop decoding its page afresh, and leaves the store's cache
+// as it was.
 func reconstructUncached(t *testing.T, s *Store, id uint64) string {
 	t.Helper()
 	c := s.nodes
-	s.nodes = nil
+	s.EnableNodeCache(0)
 	defer func() { s.nodes = c }()
 	tree, err := s.Reconstruct(id)
 	if err != nil {
@@ -55,11 +58,11 @@ func TestPageImageSeesNewRow(t *testing.T) {
 	if info.RootRowID.Page != page || int(info.RootRowID.Slot) < len(img.nodes) {
 		t.Fatalf("setup: the small document's root is %v, want page %d past slot %d", info.RootRowID, page, len(img.nodes))
 	}
-	before, _ := s.NodeCacheStats()
+	before := s.NodeCacheStats()
 	if got, want := reconstructBytes(t, s, "small.html"), reconstructUncached(t, s, second); got != want {
 		t.Fatalf("cached Reconstruct of the new document:\n got: %s\nwant: %s", got, want)
 	}
-	after, _ := s.NodeCacheStats()
+	after := s.NodeCacheStats()
 	if after.Misses != before.Misses+1 {
 		t.Errorf("the new document took %d page decodes, want 1", after.Misses-before.Misses)
 	}
@@ -95,7 +98,7 @@ func TestPageImageDeletedRow(t *testing.T) {
 	if err := s.DeleteDocument(a); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.NodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
+	if st := s.NodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("the delete left its page's image: %+v", st)
 	}
 	if n, err := s.FetchNode(ra.RootRowID); !IsGone(err) {
@@ -103,11 +106,11 @@ func TestPageImageDeletedRow(t *testing.T) {
 	}
 
 	// The hop above decoded the page again, with a's slots dead.
-	before, _ := s.NodeCacheStats()
+	before := s.NodeCacheStats()
 	if n, err := s.FetchNode(ra.RootRowID); !IsGone(err) {
 		t.Fatalf("through the cached image, the deleted root = %+v, %v", n, err)
 	}
-	if after, _ := s.NodeCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
+	if after := s.NodeCacheStats(); after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Fatalf("the hop was not served from the image: %+v then %+v", before, after)
 	}
 	if _, err := s.FetchNode(rb.RootRowID); err != nil {
@@ -155,11 +158,91 @@ func TestFillRacingDeleteIsDropped(t *testing.T) {
 	if err := <-deleted; err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := s.NodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
+	if st := s.NodeCacheStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("the stale image survived the delete: %+v", st)
 	}
 	if n, err := s.FetchNode(info.RootRowID); !IsGone(err) {
 		t.Fatalf("the deleted root = %+v, %v", n, err)
+	}
+}
+
+// A row that does not decode fails only its own hop: its page never
+// decodes whole, so each of the page's other rows is read alone, cold and
+// warm, and reads as it did before the row was planted.
+func TestCorruptRowFailsOnlyItsHop(t *testing.T) {
+	s := memStore(t)
+	id := ingest(t, s, "sample.html", sampleHTML)
+	rids := docRowIDs(t, s, id)
+	want := make(map[ordbms.RowID]Node, len(rids))
+	for _, rid := range rids {
+		n, err := s.FetchNode(rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[rid] = *n
+	}
+	// A tag code one past the dictionary's, as in TestUnknownTagIsAnError.
+	bad, err := s.xml.Insert(ordbms.Row{ordbms.I(99), ordbms.I(int64(len(dictionary(s)))), ordbms.S("orphan"),
+		ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null(), ordbms.Null()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var neighbours []ordbms.RowID
+	for _, rid := range rids {
+		if rid.Page == bad.Page {
+			neighbours = append(neighbours, rid)
+		}
+	}
+	if len(neighbours) == 0 {
+		t.Fatalf("setup: the planted row %v shares no page with the document", bad)
+	}
+	s.EnableNodeCache(DefaultNodeCacheBytes)
+	for _, pass := range []string{"cold", "warm"} {
+		for _, rid := range neighbours {
+			n, err := s.FetchNode(rid)
+			if err != nil {
+				t.Fatalf("%s: %v beside the planted row: %v", pass, rid, err)
+			}
+			if !reflect.DeepEqual(*n, want[rid]) {
+				t.Fatalf("%s: %v beside the planted row = %+v, want %+v", pass, rid, *n, want[rid])
+			}
+		}
+		if n, err := s.FetchNode(bad); err == nil {
+			t.Fatalf("%s: the planted row = %+v", pass, n)
+		}
+	}
+}
+
+// A delete walks its document a page at a time beside the node cache: a
+// document no reader has touched goes without a lookup, and the images
+// readers warmed on other pages stay.
+func TestDeleteWalksBesideTheCache(t *testing.T) {
+	s := memStore(t)
+	doomed := ingest(t, s, "doomed.html", string(longDoc("doomed.html", 60, "doomed").Data))
+	kept := ingest(t, s, "kept.html", string(longDoc("kept.html", 60, "kept").Data))
+	doomedPages := make(map[uint32]bool)
+	for _, rid := range docRowIDs(t, s, doomed) {
+		doomedPages[rid.Page] = true
+	}
+	keptRows := docRowIDs(t, s, kept)
+	s.EnableNodeCache(DefaultNodeCacheBytes) // cold: docRowIDs read through the cache
+	for _, rid := range keptRows {
+		if !doomedPages[rid.Page] {
+			if _, err := s.FetchNode(rid); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := s.NodeCacheStats()
+	if before.Entries == 0 {
+		t.Fatal("setup: the kept document has no page of its own")
+	}
+	if err := s.DeleteDocument(doomed); err != nil {
+		t.Fatal(err)
+	}
+	after := s.NodeCacheStats()
+	if after.Entries != before.Entries || after.Bytes != before.Bytes || after.Misses != before.Misses {
+		t.Fatalf("the delete moved the node cache: %+v, then %+v", before, after)
 	}
 }
 
@@ -184,7 +267,7 @@ func TestPageImagesFitTheCap(t *testing.T) {
 	}
 	s.EnableNodeCache(1 << 30)
 	readAll()
-	whole, _ := s.NodeCacheStats()
+	whole := s.NodeCacheStats()
 	if whole.Entries != int(s.NumNodes()) || whole.Evictions != 0 {
 		t.Fatalf("an uncapped read of every document holds %d entries and evicted %d, want every one of %d nodes",
 			whole.Entries, whole.Evictions, s.NumNodes())
@@ -192,7 +275,7 @@ func TestPageImagesFitTheCap(t *testing.T) {
 
 	s.EnableNodeCache(whole.Bytes / 2)
 	readAll()
-	st, _ := s.NodeCacheStats()
+	st := s.NodeCacheStats()
 	if st.Bytes > st.Capacity || st.Evictions == 0 || st.Entries == 0 {
 		t.Fatalf("over the cap or no eviction: %+v", st)
 	}

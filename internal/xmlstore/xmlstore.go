@@ -195,8 +195,9 @@ type Store struct {
 	// netmarkvet:snap
 	headings *textindex.Index
 
-	// nodes is the decoded-node cache (nil = disabled).  Set once via
-	// EnableNodeCache during setup, before the store serves traffic.
+	// nodes is the decoded-node cache, through which every hop reads.
+	// OpenWith sets it; EnableNodeCache replaces it during setup, before
+	// the store serves traffic.
 	nodes *nodeCache
 
 	// Stats counters.
@@ -278,6 +279,7 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		db:       db,
 		content:  textindex.New(),
 		headings: textindex.New(),
+		nodes:    newNodeCache(DefaultNodeCacheBytes),
 		now:      time.Now,
 	}
 	s.nextDocID.Store(1)
@@ -343,9 +345,10 @@ func ensureTable(db *ordbms.DB, name string, schema ordbms.Schema, indexes ...st
 // rebuildDerived rebuilds the text index, the heading index and the
 // document-ID counter from the tables, a document at a time: each document
 // DOC lists is flattened from its root (flattenStored) and indexed by the
-// code ingest runs (postTerms, indexPrepared).  The walk decodes a page at
-// a time and holds one, since a document's run sits on adjacent pages.  A
-// dead or missing row ends its branch, as in DeleteDocument, so a
+// code ingest runs (postTerms, indexPrepared).  The walk reads a page at
+// a time and holds one (pageWalker), since a document's run sits on
+// adjacent pages.  A dead or missing row ends its branch, as in
+// DeleteDocument, so a
 // document an interrupted delete cut short is indexed as far as it still
 // reaches, and rows no DOC row reaches — a run a crash kept without its
 // DOC row — are never read.  Runs during OpenWith, before the store is
@@ -357,27 +360,12 @@ func (s *Store) rebuildDerived() error {
 	if err != nil {
 		return err
 	}
-	// img is page at, the last page decoded, and the only one held: each
-	// page is decoded into it in turn.  walkSubtree reads a node only
-	// until its next follow.
-	img, at := new(pageImage), uint32(0)
-	follow := func(rid ordbms.RowID) (*Node, error) {
-		if img.nodes == nil || at != rid.Page {
-			if err := s.decodePage(img, rid.Page, nil); err != nil {
-				return nil, err
-			}
-			at = rid.Page
-		}
-		if int(rid.Slot) < len(img.nodes) && !img.nodes[rid.Slot].RowID.IsZero() {
-			return &img.nodes[rid.Slot], nil
-		}
-		return nil, nil
-	}
+	w := pageWalker{s: s}
 	var pw prepWorker
 	var flat []flatNode
 	for _, d := range docs {
 		s.nextDocID.Store(max(s.nextDocID.Load(), d.DocID+1))
-		if flat, err = flattenStored(flat, d.RootRowID, follow); err != nil {
+		if flat, err = flattenStored(flat, d.RootRowID, w.follow); err != nil {
 			return err
 		}
 		p := &preparedDoc{flat: flat}
@@ -385,6 +373,61 @@ func (s *Store) rebuildDerived() error {
 		s.indexPrepared(p)
 	}
 	return nil
+}
+
+// pageWalker resolves links for walkSubtree a page at a time and
+// publishes nothing, for the walks that read each stored row once — the
+// derived rebuild and DeleteDocument — so they push no live image out of
+// the node cache.  On a page it has not just read it copies the page's
+// live records in one hold of the page latch, and it decodes only the
+// rows the walk follows, each into its one Node, which walkSubtree reads
+// only until its next follow: a small document shares its pages with
+// other documents' rows, which it never decodes.  A row that does not
+// decode fails the walk; a dead or missing row ends its branch.
+type pageWalker struct {
+	s    *Store
+	at   uint32 // the page recs holds, when held
+	held bool
+	sch  ordbms.Schema // the XML table's, with page at in view
+	recs []byte        // page at's live records, end to end
+	ends [][2]int32    // by slot: its record's bounds in recs; [0 0] when dead
+	node Node
+}
+
+func (w *pageWalker) follow(rid ordbms.RowID) (*Node, error) {
+	if !w.held || w.at != rid.Page {
+		w.held = false
+		err := w.s.xml.ViewPage(rid.Page, func(sch ordbms.Schema, slots int, live func(func(int, []byte) bool) error) error {
+			w.sch, w.recs = sch, w.recs[:0]
+			if cap(w.ends) < slots {
+				w.ends = make([][2]int32, slots)
+			} else {
+				w.ends = w.ends[:slots]
+				clear(w.ends)
+			}
+			return live(func(slot int, rec []byte) bool {
+				w.ends[slot] = [2]int32{int32(len(w.recs)), int32(len(w.recs) + len(rec))}
+				w.recs = append(w.recs, rec...)
+				return true
+			})
+		})
+		if err != nil {
+			return nil, err
+		}
+		w.at, w.held = rid.Page, true
+	}
+	if int(rid.Slot) >= len(w.ends) || w.ends[rid.Slot][1] == 0 {
+		return nil, nil
+	}
+	b := w.ends[rid.Slot]
+	var cols [xmlColAttrs + 1]ordbms.Value
+	if err := ordbms.DecodeRowInto(w.sch, rid, w.recs[b[0]:b[1]], cols[:]); err != nil {
+		return nil, err
+	}
+	if err := w.s.nodeInto(&w.node, rid, cols[:]); err != nil {
+		return nil, err
+	}
+	return &w.node, nil
 }
 
 // flattenStored walks the stored document whose root is at rid, resolving
@@ -528,26 +571,18 @@ func rowToDoc(rid ordbms.RowID, row ordbms.Row) *DocInfo {
 	}
 }
 
-// EnableNodeCache attaches a decoded-node cache capped at capacity
-// bytes.  Call during setup, before the store serves traffic; capacity
-// <= 0 disables caching.  Nodes served from the cache are shared across
-// callers and must be treated as read-only (every traversal already
-// does).
+// EnableNodeCache gives the store a new, empty decoded-node cache capped
+// at capacity bytes.  Call during setup, before the store serves traffic;
+// capacity <= 0 keeps no node past the hop that decoded it.  Nodes
+// served from the cache are shared across callers and must be treated as
+// read-only (every traversal already does).
 func (s *Store) EnableNodeCache(capacity int64) {
-	if capacity <= 0 {
-		s.nodes = nil
-		return
-	}
 	s.nodes = newNodeCache(capacity)
 }
 
-// NodeCacheStats snapshots the decoded-node cache counters; ok is false
-// when no cache is enabled.
-func (s *Store) NodeCacheStats() (stats NodeCacheStats, ok bool) {
-	if s.nodes == nil {
-		return NodeCacheStats{}, false
-	}
-	return s.nodes.stats(), true
+// NodeCacheStats snapshots the decoded-node cache counters.
+func (s *Store) NodeCacheStats() NodeCacheStats {
+	return s.nodes.stats()
 }
 
 // SetQueryWorkers does nothing: the query kernel is serial and has no
@@ -556,17 +591,11 @@ func (s *Store) NodeCacheStats() (stats NodeCacheStats, ok bool) {
 // and this shim with it.
 func (s *Store) SetQueryWorkers(int) {}
 
-// FetchNode reads the node at a physical RowID — one traversal hop.
-// With the node cache enabled a warm hop reads its page's image, and a
-// cold one decodes the whole page; without it, a hop decodes straight
-// from the latched page into a fresh Node with no intermediate Row or
-// record copy.
+// FetchNode reads the node at a physical RowID — one traversal hop.  A
+// warm hop reads its page's image in the node cache, and a cold one
+// decodes the whole page.
 func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
-	c := s.nodes
-	if c == nil {
-		return s.fetchNodeUncached(rid) // uncached store: every hop decodes a fresh Node
-	}
-	n := c.hop(rid)
+	n := s.nodes.hop(rid)
 	if n == nil {
 		var err error
 		if n, err = s.fill(rid); err != nil { // cold hop: the decoded page is the product
@@ -582,8 +611,8 @@ func (s *Store) FetchNode(rid ordbms.RowID) (*Node, error) {
 // fill serves a hop the node cache missed: it decodes rid's whole page
 // into a fresh image, publishes it while the page is still latched (see
 // nodecache.go), and returns rid's node from it.  A page that does not
-// decode whole, or has no slot for rid, answers for rid alone, as an
-// uncached store does.
+// decode whole, or has no slot for rid, answers for rid alone
+// (fetchNodeUncached), so a corrupt row fails only its own hop.
 func (s *Store) fill(rid ordbms.RowID) (*Node, error) {
 	img := new(pageImage)
 	err := s.decodePage(img, rid.Page, func() {
@@ -597,23 +626,14 @@ func (s *Store) fill(rid ordbms.RowID) (*Node, error) {
 	return &img.nodes[rid.Slot], nil
 }
 
-// decodePage decodes page no of the XML table into img, every live row
-// into its slot's Node, under one table lock and one page latch, and
-// calls decoded, when not nil, before it lets the latch go.  The node
-// cache passes a fresh image, which decoded publishes, and gets nodes for
-// exactly the page's slots; the derived rebuild, which holds one page at
-// a time, passes the same image each time, and its nodes are reused when
-// they have room.  A cold hop decodes its whole page: the image is the
-// product.
+// decodePage decodes page no of the XML table into img, a fresh image,
+// every live row into its slot's Node, under one table lock and one page
+// latch, and calls decoded, when not nil, before it lets the latch go:
+// fill publishes the image there.  A cold hop decodes its whole page: the
+// image is the product.
 func (s *Store) decodePage(img *pageImage, no uint32, decoded func()) error {
-	img.live, img.size = 0, 0
 	return s.xml.ViewPage(no, func(sch ordbms.Schema, slots int, live func(func(int, []byte) bool) error) error {
-		if cap(img.nodes) < slots {
-			img.nodes = make([]Node, slots)
-		} else {
-			img.nodes = img.nodes[:slots]
-			clear(img.nodes) // a dead slot is a zero Node
-		}
+		img.nodes = make([]Node, slots) // a dead slot is a zero Node
 		var cols [xmlColAttrs + 1]ordbms.Value
 		var derr error
 		err := live(func(slot int, rec []byte) bool {
@@ -636,9 +656,9 @@ func (s *Store) decodePage(img *pageImage, no uint32, decoded func()) error {
 	})
 }
 
-// fetchNodeUncached is the cold fetch path: one shared table lock, one
-// page latch, and a decode into stack storage — no per-hop Row
-// allocation, no record copy.
+// fetchNodeUncached decodes the row at rid alone, for a fill whose page
+// does not decode whole: one shared table lock, one page latch, and a
+// decode into stack storage — no Row allocation, no record copy.
 func (s *Store) fetchNodeUncached(rid ordbms.RowID) (*Node, error) {
 	var cols [xmlColAttrs + 1]ordbms.Value
 	err := s.xml.FetchView(rid, func(rec []byte) error {
