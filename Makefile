@@ -69,7 +69,8 @@ race:
 # the store's three schemas (XML, DOC and TAG, arbitrary tag codes
 # included) and XML's coded with a symbol table, read from any RowID,
 # the string codec (arbitrary symbol tables and codes, and the trainer's
-# round trip), the xmlstore.nmsnap payload decoder, arbitrary catalog
+# round trip), the xmlstore.nmsnap payload decoder and whole snapshot
+# files through the engine's inflating read, arbitrary catalog
 # bytes opened beside a valid data file and log, hostile log frames
 # after a valid header opened and replayed, the splitters recovery
 # reads run records with, a delete-run record of
@@ -83,6 +84,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecodeRow -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzApplySnapshot -fuzztime $(FUZZTIME) ./internal/xmlstore
+	$(GO) test -run xxx -fuzz FuzzReadSnapshotFile -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzStoreReconstruct -fuzztime $(FUZZTIME) ./internal/xmlstore
 	$(GO) test -run xxx -fuzz FuzzSerialize -fuzztime $(FUZZTIME) ./internal/sgml
 	$(GO) test -run xxx -fuzz FuzzRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
@@ -113,8 +115,8 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR47.json
-BENCH_OUT ?= BENCH_PR47.json
+# make bench-json BENCH_OUT=BENCH_PR49.json
+BENCH_OUT ?= BENCH_PR49.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct|BenchmarkWriteDocument' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)

@@ -8,10 +8,13 @@ package netmark_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -773,7 +776,9 @@ func BenchmarkServeParallel(b *testing.B) {
 // every stored document would make restart O(corpus).
 //
 //	snapshot = load the text index and heading index from
-//	           xmlstore.nmsnap (stamp-validated against catalog + WAL)
+//	           xmlstore.nmsnap (stamp-validated against catalog + WAL,
+//	           then inflated); snap-B/raw-B is its file's bytes over
+//	           the payload's
 //	scan     = the ablation: rebuild them a document at a time, each
 //	           DOC row's document walked from its root a decoded page at
 //	           a time and indexed by ingest's posting code
@@ -803,6 +808,14 @@ func BenchmarkReopen(b *testing.B) {
 		if err := db.Close(); err != nil {
 			b.Fatal(err)
 		}
+		// snap-B/raw-B is the snapshot file's bytes over its payload's,
+		// which the frame's size word (bytes 16..24, the top bit the
+		// deflate flag) records.
+		snap, err := os.ReadFile(filepath.Join(dir, "xmlstore.nmsnap"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		snapRatio := float64(len(snap)) / float64(binary.LittleEndian.Uint64(snap[16:24])&^(1<<63))
 
 		reopen := func(b *testing.B, disable bool) {
 			b.ReportAllocs()
@@ -823,7 +836,10 @@ func BenchmarkReopen(b *testing.B) {
 				b.StartTimer()
 			}
 		}
-		b.Run(fmt.Sprintf("snapshot/docs=%d", docs), func(b *testing.B) { reopen(b, false) })
+		b.Run(fmt.Sprintf("snapshot/docs=%d", docs), func(b *testing.B) {
+			reopen(b, false)
+			b.ReportMetric(snapRatio, "snap-B/raw-B")
+		})
 		b.Run(fmt.Sprintf("scan/docs=%d", docs), func(b *testing.B) { reopen(b, true) })
 	}
 }

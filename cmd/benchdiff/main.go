@@ -141,14 +141,15 @@ func readReport(path string) (*Report, error) {
 const defaultMatch = "BenchmarkServeParallel|BenchmarkColdContentSearch|BenchmarkFig6|BenchmarkMixedWriteHeavy|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkReconstruct|BenchmarkWriteDocument|BenchmarkDeleteDocument"
 
 // deterministicMetrics are the ReportMetric units that count work —
-// bytes and rows stored or logged per byte, document or node, log
+// bytes and rows stored or logged per byte, document or node, a
+// snapshot file's bytes per payload byte, log
 // appends, allocations per node, index bytes — so they repeat run to
 // run and are gated at gate.metric.  Every other unit (MB/s, ns/node,
 // hits, misses, evictions) follows time or scheduling and is recorded,
 // not gated.  Lower is better for each of them.
 var deterministicMetrics = []string{
 	"heap-B/user-B", "wal-B/user-B", "walfile-B/user-B", "rows/doc", "wal-appends/doc", "wal-appends/op",
-	"allocs/node", "alloc-B/user-B", "index-bytes", "wal-B/node",
+	"allocs/node", "alloc-B/user-B", "index-bytes", "wal-B/node", "snap-B/raw-B",
 }
 
 // looseAllocs are the gated benchmarks whose allocs/op spread by more

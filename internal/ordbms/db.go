@@ -1,10 +1,13 @@
 package ordbms
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -109,25 +112,46 @@ func (ci CheckpointInfo) filesystem() vfs.FS {
 }
 
 // snapFrameLen is the fixed header of a snapshot file: magic(8)
-// version(4) crc32(4) length(8).  CRC and length cover everything after
-// it: the 16-byte (catalog generation, checkpoint LSN) stamp, then the
-// caller's payload.
+// version(4) crc32(4) size(8).  The CRC covers everything after it: the
+// 16-byte (catalog generation, checkpoint LSN) stamp, then the caller's
+// payload as one compress/flate stream at walLevel.  size is the
+// payload's inflated length with snapDeflated set: the one buffer a read
+// inflates into, and the bound it holds the stream to.
 const snapFrameLen = 24
 
+// snapDeflated marks, in a snapshot's size word, a deflated payload.  The
+// raw frame earlier builds wrote, whose size word is the length of its
+// stamp and payload, lacks it and reads as "version": the caller
+// rebuilds, and the next checkpoint writes the file deflated.
+const snapDeflated = 1 << 63
+
 // WriteSnapshotFile frames payload as a snapshot of this checkpoint —
-// header, the checkpoint's stamps, payload — and commits it into the
-// checkpoint's directory.  ReadSnapshotFile is its inverse; the frame,
+// header, the checkpoint's stamps, payload deflated — and commits it into
+// the checkpoint's directory.  ReadSnapshotFile is its inverse; the frame,
 // the stamps and the test that decides whether a snapshot still
-// describes the heap exist only in this pair.
+// describes the heap exist only in this pair.  Like a log frame, the
+// stream is padded with empty blocks when it would inflate more than
+// walMaxInflate times.
 func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version uint32, payload []byte) error {
-	out := make([]byte, snapFrameLen, snapFrameLen+16+len(payload))
-	out = binary.LittleEndian.AppendUint64(out, ci.CatalogGen)
-	out = binary.LittleEndian.AppendUint64(out, ci.LSN)
-	out = append(out, payload...)
+	d := takeDeflater()
+	defer putDeflater(d)
+	d.out = append(d.out[:0], make([]byte, snapFrameLen)...)
+	d.out = binary.LittleEndian.AppendUint64(d.out, ci.CatalogGen)
+	d.out = binary.LittleEndian.AppendUint64(d.out, ci.LSN)
+	start := len(d.out)
+	d.zw.Reset(d)
+	// None of these calls can fail: the stream writes to d, which does not.
+	d.zw.Write(payload)
+	d.zw.Flush()
+	for n := len(d.out) - start; n*walMaxInflate < len(payload); n += len(emptyBlock) {
+		d.out = append(d.out, emptyBlock...)
+	}
+	d.zw.Close()
+	out := d.out
 	copy(out, magic[:])
 	binary.LittleEndian.PutUint32(out[8:], version)
 	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(out[snapFrameLen:]))
-	binary.LittleEndian.PutUint64(out[16:], uint64(len(out)-snapFrameLen))
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(payload))|snapDeflated)
 	return ci.commitFile(name, out)
 }
 
@@ -135,7 +159,9 @@ func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version u
 // written by the checkpoint this open started from, and otherwise the
 // reason it cannot be used: "wal-replay" (recovery applied records, so
 // the heap has moved past every snapshot on disk), "missing",
-// "unreadable", "corrupt", "version", or "stale" (its stamps are not the
+// "unreadable", "corrupt" (which takes in a stream that does not inflate
+// to exactly its recorded size), "version" (another version's file, or
+// the raw frame earlier builds wrote), or "stale" (its stamps are not the
 // catalog generation and log end this open found — a crash
 // mid-checkpoint, or writes after it).  A reason is never an error: the
 // caller rebuilds from its tables, which stay the source of truth.
@@ -153,19 +179,73 @@ func (db *DB) ReadSnapshotFile(name string, magic [8]byte, version uint32) (payl
 	if len(data) < snapFrameLen || [8]byte(data[:8]) != magic {
 		return nil, "corrupt"
 	}
-	if binary.LittleEndian.Uint32(data[8:12]) != version {
+	size := binary.LittleEndian.Uint64(data[16:24])
+	if binary.LittleEndian.Uint32(data[8:12]) != version || size&snapDeflated == 0 {
 		return nil, "version"
 	}
 	body := data[snapFrameLen:]
-	if binary.LittleEndian.Uint64(data[16:24]) != uint64(len(body)) ||
-		binary.LittleEndian.Uint32(data[12:16]) != crc32.ChecksumIEEE(body) || len(body) < 16 {
+	if binary.LittleEndian.Uint32(data[12:16]) != crc32.ChecksumIEEE(body) || len(body) < 16 {
 		return nil, "corrupt"
 	}
 	if binary.LittleEndian.Uint64(body[0:8]) != db.CatalogGen() ||
 		binary.LittleEndian.Uint64(body[8:16]) != db.WALEndLSN() {
 		return nil, "stale"
 	}
-	return body[16:], ""
+	if payload = inflateSnapshot(body[16:], size&^snapDeflated); payload == nil {
+		return nil, "corrupt"
+	}
+	return payload, ""
+}
+
+// inflater is a decompressor and the reader it inflates from, kept
+// between snapshot reads in snapInflaters: a flate reader is some 40 KB
+// of window and tables.
+type inflater struct {
+	zr  io.ReadCloser
+	src bytes.Reader
+}
+
+// snapInflaters is a free list, as walDeflaters is, and keeps four for
+// the same reason: more than a process has stores opening at once.
+var snapInflaters = make(chan *inflater, 4)
+
+// inflateSnapshot inflates z into one buffer of size bytes.  It is nil
+// when size is past walMaxInflate times z's bytes, before anything is
+// allocated for it, and when z is not one stream that inflates to
+// exactly size bytes and ends with z.
+func inflateSnapshot(z []byte, size uint64) []byte {
+	if size > uint64(len(z))*walMaxInflate {
+		return nil
+	}
+	var inf *inflater
+	select {
+	case inf = <-snapInflaters:
+	default:
+		inf = new(inflater)
+	}
+	defer func() {
+		select {
+		case snapInflaters <- inf:
+		default:
+		}
+	}()
+	inf.src.Reset(z)
+	if inf.zr == nil {
+		inf.zr = flate.NewReader(&inf.src)
+	} else if inf.zr.(flate.Resetter).Reset(&inf.src, nil) != nil {
+		return nil
+	}
+	payload := make([]byte, size)
+	if _, err := io.ReadFull(inf.zr, payload); err != nil {
+		return nil
+	}
+	// Past size the stream must end, and z with it.  A flate Read
+	// returns a byte or an error.
+	var past [1]byte
+	if _, err := inf.zr.Read(past[:]); err != io.EOF || inf.src.Len() != 0 {
+		return nil
+	}
+	return payload
 }
 
 // commitFile writes data under name in the checkpoint's directory with

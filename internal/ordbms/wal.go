@@ -44,7 +44,7 @@ type WAL struct {
 	fw      frameWriter // guarded by flushMu; the deflate stream the file's frames are cut from
 	pending []byte      // guarded by flushMu; a frame whose write failed, written first by the next flush
 	pendEnd uint64      // guarded by flushMu; the LSN pending ends at
-	spare   []byte      // guarded by flushMu; the buffer the next flush swaps in for buf
+	spare   []byte      // guarded by flushMu; the buffer the next flush swaps in for buf, kept up to walKeepOut
 	fileEnd int64       // guarded by flushMu; file offset of the next frame: the end of the last intact one
 	torn    bool        // guarded by flushMu; bytes past fileEnd at open, dropped by the next checkpoint
 	// scanned is set once the first Replay has found where the file's
@@ -188,10 +188,11 @@ const (
 var emptyBlock = []byte{0, 0, 0, 0xff, 0xff}
 
 // deflater is a compressor and the buffer it cuts frames in: about a
-// megabyte of tables, kept between logs in walDeflaters.
+// megabyte of tables, kept between logs in walDeflaters.  A snapshot
+// file is written through one too, whole, as a frame is.
 type deflater struct {
 	zw  *flate.Writer
-	out []byte // the frame being cut: its header, then its payload
+	out []byte // the frame or file being cut: its header, then its payload
 }
 
 func (d *deflater) Write(p []byte) (int, error) {
@@ -200,15 +201,44 @@ func (d *deflater) Write(p []byte) (int, error) {
 }
 
 // walDeflaters holds deflaters between logs: a WAL takes one at its
-// first frame and hands it back when its file is closed, so a process
-// that opens and closes stores allocates one, not one a store.  It is a
+// first frame and hands it back when its file is closed, and a snapshot
+// write for the file, so a process that opens and closes stores
+// allocates one or two, not one a store.  It is a
 // free list, not a sync.Pool, which a garbage collection empties.  It
 // keeps four: more than a process has stores open at once outside
 // tests, and few megabytes held idle.
 var walDeflaters = make(chan *deflater, 4)
 
-// walKeepOut is the most frame buffer a deflater keeps in walDeflaters.
+// walKeepOut is the most frame buffer a deflater keeps in walDeflaters,
+// and the largest record buffer a WAL keeps as its spare.
 const walKeepOut = 1 << 20
+
+// takeDeflater takes a deflater from walDeflaters, or makes one.
+func takeDeflater() *deflater {
+	select {
+	case d := <-walDeflaters:
+		return d
+	default:
+		zw, err := flate.NewWriter(io.Discard, walLevel)
+		if err != nil {
+			panic(err) // walLevel is a valid level
+		}
+		return &deflater{zw: zw}
+	}
+}
+
+// putDeflater hands d back to walDeflaters, dropping a buffer past
+// walKeepOut.
+func putDeflater(d *deflater) {
+	d.zw.Reset(io.Discard)
+	if cap(d.out) > walKeepOut {
+		d.out = nil
+	}
+	select {
+	case walDeflaters <- d:
+	default:
+	}
+}
 
 // frameWriter cuts frames from one deflate stream.
 type frameWriter struct {
@@ -220,15 +250,7 @@ type frameWriter struct {
 // the stream and returns it.  The frame is valid until the next call.
 func (fw *frameWriter) frame(records []byte) []byte {
 	if fw.d == nil {
-		select {
-		case fw.d = <-walDeflaters:
-		default:
-			zw, err := flate.NewWriter(io.Discard, walLevel)
-			if err != nil {
-				panic(err) // walLevel is a valid level
-			}
-			fw.d = &deflater{zw: zw}
-		}
+		fw.d = takeDeflater()
 		fw.fresh = true
 	}
 	d := fw.d
@@ -258,14 +280,7 @@ func (fw *frameWriter) release() {
 	if fw.d == nil {
 		return
 	}
-	fw.d.zw.Reset(io.Discard)
-	if cap(fw.d.out) > walKeepOut {
-		fw.d.out = nil
-	}
-	select {
-	case walDeflaters <- fw.d:
-	default:
-	}
+	putDeflater(fw.d)
 	fw.d = nil
 }
 
@@ -681,7 +696,11 @@ func (w *WAL) flushLocked(lsn uint64) error {
 		w.mu.Unlock()
 		if recs != nil {
 			w.pending = w.fw.frame(recs)
-			w.spare = recs
+			// One large flush must not pin its buffer for the log's life.
+			w.spare = nil
+			if cap(recs) <= walKeepOut {
+				w.spare = recs
+			}
 		}
 		if _, err := w.f.WriteAt(w.pending, w.fileEnd); err != nil {
 			// The frame stays pending, so a transient write failure is

@@ -410,3 +410,33 @@ func TestReplayAllocationFlat(t *testing.T) {
 		t.Fatalf("the reopen allocated %d bytes for %d bytes of records and %d for %d: it grows with the log", smallAlloc, small, bigAlloc, big)
 	}
 }
+
+// A flush of more than walKeepOut does not keep its record buffer as
+// the log's spare, which would pin it for the log's life; a small
+// flush's buffer is kept for the next.
+func TestWALSpareCapped(t *testing.T) {
+	w, err := OpenWAL(vfs.OS, filepath.Join(t.TempDir(), "wal.nmlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	spare := func() int {
+		w.flushMu.Lock()
+		defer w.flushMu.Unlock()
+		return cap(w.spare)
+	}
+	w.LogAlloc(string(make([]byte, 2<<20)), 1)
+	if err := w.Flush(w.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	if c := spare(); c > walKeepOut {
+		t.Fatalf("a 2 MiB flush left a spare of %d bytes, want at most %d", c, walKeepOut)
+	}
+	w.LogAlloc("XML", 2)
+	if err := w.Flush(w.NextLSN()); err != nil {
+		t.Fatal(err)
+	}
+	if c := spare(); c == 0 || c > walKeepOut {
+		t.Fatalf("a small flush left a spare of %d bytes", c)
+	}
+}

@@ -2,8 +2,13 @@ package xmlstore
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -87,6 +92,85 @@ func FuzzApplySnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(again.encodeSnapshot(), enc) {
 			t.Fatalf("snapshot re-encodes differently after a round trip")
+		}
+	})
+}
+
+// FuzzReadSnapshotFile throws whole xmlstore.nmsnap files at the
+// engine's snapshot read and what it returns at the payload decoder, as
+// an open does.  No input may panic or allocate more than
+// FuzzApplySnapshot allows a payload of the file's size, whatever its
+// size word claims; a payload the read returns is what its stream
+// inflates to.  Of the seeds, the file the store wrote loads and applies,
+// the raw frame earlier builds wrote reads as "version", and a deflate
+// bomb, its size word under what the stream inflates to or past the
+// bound a stream's bytes allow, reads as "corrupt".
+func FuzzReadSnapshotFile(f *testing.F) {
+	dir := f.TempDir()
+	db, err := ordbms.Open(ordbms.Options{Dir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := Open(db)
+	if err != nil {
+		f.Fatal(err)
+	}
+	loadDeepCorpus(f, s)
+	if err := db.Close(); err != nil {
+		f.Fatal(err)
+	}
+	// The DB the inputs are read through: its catalog generation and log
+	// end are the stamps of the file the close wrote.
+	if db, err = ordbms.Open(ordbms.Options{Dir: dir}); err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { db.CloseDiscard() })
+	path := filepath.Join(dir, snapshotName)
+	real, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw := rawSnapshot(real, snapshotVersion, snapshotPayload(f, real))
+	// A megabyte of zeros deflated, under a size word of the most its
+	// stream may inflate to, and under its true size, past that bound.
+	var z bytes.Buffer
+	zw, _ := flate.NewWriter(&z, flate.BestCompression)
+	zw.Write(make([]byte, 1<<20))
+	zw.Close()
+	bomb := append(append([]byte(nil), real[:40]...), z.Bytes()...)
+	binary.LittleEndian.PutUint32(bomb[12:], crc32.ChecksumIEEE(bomb[24:]))
+	binary.LittleEndian.PutUint64(bomb[16:], uint64(64*z.Len())|1<<63)
+	huge := append([]byte(nil), bomb...)
+	binary.LittleEndian.PutUint64(huge[16:], 1<<20|1<<63)
+	seeds := map[string]string{string(real): "", string(raw): "version", string(bomb): "corrupt", string(huge): "corrupt"}
+	for _, seed := range [][]byte{real, raw, bomb, huge, real[:len(real)-1], {}} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if err := os.WriteFile(path, p, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := &Store{}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		payload, reason := db.ReadSnapshotFile(snapshotName, snapshotMagic, snapshotVersion)
+		var applied error
+		if reason == "" {
+			applied = s.applySnapshot(payload)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<18+256*uint64(len(p)) {
+			t.Fatalf("a %d-byte file allocated %d bytes", len(p), grew)
+		}
+		if want, ok := seeds[string(p)]; ok && (reason != want || want == "" && applied != nil) {
+			t.Fatalf("seed reads as %q (applied: %v), want %q", reason, applied, want)
+		}
+		if reason != "" {
+			return
+		}
+		inflated, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(p[40:])), int64(len(payload))+1))
+		if err != nil || !bytes.Equal(inflated, payload) {
+			t.Fatalf("read a %d-byte payload from a stream that inflates to %d bytes (%v)", len(payload), len(inflated), err)
 		}
 	})
 }

@@ -55,7 +55,7 @@ const DefaultNodeCacheBytes int64 = 32 << 20
 type pageImage struct {
 	nodes []Node // by slot; a zero RowID is a slot dead at decode
 	live  int    // nodes with a row
-	size  int64  // byte charge: nodeFootprint over the live nodes
+	size  int64  // byte charge: nodeFootprint over the live nodes, a Node's size for each dead slot
 	used  atomic.Bool
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"netmark/internal/corpus"
 	"netmark/internal/ordbms"
@@ -115,6 +116,49 @@ func TestPageImageDeletedRow(t *testing.T) {
 	}
 	if _, err := s.FetchNode(rb.RootRowID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A page image holds a zero Node in each slot a delete left dead, and
+// charges it at a Node's size against the cap beside its live nodes'
+// footprints.
+func TestDeadSlotsAreCharged(t *testing.T) {
+	s := memStore(t)
+	s.EnableNodeCache(1 << 20)
+	a := ingest(t, s, "a.html", sampleHTML)
+	b := ingest(t, s, "b.html", sampleHTML)
+	ra, err := s.Document(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := s.Document(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.RootRowID.Page != rb.RootRowID.Page {
+		t.Fatalf("setup: the documents' roots are on pages %d and %d", ra.RootRowID.Page, rb.RootRowID.Page)
+	}
+	if err := s.DeleteDocument(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FetchNode(rb.RootRowID); err != nil { // decodes the page, a's slots dead
+		t.Fatal(err)
+	}
+	img := (*s.nodes.dir.Load())[rb.RootRowID.Page].Load()
+	var live, dead int64
+	for i := range img.nodes {
+		if n := &img.nodes[i]; n.RowID.IsZero() {
+			dead++
+		} else {
+			live += nodeFootprint(n)
+		}
+	}
+	if dead == 0 {
+		t.Fatal("setup: the page has no dead slot")
+	}
+	want := live + dead*int64(unsafe.Sizeof(Node{}))
+	if st := s.NodeCacheStats(); img.size != want || st.Bytes != want {
+		t.Fatalf("an image of %d dead slots is charged %d (cache %d), want %d", dead, img.size, st.Bytes, want)
 	}
 }
 

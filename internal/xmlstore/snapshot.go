@@ -10,7 +10,7 @@ package xmlstore
 // process-local, their only reader is a cache that is empty after a
 // restart, so a loaded term simply starts over at 1.
 //
-// The engine frames, stamps and validates the file
+// The engine frames, deflates, stamps and validates the file
 // (ordbms.CheckpointInfo.WriteSnapshotFile, DB.ReadSnapshotFile): it is
 // loaded only when it was written by the very checkpoint this open
 // started from.  Anything else — a crash at any step of the checkpoint

@@ -2,11 +2,13 @@ package xmlstore
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -424,13 +426,44 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 	diffPlans(t, "pristine", runPlans(t, s3), want)
 }
 
+// snapshotPayload inflates the payload of a snapshot file: the deflate
+// stream after the frame's 24-byte header and 16-byte stamp.
+func snapshotPayload(t testing.TB, file []byte) []byte {
+	t.Helper()
+	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(file[40:])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// rawSnapshot frames payload, at version and under file's stamps, as
+// builds before the deflated snapshot did: header, stamps, then the
+// payload as it is, the header's size word the length of stamps and
+// payload.
+func rawSnapshot(file []byte, version uint32, payload []byte) []byte {
+	out := append(append([]byte(nil), file[:40]...), payload...)
+	body := out[24:]
+	binary.LittleEndian.PutUint32(out[8:], version)
+	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(body)))
+	return out
+}
+
+// deflated reports whether a snapshot file's size word marks its payload
+// deflated.
+func deflated(file []byte) bool {
+	return binary.LittleEndian.Uint64(file[16:24])>>63 == 1
+}
+
 // TestSnapshotVersionSkewFallsBack: a snapshot whose version field is
 // not the current one — an old v1 file, version 7's (whose text index
 // posts words under text nodes, followed by node→CONTEXT entries), the
-// previous version's, or a newer format — must fall back to the scan
-// rebuild (which
-// retokenizes under the current tokenizer contract) and be rewritten at
-// the current version by the next checkpoint.
+// previous version's, or a newer format — or the current version's
+// payload in the raw frame earlier builds wrote, must fall back to the
+// scan rebuild (which retokenizes under the current tokenizer contract)
+// and be rewritten, deflated at the current version, by the next
+// checkpoint.
 func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	db, s := openDir(t, dir, OpenOptions{})
@@ -447,17 +480,23 @@ func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(pristine[8:12]); got != snapshotVersion {
 		t.Fatalf("fresh snapshot version = %d, want %d", got, snapshotVersion)
 	}
+	payload := snapshotPayload(t, pristine)
+	if !deflated(pristine) || len(pristine) >= len(payload) {
+		t.Fatalf("fresh snapshot of %d bytes holds a %d-byte payload undeflated", len(pristine), len(payload))
+	}
 
-	var skews []uint32 // every older version, and the next one
+	skews := map[string][]byte{ // every older version, the next one, and the raw frame
+		"raw-frame": rawSnapshot(pristine, snapshotVersion, payload),
+	}
 	for v := uint32(1); v <= snapshotVersion+1; v++ {
 		if v != snapshotVersion {
-			skews = append(skews, v)
+			stale := append([]byte(nil), pristine...)
+			binary.LittleEndian.PutUint32(stale[8:12], v)
+			skews[fmt.Sprintf("version=%d", v)] = stale
 		}
 	}
-	for _, skew := range skews {
-		t.Run(fmt.Sprintf("version=%d", skew), func(t *testing.T) {
-			stale := append([]byte(nil), pristine...)
-			binary.LittleEndian.PutUint32(stale[8:12], skew)
+	for name, stale := range skews {
+		t.Run(name, func(t *testing.T) {
 			if err := os.WriteFile(path, stale, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -475,8 +514,8 @@ func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := binary.LittleEndian.Uint32(upgraded[8:12]); got != snapshotVersion {
-				t.Fatalf("post-checkpoint version = %d, want %d", got, snapshotVersion)
+			if got := binary.LittleEndian.Uint32(upgraded[8:12]); got != snapshotVersion || !deflated(upgraded) {
+				t.Fatalf("post-checkpoint version = %d, deflated %v; want %d, deflated", got, deflated(upgraded), snapshotVersion)
 			}
 			db3, s3 := openDir(t, dir, OpenOptions{})
 			defer db3.CloseDiscard()
@@ -505,16 +544,13 @@ func TestSnapshotV7FallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two node→CONTEXT entries: key and heading deltas.
-	file = append(file, 2, 1, 2, 1, 0)
-	body := file[24:] // the frame's header is magic, version, CRC, length
-	binary.LittleEndian.PutUint32(file[8:], 7)
-	binary.LittleEndian.PutUint32(file[12:], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint64(file[16:], uint64(len(body)))
-	if err := (&Store{}).applySnapshot(body[16:]); err == nil {
+	// Two node→CONTEXT entries: key and heading deltas, in the raw frame
+	// version 7 was written in.
+	v7 := append(snapshotPayload(t, file), 2, 1, 2, 1, 0)
+	if err := (&Store{}).applySnapshot(v7); err == nil {
 		t.Fatal("a version 7 payload applies")
 	}
-	if err := os.WriteFile(path, file, 0o644); err != nil {
+	if err := os.WriteFile(path, rawSnapshot(file, 7, v7), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db2, s2 := openDir(t, dir, OpenOptions{})

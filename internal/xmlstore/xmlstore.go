@@ -65,6 +65,7 @@ import (
 	"sync/atomic"
 	"time"
 	"unicode"
+	"unsafe"
 
 	"netmark/internal/ordbms"
 	"netmark/internal/sgml"
@@ -649,6 +650,8 @@ func (s *Store) decodePage(img *pageImage, no uint32, decoded func()) error {
 		if derr != nil {
 			return derr
 		}
+		// A dead slot holds a zero Node all the same.
+		img.size += int64(slots-img.live) * int64(unsafe.Sizeof(Node{}))
 		if err == nil && decoded != nil {
 			decoded()
 		}
