@@ -74,7 +74,8 @@ race:
 # bytes opened beside a valid data file and log, hostile log frames
 # after a valid header opened and replayed, the splitters recovery
 # reads run records with, a delete-run record of
-# arbitrary payload opened end to end, the slotted page — arbitrary page bytes read,
+# arbitrary payload opened end to end, the page codec — arbitrary bytes
+# decoded as a data file's block, and pages encoded and back — the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
 # layout — the phrase matcher against tokenize-then-compare, arbitrary
 # XML/HTML through store and Reconstruct (and streamed as GET /doc writes
@@ -89,7 +90,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSerialize -fuzztime $(FUZZTIME) ./internal/sgml
 	$(GO) test -run xxx -fuzz FuzzRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzDeleteRunRecord -fuzztime $(FUZZTIME) ./internal/ordbms
-	$(GO) test -run xxx -fuzz FuzzPage -fuzztime $(FUZZTIME) ./internal/ordbms
+	$(GO) test -run xxx -fuzz '^FuzzPage$$' -fuzztime $(FUZZTIME) ./internal/ordbms
+	$(GO) test -run xxx -fuzz FuzzPageCodec -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzSymbolCodec -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzOpenCatalog -fuzztime $(FUZZTIME) ./internal/ordbms
 	$(GO) test -run xxx -fuzz FuzzWALLog -fuzztime $(FUZZTIME) ./internal/ordbms
@@ -115,8 +117,8 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR49.json
-BENCH_OUT ?= BENCH_PR49.json
+# make bench-json BENCH_OUT=BENCH_PR50.json
+BENCH_OUT ?= BENCH_PR50.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct|BenchmarkWriteDocument' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)

@@ -400,7 +400,10 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // it: 640 documents at the default batch size, ten group commits the
 // pipeline does not stop for, so the tables train after the first and
 // the heap figure is that of coded strings.  It reports no
-// walfile-B/user-B: where its frames are cut follows the scheduler.
+// walfile-B/user-B: where its frames are cut follows the scheduler.  It
+// reports datafile-B/heap-B, the data file's bytes after the close over
+// the heap's whole pages: what compressing pages at rest saves, holes
+// included.
 func BenchmarkIngestParallel(b *testing.B) {
 	gen := corpus.New(47)
 	docs := gen.Mixed(200)
@@ -459,9 +462,10 @@ func BenchmarkIngestParallel(b *testing.B) {
 func benchChunkedIngest(b *testing.B, batch []netmark.Doc, total int64) {
 	b.SetBytes(total)
 	b.ReportAllocs()
-	var heapBytes, rows int64
+	var heapBytes, fileBytes, rows int64
 	for i := 0; i < b.N; i++ {
-		nm, err := netmark.Open(netmark.Config{Dir: b.TempDir(), IngestWorkers: 2})
+		dir := b.TempDir()
+		nm, err := netmark.Open(netmark.Config{Dir: dir, IngestWorkers: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -476,8 +480,14 @@ func benchChunkedIngest(b *testing.B, batch []netmark.Doc, total int64) {
 		if err := nm.Close(); err != nil {
 			b.Fatal(err)
 		}
+		st, err := os.Stat(filepath.Join(dir, "data.nmdb"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		fileBytes += st.Size()
 	}
 	b.ReportMetric(float64(heapBytes)/float64(total*int64(b.N)), "heap-B/user-B")
+	b.ReportMetric(float64(fileBytes)/float64(heapBytes), "datafile-B/heap-B")
 	b.ReportMetric(float64(rows)/float64(len(batch)*b.N), "rows/doc")
 }
 

@@ -142,7 +142,8 @@ const defaultMatch = "BenchmarkServeParallel|BenchmarkColdContentSearch|Benchmar
 
 // deterministicMetrics are the ReportMetric units that count work —
 // bytes and rows stored or logged per byte, document or node, a
-// snapshot file's bytes per payload byte, log
+// snapshot file's bytes per payload byte, the data file's bytes per heap
+// byte, log
 // appends, allocations per node, index bytes — so they repeat run to
 // run and are gated at gate.metric.  Every other unit (MB/s, ns/node,
 // hits, misses, evictions) follows time or scheduling and is recorded,
@@ -150,6 +151,7 @@ const defaultMatch = "BenchmarkServeParallel|BenchmarkColdContentSearch|Benchmar
 var deterministicMetrics = []string{
 	"heap-B/user-B", "wal-B/user-B", "walfile-B/user-B", "rows/doc", "wal-appends/doc", "wal-appends/op",
 	"allocs/node", "alloc-B/user-B", "index-bytes", "wal-B/node", "snap-B/raw-B",
+	"datafile-B/heap-B",
 }
 
 // looseAllocs are the gated benchmarks whose allocs/op spread by more

@@ -3,6 +3,7 @@ package ordbms
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -208,10 +209,11 @@ func (bp *BufferPool) findVictimLocked() *Frame {
 	return nil
 }
 
-// FlushAll writes every dirty page to disk (a checkpoint helper).  It
-// pins each frame while it writes it, one at a time, so eviction leaves
-// the frame alone and a full pool still has its other frames to evict.
-// A frame evicted before its turn was written by the eviction.
+// FlushAll writes every dirty page to disk (a checkpoint helper), in page
+// order, so the same pages make the same data file.  It pins each frame
+// while it writes it, one at a time, so eviction leaves the frame alone
+// and a full pool still has its other frames to evict.  A frame evicted
+// before its turn was written by the eviction.
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	pages := make([]uint32, 0, len(bp.frames))
@@ -220,6 +222,7 @@ func (bp *BufferPool) FlushAll() error {
 	}
 	gate := bp.flushGate
 	bp.mu.Unlock()
+	slices.Sort(pages)
 
 	for _, no := range pages {
 		bp.mu.Lock()

@@ -1,6 +1,7 @@
 package ordbms
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -24,8 +25,10 @@ import (
 // store keeps in it.  There is one codec and no second reader, so the
 // policy is: any change to what a page, a log record or frame, the
 // catalog or a stored row means bumps it, and Open refuses every other
-// value.  Format 13 deflates the log: the same records, in frames.
-const storeFormat = 13
+// value.  Format 13 deflates the log: the same records, in frames;
+// format 14 compresses the data file's pages behind the catalog's page
+// map.
+const storeFormat = 14
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.
@@ -40,6 +43,12 @@ type catalogFile struct {
 	// be ignored.
 	Generation uint64         `json:"generation"`
 	Tables     []catalogTable `json:"tables"`
+	// PageCount and Extents are the data file's page map (see fileDisk):
+	// how many pages are allocated, page 0 among them, and where each
+	// page that has been written lies, as [page, offset, length] in page
+	// order.  A page with no extent reads as zeros.
+	PageCount uint32     `json:"pagecount"`
+	Extents   [][3]int64 `json:"extents"`
 }
 
 type catalogTable struct {
@@ -98,12 +107,24 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 		t.mu.RUnlock()
 		cf.Tables = append(cf.Tables, ct)
 	}
+	count, m, err := db.file.pageMap()
+	if err != nil {
+		return err
+	}
+	cf.PageCount = count
+	for no, e := range m {
+		cf.Extents = append(cf.Extents, [3]int64{int64(no), e.off, e.n})
+	}
+	slices.SortFunc(cf.Extents, func(a, b [3]int64) int { return cmp.Compare(a[0], b[0]) })
 	b, err := json.Marshal(&cf)
 	if err != nil {
 		return err
 	}
 	ci := CheckpointInfo{Dir: db.dir, FS: db.fs}
-	return ci.commitFile(catalogName, b)
+	if err := ci.commitFile(catalogName, b); err != nil {
+		return err
+	}
+	return db.file.commit(m)
 }
 
 // writeFileSync writes data to path through fsys and fsyncs it before
@@ -161,16 +182,33 @@ func (db *DB) readCatalog() (*catalogFile, error) {
 	return &cf, nil
 }
 
-// check refuses page lists and heap metadata no checkpoint writes: the
-// reserved page 0, a page listed twice, in one table or two, a negative
-// row count, or a free-space map that is out of page order, names a page
-// its table does not own or gives a page no room or more than a page.
+// check refuses page lists, heap metadata and page maps no checkpoint
+// writes: the reserved page 0 or a page at or past the page count, a page
+// listed twice, in one table or two, a negative row count, a free-space
+// map that is out of page order, names a page its table does not own or
+// gives a page no room or more than a page, or a page map out of page
+// order or giving a page an extent of no bytes or more than a page.
+// Extents that overlap or pass the data file's end are openFileDisk's to
+// refuse.
 func (cf *catalogFile) check() error {
+	if cf.PageCount == 0 {
+		return fmt.Errorf("no page count")
+	}
+	for k, e := range cf.Extents {
+		switch {
+		case e[0] <= 0 || e[0] >= int64(cf.PageCount):
+			return fmt.Errorf("page map: page %d is the reserved page or past the page count %d", e[0], cf.PageCount)
+		case k > 0 && e[0] <= cf.Extents[k-1][0]:
+			return fmt.Errorf("page map: page %d out of page order or listed twice", e[0])
+		case e[1] < 0 || e[2] <= 0 || e[2] > PageSize:
+			return fmt.Errorf("page map: page %d has an extent of %d bytes at %d", e[0], e[2], e[1])
+		}
+	}
 	owner := make(map[uint32]int) // page → 1 + the index of the table listing it
 	for i, ct := range cf.Tables {
 		for _, p := range ct.Pages {
-			if p == 0 || owner[p] != 0 {
-				return fmt.Errorf("table %s: page %d is the reserved page or listed twice", ct.Name, p)
+			if p == 0 || p >= cf.PageCount || owner[p] != 0 {
+				return fmt.Errorf("table %s: page %d is the reserved page, past the page count or listed twice", ct.Name, p)
 			}
 			owner[p] = i + 1
 		}

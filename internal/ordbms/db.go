@@ -40,6 +40,9 @@ type DB struct {
 	dir  string
 	fs   vfs.FS
 	disk DiskManager
+	// file is disk for a directory store: the checkpoint commits its page
+	// map.  Nil for a volatile store.
+	file *fileDisk
 	pool *BufferPool
 	wal  *WAL
 
@@ -69,6 +72,10 @@ type DB struct {
 	// walEndAtOpen is the WAL's end LSN captured right after recovery —
 	// the stamp a store-level snapshot must carry to be current.
 	walEndAtOpen uint64
+	// changedAtOpen says the open replayed, adopted or cut something, or
+	// derived state was rebuilt rather than loaded (NoteRebuilt): Close
+	// must checkpoint even if nothing is logged since.
+	changedAtOpen atomic.Bool
 
 	// Replayed reports how many WAL records crash recovery applied when
 	// the store was opened (0 for clean shutdowns and fresh stores).
@@ -157,18 +164,20 @@ func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version u
 
 // ReadSnapshotFile returns the payload of the named snapshot when it was
 // written by the checkpoint this open started from, and otherwise the
-// reason it cannot be used: "wal-replay" (recovery applied records, so
-// the heap has moved past every snapshot on disk), "missing",
+// reason it cannot be used: "missing",
 // "unreadable", "corrupt" (which takes in a stream that does not inflate
 // to exactly its recorded size), "version" (another version's file, or
 // the raw frame earlier builds wrote), or "stale" (its stamps are not the
 // catalog generation and log end this open found — a crash
 // mid-checkpoint, or writes after it).  A reason is never an error: the
 // caller rebuilds from its tables, which stay the source of truth.
+//
+// Recovery may have replayed records and still the snapshot be current:
+// a checkpoint cut short after its snapshot was committed leaves the
+// catalog before it, whose pages recovery brings forward to the log's
+// end, and the snapshot is stamped with that end, while Open's own
+// checkpoint commits the catalog at the generation the snapshot carries.
 func (db *DB) ReadSnapshotFile(name string, magic [8]byte, version uint32) (payload []byte, reason string) {
-	if db.Replayed != 0 {
-		return nil, "wal-replay"
-	}
 	data, err := db.fs.ReadFile(filepath.Join(db.dir, name))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -292,11 +301,15 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	disk, err := OpenFileDisk(db.fs, filepath.Join(opts.Dir, "data.nmdb"))
+	count, extents := uint32(1), [][3]int64(nil) // a fresh store's: page 0
+	if cat != nil {
+		count, extents = cat.PageCount, cat.Extents
+	}
+	disk, err := openFileDisk(db.fs, filepath.Join(opts.Dir, "data.nmdb"), count, extents)
 	if err != nil {
 		return nil, errors.Join(err, wal.closeFile())
 	}
-	db.disk = disk
+	db.disk, db.file = disk, disk
 	db.wal = wal
 	db.pool = NewBufferPool(disk, opts.PoolPages)
 	db.pool.onIOFault = func(err error) { db.noteWriteError("page write", err) }
@@ -343,6 +356,7 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	if replayed > 0 || db.allocsGrew || torn {
+		db.changedAtOpen.Store(true)
 		// Re-establish the checkpoint invariants recovery consumed: the
 		// catalog must record every page the replayed records adopted
 		// before those records can be dropped, so run the full sequence
@@ -569,9 +583,9 @@ func (db *DB) WALFileBytes() uint64 {
 	return db.wal.FileBytes()
 }
 
-// HeapStats returns how many pages the tables' heaps own and what those
-// pages occupy in the data file — beside WALStats, the two terms that
-// make up a store's bytes on disk per byte ingested.
+// HeapStats returns how many pages the tables' heaps own and their bytes
+// uncompressed — beside WALStats and HeapFileBytes, the terms that make up
+// a store's bytes per byte ingested.
 func (db *DB) HeapStats() (pages int, bytes int64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -579,6 +593,17 @@ func (db *DB) HeapStats() (pages int, bytes int64) {
 		pages += len(t.heap.Pages())
 	}
 	return pages, int64(pages) * PageSize
+}
+
+// HeapFileBytes returns the bytes the data file's committed extents take,
+// each page compressed as the last checkpoint wrote it; zero for a
+// volatile store.  Over HeapStats' bytes it is what compressing pages at
+// rest saves.
+func (db *DB) HeapFileBytes() int64 {
+	if db.file == nil {
+		return 0
+	}
+	return db.file.fileBytes()
 }
 
 // StringStats returns the bytes of STRING values inserted since open,
@@ -728,10 +753,27 @@ func (db *DB) checkpoint() error {
 	return nil
 }
 
-// Close checkpoints and releases all resources.
+// NoteRebuilt tells the store that derived state a checkpoint hook
+// persists was rebuilt at open rather than loaded, so Close checkpoints
+// to write it again even when nothing was logged since open.
+func (db *DB) NoteRebuilt() { db.changedAtOpen.Store(true) }
+
+// changedSinceOpen reports whether a directory store holds anything its
+// files do not: a record logged since open, an open that replayed,
+// adopted, cut or rebuilt something, or a degraded store, whose last
+// checkpoint may have failed.
+func (db *DB) changedSinceOpen() bool {
+	return db.wal == nil || db.wal.NextLSN() != db.walEndAtOpen ||
+		db.changedAtOpen.Load() || db.health.degraded.Load()
+}
+
+// Close checkpoints, unless nothing changed since open, and releases all
+// resources.  A store opened only to be read closes without writing.
 func (db *DB) Close() error {
-	if err := db.Checkpoint(); err != nil {
-		return err
+	if db.changedSinceOpen() {
+		if err := db.Checkpoint(); err != nil {
+			return err
+		}
 	}
 	if db.wal != nil {
 		if err := db.wal.Close(); err != nil {

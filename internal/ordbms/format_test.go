@@ -5,16 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 to NMWALv12 — is refused by name, and refusing it
+// NMWALv1 to NMWALv13 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
@@ -55,6 +57,17 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	// run, whose bytes this version would read as a frame.
 	v12Run := []byte{9, 1, 0, 0, 0, 0, 0, 1, 0, 4, 0x00, 0x04, 'h', 'i'}
 	v12Log := rawLog("NMWALv12", v12Run)
+	// Format 13 has this version's codec, tables, records, catalog and
+	// log; only its data file holds every page raw at page number times
+	// the page size, and its catalog has no page map.  Its log holds a
+	// committed run in a frame, which would replay onto pages this version
+	// reads as zeros.
+	var fw frameWriter
+	v13Rec := binary.LittleEndian.AppendUint32(nil, uint32(len(v12Run)))
+	v13Rec = binary.LittleEndian.AppendUint32(v13Rec, crc32.ChecksumIEEE(v12Run))
+	v13Log := append(append([]byte("NMWALv13"), make([]byte, 8)...), fw.frame(append(v13Rec, v12Run...))...)
+	fw.release()
+	v13Data := append([]byte("NETMARKDB v1\x00\x00\x00\x00"), make([]byte, 2*PageSize-16)...)
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
 	v2Catalog := []byte(`{"format":2,"generation":3,"tables":[{"name":"XML","columns":[{"name":"nodeid","type":1}],"pages":[1],"indexes":[]}]}`)
 	// Format 3 has this version's columns; only its links are all far.
@@ -80,6 +93,7 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	v10Catalog := []byte(`{"format":10,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	v11Catalog := []byte(`{"format":11,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	v12Catalog := []byte(`{"format":12,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null,"rows":1,"free":[[1,8000]]}]}`)
+	v13Catalog := []byte(`{"format":13,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null,"rows":1,"free":[[1,8000]]}]}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format":  {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":             {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -117,6 +131,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 12 catalog":       {"catalog.json": v12Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv12 log":            {"wal.nmlog": v12Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v12 catalog and v12 log": {"catalog.json": v12Catalog, "wal.nmlog": v12Log},
+		"format 13 catalog":       {"catalog.json": v13Catalog, "data.nmdb": v13Data},
+		"NMWALv13 log":            {"wal.nmlog": v13Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v13 store":               {"catalog.json": v13Catalog, "wal.nmlog": v13Log, "data.nmdb": v13Data},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -136,8 +153,8 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 			}
 			// A log with no catalog is refused by the whole magic this
 			// version wants.
-			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv13"`) {
-				t.Fatalf("Open = %v, want it to name NMWALv13", err)
+			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv14"`) {
+				t.Fatalf("Open = %v, want it to name NMWALv14", err)
 			}
 			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
 				t.Fatalf("refusing the store changed it:\nbefore %v\nafter  %v", before, after)
@@ -170,7 +187,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":13,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":14,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})
@@ -271,6 +288,93 @@ func TestOpenRefusesBadHeapMeta(t *testing.T) {
 	db, err = Open(Options{Dir: src})
 	if err != nil {
 		t.Fatal(err)
+	}
+	db.CloseDiscard()
+}
+
+// A catalog whose page map no checkpoint could have written is refused
+// as corrupt before anything is written: extents that overlap, an extent
+// past the data file's end, a page at or past the page count, a page
+// listed twice.
+func TestOpenRefusesBadPageMap(t *testing.T) {
+	src := t.TempDir()
+	db, err := Open(Options{Dir: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("a", MustSchema(Column{"s", TypeString}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range prose(2, 300) {
+		if _, err := tbl.Insert(Row{S(text)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(src, catalogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.Stat(filepath.Join(src, "data.nmdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf catalogFile
+	if err := json.Unmarshal(good, &cf); err != nil {
+		t.Fatal(err)
+	}
+	if len(cf.Extents) < 3 || cf.PageCount != uint32(len(cf.Extents))+1 {
+		t.Fatalf("page map of %d pages, %d extents", cf.PageCount, len(cf.Extents))
+	}
+	for name, edit := range map[string]func(m [][3]int64) [][3]int64{
+		"overlapping extents": func(m [][3]int64) [][3]int64 { m[1][1] = m[0][1] + m[0][2] - 1; return m },
+		"past the file's end": func(m [][3]int64) [][3]int64 { m[2][1] = data.Size() - m[2][2] + 1; return m },
+		"past any file's end": func(m [][3]int64) [][3]int64 { m[2][1] = math.MaxInt64 - 1; return m },
+		"past the page count": func(m [][3]int64) [][3]int64 { m[len(m)-1][0] = int64(cf.PageCount); return m },
+		"a page twice":        func(m [][3]int64) [][3]int64 { return append(m[:2:2], m[1:]...) },
+		"the reserved page":   func(m [][3]int64) [][3]int64 { m[0][0] = 0; return m },
+		"the header":          func(m [][3]int64) [][3]int64 { m[0][1] = 0; return m },
+		"more than a page":    func(m [][3]int64) [][3]int64 { m[0][2] = PageSize + 1; return m },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := cf
+			bad.Extents = edit(slices.Clone(cf.Extents))
+			cat, err := json.Marshal(&bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			for _, file := range []string{"data.nmdb", "wal.nmlog"} {
+				data, err := os.ReadFile(filepath.Join(src, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, catalogName), cat, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirDigest(t, dir)
+			db, err := Open(Options{Dir: dir})
+			if err == nil || !strings.Contains(err.Error(), "corrupt catalog") {
+				if err == nil {
+					db.CloseDiscard()
+				}
+				t.Fatalf("Open = %v, want a corrupt catalog", err)
+			}
+			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refusing the page map changed the store:\nbefore %v\nafter  %v", before, after)
+			}
+		})
+	}
+	db, err = Open(Options{Dir: src})
+	if err != nil {
+		t.Fatalf("the page map as written: %v", err)
 	}
 	db.CloseDiscard()
 }

@@ -239,6 +239,58 @@ func TestStatsWALFileBytes(t *testing.T) {
 	}
 }
 
+// heap.file_bytes is what the tables' pages take in the data file as the
+// last checkpoint committed them, compressed: nothing before the first
+// checkpoint, then under heap.bytes and no more than the data file.
+func TestStatsHeapFileBytes(t *testing.T) {
+	dir := t.TempDir()
+	db, err := ordbms.Open(ordbms.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	store, err := xmlstore.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(xdb.NewEngine(store), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := func() (st Stats) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var batch []xmlstore.BatchDoc
+	for _, d := range corpus.New(3).Mixed(40) {
+		batch = append(batch, xmlstore.BatchDoc{Name: d.Name, Data: d.Data})
+	}
+	for _, r := range store.StoreBatch(batch, 2) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if st := stats(); st.Heap.FileBytes != 0 {
+		t.Fatalf("heap.file_bytes before any checkpoint = %d", st.Heap.FileBytes)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	st := stats()
+	fi, err := os.Stat(filepath.Join(dir, "data.nmdb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Heap.FileBytes == 0 || st.Heap.FileBytes >= st.Heap.Bytes || st.Heap.FileBytes > fi.Size() {
+		t.Fatalf("heap.file_bytes = %d, heap.bytes %d, data file %d bytes", st.Heap.FileBytes, st.Heap.Bytes, fi.Size())
+	}
+}
+
 // Once the tables have trained their symbol tables, /stats shows the
 // strings stored since in fewer bytes than they hold.
 func TestStatsShowStringCoding(t *testing.T) {

@@ -257,9 +257,10 @@ type Stats struct {
 		Replayed  int    `json:"replayed"`
 	} `json:"wal"`
 
-	// Heap is the tables' share of the data file; over the bytes ingested
-	// it is the store's space amplification, as wal.file_bytes is the
-	// log's.
+	// Heap is the tables' pages: bytes uncompressed, and file_bytes what
+	// the data file's extents as the last checkpoint committed them take,
+	// each page compressed.  Over the bytes ingested, file_bytes is the
+	// store's space amplification, as wal.file_bytes is the log's.
 	// strings_stored_bytes over strings_raw_bytes, both summed at insert
 	// since open, is what the tables' symbol tables save on the strings
 	// inserted since; it drifts up when later documents differ from those
@@ -267,6 +268,7 @@ type Stats struct {
 	Heap struct {
 		Pages              int    `json:"pages"`
 		Bytes              int64  `json:"bytes"`
+		FileBytes          int64  `json:"file_bytes"`
 		StringsRawBytes    uint64 `json:"strings_raw_bytes"`
 		StringsStoredBytes uint64 `json:"strings_stored_bytes"`
 		SymbolTables       int    `json:"symbol_tables"`
@@ -344,6 +346,7 @@ func (s *Server) Snapshot() Stats {
 	st.WAL.FileBytes = store.DB().WALFileBytes()
 	st.WAL.Replayed = store.DB().Replayed
 	st.Heap.Pages, st.Heap.Bytes = store.DB().HeapStats()
+	st.Heap.FileBytes = store.DB().HeapFileBytes()
 	st.Heap.StringsRawBytes, st.Heap.StringsStoredBytes, st.Heap.SymbolTables = store.DB().StringStats()
 	st.Pool.Hits, st.Pool.Misses, st.Pool.Evictions = store.DB().Pool().Stats()
 	ss := store.SnapshotStats()

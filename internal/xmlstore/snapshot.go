@@ -60,8 +60,7 @@ type SnapshotStats struct {
 	// instead of the document-by-document rebuild.
 	Loaded bool
 	// Fallback names why the snapshot was not used ("" when Loaded):
-	// "missing", "unreadable", "corrupt", "version", "stale", or
-	// "wal-replay".
+	// "missing", "unreadable", "corrupt", "version" or "stale".
 	Fallback string
 	// Saves and SaveErrors count snapshot writes since this Open.
 	Saves      uint64

@@ -309,6 +309,9 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 		if err := s.rebuildDerived(); err != nil {
 			return nil, err
 		}
+		if s.snapStat.Enabled {
+			db.NoteRebuilt() // the next close writes the snapshot again
+		}
 	}
 	// Register the save hook only now that the derived state is known
 	// complete (loaded or fully rebuilt): a failed Open must never leave
