@@ -8,8 +8,11 @@ import (
 )
 
 // BufferPool caches pages in memory with LRU replacement.  Pages are
-// pinned while in use; unpinned dirty pages are flushed on eviction,
-// respecting the WAL-ahead rule via the flushGate callback.
+// pinned while in use; unpinned dirty pages are written on eviction.  The
+// pool knows nothing of the log: a page it writes lands in an extent no
+// committed page map names, so nothing reads it after a crash until a
+// checkpoint commits a map that does, and that commit writes the log out
+// first (see DB.saveCatalogLocked).
 type BufferPool struct {
 	// mu is deliberately not marked hot — eviction legitimately
 	// flushes a dirty page to disk while holding it.
@@ -18,11 +21,6 @@ type BufferPool struct {
 	capacity int
 	frames   map[uint32]*Frame // guarded by mu
 	lru      *list.List        // guarded by mu; front = most recently used; holds *Frame
-
-	// flushGate, when set, is invoked with the page LSN before a dirty
-	// page is written to disk.  The WAL installs a gate that forces the
-	// log out through that LSN first.  Guarded by mu.
-	flushGate func(lsn uint64) error
 
 	// onIOFault, when set, hears of every device fault the pool meets
 	// while writing for whichever caller needed a page: an eviction's
@@ -71,13 +69,6 @@ func NewBufferPool(disk DiskManager, capacity int) *BufferPool {
 		frames:   make(map[uint32]*Frame),
 		lru:      list.New(),
 	}
-}
-
-// SetFlushGate installs the WAL-ahead gate (see WAL.AttachTo).
-func (bp *BufferPool) SetFlushGate(gate func(lsn uint64) error) {
-	bp.mu.Lock()
-	bp.flushGate = gate
-	bp.mu.Unlock()
 }
 
 // Stats returns (hits, misses, evictions) counters.
@@ -174,11 +165,6 @@ func (bp *BufferPool) ensureRoomLocked() error {
 			return fmt.Errorf("ordbms: buffer pool exhausted (%d pages all pinned)", bp.capacity)
 		}
 		if victim.dirty {
-			if bp.flushGate != nil {
-				if err := bp.flushGate(victim.Page.LSN()); err != nil {
-					return bp.noteIOFault(err)
-				}
-			}
 			if err := bp.disk.WritePage(victim.PageNo, victim.Page.Data()); err != nil {
 				return bp.noteIOFault(err)
 			}
@@ -220,7 +206,6 @@ func (bp *BufferPool) FlushAll() error {
 	for no := range bp.frames {
 		pages = append(pages, no)
 	}
-	gate := bp.flushGate
 	bp.mu.Unlock()
 	slices.Sort(pages)
 
@@ -234,7 +219,7 @@ func (bp *BufferPool) FlushAll() error {
 		if !ok {
 			continue
 		}
-		err := bp.flushFrame(f, gate)
+		err := bp.flushFrame(f)
 		bp.Unpin(f)
 		if err != nil {
 			return err
@@ -244,16 +229,11 @@ func (bp *BufferPool) FlushAll() error {
 }
 
 // flushFrame writes f's page if it is dirty.  The caller pins f.
-func (bp *BufferPool) flushFrame(f *Frame, gate func(lsn uint64) error) error {
+func (bp *BufferPool) flushFrame(f *Frame) error {
 	f.Latch.RLock()
 	defer f.Latch.RUnlock()
 	if !f.dirty {
 		return nil
-	}
-	if gate != nil {
-		if err := gate(f.Page.LSN()); err != nil {
-			return err
-		}
 	}
 	if err := bp.disk.WritePage(f.PageNo, f.Page.Data()); err != nil {
 		return err

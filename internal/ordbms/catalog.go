@@ -111,6 +111,14 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 	if err != nil {
 		return err
 	}
+	// The log goes out before the map is committed: every page the map
+	// names holds only changes appended before the map was taken, since a
+	// writer appends its record before it lets go of the page's latch.
+	// Those past the checkpoint's cut may still be in the buffer, and a
+	// crash between this commit and the log's swap must find them.
+	if err := db.wal.Flush(db.wal.NextLSN()); err != nil {
+		return err
+	}
 	cf.PageCount = count
 	for no, e := range m {
 		cf.Extents = append(cf.Extents, [3]int64{int64(no), e.off, e.n})

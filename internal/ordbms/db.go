@@ -72,10 +72,12 @@ type DB struct {
 	// walEndAtOpen is the WAL's end LSN captured right after recovery —
 	// the stamp a store-level snapshot must carry to be current.
 	walEndAtOpen uint64
-	// changedAtOpen says the open replayed, adopted or cut something, or
-	// derived state was rebuilt rather than loaded (NoteRebuilt): Close
-	// must checkpoint even if nothing is logged since.
-	changedAtOpen atomic.Bool
+	// ckptDue says the next checkpoint must run even if nothing is logged
+	// since the last one: the open replayed, adopted or cut something, or
+	// derived state was rebuilt rather than loaded (NoteRebuilt).  A
+	// checkpoint that runs clears it; one that then fails degrades the
+	// store, which keeps the next from being skipped.
+	ckptDue atomic.Bool
 
 	// Replayed reports how many WAL records crash recovery applied when
 	// the store was opened (0 for clean shutdowns and fresh stores).
@@ -313,7 +315,6 @@ func Open(opts Options) (*DB, error) {
 	db.wal = wal
 	db.pool = NewBufferPool(disk, opts.PoolPages)
 	db.pool.onIOFault = func(err error) { db.noteWriteError("page write", err) }
-	wal.AttachTo(db.pool)
 	// The open is doomed on these paths; closing may itself fail, and a
 	// failed WAL close is durability information, so fold it into the
 	// reported error instead of dropping it.
@@ -356,7 +357,7 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	if replayed > 0 || db.allocsGrew || torn {
-		db.changedAtOpen.Store(true)
+		db.ckptDue.Store(true)
 		// Re-establish the checkpoint invariants recovery consumed: the
 		// catalog must record every page the replayed records adopted
 		// before those records can be dropped, so run the full sequence
@@ -371,9 +372,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	return db, nil
 }
-
-// InMemory reports whether the store is volatile.
-func (db *DB) InMemory() bool { return db.dir == "" }
 
 // Pool exposes the buffer pool for stats.
 func (db *DB) Pool() *BufferPool { return db.pool }
@@ -649,7 +647,8 @@ func (db *DB) train() error {
 // their derived state here, stamped with the CheckpointInfo values, so a
 // reopen can tell exactly whether that state matches the heap.  A hook
 // error aborts the checkpoint (the WAL keeps its records, so nothing is
-// lost).  Hooks must not call back into DB methods.
+// lost), and a checkpoint with nothing to write runs none.  Hooks must
+// not call back into DB methods.
 func (db *DB) RegisterPreCheckpointHook(fn func(CheckpointInfo) error) {
 	db.mu.Lock()
 	db.preCkpt = append(db.preCkpt, fn)
@@ -661,15 +660,6 @@ func (db *DB) CatalogGen() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.catalogGen
-}
-
-// WALBaseLSN returns the LSN the on-disk log starts at (0 for in-memory
-// stores).
-func (db *DB) WALBaseLSN() uint64 {
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.BaseLSN()
 }
 
 // WALEndLSN returns the log's end LSN as captured at open, before any
@@ -690,7 +680,10 @@ func (db *DB) Dir() string { return db.dir }
 // Checkpoint flushes all pages, runs the snapshot hooks, persists the
 // catalog with each heap's metadata, and truncates the WAL.  After a
 // clean checkpoint, reopening replays nothing and takes the heap
-// metadata from the catalog.
+// metadata from the catalog.  A checkpoint writes nothing when the
+// store's files already hold all it has: nothing logged since the last
+// checkpoint's cut, nothing replayed or rebuilt at open, and no failure
+// since that degraded the store.
 //
 // The sequence is crash-safe at every step: the catalog and the WAL
 // successor are written temp-file-first with fsyncs and committed by
@@ -715,6 +708,10 @@ func (db *DB) Checkpoint() error {
 func (db *DB) checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if db.upToDate() {
+		return nil
+	}
+	db.ckptDue.Store(false)
 	var cut uint64
 	if db.wal != nil {
 		if err := db.wal.Sync(); err != nil && db.wal.Poisoned() == nil {
@@ -754,26 +751,25 @@ func (db *DB) checkpoint() error {
 }
 
 // NoteRebuilt tells the store that derived state a checkpoint hook
-// persists was rebuilt at open rather than loaded, so Close checkpoints
-// to write it again even when nothing was logged since open.
-func (db *DB) NoteRebuilt() { db.changedAtOpen.Store(true) }
+// persists was rebuilt at open rather than loaded, so the next checkpoint
+// writes it again even when nothing was logged since.
+func (db *DB) NoteRebuilt() { db.ckptDue.Store(true) }
 
-// changedSinceOpen reports whether a directory store holds anything its
-// files do not: a record logged since open, an open that replayed,
-// adopted, cut or rebuilt something, or a degraded store, whose last
-// checkpoint may have failed.
-func (db *DB) changedSinceOpen() bool {
-	return db.wal == nil || db.wal.NextLSN() != db.walEndAtOpen ||
-		db.changedAtOpen.Load() || db.health.degraded.Load()
+// upToDate reports whether a directory store's files hold all it has:
+// no record logged past the last checkpoint's cut, where the log's base
+// stands, nothing due from the open (a torn log among it) or a rebuild,
+// and a store that is not degraded — by a failed checkpoint, or by a
+// failed fsync, which poisons the log.  Caller holds db.mu.
+func (db *DB) upToDate() bool {
+	return db.wal != nil && !db.ckptDue.Load() && !db.health.degraded.Load() &&
+		db.wal.NextLSN() == db.wal.BaseLSN()
 }
 
-// Close checkpoints, unless nothing changed since open, and releases all
-// resources.  A store opened only to be read closes without writing.
+// Close checkpoints and releases all resources.  A store opened only to
+// be read closes without writing: its checkpoint has nothing to write.
 func (db *DB) Close() error {
-	if db.changedSinceOpen() {
-		if err := db.Checkpoint(); err != nil {
-			return err
-		}
+	if err := db.Checkpoint(); err != nil {
+		return err
 	}
 	if db.wal != nil {
 		if err := db.wal.Close(); err != nil {

@@ -464,6 +464,118 @@ func TestCheckpointKeepsConcurrentTail(t *testing.T) {
 	}
 }
 
+// A page map the checkpoint commits never names a page holding a record
+// the log lacks.  A pre-checkpoint hook, past the checkpoint's cut and its
+// page flush, inserts enough to evict pages of a pool of 8 while their
+// records sit only in the log's buffer, then makes every write to the log
+// fail ("wal.nmlog*": a checkpoint leaves the live log's handle named
+// wal.nmlog.ckpt).  Whatever the checkpoint commits, no page the reopened
+// store reads carries an LSN past the reopened log's end: such a page
+// would make recovery skip the records the next session logs under it.
+func TestCommitCoversEvictedPages(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(nil)
+	db, err := Open(Options{Dir: dir, FS: ffs, PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", MustSchema(Column{"s", TypeString}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := Row{S(strings.Repeat("x", 900))}
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := tbl.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	insert(20)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert(1) // something for the next checkpoint to write
+	var evicted uint64
+	ran := false
+	db.RegisterPreCheckpointHook(func(CheckpointInfo) error {
+		if ran {
+			return nil
+		}
+		ran = true
+		_, _, before := db.pool.Stats()
+		insert(200)
+		_, _, after := db.pool.Stats()
+		evicted = after - before
+		ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "wal.nmlog*"})
+		return nil
+	})
+	err = db.Checkpoint()
+	t.Logf("checkpoint under a failing log write: %v", err)
+	if !ran || evicted == 0 {
+		t.Fatalf("the hook ran %v and evicted %d pages", ran, evicted)
+	}
+	db.CloseDiscard() // the crash
+
+	db, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseDiscard()
+	end := db.wal.NextLSN()
+	for no := uint32(1); no < db.disk.NumPages(); no++ {
+		f, err := db.pool.Fetch(no)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsn := f.Page.LSN()
+		db.pool.Unpin(f)
+		if lsn > end {
+			t.Fatalf("page %d has LSN %d, past the reopened log's end at %d", no, lsn, end)
+		}
+	}
+}
+
+// A checkpoint after a failed one runs even with nothing logged since.
+// The failure here is the store directory's fsync after the log's swap:
+// the log already starts at the failed checkpoint's cut, so only the
+// degraded state says the store's files may not hold what it has.
+func TestCheckpointAfterFailureRuns(t *testing.T) {
+	dir := t.TempDir()
+	ffs := vfs.NewFaultFS(nil)
+	db, err := Open(Options{Dir: dir, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t", MustSchema(Column{"v", TypeInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := tbl.Insert(Row{I(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ffs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: filepath.Base(dir), After: 1, Times: 1})
+	if err := db.Checkpoint(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("checkpoint under a failing directory fsync = %v", err)
+	}
+	if !db.Health().Degraded || db.wal.NextLSN() != db.wal.BaseLSN() {
+		t.Fatalf("after the failed checkpoint: %+v, log %d..%d", db.Health(), db.wal.BaseLSN(), db.wal.NextLSN())
+	}
+	gen := db.CatalogGen()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.CatalogGen() != gen+1 || db.Health().Degraded {
+		t.Fatalf("the checkpoint after the failure: generation %d, want %d; %+v", db.CatalogGen(), gen+1, db.Health())
+	}
+}
+
 // TestDerivedSnapshotReopen proves a clean close/reopen takes each
 // heap's row count and free-space map from the catalog, reading no page
 // of a table without indexes, rebuilds the secondary indexes by scan,

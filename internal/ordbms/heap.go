@@ -460,8 +460,9 @@ func (h *HeapFile) Delete(rid RowID) error { return h.DeleteRun([]RowID{rid}) }
 //
 // The record is logged before any page changes, and the pages then take
 // it one pin at a time — a run larger than the buffer pool deletes too —
-// while the flush gate keeps each page it touched off the disk until the
-// record is written.  A failure partway leaves the records before it
+// so any page map that names a page it touched was taken after the
+// record was appended, and the checkpoint writes the record before it
+// commits that map.  A failure partway leaves the records before it
 // deleted and the rest in place, in memory, and the whole run in the log,
 // for a crash to finish: either way the records that survive are the
 // ones rids names last.

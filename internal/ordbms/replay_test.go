@@ -35,7 +35,6 @@ func TestReplayRebuildsPagesByteForByte(t *testing.T) {
 	}
 	disk := NewMemDisk()
 	pool := NewBufferPool(disk, 64)
-	w.AttachTo(pool)
 	h := NewHeapFile(pool, w)
 	tbl := &Table{name: "t", heap: h} // a bare table over h, for its deletes
 

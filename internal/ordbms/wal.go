@@ -16,31 +16,26 @@ import (
 	"netmark/internal/vfs"
 )
 
-// WAL is a redo-only write-ahead log.  Every page mutation is logged
-// before the page may reach disk (the buffer pool enforces this through
-// the flush gate).  Recovery replays records whose LSN exceeds the page's
-// on-disk LSN.
+// WAL is a redo-only write-ahead log.  Every page mutation is appended
+// while the page's write latch is held, and a checkpoint writes the log
+// out before it commits a page map (DB.saveCatalogLocked), so no page a
+// reopen reads holds a change the log lacks.  Recovery replays records
+// whose LSN exceeds the page's on-disk LSN.
 //
 // LSNs are monotonically increasing positions in the log's record
 // stream — the records as appended, before the file deflates them — so
 // they say nothing about where a record sits in the file; a checkpoint
 // truncates the file but advances a persistent base so LSNs never repeat.
 type WAL struct {
-	// syncMu is the group-commit token.  Its holder leads a group: it
-	// flushes what is buffered, then fsyncs with only this token held, so
-	// a flush — the buffer pool's WAL-ahead gate — writes frames while
-	// the device syncs.  A checkpoint holds it too, so the file a leader
-	// fsyncs is not swapped and closed under it.
-	// netmarkvet:lockorder 37
-	syncMu sync.Mutex
-	// flushMu is the flush token.  Its holder alone cuts frames from the
-	// buffered records and writes them, and it does that outside mu,
+	// flushMu is the log's one token.  Its holder alone cuts frames from
+	// the buffered records and writes them, and it does that outside mu,
 	// which it takes only to swap the buffer out and to publish what it
 	// wrote: appenders keep filling the buffer while a flush deflates and
-	// writes.  A checkpoint holds it to swap the file.
+	// writes.  A group commit's leader holds it across its flush and its
+	// fsync, and a checkpoint holds it to swap the file.
 	// netmarkvet:lockorder 38
 	flushMu sync.Mutex
-	f       vfs.File    // guarded by flushMu; swapped only with syncMu held too
+	f       vfs.File    // guarded by flushMu
 	fw      frameWriter // guarded by flushMu; the deflate stream the file's frames are cut from
 	pending []byte      // guarded by flushMu; a frame whose write failed, written first by the next flush
 	pendEnd uint64      // guarded by flushMu; the LSN pending ends at
@@ -432,12 +427,6 @@ func openWAL(fsys vfs.FS, path string) (*WAL, error) {
 	return w, nil
 }
 
-// AttachTo installs this WAL as the pool's flush gate, enforcing the
-// WAL-ahead rule.
-func (w *WAL) AttachTo(pool *BufferPool) {
-	pool.SetFlushGate(func(lsn uint64) error { return w.Flush(lsn) })
-}
-
 // NextLSN returns the LSN the next record will receive.
 func (w *WAL) NextLSN() uint64 {
 	w.mu.Lock()
@@ -659,9 +648,9 @@ func readWALString(p []byte) (string, []byte, bool) {
 	return string(p[sz : sz+int(n)]), p[sz+int(n):], true
 }
 
-// Flush writes buffered records through lsn to the file (no fsync): the
-// buffer pool's WAL-ahead gate.  It waits for a flush in flight, which
-// deflates and writes, but not for a group commit's fsync.
+// Flush writes buffered records through lsn to the file (no fsync): what
+// a checkpoint does before it commits a page map.  It waits for the token
+// a flush in flight or a group commit holds.
 func (w *WAL) Flush(lsn uint64) error {
 	w.mu.Lock()
 	done := w.flushed >= lsn
@@ -726,37 +715,32 @@ func (w *WAL) Sync() error {
 
 // SyncTo makes the log durable through lsn (which must not exceed
 // NextLSN at the time of the call), coalescing concurrent callers into a
-// single fsync — group commit.  The caller that takes the group-commit
-// token while its records are not yet durable leads a group: it flushes
-// everything buffered so far, then fsyncs holding that token alone, so
-// records appended meanwhile keep flowing into the buffer and a flush
-// may write them to the file.  Every caller waiting for the token whose
-// LSN the group covers returns without an fsync of its own.
+// single fsync — group commit.  The caller that takes the token while its
+// records are not yet durable leads a group: it flushes everything
+// buffered so far and fsyncs, while records appended meanwhile keep
+// flowing into the buffer.  Every caller waiting for the token whose LSN
+// the group covers returns without an fsync of its own.
 //
 // netmarkvet:commit
 func (w *WAL) SyncTo(lsn uint64) error {
 	if done, err := w.syncedThrough(lsn); done || err != nil {
 		return err
 	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
 	// The token's last holder may have covered lsn, or poisoned the log.
 	if done, err := w.syncedThrough(lsn); done || err != nil {
 		return err
 	}
-	w.flushMu.Lock()
-	err := w.flushLocked(w.NextLSN())
+	if err := w.flushLocked(w.NextLSN()); err != nil {
+		return err
+	}
 	// Flushes move flushed only after their write, so this is what the
-	// fsync covers; a checkpoint, which swaps the file, waits for syncMu.
-	f := w.f
+	// fsync covers.
 	w.mu.Lock()
 	target := w.flushed
 	w.mu.Unlock()
-	w.flushMu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
+	if err := w.f.Sync(); err != nil {
 		// Sticky: a failed commit fsync poisons the log (see the
 		// poisoned field).  Every caller waiting for the token and every
 		// later commit gets an error instead of a phantom ack.
@@ -809,13 +793,11 @@ const walCkptSuffix = ".ckpt"
 // that window made recovery hand out LSNs lagging already-flushed page
 // LSNs, so post-crash records were skipped on the next replay).
 func (w *WAL) checkpointTo(cut uint64) error {
-	// The two tokens keep every group commit and flush out until the
+	// The token keeps every group commit and flush out until the
 	// successor is live: a leader fsyncs w.f and a flush writes it, and
 	// the swap below closes it.  Appenders go on filling the buffer
 	// meanwhile; what they add is past flushed, and goes to whichever
 	// file is live.
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	if err := w.flushLocked(w.NextLSN()); err != nil {
@@ -957,8 +939,6 @@ func (w *WAL) SyncedLSN() uint64 {
 // closeFile releases the file handle without flushing — the crash-close
 // path (CloseDiscard) for tests and read-only benchmark reopens.
 func (w *WAL) closeFile() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.fw.release()
@@ -1046,8 +1026,9 @@ func nextRecord(p []byte) (body, rest []byte, ok bool) {
 //
 // The first Replay after openWAL is also the scan that finds the log's
 // end: the log counts as written and durable through each frame before
-// fn sees its records, so a page recovery dirties passes the buffer
-// pool's flush gate.  Memory stays at a frame whatever the log's size.
+// fn sees its records, so a checkpoint that commits a page recovery
+// dirtied has nothing to write first.  Memory stays at a frame whatever
+// the log's size.
 func (w *WAL) Replay(fn func(r WALRecord) error) (torn bool, err error) {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()

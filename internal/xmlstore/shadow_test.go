@@ -196,8 +196,12 @@ func scribble(t *testing.T, dir string) int {
 // every byte of the data file the committed map does not name is
 // overwritten — so no extent written since the commit is read — and the
 // reopened store reconstructs every committed document byte for byte.
+// So it does after a crash that follows more ingest, uncommitted, whose
+// pages were evicted while their records sat only in the log's buffer:
+// the evictions write nothing to the log, which the crash leaves as the
+// last fsync did, and the reopen is the store that fsync left.
 func TestShadowPagesSurviveCrash(t *testing.T) {
-	for _, crash := range []string{"after-evictions", "catalog-rename-failed"} {
+	for _, crash := range []string{"after-evictions", "catalog-rename-failed", "evicted-unlogged"} {
 		t.Run(crash, func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := vfs.NewFaultFS(nil)
@@ -246,6 +250,35 @@ func TestShadowPagesSurviveCrash(t *testing.T) {
 				ffs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: "catalog.json"})
 				if err := db.Checkpoint(); !errors.Is(err, syscall.EIO) {
 					t.Fatalf("checkpoint under a failing rename = %v", err)
+				}
+			}
+			if crash == "evicted-unlogged" {
+				logPath := filepath.Join(dir, "wal.nmlog")
+				synced, err := os.Stat(logPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Past the pool's 8 pages evicted, pages this ingest filled
+				// are evicted too.
+				_, _, ev := db.Pool().Stats()
+				late := gen.Mixed(300)
+				for _, d := range late {
+					if _, _, now := db.Pool().Stats(); now > ev+8 {
+						break
+					}
+					if _, err := s.StoreRaw("late-"+d.Name, d.Data); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, _, now := db.Pool().Stats(); now <= ev+8 {
+					t.Fatalf("%d documents evicted %d pages", len(late), now-ev)
+				}
+				st, err := os.Stat(logPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Size() != synced.Size() {
+					t.Fatalf("evictions wrote the log: %d bytes after the fsync's %d", st.Size(), synced.Size())
 				}
 			}
 			db.CloseDiscard() // the crash
@@ -377,5 +410,52 @@ func TestReadOnlyCloseWritesNothing(t *testing.T) {
 	}
 	if cfs.writes["catalog.json"] == 0 || cfs.writes["xmlstore.nmsnap"] == 0 {
 		t.Fatalf("closing a store that took a document wrote %v", cfs.writes)
+	}
+}
+
+// A checkpoint with nothing to write writes nothing.  Of three back to
+// back after an ingest, the first commits a catalog and a snapshot, and
+// the other two touch no file; nor does the close after them.
+func TestNoOpCheckpointWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	cfs := newCountFS()
+	db, err := ordbms.Open(ordbms.Options{Dir: dir, FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range corpus.New(3).Mixed(40) {
+		if _, err := s.StoreRaw(d.Name, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	gen := db.CatalogGen()
+	cfs.reset()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if cfs.writes["catalog.json"] != 1 || cfs.writes[snapshotName] != 1 {
+		t.Fatalf("the first checkpoint wrote %v", cfs.writes)
+	}
+	cfs.reset()
+	for i := 0; i < 2; i++ {
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(cfs.writes) != 0 {
+		t.Fatalf("two checkpoints and a close with nothing to write wrote %v", cfs.writes)
+	}
+	if got := db.CatalogGen(); got != gen+1 {
+		t.Fatalf("catalog generation %d after three checkpoints, want %d", got, gen+1)
 	}
 }
