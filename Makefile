@@ -75,7 +75,8 @@ race:
 # after a valid header opened and replayed, the splitters recovery
 # reads run records with, a delete-run record of
 # arbitrary payload opened end to end, the page codec — arbitrary bytes
-# decoded as a data file's block, and pages encoded and back — the slotted page — arbitrary page bytes read,
+# decoded as a data file's block, and pages encoded and back, with no
+# dictionary and against a store-trained one — the slotted page — arbitrary page bytes read,
 # and arbitrary insert/delete/compact sequences checked against the
 # layout — the phrase matcher against tokenize-then-compare, arbitrary
 # XML/HTML through store and Reconstruct (and streamed as GET /doc writes
@@ -117,8 +118,8 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR50.json
-BENCH_OUT ?= BENCH_PR50.json
+# make bench-json BENCH_OUT=BENCH_PR52.json
+BENCH_OUT ?= BENCH_PR52.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct|BenchmarkWriteDocument' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)

@@ -228,6 +228,32 @@ func (bp *BufferPool) FlushAll() error {
 	return bp.disk.Sync()
 }
 
+// dirtyPages returns, in page order, the pages FlushAll would write now.
+// It reads each frame's mark as FlushAll does, pinned and under its read
+// latch.
+func (bp *BufferPool) dirtyPages() []uint32 {
+	bp.mu.Lock()
+	frames := make([]*Frame, 0, len(bp.frames))
+	for _, f := range bp.frames {
+		if f.loading == nil {
+			f.pins++
+			frames = append(frames, f)
+		}
+	}
+	bp.mu.Unlock()
+	var pages []uint32
+	for _, f := range frames {
+		f.Latch.RLock()
+		if f.dirty {
+			pages = append(pages, f.PageNo)
+		}
+		f.Latch.RUnlock()
+		bp.Unpin(f)
+	}
+	slices.Sort(pages)
+	return pages
+}
+
 // flushFrame writes f's page if it is dirty.  The caller pins f.
 func (bp *BufferPool) flushFrame(f *Frame) error {
 	f.Latch.RLock()

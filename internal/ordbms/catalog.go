@@ -27,8 +27,9 @@ import (
 // catalog or a stored row means bumps it, and Open refuses every other
 // value.  Format 13 deflates the log: the same records, in frames;
 // format 14 compresses the data file's pages behind the catalog's page
-// map.
-const storeFormat = 14
+// map; format 15 codes them against a store dictionary the catalog
+// names.
+const storeFormat = 15
 
 // ErrStoreFormat reports a store directory written in a format this
 // version does not read.  Open refuses it without writing anything.
@@ -49,6 +50,9 @@ type catalogFile struct {
 	// order.  A page with no extent reads as zeros.
 	PageCount uint32     `json:"pagecount"`
 	Extents   [][3]int64 `json:"extents"`
+	// Dict is the store dictionary's extent, [offset, length], absent
+	// until the store has trained one (see DB.trainDict).
+	Dict *[2]int64 `json:"dict,omitempty"`
 }
 
 type catalogTable struct {
@@ -107,7 +111,7 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 		t.mu.RUnlock()
 		cf.Tables = append(cf.Tables, ct)
 	}
-	count, m, err := db.file.pageMap()
+	count, m, dict, err := db.file.pageMap()
 	if err != nil {
 		return err
 	}
@@ -120,6 +124,9 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 		return err
 	}
 	cf.PageCount = count
+	if dict.n > 0 {
+		cf.Dict = &[2]int64{dict.off, dict.n}
+	}
 	for no, e := range m {
 		cf.Extents = append(cf.Extents, [3]int64{int64(no), e.off, e.n})
 	}
@@ -194,13 +201,16 @@ func (db *DB) readCatalog() (*catalogFile, error) {
 // writes: the reserved page 0 or a page at or past the page count, a page
 // listed twice, in one table or two, a negative row count, a free-space
 // map that is out of page order, names a page its table does not own or
-// gives a page no room or more than a page, or a page map out of page
-// order or giving a page an extent of no bytes or more than a page.
-// Extents that overlap or pass the data file's end are openFileDisk's to
-// refuse.
+// gives a page no room or more than a page, a page map out of page
+// order or giving a page an extent of no bytes or more than a page, or a
+// dictionary of no bytes or more than dictMax.  Extents that overlap or
+// pass the data file's end are openFileDisk's to refuse.
 func (cf *catalogFile) check() error {
 	if cf.PageCount == 0 {
 		return fmt.Errorf("no page count")
+	}
+	if d := cf.Dict; d != nil && (d[0] < 0 || d[1] <= 0 || d[1] > dictMax) {
+		return fmt.Errorf("a dictionary of %d bytes at %d", d[1], d[0])
 	}
 	for k, e := range cf.Extents {
 		switch {

@@ -303,11 +303,11 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	count, extents := uint32(1), [][3]int64(nil) // a fresh store's: page 0
+	count, extents, dict := uint32(1), [][3]int64(nil), (*[2]int64)(nil) // a fresh store's: page 0
 	if cat != nil {
-		count, extents = cat.PageCount, cat.Extents
+		count, extents, dict = cat.PageCount, cat.Extents, cat.Dict
 	}
-	disk, err := openFileDisk(db.fs, filepath.Join(opts.Dir, "data.nmdb"), count, extents)
+	disk, err := openFileDisk(db.fs, filepath.Join(opts.Dir, "data.nmdb"), count, extents, dict)
 	if err != nil {
 		return nil, errors.Join(err, wal.closeFile())
 	}
@@ -594,12 +594,13 @@ func (db *DB) HeapStats() (pages int, bytes int64) {
 }
 
 // HeapFileBytes returns the bytes the data file's committed extents take,
-// each page compressed as the last checkpoint wrote it; zero for a
-// volatile store.  Over HeapStats' bytes it is what compressing pages at
-// rest saves.
-func (db *DB) HeapFileBytes() int64 {
+// each page compressed as the last checkpoint wrote it, the bytes of its
+// dictionary, and the file's length, which takes in the holes between
+// extents too; all zero for a volatile store.  The extents' bytes over
+// HeapStats' are what compressing pages at rest saves.
+func (db *DB) HeapFileBytes() (pages, dict, length int64) {
 	if db.file == nil {
-		return 0
+		return 0, 0, 0
 	}
 	return db.file.fileBytes()
 }
@@ -728,6 +729,9 @@ func (db *DB) checkpoint() error {
 		// truncation as the new log's tail.
 		cut = db.wal.SyncedLSN()
 	}
+	if err := db.trainDict(); err != nil {
+		return err
+	}
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
@@ -748,6 +752,39 @@ func (db *DB) checkpoint() error {
 		return db.wal.checkpointTo(cut)
 	}
 	return nil
+}
+
+// The data file's dictionary is trained at the first checkpoint that
+// writes at least dictTrainPages pages, on dictSamples of them spread
+// evenly by page number.
+const (
+	dictTrainPages = 64
+	dictSamples    = dictMax / PageSize
+)
+
+// trainDict trains the data file's dictionary when this checkpoint is the
+// first to write dictTrainPages pages, before it writes them.  Caller
+// holds db.mu.
+func (db *DB) trainDict() error {
+	if db.file == nil || db.file.trained() {
+		return nil
+	}
+	dirty := db.pool.dirtyPages()
+	if len(dirty) < dictTrainPages {
+		return nil
+	}
+	data := make([]byte, 0, dictMax)
+	for k := 0; k < dictSamples; k++ {
+		f, err := db.pool.Fetch(dirty[k*len(dirty)/dictSamples])
+		if err != nil {
+			return err
+		}
+		f.Latch.RLock()
+		data = f.Page.appendSample(data)
+		f.Latch.RUnlock()
+		db.pool.Unpin(f)
+	}
+	return db.file.train(data)
 }
 
 // NoteRebuilt tells the store that derived state a checkpoint hook

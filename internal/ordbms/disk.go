@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"netmark/internal/vfs"
 )
@@ -79,6 +80,9 @@ func (d *memDisk) Close() error { return nil }
 // written lies in one extent, the block encodePage made of it or, when
 // that is not shorter, the page itself.  Where each page lies is the page
 // map, which the checkpoint's catalog commits (see DB.saveCatalogLocked).
+// Once trained, the store dictionary every block may reach into lies in
+// one more extent, which the catalog names beside the map and which is
+// never freed or moved.
 //
 // A write never overwrites an extent the committed map names: it goes
 // first-fit into a hole, a byte range no map that may be read names, or
@@ -108,6 +112,12 @@ type fileDisk struct {
 	// unsynced says an extent was written since the last Sync.  Guarded
 	// by mu.
 	unsynced bool
+	// dict is the store dictionary, noDict until it is trained; it is set
+	// once, to a dictionary that stays as it is.
+	dict atomic.Pointer[pageDict]
+	// dictExt is where dict lies, 0 bytes until it is trained.  Guarded
+	// by mu.
+	dictExt extent
 }
 
 // extent is n bytes of the data file at off: a page's block.  n is 0 for
@@ -120,18 +130,24 @@ type extent struct {
 type pageExtents map[uint32]extent
 
 // diskMagic starts the data file; the digit moves with the file's layout.
-const diskMagic = "NETMARKDB v2\x00\x00\x00\x00"
+const diskMagic = "NETMARKDB v3\x00\x00\x00\x00"
 
-// scratchPool keeps the buffers page reads and writes code through.
-var scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
+// blockPool keeps the buffers page reads take blocks into, and
+// scratchPool the encoder's state page writes code through.
+var (
+	blockPool   = sync.Pool{New: func() any { return new([PageSize]byte) }}
+	scratchPool = sync.Pool{New: func() any { return new(pageScratch) }}
+)
 
 // openFileDisk opens (or creates) the data file through fsys, with the
 // page map a catalog committed: count pages, and ext's [page, offset,
 // length] triples, which catalogFile.check has found in page order, each
-// page below count.  A map naming bytes past the file's end, or two
-// extents that overlap, is a corrupt catalog, refused before anything is
-// written.
-func openFileDisk(fsys vfs.FS, path string, count uint32, ext [][3]int64) (*fileDisk, error) {
+// page below count; and dict, the store dictionary's [offset, length],
+// nil when it has none, which check has found no longer than dictMax.  A
+// map naming bytes past the file's end, or two extents that overlap, the
+// dictionary's among them, is a corrupt catalog, refused before anything
+// is written.  The dictionary is read once, here.
+func openFileDisk(fsys vfs.FS, path string, count uint32, ext [][3]int64, dict *[2]int64) (*fileDisk, error) {
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ordbms: open data file: %w", err)
@@ -149,22 +165,43 @@ func openFileDisk(fsys vfs.FS, path string, count uint32, ext [][3]int64) (*file
 			return nil, fmt.Errorf("ordbms: %s is not a netmark data file", path)
 		}
 	}
-	byOff := make([][3]int64, len(ext))
+	byOff := make([][3]int64, len(ext), len(ext)+1)
 	copy(byOff, ext)
+	if dict != nil {
+		byOff = append(byOff, [3]int64{-1, dict[0], dict[1]}) // page -1: the dictionary
+	}
 	slices.SortFunc(byOff, func(a, b [3]int64) int { return cmp.Compare(a[1], b[1]) })
+	name := func(e [3]int64) string {
+		if e[0] < 0 {
+			return "the dictionary's"
+		}
+		return fmt.Sprintf("page %d's", e[0])
+	}
 	for i, e := range byOff {
 		switch {
 		case e[1] > d.end-e[2]:
 			f.Close()
-			return nil, fmt.Errorf("ordbms: corrupt catalog: page %d's extent ends past the data file's %d bytes", e[0], d.end)
+			return nil, fmt.Errorf("ordbms: corrupt catalog: %s extent ends past the data file's %d bytes", name(e), d.end)
 		case e[1] < int64(len(diskMagic)):
 			f.Close()
-			return nil, fmt.Errorf("ordbms: corrupt catalog: page %d's extent overlaps the data file's header", e[0])
+			return nil, fmt.Errorf("ordbms: corrupt catalog: %s extent overlaps the data file's header", name(e))
 		case i > 0 && e[1] < byOff[i-1][1]+byOff[i-1][2]:
 			f.Close()
-			return nil, fmt.Errorf("ordbms: corrupt catalog: page %d's extent overlaps page %d's", e[0], byOff[i-1][0])
+			return nil, fmt.Errorf("ordbms: corrupt catalog: %s extent overlaps %s", name(e), name(byOff[i-1]))
 		}
-		d.cur[uint32(e[0])] = extent{e[1], e[2]}
+		if e[0] >= 0 {
+			d.cur[uint32(e[0])] = extent{e[1], e[2]}
+		}
+	}
+	d.dict.Store(noDict)
+	if dict != nil {
+		data := make([]byte, dict[1])
+		if _, err := f.ReadAt(data, dict[0]); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("ordbms: read the data file's dictionary: %w", err)
+		}
+		d.dict.Store(newPageDict(data))
+		d.dictExt = extent{dict[0], dict[1]}
 	}
 	if d.end == 0 {
 		if _, err := f.WriteAt([]byte(diskMagic), 0); err != nil {
@@ -205,14 +242,14 @@ func (d *fileDisk) ReadPage(no uint32, buf []byte) error {
 		d.mu.Unlock()
 		return err
 	}
-	s := scratchPool.Get().(*pageScratch)
-	defer scratchPool.Put(s)
-	_, err := d.f.ReadAt(s.buf[:e.n], e.off)
+	block := blockPool.Get().(*[PageSize]byte)
+	defer blockPool.Put(block)
+	_, err := d.f.ReadAt(block[:e.n], e.off)
 	d.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := decodePage(page, s.buf[:e.n]); err != nil {
+	if err := decodePage(page, block[:e.n], d.dict.Load().data); err != nil {
 		return fmt.Errorf("ordbms: page %d: %w", no, err)
 	}
 	return nil
@@ -224,7 +261,7 @@ func (d *fileDisk) ReadPage(no uint32, buf []byte) error {
 func (d *fileDisk) WritePage(no uint32, buf []byte) error {
 	s := scratchPool.Get().(*pageScratch)
 	defer scratchPool.Put(s)
-	block := s.encodePage(buf[:PageSize])
+	block := s.encodePage(buf[:PageSize], d.dict.Load())
 	if block == nil {
 		block = buf[:PageSize]
 	}
@@ -298,10 +335,13 @@ func (d *fileDisk) freeLocked(e extent) {
 }
 
 // findHolesLocked sets holes to every byte range past the header that
-// neither the committed nor the current map names.  Caller holds mu, or
-// is openFileDisk.
+// neither the committed nor the current map names, nor the dictionary
+// takes.  Caller holds mu, or is openFileDisk.
 func (d *fileDisk) findHolesLocked() {
-	used := make([]extent, 0, len(d.cur)+len(d.committed))
+	used := make([]extent, 0, len(d.cur)+len(d.committed)+1)
+	if d.dictExt.n > 0 {
+		used = append(used, d.dictExt)
+	}
 	for _, m := range []pageExtents{d.committed, d.cur} {
 		for _, e := range m {
 			if e.n > 0 {
@@ -323,17 +363,18 @@ func (d *fileDisk) findHolesLocked() {
 	}
 }
 
-// pageMap returns the map a checkpoint's catalog commits: the page count
-// and every written page's extent.  Its extents are kept from reuse until
-// a commit succeeds, since from here until then a crash may
-// find this map's catalog on disk or the last one's.  The data file is
-// fsynced first when an extent was written since its last Sync, so no
-// map names bytes the device may not have.  A map equal to the last one
-// kept is not kept twice: a degraded store's checkpoints fail over and
-// over with nothing written between them.
-func (d *fileDisk) pageMap() (count uint32, m pageExtents, err error) {
+// pageMap returns the map a checkpoint's catalog commits: the page count,
+// every written page's extent and the dictionary's, 0 bytes when there
+// is none.  Its extents are kept from reuse until a commit succeeds,
+// since from here until then a crash may find this map's catalog on disk
+// or the last one's.  The data file is fsynced first when an extent, the
+// dictionary's among them, was written since its last Sync, so no map
+// names bytes the device may not have.  A map equal to the last one kept
+// is not kept twice: a degraded store's checkpoints fail over and over
+// with nothing written between them.
+func (d *fileDisk) pageMap() (count uint32, m pageExtents, dict extent, err error) {
 	d.mu.Lock()
-	count, m = d.pages, maps.Clone(d.cur)
+	count, m, dict = d.pages, maps.Clone(d.cur), d.dictExt
 	if n := len(d.unsure); n == 0 || !maps.Equal(d.unsure[n-1], m) {
 		d.unsure = append(d.unsure, m)
 	}
@@ -342,7 +383,30 @@ func (d *fileDisk) pageMap() (count uint32, m pageExtents, err error) {
 	if flush {
 		err = d.Sync()
 	}
-	return count, m, err
+	return count, m, dict, err
+}
+
+// trained reports whether the store has its dictionary.
+func (d *fileDisk) trained() bool { return d.dict.Load() != noDict }
+
+// train makes data, at most dictMax bytes, the store dictionary: it is
+// written to an extent of its own and every page written from here on
+// is coded against it.  The next pageMap fsyncs the extent before a
+// catalog names it; until one does, a crash leaves it a hole, and a
+// later open trains again.
+func (d *fileDisk) train(data []byte) error {
+	dict := newPageDict(data)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e := d.allocLocked(int64(len(data)))
+	if _, err := d.f.WriteAt(data, e.off); err != nil {
+		d.freeLocked(e)
+		return &IOFault{Op: "write dictionary", Err: err}
+	}
+	d.unsynced = true
+	d.dictExt = e
+	d.dict.Store(dict)
+	return nil
 }
 
 // commit records that the catalog naming m, which pageMap returned, is
@@ -367,14 +431,15 @@ func (d *fileDisk) commit(m pageExtents) error {
 	return nil
 }
 
-// fileBytes returns the bytes of the committed map's extents.
-func (d *fileDisk) fileBytes() (n int64) {
+// fileBytes returns the bytes of the committed map's extents, the
+// dictionary's and the file's length, holes included.
+func (d *fileDisk) fileBytes() (pages, dict, length int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, e := range d.committed {
-		n += e.n
+		pages += e.n
 	}
-	return n
+	return pages, d.dictExt.n, d.end
 }
 
 func (d *fileDisk) NumPages() uint32 {

@@ -16,7 +16,7 @@ import (
 
 // A store in any format older than this version's — a catalog with no
 // "format" field (format 1) or an older "format", a log that starts
-// NMWALv1 to NMWALv13 — is refused by name, and refusing it
+// NMWALv1 to NMWALv14 — is refused by name, and refusing it
 // writes nothing: the directory is byte-identical afterwards, so the
 // version that wrote it can still open it.
 func TestOpenRefusesOlderFormats(t *testing.T) {
@@ -66,6 +66,11 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	v13Rec := binary.LittleEndian.AppendUint32(nil, uint32(len(v12Run)))
 	v13Rec = binary.LittleEndian.AppendUint32(v13Rec, crc32.ChecksumIEEE(v12Run))
 	v13Log := append(append([]byte("NMWALv13"), make([]byte, 8)...), fw.frame(append(v13Rec, v12Run...))...)
+	// Format 14 has this version's codec, tables, records, log, catalog
+	// and page map; only its data file has no dictionary, and its log and
+	// data file say 14 and v2.  Its log holds the same committed run.
+	v14Log := append(append([]byte("NMWALv14"), make([]byte, 8)...), fw.frame(append(v13Rec, v12Run...))...)
+	v14Data := []byte("NETMARKDB v2\x00\x00\x00\x00")
 	fw.release()
 	v13Data := append([]byte("NETMARKDB v1\x00\x00\x00\x00"), make([]byte, 2*PageSize-16)...)
 	v1Catalog := []byte(`{"generation": 3, "tables": [{"name": "XML", "columns": [{"name": "nodeid", "type": 1}], "pages": [1], "indexes": []}]}`)
@@ -94,6 +99,7 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 	v11Catalog := []byte(`{"format":11,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null}]}`)
 	v12Catalog := []byte(`{"format":12,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null,"rows":1,"free":[[1,8000]]}]}`)
 	v13Catalog := []byte(`{"format":13,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null,"rows":1,"free":[[1,8000]]}]}`)
+	v14Catalog := []byte(`{"format":14,"generation":3,"tables":[{"name":"XML","columns":[{"name":"docid","type":1},{"name":"tag","type":1},{"name":"nodedata","type":3},{"name":"childrowid","type":6},{"name":"attrs","type":3}],"pages":[1],"indexes":null,"rows":0}],"pagecount":2,"extents":null}`)
 	stores := map[string]map[string][]byte{
 		"catalog without format":  {"catalog.json": v1Catalog, "data.nmdb": make([]byte, 2*PageSize+100)},
 		"NMWALv1 log":             {"wal.nmlog": v1Log, "wal.nmlog.ckpt": []byte("half-built successor")},
@@ -134,6 +140,9 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 		"format 13 catalog":       {"catalog.json": v13Catalog, "data.nmdb": v13Data},
 		"NMWALv13 log":            {"wal.nmlog": v13Log, "wal.nmlog.ckpt": []byte("half-built successor")},
 		"v13 store":               {"catalog.json": v13Catalog, "wal.nmlog": v13Log, "data.nmdb": v13Data},
+		"format 14 catalog":       {"catalog.json": v14Catalog, "data.nmdb": v14Data},
+		"NMWALv14 log":            {"wal.nmlog": v14Log, "wal.nmlog.ckpt": []byte("half-built successor")},
+		"v14 store":               {"catalog.json": v14Catalog, "wal.nmlog": v14Log, "data.nmdb": v14Data},
 	}
 	for name, files := range stores {
 		t.Run(name, func(t *testing.T) {
@@ -153,8 +162,8 @@ func TestOpenRefusesOlderFormats(t *testing.T) {
 			}
 			// A log with no catalog is refused by the whole magic this
 			// version wants.
-			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv14"`) {
-				t.Fatalf("Open = %v, want it to name NMWALv14", err)
+			if files["catalog.json"] == nil && !strings.Contains(err.Error(), `"NMWALv15"`) {
+				t.Fatalf("Open = %v, want it to name NMWALv15", err)
 			}
 			if after := dirDigest(t, dir); !reflect.DeepEqual(before, after) {
 				t.Fatalf("refusing the store changed it:\nbefore %v\nafter  %v", before, after)
@@ -187,7 +196,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":14,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":15,"generation":1,`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})
@@ -295,7 +304,8 @@ func TestOpenRefusesBadHeapMeta(t *testing.T) {
 // A catalog whose page map no checkpoint could have written is refused
 // as corrupt before anything is written: extents that overlap, an extent
 // past the data file's end, a page at or past the page count, a page
-// listed twice.
+// listed twice; and so is one whose dictionary overlaps a page's extent
+// or the header, runs past the file's end or is longer than dictMax.
 func TestOpenRefusesBadPageMap(t *testing.T) {
 	src := t.TempDir()
 	db, err := Open(Options{Dir: src})
@@ -306,7 +316,7 @@ func TestOpenRefusesBadPageMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, text := range prose(2, 300) {
+	for _, text := range prose(2, 12000) { // past dictTrainPages pages
 		if _, err := tbl.Insert(Row{S(text)}); err != nil {
 			t.Fatal(err)
 		}
@@ -326,22 +336,33 @@ func TestOpenRefusesBadPageMap(t *testing.T) {
 	if err := json.Unmarshal(good, &cf); err != nil {
 		t.Fatal(err)
 	}
-	if len(cf.Extents) < 3 || cf.PageCount != uint32(len(cf.Extents))+1 {
-		t.Fatalf("page map of %d pages, %d extents", cf.PageCount, len(cf.Extents))
+	if len(cf.Extents) < dictTrainPages || cf.PageCount != uint32(len(cf.Extents))+1 || cf.Dict == nil {
+		t.Fatalf("page map of %d pages, %d extents, dictionary %v", cf.PageCount, len(cf.Extents), cf.Dict)
 	}
-	for name, edit := range map[string]func(m [][3]int64) [][3]int64{
-		"overlapping extents": func(m [][3]int64) [][3]int64 { m[1][1] = m[0][1] + m[0][2] - 1; return m },
-		"past the file's end": func(m [][3]int64) [][3]int64 { m[2][1] = data.Size() - m[2][2] + 1; return m },
-		"past any file's end": func(m [][3]int64) [][3]int64 { m[2][1] = math.MaxInt64 - 1; return m },
-		"past the page count": func(m [][3]int64) [][3]int64 { m[len(m)-1][0] = int64(cf.PageCount); return m },
-		"a page twice":        func(m [][3]int64) [][3]int64 { return append(m[:2:2], m[1:]...) },
-		"the reserved page":   func(m [][3]int64) [][3]int64 { m[0][0] = 0; return m },
-		"the header":          func(m [][3]int64) [][3]int64 { m[0][1] = 0; return m },
-		"more than a page":    func(m [][3]int64) [][3]int64 { m[0][2] = PageSize + 1; return m },
+	for name, edit := range map[string]func(m [][3]int64, d *[2]int64) [][3]int64{
+		"overlapping extents": func(m [][3]int64, _ *[2]int64) [][3]int64 { m[1][1] = m[0][1] + m[0][2] - 1; return m },
+		"past the file's end": func(m [][3]int64, _ *[2]int64) [][3]int64 { m[2][1] = data.Size() - m[2][2] + 1; return m },
+		"past any file's end": func(m [][3]int64, _ *[2]int64) [][3]int64 { m[2][1] = math.MaxInt64 - 1; return m },
+		"past the page count": func(m [][3]int64, _ *[2]int64) [][3]int64 { m[len(m)-1][0] = int64(cf.PageCount); return m },
+		"a page twice":        func(m [][3]int64, _ *[2]int64) [][3]int64 { return append(m[:2:2], m[1:]...) },
+		"the reserved page":   func(m [][3]int64, _ *[2]int64) [][3]int64 { m[0][0] = 0; return m },
+		"the header":          func(m [][3]int64, _ *[2]int64) [][3]int64 { m[0][1] = 0; return m },
+		"more than a page":    func(m [][3]int64, _ *[2]int64) [][3]int64 { m[0][2] = PageSize + 1; return m },
+		"dictionary over a page": func(m [][3]int64, d *[2]int64) [][3]int64 {
+			d[0] = m[3][1] + m[3][2] - 1
+			return m
+		},
+		"dictionary over the header":     func(m [][3]int64, d *[2]int64) [][3]int64 { d[0] = 0; return m },
+		"dictionary past the file's end": func(m [][3]int64, d *[2]int64) [][3]int64 { d[0] = data.Size() - d[1] + 1; return m },
+		"dictionary past any file's end": func(m [][3]int64, d *[2]int64) [][3]int64 { d[0] = math.MaxInt64 - 1; return m },
+		"dictionary too long":            func(m [][3]int64, d *[2]int64) [][3]int64 { d[1] = dictMax + 1; return m },
+		"dictionary of no bytes":         func(m [][3]int64, d *[2]int64) [][3]int64 { d[1] = 0; return m },
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := cf
-			bad.Extents = edit(slices.Clone(cf.Extents))
+			bad.Dict = new([2]int64)
+			*bad.Dict = *cf.Dict
+			bad.Extents = edit(slices.Clone(cf.Extents), bad.Dict)
 			cat, err := json.Marshal(&bad)
 			if err != nil {
 				t.Fatal(err)

@@ -71,6 +71,15 @@ func (p *Page) freeUpper() int {
 	return lower
 }
 
+// appendSample appends the page to dict as a sample of the store
+// dictionary: its header, slot directory and records, without the zeros
+// of its free space.
+func (p *Page) appendSample(dict []byte) []byte {
+	upper := min(p.freeUpper(), PageSize) // past it only when the directory is
+	lower := min(p.freeLower(), upper)
+	return append(append(dict, p.data[:lower]...), p.data[upper:]...)
+}
+
 // LSN returns the page's last-writer WAL position.
 func (p *Page) LSN() uint64 { return binary.LittleEndian.Uint64(p.data[8:16]) }
 

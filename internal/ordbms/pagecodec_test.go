@@ -56,6 +56,18 @@ func realPages(t testing.TB) [][]byte {
 	return pages
 }
 
+// realDict is the dictionary a store trains on pages: dictSamples of
+// them spread evenly.
+func realDict(pages [][]byte) *pageDict {
+	var data []byte
+	for k := 0; k < dictSamples; k++ {
+		var p Page
+		copy(p.data[:], pages[k*len(pages)/dictSamples])
+		data = p.appendSample(data)
+	}
+	return newPageDict(data)
+}
+
 // randomPage is a page of random bytes with runs of one byte and copies
 // of earlier stretches in it, at every offset the codec reaches.
 func randomPage(rng *rand.Rand) []byte {
@@ -83,103 +95,123 @@ func randomPage(rng *rand.Rand) []byte {
 	return p
 }
 
-// Decode of encode is the identity, on the pages of a real heap, an
-// empty page, a page of noise (stored raw) and random pages, and a real
-// heap's pages come out well under their size.
+// Decode of encode is the identity, with no dictionary and with one
+// trained on a real heap, on the heap's pages, an empty page, a page of
+// noise (stored raw) and random pages.  The heap's pages come out well
+// under their size, and under that against the dictionary.
 func TestPageCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	noise := make([]byte, PageSize)
 	rng.Read(noise)
 	pages := realPages(t)
 	real := len(pages)
+	dict := realDict(pages)
 	pages = append(pages, make([]byte, PageSize), noise)
 	for i := 0; i < 200; i++ {
 		pages = append(pages, randomPage(rng))
 	}
 	var s pageScratch
-	stored := 0
-	for i, p := range pages {
-		block := s.encodePage(p)
-		if block == nil {
-			block = p
+	var stored [2]int
+	for k, d := range []*pageDict{noDict, dict} {
+		for i, p := range pages {
+			block := s.encodePage(p, d)
+			if block == nil {
+				block = p
+			}
+			if i < real {
+				stored[k] += len(block)
+			}
+			got := make([]byte, PageSize)
+			if err := decodePage(got, block, d.data); err != nil {
+				t.Fatalf("dictionary %d, page %d: %v", k, i, err)
+			}
+			if !bytes.Equal(got, p) {
+				t.Fatalf("dictionary %d: page %d does not decode to itself", k, i)
+			}
 		}
-		if i < real {
-			stored += len(block)
-		}
-		got := make([]byte, PageSize)
-		if err := decodePage(got, block); err != nil {
-			t.Fatalf("page %d: %v", i, err)
-		}
-		if !bytes.Equal(got, p) {
-			t.Fatalf("page %d does not decode to itself", i)
+		if s.encodePage(noise, d) != nil {
+			t.Errorf("dictionary %d: a page of noise encodes shorter than itself", k)
 		}
 	}
-	if s.encodePage(noise) != nil {
-		t.Error("a page of noise encodes shorter than itself")
-	}
-	if ratio := float64(stored) / float64(real*PageSize); ratio > 0.8 {
+	if ratio := float64(stored[0]) / float64(real*PageSize); ratio > 0.8 {
 		t.Errorf("a real heap's pages store at %.3f of their size", ratio)
 	}
-}
-
-// Decoding a page allocates nothing: a page read costs the pool no more
-// than the read itself.
-func TestDecodePageZeroAlloc(t *testing.T) {
-	var s pageScratch
-	block := append([]byte(nil), s.encodePage(realPages(t)[0])...)
-	page := make([]byte, PageSize)
-	if n := testing.AllocsPerRun(200, func() {
-		if err := decodePage(page, block); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("decodePage = %.2f allocs/op, want 0", n)
+	if ratio := float64(stored[1]) / float64(stored[0]); ratio > 0.9 {
+		t.Errorf("against the dictionary, a real heap's pages store at %.3f of their size alone", ratio)
 	}
 }
 
-// FuzzPageCodec decodes arbitrary bytes as a block: decodePage returns a
-// page or an error, never panics and writes nothing outside its page.
-// The same bytes, cut or padded to a page, encode to a block that
-// decodes back to them.
+// Decoding a page allocates nothing, with or without a dictionary: a
+// page read costs the pool no more than the read itself.
+func TestDecodePageZeroAlloc(t *testing.T) {
+	var s pageScratch
+	pages := realPages(t)
+	dict := realDict(pages)
+	page := make([]byte, PageSize)
+	for _, d := range []*pageDict{noDict, dict} {
+		block := append([]byte(nil), s.encodePage(pages[1], d)...)
+		if d == dict && decodePage(page, block, nil) == nil {
+			t.Fatal("the block coded against the dictionary does not reach into it")
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			if err := decodePage(page, block, d.data); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("decodePage against %d dictionary bytes = %.2f allocs/op, want 0", len(d.data), n)
+		}
+	}
+}
+
+// FuzzPageCodec decodes arbitrary bytes as a block, with no dictionary
+// and against one trained on a real heap: decodePage returns a page or
+// an error, never panics and writes nothing outside its page.  The same
+// bytes, cut or padded to a page, encode to a block that decodes back to
+// them, with either.
 func FuzzPageCodec(f *testing.F) {
 	var s pageScratch
 	pages := realPages(f)
-	block := append([]byte(nil), s.encodePage(pages[0])...)
+	dict := realDict(pages)
+	block := append([]byte(nil), s.encodePage(pages[0], noDict)...)
 	f.Add(block)
 	f.Add(block[:len(block)/2])                                  // cut short
 	f.Add(append([]byte{0x0f, 'a', 0, 0}, block...))             // a match of offset 0
 	f.Add([]byte{0x0f, 'a', 2, 0, 255, 255, 255, 255, 255, 255}) // a match run past the page
 	f.Add([]byte{0xf0, 255, 255, 255, 255, 255, 255, 255, 255})  // literals past the block
-	zeros := append([]byte(nil), s.encodePage(make([]byte, PageSize))...)
+	f.Add(append([]byte(nil), s.encodePage(pages[1], dict)...))  // reaching into the dictionary
+	f.Add([]byte{0x0f, 'a', 0xff, 0xff, 0})                      // a match from before the dictionary
+	zeros := append([]byte(nil), s.encodePage(make([]byte, PageSize), noDict)...)
 	f.Add(zeros)                                               // an empty page
 	f.Add(append(zeros[:len(zeros)-1], zeros[len(zeros)-1]-1)) // a byte short of one
 	f.Add(pages[len(pages)-1])                                 // a page, read raw
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, in []byte) {
-		const guard = 64
-		buf := make([]byte, guard+PageSize+guard)
-		for i := range buf {
-			buf[i] = 0xa5
-		}
-		if err := decodePage(buf[guard:guard+PageSize:guard+PageSize], in); err == nil && len(in) == PageSize && !bytes.Equal(buf[guard:guard+PageSize], in) {
-			t.Fatal("a raw page decodes to other bytes")
-		}
-		for i, b := range buf {
-			if (i < guard || i >= guard+PageSize) && b != 0xa5 {
-				t.Fatalf("decodePage wrote byte %d, outside its page", i-guard)
-			}
-		}
-
 		page := make([]byte, PageSize)
 		copy(page, in)
 		var s pageScratch
-		block := s.encodePage(page)
-		if block == nil {
-			return // stored raw
-		}
-		got := make([]byte, PageSize)
-		if err := decodePage(got, block); err != nil || !bytes.Equal(got, page) {
-			t.Fatalf("the block of a page decodes to %v, equal %v", err, bytes.Equal(got, page))
+		for _, d := range []*pageDict{noDict, dict} {
+			const guard = 64
+			buf := make([]byte, guard+PageSize+guard)
+			for i := range buf {
+				buf[i] = 0xa5
+			}
+			if err := decodePage(buf[guard:guard+PageSize:guard+PageSize], in, d.data); err == nil && len(in) == PageSize && !bytes.Equal(buf[guard:guard+PageSize], in) {
+				t.Fatal("a raw page decodes to other bytes")
+			}
+			for i, b := range buf {
+				if (i < guard || i >= guard+PageSize) && b != 0xa5 {
+					t.Fatalf("decodePage against %d dictionary bytes wrote byte %d, outside its page", len(d.data), i-guard)
+				}
+			}
+
+			block := s.encodePage(page, d)
+			if block == nil {
+				continue // stored raw
+			}
+			got := make([]byte, PageSize)
+			if err := decodePage(got, block, d.data); err != nil || !bytes.Equal(got, page) {
+				t.Fatalf("against %d dictionary bytes, the block of a page decodes to %v, equal %v", len(d.data), err, bytes.Equal(got, page))
+			}
 		}
 	})
 }

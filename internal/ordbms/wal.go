@@ -151,7 +151,7 @@ const (
 const walHeaderSize = 16 // magic(8) + baseLSN(8)
 
 // walMagic names the log's format; the digits are storeFormat.
-var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', '4'}
+var walMagic = [8]byte{'N', 'M', 'W', 'A', 'L', 'v', '1', '5'}
 
 const (
 	// walFrameHeader is a frame's word and CRC.

@@ -242,6 +242,10 @@ func TestStatsWALFileBytes(t *testing.T) {
 // heap.file_bytes is what the tables' pages take in the data file as the
 // last checkpoint committed them, compressed: nothing before the first
 // checkpoint, then under heap.bytes and no more than the data file.
+// heap.file_length is the data file's size, and heap.dict_bytes its
+// dictionary's, which the first checkpoint of enough pages trains: the
+// two with the header take no more than the file's length, the rest of
+// it holes.
 func TestStatsHeapFileBytes(t *testing.T) {
 	dir := t.TempDir()
 	db, err := ordbms.Open(ordbms.Options{Dir: dir})
@@ -267,7 +271,7 @@ func TestStatsHeapFileBytes(t *testing.T) {
 		return st
 	}
 	var batch []xmlstore.BatchDoc
-	for _, d := range corpus.New(3).Mixed(40) {
+	for _, d := range corpus.New(3).Mixed(1000) { // more than the 64 pages that train a dictionary
 		batch = append(batch, xmlstore.BatchDoc{Name: d.Name, Data: d.Data})
 	}
 	for _, r := range store.StoreBatch(batch, 2) {
@@ -275,19 +279,30 @@ func TestStatsHeapFileBytes(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	if st := stats(); st.Heap.FileBytes != 0 {
-		t.Fatalf("heap.file_bytes before any checkpoint = %d", st.Heap.FileBytes)
+	fileSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(filepath.Join(dir, "data.nmdb"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	if st := stats(); st.Heap.FileBytes != 0 || st.Heap.DictBytes != 0 || st.Heap.FileLength != fileSize() {
+		t.Fatalf("before any checkpoint: heap.file_bytes = %d, heap.dict_bytes %d, heap.file_length %d; the data file is %d bytes",
+			st.Heap.FileBytes, st.Heap.DictBytes, st.Heap.FileLength, fileSize())
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	st := stats()
-	fi, err := os.Stat(filepath.Join(dir, "data.nmdb"))
-	if err != nil {
-		t.Fatal(err)
+	size := fileSize()
+	if st.Heap.FileBytes == 0 || st.Heap.FileBytes >= st.Heap.Bytes || st.Heap.FileBytes > size {
+		t.Fatalf("heap.file_bytes = %d, heap.bytes %d, data file %d bytes", st.Heap.FileBytes, st.Heap.Bytes, size)
 	}
-	if st.Heap.FileBytes == 0 || st.Heap.FileBytes >= st.Heap.Bytes || st.Heap.FileBytes > fi.Size() {
-		t.Fatalf("heap.file_bytes = %d, heap.bytes %d, data file %d bytes", st.Heap.FileBytes, st.Heap.Bytes, fi.Size())
+	const header = 16
+	if st.Heap.DictBytes <= 0 || st.Heap.DictBytes > 56<<10 || st.Heap.FileLength != size || header+st.Heap.FileBytes+st.Heap.DictBytes > size {
+		t.Fatalf("heap.dict_bytes = %d, heap.file_length %d, heap.file_bytes %d; the data file is %d bytes",
+			st.Heap.DictBytes, st.Heap.FileLength, st.Heap.FileBytes, size)
 	}
 }
 

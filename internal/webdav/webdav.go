@@ -261,6 +261,9 @@ type Stats struct {
 	// the data file's extents as the last checkpoint committed them take,
 	// each page compressed.  Over the bytes ingested, file_bytes is the
 	// store's space amplification, as wal.file_bytes is the log's.
+	// dict_bytes is the data file's dictionary, and file_length the
+	// file's length: what it holds past the extents and the dictionary
+	// is holes, freed extents a later write may reuse.
 	// strings_stored_bytes over strings_raw_bytes, both summed at insert
 	// since open, is what the tables' symbol tables save on the strings
 	// inserted since; it drifts up when later documents differ from those
@@ -269,6 +272,8 @@ type Stats struct {
 		Pages              int    `json:"pages"`
 		Bytes              int64  `json:"bytes"`
 		FileBytes          int64  `json:"file_bytes"`
+		DictBytes          int64  `json:"dict_bytes"`
+		FileLength         int64  `json:"file_length"`
 		StringsRawBytes    uint64 `json:"strings_raw_bytes"`
 		StringsStoredBytes uint64 `json:"strings_stored_bytes"`
 		SymbolTables       int    `json:"symbol_tables"`
@@ -346,7 +351,7 @@ func (s *Server) Snapshot() Stats {
 	st.WAL.FileBytes = store.DB().WALFileBytes()
 	st.WAL.Replayed = store.DB().Replayed
 	st.Heap.Pages, st.Heap.Bytes = store.DB().HeapStats()
-	st.Heap.FileBytes = store.DB().HeapFileBytes()
+	st.Heap.FileBytes, st.Heap.DictBytes, st.Heap.FileLength = store.DB().HeapFileBytes()
 	st.Heap.StringsRawBytes, st.Heap.StringsStoredBytes, st.Heap.SymbolTables = store.DB().StringStats()
 	st.Pool.Hits, st.Pool.Misses, st.Pool.Evictions = store.DB().Pool().Stats()
 	ss := store.SnapshotStats()

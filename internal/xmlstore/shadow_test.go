@@ -138,6 +138,23 @@ func pageMap(t *testing.T, dir string) [][3]int64 {
 	return cf.Extents
 }
 
+// catalogDict is the dictionary extent the catalog in dir names, as
+// [offset, length], or nil when it names none.
+func catalogDict(t *testing.T, dir string) *[2]int64 {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, "catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf struct {
+		Dict *[2]int64 `json:"dict"`
+	}
+	if err := json.Unmarshal(b, &cf); err != nil {
+		t.Fatal(err)
+	}
+	return cf.Dict
+}
+
 // dirDigest maps each file in dir to its bytes' digest.
 func dirDigest(t *testing.T, dir string) map[string][32]byte {
 	t.Helper()
@@ -160,8 +177,9 @@ func dirDigest(t *testing.T, dir string) map[string][32]byte {
 const dataHeader = 16
 
 // scribble overwrites every byte of dir's data file past its header that
-// the committed page map does not name and returns how many it overwrote:
-// whatever reads one of them afterwards reads noise.
+// the committed catalog names neither in its page map nor as its
+// dictionary, and returns how many it overwrote: whatever reads one of
+// them afterwards reads noise.
 func scribble(t *testing.T, dir string) int {
 	t.Helper()
 	path := filepath.Join(dir, "data.nmdb")
@@ -170,7 +188,11 @@ func scribble(t *testing.T, dir string) int {
 		t.Fatal(err)
 	}
 	named := make([]bool, len(data))
-	for _, e := range pageMap(t, dir) {
+	extents := pageMap(t, dir)
+	if d := catalogDict(t, dir); d != nil {
+		extents = append(extents, [3]int64{-1, d[0], d[1]})
+	}
+	for _, e := range extents {
 		for i := e[1]; i < e[1]+e[2]; i++ {
 			named[i] = true
 		}
@@ -300,6 +322,131 @@ func TestShadowPagesSurviveCrash(t *testing.T) {
 					t.Fatalf("%s does not reconstruct as before the crash", name)
 				}
 			}
+		})
+	}
+}
+
+// The data file's dictionary survives a crash on either side of the
+// catalog that first names it.  The store runs on a pool that holds the
+// pages of the checkpoint that trains it, and little more.
+//
+// In "extent-unnamed" a catalog without a dictionary is committed, then
+// enough is ingested that the next checkpoint trains one.  That
+// checkpoint writes the dictionary's extent and its pages coded against
+// it, and its catalog's rename fails, so the crash leaves the extent
+// named by nothing.  The reopen replays the log, and its checkpoint
+// trains a dictionary again.
+//
+// In "named-then-evicted" the checkpoint that trains the dictionary
+// commits it; then more is ingested, and pages coded against the
+// dictionary are evicted to extents no catalog names before the crash.
+//
+// After each crash every byte of the data file that the committed
+// catalog names neither as a page's extent nor as its dictionary is
+// overwritten, and every committed document reconstructs byte for byte:
+// after the reopen, and again after a clean close and a second reopen,
+// which reads every page back from its block.
+func TestPageDictionarySurvivesCrash(t *testing.T) {
+	for _, crash := range []string{"extent-unnamed", "named-then-evicted"} {
+		t.Run(crash, func(t *testing.T) {
+			dir := t.TempDir()
+			ffs := vfs.NewFaultFS(nil)
+			const poolPages = 96
+			db, err := ordbms.Open(ordbms.Options{Dir: dir, FS: ffs, PoolPages: poolPages})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs := corpus.New(9).Mixed(3000)
+			next := 0
+			ingestTo := func(pages int) {
+				t.Helper()
+				for n, _ := db.HeapStats(); n < pages; n, _ = db.HeapStats() {
+					if next == len(docs) {
+						t.Fatalf("%d documents fill %d pages", next, n)
+					}
+					if _, err := s.StoreRaw(docs[next].Name, docs[next].Data); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+				if err := db.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if crash == "extent-unnamed" {
+				ingestTo(8)
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if d := catalogDict(t, dir); d != nil {
+					t.Fatalf("a checkpoint of 8 pages trained a dictionary at %v", *d)
+				}
+			}
+			ingestTo(80)
+			if _, _, ev := db.Pool().Stats(); ev != 0 {
+				t.Fatalf("%d pages evicted before the training checkpoint", ev)
+			}
+			if crash == "extent-unnamed" {
+				ffs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: "catalog.json"})
+				if err := db.Checkpoint(); !errors.Is(err, syscall.EIO) {
+					t.Fatalf("checkpoint under a failing rename = %v", err)
+				}
+				if d := catalogDict(t, dir); d != nil {
+					t.Fatalf("the catalog names a dictionary at %v after its rename failed", *d)
+				}
+			} else {
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if catalogDict(t, dir) == nil {
+					t.Fatal("the checkpoint of 80 pages trained no dictionary")
+				}
+				ingestTo(poolPages + 40)
+				if _, _, ev := db.Pool().Stats(); ev == 0 {
+					t.Fatal("nothing was evicted after the training checkpoint")
+				}
+			}
+			want := reconstructAll(t, s, 0)
+			dict := catalogDict(t, dir)
+			db.CloseDiscard() // the crash
+			if n := scribble(t, dir); n == 0 {
+				t.Fatal("the data file holds no byte the committed catalog does not name")
+			}
+
+			check := func(when string) {
+				t.Helper()
+				got := reconstructAll(t, s, 0)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d documents, want %d", when, len(got), len(want))
+				}
+				for name, tree := range want {
+					if got[name] != tree {
+						t.Fatalf("%s: %s does not reconstruct as before the crash", when, name)
+					}
+				}
+			}
+			db, s = openDir(t, dir, OpenOptions{})
+			if db.Replayed == 0 {
+				t.Fatal("the reopen replayed nothing")
+			}
+			check("after the crash")
+			trained := catalogDict(t, dir)
+			switch {
+			case trained == nil:
+				t.Fatal("the reopened store has no dictionary")
+			case dict != nil && *trained != *dict:
+				t.Fatalf("the dictionary moved from %v to %v", *dict, *trained)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, s = openDir(t, dir, OpenOptions{})
+			defer db.CloseDiscard()
+			check("after a clean reopen")
 		})
 	}
 }
