@@ -4,7 +4,7 @@
 // believing data is durable when it is not — the worst class of
 // storage bug, invisible until a crash.  Every call classified as a
 // durability operation (os.Rename, Sync/SyncTo/Commit/
-// WriteSnapshotFile methods, *sync* helpers, and any module function
+// writeSnapshot methods, *sync* helpers, and any module function
 // transitively returning such an error) must have its error reach the
 // enclosing function's error return, an annotated netmarkvet:errsink,
 // or another sanctioned escape (panic, storage into a field, a

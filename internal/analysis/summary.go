@@ -265,7 +265,7 @@ func Unparen(e ast.Expr) ast.Expr { return unparen(e) }
 
 // DurabilityCall reports whether call is a durability operation whose
 // error result must not be dropped: os.Rename, any Sync/SyncTo/Commit/
-// WriteSnapshotFile method, any function whose name contains "sync"
+// writeSnapshot method, any function whose name contains "sync"
 // (writeFileSync, syncDir), or a module function summarized DurableErr.
 // The returned name labels the diagnostic.
 func DurabilityCall(info *types.Info, call *ast.CallExpr, s *Summaries) (string, bool) {
@@ -282,7 +282,7 @@ func DurabilityCall(info *types.Info, call *ast.CallExpr, s *Summaries) (string,
 	}
 	recv := funcSig(fn).Recv()
 	switch name {
-	case "Sync", "SyncTo", "Commit", "WriteSnapshotFile":
+	case "Sync", "SyncTo", "Commit", "writeSnapshot":
 		if recv != nil {
 			return displayFuncName(fn), true
 		}

@@ -32,8 +32,6 @@ type Config struct {
 	// Dir is the storage directory.  Empty runs fully in memory
 	// (volatile, unlogged) — the right mode for tests and experiments.
 	Dir string
-	// PoolPages caps the buffer pool (default 4096 pages).
-	PoolPages int
 	// DropDir enables the ingestion daemon over the given folder.
 	DropDir string
 	// PollInterval is the daemon's scan period (default 1s).
@@ -89,7 +87,7 @@ type Netmark struct {
 
 // Open creates or reopens an instance.
 func Open(cfg Config) (*Netmark, error) {
-	db, err := ordbms.Open(ordbms.Options{Dir: cfg.Dir, PoolPages: cfg.PoolPages})
+	db, err := ordbms.Open(ordbms.Options{Dir: cfg.Dir})
 	if err != nil {
 		return nil, err
 	}

@@ -36,14 +36,8 @@ const storeFormat = 15
 var ErrStoreFormat = fmt.Errorf("ordbms: store is not in on-disk format %d; re-ingest with this version", storeFormat)
 
 type catalogFile struct {
-	Format int `json:"format"`
-	// Generation counts catalog saves.  A store-level snapshot written by
-	// a pre-checkpoint hook (see WriteSnapshotFile) is stamped with the
-	// generation it was written under; a snapshot whose stamp does not
-	// match the catalog on disk is from a different checkpoint and must
-	// be ignored.
-	Generation uint64         `json:"generation"`
-	Tables     []catalogTable `json:"tables"`
+	Format int            `json:"format"`
+	Tables []catalogTable `json:"tables"`
 	// PageCount and Extents are the data file's page map (see fileDisk):
 	// how many pages are allocated, page 0 among them, and where each
 	// page that has been written lies, as [page, offset, length] in page
@@ -78,21 +72,21 @@ type catalogColumn struct {
 
 const catalogName = "catalog.json"
 
-// saveCatalogLocked persists the catalog under the given generation.
-// The write is crash-durable: temp file, fsync, rename, directory fsync.
-// Without the fsync a crash right after DB.Checkpoint truncates the WAL
-// could lose the catalog while the log that could have reconstructed the
-// table layout is already gone.  Caller holds db.mu; each table is read
-// under its read lock, so its page list, row count and free-space map
-// agree with each other.  A writer racing the checkpoint logs past the
-// cut, and the reopen that finds its record scans instead.
+// saveCatalogLocked persists the catalog.  The write is crash-durable:
+// temp file, fsync, rename, directory fsync.  Without the fsync a crash
+// right after DB.Checkpoint truncates the WAL could lose the catalog
+// while the log that could have reconstructed the table layout is
+// already gone.  Caller holds db.mu; each table is read under its read
+// lock, so its page list, row count and free-space map agree with each
+// other.  A writer racing the checkpoint logs past the cut, and the
+// reopen that finds its record scans instead.
 //
 // netmarkvet:snap-encode
-func (db *DB) saveCatalogLocked(gen uint64) error {
+func (db *DB) saveCatalogLocked() error {
 	if db.dir == "" {
 		return nil
 	}
-	cf := catalogFile{Format: storeFormat, Generation: gen}
+	cf := catalogFile{Format: storeFormat}
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]
 		t.mu.RLock()
@@ -135,8 +129,7 @@ func (db *DB) saveCatalogLocked(gen uint64) error {
 	if err != nil {
 		return err
 	}
-	ci := CheckpointInfo{Dir: db.dir, FS: db.fs}
-	if err := ci.commitFile(catalogName, b); err != nil {
+	if err := db.commitFile(catalogName, b); err != nil {
 		return err
 	}
 	return db.file.commit(m)
@@ -261,7 +254,6 @@ func (db *DB) loadCatalog(cf *catalogFile, trusted bool) (builds []indexBuild, e
 	if cf == nil {
 		return nil, nil // fresh store
 	}
-	db.catalogGen = cf.Generation
 	for _, ct := range cf.Tables {
 		cols := make([]Column, len(ct.Columns))
 		for i, c := range ct.Columns {

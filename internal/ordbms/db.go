@@ -52,15 +52,12 @@ type DB struct {
 
 	tables map[string]*Table // guarded by mu
 
-	// catalogGen is the generation of the catalog as loaded from disk,
-	// advanced on every successful checkpoint.  Snapshot stamps compare
-	// against it.
-	catalogGen uint64
-
-	// preCkpt holds the registered pre-checkpoint hooks, run inside the
-	// checkpoint critical section after all pages are flushed and before
-	// the catalog is saved and the WAL truncated.
-	preCkpt []func(CheckpointInfo) error
+	// snap is the store's snapshot source (see SetSnapshot); a zero
+	// Snapshot writes none.  Guarded by mu.
+	snap Snapshot
+	// snapSaves and snapErrors count the snapshot writes since open that
+	// succeeded and that failed.
+	snapSaves, snapErrors atomic.Uint64
 
 	// walAllocs maps table name to pages the WAL says it adopted —
 	// collected during recovery, merged into the catalog page lists by
@@ -69,8 +66,8 @@ type DB struct {
 	// allocsGrew reports that some table's page list had to be extended
 	// beyond what the catalog recorded.
 	allocsGrew bool
-	// walEndAtOpen is the WAL's end LSN captured right after recovery —
-	// the stamp a store-level snapshot must carry to be current.
+	// walEndAtOpen is the log's end right after recovery: the stamp a
+	// snapshot must carry to be loaded (see ReadSnapshotFile).
 	walEndAtOpen uint64
 	// ckptDue says the next checkpoint must run even if nothing is logged
 	// since the last one: the open replayed, adopted or cut something, or
@@ -93,60 +90,79 @@ type DB struct {
 	trainDue atomic.Bool
 }
 
-// CheckpointInfo is handed to pre-checkpoint hooks.  At hook time every
-// dirty page is flushed and fsynced; CatalogGen and LSN are the stamps
-// the checkpoint is about to commit, so derived state persisted under
-// them is exactly as current as the catalog and WAL the reopening
-// process will observe.
-type CheckpointInfo struct {
-	// Dir is the database directory the hook should persist into.
-	Dir string
-	// CatalogGen is the catalog generation this checkpoint will write.
-	CatalogGen uint64
-	// LSN is the WAL LSN the checkpoint truncates through — the new base
-	// LSN after the checkpoint completes.
-	LSN uint64
-	// FS is the filesystem the snapshot must be written through (the
-	// store's configured vfs; nil falls back to the real filesystem).
-	FS vfs.FS
+// Snapshot is the one file of derived state a store layered on the
+// engine keeps beside the catalog, so that a reopen need not rebuild it
+// from the tables.  Every checkpoint that writes has Encode serialise the
+// state, after the page flush and before the catalog, and commits it
+// under Name, framed and stamped by writeSnapshot; ReadSnapshotFile gives
+// it back to the next open only when its stamp is that open's log end.
+type Snapshot struct {
+	Name    string
+	Magic   [8]byte
+	Version uint32
+	// Encode returns the state's bytes and the log position they reflect:
+	// every record logged below lsn is in them, and none past it.  It
+	// takes lsn from NextLSN while no write can change the state.  It
+	// must call no DB method that takes the DB's lock, which the
+	// checkpoint holds; NextLSN takes none.
+	Encode func() (payload []byte, lsn uint64)
 }
 
-// filesystem returns the FS snapshots are written through, defaulting
-// to the real one.
-func (ci CheckpointInfo) filesystem() vfs.FS {
-	if ci.FS == nil {
-		return vfs.OS
+// SetSnapshot makes snap the store's snapshot source, written by every
+// checkpoint that writes from then on.  A store sets it once its derived
+// state is complete, loaded or rebuilt: a checkpoint before then must not
+// stamp half-built state as current.
+func (db *DB) SetSnapshot(snap Snapshot) {
+	db.mu.Lock()
+	db.snap = snap
+	db.mu.Unlock()
+}
+
+// SnapshotSaves returns how many snapshot writes since open succeeded
+// and how many failed.
+func (db *DB) SnapshotSaves() (saves, errors uint64) {
+	return db.snapSaves.Load(), db.snapErrors.Load()
+}
+
+// NextLSN returns the LSN the next logged record will receive: the log
+// position that every record logged so far lies below.  It takes no
+// lock of the DB's, so a snapshot source may call it inside a checkpoint.
+func (db *DB) NextLSN() uint64 {
+	if db.wal == nil {
+		return 0
 	}
-	return ci.FS
+	return db.wal.NextLSN()
 }
 
 // snapFrameLen is the fixed header of a snapshot file: magic(8)
 // version(4) crc32(4) size(8).  The CRC covers everything after it: the
-// 16-byte (catalog generation, checkpoint LSN) stamp, then the caller's
-// payload as one compress/flate stream at walLevel.  size is the
-// payload's inflated length with snapDeflated set: the one buffer a read
-// inflates into, and the bound it holds the stream to.
+// 8-byte stamp, the log position the payload reflects, then the payload
+// as one compress/flate stream at walLevel.  size is the payload's
+// inflated length: the one buffer a read inflates into, and the bound it
+// holds the stream to.
 const snapFrameLen = 24
 
-// snapDeflated marks, in a snapshot's size word, a deflated payload.  The
-// raw frame earlier builds wrote, whose size word is the length of its
-// stamp and payload, lacks it and reads as "version": the caller
-// rebuilds, and the next checkpoint writes the file deflated.
-const snapDeflated = 1 << 63
-
-// WriteSnapshotFile frames payload as a snapshot of this checkpoint —
-// header, the checkpoint's stamps, payload deflated — and commits it into
-// the checkpoint's directory.  ReadSnapshotFile is its inverse; the frame,
-// the stamps and the test that decides whether a snapshot still
+// writeSnapshot has snap encode the derived state and the log position
+// lsn it reflects, and commits it under snap's name: header, lsn as the
+// stamp, the payload deflated.  ReadSnapshotFile is its inverse; the
+// frame, the stamp and the test that decides whether a snapshot still
 // describes the heap exist only in this pair.  Like a log frame, the
 // stream is padded with empty blocks when it would inflate more than
 // walMaxInflate times.
-func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version uint32, payload []byte) error {
+//
+// The log is written through lsn first, so no snapshot reflects a record
+// the log file lacks.  A crash that loses records hands their LSNs out
+// again, and a snapshot of the lost records would then carry the stamp
+// of a log that never held them.  Caller holds db.mu.
+func (db *DB) writeSnapshot(snap Snapshot) error {
+	payload, lsn := snap.Encode()
+	if err := db.wal.Flush(lsn); err != nil {
+		return err
+	}
 	d := takeDeflater()
 	defer putDeflater(d)
 	d.out = append(d.out[:0], make([]byte, snapFrameLen)...)
-	d.out = binary.LittleEndian.AppendUint64(d.out, ci.CatalogGen)
-	d.out = binary.LittleEndian.AppendUint64(d.out, ci.LSN)
+	d.out = binary.LittleEndian.AppendUint64(d.out, lsn)
 	start := len(d.out)
 	d.zw.Reset(d)
 	// None of these calls can fail: the stream writes to d, which does not.
@@ -157,28 +173,26 @@ func (ci CheckpointInfo) WriteSnapshotFile(name string, magic [8]byte, version u
 	}
 	d.zw.Close()
 	out := d.out
-	copy(out, magic[:])
-	binary.LittleEndian.PutUint32(out[8:], version)
+	copy(out, snap.Magic[:])
+	binary.LittleEndian.PutUint32(out[8:], snap.Version)
 	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(out[snapFrameLen:]))
-	binary.LittleEndian.PutUint64(out[16:], uint64(len(payload))|snapDeflated)
-	return ci.commitFile(name, out)
+	binary.LittleEndian.PutUint64(out[16:], uint64(len(payload)))
+	return db.commitFile(snap.Name, out)
 }
 
-// ReadSnapshotFile returns the payload of the named snapshot when it was
-// written by the checkpoint this open started from, and otherwise the
-// reason it cannot be used: "missing",
-// "unreadable", "corrupt" (which takes in a stream that does not inflate
-// to exactly its recorded size), "version" (another version's file, or
-// the raw frame earlier builds wrote), or "stale" (its stamps are not the
-// catalog generation and log end this open found — a crash
-// mid-checkpoint, or writes after it).  A reason is never an error: the
-// caller rebuilds from its tables, which stay the source of truth.
+// ReadSnapshotFile returns the payload of the named snapshot when its
+// stamp is the log's end at this open, and otherwise the reason it cannot
+// be used: "missing", "unreadable", "corrupt" (which takes in a stream
+// that does not inflate to exactly its recorded size), "version" (another
+// version's file) or "stale" (another stamp: writes after it, or a crash
+// that lost records it reflects).  A reason is never an error: the caller
+// rebuilds from its tables, which stay the source of truth.
 //
-// Recovery may have replayed records and still the snapshot be current:
-// a checkpoint cut short after its snapshot was committed leaves the
-// catalog before it, whose pages recovery brings forward to the log's
-// end, and the snapshot is stamped with that end, while Open's own
-// checkpoint commits the catalog at the generation the snapshot carries.
+// The one stamp is enough because recovery brings the heap to the log's
+// end, whichever catalog it starts from: a snapshot stamped with that
+// end reflects exactly the records the recovered heap holds.  Recovery
+// may have replayed records and still the snapshot be current, as when a
+// checkpoint's snapshot was committed and its catalog was not.
 func (db *DB) ReadSnapshotFile(name string, magic [8]byte, version uint32) (payload []byte, reason string) {
 	data, err := db.fs.ReadFile(filepath.Join(db.dir, name))
 	if err != nil {
@@ -190,19 +204,17 @@ func (db *DB) ReadSnapshotFile(name string, magic [8]byte, version uint32) (payl
 	if len(data) < snapFrameLen || [8]byte(data[:8]) != magic {
 		return nil, "corrupt"
 	}
-	size := binary.LittleEndian.Uint64(data[16:24])
-	if binary.LittleEndian.Uint32(data[8:12]) != version || size&snapDeflated == 0 {
+	if binary.LittleEndian.Uint32(data[8:12]) != version {
 		return nil, "version"
 	}
 	body := data[snapFrameLen:]
-	if binary.LittleEndian.Uint32(data[12:16]) != crc32.ChecksumIEEE(body) || len(body) < 16 {
+	if binary.LittleEndian.Uint32(data[12:16]) != crc32.ChecksumIEEE(body) || len(body) < 8 {
 		return nil, "corrupt"
 	}
-	if binary.LittleEndian.Uint64(body[0:8]) != db.CatalogGen() ||
-		binary.LittleEndian.Uint64(body[8:16]) != db.WALEndLSN() {
+	if binary.LittleEndian.Uint64(body) != db.walEndAtOpen {
 		return nil, "stale"
 	}
-	if payload = inflateSnapshot(body[16:], size&^snapDeflated); payload == nil {
+	if payload = inflateSnapshot(body[8:], binary.LittleEndian.Uint64(data[16:24])); payload == nil {
 		return nil, "corrupt"
 	}
 	return payload, ""
@@ -259,20 +271,19 @@ func inflateSnapshot(z []byte, size uint64) []byte {
 	return payload
 }
 
-// commitFile writes data under name in the checkpoint's directory with
-// the engine's crash-durability sequence — temp file, fsync, rename,
-// directory fsync.  The catalog and every snapshot of a checkpoint share
-// this one implementation of the atomic write.
-func (ci CheckpointInfo) commitFile(name string, data []byte) error {
-	fsys := ci.filesystem()
-	path := filepath.Join(ci.Dir, name)
-	if err := writeFileSync(fsys, path+".tmp", data); err != nil {
+// commitFile writes data under name in the store's directory with the
+// engine's crash-durability sequence — temp file, fsync, rename,
+// directory fsync.  The catalog and the snapshot share this one
+// implementation of the atomic write.
+func (db *DB) commitFile(name string, data []byte) error {
+	path := filepath.Join(db.dir, name)
+	if err := writeFileSync(db.fs, path+".tmp", data); err != nil {
 		return err
 	}
-	if err := fsys.Rename(path+".tmp", path); err != nil {
+	if err := db.fs.Rename(path+".tmp", path); err != nil {
 		return err
 	}
-	return syncDir(fsys, ci.Dir)
+	return syncDir(db.fs, db.dir)
 }
 
 // Open creates or reopens a database.
@@ -361,7 +372,7 @@ func Open(opts Options) (*DB, error) {
 		// Re-establish the checkpoint invariants recovery consumed: the
 		// catalog must record every page the replayed records adopted
 		// before those records can be dropped, so run the full sequence
-		// (snapshot hooks, catalog, WAL truncation) rather than bare WAL
+		// (snapshot, catalog, WAL truncation) rather than bare WAL
 		// surgery.  A torn tail forces this too — new records
 		// appended after surviving garbage would be unreachable by the
 		// next replay, so the garbage must be truncated away before any
@@ -642,43 +653,10 @@ func (db *DB) train() error {
 	return nil
 }
 
-// RegisterPreCheckpointHook installs fn to run inside every checkpoint's
-// critical section, after all pages are flushed and before the catalog
-// is saved and the WAL truncated.  Stores layered on the engine persist
-// their derived state here, stamped with the CheckpointInfo values, so a
-// reopen can tell exactly whether that state matches the heap.  A hook
-// error aborts the checkpoint (the WAL keeps its records, so nothing is
-// lost), and a checkpoint with nothing to write runs none.  Hooks must
-// not call back into DB methods.
-func (db *DB) RegisterPreCheckpointHook(fn func(CheckpointInfo) error) {
-	db.mu.Lock()
-	db.preCkpt = append(db.preCkpt, fn)
-	db.mu.Unlock()
-}
-
-// CatalogGen returns the catalog generation currently on disk.
-func (db *DB) CatalogGen() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.catalogGen
-}
-
-// WALEndLSN returns the log's end LSN as captured at open, before any
-// new activity.  A store-level snapshot is current exactly when it is
-// stamped with this LSN and recovery replayed nothing: every logged
-// record was already reflected in the flushed heap the snapshot
-// serialised, and nothing was logged since.
-func (db *DB) WALEndLSN() uint64 {
-	if db.wal == nil {
-		return 0
-	}
-	return db.walEndAtOpen
-}
-
 // Dir returns the storage directory ("" for in-memory stores).
 func (db *DB) Dir() string { return db.dir }
 
-// Checkpoint flushes all pages, runs the snapshot hooks, persists the
+// Checkpoint flushes all pages, writes the snapshot, persists the
 // catalog with each heap's metadata, and truncates the WAL.  After a
 // clean checkpoint, reopening replays nothing and takes the heap
 // metadata from the catalog.  A checkpoint writes nothing when the
@@ -686,12 +664,12 @@ func (db *DB) Dir() string { return db.dir }
 // checkpoint's cut, nothing replayed or rebuilt at open, and no failure
 // since that degraded the store.
 //
-// The sequence is crash-safe at every step: the catalog and the WAL
-// successor are written temp-file-first with fsyncs and committed by
-// rename, and every hook's snapshot is stamped with the catalog
-// generation and checkpoint LSN so a reopen after a mid-sequence crash
-// either sees matching stamps (state is current) or falls back to the
-// WAL replay + derived-rebuild path.
+// The sequence is crash-safe at every step: the snapshot, the catalog
+// and the WAL successor are written temp-file-first with fsyncs and
+// committed by rename, and the snapshot is stamped with the log position
+// it reflects, so a reopen after a mid-sequence crash either finds the
+// log ending at the stamp (the snapshot is current) or falls back to the
+// derived rebuild.
 func (db *DB) Checkpoint() error {
 	if err := db.checkpoint(); err != nil {
 		// A failed checkpoint is a write-path failure: durability could
@@ -735,18 +713,15 @@ func (db *DB) checkpoint() error {
 	if err := db.pool.FlushAll(); err != nil {
 		return err
 	}
-	if db.dir != "" {
-		gen := db.catalogGen + 1
-		info := CheckpointInfo{Dir: db.dir, CatalogGen: gen, LSN: cut, FS: db.fs}
-		for _, hook := range db.preCkpt {
-			if err := hook(info); err != nil {
-				return err
-			}
-		}
-		if err := db.saveCatalogLocked(gen); err != nil {
+	if db.snap.Encode != nil {
+		if err := db.writeSnapshot(db.snap); err != nil {
+			db.snapErrors.Add(1)
 			return err
 		}
-		db.catalogGen = gen
+		db.snapSaves.Add(1)
+	}
+	if err := db.saveCatalogLocked(); err != nil {
+		return err
 	}
 	if db.wal != nil {
 		return db.wal.checkpointTo(cut)
@@ -787,7 +762,7 @@ func (db *DB) trainDict() error {
 	return db.file.train(data)
 }
 
-// NoteRebuilt tells the store that derived state a checkpoint hook
+// NoteRebuilt tells the store that derived state its snapshot source
 // persists was rebuilt at open rather than loaded, so the next checkpoint
 // writes it again even when nothing was logged since.
 func (db *DB) NoteRebuilt() { db.ckptDue.Store(true) }

@@ -239,7 +239,7 @@ func TestDBCrashRecovery(t *testing.T) {
 	// Save the catalog by hand so the table definition survives (the
 	// catalog is metadata; the paper's stores are long-lived).
 	db.mu.Lock()
-	if err := db.saveCatalogLocked(db.catalogGen + 1); err != nil {
+	if err := db.saveCatalogLocked(); err != nil {
 		t.Fatal(err)
 	}
 	db.mu.Unlock()
@@ -282,7 +282,7 @@ func TestDBCrashRecoveryIdempotent(t *testing.T) {
 	}
 	db.Commit()
 	db.mu.Lock()
-	db.saveCatalogLocked(db.catalogGen + 1)
+	db.saveCatalogLocked()
 	db.mu.Unlock()
 	// crash 1
 	db2, err := Open(Options{Dir: dir})

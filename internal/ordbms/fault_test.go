@@ -138,7 +138,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.mu.Lock()
-	db.saveCatalogLocked(db.catalogGen + 1)
+	db.saveCatalogLocked()
 	db.mu.Unlock()
 	// Crash, then corrupt the WAL tail.
 	walPath := filepath.Join(dir, "wal.nmlog")
@@ -177,7 +177,7 @@ func TestWALMidRecordCorruption(t *testing.T) {
 	}
 	db.Commit()
 	db.mu.Lock()
-	db.saveCatalogLocked(db.catalogGen + 1)
+	db.saveCatalogLocked()
 	db.mu.Unlock()
 
 	walPath := filepath.Join(dir, "wal.nmlog")
@@ -425,10 +425,10 @@ func TestCheckpointKeepsConcurrentTail(t *testing.T) {
 	}
 	db.Commit()
 	// Sneak a write into the middle of the checkpoint (after the page
-	// flush, before the WAL truncation) from a pre-checkpoint hook, then
+	// flush, before the WAL truncation) from the snapshot source, then
 	// let the checkpoint complete.
 	raced := false
-	db.RegisterPreCheckpointHook(func(CheckpointInfo) error {
+	db.SetSnapshot(seam(func() {
 		if !raced {
 			raced = true
 			if _, err := tbl.Insert(Row{I(999)}); err != nil {
@@ -438,13 +438,12 @@ func TestCheckpointKeepsConcurrentTail(t *testing.T) {
 				t.Errorf("racing commit: %v", err)
 			}
 		}
-		return nil
-	})
+	}))
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if !raced {
-		t.Fatal("pre-checkpoint hook never ran")
+		t.Fatal("the snapshot source never ran")
 	}
 	db.CloseDiscard() // crash: the raced write's page never reached disk
 
@@ -464,8 +463,18 @@ func TestCheckpointKeepsConcurrentTail(t *testing.T) {
 	}
 }
 
+// seam is a snapshot source that runs fn inside the checkpoint, past its
+// cut and its page flush, and writes an empty snapshot stamped 0: a seam
+// for writes mid-checkpoint.
+func seam(fn func()) Snapshot {
+	return Snapshot{Name: "seam.snap", Encode: func() ([]byte, uint64) {
+		fn()
+		return nil, 0
+	}}
+}
+
 // A page map the checkpoint commits never names a page holding a record
-// the log lacks.  A pre-checkpoint hook, past the checkpoint's cut and its
+// the log lacks.  The snapshot source, past the checkpoint's cut and its
 // page flush, inserts enough to evict pages of a pool of 8 while their
 // records sit only in the log's buffer, then makes every write to the log
 // fail ("wal.nmlog*": a checkpoint leaves the live log's handle named
@@ -498,9 +507,9 @@ func TestCommitCoversEvictedPages(t *testing.T) {
 	insert(1) // something for the next checkpoint to write
 	var evicted uint64
 	ran := false
-	db.RegisterPreCheckpointHook(func(CheckpointInfo) error {
+	db.SetSnapshot(seam(func() {
 		if ran {
-			return nil
+			return
 		}
 		ran = true
 		_, _, before := db.pool.Stats()
@@ -508,12 +517,11 @@ func TestCommitCoversEvictedPages(t *testing.T) {
 		_, _, after := db.pool.Stats()
 		evicted = after - before
 		ffs.AddRule(vfs.Rule{Op: vfs.OpWrite, Path: "wal.nmlog*"})
-		return nil
-	})
+	}))
 	err = db.Checkpoint()
 	t.Logf("checkpoint under a failing log write: %v", err)
 	if !ran || evicted == 0 {
-		t.Fatalf("the hook ran %v and evicted %d pages", ran, evicted)
+		t.Fatalf("the snapshot source ran %v and evicted %d pages", ran, evicted)
 	}
 	db.CloseDiscard() // the crash
 
@@ -567,12 +575,20 @@ func TestCheckpointAfterFailureRuns(t *testing.T) {
 	if !db.Health().Degraded || db.wal.NextLSN() != db.wal.BaseLSN() {
 		t.Fatalf("after the failed checkpoint: %+v, log %d..%d", db.Health(), db.wal.BaseLSN(), db.wal.NextLSN())
 	}
-	gen := db.CatalogGen()
+	// A checkpoint that runs replaces the catalog by rename.
+	before, err := os.Stat(filepath.Join(dir, catalogName))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if db.CatalogGen() != gen+1 || db.Health().Degraded {
-		t.Fatalf("the checkpoint after the failure: generation %d, want %d; %+v", db.CatalogGen(), gen+1, db.Health())
+	after, err := os.Stat(filepath.Join(dir, catalogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) || db.Health().Degraded {
+		t.Fatalf("the checkpoint after the failure: catalog replaced %v; %+v", !os.SameFile(before, after), db.Health())
 	}
 }
 

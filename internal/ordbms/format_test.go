@@ -196,7 +196,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"format":15,"generation":1,`; string(cat[:len(want)]) != want {
+	if want := `{"format":15,"tables":`; string(cat[:len(want)]) != want {
 		t.Fatalf("catalog starts %q, want %q", cat[:len(want)], want)
 	}
 	db2, err := Open(Options{Dir: dir})

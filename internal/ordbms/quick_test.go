@@ -194,7 +194,7 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 	db.Commit()
 	db.mu.Lock()
-	db.saveCatalogLocked(db.catalogGen + 1)
+	db.saveCatalogLocked()
 	db.mu.Unlock()
 	// Crash (no checkpoint).  Copy the dirty state per iteration is
 	// expensive; instead reopen+checkpoint once and measure a single

@@ -100,7 +100,6 @@ type WAL struct {
 // its payload, or carries anything but whole intact records is a corrupt
 // log, which no crash writes.
 //
-//	walCheckpoint   empty
 //	walAlloc        page u32, table name
 //	walCreateTable  table name, uvarint column count, then name + type byte per column
 //	walCreateIndex  table name, column name
@@ -116,7 +115,7 @@ type WAL struct {
 const (
 	_ byte = 2 + iota // 1 was format 1's per-row insert, 2 the per-row delete, gone in format 7
 	_                 // 3 was the in-place update, gone in format 6
-	walCheckpoint
+	_                 // 4 was an empty checkpoint marker, written by no format-15 build
 	// walAlloc records that a table adopted a freshly allocated page.
 	// The catalog persists page ownership only at checkpoints, so without
 	// these records a crash would orphan every page allocated since the
@@ -1092,8 +1091,6 @@ func replayFrame(p []byte, pos int64, lsn uint64, fn func(r WALRecord) error) (u
 			_, _, ok = readSymbolsRecord(r.Rec)
 		case walCreateTable, walCreateIndex, walDropTable:
 			// DDL payload, decoded by recovery
-		case walCheckpoint:
-			// informational only
 		default:
 			ok = false
 		}

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -267,6 +268,35 @@ func oneFrame(payload []byte) []byte {
 	return append(log, payload...)
 }
 
+// retiredRecord is a log of one frame holding one intact record of type
+// 4, the checkpoint marker no format-15 build writes.
+func retiredRecord() []byte {
+	rec := []byte{1, 0, 0, 0, 0, 0, 0, 0, 4}
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
+	var z bytes.Buffer
+	zw, _ := flate.NewWriter(&z, walLevel)
+	zw.Write(rec)
+	zw.Flush()
+	return oneFrame(z.Bytes())
+}
+
+// A record of type 4 is refused like any type the log does not know: an
+// intact frame carrying it is a corrupt log.
+func TestReplayRefusesRetiredType(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.nmlog")
+	if err := os.WriteFile(path, retiredRecord(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(vfs.OS, path)
+	if err == nil {
+		_, err = w.Replay(func(WALRecord) error { return nil })
+		w.closeFile()
+	}
+	if !errors.Is(err, errCorruptRecord) {
+		t.Fatalf("replaying a type 4 record = %v, want a corrupt record", err)
+	}
+}
+
 // FuzzWALLog writes hostile bytes after a valid log header and opens and
 // replays them, once as they are and once as the payload of a frame that
 // passes its CRC.  Whatever the bytes, nothing panics and nothing
@@ -274,7 +304,8 @@ func oneFrame(payload []byte) []byte {
 // inflates far past its size is refused, not inflated — and the log the
 // WAL wrote replays to exactly the records appended.  The seeds are a real
 // log of two frames, every cut of it, a flipped byte in each frame, the
-// first frame's payload, a frame claiming the most a word can, and a bomb.
+// first frame's payload, a frame claiming the most a word can, a bomb and
+// a frame holding a retired record type.
 func FuzzWALLog(f *testing.F) {
 	path := filepath.Join(f.TempDir(), "wal.nmlog")
 	w, err := OpenWAL(vfs.OS, path)
@@ -312,6 +343,7 @@ func FuzzWALLog(f *testing.F) {
 	zw.Write(make([]byte, 1<<20))
 	zw.Flush()
 	f.Add(oneFrame(zout.Bytes())[walHeaderSize:])
+	f.Add(retiredRecord()[walHeaderSize:])
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		// p as the bytes after the header, and as the payload of one frame

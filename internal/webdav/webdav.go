@@ -46,8 +46,8 @@ import (
 	"netmark/internal/xmlstore"
 )
 
-// Default timeouts for the hardened http.Server.  Zero-valued Server
-// fields fall back to these.
+// Timeouts of the hardened http.Server.  A zero ShutdownGrace falls back
+// to DefaultShutdownGrace.
 const (
 	DefaultReadTimeout   = 30 * time.Second
 	DefaultWriteTimeout  = 60 * time.Second
@@ -62,13 +62,9 @@ type Server struct {
 	davDir string
 	mux    *http.ServeMux
 
-	// ReadTimeout/WriteTimeout/IdleTimeout harden the listener against
-	// slow or stalled clients; ShutdownGrace bounds how long Serve waits
-	// for in-flight requests to drain after its context is cancelled.
-	// Set before Serve; zero values use the Default* constants.
-	ReadTimeout   time.Duration
-	WriteTimeout  time.Duration
-	IdleTimeout   time.Duration
+	// ShutdownGrace bounds how long Serve waits for in-flight requests
+	// to drain after its context is cancelled.  Set before Serve; zero
+	// uses DefaultShutdownGrace.
 	ShutdownGrace time.Duration
 }
 
@@ -755,13 +751,6 @@ func (s *Server) handlePropfind(w http.ResponseWriter, r *http.Request, fsPath s
 	sgml.WriteIndent(w, ms)
 }
 
-func orDefault(d, def time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return def
-}
-
 // Serve listens on addr and runs the hardened server until ctx is
 // cancelled, then drains gracefully: in-flight requests get up to
 // ShutdownGrace to complete before connections are forced closed.
@@ -787,10 +776,10 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	var conns sync.WaitGroup
 	srv := &http.Server{
 		Handler:           s.mux,
-		ReadTimeout:       orDefault(s.ReadTimeout, DefaultReadTimeout),
-		ReadHeaderTimeout: orDefault(s.ReadTimeout, DefaultReadTimeout),
-		WriteTimeout:      orDefault(s.WriteTimeout, DefaultWriteTimeout),
-		IdleTimeout:       orDefault(s.IdleTimeout, DefaultIdleTimeout),
+		ReadTimeout:       DefaultReadTimeout,
+		ReadHeaderTimeout: DefaultReadTimeout,
+		WriteTimeout:      DefaultWriteTimeout,
+		IdleTimeout:       DefaultIdleTimeout,
 		ConnState: func(_ net.Conn, state http.ConnState) {
 			switch state {
 			case http.StateNew:
@@ -805,7 +794,10 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	var err error
 	select {
 	case <-ctx.Done():
-		grace := orDefault(s.ShutdownGrace, DefaultShutdownGrace)
+		grace := s.ShutdownGrace
+		if grace <= 0 {
+			grace = DefaultShutdownGrace
+		}
 		sctx, cancel := context.WithTimeout(context.Background(), grace)
 		defer cancel()
 		if err = srv.Shutdown(sctx); err != nil {

@@ -102,9 +102,10 @@ func FuzzApplySnapshot(f *testing.F) {
 // FuzzApplySnapshot allows a payload of the file's size, whatever its
 // size word claims; a payload the read returns is what its stream
 // inflates to.  Of the seeds, the file the store wrote loads and applies,
-// the raw frame earlier builds wrote reads as "version", and a deflate
-// bomb, its size word under what the stream inflates to or past the
-// bound a stream's bytes allow, reads as "corrupt".
+// the raw frame earlier builds wrote reads as "version", the file under
+// another stamp as "stale", and a deflate bomb, its size word under what
+// the stream inflates to or past the bound a stream's bytes allow, reads
+// as "corrupt".
 func FuzzReadSnapshotFile(f *testing.F) {
 	dir := f.TempDir()
 	db, err := ordbms.Open(ordbms.Options{Dir: dir})
@@ -119,8 +120,8 @@ func FuzzReadSnapshotFile(f *testing.F) {
 	if err := db.Close(); err != nil {
 		f.Fatal(err)
 	}
-	// The DB the inputs are read through: its catalog generation and log
-	// end are the stamps of the file the close wrote.
+	// The DB the inputs are read through: its log end is the stamp of the
+	// file the close wrote.
 	if db, err = ordbms.Open(ordbms.Options{Dir: dir}); err != nil {
 		f.Fatal(err)
 	}
@@ -130,20 +131,23 @@ func FuzzReadSnapshotFile(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	raw := rawSnapshot(real, snapshotVersion, snapshotPayload(f, real))
+	raw := rawSnapshot(real, 9, snapshotPayload(f, real))
+	stale := append([]byte(nil), real...)
+	binary.LittleEndian.PutUint64(stale[24:], binary.LittleEndian.Uint64(real[24:])+1)
+	binary.LittleEndian.PutUint32(stale[12:], crc32.ChecksumIEEE(stale[24:]))
 	// A megabyte of zeros deflated, under a size word of the most its
 	// stream may inflate to, and under its true size, past that bound.
 	var z bytes.Buffer
 	zw, _ := flate.NewWriter(&z, flate.BestCompression)
 	zw.Write(make([]byte, 1<<20))
 	zw.Close()
-	bomb := append(append([]byte(nil), real[:40]...), z.Bytes()...)
+	bomb := append(append([]byte(nil), real[:32]...), z.Bytes()...)
 	binary.LittleEndian.PutUint32(bomb[12:], crc32.ChecksumIEEE(bomb[24:]))
-	binary.LittleEndian.PutUint64(bomb[16:], uint64(64*z.Len())|1<<63)
+	binary.LittleEndian.PutUint64(bomb[16:], uint64(64*z.Len()))
 	huge := append([]byte(nil), bomb...)
-	binary.LittleEndian.PutUint64(huge[16:], 1<<20|1<<63)
-	seeds := map[string]string{string(real): "", string(raw): "version", string(bomb): "corrupt", string(huge): "corrupt"}
-	for _, seed := range [][]byte{real, raw, bomb, huge, real[:len(real)-1], {}} {
+	binary.LittleEndian.PutUint64(huge[16:], 1<<20)
+	seeds := map[string]string{string(real): "", string(raw): "version", string(stale): "stale", string(bomb): "corrupt", string(huge): "corrupt"}
+	for _, seed := range [][]byte{real, raw, stale, bomb, huge, real[:len(real)-1], {}} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
@@ -168,7 +172,7 @@ func FuzzReadSnapshotFile(f *testing.F) {
 		if reason != "" {
 			return
 		}
-		inflated, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(p[40:])), int64(len(payload))+1))
+		inflated, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(p[32:])), int64(len(payload))+1))
 		if err != nil || !bytes.Equal(inflated, payload) {
 			t.Fatalf("read a %d-byte payload from a stream that inflates to %d bytes (%v)", len(payload), len(inflated), err)
 		}

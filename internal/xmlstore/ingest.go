@@ -727,6 +727,12 @@ func (s *Store) DeleteDocument(docID uint64) error {
 	// sees the document fully present or fully gone.
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
+	return s.deleteDocument(docID)
+}
+
+// deleteDocument is DeleteDocument's teardown.  Caller holds ckptMu for
+// reading.
+func (s *Store) deleteDocument(docID uint64) error {
 	info, err := s.Document(docID)
 	if err != nil {
 		return err

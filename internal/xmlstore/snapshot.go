@@ -10,15 +10,18 @@ package xmlstore
 // process-local, their only reader is a cache that is empty after a
 // restart, so a loaded term simply starts over at 1.
 //
-// The engine frames, deflates, stamps and validates the file
-// (ordbms.CheckpointInfo.WriteSnapshotFile, DB.ReadSnapshotFile): it is
-// loaded only when it was written by the very checkpoint this open
-// started from.  Anything else — a crash at any step of the checkpoint
-// sequence, mutations after the checkpoint, corruption, version skew, the
-// ablation flag — falls back to the derived rebuild, which walks each
-// document DOC lists from its root and indexes it with the code ingest
-// runs; the tables remain the source of truth.  The snapshot is an
-// accelerator, never an authority.
+// The file carries one stamp: the log position its indexes reflect,
+// taken in the same ckptMu hold as the indexes themselves, so every
+// record a write logged is either below the stamp and in the snapshot or
+// past it and not.  The engine frames, deflates, stamps and validates the
+// file (ordbms.Snapshot, DB.ReadSnapshotFile), and an open loads it only
+// when the recovered log ends exactly at the stamp: recovery brings the
+// tables to the log's end, so the two then describe the same writes.
+// Anything else — writes after the snapshot, a crash that lost records it
+// reflects, corruption, version skew, the ablation flag — falls back to
+// the derived rebuild, which walks each document DOC lists from its root
+// and indexes it with the code ingest runs; the tables remain the source
+// of truth.  The snapshot is an accelerator, never an authority.
 
 import (
 	"encoding/binary"
@@ -40,13 +43,14 @@ const (
 	// words under its CONTEXT, which has no node→CONTEXT entry, instead of
 	// under a text child; 8 posts every word under its section's key row
 	// and drops the node→CONTEXT entries; 9 writes the headings as a
-	// second text index, in its codec.  Any other version — older or
-	// newer — falls back to the derived rebuild, which retokenizes every
-	// document under the current contract; loading a v1 file's postings
-	// verbatim would permanently serve old-tokenizer terms against
-	// new-tokenizer queries.  The next checkpoint rewrites the file at the
-	// current version, so the penalty is one slow reopen.
-	snapshotVersion = 9
+	// second text index, in its codec; 10 stamps the file with the log
+	// position alone, not with a catalog generation too.  Any other
+	// version — older or newer — falls back to the derived rebuild, which
+	// retokenizes every document under the current contract; loading a v1
+	// file's postings verbatim would permanently serve old-tokenizer terms
+	// against new-tokenizer queries.  The next checkpoint rewrites the
+	// file at the current version, so the penalty is one slow reopen.
+	snapshotVersion = 10
 )
 
 var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
@@ -69,31 +73,21 @@ type SnapshotStats struct {
 
 // SnapshotStats returns the snapshot lifecycle counters.
 func (s *Store) SnapshotStats() SnapshotStats {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	return s.snapStat
+	st := s.snapStat
+	st.Saves, st.SaveErrors = s.db.SnapshotSaves()
+	return st
 }
 
-// snapshotHook runs inside the engine's checkpoint critical section:
-// every dirty page is already flushed and the stamps in ci are the ones
-// the checkpoint is about to commit.  Holding ckptMu for writing excludes
-// every mutation path across its whole table+derived-index span, so the
-// serialised state never captures a document between its rows landing
-// and its index entries landing.
-func (s *Store) snapshotHook(ci ordbms.CheckpointInfo) error {
+// snapshot is the store's snapshot source (ordbms.Snapshot.Encode): it
+// runs inside the engine's checkpoint, after every dirty page is flushed.
+// Holding ckptMu for writing excludes every mutation path across its
+// whole table+derived-index span, so the serialised state never captures
+// a document between its rows landing and its index entries landing, and
+// the log position taken in the same hold is the one the state reflects.
+func (s *Store) snapshot() ([]byte, uint64) {
 	s.ckptMu.Lock()
-	payload := s.encodeSnapshot()
-	s.ckptMu.Unlock()
-
-	err := ci.WriteSnapshotFile(snapshotName, snapshotMagic, snapshotVersion, payload)
-	s.snapMu.Lock()
-	if err != nil {
-		s.snapStat.SaveErrors++
-	} else {
-		s.snapStat.Saves++
-	}
-	s.snapMu.Unlock()
-	return err
+	defer s.ckptMu.Unlock()
+	return s.encodeSnapshot(), s.db.NextLSN()
 }
 
 // encodeSnapshot serialises the derived state.  Caller holds ckptMu for

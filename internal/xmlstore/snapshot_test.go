@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -365,6 +367,183 @@ func TestSnapshotCheckpointCrashMatrix(t *testing.T) {
 	}
 }
 
+// cutFS passes every call through to a FaultFS and, once armed, runs its
+// hook on the next write to data.nmdb, before the write.  In a checkpoint
+// that is the page flush's, after the checkpoint has cut the log.
+type cutFS struct {
+	*vfs.FaultFS
+	mu   sync.Mutex
+	hook func()
+}
+
+func (c *cutFS) arm(hook func()) {
+	c.mu.Lock()
+	c.hook = hook
+	c.mu.Unlock()
+}
+
+func (c *cutFS) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	f, err := c.FaultFS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != "data.nmdb" {
+		return f, err
+	}
+	return &cutFile{f, c}, nil
+}
+
+type cutFile struct {
+	vfs.File
+	c *cutFS
+}
+
+func (f *cutFile) WriteAt(p []byte, off int64) (int, error) {
+	f.c.mu.Lock()
+	hook := f.c.hook
+	f.c.hook = nil
+	f.c.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestSnapshotPastTheCut writes between a checkpoint's cut and its
+// snapshot, then crashes the checkpoint at the snapshot's directory
+// fsync, before the catalog flushes the log.  The write is a document
+// stored, or one deleted, while the checkpoint flushes its first page:
+// the test holds ckptMu for reading across it, so the snapshot, which
+// takes ckptMu for writing, reflects it.  Whatever the reopen then loads
+// or rebuilds, its answers must be those of a store opened without the
+// snapshot on a copy of the same directory.
+func TestSnapshotPastTheCut(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, s *Store) // under ckptMu, held for reading
+		// again, when set, is a document the reopened store takes and
+		// commits before a second crash.
+		again string
+	}{
+		// The document stored again is the first with its number's digits
+		// permuted, and its records take as many LSNs as the first's: had
+		// the crash lost the first's records, the log would end at the
+		// snapshot's stamp again, under another heading.
+		{"store", func(t *testing.T, s *Store) {
+			tree, meta, err := docform.Convert("late.xml", []byte(lateDoc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := s.prepareDocument(meta, tree, sgml.XMLConfig(), s.reserveDocIDs(1), new(prepWorker))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.storePrepared(p); err != nil {
+				t.Fatal(err)
+			}
+			s.indexPrepared(p)
+		}, strings.ReplaceAll(lateDoc, "7391", "3917")},
+		{"delete", func(t *testing.T, s *Store) {
+			docs, err := s.ContentSearchDocsN("cryogenic", 0)
+			if err != nil || len(docs) == 0 {
+				t.Fatalf("no document to delete: %v", err)
+			}
+			if err := s.deleteDocument(docs[0].DocID); err != nil {
+				t.Fatal(err)
+			}
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfs := &cutFS{FaultFS: vfs.NewFaultFS(nil)}
+			db, err := ordbms.Open(ordbms.Options{Dir: dir, FS: cfs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadDeepCorpus(t, s)
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			// Something for the next checkpoint to write.
+			if _, err := s.StoreRaw("next.xml", []byte(`<note>argon purge</note>`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			reached, held := make(chan struct{}), make(chan struct{})
+			cfs.arm(func() {
+				close(reached)
+				<-held
+			})
+			// The checkpoint's first directory fsync is the snapshot's.
+			cfs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: filepath.Base(dir), Times: 1})
+			done := make(chan error, 1)
+			go func() { done <- db.Checkpoint() }()
+			select {
+			case <-reached:
+			case err := <-done:
+				t.Fatalf("the checkpoint wrote no page: %v", err)
+			}
+			s.ckptMu.RLock()
+			close(held)
+			tc.write(t, s)
+			s.ckptMu.RUnlock()
+			if err := <-done; !errors.Is(err, syscall.EIO) {
+				t.Fatalf("checkpoint survived the injected crash: %v", err)
+			}
+			db.CloseDiscard() // the crash
+
+			db2, s2 := reopenAgainstRebuild(t, dir)
+			if tc.again != "" {
+				if _, err := s2.StoreRaw("late.xml", []byte(tc.again)); err != nil {
+					t.Fatal(err)
+				}
+				if err := db2.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				db2.CloseDiscard() // the second crash
+				db2, _ = reopenAgainstRebuild(t, dir)
+			}
+			db2.CloseDiscard()
+		})
+	}
+}
+
+// lateDoc is the document TestSnapshotPastTheCut stores past the cut.
+const lateDoc = `<report><heading>Budget 7391</heading><para>cryogenic turbine 7391 review was tested during</para></report>`
+
+// reopenAgainstRebuild reopens the store in dir and fails the test unless
+// it answers as a store opened without the snapshot on a copy of dir.
+func reopenAgainstRebuild(t *testing.T, dir string) (*ordbms.DB, *Store) {
+	t.Helper()
+	ref := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(ref, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, s := openDir(t, dir, OpenOptions{})
+	dbRef, sRef := openDir(t, ref, OpenOptions{DisableSnapshot: true})
+	defer dbRef.CloseDiscard()
+	t.Logf("reopen: %+v", s.SnapshotStats())
+	if got, want := s.NumDocuments(), sRef.NumDocuments(); got != want {
+		t.Fatalf("reopen holds %d documents, the rebuild %d", got, want)
+	}
+	diffPlans(t, "past-the-cut reopen", runPlans(t, s), runPlans(t, sRef))
+	return db, s
+}
+
 // TestSnapshotCorruptionFallsBack damages the snapshot file in several
 // ways; every damaged form must be rejected in favour of the scan
 // rebuild, never a failed open or wrong answers.
@@ -427,22 +606,21 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 }
 
 // snapshotPayload inflates the payload of a snapshot file: the deflate
-// stream after the frame's 24-byte header and 16-byte stamp.
+// stream after the frame's 24-byte header and 8-byte stamp.
 func snapshotPayload(t testing.TB, file []byte) []byte {
 	t.Helper()
-	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(file[40:])))
+	payload, err := io.ReadAll(flate.NewReader(bytes.NewReader(file[32:])))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return payload
 }
 
-// rawSnapshot frames payload, at version and under file's stamps, as
-// builds before the deflated snapshot did: header, stamps, then the
-// payload as it is, the header's size word the length of stamps and
-// payload.
+// rawSnapshot frames payload at version as builds before the deflated
+// snapshot did: header, 16 bytes of stamps, then the payload as it is,
+// the header's size word the length of stamps and payload.
 func rawSnapshot(file []byte, version uint32, payload []byte) []byte {
-	out := append(append([]byte(nil), file[:40]...), payload...)
+	out := append(append(append([]byte(nil), file[:24]...), make([]byte, 16)...), payload...)
 	body := out[24:]
 	binary.LittleEndian.PutUint32(out[8:], version)
 	binary.LittleEndian.PutUint32(out[12:], crc32.ChecksumIEEE(body))
@@ -450,20 +628,14 @@ func rawSnapshot(file []byte, version uint32, payload []byte) []byte {
 	return out
 }
 
-// deflated reports whether a snapshot file's size word marks its payload
-// deflated.
-func deflated(file []byte) bool {
-	return binary.LittleEndian.Uint64(file[16:24])>>63 == 1
-}
-
 // TestSnapshotVersionSkewFallsBack: a snapshot whose version field is
 // not the current one — an old v1 file, version 7's (whose text index
 // posts words under text nodes, followed by node→CONTEXT entries), the
-// previous version's, or a newer format — or the current version's
-// payload in the raw frame earlier builds wrote, must fall back to the
-// scan rebuild (which retokenizes under the current tokenizer contract)
-// and be rewritten, deflated at the current version, by the next
-// checkpoint.
+// previous version's, whose frame carries two stamps, the raw frame
+// builds before version 9 was deflated wrote, or a newer format — must
+// fall back to the scan rebuild (which retokenizes under the current
+// tokenizer contract) and be rewritten, deflated at the current version,
+// by the next checkpoint.
 func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	db, s := openDir(t, dir, OpenOptions{})
@@ -481,12 +653,12 @@ func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 		t.Fatalf("fresh snapshot version = %d, want %d", got, snapshotVersion)
 	}
 	payload := snapshotPayload(t, pristine)
-	if !deflated(pristine) || len(pristine) >= len(payload) {
+	if len(pristine) >= len(payload) {
 		t.Fatalf("fresh snapshot of %d bytes holds a %d-byte payload undeflated", len(pristine), len(payload))
 	}
 
 	skews := map[string][]byte{ // every older version, the next one, and the raw frame
-		"raw-frame": rawSnapshot(pristine, snapshotVersion, payload),
+		"raw-frame": rawSnapshot(pristine, 9, payload),
 	}
 	for v := uint32(1); v <= snapshotVersion+1; v++ {
 		if v != snapshotVersion {
@@ -514,8 +686,8 @@ func TestSnapshotVersionSkewFallsBack(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := binary.LittleEndian.Uint32(upgraded[8:12]); got != snapshotVersion || !deflated(upgraded) {
-				t.Fatalf("post-checkpoint version = %d, deflated %v; want %d, deflated", got, deflated(upgraded), snapshotVersion)
+			if got := binary.LittleEndian.Uint32(upgraded[8:12]); got != snapshotVersion {
+				t.Fatalf("post-checkpoint version = %d, want %d", got, snapshotVersion)
 			}
 			db3, s3 := openDir(t, dir, OpenOptions{})
 			defer db3.CloseDiscard()

@@ -207,16 +207,16 @@ type Store struct {
 
 	// ckptMu is the checkpoint barrier.  Every mutation path (ingest,
 	// batch writer+indexer, delete) holds it for reading across its whole
-	// table-plus-derived-index span; the snapshot hook holds it for
+	// table-plus-derived-index span; the snapshot source holds it for
 	// writing, so a serialised snapshot never captures a document between
 	// its rows landing in the tables and its entries landing in the
 	// derived indexes.  Queries never touch it.  It is the outermost
 	// lock of every mutation path.  netmarkvet:lockorder 10
 	ckptMu sync.RWMutex
 
-	// snapStat tracks the derived-snapshot lifecycle (see SnapshotStats).
-	snapMu   sync.Mutex
-	snapStat SnapshotStats // guarded by snapMu
+	// snapStat is how the open went with the derived snapshot, set
+	// before the store is shared (see SnapshotStats).
+	snapStat SnapshotStats
 
 	// generation counts this process's store mutations: every document
 	// ingest and every delete bumps it.  Result caches key on it where the
@@ -313,12 +313,12 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 			db.NoteRebuilt() // the next close writes the snapshot again
 		}
 	}
-	// Register the save hook only now that the derived state is known
-	// complete (loaded or fully rebuilt): a failed Open must never leave
-	// a hook behind that could checkpoint half-built indexes under
-	// current-looking stamps.
+	// The snapshot source goes in only now that the derived state is
+	// known complete (loaded or fully rebuilt): a failed Open must never
+	// leave one behind that could checkpoint half-built indexes under a
+	// current-looking stamp.
 	if s.snapStat.Enabled {
-		db.RegisterPreCheckpointHook(s.snapshotHook)
+		db.SetSnapshot(ordbms.Snapshot{Name: snapshotName, Magic: snapshotMagic, Version: snapshotVersion, Encode: s.snapshot})
 	}
 	return s, nil
 }
