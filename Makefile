@@ -118,8 +118,8 @@ bench-smoke:
 # across PRs.  -cpu 2 pins GOMAXPROCS to that of the committed
 # recordings: the parallel ingest, group-commit and RunParallel serving
 # benchmarks split their work by it.  Override the output file per PR:
-# make bench-json BENCH_OUT=BENCH_PR53.json
-BENCH_OUT ?= BENCH_PR53.json
+# make bench-json BENCH_OUT=BENCH_PR54.json
+BENCH_OUT ?= BENCH_PR54.json
 bench-json:
 	$(GO) test -run xxx -bench 'BenchmarkColdContentSearch|BenchmarkMixedWriteHeavy|BenchmarkServeParallel|BenchmarkFig6|BenchmarkReopen|BenchmarkIngestParallel|BenchmarkDeleteDocument|BenchmarkReconstruct|BenchmarkWriteDocument' -benchmem -benchtime 2s -cpu 2 . \
 		| $(GO) run ./cmd/benchdiff -record > $(BENCH_OUT)

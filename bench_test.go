@@ -34,9 +34,10 @@ import (
 	"netmark/internal/xmlstore"
 )
 
-// loadedStore builds an in-memory store pre-loaded with n proposals.  Its
-// node cache is on at core's default size, as netmarkd's is, so the
-// benchmarks built on it measure the read path the product serves.
+// loadedStore builds a volatile store, its files held in memory,
+// pre-loaded with n proposals.  Its node cache is on at core's default
+// size, as netmarkd's is, so the benchmarks built on it measure the read
+// path the product serves.
 func loadedStore(b *testing.B, n int, seed int64) *xmlstore.Store {
 	b.Helper()
 	s, err := experiments.NewStore()
@@ -383,8 +384,9 @@ func BenchmarkIngestByFormat(b *testing.B) {
 // document); the parallel variants fan parse/upmark/shred across
 // workers, feed a single ordered writer, and overlap derived indexing —
 // on a multi-core runner the worker sweep shows the pipeline's
-// throughput multiple.  Those cases run in memory, unlogged; "durable"
-// runs the pipeline on a directory and reports what storage cost: WAL
+// throughput multiple.  Those cases run on a volatile store, logged as
+// any is, its files held in memory; "durable" runs the pipeline on a
+// directory and reports what storage cost: WAL
 // bytes — the records (wal-B/user-B) and what the log's file took of
 // them, deflated (walfile-B/user-B) — and heap bytes (whole pages) per
 // ingested byte, WAL records and

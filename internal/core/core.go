@@ -29,8 +29,10 @@ import (
 
 // Config configures a NETMARK instance.
 type Config struct {
-	// Dir is the storage directory.  Empty runs fully in memory
-	// (volatile, unlogged) — the right mode for tests and experiments.
+	// Dir is the storage directory.  Empty keeps the store's files in
+	// memory, on a vfs.Mem, where they go with the process: the same
+	// engine, log and checkpoints as a directory store — the right mode
+	// for tests and experiments.
 	Dir string
 	// DropDir enables the ingestion daemon over the given folder.
 	DropDir string

@@ -29,7 +29,8 @@ import (
 	"netmark/internal/xmlstore"
 )
 
-// NewStore builds an in-memory store (shared helper).
+// NewStore builds a volatile store, its files held in memory (shared
+// helper).
 func NewStore() (*xmlstore.Store, error) {
 	db, err := ordbms.Open(ordbms.Options{})
 	if err != nil {

@@ -27,7 +27,7 @@ func (d *gatedDisk) ReadPage(no uint32, buf []byte) error {
 // 0)" under parallel cold readers).
 func TestFetchWaitsForInflightRead(t *testing.T) {
 	inner := NewMemDisk()
-	h := NewHeapFile(NewBufferPool(inner, 8), nil)
+	h := NewHeapFile(NewBufferPool(inner, 8), memWAL(t))
 	rid, err := h.Insert([]byte("cold row"))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestFetchWaitsForInflightRead(t *testing.T) {
 // fetch starts a fresh read.
 func TestFetchInflightReadFailure(t *testing.T) {
 	fd := newFaultDisk()
-	h := NewHeapFile(NewBufferPool(fd, 8), nil)
+	h := NewHeapFile(NewBufferPool(fd, 8), memWAL(t))
 	rid, err := h.Insert([]byte("row"))
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestFetchInflightReadFailure(t *testing.T) {
 // which go test -race checks.
 func TestFlushAllBesideInsert(t *testing.T) {
 	disk := NewMemDisk()
-	h := NewHeapFile(NewBufferPool(disk, 8), nil)
+	h := NewHeapFile(NewBufferPool(disk, 8), memWAL(t))
 	stop := make(chan struct{})
 	flushed := make(chan error)
 	go func() {

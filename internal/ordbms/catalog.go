@@ -83,9 +83,6 @@ const catalogName = "catalog.json"
 //
 // netmarkvet:snap-encode
 func (db *DB) saveCatalogLocked() error {
-	if db.dir == "" {
-		return nil
-	}
 	cf := catalogFile{Format: storeFormat}
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]

@@ -21,27 +21,25 @@ import (
 // Options configures a database instance.
 type Options struct {
 	// Dir is the directory holding the data file, WAL and catalog.
-	// Empty means a volatile in-memory store with no logging.
+	// Empty means a volatile store: the same files, logged and
+	// checkpointed as in a directory, kept on a vfs.Mem of its own, so
+	// they go with the process.
 	Dir string
 	// PoolPages caps the buffer pool (default 4096 pages = 32 MiB).
 	PoolPages int
 	// FS routes every file operation the store performs (data file, WAL,
 	// catalog, snapshots).  Nil means the real filesystem; fault-injection
-	// tests pass a vfs.FaultFS.
+	// tests pass a vfs.FaultFS.  A store with no Dir ignores it.
 	FS vfs.FS
 }
 
-// DB is the database engine facade: a disk manager, buffer pool, WAL and a
+// DB is the database engine facade: a data file, buffer pool, WAL and a
 // set of tables.
 type DB struct {
 	// mu serialises DDL against table lookup.  netmarkvet:lockorder 10
 	mu   sync.RWMutex
-	opts Options
 	dir  string
 	fs   vfs.FS
-	disk DiskManager
-	// file is disk for a directory store: the checkpoint commits its page
-	// map.  Nil for a volatile store.
 	file *fileDisk
 	pool *BufferPool
 	wal  *WAL
@@ -127,12 +125,7 @@ func (db *DB) SnapshotSaves() (saves, errors uint64) {
 // NextLSN returns the LSN the next logged record will receive: the log
 // position that every record logged so far lies below.  It takes no
 // lock of the DB's, so a snapshot source may call it inside a checkpoint.
-func (db *DB) NextLSN() uint64 {
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.NextLSN()
-}
+func (db *DB) NextLSN() uint64 { return db.wal.NextLSN() }
 
 // snapFrameLen is the fixed header of a snapshot file: magic(8)
 // version(4) crc32(4) size(8).  The CRC covers everything after it: the
@@ -286,19 +279,21 @@ func (db *DB) commitFile(name string, data []byte) error {
 	return syncDir(db.fs, db.dir)
 }
 
+// memDir is the directory a store with no Dir keeps its files in, on a
+// vfs.Mem of its own.
+const memDir = "store"
+
 // Open creates or reopens a database.
 func Open(opts Options) (*DB, error) {
 	if opts.PoolPages == 0 {
 		opts.PoolPages = 4096
 	}
-	db := &DB{opts: opts, dir: opts.Dir, fs: opts.FS, tables: make(map[string]*Table)}
+	if opts.Dir == "" {
+		opts.Dir, opts.FS = memDir, vfs.NewMem()
+	}
+	db := &DB{dir: opts.Dir, fs: opts.FS, tables: make(map[string]*Table)}
 	if db.fs == nil {
 		db.fs = vfs.OS
-	}
-	if opts.Dir == "" {
-		db.disk = NewMemDisk()
-		db.pool = NewBufferPool(db.disk, opts.PoolPages)
-		return db, nil
 	}
 	if err := db.fs.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ordbms: create dir: %w", err)
@@ -322,8 +317,7 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, errors.Join(err, wal.closeFile())
 	}
-	db.disk, db.file = disk, disk
-	db.wal = wal
+	db.file, db.wal = disk, wal
 	db.pool = NewBufferPool(disk, opts.PoolPages)
 	db.pool.onIOFault = func(err error) { db.noteWriteError("page write", err) }
 	// The open is doomed on these paths; closing may itself fail, and a
@@ -405,9 +399,7 @@ func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
 		indexes: make(map[string]*Index),
 	}
 	t.heap.tag = name
-	if db.wal != nil {
-		db.wal.LogCreateTable(name, schema)
-	}
+	db.wal.LogCreateTable(name, schema)
 	db.tables[name] = t
 	return t, nil
 }
@@ -491,9 +483,7 @@ func (db *DB) DropTable(name string) error {
 	if _, ok := db.tables[name]; !ok {
 		return fmt.Errorf("ordbms: no table %q", name)
 	}
-	if db.wal != nil {
-		db.wal.LogDropTable(name)
-	}
+	db.wal.LogDropTable(name)
 	delete(db.tables, name)
 	return nil
 }
@@ -514,9 +504,9 @@ func (db *DB) tableNamesLocked() []string {
 	return names
 }
 
-// Commit makes all mutations so far durable: the WAL is flushed (and
-// fsynced unless disabled).  Concurrent commits coalesce into one fsync
-// (WAL group commit).  In-memory stores are a no-op.  A commit failure
+// Commit makes all mutations so far durable: the WAL is flushed and
+// fsynced.  Concurrent commits coalesce into one fsync (WAL group
+// commit); on a vfs.Mem the fsync does nothing.  A commit failure
 // degrades the store (see Writable); the data whose commit failed is
 // reported failed, never silently acked.
 //
@@ -524,10 +514,8 @@ func (db *DB) tableNamesLocked() []string {
 // symbol table here, once, and the commit carries the walSymbols record.
 // Commit is CommitPoint then CommitTo.
 func (db *DB) Commit() error {
-	if db.wal != nil {
-		if err := db.Writable(); err != nil {
-			return err
-		}
+	if err := db.Writable(); err != nil {
+		return err
 	}
 	lsn, err := db.CommitPoint()
 	if err != nil {
@@ -546,9 +534,6 @@ func (db *DB) CommitPoint() (uint64, error) {
 	if err := db.train(); err != nil {
 		return 0, err
 	}
-	if db.wal == nil {
-		return 0, nil
-	}
 	return db.wal.NextLSN(), nil
 }
 
@@ -557,9 +542,6 @@ func (db *DB) CommitPoint() (uint64, error) {
 //
 // netmarkvet:commit
 func (db *DB) CommitTo(lsn uint64) error {
-	if db.wal == nil {
-		return nil
-	}
 	if err := db.Writable(); err != nil {
 		return err
 	}
@@ -570,27 +552,19 @@ func (db *DB) CommitTo(lsn uint64) error {
 	return err
 }
 
-// WALStats returns (records appended, fsyncs issued, bytes appended), all
-// zero for in-memory stores.  Group-commit batching shows up as syncs
+// WALStats returns (records appended, fsyncs issued, bytes appended).
+// Group-commit batching shows up as syncs
 // growing per batch while appends grow per run inserted; bytes — the
 // records as appended, framing included, before the log deflates them —
 // over the bytes ingested is what the store logs per byte.
 func (db *DB) WALStats() (appends, syncs, bytes uint64) {
-	if db.wal == nil {
-		return 0, 0, 0
-	}
 	return db.wal.Appends(), db.wal.Syncs(), db.wal.Bytes()
 }
 
 // WALFileBytes returns the bytes written to the log's files since open
-// (see WAL.FileBytes), zero for in-memory stores: over the bytes
-// ingested, the log's write amplification on the device.
-func (db *DB) WALFileBytes() uint64 {
-	if db.wal == nil {
-		return 0
-	}
-	return db.wal.FileBytes()
-}
+// (see WAL.FileBytes): over the bytes ingested, the log's write
+// amplification on the device.
+func (db *DB) WALFileBytes() uint64 { return db.wal.FileBytes() }
 
 // HeapStats returns how many pages the tables' heaps own and their bytes
 // uncompressed — beside WALStats and HeapFileBytes, the terms that make up
@@ -607,14 +581,9 @@ func (db *DB) HeapStats() (pages int, bytes int64) {
 // HeapFileBytes returns the bytes the data file's committed extents take,
 // each page compressed as the last checkpoint wrote it, the bytes of its
 // dictionary, and the file's length, which takes in the holes between
-// extents too; all zero for a volatile store.  The extents' bytes over
-// HeapStats' are what compressing pages at rest saves.
-func (db *DB) HeapFileBytes() (pages, dict, length int64) {
-	if db.file == nil {
-		return 0, 0, 0
-	}
-	return db.file.fileBytes()
-}
+// extents too.  The extents' bytes over HeapStats' are what compressing
+// pages at rest saves.
+func (db *DB) HeapFileBytes() (pages, dict, length int64) { return db.file.fileBytes() }
 
 // StringStats returns the bytes of STRING values inserted since open,
 // the bytes their payloads took stored — codes where coding was
@@ -653,9 +622,6 @@ func (db *DB) train() error {
 	return nil
 }
 
-// Dir returns the storage directory ("" for in-memory stores).
-func (db *DB) Dir() string { return db.dir }
-
 // Checkpoint flushes all pages, writes the snapshot, persists the
 // catalog with each heap's metadata, and truncates the WAL.  After a
 // clean checkpoint, reopening replays nothing and takes the heap
@@ -691,22 +657,18 @@ func (db *DB) checkpoint() error {
 		return nil
 	}
 	db.ckptDue.Store(false)
-	var cut uint64
-	if db.wal != nil {
-		if err := db.wal.Sync(); err != nil && db.wal.Poisoned() == nil {
-			return err
-		}
-		// A poisoned log does not abort the checkpoint: the WAL swap at
-		// the end rebuilds the log on a fresh handle, which is exactly
-		// the repair path.  cut stays at the last trustworthy fsync, so
-		// every record in doubt survives into (and is fsynced with) the
-		// successor file.
-		//
-		// Records at or below cut are covered by the page flush below;
-		// records appended after it (concurrent writers) survive the
-		// truncation as the new log's tail.
-		cut = db.wal.SyncedLSN()
+	if err := db.wal.Sync(); err != nil && db.wal.Poisoned() == nil {
+		return err
 	}
+	// A poisoned log does not abort the checkpoint: the WAL swap at the
+	// end rebuilds the log on a fresh handle, which is exactly the repair
+	// path.  cut stays at the last trustworthy fsync, so every record in
+	// doubt survives into (and is fsynced with) the successor file.
+	//
+	// Records at or below cut are covered by the page flush below; records
+	// appended after it (concurrent writers) survive the truncation as the
+	// new log's tail.
+	cut := db.wal.SyncedLSN()
 	if err := db.trainDict(); err != nil {
 		return err
 	}
@@ -723,10 +685,7 @@ func (db *DB) checkpoint() error {
 	if err := db.saveCatalogLocked(); err != nil {
 		return err
 	}
-	if db.wal != nil {
-		return db.wal.checkpointTo(cut)
-	}
-	return nil
+	return db.wal.checkpointTo(cut)
 }
 
 // The data file's dictionary is trained at the first checkpoint that
@@ -741,7 +700,7 @@ const (
 // first to write dictTrainPages pages, before it writes them.  Caller
 // holds db.mu.
 func (db *DB) trainDict() error {
-	if db.file == nil || db.file.trained() {
+	if db.file.trained() {
 		return nil
 	}
 	dirty := db.pool.dirtyPages()
@@ -767,14 +726,13 @@ func (db *DB) trainDict() error {
 // writes it again even when nothing was logged since.
 func (db *DB) NoteRebuilt() { db.ckptDue.Store(true) }
 
-// upToDate reports whether a directory store's files hold all it has:
+// upToDate reports whether the store's files hold all it has:
 // no record logged past the last checkpoint's cut, where the log's base
 // stands, nothing due from the open (a torn log among it) or a rebuild,
 // and a store that is not degraded — by a failed checkpoint, or by a
 // failed fsync, which poisons the log.  Caller holds db.mu.
 func (db *DB) upToDate() bool {
-	return db.wal != nil && !db.ckptDue.Load() && !db.health.degraded.Load() &&
-		db.wal.NextLSN() == db.wal.BaseLSN()
+	return !db.ckptDue.Load() && !db.health.degraded.Load() && db.wal.NextLSN() == db.wal.BaseLSN()
 }
 
 // Close checkpoints and releases all resources.  A store opened only to
@@ -783,12 +741,10 @@ func (db *DB) Close() error {
 	if err := db.Checkpoint(); err != nil {
 		return err
 	}
-	if db.wal != nil {
-		if err := db.wal.Close(); err != nil {
-			return err
-		}
+	if err := db.wal.Close(); err != nil {
+		return err
 	}
-	return db.disk.Close()
+	return db.file.Close()
 }
 
 // CloseDiscard releases file handles without checkpointing or flushing —
@@ -797,10 +753,8 @@ func (db *DB) Close() error {
 // checkpoint for a store they never mutated.  Anything not already
 // durable is lost, exactly as in a crash.
 func (db *DB) CloseDiscard() error {
-	if db.wal != nil {
-		db.wal.closeFile()
-	}
-	return db.disk.Close()
+	db.wal.closeFile()
+	return db.file.Close()
 }
 
 // Table is a heap of rows plus secondary indexes.  Reads take a shared
@@ -895,9 +849,7 @@ func (t *Table) train() error {
 	}
 	st := trainSymbols(sample)
 	t.syms.Store(st)
-	if t.db.wal != nil {
-		t.db.wal.LogSymbols(t.name, st)
-	}
+	t.db.wal.LogSymbols(t.name, st)
 	return nil
 }
 
@@ -1130,9 +1082,7 @@ func (t *Table) CreateIndex(column string) error {
 	if err := t.buildIndexLocked(column); err != nil {
 		return err
 	}
-	if t.db != nil && t.db.wal != nil {
-		t.db.wal.LogCreateIndex(t.name, column)
-	}
+	t.db.wal.LogCreateIndex(t.name, column)
 	return nil
 }
 

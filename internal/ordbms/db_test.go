@@ -46,6 +46,37 @@ func TestDBCreateInsertFetch(t *testing.T) {
 	}
 }
 
+// A store with no directory runs the engine a directory store runs: its
+// inserts are logged, and its Close checkpoints the pages through the page
+// map into a data file, held in memory.
+func TestVolatileStoreLogsAndCheckpoints(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("people", testSchema(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := tbl.Insert(Row{I(int64(i)), S(fmt.Sprintf("person %d", i)), F(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if appends, _, bytes := db.WALStats(); appends == 0 || bytes == 0 {
+		t.Fatalf("WALStats = %d appends, %d bytes: the store logged nothing", appends, bytes)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pages, _, length := db.HeapFileBytes(); pages == 0 || length <= pages {
+		t.Fatalf("HeapFileBytes = %d in extents, %d long: Close committed no page", pages, length)
+	}
+}
+
 func TestDBSchemaValidation(t *testing.T) {
 	db, _ := Open(Options{})
 	defer db.Close()

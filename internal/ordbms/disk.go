@@ -12,9 +12,8 @@ import (
 	"netmark/internal/vfs"
 )
 
-// DiskManager provides page-granular storage.  Two implementations exist:
-// a file-backed manager for durable stores and an in-memory manager for
-// tests and benchmarks.
+// DiskManager provides page-granular storage: the buffer pool's view of
+// the data file.
 type DiskManager interface {
 	// AllocatePage reserves a new page and returns its number.  Page 0 is
 	// never allocated; it is reserved so that RowID{0,0} can act as nil.
@@ -26,56 +25,7 @@ type DiskManager interface {
 	Close() error
 }
 
-// memDisk is the in-memory DiskManager.
-type memDisk struct {
-	mu    sync.Mutex
-	pages [][]byte // guarded by mu
-}
-
-// NewMemDisk returns an in-memory disk manager.
-func NewMemDisk() DiskManager {
-	// Index 0 is the reserved never-allocated page.
-	return &memDisk{pages: make([][]byte, 1)}
-}
-
-func (d *memDisk) AllocatePage() (uint32, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	no := uint32(len(d.pages))
-	d.pages = append(d.pages, make([]byte, PageSize))
-	return no, nil
-}
-
-func (d *memDisk) ReadPage(no uint32, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(no) >= len(d.pages) || no == 0 {
-		return fmt.Errorf("ordbms: read of unallocated page %d", no)
-	}
-	copy(buf, d.pages[no])
-	return nil
-}
-
-func (d *memDisk) WritePage(no uint32, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(no) >= len(d.pages) || no == 0 {
-		return fmt.Errorf("ordbms: write of unallocated page %d", no)
-	}
-	copy(d.pages[no], buf)
-	return nil
-}
-
-func (d *memDisk) NumPages() uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return uint32(len(d.pages))
-}
-
-func (d *memDisk) Sync() error  { return nil }
-func (d *memDisk) Close() error { return nil }
-
-// fileDisk is the file-backed DiskManager: a compressed page store.  The
+// fileDisk is the DiskManager: a compressed page store.  The
 // data file starts with diskMagic; after it, each page that has been
 // written lies in one extent, the block encodePage made of it or, when
 // that is not shorter, the page itself.  Where each page lies is the page

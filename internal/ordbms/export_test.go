@@ -2,9 +2,29 @@ package ordbms
 
 import (
 	"fmt"
+	"testing"
 
 	"netmark/internal/vfs"
 )
+
+// NewMemDisk returns an empty data file on a vfs.Mem of its own.
+func NewMemDisk() DiskManager {
+	d, err := openFileDisk(vfs.NewMem(), "data.nmdb", 1, nil, nil)
+	if err != nil {
+		panic(err) // a fresh Mem takes any write
+	}
+	return d
+}
+
+// memWAL returns an empty log on a vfs.Mem of its own, for a heap built
+// without a DB.
+func memWAL(t testing.TB) *WAL {
+	w, err := OpenWAL(vfs.NewMem(), "wal.nmlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
 // OpenWAL opens or creates the log at path, doing all file I/O through
 // fsys.  It inflates the log's intact frames to find where the record

@@ -67,7 +67,7 @@ func (d *faultDisk) Close() error     { return d.inner.Close() }
 func TestReadFailureSurfacesCleanly(t *testing.T) {
 	disk := newFaultDisk()
 	pool := NewBufferPool(disk, 4) // tiny pool forces re-reads
-	h := NewHeapFile(pool, nil)
+	h := NewHeapFile(pool, memWAL(t))
 	var rids []RowID
 	for i := 0; i < 20; i++ {
 		rid, err := h.Insert(make([]byte, 3000))
@@ -96,7 +96,7 @@ func TestReadFailureSurfacesCleanly(t *testing.T) {
 func TestEvictionWriteFailureDoesNotLoseData(t *testing.T) {
 	disk := newFaultDisk()
 	pool := NewBufferPool(disk, 4)
-	h := NewHeapFile(pool, nil)
+	h := NewHeapFile(pool, memWAL(t))
 	// Fill beyond the pool so evictions happen; then make writes fail and
 	// confirm the insert that needed an eviction reports the error
 	// rather than silently dropping a dirty page.
@@ -531,7 +531,7 @@ func TestCommitCoversEvictedPages(t *testing.T) {
 	}
 	defer db.CloseDiscard()
 	end := db.wal.NextLSN()
-	for no := uint32(1); no < db.disk.NumPages(); no++ {
+	for no := uint32(1); no < db.file.NumPages(); no++ {
 		f, err := db.pool.Fetch(no)
 		if err != nil {
 			t.Fatal(err)

@@ -120,7 +120,7 @@ func FuzzDeleteRunRecord(f *testing.F) {
 	if err := tbl.Delete(rids[1]); err != nil {
 		f.Fatal(err)
 	}
-	numPages := db.disk.NumPages() // the data file's size says nothing of it: pages are compressed
+	numPages := db.file.NumPages() // the data file's size says nothing of it: pages are compressed
 	if err := db.Close(); err != nil {
 		f.Fatal(err)
 	}

@@ -19,7 +19,7 @@ type HeapFile struct {
 	// netmarkvet:lockorder 30
 	mu    sync.Mutex
 	pool  *BufferPool
-	wal   *WAL // may be nil for unlogged heaps
+	wal   *WAL
 	tag   string
 	pages []uint32 // guarded by mu
 	// hints is the free-space map: the pages with meaningful free space
@@ -258,9 +258,7 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 			return ZeroRowID, err
 		}
 		h.pages = append(h.pages, f.PageNo)
-		if h.wal != nil {
-			h.wal.LogAlloc(h.tag, f.PageNo)
-		}
+		h.wal.LogAlloc(h.tag, f.PageNo)
 		consider(f)
 		rid, _, err := tryPlace(f.PageNo, i) // the size check makes an empty page fit
 		return rid, err
@@ -324,12 +322,9 @@ func (h *HeapFile) InsertRun(recs [][]byte, link func(rids []RowID)) (rids []Row
 	for _, rp := range pages[latched:] {
 		rp.rows = nil
 	}
-	var lsn uint64
-	if h.wal != nil {
-		lsn = h.wal.LogInsertRun(pages, recs)
-	}
+	lsn := h.wal.LogInsertRun(pages, recs)
 	for _, rp := range pages[:latched] {
-		if h.wal != nil && len(rp.rows) > 0 {
+		if len(rp.rows) > 0 {
 			rp.f.Page.SetLSN(lsn)
 		}
 		rp.f.Latch.Unlock()
@@ -504,10 +499,7 @@ func (h *HeapFile) DeleteRun(rids []RowID) error {
 	if len(kept) == 0 {
 		return ErrRecordDeleted
 	}
-	var lsn uint64
-	if h.wal != nil {
-		lsn = h.wal.LogDeleteRun(kept)
-	}
+	lsn := h.wal.LogDeleteRun(kept)
 	var f *Frame // the page being deleted from, write-latched
 	release := func() {
 		if f != nil {
@@ -538,9 +530,7 @@ func (h *HeapFile) DeleteRun(rids []RowID) error {
 		default:
 			return err
 		}
-		if h.wal != nil {
-			f.Page.SetLSN(lsn)
-		}
+		f.Page.SetLSN(lsn)
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ func memPool(t testing.TB, pages int) *BufferPool {
 }
 
 func TestHeapInsertFetch(t *testing.T) {
-	h := NewHeapFile(memPool(t, 64), nil)
+	h := NewHeapFile(memPool(t, 64), memWAL(t))
 	rid, err := h.Insert([]byte("record one"))
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestHeapInsertFetch(t *testing.T) {
 }
 
 func TestHeapSpansPages(t *testing.T) {
-	h := NewHeapFile(memPool(t, 64), nil)
+	h := NewHeapFile(memPool(t, 64), memWAL(t))
 	rec := make([]byte, 1000)
 	var rids []RowID
 	for i := 0; i < 100; i++ { // ~100KB >> one page
@@ -59,7 +59,7 @@ func TestHeapSpansPages(t *testing.T) {
 func TestHeapRowIDsAreStable(t *testing.T) {
 	// The paper's traversal scheme requires RowIDs to survive deletes of
 	// other records and page compaction.
-	h := NewHeapFile(memPool(t, 64), nil)
+	h := NewHeapFile(memPool(t, 64), memWAL(t))
 	var rids []RowID
 	for i := 0; i < 50; i++ {
 		rid, err := h.Insert(bytes.Repeat([]byte{byte(i)}, 100))
@@ -85,7 +85,7 @@ func TestHeapRowIDsAreStable(t *testing.T) {
 }
 
 func TestHeapDeleteSemantics(t *testing.T) {
-	h := NewHeapFile(memPool(t, 64), nil)
+	h := NewHeapFile(memPool(t, 64), memWAL(t))
 	rid, _ := h.Insert([]byte("x"))
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestHeapDeleteSemantics(t *testing.T) {
 }
 
 func TestHeapScanOrderAndStop(t *testing.T) {
-	h := NewHeapFile(memPool(t, 64), nil)
+	h := NewHeapFile(memPool(t, 64), memWAL(t))
 	for i := 0; i < 30; i++ {
 		if _, err := h.Insert([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -131,14 +131,14 @@ func TestHeapScanOrderAndStop(t *testing.T) {
 }
 
 func TestHeapRejectsOversizeRecord(t *testing.T) {
-	h := NewHeapFile(memPool(t, 64), nil)
+	h := NewHeapFile(memPool(t, 64), memWAL(t))
 	if _, err := h.Insert(make([]byte, PageSize)); err == nil {
 		t.Fatal("oversize record accepted")
 	}
 }
 
 func TestHeapFreeSpaceReuse(t *testing.T) {
-	h := NewHeapFile(memPool(t, 64), nil)
+	h := NewHeapFile(memPool(t, 64), memWAL(t))
 	// Fill two pages.
 	var rids []RowID
 	for i := 0; i < 14; i++ {
@@ -171,7 +171,7 @@ func TestHeapFreeSpaceReuse(t *testing.T) {
 // time, so the same inserts always land on the same RowIDs.
 func TestHeapPlacementIsDeterministic(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		h := NewHeapFile(memPool(t, 64), nil)
+		h := NewHeapFile(memPool(t, 64), memWAL(t))
 		for i := 0; i < 4; i++ { // two per page, each page left with ~2 KB
 			if _, err := h.Insert(make([]byte, 3000)); err != nil {
 				t.Fatal(err)
@@ -193,7 +193,7 @@ func TestHeapPlacementIsDeterministic(t *testing.T) {
 func TestFirstFitMatchesLowestHintedPage(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 200; round++ {
-		h := NewHeapFile(memPool(t, 8), nil)
+		h := NewHeapFile(memPool(t, 8), memWAL(t))
 		h.mu.Lock()
 		walk := make(map[uint32]int) // the old map, as the old rule kept it
 		for i := rng.Intn(80); i > 0; i-- {
@@ -229,7 +229,7 @@ func TestFirstFitMatchesLowestHintedPage(t *testing.T) {
 func TestBufferPoolEviction(t *testing.T) {
 	disk := NewMemDisk()
 	pool := NewBufferPool(disk, 8)
-	h := NewHeapFile(pool, nil)
+	h := NewHeapFile(pool, memWAL(t))
 	var rids []RowID
 	for i := 0; i < 50; i++ { // 50 pages through an 8-page pool
 		rid, err := h.Insert(bytes.Repeat([]byte{byte(i)}, 5000))
@@ -254,7 +254,7 @@ func TestBufferPoolEviction(t *testing.T) {
 }
 
 func TestHeapConcurrentInsertFetch(t *testing.T) {
-	h := NewHeapFile(memPool(t, 256), nil)
+	h := NewHeapFile(memPool(t, 256), memWAL(t))
 	const g, per = 8, 200
 	errc := make(chan error, g)
 	for w := 0; w < g; w++ {

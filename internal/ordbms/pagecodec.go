@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"sync"
 )
 
 // The data file holds each page as one block of a small LZ77 codec in
@@ -21,10 +22,11 @@ import (
 // The parse follows hash chains, chainDepth long, over the dictionary
 // and the page so far, taking the longest match found of at least four
 // bytes, or the one a position later when that one is longer (a lazy
-// step).  The dictionary's index is built once, when it is trained or
-// the store opened, and shared; a page's encode copies its chain heads
-// and adds the page's positions behind them.  A page's free space is
-// zeros and its strings are already FSST-coded (see symbols.go).  On a
+// step).  The dictionary's index is built once, at the first page
+// encoded against it, and shared, so a store that only reads never
+// builds it; a page's encode copies its chain heads and adds the page's
+// positions behind them.  A page's free space is zeros and its strings
+// are already FSST-coded (see symbols.go).  On a
 // 2-CPU Xeon shared with other work, a page of the mixed corpus decodes
 // in about 10 µs and encodes in about 0.2 ms against a dictionary; the
 // chains encode at twice a greedy parse's cost over the same dictionary
@@ -58,12 +60,14 @@ var errCorruptBlock = errors.New("ordbms: corrupt page block")
 
 // pageDict is a store dictionary and the encoder's index over it.  Its
 // positions are the window's: the dictionary's bytes come first, the
-// page's after them.  It is read-only once built.
+// page's after them.  It is read-only once indexed.
 type pageDict struct {
 	data []byte
+	// indexed builds head and prev, at the first encode (see index).
+	indexed sync.Once
 	// head is, by hash, the last position with that hash plus one; 0 is
 	// none.
-	head [1 << hashLog]uint16
+	head *[1 << hashLog]uint16
 	// prev is, by position, how far back the position before it with the
 	// same hash lies; 0 is none.
 	prev []uint16
@@ -72,17 +76,22 @@ type pageDict struct {
 // noDict is the dictionary of a store that has none.
 var noDict = newPageDict(nil)
 
-// newPageDict indexes data, at most dictMax bytes, as a dictionary.
-func newPageDict(data []byte) *pageDict {
-	d := &pageDict{data: data, prev: make([]uint16, len(data))}
-	for p := 0; p+8 <= len(data); p++ {
-		h := hash5(binary.LittleEndian.Uint64(data[p:]))
-		if last := int(d.head[h]); last > 0 {
-			d.prev[p] = uint16(p + 1 - last)
+// newPageDict makes data, at most dictMax bytes, a dictionary.  Decoding
+// needs its bytes alone; the encoder's index waits for the first encode.
+func newPageDict(data []byte) *pageDict { return &pageDict{data: data} }
+
+// index builds the encoder's index over the dictionary, once.
+func (d *pageDict) index() {
+	d.indexed.Do(func() {
+		d.head, d.prev = new([1 << hashLog]uint16), make([]uint16, len(d.data))
+		for p := 0; p+8 <= len(d.data); p++ {
+			h := hash5(binary.LittleEndian.Uint64(d.data[p:]))
+			if last := int(d.head[h]); last > 0 {
+				d.prev[p] = uint16(p + 1 - last)
+			}
+			d.head[h] = uint16(p + 1)
 		}
-		d.head[h] = uint16(p + 1)
-	}
-	return d
+	})
 }
 
 // pageScratch is a block's worth of bytes and the encoder's chains, kept
@@ -101,7 +110,8 @@ func hash5(v uint64) uint32 { return uint32(v << 24 * 889523592379 >> (64 - hash
 // against d and returns the block, or nil when the block would not be
 // shorter than the page: such a page is stored raw.
 func (s *pageScratch) encodePage(page []byte, d *pageDict) []byte {
-	s.head, s.next = d.head, 0
+	d.index()
+	s.head, s.next = *d.head, 0
 	base := len(d.data) // page[0]'s window position
 	dst := s.buf[:0]
 	anchor := 0

@@ -45,7 +45,7 @@ func realPages(t testing.TB) [][]byte {
 	var pages [][]byte
 	for _, no := range tbl.heap.Pages() {
 		p := make([]byte, PageSize)
-		if err := db.disk.ReadPage(no, p); err != nil {
+		if err := db.file.ReadPage(no, p); err != nil {
 			t.Fatal(err)
 		}
 		pages = append(pages, p)

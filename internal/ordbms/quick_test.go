@@ -15,7 +15,7 @@ import (
 // out twice.
 func TestQuickHeapAgainstReference(t *testing.T) {
 	f := func(ops []uint16) bool {
-		h := NewHeapFile(NewBufferPool(NewMemDisk(), 64), nil)
+		h := NewHeapFile(NewBufferPool(NewMemDisk(), 64), memWAL(t))
 		ref := make(map[RowID][]byte)
 		var order []RowID // every RowID handed out, deleted ones included
 		for i, op := range ops {
@@ -126,7 +126,7 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 	}
 }
 
-func BenchmarkInsertUnlogged(b *testing.B) {
+func BenchmarkInsertVolatile(b *testing.B) {
 	db, _ := Open(Options{})
 	defer db.Close()
 	tbl, _ := db.CreateTable("t", MustSchema(Column{"v", TypeString}))

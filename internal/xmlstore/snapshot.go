@@ -57,8 +57,8 @@ var snapshotMagic = [8]byte{'N', 'M', 'X', 'S', 'N', 'P', '1', 0}
 
 // SnapshotStats reports the derived-snapshot lifecycle for /stats.
 type SnapshotStats struct {
-	// Enabled is true when the store participates in snapshotting (a
-	// persistent store without the ablation flag).
+	// Enabled is true when the store participates in snapshotting: every
+	// store opened without OpenOptions.DisableSnapshot.
 	Enabled bool
 	// Loaded is true when this Open was served by a valid snapshot
 	// instead of the document-by-document rebuild.

@@ -225,6 +225,42 @@ func TestSnapshotReopenEquivalence(t *testing.T) {
 	}
 }
 
+// A store whose files are held in a vfs.Mem recovers from a crash as one
+// on disk does: ingested, then closed without a checkpoint, it reopens on
+// the same Mem by replaying its log, and every document reconstructs as
+// it did before the crash.
+func TestMemStoreCrashRecovers(t *testing.T) {
+	mem := vfs.NewMem()
+	open := func() (*ordbms.DB, *Store) {
+		t.Helper()
+		db, err := ordbms.Open(ordbms.Options{Dir: "s", FS: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, s
+	}
+	db, s := open()
+	loadDeepCorpus(t, s)
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := reconstructAll(t, s, 0)
+	db.CloseDiscard() // crash: committed, nothing checkpointed
+
+	db2, s2 := open()
+	defer db2.Close()
+	if db2.Replayed == 0 {
+		t.Fatal("the reopen replayed nothing: the log was not on the Mem")
+	}
+	if got := reconstructAll(t, s2, 0); !reflect.DeepEqual(got, want) || len(got) == 0 {
+		t.Fatalf("after the crash %d documents reconstruct, before it %d, or some differ", len(got), len(want))
+	}
+}
+
 // TestSnapshotStaleAfterCrash mutates the store after a checkpoint, then
 // crashes: the reopened store must reject the now-stale snapshot, rebuild
 // by scan, and answer with the post-mutation state.

@@ -264,12 +264,11 @@ type OpenOptions struct {
 }
 
 // Open attaches the store to a database, creating the universal tables on
-// first use.  On a persistent reopen the derived indexes (text index,
-// heading index, document-ID counter) are loaded from the checkpoint
-// snapshot when its stamps prove the heap has not moved since it was
-// written; otherwise — and always for in-memory stores — they are rebuilt
-// a document at a time, each DOC row's document walked from its root (see
-// rebuildDerived).
+// first use.  On a reopen the derived indexes (text index, heading index,
+// document-ID counter) are loaded from the checkpoint snapshot when its
+// stamp proves the heap has not moved since it was written; otherwise they
+// are rebuilt a document at a time, each DOC row's document walked from
+// its root (see rebuildDerived).
 func Open(db *ordbms.DB) (*Store, error) {
 	return OpenWith(db, OpenOptions{})
 }
@@ -301,7 +300,7 @@ func OpenWith(db *ordbms.DB, opts OpenOptions) (*Store, error) {
 	if err := s.loadTags(); err != nil {
 		return nil, err
 	}
-	if db.Dir() != "" && !opts.DisableSnapshot {
+	if !opts.DisableSnapshot {
 		s.snapStat.Enabled = true
 		s.snapStat.Loaded, s.snapStat.Fallback = s.loadSnapshot(db)
 	}
@@ -878,16 +877,6 @@ func (t TextIndex) Phrase(query string) []uint64 {
 // TextIndexStats reports the text index's posting-list storage counters
 // (block counts, resident bytes, compression ratio) for /stats.
 func (s *Store) TextIndexStats() textindex.Stats { return s.content.Stats() }
-
-// ContextCount returns how many CONTEXT nodes carry the heading.
-func (s *Store) ContextCount(heading string) int {
-	n := 0
-	for it := s.headings.Postings(NormalizeContext(heading)); ; n++ {
-		if _, ok := it.Next(); !ok {
-			return n
-		}
-	}
-}
 
 // ContextHeadings lists the distinct normalised headings in the store,
 // sorted.

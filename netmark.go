@@ -13,7 +13,7 @@
 //
 // Quickstart:
 //
-//	nm, _ := netmark.Open(netmark.Config{})        // in-memory instance
+//	nm, _ := netmark.Open(netmark.Config{})        // volatile: files held in memory
 //	defer nm.Close()
 //	nm.Ingest("report.html", htmlBytes)            // any format
 //	res, _ := nm.Query("context=Budget&content=propulsion")
@@ -35,8 +35,8 @@ import (
 	"netmark/internal/xmlstore"
 )
 
-// Config configures an instance.  The zero value is a volatile in-memory
-// instance.
+// Config configures an instance.  The zero value is a volatile instance:
+// its store runs as one on disk does, with its files held in memory.
 type Config = core.Config
 
 // DefaultCacheBytes is the query result cache cap used when Config
